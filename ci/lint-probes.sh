@@ -73,18 +73,30 @@ EOF
 expect_rule "lock-order catches the inverted grad->value acquisition" "lock-order"
 git checkout -- crates/nn/src/param.rs
 
-# 3. hot-path-alloc: an allocation inside a function named like a GEMM
-#    band kernel in the simd dispatch translation unit falls inside the
+# 3. hot-path-alloc: an allocation inside a function named like the GEMM
+#    register tile in the simd dispatch translation unit falls inside the
 #    configured span. (The probe shadows the real kernel's name; the tree
 #    is restored before anything compiles, so only the linter sees it.)
 cat >> crates/simd/src/gemm.rs <<'EOF'
-fn gemm_band_scalar(n: usize) -> Vec<f32> {
+fn tile(n: usize) -> Vec<f32> {
     let scratch: Vec<f32> = Vec::new();
     scratch
 }
 EOF
 expect_rule "hot-path-alloc catches Vec::new in the band-kernel span" "hot-path-alloc"
 git checkout -- crates/simd/src/gemm.rs
+
+#    The same rule holds the tensor crate's per-band driver: a pack
+#    buffer allocated per MR-row band (what reading A in place removed)
+#    must fail by lint, not by review.
+cat >> crates/tensor/src/matmul.rs <<'EOF'
+fn gemm_band(k: usize) -> Vec<f32> {
+    vec![0.0f32; k * 6]
+}
+EOF
+expect_rule "hot-path-alloc catches a per-band vec! in the GEMM band driver" \
+    "vec!. allocates inside hot-path function .gemm_band."
+git checkout -- crates/tensor/src/matmul.rs
 
 # 4. lock-order, drain latch: holding the batcher's queue mutex while
 #    taking the Latch flag and vice versa closes a cycle between the two

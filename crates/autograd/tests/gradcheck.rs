@@ -110,8 +110,8 @@ proptest! {
         inner in 1usize..19,
         cols in 1usize..11,
     ) {
-        // Sizes straddle the kernel's MR/NR tile edges on the small-product
-        // fast path; `packed_path_gradcheck` below covers the packed kernel.
+        // Sizes straddle the kernel's MR/NR tile edges within one B panel
+        // or two; `packed_path_gradcheck` below covers many-panel products.
         let mut rng = SeededRng::new(seed.wrapping_add(7_000));
         let x = rng.uniform_tensor(&[m, inner], -1.0, 1.0);
         let w = rng.uniform_tensor(&[inner, cols], -1.0, 1.0);
@@ -258,8 +258,8 @@ proptest! {
 }
 
 /// Deterministic gradcheck at a size whose forward and backward GEMMs all
-/// exceed the small-product cutoff (`k·n > 4096`), so the packed parallel
-/// kernel — padded edge panels included — is what gets differentiated.
+/// span several B panels and row bands with padded edge panels and short
+/// last bands, so those tile edges are part of what gets differentiated.
 #[test]
 fn packed_path_gradcheck() {
     let (m, inner, cols) = (9, 70, 67);

@@ -21,11 +21,11 @@
 //! once instead of twice. Predictions must match exactly in both modes.
 //!
 //! Each report also carries `gemm_bits`: a GEMM-heavy leg that runs the
-//! packed kernel through all four transpose variants at sizes past the
-//! small-product fast path and off the vector tile's panel edges, so
-//! cross-level parity exercises the dispatched band microkernels
-//! directly (the smoke ViT's matmuls are small enough to stay on the
-//! unpacked path). The same bit/ULP bound applies.
+//! dispatched band microkernels through all four transpose variants at
+//! sizes off the vector tile's band and panel edges, on cancellation-free
+//! operands so the FMA leg's ULP distance is meaningful there (the smoke
+//! ViT's matmuls run the same kernels, on signed data). The same bit/ULP
+//! bound applies.
 
 use std::process::ExitCode;
 
@@ -63,10 +63,9 @@ fn smoke_logits_and_predictions() -> (Tensor, Vec<usize>) {
     (logits, predictions)
 }
 
-/// Packed-GEMM output bits at the active level: all four transpose
-/// variants at `37 × 33 × 129` — `k·n = 4257` crosses the small-product
-/// cutoff into the packed band kernels, and every dimension sits one off
-/// a tile/panel multiple (m = 6·6+1, n = 16·8+1), so padded edge panels
+/// GEMM output bits at the active level: all four transpose variants at
+/// `37 × 33 × 129` — every dimension sits one off a tile/panel multiple
+/// (m = 6·6+1, n = 16·8+1), so a one-row last band and padded edge panels
 /// are part of the dump. Operands are positive so the accumulations are
 /// cancellation-free: near-zero outputs would make the FMA leg's ULP
 /// distance meaningless (a tiny absolute difference spans thousands of

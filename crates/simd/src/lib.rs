@@ -23,9 +23,9 @@
 //! `VITAL_SIMD=fma` must be set explicitly to trade determinism for the
 //! fused path.
 //!
-//! Alongside the trait-generic transcendental kernels, [`gemm`] holds
-//! the packed-GEMM band microkernels (explicit intrinsics rather than
-//! `SimdOp`, since the tile *shape* varies per level) under the same
+//! Alongside the transcendental kernels, [`gemm`] holds the GEMM band
+//! microkernel — one register tile over the same `SimdOp` backends, its
+//! shape (rows × lane bundles) chosen per level — under the same
 //! dispatch latch and the same determinism contract: scalar ≡ avx2
 //! bit-identical, FMA opt-in and ULP-bounded.
 //!

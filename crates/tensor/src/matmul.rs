@@ -1,31 +1,38 @@
-//! Packed, register-tiled, data-parallel, runtime-dispatched matrix
+//! Register-tiled, data-parallel, runtime-dispatched matrix
 //! multiplication.
 //!
-//! Every matmul funnels into one packed GEMM through a single entry point,
+//! Every matmul funnels into one GEMM through a single entry point,
 //! [`Tensor::matmul_ex`], whose [`MatmulSpec`] selects which operands are
 //! read transposed (`A·B`, `Aᵀ·B`, `A·Bᵀ`, `Aᵀ·Bᵀ`); the legacy
 //! `matmul`/`matmul_tn`/`matmul_nt` methods are thin wrappers over it.
-//! The operands are repacked into contiguous panels (which also absorbs
-//! the transposes, so the kernel never strides) and row panels of the
-//! output are distributed across threads via the `parallel` crate. The
-//! register-tiled core lives in [`simd::gemm`]: the tile dims come **at
-//! runtime** from the active dispatch level (`simd::gemm::tile_dims` —
-//! portable 4 × 8 scalar tile, explicit-intrinsic 6 × 8 AVX2 tile,
-//! opt-in 8 × 8 FMA tile), so the one portable binary runs the wide tile
-//! wherever the CPU supports it — no `-C target-cpu=native` rebuild.
+//! B is repacked into contiguous column panels (in a per-thread scratch
+//! buffer, so a warm thread allocates nothing), A is read in place
+//! through a stride pair (which also absorbs its transpose), and row
+//! bands of the output are distributed across threads via the `parallel`
+//! crate. The register-tiled core lives in [`simd::gemm`]: the tile dims
+//! come **at runtime** from the active dispatch level
+//! (`simd::gemm::tile_dims` — portable 4 × 8 scalar tile, explicit-
+//! intrinsic 6 × 16 AVX2 tile, opt-in 6 × 16 FMA tile), so the one
+//! portable binary runs the wide tile wherever the CPU supports it — no
+//! `-C target-cpu=native` rebuild.
 //!
 //! # Determinism
 //!
-//! Every output element is accumulated by one sequential `k`-loop inside
-//! one band-kernel invocation, and panel boundaries depend only on the
-//! operand shapes — never on the thread count. Results are therefore
-//! byte-identical under `VITAL_THREADS=1` and `VITAL_THREADS=N` (the
-//! property tests in `tests/proptest_gemm.rs` enforce this). Across
+//! There is one kernel path for every product size. Every output element
+//! is accumulated by one sequential `k`-loop inside one band-kernel
+//! invocation, and band boundaries depend only on the operand shapes —
+//! never on the thread count — so results are byte-identical under
+//! `VITAL_THREADS=1` and `VITAL_THREADS=N`, and a stacked batch produces
+//! the same bits as its individual samples, by construction. Across
 //! dispatch levels the GEMM inherits the simd crate's contract: the
 //! scalar and AVX2 tiles run the identical unfused multiply-then-add
 //! chain per output element, so `VITAL_SIMD=scalar` and `=avx2` are
-//! **bit-identical on every input** (`tests/proptest_gemm_dispatch.rs`),
-//! while the opt-in FMA tile is only ULP-bounded.
+//! **bit-identical on every input** — and bit-identical to the in-order
+//! naive triple loop, which `tests/proptest_gemm.rs` uses as the oracle —
+//! while the opt-in FMA tile is only ULP-bounded
+//! (`tests/proptest_gemm_dispatch.rs`).
+
+use std::cell::Cell;
 
 use crate::{Result, Tensor, TensorError};
 
@@ -77,56 +84,26 @@ enum Layout {
     Transposed,
 }
 
-/// Packs rows `[row0, row0 + rows)` of the `m × k` operand `op(A)` into
-/// `mr`-padded panel order: one panel per `mr` rows, each storing `k`
-/// groups of `mr` consecutive row values (zero-padded past `rows`), so
-/// the band kernel reads A with unit stride. `mr` comes from the active
-/// dispatch level's tile dims at runtime.
-fn pack_a_band(
+/// Packs the full `k × n` operand `op(B)` into `nr`-wide panel order in
+/// the caller's (reused) buffer: one panel per `nr` columns, each storing
+/// `k` groups of `nr` consecutive column values, zero-padded past `n`.
+/// Every element of the resized buffer is written, so stale contents of a
+/// reused buffer never leak through.
+fn pack_b(
+    packed: &mut Vec<f32>,
     data: &[f32],
     layout: Layout,
     stride: usize,
     k: usize,
-    row0: usize,
-    rows: usize,
-    mr: usize,
-) -> Vec<f32> {
-    let panels = rows.div_ceil(mr);
-    let mut packed = vec![0.0f32; panels * k * mr];
-    for panel in 0..panels {
-        let base_row = row0 + panel * mr;
-        let live = mr.min(row0 + rows - base_row);
-        let dst_panel = &mut packed[panel * k * mr..(panel + 1) * k * mr];
-        for p in 0..k {
-            let dst = &mut dst_panel[p * mr..p * mr + live];
-            match layout {
-                Layout::Normal => {
-                    for (i, d) in dst.iter_mut().enumerate() {
-                        *d = data[(base_row + i) * stride + p];
-                    }
-                }
-                Layout::Transposed => {
-                    let src = &data[p * stride + base_row..p * stride + base_row + live];
-                    dst.copy_from_slice(src);
-                }
-            }
-        }
-    }
-    packed
-}
-
-/// Packs the full `k × n` operand `op(B)` into `nr`-padded panel order:
-/// one panel per `nr` columns, each storing `k` groups of `nr` consecutive
-/// column values (zero-padded past `n`).
-fn pack_b(data: &[f32], layout: Layout, stride: usize, k: usize, n: usize, nr: usize) -> Vec<f32> {
-    let panels = n.div_ceil(nr);
-    let mut packed = vec![0.0f32; panels * k * nr];
-    for panel in 0..panels {
+    n: usize,
+    nr: usize,
+) {
+    packed.resize(n.div_ceil(nr) * k * nr, 0.0);
+    for (panel, dst_panel) in packed.chunks_exact_mut(k * nr).enumerate() {
         let base_col = panel * nr;
         let live = nr.min(n - base_col);
-        let dst_panel = &mut packed[panel * k * nr..(panel + 1) * k * nr];
-        for p in 0..k {
-            let dst = &mut dst_panel[p * nr..p * nr + live];
+        for (p, dst) in dst_panel.chunks_exact_mut(nr).enumerate() {
+            let (dst, pad) = dst.split_at_mut(live);
             match layout {
                 Layout::Normal => {
                     let src = &data[p * stride + base_col..p * stride + base_col + live];
@@ -138,24 +115,37 @@ fn pack_b(data: &[f32], layout: Layout, stride: usize, k: usize, n: usize, nr: u
                     }
                 }
             }
+            pad.fill(0.0);
         }
     }
-    packed
 }
 
-/// Packed GEMM over raw row-major buffers: `out = op(A) · op(B)` with
-/// `op(A)` of shape `m × k` and `op(B)` of shape `k × n`.
+thread_local! {
+    /// The calling thread's packed-B scratch, taken for the duration of a
+    /// product and put back afterwards, so a warm thread packs without
+    /// touching the allocator. It keeps the capacity of the largest B the
+    /// thread has multiplied by.
+    static PACKED_B: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Products of fewer multiply–adds than this run their bands inline on
+/// the calling thread instead of entering a `parallel` region.
 ///
-/// B is packed once and shared read-only; the output is split into MR-row
-/// panels which are distributed across threads, each worker packing its own
-/// band of A.
-/// Products whose `k × n` working set is below this skip packing entirely:
-/// at attention-head scale the pack/alloc overhead outweighs the tiled
-/// kernel. The trigger deliberately ignores `m`, so a stacked batch takes
-/// the same path (and accumulates in the same order) as its individual
-/// samples — the batched-equals-single bit-exactness guarantee depends on
-/// this.
-const SMALL_KN: usize = 4096;
+/// A region spawns scoped threads and costs 36–94 µs
+/// (`parallel.region_overhead_us` in the benchmark's traced runs), while
+/// the band kernel retires 15–28 G multiply–adds per second (30–56
+/// GFLOP/s), so 2²² of them are 150–280 µs of kernel time: below that a
+/// two-way split saves less than the region costs. Attention blocks
+/// (`100·16·100`), every fast-model and every ANVIL product stay inline;
+/// the paper model's patch embedding (`B·100 × 1200 × 80`) splits at any
+/// batch. The threshold may depend on `m` because it only selects where
+/// the same bands run — never which kernel or accumulation order — so it
+/// cannot change a bit of the result.
+const INLINE_BELOW_MKN: usize = 1 << 22;
+
+fn runs_inline(m: usize, k: usize, n: usize) -> bool {
+    m.saturating_mul(k).saturating_mul(n) < INLINE_BELOW_MKN
+}
 
 fn gemm(
     m: usize,
@@ -169,14 +159,19 @@ fn gemm(
     out
 }
 
-/// The packed GEMM writing into a caller-provided `m · n` buffer — the
-/// allocation-free core that both [`gemm`] and the graph executor's
-/// arena-slot path share. The buffer is fully overwritten (zeroed first
-/// where the kernel accumulates), so stale contents never leak through.
+/// GEMM over raw row-major buffers into a caller-provided `m · n` buffer:
+/// `out = op(A) · op(B)` with `op(A)` of shape `m × k` and `op(B)` of
+/// shape `k × n` — the core that both [`gemm`] and the graph executor's
+/// arena-slot path share. The buffer is fully overwritten, so stale
+/// contents never leak through.
 ///
-/// `level` selects the band microkernel (and with it the packing tile
-/// dims) at runtime; requests above the CPU's capability clamp down
-/// identically on both sides of the seam (see `simd::gemm::tile_dims`).
+/// B is packed once on the calling thread and shared read-only; the
+/// output is split into MR-row bands, each computed by [`gemm_band`] from
+/// A in place, inline for small products and across threads otherwise.
+///
+/// `level` selects the band microkernel (and with it the tile dims) at
+/// runtime; requests above the CPU's capability clamp down identically on
+/// both sides of the seam (see `simd::gemm::tile_dims`).
 fn gemm_into(
     level: simd::Level,
     m: usize,
@@ -187,70 +182,61 @@ fn gemm_into(
     out: &mut [f32],
 ) {
     debug_assert_eq!(out.len(), m * n, "gemm output buffer size");
-    out.fill(0.0);
-    if m == 0 || n == 0 || k == 0 {
+    if k == 0 {
+        // The empty sum; every other product is overwritten by the kernel.
+        out.fill(0.0);
         return;
     }
-    let (b_data, b_layout, b_stride) = b;
-    let (a_data, a_layout, a_stride) = a;
-    if k * n <= SMALL_KN {
-        // Unpacked fast path. Rows are independent and every output element
-        // accumulates over `p` in order, so results don't depend on the
-        // thread count here either.
-        for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
-            match b_layout {
-                // Row-major B: broadcast a(i,p) across B's contiguous row p
-                // (the inner j-loop vectorizes).
-                Layout::Normal => {
-                    for p in 0..k {
-                        let av = match a_layout {
-                            Layout::Normal => a_data[i * a_stride + p],
-                            Layout::Transposed => a_data[p * a_stride + i],
-                        };
-                        let b_row = &b_data[p * b_stride..p * b_stride + n];
-                        for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                            *o += av * bv;
-                        }
-                    }
-                }
-                // Bᵀ: rows of the stored matrix are contiguous over `p`, so
-                // each output element is a contiguous dot product.
-                Layout::Transposed => {
-                    for (j, o) in out_row.iter_mut().enumerate() {
-                        let b_row = &b_data[j * b_stride..j * b_stride + k];
-                        let mut acc = 0.0f32;
-                        for (p, &bv) in b_row.iter().enumerate() {
-                            let av = match a_layout {
-                                Layout::Normal => a_data[i * a_stride + p],
-                                Layout::Transposed => a_data[p * a_stride + i],
-                            };
-                            acc += av * bv;
-                        }
-                        *o = acc;
-                    }
-                }
-            }
-        }
+    if m == 0 || n == 0 {
         return;
     }
     let (mr, nr) = simd::gemm::tile_dims(level);
-    let packed_b = pack_b(b_data, b_layout, b_stride, k, n, nr);
-    parallel::parallel_chunks_mut(out, mr * n, |panel_idx, out_band| {
-        let row0 = panel_idx * mr;
-        let rows = out_band.len() / n;
-        let a_panel = pack_a_band(a_data, a_layout, a_stride, k, row0, rows, mr);
-        simd::gemm::gemm_band_at(level, &a_panel, &packed_b, k, n, rows, out_band);
-    });
+    let (b_data, b_layout, b_stride) = b;
+    let mut packed_b = PACKED_B.take();
+    pack_b(&mut packed_b, b_data, b_layout, b_stride, k, n, nr);
+    let band = |band_idx: usize, out_band: &mut [f32]| {
+        gemm_band(level, a, &packed_b, k, n, band_idx * mr, out_band);
+    };
+    if runs_inline(m, k, n) {
+        out.chunks_mut(mr * n)
+            .enumerate()
+            .for_each(|(i, out_band)| band(i, out_band));
+    } else {
+        parallel::parallel_chunks_mut(out, mr * n, band);
+    }
+    PACKED_B.set(packed_b);
 }
 
-/// Packed GEMM over raw row-major slices into a caller-provided buffer:
+/// One band of the product: output rows `[row0, row0 + out_band.len() / n)`
+/// from the same rows of `op(A)`, read in place, times the packed B. Runs
+/// once per MR rows of every product, so it must stay allocation-free
+/// (`ci/lint-rules.toml` holds it to that).
+fn gemm_band(
+    level: simd::Level,
+    (a_data, a_layout, a_stride): (&[f32], Layout, usize),
+    packed_b: &[f32],
+    k: usize,
+    n: usize,
+    row0: usize,
+    out_band: &mut [f32],
+) {
+    // `op(A)(row0 + i, p)` is `a_band[i * row_stride + p * p_stride]`.
+    let (a_band, a_strides) = match a_layout {
+        Layout::Normal => (&a_data[row0 * a_stride..], (a_stride, 1)),
+        Layout::Transposed => (&a_data[row0..], (1, a_stride)),
+    };
+    simd::gemm::gemm_band_at(level, a_band, a_strides, packed_b, k, n, out_band);
+}
+
+/// GEMM over raw row-major slices into a caller-provided buffer:
 /// `out = op(A) · op(B)` with `op(A)` of shape `m × k` and `op(B)` of shape
 /// `k × n` per `spec`.
 ///
 /// This is the graph executor's entry point: it lets a compiled plan run
-/// matmuls directly between arena slots with zero allocations (beyond the
-/// kernel's internal pack buffers) while accumulating in exactly the order
-/// the [`Tensor::matmul_ex`] family does, preserving bit-identical results.
+/// matmuls directly between arena slots with zero allocations on a warm
+/// thread (B is packed into a reused per-thread scratch) while
+/// accumulating in exactly the order the [`Tensor::matmul_ex`] family
+/// does, preserving bit-identical results.
 ///
 /// Operand slices are stored row-major *before* the transpose is applied:
 /// with `trans_a` set, `a` holds a `k × m` matrix; with `trans_b` set, `b`
@@ -570,11 +556,26 @@ mod tests {
         assert_eq!(nt, naive2);
     }
 
+    /// The in-order, unfused chain `0 + a₀b₀ + a₁b₁ + …` per element —
+    /// the oracle every non-FMA level reproduces bit for bit.
+    fn naive_bits(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<u32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                for p in 0..k {
+                    out[i * n + j] += a[i * k + p] * b[p * n + j];
+                }
+            }
+        }
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn packed_kernel_matches_naive_across_panel_boundaries() {
-        // Sizes straddle the MR/NR panel edges, and the last two cross
-        // SMALL_KN into the packed kernel (including its padded edge
-        // panels).
+        // Sizes straddle the MR/NR band and panel edges of every tile,
+        // including padded edge panels and short last bands. There is one
+        // kernel path, so scalar and AVX2 owe the naive loop's exact bits
+        // at every size; FMA keeps a tolerance.
         for &(m, k, n) in &[
             (1, 1, 1),
             (4, 8, 8),
@@ -584,32 +585,51 @@ mod tests {
             (70, 65, 70),
             (33, 130, 65),
         ] {
-            let a_data: Vec<f32> = (0..m * k).map(|i| ((i % 13) as f32) - 6.0).collect();
-            let b_data: Vec<f32> = (0..k * n).map(|i| ((i % 7) as f32) * 0.5 - 1.5).collect();
-            let a = t(&a_data, &[m, k]);
-            let b = t(&b_data, &[k, n]);
-            let c = a.matmul(&b).unwrap();
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0;
-                    for p in 0..k {
-                        acc += a_data[i * k + p] * b_data[p * n + j];
-                    }
-                    let got = c.at(i, j).unwrap();
-                    assert!(
-                        (got - acc).abs() < 1e-3,
-                        "({m}x{k}x{n}) ({i},{j}): {got} vs {acc}"
-                    );
-                }
+            let a: Vec<f32> = (0..m * k).map(|i| ((i % 13) as f32) * 0.37 - 2.2).collect();
+            let b: Vec<f32> = (0..k * n).map(|i| ((i % 7) as f32) * 0.51 - 1.5).collect();
+            let naive = naive_bits(m, k, n, &a, &b);
+            for level in [simd::Level::Scalar, simd::Level::Avx2] {
+                let mut out = vec![f32::NAN; m * n];
+                gemm_ex_into_at(level, m, k, n, &a, &b, MatmulSpec::NN, &mut out);
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, naive, "{level:?} ({m}x{k}x{n})");
+            }
+            let mut fma = vec![f32::NAN; m * n];
+            gemm_ex_into_at(simd::Level::Fma, m, k, n, &a, &b, MatmulSpec::NN, &mut fma);
+            for (idx, (got, want)) in fma.iter().zip(&naive).enumerate() {
+                let want = f32::from_bits(*want);
+                assert!(
+                    (got - want).abs() < 1e-3,
+                    "fma ({m}x{k}x{n})[{idx}]: {got} vs {want}"
+                );
             }
         }
     }
 
     #[test]
+    fn inline_guard_keeps_small_products_out_of_parallel_regions() {
+        for (what, (m, k, n), inline) in [
+            ("paper attention block", (100, 16, 100), true),
+            ("fast embed at chunk 16", (256, 108, 32), true),
+            ("ANVIL head", (1, 64, 81), true),
+            ("paper embed at batch 2", (200, 1200, 80), false),
+            ("overflowing product", (usize::MAX, 2, 2), false),
+        ] {
+            assert_eq!(runs_inline(m, k, n), inline, "{what}: {m}·{k}·{n}");
+        }
+    }
+
+    #[test]
     fn thread_counts_are_byte_identical() {
-        // k·n on both sides of SMALL_KN, so the unpacked fast path AND the
-        // packed parallel kernel are each held to the bit-identity contract.
-        for (m, k, n) in [(37, 29, 31), (70, 67, 96)] {
+        // Shapes on both sides of the inline guard: the first two run
+        // their bands on the calling thread at any thread count, the last
+        // two split across workers; neither may move a bit.
+        let shapes = [(37, 29, 31), (70, 67, 96), (163, 161, 160), (200, 1200, 80)];
+        assert_eq!(
+            shapes.map(|(m, k, n)| runs_inline(m, k, n)),
+            [true, true, false, false]
+        );
+        for (m, k, n) in shapes {
             let a = crate::rng::SeededRng::new(1).uniform_tensor(&[m, k], -1.0, 1.0);
             let b = crate::rng::SeededRng::new(2).uniform_tensor(&[k, n], -1.0, 1.0);
             let single = parallel::with_threads(1, || a.matmul(&b).unwrap());
@@ -618,6 +638,24 @@ mod tests {
                 assert_eq!(single, multi, "threads={threads} ({m}x{k}x{n})");
             }
         }
+    }
+
+    #[test]
+    fn reused_pack_scratch_never_leaks_a_previous_product() {
+        // A wide B then a narrow one on the same thread: the second
+        // product packs into the first one's (larger, dirty) scratch.
+        let wide = t(&[3.0; 2 * 40], &[2, 40]);
+        t(&[1.0, 2.0], &[1, 2]).matmul(&wide).unwrap();
+        let a = t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
+        let b = t(&[7.0, 8.0, 9.0, 10.0, 11.0, 12.0], &[3, 2]);
+        assert_eq!(
+            a.matmul(&b).unwrap().as_slice(),
+            &[58.0, 64.0, 139.0, 154.0]
+        );
+        // The degenerate empty sum is still all zeros, not stale output.
+        let mut out = [f32::NAN; 4];
+        gemm_ex_into(2, 0, 2, &[], &[], MatmulSpec::NN, &mut out);
+        assert_eq!(out, [0.0; 4]);
     }
 
     #[test]

@@ -1,80 +1,125 @@
-//! Property-based checks of the packed, data-parallel GEMM: every transpose
-//! variant, at 1, 2 and N worker threads, over sizes that straddle the
-//! MR/NR panel boundaries and the small-product fast path, must match a
-//! naive triple-loop reference to 1e-4.
+//! Property-based checks of the data-parallel GEMM against a derived,
+//! bit-exact oracle.
+//!
+//! There is one kernel path for every product size, and at the `Scalar`
+//! and `Avx2` levels it evaluates each output element as the chain
+//! `0 + a₀b₀ + a₁b₁ + …`, sequential in `p`, unfused multiply-then-add.
+//! That is exactly what the naive in-order `f32` triple loop computes, so
+//! the oracle here is that loop and the comparison is `to_bits` equality:
+//! every transpose variant, at 1, 2 and N worker threads, over sizes that
+//! straddle the MR/NR band and panel boundaries of every tile. The opt-in
+//! `Fma` level contracts each step into one rounding and keeps a 1e-4
+//! tolerance.
 
 use proptest::prelude::*;
+use simd::Level;
 use tensor::rng::SeededRng;
-use tensor::Tensor;
+use tensor::{gemm_ex_into_at, MatmulSpec, Tensor};
 
-/// Naive reference: `op(A) (m×k) · op(B) (k×n)` with explicit index math.
-fn naive_gemm(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &Tensor,
-    a_trans: bool,
-    b: &Tensor,
-    b_trans: bool,
-) -> Vec<f32> {
-    let ad = a.as_slice();
-    let bd = b.as_slice();
-    let mut out = vec![0.0f64; m * n];
+const SPECS: [(MatmulSpec, &str); 4] = [
+    (MatmulSpec::NN, "NN"),
+    (MatmulSpec::TN, "TN"),
+    (MatmulSpec::NT, "NT"),
+    (MatmulSpec::TT, "TT"),
+];
+
+/// The oracle: `op(A) (m×k) · op(B) (k×n)` by the in-order, unfused `f32`
+/// triple loop. `spec` reinterprets the row-major buffers, so A is `m×k`
+/// when read normal and `k×m` when read transposed.
+fn naive_gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], spec: MatmulSpec) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
     for i in 0..m {
         for j in 0..n {
-            let mut acc = 0.0f64;
             for p in 0..k {
-                let av = if a_trans {
-                    ad[p * m + i]
+                let av = if spec.trans_a {
+                    a[p * m + i]
                 } else {
-                    ad[i * k + p]
+                    a[i * k + p]
                 };
-                let bv = if b_trans {
-                    bd[j * k + p]
+                let bv = if spec.trans_b {
+                    b[j * k + p]
                 } else {
-                    bd[p * n + j]
+                    b[p * n + j]
                 };
-                acc += f64::from(av) * f64::from(bv);
+                out[i * n + j] += av * bv;
             }
-            out[i * n + j] = acc;
         }
     }
-    out.into_iter().map(|v| v as f32).collect()
+    out
 }
 
-fn assert_matches_naive(
-    got: &Tensor,
-    m: usize,
-    n: usize,
-    expect: &[f32],
+/// Bit equality with the oracle below the FMA level (after the hardware
+/// clamp), a relative 1e-4 at it.
+fn check_against_naive(
+    level: Level,
+    got: &[f32],
+    naive: &[f32],
     label: &str,
 ) -> Result<(), TestCaseError> {
-    prop_assert!(
-        got.shape().dims() == [m, n],
-        "{label} shape {:?}",
-        got.shape().dims()
-    );
-    for (idx, (g, e)) in got.as_slice().iter().zip(expect).enumerate() {
-        prop_assert!(
-            (g - e).abs() < 1e-4 * e.abs().max(1.0),
-            "{label}[{idx}]: {g} vs naive {e}"
-        );
+    prop_assert!(got.len() == naive.len(), "{label}: length {}", got.len());
+    let fused = level.min(simd::detected_level()) == Level::Fma;
+    for (idx, (g, e)) in got.iter().zip(naive).enumerate() {
+        let ok = if fused {
+            (g - e).abs() < 1e-4 * e.abs().max(1.0)
+        } else {
+            g.to_bits() == e.to_bits()
+        };
+        prop_assert!(ok, "{label} {}[{idx}]: {g:?} vs naive {e:?}", level.name());
     }
     Ok(())
 }
 
-/// Small sizes straddling the microkernel panel boundaries; with `k·n` at
-/// most 39 × 39 = 1521 these always exercise the unpacked small-product
-/// fast path.
+/// One shape, one seed: every spec × every pinned level (and the tensor
+/// entry point at the process's active level) × every thread count
+/// against the oracle.
+fn check_all_variants(
+    (m, k, n): (usize, usize, usize),
+    seed: u64,
+    thread_counts: &[usize],
+) -> Result<(), TestCaseError> {
+    let mut rng = SeededRng::new(seed);
+    let a = rng.uniform_tensor(&[m * k], -2.0, 2.0);
+    let b = rng.uniform_tensor(&[k * n], -2.0, 2.0);
+    for (spec, name) in SPECS {
+        let naive = naive_gemm(m, k, n, a.as_slice(), b.as_slice(), spec);
+        let a_dims = if spec.trans_a { [k, m] } else { [m, k] };
+        let b_dims = if spec.trans_b { [n, k] } else { [k, n] };
+        let (a_mat, b_mat) = (a.reshape(&a_dims).unwrap(), b.reshape(&b_dims).unwrap());
+        for &threads in thread_counts {
+            let label = format!("{name} ({m}x{k}x{n}) threads={threads}");
+            for level in [Level::Scalar, Level::Avx2, Level::Fma] {
+                let mut out = vec![f32::NAN; m * n];
+                parallel::with_threads(threads, || {
+                    gemm_ex_into_at(level, m, k, n, a.as_slice(), b.as_slice(), spec, &mut out);
+                });
+                check_against_naive(level, &out, &naive, &label)?;
+            }
+            let got: Tensor =
+                parallel::with_threads(threads, || a_mat.matmul_ex(&b_mat, spec).unwrap());
+            prop_assert!(got.shape().dims() == [m, n], "{label} shape");
+            check_against_naive(simd::active_level(), got.as_slice(), &naive, &label)?;
+        }
+    }
+    Ok(())
+}
+
+/// Small sizes straddling every tile's band and panel boundaries (the
+/// range the parent's unpacked small-product loop used to serve; its bits
+/// are the oracle's bits, which is what pins them).
 fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..40, 1usize..40, 1usize..40)
 }
 
-/// Sizes whose `k·n` product spans roughly 2.3k–10k, straddling the
-/// `SMALL_KN = 4096` fast-path cutoff from both sides so the packed,
-/// parallel kernel (including padded edge panels) is exercised too.
+/// Mid sizes with several B panels and padded edge panels per band.
 fn dims_packed() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..24, 48usize..80, 48usize..128)
+}
+
+/// Tall sizes whose `m·k·n` spans roughly 1.4M–15M multiply–adds, on both
+/// sides of the 2²² threshold below which bands run inline instead of in
+/// a `parallel` region.
+fn dims_around_inline_guard() -> impl Strategy<Value = (usize, usize, usize)> {
+    (600usize..1500, 48usize..80, 48usize..128)
 }
 
 proptest! {
@@ -82,75 +127,18 @@ proptest! {
 
     #[test]
     fn packed_gemm_matches_naive_for_all_variants_and_thread_counts(
-        (m, k, n) in dims(),
+        shape in dims(),
         seed in 0u64..10_000,
     ) {
-        let mut rng = SeededRng::new(seed);
-        let a = rng.uniform_tensor(&[m, k], -2.0, 2.0);
-        let b = rng.uniform_tensor(&[k, n], -2.0, 2.0);
-        let a_t = rng.uniform_tensor(&[k, m], -2.0, 2.0);
-        let b_t = rng.uniform_tensor(&[n, k], -2.0, 2.0);
-
-        let nn = naive_gemm(m, k, n, &a, false, &b, false);
-        let tn = naive_gemm(m, k, n, &a_t, true, &b, false);
-        let nt = naive_gemm(m, k, n, &a, false, &b_t, true);
-
-        for threads in [1usize, 2, 5] {
-            let (got_nn, got_tn, got_nt) = parallel::with_threads(threads, || {
-                (
-                    a.matmul(&b).unwrap(),
-                    a_t.matmul_tn(&b).unwrap(),
-                    a.matmul_nt(&b_t).unwrap(),
-                )
-            });
-            assert_matches_naive(&got_nn, m, n, &nn, "matmul")?;
-            assert_matches_naive(&got_tn, m, n, &tn, "matmul_tn")?;
-            assert_matches_naive(&got_nt, m, n, &nt, "matmul_nt")?;
-        }
+        check_all_variants(shape, seed, &[1, 2, 5])?;
     }
 
     #[test]
     fn packed_kernel_matches_naive_for_all_variants_and_thread_counts(
-        (m, k, n) in dims_packed(),
+        shape in dims_packed(),
         seed in 0u64..10_000,
     ) {
-        let mut rng = SeededRng::new(seed.wrapping_add(50_000));
-        let a = rng.uniform_tensor(&[m, k], -2.0, 2.0);
-        let b = rng.uniform_tensor(&[k, n], -2.0, 2.0);
-        let a_t = rng.uniform_tensor(&[k, m], -2.0, 2.0);
-        let b_t = rng.uniform_tensor(&[n, k], -2.0, 2.0);
-
-        let nn = naive_gemm(m, k, n, &a, false, &b, false);
-        let tn = naive_gemm(m, k, n, &a_t, true, &b, false);
-        let nt = naive_gemm(m, k, n, &a, false, &b_t, true);
-
-        for threads in [1usize, 2, 5] {
-            let (got_nn, got_tn, got_nt) = parallel::with_threads(threads, || {
-                (
-                    a.matmul(&b).unwrap(),
-                    a_t.matmul_tn(&b).unwrap(),
-                    a.matmul_nt(&b_t).unwrap(),
-                )
-            });
-            assert_matches_naive(&got_nn, m, n, &nn, "matmul")?;
-            assert_matches_naive(&got_tn, m, n, &tn, "matmul_tn")?;
-            assert_matches_naive(&got_nt, m, n, &nt, "matmul_nt")?;
-        }
-    }
-
-    #[test]
-    fn thread_count_never_changes_the_bits(
-        (m, k, n) in dims_packed(),
-        seed in 0u64..10_000,
-    ) {
-        let mut rng = SeededRng::new(seed);
-        let a = rng.uniform_tensor(&[m, k], -2.0, 2.0);
-        let b = rng.uniform_tensor(&[k, n], -2.0, 2.0);
-        let single = parallel::with_threads(1, || a.matmul(&b).unwrap());
-        for threads in [2usize, 3, 8] {
-            let multi = parallel::with_threads(threads, || a.matmul(&b).unwrap());
-            prop_assert!(single == multi, "threads={threads}");
-        }
+        check_all_variants(shape, seed.wrapping_add(50_000), &[1, 2, 5])?;
     }
 
     #[test]
@@ -168,24 +156,36 @@ proptest! {
     }
 }
 
-/// Sizes chosen to land exactly on, one short of, and one past the panel
-/// edges for every tile configuration the kernel ships with; the k = 64/65
-/// × n = 65..129 corner crosses `SMALL_KN` into the packed kernel.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn thread_count_never_changes_the_bits(
+        (m, k, n) in dims_around_inline_guard(),
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = SeededRng::new(seed);
+        let a = rng.uniform_tensor(&[m, k], -2.0, 2.0);
+        let b = rng.uniform_tensor(&[k, n], -2.0, 2.0);
+        let single = parallel::with_threads(1, || a.matmul(&b).unwrap());
+        for threads in [2usize, 3, 8] {
+            let multi = parallel::with_threads(threads, || a.matmul(&b).unwrap());
+            prop_assert!(single == multi, "threads={threads} ({m}x{k}x{n})");
+        }
+    }
+}
+
+/// Sizes chosen to land exactly on, one short of, and one past the band
+/// and panel edges of every tile configuration the kernel ships with
+/// (MR ∈ {4, 6}, NR ∈ {8, 16}), with one-step and long chains.
 #[test]
 fn exhaustive_panel_boundary_sweep() {
     for &m in &[1, 3, 4, 5, 6, 7, 8, 12, 13, 16, 17] {
         for &k in &[1, 2, 64, 65] {
             for &n in &[1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 65, 128, 129] {
-                let mut rng = SeededRng::new((m * 10_000 + k * 100 + n) as u64);
-                let a = rng.uniform_tensor(&[m, k], -1.0, 1.0);
-                let b = rng.uniform_tensor(&[k, n], -1.0, 1.0);
-                let got = a.matmul(&b).unwrap();
-                let expect = naive_gemm(m, k, n, &a, false, &b, false);
-                for (idx, (g, e)) in got.as_slice().iter().zip(&expect).enumerate() {
-                    assert!(
-                        (g - e).abs() < 1e-4 * e.abs().max(1.0),
-                        "({m}x{k}x{n})[{idx}]: {g} vs {e}"
-                    );
+                let seed = (m * 10_000 + k * 100 + n) as u64;
+                if let Err(failure) = check_all_variants((m, k, n), seed, &[1]) {
+                    panic!("{failure:?}");
                 }
             }
         }
