@@ -17,7 +17,7 @@ fail() {
 restore() {
     git checkout -- crates/nn/src/param.rs crates/nn/src/lib.rs \
         crates/tensor/src/matmul.rs crates/simd/src/gemm.rs \
-        crates/baselines/src/wideep.rs 2>/dev/null || true
+        crates/graph/src/exec.rs crates/baselines/src/wideep.rs 2>/dev/null || true
     rm -f crates/serve/src/__lint_probe.rs crates/parallel/src/__lint_probe.rs \
         crates/graph/src/__lint_probe.rs crates/tensor/src/__lint_probe.rs \
         crates/simd/src/__lint_probe.rs
@@ -97,6 +97,17 @@ EOF
 expect_rule "hot-path-alloc catches a per-band vec! in the GEMM band driver" \
     "vec!. allocates inside hot-path function .gemm_band."
 git checkout -- crates/tensor/src/matmul.rs
+
+#    And the compiled-plan executor: a scratch buffer allocated per step
+#    (what the arena exists to avoid) in the function every step runs.
+cat >> crates/graph/src/exec.rs <<'EOF'
+fn run_kernel(len: usize) -> Vec<f32> {
+    vec![0.0f32; len]
+}
+EOF
+expect_rule "hot-path-alloc catches a per-step vec! in the plan executor" \
+    "vec!. allocates inside hot-path function .run_kernel."
+git checkout -- crates/graph/src/exec.rs
 
 # 4. lock-order, drain latch: holding the batcher's queue mutex while
 #    taking the Latch flag and vice versa closes a cycle between the two

@@ -71,6 +71,42 @@ impl RssiImage {
         &self.channels
     }
 
+    /// `(num_patches, patch_dim)` of this image cut into `patch_size`
+    /// patches: `(size / patch_size)²` whole patches (partial boundary
+    /// patches are discarded, as in the paper) of `3 · patch_size²` values.
+    ///
+    /// # Errors
+    /// Returns an error if `patch_size` is zero or larger than the image.
+    fn patch_grid(&self, patch_size: usize) -> Result<(usize, usize)> {
+        if patch_size == 0 || patch_size > self.size {
+            return Err(VitalError::InvalidConfig(format!(
+                "patch size {patch_size} invalid for image size {}",
+                self.size
+            )));
+        }
+        let per_side = self.size / patch_size;
+        Ok((per_side * per_side, 3 * patch_size * patch_size))
+    }
+
+    /// Visits the patch matrix as the `patch_size`-pixel runs it is made
+    /// of, in row-major order: patch by patch in raster order, within a
+    /// patch channel by channel, within a channel pixel row by pixel row.
+    /// `patch_size` must have passed [`RssiImage::patch_grid`].
+    fn for_each_patch_run(&self, patch_size: usize, mut run: impl FnMut(&[f32])) {
+        let per_side = self.size / patch_size;
+        for py in 0..per_side {
+            for px in 0..per_side {
+                for channel in &self.channels {
+                    let c = channel.as_slice();
+                    for y in py * patch_size..(py + 1) * patch_size {
+                        let start = y * self.size + px * patch_size;
+                        run(&c[start..start + patch_size]);
+                    }
+                }
+            }
+        }
+    }
+
     /// Slices the image into non-overlapping `patch_size × patch_size`
     /// patches (partial boundary patches are discarded, as in the paper) and
     /// flattens each patch across the three channels.
@@ -82,31 +118,33 @@ impl RssiImage {
     /// # Errors
     /// Returns an error if `patch_size` is zero or larger than the image.
     pub fn to_patches(&self, patch_size: usize) -> Result<Tensor> {
-        if patch_size == 0 || patch_size > self.size {
+        let (num_patches, patch_dim) = self.patch_grid(patch_size)?;
+        let mut data = Vec::with_capacity(num_patches * patch_dim);
+        self.for_each_patch_run(patch_size, |run| data.extend_from_slice(run));
+        Ok(Tensor::from_vec(data, &[num_patches, patch_dim])?)
+    }
+
+    /// Writes the [`RssiImage::to_patches`] matrix, row-major, straight
+    /// into `out` — a compiled plan's input region, so batched inference
+    /// never holds a patch tensor per observation. Every element of `out`
+    /// is written.
+    ///
+    /// # Errors
+    /// Returns an error if `patch_size` is zero or larger than the image,
+    /// or `out` is not exactly `num_patches · 3 · patch_size²` long.
+    pub fn write_patches(&self, patch_size: usize, out: &mut [f32]) -> Result<()> {
+        let (num_patches, patch_dim) = self.patch_grid(patch_size)?;
+        if out.len() != num_patches * patch_dim {
             return Err(VitalError::InvalidConfig(format!(
-                "patch size {patch_size} invalid for image size {}",
-                self.size
+                "a buffer of {} values does not hold {num_patches} patches of {patch_dim}",
+                out.len()
             )));
         }
-        let per_side = self.size / patch_size;
-        let num_patches = per_side * per_side;
-        let patch_dim = 3 * patch_size * patch_size;
-        let mut data = Vec::with_capacity(num_patches * patch_dim);
-        for py in 0..per_side {
-            for px in 0..per_side {
-                for channel in &self.channels {
-                    let c = channel.as_slice();
-                    for row in 0..patch_size {
-                        let y = py * patch_size + row;
-                        let x0 = px * patch_size;
-                        data.extend_from_slice(
-                            &c[y * self.size + x0..y * self.size + x0 + patch_size],
-                        );
-                    }
-                }
-            }
-        }
-        Ok(Tensor::from_vec(data, &[num_patches, patch_dim])?)
+        let mut runs = out.chunks_exact_mut(patch_size);
+        self.for_each_patch_run(patch_size, |run| {
+            runs.next().expect("length checked").copy_from_slice(run)
+        });
+        Ok(())
     }
 }
 
@@ -267,6 +305,39 @@ mod tests {
         assert_eq!(&row0.as_slice()[..4], &[0.0, 1.0, 4.0, 5.0]);
         // Channel 1 of the same patch is 10x those values.
         assert_eq!(&row0.as_slice()[4..8], &[0.0, 10.0, 40.0, 50.0]);
+    }
+
+    #[test]
+    fn write_patches_is_to_patches_byte_for_byte() {
+        // 7×7 with 2×2 and 3×3 patches leaves a partial column and row to
+        // discard. The reference indexes pixel by pixel, independently of
+        // the row-copying writer.
+        let mut rng = tensor::rng::SeededRng::new(5);
+        let channels = std::array::from_fn(|_| rng.uniform_tensor(&[7, 7], -100.0, 0.0));
+        let image = RssiImage::new(7, channels).unwrap();
+        for ps in [1, 2, 3, 7] {
+            let per_side = 7 / ps;
+            let mut reference = Vec::new();
+            for (py, px) in (0..per_side).flat_map(|py| (0..per_side).map(move |px| (py, px))) {
+                for channel in image.channels() {
+                    for (row, col) in (0..ps).flat_map(|r| (0..ps).map(move |c| (r, c))) {
+                        let pixel = (py * ps + row) * 7 + px * ps + col;
+                        reference.push(channel.as_slice()[pixel].to_bits());
+                    }
+                }
+            }
+            let mut written = vec![f32::NAN; reference.len()];
+            image.write_patches(ps, &mut written).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&written), reference, "patch size {ps}");
+            let patches = image.to_patches(ps).unwrap();
+            assert_eq!(patches.shape().dims(), &[per_side * per_side, 3 * ps * ps]);
+            assert_eq!(bits(patches.as_slice()), reference, "patch size {ps}");
+        }
+        // Only a buffer of exactly the patch matrix's size is accepted.
+        assert!(image.write_patches(3, &mut [0.0; 4 * 27 + 1]).is_err());
+        assert!(image.write_patches(3, &mut [0.0; 4 * 27 - 1]).is_err());
+        assert!(image.write_patches(0, &mut []).is_err());
     }
 
     #[test]

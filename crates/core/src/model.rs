@@ -209,9 +209,7 @@ impl VitalModel {
     }
 
     fn predict_observation(&self, observation: &FingerprintObservation) -> Result<usize> {
-        let mut rng = SeededRng::new(0);
-        let patches = self.prepare_patches(observation, false, &mut rng)?;
-        self.transformer.predict(&patches)
+        Ok(self.predict_observations(std::slice::from_ref(observation))?[0])
     }
 
     /// Serializes the trained model (configuration + transformer weights)
@@ -253,10 +251,13 @@ impl VitalModel {
     /// the per-sample dense layers into batch-wide GEMMs.
     ///
     /// Chunks of `train.batch_size` observations share one forward pass, so
-    /// memory stays bounded on arbitrarily large query streams. Results are
-    /// identical to per-observation `predict_observation` calls (the
-    /// stacked path is bit-exact; preprocessing uses the same fixed
-    /// inference seed).
+    /// memory stays bounded on arbitrarily large query streams. Each
+    /// observation's patches are written straight into the compiled plan's
+    /// stacked input ([`VisionTransformer::predict_filled`]), one
+    /// observation at a time: the [`VitalModel::prepare_patches`]
+    /// pipeline, minus the patch tensor. Results are identical to
+    /// predicting each observation alone (the stacked path is bit-exact;
+    /// preprocessing uses the same fixed inference seed).
     ///
     /// # Errors
     /// Returns an error if any observation is empty or mismatched.
@@ -265,14 +266,18 @@ impl VitalModel {
         observations: &[FingerprintObservation],
     ) -> Result<Vec<usize>> {
         let chunk_size = self.config.train.batch_size.max(1);
+        let per_sample = self.transformer.num_patches() * self.transformer.patch_dim();
         let mut predictions = Vec::with_capacity(observations.len());
         for chunk in observations.chunks(chunk_size) {
-            let mut batch = Vec::with_capacity(chunk.len());
-            for observation in chunk {
-                let mut rng = SeededRng::new(0);
-                batch.push(self.prepare_patches(observation, false, &mut rng)?);
-            }
-            predictions.extend(self.transformer.predict_batch(&batch)?);
+            predictions.extend(self.transformer.predict_filled(chunk.len(), |stacked| {
+                for (observation, patches) in chunk.iter().zip(stacked.chunks_exact_mut(per_sample))
+                {
+                    let image_1d = self.creator.create(observation)?;
+                    let image_2d = self.dam.augment(&image_1d, false, &mut SeededRng::new(0))?;
+                    image_2d.write_patches(self.config.patch_size, patches)?;
+                }
+                Ok(())
+            })?);
         }
         Ok(predictions)
     }

@@ -120,9 +120,10 @@ impl EncoderBlock {
         Ok(fused)
     }
 
-    /// Appends the block to an expression graph, mirroring
-    /// [`EncoderBlock::forward_stacked`] step for step (stacked attention
-    /// with one batched softmax over every `(sample, head)` score block).
+    /// Appends the block to an expression graph: the arithmetic of
+    /// [`EncoderBlock::forward_stacked`], with the attention sub-graph
+    /// ordered block-locally (see
+    /// [`MultiHeadSelfAttention::push_graph_stacked`]).
     fn push_graph_stacked(
         &self,
         g: &mut Graph,
@@ -318,17 +319,46 @@ impl VisionTransformer {
     /// bit-identical to [`VisionTransformer::predict_batch_eager`]; the
     /// property tests and `serve_loadgen --verify` assert this.
     ///
+    /// The patch matrices are copied into the plan's input region; a
+    /// caller that can produce patches directly should write them there
+    /// itself through [`VisionTransformer::predict_filled`], which this
+    /// wraps.
+    ///
     /// # Errors
     /// Returns an error if the batch is empty or any patch matrix has the
     /// wrong shape.
     pub fn predict_batch(&self, batch: &[Tensor]) -> Result<Vec<usize>> {
         self.validate_batch(batch)?;
-        let stamp = self.weight_stamp();
+        self.predict_filled(batch.len(), |stacked| {
+            let per_sample = self.num_patches * self.patch_dim;
+            for (dst, patches) in stacked.chunks_exact_mut(per_sample).zip(batch) {
+                dst.copy_from_slice(patches.as_slice());
+            }
+            Ok(())
+        })
+    }
+
+    /// Compiled batched inference over `samples` images whose patches the
+    /// caller writes **in place**: `fill` receives the plan's input, the
+    /// stacked row-major `[samples · num_patches, patch_dim]` patch matrix
+    /// inside the execution arena, and must write all of it (sample `i`'s
+    /// patch rows at `i · num_patches`). No per-sample patch tensor and
+    /// no stacking copy exists on this path.
+    ///
+    /// # Errors
+    /// Returns an error if `samples` is zero, or whatever `fill` returns.
+    pub fn predict_filled(
+        &self,
+        samples: usize,
+        fill: impl FnOnce(&mut [f32]) -> Result<()>,
+    ) -> Result<Vec<usize>> {
+        if samples == 0 {
+            return Err(VitalError::InvalidDataset("empty batch".into()));
+        }
         let entry = self
             .plan_cache
-            .get_or_build(batch.len(), stamp, || self.build_graph(batch.len()))?;
-        let inputs: Vec<&Tensor> = batch.iter().collect();
-        Ok(entry.execute_argmax(&inputs)?)
+            .get_or_build(samples, self.weight_stamp(), || self.build_graph(samples))?;
+        entry.execute_argmax_with(fill)
     }
 
     /// Batched inference on the eager tape path (one tensor per op). Kept
@@ -355,9 +385,6 @@ impl VisionTransformer {
     }
 
     fn validate_batch(&self, batch: &[Tensor]) -> Result<()> {
-        if batch.is_empty() {
-            return Err(VitalError::InvalidDataset("empty batch".into()));
-        }
         for patches in batch {
             if patches.shape().dims() != [self.num_patches, self.patch_dim] {
                 return Err(VitalError::InvalidDataset(format!(
@@ -374,17 +401,11 @@ impl VisionTransformer {
     /// Builds the expression graph of the full stacked inference forward
     /// pass for a `samples`-image batch, mirroring
     /// [`VisionTransformer::forward_batch`] in eval mode (dropout is an
-    /// identity there and is not represented).
+    /// identity there and is not represented). Its one input is the
+    /// stacked `[samples · num_patches, patch_dim]` patch matrix.
     fn build_graph(&self, samples: usize) -> std::result::Result<(Graph, ExprId), GraphError> {
         let mut g = Graph::new();
-        let per_sample: Vec<ExprId> = (0..samples)
-            .map(|_| g.input(self.num_patches, self.patch_dim))
-            .collect();
-        let stacked = if samples == 1 {
-            per_sample[0]
-        } else {
-            g.concat_rows(&per_sample)?
-        };
+        let stacked = g.input(samples * self.num_patches, self.patch_dim);
         let embedded = self.patch_embed.push_graph(&mut g, stacked)?;
         let positional = g.constant(self.positional.value())?;
         let mut hidden = g.add_tile_rows(embedded, positional, samples)?;
@@ -621,6 +642,63 @@ mod tests {
             (100_000..400_000).contains(&count),
             "paper-scale param count {count} outside expected band"
         );
+    }
+
+    #[test]
+    fn paper_plan_at_batch_16_moves_no_bytes_it_does_not_have_to() {
+        // The serve_bulk shape: one plan run of a batch-32 request.
+        let config = VitalConfig::paper(206, 82);
+        let mut rng = SeededRng::new(8);
+        let vit = VisionTransformer::new(&mut rng, &config).unwrap();
+        let (g, out) = vit.build_graph(16).unwrap();
+        let plan = graph::Compiler::new().compile(&g, out).unwrap();
+        let count = |name: &str| plan.kernel_names().filter(|k| *k == name).count();
+        let blocks = 16 * config.msa_heads * config.encoder_blocks;
+        // Every slice is a view a GEMM reads in place: none is copied out.
+        assert_eq!(count("copy"), 0);
+        // The only vertical concat left joins each encoder block's sample
+        // outputs; the input arrives stacked and score blocks are never
+        // stacked.
+        assert_eq!(count("concat_rows"), config.encoder_blocks);
+        assert_eq!(count("softmax_rows"), blocks, "one softmax per block");
+        // Two GEMMs per block, Q/K/V/O per encoder block, plus the patch
+        // embedding and the MLPs.
+        assert!(count("gemm") > 2 * blocks);
+        // PR 12 compiled this shape to 562 steps in 116 slots of 22.56 MB,
+        // next to 16 patch tensors (7.68 MB) and their 7.68 MB stack.
+        assert!(plan.step_count() <= 271, "steps: {}", plan.step_count());
+        assert!(plan.slot_count() <= 24, "slots: {}", plan.slot_count());
+        assert!(
+            plan.arena_bytes() <= 8_192_000,
+            "arena: {} bytes",
+            plan.arena_bytes()
+        );
+    }
+
+    #[test]
+    fn predict_filled_matches_predict_batch_and_propagates_fill_errors() {
+        let config = tiny_config();
+        let mut rng = SeededRng::new(12);
+        let vit = VisionTransformer::new(&mut rng, &config).unwrap();
+        let batch: Vec<Tensor> = (0..3)
+            .map(|i| SeededRng::new(50 + i).uniform_tensor(&[9, 48], -1.0, 1.0))
+            .collect();
+        let filled = vit
+            .predict_filled(3, |stacked| {
+                assert_eq!(stacked.len(), 3 * 9 * 48);
+                for (dst, patches) in stacked.chunks_exact_mut(9 * 48).zip(&batch) {
+                    dst.copy_from_slice(patches.as_slice());
+                }
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(filled, vit.predict_batch(&batch).unwrap());
+        assert_eq!(filled, vit.predict_batch_eager(&batch).unwrap());
+        assert!(vit.predict_filled(0, |_| Ok(())).is_err());
+        let refused = vit.predict_filled(3, |_| Err(VitalError::NotFitted));
+        assert!(matches!(refused, Err(VitalError::NotFitted)));
+        // The arena a failed fill held went back to the pool and serves on.
+        assert_eq!(vit.predict_batch(&batch).unwrap(), filled);
     }
 
     #[test]

@@ -92,16 +92,22 @@ impl PlanEntry {
         &self.plan
     }
 
+    /// Runs `f` with a pooled arena, returning the arena to the pool
+    /// whatever `f` returns.
+    fn with_arena<R>(&self, f: impl FnOnce(&CompiledPlan, &mut Arena) -> R) -> R {
+        let mut arena = self.pool.acquire(&self.plan);
+        let out = f(&self.plan, &mut arena);
+        self.pool.release(arena);
+        out
+    }
+
     /// Executes the plan with a pooled arena, returning the output tensor.
     ///
     /// # Errors
     /// Propagates input-arity/shape mismatches from
     /// [`CompiledPlan::execute`].
     pub fn execute(&self, inputs: &[&Tensor]) -> Result<Tensor, GraphError> {
-        let mut arena = self.pool.acquire(&self.plan);
-        let out = self.plan.execute(&mut arena, inputs);
-        self.pool.release(arena);
-        out
+        self.with_arena(|plan, arena| plan.execute(arena, inputs))
     }
 
     /// Executes the plan with a pooled arena, returning per-row argmaxes
@@ -111,10 +117,21 @@ impl PlanEntry {
     /// Propagates input-arity/shape mismatches from
     /// [`CompiledPlan::execute_argmax`].
     pub fn execute_argmax(&self, inputs: &[&Tensor]) -> Result<Vec<usize>, GraphError> {
-        let mut arena = self.pool.acquire(&self.plan);
-        let out = self.plan.execute_argmax(&mut arena, inputs);
-        self.pool.release(arena);
-        out
+        self.with_arena(|plan, arena| plan.execute_argmax(arena, inputs))
+    }
+
+    /// Executes the plan with a pooled arena whose input region `fill`
+    /// writes in place (see [`CompiledPlan::execute_argmax_with`]),
+    /// returning per-row argmaxes.
+    ///
+    /// # Errors
+    /// Returns whatever `fill` returns; the arena still goes back to the
+    /// pool.
+    pub fn execute_argmax_with<E>(
+        &self,
+        fill: impl FnOnce(&mut [f32]) -> Result<(), E>,
+    ) -> Result<Vec<usize>, E> {
+        self.with_arena(|plan, arena| plan.execute_argmax_with(arena, fill))
     }
 }
 
@@ -246,6 +263,26 @@ mod tests {
         assert_eq!(out.as_slice(), &[2.0, 2.0, 2.0, 0.0, 0.0, 0.0]);
         let arg = entry.execute_argmax(&[&x]).unwrap();
         assert_eq!(arg, vec![0, 0]);
+    }
+
+    #[test]
+    fn a_failing_fill_still_returns_the_arena_to_the_pool() {
+        let cache = PlanCache::new();
+        let entry = cache.get_or_build(2, 1, || toy_graph(2)).unwrap();
+        let pooled = || entry.pool.arenas.lock().unwrap().len();
+        assert_eq!(pooled(), 0);
+        let refused: Result<Vec<usize>, &str> = entry.execute_argmax_with(|_| Err("no input"));
+        assert_eq!(refused, Err("no input"));
+        assert_eq!(pooled(), 1, "the arena of a refused execution is pooled");
+        // ...and is the one the next execution runs in, filled in place.
+        let reuses = stats::arena_reuses();
+        let arg: Result<Vec<usize>, &str> = entry.execute_argmax_with(|input| {
+            input.copy_from_slice(&[1.0, -2.0, 3.0, -4.0, 5.0, -6.0]);
+            Ok(())
+        });
+        assert_eq!(arg, Ok(vec![0, 0]));
+        assert!(stats::arena_reuses() > reuses);
+        assert_eq!(pooled(), 1);
     }
 
     #[test]

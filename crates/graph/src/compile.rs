@@ -3,136 +3,220 @@
 //! Compilation is two deterministic passes over the (already
 //! shape-checked) graph:
 //!
-//! 1. **Kernel selection + fusion.** Nodes are walked in insertion order
-//!    (which is a topological order — builders can only reference earlier
-//!    ids). Structural and reduction ops each emit a [`Kernel`] step.
-//!    An *elementwise* node (unary, binary, row broadcast) whose chain
-//!    operand is the immediately preceding step's output **and** has no
-//!    other consumer folds into that step's post-op chain instead of
-//!    emitting a step: the step's single output pass then evaluates the
-//!    whole chain per element. This is what turns `matmul → +bias → GELU`
-//!    into one GEMM step with a two-op post chain, and keeps the stable
-//!    softmax and layer-norm as single SIMD-kernel steps. The executor
-//!    applies a post chain as one full-buffer pass per fused op, each
-//!    pass running *the same kernel* (vectorized transcendental or exact
-//!    elementwise loop) as the eager path, so fused results are
+//! 1. **Lowering: views, kernel selection, fusion.** Nodes are walked in
+//!    insertion order (a topological order — builders can only reference
+//!    earlier ids), so *graph node order is step order*: a builder that
+//!    wants a block of work to stay cache-resident pushes its nodes back
+//!    to back. Every value is a [`View`] — `len` elements of a constant
+//!    or an arena register from `offset` on, rows `row_stride` apart —
+//!    and the structural ops that only re-address data (`SliceRows`,
+//!    `SliceCols`, `Reshape`) emit **no step**: they hand their consumer
+//!    a narrower view of the same register. A GEMM reads any view in
+//!    place through its leading dimension; every other kernel reads dense
+//!    views, and a strided one reaching it is first materialised by a
+//!    [`Kernel::Copy`] that reads through the view. An *elementwise* node
+//!    (unary, binary, row broadcast) whose chain operand is exactly the
+//!    preceding step's output **and** has no other consumer folds into
+//!    that step's post-op chain instead of emitting a step: this is what
+//!    turns `matmul → +bias → GELU` into one GEMM step with a two-op post
+//!    chain. The executor applies a post chain as one pass per fused op
+//!    over the step's freshly written (cache-hot) output, each pass
+//!    running *the same kernel* as the eager path, so fused results are
 //!    bit-identical to eager at every dispatch level — the plan latches
 //!    [`simd::active_level`] at build time ([`CompiledPlan::level`]) and
-//!    pins every step to it, GEMM included: matmul steps run through
-//!    `tensor::gemm_ex_into_at` at the latched level, so a plan built
-//!    under AVX2 keeps its 6×16 packed tiles (and its bits) for life.
-//! 2. **Liveness-based slot planning.** Each step's output is a virtual
-//!    register; its last use is the last step that reads it. Walking steps
-//!    in order, the output slot is drawn from a free list of
-//!    exactly-matching buffer sizes *before* the step's operands are
-//!    released (so an output never aliases an operand it still reads),
-//!    and operands whose last use is this step are returned to the free
-//!    list after. Steady state, a plan executes entirely inside the
-//!    resulting fixed set of arena slots: zero buffer allocations.
+//!    pins every step to it, GEMM included.
+//! 2. **Liveness-based arena planning** ([`plan_arena`]). Each runtime
+//!    input and each step's output is a register; its last use is the
+//!    last step that reads it *through any view*. Every register gets a
+//!    range of the plan's **one** arena buffer. Inputs take the front, in
+//!    declaration order, so the caller fills one contiguous region.
+//!    Walking the steps, a kernel that consumes its source one row at a
+//!    time (`Copy`, `SoftmaxRows`, `LayerNorm`, `AddTileRows`) and whose
+//!    source is a whole register dying at that step, read by nothing else
+//!    in the step, runs **in place**: it takes the source's range as its
+//!    output and the copy disappears. Any other output takes the lowest
+//!    free range that fits (growing the arena if none does) *before* the
+//!    step's operands are released — so it never overlaps a buffer the
+//!    step still reads — and operands whose last use is this step are
+//!    released after, coalescing with free neighbours. Ranges need not
+//!    match in size: once the stacked input is dead, every later
+//!    activation lives inside its bytes, and the arena
+//!    ([`CompiledPlan::arena_bytes`]) is the plan's peak live footprint
+//!    rather than a sum over buffer sizes.
 
 use tensor::{BinaryOp, MatmulSpec, Tensor, UnaryOp};
 
 use crate::error::GraphError;
 use crate::ir::{ExprId, Graph, Op, ReduceOp};
 
-/// Where a step operand's data lives at execution time.
+/// The buffer a [`View`] reads from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Ref {
-    /// The i-th runtime input tensor.
-    Input(usize),
     /// The i-th compile-time constant.
     Const(usize),
-    /// An arena slot (a virtual register index during pass 1, a physical
-    /// slot index in the finished plan).
-    Slot(usize),
+    /// The i-th register: the runtime inputs first, then one per step.
+    /// [`CompiledPlan::reg_offsets`] places it in the arena.
+    Reg(usize),
+}
+
+/// A step operand: `len` elements of `base` from `offset` on, holding a
+/// matrix whose rows lie `row_stride` apart. Dense iff `len` is the
+/// matrix's element count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct View {
+    pub(crate) base: Ref,
+    pub(crate) offset: usize,
+    pub(crate) len: usize,
+    pub(crate) row_stride: usize,
+}
+
+impl View {
+    /// All `rows × cols` elements of `base`.
+    fn whole(base: Ref, rows: usize, cols: usize) -> View {
+        View {
+            base,
+            offset: 0,
+            len: rows * cols,
+            row_stride: cols,
+        }
+    }
+
+    /// The `rows × cols` window starting `skip` elements into this view.
+    fn window(self, skip: usize, rows: usize, cols: usize) -> View {
+        View {
+            offset: self.offset + skip,
+            // First element to one past the last live one.
+            len: match (rows, cols) {
+                (0, _) | (_, 0) => 0,
+                _ => (rows - 1) * self.row_stride + cols,
+            },
+            ..self
+        }
+    }
 }
 
 /// One fused elementwise operation applied per element of a step's output.
+/// Operand views are dense.
 #[derive(Debug, Clone)]
 pub(crate) enum PostOp {
     /// Apply a named unary op to the chain value.
     Unary(UnaryOp),
     /// `chain + row[j]` for the element's column `j`.
-    AddRow(Ref),
+    AddRow(View),
     /// `chain · row[j]` for the element's column `j`.
-    MulRow(Ref),
+    MulRow(View),
     /// `chain OP other[idx]` (chain is the left operand).
     BinaryLhs {
         /// The operation.
         op: BinaryOp,
         /// Elementwise right operand.
-        rhs: Ref,
+        rhs: View,
     },
     /// `other[idx] OP chain` (chain is the right operand).
     BinaryRhs {
         /// The operation.
         op: BinaryOp,
         /// Elementwise left operand.
-        lhs: Ref,
+        lhs: View,
     },
 }
 
-/// The structural/reduction core of one step.
+/// The structural/reduction core of one step. Only `Gemm` operands and
+/// `Copy`'s source may be strided; every other view is dense. A row-wise
+/// kernel's `src` is `None` once the arena planner has placed the step in
+/// place: its output range already holds the source.
 #[derive(Debug, Clone)]
 pub(crate) enum Kernel {
-    /// Copy the source buffer (standalone elementwise chains, reshape).
-    Copy { src: Ref },
-    /// `op(a) · op(b)` via the packed GEMM, written straight into the slot.
+    /// Copy the source (standalone elementwise chains, materialised
+    /// strided views, degenerate outputs).
+    Copy { src: Option<View> },
+    /// `op(a) · op(b)` via the packed GEMM, operands read in place through
+    /// their row strides, written straight into the slot.
     Gemm {
-        a: Ref,
-        b: Ref,
+        a: View,
+        b: View,
         spec: MatmulSpec,
         m: usize,
         k: usize,
         n: usize,
     },
     /// Three-pass numerically stable softmax over each row.
-    SoftmaxRows { src: Ref },
+    SoftmaxRows { src: Option<View> },
     /// Per-row standardise, then `· γ + β` per feature, in one pass.
     LayerNorm {
-        src: Ref,
-        gamma: Ref,
-        beta: Ref,
+        src: Option<View>,
+        gamma: View,
+        beta: View,
         eps: f32,
     },
     /// Mean over consecutive `block_rows`-row blocks.
-    MeanRowBlocks { src: Ref, block_rows: usize },
+    MeanRowBlocks { src: View, block_rows: usize },
     /// `src + tile`, the tile repeating vertically.
     AddTileRows {
-        src: Ref,
-        tile: Ref,
+        src: Option<View>,
+        tile: View,
         tile_rows: usize,
     },
-    /// Vertical concat; parts carry their element counts.
-    ConcatRows { parts: Vec<(Ref, usize)> },
-    /// Horizontal concat; parts carry `(rows, cols)`.
-    ConcatCols { parts: Vec<(Ref, usize, usize)> },
-    /// Contiguous row window starting at element `offset`.
-    SliceRows { src: Ref, offset: usize },
-    /// Column window `[start, start + out_cols)` of a `src_cols`-wide source.
-    SliceCols {
-        src: Ref,
-        src_cols: usize,
-        start: usize,
-    },
+    /// Vertical concat.
+    ConcatRows { parts: Vec<View> },
+    /// Horizontal concat; parts carry their column counts.
+    ConcatCols { parts: Vec<(View, usize)> },
 }
 
-/// One executable step: a kernel writing an arena slot, then a fused
-/// post-op chain applied to that slot in a single pass.
+/// One executable step: a kernel writing the step's register, then a
+/// fused post-op chain applied to it.
 #[derive(Debug, Clone)]
 pub(crate) struct Step {
     pub(crate) kernel: Kernel,
     pub(crate) post: Vec<PostOp>,
-    pub(crate) out_slot: usize,
     pub(crate) rows: usize,
     pub(crate) cols: usize,
+}
+
+impl Step {
+    /// Visits every view the step reads (kernel sources and post-op
+    /// operands).
+    pub(crate) fn views_mut(&mut self, mut f: impl FnMut(&mut View)) {
+        match &mut self.kernel {
+            Kernel::Copy { src } | Kernel::SoftmaxRows { src } => src.iter_mut().for_each(&mut f),
+            Kernel::MeanRowBlocks { src, .. } => f(src),
+            Kernel::Gemm { a, b, .. } => [a, b].into_iter().for_each(&mut f),
+            Kernel::LayerNorm {
+                src, gamma, beta, ..
+            } => src.iter_mut().chain([gamma, beta]).for_each(&mut f),
+            Kernel::AddTileRows { src, tile, .. } => src.iter_mut().chain([tile]).for_each(&mut f),
+            Kernel::ConcatRows { parts } => parts.iter_mut().for_each(&mut f),
+            Kernel::ConcatCols { parts } => parts.iter_mut().for_each(|(p, _)| f(p)),
+        }
+        for post in &mut self.post {
+            match post {
+                PostOp::Unary(_) => {}
+                PostOp::AddRow(v)
+                | PostOp::MulRow(v)
+                | PostOp::BinaryLhs { rhs: v, .. }
+                | PostOp::BinaryRhs { lhs: v, .. } => f(v),
+            }
+        }
+    }
+
+    /// The source of a kernel that consumes it one row at a time — the
+    /// kernels the arena planner may run in place.
+    fn row_wise_src(&mut self) -> Option<&mut Option<View>> {
+        match &mut self.kernel {
+            Kernel::Copy { src }
+            | Kernel::SoftmaxRows { src }
+            | Kernel::LayerNorm { src, .. }
+            | Kernel::AddTileRows { src, .. } => Some(src),
+            _ => None,
+        }
+    }
 }
 
 /// A compiled, immutable execution plan for one graph output.
 ///
 /// Build once per (model, batch shape) via [`Compiler::compile`], execute
 /// many times via [`CompiledPlan::execute`] /
-/// [`CompiledPlan::execute_argmax`] with a reusable
+/// [`CompiledPlan::execute_argmax_with`] with a reusable
 /// [`Arena`](crate::Arena). Plans are `Send + Sync` (share behind an
 /// `Arc`); all mutable state lives in the per-call arena.
 #[derive(Debug)]
@@ -140,15 +224,21 @@ pub struct CompiledPlan {
     pub(crate) steps: Vec<Step>,
     pub(crate) consts: Vec<Tensor>,
     pub(crate) input_dims: Vec<(usize, usize)>,
-    pub(crate) slot_sizes: Vec<usize>,
-    pub(crate) out_slot: usize,
+    /// Where each register starts in the arena buffer: the inputs, back
+    /// to back from 0, then step `i`'s output at `input_dims.len() + i`.
+    pub(crate) reg_offsets: Vec<usize>,
+    /// Elements in the arena buffer.
+    pub(crate) arena_len: usize,
+    peak_live: usize,
+    /// The register holding the output.
+    pub(crate) out_reg: usize,
     pub(crate) out_rows: usize,
     pub(crate) out_cols: usize,
     pub(crate) level: simd::Level,
 }
 
 impl CompiledPlan {
-    /// Number of executable steps (after fusion).
+    /// Number of executable steps (after fusion; views cost none).
     pub fn step_count(&self) -> usize {
         self.steps.len()
     }
@@ -161,19 +251,46 @@ impl CompiledPlan {
     }
 
     /// Number of fused post-ops across all steps — elementwise nodes that
-    /// did *not* cost a pass or a buffer of their own.
+    /// did *not* cost a step or a buffer of their own.
     pub fn fused_op_count(&self) -> usize {
         self.steps.iter().map(|s| s.post.len()).sum()
     }
 
-    /// Number of arena buffer slots the plan executes in.
+    /// The most registers (runtime inputs and step outputs) live at once
+    /// — the number of buffers the plan would need if each were its own
+    /// allocation instead of a range of the one arena.
     pub fn slot_count(&self) -> usize {
-        self.slot_sizes.len()
+        self.peak_live
+    }
+
+    /// Bytes of the one buffer an [`Arena`](crate::Arena) holds for this
+    /// plan — its peak live footprint, the runtime inputs' included.
+    pub fn arena_bytes(&self) -> usize {
+        self.arena_len * std::mem::size_of::<f32>()
+    }
+
+    /// Each step's kernel, by name, in execution order.
+    pub fn kernel_names(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.steps.iter().map(|step| match step.kernel {
+            Kernel::Copy { .. } => "copy",
+            Kernel::Gemm { .. } => "gemm",
+            Kernel::SoftmaxRows { .. } => "softmax_rows",
+            Kernel::LayerNorm { .. } => "layer_norm",
+            Kernel::MeanRowBlocks { .. } => "mean_row_blocks",
+            Kernel::AddTileRows { .. } => "add_tile_rows",
+            Kernel::ConcatRows { .. } => "concat_rows",
+            Kernel::ConcatCols { .. } => "concat_cols",
+        })
     }
 
     /// The output's `(rows, cols)`.
     pub fn output_dims(&self) -> (usize, usize) {
         (self.out_rows, self.out_cols)
+    }
+
+    /// Elements of the input region at the front of the arena buffer.
+    pub(crate) fn input_len(&self) -> usize {
+        self.input_dims.iter().map(|&(r, c)| r * c).sum()
     }
 }
 
@@ -190,344 +307,25 @@ impl Compiler {
         Compiler
     }
 
-    /// Compiles `graph` down to a fused, slot-planned plan producing
+    /// Compiles `graph` down to a fused, arena-planned plan producing
     /// `output`.
     ///
     /// # Errors
     /// Returns [`GraphError::UnknownExpr`] if `output` is not a node of
     /// `graph`.
     pub fn compile(&self, graph: &Graph, output: ExprId) -> Result<CompiledPlan, GraphError> {
-        if output.0 >= graph.nodes.len() {
-            return Err(GraphError::UnknownExpr {
-                id: output.0,
-                nodes: graph.nodes.len(),
-            });
-        }
-
-        // Reachability + per-use consumer counts from the output.
-        let n = graph.nodes.len();
-        let mut reachable = vec![false; n];
-        let mut consumers = vec![0usize; n];
-        let mut stack = vec![output.0];
-        while let Some(id) = stack.pop() {
-            if reachable[id] {
-                continue;
-            }
-            reachable[id] = true;
-            for_each_operand(&graph.nodes[id].op, |op_id| stack.push(op_id.0));
-        }
-        for (id, _) in reachable.iter().enumerate().filter(|(_, &live)| live) {
-            for_each_operand(&graph.nodes[id].op, |op_id| consumers[op_id.0] += 1);
-        }
-
-        // Pass 1: kernel selection + fusion. `loc[id]` is where the node's
-        // value lives; `Ref::Slot` indices are virtual (= step index).
-        let mut loc: Vec<Option<Ref>> = vec![None; n];
-        let mut steps: Vec<Step> = Vec::new();
-        for id in 0..n {
-            if !reachable[id] {
-                continue;
-            }
-            let node = &graph.nodes[id];
-            let (rows, cols) = (node.rows, node.cols);
-            let r = |x: ExprId, loc: &[Option<Ref>]| loc[x.0].expect("operand precedes use");
-            // True iff `x` is the previous step's output and nothing else
-            // will ever read it — the fusion precondition (the post chain
-            // rewrites that buffer in place).
-            let fusable = |x: ExprId, loc: &[Option<Ref>], steps: &[Step]| {
-                !steps.is_empty()
-                    && loc[x.0] == Some(Ref::Slot(steps.len() - 1))
-                    && consumers[x.0] == 1
-            };
-            match &node.op {
-                Op::Input { index } => loc[id] = Some(Ref::Input(*index)),
-                Op::Constant { index } => loc[id] = Some(Ref::Const(*index)),
-                Op::Unary { x, op } => {
-                    if fusable(*x, &loc, &steps) {
-                        let step = steps.last_mut().expect("fusable implies a step");
-                        step.post.push(PostOp::Unary(*op));
-                        loc[id] = Some(Ref::Slot(steps.len() - 1));
-                    } else {
-                        let src = r(*x, &loc);
-                        steps.push(Step {
-                            kernel: Kernel::Copy { src },
-                            post: vec![PostOp::Unary(*op)],
-                            out_slot: 0,
-                            rows,
-                            cols,
-                        });
-                        loc[id] = Some(Ref::Slot(steps.len() - 1));
-                    }
-                }
-                Op::Binary { a, b, op } => {
-                    if fusable(*a, &loc, &steps) {
-                        let rhs = r(*b, &loc);
-                        let step = steps.last_mut().expect("fusable implies a step");
-                        step.post.push(PostOp::BinaryLhs { op: *op, rhs });
-                        loc[id] = Some(Ref::Slot(steps.len() - 1));
-                    } else if fusable(*b, &loc, &steps) {
-                        let lhs = r(*a, &loc);
-                        let step = steps.last_mut().expect("fusable implies a step");
-                        step.post.push(PostOp::BinaryRhs { op: *op, lhs });
-                        loc[id] = Some(Ref::Slot(steps.len() - 1));
-                    } else {
-                        let src = r(*a, &loc);
-                        let rhs = r(*b, &loc);
-                        steps.push(Step {
-                            kernel: Kernel::Copy { src },
-                            post: vec![PostOp::BinaryLhs { op: *op, rhs }],
-                            out_slot: 0,
-                            rows,
-                            cols,
-                        });
-                        loc[id] = Some(Ref::Slot(steps.len() - 1));
-                    }
-                }
-                Op::AddRowBroadcast { x, row } | Op::MulRowBroadcast { x, row } => {
-                    let mk = |rref: Ref| match &node.op {
-                        Op::AddRowBroadcast { .. } => PostOp::AddRow(rref),
-                        _ => PostOp::MulRow(rref),
-                    };
-                    let rref = r(*row, &loc);
-                    if fusable(*x, &loc, &steps) {
-                        let step = steps.last_mut().expect("fusable implies a step");
-                        step.post.push(mk(rref));
-                        loc[id] = Some(Ref::Slot(steps.len() - 1));
-                    } else {
-                        let src = r(*x, &loc);
-                        steps.push(Step {
-                            kernel: Kernel::Copy { src },
-                            post: vec![mk(rref)],
-                            out_slot: 0,
-                            rows,
-                            cols,
-                        });
-                        loc[id] = Some(Ref::Slot(steps.len() - 1));
-                    }
-                }
-                Op::Matmul { a, b, spec } => {
-                    let (ar, ac) = (graph.nodes[a.0].rows, graph.nodes[a.0].cols);
-                    let k = if spec.trans_a { ar } else { ac };
-                    steps.push(Step {
-                        kernel: Kernel::Gemm {
-                            a: r(*a, &loc),
-                            b: r(*b, &loc),
-                            spec: *spec,
-                            m: rows,
-                            k,
-                            n: cols,
-                        },
-                        post: Vec::new(),
-                        out_slot: 0,
-                        rows,
-                        cols,
-                    });
-                    loc[id] = Some(Ref::Slot(steps.len() - 1));
-                }
-                Op::Reduce { x, op } => {
-                    let src = r(*x, &loc);
-                    let kernel = match op {
-                        ReduceOp::SoftmaxRows => Kernel::SoftmaxRows { src },
-                        ReduceOp::MeanRowBlocks { block_rows } => Kernel::MeanRowBlocks {
-                            src,
-                            block_rows: *block_rows,
-                        },
-                    };
-                    steps.push(Step {
-                        kernel,
-                        post: Vec::new(),
-                        out_slot: 0,
-                        rows,
-                        cols,
-                    });
-                    loc[id] = Some(Ref::Slot(steps.len() - 1));
-                }
-                Op::LayerNorm {
-                    x,
-                    gamma,
-                    beta,
-                    eps,
-                } => {
-                    steps.push(Step {
-                        kernel: Kernel::LayerNorm {
-                            src: r(*x, &loc),
-                            gamma: r(*gamma, &loc),
-                            beta: r(*beta, &loc),
-                            eps: *eps,
-                        },
-                        post: Vec::new(),
-                        out_slot: 0,
-                        rows,
-                        cols,
-                    });
-                    loc[id] = Some(Ref::Slot(steps.len() - 1));
-                }
-                Op::AddTileRows { x, tile, .. } => {
-                    let tile_rows = graph.nodes[tile.0].rows;
-                    steps.push(Step {
-                        kernel: Kernel::AddTileRows {
-                            src: r(*x, &loc),
-                            tile: r(*tile, &loc),
-                            tile_rows,
-                        },
-                        post: Vec::new(),
-                        out_slot: 0,
-                        rows,
-                        cols,
-                    });
-                    loc[id] = Some(Ref::Slot(steps.len() - 1));
-                }
-                Op::ConcatRows { parts } => {
-                    let parts = parts
-                        .iter()
-                        .map(|p| {
-                            let pn = &graph.nodes[p.0];
-                            (r(*p, &loc), pn.rows * pn.cols)
-                        })
-                        .collect();
-                    steps.push(Step {
-                        kernel: Kernel::ConcatRows { parts },
-                        post: Vec::new(),
-                        out_slot: 0,
-                        rows,
-                        cols,
-                    });
-                    loc[id] = Some(Ref::Slot(steps.len() - 1));
-                }
-                Op::ConcatCols { parts } => {
-                    let parts = parts
-                        .iter()
-                        .map(|p| {
-                            let pn = &graph.nodes[p.0];
-                            (r(*p, &loc), pn.rows, pn.cols)
-                        })
-                        .collect();
-                    steps.push(Step {
-                        kernel: Kernel::ConcatCols { parts },
-                        post: Vec::new(),
-                        out_slot: 0,
-                        rows,
-                        cols,
-                    });
-                    loc[id] = Some(Ref::Slot(steps.len() - 1));
-                }
-                Op::SliceRows { x, start, .. } => {
-                    let src_cols = graph.nodes[x.0].cols;
-                    steps.push(Step {
-                        kernel: Kernel::SliceRows {
-                            src: r(*x, &loc),
-                            offset: start * src_cols,
-                        },
-                        post: Vec::new(),
-                        out_slot: 0,
-                        rows,
-                        cols,
-                    });
-                    loc[id] = Some(Ref::Slot(steps.len() - 1));
-                }
-                Op::SliceCols { x, start, .. } => {
-                    let src_cols = graph.nodes[x.0].cols;
-                    steps.push(Step {
-                        kernel: Kernel::SliceCols {
-                            src: r(*x, &loc),
-                            src_cols,
-                            start: *start,
-                        },
-                        post: Vec::new(),
-                        out_slot: 0,
-                        rows,
-                        cols,
-                    });
-                    loc[id] = Some(Ref::Slot(steps.len() - 1));
-                }
-                Op::Reshape { x, .. } => {
-                    steps.push(Step {
-                        kernel: Kernel::Copy { src: r(*x, &loc) },
-                        post: Vec::new(),
-                        out_slot: 0,
-                        rows,
-                        cols,
-                    });
-                    loc[id] = Some(Ref::Slot(steps.len() - 1));
-                }
-            }
-        }
-
-        // Degenerate graphs (output is an input/constant) still need a step.
-        let out_ref = loc[output.0].expect("output is reachable");
+        let (mut steps, out_reg) = lower(graph, output)?;
+        let input_sizes: Vec<usize> = graph.input_dims.iter().map(|&(r, c)| r * c).collect();
+        let (reg_offsets, arena_len, peak_live) = plan_arena(&mut steps, &input_sizes, out_reg);
         let (out_rows, out_cols) = (graph.nodes[output.0].rows, graph.nodes[output.0].cols);
-        let output_virtual = match out_ref {
-            Ref::Slot(v) => v,
-            src => {
-                steps.push(Step {
-                    kernel: Kernel::Copy { src },
-                    post: Vec::new(),
-                    out_slot: 0,
-                    rows: out_rows,
-                    cols: out_cols,
-                });
-                steps.len() - 1
-            }
-        };
-
-        // Pass 2: liveness-based physical slot assignment over the virtual
-        // registers (one per step).
-        let mut last_use = vec![0usize; steps.len()];
-        for (idx, step) in steps.iter().enumerate() {
-            for_each_ref(step, |r| {
-                if let Ref::Slot(v) = r {
-                    last_use[v] = last_use[v].max(idx);
-                }
-            });
-        }
-        last_use[output_virtual] = usize::MAX;
-
-        let mut slot_sizes: Vec<usize> = Vec::new();
-        // Free physical slots, grouped as (size, slot) pairs.
-        let mut free: Vec<(usize, usize)> = Vec::new();
-        let mut slot_of = vec![0usize; steps.len()];
-        for idx in 0..steps.len() {
-            let size = steps[idx].rows * steps[idx].cols;
-            // Allocate the output slot BEFORE releasing this step's
-            // operands so the output never aliases a buffer the kernel
-            // still reads from.
-            let slot = match free.iter().position(|&(s, _)| s == size) {
-                Some(pos) => free.swap_remove(pos).1,
-                None => {
-                    slot_sizes.push(size);
-                    slot_sizes.len() - 1
-                }
-            };
-            slot_of[idx] = slot;
-            let mut released: Vec<usize> = Vec::new();
-            for_each_ref(&steps[idx], |r| {
-                if let Ref::Slot(v) = r {
-                    if last_use[v] == idx && !released.contains(&v) {
-                        released.push(v);
-                    }
-                }
-            });
-            for v in released {
-                free.push((slot_sizes[slot_of[v]], slot_of[v]));
-            }
-        }
-
-        // Rewrite virtual refs to physical slots.
-        for idx in 0..steps.len() {
-            let step = &mut steps[idx];
-            step.out_slot = slot_of[idx];
-            map_refs(step, |r| match r {
-                Ref::Slot(v) => Ref::Slot(slot_of[v]),
-                other => other,
-            });
-        }
-
         Ok(CompiledPlan {
             steps,
             consts: graph.consts.clone(),
             input_dims: graph.input_dims.clone(),
-            slot_sizes,
-            out_slot: slot_of[output_virtual],
+            reg_offsets,
+            arena_len,
+            peak_live,
+            out_reg,
             out_rows,
             out_cols,
             // Latch the dispatch level at build time so every execution of
@@ -535,6 +333,347 @@ impl Compiler {
             level: simd::active_level(),
         })
     }
+}
+
+/// Pass-1 state: where each lowered node's value lives.
+struct Lowering<'g> {
+    graph: &'g Graph,
+    /// Per-use consumer counts among the nodes reachable from the output.
+    consumers: Vec<usize>,
+    /// Each lowered node's view, plus — when the value is exactly one
+    /// step's whole output, the only thing a post-op chain may rewrite —
+    /// that step's index.
+    loc: Vec<Option<(View, Option<usize>)>>,
+    steps: Vec<Step>,
+}
+
+impl Lowering<'_> {
+    fn view(&self, x: ExprId) -> View {
+        self.loc[x.0].expect("operand precedes use").0
+    }
+
+    fn dims(&self, x: ExprId) -> (usize, usize) {
+        (self.graph.nodes[x.0].rows, self.graph.nodes[x.0].cols)
+    }
+
+    /// Emits a step computing node `id`; its value is the new register.
+    fn emit(&mut self, id: usize, kernel: Kernel, post: Vec<PostOp>) {
+        let (rows, cols) = self.dims(ExprId(id));
+        let reg = self.graph.input_dims.len() + self.steps.len();
+        self.loc[id] = Some((
+            View::whole(Ref::Reg(reg), rows, cols),
+            Some(self.steps.len()),
+        ));
+        self.steps.push(Step {
+            kernel,
+            post,
+            rows,
+            cols,
+        });
+    }
+
+    /// `x`'s view if it is dense; otherwise materialises it with a copy
+    /// through the view, which later consumers of `x` then share.
+    fn dense(&mut self, x: ExprId) -> View {
+        let (rows, cols) = self.dims(x);
+        let view = self.view(x);
+        if view.len != rows * cols {
+            self.emit(x.0, Kernel::Copy { src: Some(view) }, Vec::new());
+        }
+        self.view(x)
+    }
+
+    /// True iff `x` is the previous step's whole output and nothing else
+    /// will ever read it — the fusion precondition (the post chain
+    /// rewrites that buffer in place).
+    fn fusable(&self, x: ExprId) -> bool {
+        let last = self.steps.len().checked_sub(1);
+        last.is_some()
+            && self.loc[x.0].expect("operand precedes use").1 == last
+            && self.consumers[x.0] == 1
+    }
+
+    /// Node `id` = `post` applied to chain operand `x`: folded into the
+    /// step that produced `x` when fusable, else a copy of `x` (strided
+    /// views welcome) carrying the post-op.
+    fn chain(&mut self, id: usize, x: ExprId, post: PostOp) {
+        if self.fusable(x) {
+            self.steps.last_mut().expect("fusable").post.push(post);
+            self.loc[id] = self.loc[x.0];
+        } else {
+            let src = Some(self.view(x));
+            self.emit(id, Kernel::Copy { src }, vec![post]);
+        }
+    }
+
+    fn lower_node(&mut self, id: usize) {
+        let graph = self.graph;
+        let (rows, cols) = self.dims(ExprId(id));
+        match &graph.nodes[id].op {
+            Op::Input { index } => {
+                self.loc[id] = Some((View::whole(Ref::Reg(*index), rows, cols), None));
+            }
+            Op::Constant { index } => {
+                self.loc[id] = Some((View::whole(Ref::Const(*index), rows, cols), None));
+            }
+            Op::Unary { x, op } => self.chain(id, *x, PostOp::Unary(*op)),
+            Op::Binary { a, b, op } => {
+                let (lhs, rhs) = (self.dense(*a), self.dense(*b));
+                if self.fusable(*b) && !self.fusable(*a) {
+                    self.chain(id, *b, PostOp::BinaryRhs { op: *op, lhs });
+                } else {
+                    self.chain(id, *a, PostOp::BinaryLhs { op: *op, rhs });
+                }
+            }
+            Op::AddRowBroadcast { x, row } => {
+                let row = self.dense(*row);
+                self.chain(id, *x, PostOp::AddRow(row));
+            }
+            Op::MulRowBroadcast { x, row } => {
+                let row = self.dense(*row);
+                self.chain(id, *x, PostOp::MulRow(row));
+            }
+            Op::Matmul { a, b, spec } => {
+                let (ar, ac) = self.dims(*a);
+                let kernel = Kernel::Gemm {
+                    a: self.view(*a),
+                    b: self.view(*b),
+                    spec: *spec,
+                    m: rows,
+                    k: if spec.trans_a { ar } else { ac },
+                    n: cols,
+                };
+                self.emit(id, kernel, Vec::new());
+            }
+            Op::Reduce { x, op } => {
+                let src = self.dense(*x);
+                let kernel = match *op {
+                    ReduceOp::SoftmaxRows => Kernel::SoftmaxRows { src: Some(src) },
+                    ReduceOp::MeanRowBlocks { block_rows } => {
+                        Kernel::MeanRowBlocks { src, block_rows }
+                    }
+                };
+                self.emit(id, kernel, Vec::new());
+            }
+            Op::LayerNorm {
+                x,
+                gamma,
+                beta,
+                eps,
+            } => {
+                let kernel = Kernel::LayerNorm {
+                    src: Some(self.dense(*x)),
+                    gamma: self.dense(*gamma),
+                    beta: self.dense(*beta),
+                    eps: *eps,
+                };
+                self.emit(id, kernel, Vec::new());
+            }
+            Op::AddTileRows { x, tile, .. } => {
+                let kernel = Kernel::AddTileRows {
+                    src: Some(self.dense(*x)),
+                    tile: self.dense(*tile),
+                    tile_rows: self.dims(*tile).0,
+                };
+                self.emit(id, kernel, Vec::new());
+            }
+            Op::ConcatRows { parts } => {
+                let parts = parts.iter().map(|p| self.dense(*p)).collect();
+                self.emit(id, Kernel::ConcatRows { parts }, Vec::new());
+            }
+            Op::ConcatCols { parts } => {
+                let parts = parts
+                    .iter()
+                    .map(|p| (self.dense(*p), self.dims(*p).1))
+                    .collect();
+                self.emit(id, Kernel::ConcatCols { parts }, Vec::new());
+            }
+            Op::SliceRows { x, start, .. } => {
+                let view = self.view(*x);
+                let window = view.window(start * view.row_stride, rows, cols);
+                self.loc[id] = Some((window, None));
+            }
+            Op::SliceCols { x, start, .. } => {
+                self.loc[id] = Some((self.view(*x).window(*start, rows, cols), None));
+            }
+            Op::Reshape { x, .. } => {
+                let view = View {
+                    row_stride: cols,
+                    ..self.dense(*x)
+                };
+                self.loc[id] = Some((view, None));
+            }
+        }
+    }
+}
+
+/// Pass 1: lowers the nodes `output` depends on to steps over registers
+/// (inputs `0..n`, then one per step). Returns the steps and the register
+/// holding the output.
+fn lower(graph: &Graph, output: ExprId) -> Result<(Vec<Step>, usize), GraphError> {
+    let n = graph.nodes.len();
+    if output.0 >= n {
+        return Err(GraphError::UnknownExpr {
+            id: output.0,
+            nodes: n,
+        });
+    }
+    // Reachability + per-use consumer counts from the output.
+    let mut reachable = vec![false; n];
+    let mut consumers = vec![0usize; n];
+    let mut stack = vec![output.0];
+    while let Some(id) = stack.pop() {
+        if !std::mem::replace(&mut reachable[id], true) {
+            for_each_operand(&graph.nodes[id].op, |op_id| {
+                consumers[op_id.0] += 1;
+                stack.push(op_id.0);
+            });
+        }
+    }
+    let mut lowering = Lowering {
+        graph,
+        consumers,
+        loc: vec![None; n],
+        steps: Vec::new(),
+    };
+    for id in (0..n).filter(|&id| reachable[id]) {
+        lowering.lower_node(id);
+    }
+    // The output must be a register of its own: an input, a constant or a
+    // view of something larger is copied out.
+    let (out_view, out_step) = lowering.loc[output.0].expect("output is reachable");
+    let out_step = out_step.unwrap_or_else(|| {
+        let src = Some(out_view);
+        lowering.emit(output.0, Kernel::Copy { src }, Vec::new());
+        lowering.steps.len() - 1
+    });
+    Ok((lowering.steps, graph.input_dims.len() + out_step))
+}
+
+/// The arena's free ranges as `(offset, len)`: sorted by offset, never
+/// empty, never adjacent (a released range coalesces with its neighbours).
+#[derive(Default)]
+struct FreeRanges {
+    ranges: Vec<(usize, usize)>,
+    /// The arena's length so far.
+    arena_len: usize,
+}
+
+impl FreeRanges {
+    /// Claims `size` elements: the lowest free range that fits, else the
+    /// arena grows (by as little as a free range at its end allows).
+    fn take(&mut self, size: usize) -> usize {
+        if size == 0 {
+            return 0;
+        }
+        if let Some(i) = self.ranges.iter().position(|&(_, len)| len >= size) {
+            let (offset, len) = self.ranges[i];
+            if len == size {
+                self.ranges.remove(i);
+            } else {
+                self.ranges[i] = (offset + size, len - size);
+            }
+            return offset;
+        }
+        let offset = match self.ranges.last() {
+            Some(&(offset, len)) if offset + len == self.arena_len => {
+                self.ranges.pop();
+                offset
+            }
+            _ => self.arena_len,
+        };
+        self.arena_len = offset + size;
+        offset
+    }
+
+    fn release(&mut self, offset: usize, size: usize) {
+        if size == 0 {
+            return;
+        }
+        let mut i = self.ranges.partition_point(|&(o, _)| o < offset);
+        self.ranges.insert(i, (offset, size));
+        if i > 0 && self.ranges[i - 1].0 + self.ranges[i - 1].1 == offset {
+            i -= 1;
+            self.ranges[i].1 += self.ranges.remove(i + 1).1;
+        }
+        if i + 1 < self.ranges.len() && self.ranges[i].0 + self.ranges[i].1 == self.ranges[i + 1].0
+        {
+            self.ranges[i].1 += self.ranges.remove(i + 1).1;
+        }
+    }
+}
+
+/// Pass 2: gives every register a range of the arena by liveness, placing
+/// eligible row-wise steps in place (their `src` becomes `None`); see the
+/// module docs. Returns each register's arena offset, the arena's length
+/// and the most registers live at once.
+fn plan_arena(
+    steps: &mut [Step],
+    input_sizes: &[usize],
+    out_reg: usize,
+) -> (Vec<usize>, usize, usize) {
+    let n_in = input_sizes.len();
+    let mut last_use: Vec<Option<usize>> = vec![None; n_in + steps.len()];
+    for (idx, step) in steps.iter_mut().enumerate() {
+        step.views_mut(|v| {
+            if let Ref::Reg(reg) = v.base {
+                last_use[reg] = Some(idx);
+            }
+        });
+    }
+    last_use[out_reg] = Some(usize::MAX);
+
+    let mut free = FreeRanges::default();
+    let mut sizes = input_sizes.to_vec();
+    let mut offsets: Vec<usize> = input_sizes.iter().map(|&size| free.take(size)).collect();
+    let (mut live, mut peak_live) = (n_in, n_in);
+    // An input nothing reads is dead once the caller has filled it.
+    for reg in (0..n_in).filter(|&reg| last_use[reg].is_none()) {
+        free.release(offsets[reg], sizes[reg]);
+        live -= 1;
+    }
+    for (idx, step) in steps.iter_mut().enumerate() {
+        let size = step.rows * step.cols;
+        // Registers whose last use is this step, with how many of the
+        // step's views read them.
+        let mut dying: Vec<(usize, usize)> = Vec::new();
+        step.views_mut(|v| match v.base {
+            Ref::Reg(reg) if last_use[reg] == Some(idx) => {
+                match dying.iter_mut().find(|(d, _)| *d == reg) {
+                    Some((_, reads)) => *reads += 1,
+                    None => dying.push((reg, 1)),
+                }
+            }
+            _ => {}
+        });
+        let in_place = step.row_wise_src().and_then(|src| {
+            let view = (*src)?;
+            let Ref::Reg(reg) = view.base else {
+                return None;
+            };
+            let whole = view.offset == 0 && sizes[reg] == size;
+            (whole && dying.contains(&(reg, 1))).then(|| {
+                *src = None;
+                reg
+            })
+        });
+        offsets.push(match in_place {
+            Some(reg) => offsets[reg],
+            // Claimed BEFORE this step's operands are released, so the
+            // output never overlaps a buffer the kernel still reads.
+            None => {
+                live += 1;
+                free.take(size)
+            }
+        });
+        sizes.push(size);
+        peak_live = peak_live.max(live);
+        for &(reg, _) in dying.iter().filter(|(reg, _)| Some(*reg) != in_place) {
+            free.release(offsets[reg], sizes[reg]);
+            live -= 1;
+        }
+    }
+    (offsets, free.arena_len, peak_live)
 }
 
 /// Visits every operand [`ExprId`] of one op.
@@ -566,93 +705,5 @@ fn for_each_operand(op: &Op, mut f: impl FnMut(ExprId)) {
             }
         }
         Op::SliceRows { x, .. } | Op::SliceCols { x, .. } | Op::Reshape { x, .. } => f(*x),
-    }
-}
-
-/// Visits every [`Ref`] a step reads (kernel sources and post-op operands).
-fn for_each_ref(step: &Step, mut f: impl FnMut(Ref)) {
-    match &step.kernel {
-        Kernel::Copy { src }
-        | Kernel::SoftmaxRows { src }
-        | Kernel::MeanRowBlocks { src, .. }
-        | Kernel::SliceRows { src, .. }
-        | Kernel::SliceCols { src, .. } => f(*src),
-        Kernel::Gemm { a, b, .. } => {
-            f(*a);
-            f(*b);
-        }
-        Kernel::LayerNorm {
-            src, gamma, beta, ..
-        } => {
-            f(*src);
-            f(*gamma);
-            f(*beta);
-        }
-        Kernel::AddTileRows { src, tile, .. } => {
-            f(*src);
-            f(*tile);
-        }
-        Kernel::ConcatRows { parts } => {
-            for (p, _) in parts {
-                f(*p);
-            }
-        }
-        Kernel::ConcatCols { parts } => {
-            for (p, _, _) in parts {
-                f(*p);
-            }
-        }
-    }
-    for post in &step.post {
-        match post {
-            PostOp::Unary(_) => {}
-            PostOp::AddRow(r) | PostOp::MulRow(r) => f(*r),
-            PostOp::BinaryLhs { rhs, .. } => f(*rhs),
-            PostOp::BinaryRhs { lhs, .. } => f(*lhs),
-        }
-    }
-}
-
-/// Rewrites every [`Ref`] a step reads.
-fn map_refs(step: &mut Step, f: impl Fn(Ref) -> Ref) {
-    match &mut step.kernel {
-        Kernel::Copy { src }
-        | Kernel::SoftmaxRows { src }
-        | Kernel::MeanRowBlocks { src, .. }
-        | Kernel::SliceRows { src, .. }
-        | Kernel::SliceCols { src, .. } => *src = f(*src),
-        Kernel::Gemm { a, b, .. } => {
-            *a = f(*a);
-            *b = f(*b);
-        }
-        Kernel::LayerNorm {
-            src, gamma, beta, ..
-        } => {
-            *src = f(*src);
-            *gamma = f(*gamma);
-            *beta = f(*beta);
-        }
-        Kernel::AddTileRows { src, tile, .. } => {
-            *src = f(*src);
-            *tile = f(*tile);
-        }
-        Kernel::ConcatRows { parts } => {
-            for (p, _) in parts {
-                *p = f(*p);
-            }
-        }
-        Kernel::ConcatCols { parts } => {
-            for (p, _, _) in parts {
-                *p = f(*p);
-            }
-        }
-    }
-    for post in &mut step.post {
-        match post {
-            PostOp::Unary(_) => {}
-            PostOp::AddRow(r) | PostOp::MulRow(r) => *r = f(*r),
-            PostOp::BinaryLhs { rhs, .. } => *rhs = f(*rhs),
-            PostOp::BinaryRhs { lhs, .. } => *lhs = f(*lhs),
-        }
     }
 }

@@ -127,7 +127,7 @@ pub enum Op {
         /// Parts, laid out left to right.
         parts: Vec<ExprId>,
     },
-    /// Copy of rows `[start, end)`.
+    /// Rows `[start, end)` (a view of the operand in a compiled plan).
     SliceRows {
         /// Operand.
         x: ExprId,
@@ -136,7 +136,7 @@ pub enum Op {
         /// One past the last row.
         end: usize,
     },
-    /// Copy of columns `[start, end)`.
+    /// Columns `[start, end)` (a strided view in a compiled plan).
     SliceCols {
         /// Operand.
         x: ExprId,
@@ -145,7 +145,7 @@ pub enum Op {
         /// One past the last column.
         end: usize,
     },
-    /// Same elements, new dims (same volume).
+    /// Same elements, new dims (same volume; a view of a dense operand).
     Reshape {
         /// Operand.
         x: ExprId,
@@ -478,7 +478,8 @@ impl Graph {
         ))
     }
 
-    /// Copy of rows `[start, end)`.
+    /// Rows `[start, end)`. Free in a compiled plan: consumers read the
+    /// operand's rows in place.
     ///
     /// # Errors
     /// Returns [`GraphError::InvalidSlice`] for an inverted or out-of-range
@@ -501,7 +502,8 @@ impl Graph {
         Ok(self.push(Op::SliceRows { x, start, end }, end - start, cols))
     }
 
-    /// Copy of columns `[start, end)`.
+    /// Columns `[start, end)`. A matmul reads the window in place through
+    /// the operand's row stride; any other consumer gets a dense copy.
     ///
     /// # Errors
     /// Returns [`GraphError::InvalidSlice`] for an inverted or out-of-range

@@ -9,12 +9,17 @@
 //!    are inferred and checked *at node-insertion time* with typed
 //!    [`GraphError`]s.
 //! 2. [`Compiler::compile`] lowers the graph to a [`CompiledPlan`]: it
-//!    fuses adjacent elementwise chains into the producing step's single
-//!    output pass (`matmul → +bias → GELU` becomes one GEMM step) and
-//!    plans a fixed set of arena buffer slots via liveness analysis, so
+//!    fuses adjacent elementwise chains into the producing step's output
+//!    pass (`matmul → +bias → GELU` becomes one GEMM step), turns slices
+//!    and reshapes into operand *views* that cost no step (a GEMM reads
+//!    them in place through its row stride), runs row-wise kernels in
+//!    place where their source dies, and packs every intermediate — the
+//!    runtime inputs included — into one arena buffer by liveness, so
 //!    steady-state execution performs **zero** buffer allocations.
-//! 3. Execute with a reusable [`Arena`], or let a [`PlanCache`] key plans
-//!    by `(batch, weight stamp)` and pool arenas across threads.
+//! 3. Execute with a reusable [`Arena`] — writing the inputs straight
+//!    into it ([`CompiledPlan::execute_argmax_with`]) or handing over
+//!    tensors to be copied in — or let a [`PlanCache`] key plans by
+//!    `(batch, weight stamp)` and pool arenas across threads.
 //!
 //! Fused execution is **bit-identical** to the eager tensor path: every
 //! kernel replicates the eager implementation's per-element arithmetic
@@ -33,6 +38,8 @@ mod compile;
 mod error;
 mod exec;
 mod ir;
+#[cfg(test)]
+mod plan_tests;
 pub mod stats;
 
 pub use cache::{ArenaPool, PlanCache, PlanEntry};
@@ -233,8 +240,8 @@ mod tests {
 
     #[test]
     fn slot_planner_reuses_buffers_down_a_chain() {
-        // A deep same-shape chain should cycle between two slots, not
-        // allocate one per step.
+        // A deep same-shape chain should cycle between two buffers' worth
+        // of arena, not claim one per step.
         let mut g = Graph::new();
         let mut x = g.input(4, 4);
         let w = t(vec![0.5; 16], &[4, 4]);
@@ -249,6 +256,7 @@ mod tests {
             "6-step chain must run in ≤ 2 slots, got {}",
             plan.slot_count()
         );
+        assert_eq!(plan.arena_bytes(), 2 * 16 * 4);
     }
 
     #[test]

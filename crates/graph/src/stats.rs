@@ -27,7 +27,8 @@ pub fn plan_hits() -> u64 {
     PLAN_HITS.load(Ordering::Relaxed)
 }
 
-/// Arena buffer slots allocated since process start.
+/// Arena buffers allocated since process start (one per arena per plan
+/// shape).
 ///
 /// Steady-state serving should hold this flat while [`arena_reuses`]
 /// climbs — that is the "near-zero allocations per request" property the

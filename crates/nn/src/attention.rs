@@ -171,13 +171,19 @@ impl MultiHeadSelfAttention {
         self.push_graph_stacked(g, x, 1)
     }
 
-    /// Appends the stacked attention sub-block to an expression graph,
-    /// mirroring [`MultiHeadSelfAttention::forward_stacked`] step for step.
-    /// The `Q·Kᵀ` products compile to transposed-B GEMMs (no materialised
-    /// transpose), each per-head `1/√d` scale fuses into its GEMM's output
-    /// pass, and all `(sample, head)` score blocks feed **one** batched
-    /// softmax kernel — bit-identical to the eager sequence at the plan's
-    /// latched dispatch level.
+    /// Appends the stacked attention sub-block to an expression graph:
+    /// the arithmetic of [`MultiHeadSelfAttention::forward_stacked`],
+    /// ordered **block-locally**. Graph node order is plan step order, so
+    /// each `(sample, head)` block's whole chain — `Q·Kᵀ` as a
+    /// transposed-B GEMM over column views of the stacked projections (no
+    /// slice or transpose is materialised), the `1/√d` scale fused into
+    /// that GEMM's output pass, the row softmax, `· V` — is pushed back to
+    /// back. The compiled plan then runs a block start to finish on one
+    /// cache-resident `seq_len²` buffer that the softmax rewrites in place
+    /// and the slot planner recycles for the next block, where the eager
+    /// twin stacks every block into one matrix for a single softmax sweep.
+    /// Softmax is row-wise, so both orders give the same bits — the eager
+    /// sequence's, at the plan's latched dispatch level.
     ///
     /// # Errors
     /// Returns a [`graph::GraphError`] on operand-shape mismatch or if the
@@ -202,49 +208,21 @@ impl MultiHeadSelfAttention {
         let v = self.value.push_graph(g, x)?;
         let scale = 1.0 / (self.head_dim as f32).sqrt();
 
-        let mut scores = Vec::with_capacity(samples * self.heads);
-        for s in 0..samples {
-            let (qs, ks) = if samples == 1 {
-                (q, k)
-            } else {
-                (
-                    g.slice_rows(q, s * seq_len, (s + 1) * seq_len)?,
-                    g.slice_rows(k, s * seq_len, (s + 1) * seq_len)?,
-                )
-            };
-            for h in 0..self.heads {
-                let start = h * self.head_dim;
-                let end = start + self.head_dim;
-                let qh = g.slice_cols(qs, start, end)?;
-                let kh = g.slice_cols(ks, start, end)?;
-                let block = g.matmul(qh, kh, tensor::MatmulSpec::NT)?;
-                scores.push(g.unary(block, tensor::UnaryOp::MulScalar(scale))?);
-            }
-        }
-        let stacked_scores = if scores.len() == 1 {
-            scores[0]
-        } else {
-            g.concat_rows(&scores)?
-        };
-        let attn_all = g.softmax_rows(stacked_scores)?;
-
         let mut sample_outputs = Vec::with_capacity(samples);
         for s in 0..samples {
-            let vs = if samples == 1 {
-                v
-            } else {
-                g.slice_rows(v, s * seq_len, (s + 1) * seq_len)?
-            };
+            let (first, end) = (s * seq_len, (s + 1) * seq_len);
+            let qs = g.slice_rows(q, first, end)?;
+            let ks = g.slice_rows(k, first, end)?;
+            let vs = g.slice_rows(v, first, end)?;
             let mut head_outputs = Vec::with_capacity(self.heads);
             for h in 0..self.heads {
-                let block = (s * self.heads + h) * seq_len;
-                let attn = if samples * self.heads == 1 {
-                    attn_all
-                } else {
-                    g.slice_rows(attn_all, block, block + seq_len)?
-                };
-                let start = h * self.head_dim;
-                let vh = g.slice_cols(vs, start, start + self.head_dim)?;
+                let (start, stop) = (h * self.head_dim, (h + 1) * self.head_dim);
+                let qh = g.slice_cols(qs, start, stop)?;
+                let kh = g.slice_cols(ks, start, stop)?;
+                let block = g.matmul(qh, kh, tensor::MatmulSpec::NT)?;
+                let scores = g.unary(block, tensor::UnaryOp::MulScalar(scale))?;
+                let attn = g.softmax_rows(scores)?;
+                let vh = g.slice_cols(vs, start, stop)?;
                 head_outputs.push(g.matmul(attn, vh, tensor::MatmulSpec::NN)?);
             }
             sample_outputs.push(g.concat_cols(&head_outputs)?);

@@ -75,6 +75,19 @@ pub trait SimdOp {
     fn splat(x: f32) -> Self::V;
     /// Loads `LANES` values from the front of `src`.
     fn load(src: &[f32]) -> Self::V;
+    /// Loads a tail block: `rem` (shorter than `LANES`) in the low lanes,
+    /// `pad` in the rest.
+    ///
+    /// This default goes through a stack block; a backend with a masked
+    /// load overrides it, because narrow stores followed by one wide
+    /// reload cannot be store-forwarded and stall every tail.
+    #[inline(always)]
+    fn load_padded(rem: &[f32], pad: f32) -> Self::V {
+        debug_assert!(Self::LANES <= 8 && rem.len() < Self::LANES);
+        let mut buf = [pad; 8];
+        buf[..rem.len()].copy_from_slice(rem);
+        Self::load(&buf)
+    }
     /// Stores the lanes to the front of `dst`.
     fn store(v: Self::V, dst: &mut [f32]);
     /// Lanewise `a + b`.

@@ -24,6 +24,23 @@
 //!   levels.
 //! - `softmax_rows` is the three-pass max / exp-sum / divide form;
 //!   `layer_norm_rows` accumulates sum and sum-of-squares in one sweep.
+//!
+//! NaN outputs and the cross-level contract. IEEE leaves the sign and
+//! payload of a NaN *result* open, x86 takes them from the first operand,
+//! and the optimiser may commute `+` and `·` in the portable backend — so
+//! wherever two different NaNs can meet in a commutative op, the result's
+//! sign depends on the opt level (release builds showed it; debug never
+//! does). The contract is pinned per kernel:
+//! - the activations and `softmax_rows` are bit-identical across the
+//!   deterministic levels on **every** input, NaN included: the
+//!   activations only ever combine NaNs derived from the one input lane,
+//!   and softmax canonicalises its one exposed value, the row denominator;
+//! - `layer_norm_rows` is bit-identical on finite rows. In a row that
+//!   holds a NaN or an infinity the levels agree on *which* outputs are
+//!   NaN and bit for bit on the rest, but a NaN's sign and payload are
+//!   unspecified (`(x − mean) · istd` multiplies two unrelated NaNs per
+//!   element; canonicalising there would tax every finite row for the
+//!   sake of rows that are already garbage).
 
 // The Cephes expf constants are written with their full decimal digits on
 // purpose: each literal rounds to the exact f32 bit pattern the minimax
@@ -88,9 +105,13 @@ pub fn exp_v<S: SimdOp>(x: S::V) -> S::V {
     let under = S::lt(x, S::splat(EXP_LO));
     let nan = S::is_nan(x);
     // Clamp so the polynomial path only ever sees finite arguments
-    // (maxps semantics map NaN to the clamp bound; the blend below
-    // restores the NaN afterwards).
-    let xc = S::min(S::max(x, S::splat(EXP_LO)), S::splat(EXP_HI));
+    // (minps semantics map a NaN first operand to the bound; the blend
+    // below restores the NaN afterwards). Flushed lanes evaluate at 0
+    // rather than at `EXP_LO`: `e^EXP_LO ≈ FLT_MIN` rebuilds on the
+    // normal/subnormal edge and takes a microcode assist on every such
+    // lane — the `−∞` pad lanes of every softmax tail among them — only
+    // for the `under` blend to discard the value.
+    let xc = S::select(under, S::splat(0.0), S::min(x, S::splat(EXP_HI)));
     let n = S::round(S::mul(xc, S::splat(LOG2E)));
     let r = S::mul_add(n, S::splat(-LN2_HI), xc);
     let r = S::mul_add(n, S::splat(-LN2_LO), r);
@@ -162,19 +183,28 @@ fn act_block<S: SimdOp>(act: Act, v: S::V) -> S::V {
 /// dispatch level.
 #[inline(always)]
 pub fn apply_act_inplace<S: SimdOp>(act: Act, data: &mut [f32]) {
-    debug_assert!(S::LANES <= 8);
     let mut chunks = data.chunks_exact_mut(S::LANES);
     for chunk in &mut chunks {
         S::store(act_block::<S>(act, S::load(chunk)), chunk);
     }
     let rem = chunks.into_remainder();
     if !rem.is_empty() {
-        let mut buf = [0.0f32; 8];
-        buf[..rem.len()].copy_from_slice(rem);
-        let mut out = [0.0f32; 8];
-        S::store(act_block::<S>(act, S::load(&buf)), &mut out);
-        rem.copy_from_slice(&out[..rem.len()]);
+        store_partial::<S>(act_block::<S>(act, S::load_padded(rem, 0.0)), rem);
     }
+}
+
+/// Stores the first `dst.len()` lanes of `v`.
+///
+/// Through a stack block and an exact-width copy on purpose: a masked
+/// 32-byte vector store over a row's last bytes blocks the next row's
+/// first load (measured: no gain over this form), whereas the padded
+/// *loads* are what [`SimdOp::load_padded`] makes forwardable.
+#[inline(always)]
+fn store_partial<S: SimdOp>(v: S::V, dst: &mut [f32]) {
+    debug_assert!(S::LANES <= 8);
+    let mut out = [0.0f32; 8];
+    S::store(v, &mut out);
+    dst.copy_from_slice(&out[..dst.len()]);
 }
 
 /// Numerically stable row softmax over a row-major `[rows × cols]` buffer,
@@ -197,49 +227,48 @@ pub fn softmax_rows<S: SimdOp>(data: &mut [f32], cols: usize) {
 
 #[inline(always)]
 fn softmax_row<S: SimdOp>(row: &mut [f32]) {
-    debug_assert!(S::LANES <= 8);
+    let (body, rem) = row.split_at_mut(row.len() - row.len() % S::LANES);
     // Pass 1: row maximum through the fixed 8-lane tree.
     let mut macc = S::splat(f32::NEG_INFINITY);
-    let mut chunks = row.chunks_exact(S::LANES);
-    for chunk in &mut chunks {
+    for chunk in body.chunks_exact(S::LANES) {
         macc = S::max(macc, S::load(chunk));
     }
-    let rem = chunks.remainder();
     if !rem.is_empty() {
-        let mut buf = [f32::NEG_INFINITY; 8];
-        buf[..rem.len()].copy_from_slice(rem);
-        macc = S::max(macc, S::load(&buf));
+        macc = S::max(macc, S::load_padded(rem, f32::NEG_INFINITY));
     }
     let mv = S::splat(S::hmax(macc));
-    // Pass 2: shifted exponentials, accumulating the denominator.
+    // Pass 2: shifted exponentials, accumulating the denominator. The
+    // tail block stays in a register for pass 3 instead of being stored
+    // and reloaded; its pad lanes hold exp(−∞ − m) = 0 and do not perturb
+    // the sum.
     let mut sacc = S::splat(0.0);
-    let mut chunks = row.chunks_exact_mut(S::LANES);
-    for chunk in &mut chunks {
+    for chunk in body.chunks_exact_mut(S::LANES) {
         let t = exp_v::<S>(S::sub(S::load(chunk), mv));
         S::store(t, chunk);
         sacc = S::add(sacc, t);
     }
-    let rem = chunks.into_remainder();
-    if !rem.is_empty() {
-        let mut buf = [f32::NEG_INFINITY; 8];
-        buf[..rem.len()].copy_from_slice(rem);
-        let t = exp_v::<S>(S::sub(S::load(&buf), mv));
-        let mut out = [0.0f32; 8];
-        S::store(t, &mut out);
-        rem.copy_from_slice(&out[..rem.len()]);
-        // Pad lanes hold exp(−∞ − m) = 0 and do not perturb the sum.
+    let tail = if rem.is_empty() {
+        None
+    } else {
+        let t = exp_v::<S>(S::sub(S::load_padded(rem, f32::NEG_INFINITY), mv));
         sacc = S::add(sacc, t);
-    }
+        Some(t)
+    };
+    // A NaN denominator is made the canonical NaN: the lane sums above
+    // add NaNs of either sign (`∞ − ∞` is x86's negative default NaN),
+    // `+` is commutative to the optimiser, and x86 keeps the *first*
+    // operand's payload — so without this the sign of a poisoned row's
+    // output would depend on the opt level. Every other operand order in
+    // this kernel is fixed (`−`, `/`, selects), so one scalar select per
+    // row keeps the levels bit-identical on every input, NaN included.
     let denom = S::hsum(sacc);
-    // Pass 3: divide. Division is a single IEEE operation, so the scalar
-    // tail is bit-identical to a padded block at every level.
-    let dv = S::splat(denom);
-    let mut chunks = row.chunks_exact_mut(S::LANES);
-    for chunk in &mut chunks {
+    let dv = S::splat(if denom.is_nan() { f32::NAN } else { denom });
+    // Pass 3: divide.
+    for chunk in body.chunks_exact_mut(S::LANES) {
         S::store(S::div(S::load(chunk), dv), chunk);
     }
-    for v in chunks.into_remainder() {
-        *v /= denom;
+    if let Some(t) = tail {
+        store_partial::<S>(S::div(t, dv), rem);
     }
 }
 
@@ -278,7 +307,6 @@ pub fn layer_norm_rows<S: SimdOp>(
 
 #[inline(always)]
 fn layer_norm_row<S: SimdOp>(row: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) -> (f32, f32) {
-    debug_assert!(S::LANES <= 8);
     let n = row.len() as f32;
     let mut sacc = S::splat(0.0);
     let mut qacc = S::splat(0.0);
@@ -290,9 +318,7 @@ fn layer_norm_row<S: SimdOp>(row: &mut [f32], gamma: &[f32], beta: &[f32], eps: 
     }
     let rem = chunks.remainder();
     if !rem.is_empty() {
-        let mut buf = [0.0f32; 8];
-        buf[..rem.len()].copy_from_slice(rem);
-        let v = S::load(&buf);
+        let v = S::load_padded(rem, 0.0);
         sacc = S::add(sacc, v);
         qacc = S::mul_add(v, v, qacc);
     }
@@ -313,16 +339,10 @@ fn layer_norm_row<S: SimdOp>(row: &mut [f32], gamma: &[f32], beta: &[f32], eps: 
     let rem = chunks.into_remainder();
     if !rem.is_empty() {
         let r = rem.len();
-        let mut xb = [0.0f32; 8];
-        xb[..r].copy_from_slice(rem);
-        let mut gb = [0.0f32; 8];
-        gb[..r].copy_from_slice(&gamma[idx..idx + r]);
-        let mut bb = [0.0f32; 8];
-        bb[..r].copy_from_slice(&beta[idx..idx + r]);
-        let xh = S::mul(S::sub(S::load(&xb), mv), sv);
-        let mut out = [0.0f32; 8];
-        S::store(S::mul_add(xh, S::load(&gb), S::load(&bb)), &mut out);
-        rem.copy_from_slice(&out[..r]);
+        let g = S::load_padded(&gamma[idx..idx + r], 0.0);
+        let b = S::load_padded(&beta[idx..idx + r], 0.0);
+        let xh = S::mul(S::sub(S::load_padded(rem, 0.0), mv), sv);
+        store_partial::<S>(S::mul_add(xh, g, b), rem);
     }
     (mean, istd)
 }

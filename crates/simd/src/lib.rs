@@ -16,7 +16,10 @@
 //! The scalar backend simulates the eight AVX2 lanes (same block width,
 //! same horizontal reduction trees, same padded-tail handling), so the
 //! `Scalar` and `Avx2` levels produce bit-identical results on every
-//! input — the property the CI dispatch matrix asserts. `Fma` contracts
+//! input — the property the CI dispatch matrix asserts, in debug and in
+//! release builds. (One narrowing, spelled out in [`kernels`]: where a
+//! layer-norm row already holds a NaN or an infinity, the levels agree on
+//! which outputs are NaN but not on those NaNs' sign and payload.) `Fma` contracts
 //! multiply–add pairs into single roundings and is therefore only
 //! ULP-bounded; because of that it is **opt-in**: the default level is
 //! the best *bit-deterministic* one (`Avx2` where available), and

@@ -56,6 +56,23 @@ impl SimdOp for Avx2 {
         unsafe { _mm256_loadu_ps(src.as_ptr()) }
     }
     #[inline(always)]
+    fn load_padded(rem: &[f32], pad: f32) -> __m256 {
+        // Lane `i` is live iff `i < rem.len()`; clamping keeps the mask
+        // inside the slice even for a caller that passes a full block.
+        let live = rem.len().min(8) as i32;
+        // SAFETY: `vmaskmovps` reads only lanes whose mask sign bit is
+        // set — lanes `0..live`, all inside `rem` — and masked-off lanes
+        // are architecturally never accessed, so they cannot fault past
+        // the slice's end. AVX2 (the integer compare) is available per
+        // the module contract.
+        unsafe {
+            let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(live), lanes);
+            let low = _mm256_maskload_ps(rem.as_ptr(), mask);
+            _mm256_blendv_ps(_mm256_set1_ps(pad), low, _mm256_castsi256_ps(mask))
+        }
+    }
+    #[inline(always)]
     fn store(v: __m256, dst: &mut [f32]) {
         debug_assert!(dst.len() >= 8);
         // SAFETY: the bounds check above guarantees 8 writable f32s at
@@ -212,6 +229,10 @@ impl SimdOp for FmaB {
     #[inline(always)]
     fn load(src: &[f32]) -> __m256 {
         Avx2::load(src)
+    }
+    #[inline(always)]
+    fn load_padded(rem: &[f32], pad: f32) -> __m256 {
+        Avx2::load_padded(rem, pad)
     }
     #[inline(always)]
     fn store(v: __m256, dst: &mut [f32]) {

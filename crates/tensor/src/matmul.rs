@@ -147,22 +147,10 @@ fn runs_inline(m: usize, k: usize, n: usize) -> bool {
     m.saturating_mul(k).saturating_mul(n) < INLINE_BELOW_MKN
 }
 
-fn gemm(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: (&[f32], Layout, usize),
-    b: (&[f32], Layout, usize),
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    gemm_into(simd::active_level(), m, k, n, a, b, &mut out);
-    out
-}
-
 /// GEMM over raw row-major buffers into a caller-provided `m · n` buffer:
 /// `out = op(A) · op(B)` with `op(A)` of shape `m × k` and `op(B)` of
-/// shape `k × n` — the core that both [`gemm`] and the graph executor's
-/// arena-slot path share. The buffer is fully overwritten, so stale
+/// shape `k × n` — the core that the tensor methods and the graph
+/// executor's arena path share. The buffer is fully overwritten, so stale
 /// contents never leak through.
 ///
 /// B is packed once on the calling thread and shared read-only; the
@@ -284,24 +272,61 @@ pub fn gemm_ex_into_at(
 ) {
     assert_eq!(a.len(), m * k, "gemm_ex_into: A length vs m × k");
     assert_eq!(b.len(), k * n, "gemm_ex_into: B length vs k × n");
-    assert_eq!(out.len(), m * n, "gemm_ex_into: out length vs m × n");
-    let (a_layout, a_stride) = if spec.trans_a {
-        (Layout::Transposed, m)
-    } else {
-        (Layout::Normal, k)
+    let lda = if spec.trans_a { m } else { k };
+    let ldb = if spec.trans_b { k } else { n };
+    gemm_strided_into_at(level, m, k, n, (a, lda), (b, ldb), spec, out);
+}
+
+/// [`gemm_ex_into_at`] over operands read **in place out of larger
+/// buffers**: each is `(data, row_stride)`, `data` starting at the
+/// operand's first element and consecutive stored rows lying `row_stride`
+/// apart, so a row or column window of a matrix multiplies without being
+/// copied out first (a compiled plan's slice views). With
+/// `row_stride` = stored columns this *is* [`gemm_ex_into_at`]; the
+/// stride only changes where elements are fetched from, never the order
+/// they are accumulated in.
+///
+/// # Panics
+/// Panics if an operand's last live element lies outside its slice or
+/// `out` is not `m · n` long.
+#[allow(clippy::too_many_arguments)] // gemm_ex_into_at plus the two strides
+pub fn gemm_strided_into_at(
+    level: simd::Level,
+    m: usize,
+    k: usize,
+    n: usize,
+    (a, lda): (&[f32], usize),
+    (b, ldb): (&[f32], usize),
+    spec: MatmulSpec,
+    out: &mut [f32],
+) {
+    // One up-front check per operand — the same single test
+    // `simd::gemm::gemm_band_at` makes before its unchecked reads.
+    let in_bounds = |len: usize, (rows, cols): (usize, usize), stride: usize| {
+        rows == 0 || cols == 0 || (rows - 1) * stride + cols <= len
     };
-    let (b_layout, b_stride) = if spec.trans_b {
-        (Layout::Transposed, k)
-    } else {
-        (Layout::Normal, n)
+    let a_dims = if spec.trans_a { (k, m) } else { (m, k) };
+    let b_dims = if spec.trans_b { (n, k) } else { (k, n) };
+    assert!(
+        in_bounds(a.len(), a_dims, lda),
+        "gemm: A view out of bounds"
+    );
+    assert!(
+        in_bounds(b.len(), b_dims, ldb),
+        "gemm: B view out of bounds"
+    );
+    assert_eq!(out.len(), m * n, "gemm: out length vs m × n");
+    let layout = |trans| match trans {
+        true => Layout::Transposed,
+        false => Layout::Normal,
     };
     gemm_into(
         level,
         m,
         k,
         n,
-        (a, a_layout, a_stride),
-        (b, b_layout, b_stride),
+        (a, layout(spec.trans_a), lda),
+        (b, layout(spec.trans_b), ldb),
         out,
     );
 }
@@ -371,22 +396,19 @@ impl Tensor {
                 rhs: other.shape().dims().to_vec(),
             });
         }
-        let (a_layout, a_stride) = if spec.trans_a {
-            (Layout::Transposed, m)
-        } else {
-            (Layout::Normal, k)
-        };
-        let (b_layout, b_stride) = if spec.trans_b {
-            (Layout::Transposed, k)
-        } else {
-            (Layout::Normal, n)
-        };
-        let out = gemm(
+        let lda = if spec.trans_a { m } else { k };
+        let ldb = if spec.trans_b { k } else { n };
+        let mut out = vec![0.0f32; m * n];
+        let (a, b) = (self.as_slice(), other.as_slice());
+        gemm_strided_into_at(
+            simd::active_level(),
             m,
             k,
             n,
-            (self.as_slice(), a_layout, a_stride),
-            (other.as_slice(), b_layout, b_stride),
+            (a, lda),
+            (b, ldb),
+            spec,
+            &mut out,
         );
         Tensor::from_vec(out, &[m, n])
     }
@@ -709,6 +731,57 @@ mod tests {
             gemm_ex_into(m, k, n, a.as_slice(), b.as_slice(), spec, &mut out);
             assert_eq!(out.as_slice(), expected.as_slice(), "{spec:?}");
         }
+    }
+
+    #[test]
+    fn strided_operands_match_their_dense_copies() {
+        // Column windows of wider parents (stride > stored cols) as A and
+        // as B, under every spec: reading through the stride must give
+        // the bits of multiplying the copied-out windows.
+        let (m, k, n) = (7, 5, 9);
+        let parent_a = crate::rng::SeededRng::new(3).uniform_tensor(&[12, 13], -1.0, 1.0);
+        let parent_b = crate::rng::SeededRng::new(4).uniform_tensor(&[12, 13], -1.0, 1.0);
+        let (lda, ldb) = (13, 13);
+        for spec in [
+            MatmulSpec::NN,
+            MatmulSpec::TN,
+            MatmulSpec::NT,
+            MatmulSpec::TT,
+        ] {
+            let (ar, ac) = if spec.trans_a { (k, m) } else { (m, k) };
+            let (br, bc) = if spec.trans_b { (n, k) } else { (k, n) };
+            // Windows start at row 2, col 3 of each parent.
+            let a_dense = parent_a
+                .slice_rows(2, 2 + ar)
+                .unwrap()
+                .slice_cols(3, 3 + ac)
+                .unwrap();
+            let b_dense = parent_b
+                .slice_rows(2, 2 + br)
+                .unwrap()
+                .slice_cols(3, 3 + bc)
+                .unwrap();
+            let a_view = &parent_a.as_slice()[2 * lda + 3..][..(ar - 1) * lda + ac];
+            let b_view = &parent_b.as_slice()[2 * ldb + 3..][..(br - 1) * ldb + bc];
+            for level in [simd::Level::Scalar, simd::Level::Avx2, simd::Level::Fma] {
+                let (a_dense, b_dense) = (a_dense.as_slice(), b_dense.as_slice());
+                let mut expected = vec![f32::NAN; m * n];
+                gemm_ex_into_at(level, m, k, n, a_dense, b_dense, spec, &mut expected);
+                let mut out = vec![f32::NAN; m * n];
+                gemm_strided_into_at(level, m, k, n, (a_view, lda), (b_view, ldb), spec, &mut out);
+                assert_eq!(out, expected, "{spec:?} at {level:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "A view out of bounds")]
+    fn strided_operand_past_its_slice_panics_up_front() {
+        let a = [0.0f32; 10]; // 3 rows at stride 4 need 2·4 + 3 = 11
+        let b = [0.0f32; 6];
+        let mut out = [0.0f32; 6];
+        let level = simd::active_level();
+        gemm_strided_into_at(level, 3, 3, 2, (&a, 4), (&b, 2), MatmulSpec::NN, &mut out);
     }
 
     #[test]

@@ -71,20 +71,34 @@ impl UnaryOp {
         }
     }
 
-    /// The SIMD activation this op vectorizes to, if any.
+    /// Applies the operation to every element of `data` in place, at the
+    /// [`simd::active_level`].
+    pub fn apply_slice(self, data: &mut [f32]) {
+        self.apply_slice_at(simd::active_level(), data);
+    }
+
+    /// [`UnaryOp::apply_slice`] pinned at an explicit dispatch level — what
+    /// a compiled plan's fused post-ops call with the level they latched.
     ///
-    /// The remaining variants are exact single-instruction operations
-    /// (or trivially auto-vectorized add/mul) that stay as plain loops.
-    #[inline]
-    pub fn vector_act(self) -> Option<simd::Act> {
-        match self {
-            UnaryOp::Relu => Some(simd::Act::Relu),
-            UnaryOp::Gelu => Some(simd::Act::Gelu),
-            UnaryOp::Sigmoid => Some(simd::Act::Sigmoid),
-            UnaryOp::Tanh => Some(simd::Act::Tanh),
-            UnaryOp::Exp => Some(simd::Act::Exp),
-            _ => None,
-        }
+    /// The transcendental variants run the dispatched SIMD sweep; the
+    /// rest are single IEEE operations, so the `match` sits *outside* the
+    /// loop and each arm is a plain loop the compiler vectorizes
+    /// (per-element [`UnaryOp::eval`] re-dispatches on every element and
+    /// does not). One operation per element either way: same bits.
+    pub fn apply_slice_at(self, level: simd::Level, data: &mut [f32]) {
+        let act = match self {
+            UnaryOp::Relu => simd::Act::Relu,
+            UnaryOp::Gelu => simd::Act::Gelu,
+            UnaryOp::Sigmoid => simd::Act::Sigmoid,
+            UnaryOp::Tanh => simd::Act::Tanh,
+            UnaryOp::Exp => simd::Act::Exp,
+            UnaryOp::Ln => return data.iter_mut().for_each(|v| *v = v.ln()),
+            UnaryOp::Sqrt => return data.iter_mut().for_each(|v| *v = v.sqrt()),
+            UnaryOp::Abs => return data.iter_mut().for_each(|v| *v = v.abs()),
+            UnaryOp::AddScalar(c) => return data.iter_mut().for_each(|v| *v += c),
+            UnaryOp::MulScalar(c) => return data.iter_mut().for_each(|v| *v *= c),
+        };
+        simd::apply_act_at(level, act, data);
     }
 }
 
@@ -130,11 +144,7 @@ impl Tensor {
 
     /// Applies a named unary operation elementwise in place.
     pub fn apply_inplace(&mut self, op: UnaryOp) {
-        if let Some(act) = op.vector_act() {
-            simd::apply_act(act, self.as_mut_slice());
-        } else {
-            self.map_inplace(|v| op.eval(v));
-        }
+        op.apply_slice(self.as_mut_slice());
     }
 
     /// Applies a named binary operation elementwise against a same-shape
@@ -182,6 +192,27 @@ mod tests {
         assert_eq!(x.apply(UnaryOp::Abs), x.map(f32::abs));
         assert_eq!(x.apply(UnaryOp::AddScalar(1.5)), x.add_scalar(1.5));
         assert_eq!(x.apply(UnaryOp::MulScalar(-3.0)), x.scale(-3.0));
+    }
+
+    #[test]
+    fn exact_ops_sweep_to_the_bits_of_per_element_eval() {
+        // `apply_slice` hoists the op's `match` out of the loop; each arm
+        // must still be the one IEEE operation `eval` performs (NaNs from
+        // the negative logarithms and roots included).
+        let x = Tensor::from_vec((0..37).map(|i| i as f32 * 0.31 - 4.0).collect(), &[37]).unwrap();
+        for op in [
+            UnaryOp::Ln,
+            UnaryOp::Sqrt,
+            UnaryOp::Abs,
+            UnaryOp::AddScalar(1.5),
+            UnaryOp::MulScalar(-0.25),
+        ] {
+            let mut swept = x.as_slice().to_vec();
+            op.apply_slice(&mut swept);
+            for (got, &v) in swept.iter().zip(x.as_slice()) {
+                assert_eq!(got.to_bits(), op.eval(v).to_bits(), "{op:?}({v})");
+            }
+        }
     }
 
     #[test]
