@@ -17,7 +17,7 @@ fail() {
 restore() {
     git checkout -- crates/nn/src/param.rs crates/nn/src/lib.rs \
         crates/tensor/src/matmul.rs crates/simd/src/gemm.rs \
-        crates/graph/src/exec.rs crates/baselines/src/wideep.rs 2>/dev/null || true
+        crates/graph/src/exec.rs 2>/dev/null || true
     rm -f crates/serve/src/__lint_probe.rs crates/parallel/src/__lint_probe.rs \
         crates/graph/src/__lint_probe.rs crates/tensor/src/__lint_probe.rs \
         crates/simd/src/__lint_probe.rs
@@ -28,7 +28,7 @@ restore() {
 # reverts the probed files via `git checkout --`, which on a dirty tree
 # would silently destroy unrelated uncommitted work instead of probe
 # residue.
-git diff --quiet -- crates/nn crates/tensor crates/baselines crates/graph \
+git diff --quiet -- crates/nn crates/tensor crates/graph \
     crates/simd || fail "tree is dirty; probes need a clean tree to restore"
 trap restore EXIT
 
@@ -150,18 +150,7 @@ sed -i '/#!\[deny(clippy::disallowed_types)\]/d' crates/nn/src/lib.rs
 expect_rule "hygiene catches a deleted guard-rail attribute" "hygiene"
 git checkout -- crates/nn/src/lib.rs
 
-# 7. closure-map: an opaque tensor closure inside a compiled-inference
-#    span function (`encode_matrix` in the WiDeep translation unit) must
-#    fail — stages there have to stay expressed as named fusable ops.
-cat >> crates/baselines/src/wideep.rs <<'EOF'
-fn encode_matrix(x: &Tensor) -> Tensor {
-    x.map(|v| 1.0 / (1.0 + (-v).exp()))
-}
-EOF
-expect_rule "closure-map catches an opaque closure in a compiled span" "closure-map"
-git checkout -- crates/baselines/src/wideep.rs
-
-# 8. lock-order, graph crate: holding the plan cache's `plans` mutex while
+# 7. lock-order, graph crate: holding the plan cache's `plans` mutex while
 #    taking the arena pool's `arenas` mutex and vice versa closes a cycle
 #    between the two graph-crate lock classes registered for the compiled
 #    plan runtime (the real code builds plans outside the lock).
@@ -188,7 +177,7 @@ EOF
 expect_rule "lock-order catches a plans<->arenas cycle in the graph crate" "lock-order"
 rm crates/graph/src/__lint_probe.rs
 
-# 9. hygiene, unsafe confinement: an `unsafe` block in production code
+# 8. hygiene, unsafe confinement: an `unsafe` block in production code
 #    outside crates/simd/src must fail — raw intrinsics have one audited
 #    home and everything else goes through the safe `simd` crate API.
 #    Seeded into matmul.rs itself: the GEMM driver is the most tempting
@@ -205,8 +194,8 @@ EOF
 expect_rule "hygiene catches unsafe seeded into the tensor GEMM driver" "hygiene"
 git checkout -- crates/tensor/src/matmul.rs
 
-# 10. hygiene, SAFETY proximity: even inside crates/simd/src, an unsafe
-#     block with no SAFETY / `# Safety` comment within 12 lines must fail.
+# 9. hygiene, SAFETY proximity: even inside crates/simd/src, an unsafe
+#    block with no SAFETY / `# Safety` comment within 12 lines must fail.
 cat > crates/simd/src/__lint_probe.rs <<'EOF'
 fn probe(values: &mut [f32]) {
     unsafe {
@@ -217,7 +206,7 @@ EOF
 expect_rule "hygiene catches undocumented unsafe inside the simd crate" "hygiene"
 rm crates/simd/src/__lint_probe.rs
 
-# 11. After all restores the tree is clean again.
+# 10. After all restores the tree is clean again.
 "$LINT" --workspace --quiet || fail "tree must be clean again after probes"
 echo "probe ok: restored tree passes"
 

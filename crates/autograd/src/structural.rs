@@ -80,37 +80,6 @@ impl<'t> Var<'t> {
         ))
     }
 
-    /// Mean over the rows of a matrix, producing a `1 × cols` matrix.
-    ///
-    /// Used to pool the transformer encoder's patch outputs before the
-    /// fine-tuning MLP head.
-    ///
-    /// # Errors
-    /// Returns an error for non-matrix values or zero-row matrices.
-    pub fn mean_pool_rows(self) -> Result<Var<'t>> {
-        let x = self.value();
-        let (rows, cols) = x.shape().as_matrix()?;
-        if rows == 0 {
-            return Err(tensor::TensorError::Empty {
-                op: "mean_pool_rows",
-            });
-        }
-        let value = x.mean_rows()?.reshape(&[1, cols])?;
-        Ok(self.tape.push(
-            value,
-            vec![self.id],
-            Some(Box::new(move |g: &Tensor| {
-                let scale = 1.0 / rows as f32;
-                let row = g.scale(scale);
-                let mut full = Vec::with_capacity(rows * cols);
-                for _ in 0..rows {
-                    full.extend_from_slice(row.as_slice());
-                }
-                vec![Tensor::from_vec(full, &[rows, cols]).expect("tile volume")]
-            })),
-        ))
-    }
-
     /// Adds `tile` (a `[block_rows, cols]` matrix) to every consecutive
     /// `block_rows`-row block of `self` (a `[reps * block_rows, cols]`
     /// matrix).
@@ -143,9 +112,9 @@ impl<'t> Var<'t> {
     /// `[blocks * block_rows, cols]` matrix down to one row, producing a
     /// `[blocks, cols]` matrix.
     ///
-    /// With one block per sample this is the batched counterpart of
-    /// [`Var::mean_pool_rows`]: it collapses a whole stacked batch of patch
-    /// sequences to per-sample pooled features in one op.
+    /// With one block per sample this collapses a whole stacked batch of
+    /// patch sequences to per-sample pooled features in one op — the
+    /// pooling before the transformer's fine-tuning MLP head.
     ///
     /// # Errors
     /// Returns an error if the row count is not a multiple of `block_rows`.
@@ -308,7 +277,7 @@ mod tests {
     fn mean_pool_rows_spreads_gradient() {
         let tape = Tape::new();
         let x = tape.var(t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]));
-        let pooled = x.mean_pool_rows().unwrap();
+        let pooled = x.mean_pool_row_blocks(2).unwrap();
         assert_eq!(pooled.value().shape().dims(), &[1, 2]);
         assert_eq!(pooled.value().as_slice(), &[2.0, 3.0]);
         let loss = pooled.sum_all().unwrap();
@@ -395,11 +364,9 @@ mod tests {
     fn mean_pool_row_blocks_of_whole_matrix_matches_mean_pool_rows() {
         let tape = Tape::new();
         let data = t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]);
-        let a = tape.var(data.clone());
-        let b = tape.var(data);
-        let via_blocks = a.mean_pool_row_blocks(3).unwrap();
-        let via_rows = b.mean_pool_rows().unwrap();
-        assert_eq!(via_blocks.value(), via_rows.value());
+        let via_blocks = tape.var(data.clone()).mean_pool_row_blocks(3).unwrap();
+        let via_rows = data.mean_rows().unwrap().reshape(&[1, 2]).unwrap();
+        assert_eq!(via_blocks.value(), via_rows);
     }
 
     #[test]

@@ -293,3 +293,44 @@ fn packed_path_gradcheck() {
         );
     }
 }
+
+/// Gradcheck through the one `MultiHeadSelfAttention::forward` recorded on
+/// the tape for a stack of two sequences: the block-local order slices the
+/// stacked projections per `(sample, head)`, and every slice's gradient
+/// must find its way back into the right rows and columns of the input.
+#[test]
+fn stacked_attention_gradcheck() {
+    use nn::{MultiHeadSelfAttention, Session};
+
+    let (samples, seq_len, d_model) = (2, 3, 4);
+    let mut rng = SeededRng::new(77);
+    let msa = MultiHeadSelfAttention::new(&mut rng, d_model, 2).unwrap();
+    let x = rng.uniform_tensor(&[samples * seq_len, d_model], -1.0, 1.0);
+    let weights = rng.uniform_tensor(&[samples * seq_len, d_model], -1.0, 1.0);
+
+    let tape = Tape::new();
+    let mut session = Session::new(&tape, false, 0);
+    let xv = tape.var(x.clone());
+    let out = msa.forward(&mut session, xv, samples).unwrap();
+    let loss = out.mul_mask(&weights).unwrap().sum_all().unwrap();
+    tape.backward(loss).unwrap();
+
+    let numeric = finite_diff(
+        &x,
+        |x_| {
+            let tape = Tape::new();
+            let mut session = Session::new(&tape, false, 0);
+            let xv = session.constant(x_.clone());
+            let out = msa.forward(&mut session, xv, samples).unwrap();
+            weighted_sum(&out.value(), &weights)
+        },
+        1e-2,
+    );
+    let analytic = tape.grad(xv).unwrap();
+    for (a, n) in analytic.as_slice().iter().zip(numeric.as_slice()) {
+        assert!(
+            (a - n).abs() < 0.02f32.max(0.02 * n.abs()),
+            "analytic {a} vs numeric {n}"
+        );
+    }
+}

@@ -13,9 +13,11 @@ use std::path::Path;
 
 use autograd::{Tape, Var};
 use fingerprint::{FingerprintDataset, FingerprintObservation};
-use graph::{ExprId, Graph, GraphError, PlanCache};
+use graph::PlanCache;
 use nn::optim::{zero_grads, Adam, Optimizer};
-use nn::{Activation, Dense, Init, Layer, LayerNorm, Mlp, MultiHeadSelfAttention, Param, Session};
+use nn::{
+    Activation, Dense, Init, Layer, LayerNorm, Mlp, MultiHeadSelfAttention, Param, Session, Trace,
+};
 use tensor::rng::SeededRng;
 use tensor::Tensor;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
@@ -59,40 +61,31 @@ impl AnvilNetwork {
         Ok(Tensor::from_vec(padded, &[TOKENS, self.token_width])?)
     }
 
-    /// Returns `(pooled_embedding, class_logits)` for one sample.
-    fn forward_sample<'t>(
+    /// Records one sample's forward over its `[TOKENS, token_width]` token
+    /// matrix, returning `(embedding, class_logits)`.
+    fn forward<T: Trace>(
         &self,
-        session: &Session<'t>,
-        features: &[f32],
-    ) -> Result<(Var<'t>, Var<'t>)> {
-        let tokens = session.constant(self.tokenize(features)?);
-        let embedded = self.token_embed.forward(session, tokens)?;
-        let attended = self
-            .attention
-            .forward(session, self.norm.forward(session, embedded)?)?
-            .add(embedded)?;
-        let pooled = attended.mean_pool_rows()?;
-        let embedding = self.embed_head.forward(session, pooled)?;
-        let logits = self.head.forward(session, pooled)?;
+        t: &mut T,
+        tokens: T::Node,
+    ) -> std::result::Result<(T::Node, T::Node), T::Error> {
+        let embedded = self.token_embed.forward(t, tokens)?;
+        let normed = self.norm.forward(t, embedded)?;
+        let attention = self.attention.forward(t, normed, 1)?;
+        let attended = t.add(attention, embedded)?;
+        let pooled = t.mean_row_blocks(attended, TOKENS)?;
+        let embedding = self.embed_head.forward(t, pooled)?;
+        let logits = self.head.forward(t, pooled)?;
         Ok((embedding, logits))
     }
 
-    /// Appends one sample's forward pass to an expression graph, packing
-    /// the two heads into a single `[1, embed ‖ classes]` output row —
-    /// exactly mirroring the eval-mode [`AnvilNetwork::forward_sample`].
-    fn push_graph_sample(
+    /// [`AnvilNetwork::forward`] of one flat feature vector on the tape.
+    fn forward_sample<'t>(
         &self,
-        g: &mut Graph,
-        tokens: ExprId,
-    ) -> std::result::Result<ExprId, GraphError> {
-        let embedded = self.token_embed.push_graph(g, tokens)?;
-        let normed = self.norm.push_graph(g, embedded)?;
-        let attn = self.attention.push_graph(g, normed)?;
-        let attended = g.binary(attn, embedded, tensor::BinaryOp::Add)?;
-        let pooled = g.mean_row_blocks(attended, TOKENS)?;
-        let embedding = self.embed_head.push_graph(g, pooled)?;
-        let logits = self.head.push_graph(g, pooled)?;
-        g.concat_cols(&[embedding, logits])
+        session: &mut Session<'t>,
+        features: &[f32],
+    ) -> Result<(Var<'t>, Var<'t>)> {
+        let tokens = session.constant(self.tokenize(features)?);
+        Ok(self.forward(session, tokens)?)
     }
 }
 
@@ -248,8 +241,8 @@ impl AnvilLocalizer {
     fn embed(&self, features: &[f32]) -> Result<(Vec<f32>, Vec<f32>)> {
         let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
         let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let (embedding, logits) = network.forward_sample(&session, features)?;
+        let mut session = Session::new(&tape, false, 0);
+        let (embedding, logits) = network.forward_sample(&mut session, features)?;
         Ok((embedding.value().into_vec(), logits.value().into_vec()))
     }
 
@@ -269,28 +262,19 @@ impl AnvilLocalizer {
             stacked.extend(network.tokenize(f)?.into_vec());
         }
         let x = Tensor::from_vec(stacked, &[samples * TOKENS, width])?;
-        let entry =
-            self.plan_cache
-                .get_or_build(samples, nn::weight_stamp(&network.params()), || {
-                    let mut g = Graph::new();
-                    let input = g.input(samples * TOKENS, width);
-                    let mut rows = Vec::with_capacity(samples);
-                    for s in 0..samples {
-                        let tokens = if samples == 1 {
-                            input
-                        } else {
-                            g.slice_rows(input, s * TOKENS, (s + 1) * TOKENS)?
-                        };
-                        rows.push(network.push_graph_sample(&mut g, tokens)?);
-                    }
-                    let out = if samples == 1 {
-                        rows[0]
-                    } else {
-                        g.concat_rows(&rows)?
-                    };
-                    Ok((g, out))
-                })?;
-        Ok(entry.execute(&[&x])?)
+        crate::run_compiled(&self.plan_cache, &network.params(), &x, |g, input| {
+            let mut rows = Vec::with_capacity(samples);
+            for s in 0..samples {
+                let tokens = g.slice_rows(input, s * TOKENS, (s + 1) * TOKENS)?;
+                let (embedding, logits) = network.forward(g, tokens)?;
+                rows.push(g.concat_cols(&[embedding, logits])?);
+            }
+            if samples == 1 {
+                Ok(rows[0])
+            } else {
+                g.concat_rows(&rows)
+            }
+        })
     }
 
     /// Number of compiled network plans currently cached (one per batch
@@ -312,9 +296,9 @@ impl AnvilLocalizer {
         let mut predictions = Vec::with_capacity(observations.len());
         for chunk in observations.chunks(crate::features::INFERENCE_CHUNK) {
             let tape = Tape::new();
-            let session = Session::new(&tape, false, 0);
+            let mut session = Session::new(&tape, false, 0);
             for features in self.extractor.extract_clean_batch(chunk) {
-                let (embedding, logits) = network.forward_sample(&session, &features)?;
+                let (embedding, logits) = network.forward_sample(&mut session, &features)?;
                 predictions.push(
                     self.match_embedding(
                         &embedding.value().into_vec(),
@@ -376,12 +360,12 @@ impl Localizer for AnvilLocalizer {
             rng.shuffle(&mut order);
             for chunk in order.chunks(batch) {
                 let tape = Tape::new();
-                let session = Session::new(&tape, true, self.seed.wrapping_add(epoch as u64));
+                let mut session = Session::new(&tape, true, self.seed.wrapping_add(epoch as u64));
                 let mut logits = Vec::with_capacity(chunk.len());
                 let mut labels = Vec::with_capacity(chunk.len());
                 for &i in chunk {
                     let features = self.extractor.extract(&observations[i], true, &mut rng);
-                    let (_, sample_logits) = network.forward_sample(&session, &features)?;
+                    let (_, sample_logits) = network.forward_sample(&mut session, &features)?;
                     logits.push(sample_logits);
                     labels.push(observations[i].rp_label);
                 }

@@ -5,14 +5,58 @@ use std::path::Path;
 
 use autograd::Tape;
 use fingerprint::{FingerprintDataset, FingerprintObservation};
-use graph::{Graph, PlanCache};
+use graph::PlanCache;
 use nn::optim::{zero_grads, Adam, Optimizer};
-use nn::{Activation, Conv1d, Layer, Mlp, Param, Session, StackedAutoencoder};
+use nn::{Activation, Conv1d, Layer, Mlp, Param, Session, StackedAutoencoder, Trace};
 use tensor::rng::SeededRng;
 use tensor::Tensor;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
 use crate::{FeatureExtractor, FeatureMode};
+
+/// The three network stages shared by training and inference.
+#[derive(Debug)]
+struct CnnLocNetwork {
+    autoencoder: StackedAutoencoder,
+    conv: Conv1d,
+    classifier: Mlp,
+}
+
+impl CnnLocNetwork {
+    /// Builds the stages for a training-feature width — shared by training
+    /// and checkpoint restoration so both construct identical shapes.
+    fn new(init_rng: &mut SeededRng, width: usize, num_classes: usize) -> Result<Self> {
+        let code_dim = (width / 2).max(8);
+        let autoencoder = StackedAutoencoder::new(init_rng, width, &[width.max(16), code_dim]);
+        let conv = Conv1d::new(init_rng, 3.min(code_dim), 8, 1)?;
+        let conv_width = conv.out_width_for(code_dim)?;
+        let classifier =
+            Mlp::new(init_rng, &[conv_width, 128, num_classes], Activation::Relu).with_dropout(0.1);
+        Ok(CnnLocNetwork {
+            autoencoder,
+            conv,
+            classifier,
+        })
+    }
+
+    /// Class logits of a `[batch, width]` stack: SAE encoder → 1-D conv
+    /// (window slices over one shared dense kernel) → ReLU → classifier MLP.
+    fn forward<T: Trace>(&self, t: &mut T, x: T::Node) -> std::result::Result<T::Node, T::Error> {
+        let code = self.autoencoder.encode(t, x)?;
+        let conv_out = self.conv.forward(t, code)?;
+        let activated = t.activate(conv_out, Activation::Relu)?;
+        self.classifier.forward(t, activated)
+    }
+}
+
+impl Layer for CnnLocNetwork {
+    fn params(&self) -> Vec<Param> {
+        let mut params = self.autoencoder.params();
+        params.extend(self.conv.params());
+        params.extend(self.classifier.params());
+        params
+    }
+}
 
 /// The CNNLoc localizer: SAE encoder + 1-D CNN + MLP classifier.
 #[derive(Debug)]
@@ -21,9 +65,7 @@ pub struct CnnLocLocalizer {
     extractor: FeatureExtractor,
     pretrain_epochs: usize,
     epochs: usize,
-    autoencoder: Option<StackedAutoencoder>,
-    conv: Option<Conv1d>,
-    classifier: Option<Mlp>,
+    network: Option<CnnLocNetwork>,
     num_classes: usize,
     /// Compiled SAE→conv→classifier plans, keyed by `(batch, weight stamp)`.
     plan_cache: PlanCache,
@@ -37,9 +79,7 @@ impl CnnLocLocalizer {
             extractor: FeatureExtractor::new(FeatureMode::MeanChannel),
             pretrain_epochs: 40,
             epochs: 35,
-            autoencoder: None,
-            conv: None,
-            classifier: None,
+            network: None,
             num_classes: 0,
             plan_cache: PlanCache::new(),
         }
@@ -63,34 +103,13 @@ impl CnnLocLocalizer {
         self
     }
 
-    /// Builds the three network stages for a training-feature width,
-    /// mirroring the architecture decisions made in `fit` — shared by
-    /// training and checkpoint restoration so both construct identical
-    /// shapes.
-    fn build_stages(
-        init_rng: &mut SeededRng,
-        width: usize,
-        num_classes: usize,
-    ) -> Result<(StackedAutoencoder, Conv1d, Mlp)> {
-        let code_dim = (width / 2).max(8);
-        let autoencoder = StackedAutoencoder::new(init_rng, width, &[width.max(16), code_dim]);
-        let conv = Conv1d::new(init_rng, 3.min(code_dim), 8, 1)?;
-        let conv_width = conv.out_width_for(code_dim)?;
-        let classifier =
-            Mlp::new(init_rng, &[conv_width, 128, num_classes], Activation::Relu).with_dropout(0.1);
-        Ok((autoencoder, conv, classifier))
-    }
-
     /// Serializes all three CNNLoc stages (SAE, 1-D CNN, classifier) into a
     /// [`Checkpoint`].
     ///
     /// # Errors
     /// Returns [`VitalError::NotFitted`] before [`Localizer::fit`].
     pub fn to_checkpoint(&self) -> Result<Checkpoint> {
-        let (ae, conv, clf) = match (&self.autoencoder, &self.conv, &self.classifier) {
-            (Some(a), Some(c), Some(m)) => (a, c, m),
-            _ => return Err(VitalError::NotFitted),
-        };
+        let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
         let mut ckpt = Checkpoint::new(ModelKind::CnnLoc);
         ckpt.set_dam_config(self.extractor.dam_config());
         ckpt.push_ints("seed", vec![self.seed]);
@@ -100,12 +119,12 @@ impl CnnLocLocalizer {
                 self.pretrain_epochs as u64,
                 self.epochs as u64,
                 self.num_classes as u64,
-                ae.input_dim() as u64,
+                network.autoencoder.input_dim() as u64,
             ],
         );
-        ckpt.push_state("autoencoder", ae.state_dict());
-        ckpt.push_state("conv", conv.state_dict());
-        ckpt.push_state("classifier", clf.state_dict());
+        ckpt.push_state("autoencoder", network.autoencoder.state_dict());
+        ckpt.push_state("conv", network.conv.state_dict());
+        ckpt.push_state("classifier", network.classifier.state_dict());
         Ok(ckpt)
     }
 
@@ -134,54 +153,23 @@ impl CnnLocLocalizer {
         cnnloc.num_classes = num_classes;
 
         let mut init_rng = SeededRng::new(seed.wrapping_add(1));
-        let (autoencoder, conv, classifier) =
-            Self::build_stages(&mut init_rng, width, num_classes)?;
-        autoencoder.load_state(ckpt.state("autoencoder")?)?;
-        conv.load_state(ckpt.state("conv")?)?;
-        classifier.load_state(ckpt.state("classifier")?)?;
-        cnnloc.autoencoder = Some(autoencoder);
-        cnnloc.conv = Some(conv);
-        cnnloc.classifier = Some(classifier);
+        let network = CnnLocNetwork::new(&mut init_rng, width, num_classes)?;
+        network.autoencoder.load_state(ckpt.state("autoencoder")?)?;
+        network.conv.load_state(ckpt.state("conv")?)?;
+        network.classifier.load_state(ckpt.state("classifier")?)?;
+        cnnloc.network = Some(network);
         Ok(cnnloc)
     }
 
-    fn params(&self) -> Vec<Param> {
-        let mut params = Vec::new();
-        if let Some(ae) = &self.autoencoder {
-            params.extend(ae.params());
-        }
-        if let Some(conv) = &self.conv {
-            params.extend(conv.params());
-        }
-        if let Some(clf) = &self.classifier {
-            params.extend(clf.params());
-        }
-        params
-    }
-
     /// Class logits for a `[batch, width]` query stack through the cached
-    /// compiled plan: SAE encoder → 1-D conv (window slices over one shared
-    /// dense kernel) → ReLU → classifier MLP, all fused into one arena
-    /// execution. Bit-identical to
+    /// compiled plan of [`CnnLocNetwork::forward`], all fused into one
+    /// arena execution. Bit-identical to
     /// [`CnnLocLocalizer::forward_logits_eager`].
     fn forward_logits(&self, features: &Tensor) -> Result<Tensor> {
-        let (ae, conv, classifier) = match (&self.autoencoder, &self.conv, &self.classifier) {
-            (Some(a), Some(c), Some(m)) => (a, c, m),
-            _ => return Err(VitalError::NotFitted),
-        };
-        let (rows, cols) = features.shape().as_matrix()?;
-        let entry = self
-            .plan_cache
-            .get_or_build(rows, nn::weight_stamp(&self.params()), || {
-                let mut g = Graph::new();
-                let x = g.input(rows, cols);
-                let code = ae.encode_push_graph(&mut g, x)?;
-                let conv_out = conv.push_graph(&mut g, code)?;
-                let activated = g.unary(conv_out, tensor::UnaryOp::Relu)?;
-                let logits = classifier.push_graph(&mut g, activated)?;
-                Ok((g, logits))
-            })?;
-        Ok(entry.execute(&[features])?)
+        let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
+        crate::run_compiled(&self.plan_cache, &network.params(), features, |g, x| {
+            network.forward(g, x)
+        })
     }
 
     /// Number of compiled forward plans currently cached (one per batch
@@ -190,20 +178,11 @@ impl CnnLocLocalizer {
         self.plan_cache.len()
     }
 
-    /// Tape-based logits — the bit-exactness reference for the compiled
-    /// plan, exercised by the parity tests.
+    /// [`CnnLocNetwork::forward`] on an eval-mode tape — the bit-exactness
+    /// reference for the compiled plan, exercised by the parity tests.
     fn forward_logits_eager(&self, features: &Tensor) -> Result<Tensor> {
-        let (ae, conv, classifier) = match (&self.autoencoder, &self.conv, &self.classifier) {
-            (Some(a), Some(c), Some(m)) => (a, c, m),
-            _ => return Err(VitalError::NotFitted),
-        };
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let x = session.constant(features.clone());
-        let code = ae.encode(&session, x)?;
-        let conv_out = conv.forward(&session, code)?.relu();
-        let logits = classifier.forward(&session, conv_out)?;
-        Ok(logits.value())
+        let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
+        crate::run_eager(features, |session, x| network.forward(session, x))
     }
 
     /// [`Localizer::localize_batch`] through the eager (tape) forward — the
@@ -242,16 +221,11 @@ impl Localizer for CnnLocLocalizer {
         // Stage architectures (shared with checkpoint restoration), then
         // stacked-autoencoder pre-training on the fingerprints.
         let mut init_rng = SeededRng::new(self.seed.wrapping_add(1));
-        let (autoencoder, conv, classifier) =
-            Self::build_stages(&mut init_rng, width, self.num_classes)?;
-        autoencoder
-            .pretrain(&features, self.pretrain_epochs, 5e-3, 0.02, self.seed)
-            .map_err(VitalError::from)?;
-
-        self.autoencoder = Some(autoencoder);
-        self.conv = Some(conv);
-        self.classifier = Some(classifier);
-        let params = self.params();
+        let network = CnnLocNetwork::new(&mut init_rng, width, self.num_classes)?;
+        network
+            .autoencoder
+            .pretrain(&features, self.pretrain_epochs, 5e-3, 0.02, self.seed)?;
+        let params = network.params();
         let mut optimizer = Adam::new(1.5e-3);
 
         let n = features.rows()?;
@@ -269,30 +243,16 @@ impl Localizer for CnnLocLocalizer {
                 let y_batch: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
 
                 let tape = Tape::new();
-                let session = Session::new(&tape, true, self.seed.wrapping_add(epoch as u64));
+                let mut session = Session::new(&tape, true, self.seed.wrapping_add(epoch as u64));
                 let x = session.constant(x_batch);
-                let code = self
-                    .autoencoder
-                    .as_ref()
-                    .expect("set above")
-                    .encode(&session, x)?;
-                let conv_out = self
-                    .conv
-                    .as_ref()
-                    .expect("set above")
-                    .forward(&session, code)?
-                    .relu();
-                let logits = self
-                    .classifier
-                    .as_ref()
-                    .expect("set above")
-                    .forward(&session, conv_out)?;
+                let logits = network.forward(&mut session, x)?;
                 let loss = logits.softmax_cross_entropy(&y_batch)?;
                 session.backward(loss)?;
                 optimizer.step(&params);
                 zero_grads(&params);
             }
         }
+        self.network = Some(network);
         Ok(())
     }
 

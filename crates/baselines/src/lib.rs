@@ -54,7 +54,43 @@ pub use knn::KnnLocalizer;
 pub use sherpa::SherpaLocalizer;
 pub use wideep::WiDeepLocalizer;
 
+use autograd::{Tape, Var};
+use graph::{ExprId, Graph, GraphError, PlanCache};
+use nn::{Param, Session};
+use tensor::Tensor;
 use vital::Localizer;
+
+/// Runs `record` — a network's one `forward`, plus whatever surrounds it
+/// that is not part of the network — over `input` through the compiled plan
+/// cached for `(input rows, weight stamp of params)`, recording and
+/// compiling it on a miss.
+pub(crate) fn run_compiled(
+    cache: &PlanCache,
+    params: &[Param],
+    input: &Tensor,
+    record: impl FnOnce(&mut Graph, ExprId) -> Result<ExprId, GraphError>,
+) -> vital::Result<Tensor> {
+    let (rows, cols) = input.shape().as_matrix()?;
+    let entry = cache.get_or_build(rows, nn::weight_stamp(params), || {
+        let mut g = Graph::new();
+        let x = g.input(rows, cols);
+        let out = record(&mut g, x)?;
+        Ok((g, out))
+    })?;
+    Ok(entry.execute(&[input])?)
+}
+
+/// Evaluates the same `record` op by op on an eval-mode tape: the
+/// uncompiled reference the parity tests hold [`run_compiled`] to.
+pub(crate) fn run_eager(
+    input: &Tensor,
+    record: impl for<'t> FnOnce(&mut Session<'t>, Var<'t>) -> nn::Result<Var<'t>>,
+) -> vital::Result<Tensor> {
+    let tape = Tape::new();
+    let mut session = Session::new(&tape, false, 0);
+    let x = session.constant(input.clone());
+    Ok(record(&mut session, x)?.value())
+}
 
 /// Builds the full comparison suite of the paper's Fig. 7/8/10 —
 /// ANVIL, SHERPA, CNNLoc and WiDeep — each optionally with DAM enabled.

@@ -9,9 +9,9 @@ use std::path::Path;
 
 use autograd::Tape;
 use fingerprint::{FingerprintDataset, FingerprintObservation};
-use graph::{Graph, PlanCache};
+use graph::PlanCache;
 use nn::optim::{zero_grads, Adam, Optimizer};
-use nn::{Activation, Layer, Mlp, Session};
+use nn::{Activation, Layer, Mlp, Session, Trace};
 use tensor::rng::SeededRng;
 use tensor::Tensor;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
@@ -154,23 +154,23 @@ impl SherpaLocalizer {
 
     /// DNN posterior for a stack of queries: `[batch, width]` features in,
     /// `[batch, num_classes]` softmax rows out.
-    ///
-    /// Runs the build-once/execute-many compiled plan (dense → ReLU chain
-    /// fused with the row softmax) keyed by batch size and weight stamp;
+    fn posterior<T: Trace>(
+        network: &Mlp,
+        t: &mut T,
+        x: T::Node,
+    ) -> std::result::Result<T::Node, T::Error> {
+        let logits = network.forward(t, x)?;
+        t.softmax_rows(logits)
+    }
+
+    /// [`SherpaLocalizer::posterior`] through the build-once/execute-many
+    /// compiled plan (dense → ReLU chain fused with the row softmax);
     /// bit-identical to [`SherpaLocalizer::posterior_matrix_eager`].
     fn posterior_matrix(&self, features: &Tensor) -> Result<Tensor> {
         let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
-        let (rows, cols) = features.shape().as_matrix()?;
-        let entry =
-            self.plan_cache
-                .get_or_build(rows, nn::weight_stamp(&network.params()), || {
-                    let mut g = Graph::new();
-                    let x = g.input(rows, cols);
-                    let logits = network.push_graph(&mut g, x)?;
-                    let posterior = g.softmax_rows(logits)?;
-                    Ok((g, posterior))
-                })?;
-        Ok(entry.execute(&[features])?)
+        crate::run_compiled(&self.plan_cache, &network.params(), features, |g, x| {
+            Self::posterior(network, g, x)
+        })
     }
 
     /// Number of compiled posterior plans currently cached (one per batch
@@ -179,14 +179,12 @@ impl SherpaLocalizer {
         self.plan_cache.len()
     }
 
-    /// Tape-based posterior — the bit-exactness reference for the compiled
-    /// plan, exercised by the parity tests.
+    /// [`SherpaLocalizer::posterior`] on an eval-mode tape — the
+    /// bit-exactness reference for the compiled plan, exercised by the
+    /// parity tests.
     fn posterior_matrix_eager(&self, features: &Tensor) -> Result<Tensor> {
         let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let logits = network.forward(&session, session.constant(features.clone()))?;
-        Ok(logits.value().softmax_rows()?)
+        crate::run_eager(features, |session, x| Self::posterior(network, session, x))
     }
 
     /// [`Localizer::localize_batch`] through the eager (tape) posterior —
@@ -285,8 +283,9 @@ impl Localizer for SherpaLocalizer {
                 let x_batch = Tensor::concat_rows(&refs)?;
                 let y_batch: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
                 let tape = Tape::new();
-                let session = Session::new(&tape, true, self.seed.wrapping_add(epoch as u64));
-                let logits = network.forward(&session, session.constant(x_batch))?;
+                let mut session = Session::new(&tape, true, self.seed.wrapping_add(epoch as u64));
+                let x = session.constant(x_batch);
+                let logits = network.forward(&mut session, x)?;
                 let loss = logits.softmax_cross_entropy(&y_batch)?;
                 session.backward(loss)?;
                 optimizer.step(&params);

@@ -12,7 +12,7 @@
 use std::path::Path;
 
 use fingerprint::{FingerprintDataset, FingerprintObservation};
-use graph::{Graph, PlanCache};
+use graph::PlanCache;
 use nn::{Layer, StackedAutoencoder};
 use tensor::rng::SeededRng;
 use tensor::Tensor;
@@ -153,26 +153,25 @@ impl WiDeepLocalizer {
     }
 
     fn encode(&self, features: &[f32]) -> Result<Vec<f32>> {
-        let ae = self.autoencoder.as_ref().ok_or(VitalError::NotFitted)?;
         let x = Tensor::from_vec(features.to_vec(), &[1, features.len()])?;
-        Ok(ae.encode_inference(&x)?.into_vec())
+        Ok(self.encode_matrix_eager(&x)?.into_vec())
+    }
+
+    /// SAE codes of a `[batch, width]` stack on an eval-mode tape — the
+    /// bit-exactness reference for [`WiDeepLocalizer::encode_matrix`].
+    fn encode_matrix_eager(&self, features: &Tensor) -> Result<Tensor> {
+        let ae = self.autoencoder.as_ref().ok_or(VitalError::NotFitted)?;
+        crate::run_eager(features, |session, x| ae.encode(session, x))
     }
 
     /// Encodes a `[batch, width]` query stack through the cached compiled
     /// SAE-encoder plan; bit-identical to
-    /// [`StackedAutoencoder::encode_inference`] on the same stack.
+    /// [`WiDeepLocalizer::encode_matrix_eager`] on the same stack.
     fn encode_matrix(&self, features: &Tensor) -> Result<Tensor> {
         let ae = self.autoencoder.as_ref().ok_or(VitalError::NotFitted)?;
-        let (rows, cols) = features.shape().as_matrix()?;
-        let entry = self
-            .plan_cache
-            .get_or_build(rows, nn::weight_stamp(&ae.params()), || {
-                let mut g = Graph::new();
-                let x = g.input(rows, cols);
-                let code = ae.encode_push_graph(&mut g, x)?;
-                Ok((g, code))
-            })?;
-        Ok(entry.execute(&[features])?)
+        crate::run_compiled(&self.plan_cache, &ae.params(), features, |g, x| {
+            ae.encode(g, x)
+        })
     }
 
     /// Number of compiled encoder plans currently cached (one per batch
@@ -217,11 +216,10 @@ impl WiDeepLocalizer {
         if self.codes.is_empty() {
             return Err(VitalError::NotFitted);
         }
-        let ae = self.autoencoder.as_ref().ok_or(VitalError::NotFitted)?;
         let mut predictions = Vec::with_capacity(observations.len());
         for chunk in observations.chunks(crate::features::INFERENCE_CHUNK) {
             let features = self.extractor.extract_clean_batch(chunk);
-            let codes = ae.encode_inference(&crate::features::stack_rows(&features)?)?;
+            let codes = self.encode_matrix_eager(&crate::features::stack_rows(&features)?)?;
             predictions.extend(self.classify_codes(&codes)?);
         }
         Ok(predictions)

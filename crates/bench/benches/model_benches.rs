@@ -126,10 +126,10 @@ fn bench_training_step(c: &mut Criterion) {
     c.bench_function("vit_train_batch8_forward_backward", |b| {
         b.iter(|| {
             let tape = autograd::Tape::new();
-            let session = nn::Session::new(&tape, true, 0);
+            let mut session = nn::Session::new(&tape, true, 0);
             let logits = model
                 .transformer()
-                .forward_batch(&session, black_box(&patches))
+                .forward_batch(&mut session, black_box(&patches))
                 .unwrap();
             let loss = logits.softmax_cross_entropy(&labels).unwrap();
             session.backward(loss).unwrap();

@@ -54,9 +54,9 @@ fn smoke_logits_and_predictions() -> (Tensor, Vec<usize>) {
         })
         .collect();
     let tape = autograd::Tape::new();
-    let session = nn::Session::new(&tape, false, 0);
+    let mut session = nn::Session::new(&tape, false, 0);
     let logits = vit
-        .forward_batch(&session, &batch)
+        .forward_batch(&mut session, &batch)
         .expect("smoke forward")
         .value();
     let predictions = vit.predict_batch(&batch).expect("smoke predict");

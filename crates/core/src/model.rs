@@ -170,7 +170,7 @@ impl VitalModel {
                     batch_labels.push(observations[i].rp_label);
                 }
                 let tape = Tape::new();
-                let session = Session::new(
+                let mut session = Session::new(
                     &tape,
                     true,
                     self.config
@@ -178,7 +178,9 @@ impl VitalModel {
                         .seed
                         .wrapping_add((epoch * 10_007 + batches) as u64),
                 );
-                let logits = self.transformer.forward_batch(&session, &batch_patches)?;
+                let logits = self
+                    .transformer
+                    .forward_batch(&mut session, &batch_patches)?;
                 let loss = logits.softmax_cross_entropy(&batch_labels)?;
                 epoch_loss += loss.value().item()?;
                 batches += 1;

@@ -2,9 +2,11 @@
 
 use autograd::Var;
 use graph::{ExprId, Graph, GraphError, PlanCache};
-use nn::{Activation, Dense, Init, Layer, LayerNorm, Mlp, MultiHeadSelfAttention, Param, Session};
+use nn::{
+    Activation, Dense, Init, Layer, LayerNorm, Mlp, MultiHeadSelfAttention, Param, Session, Trace,
+};
 use tensor::rng::SeededRng;
-use tensor::{BinaryOp, Tensor};
+use tensor::Tensor;
 
 use crate::{Result, VitalConfig, VitalError};
 
@@ -72,72 +74,32 @@ impl EncoderBlock {
         self.out_width
     }
 
-    /// Applies the block to a `[num_patches, d_model]` sequence.
-    ///
-    /// # Errors
-    /// Returns an error if the input width differs from the block's
-    /// `d_model`.
-    pub fn forward<'t>(&self, session: &Session<'t>, x: Var<'t>) -> crate::Result<Var<'t>> {
-        self.forward_stacked(session, x, 1)
-    }
-
-    /// Applies the block to a stack of `samples` sequences laid out as a
+    /// Records the block over a stack of `samples` sequences laid out as a
     /// `[samples * num_patches, d_model]` matrix.
     ///
     /// Layer-norm and the MLP are row-wise, so they run directly on the
     /// stack (one big GEMM per dense layer instead of `samples` small ones);
     /// the attention sub-block — whose softmax couples the rows of a
-    /// sample — runs stacked too, batching every `(sample, head)` score
-    /// block through one SIMD softmax sweep.
+    /// sample — takes the stack too and works through it one
+    /// `(sample, head)` block at a time.
     ///
     /// # Errors
     /// Returns an error if the row count is not a multiple of `samples` or
     /// the width differs from the block's `d_model`.
-    pub fn forward_stacked<'t>(
+    pub fn forward<T: Trace>(
         &self,
-        session: &Session<'t>,
-        x: Var<'t>,
+        t: &mut T,
+        x: T::Node,
         samples: usize,
-    ) -> crate::Result<Var<'t>> {
-        let rows = x.value().rows()?;
-        if samples == 0 || !rows.is_multiple_of(samples) {
-            return Err(VitalError::InvalidDataset(format!(
-                "stacked sequence of {rows} rows does not divide into {samples} samples"
-            )));
-        }
-        let normed = self.norm_attention.forward(session, x)?;
-        let attended = self
-            .attention
-            .forward_stacked(session, normed, samples)?
-            .add(x)?;
-        let mlp_out = self
-            .mlp
-            .forward(session, self.norm_mlp.forward(session, attended)?)?;
-        let fused = match self.fusion {
-            Fusion::Concat => Var::concat_cols(&[attended, mlp_out])?,
-            Fusion::Residual => attended.add(mlp_out)?,
-        };
-        Ok(fused)
-    }
-
-    /// Appends the block to an expression graph: the arithmetic of
-    /// [`EncoderBlock::forward_stacked`], with the attention sub-graph
-    /// ordered block-locally (see
-    /// [`MultiHeadSelfAttention::push_graph_stacked`]).
-    fn push_graph_stacked(
-        &self,
-        g: &mut Graph,
-        x: ExprId,
-        samples: usize,
-    ) -> std::result::Result<ExprId, GraphError> {
-        let normed = self.norm_attention.push_graph(g, x)?;
-        let attended_pre = self.attention.push_graph_stacked(g, normed, samples)?;
-        let attended = g.binary(attended_pre, x, BinaryOp::Add)?;
-        let normed_mlp = self.norm_mlp.push_graph(g, attended)?;
-        let mlp_out = self.mlp.push_graph(g, normed_mlp)?;
+    ) -> std::result::Result<T::Node, T::Error> {
+        let normed = self.norm_attention.forward(t, x)?;
+        let attention = self.attention.forward(t, normed, samples)?;
+        let attended = t.add(attention, x)?;
+        let normed_mlp = self.norm_mlp.forward(t, attended)?;
+        let mlp_out = self.mlp.forward(t, normed_mlp)?;
         match self.fusion {
-            Fusion::Concat => g.concat_cols(&[attended, mlp_out]),
-            Fusion::Residual => g.binary(attended, mlp_out, BinaryOp::Add),
+            Fusion::Concat => t.concat_cols(&[attended, mlp_out]),
+            Fusion::Residual => t.add(attended, mlp_out),
         }
     }
 }
@@ -243,64 +205,57 @@ impl VisionTransformer {
         self.num_classes
     }
 
-    /// Forward pass of a single image's patch matrix, producing
-    /// `[1, num_classes]` logits.
+    /// Records the forward pass over `samples` images whose patch rows
+    /// are stacked as one `[samples * num_patches, patch_dim]` matrix,
+    /// producing `[samples, num_classes]` logits.
+    ///
+    /// Executing the batch *stacked* makes the patch embedding, every
+    /// layer-norm, every encoder MLP, every attention projection and the
+    /// classification head each a single large GEMM over the whole batch
+    /// (which the packed kernel then splits across threads).
     ///
     /// # Errors
-    /// Returns an error if `patches` is not `[num_patches, patch_dim]`.
-    pub fn forward_sample<'t>(&self, session: &Session<'t>, patches: &Tensor) -> Result<Var<'t>> {
-        self.forward_batch(session, std::slice::from_ref(patches))
+    /// Returns an error if `stacked` does not have that shape.
+    pub fn forward<T: Trace>(
+        &self,
+        t: &mut T,
+        stacked: T::Node,
+        samples: usize,
+    ) -> std::result::Result<T::Node, T::Error> {
+        // Linear trainable projection of flattened patches (paper §V.B)...
+        let embedded = self.patch_embed.forward(t, stacked)?;
+        // ...plus the positional embedding (tiled across the batch) that
+        // keeps patch order information.
+        let positional = t.param(&self.positional)?;
+        let mut hidden = t.add_tile_rows(embedded, positional, samples)?;
+        hidden = t.dropout(hidden, self.dropout)?;
+        for block in &self.blocks {
+            hidden = block.forward(t, hidden, samples)?;
+        }
+        // Collapse each sample's patch rows to its pooled feature row.
+        let pooled = t.mean_row_blocks(hidden, self.num_patches)?;
+        self.head.forward(t, pooled)
     }
 
-    /// Forward pass of a batch of patch matrices, producing
-    /// `[batch, num_classes]` logits.
-    ///
-    /// The batch is executed *stacked*: every sample's patch rows are
-    /// concatenated into one `[batch * num_patches, patch_dim]` matrix, so
-    /// the patch embedding, every layer-norm, every encoder MLP, every
-    /// attention projection and the classification head each run as a
-    /// single large GEMM over the whole batch (which the packed kernel then
-    /// splits across threads), and all per-sample attention softmaxes run
-    /// as one batched SIMD sweep.
+    /// [`VisionTransformer::forward`] of a batch of patch matrices on the
+    /// tape — the training pass, and in an eval session the eager oracle —
+    /// producing `[batch, num_classes]` logits.
     ///
     /// # Errors
     /// Returns an error if the batch is empty or any patch matrix has the
     /// wrong shape.
-    pub fn forward_batch<'t>(&self, session: &Session<'t>, batch: &[Tensor]) -> Result<Var<'t>> {
+    pub fn forward_batch<'t>(
+        &self,
+        session: &mut Session<'t>,
+        batch: &[Tensor],
+    ) -> Result<Var<'t>> {
         if batch.is_empty() {
             return Err(VitalError::InvalidDataset("empty batch".into()));
         }
-        for patches in batch {
-            if patches.shape().dims() != [self.num_patches, self.patch_dim] {
-                return Err(VitalError::InvalidDataset(format!(
-                    "patch matrix {:?} does not match model expectation [{}, {}]",
-                    patches.shape().dims(),
-                    self.num_patches,
-                    self.patch_dim
-                )));
-            }
-        }
-        let samples = batch.len();
-        let stacked = if samples == 1 {
-            batch[0].clone()
-        } else {
-            let refs: Vec<&Tensor> = batch.iter().collect();
-            Tensor::concat_rows(&refs)?
-        };
-        let x = session.constant(stacked);
-        // Linear trainable projection of flattened patches (paper §V.B)...
-        let embedded = self.patch_embed.forward(session, x)?;
-        // ...plus the positional embedding (tiled across the batch) that
-        // keeps patch order information.
-        let positional = session.param(&self.positional);
-        let mut hidden = embedded.add_tile_rows(positional, samples)?;
-        hidden = session.dropout(hidden, self.dropout)?;
-        for block in &self.blocks {
-            hidden = block.forward_stacked(session, hidden, samples)?;
-        }
-        // Collapse each sample's patch rows to its pooled feature row.
-        let pooled = hidden.mean_pool_row_blocks(self.num_patches)?;
-        Ok(self.head.forward(session, pooled)?)
+        self.validate_batch(batch)?;
+        let refs: Vec<&Tensor> = batch.iter().collect();
+        let stacked = session.constant(Tensor::concat_rows(&refs)?);
+        Ok(self.forward(session, stacked, batch.len())?)
     }
 
     /// Inference: the predicted class of one patch matrix.
@@ -361,16 +316,17 @@ impl VisionTransformer {
         entry.execute_argmax_with(fill)
     }
 
-    /// Batched inference on the eager tape path (one tensor per op). Kept
-    /// as the bit-exactness reference for the compiled path.
+    /// Batched inference with the same [`VisionTransformer::forward`]
+    /// recorded on an eval-mode tape (one tensor per op, no fusion, no
+    /// arena): the bit-exactness oracle for the compiled path.
     ///
     /// # Errors
     /// Returns an error if the batch is empty or any patch matrix has the
     /// wrong shape.
     pub fn predict_batch_eager(&self, batch: &[Tensor]) -> Result<Vec<usize>> {
         let tape = autograd::Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let logits = self.forward_batch(&session, batch)?.value();
+        let mut session = Session::new(&tape, false, 0);
+        let logits = self.forward_batch(&mut session, batch)?.value();
         Ok(logits.argmax_rows()?)
     }
 
@@ -398,22 +354,13 @@ impl VisionTransformer {
         Ok(())
     }
 
-    /// Builds the expression graph of the full stacked inference forward
-    /// pass for a `samples`-image batch, mirroring
-    /// [`VisionTransformer::forward_batch`] in eval mode (dropout is an
-    /// identity there and is not represented). Its one input is the
-    /// stacked `[samples · num_patches, patch_dim]` patch matrix.
+    /// Records [`VisionTransformer::forward`] for a `samples`-image batch
+    /// into an expression graph whose one input is the stacked
+    /// `[samples · num_patches, patch_dim]` patch matrix.
     fn build_graph(&self, samples: usize) -> std::result::Result<(Graph, ExprId), GraphError> {
         let mut g = Graph::new();
         let stacked = g.input(samples * self.num_patches, self.patch_dim);
-        let embedded = self.patch_embed.push_graph(&mut g, stacked)?;
-        let positional = g.constant(self.positional.value())?;
-        let mut hidden = g.add_tile_rows(embedded, positional, samples)?;
-        for block in &self.blocks {
-            hidden = block.push_graph_stacked(&mut g, hidden, samples)?;
-        }
-        let pooled = g.mean_row_blocks(hidden, self.num_patches)?;
-        let logits = self.head.push_graph(&mut g, pooled)?;
+        let logits = self.forward(&mut g, stacked, samples)?;
         Ok((g, logits))
     }
 }
@@ -472,8 +419,11 @@ mod tests {
         let vit = VisionTransformer::new(&mut rng, &config).unwrap();
         let patches = SeededRng::new(2).uniform_tensor(&[9, 48], -1.0, 1.0);
         let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let logits = vit.forward_sample(&session, &patches).unwrap().value();
+        let mut session = Session::new(&tape, false, 0);
+        let logits = vit
+            .forward_batch(&mut session, std::slice::from_ref(&patches))
+            .unwrap()
+            .value();
         assert_eq!(logits.shape().dims(), &[1, 8]);
         assert!(logits.all_finite());
     }
@@ -484,9 +434,9 @@ mod tests {
         let mut rng = SeededRng::new(3);
         let vit = VisionTransformer::new(&mut rng, &config).unwrap();
         let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
+        let mut session = Session::new(&tape, false, 0);
         let bad = Tensor::zeros(&[4, 48]);
-        assert!(vit.forward_sample(&session, &bad).is_err());
+        assert!(vit.forward_batch(&mut session, &[bad]).is_err());
     }
 
     #[test]
@@ -498,10 +448,10 @@ mod tests {
             .map(|i| SeededRng::new(10 + i).uniform_tensor(&[9, 48], -1.0, 1.0))
             .collect();
         let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let logits = vit.forward_batch(&session, &batch).unwrap().value();
+        let mut session = Session::new(&tape, false, 0);
+        let logits = vit.forward_batch(&mut session, &batch).unwrap().value();
         assert_eq!(logits.shape().dims(), &[3, 8]);
-        assert!(vit.forward_batch(&session, &[]).is_err());
+        assert!(vit.forward_batch(&mut session, &[]).is_err());
     }
 
     #[test]
@@ -516,13 +466,16 @@ mod tests {
             .map(|i| SeededRng::new(30 + i).uniform_tensor(&[9, 48], -1.0, 1.0))
             .collect();
         let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let batched = vit.forward_batch(&session, &batch).unwrap().value();
+        let mut session = Session::new(&tape, false, 0);
+        let batched = vit.forward_batch(&mut session, &batch).unwrap().value();
         assert_eq!(batched.shape().dims(), &[4, 8]);
         for (i, patches) in batch.iter().enumerate() {
             let tape_s = Tape::new();
-            let session_s = Session::new(&tape_s, false, 0);
-            let single = vit.forward_sample(&session_s, patches).unwrap().value();
+            let mut session_s = Session::new(&tape_s, false, 0);
+            let single = vit
+                .forward_batch(&mut session_s, std::slice::from_ref(patches))
+                .unwrap()
+                .value();
             assert_eq!(
                 batched.row(i).unwrap(),
                 single.row(0).unwrap(),
@@ -545,8 +498,8 @@ mod tests {
             .map(|i| SeededRng::new(20 + i).uniform_tensor(&[9, 48], -1.0, 1.0))
             .collect();
         let tape = Tape::new();
-        let session = Session::new(&tape, true, 1);
-        let logits = vit.forward_batch(&session, &batch).unwrap();
+        let mut session = Session::new(&tape, true, 1);
+        let logits = vit.forward_batch(&mut session, &batch).unwrap();
         let loss = logits.softmax_cross_entropy(&[0, 3]).unwrap();
         session.backward(loss).unwrap();
         let missing: Vec<String> = vit

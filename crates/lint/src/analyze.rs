@@ -7,7 +7,7 @@ use std::path::Path;
 use crate::config::{AllowEntry, RulesConfig};
 use crate::lexer::{lex, Token};
 use crate::report::{Allowed, Finding, Report, Rule};
-use crate::rules::{closure_map, hot_path, hygiene, lock_order, panic_freedom};
+use crate::rules::{hot_path, hygiene, lock_order, panic_freedom};
 use crate::scope::{scope, ScopedTokens};
 
 /// One source file to analyze, with its workspace-relative path
@@ -134,7 +134,6 @@ pub fn analyze(files: &[SourceFile], config: &RulesConfig) -> Report {
         raw_findings.extend(panic_freedom::check(&ctx, config));
         raw_findings.extend(lock_order::check(&ctx, config, &mut report.lock_graph));
         raw_findings.extend(hot_path::check(&ctx, config));
-        raw_findings.extend(closure_map::check(&ctx, config));
         raw_findings.extend(hygiene::check(&ctx, config));
         raw_findings.extend(hygiene::file_checks(&file.path, &file.content, config));
     }
@@ -182,7 +181,6 @@ fn all_allows(config: &RulesConfig) -> Vec<&AllowEntry> {
         .chain(&config.lock_allow)
         .chain(&config.hot_allow)
         .chain(&config.hygiene_allow)
-        .chain(&config.closure_allow)
         .collect()
 }
 
@@ -204,13 +202,6 @@ fn allows_for(config: &RulesConfig, rule: Rule) -> Vec<(usize, &AllowEntry)> {
         Rule::Hygiene => (
             config.panic_allow.len() + config.lock_allow.len() + config.hot_allow.len(),
             config.hygiene_allow.len(),
-        ),
-        Rule::ClosureMap => (
-            config.panic_allow.len()
-                + config.lock_allow.len()
-                + config.hot_allow.len()
-                + config.hygiene_allow.len(),
-            config.closure_allow.len(),
         ),
     };
     (start..start + len).map(|i| (i, all[i])).collect()

@@ -289,15 +289,6 @@ pub struct RulesConfig {
     /// Hot-path allowlist.
     pub hot_allow: Vec<AllowEntry>,
 
-    /// Methods banned as opaque-closure calls inside closure-map spans
-    /// (`map`, `map_inplace`).
-    pub closure_methods: Vec<String>,
-    /// The closure-map spans (same shape as hot-path spans: named
-    /// functions of one file).
-    pub closure_spans: Vec<HotSpan>,
-    /// Closure-map allowlist.
-    pub closure_allow: Vec<AllowEntry>,
-
     /// Whether unbounded `mpsc::channel` is banned workspace-wide.
     pub ban_unbounded_channel: bool,
     /// Files that must carry `#![forbid(unsafe_code)]`.
@@ -336,9 +327,6 @@ impl RulesConfig {
             hot_macros: Vec::new(),
             hot_spans: Vec::new(),
             hot_allow: Vec::new(),
-            closure_methods: Vec::new(),
-            closure_spans: Vec::new(),
-            closure_allow: Vec::new(),
             ban_unbounded_channel: false,
             forbid_unsafe_files: Vec::new(),
             unsafe_allowed_dirs: Vec::new(),
@@ -408,18 +396,6 @@ impl RulesConfig {
                     functions: table.array_key("functions").unwrap_or(&[]).to_vec(),
                 }),
                 "hot_path.allow" => config.hot_allow.push(allow_entry(table)?),
-                "closure_map" => {
-                    config.closure_methods =
-                        table.array_key("banned_methods").unwrap_or(&[]).to_vec();
-                }
-                "closure_map.span" => config.closure_spans.push(HotSpan {
-                    file: table
-                        .str_key("file")
-                        .ok_or("[[closure_map.span]] needs `file`")?
-                        .to_string(),
-                    functions: table.array_key("functions").unwrap_or(&[]).to_vec(),
-                }),
-                "closure_map.allow" => config.closure_allow.push(allow_entry(table)?),
                 "hygiene" => {
                     config.ban_unbounded_channel =
                         table.bool_key("ban_unbounded_channel").unwrap_or(false);

@@ -10,7 +10,7 @@
 //! dependency-free style as the workspace's proc-macro and HTTP parser: a
 //! real Rust [`lexer`] (raw strings, nested block comments, char-literal
 //! vs lifetime disambiguation), a [`scope`] pass that exempts
-//! `#[cfg(test)]` / `mod tests` code, and five [`rules`] driven by the
+//! `#[cfg(test)]` / `mod tests` code, and four [`rules`] driven by the
 //! committed `ci/lint-rules.toml`:
 //!
 //! | rule | what it enforces |
@@ -19,7 +19,6 @@
 //! | `lock-order` | the may-hold-while-acquiring graph over every `Mutex`/`RwLock` site is acyclic, and `.write()` is never taken while another guard is live |
 //! | `hot-path-alloc` | no `Vec::new`/`to_vec`/`clone`/`String`/`format!` in the GEMM microkernel or the batcher dispatch loop |
 //! | `hygiene` | no unbounded `mpsc::channel`; the `#![forbid(unsafe_code)]`, `#![deny(clippy::disallowed_types)]` and Send+Sync guard rails stay present |
-//! | `closure-map` | no opaque-closure `.map(…)`/`.map_inplace(…)` in the compiled-inference spans — stages must stay expressed as named ops the graph compiler can fuse |
 //!
 //! Per-rule allowlists (each entry with a mandatory reason) live in the
 //! same file; the tool reports allowlisted findings and stale entries

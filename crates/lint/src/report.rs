@@ -19,8 +19,6 @@ pub enum Rule {
     HotPathAlloc,
     /// Concurrency hygiene (channel bans, guard-rail presence).
     Hygiene,
-    /// Opaque-closure `map` bans in compiled-inference spans.
-    ClosureMap,
 }
 
 impl Rule {
@@ -31,7 +29,6 @@ impl Rule {
             Rule::LockOrder => "lock-order",
             Rule::HotPathAlloc => "hot-path-alloc",
             Rule::Hygiene => "hygiene",
-            Rule::ClosureMap => "closure-map",
         }
     }
 }

@@ -1,6 +1,5 @@
-//! The five rule classes (see the crate docs for the catalog).
+//! The four rule classes (see the crate docs for the catalog).
 
-pub mod closure_map;
 pub mod hot_path;
 pub mod hygiene;
 pub mod lock_order;

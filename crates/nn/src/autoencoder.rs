@@ -1,9 +1,9 @@
-use autograd::{Tape, Var};
+use autograd::Tape;
 use tensor::rng::SeededRng;
 use tensor::Tensor;
 
 use crate::optim::{Adam, Optimizer};
-use crate::{Activation, Layer, Mlp, Param, Result, Session};
+use crate::{Activation, Layer, Mlp, Param, Session, Trace};
 
 /// A stacked (denoising) autoencoder.
 ///
@@ -56,48 +56,22 @@ impl StackedAutoencoder {
         self.code_dim
     }
 
-    /// Encodes a batch into the bottleneck representation.
+    /// Records the encoder over a `[batch, input_dim]` value, producing
+    /// the bottleneck representation.
     ///
     /// # Errors
     /// Returns an error if the input width differs from `input_dim`.
-    pub fn encode<'t>(&self, session: &Session<'t>, x: Var<'t>) -> Result<Var<'t>> {
-        self.encoder.forward(session, x)
+    pub fn encode<T: Trace>(&self, t: &mut T, x: T::Node) -> Result<T::Node, T::Error> {
+        self.encoder.forward(t, x)
     }
 
-    /// Encodes without recording a tape (inference).
+    /// Records the full reconstruction (encode then decode).
     ///
     /// # Errors
     /// Returns an error if the input width differs from `input_dim`.
-    pub fn encode_inference(&self, x: &Tensor) -> Result<Tensor> {
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        Ok(self
-            .encoder
-            .forward(&session, session.constant(x.clone()))?
-            .value())
-    }
-
-    /// Appends the encoder to an expression graph, exactly mirroring the
-    /// eval-mode [`StackedAutoencoder::encode_inference`] (dense layers with
-    /// the sigmoid between them, none after the bottleneck).
-    ///
-    /// # Errors
-    /// Returns a [`graph::GraphError`] on operand-shape mismatch.
-    pub fn encode_push_graph(
-        &self,
-        g: &mut graph::Graph,
-        x: graph::ExprId,
-    ) -> std::result::Result<graph::ExprId, graph::GraphError> {
-        self.encoder.push_graph(g, x)
-    }
-
-    /// Full reconstruction (encode then decode).
-    ///
-    /// # Errors
-    /// Returns an error if the input width differs from `input_dim`.
-    pub fn reconstruct<'t>(&self, session: &Session<'t>, x: Var<'t>) -> Result<Var<'t>> {
-        let code = self.encode(session, x)?;
-        self.decoder.forward(session, code)
+    pub fn reconstruct<T: Trace>(&self, t: &mut T, x: T::Node) -> Result<T::Node, T::Error> {
+        let code = self.encode(t, x)?;
+        self.decoder.forward(t, code)
     }
 
     /// Pre-trains the autoencoder on `data` (a `[samples, input_dim]` matrix)
@@ -114,7 +88,7 @@ impl StackedAutoencoder {
         learning_rate: f32,
         noise_std: f32,
         seed: u64,
-    ) -> Result<f32> {
+    ) -> crate::Result<f32> {
         let mut adam = Adam::new(learning_rate);
         let mut rng = SeededRng::new(seed);
         let mut last = 0.0;
@@ -126,9 +100,9 @@ impl StackedAutoencoder {
                 data.clone()
             };
             let tape = Tape::new();
-            let session = Session::new(&tape, true, seed.wrapping_add(epoch as u64));
+            let mut session = Session::new(&tape, true, seed.wrapping_add(epoch as u64));
             let x = session.constant(corrupted);
-            let recon = self.reconstruct(&session, x)?;
+            let recon = self.reconstruct(&mut session, x)?;
             let loss = recon.mse_loss(data)?;
             last = loss.value().item()?;
             session.backward(loss)?;
@@ -159,9 +133,11 @@ mod tests {
         let ae = StackedAutoencoder::new(&mut rng, 30, &[16, 8]);
         assert_eq!(ae.input_dim(), 30);
         assert_eq!(ae.code_dim(), 8);
-        let x = Tensor::ones(&[2, 30]);
-        let code = ae.encode_inference(&x).unwrap();
-        assert_eq!(code.shape().dims(), &[2, 8]);
+        let tape = Tape::new();
+        let mut session = Session::new(&tape, false, 0);
+        let x = session.constant(Tensor::ones(&[2, 30]));
+        let code = ae.encode(&mut session, x).unwrap();
+        assert_eq!(code.value().shape().dims(), &[2, 8]);
     }
 
     #[test]
@@ -176,9 +152,9 @@ mod tests {
         let mut rng = SeededRng::new(1);
         let ae = StackedAutoencoder::new(&mut rng, 12, &[6]);
         let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
+        let mut session = Session::new(&tape, false, 0);
         let x = session.constant(Tensor::ones(&[3, 12]));
-        let recon = ae.reconstruct(&session, x).unwrap();
+        let recon = ae.reconstruct(&mut session, x).unwrap();
         assert_eq!(recon.value().shape().dims(), &[3, 12]);
     }
 
@@ -190,9 +166,10 @@ mod tests {
 
         // Loss before training.
         let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
+        let mut session = Session::new(&tape, false, 0);
+        let x = session.constant(data.clone());
         let before = ae
-            .reconstruct(&session, session.constant(data.clone()))
+            .reconstruct(&mut session, x)
             .unwrap()
             .mse_loss(&data)
             .unwrap()

@@ -1,8 +1,7 @@
-use autograd::Var;
 use tensor::rng::SeededRng;
-use tensor::{Tensor, TensorError};
+use tensor::TensorError;
 
-use crate::{Dense, Init, Layer, Param, Result, Session};
+use crate::{Dense, Init, Layer, Param, Trace};
 
 /// A 1-D convolution over the feature (AP) axis of a fingerprint batch.
 ///
@@ -32,7 +31,7 @@ impl Conv1d {
         kernel_size: usize,
         out_channels: usize,
         stride: usize,
-    ) -> Result<Self> {
+    ) -> crate::Result<Self> {
         if kernel_size == 0 || stride == 0 || out_channels == 0 {
             return Err(TensorError::Empty { op: "conv1d.new" });
         }
@@ -48,7 +47,7 @@ impl Conv1d {
     ///
     /// # Errors
     /// Returns an error if `length < kernel_size`.
-    pub fn windows_for(&self, length: usize) -> Result<usize> {
+    pub fn windows_for(&self, length: usize) -> crate::Result<usize> {
         if length < self.kernel_size {
             return Err(TensorError::ShapeMismatch {
                 op: "conv1d.windows_for",
@@ -63,72 +62,25 @@ impl Conv1d {
     ///
     /// # Errors
     /// Returns an error if `length < kernel_size`.
-    pub fn out_width_for(&self, length: usize) -> Result<usize> {
+    pub fn out_width_for(&self, length: usize) -> crate::Result<usize> {
         Ok(self.windows_for(length)? * self.out_channels)
     }
 
-    /// Applies the convolution to a `[batch, length]` variable.
+    /// Records the convolution over a `[batch, length]` value: every
+    /// sliding window is a column slice sharing one dense projection.
     ///
     /// # Errors
     /// Returns an error if the input is narrower than the kernel.
-    pub fn forward<'t>(&self, session: &Session<'t>, x: Var<'t>) -> Result<Var<'t>> {
-        let (_, length) = x.value().shape().as_matrix()?;
+    pub fn forward<T: Trace>(&self, t: &mut T, x: T::Node) -> Result<T::Node, T::Error> {
+        let (_, length) = t.dims(x)?;
         let windows = self.windows_for(length)?;
         let mut outputs = Vec::with_capacity(windows);
         for w in 0..windows {
             let start = w * self.stride;
-            let window = x.slice_cols(start, start + self.kernel_size)?;
-            outputs.push(self.kernel.forward(session, window)?);
+            let window = t.slice_cols(x, start, start + self.kernel_size)?;
+            outputs.push(self.kernel.forward(t, window)?);
         }
-        Var::concat_cols(&outputs)
-    }
-
-    /// Appends the convolution to an expression graph: every sliding
-    /// window is a column slice sharing one dense projection, exactly the
-    /// decomposition [`Conv1d::forward`] records on a tape, so the compiled
-    /// kernel is bit-identical to the eager pass.
-    ///
-    /// # Errors
-    /// Returns a [`graph::GraphError`] if the input is narrower than the
-    /// kernel or an operand shape mismatches.
-    pub fn push_graph(
-        &self,
-        g: &mut graph::Graph,
-        x: graph::ExprId,
-    ) -> std::result::Result<graph::ExprId, graph::GraphError> {
-        let (rows, length) = g.dims(x)?;
-        if length < self.kernel_size {
-            return Err(graph::GraphError::ShapeMismatch {
-                op: "conv1d",
-                lhs: (rows, length),
-                rhs: (self.kernel_size, self.out_channels),
-            });
-        }
-        let windows = (length - self.kernel_size) / self.stride + 1;
-        let mut outputs = Vec::with_capacity(windows);
-        for w in 0..windows {
-            let start = w * self.stride;
-            let window = g.slice_cols(x, start, start + self.kernel_size)?;
-            outputs.push(self.kernel.push_graph(g, window)?);
-        }
-        g.concat_cols(&outputs)
-    }
-
-    /// Inference-only forward pass without a tape.
-    ///
-    /// # Errors
-    /// Returns an error if the input is narrower than the kernel.
-    pub fn forward_inference(&self, x: &Tensor) -> Result<Tensor> {
-        let (_, length) = x.shape().as_matrix()?;
-        let windows = self.windows_for(length)?;
-        let mut outputs = Vec::with_capacity(windows);
-        for w in 0..windows {
-            let start = w * self.stride;
-            let window = x.slice_cols(start, start + self.kernel_size)?;
-            outputs.push(self.kernel.forward_inference(&window)?);
-        }
-        let refs: Vec<&Tensor> = outputs.iter().collect();
-        Tensor::concat_cols(&refs)
+        t.concat_cols(&outputs)
     }
 }
 
@@ -141,7 +93,9 @@ impl Layer for Conv1d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
     use autograd::Tape;
+    use tensor::Tensor;
 
     #[test]
     fn rejects_zero_configuration() {
@@ -165,26 +119,11 @@ mod tests {
         let mut rng = SeededRng::new(2);
         let conv = Conv1d::new(&mut rng, 5, 3, 1).unwrap();
         let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
+        let mut session = Session::new(&tape, false, 0);
         let x = session.constant(SeededRng::new(3).uniform_tensor(&[2, 20], -1.0, 1.0));
-        let y = conv.forward(&session, x).unwrap().value();
+        let y = conv.forward(&mut session, x).unwrap().value();
         assert_eq!(y.shape().dims(), &[2, 16 * 3]);
         assert!(y.all_finite());
-    }
-
-    #[test]
-    fn inference_matches_tape_forward() {
-        let mut rng = SeededRng::new(4);
-        let conv = Conv1d::new(&mut rng, 3, 2, 2).unwrap();
-        let x = SeededRng::new(5).uniform_tensor(&[3, 11], -1.0, 1.0);
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let y_tape = conv
-            .forward(&session, session.constant(x.clone()))
-            .unwrap()
-            .value();
-        let y_inf = conv.forward_inference(&x).unwrap();
-        assert_eq!(y_tape, y_inf);
     }
 
     #[test]
@@ -192,9 +131,9 @@ mod tests {
         let mut rng = SeededRng::new(6);
         let conv = Conv1d::new(&mut rng, 3, 2, 1).unwrap();
         let tape = Tape::new();
-        let session = Session::new(&tape, true, 0);
+        let mut session = Session::new(&tape, true, 0);
         let x = session.constant(Tensor::ones(&[1, 8]));
-        let loss = conv.forward(&session, x).unwrap().sum_all().unwrap();
+        let loss = conv.forward(&mut session, x).unwrap().sum_all().unwrap();
         session.backward(loss).unwrap();
         for p in conv.params() {
             assert!(p.grad().is_some());

@@ -1,8 +1,7 @@
-use autograd::Var;
 use tensor::rng::SeededRng;
-use tensor::Tensor;
+use tensor::{MatmulSpec, Tensor};
 
-use crate::{Init, Layer, Param, Result, Session};
+use crate::{Init, Layer, Param, Trace};
 
 /// A fully-connected affine layer: `y = x W + b`.
 ///
@@ -44,43 +43,17 @@ impl Dense {
         self.out_features
     }
 
-    /// Applies the affine map to a `[batch, in_features]` variable.
+    /// Records the affine map over a `[batch, in_features]` value. In a
+    /// compiled plan the bias add fuses into the GEMM's output pass.
     ///
     /// # Errors
     /// Returns an error if the input's column count differs from
     /// `in_features`.
-    pub fn forward<'t>(&self, session: &Session<'t>, x: Var<'t>) -> Result<Var<'t>> {
-        let w = session.param(&self.weight);
-        let b = session.param(&self.bias);
-        x.matmul(w)?.add_row_broadcast(b)
-    }
-
-    /// Direct (inference-only) forward pass without recording on a tape.
-    ///
-    /// # Errors
-    /// Returns an error if the input's column count differs from
-    /// `in_features`.
-    pub fn forward_inference(&self, x: &Tensor) -> Result<Tensor> {
-        x.matmul(&self.weight.value())?
-            .add_row_broadcast(&self.bias.value())
-    }
-
-    /// Appends this layer's affine map to an expression graph, snapshotting
-    /// the current weights as constants. The bias add fuses into the GEMM's
-    /// output pass at compile time, so the compiled plan is bit-identical
-    /// to [`Dense::forward_inference`] while touching the output once.
-    ///
-    /// # Errors
-    /// Returns a [`graph::GraphError`] on operand-shape mismatch.
-    pub fn push_graph(
-        &self,
-        g: &mut graph::Graph,
-        x: graph::ExprId,
-    ) -> std::result::Result<graph::ExprId, graph::GraphError> {
-        let w = g.constant(self.weight.value())?;
-        let b = g.constant(self.bias.value())?;
-        let mm = g.matmul(x, w, tensor::MatmulSpec::NN)?;
-        g.add_row_broadcast(mm, b)
+    pub fn forward<T: Trace>(&self, t: &mut T, x: T::Node) -> Result<T::Node, T::Error> {
+        let w = t.param(&self.weight)?;
+        let b = t.param(&self.bias)?;
+        let product = t.matmul(x, w, MatmulSpec::NN)?;
+        t.add_row_broadcast(product, b)
     }
 }
 
@@ -93,6 +66,7 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
     use autograd::Tape;
 
     #[test]
@@ -104,25 +78,10 @@ mod tests {
         assert_eq!(layer.out_features(), 3);
 
         let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
+        let mut session = Session::new(&tape, false, 0);
         let x = session.constant(Tensor::ones(&[2, 4]));
-        let y = layer.forward(&session, x).unwrap();
+        let y = layer.forward(&mut session, x).unwrap();
         assert_eq!(y.value().shape().dims(), &[2, 3]);
-    }
-
-    #[test]
-    fn forward_inference_matches_tape_forward() {
-        let mut rng = SeededRng::new(1);
-        let layer = Dense::new(&mut rng, 5, 2, Init::He);
-        let x = SeededRng::new(2).uniform_tensor(&[3, 5], -1.0, 1.0);
-        let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let y_tape = layer
-            .forward(&session, session.constant(x.clone()))
-            .unwrap()
-            .value();
-        let y_direct = layer.forward_inference(&x).unwrap();
-        assert_eq!(y_tape, y_direct);
     }
 
     #[test]
@@ -130,10 +89,10 @@ mod tests {
         let mut rng = SeededRng::new(3);
         let layer = Dense::new(&mut rng, 2, 2, Init::Xavier);
         let tape = Tape::new();
-        let session = Session::new(&tape, true, 0);
+        let mut session = Session::new(&tape, true, 0);
         let x = session.constant(Tensor::ones(&[4, 2]));
         let loss = layer
-            .forward(&session, x)
+            .forward(&mut session, x)
             .unwrap()
             .softmax_cross_entropy(&[0, 1, 0, 1])
             .unwrap();
@@ -147,6 +106,9 @@ mod tests {
     fn wrong_input_width_errors() {
         let mut rng = SeededRng::new(4);
         let layer = Dense::new(&mut rng, 3, 2, Init::Xavier);
-        assert!(layer.forward_inference(&Tensor::ones(&[1, 5])).is_err());
+        let tape = Tape::new();
+        let mut session = Session::new(&tape, false, 0);
+        let x = session.constant(Tensor::ones(&[1, 5]));
+        assert!(layer.forward(&mut session, x).is_err());
     }
 }

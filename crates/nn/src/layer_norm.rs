@@ -1,7 +1,6 @@
-use autograd::Var;
 use tensor::Tensor;
 
-use crate::{Layer, Param, Result, Session};
+use crate::{Layer, Param, Trace};
 
 /// Layer normalisation with learnable per-feature scale and shift.
 ///
@@ -37,31 +36,15 @@ impl LayerNorm {
         self.features
     }
 
-    /// Normalises each row of a `[rows, features]` variable.
+    /// Records the normalisation of each row of a `[rows, features]`
+    /// value; a compiled plan runs it as one fused pass per row.
     ///
     /// # Errors
     /// Returns an error if the input's column count differs from `features`.
-    pub fn forward<'t>(&self, session: &Session<'t>, x: Var<'t>) -> Result<Var<'t>> {
-        let gamma = session.param(&self.gamma);
-        let beta = session.param(&self.beta);
-        x.layer_norm(gamma, beta, self.eps)
-    }
-
-    /// Appends this normalisation to an expression graph, snapshotting
-    /// γ/β as constants. Compiles to the fused one-pass layer-norm kernel,
-    /// which evaluates the same per-element arithmetic as the eager
-    /// standardise → scale → shift sequence.
-    ///
-    /// # Errors
-    /// Returns a [`graph::GraphError`] on operand-shape mismatch.
-    pub fn push_graph(
-        &self,
-        g: &mut graph::Graph,
-        x: graph::ExprId,
-    ) -> std::result::Result<graph::ExprId, graph::GraphError> {
-        let gamma = g.constant(self.gamma.value())?;
-        let beta = g.constant(self.beta.value())?;
-        g.layer_norm(x, gamma, beta, self.eps)
+    pub fn forward<T: Trace>(&self, t: &mut T, x: T::Node) -> Result<T::Node, T::Error> {
+        let gamma = t.param(&self.gamma)?;
+        let beta = t.param(&self.beta)?;
+        t.layer_norm(x, gamma, beta, self.eps)
     }
 }
 
@@ -74,6 +57,7 @@ impl Layer for LayerNorm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
     use autograd::Tape;
     use tensor::rng::SeededRng;
 
@@ -83,9 +67,9 @@ mod tests {
         assert_eq!(ln.features(), 8);
         assert_eq!(ln.param_count(), 16);
         let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
+        let mut session = Session::new(&tape, false, 0);
         let x = session.constant(SeededRng::new(0).uniform_tensor(&[4, 8], -50.0, 10.0));
-        let y = ln.forward(&session, x).unwrap().value();
+        let y = ln.forward(&mut session, x).unwrap().value();
         for i in 0..4 {
             let row = y.row(i).unwrap();
             assert!(row.mean().abs() < 1e-4);
@@ -97,10 +81,10 @@ mod tests {
     fn gradients_reach_gamma_beta() {
         let ln = LayerNorm::new(3);
         let tape = Tape::new();
-        let session = Session::new(&tape, true, 0);
+        let mut session = Session::new(&tape, true, 0);
         let x = session.constant(SeededRng::new(1).uniform_tensor(&[2, 3], -1.0, 1.0));
         let loss = ln
-            .forward(&session, x)
+            .forward(&mut session, x)
             .unwrap()
             .softmax_cross_entropy(&[0, 2])
             .unwrap();
@@ -114,8 +98,8 @@ mod tests {
     fn feature_mismatch_errors() {
         let ln = LayerNorm::new(4);
         let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
+        let mut session = Session::new(&tape, false, 0);
         let x = session.constant(Tensor::ones(&[2, 3]));
-        assert!(ln.forward(&session, x).is_err());
+        assert!(ln.forward(&mut session, x).is_err());
     }
 }

@@ -14,13 +14,38 @@
 //!   them — are `Send + Sync`: weights are snapshotted lock-free for
 //!   inference while gradient state stays behind a training-only mutex
 //!   (see the `param` module docs for the two paths).
+//! * [`Trace`] — a recorder of the named ops a forward pass is made of.
+//!   It has two implementations: [`Session`] records onto an autograd tape
+//!   (training; in eval mode, the eager bit-exactness oracle) and
+//!   [`graph::Graph`] records into the expression IR that compiles to a
+//!   fused inference plan.
 //! * [`Session`] — wraps an autograd [`autograd::Tape`] for one forward /
 //!   backward pass, registering every parameter used so gradients can be
 //!   copied back after [`Session::backward`].
-//! * [`Layer`] implementations — own their [`Param`]s and expose
-//!   `forward(&self, session, input)`.
+//! * [`Layer`] implementations — own their [`Param`]s and define their
+//!   arithmetic exactly once, as `forward<T: Trace>(&self, t, input)`.
 //! * [`optim`] — optimizers that update the values held by [`Param`]s using
 //!   their accumulated gradients.
+//!
+//! # How to write a layer
+//!
+//! Write one `pub fn forward<T: Trace>(&self, t: &mut T, x: T::Node, …)
+//! -> Result<T::Node, T::Error>` that calls only `t`'s methods and other
+//! layers' `forward`s. That single body is the training pass, the compiled
+//! inference plan and the oracle the plan is checked against, so there is
+//! nothing to keep in step. Raise the layer's own shape errors as
+//! [`tensor::TensorError`]s (`.into()` converts them for either recorder),
+//! take a weight with `t.param(&self.weight)`, and treat a single sample
+//! as a stack of one. Record order is plan step order: put ops that should
+//! run back to back next to each other.
+//!
+//! To add an op a layer needs, add a method to [`Trace`] and its two
+//! impls: on [`Session`] it calls the differentiable `autograd::Var` op, on
+//! [`graph::Graph`] it pushes the `graph::Op` node the compiler knows how
+//! to schedule (a new `Op` variant also needs its kernel in
+//! `graph::compile`). The `nn/tests/trace_parity.rs` and
+//! `baselines/tests/compiled_parity.rs` suites then hold the two impls to
+//! the same bits.
 //!
 //! # Example: one gradient step on a dense layer
 //!
@@ -37,9 +62,9 @@
 //! let mut sgd = Sgd::new(0.1);
 //!
 //! let tape = Tape::new();
-//! let session = Session::new(&tape, true, 42);
+//! let mut session = Session::new(&tape, true, 42);
 //! let x = session.constant(Tensor::ones(&[3, 4]));
-//! let out = dense.forward(&session, x)?;
+//! let out = dense.forward(&mut session, x)?;
 //! let loss = out.softmax_cross_entropy(&[0, 1, 0])?;
 //! session.backward(loss)?;
 //! sgd.step(&dense.params());
@@ -65,6 +90,7 @@ mod mlp;
 pub mod optim;
 mod param;
 mod session;
+mod trace;
 
 pub use attention::MultiHeadSelfAttention;
 pub use autoencoder::StackedAutoencoder;
@@ -75,6 +101,7 @@ pub use layer_norm::LayerNorm;
 pub use mlp::{Activation, Mlp};
 pub use param::{weight_stamp, Param};
 pub use session::Session;
+pub use trace::Trace;
 
 /// Convenience alias for results returned by layer operations.
 pub type Result<T> = std::result::Result<T, tensor::TensorError>;

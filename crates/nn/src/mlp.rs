@@ -1,7 +1,6 @@
-use autograd::Var;
 use tensor::rng::SeededRng;
 
-use crate::{Dense, Init, Layer, Param, Result, Session};
+use crate::{Dense, Init, Layer, Param, Trace};
 
 /// Non-linearity applied between the hidden layers of an [`Mlp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -18,31 +17,6 @@ pub enum Activation {
     Sigmoid,
     /// No activation (linear layer stack).
     Identity,
-}
-
-impl Activation {
-    fn apply<'t>(self, x: Var<'t>) -> Var<'t> {
-        match self {
-            Activation::Gelu => x.gelu(),
-            Activation::Relu => x.relu(),
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => x.sigmoid(),
-            Activation::Identity => x,
-        }
-    }
-
-    /// The named elementwise op this activation evaluates, or `None` for
-    /// [`Activation::Identity`]. The eager forwards and the compiled-graph
-    /// kernels share these ops, so both paths run the same scalar code.
-    pub fn unary_op(self) -> Option<tensor::UnaryOp> {
-        match self {
-            Activation::Gelu => Some(tensor::UnaryOp::Gelu),
-            Activation::Relu => Some(tensor::UnaryOp::Relu),
-            Activation::Tanh => Some(tensor::UnaryOp::Tanh),
-            Activation::Sigmoid => Some(tensor::UnaryOp::Sigmoid),
-            Activation::Identity => None,
-        }
-    }
 }
 
 /// A multi-layer perceptron: a stack of [`Dense`] layers with a shared
@@ -104,45 +78,20 @@ impl Mlp {
             .unwrap_or_default()
     }
 
-    /// Applies the MLP to a `[batch, in_features]` variable.
+    /// Records the MLP over a `[batch, in_features]` value: dense layers
+    /// with the activation (then dropout, if enabled) between them, none
+    /// after the last.
     ///
     /// # Errors
     /// Returns an error if the input width does not match the first layer.
-    pub fn forward<'t>(&self, session: &Session<'t>, x: Var<'t>) -> Result<Var<'t>> {
+    pub fn forward<T: Trace>(&self, t: &mut T, x: T::Node) -> Result<T::Node, T::Error> {
         let mut h = x;
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(session, h)?;
+            h = layer.forward(t, h)?;
             if i != last {
-                h = self.activation.apply(h);
-                if self.dropout > 0.0 {
-                    h = session.dropout(h, self.dropout)?;
-                }
-            }
-        }
-        Ok(h)
-    }
-
-    /// Appends the MLP to an expression graph: dense layers with the
-    /// activation between them (none after the last), exactly mirroring
-    /// the eval-mode [`Mlp::forward`]. Dropout is an identity in eval mode
-    /// and is therefore not represented in the graph.
-    ///
-    /// # Errors
-    /// Returns a [`graph::GraphError`] on operand-shape mismatch.
-    pub fn push_graph(
-        &self,
-        g: &mut graph::Graph,
-        x: graph::ExprId,
-    ) -> std::result::Result<graph::ExprId, graph::GraphError> {
-        let mut h = x;
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.push_graph(g, h)?;
-            if i != last {
-                if let Some(op) = self.activation.unary_op() {
-                    h = g.unary(h, op)?;
-                }
+                h = t.activate(h, self.activation)?;
+                h = t.dropout(h, self.dropout)?;
             }
         }
         Ok(h)
@@ -158,6 +107,7 @@ impl Layer for Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
     use autograd::Tape;
     use tensor::Tensor;
 
@@ -189,9 +139,9 @@ mod tests {
             let mut rng = SeededRng::new(1);
             let mlp = Mlp::new(&mut rng, &[5, 8, 3], act);
             let tape = Tape::new();
-            let session = Session::new(&tape, false, 0);
+            let mut session = Session::new(&tape, false, 0);
             let x = session.constant(Tensor::ones(&[4, 5]));
-            let y = mlp.forward(&session, x).unwrap();
+            let y = mlp.forward(&mut session, x).unwrap();
             assert_eq!(y.value().shape().dims(), &[4, 3]);
             assert!(y.value().all_finite());
         }
@@ -203,26 +153,16 @@ mod tests {
         let mlp = Mlp::new(&mut rng, &[4, 16, 2], Activation::Relu).with_dropout(0.5);
         let x = Tensor::ones(&[1, 4]);
 
-        let tape_eval = Tape::new();
-        let s_eval = Session::new(&tape_eval, false, 9);
-        let y_eval_a = mlp
-            .forward(&s_eval, s_eval.constant(x.clone()))
-            .unwrap()
-            .value();
-        let tape_eval2 = Tape::new();
-        let s_eval2 = Session::new(&tape_eval2, false, 10);
-        let y_eval_b = mlp
-            .forward(&s_eval2, s_eval2.constant(x.clone()))
-            .unwrap()
-            .value();
+        let run = |training: bool, seed: u64| {
+            let tape = Tape::new();
+            let mut session = Session::new(&tape, training, seed);
+            let input = session.constant(x.clone());
+            mlp.forward(&mut session, input).unwrap().value()
+        };
         // Eval mode is deterministic regardless of seed.
-        assert_eq!(y_eval_a, y_eval_b);
-
-        let tape_train = Tape::new();
-        let s_train = Session::new(&tape_train, true, 11);
-        let y_train = mlp.forward(&s_train, s_train.constant(x)).unwrap().value();
+        assert_eq!(run(false, 9), run(false, 10));
         // Training output will almost surely differ due to dropout.
-        assert_ne!(y_eval_a, y_train);
+        assert_ne!(run(false, 9), run(true, 11));
     }
 
     #[test]
@@ -238,9 +178,9 @@ mod tests {
         let mut last_loss = f32::MAX;
         for step in 0..300 {
             let tape = Tape::new();
-            let session = Session::new(&tape, true, step);
+            let mut session = Session::new(&tape, true, step);
             let x = session.constant(inputs.clone());
-            let logits = mlp.forward(&session, x).unwrap();
+            let logits = mlp.forward(&mut session, x).unwrap();
             let loss = logits.softmax_cross_entropy(&targets).unwrap();
             last_loss = loss.value().item().unwrap();
             session.backward(loss).unwrap();
@@ -252,11 +192,9 @@ mod tests {
         assert!(last_loss < 0.1, "XOR did not converge: loss {last_loss}");
         // Check predictions.
         let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
-        let logits = mlp
-            .forward(&session, session.constant(inputs))
-            .unwrap()
-            .value();
+        let mut session = Session::new(&tape, false, 0);
+        let x = session.constant(inputs);
+        let logits = mlp.forward(&mut session, x).unwrap().value();
         assert_eq!(logits.argmax_rows().unwrap(), vec![0, 1, 1, 0]);
     }
 }

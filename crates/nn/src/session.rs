@@ -1,16 +1,8 @@
-// Justified exception to the workspace RefCell ban, for this module only:
-// a session is bound to one tape on one thread for one pass (tapes are not
-// Sync either), so single-threaded interior mutability is exactly right
-// here. vital-lint pins the ban itself in ci/lint-rules.toml.
-#![allow(clippy::disallowed_types)]
-
-use std::cell::RefCell;
-
 use autograd::{Tape, Var};
 use tensor::rng::SeededRng;
-use tensor::Tensor;
+use tensor::{MatmulSpec, Tensor, TensorError};
 
-use crate::{Param, Result};
+use crate::{Activation, Param, Result, Trace};
 
 /// One forward/backward pass over a model.
 ///
@@ -22,20 +14,22 @@ use crate::{Param, Result};
 ///   [`Session::backward`] can copy tape gradients back into the parameters
 ///   for the optimizer.
 ///
-/// Build a fresh `Session` (and tape) for every batch.
+/// Build a fresh `Session` (and tape) for every batch. A session is the
+/// tape-side [`crate::Trace`] recorder: layers are run on it with
+/// `layer.forward(&mut session, x)`.
 ///
 /// `Session` (with the optimizers in [`crate::optim`]) is the
 /// **training-session handle** of the thread-safe parameter design:
-/// [`Session::param`] takes the lock-free `O(1)` weight snapshot every
-/// reader uses, while [`Session::backward`] is the only place gradients
-/// are deposited into a [`Param`]'s mutex-guarded training state.
+/// its [`crate::Trace::param`] takes the lock-free `O(1)` weight snapshot
+/// every reader uses, while [`Session::backward`] is the only place
+/// gradients are deposited into a [`Param`]'s mutex-guarded training state.
 /// Inference paths never construct anything but the tape + session pair on
 /// their own thread, so serving takes no training locks.
 pub struct Session<'t> {
     tape: &'t Tape,
     training: bool,
-    rng: RefCell<SeededRng>,
-    registered: RefCell<Vec<(Param, Var<'t>)>>,
+    rng: SeededRng,
+    registered: Vec<(Param, Var<'t>)>,
 }
 
 impl<'t> Session<'t> {
@@ -47,8 +41,8 @@ impl<'t> Session<'t> {
         Session {
             tape,
             training,
-            rng: RefCell::new(SeededRng::new(seed)),
-            registered: RefCell::new(Vec::new()),
+            rng: SeededRng::new(seed),
+            registered: Vec::new(),
         }
     }
 
@@ -62,40 +56,9 @@ impl<'t> Session<'t> {
         self.training
     }
 
-    /// Registers a parameter on the tape and returns its variable handle.
-    ///
-    /// The parameter is remembered so its gradient is filled in by
-    /// [`Session::backward`].
-    pub fn param(&self, param: &Param) -> Var<'t> {
-        let var = self.tape.var(param.value());
-        self.registered.borrow_mut().push((param.clone(), var));
-        var
-    }
-
     /// Places a non-trainable tensor (input batch, target, mask) on the tape.
     pub fn constant(&self, value: Tensor) -> Var<'t> {
         self.tape.constant(value)
-    }
-
-    /// Inverted dropout: during training each element is zeroed with
-    /// probability `rate` and survivors are rescaled by `1/(1-rate)`; during
-    /// evaluation the input passes through unchanged.
-    ///
-    /// # Errors
-    /// Propagates shape errors from the underlying mask multiplication.
-    pub fn dropout(&self, x: Var<'t>, rate: f32) -> Result<Var<'t>> {
-        if !self.training || rate <= 0.0 {
-            return Ok(x);
-        }
-        let dims: Vec<usize> = x.value().shape().dims().to_vec();
-        let mask = self.rng.borrow_mut().dropout_mask(&dims, rate);
-        x.mul_mask(&mask)
-    }
-
-    /// Draws from the session RNG; exposed for layers that need extra
-    /// stochasticity (e.g. data augmentation applied inside a model).
-    pub fn rng(&self) -> std::cell::RefMut<'_, SeededRng> {
-        self.rng.borrow_mut()
     }
 
     /// Runs the backward pass from `loss` and copies every registered
@@ -105,7 +68,7 @@ impl<'t> Session<'t> {
     /// Propagates tape errors (e.g. `loss` not being a scalar).
     pub fn backward(&self, loss: Var<'t>) -> Result<()> {
         self.tape.backward(loss)?;
-        for (param, var) in self.registered.borrow().iter() {
+        for (param, var) in &self.registered {
             if let Ok(grad) = self.tape.grad(*var) {
                 param.accumulate_grad(&grad);
             }
@@ -115,7 +78,97 @@ impl<'t> Session<'t> {
 
     /// Number of parameters registered so far in this pass.
     pub fn registered_len(&self) -> usize {
-        self.registered.borrow().len()
+        self.registered.len()
+    }
+}
+
+impl<'t> Trace for Session<'t> {
+    type Node = Var<'t>;
+    type Error = TensorError;
+
+    fn dims(&self, x: Var<'t>) -> Result<(usize, usize)> {
+        x.value().shape().as_matrix()
+    }
+
+    fn param(&mut self, p: &Param) -> Result<Var<'t>> {
+        let var = self.tape.var(p.value());
+        self.registered.push((p.clone(), var));
+        Ok(var)
+    }
+
+    fn matmul(&mut self, a: Var<'t>, b: Var<'t>, spec: MatmulSpec) -> Result<Var<'t>> {
+        let a = if spec.trans_a { a.transpose()? } else { a };
+        let b = if spec.trans_b { b.transpose()? } else { b };
+        a.matmul(b)
+    }
+
+    fn activate(&mut self, x: Var<'t>, f: Activation) -> Result<Var<'t>> {
+        Ok(match f {
+            Activation::Gelu => x.gelu(),
+            Activation::Relu => x.relu(),
+            Activation::Tanh => x.tanh(),
+            Activation::Sigmoid => x.sigmoid(),
+            Activation::Identity => x,
+        })
+    }
+
+    fn scale(&mut self, x: Var<'t>, c: f32) -> Result<Var<'t>> {
+        Ok(x.scale(c))
+    }
+
+    fn add(&mut self, a: Var<'t>, b: Var<'t>) -> Result<Var<'t>> {
+        a.add(b)
+    }
+
+    fn softmax_rows(&mut self, x: Var<'t>) -> Result<Var<'t>> {
+        x.softmax_rows()
+    }
+
+    fn layer_norm(
+        &mut self,
+        x: Var<'t>,
+        gamma: Var<'t>,
+        beta: Var<'t>,
+        eps: f32,
+    ) -> Result<Var<'t>> {
+        x.layer_norm(gamma, beta, eps)
+    }
+
+    fn add_row_broadcast(&mut self, x: Var<'t>, row: Var<'t>) -> Result<Var<'t>> {
+        x.add_row_broadcast(row)
+    }
+
+    fn add_tile_rows(&mut self, x: Var<'t>, tile: Var<'t>, reps: usize) -> Result<Var<'t>> {
+        x.add_tile_rows(tile, reps)
+    }
+
+    fn mean_row_blocks(&mut self, x: Var<'t>, block_rows: usize) -> Result<Var<'t>> {
+        x.mean_pool_row_blocks(block_rows)
+    }
+
+    fn concat_rows(&mut self, parts: &[Var<'t>]) -> Result<Var<'t>> {
+        Var::concat_rows(parts)
+    }
+
+    fn concat_cols(&mut self, parts: &[Var<'t>]) -> Result<Var<'t>> {
+        Var::concat_cols(parts)
+    }
+
+    fn slice_rows(&mut self, x: Var<'t>, start: usize, end: usize) -> Result<Var<'t>> {
+        x.slice_rows(start, end)
+    }
+
+    fn slice_cols(&mut self, x: Var<'t>, start: usize, end: usize) -> Result<Var<'t>> {
+        x.slice_cols(start, end)
+    }
+
+    fn dropout(&mut self, x: Var<'t>, rate: f32) -> Result<Var<'t>> {
+        if !self.training || rate <= 0.0 {
+            return Ok(x);
+        }
+        let dims: Vec<usize> = x.value().shape().dims().to_vec();
+        let mask = self.rng.dropout_mask(&dims, rate);
+        x.mul_mask(&mask)
     }
 }
 
@@ -128,8 +181,8 @@ mod tests {
     fn registers_params_and_collects_grads() {
         let p = Param::new("w", Tensor::from_vec(vec![2.0, 3.0], &[2]).unwrap());
         let tape = Tape::new();
-        let session = Session::new(&tape, true, 0);
-        let w = session.param(&p);
+        let mut session = Session::new(&tape, true, 0);
+        let w = session.param(&p).unwrap();
         let x = session.constant(Tensor::from_vec(vec![4.0, 5.0], &[2]).unwrap());
         let loss = w.mul(x).unwrap().sum_all().unwrap();
         session.backward(loss).unwrap();
@@ -140,7 +193,7 @@ mod tests {
     #[test]
     fn dropout_disabled_in_eval_mode() {
         let tape = Tape::new();
-        let session = Session::new(&tape, false, 0);
+        let mut session = Session::new(&tape, false, 0);
         let x = session.constant(Tensor::ones(&[4, 4]));
         let y = session.dropout(x, 0.9).unwrap();
         assert_eq!(y.value(), Tensor::ones(&[4, 4]));
@@ -150,7 +203,7 @@ mod tests {
     #[test]
     fn dropout_zeroes_and_rescales_in_training() {
         let tape = Tape::new();
-        let session = Session::new(&tape, true, 7);
+        let mut session = Session::new(&tape, true, 7);
         let x = session.constant(Tensor::ones(&[100, 10]));
         let y = session.dropout(x, 0.5).unwrap().value();
         let zeros = y.as_slice().iter().filter(|v| **v == 0.0).count();
@@ -162,7 +215,7 @@ mod tests {
     #[test]
     fn dropout_with_zero_rate_is_identity() {
         let tape = Tape::new();
-        let session = Session::new(&tape, true, 7);
+        let mut session = Session::new(&tape, true, 7);
         let x = session.constant(Tensor::ones(&[2, 2]));
         let y = session.dropout(x, 0.0).unwrap();
         assert_eq!(y.value(), Tensor::ones(&[2, 2]));
@@ -172,7 +225,7 @@ mod tests {
     fn same_seed_same_dropout_mask() {
         let run = |seed: u64| {
             let tape = Tape::new();
-            let session = Session::new(&tape, true, seed);
+            let mut session = Session::new(&tape, true, seed);
             let x = session.constant(Tensor::ones(&[10, 10]));
             session.dropout(x, 0.3).unwrap().value()
         };

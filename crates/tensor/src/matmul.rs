@@ -216,15 +216,20 @@ fn gemm_band(
     simd::gemm::gemm_band_at(level, a_band, a_strides, packed_b, k, n, out_band);
 }
 
-/// GEMM over raw row-major slices into a caller-provided buffer:
+/// GEMM over raw row-major slices into a caller-provided buffer, at an
+/// explicit SIMD dispatch level (clamped at hardware support):
 /// `out = op(A) · op(B)` with `op(A)` of shape `m × k` and `op(B)` of shape
 /// `k × n` per `spec`.
 ///
-/// This is the graph executor's entry point: it lets a compiled plan run
-/// matmuls directly between arena slots with zero allocations on a warm
-/// thread (B is packed into a reused per-thread scratch) while
-/// accumulating in exactly the order the [`Tensor::matmul_ex`] family
-/// does, preserving bit-identical results.
+/// It runs with zero allocations on a warm thread (B is packed into a
+/// reused per-thread scratch) while accumulating in exactly the order the
+/// [`Tensor::matmul_ex`] family does, preserving bit-identical results.
+/// The level pin is what lets a compiled graph plan latch
+/// `simd::active_level()` at build time and execute every GEMM step at
+/// that level for the life of the plan — the same eager ≡ compiled
+/// guarantee the transcendental kernels already carry — and what the
+/// dispatch-parity tests and forced-scalar benchmark sweeps use to compare
+/// levels inside one process.
 ///
 /// Operand slices are stored row-major *before* the transpose is applied:
 /// with `trans_a` set, `a` holds a `k × m` matrix; with `trans_b` set, `b`
@@ -234,32 +239,7 @@ fn gemm_band(
 /// Panics if a slice length does not match its stated dimensions — callers
 /// (the plan compiler) establish shapes statically, so a mismatch is a
 /// programming error rather than a data error.
-pub fn gemm_ex_into(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    spec: MatmulSpec,
-    out: &mut [f32],
-) {
-    gemm_ex_into_at(simd::active_level(), m, k, n, a, b, spec, out);
-}
-
-/// [`gemm_ex_into`] pinned at an explicit SIMD dispatch level (clamped at
-/// hardware support).
-///
-/// This is what lets a compiled graph plan latch `simd::active_level()`
-/// at build time and execute every GEMM step at that level for the life
-/// of the plan — the same eager ≡ compiled guarantee the transcendental
-/// kernels already carry — and what the dispatch-parity tests and
-/// forced-scalar benchmark sweeps use to compare levels inside one
-/// process.
-///
-/// # Panics
-/// Panics if a slice length does not match its stated dimensions (see
-/// [`gemm_ex_into`]).
-#[allow(clippy::too_many_arguments)] // mirrors gemm_ex_into plus the level pin
+#[allow(clippy::too_many_arguments)] // the GEMM's dims, operands, spec and level
 pub fn gemm_ex_into_at(
     level: simd::Level,
     m: usize,
@@ -270,8 +250,8 @@ pub fn gemm_ex_into_at(
     spec: MatmulSpec,
     out: &mut [f32],
 ) {
-    assert_eq!(a.len(), m * k, "gemm_ex_into: A length vs m × k");
-    assert_eq!(b.len(), k * n, "gemm_ex_into: B length vs k × n");
+    assert_eq!(a.len(), m * k, "gemm_ex_into_at: A length vs m × k");
+    assert_eq!(b.len(), k * n, "gemm_ex_into_at: B length vs k × n");
     let lda = if spec.trans_a { m } else { k };
     let ldb = if spec.trans_b { k } else { n };
     gemm_strided_into_at(level, m, k, n, (a, lda), (b, ldb), spec, out);
@@ -676,7 +656,16 @@ mod tests {
         );
         // The degenerate empty sum is still all zeros, not stale output.
         let mut out = [f32::NAN; 4];
-        gemm_ex_into(2, 0, 2, &[], &[], MatmulSpec::NN, &mut out);
+        gemm_ex_into_at(
+            simd::active_level(),
+            2,
+            0,
+            2,
+            &[],
+            &[],
+            MatmulSpec::NN,
+            &mut out,
+        );
         assert_eq!(out, [0.0; 4]);
     }
 
@@ -728,7 +717,8 @@ mod tests {
             let b = t(&b_nn, &b_dims);
             let expected = a.matmul_ex(&b, spec).unwrap();
             let mut out = vec![f32::NAN; m * n];
-            gemm_ex_into(m, k, n, a.as_slice(), b.as_slice(), spec, &mut out);
+            let level = simd::active_level();
+            gemm_ex_into_at(level, m, k, n, a.as_slice(), b.as_slice(), spec, &mut out);
             assert_eq!(out.as_slice(), expected.as_slice(), "{spec:?}");
         }
     }
