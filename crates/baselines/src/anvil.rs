@@ -11,10 +11,10 @@
 
 use std::path::Path;
 
-use autograd::{Tape, Var};
+use autograd::Var;
 use fingerprint::{FingerprintDataset, FingerprintObservation};
 use graph::PlanCache;
-use nn::optim::{zero_grads, Adam, Optimizer};
+use nn::optim::{minibatches, Adam};
 use nn::{
     Activation, Dense, Init, Layer, LayerNorm, Mlp, MultiHeadSelfAttention, Param, Session, Trace,
 };
@@ -22,15 +22,20 @@ use tensor::rng::SeededRng;
 use tensor::Tensor;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
-use crate::features::{rows_to_tensor, tensor_to_rows};
-use crate::{FeatureExtractor, FeatureMode};
+use crate::features::{rows_to_tensor, squared_distance, tensor_to_rows};
+use crate::{
+    localize, map_rows, run_compiled, run_eager, FeatureExtractor, FeatureMode, Framework,
+};
 
 /// Number of tokens the fingerprint is folded into before attention.
 const TOKENS: usize = 8;
 
+/// Width of the embedding the Euclidean matching stage compares.
+const EMBED_WIDTH: usize = 32;
+
 /// The attention-based embedding network shared by training and inference.
 #[derive(Debug)]
-struct AnvilNetwork {
+pub(crate) struct AnvilNetwork {
     token_embed: Dense,
     norm: LayerNorm,
     attention: MultiHeadSelfAttention,
@@ -48,44 +53,28 @@ impl AnvilNetwork {
             norm: LayerNorm::new(d_model),
             attention: MultiHeadSelfAttention::new(rng, d_model, 4)?,
             head: Mlp::new(rng, &[d_model, 64, num_classes], Activation::Relu),
-            embed_head: Mlp::new(rng, &[d_model, 32], Activation::Relu),
+            embed_head: Mlp::new(rng, &[d_model, EMBED_WIDTH], Activation::Relu),
             token_width,
         })
     }
 
-    /// Folds a flat feature vector into `TOKENS` equal-width tokens (zero
-    /// padded) for the attention block.
-    fn tokenize(&self, features: &[f32]) -> Result<Tensor> {
-        let mut padded = features.to_vec();
-        padded.resize(self.token_width * TOKENS, 0.0);
-        Ok(Tensor::from_vec(padded, &[TOKENS, self.token_width])?)
-    }
-
-    /// Records one sample's forward over its `[TOKENS, token_width]` token
-    /// matrix, returning `(embedding, class_logits)`.
+    /// Records the forward over the stacked token matrix of any number of
+    /// samples (attention couples each sample's own `TOKENS` rows only),
+    /// returning one `(embedding, class_logits)` row per sample.
     fn forward<T: Trace>(
         &self,
         t: &mut T,
         tokens: T::Node,
     ) -> std::result::Result<(T::Node, T::Node), T::Error> {
+        let samples = t.dims(tokens)?.0 / TOKENS;
         let embedded = self.token_embed.forward(t, tokens)?;
         let normed = self.norm.forward(t, embedded)?;
-        let attention = self.attention.forward(t, normed, 1)?;
+        let attention = self.attention.forward(t, normed, samples)?;
         let attended = t.add(attention, embedded)?;
         let pooled = t.mean_row_blocks(attended, TOKENS)?;
         let embedding = self.embed_head.forward(t, pooled)?;
         let logits = self.head.forward(t, pooled)?;
         Ok((embedding, logits))
-    }
-
-    /// [`AnvilNetwork::forward`] of one flat feature vector on the tape.
-    fn forward_sample<'t>(
-        &self,
-        session: &mut Session<'t>,
-        features: &[f32],
-    ) -> Result<(Var<'t>, Var<'t>)> {
-        let tokens = session.constant(self.tokenize(features)?);
-        Ok(self.forward(session, tokens)?)
     }
 }
 
@@ -238,45 +227,6 @@ impl AnvilLocalizer {
         Ok(anvil)
     }
 
-    fn embed(&self, features: &[f32]) -> Result<(Vec<f32>, Vec<f32>)> {
-        let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
-        let tape = Tape::new();
-        let mut session = Session::new(&tape, false, 0);
-        let (embedding, logits) = network.forward_sample(&mut session, features)?;
-        Ok((embedding.value().into_vec(), logits.value().into_vec()))
-    }
-
-    /// Embeddings and logits for a batch of feature vectors through the
-    /// cached compiled plan: one `[embedding ‖ logits]` row per sample.
-    ///
-    /// Attention couples each sample's tokens, so the graph unrolls one
-    /// forward per sample over row slices of the stacked token input (the
-    /// same stacking the compiled ViT uses); the shared weight constants
-    /// dedup across the unroll.
-    fn embed_matrix(&self, features: &[Vec<f32>]) -> Result<Tensor> {
-        let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
-        let samples = features.len();
-        let width = network.token_width;
-        let mut stacked = Vec::with_capacity(samples * TOKENS * width);
-        for f in features {
-            stacked.extend(network.tokenize(f)?.into_vec());
-        }
-        let x = Tensor::from_vec(stacked, &[samples * TOKENS, width])?;
-        crate::run_compiled(&self.plan_cache, &network.params(), &x, |g, input| {
-            let mut rows = Vec::with_capacity(samples);
-            for s in 0..samples {
-                let tokens = g.slice_rows(input, s * TOKENS, (s + 1) * TOKENS)?;
-                let (embedding, logits) = network.forward(g, tokens)?;
-                rows.push(g.concat_cols(&[embedding, logits])?);
-            }
-            if samples == 1 {
-                Ok(rows[0])
-            } else {
-                g.concat_rows(&rows)
-            }
-        })
-    }
-
     /// Number of compiled network plans currently cached (one per batch
     /// shape served since the last weight change).
     pub fn cached_plans(&self) -> usize {
@@ -292,46 +242,60 @@ impl AnvilLocalizer {
         &self,
         observations: &[FingerprintObservation],
     ) -> Result<Vec<usize>> {
+        localize(self, observations, run_eager::<Self>)
+    }
+}
+
+impl Framework for AnvilLocalizer {
+    type Net = AnvilNetwork;
+
+    fn fitted(&self) -> Result<(&AnvilNetwork, &FeatureExtractor)> {
         let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
-        let mut predictions = Vec::with_capacity(observations.len());
-        for chunk in observations.chunks(crate::features::INFERENCE_CHUNK) {
-            let tape = Tape::new();
-            let mut session = Session::new(&tape, false, 0);
-            for features in self.extractor.extract_clean_batch(chunk) {
-                let (embedding, logits) = network.forward_sample(&mut session, &features)?;
-                predictions.push(
-                    self.match_embedding(
-                        &embedding.value().into_vec(),
-                        &logits.value().into_vec(),
-                    )?,
-                );
-            }
+        Ok((network, &self.extractor))
+    }
+
+    /// Folds each flat feature vector into `TOKENS` equal-width tokens
+    /// (zero padded), stacked as one `[samples · TOKENS, token_width]`
+    /// matrix for the attention block.
+    fn input(network: &AnvilNetwork, features: &[Vec<f32>]) -> Result<Tensor> {
+        let padded_width = network.token_width * TOKENS;
+        let mut stacked = Vec::with_capacity(features.len() * padded_width);
+        for sample in features {
+            let end = stacked.len() + padded_width;
+            stacked.extend(sample.iter().take(padded_width));
+            stacked.resize(end, 0.0);
         }
-        Ok(predictions)
+        let rows = features.len() * TOKENS;
+        Ok(Tensor::from_vec(stacked, &[rows, network.token_width])?)
+    }
+
+    /// One stacked forward; each output row packs the sample's
+    /// `[embedding ‖ logits]`.
+    fn record<T: Trace>(
+        network: &AnvilNetwork,
+        t: &mut T,
+        tokens: T::Node,
+    ) -> std::result::Result<T::Node, T::Error> {
+        let (embedding, logits) = network.forward(t, tokens)?;
+        t.concat_cols(&[embedding, logits])
     }
 
     /// Euclidean matching of one query embedding against the per-RP
     /// centroids, falling back to the classifier argmax when no centroids
     /// exist (degenerate training set).
-    fn match_embedding(&self, embedding: &[f32], logits: &[f32]) -> Result<usize> {
+    fn decide(&self, _query: &[f32], packed: &[f32]) -> Result<usize> {
+        let (embedding, logits) = packed.split_at(EMBED_WIDTH);
         let mut best: Option<(usize, f32)> = None;
         for (label, centroid) in self.centroids.iter().enumerate() {
             let Some(centroid) = centroid else { continue };
-            let d: f32 = centroid
-                .iter()
-                .zip(embedding)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum();
+            let d = squared_distance(centroid, embedding);
             if best.is_none_or(|(_, bd)| d < bd) {
                 best = Some((label, d));
             }
         }
         match best {
             Some((label, _)) => Ok(label),
-            None => {
-                let logits = Tensor::from_vec(logits.to_vec(), &[logits.len()])?;
-                Ok(logits.argmax()?)
-            }
+            None => Ok(Tensor::from_vec(logits.to_vec(), &[logits.len()])?.argmax()?),
         }
     }
 }
@@ -350,50 +314,50 @@ impl Localizer for AnvilLocalizer {
         let mut init_rng = SeededRng::new(self.seed.wrapping_add(1));
         let feature_width = self.extractor.feature_width(train.num_aps());
         let network = AnvilNetwork::new(&mut init_rng, feature_width, self.num_classes)?;
-        let params = network.params();
-        let mut optimizer = Adam::new(2e-3);
-
         let observations = train.observations();
-        let mut order: Vec<usize> = (0..observations.len()).collect();
-        let batch = 16;
-        for epoch in 0..self.epochs {
-            rng.shuffle(&mut order);
-            for chunk in order.chunks(batch) {
-                let tape = Tape::new();
-                let mut session = Session::new(&tape, true, self.seed.wrapping_add(epoch as u64));
-                let mut logits = Vec::with_capacity(chunk.len());
-                let mut labels = Vec::with_capacity(chunk.len());
-                for &i in chunk {
-                    let features = self.extractor.extract(&observations[i], true, &mut rng);
-                    let (_, sample_logits) = network.forward_sample(&mut session, &features)?;
-                    logits.push(sample_logits);
+        minibatches(
+            &mut Adam::new(2e-3),
+            &network.params(),
+            observations.len(),
+            16,
+            self.epochs,
+            &mut rng,
+            |tape, epoch, _, indices, rng| {
+                // One forward per sample, in batch order, on the shared tape.
+                let mut session = Session::new(tape, true, self.seed.wrapping_add(epoch as u64));
+                let mut logits = Vec::with_capacity(indices.len());
+                let mut labels = Vec::with_capacity(indices.len());
+                for &i in indices {
+                    let features = self.extractor.extract(&observations[i], true, rng);
+                    let tokens = session.constant(Self::input(&network, &[features])?);
+                    logits.push(network.forward(&mut session, tokens)?.1);
                     labels.push(observations[i].rp_label);
                 }
-                let stacked = Var::concat_rows(&logits)?;
-                let loss = stacked.softmax_cross_entropy(&labels)?;
-                session.backward(loss)?;
-                optimizer.step(&params);
-                zero_grads(&params);
-            }
-        }
-        self.network = Some(network);
+                let loss = Var::concat_rows(&logits)?.softmax_cross_entropy(&labels)?;
+                Ok::<_, VitalError>((session, loss))
+            },
+            |_, _| {},
+        )?;
 
         // Euclidean-matching stage: per-RP embedding centroids over the clean
         // training fingerprints.
-        let mut sums: Vec<(Vec<f32>, usize)> = vec![(Vec::new(), 0); self.num_classes];
-        let mut clean_rng = SeededRng::new(self.seed.wrapping_add(2));
-        for observation in observations {
-            let features = self.extractor.extract(observation, false, &mut clean_rng);
-            let (embedding, _) = self.embed(&features)?;
+        let to_embedding = |_: &[f32], packed: &[f32]| Ok(packed[..EMBED_WIDTH].to_vec());
+        let embeddings = map_rows::<Self, _>(
+            &network,
+            &self.extractor,
+            observations,
+            run_eager::<Self>,
+            to_embedding,
+        )?;
+        let mut sums = vec![(vec![0.0f32; EMBED_WIDTH], 0usize); self.num_classes];
+        for (observation, embedding) in observations.iter().zip(&embeddings) {
             let slot = &mut sums[observation.rp_label];
-            if slot.0.is_empty() {
-                slot.0 = vec![0.0; embedding.len()];
-            }
-            for (s, e) in slot.0.iter_mut().zip(&embedding) {
+            for (s, e) in slot.0.iter_mut().zip(embedding) {
                 *s += e;
             }
             slot.1 += 1;
         }
+        self.network = Some(network);
         self.centroids = sums
             .into_iter()
             .map(|(sum, count)| {
@@ -407,29 +371,8 @@ impl Localizer for AnvilLocalizer {
         Ok(())
     }
 
-    fn predict(&self, observation: &FingerprintObservation) -> Result<usize> {
-        let mut rng = SeededRng::new(0);
-        let features = self.extractor.extract(observation, false, &mut rng);
-        let (embedding, logits) = self.embed(&features)?;
-        self.match_embedding(&embedding, &logits)
-    }
-
     fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>> {
-        let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
-        let embed_width = network.embed_head.out_features();
-        let mut predictions = Vec::with_capacity(observations.len());
-        for chunk in observations.chunks(crate::features::INFERENCE_CHUNK) {
-            // One compiled execution per chunk: each output row packs the
-            // sample's `[embedding ‖ logits]`, split for Euclidean matching.
-            let features = self.extractor.extract_clean_batch(chunk);
-            let packed = self.embed_matrix(&features)?;
-            let row_width = packed.cols()?;
-            for row in packed.as_slice().chunks_exact(row_width) {
-                let (embedding, logits) = row.split_at(embed_width);
-                predictions.push(self.match_embedding(embedding, logits)?);
-            }
-        }
-        Ok(predictions)
+        localize(self, observations, run_compiled::<Self>(&self.plan_cache))
     }
 
     fn save(&self, path: &Path) -> Result<()> {

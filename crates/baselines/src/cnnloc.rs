@@ -3,20 +3,20 @@
 
 use std::path::Path;
 
-use autograd::Tape;
 use fingerprint::{FingerprintDataset, FingerprintObservation};
 use graph::PlanCache;
-use nn::optim::{zero_grads, Adam, Optimizer};
+use nn::optim::{minibatches, Adam};
 use nn::{Activation, Conv1d, Layer, Mlp, Param, Session, StackedAutoencoder, Trace};
 use tensor::rng::SeededRng;
 use tensor::Tensor;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
-use crate::{FeatureExtractor, FeatureMode};
+use crate::features::gather_rows;
+use crate::{localize, run_compiled, run_eager, FeatureExtractor, FeatureMode, Framework};
 
 /// The three network stages shared by training and inference.
 #[derive(Debug)]
-struct CnnLocNetwork {
+pub(crate) struct CnnLocNetwork {
     autoencoder: StackedAutoencoder,
     conv: Conv1d,
     classifier: Mlp,
@@ -37,15 +37,6 @@ impl CnnLocNetwork {
             conv,
             classifier,
         })
-    }
-
-    /// Class logits of a `[batch, width]` stack: SAE encoder → 1-D conv
-    /// (window slices over one shared dense kernel) → ReLU → classifier MLP.
-    fn forward<T: Trace>(&self, t: &mut T, x: T::Node) -> std::result::Result<T::Node, T::Error> {
-        let code = self.autoencoder.encode(t, x)?;
-        let conv_out = self.conv.forward(t, code)?;
-        let activated = t.activate(conv_out, Activation::Relu)?;
-        self.classifier.forward(t, activated)
     }
 }
 
@@ -161,28 +152,10 @@ impl CnnLocLocalizer {
         Ok(cnnloc)
     }
 
-    /// Class logits for a `[batch, width]` query stack through the cached
-    /// compiled plan of [`CnnLocNetwork::forward`], all fused into one
-    /// arena execution. Bit-identical to
-    /// [`CnnLocLocalizer::forward_logits_eager`].
-    fn forward_logits(&self, features: &Tensor) -> Result<Tensor> {
-        let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
-        crate::run_compiled(&self.plan_cache, &network.params(), features, |g, x| {
-            network.forward(g, x)
-        })
-    }
-
     /// Number of compiled forward plans currently cached (one per batch
     /// shape served since the last weight change).
     pub fn cached_plans(&self) -> usize {
         self.plan_cache.len()
-    }
-
-    /// [`CnnLocNetwork::forward`] on an eval-mode tape — the bit-exactness
-    /// reference for the compiled plan, exercised by the parity tests.
-    fn forward_logits_eager(&self, features: &Tensor) -> Result<Tensor> {
-        let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
-        crate::run_eager(features, |session, x| network.forward(session, x))
     }
 
     /// [`Localizer::localize_batch`] through the eager (tape) forward — the
@@ -194,13 +167,33 @@ impl CnnLocLocalizer {
         &self,
         observations: &[FingerprintObservation],
     ) -> Result<Vec<usize>> {
-        let mut predictions = Vec::with_capacity(observations.len());
-        for chunk in observations.chunks(crate::features::INFERENCE_CHUNK) {
-            let queries = self.extractor.extract_clean_batch(chunk);
-            let logits = self.forward_logits_eager(&crate::features::stack_rows(&queries)?)?;
-            predictions.extend(logits.argmax_rows()?);
-        }
-        Ok(predictions)
+        localize(self, observations, run_eager::<Self>)
+    }
+}
+
+impl Framework for CnnLocLocalizer {
+    type Net = CnnLocNetwork;
+
+    fn fitted(&self) -> Result<(&CnnLocNetwork, &FeatureExtractor)> {
+        let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
+        Ok((network, &self.extractor))
+    }
+
+    /// Class logits of a `[batch, width]` stack: SAE encoder → 1-D conv
+    /// (window slices over one shared dense kernel) → ReLU → classifier MLP.
+    fn record<T: Trace>(
+        network: &CnnLocNetwork,
+        t: &mut T,
+        x: T::Node,
+    ) -> std::result::Result<T::Node, T::Error> {
+        let code = network.autoencoder.encode(t, x)?;
+        let conv_out = network.conv.forward(t, code)?;
+        let activated = t.activate(conv_out, Activation::Relu)?;
+        network.classifier.forward(t, activated)
+    }
+
+    fn decide(&self, _query: &[f32], logits: &[f32]) -> Result<usize> {
+        Ok(Tensor::from_vec(logits.to_vec(), &[logits.len()])?.argmax()?)
     }
 }
 
@@ -225,55 +218,29 @@ impl Localizer for CnnLocLocalizer {
         network
             .autoencoder
             .pretrain(&features, self.pretrain_epochs, 5e-3, 0.02, self.seed)?;
-        let params = network.params();
-        let mut optimizer = Adam::new(1.5e-3);
-
-        let n = features.rows()?;
-        let mut order: Vec<usize> = (0..n).collect();
-        let batch = 32;
-        for epoch in 0..self.epochs {
-            rng.shuffle(&mut order);
-            for chunk in order.chunks(batch) {
-                let rows: Vec<Tensor> = chunk
-                    .iter()
-                    .map(|&i| features.slice_rows(i, i + 1))
-                    .collect::<std::result::Result<_, _>>()?;
-                let refs: Vec<&Tensor> = rows.iter().collect();
-                let x_batch = Tensor::concat_rows(&refs)?;
-                let y_batch: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
-
-                let tape = Tape::new();
-                let mut session = Session::new(&tape, true, self.seed.wrapping_add(epoch as u64));
-                let x = session.constant(x_batch);
-                let logits = network.forward(&mut session, x)?;
+        minibatches(
+            &mut Adam::new(1.5e-3),
+            &network.params(),
+            features.rows()?,
+            32,
+            self.epochs,
+            &mut rng,
+            |tape, epoch, _, indices, _| {
+                let mut session = Session::new(tape, true, self.seed.wrapping_add(epoch as u64));
+                let x = session.constant(gather_rows(&features, indices)?);
+                let y_batch: Vec<usize> = indices.iter().map(|&i| labels[i]).collect();
+                let logits = Self::record(&network, &mut session, x)?;
                 let loss = logits.softmax_cross_entropy(&y_batch)?;
-                session.backward(loss)?;
-                optimizer.step(&params);
-                zero_grads(&params);
-            }
-        }
+                Ok::<_, VitalError>((session, loss))
+            },
+            |_, _| {},
+        )?;
         self.network = Some(network);
         Ok(())
     }
 
-    fn predict(&self, observation: &FingerprintObservation) -> Result<usize> {
-        let mut rng = SeededRng::new(0);
-        let features = self.extractor.extract(observation, false, &mut rng);
-        let x = Tensor::from_vec(features.clone(), &[1, features.len()])?;
-        let logits = self.forward_logits(&x)?;
-        Ok(logits.row(0)?.argmax()?)
-    }
-
     fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>> {
-        // The SAE encoder, 1-D conv and classifier are all row-wise, so a
-        // whole chunk of queries shares one stacked forward pass.
-        let mut predictions = Vec::with_capacity(observations.len());
-        for chunk in observations.chunks(crate::features::INFERENCE_CHUNK) {
-            let queries = self.extractor.extract_clean_batch(chunk);
-            let logits = self.forward_logits(&crate::features::stack_rows(&queries)?)?;
-            predictions.extend(logits.argmax_rows()?);
-        }
-        Ok(predictions)
+        localize(self, observations, run_compiled::<Self>(&self.plan_cache))
     }
 
     fn save(&self, path: &Path) -> Result<()> {

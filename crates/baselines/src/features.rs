@@ -5,27 +5,51 @@ use tensor::rng::SeededRng;
 use tensor::Tensor;
 use vital::{DamConfig, DataAugmentationModule};
 
-/// Observations per stacked forward pass in the baselines'
-/// [`vital::Localizer::localize_batch`] overrides; bounds per-chunk graph and
+/// Observations per stacked forward pass of the network baselines' shared
+/// chunk loop (`crate::map_rows`); bounds per-chunk graph and
 /// activation memory on arbitrarily long query streams.
 pub(crate) const INFERENCE_CHUNK: usize = 64;
 
-/// Stacks per-observation feature vectors into one `[batch, width]` matrix.
-///
-/// # Errors
-/// Returns an error if the rows are empty or have inconsistent widths.
-pub(crate) fn stack_rows(rows: &[Vec<f32>]) -> tensor::Result<Tensor> {
-    let width = rows.first().map(Vec::len).unwrap_or(0);
-    let mut data = Vec::with_capacity(rows.len() * width);
-    for row in rows {
-        data.extend_from_slice(row);
+/// Gathers rows `indices` of a `[samples, width]` training matrix into one
+/// mini-batch.
+pub(crate) fn gather_rows(matrix: &Tensor, indices: &[usize]) -> tensor::Result<Tensor> {
+    let width = matrix.cols()?;
+    let rows = indices
+        .iter()
+        .flat_map(|&i| &matrix.as_slice()[i * width..(i + 1) * width]);
+    Tensor::from_vec(rows.copied().collect(), &[indices.len(), width])
+}
+
+/// Squared Euclidean distance, summed in index order.
+pub(crate) fn squared_distance(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).map(|(a, b)| (a - b) * (a - b)).sum()
+}
+
+/// Distance-weighted vote among the `k` fingerprints of `memory` nearest
+/// to `query`; `None` when `memory` is empty.
+pub(crate) fn weighted_knn_vote<'a>(
+    memory: impl Iterator<Item = (&'a Vec<f32>, &'a usize)>,
+    query: &[f32],
+    k: usize,
+) -> Option<usize> {
+    let mut scored: Vec<(f32, usize)> = memory
+        .map(|(f, &label)| (squared_distance(f, query).sqrt(), label))
+        .collect();
+    scored.sort_by(|a, b| a.0.total_cmp(&b.0));
+    scored.truncate(k);
+    let mut votes: std::collections::HashMap<usize, f32> = std::collections::HashMap::new();
+    for (d, label) in scored {
+        *votes.entry(label).or_insert(0.0) += 1.0 / (d + 1e-3);
     }
-    Tensor::from_vec(data, &[rows.len(), width])
+    votes
+        .into_iter()
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(label, _)| label)
 }
 
 /// Packs per-row feature vectors into a `[rows, width]` tensor for
-/// checkpoint storage (handles the zero-row case, unlike
-/// [`stack_rows`]).
+/// checkpoint storage or one stacked forward pass (handles the zero-row
+/// case).
 ///
 /// # Errors
 /// Returns an error if any row's width differs from `width`.
@@ -175,8 +199,8 @@ impl FeatureExtractor {
     }
 
     /// Extracts clean (inference-mode, fixed-seed) feature vectors for a
-    /// batch of observations — the shared front half of every baseline's
-    /// `localize_batch` override.
+    /// batch of observations — the front half of the network baselines'
+    /// shared chunk loop.
     pub fn extract_clean_batch(&self, observations: &[FingerprintObservation]) -> Vec<Vec<f32>> {
         observations
             .iter()

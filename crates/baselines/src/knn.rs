@@ -7,7 +7,7 @@ use fingerprint::{FingerprintDataset, FingerprintObservation};
 use tensor::rng::SeededRng;
 use vital::{Checkpoint, CheckpointError, Localizer, ModelKind, Result, VitalError};
 
-use crate::features::{rows_to_tensor, tensor_to_rows};
+use crate::features::{rows_to_tensor, tensor_to_rows, weighted_knn_vote};
 use crate::{FeatureExtractor, FeatureMode};
 
 /// K-nearest-neighbour localizer over a configurable fingerprint
@@ -98,39 +98,6 @@ impl KnnLocalizer {
         knn.train_labels = labels;
         Ok(knn)
     }
-
-    fn vote(&self, query: &[f32]) -> Result<usize> {
-        if self.train_features.is_empty() {
-            return Err(VitalError::NotFitted);
-        }
-        // Distance to every stored fingerprint.
-        let mut scored: Vec<(f32, usize)> = self
-            .train_features
-            .iter()
-            .zip(&self.train_labels)
-            .map(|(f, &label)| {
-                let d: f32 = f
-                    .iter()
-                    .zip(query)
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f32>()
-                    .sqrt();
-                (d, label)
-            })
-            .collect();
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-        scored.truncate(self.k);
-        // Distance-weighted vote.
-        let mut votes: std::collections::HashMap<usize, f32> = std::collections::HashMap::new();
-        for (d, label) in scored {
-            *votes.entry(label).or_insert(0.0) += 1.0 / (d + 1e-3);
-        }
-        votes
-            .into_iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(label, _)| label)
-            .ok_or(VitalError::NotFitted)
-    }
 }
 
 impl Localizer for KnnLocalizer {
@@ -152,12 +119,6 @@ impl Localizer for KnnLocalizer {
         Ok(())
     }
 
-    fn predict(&self, observation: &FingerprintObservation) -> Result<usize> {
-        let mut rng = SeededRng::new(0);
-        let query = self.extractor.extract(observation, false, &mut rng);
-        self.vote(&query)
-    }
-
     fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>> {
         // Each query scans the whole fingerprint memory independently, so
         // the batch fans out across threads (the localizer is immutable
@@ -165,7 +126,8 @@ impl Localizer for KnnLocalizer {
         parallel::parallel_map(observations, |observation| {
             let mut rng = SeededRng::new(0);
             let query = self.extractor.extract(observation, false, &mut rng);
-            self.vote(&query)
+            let memory = self.train_features.iter().zip(&self.train_labels);
+            weighted_knn_vote(memory, &query, self.k).ok_or(VitalError::NotFitted)
         })
         .into_iter()
         .collect()

@@ -15,6 +15,29 @@
 //! | [`WiDeepLocalizer`] | \[22\] | denoising stacked autoencoder + Gaussian-kernel (GP-style) classifier |
 //! | [`KnnLocalizer`]    | \[18\]/classical | plain, SSD or HLF (hyperbolic) fingerprint KNN |
 //!
+//! # One protocol
+//!
+//! The comparison (§VI.C) means something only because every framework
+//! runs one protocol, so the four network baselines state just what
+//! differs, as a private `Framework` impl: *features → record → decide*.
+//!
+//! * **input**: a chunk's clean feature vectors as the `[rows, width]`
+//!   matrix the network reads (ANVIL tokenises here: eight rows a query).
+//! * **record**: the network's single `forward<T: nn::Trace>`, one output
+//!   row per query: SHERPA's posterior, CNNLoc's logits, WiDeep's SAE
+//!   code, ANVIL's `[embedding ‖ logits]` of one stacked forward.
+//! * **decide**: that row and its query to a label: SHERPA's KNN
+//!   refinement, argmax, WiDeep's kernel vote, ANVIL's centroid matching.
+//!
+//! One loop (`map_rows`) runs these over 64-observation chunks, generic
+//! over the **runner** that evaluates the recording: `run_compiled` (every
+//! `localize_batch`) as a fused plan cached per `(rows, weight stamp)`,
+//! `run_eager` (every public `localize_batch_eager`, and the centroid and
+//! code extraction in `fit`, which so builds no plan) op by op on an
+//! eval-mode tape: the oracle `tests/compiled_parity.rs` holds the plans
+//! to. `predict` is [`vital::Localizer`]'s provided batch of one, and
+//! training is the other shared loop, [`nn::optim::minibatches`].
+//!
 //! # Example
 //!
 //! ```no_run
@@ -54,42 +77,103 @@ pub use knn::KnnLocalizer;
 pub use sherpa::SherpaLocalizer;
 pub use wideep::WiDeepLocalizer;
 
-use autograd::{Tape, Var};
-use graph::{ExprId, Graph, GraphError, PlanCache};
-use nn::{Param, Session};
+use autograd::Tape;
+use fingerprint::FingerprintObservation;
+use graph::{Graph, PlanCache};
+use nn::{Layer, Session, Trace};
 use tensor::Tensor;
 use vital::Localizer;
 
-/// Runs `record` — a network's one `forward`, plus whatever surrounds it
-/// that is not part of the network — over `input` through the compiled plan
-/// cached for `(input rows, weight stamp of params)`, recording and
-/// compiling it on a miss.
-pub(crate) fn run_compiled(
-    cache: &PlanCache,
-    params: &[Param],
-    input: &Tensor,
-    record: impl FnOnce(&mut Graph, ExprId) -> Result<ExprId, GraphError>,
-) -> vital::Result<Tensor> {
-    let (rows, cols) = input.shape().as_matrix()?;
-    let entry = cache.get_or_build(rows, nn::weight_stamp(params), || {
-        let mut g = Graph::new();
-        let x = g.input(rows, cols);
-        let out = record(&mut g, x)?;
-        Ok((g, out))
-    })?;
-    Ok(entry.execute(&[input])?)
+/// What one network baseline adds to the protocol they all share (module
+/// docs, "One protocol").
+pub(crate) trait Framework: Sync {
+    /// The trained network [`Framework::record`] runs.
+    type Net: Layer;
+
+    /// The trained network and the extractor that feeds it, or
+    /// [`vital::VitalError::NotFitted`] before [`Localizer::fit`].
+    fn fitted(&self) -> vital::Result<(&Self::Net, &FeatureExtractor)>;
+
+    /// *Input*: a chunk's clean feature vectors as the matrix the network
+    /// reads; one row per query unless the framework says otherwise.
+    fn input(_net: &Self::Net, features: &[Vec<f32>]) -> vital::Result<Tensor> {
+        let width = features.first().map_or(0, Vec::len);
+        Ok(features::rows_to_tensor(features, width)?)
+    }
+
+    /// *Record*: the network's one `forward` over that matrix, plus whatever
+    /// follows it that is still arithmetic; one output row per query.
+    fn record<T: Trace>(net: &Self::Net, t: &mut T, x: T::Node) -> Result<T::Node, T::Error>;
+
+    /// *Decide*: one query's clean features and its output row to a label.
+    fn decide(&self, query: &[f32], output: &[f32]) -> vital::Result<usize>;
 }
 
-/// Evaluates the same `record` op by op on an eval-mode tape: the
-/// uncompiled reference the parity tests hold [`run_compiled`] to.
-pub(crate) fn run_eager(
-    input: &Tensor,
-    record: impl for<'t> FnOnce(&mut Session<'t>, Var<'t>) -> nn::Result<Var<'t>>,
-) -> vital::Result<Tensor> {
+/// Runner: [`Framework::record`] over an input through the compiled plan
+/// `cache` holds for `(input rows, weight stamp)`, recorded and compiled on
+/// a miss.
+pub(crate) fn run_compiled<F: Framework>(
+    cache: &PlanCache,
+) -> impl Fn(&F::Net, &Tensor) -> vital::Result<Tensor> + '_ {
+    move |net, input| {
+        let (rows, cols) = input.shape().as_matrix()?;
+        let entry = cache.get_or_build(rows, nn::weight_stamp(&net.params()), || {
+            let mut g = Graph::new();
+            let x = g.input(rows, cols);
+            let out = F::record(net, &mut g, x)?;
+            Ok((g, out))
+        })?;
+        Ok(entry.execute(&[input])?)
+    }
+}
+
+/// Runner: the same [`Framework::record`] op by op on an eval-mode tape,
+/// the uncompiled reference the parity tests hold [`run_compiled`] to.
+pub(crate) fn run_eager<F: Framework>(net: &F::Net, input: &Tensor) -> vital::Result<Tensor> {
     let tape = Tape::new();
     let mut session = Session::new(&tape, false, 0);
     let x = session.constant(input.clone());
-    Ok(record(&mut session, x)?.value())
+    Ok(F::record(net, &mut session, x)?.value())
+}
+
+/// The one chunked inference loop: [`features::INFERENCE_CHUNK`]
+/// observations at a time are extracted clean, shaped by
+/// [`Framework::input`] and put through `run`, and `per_row` maps every
+/// query and its output row to a result, in observation order. Rows are
+/// independent, so `per_row` fans out across threads.
+pub(crate) fn map_rows<F: Framework, R: Send>(
+    net: &F::Net,
+    extractor: &FeatureExtractor,
+    observations: &[FingerprintObservation],
+    run: impl Fn(&F::Net, &Tensor) -> vital::Result<Tensor>,
+    per_row: impl Fn(&[f32], &[f32]) -> vital::Result<R> + Sync,
+) -> vital::Result<Vec<R>> {
+    let mut results = Vec::with_capacity(observations.len());
+    for chunk in observations.chunks(features::INFERENCE_CHUNK) {
+        let queries = extractor.extract_clean_batch(chunk);
+        let outputs = run(net, &F::input(net, &queries)?)?;
+        let rows: Vec<_> = queries
+            .iter()
+            .zip(outputs.as_slice().chunks_exact(outputs.cols()?))
+            .collect();
+        for result in parallel::parallel_map(&rows, |(query, row)| per_row(query, row)) {
+            results.push(result?);
+        }
+    }
+    Ok(results)
+}
+
+/// [`Localizer::localize_batch`] of every network baseline: [`map_rows`]
+/// over `run` with [`Framework::decide`].
+pub(crate) fn localize<F: Framework>(
+    framework: &F,
+    observations: &[FingerprintObservation],
+    run: impl Fn(&F::Net, &Tensor) -> vital::Result<Tensor>,
+) -> vital::Result<Vec<usize>> {
+    let (net, extractor) = framework.fitted()?;
+    map_rows::<F, _>(net, extractor, observations, run, |q, row| {
+        framework.decide(q, row)
+    })
 }
 
 /// Builds the full comparison suite of the paper's Fig. 7/8/10 —

@@ -7,17 +7,15 @@
 
 use std::path::Path;
 
-use autograd::Tape;
 use fingerprint::{FingerprintDataset, FingerprintObservation};
 use graph::PlanCache;
-use nn::optim::{zero_grads, Adam, Optimizer};
+use nn::optim::{minibatches, Adam};
 use nn::{Activation, Layer, Mlp, Session, Trace};
 use tensor::rng::SeededRng;
-use tensor::Tensor;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
-use crate::features::{rows_to_tensor, tensor_to_rows};
-use crate::{FeatureExtractor, FeatureMode};
+use crate::features::{gather_rows, rows_to_tensor, tensor_to_rows, weighted_knn_vote};
+use crate::{localize, run_compiled, run_eager, FeatureExtractor, FeatureMode, Framework};
 
 /// The SHERPA localizer: DNN coarse classification + KNN refinement.
 #[derive(Debug)]
@@ -152,39 +150,10 @@ impl SherpaLocalizer {
         Ok(sherpa)
     }
 
-    /// DNN posterior for a stack of queries: `[batch, width]` features in,
-    /// `[batch, num_classes]` softmax rows out.
-    fn posterior<T: Trace>(
-        network: &Mlp,
-        t: &mut T,
-        x: T::Node,
-    ) -> std::result::Result<T::Node, T::Error> {
-        let logits = network.forward(t, x)?;
-        t.softmax_rows(logits)
-    }
-
-    /// [`SherpaLocalizer::posterior`] through the build-once/execute-many
-    /// compiled plan (dense → ReLU chain fused with the row softmax);
-    /// bit-identical to [`SherpaLocalizer::posterior_matrix_eager`].
-    fn posterior_matrix(&self, features: &Tensor) -> Result<Tensor> {
-        let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
-        crate::run_compiled(&self.plan_cache, &network.params(), features, |g, x| {
-            Self::posterior(network, g, x)
-        })
-    }
-
     /// Number of compiled posterior plans currently cached (one per batch
     /// shape served since the last weight change).
     pub fn cached_plans(&self) -> usize {
         self.plan_cache.len()
-    }
-
-    /// [`SherpaLocalizer::posterior`] on an eval-mode tape — the
-    /// bit-exactness reference for the compiled plan, exercised by the
-    /// parity tests.
-    fn posterior_matrix_eager(&self, features: &Tensor) -> Result<Tensor> {
-        let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
-        crate::run_eager(features, |session, x| Self::posterior(network, session, x))
     }
 
     /// [`Localizer::localize_batch`] through the eager (tape) posterior —
@@ -196,20 +165,33 @@ impl SherpaLocalizer {
         &self,
         observations: &[FingerprintObservation],
     ) -> Result<Vec<usize>> {
-        let mut predictions = Vec::with_capacity(observations.len());
-        for chunk in observations.chunks(crate::features::INFERENCE_CHUNK) {
-            let queries = self.extractor.extract_clean_batch(chunk);
-            let posterior = self.posterior_matrix_eager(&crate::features::stack_rows(&queries)?)?;
-            for (i, query) in queries.iter().enumerate() {
-                predictions.push(self.refine(query, posterior.row(i)?.as_slice())?);
-            }
-        }
-        Ok(predictions)
+        localize(self, observations, run_eager::<Self>)
+    }
+}
+
+impl Framework for SherpaLocalizer {
+    type Net = Mlp;
+
+    fn fitted(&self) -> Result<(&Mlp, &FeatureExtractor)> {
+        let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
+        Ok((network, &self.extractor))
+    }
+
+    /// The DNN posterior: `[batch, width]` features in, `[batch,
+    /// num_classes]` softmax rows out (in the compiled plan the dense →
+    /// ReLU chain is fused with the row softmax).
+    fn record<T: Trace>(
+        network: &Mlp,
+        t: &mut T,
+        x: T::Node,
+    ) -> std::result::Result<T::Node, T::Error> {
+        let logits = network.forward(t, x)?;
+        t.softmax_rows(logits)
     }
 
     /// The KNN refinement stage: restricts a distance-weighted vote to the
     /// DNN's top candidate classes for one query.
-    fn refine(&self, query: &[f32], posterior_row: &[f32]) -> Result<usize> {
+    fn decide(&self, query: &[f32], posterior_row: &[f32]) -> Result<usize> {
         let mut ranked: Vec<(usize, f32)> = posterior_row.iter().cloned().enumerate().collect();
         ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
         let candidates: Vec<usize> = ranked
@@ -218,37 +200,12 @@ impl SherpaLocalizer {
             .map(|(c, _)| *c)
             .collect();
 
-        // Distance-weighted KNN vote restricted to the candidate classes.
-        let mut scored: Vec<(f32, usize)> = self
-            .train_features
-            .iter()
-            .zip(&self.train_labels)
-            .filter(|(_, label)| candidates.contains(label))
-            .map(|(f, &label)| {
-                let d: f32 = f
-                    .iter()
-                    .zip(query)
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f32>()
-                    .sqrt();
-                (d, label)
-            })
-            .collect();
-        if scored.is_empty() {
-            // Fall back to the DNN's argmax when no memory matches.
-            return Ok(candidates.first().copied().unwrap_or(0));
-        }
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-        scored.truncate(self.neighbours);
-        let mut votes: std::collections::HashMap<usize, f32> = std::collections::HashMap::new();
-        for (d, label) in scored {
-            *votes.entry(label).or_insert(0.0) += 1.0 / (d + 1e-3);
-        }
-        votes
-            .into_iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(label, _)| label)
-            .ok_or(VitalError::NotFitted)
+        // Distance-weighted KNN vote restricted to the candidate classes,
+        // falling back to the DNN's argmax when no memory matches.
+        let memory = self.train_features.iter().zip(&self.train_labels);
+        let candidate_memory = memory.filter(|(_, label)| candidates.contains(label));
+        Ok(weighted_knn_vote(candidate_memory, query, self.neighbours)
+            .unwrap_or_else(|| candidates.first().copied().unwrap_or(0)))
     }
 }
 
@@ -267,31 +224,23 @@ impl Localizer for SherpaLocalizer {
         let width = features.cols()?;
 
         let network = Self::build_network(self.seed, width, self.num_classes);
-        let mut optimizer = Adam::new(2e-3);
-        let params = network.params();
-        let batch = 32;
-        let n = features.rows()?;
-        let mut order: Vec<usize> = (0..n).collect();
-        for epoch in 0..self.epochs {
-            rng.shuffle(&mut order);
-            for chunk in order.chunks(batch) {
-                let rows: Vec<Tensor> = chunk
-                    .iter()
-                    .map(|&i| features.slice_rows(i, i + 1))
-                    .collect::<std::result::Result<_, _>>()?;
-                let refs: Vec<&Tensor> = rows.iter().collect();
-                let x_batch = Tensor::concat_rows(&refs)?;
-                let y_batch: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
-                let tape = Tape::new();
-                let mut session = Session::new(&tape, true, self.seed.wrapping_add(epoch as u64));
-                let x = session.constant(x_batch);
+        minibatches(
+            &mut Adam::new(2e-3),
+            &network.params(),
+            features.rows()?,
+            32,
+            self.epochs,
+            &mut rng,
+            |tape, epoch, _, indices, _| {
+                let mut session = Session::new(tape, true, self.seed.wrapping_add(epoch as u64));
+                let x = session.constant(gather_rows(&features, indices)?);
+                let y_batch: Vec<usize> = indices.iter().map(|&i| labels[i]).collect();
                 let logits = network.forward(&mut session, x)?;
                 let loss = logits.softmax_cross_entropy(&y_batch)?;
-                session.backward(loss)?;
-                optimizer.step(&params);
-                zero_grads(&params);
-            }
-        }
+                Ok::<_, VitalError>((session, loss))
+            },
+            |_, _| {},
+        )?;
         self.network = Some(network);
 
         // KNN memory uses clean (non-augmented) fingerprints.
@@ -305,27 +254,8 @@ impl Localizer for SherpaLocalizer {
         Ok(())
     }
 
-    fn predict(&self, observation: &FingerprintObservation) -> Result<usize> {
-        let mut rng = SeededRng::new(0);
-        let query = self.extractor.extract(observation, false, &mut rng);
-        let x = Tensor::from_vec(query.clone(), &[1, query.len()])?;
-        let posterior = self.posterior_matrix(&x)?;
-        self.refine(&query, posterior.row(0)?.as_slice())
-    }
-
     fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>> {
-        // Stage 1 batched: all queries in a chunk share one DNN forward
-        // pass. Stage 2 (per-query KNN refinement) stays sequential over
-        // the posterior rows.
-        let mut predictions = Vec::with_capacity(observations.len());
-        for chunk in observations.chunks(crate::features::INFERENCE_CHUNK) {
-            let queries = self.extractor.extract_clean_batch(chunk);
-            let posterior = self.posterior_matrix(&crate::features::stack_rows(&queries)?)?;
-            for (i, query) in queries.iter().enumerate() {
-                predictions.push(self.refine(query, posterior.row(i)?.as_slice())?);
-            }
-        }
-        Ok(predictions)
+        localize(self, observations, run_compiled::<Self>(&self.plan_cache))
     }
 
     fn save(&self, path: &Path) -> Result<()> {

@@ -13,13 +13,15 @@ use std::path::Path;
 
 use fingerprint::{FingerprintDataset, FingerprintObservation};
 use graph::PlanCache;
-use nn::{Layer, StackedAutoencoder};
+use nn::{Layer, StackedAutoencoder, Trace};
 use tensor::rng::SeededRng;
 use tensor::Tensor;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
-use crate::features::{rows_to_tensor, tensor_to_rows};
-use crate::{FeatureExtractor, FeatureMode};
+use crate::features::{rows_to_tensor, squared_distance, tensor_to_rows};
+use crate::{
+    localize, map_rows, run_compiled, run_eager, FeatureExtractor, FeatureMode, Framework,
+};
 
 /// The WiDeep localizer: denoising SAE + Gaussian-kernel classification.
 #[derive(Debug)]
@@ -152,56 +154,10 @@ impl WiDeepLocalizer {
         Ok(wideep)
     }
 
-    fn encode(&self, features: &[f32]) -> Result<Vec<f32>> {
-        let x = Tensor::from_vec(features.to_vec(), &[1, features.len()])?;
-        Ok(self.encode_matrix_eager(&x)?.into_vec())
-    }
-
-    /// SAE codes of a `[batch, width]` stack on an eval-mode tape — the
-    /// bit-exactness reference for [`WiDeepLocalizer::encode_matrix`].
-    fn encode_matrix_eager(&self, features: &Tensor) -> Result<Tensor> {
-        let ae = self.autoencoder.as_ref().ok_or(VitalError::NotFitted)?;
-        crate::run_eager(features, |session, x| ae.encode(session, x))
-    }
-
-    /// Encodes a `[batch, width]` query stack through the cached compiled
-    /// SAE-encoder plan; bit-identical to
-    /// [`WiDeepLocalizer::encode_matrix_eager`] on the same stack.
-    fn encode_matrix(&self, features: &Tensor) -> Result<Tensor> {
-        let ae = self.autoencoder.as_ref().ok_or(VitalError::NotFitted)?;
-        crate::run_compiled(&self.plan_cache, &ae.params(), features, |g, x| {
-            ae.encode(g, x)
-        })
-    }
-
     /// Number of compiled encoder plans currently cached (one per batch
     /// shape served since the last weight change).
     pub fn cached_plans(&self) -> usize {
         self.plan_cache.len()
-    }
-
-    /// Gaussian-kernel classification of a stack of encoded queries; the
-    /// scoring only touches Sync state, so queries fan out across threads.
-    fn classify_codes(&self, codes: &Tensor) -> Result<Vec<usize>> {
-        let code_width = codes.cols()?;
-        let queries: Vec<Vec<f32>> = codes
-            .as_slice()
-            .chunks_exact(code_width)
-            .map(<[f32]>::to_vec)
-            .collect();
-        let memory_codes = &self.codes;
-        let memory_labels = &self.labels;
-        let gamma = 1.0 / (2.0 * self.length_scale * self.length_scale);
-        let num_classes = self.num_classes;
-        let scored = parallel::parallel_map(&queries, |query| {
-            let mut posterior = vec![0.0f32; num_classes];
-            for (code, &label) in memory_codes.iter().zip(memory_labels) {
-                let d2: f32 = code.iter().zip(query).map(|(a, b)| (a - b) * (a - b)).sum();
-                posterior[label] += (-gamma * d2).exp();
-            }
-            Tensor::from_vec(posterior, &[num_classes]).and_then(|t| t.argmax())
-        });
-        scored.into_iter().map(|s| Ok(s?)).collect()
     }
 
     /// [`Localizer::localize_batch`] through the eager (tape) SAE encoder —
@@ -213,25 +169,36 @@ impl WiDeepLocalizer {
         &self,
         observations: &[FingerprintObservation],
     ) -> Result<Vec<usize>> {
+        localize(self, observations, run_eager::<Self>)
+    }
+}
+
+impl Framework for WiDeepLocalizer {
+    type Net = StackedAutoencoder;
+
+    fn fitted(&self) -> Result<(&StackedAutoencoder, &FeatureExtractor)> {
         if self.codes.is_empty() {
             return Err(VitalError::NotFitted);
         }
-        let mut predictions = Vec::with_capacity(observations.len());
-        for chunk in observations.chunks(crate::features::INFERENCE_CHUNK) {
-            let features = self.extractor.extract_clean_batch(chunk);
-            let codes = self.encode_matrix_eager(&crate::features::stack_rows(&features)?)?;
-            predictions.extend(self.classify_codes(&codes)?);
-        }
-        Ok(predictions)
+        let autoencoder = self.autoencoder.as_ref().ok_or(VitalError::NotFitted)?;
+        Ok((autoencoder, &self.extractor))
+    }
+
+    /// The SAE encoder: `[batch, width]` features in, bottleneck codes out.
+    fn record<T: Trace>(
+        autoencoder: &StackedAutoencoder,
+        t: &mut T,
+        x: T::Node,
+    ) -> std::result::Result<T::Node, T::Error> {
+        autoencoder.encode(t, x)
     }
 
     /// Gaussian-kernel posterior argmax for one encoded query.
-    fn classify_code(&self, query: &[f32]) -> Result<usize> {
+    fn decide(&self, _query: &[f32], code: &[f32]) -> Result<usize> {
         let gamma = 1.0 / (2.0 * self.length_scale * self.length_scale);
         let mut posterior = vec![0.0f32; self.num_classes];
-        for (code, &label) in self.codes.iter().zip(&self.labels) {
-            let d2: f32 = code.iter().zip(query).map(|(a, b)| (a - b) * (a - b)).sum();
-            posterior[label] += (-gamma * d2).exp();
+        for (memory, &label) in self.codes.iter().zip(&self.labels) {
+            posterior[label] += (-gamma * squared_distance(memory, code)).exp();
         }
         Ok(Tensor::from_vec(posterior, &[self.num_classes])?.argmax()?)
     }
@@ -248,66 +215,38 @@ impl Localizer for WiDeepLocalizer {
         }
         self.num_classes = train.num_rps();
         let mut rng = SeededRng::new(self.seed);
-        let (features, labels) = self.extractor.extract_matrix(train, true, 1, &mut rng);
+        let (features, _) = self.extractor.extract_matrix(train, true, 1, &mut rng);
         let width = features.cols()?;
 
         // Denoising SAE pre-training (aggressive corruption, per the paper's
         // description of WiDeep's behaviour).
         let autoencoder = Self::build_autoencoder(self.seed, width);
-        autoencoder
-            .pretrain(
-                &features,
-                self.pretrain_epochs,
-                5e-3,
-                self.corruption_std,
-                self.seed,
-            )
-            .map_err(VitalError::from)?;
-        self.autoencoder = Some(autoencoder);
+        autoencoder.pretrain(
+            &features,
+            self.pretrain_epochs,
+            5e-3,
+            self.corruption_std,
+            self.seed,
+        )?;
 
-        // Store the codes of the clean fingerprints for kernel inference.
-        let mut clean_rng = SeededRng::new(self.seed.wrapping_add(2));
-        self.codes = train
-            .observations()
-            .iter()
-            .map(|o| {
-                let f = self.extractor.extract(o, false, &mut clean_rng);
-                self.encode(&f)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        self.labels = labels
-            .into_iter()
-            .take(self.codes.len())
-            .collect::<Vec<_>>();
-        // extract_matrix may have produced augmented copies; keep labels of
-        // the clean observations only.
+        // Store the codes of the clean fingerprints for kernel inference
+        // (the training matrix may also hold augmented copies; the memory
+        // holds the clean observations only).
+        let to_code = |_: &[f32], code: &[f32]| Ok(code.to_vec());
+        self.codes = map_rows::<Self, _>(
+            &autoencoder,
+            &self.extractor,
+            train.observations(),
+            run_eager::<Self>,
+            to_code,
+        )?;
+        self.autoencoder = Some(autoencoder);
         self.labels = train.labels();
         Ok(())
     }
 
-    fn predict(&self, observation: &FingerprintObservation) -> Result<usize> {
-        if self.codes.is_empty() {
-            return Err(VitalError::NotFitted);
-        }
-        let mut rng = SeededRng::new(0);
-        let features = self.extractor.extract(observation, false, &mut rng);
-        let query = self.encode(&features)?;
-        self.classify_code(&query)
-    }
-
     fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>> {
-        if self.codes.is_empty() {
-            return Err(VitalError::NotFitted);
-        }
-        let mut predictions = Vec::with_capacity(observations.len());
-        for chunk in observations.chunks(crate::features::INFERENCE_CHUNK) {
-            // Encode the whole chunk through the compiled SAE-encoder plan
-            // in one stacked pass, then kernel-score the codes.
-            let features = self.extractor.extract_clean_batch(chunk);
-            let codes = self.encode_matrix(&crate::features::stack_rows(&features)?)?;
-            predictions.extend(self.classify_codes(&codes)?);
-        }
-        Ok(predictions)
+        localize(self, observations, run_compiled::<Self>(&self.plan_cache))
     }
 
     fn save(&self, path: &Path) -> Result<()> {

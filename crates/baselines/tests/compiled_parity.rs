@@ -3,13 +3,18 @@
 //! Each neural localizer serves inference from a build-once/execute-many
 //! compiled plan (`crates/graph`) keyed by batch shape; the tape-based
 //! eager path is kept as the bit-exactness reference. These tests assert
-//! the two paths agree *exactly* — across batch sizes {1, 2, 32} and
+//! the two paths agree *exactly* — across batch sizes {1, 2, 32, 65} and
 //! worker-thread counts {1, 4} — and that plan caching behaves (one plan
-//! per batch shape, reused on re-execution).
+//! per chunk shape, reused on re-execution). 65 crosses the baselines'
+//! 64-observation inference chunk, so the shared chunk loop has to stitch
+//! a full chunk and a remainder of one in order.
 //!
 //! KNN is the one localizer without a neural stage, so it has no compiled
 //! plan; its parity property is batch-vs-single-query consistency under
 //! the same thread counts.
+//!
+//! `predict` is `localize_batch` of one observation for all six
+//! localizers, fitted or not; the last test pins that.
 
 use baselines::{
     AnvilLocalizer, CnnLocLocalizer, FeatureMode, KnnLocalizer, SherpaLocalizer, WiDeepLocalizer,
@@ -18,9 +23,9 @@ use fingerprint::{base_devices, DatasetConfig, FingerprintDataset, FingerprintOb
 use sim_radio::building_1;
 use tensor::rng::SeededRng;
 use tensor::Tensor;
-use vital::{Localizer, VitalConfig, VitalModel};
+use vital::{Localizer, VitalConfig, VitalError, VitalModel};
 
-const BATCH_SIZES: [usize; 3] = [1, 2, 32];
+const BATCH_SIZES: [usize; 4] = [1, 2, 32, 65];
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 fn tiny_dataset() -> FingerprintDataset {
@@ -56,9 +61,10 @@ fn queries(dataset: &FingerprintDataset, n: usize) -> Vec<FingerprintObservation
         .collect()
 }
 
-/// Asserts compiled `localize_batch` output equals the eager reference for
-/// every batch size and thread count, then that re-serving the same shapes
-/// hits the cached plans instead of compiling new ones.
+/// Asserts compiled `localize_batch` output equals the eager reference and
+/// per-observation prediction for every batch size and thread count, then
+/// that re-serving the same shapes hits the cached plans instead of
+/// compiling new ones.
 fn assert_compiled_parity<L: Localizer>(
     localizer: &L,
     dataset: &FingerprintDataset,
@@ -77,13 +83,25 @@ fn assert_compiled_parity<L: Localizer>(
                     "{}: compiled diverged from eager at batch {batch} / {threads} threads",
                     localizer.name()
                 );
+                // Both runners share the chunk loop; per-observation
+                // prediction is what shows a chunk stitched out of order.
+                let single: Vec<usize> = observations
+                    .iter()
+                    .map(|o| localizer.predict(o).unwrap())
+                    .collect();
+                assert_eq!(
+                    compiled,
+                    single,
+                    "{}: batch {batch} diverged from per-observation prediction",
+                    localizer.name()
+                );
             }
         });
     }
     let plans = cached_plans(localizer);
     assert!(
         plans <= BATCH_SIZES.len(),
-        "{}: one plan per batch shape expected, found {plans}",
+        "{}: one plan per chunk shape expected, found {plans}",
         localizer.name()
     );
     // Re-serving the same shapes must reuse every cached plan.
@@ -153,16 +171,20 @@ fn anvil_compiled_matches_eager() {
     );
 }
 
-#[test]
-fn vital_compiled_matches_eager() {
-    let dataset = tiny_dataset();
+fn tiny_vital() -> VitalModel {
     let mut config = VitalConfig::fast(building_1().access_points().len(), 10);
     config.image_size = 16;
     config.patch_size = 4;
     config.d_model = 24;
     config.msa_heads = 4;
     config.train.epochs = 2;
-    let mut model = VitalModel::new(config).unwrap();
+    VitalModel::new(config).unwrap()
+}
+
+#[test]
+fn vital_compiled_matches_eager() {
+    let dataset = tiny_dataset();
+    let mut model = tiny_vital();
     model.fit(&dataset).unwrap();
 
     for threads in THREAD_COUNTS {
@@ -209,5 +231,50 @@ fn knn_batch_matches_single_query_across_threads() {
                 );
             }
         });
+    }
+}
+
+#[test]
+fn predict_is_a_batch_of_one_and_unfitted_models_refuse_both() {
+    let dataset = tiny_dataset();
+    let observations = dataset.observations();
+    let mut localizers: Vec<Box<dyn Localizer>> = vec![
+        Box::new(tiny_vital()),
+        Box::new(AnvilLocalizer::new(14).with_epochs(2)),
+        Box::new(SherpaLocalizer::new(11).with_epochs(2)),
+        Box::new(
+            CnnLocLocalizer::new(13)
+                .with_epochs(2)
+                .with_pretrain_epochs(2),
+        ),
+        Box::new(WiDeepLocalizer::new(12).with_pretrain_epochs(2)),
+        Box::new(KnnLocalizer::new(3, FeatureMode::Ssd)),
+    ];
+    for localizer in &mut localizers {
+        let name = localizer.name().to_string();
+        assert!(
+            matches!(
+                localizer.predict(&observations[0]),
+                Err(VitalError::NotFitted)
+            ),
+            "{name}: unfitted predict must be NotFitted"
+        );
+        assert!(
+            matches!(
+                localizer.localize_batch(observations),
+                Err(VitalError::NotFitted)
+            ),
+            "{name}: unfitted localize_batch must be NotFitted"
+        );
+        localizer.fit(&dataset).unwrap();
+        for observation in observations {
+            assert_eq!(
+                localizer.predict(observation).unwrap(),
+                localizer
+                    .localize_batch(std::slice::from_ref(observation))
+                    .unwrap()[0],
+                "{name}: predict diverged from a batch of one"
+            );
+        }
     }
 }

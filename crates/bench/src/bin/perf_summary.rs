@@ -1,7 +1,6 @@
-//! Performance summary: times the packed GEMM against the pre-PR reference
-//! kernel, the dispatched SIMD kernels (transcendentals and the packed
-//! GEMM) against forced-scalar, and single vs. batched ViT inference,
-//! writing a machine-readable `BENCH_perf.json` at the repo root.
+//! Performance summary: times the dispatched SIMD kernels (transcendentals
+//! and the packed GEMM) against forced-scalar, and single vs. batched ViT
+//! inference, writing a machine-readable `BENCH_perf.json` at the repo root.
 //!
 //! This seeds the performance trajectory of the workspace: every future
 //! optimisation PR reruns this binary and compares the JSON against the
@@ -18,40 +17,6 @@ use tensor::rng::SeededRng;
 use tensor::Tensor;
 use vital::{VisionTransformer, VitalConfig};
 
-/// The pre-PR matmul (cache-blocked triple loop with the `a_ip == 0.0`
-/// shortcut), kept verbatim as the speedup baseline.
-fn reference_matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    const BLOCK: usize = 64;
-    let (m, k) = (a.rows().unwrap(), a.cols().unwrap());
-    let n = b.cols().unwrap();
-    let a = a.as_slice();
-    let b = b.as_slice();
-    let mut out = vec![0.0f32; m * n];
-    for ii in (0..m).step_by(BLOCK) {
-        let i_end = (ii + BLOCK).min(m);
-        for kk in (0..k).step_by(BLOCK) {
-            let k_end = (kk + BLOCK).min(k);
-            for jj in (0..n).step_by(BLOCK) {
-                let j_end = (jj + BLOCK).min(n);
-                for i in ii..i_end {
-                    for p in kk..k_end {
-                        let a_ip = a[i * k + p];
-                        if a_ip == 0.0 {
-                            continue;
-                        }
-                        let b_row = &b[p * n + jj..p * n + j_end];
-                        let o_row = &mut out[i * n + jj..i * n + j_end];
-                        for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                            *o += a_ip * bv;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, &[m, n]).unwrap()
-}
-
 /// Median wall-clock milliseconds of `reps` runs of `f` (one warmup run).
 fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     f();
@@ -63,51 +28,6 @@ fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     }
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
-}
-
-struct GemmRow {
-    size: usize,
-    packed_ms: f64,
-    reference_ms: f64,
-}
-
-fn bench_gemm(sizes: &[usize], reps: usize) -> Vec<GemmRow> {
-    sizes
-        .iter()
-        .map(|&size| {
-            let a = SeededRng::new(1).uniform_tensor(&[size, size], -1.0, 1.0);
-            let b = SeededRng::new(2).uniform_tensor(&[size, size], -1.0, 1.0);
-            let packed_ms = time_ms(reps, || {
-                std::hint::black_box(a.matmul(&b).unwrap());
-            });
-            let reference_ms = time_ms(reps, || {
-                std::hint::black_box(reference_matmul(&a, &b));
-            });
-            // Guard against the two kernels drifting apart.
-            let packed = a.matmul(&b).unwrap();
-            let reference = reference_matmul(&a, &b);
-            let max_abs = packed
-                .sub(&reference)
-                .unwrap()
-                .abs()
-                .max()
-                .unwrap_or(f32::INFINITY);
-            assert!(
-                max_abs < 1e-2,
-                "packed and reference GEMM disagree at {size}: {max_abs}"
-            );
-            eprintln!(
-                "gemm {size:>4}³  packed {packed_ms:>8.2} ms  reference {reference_ms:>8.2} ms  \
-                 speedup {:>5.2}×",
-                reference_ms / packed_ms
-            );
-            GemmRow {
-                size,
-                packed_ms,
-                reference_ms,
-            }
-        })
-        .collect()
 }
 
 struct SimdRow {
@@ -195,8 +115,7 @@ struct GemmDispatchRow {
 
 /// Times the packed GEMM pinned at `Level::Scalar` against the runtime-
 /// dispatched level on identical buffers — the dispatch win the `gemm`
-/// floors in `ci/perf-thresholds.json` gate (the packed-vs-reference rows
-/// above measure the *algorithmic* win instead).
+/// floors in `ci/perf-thresholds.json` gate.
 fn bench_gemm_dispatch(sizes: &[usize], reps: usize) -> (&'static str, Vec<GemmDispatchRow>) {
     let level = simd::active_level();
     let rows = sizes
@@ -356,7 +275,6 @@ fn main() {
         "perf_summary: scale={scale:?} threads={threads} (override with VITAL_THREADS/--full)"
     );
 
-    let gemm = bench_gemm(sizes, gemm_reps);
     let (simd_level, simd_rows) = bench_simd(scale, gemm_reps.max(5));
     let (_, gemm_dispatch) = bench_gemm_dispatch(sizes, gemm_reps);
     let vit = bench_vit(scale, vit_reps);
@@ -364,18 +282,6 @@ fn main() {
     // Round to the precision the hand-formatted report used to commit.
     let r4 = |x: f64| Json::from((x * 1e4).round() / 1e4);
     let r3 = |x: f64| Json::from((x * 1e3).round() / 1e3);
-    let gemm_rows = Json::arr(gemm.iter().map(|r| {
-        let gflops = 2.0 * (r.size as f64).powi(3) / (r.packed_ms * 1e6);
-        Json::obj([
-            ("m", Json::from(r.size)),
-            ("k", Json::from(r.size)),
-            ("n", Json::from(r.size)),
-            ("packed_ms", r4(r.packed_ms)),
-            ("reference_ms", r4(r.reference_ms)),
-            ("speedup", r3(r.reference_ms / r.packed_ms)),
-            ("packed_gflops", Json::from((gflops * 1e2).round() / 1e2)),
-        ])
-    }));
     let json = Json::obj([
         (
             "scale",
@@ -385,7 +291,6 @@ fn main() {
             }),
         ),
         ("threads", Json::from(threads)),
-        ("gemm", gemm_rows),
         (
             "simd",
             Json::obj([

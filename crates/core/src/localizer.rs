@@ -30,25 +30,27 @@ pub trait Localizer: Send + Sync {
     /// framework's configuration.
     fn fit(&mut self, train: &FingerprintDataset) -> Result<()>;
 
-    /// Predicts the reference-point label of a single observation.
-    ///
-    /// # Errors
-    /// Returns [`VitalError::NotFitted`] if called before [`Localizer::fit`].
-    fn predict(&self, observation: &FingerprintObservation) -> Result<usize>;
-
     /// Predicts reference-point labels for a batch of observations, in input
-    /// order.
-    ///
-    /// The default implementation loops over [`Localizer::predict`];
-    /// frameworks override it when they can amortize per-query overhead —
-    /// the VITAL transformer stacks the whole batch into one forward pass,
-    /// and feature-space matchers fan queries out across threads. The
-    /// evaluation harness always goes through this entry point.
+    /// order: the one inference entry point a framework implements, and the
+    /// one the evaluation harness and the server go through. Network models
+    /// stack chunks of the batch into one forward pass each; feature-space
+    /// matchers fan the queries out across threads.
     ///
     /// # Errors
-    /// Returns the first per-observation prediction error encountered.
-    fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>> {
-        observations.iter().map(|o| self.predict(o)).collect()
+    /// Returns [`VitalError::NotFitted`] if called before [`Localizer::fit`],
+    /// or the first per-observation error encountered.
+    fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>>;
+
+    /// Predicts the reference-point label of a single observation: a batch
+    /// of one, so single and batched inference cannot disagree.
+    ///
+    /// # Errors
+    /// Whatever [`Localizer::localize_batch`] returns.
+    fn predict(&self, observation: &FingerprintObservation) -> Result<usize> {
+        let batch = self.localize_batch(std::slice::from_ref(observation))?;
+        batch.first().copied().ok_or_else(|| {
+            VitalError::InvalidDataset("localize_batch returned no prediction".into())
+        })
     }
 
     /// Persists the trained model as a versioned checkpoint file.
@@ -157,11 +159,11 @@ mod tests {
             self.fitted = true;
             Ok(())
         }
-        fn predict(&self, _obs: &FingerprintObservation) -> Result<usize> {
+        fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>> {
             if !self.fitted {
                 return Err(VitalError::NotFitted);
             }
-            Ok(self.label)
+            Ok(vec![self.label; observations.len()])
         }
     }
 

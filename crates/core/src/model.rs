@@ -2,9 +2,8 @@
 //! transformer, with the offline (training) and online (inference) phases of
 //! Fig. 3.
 
-use autograd::Tape;
 use fingerprint::{FingerprintDataset, FingerprintObservation};
-use nn::optim::{zero_grads, Adam, Optimizer};
+use nn::optim::{minibatches, Adam};
 use nn::{Layer, Session};
 use serde::{Deserialize, Serialize};
 use tensor::rng::SeededRng;
@@ -135,8 +134,7 @@ impl VitalModel {
     /// Returns an error if the dataset is empty or labels exceed the
     /// configured class count.
     pub fn fit(&mut self, train: &FingerprintDataset) -> Result<TrainingReport> {
-        let report = self.fit_with_progress(train, |_, _| {})?;
-        Ok(report)
+        self.fit_with_progress(train, |_, _| {})
     }
 
     /// Like [`VitalModel::fit`] but invokes `progress(epoch, mean_loss)` after
@@ -148,50 +146,38 @@ impl VitalModel {
     pub fn fit_with_progress(
         &mut self,
         train: &FingerprintDataset,
-        mut progress: impl FnMut(usize, f32),
+        progress: impl FnMut(usize, f32),
     ) -> Result<TrainingReport> {
         self.check_dataset(train)?;
         let observations = train.observations();
-        let mut optimizer = Adam::new(self.config.train.learning_rate);
-        let mut rng = SeededRng::new(self.config.train.seed.wrapping_add(0xA0));
-        let params = self.transformer.params();
-
-        let mut epoch_losses = Vec::with_capacity(self.config.train.epochs);
-        let mut indices: Vec<usize> = (0..observations.len()).collect();
-        for epoch in 0..self.config.train.epochs {
-            rng.shuffle(&mut indices);
-            let mut epoch_loss = 0.0;
-            let mut batches = 0;
-            for chunk in indices.chunks(self.config.train.batch_size) {
-                let mut batch_patches = Vec::with_capacity(chunk.len());
-                let mut batch_labels = Vec::with_capacity(chunk.len());
-                for &i in chunk {
-                    batch_patches.push(self.prepare_patches(&observations[i], true, &mut rng)?);
+        let train_config = &self.config.train;
+        let mut rng = SeededRng::new(train_config.seed.wrapping_add(0xA0));
+        let epoch_losses = minibatches(
+            &mut Adam::new(train_config.learning_rate),
+            &self.transformer.params(),
+            observations.len(),
+            train_config.batch_size,
+            train_config.epochs,
+            &mut rng,
+            |tape, epoch, batch, indices, rng| {
+                let mut batch_patches = Vec::with_capacity(indices.len());
+                let mut batch_labels = Vec::with_capacity(indices.len());
+                for &i in indices {
+                    batch_patches.push(self.prepare_patches(&observations[i], true, rng)?);
                     batch_labels.push(observations[i].rp_label);
                 }
-                let tape = Tape::new();
-                let mut session = Session::new(
-                    &tape,
-                    true,
-                    self.config
-                        .train
-                        .seed
-                        .wrapping_add((epoch * 10_007 + batches) as u64),
-                );
+                let session_seed = train_config
+                    .seed
+                    .wrapping_add((epoch * 10_007 + batch) as u64);
+                let mut session = Session::new(tape, true, session_seed);
                 let logits = self
                     .transformer
                     .forward_batch(&mut session, &batch_patches)?;
                 let loss = logits.softmax_cross_entropy(&batch_labels)?;
-                epoch_loss += loss.value().item()?;
-                batches += 1;
-                session.backward(loss)?;
-                optimizer.step(&params);
-                zero_grads(&params);
-            }
-            let mean_loss = epoch_loss / batches.max(1) as f32;
-            progress(epoch, mean_loss);
-            epoch_losses.push(mean_loss);
-        }
+                Ok::<_, VitalError>((session, loss))
+            },
+            progress,
+        )?;
         self.fitted = true;
 
         // Training accuracy on a bounded subsample (keeps fit() cheap).
@@ -199,7 +185,7 @@ impl VitalModel {
         let mut total = 0;
         let step = (observations.len() / 200).max(1);
         for observation in observations.iter().step_by(step) {
-            if self.predict_observation(observation)? == observation.rp_label {
+            if self.predict(observation)? == observation.rp_label {
                 correct += 1;
             }
             total += 1;
@@ -208,10 +194,6 @@ impl VitalModel {
             epoch_losses,
             final_train_accuracy: correct as f32 / total.max(1) as f32,
         })
-    }
-
-    fn predict_observation(&self, observation: &FingerprintObservation) -> Result<usize> {
-        Ok(self.predict_observations(std::slice::from_ref(observation))?[0])
     }
 
     /// Serializes the trained model (configuration + transformer weights)
@@ -293,13 +275,6 @@ impl Localizer for VitalModel {
     fn fit(&mut self, train: &FingerprintDataset) -> Result<()> {
         VitalModel::fit(self, train)?;
         Ok(())
-    }
-
-    fn predict(&self, observation: &FingerprintObservation) -> Result<usize> {
-        if !self.fitted {
-            return Err(VitalError::NotFitted);
-        }
-        self.predict_observation(observation)
     }
 
     fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>> {

@@ -2,7 +2,7 @@ use autograd::Tape;
 use tensor::rng::SeededRng;
 use tensor::Tensor;
 
-use crate::optim::{Adam, Optimizer};
+use crate::optim::{zero_grads, Adam, Optimizer};
 use crate::{Activation, Layer, Mlp, Param, Session, Trace};
 
 /// A stacked (denoising) autoencoder.
@@ -90,6 +90,7 @@ impl StackedAutoencoder {
         seed: u64,
     ) -> crate::Result<f32> {
         let mut adam = Adam::new(learning_rate);
+        let params = self.params();
         let mut rng = SeededRng::new(seed);
         let mut last = 0.0;
         for epoch in 0..epochs {
@@ -106,10 +107,8 @@ impl StackedAutoencoder {
             let loss = recon.mse_loss(data)?;
             last = loss.value().item()?;
             session.backward(loss)?;
-            adam.step(&self.params());
-            for p in self.params() {
-                p.zero_grad();
-            }
+            adam.step(&params);
+            zero_grads(&params);
         }
         Ok(last)
     }

@@ -2,9 +2,11 @@
 
 use std::collections::HashMap;
 
-use tensor::Tensor;
+use autograd::{Tape, Var};
+use tensor::rng::SeededRng;
+use tensor::{Tensor, TensorError};
 
-use crate::Param;
+use crate::{Param, Session};
 
 /// Common interface of optimizers: apply one update step using the gradients
 /// currently accumulated in the given parameters.
@@ -21,6 +23,57 @@ pub fn zero_grads(params: &[Param]) {
     for p in params {
         p.zero_grad();
     }
+}
+
+/// Mini-batch gradient descent over `samples` training rows for `epochs`
+/// passes: the one training loop every model's `fit` runs.
+///
+/// Each epoch shuffles the row order with `rng`; each `batch_size` chunk of
+/// it gets a fresh [`Tape`], onto which `batch_loss(tape, epoch,
+/// batch_index, indices, rng)` records the batch, returning the training
+/// [`Session`] it opened (under the model's own dropout-seed formula) and
+/// the scalar loss. It may draw augmentation noise from the same `rng`.
+/// The loop owns the rest: [`Session::backward`], [`Optimizer::step`],
+/// [`zero_grads`] and the epoch's mean loss, handed to `progress(epoch,
+/// mean)` as the epoch ends and returned for all epochs.
+///
+/// # Errors
+/// Whatever `batch_loss` returns, and tape errors from the backward pass.
+#[allow(clippy::too_many_arguments)] // exactly what the per-model loops it replaced differed in
+pub fn minibatches<E: From<TensorError>>(
+    optimizer: &mut impl Optimizer,
+    params: &[Param],
+    samples: usize,
+    batch_size: usize,
+    epochs: usize,
+    rng: &mut SeededRng,
+    mut batch_loss: impl for<'t> FnMut(
+        &'t Tape,
+        usize,
+        usize,
+        &[usize],
+        &mut SeededRng,
+    ) -> Result<(Session<'t>, Var<'t>), E>,
+    mut progress: impl FnMut(usize, f32),
+) -> Result<Vec<f32>, E> {
+    let mut order: Vec<usize> = (0..samples).collect();
+    let mut epoch_losses = Vec::with_capacity(epochs);
+    for epoch in 0..epochs {
+        rng.shuffle(&mut order);
+        let mut epoch_loss = 0.0;
+        for (batch, indices) in order.chunks(batch_size).enumerate() {
+            let tape = Tape::new();
+            let (session, loss) = batch_loss(&tape, epoch, batch, indices, rng)?;
+            epoch_loss += loss.value().item()?;
+            session.backward(loss)?;
+            optimizer.step(params);
+            zero_grads(params);
+        }
+        let mean_loss = epoch_loss / samples.div_ceil(batch_size).max(1) as f32;
+        progress(epoch, mean_loss);
+        epoch_losses.push(mean_loss);
+    }
+    Ok(epoch_losses)
 }
 
 /// Stochastic gradient descent with optional momentum.

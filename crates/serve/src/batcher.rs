@@ -947,8 +947,11 @@ mod tests {
         fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
             Ok(())
         }
-        fn predict(&self, o: &fingerprint::FingerprintObservation) -> VitalResult<usize> {
-            Ok((-o.mean[0]) as usize)
+        fn localize_batch(
+            &self,
+            observations: &[fingerprint::FingerprintObservation],
+        ) -> VitalResult<Vec<usize>> {
+            Ok(observations.iter().map(|o| (-o.mean[0]) as usize).collect())
         }
     }
 
@@ -962,7 +965,10 @@ mod tests {
         fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
             Ok(())
         }
-        fn predict(&self, _: &fingerprint::FingerprintObservation) -> VitalResult<usize> {
+        fn localize_batch(
+            &self,
+            _: &[fingerprint::FingerprintObservation],
+        ) -> VitalResult<Vec<usize>> {
             Err(VitalError::NotFitted)
         }
     }
@@ -1152,9 +1158,6 @@ mod tests {
         fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
             Ok(())
         }
-        fn predict(&self, _: &fingerprint::FingerprintObservation) -> VitalResult<usize> {
-            Ok(0)
-        }
         fn localize_batch(
             &self,
             observations: &[fingerprint::FingerprintObservation],
@@ -1248,7 +1251,10 @@ mod tests {
         fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
             Ok(())
         }
-        fn predict(&self, _: &fingerprint::FingerprintObservation) -> VitalResult<usize> {
+        fn localize_batch(
+            &self,
+            _: &[fingerprint::FingerprintObservation],
+        ) -> VitalResult<Vec<usize>> {
             panic!("model blew up");
         }
     }
@@ -1470,9 +1476,12 @@ mod tests {
             fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
                 Ok(())
             }
-            fn predict(&self, o: &fingerprint::FingerprintObservation) -> VitalResult<usize> {
-                std::thread::sleep(Duration::from_millis(150));
-                Ok((-o.mean[0]) as usize)
+            fn localize_batch(
+                &self,
+                observations: &[fingerprint::FingerprintObservation],
+            ) -> VitalResult<Vec<usize>> {
+                std::thread::sleep(Duration::from_millis(150 * observations.len() as u64));
+                Ok(observations.iter().map(|o| (-o.mean[0]) as usize).collect())
             }
         }
         let registry = Arc::new(Registry::from_models(vec![(

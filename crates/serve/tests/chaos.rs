@@ -189,7 +189,7 @@ impl Localizer for PanickingLocalizer {
     fn fit(&mut self, _: &FingerprintDataset) -> VitalResult<()> {
         Ok(())
     }
-    fn predict(&self, _: &FingerprintObservation) -> VitalResult<usize> {
+    fn localize_batch(&self, _: &[FingerprintObservation]) -> VitalResult<Vec<usize>> {
         std::panic::panic_any("model blew up".to_string())
     }
 }

@@ -32,8 +32,8 @@ impl Localizer for EchoLocalizer {
     fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
         Ok(())
     }
-    fn predict(&self, o: &FingerprintObservation) -> VitalResult<usize> {
-        Ok((-o.mean[0]) as usize)
+    fn localize_batch(&self, observations: &[FingerprintObservation]) -> VitalResult<Vec<usize>> {
+        Ok(observations.iter().map(|o| (-o.mean[0]) as usize).collect())
     }
 }
 

@@ -318,9 +318,9 @@ impl Localizer for SlowLocalizer {
     fn fit(&mut self, _: &FingerprintDataset) -> VitalResult<()> {
         Ok(())
     }
-    fn predict(&self, _: &FingerprintObservation) -> VitalResult<usize> {
-        std::thread::sleep(Duration::from_millis(400));
-        Ok(0)
+    fn localize_batch(&self, observations: &[FingerprintObservation]) -> VitalResult<Vec<usize>> {
+        std::thread::sleep(Duration::from_millis(400 * observations.len() as u64));
+        Ok(vec![0; observations.len()])
     }
 }
 

@@ -5,8 +5,9 @@
 //! same sequential multiply-then-add chain over `p` (the tile shape only
 //! changes register blocking, never within-chain order), so the two levels
 //! must agree **bit-for-bit** on every input, every transpose variant,
-//! every thread count, and every size — including panel edges at MR/NR
-//! multiples ± 1 and both sides of the small-product fast-path cutoff.
+//! every thread count, and every size — panel edges at MR/NR multiples
+//! ± 1, from products smaller than one tile to ones spanning many panels
+//! (one packed kernel runs them all; there is no small-product path).
 //! The opt-in `Fma` tile contracts each multiply–add into a single
 //! rounding, so it is only ULP-bounded against scalar.
 //!
@@ -55,14 +56,14 @@ fn around_multiple(base: usize, t: usize, off: i64) -> usize {
 }
 
 /// Sizes that straddle the panel edges of every tile the kernel ships
-/// with (MR ∈ {4, 6, 8}, NR = 8) and cross the small-product cutoff
-/// (`k·n ≤ 4096` stays on the unpacked fast path) from both sides.
+/// with (MR ∈ {4, 6, 8}, NR = 8), from a product that fills part of one
+/// tile to one that spans many column panels.
 fn dims() -> impl Strategy<Value = (usize, usize, usize, u64)> {
     (
         // m around MR·t ± 1: candidates 4..8 cover every level's tile height
         (4usize..=8, 1usize..4, -1i64..=1),
-        // k up to 95 and n around 8·t ± 1 (t < 18): k·n spans both sides
-        // of the 4096 small-product cutoff
+        // k up to 95 and n around 8·t ± 1 (t < 18): one partial column
+        // panel up to seventeen
         (1usize..96, 1usize..18, -1i64..=1),
         0u64..10_000,
     )
@@ -101,7 +102,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Scalar ≡ AVX2, bit-for-bit: all four transpose variants, panel-edge
-    /// sizes on both sides of the fast-path cutoff, 1 and 4 worker threads.
+    /// sizes from sub-tile to many-panel, 1 and 4 worker threads.
     #[test]
     fn scalar_and_avx2_dispatch_are_bit_identical(
         (m, k, n, seed) in dims(),
@@ -166,7 +167,7 @@ proptest! {
 }
 
 /// Deterministic sweep pinning exact MR/NR-multiple ± 1 corners for every
-/// tile height the kernel ships with, crossing the small-product cutoff.
+/// tile height the kernel ships with, small products and multi-panel ones.
 #[test]
 fn exhaustive_cross_level_boundary_sweep() {
     let best = simd::detected_level().min(Level::Avx2);
