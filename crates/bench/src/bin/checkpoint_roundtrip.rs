@@ -19,8 +19,7 @@ use bench::smoke::{smoke_dataset, smoke_vital_config};
 use fingerprint::FingerprintDataset;
 use vital::{Localizer, VitalModel};
 
-/// Deterministic training/evaluation dataset shared by both subcommands
-/// (and by `serve_loadgen --verify`, which replays it against a server).
+/// Deterministic training/evaluation dataset shared by both subcommands.
 fn dataset() -> FingerprintDataset {
     smoke_dataset()
 }

@@ -1,8 +1,8 @@
-//! The deterministic "smoke" workload shared by the CI pipelines: the
-//! `checkpoint_roundtrip` train/verify pair and the `serve_loadgen` load
-//! generator rebuild the *same* small dataset and model configuration from
-//! fixed seeds, so a checkpoint trained by one process and served by
-//! another can be verified bit-exactly against offline predictions.
+//! The deterministic "smoke" workload of the `checkpoint_roundtrip`
+//! train/verify pair: both processes rebuild the *same* small dataset and
+//! model configuration from fixed seeds, so a checkpoint trained by one and
+//! reloaded by the other can be verified bit-exactly against the recorded
+//! predictions.
 
 use fingerprint::{base_devices, DatasetConfig, FingerprintDataset};
 use sim_radio::building_1;

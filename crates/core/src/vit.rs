@@ -272,7 +272,8 @@ impl VisionTransformer {
     /// GEMMs and all intermediates living in a reused buffer arena — and
     /// then executed with zero tensor allocations per request. Output is
     /// bit-identical to [`VisionTransformer::predict_batch_eager`]; the
-    /// property tests and `serve_loadgen --verify` assert this.
+    /// property tests assert this, and `tests/warm_allocs.rs` pins the
+    /// warm path's heap allocations.
     ///
     /// The patch matrices are copied into the plan's input region; a
     /// caller that can produce patches directly should write them there

@@ -1,0 +1,107 @@
+//! Warm compiled inference allocates a fixed handful of heap blocks per
+//! call, whatever the batch size, and none while the plan executes.
+//!
+//! This binary holds exactly one test because it installs a counting
+//! `#[global_allocator]`: the count is kept per thread, so the harness's
+//! own threads cannot disturb it, and `parallel::with_threads(1)` keeps the
+//! whole forward pass on the counting thread.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use tensor::rng::SeededRng;
+use vital::{VisionTransformer, VitalConfig};
+
+thread_local! {
+    /// Heap allocations made by this thread (const-initialised and without
+    /// a destructor, so touching it inside the allocator allocates nothing).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only addition is a bump of a
+// const-initialised, destructor-free thread-local `Cell`, which neither
+// allocates nor unwinds (`try_with` covers a thread that is tearing down).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// Allocations of one warm `predict_filled` call: `(whole call, after the
+/// fill closure returned)`. The second number covers the plan's execution
+/// and the argmax that builds the answer.
+fn warm_call(vit: &VisionTransformer, samples: usize) -> (u64, u64) {
+    let fill = |input: &mut [f32], filled_at: &Cell<u64>| {
+        for (i, v) in input.iter_mut().enumerate() {
+            *v = (i % 7) as f32 * 0.125 - 0.375;
+        }
+        filled_at.set(allocs());
+        Ok(())
+    };
+    // Warm-up: builds the plan for this batch size, its first arena and the
+    // thread's GEMM packing scratch.
+    let warm = Cell::new(0);
+    let expected = vit.predict_filled(samples, |x| fill(x, &warm)).unwrap();
+
+    let filled_at = Cell::new(0);
+    let before = allocs();
+    let predictions = vit
+        .predict_filled(samples, |x| fill(x, &filled_at))
+        .unwrap();
+    let after = allocs();
+    assert_eq!(predictions, expected);
+    assert_eq!(predictions.len(), samples);
+    (after - before, after - filled_at.get())
+}
+
+/// What a warm call may allocate, measured when this test was written:
+/// 20 blocks while `weight_stamp()` collects the model's `Vec<Param>` to
+/// key the plan cache (one small `Vec` per layer's `params()` and the
+/// growth of the vectors that gather them: a function of the layer
+/// structure, never of the batch), and the returned `Vec<usize>`.
+const WARM_ALLOCS: u64 = 21;
+
+#[test]
+fn warm_predict_filled_allocates_the_same_handful_at_every_batch_size() {
+    let vit = VisionTransformer::new(&mut SeededRng::new(3), &VitalConfig::fast(18, 8)).unwrap();
+    parallel::with_threads(1, || {
+        let before = allocs();
+        std::hint::black_box(vit.weight_stamp());
+        let stamp_allocs = allocs() - before;
+        for samples in [1, 16, 32] {
+            let (per_call, after_fill) = warm_call(&vit, samples);
+            assert_eq!(
+                after_fill, 1,
+                "batch {samples}: once the input is filled only the returned Vec<usize> may be \
+                 allocated; more is a per-step, per-band or per-pack allocation in the plan"
+            );
+            assert_eq!(
+                per_call,
+                stamp_allocs + 1,
+                "batch {samples}: a warm call allocates for the weight stamp and the answer only"
+            );
+            assert!(
+                per_call <= WARM_ALLOCS,
+                "batch {samples}: {per_call} allocations per warm call, {WARM_ALLOCS} when pinned"
+            );
+        }
+    });
+}

@@ -31,19 +31,6 @@ impl FingerprintObservation {
         self.mean.len()
     }
 
-    /// The three channels interleaved per AP:
-    /// `[min₀, max₀, mean₀, min₁, max₁, mean₁, …]` — the pixel layout used by
-    /// the VITAL RSSI image creator.
-    pub fn interleaved_channels(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.mean.len() * 3);
-        for i in 0..self.mean.len() {
-            out.push(self.min[i]);
-            out.push(self.max[i]);
-            out.push(self.mean[i]);
-        }
-        out
-    }
-
     /// Just the mean channel (used by baselines that consume plain RSSI
     /// vectors).
     pub fn mean_channel(&self) -> &[f32] {
@@ -126,7 +113,7 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_channels_layout() {
+    fn mean_channel_and_missing_fraction() {
         let obs = FingerprintObservation {
             rp_label: 0,
             device: "X".into(),
@@ -134,10 +121,6 @@ mod tests {
             max: vec![-85.0, -75.0],
             mean: vec![-87.0, -77.0],
         };
-        assert_eq!(
-            obs.interleaved_channels(),
-            vec![-90.0, -85.0, -87.0, -80.0, -75.0, -77.0]
-        );
         assert_eq!(obs.mean_channel(), &[-87.0, -77.0]);
         assert_eq!(obs.missing_fraction(), 0.0);
     }

@@ -283,11 +283,6 @@ impl CompiledPlan {
         })
     }
 
-    /// The output's `(rows, cols)`.
-    pub fn output_dims(&self) -> (usize, usize) {
-        (self.out_rows, self.out_cols)
-    }
-
     /// Elements of the input region at the front of the arena buffer.
     pub(crate) fn input_len(&self) -> usize {
         self.input_dims.iter().map(|&(r, c)| r * c).sum()

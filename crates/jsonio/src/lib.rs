@@ -8,9 +8,9 @@
 //!
 //! Two consumers share this crate:
 //!
-//! * the `bench` CI tooling (`perf_gate` reads `BENCH_perf.json` /
-//!   `BENCH_serve.json` against committed thresholds, `perf_summary` and
-//!   `serve_loadgen` write them), and
+//! * the `bench` CI tooling (`simd_parity` writes and compares its
+//!   bit-pattern reports) and the repository's `benchmark/` package
+//!   (result files, `compare`), and
 //! * the `serve` crate's request/response codec for `POST /v1/localize` and
 //!   the `/metrics` endpoint.
 //!

@@ -1,27 +1,12 @@
 //! Tiny shared helpers for the workspace's hand-rolled binary CLIs
-//! (`vital-serve` here, `serve_loadgen` and `perf_gate` in the bench
-//! crate), so flag parsing and its validation rules live in one place.
-
-use std::path::PathBuf;
-use std::time::Duration;
+//! (`vital-serve` here, `simd_parity` in the bench crate), so flag parsing
+//! and its validation rules live in one place.
 
 /// The value following `flag`, if present.
 pub fn value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
-}
-
-/// Whether the bare `flag` is present.
-pub fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// The value following `flag` as a path, or `default`.
-pub fn parse_path(args: &[String], flag: &str, default: &str) -> PathBuf {
-    value(args, flag)
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(default))
 }
 
 /// The value following `flag` as a `usize`, or `default` when absent.
@@ -51,27 +36,6 @@ pub fn parse_threads(args: &[String]) -> Result<Option<usize>, String> {
     }
 }
 
-/// A duration flag in (fractional) seconds, or `default_s` when absent.
-/// Values must be finite, positive and at most a day — out-of-range floats
-/// would otherwise panic `Duration::from_secs_f64`.
-///
-/// # Errors
-/// A usage message naming the flag for non-numeric, non-finite, zero,
-/// negative or absurd values.
-pub fn parse_duration_s(args: &[String], flag: &str, default_s: f64) -> Result<Duration, String> {
-    let seconds = match value(args, flag) {
-        None => default_s,
-        Some(v) => v
-            .parse::<f64>()
-            .ok()
-            .filter(|d| d.is_finite() && *d > 0.0 && *d <= 86_400.0)
-            .ok_or_else(|| {
-                format!("{flag} expects a positive number of seconds (max 86400), got {v:?}")
-            })?,
-    };
-    Ok(Duration::from_secs_f64(seconds))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,8 +49,6 @@ mod tests {
         let a = args(&["bin", "--x", "7", "--quick"]);
         assert_eq!(value(&a, "--x").map(String::as_str), Some("7"));
         assert_eq!(value(&a, "--missing"), None);
-        assert!(has_flag(&a, "--quick"));
-        assert!(!has_flag(&a, "--slow"));
         assert_eq!(parse_usize(&a, "--x", 1).unwrap(), 7);
         assert_eq!(parse_usize(&a, "--missing", 5).unwrap(), 5);
         assert!(parse_usize(&args(&["--x", "seven"]), "--x", 1).is_err());
@@ -98,23 +60,5 @@ mod tests {
         assert_eq!(parse_threads(&args(&["--threads", "4"])).unwrap(), Some(4));
         assert_eq!(parse_threads(&args(&[])).unwrap(), None);
         assert!(parse_threads(&args(&["--threads", "many"])).is_err());
-    }
-
-    #[test]
-    fn durations_reject_nonfinite_and_absurd_values() {
-        assert_eq!(
-            parse_duration_s(&args(&["--d", "2.5"]), "--d", 1.0).unwrap(),
-            Duration::from_millis(2500)
-        );
-        assert_eq!(
-            parse_duration_s(&args(&[]), "--d", 3.0).unwrap(),
-            Duration::from_secs(3)
-        );
-        for bad in ["inf", "nan", "-1", "0", "1e30", "soon"] {
-            assert!(
-                parse_duration_s(&args(&["--d", bad]), "--d", 1.0).is_err(),
-                "accepted {bad:?}"
-            );
-        }
     }
 }

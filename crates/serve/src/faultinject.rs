@@ -4,9 +4,9 @@
 //! flaky "sometimes the worker dies" test is worse than none. This module
 //! therefore injects faults from a **seeded, declarative plan** — the same
 //! spec string always produces the same failures at the same points — so
-//! the chaos integration suite and `serve_loadgen --chaos` can assert
-//! exact recovery behaviour (which batch failed, how many restarts, what
-//! came back afterwards).
+//! the chaos integration suite (`tests/chaos.rs`) can assert exact
+//! recovery behaviour (which batch failed, how many restarts, what came
+//! back afterwards).
 //!
 //! A plan is parsed from a spec string (the `--faults` flag or the
 //! `VITAL_FAULTS` environment variable) of `;`-separated `key=value`

@@ -30,9 +30,8 @@
 //! * [`metrics`] — counters, batch-size histogram, per-worker dispatch
 //!   counters and latency percentiles behind `GET /metrics`.
 //! * [`faultinject`] — deterministic, seeded fault injection (worker
-//!   panics, latency spikes, checkpoint corruption) for the chaos tests
-//!   and the loadgen's `--chaos` recovery benchmark; zero-cost when no
-//!   plan is configured.
+//!   panics, latency spikes, checkpoint corruption) for the chaos tests;
+//!   zero-cost when no plan is configured.
 //!
 //! The stack is **fault tolerant by construction**: each batch executes
 //! under `catch_unwind`, so a panicking model fails only its own jobs
@@ -42,11 +41,10 @@
 //! stale; and a graceful drain (`POST /admin/drain`, SIGINT/SIGTERM, or
 //! [`Server::drain`]) completes queued work before the server exits.
 //!
-//! The `vital-serve` binary wires these together from the command line;
-//! `serve_loadgen` (in the `bench` crate) drives a running server
-//! closed-loop — plus an in-process worker-scaling sweep and a `--chaos`
-//! overload-and-recovery phase — and writes `BENCH_serve.json` for the CI
-//! load gate.
+//! The `vital-serve` binary wires these together from the command line
+//! (`tests/binary.rs` boots it, checks it against offline and drains it
+//! with SIGTERM); the repository's `benchmark/` package times an in-process
+//! [`Server`] under open- and closed-loop load.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

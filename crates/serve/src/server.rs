@@ -205,10 +205,10 @@ impl Server {
     /// queued (up to `grace`), then stop the accept loop and join every
     /// server thread. Returns whether the queue fully drained in time.
     ///
-    /// This is the teardown the loadgen worker sweep uses between
-    /// back-to-back in-process servers: when it returns, no worker,
-    /// supervisor or accept thread from this server is still running, so
-    /// the next server cannot race it for the port or CPU.
+    /// This is the teardown for back-to-back in-process servers: when it
+    /// returns, no worker, supervisor or accept thread from this server is
+    /// still running, so the next server cannot race it for the port or
+    /// CPU.
     pub fn drain(&mut self, grace: Duration) -> bool {
         let drained = self.drain_trigger().drain(grace);
         self.shutdown();

@@ -1,0 +1,103 @@
+//! The shipped `vital-serve` binary, started as a process: argument wiring,
+//! the checkpoint-directory registry, answers bit-identical to offline, and
+//! the SIGTERM drain.
+
+#![cfg(unix)]
+// The wait for the child's exit is paced with real sleeps — exempt from the
+// workspace ban on blocking sleeps in request handling.
+#![allow(clippy::disallowed_methods)]
+
+use std::io::{BufRead, BufReader, Read};
+use std::net::TcpStream;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
+
+use baselines::{FeatureMode, KnnLocalizer};
+use fingerprint::{base_devices, DatasetConfig, FingerprintDataset};
+use serve::codec;
+use serve::http::{self, Conn, Method, Response};
+use sim_radio::building_1;
+use vital::Localizer;
+
+/// How long the drained process may take to exit after SIGTERM.
+const EXIT_WAIT: Duration = Duration::from_secs(30);
+
+fn request(addr: &str, method: Method, target: &str, body: &[u8]) -> Response {
+    let stream = TcpStream::connect(addr).expect("connect");
+    let headers = [("content-type", "application/json")];
+    http::write_request(&mut (&stream), method, target, &headers, body).expect("send");
+    Conn::new(&stream).read_response().expect("response")
+}
+
+#[test]
+fn the_binary_serves_bit_identical_answers_and_drains_on_sigterm() {
+    let data = FingerprintDataset::collect(
+        &building_1(),
+        &base_devices()[..2],
+        &DatasetConfig {
+            captures_per_rp: 1,
+            samples_per_capture: 2,
+            seed: 1234,
+        },
+    );
+    let mut knn = KnnLocalizer::new(3, FeatureMode::Ssd);
+    knn.fit(&data).expect("fit KNN");
+    let expected = knn.localize_batch(data.observations()).expect("offline");
+
+    let dir = std::env::temp_dir().join(format!("vital-serve-binary-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
+    knn.save(&dir.join("knn.vckpt")).expect("save checkpoint");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_vital-serve"))
+        .arg("--checkpoint-dir")
+        .arg(&dir)
+        .args(["--addr", "127.0.0.1:0", "--workers", "2", "--threads", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("start vital-serve");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("read the banner");
+    let addr = banner
+        .strip_prefix("vital-serve listening on http://")
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no listening line, got {banner:?}"))
+        .to_string();
+    assert!(banner.contains("workers=2 threads=1"), "{banner}");
+
+    assert_eq!(request(&addr, Method::Get, "/healthz", b"").status, 200);
+    let body = codec::localize_request_body(Some("knn"), data.observations());
+    let response = request(&addr, Method::Post, "/v1/localize", body.as_bytes());
+    assert_eq!(response.status, 200);
+    assert_eq!(
+        codec::parse_predictions(&response.body).expect("parse"),
+        expected,
+        "the binary's answers must be bit-identical to offline localize_batch"
+    );
+
+    let killed = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(killed.success());
+    let give_up = Instant::now() + EXIT_WAIT;
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait for vital-serve") {
+            break status;
+        }
+        if Instant::now() >= give_up {
+            let _ = child.kill();
+            panic!("vital-serve still running {EXIT_WAIT:?} after SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let (mut out, mut err) = (String::new(), String::new());
+    stdout.read_to_string(&mut out).expect("rest of stdout");
+    let mut stderr = child.stderr.take().expect("piped stderr");
+    stderr.read_to_string(&mut err).expect("stderr");
+    assert!(status.success(), "exit {status}; stderr: {err}");
+    assert!(err.contains("signal received"), "stderr: {err}");
+    assert!(out.contains("vital-serve: stopped"), "stdout: {out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -179,6 +179,110 @@ fn injected_worker_panic_fails_one_batch_and_the_server_recovers_bit_identical()
     );
 }
 
+/// The same fault under concurrent load: eight closed-loop clients against
+/// one worker that panics on its 25th batch. Every request gets exactly one
+/// typed outcome, nobody is left waiting, the worker comes back, and the
+/// server still drains.
+#[test]
+fn a_worker_panic_under_concurrent_load_strands_no_client() {
+    const CLIENTS: usize = 8;
+    const REQUESTS_PER_CLIENT: usize = 40;
+    /// Far beyond the 500 ms deadline plus a restart: a read that takes
+    /// this long is a stranded client.
+    const STRANDED_AFTER: Duration = Duration::from_secs(20);
+
+    let data = dataset();
+    let chunks: Vec<&[FingerprintObservation]> = data.observations().chunks(4).collect();
+    let offline = fitted_knn(&data);
+    let expected: Vec<Vec<usize>> = chunks
+        .iter()
+        .map(|chunk| offline.localize_batch(chunk).expect("offline predictions"))
+        .collect();
+
+    let faults = Arc::new(FaultPlan::parse("worker_panic=25").expect("plan"));
+    let registry = Registry::from_models(vec![("knn".into(), Box::new(fitted_knn(&data)))]);
+    let mut server = Server::start(
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            batcher: BatcherConfig {
+                max_batch: 8,
+                queue_cap: 32,
+                workers: 1,
+                threads: Some(1),
+                restart_backoff: Duration::from_millis(10),
+                faults: Some(faults),
+                ..BatcherConfig::default()
+            },
+            default_deadline: Some(Duration::from_millis(500)),
+        },
+        registry,
+    )
+    .expect("server start");
+    let addr = server.addr();
+
+    // Each client returns the statuses it saw; a fresh connection per
+    // request, because a 500's handler may drop the line.
+    let statuses: Vec<Vec<u16>> = std::thread::scope(|scope| {
+        let (chunks, expected) = (&chunks, &expected);
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                scope.spawn(move || {
+                    (0..REQUESTS_PER_CLIENT)
+                        .map(|request| {
+                            let chunk = (client + request * CLIENTS) % chunks.len();
+                            let body = codec::localize_request_body(Some("knn"), chunks[chunk]);
+                            let stream = TcpStream::connect(addr).expect("connect");
+                            stream.set_read_timeout(Some(STRANDED_AFTER)).unwrap();
+                            let mut conn = Conn::new(&stream);
+                            let response = post_localize(&mut conn, &stream, body.as_bytes());
+                            match response.status {
+                                200 => assert_eq!(
+                                    codec::parse_predictions(&response.body).expect("parse"),
+                                    expected[chunk],
+                                    "client {client} request {request} diverged from offline"
+                                ),
+                                // Shed by the queue bound or the deadline:
+                                // back off as a real client would.
+                                503 | 504 => std::thread::sleep(Duration::from_millis(2)),
+                                500 => {}
+                                other => panic!("client {client} request {request}: {other}"),
+                            }
+                            response.status
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("a client panicked or was stranded"))
+            .collect()
+    });
+    let count = |status: u16| statuses.iter().flatten().filter(|s| **s == status).count();
+    assert!(count(500) >= 1, "the panicking batch must fail its jobs");
+    assert!(count(200) >= 1, "requests after the restart must be served");
+
+    let restarts = server.metrics().snapshot_json();
+    let restarts = restarts.get("worker_restarts").and_then(Json::as_usize);
+    assert!(restarts >= Some(1), "worker_restarts = {restarts:?}");
+    await_healthy(addr, 1, Duration::from_secs(10));
+
+    let body = codec::localize_request_body(Some("knn"), data.observations());
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut conn = Conn::new(&stream);
+    let response = post_localize(&mut conn, &stream, body.as_bytes());
+    assert_eq!(response.status, 200);
+    assert_eq!(
+        codec::parse_predictions(&response.body).expect("parse"),
+        expected.concat(),
+        "post-recovery predictions must be bit-identical"
+    );
+    assert!(
+        server.drain(Duration::from_secs(30)),
+        "the recovered server must still drain"
+    );
+}
+
 /// A localizer that panics on every call — the "poisoned model" case.
 struct PanickingLocalizer;
 

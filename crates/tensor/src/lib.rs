@@ -39,8 +39,6 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-#[cfg(feature = "alloc-count")]
-pub mod alloc_count;
 mod error;
 mod matmul;
 mod named_ops;

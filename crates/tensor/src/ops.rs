@@ -73,13 +73,6 @@ impl Tensor {
         Tensor::from_vec(data, self.shape().dims()).expect("map preserves volume")
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in self.as_mut_slice() {
-            *v = f(*v);
-        }
-    }
-
     /// Adds a rank-1 `row` vector to every row of a matrix (bias broadcast).
     ///
     /// # Errors
@@ -313,9 +306,7 @@ mod tests {
         assert_eq!(a.add_scalar(1.0).as_slice(), &[2.0, -1.0]);
         assert_eq!(a.scale(-2.0).as_slice(), &[-2.0, 4.0]);
         assert_eq!(a.abs().as_slice(), &[1.0, 2.0]);
-        let mut b = a.clone();
-        b.map_inplace(|v| v * v);
-        assert_eq!(b.as_slice(), &[1.0, 4.0]);
+        assert_eq!(a.map(|v| v * v).as_slice(), &[1.0, 4.0]);
     }
 
     #[test]

@@ -270,26 +270,6 @@ impl Tensor {
         Ok((r, c))
     }
 
-    /// Numerically stable log-sum-exp per row of a matrix.
-    ///
-    /// # Errors
-    /// Returns an error for rank-0 or rank>2 tensors.
-    pub fn log_sum_exp_rows(&self) -> Result<Tensor> {
-        let (r, c) = self.shape().as_matrix()?;
-        let mut out = vec![0.0; r];
-        if c > 0 {
-            for (out_i, row) in out.iter_mut().zip(self.as_slice().chunks_exact(c)) {
-                let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                let s: f32 = row.iter().map(|v| (v - max).exp()).sum();
-                *out_i = max + s.ln();
-            }
-        } else {
-            // log-sum-exp over an empty row is log(0) = -inf.
-            out.fill(f32::NEG_INFINITY);
-        }
-        Tensor::from_vec(out, &[r])
-    }
-
     /// Standardises all elements to zero mean and unit variance.
     ///
     /// If the standard deviation is (near) zero the tensor is only centred.
@@ -300,20 +280,6 @@ impl Tensor {
             self.map(|v| v - m)
         } else {
             self.map(|v| (v - m) / s)
-        }
-    }
-
-    /// Rescales all elements linearly into `[0, 1]`.
-    ///
-    /// A constant tensor maps to all zeros.
-    pub fn min_max_normalize(&self) -> Tensor {
-        let lo = self.min().unwrap_or(0.0);
-        let hi = self.max().unwrap_or(0.0);
-        let range = hi - lo;
-        if range.abs() < 1e-12 {
-            self.map(|_| 0.0)
-        } else {
-            self.map(|v| (v - lo) / range)
         }
     }
 
@@ -442,25 +408,11 @@ mod tests {
     }
 
     #[test]
-    fn log_sum_exp_matches_direct() {
-        let m = t(&[0.5, -0.5, 2.0, 1.0, 1.0, 1.0], &[2, 3]);
-        let lse = m.log_sum_exp_rows().unwrap();
-        let direct0 = (0.5f32.exp() + (-0.5f32).exp() + 2.0f32.exp()).ln();
-        assert!((lse.as_slice()[0] - direct0).abs() < 1e-5);
-    }
-
-    #[test]
     fn standardize_and_minmax() {
         let a = t(&[-90.0, -70.0, -50.0], &[3]);
         let s = a.standardize();
         assert!(s.mean().abs() < 1e-6);
         assert!((s.std() - 1.0).abs() < 1e-5);
-        let n = a.min_max_normalize();
-        assert_eq!(n.min().unwrap(), 0.0);
-        assert_eq!(n.max().unwrap(), 1.0);
-        // Constant tensor maps to zeros.
-        let c = Tensor::full(&[3], 4.0);
-        assert_eq!(c.min_max_normalize().as_slice(), &[0.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -473,8 +425,5 @@ mod tests {
     fn row_reductions_accept_zero_column_matrices() {
         let empty = Tensor::from_vec(vec![], &[2, 0]).unwrap();
         assert_eq!(empty.sum_rows().unwrap().shape().dims(), &[0]);
-        let lse = empty.log_sum_exp_rows().unwrap();
-        assert_eq!(lse.shape().dims(), &[2]);
-        assert!(lse.as_slice().iter().all(|v| *v == f32::NEG_INFINITY));
     }
 }

@@ -46,8 +46,6 @@ impl Tensor {
     /// subsequent in-place writes take the no-copy path).
     pub(crate) fn from_parts(data: Vec<f32>, shape: Shape) -> Self {
         debug_assert_eq!(data.len(), shape.volume());
-        #[cfg(feature = "alloc-count")]
-        crate::alloc_count::record_alloc();
         Tensor {
             data: Arc::new(data),
             shape,
@@ -106,20 +104,6 @@ impl Tensor {
     /// Creates a zero tensor with the same shape as `self`.
     pub fn zeros_like(&self) -> Self {
         Tensor::from_parts(vec![0.0; self.data.len()], self.shape.clone())
-    }
-
-    /// A 1-D tensor containing `n` evenly spaced values from `start` to `end` inclusive.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn linspace(start: f32, end: f32, n: usize) -> Self {
-        assert!(n > 0, "linspace requires at least one point");
-        if n == 1 {
-            return Tensor::from_vec(vec![start], &[1]).expect("length 1 matches shape [1]");
-        }
-        let step = (end - start) / (n - 1) as f32;
-        let data = (0..n).map(|i| start + step * i as f32).collect();
-        Tensor::from_parts(data, Shape::new(&[n]))
     }
 
     /// The tensor's shape.
@@ -431,15 +415,6 @@ mod tests {
         assert_eq!(i.at(0, 0).unwrap(), 1.0);
         assert_eq!(i.at(0, 1).unwrap(), 0.0);
         assert_eq!(i.at(2, 2).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn linspace_endpoints() {
-        let t = Tensor::linspace(-100.0, 0.0, 11);
-        assert_eq!(t.len(), 11);
-        assert!((t.as_slice()[0] + 100.0).abs() < 1e-6);
-        assert!((t.as_slice()[10]).abs() < 1e-6);
-        assert!((t.as_slice()[5] + 50.0).abs() < 1e-5);
     }
 
     #[test]
