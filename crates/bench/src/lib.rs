@@ -2,7 +2,7 @@
 //! paper's evaluation (§VI).
 //!
 //! Each figure/table has a dedicated binary under `src/bin/` (see
-//! `DESIGN.md` for the experiment index); this library holds the shared
+//! "Running experiments" in the README); this library holds the shared
 //! plumbing: experiment scaling, dataset collection, framework construction,
 //! evaluation loops and plain-text/CSV result emission.
 //!
@@ -21,17 +21,10 @@
 pub mod report;
 pub mod runner;
 pub mod scale;
-pub mod smoke;
-
-/// Compatibility re-export: the minimal JSON reader/writer moved to the
-/// shared `jsonio` crate (the `serve` codec uses it too); `bench::json`
-/// keeps existing imports working.
-pub use jsonio as json;
 
 pub use report::{print_table, write_csv, TableRow};
 pub use runner::{
-    build_framework, checkpoint_key, evaluate_on_devices, run_building_experiment,
-    run_building_experiment_checkpointed, train_and_evaluate, train_and_evaluate_checkpointed,
-    CheckpointStore, Framework, FrameworkResult,
+    build_framework, checkpoint_key, evaluate_on_devices, run_building_experiment_checkpointed,
+    train_and_evaluate_checkpointed, CheckpointStore, Framework, FrameworkResult,
 };
 pub use scale::Scale;

@@ -270,28 +270,10 @@ pub fn collect_extended_dataset(
     )
 }
 
-/// Trains `framework` on `train` and evaluates it on `test`, overall and per
-/// device.
-///
-/// # Errors
-/// Returns an error if training or evaluation fails.
-pub fn train_and_evaluate(
-    framework: Framework,
-    building: &Building,
-    train: &FingerprintDataset,
-    test: &FingerprintDataset,
-    scale: Scale,
-    with_dam: bool,
-    seed: u64,
-) -> Result<FrameworkResult> {
-    let mut localizer = build_framework(framework, building, scale, with_dam, seed)?;
-    localizer.fit(train)?;
-    evaluate_on_devices(localizer.as_ref(), building, test)
-}
-
-/// Checkpoint-aware variant of [`train_and_evaluate`]: obtains the trained
-/// model through [`CheckpointStore::fit_or_load`] under `context`, so a
-/// populated `--checkpoint-dir` skips training entirely.
+/// Obtains `framework` trained on `train` through
+/// [`CheckpointStore::fit_or_load`] under `context` (a populated
+/// `--checkpoint-dir` skips training entirely) and evaluates it on `test`,
+/// overall and per device.
 ///
 /// # Errors
 /// Returns an error if training, checkpoint IO or evaluation fails.
@@ -356,31 +338,9 @@ pub fn evaluate_on_devices(
 
 /// Runs the standard base-device experiment in one building: collect, 80/20
 /// split, train every requested framework on the group-training pool and
-/// evaluate it per device (the Fig. 7 protocol).
-///
-/// # Errors
-/// Returns an error if any framework fails to train or evaluate.
-pub fn run_building_experiment(
-    building: &Building,
-    frameworks: &[Framework],
-    scale: Scale,
-    with_dam: bool,
-    seed: u64,
-) -> Result<Vec<FrameworkResult>> {
-    run_building_experiment_checkpointed(
-        &CheckpointStore::disabled(),
-        building,
-        frameworks,
-        scale,
-        with_dam,
-        seed,
-    )
-}
-
-/// Checkpoint-aware variant of [`run_building_experiment`]: with a
-/// populated store, every framework is loaded instead of retrained (keyed
-/// under the `split80` context that matches this experiment's 80/20
-/// training pool).
+/// evaluate it per device (the Fig. 7 protocol). With a populated store,
+/// every framework is loaded instead of retrained (keyed under the
+/// `split80` context that matches this experiment's 80/20 training pool).
 ///
 /// # Errors
 /// Returns an error if any framework fails to train, persist or evaluate.

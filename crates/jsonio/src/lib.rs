@@ -8,9 +8,7 @@
 //!
 //! Two consumers share this crate:
 //!
-//! * the `bench` CI tooling (`simd_parity` writes and compares its
-//!   bit-pattern reports) and the repository's `benchmark/` package
-//!   (result files, `compare`), and
+//! * the repository's `benchmark/` package (result files, `compare`), and
 //! * the `serve` crate's request/response codec for `POST /v1/localize` and
 //!   the `/metrics` endpoint.
 //!

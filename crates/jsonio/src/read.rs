@@ -1,4 +1,4 @@
-//! Recursive-descent JSON reader (promoted from `bench::json`).
+//! Recursive-descent JSON reader.
 
 use std::fmt;
 

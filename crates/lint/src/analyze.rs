@@ -134,12 +134,19 @@ pub fn analyze(files: &[SourceFile], config: &RulesConfig) -> Report {
         raw_findings.extend(panic_freedom::check(&ctx, config));
         raw_findings.extend(lock_order::check(&ctx, config, &mut report.lock_graph));
         raw_findings.extend(hot_path::check(&ctx, config));
+        report
+            .stale_targets
+            .extend(hot_path::unmatched_functions(&ctx, config));
         raw_findings.extend(hygiene::check(&ctx, config));
         raw_findings.extend(hygiene::file_checks(&file.path, &file.content, config));
     }
     let scanned: Vec<String> = files.iter().map(|f| f.path.clone()).collect();
     raw_findings.extend(hygiene::missing_files(&scanned, config));
     raw_findings.extend(lock_order::cycle_findings(&report.lock_graph));
+    let stale = &mut report.stale_targets;
+    stale.extend(hot_path::unscanned_spans(&scanned, config));
+    stale.extend(lock_order::unobserved_sites(&report.lock_graph, config));
+    stale.extend(hygiene::empty_unsafe_dirs(&scanned, config));
 
     // Allowlists: a finding whose source line (or message, for the global
     // graph findings) contains an entry's `contains` is recorded but not

@@ -21,11 +21,12 @@
 //! | `hygiene` | no unbounded `mpsc::channel`; the `#![forbid(unsafe_code)]`, `#![deny(clippy::disallowed_types)]` and Send+Sync guard rails stay present |
 //!
 //! Per-rule allowlists (each entry with a mandatory reason) live in the
-//! same file; the tool reports allowlisted findings and stale entries
-//! without failing on them. The `vital-lint` binary prints human
-//! diagnostics plus a machine-readable JSON report and exits non-zero on
-//! any finding; `tests/workspace_clean.rs` runs the same analysis inside
-//! `cargo test`, which makes a clean tree a tier-1 invariant.
+//! same file; allowlisted findings, stale allowlist entries and configured
+//! targets that match nothing (a renamed hot-path function, a lock site
+//! never acquired) are reported beside the findings.
+//! `tests/static_analysis.rs` at the workspace root runs the analysis
+//! inside `cargo test` and fails on a finding or a stale entry of either
+//! kind, which makes a clean tree a tier-1 invariant.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

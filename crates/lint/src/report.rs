@@ -1,10 +1,6 @@
-//! Findings, the lock-order graph, and report rendering.
-//!
-//! The tool emits two views of one run: human diagnostics
-//! (`file:line:col: rule: message`, one per line, stable order) and a
-//! machine-readable JSON document for CI artifacts. The JSON writer is
-//! local and minimal — the lint crate is dependency-free by design, so it
-//! can never be taken down by a bug in a crate it is itself auditing.
+//! Findings, the lock-order graph, and report rendering: human diagnostics
+//! (`file:line:col: rule: message`, one per line, stable order), which the
+//! tier-1 gate prints when it fails.
 
 use std::fmt::Write as _;
 
@@ -22,7 +18,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Stable rule identifier used in diagnostics and JSON.
+    /// Stable rule identifier used in diagnostics.
     pub fn id(self) -> &'static str {
         match self {
             Rule::PanicFreedom => "panic-freedom",
@@ -110,6 +106,11 @@ pub struct Report {
     /// removal — surfaced, but not fatal, so deleting dead exceptions
     /// never blocks an unrelated change).
     pub stale_allows: Vec<String>,
+    /// Configured targets that matched nothing this run: a hot-path span
+    /// whose file or function is gone, a lock site never acquired, an
+    /// `unsafe` directory holding no file. A rule aimed at a renamed
+    /// target passes vacuously, so the tier-1 gate requires this empty.
+    pub stale_targets: Vec<String>,
     /// The lock-order graph.
     pub lock_graph: LockGraph,
     /// Number of `.rs` files analyzed.
@@ -151,106 +152,6 @@ impl Report {
         );
         out
     }
-
-    /// The machine-readable JSON report.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": 1,");
-        let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
-        out.push_str("  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            let comma = if i + 1 < self.findings.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"col\": {}, \"message\": {}, \"snippet\": {}}}{comma}",
-                json_str(f.rule.id()),
-                json_str(&f.file),
-                f.line,
-                f.col,
-                json_str(&f.message),
-                json_str(&f.snippet)
-            );
-        }
-        out.push_str("  ],\n  \"allowlisted\": [\n");
-        for (i, a) in self.allowed.iter().enumerate() {
-            let comma = if i + 1 < self.allowed.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"reason\": {}, \"snippet\": {}}}{comma}",
-                json_str(a.finding.rule.id()),
-                json_str(&a.finding.file),
-                a.finding.line,
-                json_str(&a.reason),
-                json_str(&a.finding.snippet)
-            );
-        }
-        out.push_str("  ],\n  \"stale_allowlist_entries\": [\n");
-        for (i, s) in self.stale_allows.iter().enumerate() {
-            let comma = if i + 1 < self.stale_allows.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(out, "    {}{comma}", json_str(s));
-        }
-        out.push_str("  ],\n  \"lock_graph\": {\n    \"acquisitions\": [\n");
-        for (i, a) in self.lock_graph.acquisitions.iter().enumerate() {
-            let comma = if i + 1 < self.lock_graph.acquisitions.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                out,
-                "      {{\"class\": {}, \"method\": {}, \"file\": {}, \"line\": {}, \"function\": {}}}{comma}",
-                json_str(&a.class),
-                json_str(&a.method),
-                json_str(&a.file),
-                a.line,
-                json_str(&a.function)
-            );
-        }
-        out.push_str("    ],\n    \"edges\": [\n");
-        for (i, e) in self.lock_graph.edges.iter().enumerate() {
-            let comma = if i + 1 < self.lock_graph.edges.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                out,
-                "      {{\"from\": {}, \"to\": {}, \"file\": {}, \"line\": {}, \"function\": {}}}{comma}",
-                json_str(&e.from),
-                json_str(&e.to),
-                json_str(&e.file),
-                e.line,
-                json_str(&e.function)
-            );
-        }
-        out.push_str("    ]\n  }\n}\n");
-        out
-    }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -278,23 +179,6 @@ mod tests {
         let text = report.human();
         assert!(text.contains("crates/serve/src/x.rs:3:7: panic-freedom"));
         assert!(text.contains("1 finding(s)"));
-    }
-
-    #[test]
-    fn json_is_escaped_and_structured() {
-        let mut report = Report {
-            findings: vec![finding()],
-            ..Report::default()
-        };
-        report.findings[0].message = "quote \" and\nnewline".into();
-        let json = report.to_json();
-        assert!(json.contains("\\\""));
-        assert!(json.contains("\\n"));
-        assert!(json.contains("\"lock_graph\""));
-        // The emitted report must itself be valid JSON for the CI
-        // artifact consumers; `jsonio` (dev-dependency) is the workspace's
-        // reference parser.
-        jsonio::parse(&json).expect("report must be valid JSON");
     }
 
     #[test]

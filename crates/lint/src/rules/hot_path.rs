@@ -79,6 +79,30 @@ pub fn check(ctx: &FileContext<'_>, config: &RulesConfig) -> Vec<Finding> {
     findings
 }
 
+/// Span functions of `ctx`'s file that name no non-test function in it:
+/// after a rename the ban would cover nothing and still pass.
+pub fn unmatched_functions(ctx: &FileContext<'_>, config: &RulesConfig) -> Vec<String> {
+    let functions = &ctx.scoped.functions;
+    config
+        .hot_spans
+        .iter()
+        .filter(|span| span.file == ctx.path)
+        .flat_map(|span| &span.functions)
+        .filter(|&name| !functions.iter().any(|f| !f.in_test && f.name == *name))
+        .map(|name| format!("hot_path span {}: no function `{name}`", ctx.path))
+        .collect()
+}
+
+/// Spans whose file was not scanned at all (moved, deleted or excluded).
+pub fn unscanned_spans(scanned: &[String], config: &RulesConfig) -> Vec<String> {
+    config
+        .hot_spans
+        .iter()
+        .filter(|span| !scanned.contains(&span.file))
+        .map(|span| format!("hot_path span {}: file not scanned", span.file))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use crate::analyze::{analyze, SourceFile};
@@ -140,6 +164,33 @@ functions = ["microkernel", "dispatch_loop"]
         let messages =
             run("fn dispatch_loop(n: usize) { let v: Vec<u32> = Vec::with_capacity(n); }");
         assert!(messages.is_empty(), "{messages:?}");
+    }
+
+    #[test]
+    fn spans_that_match_nothing_are_stale_targets() {
+        let report = |path: &str, content: &str| {
+            analyze(
+                &[SourceFile {
+                    path: path.into(),
+                    content: content.into(),
+                }],
+                &config(),
+            )
+        };
+        let both = "fn microkernel() {}\nfn dispatch_loop() {}";
+        assert!(report("crates/x/src/kernel.rs", both)
+            .stale_targets
+            .is_empty());
+        // A rename, or the name surviving only in test code, empties the span.
+        let renamed = "fn microkernel() {}\n#[cfg(test)]\nmod tests { fn dispatch_loop() {} }";
+        assert_eq!(
+            report("crates/x/src/kernel.rs", renamed).stale_targets,
+            ["hot_path span crates/x/src/kernel.rs: no function `dispatch_loop`"]
+        );
+        assert_eq!(
+            report("crates/x/src/moved.rs", both).stale_targets,
+            ["hot_path span crates/x/src/kernel.rs: file not scanned"]
+        );
     }
 
     #[test]

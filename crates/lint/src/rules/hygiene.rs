@@ -211,6 +211,17 @@ pub fn missing_files(scanned: &[String], config: &RulesConfig) -> Vec<Finding> {
     findings
 }
 
+/// `unsafe_allowed_dirs` prefixes under which no file was scanned: the
+/// audited directory moved, and confinement now points at nothing.
+pub fn empty_unsafe_dirs(scanned: &[String], config: &RulesConfig) -> Vec<String> {
+    config
+        .unsafe_allowed_dirs
+        .iter()
+        .filter(|dir| !scanned.iter().any(|s| s.starts_with(dir.as_str())))
+        .map(|dir| format!("hygiene unsafe_allowed_dirs `{dir}`: no scanned file"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use crate::analyze::{analyze, SourceFile};
@@ -354,6 +365,24 @@ unsafe_allowed_dirs = ["crates/simd/src"]
             &unsafe_config(),
         );
         assert!(documented.findings.is_empty(), "{:?}", documented.findings);
+    }
+
+    #[test]
+    fn an_allowed_unsafe_dir_without_files_is_a_stale_target() {
+        let report = |path: &str| {
+            analyze(
+                &[SourceFile {
+                    path: path.into(),
+                    content: String::new(),
+                }],
+                &unsafe_config(),
+            )
+        };
+        assert!(report("crates/simd/src/x86.rs").stale_targets.is_empty());
+        assert_eq!(
+            report("crates/vector/src/x86.rs").stale_targets,
+            ["hygiene unsafe_allowed_dirs `crates/simd/src`: no scanned file"]
+        );
     }
 
     #[test]

@@ -304,6 +304,23 @@ pub fn cycle_findings(graph: &LockGraph) -> Vec<Finding> {
     findings
 }
 
+/// Configured sites whose class was never acquired: the field was renamed
+/// or the lock removed, and the topology the config describes is not the
+/// one the graph holds.
+pub fn unobserved_sites(graph: &LockGraph, config: &RulesConfig) -> Vec<String> {
+    config
+        .lock_sites
+        .iter()
+        .filter(|site| !graph.acquisitions.iter().any(|a| a.class == site.class))
+        .map(|site| {
+            format!(
+                "lock_order site `{}` ({}): no acquisition observed",
+                site.suffix, site.class
+            )
+        })
+        .collect()
+}
+
 fn dfs<'g>(
     node: &'g str,
     graph: &'g LockGraph,
@@ -475,6 +492,21 @@ kind = "RwLock"
         let report = run("fn f(s: &S) { let g = s.mystery.lock().unwrap(); }");
         assert_eq!(report.lock_graph.acquisitions.len(), 1);
         assert_eq!(report.lock_graph.acquisitions[0].class, "demo::mystery");
+    }
+
+    #[test]
+    fn a_site_that_is_never_acquired_is_a_stale_target() {
+        let report = run("fn f(s: &S) { let a = s.alpha.lock().unwrap(); }");
+        assert_eq!(
+            report.stale_targets,
+            ["lock_order site `beta` (test::Beta): no acquisition observed"]
+        );
+        let report = run("fn f(s: &S) { *s.alpha.lock().unwrap() = 1; s.beta.read().unwrap(); }");
+        assert!(
+            report.stale_targets.is_empty(),
+            "{:?}",
+            report.stale_targets
+        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Tiny shared helpers for the workspace's hand-rolled binary CLIs
-//! (`vital-serve` here, `simd_parity` in the bench crate), so flag parsing
-//! and its validation rules live in one place.
+//! Tiny helpers for the workspace's hand-rolled binary CLI (`vital-serve`),
+//! so flag parsing and its validation rules live in one place.
 
 /// The value following `flag`, if present.
 pub fn value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {

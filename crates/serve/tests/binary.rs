@@ -1,6 +1,7 @@
 //! The shipped `vital-serve` binary, started as a process: argument wiring,
-//! the checkpoint-directory registry, answers bit-identical to offline, and
-//! the SIGTERM drain.
+//! the checkpoint-directory registry, answers bit-identical to offline for
+//! a baseline and for the paper's model — trained and saved by this
+//! process, reloaded and served by another — and the SIGTERM drain.
 
 #![cfg(unix)]
 // The wait for the child's exit is paced with real sleeps — exempt from the
@@ -17,7 +18,7 @@ use fingerprint::{base_devices, DatasetConfig, FingerprintDataset};
 use serve::codec;
 use serve::http::{self, Conn, Method, Response};
 use sim_radio::building_1;
-use vital::Localizer;
+use vital::{Localizer, VitalConfig, VitalModel};
 
 /// How long the drained process may take to exit after SIGTERM.
 const EXIT_WAIT: Duration = Duration::from_secs(30);
@@ -42,11 +43,22 @@ fn the_binary_serves_bit_identical_answers_and_drains_on_sigterm() {
     );
     let mut knn = KnnLocalizer::new(3, FeatureMode::Ssd);
     knn.fit(&data).expect("fit KNN");
-    let expected = knn.localize_batch(data.observations()).expect("offline");
+    // The tiny configuration `baselines/tests/training_bits.rs` pins.
+    let mut config = VitalConfig::fast(data.num_aps(), data.num_rps());
+    config.image_size = 16;
+    config.patch_size = 4;
+    config.d_model = 24;
+    config.train.epochs = 2;
+    config.train.batch_size = 8;
+    let mut vital = VitalModel::new(config).expect("valid config");
+    vital.fit(&data).expect("fit VITAL");
 
     let dir = std::env::temp_dir().join(format!("vital-serve-binary-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create checkpoint dir");
     knn.save(&dir.join("knn.vckpt")).expect("save checkpoint");
+    vital
+        .save(&dir.join("vital.vckpt"))
+        .expect("save checkpoint");
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_vital-serve"))
         .arg("--checkpoint-dir")
@@ -67,14 +79,18 @@ fn the_binary_serves_bit_identical_answers_and_drains_on_sigterm() {
     assert!(banner.contains("workers=2 threads=1"), "{banner}");
 
     assert_eq!(request(&addr, Method::Get, "/healthz", b"").status, 200);
-    let body = codec::localize_request_body(Some("knn"), data.observations());
-    let response = request(&addr, Method::Post, "/v1/localize", body.as_bytes());
-    assert_eq!(response.status, 200);
-    assert_eq!(
-        codec::parse_predictions(&response.body).expect("parse"),
-        expected,
-        "the binary's answers must be bit-identical to offline localize_batch"
-    );
+    let models: [(&str, &dyn Localizer); 2] = [("knn", &knn), ("vital", &vital)];
+    for (name, model) in models {
+        let expected = model.localize_batch(data.observations()).expect("offline");
+        let body = codec::localize_request_body(Some(name), data.observations());
+        let response = request(&addr, Method::Post, "/v1/localize", body.as_bytes());
+        assert_eq!(response.status, 200, "{name}");
+        assert_eq!(
+            codec::parse_predictions(&response.body).expect("parse"),
+            expected,
+            "the binary's {name} answers must be bit-identical to offline localize_batch"
+        );
+    }
 
     let killed = Command::new("kill")
         .args(["-TERM", &child.id().to_string()])
