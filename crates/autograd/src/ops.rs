@@ -1,6 +1,6 @@
 //! Arithmetic and linear-algebra primitives with recorded gradients.
 
-use tensor::Tensor;
+use tensor::{MatmulSpec, Tensor};
 
 use crate::{Result, Var};
 
@@ -93,40 +93,67 @@ impl<'t> Var<'t> {
         ))
     }
 
-    /// Matrix product `self · other`.
-    ///
-    /// Gradients: `dA = g · Bᵀ`, `dB = Aᵀ · g`.
+    /// Matrix product `self · other`: [`Var::matmul_ex`] with
+    /// [`MatmulSpec::NN`].
     ///
     /// # Errors
     /// Returns an error if the inner dimensions differ.
     pub fn matmul(self, other: Var<'t>) -> Result<Var<'t>> {
+        self.matmul_ex(other, MatmulSpec::NN)
+    }
+
+    /// Matrix product `op(self) · op(other)` with the transposes `spec`
+    /// names read in place, as one tape node: the forward is
+    /// [`Tensor::matmul_ex`] — the GEMM call a compiled plan's step makes —
+    /// and no transposed copy of an operand or a gradient is ever built.
+    ///
+    /// Gradients, each one `matmul_ex` over the stored operands `A`, `B`
+    /// and the output gradient `G`:
+    ///
+    /// | spec | `dA`      | `dB`      |
+    /// |------|-----------|-----------|
+    /// | `NN` | `G · Bᵀ`  | `Aᵀ · G`  |
+    /// | `NT` | `G · B`   | `Gᵀ · A`  |
+    /// | `TN` | `B · Gᵀ`  | `A · G`   |
+    /// | `TT` | `Bᵀ · Gᵀ` | `Gᵀ · Aᵀ` |
+    ///
+    /// # Errors
+    /// Returns an error if the inner dimensions differ.
+    pub fn matmul_ex(self, other: Var<'t>, spec: MatmulSpec) -> Result<Var<'t>> {
+        use MatmulSpec as S;
         let a = self.value();
         let b = other.value();
-        let value = a.matmul(&b)?;
+        let value = a.matmul_ex(&b, spec)?;
         let a_shape_is_vec = a.shape().rank() == 1;
         let b_shape_is_vec = b.shape().rank() == 1;
-        // The forward pass promotes rank-1 operands to matrices (row on the
-        // left, k×1 column on the right — see `Tensor::matmul`). The backward
-        // pass works on those matrix views and flattens the gradients back to
-        // the recorded parents' rank-1 shapes at the end.
+        // The forward pass promotes rank-1 operands to matrices (a row, or
+        // for an untransposed right operand a k×1 column — see
+        // `Tensor::matmul_ex`). The backward pass works on those matrix
+        // views and flattens the gradients back to the recorded parents'
+        // rank-1 shapes at the end.
         let am = if a_shape_is_vec { a.as_row_matrix() } else { a };
-        let k = am.cols().expect("matmul lhs is a matrix view");
-        let bm = if b_shape_is_vec {
-            if k == 1 {
-                b.as_row_matrix()
-            } else {
-                b.reshape(&[k, 1])
-                    .expect("length checked by forward matmul")
-            }
-        } else {
+        let (a_rows, a_cols) = am.shape().as_matrix()?;
+        let k = if spec.trans_a { a_rows } else { a_cols };
+        let bm = if !b_shape_is_vec {
             b
+        } else if spec.trans_b || k == 1 {
+            b.as_row_matrix()
+        } else {
+            b.reshape(&[k, 1])
+                .expect("length checked by forward matmul")
         };
         Ok(self.tape.push(
             value,
             vec![self.id, other.id],
             Some(Box::new(move |g: &Tensor| {
-                let da = g.matmul_nt(&bm).expect("shapes fixed at record time");
-                let db = am.matmul_tn(g).expect("shapes fixed at record time");
+                let (da, db) = match (spec.trans_a, spec.trans_b) {
+                    (false, false) => (g.matmul_ex(&bm, S::NT), am.matmul_ex(g, S::TN)),
+                    (false, true) => (g.matmul_ex(&bm, S::NN), g.matmul_ex(&am, S::TN)),
+                    (true, false) => (bm.matmul_ex(g, S::NT), am.matmul_ex(g, S::NN)),
+                    (true, true) => (bm.matmul_ex(g, S::TT), g.matmul_ex(&am, S::TT)),
+                };
+                let da = da.expect("shapes fixed at record time");
+                let db = db.expect("shapes fixed at record time");
                 let da = if a_shape_is_vec { da.flatten() } else { da };
                 let db = if b_shape_is_vec { db.flatten() } else { db };
                 vec![da, db]
@@ -150,29 +177,6 @@ impl<'t> Var<'t> {
                     g.clone(),
                     g.sum_rows().expect("gradient of a matrix has rows"),
                 ]
-            })),
-        ))
-    }
-
-    /// Multiplies every row of a matrix elementwise by a rank-1 vector.
-    ///
-    /// # Errors
-    /// Returns an error if `scale.len()` differs from the column count.
-    pub fn mul_row_broadcast(self, scale: Var<'t>) -> Result<Var<'t>> {
-        let x = self.value();
-        let s = scale.value();
-        let value = x.mul_row_broadcast(&s)?;
-        Ok(self.tape.push(
-            value,
-            vec![self.id, scale.id],
-            Some(Box::new(move |g: &Tensor| {
-                let dx = g.mul_row_broadcast(&s).expect("shapes fixed");
-                let ds = g
-                    .mul(&x)
-                    .expect("shapes fixed")
-                    .sum_rows()
-                    .expect("matrix has rows");
-                vec![dx, ds]
             })),
         ))
     }
@@ -286,18 +290,6 @@ mod tests {
         tape.backward(loss).unwrap();
         assert_eq!(tape.grad(b).unwrap().as_slice(), &[2.0, 2.0]);
         assert_eq!(tape.grad(x).unwrap(), Tensor::ones(&[2, 2]));
-    }
-
-    #[test]
-    fn scale_broadcast_gradients() {
-        let tape = Tape::new();
-        let x = tape.var(t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]));
-        let s = tape.var(t(&[2.0, 0.5], &[2]));
-        let loss = x.mul_row_broadcast(s).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
-        // dX[i][j] = s[j]; dS[j] = sum_i x[i][j]
-        assert_eq!(tape.grad(x).unwrap().as_slice(), &[2.0, 0.5, 2.0, 0.5]);
-        assert_eq!(tape.grad(s).unwrap().as_slice(), &[4.0, 6.0]);
     }
 
     #[test]

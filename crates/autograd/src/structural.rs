@@ -1,8 +1,8 @@
-//! Shape-manipulating primitives: reshape, transpose, slicing, concatenation
+//! Shape-manipulating primitives: reshape, slicing, concatenation
 //! and pooling. These are the glue of the patch-embedding and multi-head
 //! attention pipelines.
 
-use tensor::Tensor;
+use tensor::{kernels, Tensor};
 
 use crate::{Result, Var};
 
@@ -19,21 +19,6 @@ impl<'t> Var<'t> {
             vec![self.id],
             Some(Box::new(move |g: &Tensor| {
                 vec![g.reshape(&original).expect("volume preserved")]
-            })),
-        ))
-    }
-
-    /// Matrix transpose.
-    ///
-    /// # Errors
-    /// Returns an error for non-matrix values.
-    pub fn transpose(self) -> Result<Var<'t>> {
-        let value = self.value().transpose()?;
-        Ok(self.tape.push(
-            value,
-            vec![self.id],
-            Some(Box::new(move |g: &Tensor| {
-                vec![g.transpose().expect("matrix gradient")]
             })),
         ))
     }
@@ -92,10 +77,18 @@ impl<'t> Var<'t> {
     /// # Errors
     /// Returns an error if the shapes are incompatible.
     pub fn add_tile_rows(self, tile: Var<'t>, reps: usize) -> Result<Var<'t>> {
-        let t = tile.value();
-        let block_rows = t.rows()?;
-        let tiled = if reps == 1 { t } else { t.repeat_rows(reps)? };
-        let value = self.value().add(&tiled)?;
+        let (x, t) = (self.value(), tile.value());
+        let (rows, cols) = x.shape().as_matrix()?;
+        let (block_rows, tile_cols) = t.shape().as_matrix()?;
+        if tile_cols != cols || block_rows * reps != rows {
+            return Err(tensor::TensorError::ShapeMismatch {
+                op: "add_tile_rows",
+                lhs: x.shape().dims().to_vec(),
+                rhs: t.shape().dims().to_vec(),
+            });
+        }
+        let mut value = x;
+        kernels::add_tile_rows(value.as_mut_slice(), t.as_slice());
         Ok(self.tape.push(
             value,
             vec![self.id, tile.id],
@@ -228,25 +221,6 @@ mod tests {
         let loss = x.reshape(&[4]).unwrap().sum_all().unwrap();
         tape.backward(loss).unwrap();
         assert_eq!(tape.grad(x).unwrap().shape().dims(), &[2, 2]);
-    }
-
-    #[test]
-    fn transpose_gradient_is_transposed() {
-        let tape = Tape::new();
-        let x = tape.var(t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]));
-        let mask = t(&[1.0, 0.0, 0.0, 0.0, 0.0, 0.0], &[3, 2]);
-        let loss = x
-            .transpose()
-            .unwrap()
-            .mul_mask(&mask)
-            .unwrap()
-            .sum_all()
-            .unwrap();
-        tape.backward(loss).unwrap();
-        // Only x[0][0] influences the loss.
-        let g = tape.grad(x).unwrap();
-        assert_eq!(g.at(0, 0).unwrap(), 1.0);
-        assert_eq!(g.sum(), 1.0);
     }
 
     #[test]

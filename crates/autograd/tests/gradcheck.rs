@@ -5,7 +5,7 @@
 use autograd::Tape;
 use proptest::prelude::*;
 use tensor::rng::SeededRng;
-use tensor::Tensor;
+use tensor::{MatmulSpec, Tensor};
 
 /// Scalar objective used in all checks: a fixed-weight sum so the gradient is
 /// non-trivial but deterministic.
@@ -112,26 +112,33 @@ proptest! {
     ) {
         // Sizes straddle the kernel's MR/NR tile edges within one B panel
         // or two; `packed_path_gradcheck` below covers many-panel products.
+        // Every spec records one node over operands stored pre-transposed;
+        // the reference multiplies the materialised transposes.
         let mut rng = SeededRng::new(seed.wrapping_add(7_000));
-        let x = rng.uniform_tensor(&[m, inner], -1.0, 1.0);
-        let w = rng.uniform_tensor(&[inner, cols], -1.0, 1.0);
         let weights = rng.uniform_tensor(&[m, cols], -1.0, 1.0);
+        for spec in [MatmulSpec::NN, MatmulSpec::NT, MatmulSpec::TN, MatmulSpec::TT] {
+            let x_dims = if spec.trans_a { [inner, m] } else { [m, inner] };
+            let w_dims = if spec.trans_b { [cols, inner] } else { [inner, cols] };
+            let x = rng.uniform_tensor(&x_dims, -1.0, 1.0);
+            let w = rng.uniform_tensor(&w_dims, -1.0, 1.0);
 
-        let tape = Tape::new();
-        let xv = tape.var(x.clone());
-        let wv = tape.var(w.clone());
-        let out = xv.matmul(wv).unwrap();
-        let loss = out.mul_mask(&weights).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
+            let tape = Tape::new();
+            let xv = tape.var(x.clone());
+            let wv = tape.var(w.clone());
+            let out = xv.matmul_ex(wv, spec).unwrap();
+            let loss = out.mul_mask(&weights).unwrap().sum_all().unwrap();
+            tape.backward(loss).unwrap();
 
-        let wc = weights.clone();
-        let xc = x.clone();
-        let numeric_w = finite_diff(&w, |w_| weighted_sum(&xc.matmul(w_).unwrap(), &wc), 1e-3);
-        assert_close(&tape.grad(wv).unwrap(), &numeric_w, 2e-2)?;
-        let wc2 = weights.clone();
-        let w2 = w.clone();
-        let numeric_x = finite_diff(&x, |x_| weighted_sum(&x_.matmul(&w2).unwrap(), &wc2), 1e-3);
-        assert_close(&tape.grad(xv).unwrap(), &numeric_x, 2e-2)?;
+            let reference = |x_: &Tensor, w_: &Tensor| {
+                let a = if spec.trans_a { x_.transpose().unwrap() } else { x_.clone() };
+                let b = if spec.trans_b { w_.transpose().unwrap() } else { w_.clone() };
+                weighted_sum(&a.matmul(&b).unwrap(), &weights)
+            };
+            let numeric_w = finite_diff(&w, |w_| reference(&x, w_), 1e-3);
+            assert_close(&tape.grad(wv).unwrap(), &numeric_w, 2e-2)?;
+            let numeric_x = finite_diff(&x, |x_| reference(x_, &w), 1e-3);
+            assert_close(&tape.grad(xv).unwrap(), &numeric_x, 2e-2)?;
+        }
     }
 
     #[test]
@@ -186,7 +193,7 @@ proptest! {
         tape.backward(loss).unwrap();
 
         let reference = |x_: &Tensor, tile_: &Tensor| {
-            let tiled = tile_.repeat_rows(samples).unwrap();
+            let tiled = Tensor::concat_rows(&vec![tile_; samples]).unwrap();
             let summed = x_.add(&tiled).unwrap();
             weighted_sum(&summed.mean_row_blocks(block).unwrap(), &weights)
         };
@@ -235,7 +242,7 @@ proptest! {
         let kv = tape.constant(k.clone());
         let vv = tape.constant(v.clone());
         let scores = qv
-            .matmul(kv.transpose().unwrap())
+            .matmul_ex(kv, MatmulSpec::NT)
             .unwrap()
             .scale(scale)
             .softmax_rows()

@@ -6,7 +6,7 @@ use nn::{
     Activation, Dense, Init, Layer, LayerNorm, Mlp, MultiHeadSelfAttention, Param, Session, Trace,
 };
 use tensor::rng::SeededRng;
-use tensor::Tensor;
+use tensor::{kernels, Tensor};
 
 use crate::{Result, VitalConfig, VitalError};
 
@@ -286,10 +286,7 @@ impl VisionTransformer {
     pub fn predict_batch(&self, batch: &[Tensor]) -> Result<Vec<usize>> {
         self.validate_batch(batch)?;
         self.predict_filled(batch.len(), |stacked| {
-            let per_sample = self.num_patches * self.patch_dim;
-            for (dst, patches) in stacked.chunks_exact_mut(per_sample).zip(batch) {
-                dst.copy_from_slice(patches.as_slice());
-            }
+            kernels::concat_rows(batch.iter().map(Tensor::as_slice), stacked);
             Ok(())
         })
     }
@@ -314,7 +311,11 @@ impl VisionTransformer {
         let entry = self
             .plan_cache
             .get_or_build(samples, self.weight_stamp(), || self.build_graph(samples))?;
-        entry.execute_argmax_with(fill)
+        entry.execute_with(fill, |logits| {
+            let mut labels = vec![0; samples];
+            kernels::argmax_rows(logits, self.num_classes, &mut labels)?;
+            Ok(labels)
+        })?
     }
 
     /// Batched inference with the same [`VisionTransformer::forward`]

@@ -110,28 +110,20 @@ impl PlanEntry {
         self.with_arena(|plan, arena| plan.execute(arena, inputs))
     }
 
-    /// Executes the plan with a pooled arena, returning per-row argmaxes
-    /// with zero tensor allocations.
-    ///
-    /// # Errors
-    /// Propagates input-arity/shape mismatches from
-    /// [`CompiledPlan::execute_argmax`].
-    pub fn execute_argmax(&self, inputs: &[&Tensor]) -> Result<Vec<usize>, GraphError> {
-        self.with_arena(|plan, arena| plan.execute_argmax(arena, inputs))
-    }
-
     /// Executes the plan with a pooled arena whose input region `fill`
-    /// writes in place (see [`CompiledPlan::execute_argmax_with`]),
-    /// returning per-row argmaxes.
+    /// writes in place (see [`CompiledPlan::execute_with`]); `read` turns
+    /// the output's rows into the answer before the arena goes back to the
+    /// pool. Nothing is allocated on a warm pool but what `read` builds.
     ///
     /// # Errors
     /// Returns whatever `fill` returns; the arena still goes back to the
     /// pool.
-    pub fn execute_argmax_with<E>(
+    pub fn execute_with<R, E>(
         &self,
         fill: impl FnOnce(&mut [f32]) -> Result<(), E>,
-    ) -> Result<Vec<usize>, E> {
-        self.with_arena(|plan, arena| plan.execute_argmax_with(arena, fill))
+        read: impl FnOnce(&[f32]) -> R,
+    ) -> Result<R, E> {
+        self.with_arena(|plan, arena| plan.execute_with(arena, fill).map(read))
     }
 }
 
@@ -261,8 +253,6 @@ mod tests {
         assert_eq!(out.shape().dims(), &[2, 3]);
         // row sums: 1-2+3=2 (relu->2 each col), -4+5-6=-5 (relu->0)
         assert_eq!(out.as_slice(), &[2.0, 2.0, 2.0, 0.0, 0.0, 0.0]);
-        let arg = entry.execute_argmax(&[&x]).unwrap();
-        assert_eq!(arg, vec![0, 0]);
     }
 
     #[test]
@@ -271,16 +261,18 @@ mod tests {
         let entry = cache.get_or_build(2, 1, || toy_graph(2)).unwrap();
         let pooled = || entry.pool.arenas.lock().unwrap().len();
         assert_eq!(pooled(), 0);
-        let refused: Result<Vec<usize>, &str> = entry.execute_argmax_with(|_| Err("no input"));
+        let refused: Result<Vec<f32>, &str> =
+            entry.execute_with(|_| Err("no input"), <[f32]>::to_vec);
         assert_eq!(refused, Err("no input"));
         assert_eq!(pooled(), 1, "the arena of a refused execution is pooled");
         // ...and is the one the next execution runs in, filled in place.
         let reuses = stats::arena_reuses();
-        let arg: Result<Vec<usize>, &str> = entry.execute_argmax_with(|input| {
+        let fill = |input: &mut [f32]| -> Result<(), &str> {
             input.copy_from_slice(&[1.0, -2.0, 3.0, -4.0, 5.0, -6.0]);
             Ok(())
-        });
-        assert_eq!(arg, Ok(vec![0, 0]));
+        };
+        let out = entry.execute_with(fill, <[f32]>::to_vec);
+        assert_eq!(out, Ok(vec![2.0, 2.0, 2.0, 0.0, 0.0, 0.0]));
         assert!(stats::arena_reuses() > reuses);
         assert_eq!(pooled(), 1);
     }

@@ -20,9 +20,10 @@
 //!    that step's post-op chain instead of emitting a step: this is what
 //!    turns `matmul → +bias → GELU` into one GEMM step with a two-op post
 //!    chain. The executor applies a post chain as one pass per fused op
-//!    over the step's freshly written (cache-hot) output, each pass
-//!    running *the same kernel* as the eager path, so fused results are
-//!    bit-identical to eager at every dispatch level — the plan latches
+//!    over the step's freshly written (cache-hot) output, each pass a
+//!    call of the one slice-level function ([`tensor::kernels`],
+//!    [`UnaryOp::apply_slice_at`]) the eager `Tensor` op calls too, so
+//!    fusing cannot move a bit at any dispatch level — the plan latches
 //!    [`simd::active_level`] at build time ([`CompiledPlan::level`]) and
 //!    pins every step to it, GEMM included.
 //! 2. **Liveness-based arena planning** ([`plan_arena`]). Each runtime
@@ -103,8 +104,6 @@ pub(crate) enum PostOp {
     Unary(UnaryOp),
     /// `chain + row[j]` for the element's column `j`.
     AddRow(View),
-    /// `chain · row[j]` for the element's column `j`.
-    MulRow(View),
     /// `chain OP other[idx]` (chain is the left operand).
     BinaryLhs {
         /// The operation.
@@ -152,11 +151,7 @@ pub(crate) enum Kernel {
     /// Mean over consecutive `block_rows`-row blocks.
     MeanRowBlocks { src: View, block_rows: usize },
     /// `src + tile`, the tile repeating vertically.
-    AddTileRows {
-        src: Option<View>,
-        tile: View,
-        tile_rows: usize,
-    },
+    AddTileRows { src: Option<View>, tile: View },
     /// Vertical concat.
     ConcatRows { parts: Vec<View> },
     /// Horizontal concat; parts carry their column counts.
@@ -184,7 +179,7 @@ impl Step {
             Kernel::LayerNorm {
                 src, gamma, beta, ..
             } => src.iter_mut().chain([gamma, beta]).for_each(&mut f),
-            Kernel::AddTileRows { src, tile, .. } => src.iter_mut().chain([tile]).for_each(&mut f),
+            Kernel::AddTileRows { src, tile } => src.iter_mut().chain([tile]).for_each(&mut f),
             Kernel::ConcatRows { parts } => parts.iter_mut().for_each(&mut f),
             Kernel::ConcatCols { parts } => parts.iter_mut().for_each(|(p, _)| f(p)),
         }
@@ -192,7 +187,6 @@ impl Step {
             match post {
                 PostOp::Unary(_) => {}
                 PostOp::AddRow(v)
-                | PostOp::MulRow(v)
                 | PostOp::BinaryLhs { rhs: v, .. }
                 | PostOp::BinaryRhs { lhs: v, .. } => f(v),
             }
@@ -215,8 +209,8 @@ impl Step {
 /// A compiled, immutable execution plan for one graph output.
 ///
 /// Build once per (model, batch shape) via [`Compiler::compile`], execute
-/// many times via [`CompiledPlan::execute`] /
-/// [`CompiledPlan::execute_argmax_with`] with a reusable
+/// many times via [`CompiledPlan::execute_with`] /
+/// [`CompiledPlan::execute`] with a reusable
 /// [`Arena`](crate::Arena). Plans are `Send + Sync` (share behind an
 /// `Arc`); all mutable state lives in the per-call arena.
 #[derive(Debug)]
@@ -424,10 +418,6 @@ impl Lowering<'_> {
                 let row = self.dense(*row);
                 self.chain(id, *x, PostOp::AddRow(row));
             }
-            Op::MulRowBroadcast { x, row } => {
-                let row = self.dense(*row);
-                self.chain(id, *x, PostOp::MulRow(row));
-            }
             Op::Matmul { a, b, spec } => {
                 let (ar, ac) = self.dims(*a);
                 let kernel = Kernel::Gemm {
@@ -468,7 +458,6 @@ impl Lowering<'_> {
                 let kernel = Kernel::AddTileRows {
                     src: Some(self.dense(*x)),
                     tile: self.dense(*tile),
-                    tile_rows: self.dims(*tile).0,
                 };
                 self.emit(id, kernel, Vec::new());
             }
@@ -681,7 +670,7 @@ fn for_each_operand(op: &Op, mut f: impl FnMut(ExprId)) {
             f(*b);
         }
         Op::Reduce { x, .. } => f(*x),
-        Op::AddRowBroadcast { x, row } | Op::MulRowBroadcast { x, row } => {
+        Op::AddRowBroadcast { x, row } => {
             f(*x);
             f(*row);
         }

@@ -6,13 +6,13 @@
 //! registers reused by later ones. An operand view is literally
 //! `(offset, row_stride)` into that buffer.
 //!
-//! * **Inputs live in the arena.** The caller writes them in place: the
-//!   `fill` closure of [`CompiledPlan::execute_argmax_with`] receives the
-//!   input region (all inputs back to back, in declaration order) and
-//!   must overwrite all of it — it still holds whatever the previous
-//!   execution left there. The tensor-taking [`CompiledPlan::execute`] /
-//!   [`CompiledPlan::execute_argmax`] are that same path with a closure
-//!   that copies the tensors in.
+//! * **Two ways to run a plan.** [`CompiledPlan::execute_with`] is the
+//!   entry: its `fill` closure receives the input region (all inputs back
+//!   to back, in declaration order) and must overwrite all of it — it
+//!   still holds whatever the previous execution left there — and the
+//!   output comes back as a slice borrowed from the arena.
+//!   [`CompiledPlan::execute`] is that same path with tensors copied in
+//!   and the output copied out.
 //! * **Steps.** For each step the buffer is split around the step's
 //!   output range with two safe `split_at_mut`s; operand views resolve
 //!   into the halves on either side, so an operand overlapping the output
@@ -21,23 +21,24 @@
 //!   strided view in place through its row stride, and a row-wise kernel
 //!   the planner placed in place (`src: None`) skips the copy into its
 //!   output because the output slot already holds its source.
-//! * **Post-ops.** A step's fused chain is applied to the freshly written
-//!   output as one pass per fused op, each pass running the same kernel
-//!   the eager path dispatches to — the runtime-selected SIMD sweep for
-//!   transcendental unaries, exact elementwise loops for the rest — at
+//! * **No arithmetic lives here.** A step resolves its views and calls one
+//!   function — of [`tensor::kernels`], `simd::*_at`,
+//!   [`tensor::UnaryOp::apply_slice_at`] or [`gemm_strided_into_at`] — at
 //!   the dispatch level the plan latched when it was built
-//!   ([`CompiledPlan::level`]). Because eager and compiled execution
-//!   share those kernels, their outputs are bit-identical at every
-//!   dispatch level, including the ULP-divergent opt-in FMA level.
+//!   ([`CompiledPlan::level`]); a fused post chain is one such call per
+//!   op over the freshly written output. The `Tensor` methods the autograd
+//!   tape runs call the very same functions, so compiled and eager
+//!   outputs are bit-identical at every dispatch level, the ULP-divergent
+//!   opt-in FMA level included, and a difference between them can only
+//!   come from the planner (views, liveness, fusion order).
 //!
 //! Steady state — an arena reused across requests of the same batch shape
-//! — a plan executes with **zero** buffer allocations except the one
-//! output tensor ([`CompiledPlan::execute`]), or none at all beyond the
-//! index vector when the caller only needs per-row argmaxes. The per-step
-//! functions (`run`, `run_kernel`, `run_post`, `resolve`, `load`) are held
-//! to that by the `hot-path-alloc` lint span in `ci/lint-rules.toml`.
+//! — [`CompiledPlan::execute_with`] performs **zero** allocations. The
+//! per-step functions (`run`, `run_kernel`, `run_post`, `resolve`, `load`)
+//! are held to that by the `hot-path-alloc` lint span in
+//! `ci/lint-rules.toml`, as are the kernels they call.
 
-use tensor::{gemm_strided_into_at, Tensor};
+use tensor::{gemm_strided_into_at, kernels, Tensor};
 
 use crate::compile::{CompiledPlan, Kernel, PostOp, Ref, Step, View};
 use crate::error::GraphError;
@@ -119,14 +120,8 @@ impl<'a> Operands<'a> {
     /// Brings a row-wise kernel's source into `out` — row by row through a
     /// strided view — unless the step was planned in place (`None`).
     fn load(&self, src: &Option<View>, cols: usize, out: &mut [f32]) {
-        let Some(view) = src else { return };
-        let src = self.resolve(*view);
-        if src.len() == out.len() {
-            out.copy_from_slice(src);
-        } else {
-            for (o_row, s_row) in out.chunks_exact_mut(cols).zip(src.chunks(view.row_stride)) {
-                o_row.copy_from_slice(&s_row[..cols]);
-            }
+        if let Some(view) = src {
+            kernels::copy_rows(self.resolve(*view), view.row_stride, out, cols, cols);
         }
     }
 }
@@ -139,74 +134,42 @@ impl CompiledPlan {
         arena
     }
 
-    /// Runs the plan on the given input tensors, returning the output as
-    /// a tensor (one buffer allocation for the output copy).
+    /// Has `fill` write the inputs straight into the arena, runs the plan
+    /// and returns the output's rows, row-major, borrowed from the arena —
+    /// the serve hot path's shape, with **zero** allocations on a warm
+    /// arena.
+    ///
+    /// `fill` receives the plan's input region: every runtime input back
+    /// to back in declaration order, row-major. It must write every
+    /// element (the region holds a previous execution's bytes).
+    ///
+    /// # Errors
+    /// Returns whatever `fill` returns; the plan then does not run.
+    pub fn execute_with<'a, E>(
+        &self,
+        arena: &'a mut Arena,
+        fill: impl FnOnce(&mut [f32]) -> Result<(), E>,
+    ) -> Result<&'a [f32], E> {
+        arena.ensure(self.arena_len);
+        fill(&mut arena.buf[..self.input_len()])?;
+        self.run(arena);
+        Ok(&arena.buf[self.reg_offsets[self.out_reg]..][..self.out_rows * self.out_cols])
+    }
+
+    /// [`CompiledPlan::execute_with`] on input tensors, copied into the
+    /// arena's input region, returning the output as a tensor (one buffer
+    /// allocation for the copy out).
     ///
     /// # Errors
     /// Returns [`GraphError::InputArity`] / [`GraphError::InputShape`] if
     /// `inputs` do not match the compiled placeholders.
     pub fn execute(&self, arena: &mut Arena, inputs: &[&Tensor]) -> Result<Tensor, GraphError> {
         self.check_inputs(inputs)?;
-        self.run_with(arena, |region| -> Result<(), GraphError> {
-            copy_inputs(inputs, region);
+        let out = self.execute_with(arena, |region| -> Result<(), GraphError> {
+            kernels::concat_rows(inputs.iter().map(|t| t.as_slice()), region);
             Ok(())
         })?;
-        let out = self.output(arena).to_vec();
-        Tensor::from_vec(out, &[self.out_rows, self.out_cols]).map_err(GraphError::Tensor)
-    }
-
-    /// [`CompiledPlan::execute_argmax_with`] on input tensors, copied into
-    /// the arena's input region.
-    ///
-    /// # Errors
-    /// Returns [`GraphError::InputArity`] / [`GraphError::InputShape`] if
-    /// `inputs` do not match the compiled placeholders.
-    pub fn execute_argmax(
-        &self,
-        arena: &mut Arena,
-        inputs: &[&Tensor],
-    ) -> Result<Vec<usize>, GraphError> {
-        self.check_inputs(inputs)?;
-        self.execute_argmax_with(arena, |region| {
-            copy_inputs(inputs, region);
-            Ok(())
-        })
-    }
-
-    /// Has `fill` write the inputs straight into the arena, runs the plan
-    /// and reduces the output to per-row argmax indices — the serve hot
-    /// path's shape, with **zero** buffer allocations on a warm arena
-    /// (beyond the index vector itself).
-    ///
-    /// `fill` receives the plan's input region: every runtime input back
-    /// to back in declaration order, row-major. It must write every
-    /// element (the region holds a previous execution's bytes). Ties
-    /// resolve to the first maximum, exactly like the eager `argmax_rows`.
-    ///
-    /// # Errors
-    /// Returns whatever `fill` returns; the plan then does not run.
-    pub fn execute_argmax_with<E>(
-        &self,
-        arena: &mut Arena,
-        fill: impl FnOnce(&mut [f32]) -> Result<(), E>,
-    ) -> Result<Vec<usize>, E> {
-        self.run_with(arena, fill)?;
-        let mut out = Vec::with_capacity(self.out_rows);
-        for row in self.output(arena).chunks_exact(self.out_cols) {
-            let mut best = 0;
-            for (j, v) in row.iter().enumerate() {
-                if *v > row[best] {
-                    best = j;
-                }
-            }
-            out.push(best);
-        }
-        Ok(out)
-    }
-
-    /// The output register's elements after a run.
-    fn output<'a>(&self, arena: &'a Arena) -> &'a [f32] {
-        &arena.buf[self.reg_offsets[self.out_reg]..][..self.out_rows * self.out_cols]
+        Tensor::from_vec(out.to_vec(), &[self.out_rows, self.out_cols]).map_err(GraphError::Tensor)
     }
 
     /// Typed arity/shape validation of tensor inputs; kept apart from the
@@ -235,17 +198,6 @@ impl CompiledPlan {
         Ok(())
     }
 
-    fn run_with<E>(
-        &self,
-        arena: &mut Arena,
-        fill: impl FnOnce(&mut [f32]) -> Result<(), E>,
-    ) -> Result<(), E> {
-        arena.ensure(self.arena_len);
-        fill(&mut arena.buf[..self.input_len()])?;
-        self.run(arena);
-        Ok(())
-    }
-
     fn run(&self, arena: &mut Arena) {
         let outputs = &self.reg_offsets[self.input_dims.len()..];
         for (step, &out_offset) in self.steps.iter().zip(outputs) {
@@ -266,7 +218,7 @@ impl CompiledPlan {
     }
 
     fn run_kernel(&self, step: &Step, out: &mut [f32], ops: &Operands<'_>) {
-        let (rows, cols) = (step.rows, step.cols);
+        let cols = step.cols;
         match &step.kernel {
             Kernel::Copy { src } => ops.load(src, cols, out),
             Kernel::Gemm {
@@ -287,8 +239,6 @@ impl CompiledPlan {
                 out,
             ),
             Kernel::SoftmaxRows { src } => {
-                // The same three-pass SIMD kernel the eager `softmax_rows`
-                // dispatches to, pinned at the plan's latched level.
                 ops.load(src, cols, out);
                 simd::softmax_rows_at(self.level, out, cols);
             }
@@ -298,117 +248,42 @@ impl CompiledPlan {
                 beta,
                 eps,
             } => {
-                // The same single-sweep SIMD kernel as the eager
-                // `layer_norm_rows`, pinned at the plan's latched level.
                 ops.load(src, cols, out);
                 let (gamma, beta) = (ops.resolve(*gamma), ops.resolve(*beta));
                 simd::layer_norm_rows_at(self.level, out, cols, gamma, beta, *eps);
             }
             Kernel::MeanRowBlocks { src, block_rows } => {
-                // Mirrors the eager `mean_row_blocks`: accumulate each
-                // block's rows in order, then scale once.
-                let src = ops.resolve(*src);
-                let scale = 1.0 / *block_rows as f32;
-                out.fill(0.0);
-                for (acc, block) in out
-                    .chunks_exact_mut(cols)
-                    .zip(src.chunks_exact(block_rows * cols))
-                {
-                    for row in block.chunks_exact(cols) {
-                        for (a, &v) in acc.iter_mut().zip(row) {
-                            *a += v;
-                        }
-                    }
-                    for a in acc.iter_mut() {
-                        *a *= scale;
-                    }
-                }
+                kernels::mean_row_blocks(ops.resolve(*src), *block_rows, cols, out);
             }
-            Kernel::AddTileRows {
-                src,
-                tile,
-                tile_rows,
-            } => {
+            Kernel::AddTileRows { src, tile } => {
                 ops.load(src, cols, out);
-                let tile = ops.resolve(*tile);
-                for (r, o_row) in out.chunks_exact_mut(cols).enumerate() {
-                    let t_row = &tile[(r % tile_rows) * cols..][..cols];
-                    for (o, &t) in o_row.iter_mut().zip(t_row) {
-                        *o += t;
-                    }
-                }
+                kernels::add_tile_rows(out, ops.resolve(*tile));
             }
             Kernel::ConcatRows { parts } => {
-                let mut offset = 0;
-                for p in parts {
-                    out[offset..offset + p.len].copy_from_slice(ops.resolve(*p));
-                    offset += p.len;
-                }
+                kernels::concat_rows(parts.iter().map(|p| ops.resolve(*p)), out);
             }
             Kernel::ConcatCols { parts } => {
-                for r in 0..rows {
-                    let mut offset = r * cols;
-                    for (p, pc) in parts {
-                        let src = ops.resolve(*p);
-                        out[offset..offset + pc].copy_from_slice(&src[r * pc..(r + 1) * pc]);
-                        offset += pc;
-                    }
-                }
+                let parts = parts.iter().map(|(p, width)| (ops.resolve(*p), *width));
+                kernels::concat_cols(parts, cols, out);
             }
         }
     }
 
     /// Applies the step's fused elementwise chain as one pass per op over
-    /// the freshly written output buffer.
-    ///
-    /// A chained op is either a named unary — one `match` outside the
-    /// loop, then the runtime-dispatched SIMD sweep at the plan's latched
-    /// level or a plain vectorizable loop, exactly like the eager
-    /// `Tensor::apply` — or an exact single-operation elementwise loop,
-    /// whose per-element result is independent of pass structure. Both
-    /// ways, compiled output stays bit-identical to the eager path at the
-    /// same level.
+    /// the freshly written output buffer. Each pass is exact per element
+    /// and independent of pass structure, so fusing never moves a bit.
     fn run_post(&self, step: &Step, out: &mut [f32], ops: &Operands<'_>) {
-        let cols = step.cols;
         for post in &step.post {
             match post {
                 PostOp::Unary(op) => op.apply_slice_at(self.level, out),
-                PostOp::AddRow(r) => {
-                    let row = ops.resolve(*r);
-                    for o_row in out.chunks_exact_mut(cols) {
-                        for (o, &t) in o_row.iter_mut().zip(row) {
-                            *o += t;
-                        }
-                    }
-                }
-                PostOp::MulRow(r) => {
-                    let row = ops.resolve(*r);
-                    for o_row in out.chunks_exact_mut(cols) {
-                        for (o, &t) in o_row.iter_mut().zip(row) {
-                            *o *= t;
-                        }
-                    }
-                }
+                PostOp::AddRow(row) => kernels::add_tile_rows(out, ops.resolve(*row)),
                 PostOp::BinaryLhs { op, rhs } => {
-                    for (o, &t) in out.iter_mut().zip(ops.resolve(*rhs)) {
-                        *o = op.eval(*o, t);
-                    }
+                    kernels::binary_assign(*op, out, ops.resolve(*rhs));
                 }
                 PostOp::BinaryRhs { op, lhs } => {
-                    for (o, &t) in out.iter_mut().zip(ops.resolve(*lhs)) {
-                        *o = op.eval(t, *o);
-                    }
+                    kernels::binary_assign_rhs(*op, ops.resolve(*lhs), out);
                 }
             }
         }
-    }
-}
-
-/// Lays validated input tensors back to back into the input region.
-fn copy_inputs(inputs: &[&Tensor], region: &mut [f32]) {
-    let mut at = 0;
-    for input in inputs {
-        region[at..at + input.len()].copy_from_slice(input.as_slice());
-        at += input.len();
     }
 }

@@ -28,7 +28,7 @@ pub struct ExprId(pub(crate) usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Numerically stable softmax over each row (three passes: max,
-    /// exp-accumulate, normalise — exactly the eager kernel's order).
+    /// exp-accumulate, normalise — `simd::softmax_rows_at`).
     SoftmaxRows,
     /// Mean over consecutive blocks of rows: `(B·k) × c → B × c`.
     MeanRowBlocks {
@@ -84,13 +84,6 @@ pub enum Op {
     },
     /// `x + row` broadcast over every row (bias add).
     AddRowBroadcast {
-        /// Matrix operand.
-        x: ExprId,
-        /// Single-row operand.
-        row: ExprId,
-    },
-    /// `x · row` broadcast over every row (per-feature scale).
-    MulRowBroadcast {
         /// Matrix operand.
         x: ExprId,
         /// Single-row operand.
@@ -340,15 +333,6 @@ impl Graph {
     pub fn add_row_broadcast(&mut self, x: ExprId, row: ExprId) -> Result<ExprId, GraphError> {
         let (rows, cols) = self.broadcast_dims("add_row_broadcast", x, row)?;
         Ok(self.push(Op::AddRowBroadcast { x, row }, rows, cols))
-    }
-
-    /// `x · row` broadcast over every row.
-    ///
-    /// # Errors
-    /// Returns [`GraphError::ShapeMismatch`] unless `row` is `1 × cols(x)`.
-    pub fn mul_row_broadcast(&mut self, x: ExprId, row: ExprId) -> Result<ExprId, GraphError> {
-        let (rows, cols) = self.broadcast_dims("mul_row_broadcast", x, row)?;
-        Ok(self.push(Op::MulRowBroadcast { x, row }, rows, cols))
     }
 
     fn broadcast_dims(

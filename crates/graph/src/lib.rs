@@ -17,14 +17,17 @@
 //!    runtime inputs included — into one arena buffer by liveness, so
 //!    steady-state execution performs **zero** buffer allocations.
 //! 3. Execute with a reusable [`Arena`] — writing the inputs straight
-//!    into it ([`CompiledPlan::execute_argmax_with`]) or handing over
-//!    tensors to be copied in — or let a [`PlanCache`] key plans by
-//!    `(batch, weight stamp)` and pool arenas across threads.
+//!    into it and reading the output out of it
+//!    ([`CompiledPlan::execute_with`]) or handing over tensors to be
+//!    copied in and out ([`CompiledPlan::execute`]) — or let a
+//!    [`PlanCache`] key plans by `(batch, weight stamp)` and pool arenas
+//!    across threads.
 //!
 //! Fused execution is **bit-identical** to the eager tensor path: every
-//! kernel replicates the eager implementation's per-element arithmetic
-//! order (the property tests in `core`/`baselines` assert this across all
-//! localizers, batch sizes, and thread counts).
+//! step calls the slice-level kernel ([`tensor::kernels`], `simd`, the
+//! GEMM) the eager `Tensor` op itself calls, so what the property tests
+//! in this crate, `core` and `baselines` check across all localizers,
+//! batch sizes and thread counts is the planner.
 //!
 //! Process-wide counters (plans built, cache hits, arena reuse) live in
 //! [`stats`] and are exported by the serve layer's `/metrics`.
@@ -228,7 +231,7 @@ mod tests {
         let mut arena = plan.new_arena();
         let allocs_after_warmup = arena.slot_allocs();
         for _ in 0..5 {
-            plan.execute_argmax(&mut arena, &[&xt]).unwrap();
+            plan.execute(&mut arena, &[&xt]).unwrap();
         }
         assert_eq!(
             arena.slot_allocs(),
@@ -270,8 +273,17 @@ mod tests {
             &[4, 7],
         );
         let mut arena = plan.new_arena();
-        let got = plan.execute_argmax(&mut arena, &[&xt]).unwrap();
-        assert_eq!(got, xt.softmax_rows().unwrap().argmax_rows().unwrap());
+        let fill = |input: &mut [f32]| -> Result<(), GraphError> {
+            input.copy_from_slice(xt.as_slice());
+            Ok(())
+        };
+        let rows = plan.execute_with(&mut arena, fill).unwrap();
+        let mut got = [usize::MAX; 4];
+        tensor::kernels::argmax_rows(rows, 7, &mut got).unwrap();
+        assert_eq!(
+            got.to_vec(),
+            xt.softmax_rows().unwrap().argmax_rows().unwrap()
+        );
     }
 
     #[test]

@@ -6,10 +6,10 @@
 
 use proptest::prelude::*;
 use tensor::rng::SeededRng;
-use tensor::{BinaryOp, MatmulSpec, Tensor, UnaryOp};
+use tensor::{BinaryOp, MatmulSpec, Tensor, TensorError, UnaryOp};
 
 use crate::compile::{CompiledPlan, Kernel, Ref};
-use crate::{Compiler, ExprId, Graph};
+use crate::{Compiler, ExprId, Graph, GraphError};
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -156,6 +156,35 @@ fn a_source_the_step_reads_twice_is_not_overwritten() {
     let plan = compile(&g, out);
     assert!(in_place(&plan, 0));
     assert_eq!(bits(&run(&plan, &[&x])), bits(&x.apply(UnaryOp::Relu)));
+
+    // A zero-width value carries a post-op like any other: the plan
+    // answers with the eager `[rows, 0]`...
+    let mut g = Graph::new();
+    let xi = g.input(3, 5);
+    let none = g.slice_cols(xi, 1, 1).unwrap();
+    let row = g.slice_rows(none, 0, 1).unwrap();
+    let out = g.add_row_broadcast(none, row).unwrap();
+    let plan = compile(&g, out);
+    let none_e = x.slice_cols(1, 1).unwrap();
+    let eager = none_e.add_row_broadcast(&none_e.slice_rows(0, 1).unwrap());
+    let got = run(&plan, &[&x]);
+    assert_eq!(got, eager.unwrap());
+    assert_eq!(got.shape().dims(), &[3, 0]);
+    // ...and its rows have no argmax, which is the eager typed error.
+    let mut arena = plan.new_arena();
+    let fill = |input: &mut [f32]| -> Result<(), GraphError> {
+        input.copy_from_slice(x.as_slice());
+        Ok(())
+    };
+    let rows = plan.execute_with(&mut arena, fill).unwrap();
+    assert_eq!(
+        tensor::kernels::argmax_rows(rows, plan.out_cols, &mut [0; 3]),
+        Err(TensorError::Empty { op: "argmax_rows" })
+    );
+    assert_eq!(
+        got.argmax_rows(),
+        Err(TensorError::Empty { op: "argmax_rows" })
+    );
 }
 
 #[test]
@@ -257,13 +286,19 @@ impl Twin {
     }
 }
 
+/// One of `n`'s divisors, chosen by `pick`.
+fn divisor(n: usize, pick: usize) -> usize {
+    let divisors: Vec<usize> = (1..=n).filter(|d| n.is_multiple_of(*d)).collect();
+    divisors[pick % divisors.len()]
+}
+
 /// Side of the square base matrices random graphs are cut from.
 const SIDE: usize = 6;
 
 /// Interprets `program` — `(op, pick, pick, pick)` tuples — into a graph
-/// of slices, GEMMs over views, row-wise kernels, concats and reshapes,
-/// evaluating every node eagerly alongside. Returns the graph, its
-/// output, the two runtime inputs and the eager output.
+/// of slices, GEMMs over views, row-wise and row-block kernels, concats
+/// and reshapes, evaluating every node eagerly alongside. Returns the
+/// graph, its output, the two runtime inputs and the eager output.
 fn random_twin(
     program: &[(usize, usize, usize, usize)],
     seed: u64,
@@ -291,7 +326,7 @@ fn random_twin(
         let (rows, cols) = xv.shape().as_matrix().unwrap();
         let base = q % 3; // one of the SIDE×SIDE base matrices
         let (bid, bv) = (tw.ids[base], tw.vals[base].clone());
-        match op % 13 {
+        match op % 15 {
             0 => {
                 let start = q % rows;
                 let end = start + 1 + r % (rows - start);
@@ -390,6 +425,24 @@ fn random_twin(
                 let row = tw.vals[y].slice_rows(at, at + 1).unwrap();
                 tw.push(id, xv.add_row_broadcast(&row).unwrap());
             }
+            // x + tile, the tile a row window of any node of x's width:
+            // row-wise, so it runs in place when x dies here.
+            13 => {
+                let reps = divisor(rows, q);
+                let tile_rows = rows / reps;
+                let y = tw.find(r, |yr, c| c == cols && yr >= tile_rows).unwrap();
+                let at = r % (tw.vals[y].shape().as_matrix().unwrap().0 - tile_rows + 1);
+                let tile = tw.g.slice_rows(tw.ids[y], at, at + tile_rows).unwrap();
+                let id = tw.g.add_tile_rows(xid, tile, reps).unwrap();
+                let tile = tw.vals[y].slice_rows(at, at + tile_rows).unwrap();
+                let tiled = Tensor::concat_rows(&vec![&tile; reps]).unwrap();
+                tw.push(id, xv.add(&tiled).unwrap());
+            }
+            14 => {
+                let block_rows = divisor(rows, q);
+                let id = tw.g.mean_row_blocks(xid, block_rows).unwrap();
+                tw.push(id, xv.mean_row_blocks(block_rows).unwrap());
+            }
             _ => {} // a guard above declined this shape
         }
     }
@@ -416,7 +469,7 @@ proptest! {
     #[test]
     fn random_view_graphs_match_node_at_a_time_evaluation(
         program in proptest::collection::vec(
-            (0usize..13, 0usize..1000, 0usize..1000, 0usize..1000),
+            (0usize..15, 0usize..1000, 0usize..1000, 0usize..1000),
             4..28,
         ),
         seed in 0u64..1000,

@@ -5,7 +5,7 @@
 //! the VITAL vision transformer ([`vital`]) and the comparison baselines
 //! ([`baselines`]): dense layers, layer normalisation, multi-head
 //! self-attention, feed-forward blocks, 1-D convolutions, stacked
-//! autoencoders, SGD/Adam optimizers and dropout.
+//! autoencoders, the Adam optimizer and dropout.
 //!
 //! # Architecture
 //!
@@ -39,27 +39,21 @@
 //! as a stack of one. Record order is plan step order: put ops that should
 //! run back to back next to each other.
 //!
-//! To add an op a layer needs, add a method to [`Trace`] and its two
-//! impls: on [`Session`] it calls the differentiable `autograd::Var` op, on
-//! [`graph::Graph`] it pushes the `graph::Op` node the compiler knows how
-//! to schedule (a new `Op` variant also needs its kernel in
-//! `graph::compile`). The `nn/tests/trace_parity.rs` and
-//! `baselines/tests/compiled_parity.rs` suites then hold the two impls to
-//! the same bits.
+//! To add an op a layer needs, see "Adding an op" on [`Trace`].
 //!
 //! # Example: one gradient step on a dense layer
 //!
 //! ```
 //! use autograd::Tape;
 //! use nn::{Dense, Init, Layer, Session};
-//! use nn::optim::{Optimizer, Sgd};
+//! use nn::optim::{Adam, Optimizer};
 //! use tensor::rng::SeededRng;
 //! use tensor::Tensor;
 //!
 //! # fn main() -> Result<(), tensor::TensorError> {
 //! let mut rng = SeededRng::new(0);
 //! let dense = Dense::new(&mut rng, 4, 2, Init::Xavier);
-//! let mut sgd = Sgd::new(0.1);
+//! let mut adam = Adam::new(0.1);
 //!
 //! let tape = Tape::new();
 //! let mut session = Session::new(&tape, true, 42);
@@ -67,7 +61,7 @@
 //! let out = dense.forward(&mut session, x)?;
 //! let loss = out.softmax_cross_entropy(&[0, 1, 0])?;
 //! session.backward(loss)?;
-//! sgd.step(&dense.params());
+//! adam.step(&dense.params());
 //! # Ok(())
 //! # }
 //! ```

@@ -76,65 +76,6 @@ pub fn minibatches<E: From<TensorError>>(
     Ok(epoch_losses)
 }
 
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    learning_rate: f32,
-    momentum: f32,
-    velocity: HashMap<usize, Tensor>,
-}
-
-impl Sgd {
-    /// Plain SGD with the given learning rate.
-    pub fn new(learning_rate: f32) -> Self {
-        Sgd {
-            learning_rate,
-            momentum: 0.0,
-            velocity: HashMap::new(),
-        }
-    }
-
-    /// SGD with classical momentum.
-    pub fn with_momentum(learning_rate: f32, momentum: f32) -> Self {
-        Sgd {
-            learning_rate,
-            momentum,
-            velocity: HashMap::new(),
-        }
-    }
-
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.learning_rate
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &[Param]) {
-        for p in params {
-            let Some(grad) = p.grad() else { continue };
-            let update = if self.momentum > 0.0 {
-                let v = self
-                    .velocity
-                    .entry(p.key())
-                    .or_insert_with(|| grad.zeros_like());
-                *v = v
-                    .scale(self.momentum)
-                    .add(&grad)
-                    .expect("velocity and grad share the parameter shape");
-                v.clone()
-            } else {
-                grad
-            };
-            p.set_value(
-                p.value()
-                    .sub(&update.scale(self.learning_rate))
-                    .expect("update shares the parameter shape"),
-            );
-        }
-    }
-}
-
 /// Adam optimizer (Kingma & Ba, 2015) with bias-corrected moment estimates.
 #[derive(Debug)]
 pub struct Adam {
@@ -153,18 +94,6 @@ impl Adam {
             learning_rate,
             beta1: 0.9,
             beta2: 0.999,
-            eps: 1e-8,
-            step_count: 0,
-            moments: HashMap::new(),
-        }
-    }
-
-    /// Adam with explicit betas.
-    pub fn with_betas(learning_rate: f32, beta1: f32, beta2: f32) -> Self {
-        Adam {
-            learning_rate,
-            beta1,
-            beta2,
             eps: 1e-8,
             step_count: 0,
             moments: HashMap::new(),
@@ -230,33 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_descends_quadratic() {
-        let p = Param::new("x", Tensor::from_vec(vec![10.0, -6.0], &[2]).unwrap());
-        let mut sgd = Sgd::new(0.1);
-        assert_eq!(sgd.learning_rate(), 0.1);
-        for _ in 0..100 {
-            quadratic_grad(&p);
-            sgd.step(std::slice::from_ref(&p));
-        }
-        assert!(p.value().norm() < 1e-3);
-    }
-
-    #[test]
-    fn sgd_with_momentum_descends_faster_than_plain() {
-        let run = |mut opt: Box<dyn Optimizer>| {
-            let p = Param::new("x", Tensor::from_vec(vec![5.0], &[1]).unwrap());
-            for _ in 0..20 {
-                quadratic_grad(&p);
-                opt.step(std::slice::from_ref(&p));
-            }
-            p.value().abs().max().unwrap()
-        };
-        let plain = run(Box::new(Sgd::new(0.05)));
-        let momentum = run(Box::new(Sgd::with_momentum(0.05, 0.9)));
-        assert!(momentum < plain);
-    }
-
-    #[test]
     fn adam_descends_quadratic() {
         let p = Param::new("x", Tensor::from_vec(vec![3.0, -2.0, 1.0], &[3]).unwrap());
         let mut adam = Adam::new(0.1);
@@ -266,13 +168,13 @@ mod tests {
         }
         assert!(p.value().norm() < 1e-2);
         assert_eq!(adam.steps(), 300);
+        assert_eq!(adam.learning_rate(), 0.1);
     }
 
     #[test]
     fn optimizers_skip_params_without_grad() {
         let p = Param::new("x", Tensor::ones(&[2]));
         let before = p.value();
-        Sgd::new(0.5).step(std::slice::from_ref(&p));
         Adam::new(0.5).step(std::slice::from_ref(&p));
         assert_eq!(p.value(), before);
     }
@@ -286,12 +188,5 @@ mod tests {
         zero_grads(&[a.clone(), b.clone()]);
         assert!(a.grad().is_none());
         assert!(b.grad().is_none());
-    }
-
-    #[test]
-    fn adam_with_betas_constructor() {
-        let adam = Adam::with_betas(0.01, 0.8, 0.95);
-        assert_eq!(adam.learning_rate(), 0.01);
-        assert_eq!(adam.steps(), 0);
     }
 }

@@ -97,9 +97,7 @@ impl<'t> Trace for Session<'t> {
     }
 
     fn matmul(&mut self, a: Var<'t>, b: Var<'t>, spec: MatmulSpec) -> Result<Var<'t>> {
-        let a = if spec.trans_a { a.transpose()? } else { a };
-        let b = if spec.trans_b { b.transpose()? } else { b };
-        a.matmul(b)
+        a.matmul_ex(b, spec)
     }
 
     fn activate(&mut self, x: Var<'t>, f: Activation) -> Result<Var<'t>> {

@@ -14,6 +14,23 @@ use crate::{Activation, Param};
 /// Record order is tape order and plan step order. No method takes a
 /// closure, so a forward written against this trait can only be made of
 /// ops both recorders — and therefore the fuser — know by name.
+///
+/// # Adding an op
+///
+/// One kernel, one method here, two recorder arms. Write the loop once as
+/// an allocation-free slice-in/slice-out function in [`tensor::kernels`]
+/// (zero-width rows accepted, named in the `hot_path` span of
+/// `ci/lint-rules.toml`). Add the method to this trait. On [`Session`] it
+/// calls an `autograd::Var` op whose forward allocates the result and
+/// calls the kernel; on [`Graph`] it pushes a `graph::Op` node whose
+/// `graph::exec::run_kernel` (or `run_post`) arm resolves the operand
+/// views and calls the same kernel. Nothing in `exec.rs` may compute: an
+/// arm that adds, multiplies or compares `f32`s itself is a second
+/// implementation, and the parity suites (`nn/tests/trace_parity.rs`,
+/// `baselines/tests/compiled_parity.rs`, `graph/src/plan_tests.rs`) exist
+/// to check the planner, not to hold two loops together.
+///
+/// [`Session`]: crate::Session
 pub trait Trace {
     /// Handle to a recorded `[rows, cols]` value.
     type Node: Copy;

@@ -6,6 +6,11 @@
 //! multiplication, elementwise arithmetic with simple broadcasting,
 //! reductions, softmax/log-sum-exp helpers, and seeded random initialisers.
 //!
+//! Every structural and elementwise op is written once, as an
+//! allocation-free slice-level function in [`kernels`]; the `Tensor`
+//! methods allocate a result and call it, and the `graph` crate's compiled
+//! plans call the same function on arena slices.
+//!
 //! The design goal is *predictability over generality*: every tensor is a
 //! contiguous row-major buffer plus a shape; there are no lazily-evaluated
 //! views or stride tricks, so each operation is easy to audit and to
@@ -40,6 +45,7 @@
 #![warn(rust_2018_idioms)]
 
 mod error;
+pub mod kernels;
 mod matmul;
 mod named_ops;
 mod ops;

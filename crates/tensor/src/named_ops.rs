@@ -1,18 +1,16 @@
-//! Named elementwise operations shared by the eager API and fused kernels.
+//! Named elementwise operations: the vocabulary both executors share.
 //!
 //! Historically the hot inference paths applied activations through opaque
 //! closures (`x.map(|v| …)`), which a compiler — or a static analyzer —
 //! cannot see through. [`UnaryOp`] and [`BinaryOp`] name every elementwise
-//! operation the inference stack uses, so the eager path
-//! ([`Tensor::apply`], [`Tensor::binary`]) and the `graph` crate's fused
-//! single-pass kernels evaluate *the same scalar function* and stay
-//! bit-identical by construction.
-//!
-//! The scalar formulas here are the single source of truth: the `autograd`
-//! activation forwards delegate to [`UnaryOp::eval`], and the graph
-//! executor folds chains of these ops into one pass over a buffer.
+//! operation the inference stack uses. Each has one scalar definition
+//! ([`UnaryOp::eval`], [`BinaryOp::eval`]) and one slice-level sweep
+//! ([`UnaryOp::apply_slice_at`], [`crate::kernels::binary_assign`]);
+//! [`Tensor::apply`] / [`Tensor::binary`] on the tape and a fused post-op
+//! of a compiled plan both call that sweep, so the two agree bit for bit
+//! by construction.
 
-use crate::{Result, Tensor};
+use crate::{kernels, Result, Tensor, TensorError};
 
 pub use simd::{GELU_COEFF, SQRT_2_OVER_PI};
 
@@ -153,12 +151,21 @@ impl Tensor {
     /// # Errors
     /// Returns [`crate::TensorError::ShapeMismatch`] if the shapes differ.
     pub fn binary(&self, other: &Tensor, op: BinaryOp) -> Result<Tensor> {
-        match op {
-            BinaryOp::Add => self.add(other),
-            BinaryOp::Sub => self.sub(other),
-            BinaryOp::Mul => self.mul(other),
-            BinaryOp::Div => self.div(other),
+        if !self.shape().same_as(other.shape()) {
+            return Err(TensorError::ShapeMismatch {
+                op: match op {
+                    BinaryOp::Add => "add",
+                    BinaryOp::Sub => "sub",
+                    BinaryOp::Mul => "mul",
+                    BinaryOp::Div => "div",
+                },
+                lhs: self.shape().dims().to_vec(),
+                rhs: other.shape().dims().to_vec(),
+            });
         }
+        let mut out = self.clone();
+        kernels::binary_assign(op, out.as_mut_slice(), other.as_slice());
+        Ok(out)
     }
 }
 
@@ -243,12 +250,15 @@ mod tests {
 
     #[test]
     fn binary_dispatches_to_arithmetic() {
-        let a = Tensor::from_vec(vec![1.0, 4.0, 9.0], &[3]).unwrap();
-        let b = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
-        assert_eq!(a.binary(&b, BinaryOp::Add).unwrap(), a.add(&b).unwrap());
-        assert_eq!(a.binary(&b, BinaryOp::Sub).unwrap(), a.sub(&b).unwrap());
-        assert_eq!(a.binary(&b, BinaryOp::Mul).unwrap(), a.mul(&b).unwrap());
-        assert_eq!(a.binary(&b, BinaryOp::Div).unwrap(), a.div(&b).unwrap());
+        let a = Tensor::from_vec(vec![1.0, 4.0, 9.0, f32::NAN], &[4]).unwrap();
+        let b = Tensor::from_vec(vec![1.0, 2.0, 0.0, 3.0], &[4]).unwrap();
+        for op in [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div] {
+            let got = a.binary(&b, op).unwrap();
+            assert_eq!(got.shape(), a.shape());
+            for ((g, &x), &y) in got.as_slice().iter().zip(a.as_slice()).zip(b.as_slice()) {
+                assert_eq!(g.to_bits(), op.eval(x, y).to_bits(), "{op:?}({x}, {y})");
+            }
+        }
         assert!(a.binary(&Tensor::zeros(&[2]), BinaryOp::Add).is_err());
     }
 }

@@ -1,36 +1,14 @@
 //! Elementwise arithmetic, scalar ops, broadcasting helpers and transposition.
 
-use crate::{Result, Tensor, TensorError};
+use crate::{kernels, BinaryOp, Result, Tensor, TensorError, UnaryOp};
 
 impl Tensor {
-    fn zip_same_shape(
-        &self,
-        other: &Tensor,
-        op: &'static str,
-        f: impl Fn(f32, f32) -> f32,
-    ) -> Result<Tensor> {
-        if !self.shape().same_as(other.shape()) {
-            return Err(TensorError::ShapeMismatch {
-                op,
-                lhs: self.shape().dims().to_vec(),
-                rhs: other.shape().dims().to_vec(),
-            });
-        }
-        let data = self
-            .as_slice()
-            .iter()
-            .zip(other.as_slice())
-            .map(|(&a, &b)| f(a, b))
-            .collect();
-        Tensor::from_vec(data, self.shape().dims())
-    }
-
     /// Elementwise addition of two tensors with identical shapes.
     ///
     /// # Errors
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn add(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_same_shape(other, "add", |a, b| a + b)
+        self.binary(other, BinaryOp::Add)
     }
 
     /// Elementwise subtraction (`self - other`).
@@ -38,7 +16,7 @@ impl Tensor {
     /// # Errors
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn sub(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_same_shape(other, "sub", |a, b| a - b)
+        self.binary(other, BinaryOp::Sub)
     }
 
     /// Elementwise (Hadamard) product.
@@ -46,7 +24,7 @@ impl Tensor {
     /// # Errors
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn mul(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_same_shape(other, "mul", |a, b| a * b)
+        self.binary(other, BinaryOp::Mul)
     }
 
     /// Elementwise division (`self / other`).
@@ -54,17 +32,17 @@ impl Tensor {
     /// # Errors
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn div(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_same_shape(other, "div", |a, b| a / b)
+        self.binary(other, BinaryOp::Div)
     }
 
     /// Adds `value` to every element.
     pub fn add_scalar(&self, value: f32) -> Tensor {
-        self.map(|v| v + value)
+        self.apply(UnaryOp::AddScalar(value))
     }
 
     /// Multiplies every element by `value`.
     pub fn scale(&self, value: f32) -> Tensor {
-        self.map(|v| v * value)
+        self.apply(UnaryOp::MulScalar(value))
     }
 
     /// Applies `f` to every element, producing a new tensor of the same shape.
@@ -87,41 +65,8 @@ impl Tensor {
                 rhs: row.shape().dims().to_vec(),
             });
         }
-        let rv = row.as_slice();
-        let mut data = Vec::with_capacity(r * c);
-        if c > 0 {
-            for chunk in self.as_slice().chunks_exact(c) {
-                for (&x, &rj) in chunk.iter().zip(rv) {
-                    data.push(x + rj);
-                }
-            }
-        }
-        Tensor::from_vec(data, &[r, c])
-    }
-
-    /// Multiplies every row of a matrix elementwise by a rank-1 `row` vector.
-    ///
-    /// # Errors
-    /// Returns an error if `self` is not a matrix or `row.len()` differs from
-    /// the column count.
-    pub fn mul_row_broadcast(&self, row: &Tensor) -> Result<Tensor> {
-        let (r, c) = self.shape().as_matrix()?;
-        if row.len() != c {
-            return Err(TensorError::ShapeMismatch {
-                op: "mul_row_broadcast",
-                lhs: self.shape().dims().to_vec(),
-                rhs: row.shape().dims().to_vec(),
-            });
-        }
-        let rv = row.as_slice();
-        let mut data = Vec::with_capacity(r * c);
-        if c > 0 {
-            for chunk in self.as_slice().chunks_exact(c) {
-                for (&x, &rj) in chunk.iter().zip(rv) {
-                    data.push(x * rj);
-                }
-            }
-        }
+        let mut data = self.as_slice().to_vec();
+        kernels::add_tile_rows(&mut data, row.as_slice());
         Tensor::from_vec(data, &[r, c])
     }
 
@@ -148,7 +93,7 @@ impl Tensor {
 
     /// Elementwise natural exponent (runs on the dispatched SIMD kernel).
     pub fn exp(&self) -> Tensor {
-        self.apply(crate::UnaryOp::Exp)
+        self.apply(UnaryOp::Exp)
     }
 
     /// Elementwise natural logarithm.
@@ -234,26 +179,6 @@ impl Tensor {
         }
         Ok(Tensor::from_vec(data, &[rows, cols]).expect("tile volume"))
     }
-
-    /// Vertically repeats a `[rows, cols]` matrix `times` times, producing a
-    /// `[times * rows, cols]` matrix.
-    ///
-    /// The inverse reduction is [`Tensor::sum_row_blocks`]; together they
-    /// implement broadcasting a per-sample tensor across a stacked batch.
-    ///
-    /// # Errors
-    /// Returns an error if the tensor is not a matrix or is empty.
-    pub fn repeat_rows(&self, times: usize) -> Result<Tensor> {
-        let (r, c) = self.shape().as_matrix()?;
-        if self.is_empty() {
-            return Err(TensorError::Empty { op: "repeat_rows" });
-        }
-        let mut data = Vec::with_capacity(times * r * c);
-        for _ in 0..times {
-            data.extend_from_slice(self.as_slice());
-        }
-        Tensor::from_vec(data, &[times * r, c])
-    }
 }
 
 impl Default for Tensor {
@@ -268,18 +193,6 @@ mod tests {
 
     fn t(v: &[f32], dims: &[usize]) -> Tensor {
         Tensor::from_vec(v.to_vec(), dims).unwrap()
-    }
-
-    #[test]
-    fn repeat_rows_tiles_matrix_blocks() {
-        let a = t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let r = a.repeat_rows(3).unwrap();
-        assert_eq!(r.shape().dims(), &[6, 2]);
-        assert_eq!(&r.as_slice()[..4], a.as_slice());
-        assert_eq!(&r.as_slice()[8..], a.as_slice());
-        // Round trip with the block-sum reduction.
-        assert_eq!(r.sum_row_blocks(2).unwrap(), a.scale(3.0));
-        assert!(Tensor::zeros(&[0, 2]).repeat_rows(2).is_err());
     }
 
     #[test]
@@ -316,10 +229,6 @@ mod tests {
         assert_eq!(
             m.add_row_broadcast(&r).unwrap().as_slice(),
             &[11.0, 22.0, 13.0, 24.0]
-        );
-        assert_eq!(
-            m.mul_row_broadcast(&r).unwrap().as_slice(),
-            &[10.0, 40.0, 30.0, 80.0]
         );
         let bad = t(&[1.0, 2.0, 3.0], &[3]);
         assert!(m.add_row_broadcast(&bad).is_err());
@@ -375,10 +284,6 @@ mod tests {
         let row = Tensor::from_vec(vec![], &[0]).unwrap();
         assert_eq!(
             empty.add_row_broadcast(&row).unwrap().shape().dims(),
-            &[2, 0]
-        );
-        assert_eq!(
-            empty.mul_row_broadcast(&row).unwrap().shape().dims(),
             &[2, 0]
         );
     }

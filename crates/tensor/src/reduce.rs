@@ -1,6 +1,6 @@
 //! Reductions, statistics and normalisation helpers.
 
-use crate::{Result, Tensor, TensorError};
+use crate::{kernels, Result, Tensor, TensorError};
 
 impl Tensor {
     /// Sum of all elements.
@@ -86,20 +86,8 @@ impl Tensor {
     /// Returns an error if the tensor is not a matrix or has zero columns.
     pub fn argmax_rows(&self) -> Result<Vec<usize>> {
         let (r, c) = self.shape().as_matrix()?;
-        if c == 0 {
-            return Err(TensorError::Empty { op: "argmax_rows" });
-        }
-        let mut out = Vec::with_capacity(r);
-        for i in 0..r {
-            let row = &self.as_slice()[i * c..(i + 1) * c];
-            let mut best = 0;
-            for (j, v) in row.iter().enumerate() {
-                if *v > row[best] {
-                    best = j;
-                }
-            }
-            out.push(best);
-        }
+        let mut out = vec![0; r];
+        kernels::argmax_rows(self.as_slice(), c, &mut out)?;
         Ok(out)
     }
 
@@ -180,21 +168,8 @@ impl Tensor {
             });
         }
         let blocks = r / block_rows;
-        let scale = 1.0 / block_rows as f32;
         let mut out = vec![0.0f32; blocks * c];
-        for (dst, block) in out
-            .chunks_exact_mut(c)
-            .zip(self.as_slice().chunks_exact(block_rows * c))
-        {
-            for row in block.chunks_exact(c) {
-                for (acc, &v) in dst.iter_mut().zip(row) {
-                    *acc += v;
-                }
-            }
-            for acc in dst.iter_mut() {
-                *acc *= scale;
-            }
-        }
+        kernels::mean_row_blocks(self.as_slice(), block_rows, c, &mut out);
         Tensor::from_vec(out, &[blocks, c])
     }
 

@@ -1,7 +1,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::{Result, Shape, TensorError};
+use crate::{kernels, Result, Shape, TensorError};
 
 /// A dense, row-major `f32` tensor with shared, copy-on-write storage.
 ///
@@ -287,7 +287,6 @@ impl Tensor {
             .ok_or(TensorError::Empty { op: "concat_rows" })?;
         let cols = first.cols()?;
         let mut rows = 0;
-        let mut data = Vec::new();
         for p in parts {
             if p.cols()? != cols {
                 return Err(TensorError::ShapeMismatch {
@@ -297,36 +296,49 @@ impl Tensor {
                 });
             }
             rows += p.rows()?;
-            data.extend_from_slice(p.as_slice());
         }
-        Tensor::from_vec(data, &[rows, cols])
+        let mut data = vec![0.0; rows * cols];
+        kernels::concat_rows(parts.iter().map(|p| p.as_slice()), &mut data);
+        Ok(Tensor::from_parts(data, Shape::new(&[rows, cols])))
     }
 
     /// Horizontally concatenates matrices with the same number of rows.
     ///
     /// # Errors
-    /// Returns an error if `parts` is empty or row counts differ.
+    /// Returns an error if `parts` is empty, a part is not a matrix or row
+    /// counts differ.
     pub fn concat_cols(parts: &[&Tensor]) -> Result<Tensor> {
         let first = parts
             .first()
             .ok_or(TensorError::Empty { op: "concat_cols" })?;
         let rows = first.rows()?;
-        let total_cols: usize = parts.iter().map(|p| p.cols().unwrap_or(0)).sum();
-        let mut data = Vec::with_capacity(rows * total_cols);
-        for r in 0..rows {
-            for p in parts {
-                if p.rows()? != rows {
-                    return Err(TensorError::ShapeMismatch {
-                        op: "concat_cols",
-                        lhs: first.shape.dims().to_vec(),
-                        rhs: p.shape.dims().to_vec(),
-                    });
-                }
-                let c = p.cols()?;
-                data.extend_from_slice(&p.as_slice()[r * c..(r + 1) * c]);
+        let mut widths = Vec::with_capacity(parts.len());
+        for p in parts {
+            let (r, c) = p.shape.as_matrix()?;
+            if r != rows {
+                return Err(TensorError::ShapeMismatch {
+                    op: "concat_cols",
+                    lhs: first.shape.dims().to_vec(),
+                    rhs: p.shape.dims().to_vec(),
+                });
             }
+            widths.push(c);
         }
-        Tensor::from_vec(data, &[rows, total_cols])
+        let cols = widths.iter().sum();
+        let mut data = vec![0.0; rows * cols];
+        let parts = parts.iter().map(|p| p.as_slice()).zip(widths);
+        kernels::concat_cols(parts, cols, &mut data);
+        Ok(Tensor::from_parts(data, Shape::new(&[rows, cols])))
+    }
+
+    /// The `rows × width` window starting `skip` elements into this
+    /// matrix of `stride` columns, copied out as a new matrix.
+    fn window(&self, stride: usize, skip: usize, rows: usize, width: usize) -> Tensor {
+        let mut data = vec![0.0; rows * width];
+        if !data.is_empty() {
+            kernels::copy_rows(&self.data[skip..], stride, &mut data, width, width);
+        }
+        Tensor::from_parts(data, Shape::new(&[rows, width]))
     }
 
     /// Copies rows `[start, end)` into a new matrix.
@@ -342,10 +354,7 @@ impl Tensor {
                 bound: r,
             });
         }
-        Ok(Tensor::from_parts(
-            self.data[start * c..end * c].to_vec(),
-            Shape::new(&[end - start, c]),
-        ))
+        Ok(self.window(c, start * c, end - start, c))
     }
 
     /// Copies columns `[start, end)` into a new matrix.
@@ -361,12 +370,7 @@ impl Tensor {
                 bound: c,
             });
         }
-        let w = end - start;
-        let mut data = Vec::with_capacity(r * w);
-        for row in 0..r {
-            data.extend_from_slice(&self.data[row * c + start..row * c + end]);
-        }
-        Ok(Tensor::from_parts(data, Shape::new(&[r, w])))
+        Ok(self.window(c, start, r, end - start))
     }
 }
 
@@ -462,6 +466,21 @@ mod tests {
         assert!(Tensor::concat_rows(&[&a, &b]).is_err());
         let c = Tensor::zeros(&[2, 2]);
         assert!(Tensor::concat_cols(&[&a, &c]).is_err());
+        // Every part is validated, also when the first has no rows to
+        // copy: a taller part and a rank-3 part are both refused.
+        let none = Tensor::zeros(&[0, 3]);
+        assert!(matches!(
+            Tensor::concat_cols(&[&none, &Tensor::zeros(&[2, 4])]),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+        assert!(Tensor::concat_cols(&[&none, &Tensor::zeros(&[2, 2, 2])]).is_err());
+        assert_eq!(
+            Tensor::concat_cols(&[&none, &Tensor::zeros(&[0, 4])])
+                .unwrap()
+                .shape()
+                .dims(),
+            &[0, 7]
+        );
     }
 
     #[test]

@@ -1,21 +1,8 @@
-//! Umbrella crate for the VITAL reproduction workspace.
+//! Root package of the VITAL reproduction workspace.
 //!
-//! Re-exports the member crates so examples and integration tests can use a
-//! single dependency. Library users should depend on the individual crates
-//! ([`vital`], [`fingerprint`], [`sim_radio`], [`baselines`]) directly.
+//! It exports nothing: the examples and integration tests beside it depend
+//! on the member crates (`vital`, `fingerprint`, `sim_radio`, `baselines`,
+//! …) directly, as library users should. The package exists so
+//! `examples/` and `tests/` have a manifest to build under.
 
 #![forbid(unsafe_code)]
-
-pub use autograd;
-pub use baselines;
-pub use fingerprint;
-pub use graph;
-pub use jsonio;
-pub use lint;
-pub use nn;
-pub use parallel;
-pub use serve;
-pub use sim_radio;
-pub use simd;
-pub use tensor;
-pub use vital;

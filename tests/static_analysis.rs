@@ -7,8 +7,6 @@
 
 use std::path::Path;
 
-use vital_workspace::lint;
-
 fn workspace_report() -> lint::Report {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     lint::run_workspace(root, &root.join("ci/lint-rules.toml"))
