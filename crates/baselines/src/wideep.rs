@@ -7,7 +7,7 @@
 //! fixed kernel and i.i.d. class labels. This keeps the baseline faithful to
 //! its published structure (denoising SAE → Gaussian kernel inference) while
 //! remaining tractable inside the reproduction; the substitution is recorded
-//! in `DESIGN.md`.
+//! in `REPRODUCTION.md`.
 
 use std::path::Path;
 

@@ -1,30 +1,23 @@
 //! Experiment harness regenerating every table and figure of the VITAL
-//! paper's evaluation (§VI).
+//! paper's evaluation (§VI), and judging the paper's claims against them.
 //!
-//! Each figure/table has a dedicated binary under `src/bin/` (see
-//! "Running experiments" in the README); this library holds the shared
-//! plumbing: experiment scaling, dataset collection, framework construction,
-//! evaluation loops and plain-text/CSV result emission.
-//!
-//! # Scale
-//!
-//! Every binary honours the `VITAL_SCALE` environment variable:
-//!
-//! * `quick` (default) — reduced epochs / sweep grids so the full suite runs
-//!   in minutes on a laptop CPU,
-//! * `full` — larger training budgets for tighter numbers.
+//! One binary, `experiments` (see "Running experiments" in the README),
+//! runs the table of [`experiments::EXPERIMENTS`]; this library holds that
+//! table, the [`claims`] the paper makes about each result, the [`ledger`]
+//! that records which of them hold (`REPRODUCTION.md`), and the shared
+//! plumbing: scaling (`VITAL_SCALE`: `quick`, the default, runs everything
+//! in minutes; `full` spends larger training budgets), dataset collection,
+//! framework construction, evaluation and table emission.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod claims;
+pub mod experiments;
+pub mod ledger;
 pub mod report;
 pub mod runner;
 pub mod scale;
 
-pub use report::{print_table, write_csv, TableRow};
-pub use runner::{
-    build_framework, checkpoint_key, evaluate_on_devices, run_building_experiment_checkpointed,
-    train_and_evaluate_checkpointed, CheckpointStore, Framework, FrameworkResult,
-};
 pub use scale::Scale;

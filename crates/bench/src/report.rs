@@ -1,4 +1,5 @@
-//! Plain-text table and CSV emission for experiment results.
+//! The result table every experiment returns, and its Markdown and CSV
+//! renderings.
 
 use std::fs;
 use std::io::Write as _;
@@ -13,82 +14,117 @@ pub struct TableRow {
     pub values: Vec<f32>,
 }
 
-impl TableRow {
-    /// Creates a row.
-    pub fn new(label: impl Into<String>, values: Vec<f32>) -> Self {
-        TableRow {
+/// What an experiment measured: a labelled grid of numbers.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table {
+    /// Column names.
+    pub columns: Vec<String>,
+    /// Rows, in the order they are reported.
+    pub rows: Vec<TableRow>,
+}
+
+impl Table {
+    /// An empty table with the given columns.
+    pub fn new<C: Into<String>>(columns: impl IntoIterator<Item = C>) -> Self {
+        Table {
+            columns: columns.into_iter().map(Into::into).collect(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Appends a row.
+    pub fn push(&mut self, label: impl Into<String>, values: Vec<f32>) {
+        self.rows.push(TableRow {
             label: label.into(),
             values,
-        }
+        });
     }
-}
 
-/// Prints an aligned plain-text table to stdout and returns the rendered
-/// string (used by tests).
-pub fn print_table(title: &str, columns: &[&str], rows: &[TableRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("\n== {title} ==\n"));
-    let label_width = rows
-        .iter()
-        .map(|r| r.label.len())
-        .chain(std::iter::once(12))
-        .max()
-        .unwrap_or(12);
-    out.push_str(&format!("{:label_width$}", ""));
-    for c in columns {
-        out.push_str(&format!(" {c:>12}"));
+    /// The cell at (`row`, `column`); `None` when the table has no such row
+    /// or column.
+    pub fn value(&self, row: &str, column: &str) -> Option<f32> {
+        let row = self.rows.iter().find(|r| r.label == row)?;
+        let index = self.columns.iter().position(|c| c == column)?;
+        row.values.get(index).copied()
     }
-    out.push('\n');
-    for row in rows {
-        out.push_str(&format!("{:label_width$}", row.label));
-        for v in &row.values {
-            out.push_str(&format!(" {v:>12.3}"));
-        }
-        out.push('\n');
-    }
-    println!("{out}");
-    out
-}
 
-/// Writes the rows as CSV under `target/experiments/<name>.csv`, returning
-/// the path written.
-///
-/// # Errors
-/// Returns an I/O error if the directory or file cannot be written.
-pub fn write_csv(name: &str, columns: &[&str], rows: &[TableRow]) -> std::io::Result<PathBuf> {
-    let dir = Path::new("target").join("experiments");
-    fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.csv"));
-    let mut file = fs::File::create(&path)?;
-    writeln!(file, "label,{}", columns.join(","))?;
-    for row in rows {
-        let values: Vec<String> = row.values.iter().map(|v| format!("{v:.4}")).collect();
-        writeln!(file, "{},{}", row.label, values.join(","))?;
+    /// The table as aligned Markdown: what the binary prints and what
+    /// `REPRODUCTION.md` holds.
+    pub fn render(&self) -> String {
+        let header = std::iter::once(String::new()).chain(self.columns.iter().cloned());
+        let mut lines: Vec<Vec<String>> = vec![header.collect()];
+        for row in &self.rows {
+            let values = row.values.iter().map(|v| format!("{v:.3}"));
+            lines.push(std::iter::once(row.label.clone()).chain(values).collect());
+        }
+        let chars = |line: &Vec<String>, i: usize| line[i].chars().count();
+        let widths: Vec<usize> = (0..=self.columns.len())
+            .map(|i| lines.iter().map(|l| chars(l, i)).fold(2, usize::max))
+            .collect();
+        let rule = widths.iter().map(|w| format!("{}:", "-".repeat(w - 1)));
+        lines.insert(1, rule.collect());
+        let mut out = String::new();
+        for line in &lines {
+            let cells = line.iter().zip(&widths).map(|(c, w)| format!("{c:>w$}"));
+            out.push_str(&format!("| {} |\n", cells.collect::<Vec<_>>().join(" | ")));
+        }
+        out
     }
-    Ok(path)
+
+    /// Writes the rows as CSV under `target/experiments/<name>.csv`,
+    /// returning the path written.
+    ///
+    /// # Errors
+    /// Returns an I/O error if the directory or file cannot be written.
+    pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
+        let dir = Path::new("target").join("experiments");
+        fs::create_dir_all(&dir)?;
+        let path = dir.join(format!("{name}.csv"));
+        let mut file = fs::File::create(&path)?;
+        writeln!(file, "label,{}", self.columns.join(","))?;
+        for row in &self.rows {
+            let values: Vec<String> = row.values.iter().map(|v| format!("{v:.4}")).collect();
+            writeln!(file, "{},{}", row.label, values.join(","))?;
+        }
+        Ok(path)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn sample() -> Table {
+        let mut table = Table::new(["mean", "min", "max"]);
+        table.push("VITAL", vec![1.18, 0.0, 3.0]);
+        table.push("WiDeep", vec![3.73, 0.1, 8.2]);
+        table
+    }
+
     #[test]
     fn table_renders_all_rows_and_columns() {
-        let rows = vec![
-            TableRow::new("VITAL", vec![1.18, 0.0, 3.0]),
-            TableRow::new("WiDeep", vec![3.73, 0.1, 8.2]),
-        ];
-        let rendered = print_table("Fig. 8", &["mean", "min", "max"], &rows);
-        assert!(rendered.contains("VITAL"));
-        assert!(rendered.contains("WiDeep"));
-        assert!(rendered.contains("mean"));
-        assert!(rendered.contains("3.730"));
+        let expected = "\
+|        |  mean |   min |   max |
+| -----: | ----: | ----: | ----: |
+|  VITAL | 1.180 | 0.000 | 3.000 |
+| WiDeep | 3.730 | 0.100 | 8.200 |
+";
+        assert_eq!(sample().render(), expected);
+    }
+
+    #[test]
+    fn cells_are_addressed_by_label() {
+        let table = sample();
+        assert_eq!(table.value("WiDeep", "min"), Some(0.1));
+        assert_eq!(table.value("ANVIL", "min"), None);
+        assert_eq!(table.value("VITAL", "p95"), None);
     }
 
     #[test]
     fn csv_is_written() {
-        let rows = vec![TableRow::new("a", vec![1.0, 2.0])];
-        let path = write_csv("unit_test_output", &["x", "y"], &rows).unwrap();
+        let mut table = Table::new(["x", "y"]);
+        table.push("a", vec![1.0, 2.0]);
+        let path = table.write_csv("unit_test_output").unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.starts_with("label,x,y"));
         assert!(content.contains("a,1.0000,2.0000"));

@@ -1,11 +1,13 @@
-//! Shared train/evaluate plumbing used by every experiment binary,
-//! including the train-once / load-thereafter checkpoint store behind the
-//! binaries' `--checkpoint-dir` flag.
+//! Shared train/evaluate plumbing used by every experiment, including the
+//! train-once / load-thereafter checkpoint store behind `--checkpoint-dir`.
 
 use std::path::PathBuf;
 
 use baselines::{AnvilLocalizer, CnnLocLocalizer, SherpaLocalizer, WiDeepLocalizer};
-use fingerprint::{base_devices, extended_devices, DatasetConfig, FingerprintDataset};
+use fingerprint::{
+    base_devices, extended_devices, DatasetConfig, DeviceProfile, FingerprintDataset,
+    TrainTestSplit,
+};
 use sim_radio::Building;
 use vital::{
     evaluate_localizer, DamConfig, LocalizationReport, Localizer, Result, VitalConfig, VitalModel,
@@ -30,15 +32,13 @@ pub enum Framework {
 
 impl Framework {
     /// All frameworks in the order the paper reports them.
-    pub fn all() -> [Framework; 5] {
-        [
-            Framework::Vital,
-            Framework::Anvil,
-            Framework::Sherpa,
-            Framework::CnnLoc,
-            Framework::WiDeep,
-        ]
-    }
+    pub const ALL: [Self; 5] = [
+        Self::Vital,
+        Self::Anvil,
+        Self::Sherpa,
+        Self::CnnLoc,
+        Self::WiDeep,
+    ];
 
     /// Display name.
     pub fn name(&self) -> &'static str {
@@ -52,61 +52,25 @@ impl Framework {
     }
 }
 
-/// Where (and whether) experiment binaries persist trained models.
+/// Where (and whether) the experiments persist trained models; the default
+/// store never persists.
 ///
 /// With a directory configured, [`CheckpointStore::fit_or_load`] loads an
 /// existing checkpoint instead of retraining — a loaded model produces
 /// bit-identical predictions to the freshly trained one — and trains *and
 /// saves* on the first run. Without one, it degrades to plain training, so
-/// every binary works unchanged when no `--checkpoint-dir` is given.
+/// every experiment works unchanged when no `--checkpoint-dir` is given.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointStore {
     dir: Option<PathBuf>,
 }
 
 impl CheckpointStore {
-    /// A store that never persists (plain train-every-run behaviour).
-    pub fn disabled() -> Self {
-        CheckpointStore { dir: None }
-    }
-
     /// A store rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         CheckpointStore {
             dir: Some(dir.into()),
         }
-    }
-
-    /// Builds the store from the process environment: the
-    /// `--checkpoint-dir <path>` / `--checkpoint-dir=<path>` CLI flag, or
-    /// the `VITAL_CHECKPOINT_DIR` environment variable as a fallback.
-    /// Returns a disabled store when neither is present.
-    pub fn from_env_args() -> Self {
-        let mut args = std::env::args();
-        while let Some(arg) = args.next() {
-            if arg == "--checkpoint-dir" {
-                match args.next() {
-                    Some(dir) => return CheckpointStore::new(dir),
-                    None => {
-                        eprintln!(
-                            "warning: --checkpoint-dir requires a path; checkpointing disabled"
-                        );
-                        return CheckpointStore::disabled();
-                    }
-                }
-            } else if let Some(dir) = arg.strip_prefix("--checkpoint-dir=") {
-                return CheckpointStore::new(dir);
-            }
-        }
-        match std::env::var("VITAL_CHECKPOINT_DIR") {
-            Ok(dir) if !dir.is_empty() => CheckpointStore::new(dir),
-            _ => CheckpointStore::disabled(),
-        }
-    }
-
-    /// Whether checkpoints are being persisted.
-    pub fn is_enabled(&self) -> bool {
-        self.dir.is_some()
     }
 
     /// The file path a cache key maps to, when the store is enabled.
@@ -128,17 +92,15 @@ impl CheckpointStore {
         train: &FingerprintDataset,
         build: impl FnOnce() -> Result<Box<dyn Localizer>>,
     ) -> Result<Box<dyn Localizer>> {
-        let Some(path) = self.path_for(key) else {
-            let mut localizer = build()?;
-            localizer.fit(train)?;
-            return Ok(localizer);
-        };
-        if path.exists() {
-            return baselines::load_localizer(&path);
+        let path = self.path_for(key);
+        if let Some(saved) = path.as_ref().filter(|p| p.exists()) {
+            return baselines::load_localizer(saved);
         }
         let mut localizer = build()?;
         localizer.fit(train)?;
-        localizer.save(&path)?;
+        if let Some(path) = path {
+            localizer.save(&path)?;
+        }
         Ok(localizer)
     }
 }
@@ -155,20 +117,13 @@ pub fn checkpoint_key(
     with_dam: bool,
     seed: u64,
 ) -> String {
-    let scale_tag = match scale {
-        Scale::Quick => "quick",
-        Scale::Full => "full",
-    };
     let dam_tag = if with_dam { "dam" } else { "nodam" };
-    let building_tag: String = building
-        .name()
-        .to_lowercase()
-        .chars()
-        .map(|c| if c.is_alphanumeric() { c } else { '-' })
-        .collect();
+    let building_tag = building.name().to_lowercase();
+    let building_tag = building_tag.replace(|c: char| !c.is_alphanumeric(), "-");
     format!(
-        "{context}-{}-{building_tag}-{scale_tag}-{dam_tag}-seed{seed}",
-        framework.name().to_lowercase()
+        "{context}-{}-{building_tag}-{}-{dam_tag}-seed{seed}",
+        framework.name().to_lowercase(),
+        scale.name()
     )
 }
 
@@ -185,6 +140,35 @@ pub struct FrameworkResult {
     pub overall: LocalizationReport,
 }
 
+/// The VITAL configuration every experiment starts from: `VitalConfig::fast`
+/// sized for `building`, with the scale's image, patch and epoch budget.
+pub fn vital_config(building: &Building, scale: Scale) -> VitalConfig {
+    let mut config = VitalConfig::fast(
+        building.access_points().len(),
+        building.reference_points().len(),
+    );
+    config.image_size = scale.image_size();
+    config.patch_size = scale.patch_size();
+    config.train.epochs = scale.vital_epochs();
+    config
+}
+
+/// Trains a VITAL model with `config` on `data.train` and returns its mean
+/// error on `data.test`.
+///
+/// # Errors
+/// Returns an error if the configuration is invalid or training or
+/// evaluation fails.
+pub fn vital_mean_error(
+    config: VitalConfig,
+    building: &Building,
+    data: &TrainTestSplit,
+) -> Result<f32> {
+    let mut model = VitalModel::new(config)?;
+    model.fit(&data.train)?;
+    Ok(evaluate_localizer(&model, &data.test, building)?.mean_error_m())
+}
+
 /// Builds an untrained instance of `framework` for `building`.
 ///
 /// # Errors
@@ -197,20 +181,10 @@ pub fn build_framework(
     with_dam: bool,
     seed: u64,
 ) -> Result<Box<dyn Localizer>> {
-    let dam = if with_dam {
-        Some(DamConfig::default())
-    } else {
-        None
-    };
+    let dam = with_dam.then(DamConfig::default);
     Ok(match framework {
         Framework::Vital => {
-            let mut config = VitalConfig::fast(
-                building.access_points().len(),
-                building.reference_points().len(),
-            );
-            config.image_size = scale.image_size();
-            config.patch_size = scale.patch_size();
-            config.train.epochs = scale.vital_epochs();
+            let mut config = vital_config(building, scale);
             config.train.seed = seed;
             config.dam = dam.unwrap_or_else(DamConfig::disabled);
             Box::new(VitalModel::new(config)?)
@@ -239,18 +213,26 @@ pub fn build_framework(
     })
 }
 
+/// Runs a collection campaign: each of `devices` captures `captures_per_rp`
+/// five-sample observations at every reference point of `building`.
+pub fn collect(
+    building: &Building,
+    devices: &[DeviceProfile],
+    captures_per_rp: usize,
+    seed: u64,
+) -> FingerprintDataset {
+    let config = DatasetConfig {
+        captures_per_rp,
+        samples_per_capture: 5,
+        seed,
+    };
+    FingerprintDataset::collect(building, devices, &config)
+}
+
 /// Collects the base-device group-training dataset for a building at the
 /// given scale.
 pub fn collect_base_dataset(building: &Building, scale: Scale, seed: u64) -> FingerprintDataset {
-    FingerprintDataset::collect(
-        building,
-        &base_devices(),
-        &DatasetConfig {
-            captures_per_rp: scale.captures_per_rp(),
-            samples_per_capture: 5,
-            seed,
-        },
-    )
+    collect(building, &base_devices(), scale.captures_per_rp(), seed)
 }
 
 /// Collects an extended-device (unseen hardware) dataset for a building.
@@ -259,41 +241,14 @@ pub fn collect_extended_dataset(
     scale: Scale,
     seed: u64,
 ) -> FingerprintDataset {
-    FingerprintDataset::collect(
-        building,
-        &extended_devices(),
-        &DatasetConfig {
-            captures_per_rp: scale.captures_per_rp(),
-            samples_per_capture: 5,
-            seed: seed.wrapping_add(0xEE),
-        },
-    )
+    let seed = seed.wrapping_add(0xEE);
+    collect(building, &extended_devices(), scale.captures_per_rp(), seed)
 }
 
-/// Obtains `framework` trained on `train` through
-/// [`CheckpointStore::fit_or_load`] under `context` (a populated
-/// `--checkpoint-dir` skips training entirely) and evaluates it on `test`,
-/// overall and per device.
-///
-/// # Errors
-/// Returns an error if training, checkpoint IO or evaluation fails.
-#[allow(clippy::too_many_arguments)]
-pub fn train_and_evaluate_checkpointed(
-    store: &CheckpointStore,
-    context: &str,
-    framework: Framework,
-    building: &Building,
-    train: &FingerprintDataset,
-    test: &FingerprintDataset,
-    scale: Scale,
-    with_dam: bool,
-    seed: u64,
-) -> Result<FrameworkResult> {
-    let key = checkpoint_key(context, framework, building, scale, with_dam, seed);
-    let localizer = store.fit_or_load(&key, train, || {
-        build_framework(framework, building, scale, with_dam, seed)
-    })?;
-    evaluate_on_devices(localizer.as_ref(), building, test)
+/// The base-device dataset of a building split 80/20 into training pool and
+/// held-out test set (the Fig. 7 protocol).
+pub fn base_split(building: &Building, scale: Scale, seed: u64) -> TrainTestSplit {
+    collect_base_dataset(building, scale, seed).split(0.8, seed)
 }
 
 /// Evaluates an already-trained localizer on `test`, reporting the pooled and
@@ -314,61 +269,18 @@ pub fn evaluate_on_devices(
     let overall = evaluate_localizer(localizer, test, building)?;
     // `overall.errors_m()` is in observation order, so the per-device
     // reports are sliced from the same single prediction pass.
-    let mut per_device = Vec::new();
-    for device in test.devices() {
-        let device_errors: Vec<f32> = test
-            .observations()
-            .iter()
-            .zip(overall.errors_m())
-            .filter(|(o, _)| o.device == device)
-            .map(|(_, &e)| e)
-            .collect();
-        if device_errors.is_empty() {
-            continue;
-        }
-        per_device.push((device, LocalizationReport::new(device_errors)));
-    }
+    let per_device = test.devices().into_iter().map(|device| {
+        let errors = test.observations().iter().zip(overall.errors_m());
+        let of_device = errors.filter(|(o, _)| o.device == device);
+        let report = LocalizationReport::new(of_device.map(|(_, &e)| e).collect());
+        (device, report)
+    });
     Ok(FrameworkResult {
         framework: localizer.name().to_string(),
         building: building.name().to_string(),
-        per_device,
+        per_device: per_device.collect(),
         overall,
     })
-}
-
-/// Runs the standard base-device experiment in one building: collect, 80/20
-/// split, train every requested framework on the group-training pool and
-/// evaluate it per device (the Fig. 7 protocol). With a populated store,
-/// every framework is loaded instead of retrained (keyed under the
-/// `split80` context that matches this experiment's 80/20 training pool).
-///
-/// # Errors
-/// Returns an error if any framework fails to train, persist or evaluate.
-pub fn run_building_experiment_checkpointed(
-    store: &CheckpointStore,
-    building: &Building,
-    frameworks: &[Framework],
-    scale: Scale,
-    with_dam: bool,
-    seed: u64,
-) -> Result<Vec<FrameworkResult>> {
-    let dataset = collect_base_dataset(building, scale, seed);
-    let split = dataset.split(0.8, seed);
-    let mut results = Vec::with_capacity(frameworks.len());
-    for &framework in frameworks {
-        results.push(train_and_evaluate_checkpointed(
-            store,
-            "split80",
-            framework,
-            building,
-            &split.train,
-            &split.test,
-            scale,
-            with_dam,
-            seed,
-        )?);
-    }
-    Ok(results)
 }
 
 #[cfg(test)]
@@ -378,7 +290,7 @@ mod tests {
 
     #[test]
     fn framework_enumeration() {
-        assert_eq!(Framework::all().len(), 5);
+        assert_eq!(Framework::ALL.len(), 5);
         assert_eq!(Framework::Vital.name(), "VITAL");
         assert_eq!(Framework::WiDeep.name(), "WiDeep");
     }
@@ -386,7 +298,7 @@ mod tests {
     #[test]
     fn build_framework_constructs_each_variant() {
         let building = building_1();
-        for fw in Framework::all() {
+        for fw in Framework::ALL {
             let localizer = build_framework(fw, &building, Scale::Quick, true, 0).unwrap();
             assert_eq!(localizer.name(), fw.name());
         }
@@ -412,7 +324,6 @@ mod tests {
         let dir = std::env::temp_dir().join("vital-bench-store-test");
         std::fs::remove_dir_all(&dir).ok();
         let store = CheckpointStore::new(&dir);
-        assert!(store.is_enabled());
 
         let build = || -> Result<Box<dyn Localizer>> {
             Ok(Box::new(baselines::KnnLocalizer::new(
@@ -439,8 +350,7 @@ mod tests {
     fn disabled_store_trains_every_time() {
         let building = building_1();
         let dataset = collect_base_dataset(&building, Scale::Quick, 4);
-        let store = CheckpointStore::disabled();
-        assert!(!store.is_enabled());
+        let store = CheckpointStore::default();
         assert!(store.path_for("anything").is_none());
         let localizer = store
             .fit_or_load("anything", &dataset, || {

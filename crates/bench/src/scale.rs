@@ -1,6 +1,6 @@
 //! Experiment scaling (quick vs full runs).
 
-/// How much compute the experiment binaries spend.
+/// How much compute the experiments spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
     /// Reduced epochs and sweep grids; the default. Suitable for CI and for
@@ -12,16 +12,25 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the `VITAL_SCALE` environment variable
-    /// (`quick`/`full`, default `quick`).
-    pub fn from_env() -> Self {
-        match std::env::var("VITAL_SCALE")
-            .unwrap_or_default()
-            .to_lowercase()
-            .as_str()
-        {
-            "full" => Scale::Full,
-            _ => Scale::Quick,
+    /// Parses a `VITAL_SCALE` value: unset or empty is `quick`, `quick` and
+    /// `full` are matched case-insensitively.
+    ///
+    /// # Errors
+    /// Returns the offending value for anything else, so a typo cannot run
+    /// the wrong budget.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value.unwrap_or_default().to_lowercase().as_str() {
+            "" | "quick" => Ok(Scale::Quick),
+            "full" => Ok(Scale::Full),
+            other => Err(format!("VITAL_SCALE={other:?} is not quick or full")),
+        }
+    }
+
+    /// The lowercase name `VITAL_SCALE` uses.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Full => "full",
         }
     }
 
@@ -65,15 +74,6 @@ impl Scale {
             Scale::Full => 8,
         }
     }
-
-    /// Number of grid points per axis in the hyperparameter sweeps
-    /// (Figs. 5 and 6).
-    pub fn sweep_points(&self) -> usize {
-        match self {
-            Scale::Quick => 3,
-            Scale::Full => 5,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -88,12 +88,16 @@ mod tests {
         assert!(q.baseline_epochs() < f.baseline_epochs());
         assert!(q.captures_per_rp() <= f.captures_per_rp());
         assert!(q.image_size() < f.image_size());
-        assert!(q.sweep_points() < f.sweep_points());
     }
 
     #[test]
     fn default_is_quick() {
         assert_eq!(Scale::default(), Scale::Quick);
+        assert_eq!(Scale::parse(None), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("FULL")), Ok(Scale::Full));
+        assert_eq!(Scale::parse(Some("full")).map(|s| s.name()), Ok("full"));
+        assert!(Scale::parse(Some("ful")).unwrap_err().contains("ful"));
     }
 
     #[test]

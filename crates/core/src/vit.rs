@@ -586,17 +586,13 @@ mod tests {
     #[test]
     fn paper_scale_parameter_count_is_reported_magnitude() {
         // §VI.B reports 234,706 trainable parameters for the 206/20/5-head
-        // configuration. Our reproduction of that configuration should land in
-        // the same order of magnitude (exact layer widths of the original
-        // Keras model are not fully specified).
+        // configuration without giving every layer width of the original
+        // Keras model; `VitalConfig::paper` has this many, and
+        // REPRODUCTION.md reports the gap as not reproduced.
         let config = VitalConfig::paper(206, 82);
         let mut rng = SeededRng::new(8);
         let vit = VisionTransformer::new(&mut rng, &config).unwrap();
-        let count = vit.param_count();
-        assert!(
-            (100_000..400_000).contains(&count),
-            "paper-scale param count {count} outside expected band"
-        );
+        assert_eq!(vit.param_count(), 178_082);
     }
 
     #[test]

@@ -62,7 +62,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "\nThe paper's Fig. 9 shows DAM improving ANVIL, SHERPA and CNNLoc while slightly \
-         hurting WiDeep; run `cargo run -p bench --bin fig9_dam_ablation` for the full slope graph."
+         hurting WiDeep; run `cargo run --release -p bench --bin experiments -- \
+         fig9_dam_ablation` for the full slope graph (REPRODUCTION.md records which of these \
+         hold in this reproduction)."
     );
     Ok(())
 }

@@ -107,8 +107,8 @@ fn device_heterogeneity_hurts_single_device_knn() {
         other.mean_error_m(),
         same.mean_error_m()
     );
-    // Group training (the extended-device scenario) is exercised by the
-    // fig10_extended_summary experiment binary rather than asserted here.
+    // Group training (the extended-device scenario) is exercised by
+    // `experiments fig10_extended_summary` rather than asserted here.
     let _ = extended_devices();
 }
 
