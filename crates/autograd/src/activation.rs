@@ -145,9 +145,9 @@ mod tests {
         let tape = Tape::new();
         let x = tape.var(t(&[-1.0, 0.5, 2.0], &[3]));
         let loss = x.relu().sum_all().unwrap();
-        tape.backward(loss).unwrap();
+        let grads = tape.backward(loss).unwrap();
         assert_eq!(loss.value().item().unwrap(), 2.5);
-        assert_eq!(tape.grad(x).unwrap().as_slice(), &[0.0, 1.0, 1.0]);
+        assert_eq!(grads.get(x).unwrap().as_slice(), &[0.0, 1.0, 1.0]);
     }
 
     #[test]
@@ -156,9 +156,9 @@ mod tests {
         let tape = Tape::new();
         let x = tape.var(xv.clone());
         let loss = x.gelu().sum_all().unwrap();
-        tape.backward(loss).unwrap();
+        let grads = tape.backward(loss).unwrap();
         let numeric = finite_diff(&xv, |v| v.map(super::gelu_scalar).sum());
-        assert_close(&tape.grad(x).unwrap(), &numeric, 1e-2);
+        assert_close(grads.get(x).unwrap(), &numeric, 1e-2);
     }
 
     #[test]
@@ -175,16 +175,16 @@ mod tests {
         let tape = Tape::new();
         let x = tape.var(xv.clone());
         let loss = x.tanh().sum_all().unwrap();
-        tape.backward(loss).unwrap();
+        let grads = tape.backward(loss).unwrap();
         let numeric = finite_diff(&xv, |v| v.map(f32::tanh).sum());
-        assert_close(&tape.grad(x).unwrap(), &numeric, 1e-2);
+        assert_close(grads.get(x).unwrap(), &numeric, 1e-2);
 
         let tape2 = Tape::new();
         let x2 = tape2.var(xv.clone());
         let loss2 = x2.sigmoid().sum_all().unwrap();
-        tape2.backward(loss2).unwrap();
+        let grads2 = tape2.backward(loss2).unwrap();
         let numeric2 = finite_diff(&xv, |v| v.map(|u| 1.0 / (1.0 + (-u).exp())).sum());
-        assert_close(&tape2.grad(x2).unwrap(), &numeric2, 1e-2);
+        assert_close(grads2.get(x2).unwrap(), &numeric2, 1e-2);
     }
 
     #[test]
@@ -201,12 +201,12 @@ mod tests {
             .unwrap()
             .sum_all()
             .unwrap();
-        tape.backward(loss).unwrap();
+        let grads = tape.backward(loss).unwrap();
         let wc = w.clone();
         let numeric = finite_diff(&xv, move |v| {
             v.softmax_rows().unwrap().mul(&wc).unwrap().sum()
         });
-        assert_close(&tape.grad(x).unwrap(), &numeric, 1e-2);
+        assert_close(grads.get(x).unwrap(), &numeric, 1e-2);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The crate implements a classic *tape* (Wengert list) design: a [`Tape`]
 //! records every primitive operation performed on [`Var`] handles during a
-//! forward pass, and [`Tape::backward`] walks the recorded list in reverse to
-//! accumulate gradients with respect to every recorded variable.
+//! forward pass, and [`Tape::backward`] walks the recorded list in reverse and
+//! returns the [`Gradients`] with respect to every recorded variable.
 //!
 //! The set of primitives is deliberately the exact set needed by the VITAL
 //! vision transformer and the comparison baselines: dense affine maps,
@@ -23,8 +23,8 @@
 //! let w = tape.var(Tensor::from_vec(vec![3.0, 4.0], &[2, 1])?);
 //! let y = x.matmul(w)?;          // y = 1*3 + 2*4 = 11
 //! let loss = y.sum_all()?;
-//! tape.backward(loss)?;
-//! assert_eq!(tape.grad(w)?.as_slice(), &[1.0, 2.0]); // dy/dw = x
+//! let grads = tape.backward(loss)?;
+//! assert_eq!(grads.get(w).unwrap().as_slice(), &[1.0, 2.0]); // dy/dw = x
 //! # Ok(())
 //! # }
 //! ```
@@ -40,7 +40,7 @@ mod ops;
 mod structural;
 mod tape;
 
-pub use tape::{Tape, Var};
+pub use tape::{Gradients, Tape, Var};
 
 /// Convenience alias for results returned by autograd operations.
 pub type Result<T> = std::result::Result<T, tensor::TensorError>;

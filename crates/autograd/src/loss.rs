@@ -119,9 +119,9 @@ mod tests {
         let logits_t = t(&[1.0, 2.0, 0.5, -0.5, 0.0, 1.5], &[2, 3]);
         let logits = tape.var(logits_t.clone());
         let loss = logits.softmax_cross_entropy(&[1, 2]).unwrap();
-        tape.backward(loss).unwrap();
+        let grads = tape.backward(loss).unwrap();
         let probs = logits_t.softmax_rows().unwrap();
-        let g = tape.grad(logits).unwrap();
+        let g = grads.get(logits).unwrap();
         for i in 0..2 {
             for j in 0..3 {
                 let onehot = if (i == 0 && j == 1) || (i == 1 && j == 2) {
@@ -151,9 +151,9 @@ mod tests {
         let loss = pred.mse_loss(&target).unwrap();
         // mean of [1, 0, 0, 16] = 4.25
         assert!((loss.value().item().unwrap() - 4.25).abs() < 1e-6);
-        tape.backward(loss).unwrap();
+        let grads = tape.backward(loss).unwrap();
         // grad = 2*(pred-target)/4
-        assert_eq!(tape.grad(pred).unwrap().as_slice(), &[0.5, 0.0, 0.0, -2.0]);
+        assert_eq!(grads.get(pred).unwrap().as_slice(), &[0.5, 0.0, 0.0, -2.0]);
         assert!(pred.mse_loss(&Tensor::zeros(&[3])).is_err());
     }
 
@@ -169,8 +169,8 @@ mod tests {
             let wv = tape.var(w.clone());
             let pred = xv.matmul(wv).unwrap();
             let loss = pred.mse_loss(&y).unwrap();
-            tape.backward(loss).unwrap();
-            let gw = tape.grad(wv).unwrap();
+            let grads = tape.backward(loss).unwrap();
+            let gw = grads.get(wv).unwrap();
             w = w.sub(&gw.scale(0.05)).unwrap();
         }
         assert!((w.as_slice()[0] - 2.0).abs() < 1e-2);

@@ -66,16 +66,6 @@ impl<'t> Var<'t> {
         )
     }
 
-    /// Adds the scalar `c` to every element.
-    pub fn add_scalar(self, c: f32) -> Var<'t> {
-        let value = self.value().add_scalar(c);
-        self.tape.push(
-            value,
-            vec![self.id],
-            Some(Box::new(move |g: &Tensor| vec![g.clone()])),
-        )
-    }
-
     /// Elementwise multiplication by a *constant* tensor (no gradient flows
     /// into the mask). This is the primitive behind dropout.
     ///
@@ -199,28 +189,6 @@ impl<'t> Var<'t> {
             })),
         ))
     }
-
-    /// Mean of all elements, producing a scalar variable.
-    ///
-    /// # Errors
-    /// Returns an error for empty tensors.
-    pub fn mean_all(self) -> Result<Var<'t>> {
-        let x = self.value();
-        if x.is_empty() {
-            return Err(tensor::TensorError::Empty { op: "mean_all" });
-        }
-        let n = x.len() as f32;
-        let shape: Vec<usize> = x.shape().dims().to_vec();
-        let value = Tensor::scalar(x.mean());
-        Ok(self.tape.push(
-            value,
-            vec![self.id],
-            Some(Box::new(move |g: &Tensor| {
-                let gv = g.as_slice()[0] / n;
-                vec![Tensor::full(&shape, gv)]
-            })),
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -239,10 +207,10 @@ mod tests {
         let b = tape.var(t(&[3.0, 4.0], &[2]));
         let y = a.add(b).unwrap().sub(a).unwrap(); // y = b
         let loss = y.sum_all().unwrap();
-        tape.backward(loss).unwrap();
-        assert_eq!(tape.grad(b).unwrap().as_slice(), &[1.0, 1.0]);
+        let grads = tape.backward(loss).unwrap();
+        assert_eq!(grads.get(b).unwrap().as_slice(), &[1.0, 1.0]);
         // a contributes +1 and -1 -> 0
-        assert_eq!(tape.grad(a).unwrap().as_slice(), &[0.0, 0.0]);
+        assert_eq!(grads.get(a).unwrap().as_slice(), &[0.0, 0.0]);
     }
 
     #[test]
@@ -251,19 +219,9 @@ mod tests {
         let a = tape.var(t(&[2.0, 3.0], &[2]));
         let b = tape.var(t(&[5.0, 7.0], &[2]));
         let loss = a.mul(b).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
-        assert_eq!(tape.grad(a).unwrap().as_slice(), &[5.0, 7.0]);
-        assert_eq!(tape.grad(b).unwrap().as_slice(), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn scale_and_add_scalar() {
-        let tape = Tape::new();
-        let a = tape.var(t(&[1.0, -1.0], &[2]));
-        let loss = a.scale(3.0).add_scalar(10.0).sum_all().unwrap();
-        tape.backward(loss).unwrap();
-        assert_eq!(tape.grad(a).unwrap().as_slice(), &[3.0, 3.0]);
-        assert_eq!(loss.value().item().unwrap(), 20.0);
+        let grads = tape.backward(loss).unwrap();
+        assert_eq!(grads.get(a).unwrap().as_slice(), &[5.0, 7.0]);
+        assert_eq!(grads.get(b).unwrap().as_slice(), &[2.0, 3.0]);
     }
 
     #[test]
@@ -272,13 +230,13 @@ mod tests {
         let a = tape.var(t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]));
         let b = tape.var(t(&[5.0, 6.0, 7.0, 8.0], &[2, 2]));
         let loss = a.matmul(b).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
+        let grads = tape.backward(loss).unwrap();
         // dA = ones(2,2) * B^T ; dB = A^T * ones(2,2)
         let ones = Tensor::ones(&[2, 2]);
         let da = ones.matmul_nt(&b.value()).unwrap();
         let db = a.value().matmul_tn(&ones).unwrap();
-        assert_eq!(tape.grad(a).unwrap(), da);
-        assert_eq!(tape.grad(b).unwrap(), db);
+        assert_eq!(grads.get(a), Some(&da));
+        assert_eq!(grads.get(b), Some(&db));
     }
 
     #[test]
@@ -287,9 +245,9 @@ mod tests {
         let x = tape.var(t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]));
         let b = tape.var(t(&[10.0, 20.0], &[2]));
         let loss = x.add_row_broadcast(b).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
-        assert_eq!(tape.grad(b).unwrap().as_slice(), &[2.0, 2.0]);
-        assert_eq!(tape.grad(x).unwrap(), Tensor::ones(&[2, 2]));
+        let grads = tape.backward(loss).unwrap();
+        assert_eq!(grads.get(b).unwrap().as_slice(), &[2.0, 2.0]);
+        assert_eq!(grads.get(x), Some(&Tensor::ones(&[2, 2])));
     }
 
     #[test]
@@ -298,18 +256,8 @@ mod tests {
         let x = tape.var(t(&[1.0, 2.0, 3.0], &[3]));
         let mask = t(&[1.0, 0.0, 2.0], &[3]);
         let loss = x.mul_mask(&mask).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
-        assert_eq!(tape.grad(x).unwrap().as_slice(), &[1.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn mean_all_divides_gradient() {
-        let tape = Tape::new();
-        let x = tape.var(t(&[2.0, 4.0, 6.0, 8.0], &[4]));
-        let loss = x.mean_all().unwrap();
-        tape.backward(loss).unwrap();
-        assert_eq!(tape.grad(x).unwrap().as_slice(), &[0.25; 4]);
-        assert!(tape.var(Tensor::zeros(&[0])).mean_all().is_err());
+        let grads = tape.backward(loss).unwrap();
+        assert_eq!(grads.get(x).unwrap().as_slice(), &[1.0, 0.0, 2.0]);
     }
 
     #[test]
@@ -318,7 +266,7 @@ mod tests {
         let x = tape.var(t(&[1.0, 2.0], &[2]));
         let w = tape.var(t(&[1.0, 0.0, 0.0, 1.0], &[2, 2]));
         let loss = x.matmul(w).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
-        assert_eq!(tape.grad(x).unwrap().shape().dims(), &[2]);
+        let grads = tape.backward(loss).unwrap();
+        assert_eq!(grads.get(x).unwrap().shape().dims(), &[2]);
     }
 }

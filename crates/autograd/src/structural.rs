@@ -219,8 +219,8 @@ mod tests {
         let tape = Tape::new();
         let x = tape.var(t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]));
         let loss = x.reshape(&[4]).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
-        assert_eq!(tape.grad(x).unwrap().shape().dims(), &[2, 2]);
+        let grads = tape.backward(loss).unwrap();
+        assert_eq!(grads.get(x).unwrap().shape().dims(), &[2, 2]);
     }
 
     #[test]
@@ -228,9 +228,9 @@ mod tests {
         let tape = Tape::new();
         let x = tape.var(t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]));
         let loss = x.slice_rows(1, 2).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
+        let grads = tape.backward(loss).unwrap();
         assert_eq!(
-            tape.grad(x).unwrap().as_slice(),
+            grads.get(x).unwrap().as_slice(),
             &[0.0, 0.0, 1.0, 1.0, 0.0, 0.0]
         );
     }
@@ -240,9 +240,9 @@ mod tests {
         let tape = Tape::new();
         let x = tape.var(t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]));
         let loss = x.slice_cols(0, 1).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
+        let grads = tape.backward(loss).unwrap();
         assert_eq!(
-            tape.grad(x).unwrap().as_slice(),
+            grads.get(x).unwrap().as_slice(),
             &[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
         );
     }
@@ -255,8 +255,8 @@ mod tests {
         assert_eq!(pooled.value().shape().dims(), &[1, 2]);
         assert_eq!(pooled.value().as_slice(), &[2.0, 3.0]);
         let loss = pooled.sum_all().unwrap();
-        tape.backward(loss).unwrap();
-        assert_eq!(tape.grad(x).unwrap().as_slice(), &[0.5; 4]);
+        let grads = tape.backward(loss).unwrap();
+        assert_eq!(grads.get(x).unwrap().as_slice(), &[0.5; 4]);
     }
 
     #[test]
@@ -268,9 +268,9 @@ mod tests {
         assert_eq!(cat.value().shape().dims(), &[2, 2]);
         let mask = t(&[1.0, 1.0, 2.0, 2.0], &[2, 2]);
         let loss = cat.mul_mask(&mask).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
-        assert_eq!(tape.grad(a).unwrap().as_slice(), &[1.0, 1.0]);
-        assert_eq!(tape.grad(b).unwrap().as_slice(), &[2.0, 2.0]);
+        let grads = tape.backward(loss).unwrap();
+        assert_eq!(grads.get(a).unwrap().as_slice(), &[1.0, 1.0]);
+        assert_eq!(grads.get(b).unwrap().as_slice(), &[2.0, 2.0]);
     }
 
     #[test]
@@ -282,9 +282,9 @@ mod tests {
         assert_eq!(cat.value().shape().dims(), &[2, 2]);
         let mask = t(&[5.0, 6.0, 7.0, 8.0], &[2, 2]);
         let loss = cat.mul_mask(&mask).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
-        assert_eq!(tape.grad(a).unwrap().as_slice(), &[5.0, 7.0]);
-        assert_eq!(tape.grad(b).unwrap().as_slice(), &[6.0, 8.0]);
+        let grads = tape.backward(loss).unwrap();
+        assert_eq!(grads.get(a).unwrap().as_slice(), &[5.0, 7.0]);
+        assert_eq!(grads.get(b).unwrap().as_slice(), &[6.0, 8.0]);
     }
 
     #[test]
@@ -300,10 +300,10 @@ mod tests {
         );
         let mask = t(&[1.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 2.0], &[4, 2]);
         let loss = y.mul_mask(&mask).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
-        assert_eq!(tape.grad(x).unwrap(), mask);
+        let grads = tape.backward(loss).unwrap();
+        assert_eq!(grads.get(x), Some(&mask));
         // dtile sums the two blocks of the mask.
-        assert_eq!(tape.grad(pos).unwrap().as_slice(), &[3.0, 0.0, 0.0, 3.0]);
+        assert_eq!(grads.get(pos).unwrap().as_slice(), &[3.0, 0.0, 0.0, 3.0]);
     }
 
     #[test]
@@ -314,8 +314,8 @@ mod tests {
         let y = x.add_tile_rows(b, 1).unwrap();
         assert_eq!(y.value().as_slice(), &[4.0, 6.0]);
         let loss = y.sum_all().unwrap();
-        tape.backward(loss).unwrap();
-        assert_eq!(tape.grad(b).unwrap().as_slice(), &[1.0, 1.0]);
+        let grads = tape.backward(loss).unwrap();
+        assert_eq!(grads.get(b).unwrap().as_slice(), &[1.0, 1.0]);
     }
 
     #[test]
@@ -327,9 +327,9 @@ mod tests {
         assert_eq!(pooled.value().as_slice(), &[2.0, 3.0, 20.0, 30.0]);
         let mask = t(&[1.0, 1.0, 3.0, 3.0], &[2, 2]);
         let loss = pooled.mul_mask(&mask).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
+        let grads = tape.backward(loss).unwrap();
         assert_eq!(
-            tape.grad(x).unwrap().as_slice(),
+            grads.get(x).unwrap().as_slice(),
             &[0.5, 0.5, 0.5, 0.5, 1.5, 1.5, 1.5, 1.5]
         );
     }

@@ -27,7 +27,7 @@ pub(crate) struct Node {
 /// Create variables with [`Tape::var`] (tracked) or [`Tape::constant`]
 /// (recorded but typically used for data / masks whose gradient is ignored),
 /// combine them through [`Var`] methods, then call [`Tape::backward`] on a
-/// scalar result. Gradients are retrieved with [`Tape::grad`].
+/// scalar result; it returns the [`Gradients`] of that result.
 ///
 /// A `Tape` is intended to live for exactly one forward/backward pass; build
 /// a fresh tape every training step.
@@ -46,7 +46,19 @@ pub(crate) struct Node {
 /// set of weights.
 pub struct Tape {
     pub(crate) nodes: RefCell<Vec<Node>>,
-    grads: RefCell<Vec<Option<Tensor>>>,
+}
+
+/// What one [`Tape::backward`] call computed: the gradient of its scalar
+/// output with respect to every variable that output depends on.
+#[derive(Debug)]
+pub struct Gradients(Vec<Option<Tensor>>);
+
+impl Gradients {
+    /// The gradient with respect to `var`; `None` if the differentiated
+    /// output does not depend on it.
+    pub fn get(&self, var: Var<'_>) -> Option<&Tensor> {
+        self.0.get(var.id)?.as_ref()
+    }
 }
 
 impl Default for Tape {
@@ -60,7 +72,6 @@ impl Tape {
     pub fn new() -> Self {
         Tape {
             nodes: RefCell::new(Vec::new()),
-            grads: RefCell::new(Vec::new()),
         }
     }
 
@@ -108,26 +119,13 @@ impl Tape {
         self.nodes.borrow()[var.id].value.clone()
     }
 
-    /// The gradient of the most recent [`Tape::backward`] call with respect
-    /// to `var`.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::Empty`] if backward has not been run or the
-    /// variable did not participate in the differentiated result.
-    pub fn grad(&self, var: Var<'_>) -> Result<Tensor> {
-        self.grads
-            .borrow()
-            .get(var.id)
-            .and_then(|g| g.clone())
-            .ok_or(TensorError::Empty { op: "grad" })
-    }
-
-    /// Runs reverse-mode accumulation from the scalar variable `output`.
+    /// Runs reverse-mode accumulation from the scalar variable `output` and
+    /// returns the gradients it reached.
     ///
     /// # Errors
     /// Returns an error if `output` is not a single-element tensor or if a
     /// recorded backward function produces a gradient of mismatched shape.
-    pub fn backward(&self, output: Var<'_>) -> Result<()> {
+    pub fn backward(&self, output: Var<'_>) -> Result<Gradients> {
         let nodes = self.nodes.borrow();
         let n = nodes.len();
         if nodes[output.id].value.len() != 1 {
@@ -165,8 +163,7 @@ impl Tape {
                 });
             }
         }
-        *self.grads.borrow_mut() = grads;
-        Ok(())
+        Ok(Gradients(grads))
     }
 }
 
@@ -210,14 +207,6 @@ impl<'t> Var<'t> {
     pub fn value(&self) -> Tensor {
         self.tape.value(*self)
     }
-
-    /// The gradient computed by the last backward pass.
-    ///
-    /// # Errors
-    /// See [`Tape::grad`].
-    pub fn grad(&self) -> Result<Tensor> {
-        self.tape.grad(*self)
-    }
 }
 
 #[cfg(test)]
@@ -234,13 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn grad_before_backward_errors() {
-        let tape = Tape::new();
-        let v = tape.var(Tensor::scalar(1.0));
-        assert!(tape.grad(v).is_err());
-    }
-
-    #[test]
     fn backward_requires_scalar() {
         let tape = Tape::new();
         let v = tape.var(Tensor::zeros(&[2, 2]));
@@ -251,8 +233,8 @@ mod tests {
     fn backward_on_leaf_scalar() {
         let tape = Tape::new();
         let v = tape.var(Tensor::scalar(5.0));
-        tape.backward(v).unwrap();
-        assert_eq!(tape.grad(v).unwrap().as_slice(), &[1.0]);
+        let grads = tape.backward(v).unwrap();
+        assert_eq!(grads.get(v).unwrap().as_slice(), &[1.0]);
     }
 
     #[test]

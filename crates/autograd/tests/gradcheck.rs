@@ -52,7 +52,7 @@ proptest! {
         let bv = tape.var(b.clone());
         let out = xv.matmul(wv).unwrap().add_row_broadcast(bv).unwrap().gelu();
         let loss = out.mul_mask(&weights).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
+        let grads = tape.backward(loss).unwrap();
 
         let wc = weights.clone();
         let xc = x.clone();
@@ -61,7 +61,7 @@ proptest! {
             let y = xc.matmul(w_).unwrap().add_row_broadcast(&bc).unwrap();
             weighted_sum(&y.map(|v| 0.5 * v * (1.0 + (0.797_884_6 * (v + 0.044_715 * v * v * v)).tanh())), &wc)
         }, 1e-3);
-        assert_close(&tape.grad(wv).unwrap(), &numeric_w, 3e-2)?;
+        assert_close(grads.get(wv).unwrap(), &numeric_w, 3e-2)?;
     }
 
     #[test]
@@ -82,7 +82,7 @@ proptest! {
             .softmax_rows()
             .unwrap();
         let loss = out.mul_mask(&weights).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
+        let grads = tape.backward(loss).unwrap();
 
         let reference = |x_: &Tensor| {
             let (r, c) = x_.shape().as_matrix().unwrap();
@@ -100,7 +100,7 @@ proptest! {
             weighted_sum(&n.softmax_rows().unwrap(), &weights)
         };
         let numeric = finite_diff(&x, reference, 1e-3);
-        assert_close(&tape.grad(xv).unwrap(), &numeric, 3e-2)?;
+        assert_close(grads.get(xv).unwrap(), &numeric, 3e-2)?;
     }
 
     #[test]
@@ -127,7 +127,7 @@ proptest! {
             let wv = tape.var(w.clone());
             let out = xv.matmul_ex(wv, spec).unwrap();
             let loss = out.mul_mask(&weights).unwrap().sum_all().unwrap();
-            tape.backward(loss).unwrap();
+            let grads = tape.backward(loss).unwrap();
 
             let reference = |x_: &Tensor, w_: &Tensor| {
                 let a = if spec.trans_a { x_.transpose().unwrap() } else { x_.clone() };
@@ -135,9 +135,9 @@ proptest! {
                 weighted_sum(&a.matmul(&b).unwrap(), &weights)
             };
             let numeric_w = finite_diff(&w, |w_| reference(&x, w_), 1e-3);
-            assert_close(&tape.grad(wv).unwrap(), &numeric_w, 2e-2)?;
+            assert_close(grads.get(wv).unwrap(), &numeric_w, 2e-2)?;
             let numeric_x = finite_diff(&x, |x_| reference(x_, &w), 1e-3);
-            assert_close(&tape.grad(xv).unwrap(), &numeric_x, 2e-2)?;
+            assert_close(grads.get(xv).unwrap(), &numeric_x, 2e-2)?;
         }
     }
 
@@ -156,16 +156,16 @@ proptest! {
         let out = av.matmul(vv).unwrap();
         prop_assert!(out.value().shape().dims() == [m, 1]);
         let loss = out.mul_mask(&weights).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
+        let grads = tape.backward(loss).unwrap();
 
-        let grad_v = tape.grad(vv).unwrap();
+        let grad_v = grads.get(vv).unwrap();
         prop_assert!(grad_v.shape().dims() == [inner]);
         let ac = a.clone();
         let wc = weights.clone();
         let numeric_v = finite_diff(&v, |v_| {
             weighted_sum(&ac.matmul(&v_.reshape(&[v_.len(), 1]).unwrap()).unwrap(), &wc)
         }, 1e-3);
-        assert_close(&grad_v, &numeric_v, 2e-2)?;
+        assert_close(grad_v, &numeric_v, 2e-2)?;
     }
 
     #[test]
@@ -190,7 +190,7 @@ proptest! {
             .mean_pool_row_blocks(block)
             .unwrap();
         let loss = pooled.mul_mask(&weights).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
+        let grads = tape.backward(loss).unwrap();
 
         let reference = |x_: &Tensor, tile_: &Tensor| {
             let tiled = Tensor::concat_rows(&vec![tile_; samples]).unwrap();
@@ -199,10 +199,10 @@ proptest! {
         };
         let tc = tile.clone();
         let numeric_x = finite_diff(&x, |x_| reference(x_, &tc), 1e-3);
-        assert_close(&tape.grad(xv).unwrap(), &numeric_x, 2e-2)?;
+        assert_close(grads.get(xv).unwrap(), &numeric_x, 2e-2)?;
         let xc = x.clone();
         let numeric_t = finite_diff(&tile, |t_| reference(&xc, t_), 1e-3);
-        assert_close(&tape.grad(tv).unwrap(), &numeric_t, 2e-2)?;
+        assert_close(grads.get(tv).unwrap(), &numeric_t, 2e-2)?;
     }
 
     #[test]
@@ -214,7 +214,7 @@ proptest! {
         let tape = Tape::new();
         let lv = tape.var(logits.clone());
         let loss = lv.softmax_cross_entropy(&targets).unwrap();
-        tape.backward(loss).unwrap();
+        let grads = tape.backward(loss).unwrap();
 
         let numeric = finite_diff(&logits, |l| {
             let probs = l.softmax_rows().unwrap();
@@ -224,7 +224,7 @@ proptest! {
             }
             total / batch as f32
         }, 1e-3);
-        assert_close(&tape.grad(lv).unwrap(), &numeric, 2e-2)?;
+        assert_close(grads.get(lv).unwrap(), &numeric, 2e-2)?;
     }
 
     #[test]
@@ -249,7 +249,7 @@ proptest! {
             .unwrap();
         let out = scores.matmul(vv).unwrap();
         let loss = out.mul_mask(&weights).unwrap().sum_all().unwrap();
-        tape.backward(loss).unwrap();
+        let grads = tape.backward(loss).unwrap();
 
         let numeric = finite_diff(&q, |q_| {
             let s = q_
@@ -260,7 +260,7 @@ proptest! {
                 .unwrap();
             weighted_sum(&s.matmul(&v).unwrap(), &weights)
         }, 1e-3);
-        assert_close(&tape.grad(qv).unwrap(), &numeric, 3e-2)?;
+        assert_close(grads.get(qv).unwrap(), &numeric, 3e-2)?;
     }
 }
 
@@ -285,14 +285,14 @@ fn packed_path_gradcheck() {
         .unwrap()
         .sum_all()
         .unwrap();
-    tape.backward(loss).unwrap();
+    let grads = tape.backward(loss).unwrap();
 
     let numeric = finite_diff(
         &w,
         |w_| weighted_sum(&x.matmul(w_).unwrap(), &weights),
         1e-3,
     );
-    let analytic = tape.grad(wv).unwrap();
+    let analytic = grads.get(wv).unwrap();
     for (a, n) in analytic.as_slice().iter().zip(numeric.as_slice()) {
         assert!(
             (a - n).abs() < 0.02f32.max(0.02 * n.abs()),
@@ -320,7 +320,7 @@ fn stacked_attention_gradcheck() {
     let xv = tape.var(x.clone());
     let out = msa.forward(&mut session, xv, samples).unwrap();
     let loss = out.mul_mask(&weights).unwrap().sum_all().unwrap();
-    tape.backward(loss).unwrap();
+    let grads = tape.backward(loss).unwrap();
 
     let numeric = finite_diff(
         &x,
@@ -333,7 +333,7 @@ fn stacked_attention_gradcheck() {
         },
         1e-2,
     );
-    let analytic = tape.grad(xv).unwrap();
+    let analytic = grads.get(xv).unwrap();
     for (a, n) in analytic.as_slice().iter().zip(numeric.as_slice()) {
         assert!(
             (a - n).abs() < 0.02f32.max(0.02 * n.abs()),

@@ -317,7 +317,6 @@ impl Localizer for AnvilLocalizer {
         let observations = train.observations();
         minibatches(
             &mut Adam::new(2e-3),
-            &network.params(),
             observations.len(),
             16,
             self.epochs,

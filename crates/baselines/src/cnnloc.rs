@@ -220,7 +220,6 @@ impl Localizer for CnnLocLocalizer {
             .pretrain(&features, self.pretrain_epochs, 5e-3, 0.02, self.seed)?;
         minibatches(
             &mut Adam::new(1.5e-3),
-            &network.params(),
             features.rows()?,
             32,
             self.epochs,

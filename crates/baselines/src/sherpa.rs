@@ -226,7 +226,6 @@ impl Localizer for SherpaLocalizer {
         let network = Self::build_network(self.seed, width, self.num_classes);
         minibatches(
             &mut Adam::new(2e-3),
-            &network.params(),
             features.rows()?,
             32,
             self.epochs,

@@ -154,7 +154,6 @@ impl VitalModel {
         let mut rng = SeededRng::new(train_config.seed.wrapping_add(0xA0));
         let epoch_losses = minibatches(
             &mut Adam::new(train_config.learning_rate),
-            &self.transformer.params(),
             observations.len(),
             train_config.batch_size,
             train_config.epochs,

@@ -142,15 +142,14 @@ pub fn analyze(files: &[SourceFile], config: &RulesConfig) -> Report {
     }
     let scanned: Vec<String> = files.iter().map(|f| f.path.clone()).collect();
     raw_findings.extend(hygiene::missing_files(&scanned, config));
-    raw_findings.extend(lock_order::cycle_findings(&report.lock_graph));
     let stale = &mut report.stale_targets;
     stale.extend(hot_path::unscanned_spans(&scanned, config));
     stale.extend(lock_order::unobserved_sites(&report.lock_graph, config));
     stale.extend(hygiene::empty_unsafe_dirs(&scanned, config));
 
-    // Allowlists: a finding whose source line (or message, for the global
-    // graph findings) contains an entry's `contains` is recorded but not
-    // fatal. Entries that match nothing are reported as stale.
+    // Allowlists: a finding whose source line (or message, for a finding
+    // about a file as a whole) contains an entry's `contains` is recorded
+    // but not fatal. Entries that match nothing are reported as stale.
     let mut used = vec![false; total_allows(config)];
     for finding in raw_findings {
         let allows = allows_for(config, finding.rule);

@@ -16,7 +16,7 @@
 //! | rule | what it enforces |
 //! |------|------------------|
 //! | `panic-freedom` | no `unwrap`/`expect`/panic macros/literal indexing in the serve request-path crates |
-//! | `lock-order` | the may-hold-while-acquiring graph over every `Mutex`/`RwLock` site is acyclic, and `.write()` is never taken while another guard is live |
+//! | `lock-order` | no `Mutex`/`RwLock` is held while another is taken: the may-hold-while-acquiring graph over every lock site has no edges |
 //! | `hot-path-alloc` | no `Vec::new`/`to_vec`/`clone`/`String`/`format!` in the GEMM microkernel or the batcher dispatch loop |
 //! | `hygiene` | no unbounded `mpsc::channel`; the `#![forbid(unsafe_code)]`, `#![deny(clippy::disallowed_types)]` and Send+Sync guard rails stay present |
 //!

@@ -11,20 +11,16 @@
 //! * a lock taken inside a larger expression statement
 //!   (`*x.lock()… = v;`) — a temporary, live to the end of the statement.
 //!
+//! The policy is one sentence: **no lock is held while another is taken.**
 //! Every "guard of class A live while class B is acquired" observation
 //! becomes an A→B edge in one workspace-wide graph whose nodes are the
 //! *lock classes* named in `ci/lint-rules.toml` (`nn::Param::value`,
-//! `serve::JobQueue::state`, …; unnamed receivers get a per-file class).
-//! Two things are findings:
-//!
-//! * a **cycle** in the graph — two functions acquiring the same locks in
-//!   opposite orders deadlock under concurrency, which is exactly the
-//!   failure mode N dispatch workers make probable; a self-loop (same
-//!   class re-acquired while held) is the length-1 case and deadlocks
-//!   even single-threaded with `Mutex`;
-//! * a **`.write()` while any other guard is live** — a writer queued
-//!   behind the held guard blocks every later reader, so even cycle-free
-//!   write-while-holding is a serving-latency hazard.
+//! `serve::JobQueue::state`, …; unnamed receivers get a per-file class),
+//! and every edge is a finding. Two locks that are never held together
+//! cannot be taken in opposite orders, a lock cannot be re-acquired under
+//! itself, and no writer queues behind a held guard, so deadlock freedom
+//! needs no search of the graph: the graph has no edges. A nesting that
+//! has to exist is excused by name in `[[lock_order.allow]]`.
 
 use crate::analyze::FileContext;
 use crate::config::RulesConfig;
@@ -44,7 +40,7 @@ struct Guard {
 }
 
 /// Scans one file's functions, appending acquisitions/edges to `graph`
-/// and returning write-while-holding findings.
+/// and returning one finding per hold-while-acquiring observation.
 pub fn check(ctx: &FileContext<'_>, config: &RulesConfig, graph: &mut LockGraph) -> Vec<Finding> {
     let mut findings = Vec::new();
     for function in &ctx.scoped.functions {
@@ -140,23 +136,20 @@ fn walk_function(
                         line: tok.line,
                         function: function.name.clone(),
                     };
-                    if !graph.edges.contains(&edge) {
-                        graph.edges.push(edge);
+                    if graph.edges.contains(&edge) {
+                        continue;
                     }
-                }
-                if method == "write" {
-                    if let Some(held) = guards.first() {
-                        findings.push(ctx.finding(
-                            Rule::LockOrder,
-                            tok,
-                            format!(
-                                "`.write()` on {class} while a {} guard is live in `{}` — \
-                                 a queued writer blocks all later readers; narrow the guard \
-                                 scope or drop it first",
-                                held.class, function.name
-                            ),
-                        ));
-                    }
+                    findings.push(ctx.finding(
+                        Rule::LockOrder,
+                        tok,
+                        format!(
+                            "`.{method}()` on {class} while a {} guard is live in `{}` — \
+                             no lock is held while another is taken; narrow the guard \
+                             scope or drop it first",
+                            guard.class, function.name
+                        ),
+                    ));
+                    graph.edges.push(edge);
                 }
                 let names = stmt_let
                     .map(|l| binding_names(tokens, l, i))
@@ -243,7 +236,7 @@ fn classify(
         }
     }
     // Unnamed lock: derive a stable per-file class so new lock sites show
-    // up in the graph (and in cycles) without config changes.
+    // up in the graph without config changes.
     let stem = ctx
         .path
         .rsplit('/')
@@ -251,57 +244,6 @@ fn classify(
         .and_then(|f| f.strip_suffix(".rs"))
         .unwrap_or(ctx.path);
     format!("{stem}::{segment}")
-}
-
-/// Global pass once every file contributed its edges: any cycle in the
-/// may-hold-while-acquiring graph is a deadlock risk.
-pub fn cycle_findings(graph: &LockGraph) -> Vec<Finding> {
-    let mut nodes: Vec<&str> = Vec::new();
-    for edge in &graph.edges {
-        for class in [edge.from.as_str(), edge.to.as_str()] {
-            if !nodes.contains(&class) {
-                nodes.push(class);
-            }
-        }
-    }
-    let mut findings = Vec::new();
-    let mut reported: Vec<Vec<String>> = Vec::new();
-    // DFS from every node; a back edge onto the current stack is a cycle.
-    for &start in &nodes {
-        let mut stack: Vec<&str> = vec![start];
-        let mut path: Vec<&str> = Vec::new();
-        let mut visited: Vec<&str> = Vec::new();
-        dfs(start, graph, &mut path, &mut visited, &mut |cycle| {
-            let mut key: Vec<String> = cycle.iter().map(|s| s.to_string()).collect();
-            key.sort();
-            if reported.contains(&key) {
-                return;
-            }
-            reported.push(key);
-            // Anchor the finding at the edge that closes the cycle.
-            let closing = graph
-                .edges
-                .iter()
-                .find(|e| e.from == cycle[cycle.len() - 1] && e.to == cycle[0]);
-            let chain = cycle.join(" -> ");
-            let (file, line, function) = closing
-                .map(|e| (e.file.clone(), e.line, e.function.clone()))
-                .unwrap_or_default();
-            findings.push(Finding {
-                rule: Rule::LockOrder,
-                file,
-                line,
-                col: 1,
-                message: format!(
-                    "lock-order cycle: {chain} -> {} (deadlock risk; closing edge in `{function}`)",
-                    cycle[0]
-                ),
-                snippet: format!("acquisition order {chain} -> {}", cycle[0]),
-            });
-        });
-        stack.clear();
-    }
-    findings
 }
 
 /// Configured sites whose class was never acquired: the field was renamed
@@ -319,28 +261,6 @@ pub fn unobserved_sites(graph: &LockGraph, config: &RulesConfig) -> Vec<String> 
             )
         })
         .collect()
-}
-
-fn dfs<'g>(
-    node: &'g str,
-    graph: &'g LockGraph,
-    path: &mut Vec<&'g str>,
-    visited: &mut Vec<&'g str>,
-    on_cycle: &mut impl FnMut(&[&str]),
-) {
-    if let Some(pos) = path.iter().position(|&n| n == node) {
-        on_cycle(&path[pos..]);
-        return;
-    }
-    if visited.contains(&node) {
-        return;
-    }
-    visited.push(node);
-    path.push(node);
-    for edge in graph.edges.iter().filter(|e| e.from == node) {
-        dfs(&edge.to, graph, path, visited, on_cycle);
-    }
-    path.pop();
 }
 
 #[cfg(test)]
@@ -375,33 +295,42 @@ kind = "RwLock"
         )
     }
 
+    /// The `(from, to)` of every edge, after checking that each edge is
+    /// reported as exactly one finding that names both classes.
+    fn edges_as_findings(content: &str) -> Vec<(String, String)> {
+        let report = run(content);
+        let edges = &report.lock_graph.edges;
+        assert_eq!(report.findings.len(), edges.len(), "{:?}", report.findings);
+        for (edge, finding) in edges.iter().zip(&report.findings) {
+            let expected = format!("on {} while a {} guard is live", edge.to, edge.from);
+            assert!(finding.message.contains(&expected), "{finding:?}");
+        }
+        edges
+            .iter()
+            .map(|e| (e.from.clone(), e.to.clone()))
+            .collect()
+    }
+
+    fn pair(from: &str, to: &str) -> (String, String) {
+        (from.to_string(), to.to_string())
+    }
+
     #[test]
     fn hold_while_acquiring_builds_an_edge() {
-        let report =
-            run("fn f(s: &S) { let a = s.alpha.lock().unwrap(); let b = s.beta.lock().unwrap(); }");
-        assert_eq!(report.lock_graph.edges.len(), 1);
-        let edge = &report.lock_graph.edges[0];
-        assert_eq!(
-            (edge.from.as_str(), edge.to.as_str()),
-            ("test::Alpha", "test::Beta")
+        let edges = edges_as_findings(
+            "fn f(s: &S) { let a = s.alpha.lock().unwrap(); let b = s.beta.lock().unwrap(); }",
         );
-        assert!(report.findings.is_empty(), "one-way order is fine");
+        assert_eq!(edges, [pair("test::Alpha", "test::Beta")]);
     }
 
     #[test]
     fn inverted_orders_in_two_functions_are_a_cycle() {
-        let report = run(
+        let edges = edges_as_findings(
             "fn f(s: &S) { let a = s.alpha.lock().unwrap(); let b = s.beta.lock().unwrap(); }\n\
              fn g(s: &S) { let b = s.beta.lock().unwrap(); let a = s.alpha.lock().unwrap(); }",
         );
-        let cycles: Vec<_> = report
-            .findings
-            .iter()
-            .filter(|f| f.message.contains("cycle"))
-            .collect();
-        assert_eq!(cycles.len(), 1, "{:?}", report.findings);
-        assert!(cycles[0].message.contains("test::Alpha"));
-        assert!(cycles[0].message.contains("test::Beta"));
+        let (alpha, beta) = ("test::Alpha", "test::Beta");
+        assert_eq!(edges, [pair(alpha, beta), pair(beta, alpha)]);
     }
 
     #[test]
@@ -419,29 +348,18 @@ kind = "RwLock"
 
     #[test]
     fn same_lock_reacquired_while_held_is_a_self_cycle() {
-        let report = run(
+        let edges = edges_as_findings(
             "fn f(s: &S) { let a = s.alpha.lock().unwrap(); let b = s.alpha.lock().unwrap(); }",
         );
-        assert!(
-            report.findings.iter().any(|f| f.message.contains("cycle")),
-            "{:?}",
-            report.findings
-        );
+        assert_eq!(edges, [pair("test::Alpha", "test::Alpha")]);
     }
 
     #[test]
     fn write_while_holding_is_flagged_without_a_cycle() {
-        let report = run(
+        let edges = edges_as_findings(
             "fn f(s: &S) { let a = s.alpha.lock().unwrap(); let w = s.beta.write().unwrap(); }",
         );
-        assert!(
-            report
-                .findings
-                .iter()
-                .any(|f| f.message.contains(".write()")),
-            "{:?}",
-            report.findings
-        );
+        assert_eq!(edges, [pair("test::Alpha", "test::Beta")]);
     }
 
     #[test]
@@ -513,8 +431,9 @@ kind = "RwLock"
     fn test_functions_are_exempt() {
         let report = run(
             "#[cfg(test)]\nmod tests { fn f(s: &S) { let b = s.beta.lock().unwrap(); let a = s.alpha.lock().unwrap(); } }\n\
-             fn g(s: &S) { let a = s.alpha.lock().unwrap(); let b = s.beta.lock().unwrap(); }",
+             fn g(s: &S) { let a = s.alpha.lock().unwrap(); }",
         );
         assert!(report.findings.is_empty(), "{:?}", report.findings);
+        assert!(report.lock_graph.edges.is_empty());
     }
 }

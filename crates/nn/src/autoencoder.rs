@@ -2,7 +2,7 @@ use autograd::Tape;
 use tensor::rng::SeededRng;
 use tensor::Tensor;
 
-use crate::optim::{zero_grads, Adam, Optimizer};
+use crate::optim::Adam;
 use crate::{Activation, Layer, Mlp, Param, Session, Trace};
 
 /// A stacked (denoising) autoencoder.
@@ -90,7 +90,6 @@ impl StackedAutoencoder {
         seed: u64,
     ) -> crate::Result<f32> {
         let mut adam = Adam::new(learning_rate);
-        let params = self.params();
         let mut rng = SeededRng::new(seed);
         let mut last = 0.0;
         for epoch in 0..epochs {
@@ -106,9 +105,7 @@ impl StackedAutoencoder {
             let recon = self.reconstruct(&mut session, x)?;
             let loss = recon.mse_loss(data)?;
             last = loss.value().item()?;
-            session.backward(loss)?;
-            adam.step(&params);
-            zero_grads(&params);
+            adam.step(&session.backward(loss)?);
         }
         Ok(last)
     }

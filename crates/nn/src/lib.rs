@@ -9,23 +9,23 @@
 //!
 //! # Architecture
 //!
-//! * [`Param`] — a shared, thread-safe parameter tensor (value + accumulated
-//!   gradient). Params — and therefore every layer and model built from
-//!   them — are `Send + Sync`: weights are snapshotted lock-free for
-//!   inference while gradient state stays behind a training-only mutex
-//!   (see the `param` module docs for the two paths).
+//! * [`Param`] — a shared, thread-safe parameter tensor: the weights,
+//!   behind one lock, and nothing else. Params — and therefore every layer
+//!   and model built from them — are `Send + Sync`; a reader snapshots the
+//!   weights in `O(1)` and then reads them with no lock at all.
 //! * [`Trace`] — a recorder of the named ops a forward pass is made of.
 //!   It has two implementations: [`Session`] records onto an autograd tape
 //!   (training; in eval mode, the eager bit-exactness oracle) and
 //!   [`graph::Graph`] records into the expression IR that compiles to a
 //!   fused inference plan.
 //! * [`Session`] — wraps an autograd [`autograd::Tape`] for one forward /
-//!   backward pass, registering every parameter used so gradients can be
-//!   copied back after [`Session::backward`].
+//!   backward pass, registering every parameter used so
+//!   [`Session::backward`] can return each one's gradient.
 //! * [`Layer`] implementations — own their [`Param`]s and define their
 //!   arithmetic exactly once, as `forward<T: Trace>(&self, t, input)`.
-//! * [`optim`] — optimizers that update the values held by [`Param`]s using
-//!   their accumulated gradients.
+//! * [`optim`] — [`optim::Adam`], which updates the values held by
+//!   [`Param`]s from the gradients a backward pass returned, and the one
+//!   mini-batch loop that drives it.
 //!
 //! # How to write a layer
 //!
@@ -46,7 +46,7 @@
 //! ```
 //! use autograd::Tape;
 //! use nn::{Dense, Init, Layer, Session};
-//! use nn::optim::{Adam, Optimizer};
+//! use nn::optim::Adam;
 //! use tensor::rng::SeededRng;
 //! use tensor::Tensor;
 //!
@@ -60,8 +60,7 @@
 //! let x = session.constant(Tensor::ones(&[3, 4]));
 //! let out = dense.forward(&mut session, x)?;
 //! let loss = out.softmax_cross_entropy(&[0, 1, 0])?;
-//! session.backward(loss)?;
-//! adam.step(&dense.params());
+//! adam.step(&session.backward(loss)?);
 //! # Ok(())
 //! # }
 //! ```

@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn learns_xor() {
         // Small end-to-end training sanity check for the full layer stack.
-        use crate::optim::{Adam, Optimizer};
+        use crate::optim::Adam;
         let mut rng = SeededRng::new(3);
         let mlp = Mlp::new(&mut rng, &[2, 16, 2], Activation::Tanh);
         let mut adam = Adam::new(0.02);
@@ -183,11 +183,7 @@ mod tests {
             let logits = mlp.forward(&mut session, x).unwrap();
             let loss = logits.softmax_cross_entropy(&targets).unwrap();
             last_loss = loss.value().item().unwrap();
-            session.backward(loss).unwrap();
-            adam.step(&mlp.params());
-            for p in mlp.params() {
-                p.zero_grad();
-            }
+            adam.step(&session.backward(loss).unwrap());
         }
         assert!(last_loss < 0.1, "XOR did not converge: loss {last_loss}");
         // Check predictions.

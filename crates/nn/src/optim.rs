@@ -1,29 +1,13 @@
-//! Gradient-descent optimizers operating on [`Param`]s.
+//! The Adam optimizer and the mini-batch training loop that drives it.
 
 use std::collections::HashMap;
 
 use autograd::{Tape, Var};
+use tensor::kernels::{adam_update, AdamStep};
 use tensor::rng::SeededRng;
 use tensor::{Tensor, TensorError};
 
 use crate::{Param, Session};
-
-/// Common interface of optimizers: apply one update step using the gradients
-/// currently accumulated in the given parameters.
-///
-/// Optimizers do **not** clear gradients; call [`Param::zero_grad`] after the
-/// step (or use [`zero_grads`]).
-pub trait Optimizer {
-    /// Applies one update to every parameter that currently holds a gradient.
-    fn step(&mut self, params: &[Param]);
-}
-
-/// Clears the gradient of every parameter in the slice.
-pub fn zero_grads(params: &[Param]) {
-    for p in params {
-        p.zero_grad();
-    }
-}
 
 /// Mini-batch gradient descent over `samples` training rows for `epochs`
 /// passes: the one training loop every model's `fit` runs.
@@ -33,16 +17,14 @@ pub fn zero_grads(params: &[Param]) {
 /// batch_index, indices, rng)` records the batch, returning the training
 /// [`Session`] it opened (under the model's own dropout-seed formula) and
 /// the scalar loss. It may draw augmentation noise from the same `rng`.
-/// The loop owns the rest: [`Session::backward`], [`Optimizer::step`],
-/// [`zero_grads`] and the epoch's mean loss, handed to `progress(epoch,
-/// mean)` as the epoch ends and returned for all epochs.
+/// The loop owns the rest: [`Session::backward`], [`Adam::step`] on the
+/// gradients it returns, and the epoch's mean loss, handed to
+/// `progress(epoch, mean)` as the epoch ends and returned for all epochs.
 ///
 /// # Errors
 /// Whatever `batch_loss` returns, and tape errors from the backward pass.
-#[allow(clippy::too_many_arguments)] // exactly what the per-model loops it replaced differed in
 pub fn minibatches<E: From<TensorError>>(
-    optimizer: &mut impl Optimizer,
-    params: &[Param],
+    optimizer: &mut Adam,
     samples: usize,
     batch_size: usize,
     epochs: usize,
@@ -65,9 +47,7 @@ pub fn minibatches<E: From<TensorError>>(
             let tape = Tape::new();
             let (session, loss) = batch_loss(&tape, epoch, batch, indices, rng)?;
             epoch_loss += loss.value().item()?;
-            session.backward(loss)?;
-            optimizer.step(params);
-            zero_grads(params);
+            optimizer.step(&session.backward(loss)?);
         }
         let mean_loss = epoch_loss / samples.div_ceil(batch_size).max(1) as f32;
         progress(epoch, mean_loss);
@@ -109,41 +89,46 @@ impl Adam {
     pub fn steps(&self) -> u64 {
         self.step_count
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &[Param]) {
+    /// Applies one update to every parameter in `grads` (what
+    /// [`Session::backward`] returned), keeping its moment estimates by
+    /// [`Param::key`]. A parameter absent from `grads` is left alone.
+    ///
+    /// # Panics
+    /// Panics if a gradient's shape differs from its parameter's: a
+    /// programming error in the caller, not a user input error.
+    pub fn step(&mut self, grads: &[(Param, Tensor)]) {
         self.step_count += 1;
         let t = self.step_count as f32;
-        let bias1 = 1.0 - self.beta1.powf(t);
-        let bias2 = 1.0 - self.beta2.powf(t);
-        for p in params {
-            let Some(grad) = p.grad() else { continue };
+        let step = AdamStep {
+            lr: self.learning_rate,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            inv_bias1: 1.0 / (1.0 - self.beta1.powf(t)),
+            inv_bias2: 1.0 / (1.0 - self.beta2.powf(t)),
+        };
+        for (p, grad) in grads {
+            let mut w = p.value();
+            assert!(
+                grad.shape().same_as(w.shape()),
+                "gradient shape {:?} does not match parameter {} shape {:?}",
+                grad.shape().dims(),
+                p.name(),
+                w.shape().dims()
+            );
             let (m, v) = self
                 .moments
                 .entry(p.key())
                 .or_insert_with(|| (grad.zeros_like(), grad.zeros_like()));
-            *m = m
-                .scale(self.beta1)
-                .add(&grad.scale(1.0 - self.beta1))
-                .expect("moment shares the parameter shape");
-            *v = v
-                .scale(self.beta2)
-                .add(&grad.mul(&grad).expect("same shape").scale(1.0 - self.beta2))
-                .expect("moment shares the parameter shape");
-            let m_hat = m.scale(1.0 / bias1);
-            let v_hat = v.scale(1.0 / bias2);
-            let eps = self.eps;
-            let denom = v_hat.map(|x| x.sqrt() + eps);
-            let update = m_hat
-                .div(&denom)
-                .expect("same shape")
-                .scale(self.learning_rate);
-            p.set_value(
-                p.value()
-                    .sub(&update)
-                    .expect("update shares the parameter shape"),
+            adam_update(
+                w.as_mut_slice(),
+                grad.as_slice(),
+                m.as_mut_slice(),
+                v.as_mut_slice(),
+                &step,
             );
+            p.set_value(w);
         }
     }
 }
@@ -152,19 +137,13 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
 
-    fn quadratic_grad(p: &Param) {
-        // f(x) = 0.5 * ||x||^2, grad = x
-        p.zero_grad();
-        p.accumulate_grad(&p.value());
-    }
-
     #[test]
     fn adam_descends_quadratic() {
         let p = Param::new("x", Tensor::from_vec(vec![3.0, -2.0, 1.0], &[3]).unwrap());
         let mut adam = Adam::new(0.1);
         for _ in 0..300 {
-            quadratic_grad(&p);
-            adam.step(std::slice::from_ref(&p));
+            // f(x) = 0.5 * ||x||^2, grad = x
+            adam.step(&[(p.clone(), p.value())]);
         }
         assert!(p.value().norm() < 1e-2);
         assert_eq!(adam.steps(), 300);
@@ -174,19 +153,87 @@ mod tests {
     #[test]
     fn optimizers_skip_params_without_grad() {
         let p = Param::new("x", Tensor::ones(&[2]));
-        let before = p.value();
-        Adam::new(0.5).step(std::slice::from_ref(&p));
-        assert_eq!(p.value(), before);
+        let q = Param::new("y", Tensor::ones(&[2]));
+        let mut adam = Adam::new(0.5);
+        adam.step(&[(q.clone(), Tensor::ones(&[2]))]);
+        assert_eq!(p.value(), Tensor::ones(&[2]));
+        assert_eq!(p.version(), 0);
+        assert_ne!(q.value(), Tensor::ones(&[2]));
     }
 
     #[test]
-    fn zero_grads_clears_all() {
-        let a = Param::new("a", Tensor::ones(&[1]));
-        let b = Param::new("b", Tensor::ones(&[1]));
-        a.accumulate_grad(&Tensor::ones(&[1]));
-        b.accumulate_grad(&Tensor::ones(&[1]));
-        zero_grads(&[a.clone(), b.clone()]);
-        assert!(a.grad().is_none());
-        assert!(b.grad().is_none());
+    #[should_panic(expected = "gradient shape")]
+    fn mismatched_gradient_panics() {
+        let p = Param::new("w", Tensor::zeros(&[3]));
+        Adam::new(0.1).step(&[(p, Tensor::ones(&[2]))]);
+    }
+
+    /// The update `Adam::step` ran before `adam_update` existed, one
+    /// allocating `Tensor` op per arithmetic operation.
+    fn tensor_op_chain(
+        adam: &Adam,
+        t: f32,
+        w: &Tensor,
+        grad: &Tensor,
+        m: &Tensor,
+        v: &Tensor,
+    ) -> [Tensor; 3] {
+        let bias1 = 1.0 - adam.beta1.powf(t);
+        let bias2 = 1.0 - adam.beta2.powf(t);
+        let m = m
+            .scale(adam.beta1)
+            .add(&grad.scale(1.0 - adam.beta1))
+            .unwrap();
+        let v = v
+            .scale(adam.beta2)
+            .add(&grad.mul(grad).unwrap().scale(1.0 - adam.beta2))
+            .unwrap();
+        let m_hat = m.scale(1.0 / bias1);
+        let v_hat = v.scale(1.0 / bias2);
+        let eps = adam.eps;
+        let denom = v_hat.map(|x| x.sqrt() + eps);
+        let update = m_hat.div(&denom).unwrap().scale(adam.learning_rate);
+        [w.sub(&update).unwrap(), m, v]
+    }
+
+    #[test]
+    fn adam_update_matches_the_tensor_op_chain_bit_for_bit() {
+        let specials = [
+            0.0,
+            -0.0,
+            1e-41, // denormal
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            0.37,
+            -1.5e3,
+            f32::MIN_POSITIVE,
+            6.1e-5,
+            -2.0e-3,
+        ];
+        // Every special value meets every other as weight, gradient and
+        // first moment; the second moment stays non-negative as Adam's is.
+        let n = specials.len();
+        let table = |f: &dyn Fn(usize) -> f32| {
+            let data = (0..n * n * n).map(f).collect();
+            std::hint::black_box(Tensor::from_vec(data, &[n * n * n]).unwrap())
+        };
+        let w = table(&|i| specials[i % n]);
+        let grad = table(&|i| specials[i / n % n]);
+        let m = table(&|i| specials[i / (n * n)]);
+        let v = table(&|i| specials[(i + i / n) % n].abs());
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for step in [1u64, 2, 1000] {
+            let p = Param::new("w", w.clone());
+            let mut adam = Adam::new(1e-3);
+            adam.step_count = step - 1;
+            adam.moments.insert(p.key(), (m.clone(), v.clone()));
+            let [want_w, want_m, want_v] = tensor_op_chain(&adam, step as f32, &w, &grad, &m, &v);
+            adam.step(&[(p.clone(), grad.clone())]);
+            let (got_m, got_v) = &adam.moments[&p.key()];
+            assert_eq!(bits(&p.value()), bits(&want_w), "weights at step {step}");
+            assert_eq!(bits(got_m), bits(&want_m), "first moment at step {step}");
+            assert_eq!(bits(got_v), bits(&want_v), "second moment at step {step}");
+        }
     }
 }

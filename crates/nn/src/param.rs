@@ -2,22 +2,21 @@
 //!
 //! A [`Param`] is a handle to one named weight tensor; cloning the handle
 //! shares the underlying storage, which is how a layer and an optimizer see
-//! consistent state. Since the serving refactor the handle is `Send + Sync`
-//! and splits its state into two paths:
+//! consistent state. The handle is `Send + Sync` and holds the weights and
+//! nothing else, behind one lock:
 //!
-//! * **Inference path** — [`Param::value`] snapshots the current weights.
-//!   Thanks to the `tensor` crate's `Arc`-backed storage the snapshot is an
-//!   `O(1)` reference bump taken under a briefly-held read lock; the weight
-//!   *data* itself is then read with no lock at all, from the same shared
+//! * **Reading** — [`Param::value`] snapshots the current weights. Thanks
+//!   to the `tensor` crate's `Arc`-backed storage the snapshot is an `O(1)`
+//!   reference bump taken under a briefly-held read lock; the weight *data*
+//!   itself is then read with no lock at all, from the same shared
 //!   allocation, by every tape and every concurrent inference worker.
 //!   During serving no writer exists, so the read lock is never contended.
-//! * **Training path** — gradients ([`Param::grad`],
-//!   [`Param::accumulate_grad`], [`Param::zero_grad`]) live behind a
-//!   separate mutex that only the training-session machinery
-//!   ([`crate::Session::backward`] deposits, [`crate::optim`] consumes)
-//!   ever touches, and in-place weight updates ([`Param::set_value`])
-//!   swap the value atomically under the write lock. Inference never
-//!   takes either lock path.
+//! * **Writing** — [`Param::set_value`] (optimizer steps and checkpoint
+//!   restores) swaps the value atomically under the write lock.
+//!
+//! Gradients are not parameter state: [`crate::Session::backward`] returns
+//! them and [`crate::optim::Adam::step`] consumes them, so no code holds
+//! this lock while taking another.
 //!
 //! A regression to single-threaded interior mutability (`Rc`/`RefCell`)
 //! fails the build: see the compile-time assertions at the bottom of this
@@ -26,7 +25,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 use tensor::Tensor;
 
@@ -35,9 +34,6 @@ struct ParamInner {
     /// Current weights. Readers snapshot the `Arc`-backed tensor in `O(1)`;
     /// only the training path ([`Param::set_value`]) ever write-locks.
     value: RwLock<Tensor>,
-    /// Accumulated gradient — training-path state, never touched by
-    /// inference.
-    grad: Mutex<Option<Tensor>>,
     /// Monotonic update counter, bumped by every [`Param::set_value`].
     /// Compiled-plan caches fold these into a weight stamp so a plan built
     /// against stale weights is detected in `O(params)` without comparing
@@ -60,7 +56,6 @@ impl Param {
         Param(Arc::new(ParamInner {
             name: name.into(),
             value: RwLock::new(value),
-            grad: Mutex::new(None),
             version: AtomicU64::new(0),
         }))
     }
@@ -108,39 +103,6 @@ impl Param {
         self.len() == 0
     }
 
-    /// The accumulated gradient, if any backward pass has deposited one.
-    pub fn grad(&self) -> Option<Tensor> {
-        self.0.grad.lock().expect("param lock poisoned").clone()
-    }
-
-    /// Adds `grad` into the accumulated gradient (training path; called by
-    /// [`crate::Session::backward`]).
-    ///
-    /// # Panics
-    /// Panics if the gradient shape does not match the value shape; this is a
-    /// programming error in layer code rather than a user input error.
-    pub fn accumulate_grad(&self, grad: &Tensor) {
-        let value_shape = self.0.value.read().expect("param lock poisoned");
-        assert!(
-            grad.shape().same_as(value_shape.shape()),
-            "gradient shape {:?} does not match parameter {} shape {:?}",
-            grad.shape().dims(),
-            self.0.name,
-            value_shape.shape().dims()
-        );
-        drop(value_shape);
-        let mut slot = self.0.grad.lock().expect("param lock poisoned");
-        *slot = Some(match slot.take() {
-            Some(existing) => existing.add(grad).expect("shapes verified above"),
-            None => grad.clone(),
-        });
-    }
-
-    /// Clears the accumulated gradient.
-    pub fn zero_grad(&self) {
-        *self.0.grad.lock().expect("param lock poisoned") = None;
-    }
-
     /// Stable identity key for this parameter (used by optimizers to store
     /// per-parameter state such as Adam moments).
     pub fn key(&self) -> usize {
@@ -168,12 +130,9 @@ pub fn weight_stamp(params: &[Param]) -> u64 {
 
 impl fmt::Debug for Param {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let value = self.0.value.read().expect("param lock poisoned");
-        let has_grad = self.0.grad.lock().expect("param lock poisoned").is_some();
         f.debug_struct("Param")
             .field("name", &self.0.name)
-            .field("shape", &value.shape().dims().to_vec())
-            .field("has_grad", &has_grad)
+            .field("shape", &self.value().shape().dims().to_vec())
             .finish()
     }
 }
@@ -227,24 +186,6 @@ mod tests {
         q.set_value(Tensor::ones(&[2]));
         assert_eq!(p.value().sum(), 2.0);
         assert_eq!(p.key(), q.key());
-    }
-
-    #[test]
-    fn gradient_accumulates_and_clears() {
-        let p = Param::new("w", Tensor::zeros(&[3]));
-        assert!(p.grad().is_none());
-        p.accumulate_grad(&Tensor::ones(&[3]));
-        p.accumulate_grad(&Tensor::ones(&[3]));
-        assert_eq!(p.grad().unwrap().as_slice(), &[2.0, 2.0, 2.0]);
-        p.zero_grad();
-        assert!(p.grad().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "gradient shape")]
-    fn mismatched_gradient_panics() {
-        let p = Param::new("w", Tensor::zeros(&[3]));
-        p.accumulate_grad(&Tensor::ones(&[2]));
     }
 
     #[test]

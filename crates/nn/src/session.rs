@@ -11,20 +11,16 @@ use crate::{Activation, Param, Result, Trace};
 /// * the *training* flag (controls dropout),
 /// * a seeded RNG for stochastic layers, and
 /// * the list of [`Param`]s registered during the forward pass, so that
-///   [`Session::backward`] can copy tape gradients back into the parameters
-///   for the optimizer.
+///   [`Session::backward`] can hand each one's gradient to the optimizer.
 ///
 /// Build a fresh `Session` (and tape) for every batch. A session is the
 /// tape-side [`crate::Trace`] recorder: layers are run on it with
 /// `layer.forward(&mut session, x)`.
 ///
-/// `Session` (with the optimizers in [`crate::optim`]) is the
-/// **training-session handle** of the thread-safe parameter design:
-/// its [`crate::Trace::param`] takes the lock-free `O(1)` weight snapshot
-/// every reader uses, while [`Session::backward`] is the only place
-/// gradients are deposited into a [`Param`]'s mutex-guarded training state.
-/// Inference paths never construct anything but the tape + session pair on
-/// their own thread, so serving takes no training locks.
+/// Its [`crate::Trace::param`] takes the `O(1)` weight snapshot every
+/// reader uses; gradients leave through [`Session::backward`]'s return
+/// value and touch no shared state, so a pass on one thread never waits on
+/// a pass on another.
 pub struct Session<'t> {
     tape: &'t Tape,
     training: bool,
@@ -51,34 +47,32 @@ impl<'t> Session<'t> {
         self.tape
     }
 
-    /// Whether dropout and other train-only behaviour is active.
-    pub fn is_training(&self) -> bool {
-        self.training
-    }
-
     /// Places a non-trainable tensor (input batch, target, mask) on the tape.
     pub fn constant(&self, value: Tensor) -> Var<'t> {
         self.tape.constant(value)
     }
 
-    /// Runs the backward pass from `loss` and copies every registered
-    /// parameter's gradient out of the tape (accumulating into the params).
+    /// Runs the backward pass from `loss` and returns the gradient of
+    /// every registered parameter it reaches: one entry per distinct
+    /// parameter, in first-registration order. A parameter registered more
+    /// than once (a layer applied twice, a per-sample forward on a shared
+    /// tape) gets the sum of its gradients, added in registration order.
     ///
     /// # Errors
     /// Propagates tape errors (e.g. `loss` not being a scalar).
-    pub fn backward(&self, loss: Var<'t>) -> Result<()> {
-        self.tape.backward(loss)?;
+    pub fn backward(&self, loss: Var<'t>) -> Result<Vec<(Param, Tensor)>> {
+        let tape_grads = self.tape.backward(loss)?;
+        let mut grads: Vec<(Param, Tensor)> = Vec::new();
         for (param, var) in &self.registered {
-            if let Ok(grad) = self.tape.grad(*var) {
-                param.accumulate_grad(&grad);
+            let Some(grad) = tape_grads.get(*var) else {
+                continue;
+            };
+            match grads.iter_mut().find(|(p, _)| p.key() == param.key()) {
+                Some((_, sum)) => *sum = sum.add(grad)?,
+                None => grads.push((param.clone(), grad.clone())),
             }
         }
-        Ok(())
-    }
-
-    /// Number of parameters registered so far in this pass.
-    pub fn registered_len(&self) -> usize {
-        self.registered.len()
+        Ok(grads)
     }
 }
 
@@ -183,9 +177,38 @@ mod tests {
         let w = session.param(&p).unwrap();
         let x = session.constant(Tensor::from_vec(vec![4.0, 5.0], &[2]).unwrap());
         let loss = w.mul(x).unwrap().sum_all().unwrap();
-        session.backward(loss).unwrap();
-        assert_eq!(session.registered_len(), 1);
-        assert_eq!(p.grad().unwrap().as_slice(), &[4.0, 5.0]);
+        let grads = session.backward(loss).unwrap();
+        assert_eq!(grads.len(), 1);
+        assert_eq!(grads[0].0.key(), p.key());
+        assert_eq!(grads[0].1.as_slice(), &[4.0, 5.0]);
+    }
+
+    #[test]
+    fn a_param_registered_again_gets_one_summed_gradient() {
+        let vec2 = |a: f32, b: f32| Tensor::from_vec(vec![a, b], &[2]).unwrap();
+        let shared = Param::new("shared", vec2(1.0, 1.0));
+        let other = Param::new("other", vec2(2.0, 3.0));
+        let unreached = Param::new("unreached", Tensor::ones(&[2]));
+        let tape = Tape::new();
+        let mut session = Session::new(&tape, true, 0);
+        // Three uses of `shared` whose gradients are 1e8, 1 and -1e8 in the
+        // first element: only (1e8 + 1) + -1e8, registration order, is 0.
+        let mut total = session.constant(Tensor::zeros(&[2]));
+        for a in [1e8, 1.0, -1e8] {
+            if a == 1.0 {
+                total = total
+                    .add(session.param(&other).unwrap().scale(7.0))
+                    .unwrap();
+                session.param(&unreached).unwrap();
+            }
+            let use_of_shared = session.param(&shared).unwrap().mul_mask(&vec2(a, 1.0));
+            total = total.add(use_of_shared.unwrap()).unwrap();
+        }
+        let grads = session.backward(total.sum_all().unwrap()).unwrap();
+        let names: Vec<String> = grads.iter().map(|(p, _)| p.name()).collect();
+        assert_eq!(names, ["shared", "other"], "once each, unreached absent");
+        assert_eq!(grads[0].1.as_slice(), &[0.0, 3.0]);
+        assert_eq!(grads[1].1.as_slice(), &[7.0, 7.0]);
     }
 
     #[test]
@@ -195,7 +218,6 @@ mod tests {
         let x = session.constant(Tensor::ones(&[4, 4]));
         let y = session.dropout(x, 0.9).unwrap();
         assert_eq!(y.value(), Tensor::ones(&[4, 4]));
-        assert!(!session.is_training());
     }
 
     #[test]

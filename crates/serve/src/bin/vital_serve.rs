@@ -29,8 +29,7 @@
 //!   `deadline_ms` field).
 //! * SIGINT/SIGTERM trigger a graceful drain: stop admitting, finish the
 //!   queued jobs, then exit — same path as `POST /admin/drain`.
-//! * `--faults SPEC` (or the `VITAL_FAULTS` env var) arms the
-//!   deterministic fault-injection harness — e.g.
+//! * `--faults SPEC` arms the deterministic fault-injection harness — e.g.
 //!   `worker_panic=100,latency=knn:50:10,corrupt=mlp` — for chaos drills;
 //!   never set it in production.
 
@@ -90,10 +89,9 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         None => None,
     };
     let deadline_ms = cli::parse_usize(args, "--default-deadline-ms", 0)?.min(MAX_DEADLINE_MS);
-    let faults = match cli::value(args, "--faults") {
-        Some(spec) => Some(FaultPlan::parse(spec)?),
-        None => FaultPlan::from_env()?,
-    };
+    let faults = cli::value(args, "--faults")
+        .map(|spec| FaultPlan::parse(spec))
+        .transpose()?;
     Ok(Args {
         addr: cli::value(args, "--addr")
             .cloned()

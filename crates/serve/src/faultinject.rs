@@ -8,9 +8,8 @@
 //! recovery behaviour (which batch failed, how many restarts, what came
 //! back afterwards).
 //!
-//! A plan is parsed from a spec string (the `--faults` flag or the
-//! `VITAL_FAULTS` environment variable) of `;`-separated `key=value`
-//! parts:
+//! A plan is parsed from a spec string (the `--faults` flag, or
+//! `BatcherConfig::faults` in-process) of `;`-separated `key=value` parts:
 //!
 //! ```text
 //! worker_panic=25;latency=knn:80:10;corrupt=bad_model;seed=7
@@ -120,18 +119,6 @@ impl FaultPlan {
             }
         }
         Ok(plan)
-    }
-
-    /// Reads a plan from the `VITAL_FAULTS` environment variable.
-    /// `Ok(None)` when unset or empty.
-    ///
-    /// # Errors
-    /// The variable is set but does not parse.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var("VITAL_FAULTS") {
-            Ok(spec) if !spec.trim().is_empty() => FaultPlan::parse(&spec).map(Some),
-            _ => Ok(None),
-        }
     }
 
     /// The spec string this plan was parsed from (for logs and reports).

@@ -9,7 +9,8 @@
 //! function. Together with [`UnaryOp::apply_slice_at`](crate::UnaryOp),
 //! the `simd::*_at` sweeps and [`gemm_strided_into_at`](crate::gemm_strided_into_at)
 //! that is every loop either executor runs, so "compiled ≡ eager" is a
-//! statement about the planner only.
+//! statement about the planner only. The optimizer's one loop,
+//! [`adam_update`], lives here under the same rules.
 //!
 //! Every function is allocation-free (`ci/lint-rules.toml` holds the
 //! module to that), validates nothing — shapes are the caller's typed
@@ -131,6 +132,40 @@ pub fn concat_cols<'a>(
     for (part, width) in parts {
         copy_rows(part, width, &mut out[at..], cols, width);
         at += width;
+    }
+}
+
+/// The scalars of one Adam step, shared by every parameter it updates.
+#[derive(Debug, Clone, Copy)]
+pub struct AdamStep {
+    /// Learning rate.
+    pub lr: f32,
+    /// Decay of the first-moment estimate, β₁.
+    pub beta1: f32,
+    /// Decay of the second-moment estimate, β₂.
+    pub beta2: f32,
+    /// Added to the denominator after the square root.
+    pub eps: f32,
+    /// `1 / (1 − β₁ᵗ)` at this step `t`.
+    pub inv_bias1: f32,
+    /// `1 / (1 − β₂ᵗ)` at this step `t`.
+    pub inv_bias2: f32,
+}
+
+/// One Adam update of the weights `w` and the moment estimates `m`, `v`
+/// from the gradient `g`, all in place. Each element runs the chain
+/// `m = m·β₁ + g·(1−β₁)`, `v = v·β₂ + (g·g)·(1−β₂)`,
+/// `w = w − (m·inv_bias1) / (sqrt(v·inv_bias2) + ε) · lr`, every product
+/// and sum rounded on its own, in that order: the order is the training
+/// bits. As many elements as the shortest slice holds.
+#[inline]
+pub fn adam_update(w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], step: &AdamStep) {
+    let (one_minus_beta1, one_minus_beta2) = (1.0 - step.beta1, 1.0 - step.beta2);
+    for (((w, &g), m), v) in w.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
+        *m = *m * step.beta1 + g * one_minus_beta1;
+        *v = *v * step.beta2 + (g * g) * one_minus_beta2;
+        let denom = (*v * step.inv_bias2).sqrt() + step.eps;
+        *w -= (*m * step.inv_bias1) / denom * step.lr;
     }
 }
 
