@@ -11,6 +11,12 @@
 //! 4. **Gaussian noise** — dropped pixels are infilled with random noise and
 //!    the replicas are jittered, mimicking fluctuating AP visibility.
 //!
+//! The `R × R` image is the paper's picture; the code never builds it.
+//! Every row of it is the same `R` values, so
+//! [`DataAugmentationModule::write_patches`] writes the transformer's patch
+//! matrix straight from the normalised 1-D channels, and in training
+//! scatters each perturbed pixel to its slot in that matrix.
+//!
 //! The module is deliberately framework-agnostic: the `baselines` crate calls
 //! [`DataAugmentationModule::augment_vector`] to plug the same augmentation
 //! into ANVIL, SHERPA, CNNLoc and WiDeep (paper §VI.D).
@@ -18,11 +24,11 @@
 use tensor::rng::SeededRng;
 use tensor::Tensor;
 
-use crate::image::{Rssi1d, RssiImage};
-use crate::{DamConfig, Result};
+use crate::image::Rssi1d;
+use crate::{DamConfig, Result, VitalError};
 
 /// The Data Augmentation Module.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DataAugmentationModule {
     config: DamConfig,
 }
@@ -50,54 +56,75 @@ impl DataAugmentationModule {
         t.standardize().into_vec()
     }
 
-    /// Stages 2–4: replicates a normalised 1-D image into an `R × R` 2-D
-    /// image and applies dropout + Gaussian-noise augmentation to the
-    /// replicated rows.
+    /// Stages 3–4 for one normalised value: dropped out and infilled with
+    /// pure noise ("infill the dropped features with some random noise to
+    /// represent different AP visibilities"), or else jittered.
+    fn perturb(&self, value: f32, rng: &mut SeededRng) -> f32 {
+        if self.config.dropout_rate > 0.0 && rng.bernoulli(self.config.dropout_rate as f64) {
+            rng.normal(0.0, self.config.noise_std.max(1e-3))
+        } else if self.config.noise_std > 0.0 {
+            value + rng.normal(0.0, self.config.noise_std * 0.5)
+        } else {
+            value
+        }
+    }
+
+    /// All four stages and the patch extraction in one pass: writes into
+    /// `out` the row-major `[(R / patch_size)², 3 · patch_size²]` patch
+    /// matrix of the `R × R` image that replicates the normalised `image`
+    /// (`R` its width) down every row. Patches are in raster order (the
+    /// positional embedding relies on it), each flattened channel by
+    /// channel (min, max, mean) and pixel row by pixel row; partial
+    /// boundary patches are discarded, as in the paper.
     ///
-    /// Row 0 always carries the unaugmented fingerprint; when `training` is
-    /// `false` (online phase) every row is an exact replica, so inference is
-    /// deterministic.
+    /// Row 0 always carries the unaugmented fingerprint. When `training`,
+    /// every pixel of rows `1..R` is perturbed, drawing from `rng` in
+    /// (channel, row, column) order whether or not the pixel falls in a
+    /// kept patch; otherwise (online phase) every row is an exact replica,
+    /// `rng` is untouched and inference is deterministic.
     ///
     /// # Errors
-    /// Returns an error if the 1-D image is empty.
-    pub fn augment(
+    /// Returns an error if `patch_size` is zero or larger than the image,
+    /// or `out` is not exactly the patch matrix's length.
+    pub fn write_patches(
         &self,
         image: &Rssi1d,
+        patch_size: usize,
         training: bool,
         rng: &mut SeededRng,
-    ) -> Result<RssiImage> {
+        out: &mut [f32],
+    ) -> Result<()> {
         let size = image.width();
-        let mut channels = Vec::with_capacity(3);
-        for channel in image.channels() {
-            let normalized = self.normalize_channel(channel);
-            let base = Tensor::from_vec(normalized.clone(), &[size])?;
-            let mut replicated = base.tile_rows(size)?;
-            if training && self.config.is_augmenting() {
-                let data = replicated.as_mut_slice();
-                for row in 1..size {
-                    for col in 0..size {
-                        let idx = row * size + col;
-                        if self.config.dropout_rate > 0.0
-                            && rng.bernoulli(self.config.dropout_rate as f64)
-                        {
-                            // Dropped feature: infill with pure noise (stage 4
-                            // "infill the dropped features with some random
-                            // noise to represent different AP visibilities").
-                            data[idx] = rng.normal(0.0, self.config.noise_std.max(1e-3));
-                        } else if self.config.noise_std > 0.0 {
-                            data[idx] += rng.normal(0.0, self.config.noise_std * 0.5);
+        let per_side = size.checked_div(patch_size).unwrap_or(0);
+        let patch_dim = 3 * patch_size * patch_size;
+        if per_side == 0 || out.len() != per_side * per_side * patch_dim {
+            return Err(VitalError::InvalidConfig(format!(
+                "a buffer of {} values is not the {patch_size}-pixel patches of a {size}-pixel image",
+                out.len()
+            )));
+        }
+        let channels = image.channels().map(|c| self.normalize_channel(c));
+        write_replicated(&channels, patch_size, out);
+        if !(training && self.config.is_augmenting()) {
+            return Ok(());
+        }
+        for (c, channel) in channels.iter().enumerate() {
+            for row in 1..size {
+                // Slot of pixel (c, row, 0) in its patch row's first patch.
+                let py = row / patch_size;
+                let row_start =
+                    py * per_side * patch_dim + (c * patch_size + row % patch_size) * patch_size;
+                for (px, run) in channel.chunks(patch_size).enumerate() {
+                    for (col, &base) in run.iter().enumerate() {
+                        let value = self.perturb(base, rng);
+                        if py < per_side && px < per_side {
+                            out[row_start + px * patch_dim + col] = value;
                         }
                     }
                 }
             }
-            channels.push(replicated);
         }
-        let channels: [Tensor; 3] = [
-            channels[0].clone(),
-            channels[1].clone(),
-            channels[2].clone(),
-        ];
-        RssiImage::new(size, channels)
+        Ok(())
     }
 
     /// Applies DAM-style augmentation to a plain RSSI feature vector
@@ -108,21 +135,28 @@ impl DataAugmentationModule {
         let mut out = self.normalize_channel(values);
         if training && self.config.is_augmenting() {
             for v in &mut out {
-                if self.config.dropout_rate > 0.0 && rng.bernoulli(self.config.dropout_rate as f64)
-                {
-                    *v = rng.normal(0.0, self.config.noise_std.max(1e-3));
-                } else if self.config.noise_std > 0.0 {
-                    *v += rng.normal(0.0, self.config.noise_std * 0.5);
-                }
+                *v = self.perturb(*v, rng);
             }
         }
         out
     }
 }
 
-impl Default for DataAugmentationModule {
-    fn default() -> Self {
-        DataAugmentationModule::new(DamConfig::default())
+/// Stage 2 without the image: the patch matrix of the image whose every
+/// row is `channels`. A patch's pixel rows are all the same
+/// `patch_size`-pixel run of the channel, so this copies runs and
+/// allocates nothing. `out` must hold whole patches.
+fn write_replicated(channels: &[Vec<f32>; 3], patch_size: usize, out: &mut [f32]) {
+    let per_side = channels[0].len() / patch_size;
+    let area = patch_size * patch_size;
+    for (patch, values) in out.chunks_exact_mut(3 * area).enumerate() {
+        let left = patch % per_side * patch_size;
+        for (block, channel) in values.chunks_exact_mut(area).zip(channels) {
+            let run = &channel[left..left + patch_size];
+            for pixel_row in block.chunks_exact_mut(patch_size) {
+                pixel_row.copy_from_slice(run);
+            }
+        }
     }
 }
 
@@ -161,19 +195,37 @@ mod tests {
         );
     }
 
+    /// Every pixel of the replicated image through the writer: with
+    /// 1-pixel patches the patch matrix is `[R², 3]`, so pixel
+    /// `(row, col)` of channel `c` is element `(row · R + col) · 3 + c`.
+    fn pixels(
+        dam: &DataAugmentationModule,
+        width: usize,
+        training: bool,
+        rng: &mut SeededRng,
+    ) -> Vec<f32> {
+        let mut out = vec![f32::NAN; width * width * 3];
+        dam.write_patches(&image(width), 1, training, rng, &mut out)
+            .unwrap();
+        out
+    }
+
     #[test]
     fn replication_produces_square_image() {
         let dam = DataAugmentationModule::new(DamConfig::disabled());
         let mut rng = SeededRng::new(0);
-        let out = dam.augment(&image(12), true, &mut rng).unwrap();
-        assert_eq!(out.size(), 12);
-        for channel in out.channels() {
-            assert_eq!(channel.shape().dims(), &[12, 12]);
-            // With augmentation disabled every row equals row 0.
-            let first = channel.row(0).unwrap();
-            for r in 1..12 {
-                assert_eq!(channel.row(r).unwrap(), first);
+        let out = pixels(&dam, 12, true, &mut rng);
+        // With augmentation disabled every row equals row 0, which is the
+        // normalised 1-D image.
+        let image = image(12);
+        for (c, channel) in image.channels().into_iter().enumerate() {
+            let normalized = dam.normalize_channel(channel);
+            for (col, value) in normalized.iter().enumerate() {
+                assert_eq!(out[col * 3 + c], *value);
             }
+        }
+        for row in out.chunks_exact(12 * 3) {
+            assert_eq!(row, &out[..12 * 3]);
         }
     }
 
@@ -182,24 +234,26 @@ mod tests {
         let dam = DataAugmentationModule::default();
         let mut rng1 = SeededRng::new(1);
         let mut rng2 = SeededRng::new(999);
-        let a = dam.augment(&image(10), false, &mut rng1).unwrap();
-        let b = dam.augment(&image(10), false, &mut rng2).unwrap();
+        let a = pixels(&dam, 10, false, &mut rng1);
+        let b = pixels(&dam, 10, false, &mut rng2);
         assert_eq!(a, b);
+        // Inference draws nothing.
+        assert_eq!(rng1.uniform(0.0, 1.0), SeededRng::new(1).uniform(0.0, 1.0));
     }
 
     #[test]
     fn training_mode_perturbs_replicated_rows_but_not_row_zero() {
         let dam = DataAugmentationModule::default();
         let mut rng = SeededRng::new(2);
-        let out = dam.augment(&image(16), true, &mut rng).unwrap();
-        let clean = dam.augment(&image(16), false, &mut rng).unwrap();
-        for (aug_channel, clean_channel) in out.channels().iter().zip(clean.channels()) {
-            // Row 0 carries the unaugmented fingerprint.
-            assert_eq!(aug_channel.row(0).unwrap(), clean_channel.row(0).unwrap());
-            // At least one replicated row must differ.
-            let changed = (1..16).any(|r| {
-                aug_channel.row(r).unwrap().as_slice() != clean_channel.row(r).unwrap().as_slice()
-            });
+        let out = pixels(&dam, 16, true, &mut rng);
+        let clean = pixels(&dam, 16, false, &mut rng);
+        // Row 0 carries the unaugmented fingerprint.
+        assert_eq!(out[..16 * 3], clean[..16 * 3]);
+        for c in 0..3 {
+            // At least one replicated pixel of every channel must differ.
+            let changed = (16 * 3 + c..out.len())
+                .step_by(3)
+                .any(|i| out[i] != clean[i]);
             assert!(changed, "augmentation had no effect");
         }
     }
@@ -218,14 +272,9 @@ mod tests {
         });
         let count_changed = |dam: &DataAugmentationModule, seed: u64| {
             let mut rng = SeededRng::new(seed);
-            let aug = dam.augment(&image(20), true, &mut rng).unwrap();
-            let clean = dam.augment(&image(20), false, &mut rng).unwrap();
-            aug.channels()[2]
-                .as_slice()
-                .iter()
-                .zip(clean.channels()[2].as_slice())
-                .filter(|(a, c)| a != c)
-                .count()
+            let aug = pixels(dam, 20, true, &mut rng);
+            let clean = pixels(dam, 20, false, &mut rng);
+            aug.iter().zip(&clean).filter(|(a, c)| a != c).count()
         };
         assert!(count_changed(&heavy, 3) > count_changed(&light, 3) * 3);
     }

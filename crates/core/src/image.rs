@@ -1,15 +1,17 @@
 //! The RSSI image model: converting fingerprint vectors into 1-D three
-//! channel images and 2-D images into transformer patches.
+//! channel images.
 //!
 //! The paper (§V) maps the three RSSI statistics (min/max/mean) of each AP to
 //! one *pixel* with three channels, forming a 1-D image whose width is the
-//! number of APs; the DAM then replicates it into a 2-D `R×R` image. Because
-//! the evaluated image sizes (Fig. 5) are independent of the AP count, the
-//! creator resamples the fingerprint to the configured image width by linear
-//! interpolation.
+//! number of APs; the DAM then replicates it into a 2-D `R×R` image that is
+//! cut into patches. That 2-D image is the paper's picture only: its rows
+//! are one row, so [`crate::DataAugmentationModule::write_patches`] goes
+//! from the 1-D image to the patch matrix directly (the tests below build
+//! the picture and hold the writer to it). Because the evaluated image
+//! sizes (Fig. 5) are independent of the AP count, the creator resamples
+//! the fingerprint to the configured image width by linear interpolation.
 
 use fingerprint::FingerprintObservation;
-use tensor::Tensor;
 
 use crate::{Result, VitalError};
 
@@ -33,118 +35,6 @@ impl Rssi1d {
     /// The three channels as an array of slices (min, max, mean).
     pub fn channels(&self) -> [&[f32]; 3] {
         [&self.min, &self.max, &self.mean]
-    }
-}
-
-/// A 2-D, three-channel RSSI image of size `size × size`, produced by the
-/// DAM replication stage and consumed by the patch extractor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RssiImage {
-    size: usize,
-    channels: [Tensor; 3],
-}
-
-impl RssiImage {
-    /// Builds an image from three `size × size` channel matrices.
-    ///
-    /// # Errors
-    /// Returns an error if any channel is not `size × size`.
-    pub fn new(size: usize, channels: [Tensor; 3]) -> Result<Self> {
-        for c in &channels {
-            if c.shape().dims() != [size, size] {
-                return Err(VitalError::InvalidConfig(format!(
-                    "channel shape {:?} does not match image size {size}",
-                    c.shape().dims()
-                )));
-            }
-        }
-        Ok(RssiImage { size, channels })
-    }
-
-    /// Image side length in pixels.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// The three channel matrices (min, max, mean).
-    pub fn channels(&self) -> &[Tensor; 3] {
-        &self.channels
-    }
-
-    /// `(num_patches, patch_dim)` of this image cut into `patch_size`
-    /// patches: `(size / patch_size)²` whole patches (partial boundary
-    /// patches are discarded, as in the paper) of `3 · patch_size²` values.
-    ///
-    /// # Errors
-    /// Returns an error if `patch_size` is zero or larger than the image.
-    fn patch_grid(&self, patch_size: usize) -> Result<(usize, usize)> {
-        if patch_size == 0 || patch_size > self.size {
-            return Err(VitalError::InvalidConfig(format!(
-                "patch size {patch_size} invalid for image size {}",
-                self.size
-            )));
-        }
-        let per_side = self.size / patch_size;
-        Ok((per_side * per_side, 3 * patch_size * patch_size))
-    }
-
-    /// Visits the patch matrix as the `patch_size`-pixel runs it is made
-    /// of, in row-major order: patch by patch in raster order, within a
-    /// patch channel by channel, within a channel pixel row by pixel row.
-    /// `patch_size` must have passed [`RssiImage::patch_grid`].
-    fn for_each_patch_run(&self, patch_size: usize, mut run: impl FnMut(&[f32])) {
-        let per_side = self.size / patch_size;
-        for py in 0..per_side {
-            for px in 0..per_side {
-                for channel in &self.channels {
-                    let c = channel.as_slice();
-                    for y in py * patch_size..(py + 1) * patch_size {
-                        let start = y * self.size + px * patch_size;
-                        run(&c[start..start + patch_size]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Slices the image into non-overlapping `patch_size × patch_size`
-    /// patches (partial boundary patches are discarded, as in the paper) and
-    /// flattens each patch across the three channels.
-    ///
-    /// Returns a `[num_patches, 3 · patch_size²]` matrix whose row order is
-    /// raster (row-major) patch order — the positional embedding relies on
-    /// this being stable.
-    ///
-    /// # Errors
-    /// Returns an error if `patch_size` is zero or larger than the image.
-    pub fn to_patches(&self, patch_size: usize) -> Result<Tensor> {
-        let (num_patches, patch_dim) = self.patch_grid(patch_size)?;
-        let mut data = Vec::with_capacity(num_patches * patch_dim);
-        self.for_each_patch_run(patch_size, |run| data.extend_from_slice(run));
-        Ok(Tensor::from_vec(data, &[num_patches, patch_dim])?)
-    }
-
-    /// Writes the [`RssiImage::to_patches`] matrix, row-major, straight
-    /// into `out` — a compiled plan's input region, so batched inference
-    /// never holds a patch tensor per observation. Every element of `out`
-    /// is written.
-    ///
-    /// # Errors
-    /// Returns an error if `patch_size` is zero or larger than the image,
-    /// or `out` is not exactly `num_patches · 3 · patch_size²` long.
-    pub fn write_patches(&self, patch_size: usize, out: &mut [f32]) -> Result<()> {
-        let (num_patches, patch_dim) = self.patch_grid(patch_size)?;
-        if out.len() != num_patches * patch_dim {
-            return Err(VitalError::InvalidConfig(format!(
-                "a buffer of {} values does not hold {num_patches} patches of {patch_dim}",
-                out.len()
-            )));
-        }
-        let mut runs = out.chunks_exact_mut(patch_size);
-        self.for_each_patch_run(patch_size, |run| {
-            runs.next().expect("length checked").copy_from_slice(run)
-        });
-        Ok(())
     }
 }
 
@@ -215,6 +105,8 @@ pub(crate) fn resample_linear(values: &[f32], target_len: usize) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DamConfig, DataAugmentationModule};
+    use tensor::rng::SeededRng;
 
     fn observation(n: usize) -> FingerprintObservation {
         FingerprintObservation {
@@ -273,81 +165,148 @@ mod tests {
         assert!(creator.create(&observation(0)).is_err());
     }
 
-    #[test]
-    fn image_new_validates_channel_shapes() {
-        let good = [
-            Tensor::zeros(&[4, 4]),
-            Tensor::zeros(&[4, 4]),
-            Tensor::zeros(&[4, 4]),
-        ];
-        assert!(RssiImage::new(4, good).is_ok());
-        let bad = [
-            Tensor::zeros(&[4, 4]),
-            Tensor::zeros(&[3, 4]),
-            Tensor::zeros(&[4, 4]),
-        ];
-        assert!(RssiImage::new(4, bad).is_err());
+    fn image_1d(min: Vec<f32>) -> Rssi1d {
+        Rssi1d {
+            max: min.iter().map(|v| v * 10.0).collect(),
+            mean: min.iter().map(|v| v * 100.0).collect(),
+            min,
+        }
+    }
+
+    fn raw_dam() -> DataAugmentationModule {
+        DataAugmentationModule::new(DamConfig {
+            normalize: false,
+            ..DamConfig::disabled()
+        })
+    }
+
+    /// The paper's picture, materialised: three row-major `R × R` channels
+    /// whose every row is the normalised 1-D channel, rows `1..R` perturbed
+    /// in training with draws in (channel, row, column) order.
+    fn replicate(
+        dam: &DataAugmentationModule,
+        image: &Rssi1d,
+        training: bool,
+        rng: &mut SeededRng,
+    ) -> [Vec<f32>; 3] {
+        let size = image.width();
+        let config = *dam.config();
+        image.channels().map(|channel| {
+            let base = dam.normalize_channel(channel);
+            let mut pixels: Vec<f32> = (0..size).flat_map(|_| base.clone()).collect();
+            if training && config.is_augmenting() {
+                for pixel in &mut pixels[size..] {
+                    if config.dropout_rate > 0.0 && rng.bernoulli(config.dropout_rate as f64) {
+                        *pixel = rng.normal(0.0, config.noise_std.max(1e-3));
+                    } else if config.noise_std > 0.0 {
+                        *pixel += rng.normal(0.0, config.noise_std * 0.5);
+                    }
+                }
+            }
+            pixels
+        })
     }
 
     #[test]
     fn patch_extraction_shapes_and_content() {
-        // 4x4 image, 2x2 patches -> 4 patches of dim 12.
-        let channel = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[4, 4]).unwrap();
-        let image = RssiImage::new(
-            4,
-            [channel.clone(), channel.scale(10.0), channel.scale(100.0)],
-        )
-        .unwrap();
-        let patches = image.to_patches(2).unwrap();
-        assert_eq!(patches.shape().dims(), &[4, 12]);
-        // First patch, channel 0 covers pixels (0,0),(0,1),(1,0),(1,1) = 0,1,4,5.
-        let row0 = patches.row(0).unwrap();
-        assert_eq!(&row0.as_slice()[..4], &[0.0, 1.0, 4.0, 5.0]);
+        // A 4-wide image replicated to 4x4, 2x2 patches -> 4 patches of dim 12.
+        let image = image_1d(vec![0.0, 1.0, 2.0, 3.0]);
+        let mut patches = [f32::NAN; 4 * 12];
+        raw_dam()
+            .write_patches(&image, 2, false, &mut SeededRng::new(0), &mut patches)
+            .unwrap();
+        // First patch, channel 0 covers pixels (0,0),(0,1),(1,0),(1,1) = 0,1,0,1.
+        assert_eq!(&patches[..4], &[0.0, 1.0, 0.0, 1.0]);
         // Channel 1 of the same patch is 10x those values.
-        assert_eq!(&row0.as_slice()[4..8], &[0.0, 10.0, 40.0, 50.0]);
+        assert_eq!(&patches[4..8], &[0.0, 10.0, 0.0, 10.0]);
+        // Raster order: the second patch is the right half, the third is
+        // the first again one patch row down.
+        assert_eq!(&patches[12..16], &[2.0, 3.0, 2.0, 3.0]);
+        assert_eq!(patches[24..36], patches[..12]);
     }
 
     #[test]
     fn write_patches_is_to_patches_byte_for_byte() {
         // 7×7 with 2×2 and 3×3 patches leaves a partial column and row to
-        // discard. The reference indexes pixel by pixel, independently of
-        // the row-copying writer.
-        let mut rng = tensor::rng::SeededRng::new(5);
-        let channels = std::array::from_fn(|_| rng.uniform_tensor(&[7, 7], -100.0, 0.0));
-        let image = RssiImage::new(7, channels).unwrap();
-        for ps in [1, 2, 3, 7] {
-            let per_side = 7 / ps;
-            let mut reference = Vec::new();
-            for (py, px) in (0..per_side).flat_map(|py| (0..per_side).map(move |px| (py, px))) {
-                for channel in image.channels() {
-                    for (row, col) in (0..ps).flat_map(|r| (0..ps).map(move |c| (r, c))) {
-                        let pixel = (py * ps + row) * 7 + px * ps + col;
-                        reference.push(channel.as_slice()[pixel].to_bits());
+        // discard. The reference materialises the image and indexes it
+        // pixel by pixel, independently of the run-copying, scattering
+        // writer; in training it replays the same seeded draws.
+        let mut rng = SeededRng::new(5);
+        let image = Rssi1d {
+            min: rng.uniform_tensor(&[7], -100.0, 0.0).into_vec(),
+            max: rng.uniform_tensor(&[7], -100.0, 0.0).into_vec(),
+            mean: rng.uniform_tensor(&[7], -100.0, 0.0).into_vec(),
+        };
+        let configs = [
+            DamConfig::default(),
+            DamConfig {
+                dropout_rate: 0.0,
+                ..DamConfig::default()
+            },
+            DamConfig {
+                noise_std: 0.0,
+                ..DamConfig::default()
+            },
+            DamConfig::disabled(),
+        ];
+        for (config, training) in configs.iter().flat_map(|c| [(c, false), (c, true)]) {
+            let dam = DataAugmentationModule::new(*config);
+            for ps in [1, 2, 3, 7] {
+                let case = format!("{config:?}, training {training}, patch size {ps}");
+                let mut image_rng = SeededRng::new(11);
+                let channels = replicate(&dam, &image, training, &mut image_rng);
+                let per_side = 7 / ps;
+                let mut reference = Vec::new();
+                for (py, px) in (0..per_side).flat_map(|py| (0..per_side).map(move |px| (py, px))) {
+                    for channel in &channels {
+                        for (row, col) in (0..ps).flat_map(|r| (0..ps).map(move |c| (r, c))) {
+                            let pixel = (py * ps + row) * 7 + px * ps + col;
+                            reference.push(channel[pixel].to_bits());
+                        }
                     }
                 }
+                assert_eq!(reference.len(), per_side * per_side * 3 * ps * ps, "{case}");
+                let mut written = vec![f32::NAN; reference.len()];
+                let mut writer_rng = SeededRng::new(11);
+                dam.write_patches(&image, ps, training, &mut writer_rng, &mut written)
+                    .unwrap();
+                let bits: Vec<u32> = written.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(bits, reference, "{case}");
+                // The writer consumed exactly the draws the image did,
+                // those of discarded boundary pixels included.
+                assert_eq!(
+                    writer_rng.uniform(0.0, 1.0).to_bits(),
+                    image_rng.uniform(0.0, 1.0).to_bits(),
+                    "{case}"
+                );
             }
-            let mut written = vec![f32::NAN; reference.len()];
-            image.write_patches(ps, &mut written).unwrap();
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&written), reference, "patch size {ps}");
-            let patches = image.to_patches(ps).unwrap();
-            assert_eq!(patches.shape().dims(), &[per_side * per_side, 3 * ps * ps]);
-            assert_eq!(bits(patches.as_slice()), reference, "patch size {ps}");
         }
         // Only a buffer of exactly the patch matrix's size is accepted.
-        assert!(image.write_patches(3, &mut [0.0; 4 * 27 + 1]).is_err());
-        assert!(image.write_patches(3, &mut [0.0; 4 * 27 - 1]).is_err());
-        assert!(image.write_patches(0, &mut []).is_err());
+        let dam = DataAugmentationModule::default();
+        let mut write = |ps, out: &mut [f32]| dam.write_patches(&image, ps, true, &mut rng, out);
+        assert!(write(3, &mut [0.0; 4 * 27]).is_ok());
+        for refused in [
+            write(3, &mut [0.0; 4 * 27 + 1]),
+            write(3, &mut [0.0; 4 * 27 - 1]),
+            write(0, &mut []),
+            write(8, &mut [0.0; 3 * 64]),
+        ] {
+            assert!(matches!(refused, Err(VitalError::InvalidConfig(_))));
+        }
     }
 
     #[test]
     fn partial_patches_are_discarded() {
-        let channel = Tensor::zeros(&[5, 5]);
-        let image = RssiImage::new(5, [channel.clone(), channel.clone(), channel]).unwrap();
-        let patches = image.to_patches(2).unwrap();
+        let image = image_1d(vec![1.0, 2.0, 3.0, 4.0, 5.0]);
         // 5/2 = 2 per side -> 4 patches; the 5th row/col is dropped.
-        assert_eq!(patches.shape().dims(), &[4, 12]);
-        assert!(image.to_patches(0).is_err());
-        assert!(image.to_patches(6).is_err());
+        let mut patches = [f32::NAN; 4 * 12];
+        let write = |ps, out: &mut [f32]| {
+            raw_dam().write_patches(&image, ps, false, &mut SeededRng::new(0), out)
+        };
+        write(2, &mut patches).unwrap();
+        assert!(patches.iter().all(|&v| v != 5.0 && v != 50.0 && v != 500.0));
+        assert!(write(2, &mut [0.0; 9 * 12]).is_err());
+        assert!(write(0, &mut []).is_err());
+        assert!(write(6, &mut patches).is_err());
     }
 }

@@ -6,10 +6,14 @@
 //! localization framework built around
 //!
 //! 1. an **RSSI image creator** that turns the 3-channel (min/max/mean)
-//!    fingerprint vector into a 2-D multi-channel image ([`RssiImageCreator`]),
+//!    fingerprint vector into a 1-D multi-channel image ([`RssiImageCreator`]),
 //! 2. a **Data Augmentation Module (DAM)** — normalisation, fingerprint
 //!    replication, random AP dropout and Gaussian infill noise
-//!    ([`DataAugmentationModule`]), and
+//!    ([`DataAugmentationModule`]). The replicated `R × R` image is the
+//!    paper's picture; the code never builds it:
+//!    [`DataAugmentationModule::write_patches`] takes an observation's 1-D
+//!    image to the transformer's patch matrix in one pass, filling a
+//!    training batch and a compiled plan's input alike, and
 //! 3. a compact **vision transformer** with multi-head self-attention and a
 //!    fine-tuning MLP head that classifies the reference point
 //!    ([`VisionTransformer`], [`VitalModel`]).
@@ -62,7 +66,7 @@ pub use checkpoint::{
 pub use config::{DamConfig, TrainConfig, VitalConfig};
 pub use dam::DataAugmentationModule;
 pub use error::VitalError;
-pub use image::{RssiImage, RssiImageCreator};
+pub use image::RssiImageCreator;
 pub use localizer::{evaluate_localizer, Localizer};
 pub use metrics::LocalizationReport;
 pub use model::{TrainingReport, VitalModel};

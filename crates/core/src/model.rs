@@ -93,27 +93,65 @@ impl VitalModel {
     }
 
     /// Runs the full pre-processing pipeline (image creation, DAM, patch
-    /// extraction) for one observation.
+    /// extraction) for each observation, writing their row-major
+    /// `[num_patches, patch_dim]` patch matrices one after another into
+    /// `stacked`: the one fill of a training batch, of a compiled plan's
+    /// input and of [`VitalModel::prepare_patches`].
+    fn write_patches<'a>(
+        &self,
+        observations: impl IntoIterator<Item = &'a FingerprintObservation>,
+        training: bool,
+        rng: &mut SeededRng,
+        stacked: &mut [f32],
+    ) -> Result<()> {
+        let per_sample = self.transformer.num_patches() * self.transformer.patch_dim();
+        let matrices = stacked.chunks_exact_mut(per_sample);
+        for (observation, patches) in observations.into_iter().zip(matrices) {
+            self.check_num_aps("observation", observation.num_aps())?;
+            let image = self.creator.create(observation)?;
+            self.dam
+                .write_patches(&image, self.config.patch_size, training, rng, patches)?;
+        }
+        Ok(())
+    }
+
+    /// The `[num_patches, patch_dim]` patch matrix of one observation.
     ///
     /// `training` controls whether the stochastic DAM stages are applied.
     ///
     /// # Errors
-    /// Returns an error if the observation is empty.
+    /// Returns [`VitalError::InvalidDataset`] if the observation's access
+    /// point count is not the configured one.
     pub fn prepare_patches(
         &self,
         observation: &FingerprintObservation,
         training: bool,
         rng: &mut SeededRng,
     ) -> Result<Tensor> {
-        let image_1d = self.creator.create(observation)?;
-        let image_2d = self.dam.augment(&image_1d, training, rng)?;
-        image_2d.to_patches(self.config.patch_size)
+        let dims = [self.transformer.num_patches(), self.transformer.patch_dim()];
+        let mut patches = vec![0.0; dims[0] * dims[1]];
+        self.write_patches([observation], training, rng, &mut patches)?;
+        Ok(Tensor::from_vec(patches, &dims)?)
+    }
+
+    /// A model resamples whatever width it is given to its image size, so
+    /// a fingerprint of another access-point set would get a confident
+    /// answer; refuse it instead.
+    fn check_num_aps(&self, what: &str, num_aps: usize) -> Result<()> {
+        if num_aps != self.config.num_aps {
+            return Err(VitalError::InvalidDataset(format!(
+                "{what} has {num_aps} access points, the model is configured for {}",
+                self.config.num_aps
+            )));
+        }
+        Ok(())
     }
 
     fn check_dataset(&self, dataset: &FingerprintDataset) -> Result<()> {
         if dataset.is_empty() {
             return Err(VitalError::InvalidDataset("empty training set".into()));
         }
+        self.check_num_aps("training set", dataset.num_aps())?;
         if let Some(&bad) = dataset
             .labels()
             .iter()
@@ -131,8 +169,8 @@ impl VitalModel {
     /// set. Repeated calls continue training from the current weights.
     ///
     /// # Errors
-    /// Returns an error if the dataset is empty or labels exceed the
-    /// configured class count.
+    /// Returns an error if the dataset is empty, its access point count is
+    /// not the configured one, or labels exceed the configured class count.
     pub fn fit(&mut self, train: &FingerprintDataset) -> Result<TrainingReport> {
         self.fit_with_progress(train, |_, _| {})
     }
@@ -141,8 +179,7 @@ impl VitalModel {
     /// every epoch — used by the experiment harness for long runs.
     ///
     /// # Errors
-    /// Returns an error if the dataset is empty or labels exceed the
-    /// configured class count.
+    /// As [`VitalModel::fit`].
     pub fn fit_with_progress(
         &mut self,
         train: &FingerprintDataset,
@@ -159,19 +196,22 @@ impl VitalModel {
             train_config.epochs,
             &mut rng,
             |tape, epoch, batch, indices, rng| {
-                let mut batch_patches = Vec::with_capacity(indices.len());
-                let mut batch_labels = Vec::with_capacity(indices.len());
-                for &i in indices {
-                    batch_patches.push(self.prepare_patches(&observations[i], true, rng)?);
-                    batch_labels.push(observations[i].rp_label);
-                }
+                // The batch's patches, stacked as the tape's one constant.
+                let patch_dim = self.transformer.patch_dim();
+                let rows = indices.len() * self.transformer.num_patches();
+                let mut stacked = vec![0.0; rows * patch_dim];
+                let samples = indices.iter().map(|&i| &observations[i]);
+                self.write_patches(samples.clone(), true, rng, &mut stacked)?;
+                let stacked = Tensor::from_vec(stacked, &[rows, patch_dim])?;
+                let batch_labels: Vec<usize> = samples.map(|o| o.rp_label).collect();
                 let session_seed = train_config
                     .seed
                     .wrapping_add((epoch * 10_007 + batch) as u64);
                 let mut session = Session::new(tape, true, session_seed);
+                let stacked = session.constant(stacked);
                 let logits = self
                     .transformer
-                    .forward_batch(&mut session, &batch_patches)?;
+                    .forward(&mut session, stacked, indices.len())?;
                 let loss = logits.softmax_cross_entropy(&batch_labels)?;
                 Ok::<_, VitalError>((session, loss))
             },
@@ -228,42 +268,6 @@ impl VitalModel {
         model.fitted = true;
         Ok(model)
     }
-
-    /// Batched online inference: predicts every observation through stacked
-    /// transformer forward passes, amortizing tape construction and turning
-    /// the per-sample dense layers into batch-wide GEMMs.
-    ///
-    /// Chunks of `train.batch_size` observations share one forward pass, so
-    /// memory stays bounded on arbitrarily large query streams. Each
-    /// observation's patches are written straight into the compiled plan's
-    /// stacked input ([`VisionTransformer::predict_filled`]), one
-    /// observation at a time: the [`VitalModel::prepare_patches`]
-    /// pipeline, minus the patch tensor. Results are identical to
-    /// predicting each observation alone (the stacked path is bit-exact;
-    /// preprocessing uses the same fixed inference seed).
-    ///
-    /// # Errors
-    /// Returns an error if any observation is empty or mismatched.
-    pub fn predict_observations(
-        &self,
-        observations: &[FingerprintObservation],
-    ) -> Result<Vec<usize>> {
-        let chunk_size = self.config.train.batch_size.max(1);
-        let per_sample = self.transformer.num_patches() * self.transformer.patch_dim();
-        let mut predictions = Vec::with_capacity(observations.len());
-        for chunk in observations.chunks(chunk_size) {
-            predictions.extend(self.transformer.predict_filled(chunk.len(), |stacked| {
-                for (observation, patches) in chunk.iter().zip(stacked.chunks_exact_mut(per_sample))
-                {
-                    let image_1d = self.creator.create(observation)?;
-                    let image_2d = self.dam.augment(&image_1d, false, &mut SeededRng::new(0))?;
-                    image_2d.write_patches(self.config.patch_size, patches)?;
-                }
-                Ok(())
-            })?);
-        }
-        Ok(predictions)
-    }
 }
 
 impl Localizer for VitalModel {
@@ -276,11 +280,23 @@ impl Localizer for VitalModel {
         Ok(())
     }
 
+    /// Chunks of `train.batch_size` observations share one compiled
+    /// forward pass, their patches written straight into its stacked input
+    /// ([`VisionTransformer::predict_filled`]), so memory stays bounded on
+    /// any query stream. Results are identical to predicting each
+    /// observation alone (the stacked path is bit-exact, inference draws
+    /// nothing).
     fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>> {
         if !self.fitted {
             return Err(VitalError::NotFitted);
         }
-        self.predict_observations(observations)
+        let mut predictions = Vec::with_capacity(observations.len());
+        for chunk in observations.chunks(self.config.train.batch_size) {
+            predictions.extend(self.transformer.predict_filled(chunk.len(), |stacked| {
+                self.write_patches(chunk, false, &mut SeededRng::new(0), stacked)
+            })?);
+        }
+        Ok(predictions)
     }
 
     fn save(&self, path: &std::path::Path) -> Result<()> {
@@ -357,6 +373,43 @@ mod tests {
             model.fit(&dataset),
             Err(VitalError::InvalidDataset(_))
         ));
+    }
+
+    #[test]
+    fn rejects_a_fingerprint_of_another_access_point_set() {
+        // A model resamples any width to its image size, so only the
+        // count check stands between a 7-AP observation and a confident
+        // label from a model of a 30-AP building.
+        let (_, dataset, mut config) = tiny_training_setup();
+        config.train.epochs = 1;
+        let refused = |result: Result<()>, counts: [usize; 2]| match result {
+            Err(VitalError::InvalidDataset(message)) => {
+                for count in counts {
+                    assert!(message.contains(&count.to_string()), "{message}");
+                }
+            }
+            other => panic!("expected InvalidDataset, got {other:?}"),
+        };
+        let num_aps = dataset.num_aps();
+        let mut narrow = dataset.observations()[0].clone();
+        for channel in [&mut narrow.min, &mut narrow.max, &mut narrow.mean] {
+            channel.truncate(7);
+        }
+
+        let mut other_building = config.clone();
+        other_building.num_aps = num_aps + 3;
+        let mut model = VitalModel::new(other_building).unwrap();
+        refused(model.fit(&dataset).map(drop), [num_aps, num_aps + 3]);
+        assert!(!model.is_fitted());
+
+        let mut model = VitalModel::new(config).unwrap();
+        model.fit(&dataset).unwrap();
+        let mut batch = dataset.observations()[..3].to_vec();
+        assert!(model.localize_batch(&batch).is_ok());
+        batch[1] = narrow.clone();
+        refused(model.localize_batch(&batch).map(drop), [7, num_aps]);
+        let patches = model.prepare_patches(&narrow, false, &mut SeededRng::new(0));
+        refused(patches.map(drop), [7, num_aps]);
     }
 
     #[test]

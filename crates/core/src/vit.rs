@@ -238,8 +238,9 @@ impl VisionTransformer {
     }
 
     /// [`VisionTransformer::forward`] of a batch of patch matrices on the
-    /// tape — the training pass, and in an eval session the eager oracle —
-    /// producing `[batch, num_classes]` logits.
+    /// tape, producing `[batch, num_classes]` logits: in an eval session
+    /// the eager oracle (training fills its stacked constant itself and
+    /// calls `forward`).
     ///
     /// # Errors
     /// Returns an error if the batch is empty or any patch matrix has the

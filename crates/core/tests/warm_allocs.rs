@@ -1,39 +1,48 @@
 //! Warm compiled inference allocates a fixed handful of heap blocks per
-//! call, whatever the batch size, and none while the plan executes.
+//! call, whatever the batch size, and none while the plan executes; a warm
+//! `localize_batch` never allocates a block the size of an image channel.
 //!
-//! This binary holds exactly one test because it installs a counting
-//! `#[global_allocator]`: the count is kept per thread, so the harness's
-//! own threads cannot disturb it, and `parallel::with_threads(1)` keeps the
-//! whole forward pass on the counting thread.
+//! This binary installs a counting `#[global_allocator]`: the counts are
+//! kept per thread, so the harness's own threads and the other test cannot
+//! disturb them, and `parallel::with_threads(1)` keeps the whole forward
+//! pass on the counting thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use fingerprint::{base_devices, DatasetConfig, FingerprintDataset};
 use tensor::rng::SeededRng;
-use vital::{VisionTransformer, VitalConfig};
+use vital::{Localizer, VisionTransformer, VitalConfig, VitalModel};
 
 thread_local! {
     /// Heap allocations made by this thread (const-initialised and without
     /// a destructor, so touching it inside the allocator allocates nothing).
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Largest single block this thread has asked for, in bytes.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|n| n.set(n.get().max(bytes)));
 }
 
 struct Counting;
 
 // SAFETY: every call forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is a bump of a
-// const-initialised, destructor-free thread-local `Cell`, which neither
+// upholds the `GlobalAlloc` contract; the only addition is an update of two
+// const-initialised, destructor-free thread-local `Cell`s, which neither
 // allocates nor unwinds (`try_with` covers a thread that is tearing down).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -103,5 +112,37 @@ fn warm_predict_filled_allocates_the_same_handful_at_every_batch_size() {
                 "batch {samples}: {per_call} allocations per warm call, {WARM_ALLOCS} when pinned"
             );
         }
+    });
+}
+
+#[test]
+fn warm_localize_batch_allocates_nothing_the_size_of_an_image() {
+    let building = sim_radio::building_1();
+    let dataset = FingerprintDataset::collect(
+        &building,
+        &base_devices()[..1],
+        &DatasetConfig {
+            captures_per_rp: 1,
+            samples_per_capture: 2,
+            seed: 1,
+        },
+    );
+    let mut config = VitalConfig::fast(dataset.num_aps(), dataset.num_rps());
+    config.train.epochs = 1;
+    let image_bytes = config.image_size * config.image_size * std::mem::size_of::<f32>();
+    let mut model = VitalModel::new(config).unwrap();
+    model.fit(&dataset).unwrap();
+    let batch = &dataset.observations()[..16];
+    parallel::with_threads(1, || {
+        // Warm-up: the plan for this batch size and its arena.
+        let expected = model.localize_batch(batch).unwrap();
+        LARGEST.set(0);
+        assert_eq!(model.localize_batch(batch).unwrap(), expected);
+        let largest = LARGEST.get();
+        assert!(
+            largest < image_bytes,
+            "a warm localize_batch allocated a block of {largest} bytes; one channel of the \
+             replicated image is {image_bytes}, and the image is never to be materialised"
+        );
     });
 }

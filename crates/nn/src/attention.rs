@@ -194,8 +194,8 @@ mod tests {
         let msa = MultiHeadSelfAttention::new(&mut rng, 8, 2).unwrap();
         let tape = Tape::new();
         let mut session = Session::new(&tape, false, 0);
-        let row = SeededRng::new(7).uniform_tensor(&[8], -1.0, 1.0);
-        let x = session.constant(row.tile_rows(5).unwrap());
+        let row = SeededRng::new(7).uniform_tensor(&[1, 8], -1.0, 1.0);
+        let x = session.constant(tensor::Tensor::concat_rows(&[&row; 5]).unwrap());
         let y = msa.forward(&mut session, x, 1).unwrap().value();
         let first = y.row(0).unwrap();
         for i in 1..5 {

@@ -159,26 +159,6 @@ impl Tensor {
         Tensor::from_vec(self.as_slice().to_vec(), &[1, self.len()])
             .expect("row matrix keeps volume")
     }
-
-    /// Builds a matrix of shape `dims` by repeating (tiling) a rank-1 vector
-    /// row-wise, truncating or cycling as needed.
-    ///
-    /// Used by the DAM replication stage which tiles the 1-D fingerprint into
-    /// an `R × R` image.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::Empty`] if `self` is empty.
-    pub fn tile_rows(&self, rows: usize) -> Result<Tensor> {
-        if self.is_empty() {
-            return Err(TensorError::Empty { op: "tile_rows" });
-        }
-        let cols = self.len();
-        let mut data = Vec::with_capacity(rows * cols);
-        for _ in 0..rows {
-            data.extend_from_slice(self.as_slice());
-        }
-        Ok(Tensor::from_vec(data, &[rows, cols]).expect("tile volume"))
-    }
 }
 
 impl Default for Tensor {
@@ -259,15 +239,6 @@ mod tests {
         assert_eq!(c.as_slice()[1], 0.0);
         assert!(!a.all_finite());
         assert!(t(&[1.0], &[1]).all_finite());
-    }
-
-    #[test]
-    fn tile_rows_replicates() {
-        let v = t(&[1.0, 2.0, 3.0], &[3]);
-        let m = v.tile_rows(2).unwrap();
-        assert_eq!(m.shape().dims(), &[2, 3]);
-        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
-        assert!(Tensor::zeros(&[0]).tile_rows(2).is_err());
     }
 
     #[test]

@@ -63,13 +63,14 @@ proptest! {
         let creator = RssiImageCreator::new(image_size);
         let dam = DataAugmentationModule::new(DamConfig::default());
         let mut dam_rng = SeededRng::new(seed);
-        let image = dam
-            .augment(&creator.create(&observation).unwrap(), true, &mut dam_rng)
-            .unwrap();
-        let patches = image.to_patches(patch_size).unwrap();
+        let image = creator.create(&observation).unwrap();
+        // Exactly the promised length is accepted, and all of it written.
         let per_side = image_size / patch_size;
-        prop_assert_eq!(patches.shape().dims(), &[per_side * per_side, 3 * patch_size * patch_size]);
-        prop_assert!(patches.all_finite());
+        let mut patches = vec![f32::NAN; per_side * per_side * 3 * patch_size * patch_size];
+        dam.write_patches(&image, patch_size, true, &mut dam_rng, &mut patches).unwrap();
+        prop_assert!(patches.iter().all(|v| v.is_finite()));
+        patches.push(0.0);
+        prop_assert!(dam.write_patches(&image, patch_size, true, &mut dam_rng, &mut patches).is_err());
     }
 
     /// DAM inference-mode output is deterministic and identical across RNG
@@ -90,9 +91,12 @@ proptest! {
         let creator = RssiImageCreator::new(16);
         let dam = DataAugmentationModule::new(DamConfig::default());
         let image = creator.create(&observation).unwrap();
-        let a = dam.augment(&image, false, &mut SeededRng::new(seed_a)).unwrap();
-        let b = dam.augment(&image, false, &mut SeededRng::new(seed_b)).unwrap();
-        prop_assert_eq!(a, b);
+        let patches = |seed| {
+            let mut out = vec![f32::NAN; 16 * 3 * 16];
+            dam.write_patches(&image, 4, false, &mut SeededRng::new(seed), &mut out).unwrap();
+            out
+        };
+        prop_assert_eq!(patches(seed_a), patches(seed_b));
     }
 
     /// Dataset train/test splits partition the data for any fraction.
