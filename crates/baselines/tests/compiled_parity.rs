@@ -186,7 +186,16 @@ fn vital_compiled_matches_eager() {
     let dataset = tiny_dataset();
     let mut model = tiny_vital();
     model.fit(&dataset).unwrap();
+    // `localize_batch`: the folded forward, plan against tape.
+    assert_compiled_parity(
+        &model,
+        &dataset,
+        |l, obs| l.localize_batch_eager(obs),
+        |l| l.transformer().cached_plans(),
+    );
 
+    // `predict_batch` over caller-built patch matrices: the full-width
+    // forward, plan against tape; the two forms name the same places.
     for threads in THREAD_COUNTS {
         parallel::with_threads(threads, || {
             for batch_size in BATCH_SIZES {
@@ -203,6 +212,11 @@ fn vital_compiled_matches_eager() {
                 assert_eq!(
                     compiled, eager,
                     "VITAL: compiled diverged at batch {batch_size} / {threads} threads"
+                );
+                assert_eq!(
+                    model.localize_batch(&observations).unwrap(),
+                    compiled,
+                    "VITAL: folded and full-width predictions differ at batch {batch_size}"
                 );
             }
         });

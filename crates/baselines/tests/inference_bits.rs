@@ -2,6 +2,13 @@
 //! predictions of a seeded, untrained smoke ViT on seeded inputs, as bit
 //! patterns.
 //!
+//! Two pins, one per form of the forward: the full-width form over patch
+//! matrices (what training runs and `predict_batch` compiles) and the folded
+//! form over distinct patch rows (what `localize_batch` serves). The folded
+//! form multiplies each pixel run once by a pre-summed weight where the
+//! full-width form multiplies it `patch_size` times in one chain, so the two
+//! agree to rounding, not to the bit, and each has its own constants.
+//!
 //! `training_bits.rs` pins what `fit` writes; this pins what a forward pass
 //! computes, through both recorders of the one `nn::Trace` definition (the
 //! eval tape for the logits, the compiled plan for the predictions). The
@@ -19,7 +26,8 @@ use tensor::rng::SeededRng;
 use tensor::Tensor;
 use vital::{VisionTransformer, VitalConfig};
 
-/// `logits[sample][class]`, row-major, as `f32::to_bits`.
+/// `logits[sample][class]` of the full-width forward over seeded patch
+/// matrices, row-major, as `f32::to_bits`.
 #[rustfmt::skip]
 const LOGITS: [u32; 64] = [
     0x3e834e36, 0xbb68d8a4, 0x3e48b7f6, 0x3e84cef4, 0xbe8229b5, 0x3de9e934, 0x3ca08ade, 0xbf154dbe,
@@ -40,23 +48,73 @@ const PREDICTIONS: [usize; 8] = [3, 2, 2, 0, 0, 5, 3, 2];
 /// algorithmic change.
 const FMA_MAX_ULP: u64 = 4096;
 
-/// Eager logit bits and compiled predictions of the smoke model: seeded
-/// weights, seeded inputs, no training, so only the kernels decide the bits.
-fn smoke() -> (Vec<u32>, Vec<usize>) {
+/// `logits[sample][class]` of the folded forward over seeded
+/// `[distinct_patches, distinct_dim]` inputs (any such input is the distinct
+/// patch row of some replicated image).
+#[rustfmt::skip]
+const FOLDED_LOGITS: [u32; 64] = [
+    0xbbb981d0, 0xbebdb5b6, 0xbe81d5ed, 0x3cdab4f2, 0xbf4e3b26, 0x3ebcd81e, 0x3ec47403, 0xbea75bc8,
+    0xbf3c6ec1, 0x3d95ef10, 0xbcc62af0, 0x3e12fc8f, 0x3e0b455a, 0xbc9df06c, 0xbe3c68eb, 0xbee2a495,
+    0x3ca988f2, 0x3f4fed3c, 0xbf4a1024, 0xbf60f265, 0xbf53bab9, 0x3f947db2, 0x3e9ac88d, 0xbf673472,
+    0xbf82c654, 0x3e99b9c6, 0x3e3d156c, 0x3f815eda, 0xbf030c8f, 0x3e8ebec2, 0x3ef7a026, 0xbfc3b4db,
+    0x3ec68fef, 0x3e5a03a4, 0xbf3aad86, 0x3f0d20f6, 0xbe136f22, 0x3f12cb5a, 0xbe02aab4, 0xbed0375a,
+    0x3e98b34c, 0x3e274fdd, 0xbe8a5f14, 0x3e7b767f, 0x3e4b18d1, 0x3e865ac7, 0x3f6315dd, 0xbe09d54a,
+    0xbeacbba9, 0xbe10e4a5, 0xbe81c173, 0x3ec1a4e4, 0x3e175da6, 0x3ed83b85, 0x3e04c05f, 0xbe356a53,
+    0x3f12bbee, 0xbcdcf105, 0xbebf5960, 0xbefe0ebc, 0x3e1145ee, 0x3f1dc416, 0xbe49f9ae, 0xbf890532,
+];
+
+const FOLDED_PREDICTIONS: [usize; 8] = [6, 3, 5, 3, 5, 6, 5, 5];
+
+/// The smoke model: seeded weights, no training, so only the kernels
+/// decide the bits.
+fn smoke_vit() -> VisionTransformer {
     let mut config = VitalConfig::fast(18, 8);
     config.image_size = 60;
     config.patch_size = 12;
     config.encoder_blocks = 2;
-    let vit = VisionTransformer::new(&mut SeededRng::new(2023), &config).unwrap();
-    let shape = [vit.num_patches(), vit.patch_dim()];
-    let batch: Vec<Tensor> = (0..8)
-        .map(|i| SeededRng::new(5000 + i).uniform_tensor(&shape, -1.0, 1.0))
-        .collect();
+    VisionTransformer::new(&mut SeededRng::new(2023), &config).unwrap()
+}
+
+fn seeded_batch(first_seed: u64, shape: [usize; 2]) -> Vec<Tensor> {
+    (0..8)
+        .map(|i| SeededRng::new(first_seed + i).uniform_tensor(&shape, -1.0, 1.0))
+        .collect()
+}
+
+fn bits(logits: &Tensor) -> Vec<u32> {
+    logits.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Eager logit bits and compiled predictions of the smoke model's
+/// full-width forward on seeded patch matrices.
+fn smoke() -> (Vec<u32>, Vec<usize>) {
+    let vit = smoke_vit();
+    let batch = seeded_batch(5000, [vit.num_patches(), vit.patch_dim()]);
     let tape = autograd::Tape::new();
     let mut session = nn::Session::new(&tape, false, 0);
     let logits = vit.forward_batch(&mut session, &batch).unwrap().value();
-    let bits = logits.as_slice().iter().map(|v| v.to_bits()).collect();
-    (bits, vit.predict_batch(&batch).unwrap())
+    (bits(&logits), vit.predict_batch(&batch).unwrap())
+}
+
+/// Eager logit bits and compiled predictions of its folded forward on
+/// seeded distinct patch rows.
+fn folded_smoke() -> (Vec<u32>, Vec<usize>) {
+    let vit = smoke_vit();
+    let batch = seeded_batch(6000, [vit.distinct_patches(), vit.distinct_dim()]);
+    let refs: Vec<&Tensor> = batch.iter().collect();
+    let stacked = Tensor::concat_rows(&refs).unwrap();
+    let tape = autograd::Tape::new();
+    let mut session = nn::Session::new(&tape, false, 0);
+    let distinct = session.constant(stacked.clone());
+    let logits = vit
+        .forward_folded(&mut session, distinct, 8)
+        .unwrap()
+        .value();
+    let fill = |input: &mut [f32]| {
+        input.copy_from_slice(stacked.as_slice());
+        Ok(())
+    };
+    (bits(&logits), vit.predict_folded(8, fill).unwrap())
 }
 
 /// Distance in units in the last place, walking through zero for opposite
@@ -73,30 +131,50 @@ fn ulp_diff(a: u32, b: u32) -> u64 {
     rank(a).abs_diff(rank(b))
 }
 
-#[test]
-fn smoke_vit_inference_bits_are_pinned() {
+/// Holds `run` to its constants at the active dispatch level, under one
+/// compute thread and under four.
+fn assert_pinned(
+    what: &str,
+    run: fn() -> (Vec<u32>, Vec<usize>),
+    pinned_logits: &[u32; 64],
+    pinned_predictions: &[usize; 8],
+) {
     let level = simd::active_level();
     for threads in [1, 4] {
-        let (logits, predictions) = parallel::with_threads(threads, smoke);
+        let (logits, predictions) = parallel::with_threads(threads, run);
         assert_eq!(
             predictions,
-            PREDICTIONS,
-            "compiled predictions moved at level {} with {threads} thread(s)",
+            pinned_predictions,
+            "{what}: compiled predictions moved at level {} with {threads} thread(s)",
             level.name()
         );
         if level == simd::Level::Fma {
-            let worst = logits.iter().zip(&LOGITS).map(|(&a, &b)| ulp_diff(a, b));
+            let worst = logits
+                .iter()
+                .zip(pinned_logits)
+                .map(|(&a, &b)| ulp_diff(a, b));
             let worst = worst.max().unwrap();
             assert!(
                 worst <= FMA_MAX_ULP,
-                "FMA logits are {worst} ULP from the pinned bits (bound {FMA_MAX_ULP})"
+                "{what}: FMA logits are {worst} ULP from the pinned bits (bound {FMA_MAX_ULP})"
             );
         } else {
             assert!(
-                logits == LOGITS,
-                "inference bits moved at level {} with {threads} thread(s); logits are {logits:#010x?}",
+                logits == pinned_logits,
+                "{what}: inference bits moved at level {} with {threads} thread(s); logits are \
+                 {logits:#010x?}, predictions {predictions:?}",
                 level.name()
             );
         }
     }
+}
+
+#[test]
+fn smoke_vit_inference_bits_are_pinned() {
+    assert_pinned("full-width", smoke, &LOGITS, &PREDICTIONS);
+}
+
+#[test]
+fn smoke_vit_folded_inference_bits_are_pinned() {
+    assert_pinned("folded", folded_smoke, &FOLDED_LOGITS, &FOLDED_PREDICTIONS);
 }

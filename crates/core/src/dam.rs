@@ -17,12 +17,26 @@
 //! matrix straight from the normalised 1-D channels, and in training
 //! scatters each perturbed pixel to its slot in that matrix.
 //!
+//! In the online phase stages 3–4 do not run, so the patch matrix is pure
+//! replication: each patch is `3 · P` distinct values repeated down `P`
+//! pixel rows, and every patch row of the grid is the first. Inference
+//! therefore does not write it either.
+//! [`DataAugmentationModule::write_folded`] normalises each channel
+//! straight into the `[R / P, 3 · P]` matrix of the first patch row's runs
+//! — all there is to know about the observation — and
+//! [`crate::VisionTransformer::forward_folded`] embeds that against a
+//! weight summed over pixel rows. `write_patches(.., training = false, ..)`
+//! remains the definition of what the folded rows stand for (and what
+//! [`crate::VitalModel::prepare_patches`] returns); a test below holds the
+//! two writers together and fails if the inference-mode matrix ever stops
+//! being a replica.
+//!
 //! The module is deliberately framework-agnostic: the `baselines` crate calls
 //! [`DataAugmentationModule::augment_vector`] to plug the same augmentation
 //! into ANVIL, SHERPA, CNNLoc and WiDeep (paper §VI.D).
 
+use tensor::kernels::Standardizer;
 use tensor::rng::SeededRng;
-use tensor::Tensor;
 
 use crate::image::Rssi1d;
 use crate::{DamConfig, Result, VitalError};
@@ -44,16 +58,19 @@ impl DataAugmentationModule {
         &self.config
     }
 
+    /// Stage 1 as a map: the standardisation of `values` to zero mean /
+    /// unit variance, `None` (leave every value alone) when normalisation
+    /// is disabled.
+    fn normalizer(&self, values: &[f32]) -> Option<Standardizer> {
+        self.config.normalize.then(|| Standardizer::of(values))
+    }
+
     /// Stage 1: standardises a channel to zero mean / unit variance.
     ///
     /// Values are returned untouched when normalisation is disabled.
     pub fn normalize_channel(&self, values: &[f32]) -> Vec<f32> {
-        if !self.config.normalize {
-            return values.to_vec();
-        }
-        let t = Tensor::from_vec(values.to_vec(), &[values.len()])
-            .expect("vector length matches its own shape");
-        t.standardize().into_vec()
+        let normalizer = self.normalizer(values);
+        values.iter().map(|&v| normalize(normalizer, v)).collect()
     }
 
     /// Stages 3–4 for one normalised value: dropped out and infilled with
@@ -127,6 +144,34 @@ impl DataAugmentationModule {
         Ok(())
     }
 
+    /// What is distinct in the inference-mode patch matrix, and nothing
+    /// else: the replicated image's patch rows are all one row, and a
+    /// patch's pixel rows all one `patch_size`-pixel run per channel, so
+    /// this writes into `out` the row-major
+    /// `[R / patch_size, 3 · patch_size]` matrix of the first patch row's
+    /// patches, each its (min, max, mean) runs — the input of
+    /// [`crate::VisionTransformer::forward_folded`]. Every channel is
+    /// normalised straight into its runs; nothing is allocated and nothing
+    /// drawn.
+    ///
+    /// # Errors
+    /// As [`DataAugmentationModule::write_patches`], `out` being this
+    /// matrix's length.
+    pub fn write_folded(&self, image: &Rssi1d, patch_size: usize, out: &mut [f32]) -> Result<()> {
+        let size = image.width();
+        let per_side = size.checked_div(patch_size).unwrap_or(0);
+        if per_side == 0 || out.len() != per_side * 3 * patch_size {
+            return Err(VitalError::InvalidConfig(format!(
+                "a buffer of {} values is not the {patch_size}-pixel runs of a {size}-pixel image",
+                out.len()
+            )));
+        }
+        for (c, channel) in image.channels().into_iter().enumerate() {
+            write_normalized_runs(self.normalizer(channel), channel, c, patch_size, out);
+        }
+        Ok(())
+    }
+
     /// Applies DAM-style augmentation to a plain RSSI feature vector
     /// (normalise, random dropout, Gaussian infill) without the 2-D
     /// replication — the form consumed by the non-image baselines when DAM is
@@ -139,6 +184,30 @@ impl DataAugmentationModule {
             }
         }
         out
+    }
+}
+
+/// One value through stage 1.
+fn normalize(normalizer: Option<Standardizer>, value: f32) -> f32 {
+    normalizer.map_or(value, |n| n.apply(value))
+}
+
+/// Normalises `channel` into the `c`-th `patch_size`-pixel run of each
+/// `3 · patch_size`-wide row of `out`, one run per row; the pixels past the
+/// last whole patch are measured by `normalizer` but have no run.
+fn write_normalized_runs(
+    normalizer: Option<Standardizer>,
+    channel: &[f32],
+    c: usize,
+    patch_size: usize,
+    out: &mut [f32],
+) {
+    let rows = out.chunks_exact_mut(3 * patch_size);
+    for (row, run) in rows.zip(channel.chunks_exact(patch_size)) {
+        let slots = &mut row[c * patch_size..(c + 1) * patch_size];
+        for (slot, &value) in slots.iter_mut().zip(run) {
+            *slot = normalize(normalizer, value);
+        }
     }
 }
 
@@ -165,6 +234,7 @@ mod tests {
     use super::*;
     use crate::image::RssiImageCreator;
     use fingerprint::FingerprintObservation;
+    use tensor::Tensor;
 
     fn image(width: usize) -> Rssi1d {
         let obs = FingerprintObservation {
@@ -239,6 +309,58 @@ mod tests {
         assert_eq!(a, b);
         // Inference draws nothing.
         assert_eq!(rng1.uniform(0.0, 1.0), SeededRng::new(1).uniform(0.0, 1.0));
+    }
+
+    /// The folded forward answers from the structure of the inference-mode
+    /// patch matrix without looking at it. This looks: the day the online
+    /// phase stops replicating, (a) fails, and the day the folded writer
+    /// and the patch writer disagree about an observation, (b) does.
+    #[test]
+    fn inference_patches_are_replicas_and_the_folded_writer_holds_their_distinct_rows() {
+        let dam = DataAugmentationModule::default();
+        // Paper, fast and a geometry whose last 2 pixels fill no patch.
+        for (size, p) in [(206, 20), (24, 6), (26, 4)] {
+            let image = image(size);
+            let per_side = size / p;
+            let (area, patch_dim) = (p * p, 3 * p * p);
+            let mut rng = SeededRng::new(5);
+            let mut full = vec![f32::NAN; per_side * per_side * patch_dim];
+            dam.write_patches(&image, p, false, &mut rng, &mut full)
+                .unwrap();
+            // (a) Every pixel row of every patch is its first, and every
+            // patch row of the grid is the first patch row.
+            for patch in full.chunks_exact(patch_dim) {
+                for block in patch.chunks_exact(area) {
+                    for pixel_row in block.chunks_exact(p) {
+                        assert_eq!(pixel_row, &block[..p], "{size}/{p}: pixel rows differ");
+                    }
+                }
+            }
+            let (first, rest) = full.split_at(per_side * patch_dim);
+            for patch_row in rest.chunks_exact(per_side * patch_dim) {
+                assert!(patch_row == first, "{size}/{p}: patch rows differ");
+            }
+            // (b) The folded writer's rows are the first pixel row of each
+            // channel of each patch of that first patch row, bit for bit.
+            let mut folded = vec![f32::NAN; per_side * 3 * p];
+            dam.write_folded(&image, p, &mut folded).unwrap();
+            for (row, patch) in folded
+                .chunks_exact(3 * p)
+                .zip(first.chunks_exact(patch_dim))
+            {
+                for (run, block) in row.chunks_exact(p).zip(patch.chunks_exact(area)) {
+                    let bits = |values: &[f32]| -> Vec<u32> {
+                        values.iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(run), bits(&block[..p]), "{size}/{p}: runs differ");
+                }
+            }
+            // Exactly its own length is accepted.
+            folded.push(0.0);
+            assert!(dam.write_folded(&image, p, &mut folded).is_err());
+            assert!(dam.write_folded(&image, size + 1, &mut []).is_err());
+            assert!(dam.write_folded(&image, 0, &mut []).is_err());
+        }
     }
 
     #[test]

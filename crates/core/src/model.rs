@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 use tensor::rng::SeededRng;
 use tensor::Tensor;
 
+use crate::image::Rssi1d;
 use crate::{
     Checkpoint, DataAugmentationModule, Localizer, ModelKind, Result, RssiImageCreator,
     VisionTransformer, VitalConfig, VitalError,
@@ -92,11 +93,28 @@ impl VitalModel {
         self.fitted
     }
 
-    /// Runs the full pre-processing pipeline (image creation, DAM, patch
-    /// extraction) for each observation, writing their row-major
-    /// `[num_patches, patch_dim]` patch matrices one after another into
-    /// `stacked`: the one fill of a training batch, of a compiled plan's
-    /// input and of [`VitalModel::prepare_patches`].
+    /// Runs image creation for each observation and has `write` turn the
+    /// image into that observation's `per_sample` values of `stacked`, one
+    /// after another: the one fill of a training batch, of a compiled
+    /// plan's input and of [`VitalModel::prepare_patches`].
+    fn fill<'a>(
+        &self,
+        observations: impl IntoIterator<Item = &'a FingerprintObservation>,
+        per_sample: usize,
+        stacked: &mut [f32],
+        mut write: impl FnMut(&Rssi1d, &mut [f32]) -> Result<()>,
+    ) -> Result<()> {
+        let slots = stacked.chunks_exact_mut(per_sample);
+        for (observation, slot) in observations.into_iter().zip(slots) {
+            self.check_num_aps("observation", observation.num_aps())?;
+            write(&self.creator.create(observation)?, slot)?;
+        }
+        Ok(())
+    }
+
+    /// The full pre-processing pipeline (image creation, DAM, patch
+    /// extraction): the observations' row-major `[num_patches, patch_dim]`
+    /// patch matrices, one after another in `stacked`.
     fn write_patches<'a>(
         &self,
         observations: impl IntoIterator<Item = &'a FingerprintObservation>,
@@ -105,14 +123,26 @@ impl VitalModel {
         stacked: &mut [f32],
     ) -> Result<()> {
         let per_sample = self.transformer.num_patches() * self.transformer.patch_dim();
-        let matrices = stacked.chunks_exact_mut(per_sample);
-        for (observation, patches) in observations.into_iter().zip(matrices) {
-            self.check_num_aps("observation", observation.num_aps())?;
-            let image = self.creator.create(observation)?;
+        self.fill(observations, per_sample, stacked, |image, patches| {
             self.dam
-                .write_patches(&image, self.config.patch_size, training, rng, patches)?;
-        }
-        Ok(())
+                .write_patches(image, self.config.patch_size, training, rng, patches)
+        })
+    }
+
+    /// The online phase's input: what is distinct in each observation's
+    /// inference-mode patch matrix
+    /// ([`DataAugmentationModule::write_folded`]), one
+    /// `[distinct_patches, distinct_dim]` matrix after another in
+    /// `stacked`.
+    fn write_folded(
+        &self,
+        observations: &[FingerprintObservation],
+        stacked: &mut [f32],
+    ) -> Result<()> {
+        let per_sample = self.transformer.distinct_patches() * self.transformer.distinct_dim();
+        self.fill(observations, per_sample, stacked, |image, rows| {
+            self.dam.write_folded(image, self.config.patch_size, rows)
+        })
     }
 
     /// The `[num_patches, patch_dim]` patch matrix of one observation.
@@ -219,20 +249,55 @@ impl VitalModel {
         )?;
         self.fitted = true;
 
-        // Training accuracy on a bounded subsample (keeps fit() cheap).
-        let mut correct = 0;
-        let mut total = 0;
+        // Training accuracy on a bounded subsample (keeps fit() cheap),
+        // localized as one batch: one plan per chunk shape, not one
+        // single-observation plan run per sample.
         let step = (observations.len() / 200).max(1);
-        for observation in observations.iter().step_by(step) {
-            if self.predict(observation)? == observation.rp_label {
-                correct += 1;
-            }
-            total += 1;
-        }
+        let subsample: Vec<FingerprintObservation> =
+            observations.iter().step_by(step).cloned().collect();
+        let predicted = self.localize_batch(&subsample)?;
+        let correct = predicted
+            .iter()
+            .zip(&subsample)
+            .filter(|(label, observation)| **label == observation.rp_label)
+            .count();
         Ok(TrainingReport {
             epoch_losses,
-            final_train_accuracy: correct as f32 / total.max(1) as f32,
+            final_train_accuracy: correct as f32 / subsample.len().max(1) as f32,
         })
+    }
+
+    /// [`Localizer::localize_batch`] with the same folded forward recorded
+    /// on an eval-mode tape, chunk by chunk (one tensor per op, no fusion,
+    /// no arena): the bit-exactness oracle for the compiled path.
+    ///
+    /// # Errors
+    /// As [`Localizer::localize_batch`].
+    pub fn localize_batch_eager(
+        &self,
+        observations: &[FingerprintObservation],
+    ) -> Result<Vec<usize>> {
+        if !self.fitted {
+            return Err(VitalError::NotFitted);
+        }
+        let (rows, cols) = (
+            self.transformer.distinct_patches(),
+            self.transformer.distinct_dim(),
+        );
+        let mut predictions = Vec::with_capacity(observations.len());
+        for chunk in observations.chunks(self.config.train.batch_size) {
+            let mut distinct = vec![0.0; chunk.len() * rows * cols];
+            self.write_folded(chunk, &mut distinct)?;
+            let distinct = Tensor::from_vec(distinct, &[chunk.len() * rows, cols])?;
+            let tape = autograd::Tape::new();
+            let mut session = Session::new(&tape, false, 0);
+            let distinct = session.constant(distinct);
+            let logits = self
+                .transformer
+                .forward_folded(&mut session, distinct, chunk.len())?;
+            predictions.extend(logits.value().argmax_rows()?);
+        }
+        Ok(predictions)
     }
 
     /// Serializes the trained model (configuration + transformer weights)
@@ -281,20 +346,21 @@ impl Localizer for VitalModel {
     }
 
     /// Chunks of `train.batch_size` observations share one compiled
-    /// forward pass, their patches written straight into its stacked input
-    /// ([`VisionTransformer::predict_filled`]), so memory stays bounded on
-    /// any query stream. Results are identical to predicting each
-    /// observation alone (the stacked path is bit-exact, inference draws
-    /// nothing).
+    /// forward pass of the folded form
+    /// ([`VisionTransformer::predict_folded`]): at inference the DAM only
+    /// replicates, so each observation's distinct patch row is written
+    /// straight into the plan's input and the replicated image exists
+    /// nowhere. Memory stays bounded on any query stream, and results are
+    /// identical to predicting each observation alone (the stacked path is
+    /// bit-exact, inference draws nothing).
     fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>> {
         if !self.fitted {
             return Err(VitalError::NotFitted);
         }
         let mut predictions = Vec::with_capacity(observations.len());
         for chunk in observations.chunks(self.config.train.batch_size) {
-            predictions.extend(self.transformer.predict_filled(chunk.len(), |stacked| {
-                self.write_patches(chunk, false, &mut SeededRng::new(0), stacked)
-            })?);
+            let fill = |stacked: &mut [f32]| self.write_folded(chunk, stacked);
+            predictions.extend(self.transformer.predict_folded(chunk.len(), fill)?);
         }
         Ok(predictions)
     }

@@ -1,4 +1,28 @@
 //! The vision transformer adapted for indoor localization (paper §IV–V.B).
+//!
+//! The forward pass is written once against [`nn::Trace`] and has two
+//! entrances that meet after the positional add:
+//!
+//! * [`VisionTransformer::forward`], the **full-width** form over the
+//!   stacked `[samples · N, 3·P²]` patch matrix. Training records it (the
+//!   DAM perturbs every replicated row, so no two patches are equal), and
+//!   [`VisionTransformer::predict_batch`] compiles it for caller-built
+//!   patch matrices, which may hold anything.
+//! * [`VisionTransformer::forward_folded`], the **folded** form over the
+//!   `[samples · S, 3·P]` matrix of what is distinct in a *replicated*
+//!   image (`S = ⌊R/P⌋`, `N = S²`): the online phase, where the DAM only
+//!   replicates. The patch embedding runs against the weight summed over
+//!   pixel rows ([`tensor::kernels::fold_patch_rows`], a plan constant) on
+//!   `S` rows per sample instead of `S²` rows `P` times as wide, and each
+//!   sample's `S` embedded rows are tiled `S` times onto the positional
+//!   table. [`VisionTransformer::predict_folded`] compiles it;
+//!   [`crate::VitalModel`] serves every observation through it.
+//!
+//! Both forms are recorded by both recorders (eval tape = eager oracle,
+//! [`graph::Graph`] = compiled plan), so compiled ≡ eager, scalar ≡ AVX2
+//! and batch ≡ single hold for each by construction. Between the forms the
+//! logits agree to rounding: one product of a pre-summed weight against `P`
+//! products in one chain (`baselines/tests/inference_bits.rs` pins each).
 
 use autograd::Var;
 use graph::{ExprId, Graph, GraphError, PlanCache};
@@ -6,7 +30,7 @@ use nn::{
     Activation, Dense, Init, Layer, LayerNorm, Mlp, MultiHeadSelfAttention, Param, Session, Trace,
 };
 use tensor::rng::SeededRng;
-use tensor::{kernels, Tensor};
+use tensor::{kernels, Tensor, TensorError};
 
 use crate::{Result, VitalConfig, VitalError};
 
@@ -123,14 +147,19 @@ pub struct VisionTransformer {
     positional: Param,
     blocks: Vec<EncoderBlock>,
     head: Mlp,
-    num_patches: usize,
-    patch_dim: usize,
+    /// `P`: a patch is `P × P` pixels of three channels.
+    patch_size: usize,
+    /// `S = ⌊R/P⌋`: the image is cut into `S × S` patches.
+    patches_per_side: usize,
     num_classes: usize,
     dropout: f32,
     /// Compiled inference plans keyed by `(batch, weight stamp)`. Clones
     /// of the model share the cache (they share the weights too), so N
     /// serving workers reuse one plan per batch shape.
     plan_cache: PlanCache,
+    /// The plans of [`VisionTransformer::forward_folded`], keyed alike; a
+    /// batch size served both ways has one plan in each.
+    folded_plans: PlanCache,
 }
 
 impl VisionTransformer {
@@ -182,22 +211,23 @@ impl VisionTransformer {
             positional,
             blocks,
             head,
-            num_patches,
-            patch_dim,
+            patch_size: config.patch_size,
+            patches_per_side: config.image_size / config.patch_size,
             num_classes: config.num_classes,
             dropout: config.train.dropout,
             plan_cache: PlanCache::new(),
+            folded_plans: PlanCache::new(),
         })
     }
 
     /// Number of patches the model expects per image.
     pub fn num_patches(&self) -> usize {
-        self.num_patches
+        self.patches_per_side * self.patches_per_side
     }
 
     /// Flattened patch width the model expects.
     pub fn patch_dim(&self) -> usize {
-        self.patch_dim
+        3 * self.patch_size * self.patch_size
     }
 
     /// Number of output classes (reference points).
@@ -205,9 +235,23 @@ impl VisionTransformer {
         self.num_classes
     }
 
+    /// Distinct patches of a replicated image: the `⌊R/P⌋` patches of one
+    /// patch row (every patch row of the grid repeats them).
+    pub fn distinct_patches(&self) -> usize {
+        self.patches_per_side
+    }
+
+    /// Width of one distinct patch: its three `P`-pixel channel runs, one
+    /// pixel row of the `patch_dim`-wide patch.
+    pub fn distinct_dim(&self) -> usize {
+        3 * self.patch_size
+    }
+
     /// Records the forward pass over `samples` images whose patch rows
     /// are stacked as one `[samples * num_patches, patch_dim]` matrix,
-    /// producing `[samples, num_classes]` logits.
+    /// producing `[samples, num_classes]` logits: the form training runs
+    /// (its replicated rows are perturbed, so no two patches are equal)
+    /// and the form of any caller-built patch matrix.
     ///
     /// Executing the batch *stacked* makes the patch embedding, every
     /// layer-norm, every encoder MLP, every attention projection and the
@@ -227,13 +271,86 @@ impl VisionTransformer {
         // ...plus the positional embedding (tiled across the batch) that
         // keeps patch order information.
         let positional = t.param(&self.positional)?;
-        let mut hidden = t.add_tile_rows(embedded, positional, samples)?;
-        hidden = t.dropout(hidden, self.dropout)?;
+        let hidden = t.add_tile_rows(embedded, positional, samples)?;
+        self.encode(t, hidden, samples)
+    }
+
+    /// Records the forward pass over `samples` *replicated* images — every
+    /// image row the same `R` pixels, what the DAM produces at inference —
+    /// given only what is distinct in them: `distinct` is the stacked
+    /// `[samples * distinct_patches, distinct_dim]` matrix of each
+    /// sample's one patch row, each patch its three `P`-pixel channel runs
+    /// ([`crate::DataAugmentationModule::write_folded`]).
+    ///
+    /// A patch of such an image is its run repeated down `P` pixel rows,
+    /// so its embedding is the run times the embedding weight summed over
+    /// pixel rows ([`kernels::fold_patch_rows`], fixed when the pass is
+    /// recorded: once per plan). The `S` patch rows of the grid are equal,
+    /// so each sample's `S` embedded rows are tiled `S` times onto the
+    /// positional table; from there on this is [`VisionTransformer::forward`].
+    /// The logits differ from the full-width form's by rounding only (one
+    /// product of a pre-summed weight where that has `P` products in one
+    /// chain).
+    ///
+    /// # Errors
+    /// Returns an error if `distinct` does not have that shape.
+    pub fn forward_folded<T: Trace>(
+        &self,
+        t: &mut T,
+        distinct: T::Node,
+        samples: usize,
+    ) -> std::result::Result<T::Node, T::Error> {
+        let per_side = self.distinct_patches();
+        let (rows, cols) = t.dims(distinct)?;
+        if rows != samples * per_side {
+            return Err(TensorError::ShapeMismatch {
+                op: "vit.forward_folded",
+                lhs: vec![rows, cols],
+                rhs: vec![samples * per_side, self.distinct_dim()],
+            }
+            .into());
+        }
+        let folded = t.frozen(self.folded_embedding()?)?;
+        let embedded = self.patch_embed.forward_with(t, distinct, folded)?;
+        let positional = t.param(&self.positional)?;
+        let mut tiled = Vec::with_capacity(samples);
+        for s in 0..samples {
+            let patch_row = t.slice_rows(embedded, s * per_side, (s + 1) * per_side)?;
+            tiled.push(t.add_tile_rows(positional, patch_row, per_side)?);
+        }
+        let hidden = if samples == 1 {
+            tiled[0]
+        } else {
+            t.concat_rows(&tiled)?
+        };
+        self.encode(t, hidden, samples)
+    }
+
+    /// The patch-embedding weight summed over the pixel rows of a patch,
+    /// `[distinct_dim, d_model]`.
+    fn folded_embedding(&self) -> tensor::Result<Tensor> {
+        let weight = self.patch_embed.weight().value();
+        let d_model = self.patch_embed.out_features();
+        let mut folded = vec![0.0; self.distinct_dim() * d_model];
+        kernels::fold_patch_rows(weight.as_slice(), self.patch_size, d_model, &mut folded);
+        Tensor::from_vec(folded, &[self.distinct_dim(), d_model])
+    }
+
+    /// Everything past the positional add, over the stacked
+    /// `[samples * num_patches, d_model]` embedded patches: the encoder
+    /// blocks, the pooling and the head.
+    fn encode<T: Trace>(
+        &self,
+        t: &mut T,
+        embedded: T::Node,
+        samples: usize,
+    ) -> std::result::Result<T::Node, T::Error> {
+        let mut hidden = t.dropout(embedded, self.dropout)?;
         for block in &self.blocks {
             hidden = block.forward(t, hidden, samples)?;
         }
         // Collapse each sample's patch rows to its pooled feature row.
-        let pooled = t.mean_row_blocks(hidden, self.num_patches)?;
+        let pooled = t.mean_row_blocks(hidden, self.num_patches())?;
         self.head.forward(t, pooled)
     }
 
@@ -279,7 +396,9 @@ impl VisionTransformer {
     /// The patch matrices are copied into the plan's input region; a
     /// caller that can produce patches directly should write them there
     /// itself through [`VisionTransformer::predict_filled`], which this
-    /// wraps.
+    /// wraps. This is the full-width [`VisionTransformer::forward`]: a
+    /// caller's patches may hold anything, and only a replicated image
+    /// folds ([`VisionTransformer::predict_folded`]).
     ///
     /// # Errors
     /// Returns an error if the batch is empty or any patch matrix has the
@@ -306,12 +425,41 @@ impl VisionTransformer {
         samples: usize,
         fill: impl FnOnce(&mut [f32]) -> Result<()>,
     ) -> Result<Vec<usize>> {
+        let build = || self.build_graph(samples);
+        self.run_plan(&self.plan_cache, samples, build, fill)
+    }
+
+    /// Compiled batched inference over `samples` replicated images, the
+    /// plan of [`VisionTransformer::forward_folded`]: `fill` receives the
+    /// stacked row-major `[samples · distinct_patches, distinct_dim]`
+    /// input inside the execution arena and must write all of it (sample
+    /// `i`'s patch row at `i · distinct_patches`). The replicated image is
+    /// never materialised, in the arena or anywhere else.
+    ///
+    /// # Errors
+    /// Returns an error if `samples` is zero, or whatever `fill` returns.
+    pub fn predict_folded(
+        &self,
+        samples: usize,
+        fill: impl FnOnce(&mut [f32]) -> Result<()>,
+    ) -> Result<Vec<usize>> {
+        let build = || self.build_folded_graph(samples);
+        self.run_plan(&self.folded_plans, samples, build, fill)
+    }
+
+    /// Runs the `samples`-image plan of `plans` (built by `build` on a
+    /// miss) on the input `fill` writes, and reads the predicted classes.
+    fn run_plan(
+        &self,
+        plans: &PlanCache,
+        samples: usize,
+        build: impl FnOnce() -> std::result::Result<(Graph, ExprId), GraphError>,
+        fill: impl FnOnce(&mut [f32]) -> Result<()>,
+    ) -> Result<Vec<usize>> {
         if samples == 0 {
             return Err(VitalError::InvalidDataset("empty batch".into()));
         }
-        let entry = self
-            .plan_cache
-            .get_or_build(samples, self.weight_stamp(), || self.build_graph(samples))?;
+        let entry = plans.get_or_build(samples, self.weight_stamp(), build)?;
         entry.execute_with(fill, |logits| {
             let mut labels = vec![0; samples];
             kernels::argmax_rows(logits, self.num_classes, &mut labels)?;
@@ -338,19 +486,19 @@ impl VisionTransformer {
         nn::weight_stamp(&self.params())
     }
 
-    /// Number of compiled plans currently cached.
+    /// Number of compiled plans currently cached, full-width and folded.
     pub fn cached_plans(&self) -> usize {
-        self.plan_cache.len()
+        self.plan_cache.len() + self.folded_plans.len()
     }
 
     fn validate_batch(&self, batch: &[Tensor]) -> Result<()> {
         for patches in batch {
-            if patches.shape().dims() != [self.num_patches, self.patch_dim] {
+            if patches.shape().dims() != [self.num_patches(), self.patch_dim()] {
                 return Err(VitalError::InvalidDataset(format!(
                     "patch matrix {:?} does not match model expectation [{}, {}]",
                     patches.shape().dims(),
-                    self.num_patches,
-                    self.patch_dim
+                    self.num_patches(),
+                    self.patch_dim()
                 )));
             }
         }
@@ -362,8 +510,21 @@ impl VisionTransformer {
     /// `[samples · num_patches, patch_dim]` patch matrix.
     fn build_graph(&self, samples: usize) -> std::result::Result<(Graph, ExprId), GraphError> {
         let mut g = Graph::new();
-        let stacked = g.input(samples * self.num_patches, self.patch_dim);
+        let stacked = g.input(samples * self.num_patches(), self.patch_dim());
         let logits = self.forward(&mut g, stacked, samples)?;
+        Ok((g, logits))
+    }
+
+    /// Records [`VisionTransformer::forward_folded`] for a `samples`-image
+    /// batch into an expression graph whose one input is the stacked
+    /// `[samples · distinct_patches, distinct_dim]` matrix.
+    fn build_folded_graph(
+        &self,
+        samples: usize,
+    ) -> std::result::Result<(Graph, ExprId), GraphError> {
+        let mut g = Graph::new();
+        let distinct = g.input(samples * self.distinct_patches(), self.distinct_dim());
+        let logits = self.forward_folded(&mut g, distinct, samples)?;
         Ok((g, logits))
     }
 }
@@ -532,15 +693,16 @@ mod tests {
             );
         }
         assert_eq!(vit.cached_plans(), 3, "one plan per batch shape");
-        // Second pass over the same shapes must reuse the cached plans.
-        let before = graph::stats::plans_built();
+        // Second pass over the same shapes must reuse the cached plans
+        // (asked of this model's cache: the process-wide build counter
+        // also counts the tests running beside this one).
         for batch_size in [1usize, 2, 8] {
-            let batch: Vec<Tensor> = (0..batch_size)
-                .map(|i| SeededRng::new(100 + i as u64).uniform_tensor(&[9, 48], -1.0, 1.0))
-                .collect();
-            vit.predict_batch(&batch).unwrap();
+            vit.plan_cache
+                .get_or_build(batch_size, vit.weight_stamp(), || {
+                    panic!("batch {batch_size} rebuilt on a hit")
+                })
+                .unwrap();
         }
-        assert_eq!(graph::stats::plans_built(), before, "no rebuilds on hit");
     }
 
     #[test]
@@ -598,33 +760,128 @@ mod tests {
 
     #[test]
     fn paper_plan_at_batch_16_moves_no_bytes_it_does_not_have_to() {
-        // The serve_bulk shape: one plan run of a batch-32 request.
+        // The serve_bulk shape: one plan run of a batch-32 request, in the
+        // folded form `localize_batch` serves.
         let config = VitalConfig::paper(206, 82);
         let mut rng = SeededRng::new(8);
         let vit = VisionTransformer::new(&mut rng, &config).unwrap();
-        let (g, out) = vit.build_graph(16).unwrap();
+        let (g, out) = vit.build_folded_graph(16).unwrap();
         let plan = graph::Compiler::new().compile(&g, out).unwrap();
         let count = |name: &str| plan.kernel_names().filter(|k| *k == name).count();
         let blocks = 16 * config.msa_heads * config.encoder_blocks;
-        // Every slice is a view a GEMM reads in place: none is copied out.
+        // Every slice is a view a GEMM or a tile add reads in place: none
+        // is copied out.
         assert_eq!(count("copy"), 0);
-        // The only vertical concat left joins each encoder block's sample
-        // outputs; the input arrives stacked and score blocks are never
-        // stacked.
-        assert_eq!(count("concat_rows"), config.encoder_blocks);
+        // Each sample's ten embedded rows are tiled onto the positional
+        // table by one step, and one vertical concat stacks the results;
+        // the only other one joins each encoder block's sample outputs.
+        assert_eq!(count("add_tile_rows"), 16);
+        assert_eq!(count("concat_rows"), config.encoder_blocks + 1);
         assert_eq!(count("softmax_rows"), blocks, "one softmax per block");
         // Two GEMMs per block, Q/K/V/O per encoder block, plus the patch
         // embedding and the MLPs.
         assert!(count("gemm") > 2 * blocks);
         // PR 12 compiled this shape to 562 steps in 116 slots of 22.56 MB,
-        // next to 16 patch tensors (7.68 MB) and their 7.68 MB stack.
-        assert!(plan.step_count() <= 271, "steps: {}", plan.step_count());
+        // next to 16 patch tensors (7.68 MB) and their 7.68 MB stack; until
+        // the fold the plan's arena was 8,192,000 bytes, 7.68 MB of it the
+        // stacked `[1600, 1200]` input.
+        assert!(plan.step_count() <= 287, "steps: {}", plan.step_count());
         assert!(plan.slot_count() <= 24, "slots: {}", plan.slot_count());
         assert!(
-            plan.arena_bytes() <= 8_192_000,
+            plan.arena_bytes() <= 2_700_000,
             "arena: {} bytes",
             plan.arena_bytes()
         );
+    }
+
+    /// The `[S², 3·P²]` patch matrix of the replicated image whose
+    /// distinct patch row is `distinct` (`[S, 3·P]`): what the DAM writes
+    /// at inference, rebuilt from what the folded path reads.
+    fn replicate(distinct: &Tensor, patch: usize) -> Tensor {
+        let per_side = distinct.shape().dims()[0];
+        let mut data = Vec::with_capacity(per_side * per_side * 3 * patch * patch);
+        for _patch_row in 0..per_side {
+            for row in distinct.as_slice().chunks_exact(3 * patch) {
+                for run in row.chunks_exact(patch) {
+                    (0..patch).for_each(|_| data.extend_from_slice(run));
+                }
+            }
+        }
+        Tensor::from_vec(data, &[per_side * per_side, 3 * patch * patch]).unwrap()
+    }
+
+    fn folded_logits(vit: &VisionTransformer, batch: &[Tensor]) -> Tensor {
+        let refs: Vec<&Tensor> = batch.iter().collect();
+        let tape = Tape::new();
+        let mut session = Session::new(&tape, false, 0);
+        let distinct = session.constant(Tensor::concat_rows(&refs).unwrap());
+        vit.forward_folded(&mut session, distinct, batch.len())
+            .unwrap()
+            .value()
+    }
+
+    #[test]
+    fn folded_forward_is_compiled_exactly_batches_exactly_and_tracks_the_full_width_form() {
+        let mut config = tiny_config();
+        config.encoder_blocks = 2;
+        let vit = VisionTransformer::new(&mut SeededRng::new(13), &config).unwrap();
+        assert_eq!((vit.distinct_patches(), vit.distinct_dim()), (3, 12));
+        let folded_predict = |batch: &[Tensor]| {
+            vit.predict_folded(batch.len(), |input| {
+                kernels::concat_rows(batch.iter().map(Tensor::as_slice), input);
+                Ok(())
+            })
+            .unwrap()
+        };
+        for batch_size in [1usize, 2, 8] {
+            let batch: Vec<Tensor> = (0..batch_size)
+                .map(|i| SeededRng::new(200 + i as u64).uniform_tensor(&[3, 12], -1.0, 1.0))
+                .collect();
+            let eager = folded_logits(&vit, &batch);
+            assert_eq!(eager.shape().dims(), &[batch_size, 8]);
+            // Compiled ≡ eager, and a batch is its samples one by one.
+            assert_eq!(folded_predict(&batch), eager.argmax_rows().unwrap());
+            for (i, sample) in batch.iter().enumerate() {
+                let single = folded_logits(&vit, std::slice::from_ref(sample));
+                assert_eq!(eager.row(i).unwrap(), single.row(0).unwrap());
+            }
+            // The full-width form over the replicated image differs by the
+            // rounding of one 48-term chain against one 12-term chain.
+            let images: Vec<Tensor> = batch.iter().map(|d| replicate(d, 4)).collect();
+            let tape = Tape::new();
+            let mut session = Session::new(&tape, false, 0);
+            let full = vit.forward_batch(&mut session, &images).unwrap().value();
+            for (a, b) in eager.as_slice().iter().zip(full.as_slice()) {
+                assert!((a - b).abs() < 1e-5, "folded {a} against full {b}");
+            }
+        }
+        // The two forms of one batch size are two plans, neither evicting
+        // the other.
+        let plans = vit.cached_plans();
+        let image = replicate(&Tensor::zeros(&[3, 12]), 4);
+        vit.predict(&image).unwrap();
+        folded_predict(&[Tensor::zeros(&[3, 12])]);
+        assert_eq!(vit.cached_plans(), plans + 1);
+    }
+
+    #[test]
+    fn folded_forward_rejects_an_input_that_is_not_its_samples_patch_rows() {
+        let vit = VisionTransformer::new(&mut SeededRng::new(14), &tiny_config()).unwrap();
+        let tape = Tape::new();
+        let mut session = Session::new(&tape, false, 0);
+        for dims in [[3, 12], [6, 11], [6, 48]] {
+            let bad = session.constant(Tensor::zeros(&dims));
+            assert!(
+                vit.forward_folded(&mut session, bad, 2).is_err(),
+                "{dims:?}"
+            );
+        }
+        assert!(vit.predict_folded(0, |_| Ok(())).is_err());
+        let refused = vit.predict_folded(2, |input| {
+            assert_eq!(input.len(), 2 * 3 * 12);
+            Err(VitalError::NotFitted)
+        });
+        assert!(matches!(refused, Err(VitalError::NotFitted)));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Warm compiled inference allocates a fixed handful of heap blocks per
 //! call, whatever the batch size, and none while the plan executes; a warm
-//! `localize_batch` never allocates a block the size of an image channel.
+//! `localize_batch` allocates three 1-D channels per observation and never
+//! a block larger than one of them.
 //!
 //! This binary installs a counting `#[global_allocator]`: the counts are
 //! kept per thread, so the harness's own threads and the other test cannot
@@ -127,22 +128,42 @@ fn warm_localize_batch_allocates_nothing_the_size_of_an_image() {
             seed: 1,
         },
     );
+    // The paper's 10 × 10 patch grid at a size a debug build trains on.
     let mut config = VitalConfig::fast(dataset.num_aps(), dataset.num_rps());
+    config.image_size = 120;
+    config.patch_size = 12;
     config.train.epochs = 1;
-    let image_bytes = config.image_size * config.image_size * std::mem::size_of::<f32>();
+    let channel_bytes = config.image_size * std::mem::size_of::<f32>();
     let mut model = VitalModel::new(config).unwrap();
-    model.fit(&dataset).unwrap();
     let batch = &dataset.observations()[..16];
+    let seen = FingerprintDataset::from_observations(
+        dataset.building(),
+        dataset.num_aps(),
+        dataset.num_rps(),
+        batch.to_vec(),
+    );
+    model.fit(&seen).unwrap();
     parallel::with_threads(1, || {
+        let before = allocs();
+        std::hint::black_box(model.transformer().weight_stamp());
+        let stamp_allocs = allocs() - before;
         // Warm-up: the plan for this batch size and its arena.
         let expected = model.localize_batch(batch).unwrap();
         LARGEST.set(0);
+        let before = allocs();
         assert_eq!(model.localize_batch(batch).unwrap(), expected);
-        let largest = LARGEST.get();
+        let (blocks, largest) = (allocs() - before, LARGEST.get());
         assert!(
-            largest < image_bytes,
-            "a warm localize_batch allocated a block of {largest} bytes; one channel of the \
-             replicated image is {image_bytes}, and the image is never to be materialised"
+            largest <= channel_bytes,
+            "a warm localize_batch allocated a block of {largest} bytes; one channel of the 1-D              image is {channel_bytes}, and nothing larger (a replicated row, a patch, the image) \
+             is ever to be materialised"
+        );
+        assert_eq!(
+            blocks,
+            stamp_allocs + 2 + 3 * batch.len() as u64,
+            "a warm localize_batch allocates for the weight stamp, the chunk's labels, the \
+             answer and the three resampled channels of each observation; the DAM normalises \
+             those straight into the plan's input"
         );
     });
 }

@@ -51,8 +51,29 @@ impl Dense {
     /// `in_features`.
     pub fn forward<T: Trace>(&self, t: &mut T, x: T::Node) -> Result<T::Node, T::Error> {
         let w = t.param(&self.weight)?;
+        self.forward_with(t, x, w)
+    }
+
+    /// The layer's `[in_features, out_features]` weight.
+    pub fn weight(&self) -> &Param {
+        &self.weight
+    }
+
+    /// [`Dense::forward`] with `weight` (any `[k, out_features]` value, `k`
+    /// the input's width) standing in for the layer's own: the bias, and
+    /// its fusion into the product, are the layer's.
+    ///
+    /// # Errors
+    /// Returns an error if the input's column count differs from
+    /// `weight`'s row count, or `weight`'s width from `out_features`.
+    pub fn forward_with<T: Trace>(
+        &self,
+        t: &mut T,
+        x: T::Node,
+        weight: T::Node,
+    ) -> Result<T::Node, T::Error> {
         let b = t.param(&self.bias)?;
-        let product = t.matmul(x, w, MatmulSpec::NN)?;
+        let product = t.matmul(x, weight, MatmulSpec::NN)?;
         t.add_row_broadcast(product, b)
     }
 }

@@ -90,6 +90,10 @@ impl<'t> Trace for Session<'t> {
         Ok(var)
     }
 
+    fn frozen(&mut self, value: Tensor) -> Result<Var<'t>> {
+        Ok(self.constant(value))
+    }
+
     fn matmul(&mut self, a: Var<'t>, b: Var<'t>, spec: MatmulSpec) -> Result<Var<'t>> {
         a.matmul_ex(b, spec)
     }

@@ -1,5 +1,5 @@
 use graph::{ExprId, Graph, GraphError};
-use tensor::{BinaryOp, MatmulSpec, TensorError, UnaryOp};
+use tensor::{BinaryOp, MatmulSpec, Tensor, TensorError, UnaryOp};
 
 use crate::{Activation, Param};
 
@@ -43,6 +43,10 @@ pub trait Trace {
     /// A model weight: a registered gradient leaf on the tape, a constant
     /// snapshot in the graph.
     fn param(&mut self, p: &Param) -> Result<Self::Node, Self::Error>;
+    /// A value frozen when the pass is recorded (a weight folded for
+    /// inference): a leaf no gradient reaches on the tape, a constant
+    /// snapshot in the graph.
+    fn frozen(&mut self, value: Tensor) -> Result<Self::Node, Self::Error>;
     /// `op(a) · op(b)` with the transposes `spec` names.
     fn matmul(
         &mut self,
@@ -121,6 +125,10 @@ impl Trace for Graph {
 
     fn param(&mut self, p: &Param) -> GraphResult {
         self.constant(p.value())
+    }
+
+    fn frozen(&mut self, value: Tensor) -> GraphResult {
+        self.constant(value)
     }
 
     fn matmul(&mut self, a: ExprId, b: ExprId, spec: MatmulSpec) -> GraphResult {

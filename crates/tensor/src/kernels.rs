@@ -65,6 +65,70 @@ pub fn add_tile_rows(out: &mut [f32], tile: &[f32]) {
     }
 }
 
+/// Folds a patch-embedding weight over the pixel rows of a patch: `w` is
+/// the row-major `[channels · patch · patch, cols]` weight of patches
+/// flattened channel by channel, pixel row by pixel row, and `out` the
+/// `[channels · patch, cols]` weight with
+/// `out[c·patch + px] = Σ_py w[(c·patch + py)·patch + px]`. Each sum starts
+/// from its `py = 0` row and adds the others in ascending `py`, so the
+/// result depends on nothing but `w`. A patch whose pixel rows are all one
+/// `patch`-pixel run per channel has the same product with `out` (over its
+/// `channels · patch` distinct values) as with `w`, up to rounding. `out`
+/// is fully overwritten.
+#[inline]
+pub fn fold_patch_rows(w: &[f32], patch: usize, cols: usize, out: &mut [f32]) {
+    let run = patch * cols;
+    if run == 0 {
+        return;
+    }
+    for (folded, block) in out.chunks_exact_mut(run).zip(w.chunks_exact(patch * run)) {
+        folded.copy_from_slice(&block[..run]);
+        for pixel_row in block.chunks_exact(run).skip(1) {
+            assign_each(folded, pixel_row, |f, v| f + v);
+        }
+    }
+}
+
+/// The zero-mean, unit-variance map of a set of values: the mean is their
+/// in-order sum over their count, the deviation the square root of the
+/// in-order mean of squared differences from it. Values whose deviation is
+/// (near) zero are only centred; an empty set maps everything to itself.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Standardizer {
+    mean: f32,
+    std: f32,
+}
+
+impl Standardizer {
+    /// Measures `values`.
+    #[inline]
+    pub fn of(values: &[f32]) -> Self {
+        if values.is_empty() {
+            return Standardizer {
+                mean: 0.0,
+                std: 0.0,
+            };
+        }
+        let count = values.len() as f32;
+        let mean = values.iter().sum::<f32>() / count;
+        let variance = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / count;
+        Standardizer {
+            mean,
+            std: variance.sqrt(),
+        }
+    }
+
+    /// One value standardised.
+    #[inline]
+    pub fn apply(&self, value: f32) -> f32 {
+        if self.std < 1e-8 {
+            value - self.mean
+        } else {
+            (value - self.mean) / self.std
+        }
+    }
+}
+
 /// Means each consecutive block of `block_rows` `cols`-wide rows of `src`
 /// into one row of `out`: the block's rows accumulate in order from zero,
 /// then scale once by `1 / block_rows`. `out` is fully overwritten.
@@ -189,4 +253,47 @@ pub fn argmax_rows(src: &[f32], cols: usize, out: &mut [usize]) -> Result<()> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::SeededRng;
+
+    #[test]
+    fn fold_patch_rows_is_the_ascending_sum_over_pixel_rows_bit_for_bit() {
+        // Magnitudes spread over six decades, so a sum taken in another
+        // order (or from a zero that is not the first row) rounds apart.
+        for (channels, patch, cols) in [(3, 20, 80), (3, 4, 5), (1, 1, 3), (2, 3, 0)] {
+            let mut rng = SeededRng::new(7);
+            let w: Vec<f32> = (0..channels * patch * patch * cols)
+                .map(|_| rng.uniform(-1.0, 1.0) * 10f32.powi(rng.uniform(-3.0, 3.0) as i32))
+                .collect();
+            let mut folded = vec![f32::NAN; channels * patch * cols];
+            fold_patch_rows(&w, patch, cols, &mut folded);
+            for c in 0..channels {
+                for px in 0..patch {
+                    for j in 0..cols {
+                        let at = |py: usize| w[((c * patch + py) * patch + px) * cols + j];
+                        let sum = (1..patch).fold(at(0), |sum, py| sum + at(py));
+                        let got = folded[(c * patch + px) * cols + j];
+                        assert_eq!(got.to_bits(), sum.to_bits(), "c {c}, px {px}, col {j}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn standardizer_centres_scales_and_leaves_a_constant_set_centred() {
+        let values = [-90.0, -70.0, -50.0, -30.0];
+        let s = Standardizer::of(&values);
+        let out: Vec<f32> = values.iter().map(|&v| s.apply(v)).collect();
+        assert!(out.iter().sum::<f32>().abs() < 1e-6);
+        assert!((out.iter().map(|v| v * v).sum::<f32>() / 4.0 - 1.0).abs() < 1e-6);
+        let flat = Standardizer::of(&[3.0; 5]);
+        assert_eq!(flat.apply(3.0), 0.0);
+        assert_eq!(flat.apply(4.0), 1.0);
+        assert_eq!(Standardizer::of(&[]).apply(2.5), 2.5);
+    }
 }

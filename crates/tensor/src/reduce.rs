@@ -1,6 +1,7 @@
 //! Reductions, statistics and normalisation helpers.
 
-use crate::{kernels, Result, Tensor, TensorError};
+use crate::kernels::{self, Standardizer};
+use crate::{Result, Tensor, TensorError};
 
 impl Tensor {
     /// Sum of all elements.
@@ -249,13 +250,8 @@ impl Tensor {
     ///
     /// If the standard deviation is (near) zero the tensor is only centred.
     pub fn standardize(&self) -> Tensor {
-        let m = self.mean();
-        let s = self.std();
-        if s < 1e-8 {
-            self.map(|v| v - m)
-        } else {
-            self.map(|v| (v - m) / s)
-        }
+        let standardizer = Standardizer::of(self.as_slice());
+        self.map(|v| standardizer.apply(v))
     }
 
     /// Frobenius / L2 norm of the tensor.

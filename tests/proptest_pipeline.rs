@@ -8,7 +8,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_radio::{benchmark_buildings, Channel};
 use tensor::rng::SeededRng;
-use vital::{DamConfig, DataAugmentationModule, LocalizationReport, RssiImageCreator};
+use tensor::Tensor;
+use vital::{
+    DamConfig, DataAugmentationModule, LocalizationReport, RssiImageCreator, VisionTransformer,
+    VitalConfig,
+};
+
+/// Worst distance allowed between a folded and a full-width logit, in units
+/// in the last place of the sample's largest logit (a logit near zero makes
+/// its own last place tiny). The worst over the property's cases is 13.
+const FOLD_MAX_ULP: u64 = 64;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -97,6 +106,60 @@ proptest! {
             out
         };
         prop_assert_eq!(patches(seed_a), patches(seed_b));
+    }
+
+    /// The folded forward answers what the full-width forward answers on
+    /// the patch matrix the DAM writes at inference, up to the rounding of
+    /// the patch embedding (one product of a weight pre-summed over pixel
+    /// rows against `patch_size` products in one chain): for random
+    /// weights, geometries (a ragged image edge included) and fingerprints,
+    /// every logit is within [`FOLD_MAX_ULP`] units in the last place of
+    /// its sample's largest logit.
+    #[test]
+    fn folded_and_full_width_logits_agree_to_rounding(
+        patch_size in 2usize..8,
+        per_side in 2usize..5,
+        ragged in 0usize..2,
+        weight_seed in 0u64..10_000,
+        capture_seed in 0u64..500,
+    ) {
+        let buildings = benchmark_buildings();
+        let building = &buildings[0];
+        let mut config = VitalConfig::fast(building.access_points().len(), 8);
+        config.patch_size = patch_size;
+        config.image_size = patch_size * per_side + ragged * (patch_size - 1);
+        config.encoder_blocks = 2;
+        let vit = VisionTransformer::new(&mut SeededRng::new(weight_seed), &config).unwrap();
+        let channel = Channel::new(building, capture_seed);
+        let mut rng = StdRng::seed_from_u64(capture_seed);
+        let samples = 3;
+        let dam = DataAugmentationModule::new(config.dam);
+        let (mut full, mut folded) = (Vec::new(), Vec::new());
+        for rp in building.reference_points().iter().take(samples) {
+            let observation = capture_observation(&channel, &all_devices()[1], rp, 4, &mut rng);
+            let image = RssiImageCreator::new(config.image_size).create(&observation).unwrap();
+            let mut patches = vec![f32::NAN; vit.num_patches() * vit.patch_dim()];
+            dam.write_patches(&image, patch_size, false, &mut SeededRng::new(0), &mut patches).unwrap();
+            full.push(Tensor::from_vec(patches, &[vit.num_patches(), vit.patch_dim()]).unwrap());
+            let mut rows = vec![f32::NAN; vit.distinct_patches() * vit.distinct_dim()];
+            dam.write_folded(&image, patch_size, &mut rows).unwrap();
+            folded.extend(rows);
+        }
+        let tape = autograd::Tape::new();
+        let mut session = nn::Session::new(&tape, false, 0);
+        let full = vit.forward_batch(&mut session, &full).unwrap().value();
+        let rows = samples * vit.distinct_patches();
+        let distinct = session.constant(Tensor::from_vec(folded, &[rows, vit.distinct_dim()]).unwrap());
+        let folded = vit.forward_folded(&mut session, distinct, samples).unwrap().value();
+        for (a, b) in folded.as_slice().chunks(8).zip(full.as_slice().chunks(8)) {
+            let largest = b.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+            // One unit in the last place of `largest`.
+            let ulp = f32::from_bits(largest.to_bits() + 1) - largest;
+            for (x, y) in a.iter().zip(b) {
+                let distance = ((x - y).abs() / ulp) as u64;
+                prop_assert!(distance <= FOLD_MAX_ULP, "{x} against {y}: {distance} ULP of {largest}");
+            }
+        }
     }
 
     /// Dataset train/test splits partition the data for any fraction.
