@@ -1,13 +1,12 @@
 //! The vision transformer adapted for indoor localization (paper §IV–V.B).
 //!
 //! The forward pass is written once against [`nn::Trace`] and has two
-//! entrances that meet after the positional add:
+//! forms that meet after the positional add:
 //!
 //! * [`VisionTransformer::forward`], the **full-width** form over the
-//!   stacked `[samples · N, 3·P²]` patch matrix. Training records it (the
-//!   DAM perturbs every replicated row, so no two patches are equal), and
-//!   [`VisionTransformer::predict_batch`] compiles it for caller-built
-//!   patch matrices, which may hold anything.
+//!   stacked `[samples · N, 3·P²]` patch matrix: what training records
+//!   (the DAM perturbs every replicated row, so no two patches are equal).
+//!   [`VisionTransformer::forward_batch`] runs it eagerly on a tape.
 //! * [`VisionTransformer::forward_folded`], the **folded** form over the
 //!   `[samples · S, 3·P]` matrix of what is distinct in a *replicated*
 //!   image (`S = ⌊R/P⌋`, `N = S²`): the online phase, where the DAM only
@@ -15,13 +14,14 @@
 //!   pixel rows ([`tensor::kernels::fold_patch_rows`], a plan constant) on
 //!   `S` rows per sample instead of `S²` rows `P` times as wide, and each
 //!   sample's `S` embedded rows are tiled `S` times onto the positional
-//!   table. [`VisionTransformer::predict_folded`] compiles it;
-//!   [`crate::VitalModel`] serves every observation through it.
+//!   table. [`VisionTransformer::predict_folded`] compiles it, the model's
+//!   one compiled inference entry; [`crate::VitalModel`] serves every
+//!   observation through it.
 //!
-//! Both forms are recorded by both recorders (eval tape = eager oracle,
-//! [`graph::Graph`] = compiled plan), so compiled ≡ eager, scalar ≡ AVX2
-//! and batch ≡ single hold for each by construction. Between the forms the
-//! logits agree to rounding: one product of a pre-summed weight against `P`
+//! The eval tape records both forms (the eager oracle) and [`graph::Graph`]
+//! the folded one (the compiled plan), so compiled ≡ eager, scalar ≡ AVX2
+//! and batch ≡ single hold by construction. Between the forms the logits
+//! agree to rounding: one product of a pre-summed weight against `P`
 //! products in one chain (`baselines/tests/inference_bits.rs` pins each).
 
 use autograd::Var;
@@ -153,13 +153,11 @@ pub struct VisionTransformer {
     patches_per_side: usize,
     num_classes: usize,
     dropout: f32,
-    /// Compiled inference plans keyed by `(batch, weight stamp)`. Clones
-    /// of the model share the cache (they share the weights too), so N
-    /// serving workers reuse one plan per batch shape.
-    plan_cache: PlanCache,
-    /// The plans of [`VisionTransformer::forward_folded`], keyed alike; a
-    /// batch size served both ways has one plan in each.
-    folded_plans: PlanCache,
+    /// Compiled plans of [`VisionTransformer::forward_folded`] keyed by
+    /// `(batch, weight stamp)`. Clones of the model share the cache (they
+    /// share the weights too), so N serving workers reuse one plan per
+    /// batch shape.
+    plans: PlanCache,
 }
 
 impl VisionTransformer {
@@ -215,8 +213,7 @@ impl VisionTransformer {
             patches_per_side: config.image_size / config.patch_size,
             num_classes: config.num_classes,
             dropout: config.train.dropout,
-            plan_cache: PlanCache::new(),
-            folded_plans: PlanCache::new(),
+            plans: PlanCache::new(),
         })
     }
 
@@ -250,8 +247,7 @@ impl VisionTransformer {
     /// Records the forward pass over `samples` images whose patch rows
     /// are stacked as one `[samples * num_patches, patch_dim]` matrix,
     /// producing `[samples, num_classes]` logits: the form training runs
-    /// (its replicated rows are perturbed, so no two patches are equal)
-    /// and the form of any caller-built patch matrix.
+    /// (its replicated rows are perturbed, so no two patches are equal).
     ///
     /// Executing the batch *stacked* makes the patch embedding, every
     /// layer-norm, every encoder MLP, every attention projection and the
@@ -356,8 +352,9 @@ impl VisionTransformer {
 
     /// [`VisionTransformer::forward`] of a batch of patch matrices on the
     /// tape, producing `[batch, num_classes]` logits: in an eval session
-    /// the eager oracle (training fills its stacked constant itself and
-    /// calls `forward`).
+    /// the eager full-width form the tests and `examples/fold_distance.rs`
+    /// hold the folded one against (training fills its stacked constant
+    /// itself and calls `forward`).
     ///
     /// # Errors
     /// Returns an error if the batch is empty or any patch matrix has the
@@ -370,71 +367,33 @@ impl VisionTransformer {
         if batch.is_empty() {
             return Err(VitalError::InvalidDataset("empty batch".into()));
         }
-        self.validate_batch(batch)?;
+        let expected = [self.num_patches(), self.patch_dim()];
+        if let Some(patches) = batch.iter().find(|p| p.shape().dims() != expected) {
+            return Err(VitalError::InvalidDataset(format!(
+                "patch matrix {:?} does not match model expectation {expected:?}",
+                patches.shape().dims()
+            )));
+        }
         let refs: Vec<&Tensor> = batch.iter().collect();
         let stacked = session.constant(Tensor::concat_rows(&refs)?);
         Ok(self.forward(session, stacked, batch.len())?)
     }
 
-    /// Inference: the predicted class of one patch matrix.
+    /// Batched inference over `samples` replicated images through a
+    /// **compiled plan** of [`VisionTransformer::forward_folded`], the
+    /// model's one compiled inference entry. The plan is built once per
+    /// `(batch size, weight stamp)` — bias adds, activations and residual
+    /// adds fused into their producing GEMMs, every intermediate in a
+    /// reused buffer arena — and then executed with zero tensor
+    /// allocations per call (`tests/warm_allocs.rs` pins the warm path's
+    /// heap allocations). Its predictions are the argmax of the eager
+    /// `forward_folded`'s logits, bit for bit.
     ///
-    /// # Errors
-    /// Returns an error if the patch matrix has the wrong shape.
-    pub fn predict(&self, patches: &Tensor) -> Result<usize> {
-        Ok(self.predict_batch(std::slice::from_ref(patches))?[0])
-    }
-
-    /// Batched inference through a **compiled plan**: the whole stacked
-    /// forward pass is built once per `(batch size, weight stamp)` — with
-    /// bias adds, activations and residual adds fused into their producing
-    /// GEMMs and all intermediates living in a reused buffer arena — and
-    /// then executed with zero tensor allocations per request. Output is
-    /// bit-identical to [`VisionTransformer::predict_batch_eager`]; the
-    /// property tests assert this, and `tests/warm_allocs.rs` pins the
-    /// warm path's heap allocations.
-    ///
-    /// The patch matrices are copied into the plan's input region; a
-    /// caller that can produce patches directly should write them there
-    /// itself through [`VisionTransformer::predict_filled`], which this
-    /// wraps. This is the full-width [`VisionTransformer::forward`]: a
-    /// caller's patches may hold anything, and only a replicated image
-    /// folds ([`VisionTransformer::predict_folded`]).
-    ///
-    /// # Errors
-    /// Returns an error if the batch is empty or any patch matrix has the
-    /// wrong shape.
-    pub fn predict_batch(&self, batch: &[Tensor]) -> Result<Vec<usize>> {
-        self.validate_batch(batch)?;
-        self.predict_filled(batch.len(), |stacked| {
-            kernels::concat_rows(batch.iter().map(Tensor::as_slice), stacked);
-            Ok(())
-        })
-    }
-
-    /// Compiled batched inference over `samples` images whose patches the
-    /// caller writes **in place**: `fill` receives the plan's input, the
-    /// stacked row-major `[samples · num_patches, patch_dim]` patch matrix
-    /// inside the execution arena, and must write all of it (sample `i`'s
-    /// patch rows at `i · num_patches`). No per-sample patch tensor and
-    /// no stacking copy exists on this path.
-    ///
-    /// # Errors
-    /// Returns an error if `samples` is zero, or whatever `fill` returns.
-    pub fn predict_filled(
-        &self,
-        samples: usize,
-        fill: impl FnOnce(&mut [f32]) -> Result<()>,
-    ) -> Result<Vec<usize>> {
-        let build = || self.build_graph(samples);
-        self.run_plan(&self.plan_cache, samples, build, fill)
-    }
-
-    /// Compiled batched inference over `samples` replicated images, the
-    /// plan of [`VisionTransformer::forward_folded`]: `fill` receives the
-    /// stacked row-major `[samples · distinct_patches, distinct_dim]`
-    /// input inside the execution arena and must write all of it (sample
-    /// `i`'s patch row at `i · distinct_patches`). The replicated image is
-    /// never materialised, in the arena or anywhere else.
+    /// `fill` receives the stacked row-major
+    /// `[samples · distinct_patches, distinct_dim]` input inside the
+    /// execution arena and must write all of it (sample `i`'s patch row at
+    /// `i · distinct_patches`). The replicated image is never materialised,
+    /// in the arena or anywhere else.
     ///
     /// # Errors
     /// Returns an error if `samples` is zero, or whatever `fill` returns.
@@ -443,23 +402,12 @@ impl VisionTransformer {
         samples: usize,
         fill: impl FnOnce(&mut [f32]) -> Result<()>,
     ) -> Result<Vec<usize>> {
-        let build = || self.build_folded_graph(samples);
-        self.run_plan(&self.folded_plans, samples, build, fill)
-    }
-
-    /// Runs the `samples`-image plan of `plans` (built by `build` on a
-    /// miss) on the input `fill` writes, and reads the predicted classes.
-    fn run_plan(
-        &self,
-        plans: &PlanCache,
-        samples: usize,
-        build: impl FnOnce() -> std::result::Result<(Graph, ExprId), GraphError>,
-        fill: impl FnOnce(&mut [f32]) -> Result<()>,
-    ) -> Result<Vec<usize>> {
         if samples == 0 {
             return Err(VitalError::InvalidDataset("empty batch".into()));
         }
-        let entry = plans.get_or_build(samples, self.weight_stamp(), build)?;
+        let build = || self.build_folded_graph(samples);
+        let stamp = self.weight_stamp();
+        let entry = self.plans.get_or_build(samples, stamp, build)?;
         entry.execute_with(fill, |logits| {
             let mut labels = vec![0; samples];
             kernels::argmax_rows(logits, self.num_classes, &mut labels)?;
@@ -467,52 +415,14 @@ impl VisionTransformer {
         })?
     }
 
-    /// Batched inference with the same [`VisionTransformer::forward`]
-    /// recorded on an eval-mode tape (one tensor per op, no fusion, no
-    /// arena): the bit-exactness oracle for the compiled path.
-    ///
-    /// # Errors
-    /// Returns an error if the batch is empty or any patch matrix has the
-    /// wrong shape.
-    pub fn predict_batch_eager(&self, batch: &[Tensor]) -> Result<Vec<usize>> {
-        let tape = autograd::Tape::new();
-        let mut session = Session::new(&tape, false, 0);
-        let logits = self.forward_batch(&mut session, batch)?.value();
-        Ok(logits.argmax_rows()?)
-    }
-
     /// Fingerprint of the current weights (folds every [`Param::version`]).
     pub fn weight_stamp(&self) -> u64 {
         nn::weight_stamp(&self.params())
     }
 
-    /// Number of compiled plans currently cached, full-width and folded.
+    /// Number of compiled plans currently cached.
     pub fn cached_plans(&self) -> usize {
-        self.plan_cache.len() + self.folded_plans.len()
-    }
-
-    fn validate_batch(&self, batch: &[Tensor]) -> Result<()> {
-        for patches in batch {
-            if patches.shape().dims() != [self.num_patches(), self.patch_dim()] {
-                return Err(VitalError::InvalidDataset(format!(
-                    "patch matrix {:?} does not match model expectation [{}, {}]",
-                    patches.shape().dims(),
-                    self.num_patches(),
-                    self.patch_dim()
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Records [`VisionTransformer::forward`] for a `samples`-image batch
-    /// into an expression graph whose one input is the stacked
-    /// `[samples · num_patches, patch_dim]` patch matrix.
-    fn build_graph(&self, samples: usize) -> std::result::Result<(Graph, ExprId), GraphError> {
-        let mut g = Graph::new();
-        let stacked = g.input(samples * self.num_patches(), self.patch_dim());
-        let logits = self.forward(&mut g, stacked, samples)?;
-        Ok((g, logits))
+        self.plans.len()
     }
 
     /// Records [`VisionTransformer::forward_folded`] for a `samples`-image
@@ -646,11 +556,6 @@ mod tests {
                 "sample {i} diverged between batched and single forward"
             );
         }
-        // predict_batch agrees with per-sample predict.
-        let preds = vit.predict_batch(&batch).unwrap();
-        for (i, patches) in batch.iter().enumerate() {
-            assert_eq!(preds[i], vit.predict(patches).unwrap());
-        }
     }
 
     #[test]
@@ -682,13 +587,11 @@ mod tests {
         let mut rng = SeededRng::new(40);
         let vit = VisionTransformer::new(&mut rng, &config).unwrap();
         for batch_size in [1usize, 2, 8] {
-            let batch: Vec<Tensor> = (0..batch_size)
-                .map(|i| SeededRng::new(100 + i as u64).uniform_tensor(&[9, 48], -1.0, 1.0))
-                .collect();
-            let eager = vit.predict_batch_eager(&batch).unwrap();
-            let compiled = vit.predict_batch(&batch).unwrap();
+            let batch = distinct_rows(100, batch_size);
+            let eager = folded_logits(&vit, &batch).argmax_rows().unwrap();
             assert_eq!(
-                compiled, eager,
+                predict(&vit, &batch),
+                eager,
                 "compiled plan diverged from eager at batch {batch_size}"
             );
         }
@@ -697,7 +600,7 @@ mod tests {
         // (asked of this model's cache: the process-wide build counter
         // also counts the tests running beside this one).
         for batch_size in [1usize, 2, 8] {
-            vit.plan_cache
+            vit.plans
                 .get_or_build(batch_size, vit.weight_stamp(), || {
                     panic!("batch {batch_size} rebuilt on a hit")
                 })
@@ -710,20 +613,17 @@ mod tests {
         let config = tiny_config();
         let mut rng = SeededRng::new(41);
         let vit = VisionTransformer::new(&mut rng, &config).unwrap();
-        let patches = SeededRng::new(42).uniform_tensor(&[9, 48], -1.0, 1.0);
-        let before = vit.predict(&patches).unwrap();
+        let batch = distinct_rows(42, 1);
+        predict(&vit, &batch);
         assert_eq!(vit.cached_plans(), 1);
         let stamp_before = vit.weight_stamp();
         // Mutate a weight the way the optimizer would.
         let p = &vit.params()[0];
         p.set_value(p.value().scale(0.5));
         assert_ne!(vit.weight_stamp(), stamp_before);
-        let after_compiled = vit.predict(&patches).unwrap();
-        let after_eager = vit
-            .predict_batch_eager(std::slice::from_ref(&patches))
-            .unwrap()[0];
         assert_eq!(
-            after_compiled, after_eager,
+            predict(&vit, &batch),
+            folded_logits(&vit, &batch).argmax_rows().unwrap(),
             "post-update prediction must come from a fresh plan"
         );
         assert_eq!(
@@ -731,7 +631,6 @@ mod tests {
             1,
             "stale plan evicted, fresh one cached"
         );
-        let _ = before;
     }
 
     #[test]
@@ -739,11 +638,8 @@ mod tests {
         let config = tiny_config();
         let mut rng = SeededRng::new(6);
         let vit = VisionTransformer::new(&mut rng, &config).unwrap();
-        let patches = SeededRng::new(7).uniform_tensor(&[9, 48], -1.0, 1.0);
-        assert_eq!(
-            vit.predict(&patches).unwrap(),
-            vit.predict(&patches).unwrap()
-        );
+        let batch = distinct_rows(7, 1);
+        assert_eq!(predict(&vit, &batch), predict(&vit, &batch));
     }
 
     #[test]
@@ -810,6 +706,15 @@ mod tests {
         Tensor::from_vec(data, &[per_side * per_side, 3 * patch * patch]).unwrap()
     }
 
+    /// `samples` seeded `[S, 3·P]` distinct patch rows of the tiny config,
+    /// the `i`-th from seed `first_seed + i`.
+    fn distinct_rows(first_seed: u64, samples: usize) -> Vec<Tensor> {
+        (0..samples as u64)
+            .map(|i| SeededRng::new(first_seed + i).uniform_tensor(&[3, 12], -1.0, 1.0))
+            .collect()
+    }
+
+    /// Eager logits of the folded forward over `batch`.
     fn folded_logits(vit: &VisionTransformer, batch: &[Tensor]) -> Tensor {
         let refs: Vec<&Tensor> = batch.iter().collect();
         let tape = Tape::new();
@@ -820,27 +725,27 @@ mod tests {
             .value()
     }
 
+    /// Compiled predictions of the folded forward over `batch`.
+    fn predict(vit: &VisionTransformer, batch: &[Tensor]) -> Vec<usize> {
+        vit.predict_folded(batch.len(), |input| {
+            kernels::concat_rows(batch.iter().map(Tensor::as_slice), input);
+            Ok(())
+        })
+        .unwrap()
+    }
+
     #[test]
     fn folded_forward_is_compiled_exactly_batches_exactly_and_tracks_the_full_width_form() {
         let mut config = tiny_config();
         config.encoder_blocks = 2;
         let vit = VisionTransformer::new(&mut SeededRng::new(13), &config).unwrap();
         assert_eq!((vit.distinct_patches(), vit.distinct_dim()), (3, 12));
-        let folded_predict = |batch: &[Tensor]| {
-            vit.predict_folded(batch.len(), |input| {
-                kernels::concat_rows(batch.iter().map(Tensor::as_slice), input);
-                Ok(())
-            })
-            .unwrap()
-        };
         for batch_size in [1usize, 2, 8] {
-            let batch: Vec<Tensor> = (0..batch_size)
-                .map(|i| SeededRng::new(200 + i as u64).uniform_tensor(&[3, 12], -1.0, 1.0))
-                .collect();
+            let batch = distinct_rows(200, batch_size);
             let eager = folded_logits(&vit, &batch);
             assert_eq!(eager.shape().dims(), &[batch_size, 8]);
             // Compiled ≡ eager, and a batch is its samples one by one.
-            assert_eq!(folded_predict(&batch), eager.argmax_rows().unwrap());
+            assert_eq!(predict(&vit, &batch), eager.argmax_rows().unwrap());
             for (i, sample) in batch.iter().enumerate() {
                 let single = folded_logits(&vit, std::slice::from_ref(sample));
                 assert_eq!(eager.row(i).unwrap(), single.row(0).unwrap());
@@ -855,13 +760,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-5, "folded {a} against full {b}");
             }
         }
-        // The two forms of one batch size are two plans, neither evicting
-        // the other.
-        let plans = vit.cached_plans();
-        let image = replicate(&Tensor::zeros(&[3, 12]), 4);
-        vit.predict(&image).unwrap();
-        folded_predict(&[Tensor::zeros(&[3, 12])]);
-        assert_eq!(vit.cached_plans(), plans + 1);
     }
 
     #[test]
@@ -877,37 +775,21 @@ mod tests {
             );
         }
         assert!(vit.predict_folded(0, |_| Ok(())).is_err());
-        let refused = vit.predict_folded(2, |input| {
-            assert_eq!(input.len(), 2 * 3 * 12);
-            Err(VitalError::NotFitted)
-        });
-        assert!(matches!(refused, Err(VitalError::NotFitted)));
     }
 
     #[test]
-    fn predict_filled_matches_predict_batch_and_propagates_fill_errors() {
-        let config = tiny_config();
-        let mut rng = SeededRng::new(12);
-        let vit = VisionTransformer::new(&mut rng, &config).unwrap();
-        let batch: Vec<Tensor> = (0..3)
-            .map(|i| SeededRng::new(50 + i).uniform_tensor(&[9, 48], -1.0, 1.0))
-            .collect();
-        let filled = vit
-            .predict_filled(3, |stacked| {
-                assert_eq!(stacked.len(), 3 * 9 * 48);
-                for (dst, patches) in stacked.chunks_exact_mut(9 * 48).zip(&batch) {
-                    dst.copy_from_slice(patches.as_slice());
-                }
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(filled, vit.predict_batch(&batch).unwrap());
-        assert_eq!(filled, vit.predict_batch_eager(&batch).unwrap());
-        assert!(vit.predict_filled(0, |_| Ok(())).is_err());
-        let refused = vit.predict_filled(3, |_| Err(VitalError::NotFitted));
+    fn a_failing_fill_returns_its_arena_and_the_next_call_serves() {
+        let vit = VisionTransformer::new(&mut SeededRng::new(12), &tiny_config()).unwrap();
+        let batch = distinct_rows(50, 3);
+        let served = predict(&vit, &batch);
+        let refused = vit.predict_folded(3, |input| {
+            assert_eq!(input.len(), 3 * 3 * 12);
+            Err(VitalError::NotFitted)
+        });
         assert!(matches!(refused, Err(VitalError::NotFitted)));
         // The arena a failed fill held went back to the pool and serves on.
-        assert_eq!(vit.predict_batch(&batch).unwrap(), filled);
+        assert_eq!(predict(&vit, &batch), served);
+        assert_eq!(served, folded_logits(&vit, &batch).argmax_rows().unwrap());
     }
 
     #[test]
@@ -916,7 +798,6 @@ mod tests {
         config.encoder_blocks = 2;
         let mut rng = SeededRng::new(9);
         let vit = VisionTransformer::new(&mut rng, &config).unwrap();
-        let patches = SeededRng::new(10).uniform_tensor(&[9, 48], -1.0, 1.0);
-        assert!(vit.predict(&patches).unwrap() < 8);
+        assert!(predict(&vit, &distinct_rows(10, 1))[0] < 8);
     }
 }

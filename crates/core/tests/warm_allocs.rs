@@ -55,7 +55,7 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// Allocations of one warm `predict_filled` call: `(whole call, after the
+/// Allocations of one warm `predict_folded` call: `(whole call, after the
 /// fill closure returned)`. The second number covers the plan's execution
 /// and the argmax that builds the answer.
 fn warm_call(vit: &VisionTransformer, samples: usize) -> (u64, u64) {
@@ -69,12 +69,12 @@ fn warm_call(vit: &VisionTransformer, samples: usize) -> (u64, u64) {
     // Warm-up: builds the plan for this batch size, its first arena and the
     // thread's GEMM packing scratch.
     let warm = Cell::new(0);
-    let expected = vit.predict_filled(samples, |x| fill(x, &warm)).unwrap();
+    let expected = vit.predict_folded(samples, |x| fill(x, &warm)).unwrap();
 
     let filled_at = Cell::new(0);
     let before = allocs();
     let predictions = vit
-        .predict_filled(samples, |x| fill(x, &filled_at))
+        .predict_folded(samples, |x| fill(x, &filled_at))
         .unwrap();
     let after = allocs();
     assert_eq!(predictions, expected);
@@ -90,7 +90,7 @@ fn warm_call(vit: &VisionTransformer, samples: usize) -> (u64, u64) {
 const WARM_ALLOCS: u64 = 21;
 
 #[test]
-fn warm_predict_filled_allocates_the_same_handful_at_every_batch_size() {
+fn warm_predict_folded_allocates_the_same_handful_at_every_batch_size() {
     let vit = VisionTransformer::new(&mut SeededRng::new(3), &VitalConfig::fast(18, 8)).unwrap();
     parallel::with_threads(1, || {
         let before = allocs();

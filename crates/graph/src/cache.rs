@@ -164,11 +164,6 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Drops every cached plan.
-    pub fn clear(&self) {
-        self.plans.lock().expect("plan cache poisoned").clear();
-    }
-
     /// Returns the plan for `(batch, stamp)`, building it with `build` on
     /// a miss.
     ///

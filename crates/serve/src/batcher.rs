@@ -36,9 +36,11 @@
 //! * **Fault containment** — each model group runs under `catch_unwind`,
 //!   so a panicking model fails only its own batch (typed
 //!   [`JobFailure::Failed`] replies, `jobs_failed` metric) and the worker
-//!   keeps serving. A worker killed outright (e.g. by the fault-injection
-//!   harness) is restarted by the supervisor thread with capped
-//!   exponential backoff; `worker_restarts` and `live_workers` make the
+//!   keeps serving. A batch the model refuses (it returns `Err`, say for
+//!   one client's fingerprint of another access-point count) is rerun job
+//!   by job, so only the refused jobs fail. A worker killed outright
+//!   (e.g. by the fault-injection harness) is restarted by the supervisor
+//!   thread with capped exponential backoff; `worker_restarts` and `live_workers` make the
 //!   degradation and recovery observable.
 //! * **Staleness shedding** — every job carries its admission time and an
 //!   optional deadline; a worker answers already-expired jobs with
@@ -793,8 +795,10 @@ fn dispatch_loop(
 
 /// Groups the drained `jobs` by model (preserving arrival order within
 /// each group), sheds expired jobs, runs one `localize_batch` per group
-/// under `catch_unwind` and fans results back out. Leaves `jobs` empty so
-/// the dispatch loop can refill it.
+/// under `catch_unwind` and fans results back out. A group of several jobs
+/// the model refuses is rerun job by job, so one client's refused
+/// observation fails only its own request. Leaves `jobs` empty so the
+/// dispatch loop can refill it.
 fn execute(
     worker_id: usize,
     registry: &Registry,
@@ -857,17 +861,45 @@ fn execute(
                     }
                 }
             }
-            Err(message) => {
-                metrics
-                    .jobs_failed
-                    .fetch_add(group.len() as u64, Ordering::Relaxed);
-                let failure = JobFailure::Failed(message);
-                for job in &group {
-                    let _ = job.reply.send(Err(failure.clone()));
+            Err(error) if error.refused && group.len() > 1 => {
+                // The refusal may be one job's observations only (a
+                // fingerprint of another access-point count): run each job
+                // on its own so the others still get their answers.
+                let mut offset = 0;
+                for (job, take) in group.iter().zip(lengths) {
+                    let alone = &batch[offset..offset + take];
+                    offset += take;
+                    match run_model(registry, &model, alone, config) {
+                        Ok(predictions) => {
+                            let _ = job.reply.send(Ok(predictions));
+                        }
+                        Err(error) => fail(std::slice::from_ref(job), error.message, metrics),
+                    }
                 }
             }
+            Err(error) => fail(&group, error.message, metrics),
         }
     }
+}
+
+/// Answers every job of `jobs` with the model's failure.
+fn fail(jobs: &[Job], message: String, metrics: &Metrics) {
+    metrics
+        .jobs_failed
+        .fetch_add(jobs.len() as u64, Ordering::Relaxed);
+    let failure = JobFailure::Failed(message);
+    for job in jobs {
+        let _ = job.reply.send(Err(failure.clone()));
+    }
+}
+
+/// Why a model group produced no predictions.
+struct RunError {
+    /// `localize_batch` returned an error: the model refused something in
+    /// the batch, perhaps one job's observations only. Otherwise the run
+    /// panicked or answered the wrong number of observations.
+    refused: bool,
+    message: String,
 }
 
 /// Runs one model group under `catch_unwind`: a panicking model — poisoned
@@ -881,11 +913,15 @@ fn run_model(
     model: &str,
     batch: &[FingerprintObservation],
     config: &BatcherConfig,
-) -> Result<Vec<usize>, String> {
+) -> Result<Vec<usize>, RunError> {
+    let broken = |message| RunError {
+        refused: false,
+        message,
+    };
     // Unreachable in practice: names are validated against the catalog
     // before enqueueing.
     let Some(localizer) = registry.get(Some(model)) else {
-        return Err(format!("model {model:?} is not loaded"));
+        return Err(broken(format!("model {model:?} is not loaded")));
     };
     let run = || localizer.localize_batch(batch);
     let executed =
@@ -894,25 +930,22 @@ fn run_model(
             None => run(),
         }));
     match executed {
-        Ok(outcome) => outcome
-            .map_err(|e| format!("model {model:?} failed: {e}"))
-            .and_then(|predictions| {
-                // A short/long result would make the fan-out slicing panic
-                // the worker; degrade this batch instead.
-                if predictions.len() == batch.len() {
-                    Ok(predictions)
-                } else {
-                    Err(format!(
-                        "model {model:?} returned {} predictions for {} observations",
-                        predictions.len(),
-                        batch.len()
-                    ))
-                }
-            }),
-        Err(payload) => Err(format!(
+        Ok(Err(e)) => Err(RunError {
+            refused: true,
+            message: format!("model {model:?} failed: {e}"),
+        }),
+        Ok(Ok(predictions)) if predictions.len() == batch.len() => Ok(predictions),
+        // A short/long result would make the fan-out slicing panic the
+        // worker; degrade this batch instead.
+        Ok(Ok(predictions)) => Err(broken(format!(
+            "model {model:?} returned {} predictions for {} observations",
+            predictions.len(),
+            batch.len()
+        ))),
+        Err(payload) => Err(broken(format!(
             "model {model:?} panicked: {}",
             panic_message(payload.as_ref())
-        )),
+        ))),
     }
 }
 
@@ -1212,6 +1245,70 @@ mod tests {
         assert_eq!(metrics.jobs_failed.load(Ordering::Relaxed), 1);
         drop(client);
         join_all(handles);
+    }
+
+    /// A model that refuses any batch holding an observation whose width
+    /// is not 1, as `VitalModel` refuses one of another access-point count.
+    struct OneApLocalizer;
+
+    impl Localizer for OneApLocalizer {
+        fn name(&self) -> &str {
+            "OneAp"
+        }
+        fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
+            Ok(())
+        }
+        fn localize_batch(
+            &self,
+            observations: &[fingerprint::FingerprintObservation],
+        ) -> VitalResult<Vec<usize>> {
+            if observations.iter().any(|o| o.mean.len() != 1) {
+                return Err(VitalError::InvalidDataset(
+                    "wrong access-point count".into(),
+                ));
+            }
+            EchoLocalizer.localize_batch(observations)
+        }
+    }
+
+    #[test]
+    fn a_refused_observation_fails_only_its_own_job() {
+        let registry = Arc::new(Registry::from_models(vec![(
+            "one".into(),
+            Box::new(OneApLocalizer),
+        )]));
+        let metrics = Arc::new(Metrics::new());
+        let (client, handles) = start(
+            registry,
+            BatcherConfig {
+                max_batch: 8,
+                // A long window coalesces both jobs into one batch.
+                max_wait: Duration::from_millis(200),
+                queue_cap: 16,
+                workers: 1,
+                threads: Some(1),
+                ..BatcherConfig::default()
+            },
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        let two_aps = FingerprintObservation {
+            min: vec![-2.0; 2],
+            max: vec![-2.0; 2],
+            mean: vec![-2.0; 2],
+            ..obs(0.0)
+        };
+        let (tx_ok, rx_ok) = mpsc::sync_channel(1);
+        let (tx_bad, rx_bad) = mpsc::sync_channel(1);
+        client.submit(job("one", vec![obs(-4.0)], tx_ok)).unwrap();
+        client.submit(job("one", vec![two_aps], tx_bad)).unwrap();
+        assert_eq!(rx_ok.recv().unwrap().unwrap(), vec![4]);
+        let err = rx_bad.recv().unwrap().unwrap_err();
+        assert!(err.to_string().contains("access-point count"), "{err}");
+        drop(client);
+        join_all(handles);
+        assert_eq!(metrics.total_batches(), 1, "both jobs ran as one batch");
+        assert_eq!(metrics.jobs_failed.load(Ordering::Relaxed), 1);
     }
 
     #[test]

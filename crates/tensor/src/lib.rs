@@ -56,7 +56,7 @@ mod shape;
 mod tensor_impl;
 
 pub use error::TensorError;
-pub use matmul::{gemm_ex_into_at, gemm_strided_into_at, MatmulSpec};
+pub use matmul::{gemm_strided_into_at, MatmulSpec};
 pub use named_ops::{BinaryOp, UnaryOp, GELU_COEFF, SQRT_2_OVER_PI};
 pub use shape::Shape;
 pub use tensor_impl::Tensor;

@@ -233,43 +233,20 @@ fn gemm_band(
 ///
 /// Operand slices are stored row-major *before* the transpose is applied:
 /// with `trans_a` set, `a` holds a `k × m` matrix; with `trans_b` set, `b`
-/// holds an `n × k` matrix.
-///
-/// # Panics
-/// Panics if a slice length does not match its stated dimensions — callers
-/// (the plan compiler) establish shapes statically, so a mismatch is a
-/// programming error rather than a data error.
-#[allow(clippy::too_many_arguments)] // the GEMM's dims, operands, spec and level
-pub fn gemm_ex_into_at(
-    level: simd::Level,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    spec: MatmulSpec,
-    out: &mut [f32],
-) {
-    assert_eq!(a.len(), m * k, "gemm_ex_into_at: A length vs m × k");
-    assert_eq!(b.len(), k * n, "gemm_ex_into_at: B length vs k × n");
-    let lda = if spec.trans_a { m } else { k };
-    let ldb = if spec.trans_b { k } else { n };
-    gemm_strided_into_at(level, m, k, n, (a, lda), (b, ldb), spec, out);
-}
-
-/// [`gemm_ex_into_at`] over operands read **in place out of larger
-/// buffers**: each is `(data, row_stride)`, `data` starting at the
-/// operand's first element and consecutive stored rows lying `row_stride`
-/// apart, so a row or column window of a matrix multiplies without being
-/// copied out first (a compiled plan's slice views). With
-/// `row_stride` = stored columns this *is* [`gemm_ex_into_at`]; the
-/// stride only changes where elements are fetched from, never the order
-/// they are accumulated in.
+/// holds an `n × k` matrix. Each operand is `(data, row_stride)`, `data`
+/// starting at the operand's first element and consecutive stored rows
+/// lying `row_stride` apart, so a row or column window of a matrix
+/// multiplies **in place** without being copied out first (a compiled
+/// plan's slice views). A dense operand's stride is its stored column
+/// count; the stride only changes where elements are fetched from, never
+/// the order they are accumulated in.
 ///
 /// # Panics
 /// Panics if an operand's last live element lies outside its slice or
-/// `out` is not `m · n` long.
-#[allow(clippy::too_many_arguments)] // gemm_ex_into_at plus the two strides
+/// `out` is not `m · n` long — callers (the plan compiler) establish
+/// shapes statically, so a mismatch is a programming error rather than a
+/// data error.
+#[allow(clippy::too_many_arguments)] // the GEMM's dims, strided operands, spec and level
 pub fn gemm_strided_into_at(
     level: simd::Level,
     m: usize,
@@ -431,26 +408,6 @@ impl Tensor {
     pub fn matmul_nt(&self, other: &Tensor) -> Result<Tensor> {
         self.matmul_ex(other, MatmulSpec::NT)
     }
-
-    /// Dot product of two rank-1 tensors.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::ShapeMismatch`] if lengths differ.
-    pub fn dot(&self, other: &Tensor) -> Result<f32> {
-        if self.len() != other.len() {
-            return Err(TensorError::ShapeMismatch {
-                op: "dot",
-                lhs: self.shape().dims().to_vec(),
-                rhs: other.shape().dims().to_vec(),
-            });
-        }
-        Ok(self
-            .as_slice()
-            .iter()
-            .zip(other.as_slice())
-            .map(|(a, b)| a * b)
-            .sum())
-    }
 }
 
 #[cfg(test)]
@@ -592,12 +549,13 @@ mod tests {
             let naive = naive_bits(m, k, n, &a, &b);
             for level in [simd::Level::Scalar, simd::Level::Avx2] {
                 let mut out = vec![f32::NAN; m * n];
-                gemm_ex_into_at(level, m, k, n, &a, &b, MatmulSpec::NN, &mut out);
+                gemm_strided_into_at(level, m, k, n, (&a, k), (&b, n), MatmulSpec::NN, &mut out);
                 let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(got, naive, "{level:?} ({m}x{k}x{n})");
             }
             let mut fma = vec![f32::NAN; m * n];
-            gemm_ex_into_at(simd::Level::Fma, m, k, n, &a, &b, MatmulSpec::NN, &mut fma);
+            let (a, b) = ((a.as_slice(), k), (b.as_slice(), n));
+            gemm_strided_into_at(simd::Level::Fma, m, k, n, a, b, MatmulSpec::NN, &mut fma);
             for (idx, (got, want)) in fma.iter().zip(&naive).enumerate() {
                 let want = f32::from_bits(*want);
                 assert!(
@@ -656,13 +614,13 @@ mod tests {
         );
         // The degenerate empty sum is still all zeros, not stale output.
         let mut out = [f32::NAN; 4];
-        gemm_ex_into_at(
+        gemm_strided_into_at(
             simd::active_level(),
             2,
             0,
             2,
-            &[],
-            &[],
+            (&[], 0),
+            (&[], 2),
             MatmulSpec::NN,
             &mut out,
         );
@@ -718,7 +676,8 @@ mod tests {
             let expected = a.matmul_ex(&b, spec).unwrap();
             let mut out = vec![f32::NAN; m * n];
             let level = simd::active_level();
-            gemm_ex_into_at(level, m, k, n, a.as_slice(), b.as_slice(), spec, &mut out);
+            let (a, b) = ((a.as_slice(), a_dims[1]), (b.as_slice(), b_dims[1]));
+            gemm_strided_into_at(level, m, k, n, a, b, spec, &mut out);
             assert_eq!(out.as_slice(), expected.as_slice(), "{spec:?}");
         }
     }
@@ -754,9 +713,9 @@ mod tests {
             let a_view = &parent_a.as_slice()[2 * lda + 3..][..(ar - 1) * lda + ac];
             let b_view = &parent_b.as_slice()[2 * ldb + 3..][..(br - 1) * ldb + bc];
             for level in [simd::Level::Scalar, simd::Level::Avx2, simd::Level::Fma] {
-                let (a_dense, b_dense) = (a_dense.as_slice(), b_dense.as_slice());
+                let (a_dense, b_dense) = ((a_dense.as_slice(), ac), (b_dense.as_slice(), bc));
                 let mut expected = vec![f32::NAN; m * n];
-                gemm_ex_into_at(level, m, k, n, a_dense, b_dense, spec, &mut expected);
+                gemm_strided_into_at(level, m, k, n, a_dense, b_dense, spec, &mut expected);
                 let mut out = vec![f32::NAN; m * n];
                 gemm_strided_into_at(level, m, k, n, (a_view, lda), (b_view, ldb), spec, &mut out);
                 assert_eq!(out, expected, "{spec:?} at {level:?}");
@@ -776,9 +735,10 @@ mod tests {
 
     #[test]
     fn dot_product() {
+        // Two rank-1 operands: a row times a column, their dot product.
         let a = t(&[1.0, 2.0, 3.0], &[3]);
         let b = t(&[4.0, 5.0, 6.0], &[3]);
-        assert_eq!(a.dot(&b).unwrap(), 32.0);
-        assert!(a.dot(&Tensor::zeros(&[2])).is_err());
+        assert_eq!(a.matmul(&b).unwrap().as_slice(), &[32.0]);
+        assert!(a.matmul(&Tensor::zeros(&[2])).is_err());
     }
 }

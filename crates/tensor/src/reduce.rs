@@ -1,6 +1,6 @@
 //! Reductions, statistics and normalisation helpers.
 
-use crate::kernels::{self, Standardizer};
+use crate::kernels;
 use crate::{Result, Tensor, TensorError};
 
 impl Tensor {
@@ -246,14 +246,6 @@ impl Tensor {
         Ok((r, c))
     }
 
-    /// Standardises all elements to zero mean and unit variance.
-    ///
-    /// If the standard deviation is (near) zero the tensor is only centred.
-    pub fn standardize(&self) -> Tensor {
-        let standardizer = Standardizer::of(self.as_slice());
-        self.map(|v| standardizer.apply(v))
-    }
-
     /// Frobenius / L2 norm of the tensor.
     pub fn norm(&self) -> f32 {
         self.as_slice().iter().map(|v| v * v).sum::<f32>().sqrt()
@@ -376,14 +368,6 @@ mod tests {
         }
         // Mismatched gamma/beta lengths are rejected.
         assert!(m.layer_norm_rows(&t(&[1.0], &[1]), &beta, 1e-5).is_err());
-    }
-
-    #[test]
-    fn standardize_and_minmax() {
-        let a = t(&[-90.0, -70.0, -50.0], &[3]);
-        let s = a.standardize();
-        assert!(s.mean().abs() < 1e-6);
-        assert!((s.std() - 1.0).abs() < 1e-5);
     }
 
     #[test]

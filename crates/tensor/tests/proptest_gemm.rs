@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use simd::Level;
 use tensor::rng::SeededRng;
-use tensor::{gemm_ex_into_at, MatmulSpec, Tensor};
+use tensor::{gemm_strided_into_at, MatmulSpec, Tensor};
 
 const SPECS: [(MatmulSpec, &str); 4] = [
     (MatmulSpec::NN, "NN"),
@@ -85,12 +85,13 @@ fn check_all_variants(
         let a_dims = if spec.trans_a { [k, m] } else { [m, k] };
         let b_dims = if spec.trans_b { [n, k] } else { [k, n] };
         let (a_mat, b_mat) = (a.reshape(&a_dims).unwrap(), b.reshape(&b_dims).unwrap());
+        let (a_dense, b_dense) = ((a.as_slice(), a_dims[1]), (b.as_slice(), b_dims[1]));
         for &threads in thread_counts {
             let label = format!("{name} ({m}x{k}x{n}) threads={threads}");
             for level in [Level::Scalar, Level::Avx2, Level::Fma] {
                 let mut out = vec![f32::NAN; m * n];
                 parallel::with_threads(threads, || {
-                    gemm_ex_into_at(level, m, k, n, a.as_slice(), b.as_slice(), spec, &mut out);
+                    gemm_strided_into_at(level, m, k, n, a_dense, b_dense, spec, &mut out);
                 });
                 check_against_naive(level, &out, &naive, &label)?;
             }

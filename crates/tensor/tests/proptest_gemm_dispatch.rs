@@ -12,14 +12,14 @@
 //! rounding, so it is only ULP-bounded against scalar.
 //!
 //! `VITAL_SIMD` latches once per process, so these properties pin levels
-//! explicitly through [`tensor::gemm_ex_into_at`]; on a scalar-only host
+//! explicitly through [`tensor::gemm_strided_into_at`]; on a scalar-only host
 //! the pinned vector levels clamp down to scalar and the properties check
 //! reflexivity, passing (vacuously for the cross-level part) everywhere.
 
 use proptest::prelude::*;
 use simd::Level;
 use tensor::rng::SeededRng;
-use tensor::{gemm_ex_into_at, MatmulSpec};
+use tensor::{gemm_strided_into_at, MatmulSpec};
 
 /// Bit pattern distance in units-in-the-last-place, walking through zero
 /// for opposite signs.
@@ -83,7 +83,8 @@ fn inputs(m: usize, k: usize, n: usize, seed: u64, lo: f32, hi: f32) -> (Vec<f32
 
 /// Run one GEMM at a pinned level. `spec` reinterprets the row-major
 /// buffers, so A is `m×k` when read normal and `k×m` when read transposed;
-/// the flat lengths `m·k` / `k·n` are valid either way.
+/// the flat lengths `m·k` / `k·n` are valid either way, each operand dense
+/// (its stride is its stored column count).
 fn run_at(
     level: Level,
     m: usize,
@@ -93,8 +94,10 @@ fn run_at(
     b: &[f32],
     spec: MatmulSpec,
 ) -> Vec<f32> {
+    let lda = if spec.trans_a { m } else { k };
+    let ldb = if spec.trans_b { k } else { n };
     let mut out = vec![0.0f32; m * n];
-    gemm_ex_into_at(level, m, k, n, a, b, spec, &mut out);
+    gemm_strided_into_at(level, m, k, n, (a, lda), (b, ldb), spec, &mut out);
     out
 }
 
