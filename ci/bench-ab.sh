@@ -14,6 +14,9 @@ pairs=${2:-3}
 if ! git diff --quiet "$base" -- benchmark BENCHMARK.json; then
     echo "bench-ab: the benchmark itself differs from $base, so the two sides would not be"
     echo "bench-ab: measured alike; the baseline is re-measured after merge. Nothing to judge."
+    echo "bench-ab: differing paths (a rewritten benchmark/Cargo.lock is restored with"
+    echo "bench-ab: \`git checkout -- benchmark/Cargo.lock\`):"
+    git diff --name-only "$base" -- benchmark BENCHMARK.json | sed 's/^/bench-ab:   /'
     exit 0
 fi
 

@@ -1,30 +1,37 @@
-//! The compact binary wire format backing VITAL model checkpoints.
+//! The little-endian primitives VITAL checkpoints are written in.
 //!
-//! `binio` implements the vendored `serde` data model (`serde::ser::Serializer`
-//! / `serde::de::Deserializer`) over a fixed little-endian layout:
+//! A [`Writer`] appends values to a buffer and a [`Reader`] takes them back
+//! off a byte slice, in the order the caller names them:
 //!
 //! | value | encoding |
 //! |---|---|
 //! | `bool` | one byte, `0`/`1` (anything else is a typed error) |
-//! | `u8`/`u16`/`u32`/`u64`/`i64` | fixed-width little-endian |
-//! | `usize` | `u64` |
-//! | `f32`/`f64` | IEEE-754 bit pattern as `u32`/`u64` — NaN payloads survive, round-trips are **bit-exact** |
+//! | `u8`/`u32`/`u64` | fixed-width little-endian |
+//! | `f32`/`f64` | IEEE-754 bit pattern as `u32`/`u64`: NaN payloads survive, round-trips are **bit-exact** |
 //! | `str` | `u64` byte length + UTF-8 bytes |
-//! | sequence | `u64` element count + elements |
-//! | struct | one byte field count (cheap structural validation) + fields in declaration order |
-//! | enum variant | `u32` variant index |
+//! | length | `u64` element count |
 //!
-//! The format is *non-self-describing*: readers must know the type they are
-//! decoding, which is exactly the checkpoint use case. Every failure mode —
-//! truncation, trailing garbage, invalid booleans/UTF-8, absurd length
-//! claims — surfaces as a typed [`BinError`], never a panic.
+//! The format is *not self-describing*: the reader must know what comes
+//! next, which is exactly the checkpoint case (`vital::Checkpoint` spells
+//! out its fields in both directions). Every failure mode (truncation,
+//! trailing garbage, invalid booleans or UTF-8, a length the remaining
+//! input cannot back) surfaces as a typed [`BinError`], never a panic, and
+//! nothing is allocated for a claim before the bytes behind it are known
+//! to be there.
 //!
 //! # Example
 //! ```
-//! let bytes = binio::to_bytes(&vec![1.0f32, f32::NAN]).unwrap();
-//! let back: Vec<f32> = binio::from_bytes(&bytes).unwrap();
+//! let mut w = binio::Writer::new();
+//! w.str("weights");
+//! w.f32s(&[1.0, f32::NAN]);
+//! let bytes = w.into_bytes();
+//!
+//! let mut r = binio::Reader::new(&bytes);
+//! assert_eq!(r.str().unwrap(), "weights");
+//! let back = r.f32s(2).unwrap();
 //! assert_eq!(back[0], 1.0);
 //! assert!(back[1].is_nan());
+//! r.finish().unwrap();
 //! ```
 
 #![forbid(unsafe_code)]
@@ -34,10 +41,7 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::de::{Deserialize, Deserializer};
-use serde::ser::{Serialize, Serializer};
-
-/// Typed decoding/encoding failures of the binary format.
+/// Typed decoding failures of the binary format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BinError {
     /// The input ended before a value could be fully read.
@@ -56,7 +60,7 @@ pub enum BinError {
     InvalidBool(u8),
     /// A string's bytes were not valid UTF-8.
     InvalidUtf8,
-    /// A struct header did not match the expected type.
+    /// A struct's field-count byte did not match the expected type.
     StructMismatch {
         /// Struct the decoder expected.
         name: &'static str,
@@ -109,292 +113,275 @@ impl fmt::Display for BinError {
 
 impl Error for BinError {}
 
-/// Serializer writing the binary layout into an owned buffer.
+/// Appends values in the binary layout to an owned buffer.
 #[derive(Debug, Default)]
-pub struct BinSerializer {
+pub struct Writer {
     buf: Vec<u8>,
 }
 
-impl BinSerializer {
-    /// Creates an empty serializer.
+impl Writer {
+    /// Creates an empty writer.
     pub fn new() -> Self {
-        BinSerializer::default()
+        Writer::default()
     }
 
-    /// Consumes the serializer, returning the encoded bytes.
+    /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
-}
 
-impl Serializer for BinSerializer {
-    type Error = BinError;
+    /// Appends raw bytes (a magic number) with no length prefix.
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
 
-    fn serialize_bool(&mut self, v: bool) -> Result<(), BinError> {
+    /// Appends a boolean as one `0`/`1` byte.
+    pub fn bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
-        Ok(())
     }
 
-    fn serialize_u8(&mut self, v: u8) -> Result<(), BinError> {
+    /// Appends one byte.
+    pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
-        Ok(())
     }
 
-    fn serialize_u16(&mut self, v: u16) -> Result<(), BinError> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        Ok(())
+    /// Appends a little-endian `u32`.
+    pub fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
     }
 
-    fn serialize_u32(&mut self, v: u32) -> Result<(), BinError> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        Ok(())
+    /// Appends a little-endian `u64`.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
     }
 
-    fn serialize_u64(&mut self, v: u64) -> Result<(), BinError> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        Ok(())
+    /// Appends a `usize` (an element count, a dimension) as a `u64`.
+    pub fn usize(&mut self, v: usize) {
+        self.u64(v as u64);
     }
 
-    fn serialize_i64(&mut self, v: i64) -> Result<(), BinError> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        Ok(())
+    /// Appends an `f32` as its bit pattern.
+    pub fn f32(&mut self, v: f32) {
+        self.u32(v.to_bits());
     }
 
-    fn serialize_f32(&mut self, v: f32) -> Result<(), BinError> {
-        self.serialize_u32(v.to_bits())
+    /// Appends each `f32` of `v` as its bit pattern, with no length prefix.
+    pub fn f32s(&mut self, v: &[f32]) {
+        self.buf.reserve(4 * v.len());
+        for &x in v {
+            self.f32(x);
+        }
     }
 
-    fn serialize_f64(&mut self, v: f64) -> Result<(), BinError> {
-        self.serialize_u64(v.to_bits())
+    /// Appends an `f64` as its bit pattern.
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
     }
 
-    fn serialize_str(&mut self, v: &str) -> Result<(), BinError> {
-        self.serialize_u64(v.len() as u64)?;
-        self.buf.extend_from_slice(v.as_bytes());
-        Ok(())
-    }
-
-    fn serialize_seq(&mut self, len: usize) -> Result<(), BinError> {
-        self.serialize_u64(len as u64)
-    }
-
-    fn serialize_struct(&mut self, _name: &'static str, fields: usize) -> Result<(), BinError> {
-        debug_assert!(fields <= u8::MAX as usize, "structs cap at 255 fields");
-        self.buf.push(fields as u8);
-        Ok(())
-    }
-
-    fn serialize_variant(&mut self, _name: &'static str, index: u32) -> Result<(), BinError> {
-        self.serialize_u32(index)
+    /// Appends a string as its `u64` byte length and its UTF-8 bytes.
+    pub fn str(&mut self, v: &str) {
+        self.usize(v.len());
+        self.bytes(v.as_bytes());
     }
 }
 
-/// Deserializer reading the binary layout from a byte slice.
+/// Takes values in the binary layout off the front of a byte slice.
+///
+/// Every read fails with [`BinError::UnexpectedEof`] if the input ends
+/// first; the other errors are named where a read can raise them.
 #[derive(Debug)]
-pub struct BinDeserializer<'a> {
+pub struct Reader<'a> {
     input: &'a [u8],
-    pos: usize,
 }
 
-impl<'a> BinDeserializer<'a> {
-    /// Creates a deserializer over `input`.
+impl<'a> Reader<'a> {
+    /// Creates a reader over `input`.
     pub fn new(input: &'a [u8]) -> Self {
-        BinDeserializer { input, pos: 0 }
+        Reader { input }
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.input.len() - self.pos
+    /// Requires the whole input to have been consumed
+    /// ([`BinError::TrailingBytes`] otherwise).
+    pub fn finish(&self) -> Result<(), BinError> {
+        match self.input.len() {
+            0 => Ok(()),
+            extra => Err(BinError::TrailingBytes { extra }),
+        }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], BinError> {
-        if self.remaining() < n {
+    /// Takes the next `n` raw bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], BinError> {
+        let Some((head, rest)) = self.input.split_at_checked(n) else {
             return Err(BinError::UnexpectedEof {
                 needed: n,
-                remaining: self.remaining(),
+                remaining: self.input.len(),
             });
-        }
-        let slice = &self.input[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
+        };
+        self.input = rest;
+        Ok(head)
     }
 
-    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], BinError> {
-        let slice = self.take(N)?;
-        // `take(N)` returned exactly N bytes, so the conversion cannot
-        // fail — but the checkpoint loader must never panic on corrupt
-        // input, so the impossible case maps to an error all the same.
-        slice.try_into().map_err(|_| BinError::UnexpectedEof {
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], BinError> {
+        let (bytes, _) = self.bytes(N)?.as_chunks::<N>();
+        // `bytes(N)` returned exactly N bytes, so this is one chunk.
+        bytes.first().copied().ok_or(BinError::UnexpectedEof {
             needed: N,
-            remaining: slice.len(),
+            remaining: 0,
         })
     }
-}
 
-impl Deserializer for BinDeserializer<'_> {
-    type Error = BinError;
-
-    fn deserialize_bool(&mut self) -> Result<bool, BinError> {
-        let [byte] = self.take_array::<1>()?;
-        match byte {
+    /// Reads a `0`/`1` boolean byte ([`BinError::InvalidBool`] otherwise).
+    pub fn bool(&mut self) -> Result<bool, BinError> {
+        match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
             other => Err(BinError::InvalidBool(other)),
         }
     }
 
-    fn deserialize_u8(&mut self) -> Result<u8, BinError> {
-        let [byte] = self.take_array::<1>()?;
+    /// Reads one byte.
+    pub fn u8(&mut self) -> Result<u8, BinError> {
+        let [byte] = self.array()?;
         Ok(byte)
     }
 
-    fn deserialize_u16(&mut self) -> Result<u16, BinError> {
-        Ok(u16::from_le_bytes(self.take_array()?))
+    /// Reads a little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, BinError> {
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
-    fn deserialize_u32(&mut self) -> Result<u32, BinError> {
-        Ok(u32::from_le_bytes(self.take_array()?))
+    /// Reads a little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, BinError> {
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
-    fn deserialize_u64(&mut self) -> Result<u64, BinError> {
-        Ok(u64::from_le_bytes(self.take_array()?))
+    /// Reads a `u64` that must fit a `usize` ([`BinError::InvalidData`]
+    /// otherwise).
+    pub fn usize(&mut self) -> Result<usize, BinError> {
+        let v = self.u64()?;
+        usize::try_from(v).map_err(|_| BinError::InvalidData(format!("{v} does not fit usize")))
     }
 
-    fn deserialize_i64(&mut self) -> Result<i64, BinError> {
-        Ok(i64::from_le_bytes(self.take_array()?))
+    /// Reads the element count of a sequence whose every element takes at
+    /// least `min_bytes` bytes, so a caller may reserve the count it
+    /// returns: a claim the remaining input cannot back is a
+    /// [`BinError::LengthOverflow`] before anything is allocated.
+    pub fn len(&mut self, min_bytes: usize) -> Result<usize, BinError> {
+        let claimed = self.u64()?;
+        let remaining = self.input.len();
+        usize::try_from(claimed)
+            .ok()
+            .filter(|&n| n.saturating_mul(min_bytes.max(1)) <= remaining)
+            .ok_or(BinError::LengthOverflow { claimed, remaining })
     }
 
-    fn deserialize_f32(&mut self) -> Result<f32, BinError> {
-        Ok(f32::from_bits(self.deserialize_u32()?))
+    /// Reads an `f32` from its bit pattern.
+    pub fn f32(&mut self) -> Result<f32, BinError> {
+        Ok(f32::from_bits(self.u32()?))
     }
 
-    fn deserialize_f64(&mut self) -> Result<f64, BinError> {
-        Ok(f64::from_bits(self.deserialize_u64()?))
+    /// Reads `n` `f32`s from their bit patterns, allocating only once the
+    /// `4·n` bytes are known to be there ([`BinError::LengthOverflow`]
+    /// otherwise).
+    pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, BinError> {
+        let remaining = self.input.len();
+        let bytes = n.checked_mul(4).filter(|&b| b <= remaining);
+        let bytes = bytes.ok_or(BinError::LengthOverflow {
+            claimed: n as u64,
+            remaining,
+        })?;
+        let (words, _) = self.bytes(bytes)?.as_chunks::<4>();
+        Ok(words.iter().map(|&w| f32::from_le_bytes(w)).collect())
     }
 
-    fn deserialize_str(&mut self) -> Result<String, BinError> {
-        let len = self.deserialize_u64()?;
-        if len > self.remaining() as u64 {
-            return Err(BinError::LengthOverflow {
-                claimed: len,
-                remaining: self.remaining(),
-            });
-        }
-        let bytes = self.take(len as usize)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| BinError::InvalidUtf8)
+    /// Reads an `f64` from its bit pattern.
+    pub fn f64(&mut self) -> Result<f64, BinError> {
+        Ok(f64::from_bits(self.u64()?))
     }
 
-    fn deserialize_seq(&mut self) -> Result<usize, BinError> {
-        let len = self.deserialize_u64()?;
-        // Every element occupies at least one byte on the wire, so a claim
-        // beyond the remaining input is corrupt by construction.
-        if len > self.remaining() as u64 {
-            return Err(BinError::LengthOverflow {
-                claimed: len,
-                remaining: self.remaining(),
-            });
-        }
-        Ok(len as usize)
+    /// Reads a `u64`-length-prefixed UTF-8 string
+    /// ([`BinError::InvalidUtf8`] for bad bytes).
+    pub fn str(&mut self) -> Result<String, BinError> {
+        let len = self.len(1)?;
+        let bytes = self.bytes(len)?;
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
+            .map_err(|_| BinError::InvalidUtf8)
     }
 
-    fn deserialize_struct(&mut self, name: &'static str, fields: usize) -> Result<(), BinError> {
-        let [count] = self.take_array::<1>()?;
-        let found = count as usize;
-        if found != fields {
+    /// Reads a struct's field-count byte and requires it to be `expected`
+    /// ([`BinError::StructMismatch`] naming `name` otherwise).
+    pub fn fields(&mut self, name: &'static str, expected: u8) -> Result<(), BinError> {
+        let found = self.u8()?;
+        if found != expected {
             return Err(BinError::StructMismatch {
                 name,
-                expected: fields,
-                found,
+                expected: expected.into(),
+                found: found.into(),
             });
         }
         Ok(())
     }
-
-    fn deserialize_variant(&mut self, _name: &'static str) -> Result<u32, BinError> {
-        self.deserialize_u32()
-    }
-
-    fn invalid_data(&self, msg: &str) -> BinError {
-        BinError::InvalidData(msg.to_string())
-    }
-
-    fn seq_capacity_hint(&self, claimed_len: usize) -> usize {
-        claimed_len.min(self.remaining())
-    }
-}
-
-/// Serializes `value` into the binary layout.
-///
-/// # Errors
-/// Returns a [`BinError`] if the value reports one (in-memory encoding
-/// itself cannot fail).
-pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, BinError> {
-    let mut serializer = BinSerializer::new();
-    value.serialize(&mut serializer)?;
-    Ok(serializer.into_bytes())
-}
-
-/// Deserializes a `T` from `bytes`, requiring the whole input to be
-/// consumed.
-///
-/// # Errors
-/// Returns a [`BinError`] on truncated, corrupt or trailing input.
-pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, BinError> {
-    let mut deserializer = BinDeserializer::new(bytes);
-    let value = T::deserialize(&mut deserializer)?;
-    if deserializer.remaining() != 0 {
-        return Err(BinError::TrailingBytes {
-            extra: deserializer.remaining(),
-        });
-    }
-    Ok(value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn round_trip<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(value: T) {
-        let bytes = to_bytes(&value).unwrap();
-        let back: T = from_bytes(&bytes).unwrap();
-        assert_eq!(back, value);
-    }
-
     #[test]
     fn primitives_round_trip() {
-        round_trip(true);
-        round_trip(false);
-        round_trip(0xABu8);
-        round_trip(0xBEEFu16);
-        round_trip(0xDEADBEEFu32);
-        round_trip(u64::MAX);
-        round_trip(-42i64);
-        round_trip(123usize);
-        round_trip(1.5f32);
-        round_trip(-0.0f64);
-        round_trip(String::from("héllo"));
-        round_trip(vec![1u32, 2, 3]);
-        round_trip(Some(7u32));
-        round_trip(Option::<u32>::None);
-        round_trip((String::from("k"), 9u64));
+        let mut w = Writer::new();
+        w.bool(true);
+        w.bool(false);
+        w.u8(0xAB);
+        w.u32(0xDEAD_BEEF);
+        w.u64(u64::MAX);
+        w.usize(123);
+        w.f32(1.5);
+        w.f64(-0.0);
+        w.str("héllo");
+        w.str("");
+        let bytes = w.into_bytes();
+
+        let mut r = Reader::new(&bytes);
+        assert!(r.bool().unwrap());
+        assert!(!r.bool().unwrap());
+        assert_eq!(r.u8().unwrap(), 0xAB);
+        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(r.u64().unwrap(), u64::MAX);
+        assert_eq!(r.usize().unwrap(), 123);
+        assert_eq!(r.f32().unwrap(), 1.5);
+        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(r.str().unwrap(), "héllo");
+        assert_eq!(r.str().unwrap(), "");
+        r.finish().unwrap();
     }
 
     #[test]
     fn nan_bit_patterns_survive() {
         let weird = f32::from_bits(0x7FC0_1234); // NaN with payload
-        let bytes = to_bytes(&weird).unwrap();
-        let back: f32 = from_bytes(&bytes).unwrap();
-        assert_eq!(back.to_bits(), weird.to_bits());
-        let inf_bytes = to_bytes(&f64::NEG_INFINITY).unwrap();
-        let inf: f64 = from_bytes(&inf_bytes).unwrap();
-        assert_eq!(inf, f64::NEG_INFINITY);
+        let mut w = Writer::new();
+        w.f32(weird);
+        w.f64(f64::NEG_INFINITY);
+        w.f32s(&[weird, f32::INFINITY]);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.f32().unwrap().to_bits(), weird.to_bits());
+        assert_eq!(r.f64().unwrap(), f64::NEG_INFINITY);
+        let back = r.f32s(2).unwrap();
+        assert_eq!(back[0].to_bits(), weird.to_bits());
+        assert_eq!(back[1], f32::INFINITY);
     }
 
     #[test]
     fn truncated_input_is_a_typed_error() {
-        let bytes = to_bytes(&vec![1.0f32, 2.0, 3.0]).unwrap();
+        let mut w = Writer::new();
+        w.usize(3);
+        w.f32s(&[1.0, 2.0, 3.0]);
+        let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
-            let result: Result<Vec<f32>, _> = from_bytes(&bytes[..cut]);
+            let mut r = Reader::new(&bytes[..cut]);
+            let result = r.len(4).and_then(|n| r.f32s(n));
             assert!(
                 matches!(
                     result,
@@ -407,30 +394,54 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = to_bytes(&7u32).unwrap();
-        bytes.push(0);
-        let result: Result<u32, _> = from_bytes(&bytes);
-        assert_eq!(result, Err(BinError::TrailingBytes { extra: 1 }));
+        let mut w = Writer::new();
+        w.u32(7);
+        w.u8(0);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.u32(), Ok(7));
+        assert_eq!(r.finish(), Err(BinError::TrailingBytes { extra: 1 }));
     }
 
     #[test]
     fn invalid_bool_and_utf8_are_typed() {
-        let result: Result<bool, _> = from_bytes(&[7]);
-        assert_eq!(result, Err(BinError::InvalidBool(7)));
+        assert_eq!(Reader::new(&[7]).bool(), Err(BinError::InvalidBool(7)));
 
-        let mut bad_str = to_bytes(&2u64).unwrap(); // claims 2 bytes
-        bad_str.extend_from_slice(&[0xFF, 0xFE]); // invalid UTF-8
-        let result: Result<String, _> = from_bytes(&bad_str);
-        assert_eq!(result, Err(BinError::InvalidUtf8));
+        let mut w = Writer::new();
+        w.usize(2); // claims 2 bytes
+        w.bytes(&[0xFF, 0xFE]); // invalid UTF-8
+        assert_eq!(
+            Reader::new(&w.into_bytes()).str(),
+            Err(BinError::InvalidUtf8)
+        );
+
+        let mut r = Reader::new(&[3]);
+        assert!(matches!(
+            r.fields("Tensor", 2),
+            Err(BinError::StructMismatch { found: 3, .. })
+        ));
     }
 
     #[test]
     fn absurd_length_claims_do_not_allocate() {
         // A sequence header claiming u64::MAX elements with no backing
         // bytes must fail fast instead of trying to reserve memory.
-        let bytes = to_bytes(&u64::MAX).unwrap();
-        let result: Result<Vec<u8>, _> = from_bytes(&bytes);
-        assert!(matches!(result, Err(BinError::LengthOverflow { .. })));
+        let mut w = Writer::new();
+        w.u64(u64::MAX);
+        w.u64(u64::MAX / 8);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert!(matches!(r.len(1), Err(BinError::LengthOverflow { .. })));
+        // Eight bytes remain, so a claim of one u64 would pass: each
+        // element's width is part of the check.
+        assert!(matches!(
+            Reader::new(&bytes[8..]).len(8),
+            Err(BinError::LengthOverflow { .. })
+        ));
+        assert!(matches!(
+            Reader::new(&[]).f32s(usize::MAX),
+            Err(BinError::LengthOverflow { .. })
+        ));
     }
 
     #[test]

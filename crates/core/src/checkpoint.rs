@@ -5,15 +5,32 @@
 //!
 //! ```text
 //! ┌──────────────┬───────────────┬──────────────────────────────┐
-//! │ magic (8 B)  │ version (u32) │ binio-encoded Checkpoint     │
+//! │ magic (8 B)  │ version (u32) │ Checkpoint fields            │
 //! │ "VITALCKP"   │ little-endian │ (kind, configs, states, ...) │
 //! └──────────────┴───────────────┴──────────────────────────────┘
 //! ```
 //!
+//! The fields follow in [`binio`]'s primitives (little-endian integers,
+//! floats as raw bits, a string as its `u64` length and UTF-8 bytes). A
+//! struct opens with its field-count byte and a list or table with its
+//! `u64` length:
+//!
+//! | field | encoding |
+//! |---|---|
+//! | envelope | count `8`, then the eight rows below |
+//! | kind | [`ModelKind`] index, `u32` |
+//! | VITAL config | `0`, or `1` and count `11`: seven `u64`s (`num_aps` … `encoder_blocks`), the `u64` lists `encoder_mlp_hidden` and `head_hidden`, the DAM config and the training config (count `5`: `u64 u64 f32 f32 u64`) |
+//! | DAM config | `0`, or `1` and count `3`: `normalize` byte, `f32`, `f32` |
+//! | scalars, ints, texts, tensors, states | a table of `(name, value)`: `f64`; `u64` list; string; tensor; table of `(name, tensor)` |
+//! | tensor | count `2`, `u64` rank, `u64` dims, `u64` length, raw `f32` bits |
+//!
 //! The header is parsed before any payload decoding, so foreign files fail
 //! with [`CheckpointError::BadMagic`] and files from a future format fail
 //! with [`CheckpointError::UnsupportedVersion`] — both typed, never a
-//! panic. Payload corruption surfaces as [`CheckpointError::Corrupt`].
+//! panic. Payload corruption surfaces as [`CheckpointError::Corrupt`]. No
+//! length is allocated before the input is known to hold it: a tensor's
+//! volume is multiplied out with checked arithmetic and its `4·volume`
+//! bytes must remain before its data is read.
 //!
 //! # Version policy
 //!
@@ -42,10 +59,10 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
+use binio::{BinError, Reader, Writer};
 use tensor::Tensor;
 
-use crate::{DamConfig, Result, VitalConfig, VitalError};
+use crate::{DamConfig, Result, TrainConfig, VitalConfig, VitalError};
 
 /// Leading bytes of every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"VITALCKP";
@@ -53,11 +70,21 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"VITALCKP";
 /// Current checkpoint format version (see the module docs for the policy).
 pub const CHECKPOINT_VERSION: u32 = 1;
 
+/// The field-count byte each struct opens with (version 1's layout).
+const CHECKPOINT_FIELDS: u8 = 8;
+const VITAL_CONFIG_FIELDS: u8 = 11;
+const DAM_CONFIG_FIELDS: u8 = 3;
+const TRAIN_CONFIG_FIELDS: u8 = 5;
+const TENSOR_FIELDS: u8 = 2;
+
+/// The fewest bytes a tensor occupies: its count byte, rank and length.
+const TENSOR_MIN_BYTES: usize = 17;
+
 /// Which localizer family a checkpoint belongs to.
 ///
 /// The discriminant is part of the wire format: variants must only ever be
 /// appended, never reordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelKind {
     /// The VITAL vision-transformer model.
     Vital,
@@ -84,6 +111,19 @@ impl ModelKind {
             ModelKind::WiDeep => "WiDeep",
             ModelKind::Anvil => "ANVIL",
         }
+    }
+
+    /// The kind whose discriminant is `index`.
+    fn from_index(index: u32) -> Option<Self> {
+        Some(match index {
+            0 => ModelKind::Vital,
+            1 => ModelKind::Knn,
+            2 => ModelKind::Sherpa,
+            3 => ModelKind::CnnLoc,
+            4 => ModelKind::WiDeep,
+            5 => ModelKind::Anvil,
+            _ => return None,
+        })
     }
 }
 
@@ -169,7 +209,7 @@ impl From<CheckpointError> for VitalError {
 /// dicts, standalone tensors, integer arrays, floating-point scalars and
 /// strings. Models decide which entries they need; the envelope only
 /// guarantees typed, validated round-trips.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     kind: ModelKind,
     vital_config: Option<VitalConfig>,
@@ -328,17 +368,29 @@ impl Checkpoint {
     }
 
     /// Serializes the checkpoint into its on-disk byte form (header +
-    /// payload).
+    /// fields, laid out as the module docs describe).
     ///
     /// # Errors
-    /// Returns [`CheckpointError::Corrupt`] if encoding fails.
+    /// None: encoding into memory cannot fail.
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
-        let payload = binio::to_bytes(self).map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
-        let mut bytes = Vec::with_capacity(12 + payload.len());
-        bytes.extend_from_slice(&CHECKPOINT_MAGIC);
-        bytes.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        Ok(bytes)
+        let mut w = Writer::new();
+        w.bytes(&CHECKPOINT_MAGIC);
+        w.u32(CHECKPOINT_VERSION);
+        w.u8(CHECKPOINT_FIELDS);
+        w.u32(self.kind as u32);
+        write_option(&mut w, self.vital_config.as_ref(), write_vital_config);
+        write_option(&mut w, self.dam_config.as_ref(), write_dam_config);
+        write_table(&mut w, &self.scalars, |w, &v| w.f64(v));
+        write_table(&mut w, &self.ints, |w, values| {
+            w.usize(values.len());
+            values.iter().for_each(|&v| w.u64(v));
+        });
+        write_table(&mut w, &self.texts, |w, text| w.str(text));
+        write_table(&mut w, &self.tensors, write_tensor);
+        write_table(&mut w, &self.states, |w, state| {
+            write_table(w, state, write_tensor)
+        });
+        Ok(w.into_bytes())
     }
 
     /// Parses a checkpoint from its on-disk byte form, validating magic and
@@ -349,10 +401,11 @@ impl Checkpoint {
     /// [`CheckpointError::UnsupportedVersion`] or
     /// [`CheckpointError::Corrupt`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < 12 || bytes[..8] != CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic.into());
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+        let mut r = Reader::new(bytes);
+        let version = match (r.bytes(CHECKPOINT_MAGIC.len()), r.u32()) {
+            (Ok(magic), Ok(version)) if magic == CHECKPOINT_MAGIC => version,
+            _ => return Err(CheckpointError::BadMagic.into()),
+        };
         if version != CHECKPOINT_VERSION {
             return Err(CheckpointError::UnsupportedVersion {
                 found: version,
@@ -360,7 +413,9 @@ impl Checkpoint {
             }
             .into());
         }
-        binio::from_bytes(&bytes[12..]).map_err(|e| CheckpointError::Corrupt(e.to_string()).into())
+        read_checkpoint(&mut r)
+            .and_then(|ckpt| r.finish().map(|()| ckpt))
+            .map_err(|e| CheckpointError::Corrupt(e.to_string()).into())
     }
 
     /// Writes the checkpoint to `path`, creating parent directories.
@@ -413,6 +468,177 @@ fn lookup<'a, T>(entries: &'a [(String, T)], name: &str) -> Result<&'a T> {
             }
             .into()
         })
+}
+
+fn write_option<T>(w: &mut Writer, value: Option<&T>, write: impl FnOnce(&mut Writer, &T)) {
+    w.bool(value.is_some());
+    if let Some(value) = value {
+        write(w, value);
+    }
+}
+
+fn write_table<T>(w: &mut Writer, entries: &[(String, T)], mut write: impl FnMut(&mut Writer, &T)) {
+    w.usize(entries.len());
+    for (name, value) in entries {
+        w.str(name);
+        write(w, value);
+    }
+}
+
+fn write_usizes(w: &mut Writer, values: &[usize]) {
+    w.usize(values.len());
+    values.iter().for_each(|&v| w.usize(v));
+}
+
+fn write_vital_config(w: &mut Writer, c: &VitalConfig) {
+    w.u8(VITAL_CONFIG_FIELDS);
+    let dims = [
+        c.num_aps,
+        c.num_classes,
+        c.image_size,
+        c.patch_size,
+        c.d_model,
+        c.msa_heads,
+        c.encoder_blocks,
+    ];
+    dims.iter().for_each(|&v| w.usize(v));
+    write_usizes(w, &c.encoder_mlp_hidden);
+    write_usizes(w, &c.head_hidden);
+    write_dam_config(w, &c.dam);
+    w.u8(TRAIN_CONFIG_FIELDS);
+    w.usize(c.train.epochs);
+    w.usize(c.train.batch_size);
+    w.f32(c.train.learning_rate);
+    w.f32(c.train.dropout);
+    w.u64(c.train.seed);
+}
+
+fn write_dam_config(w: &mut Writer, c: &DamConfig) {
+    w.u8(DAM_CONFIG_FIELDS);
+    w.bool(c.normalize);
+    w.f32(c.dropout_rate);
+    w.f32(c.noise_std);
+}
+
+fn write_tensor(w: &mut Writer, t: &Tensor) {
+    w.u8(TENSOR_FIELDS);
+    write_usizes(w, t.shape().dims());
+    w.usize(t.len());
+    w.f32s(t.as_slice());
+}
+
+type Decoded<T> = std::result::Result<T, BinError>;
+
+fn read_checkpoint(r: &mut Reader<'_>) -> Decoded<Checkpoint> {
+    r.fields("Checkpoint", CHECKPOINT_FIELDS)?;
+    let index = r.u32()?;
+    let kind = ModelKind::from_index(index)
+        .ok_or_else(|| BinError::InvalidData(format!("unknown ModelKind variant {index}")))?;
+    Ok(Checkpoint {
+        kind,
+        vital_config: read_option(r, read_vital_config)?,
+        dam_config: read_option(r, read_dam_config)?,
+        scalars: read_table(r, 8, Reader::f64)?,
+        ints: read_table(r, 8, |r| read_seq(r, 8, Reader::u64))?,
+        texts: read_table(r, 8, Reader::str)?,
+        tensors: read_table(r, TENSOR_MIN_BYTES, read_tensor)?,
+        states: read_table(r, 8, |r| read_table(r, TENSOR_MIN_BYTES, read_tensor))?,
+    })
+}
+
+fn read_option<'a, T>(
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Decoded<T>,
+) -> Decoded<Option<T>> {
+    if r.bool()? {
+        read(r).map(Some)
+    } else {
+        Ok(None)
+    }
+}
+
+/// A `u64`-counted sequence whose every item takes at least `min_bytes`,
+/// so its count is checked against the input before it is reserved.
+fn read_seq<'a, T>(
+    r: &mut Reader<'a>,
+    min_bytes: usize,
+    mut read: impl FnMut(&mut Reader<'a>) -> Decoded<T>,
+) -> Decoded<Vec<T>> {
+    let len = r.len(min_bytes)?;
+    let mut items = Vec::with_capacity(len);
+    for _ in 0..len {
+        items.push(read(r)?);
+    }
+    Ok(items)
+}
+
+/// A table of `(name, value)` entries, each value at least `min_bytes`.
+fn read_table<'a, T>(
+    r: &mut Reader<'a>,
+    min_bytes: usize,
+    mut read: impl FnMut(&mut Reader<'a>) -> Decoded<T>,
+) -> Decoded<Vec<(String, T)>> {
+    read_seq(r, 8 + min_bytes, |r| Ok((r.str()?, read(r)?)))
+}
+
+fn read_vital_config(r: &mut Reader<'_>) -> Decoded<VitalConfig> {
+    r.fields("VitalConfig", VITAL_CONFIG_FIELDS)?;
+    Ok(VitalConfig {
+        num_aps: r.usize()?,
+        num_classes: r.usize()?,
+        image_size: r.usize()?,
+        patch_size: r.usize()?,
+        d_model: r.usize()?,
+        msa_heads: r.usize()?,
+        encoder_blocks: r.usize()?,
+        encoder_mlp_hidden: read_seq(r, 8, Reader::usize)?,
+        head_hidden: read_seq(r, 8, Reader::usize)?,
+        dam: read_dam_config(r)?,
+        train: read_train_config(r)?,
+    })
+}
+
+fn read_dam_config(r: &mut Reader<'_>) -> Decoded<DamConfig> {
+    r.fields("DamConfig", DAM_CONFIG_FIELDS)?;
+    Ok(DamConfig {
+        normalize: r.bool()?,
+        dropout_rate: r.f32()?,
+        noise_std: r.f32()?,
+    })
+}
+
+fn read_train_config(r: &mut Reader<'_>) -> Decoded<TrainConfig> {
+    r.fields("TrainConfig", TRAIN_CONFIG_FIELDS)?;
+    Ok(TrainConfig {
+        epochs: r.usize()?,
+        batch_size: r.usize()?,
+        learning_rate: r.f32()?,
+        dropout: r.f32()?,
+        seed: r.u64()?,
+    })
+}
+
+/// Rebuilds a tensor from its shape and data. The volume is multiplied out
+/// with checked arithmetic and must equal the stored length, and
+/// [`Reader::f32s`] allocates only once `4·volume` bytes are known to
+/// remain.
+fn read_tensor(r: &mut Reader<'_>) -> Decoded<Tensor> {
+    r.fields("Tensor", TENSOR_FIELDS)?;
+    let dims = read_seq(r, 8, Reader::usize)?;
+    let volume = dims
+        .iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .ok_or_else(|| {
+            BinError::InvalidData(format!("tensor shape {dims:?} volume overflows usize"))
+        })?;
+    let len = r.usize()?;
+    if len != volume {
+        return Err(BinError::InvalidData(format!(
+            "tensor data length {len} does not match shape {dims:?} volume {volume}"
+        )));
+    }
+    let data = r.f32s(volume)?;
+    Tensor::from_vec(data, &dims).map_err(|e| BinError::InvalidData(e.to_string()))
 }
 
 #[cfg(test)]
@@ -530,6 +756,21 @@ mod tests {
     fn model_kind_names() {
         assert_eq!(ModelKind::Vital.to_string(), "VITAL");
         assert_eq!(ModelKind::CnnLoc.as_str(), "CNNLoc");
+    }
+
+    #[test]
+    fn every_model_kind_reads_back_from_its_index() {
+        for index in 0..6 {
+            let kind = ModelKind::from_index(index).unwrap();
+            assert_eq!(kind as u32, index);
+            let mut bytes = Checkpoint::new(kind).to_bytes().unwrap();
+            assert_eq!(Checkpoint::from_bytes(&bytes).unwrap().kind(), kind);
+            bytes[13..17].copy_from_slice(&6u32.to_le_bytes());
+            assert!(matches!(
+                Checkpoint::from_bytes(&bytes),
+                Err(VitalError::Checkpoint(CheckpointError::Corrupt(_)))
+            ));
+        }
     }
 
     #[test]

@@ -1,9 +1,7 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, VitalError};
 
 /// Configuration of the Data Augmentation Module (paper §V.A).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DamConfig {
     /// Whether to standardise each fingerprint channel (stage 1).
     pub normalize: bool,
@@ -45,7 +43,7 @@ impl DamConfig {
 }
 
 /// Training-loop hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the training set.
     pub epochs: usize,
@@ -72,7 +70,7 @@ impl Default for TrainConfig {
 }
 
 /// Full configuration of a [`crate::VitalModel`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VitalConfig {
     /// Number of access points per fingerprint (pixels of the 1-D image).
     pub num_aps: usize,
@@ -162,6 +160,45 @@ impl VitalConfig {
         3 * self.patch_size * self.patch_size
     }
 
+    /// Trainable parameters of the model this configuration builds,
+    /// counted without building it, in checked arithmetic: `None` if a
+    /// count overflows or there is no encoder block. A loaded checkpoint's
+    /// configuration is held to its stored weights with this before a
+    /// single weight is allocated.
+    pub fn param_count(&self) -> Option<usize> {
+        let d = self.d_model;
+        let once = std::iter::once;
+        let hidden = || self.encoder_mlp_hidden.iter().copied();
+        let per_side = self.image_size.checked_div(self.patch_size)?;
+        let patch_dim = self
+            .patch_size
+            .checked_mul(self.patch_size)?
+            .checked_mul(3)?;
+        let embedding = dense_params(patch_dim, d)?;
+        let positional = per_side.checked_mul(per_side)?.checked_mul(d)?;
+        // Two layer norms and the Q/K/V/O projections, then the MLP: back
+        // to `d_model` in every block but the last, which concatenates.
+        let attention = d
+            .checked_mul(4)?
+            .checked_add(dense_params(d, d)?.checked_mul(4)?)?;
+        let residual = mlp_params(once(d).chain(hidden()).chain(once(d)))?;
+        let last = mlp_params(once(d).chain(hidden()))?;
+        let blocks = attention
+            .checked_add(residual)?
+            .checked_mul(self.encoder_blocks.checked_sub(1)?)?
+            .checked_add(attention.checked_add(last)?)?;
+        let encoder_out = d.checked_add(*self.encoder_mlp_hidden.last().unwrap_or(&d))?;
+        let head_widths = self.head_hidden.iter().copied();
+        let head = mlp_params(
+            once(encoder_out)
+                .chain(head_widths)
+                .chain(once(self.num_classes)),
+        )?;
+        [embedding, positional, blocks, head]
+            .into_iter()
+            .try_fold(0usize, usize::checked_add)
+    }
+
     /// Validates the configuration.
     ///
     /// # Errors
@@ -199,6 +236,11 @@ impl VitalConfig {
                 "at least one encoder block is required".into(),
             ));
         }
+        if self.encoder_mlp_hidden.is_empty() {
+            return Err(VitalError::InvalidConfig(
+                "the encoder MLP needs at least one hidden layer".into(),
+            ));
+        }
         if self.train.batch_size == 0 || self.train.epochs == 0 {
             return Err(VitalError::InvalidConfig(
                 "epochs and batch_size must be > 0".into(),
@@ -208,9 +250,26 @@ impl VitalConfig {
     }
 }
 
+/// Weights and biases of a dense layer.
+fn dense_params(inputs: usize, outputs: usize) -> Option<usize> {
+    inputs.checked_mul(outputs)?.checked_add(outputs)
+}
+
+/// Parameters of an MLP through `widths`: one dense layer per consecutive
+/// pair.
+fn mlp_params(widths: impl Iterator<Item = usize> + Clone) -> Option<usize> {
+    widths
+        .clone()
+        .zip(widths.skip(1))
+        .try_fold(0usize, |sum, (inputs, outputs)| {
+            sum.checked_add(dense_params(inputs, outputs)?)
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VitalModel;
 
     #[test]
     fn paper_config_matches_section_vi_b() {
@@ -260,6 +319,47 @@ mod tests {
         let mut c = VitalConfig::fast(18, 63);
         c.train.epochs = 0;
         assert!(c.validate().is_err());
+
+        // The last block concatenates its MLP's output, so it needs one.
+        let mut c = VitalConfig::fast(18, 63);
+        c.encoder_mlp_hidden.clear();
+        assert!(c.validate().is_err());
+        assert!(VitalModel::new(c).is_err());
+    }
+
+    #[test]
+    fn param_count_is_the_built_models() {
+        // `checkpoint_roundtrip.rs`'s VITAL configuration.
+        let mut roundtrip = VitalConfig::fast(sim_radio::building_1().access_points().len(), 10);
+        roundtrip.image_size = 16;
+        roundtrip.patch_size = 4;
+        roundtrip.d_model = 24;
+        roundtrip.msa_heads = 4;
+        let mut deep = VitalConfig::fast(18, 8);
+        deep.encoder_blocks = 3;
+        deep.head_hidden.clear();
+        for c in [
+            VitalConfig::paper(206, 82),
+            VitalConfig::fast(18, 8),
+            roundtrip,
+            deep,
+        ] {
+            let built = VitalModel::new(c.clone()).unwrap().param_count();
+            assert_eq!(c.param_count(), Some(built), "{c:?}");
+        }
+        assert_eq!(VitalConfig::paper(206, 82).param_count(), Some(178_082));
+
+        let mut huge = VitalConfig::fast(18, 8);
+        huge.num_classes = 1 << 40;
+        assert!(huge.param_count().is_some(), "counted, not built");
+        huge.num_classes = usize::MAX;
+        assert_eq!(huge.param_count(), None);
+        let mut none = VitalConfig::fast(18, 8);
+        none.encoder_blocks = 0;
+        assert_eq!(none.param_count(), None);
+        none = VitalConfig::fast(18, 8);
+        none.patch_size = 0;
+        assert_eq!(none.param_count(), None);
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Localization-error metrics.
 
-use serde::{Deserialize, Serialize};
-
 /// The localization errors (in metres) of one evaluation run, with the
 /// summary statistics reported throughout the paper's evaluation
 /// (min / mean / max, Figs. 7, 8, 10).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LocalizationReport {
     errors_m: Vec<f32>,
 }

@@ -5,7 +5,6 @@
 use fingerprint::{FingerprintDataset, FingerprintObservation};
 use nn::optim::{minibatches, Adam};
 use nn::{Layer, Session};
-use serde::{Deserialize, Serialize};
 use tensor::rng::SeededRng;
 use tensor::Tensor;
 
@@ -16,7 +15,7 @@ use crate::{
 };
 
 /// Per-epoch training statistics returned by [`VitalModel::fit`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrainingReport {
     /// Mean cross-entropy loss of each epoch.
     pub epoch_losses: Vec<f32>,
@@ -321,15 +320,31 @@ impl VitalModel {
     /// weight is restored, so predictions are bit-identical to the saved
     /// model's.
     ///
+    /// The configuration is held to the stored weights before the model is
+    /// built: a configuration whose [`VitalConfig::param_count`] is not
+    /// the stored state's total volume would allocate weights the file
+    /// never held (one flipped bit of `num_classes` asks for terabytes).
+    ///
     /// # Errors
-    /// Returns a checkpoint error on kind mismatch or missing entries, and
-    /// a tensor error if stored weight shapes do not match the
-    /// configuration's architecture.
+    /// Returns a checkpoint error on kind mismatch or missing entries,
+    /// [`crate::CheckpointError::Corrupt`] if the configuration does not
+    /// count the stored weights, and a tensor error if stored weight shapes
+    /// do not match the configuration's architecture.
     pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self> {
         ckpt.expect_kind(ModelKind::Vital)?;
         let config = ckpt.vital_config()?.clone();
+        let state = ckpt.state("transformer")?;
+        let stored: usize = state.iter().map(|(_, weights)| weights.len()).sum();
+        let counted = config.param_count();
+        if counted != Some(stored) {
+            return Err(crate::CheckpointError::Corrupt(format!(
+                "vital_config counts {counted:?} transformer parameters, the stored state \
+                 holds {stored}"
+            ))
+            .into());
+        }
         let mut model = VitalModel::new(config)?;
-        model.transformer.load_state(ckpt.state("transformer")?)?;
+        model.transformer.load_state(state)?;
         model.fitted = true;
         Ok(model)
     }

@@ -1,5 +1,4 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use sim_radio::{Channel, ReferencePoint};
 
@@ -11,7 +10,7 @@ use crate::{DeviceProfile, MISSING_AP_DBM};
 /// The paper captures five samples per RP and reduces them to these three
 /// statistics, which become the three channels of each AP "pixel" in the
 /// VITAL RSSI image.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FingerprintObservation {
     /// Reference-point label (classification target).
     pub rp_label: usize,

@@ -1,13 +1,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use sim_radio::{Building, Channel};
 
 use crate::{capture_observation, DeviceProfile, FingerprintObservation};
 
 /// Parameters of a fingerprint collection campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DatasetConfig {
     /// How many independent observations each device captures at each RP.
     pub captures_per_rp: usize,
@@ -29,7 +28,7 @@ impl Default for DatasetConfig {
 }
 
 /// A labelled fingerprint dataset for one building.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FingerprintDataset {
     building: String,
     num_aps: usize,

@@ -1,5 +1,4 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::MISSING_AP_DBM;
 
@@ -8,7 +7,7 @@ use crate::MISSING_AP_DBM;
 /// The profile maps a device-independent ("truth") RSSI value into the value
 /// that this particular phone would report, reproducing the heterogeneity
 /// effects analysed in §III of the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Manufacturer (Table I/II column 1).
     pub manufacturer: String,

@@ -2,10 +2,10 @@
 //!
 //! A panic in a dispatch worker kills the worker; a panic in a handler
 //! thread kills the connection. The crates on the request path
-//! (`serve`, `jsonio`, `binio` — configured, not hard-coded) must
-//! therefore surface failures as typed errors, never as `unwrap()` /
-//! `expect()` / panic macros / literal slice indexing. Test code is
-//! exempt (the scoper strips it); justified production exceptions —
+//! (`serve`, `jsonio`, `binio`, the checkpoint reader — configured, not
+//! hard-coded) must therefore surface failures as typed errors, never as
+//! `unwrap()` / `expect()` / panic macros / literal slice indexing. Test
+//! code is exempt (the scoper strips it); justified production exceptions —
 //! poisoned-lock aborts, startup-only code — go on the allowlist in
 //! `ci/lint-rules.toml` with a reason each.
 

@@ -1,9 +1,7 @@
-use serde::{Deserialize, Serialize};
-
 use crate::Point;
 
 /// A Wi-Fi access point (WAP) installed in a building.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessPoint {
     /// Index of the AP within its building (also its channel index in
     /// fingerprint vectors).

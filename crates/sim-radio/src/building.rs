@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{AccessPoint, Material, PathLossModel, Point, Segment};
 
 /// A reference point (RP): a location along the survey path at which
 /// fingerprints are collected and which the localizer must predict.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReferencePoint {
     /// Class label of the RP (0-based index along the path).
     pub id: usize,
@@ -13,7 +11,7 @@ pub struct ReferencePoint {
 }
 
 /// A wall with a material.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Wall {
     /// Wall geometry.
     pub segment: Segment,
@@ -23,7 +21,7 @@ pub struct Wall {
 
 /// A building: geometry (walls), installed access points, the survey path's
 /// reference points, and the propagation model of its environment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Building {
     name: String,
     walls: Vec<Wall>,

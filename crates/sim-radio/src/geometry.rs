@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// A 2-D point in metres, in building-local coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Easting in metres.
     pub x: f32,
@@ -30,7 +28,7 @@ impl Point {
 }
 
 /// A 2-D line segment (wall or path leg).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Start point.
     pub a: Point,

@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 /// Wall construction material, governing per-wall signal attenuation.
 ///
 /// The paper notes the four buildings have "very different material
 /// composition (wood, metal, concrete)"; attenuation values follow commonly
 /// cited 2.4 GHz measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Material {
     /// Interior drywall partition (~3 dB).
     Drywall,

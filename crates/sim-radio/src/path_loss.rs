@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 /// Log-distance path-loss model parameters.
 ///
 /// `PL(d) = PL(d₀) + 10·n·log₁₀(d/d₀)` with `d₀ = 1 m`. Indoor environments
 /// typically have `n` between 2.5 and 4.5 depending on clutter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathLossModel {
     /// Path-loss exponent `n`.
     pub exponent: f32,

@@ -51,7 +51,6 @@ mod named_ops;
 mod ops;
 mod reduce;
 pub mod rng;
-mod serde_impl;
 mod shape;
 mod tensor_impl;
 

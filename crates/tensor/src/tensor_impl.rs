@@ -31,9 +31,9 @@ use crate::{kernels, Result, Shape, TensorError};
 /// # }
 /// ```
 ///
-/// `Tensor` implements hand-rolled `serde` `Serialize`/`Deserialize`
-/// (see the crate's `serde_impl` module): the wire form is the shape
-/// followed by the contiguous row-major data, validated on load.
+/// A model checkpoint (`vital::Checkpoint`) stores a tensor as its shape
+/// followed by its contiguous row-major data, and rebuilds it with
+/// [`Tensor::from_vec`] once the shape's volume is checked.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     data: Arc<Vec<f32>>,
