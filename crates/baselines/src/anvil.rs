@@ -15,14 +15,12 @@ use autograd::Var;
 use fingerprint::{FingerprintDataset, FingerprintObservation};
 use graph::PlanCache;
 use nn::optim::{minibatches, Adam};
-use nn::{
-    Activation, Dense, Init, Layer, LayerNorm, Mlp, MultiHeadSelfAttention, Param, Session, Trace,
-};
-use tensor::rng::SeededRng;
+use nn::{Activation, Dense, Init, Layer, LayerNorm, Mlp, MultiHeadSelfAttention, Param, Trace};
+use tensor::rng::{DrawKey, SeededRng};
 use tensor::Tensor;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
-use crate::features::{rows_to_tensor, squared_distance, tensor_to_rows};
+use crate::features::{augmentation_seed, rows_to_tensor, squared_distance, tensor_to_rows};
 use crate::{
     localize, map_rows, run_compiled, run_eager, FeatureExtractor, FeatureMode, Framework,
 };
@@ -310,7 +308,7 @@ impl Localizer for AnvilLocalizer {
             return Err(VitalError::InvalidDataset("empty training set".into()));
         }
         self.num_classes = train.num_rps();
-        let mut rng = SeededRng::new(self.seed);
+        let augmentation = augmentation_seed(self.seed);
         let mut init_rng = SeededRng::new(self.seed.wrapping_add(1));
         let feature_width = self.extractor.feature_width(train.num_aps());
         let network = AnvilNetwork::new(&mut init_rng, feature_width, self.num_classes)?;
@@ -320,20 +318,20 @@ impl Localizer for AnvilLocalizer {
             observations.len(),
             16,
             self.epochs,
-            &mut rng,
-            |tape, epoch, _, indices, rng| {
-                // One forward per sample, in batch order, on the shared tape.
-                let mut session = Session::new(tape, true, self.seed.wrapping_add(epoch as u64));
+            self.seed,
+            |session, epoch, indices| {
+                // One forward per sample, in batch order, on the shared
+                // tape; each sample's view keyed by (epoch, observation).
                 let mut logits = Vec::with_capacity(indices.len());
                 let mut labels = Vec::with_capacity(indices.len());
                 for &i in indices {
-                    let features = self.extractor.extract(&observations[i], true, rng);
+                    let key = DrawKey::new(augmentation, [epoch, i]);
+                    let features = self.extractor.extract(&observations[i], true, key);
                     let tokens = session.constant(Self::input(&network, &[features])?);
-                    logits.push(network.forward(&mut session, tokens)?.1);
+                    logits.push(network.forward(session, tokens)?.1);
                     labels.push(observations[i].rp_label);
                 }
-                let loss = Var::concat_rows(&logits)?.softmax_cross_entropy(&labels)?;
-                Ok::<_, VitalError>((session, loss))
+                Ok::<_, VitalError>(Var::concat_rows(&logits)?.softmax_cross_entropy(&labels)?)
             },
             |_, _| {},
         )?;

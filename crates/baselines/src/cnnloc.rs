@@ -6,12 +6,12 @@ use std::path::Path;
 use fingerprint::{FingerprintDataset, FingerprintObservation};
 use graph::PlanCache;
 use nn::optim::{minibatches, Adam};
-use nn::{Activation, Conv1d, Layer, Mlp, Param, Session, StackedAutoencoder, Trace};
+use nn::{Activation, Conv1d, Layer, Mlp, Param, StackedAutoencoder, Trace};
 use tensor::rng::SeededRng;
 use tensor::Tensor;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
-use crate::features::gather_rows;
+use crate::features::{augmentation_seed, gather_rows};
 use crate::{localize, run_compiled, run_eager, FeatureExtractor, FeatureMode, Framework};
 
 /// The three network stages shared by training and inference.
@@ -207,8 +207,8 @@ impl Localizer for CnnLocLocalizer {
             return Err(VitalError::InvalidDataset("empty training set".into()));
         }
         self.num_classes = train.num_rps();
-        let mut rng = SeededRng::new(self.seed);
-        let (features, labels) = self.extractor.extract_matrix(train, true, 1, &mut rng);
+        let augmentation = augmentation_seed(self.seed);
+        let (features, labels) = self.extractor.extract_matrix(train, true, 1, augmentation);
         let width = features.cols()?;
 
         // Stage architectures (shared with checkpoint restoration), then
@@ -223,14 +223,12 @@ impl Localizer for CnnLocLocalizer {
             features.rows()?,
             32,
             self.epochs,
-            &mut rng,
-            |tape, epoch, _, indices, _| {
-                let mut session = Session::new(tape, true, self.seed.wrapping_add(epoch as u64));
+            self.seed,
+            |session, _, indices| {
                 let x = session.constant(gather_rows(&features, indices)?);
                 let y_batch: Vec<usize> = indices.iter().map(|&i| labels[i]).collect();
-                let logits = Self::record(&network, &mut session, x)?;
-                let loss = logits.softmax_cross_entropy(&y_batch)?;
-                Ok::<_, VitalError>((session, loss))
+                let logits = Self::record(&network, session, x)?;
+                Ok::<_, VitalError>(logits.softmax_cross_entropy(&y_batch)?)
             },
             |_, _| {},
         )?;

@@ -1,9 +1,16 @@
 //! Fingerprint feature extraction shared by the baseline frameworks.
 
 use fingerprint::{FingerprintObservation, MISSING_AP_DBM};
-use tensor::rng::SeededRng;
+use tensor::rng::DrawKey;
 use tensor::Tensor;
 use vital::{DamConfig, DataAugmentationModule};
+
+/// The seed a baseline built from `seed` keys its DAM draws by: apart from
+/// `seed` itself, which its training loop shuffles and keys dropout by,
+/// and `seed + 1`, which initialises its weights.
+pub(crate) fn augmentation_seed(seed: u64) -> u64 {
+    seed.wrapping_add(2)
+}
 
 /// Observations per stacked forward pass of the network baselines' shared
 /// chunk loop (`crate::map_rows`); bounds per-chunk graph and
@@ -183,44 +190,43 @@ impl FeatureExtractor {
     }
 
     /// Extracts a feature vector. When DAM is attached and `training` is
-    /// `true`, the DAM dropout / Gaussian-noise stages are applied (each call
-    /// may produce a different augmented view).
+    /// `true`, the DAM dropout / Gaussian-noise stages are applied with the
+    /// draws of `key` (one augmented view per key); otherwise `key` is not
+    /// used.
     pub fn extract(
         &self,
         observation: &FingerprintObservation,
         training: bool,
-        rng: &mut SeededRng,
+        key: DrawKey,
     ) -> Vec<f32> {
         let features = self.raw_features(observation);
         match &self.dam {
-            Some(dam) => dam.augment_vector(&features, training, rng),
+            Some(dam) => dam.augment_vector(&features, training, key),
             None => features,
         }
     }
 
-    /// Extracts clean (inference-mode, fixed-seed) feature vectors for a
-    /// batch of observations — the front half of the network baselines'
-    /// shared chunk loop.
+    /// Extracts clean (inference-mode) feature vectors for a batch of
+    /// observations — the front half of the network baselines' shared
+    /// chunk loop.
     pub fn extract_clean_batch(&self, observations: &[FingerprintObservation]) -> Vec<Vec<f32>> {
         observations
             .iter()
-            .map(|o| {
-                let mut rng = SeededRng::new(0);
-                self.extract(o, false, &mut rng)
-            })
+            .map(|o| self.extract(o, false, DrawKey::default()))
             .collect()
     }
 
     /// Extracts features for a whole dataset as a `[samples, width]` matrix
     /// plus labels. With DAM attached and `training == true`,
     /// `augmented_copies` extra augmented views are appended per observation
-    /// (fingerprint replication for vector models).
+    /// (fingerprint replication for vector models), copy `copy` of the
+    /// `row`-th observation keyed by `DrawKey::new(seed, [row, copy])`.
     pub fn extract_matrix(
         &self,
         dataset: &fingerprint::FingerprintDataset,
         training: bool,
         augmented_copies: usize,
-        rng: &mut SeededRng,
+        seed: u64,
     ) -> (Tensor, Vec<usize>) {
         let mut rows = Vec::new();
         let mut labels = Vec::new();
@@ -229,12 +235,13 @@ impl FeatureExtractor {
         } else {
             1
         };
-        for observation in dataset.observations() {
+        for (row, observation) in dataset.observations().iter().enumerate() {
             for copy in 0..copies {
                 // The first copy of each observation is unaugmented so the
                 // clean fingerprint is always part of the training pool.
                 let augment = training && copy > 0;
-                rows.push(self.extract(observation, augment, rng));
+                let key = DrawKey::new(seed, [row, copy]);
+                rows.push(self.extract(observation, augment, key));
                 labels.push(observation.rp_label);
             }
         }
@@ -354,9 +361,9 @@ mod tests {
     #[test]
     fn extract_respects_mode_and_dam() {
         let o = obs(vec![-60.0, -70.0, -100.0, -55.0]);
-        let mut rng = SeededRng::new(0);
+        let key = DrawKey::new(0, [0, 0]);
         let plain = FeatureExtractor::new(FeatureMode::MeanChannel);
-        let features = plain.extract(&o, true, &mut rng);
+        let features = plain.extract(&o, true, key);
         assert_eq!(features.len(), 4);
         assert!(!plain.has_dam());
 
@@ -364,10 +371,10 @@ mod tests {
             FeatureExtractor::new(FeatureMode::MeanChannel).with_dam(Some(DamConfig::default()));
         assert!(with_dam.has_dam());
         // Training extraction is stochastic; eval extraction is deterministic.
-        let e1 = with_dam.extract(&o, false, &mut rng);
-        let e2 = with_dam.extract(&o, false, &mut rng);
+        let e1 = with_dam.extract(&o, false, key);
+        let e2 = with_dam.extract(&o, false, DrawKey::new(9, [1, 2]));
         assert_eq!(e1, e2);
-        let t1 = with_dam.extract(&o, true, &mut rng);
+        let t1 = with_dam.extract(&o, true, key);
         assert_eq!(t1.len(), 4);
     }
 
@@ -383,19 +390,18 @@ mod tests {
                 seed: 0,
             },
         );
-        let mut rng = SeededRng::new(1);
         let plain = FeatureExtractor::new(FeatureMode::MeanChannel);
-        let (m, labels) = plain.extract_matrix(&dataset, true, 2, &mut rng);
+        let (m, labels) = plain.extract_matrix(&dataset, true, 2, 1);
         assert_eq!(m.rows().unwrap(), dataset.len());
         assert_eq!(labels.len(), dataset.len());
 
         let dammed =
             FeatureExtractor::new(FeatureMode::MeanChannel).with_dam(Some(DamConfig::default()));
-        let (m2, labels2) = dammed.extract_matrix(&dataset, true, 2, &mut rng);
+        let (m2, labels2) = dammed.extract_matrix(&dataset, true, 2, 1);
         assert_eq!(m2.rows().unwrap(), dataset.len() * 3);
         assert_eq!(labels2.len(), dataset.len() * 3);
         // Eval-time extraction never replicates.
-        let (m3, _) = dammed.extract_matrix(&dataset, false, 2, &mut rng);
+        let (m3, _) = dammed.extract_matrix(&dataset, false, 2, 1);
         assert_eq!(m3.rows().unwrap(), dataset.len());
     }
 }

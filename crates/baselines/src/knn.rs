@@ -4,7 +4,7 @@
 use std::path::Path;
 
 use fingerprint::{FingerprintDataset, FingerprintObservation};
-use tensor::rng::SeededRng;
+use tensor::rng::DrawKey;
 use vital::{Checkpoint, CheckpointError, Localizer, ModelKind, Result, VitalError};
 
 use crate::features::{rows_to_tensor, tensor_to_rows, weighted_knn_vote};
@@ -109,12 +109,7 @@ impl Localizer for KnnLocalizer {
         if train.is_empty() {
             return Err(VitalError::InvalidDataset("empty training set".into()));
         }
-        let mut rng = SeededRng::new(0);
-        self.train_features = train
-            .observations()
-            .iter()
-            .map(|o| self.extractor.extract(o, false, &mut rng))
-            .collect();
+        self.train_features = self.extractor.extract_clean_batch(train.observations());
         self.train_labels = train.labels();
         Ok(())
     }
@@ -122,10 +117,11 @@ impl Localizer for KnnLocalizer {
     fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>> {
         // Each query scans the whole fingerprint memory independently, so
         // the batch fans out across threads (the localizer is immutable
-        // during inference and every query uses its own fixed-seed RNG).
+        // during inference, and clean extraction draws nothing).
         parallel::parallel_map(observations, |observation| {
-            let mut rng = SeededRng::new(0);
-            let query = self.extractor.extract(observation, false, &mut rng);
+            let query = self
+                .extractor
+                .extract(observation, false, DrawKey::default());
             let memory = self.train_features.iter().zip(&self.train_labels);
             weighted_knn_vote(memory, &query, self.k).ok_or(VitalError::NotFitted)
         })

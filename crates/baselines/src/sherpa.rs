@@ -10,11 +10,13 @@ use std::path::Path;
 use fingerprint::{FingerprintDataset, FingerprintObservation};
 use graph::PlanCache;
 use nn::optim::{minibatches, Adam};
-use nn::{Activation, Layer, Mlp, Session, Trace};
+use nn::{Activation, Layer, Mlp, Trace};
 use tensor::rng::SeededRng;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
-use crate::features::{gather_rows, rows_to_tensor, tensor_to_rows, weighted_knn_vote};
+use crate::features::{
+    augmentation_seed, gather_rows, rows_to_tensor, tensor_to_rows, weighted_knn_vote,
+};
 use crate::{localize, run_compiled, run_eager, FeatureExtractor, FeatureMode, Framework};
 
 /// The SHERPA localizer: DNN coarse classification + KNN refinement.
@@ -219,8 +221,8 @@ impl Localizer for SherpaLocalizer {
             return Err(VitalError::InvalidDataset("empty training set".into()));
         }
         self.num_classes = train.num_rps();
-        let mut rng = SeededRng::new(self.seed);
-        let (features, labels) = self.extractor.extract_matrix(train, true, 2, &mut rng);
+        let augmentation = augmentation_seed(self.seed);
+        let (features, labels) = self.extractor.extract_matrix(train, true, 2, augmentation);
         let width = features.cols()?;
 
         let network = Self::build_network(self.seed, width, self.num_classes);
@@ -229,26 +231,19 @@ impl Localizer for SherpaLocalizer {
             features.rows()?,
             32,
             self.epochs,
-            &mut rng,
-            |tape, epoch, _, indices, _| {
-                let mut session = Session::new(tape, true, self.seed.wrapping_add(epoch as u64));
+            self.seed,
+            |session, _, indices| {
                 let x = session.constant(gather_rows(&features, indices)?);
                 let y_batch: Vec<usize> = indices.iter().map(|&i| labels[i]).collect();
-                let logits = network.forward(&mut session, x)?;
-                let loss = logits.softmax_cross_entropy(&y_batch)?;
-                Ok::<_, VitalError>((session, loss))
+                let logits = network.forward(session, x)?;
+                Ok::<_, VitalError>(logits.softmax_cross_entropy(&y_batch)?)
             },
             |_, _| {},
         )?;
         self.network = Some(network);
 
         // KNN memory uses clean (non-augmented) fingerprints.
-        let mut clean_rng = SeededRng::new(self.seed.wrapping_add(2));
-        self.train_features = train
-            .observations()
-            .iter()
-            .map(|o| self.extractor.extract(o, false, &mut clean_rng))
-            .collect();
+        self.train_features = self.extractor.extract_clean_batch(train.observations());
         self.train_labels = train.labels();
         Ok(())
     }
@@ -312,6 +307,36 @@ mod tests {
             "SHERPA mean error {} m",
             report.mean_error_m()
         );
+    }
+
+    #[test]
+    fn two_batches_of_an_epoch_draw_different_dropout_masks() {
+        // `fit`'s loop over two batches of 32, with a learning rate of zero
+        // and the same input in every row: whatever differs between the
+        // two batches' outputs is their dropout masks.
+        let network = SherpaLocalizer::build_network(11, 8, 3);
+        let mut outputs = Vec::new();
+        let mut adam = Adam::new(0.0);
+        minibatches(
+            &mut adam,
+            64,
+            32,
+            1,
+            11,
+            |session, _, indices| {
+                let x = session.constant(tensor::Tensor::ones(&[indices.len(), 8]));
+                let logits = network.forward(session, x)?;
+                outputs.push(logits.value());
+                Ok::<_, VitalError>(logits.softmax_cross_entropy(&vec![0; indices.len()])?)
+            },
+            |_, _| {},
+        )
+        .unwrap();
+        assert_eq!(outputs.len(), 2);
+        assert_ne!(outputs[0], outputs[1], "both batches drew one mask");
+        // Within a batch the rows differ too: one mask element per value.
+        let rows: Vec<&[f32]> = outputs[0].as_slice().chunks(3).collect();
+        assert!(rows.iter().any(|row| *row != rows[0]));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use tensor::rng::SeededRng;
 use tensor::Tensor;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
-use crate::features::{rows_to_tensor, squared_distance, tensor_to_rows};
+use crate::features::{augmentation_seed, rows_to_tensor, squared_distance, tensor_to_rows};
 use crate::{
     localize, map_rows, run_compiled, run_eager, FeatureExtractor, FeatureMode, Framework,
 };
@@ -214,8 +214,8 @@ impl Localizer for WiDeepLocalizer {
             return Err(VitalError::InvalidDataset("empty training set".into()));
         }
         self.num_classes = train.num_rps();
-        let mut rng = SeededRng::new(self.seed);
-        let (features, _) = self.extractor.extract_matrix(train, true, 1, &mut rng);
+        let augmentation = augmentation_seed(self.seed);
+        let (features, _) = self.extractor.extract_matrix(train, true, 1, augmentation);
         let width = features.cols()?;
 
         // Denoising SAE pre-training (aggressive corruption, per the paper's

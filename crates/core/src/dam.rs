@@ -15,7 +15,17 @@
 //! Every row of it is the same `R` values, so
 //! [`DataAugmentationModule::write_patches`] writes the transformer's patch
 //! matrix straight from the normalised 1-D channels, and in training
-//! scatters each perturbed pixel to its slot in that matrix.
+//! writes each perturbed pixel to its slot in that matrix.
+//!
+//! Stages 3–4 draw nothing in sequence. A pixel's noise and its dropout are
+//! a pure function of its position: the [`DrawKey`] the caller names the
+//! observation by (VITAL's training loop: seed, epoch, observation index),
+//! then the channel, the row and the column pair
+//! ([`tensor::rng::KeyedNoise`]). So only the pixels that land in a kept
+//! patch are drawn, both Box–Muller outputs are used, the draws of a row
+//! are turned into numbers eight lanes at a time, and an observation's
+//! patches are the same bits wherever it sits in a batch and in whatever
+//! order a batch is written.
 //!
 //! In the online phase stages 3–4 do not run, so the patch matrix is pure
 //! replication: each patch is `3 · P` distinct values repeated down `P`
@@ -36,7 +46,7 @@
 //! into ANVIL, SHERPA, CNNLoc and WiDeep (paper §VI.D).
 
 use tensor::kernels::Standardizer;
-use tensor::rng::SeededRng;
+use tensor::rng::{DrawKey, KeyedNoise};
 
 use crate::image::Rssi1d;
 use crate::{DamConfig, Result, VitalError};
@@ -73,16 +83,29 @@ impl DataAugmentationModule {
         values.iter().map(|&v| normalize(normalizer, v)).collect()
     }
 
-    /// Stages 3–4 for one normalised value: dropped out and infilled with
-    /// pure noise ("infill the dropped features with some random noise to
-    /// represent different AP visibilities"), or else jittered.
-    fn perturb(&self, value: f32, rng: &mut SeededRng) -> f32 {
-        if self.config.dropout_rate > 0.0 && rng.bernoulli(self.config.dropout_rate as f64) {
-            rng.normal(0.0, self.config.noise_std.max(1e-3))
-        } else if self.config.noise_std > 0.0 {
-            value + rng.normal(0.0, self.config.noise_std * 0.5)
+    /// Stages 3–4 for one normalised value, given its standard normal draw
+    /// `z` and whether it was `dropped`: dropped out and infilled with pure
+    /// noise ("infill the dropped features with some random noise to
+    /// represent different AP visibilities"), `N(0, max(σ, 1e-3))`, or else
+    /// jittered by `N(0, σ/2)`.
+    #[inline(always)]
+    fn perturb(&self, value: f32, z: f32, dropped: bool) -> f32 {
+        let sigma = self.config.noise_std;
+        if dropped {
+            sigma.max(1e-3) * z
+        } else if sigma > 0.0 {
+            value + sigma * 0.5 * z
         } else {
             value
+        }
+    }
+
+    /// Stages 3–4 over one row of values: `values[i]` becomes its
+    /// perturbation by draw `i` of `noise`'s row at `site` of `key`.
+    fn perturb_row(&self, key: DrawKey, site: u32, noise: &mut KeyedNoise, values: &mut [f32]) {
+        let (normals, dropped) = noise.row(key, site, values.len(), self.config.dropout_rate);
+        for ((value, &z), &dropped) in values.iter_mut().zip(normals).zip(dropped) {
+            *value = self.perturb(*value, z, dropped);
         }
     }
 
@@ -95,10 +118,12 @@ impl DataAugmentationModule {
     /// boundary patches are discarded, as in the paper.
     ///
     /// Row 0 always carries the unaugmented fingerprint. When `training`,
-    /// every pixel of rows `1..R` is perturbed, drawing from `rng` in
-    /// (channel, row, column) order whether or not the pixel falls in a
-    /// kept patch; otherwise (online phase) every row is an exact replica,
-    /// `rng` is untouched and inference is deterministic.
+    /// every pixel of rows `1..R` that lands in a kept patch is perturbed:
+    /// pixel `(c, row, col)` by draw `col` of the [`KeyedNoise`] row at
+    /// site `3 · row + c` of `key` (columns `2k` and `2k + 1` share one
+    /// Philox block). Pixels of the discarded boundary are not drawn.
+    /// Otherwise (online phase) every row is an exact replica, `key` is
+    /// not used and inference is deterministic.
     ///
     /// # Errors
     /// Returns an error if `patch_size` is zero or larger than the image,
@@ -108,7 +133,7 @@ impl DataAugmentationModule {
         image: &Rssi1d,
         patch_size: usize,
         training: bool,
-        rng: &mut SeededRng,
+        key: DrawKey,
         out: &mut [f32],
     ) -> Result<()> {
         let size = image.width();
@@ -121,23 +146,27 @@ impl DataAugmentationModule {
             )));
         }
         let channels = image.channels().map(|c| self.normalize_channel(c));
-        write_replicated(&channels, patch_size, out);
         if !(training && self.config.is_augmenting()) {
+            write_replicated(&channels, patch_size, out);
             return Ok(());
         }
+        // Every kept pixel is written once: row 0 as it is, the others
+        // perturbed.
+        let kept = per_side * patch_size;
+        let mut noise = KeyedNoise::default();
+        let mut pixels = vec![0.0; kept];
         for (c, channel) in channels.iter().enumerate() {
-            for row in 1..size {
+            for row in 0..kept {
+                pixels.copy_from_slice(&channel[..kept]);
+                if row > 0 {
+                    self.perturb_row(key, (3 * row + c) as u32, &mut noise, &mut pixels);
+                }
                 // Slot of pixel (c, row, 0) in its patch row's first patch.
-                let py = row / patch_size;
-                let row_start =
-                    py * per_side * patch_dim + (c * patch_size + row % patch_size) * patch_size;
-                for (px, run) in channel.chunks(patch_size).enumerate() {
-                    for (col, &base) in run.iter().enumerate() {
-                        let value = self.perturb(base, rng);
-                        if py < per_side && px < per_side {
-                            out[row_start + px * patch_dim + col] = value;
-                        }
-                    }
+                let row_start = row / patch_size * per_side * patch_dim
+                    + (c * patch_size + row % patch_size) * patch_size;
+                let slots = out[row_start..].chunks_mut(patch_dim);
+                for (slot, run) in slots.zip(pixels.chunks_exact(patch_size)) {
+                    slot[..patch_size].copy_from_slice(run);
                 }
             }
         }
@@ -175,13 +204,13 @@ impl DataAugmentationModule {
     /// Applies DAM-style augmentation to a plain RSSI feature vector
     /// (normalise, random dropout, Gaussian infill) without the 2-D
     /// replication — the form consumed by the non-image baselines when DAM is
-    /// bolted onto them (paper §VI.D).
-    pub fn augment_vector(&self, values: &[f32], training: bool, rng: &mut SeededRng) -> Vec<f32> {
+    /// bolted onto them (paper §VI.D). When `training`, value `i` is
+    /// perturbed by draw `i` of the [`KeyedNoise`] row at site 0 of `key`;
+    /// otherwise `key` is not used.
+    pub fn augment_vector(&self, values: &[f32], training: bool, key: DrawKey) -> Vec<f32> {
         let mut out = self.normalize_channel(values);
         if training && self.config.is_augmenting() {
-            for v in &mut out {
-                *v = self.perturb(*v, rng);
-            }
+            self.perturb_row(key, 0, &mut KeyedNoise::default(), &mut out);
         }
         out
     }
@@ -272,10 +301,10 @@ mod tests {
         dam: &DataAugmentationModule,
         width: usize,
         training: bool,
-        rng: &mut SeededRng,
+        key: DrawKey,
     ) -> Vec<f32> {
         let mut out = vec![f32::NAN; width * width * 3];
-        dam.write_patches(&image(width), 1, training, rng, &mut out)
+        dam.write_patches(&image(width), 1, training, key, &mut out)
             .unwrap();
         out
     }
@@ -283,8 +312,7 @@ mod tests {
     #[test]
     fn replication_produces_square_image() {
         let dam = DataAugmentationModule::new(DamConfig::disabled());
-        let mut rng = SeededRng::new(0);
-        let out = pixels(&dam, 12, true, &mut rng);
+        let out = pixels(&dam, 12, true, DrawKey::new(0, [0, 0]));
         // With augmentation disabled every row equals row 0, which is the
         // normalised 1-D image.
         let image = image(12);
@@ -302,13 +330,11 @@ mod tests {
     #[test]
     fn inference_mode_is_deterministic_even_with_augmentation_enabled() {
         let dam = DataAugmentationModule::default();
-        let mut rng1 = SeededRng::new(1);
-        let mut rng2 = SeededRng::new(999);
-        let a = pixels(&dam, 10, false, &mut rng1);
-        let b = pixels(&dam, 10, false, &mut rng2);
+        let a = pixels(&dam, 10, false, DrawKey::new(1, [0, 0]));
+        let b = pixels(&dam, 10, false, DrawKey::new(999, [4, 2]));
         assert_eq!(a, b);
-        // Inference draws nothing.
-        assert_eq!(rng1.uniform(0.0, 1.0), SeededRng::new(1).uniform(0.0, 1.0));
+        // The key names the training draws only.
+        assert_ne!(a, pixels(&dam, 10, true, DrawKey::new(1, [0, 0])));
     }
 
     /// The folded forward answers from the structure of the inference-mode
@@ -323,9 +349,8 @@ mod tests {
             let image = image(size);
             let per_side = size / p;
             let (area, patch_dim) = (p * p, 3 * p * p);
-            let mut rng = SeededRng::new(5);
             let mut full = vec![f32::NAN; per_side * per_side * patch_dim];
-            dam.write_patches(&image, p, false, &mut rng, &mut full)
+            dam.write_patches(&image, p, false, DrawKey::new(5, [0, 0]), &mut full)
                 .unwrap();
             // (a) Every pixel row of every patch is its first, and every
             // patch row of the grid is the first patch row.
@@ -366,9 +391,9 @@ mod tests {
     #[test]
     fn training_mode_perturbs_replicated_rows_but_not_row_zero() {
         let dam = DataAugmentationModule::default();
-        let mut rng = SeededRng::new(2);
-        let out = pixels(&dam, 16, true, &mut rng);
-        let clean = pixels(&dam, 16, false, &mut rng);
+        let key = DrawKey::new(2, [0, 0]);
+        let out = pixels(&dam, 16, true, key);
+        let clean = pixels(&dam, 16, false, key);
         // Row 0 carries the unaugmented fingerprint.
         assert_eq!(out[..16 * 3], clean[..16 * 3]);
         for c in 0..3 {
@@ -393,9 +418,9 @@ mod tests {
             noise_std: 0.0,
         });
         let count_changed = |dam: &DataAugmentationModule, seed: u64| {
-            let mut rng = SeededRng::new(seed);
-            let aug = pixels(dam, 20, true, &mut rng);
-            let clean = pixels(dam, 20, false, &mut rng);
+            let key = DrawKey::new(seed, [0, 0]);
+            let aug = pixels(dam, 20, true, key);
+            let clean = pixels(dam, 20, false, key);
             aug.iter().zip(&clean).filter(|(a, c)| a != c).count()
         };
         assert!(count_changed(&heavy, 3) > count_changed(&light, 3) * 3);
@@ -404,13 +429,19 @@ mod tests {
     #[test]
     fn augment_vector_matches_configuration() {
         let dam = DataAugmentationModule::default();
-        let mut rng = SeededRng::new(4);
+        let key = DrawKey::new(4, [0, 0]);
         let input = vec![-90.0, -60.0, -40.0, -100.0, -70.0];
-        let eval = dam.augment_vector(&input, false, &mut rng);
+        let eval = dam.augment_vector(&input, false, key);
         // Eval mode: just the normalisation.
         assert_eq!(eval, dam.normalize_channel(&input));
-        let train = dam.augment_vector(&input, true, &mut rng);
+        let train = dam.augment_vector(&input, true, key);
         assert_eq!(train.len(), input.len());
         assert_ne!(train, eval);
+        // Keyed: the same key is the same view, another key another.
+        assert_eq!(train, dam.augment_vector(&input, true, key));
+        assert_ne!(
+            train,
+            dam.augment_vector(&input, true, DrawKey::new(4, [0, 1]))
+        );
     }
 }

@@ -106,7 +106,7 @@ pub(crate) fn resample_linear(values: &[f32], target_len: usize) -> Vec<f32> {
 mod tests {
     use super::*;
     use crate::{DamConfig, DataAugmentationModule};
-    use tensor::rng::SeededRng;
+    use tensor::rng::{DrawKey, KeyedNoise, SeededRng};
 
     fn observation(n: usize) -> FingerprintObservation {
         FingerprintObservation {
@@ -182,27 +182,36 @@ mod tests {
 
     /// The paper's picture, materialised: three row-major `R × R` channels
     /// whose every row is the normalised 1-D channel, rows `1..R` perturbed
-    /// in training with draws in (channel, row, column) order.
+    /// in training, each pixel `(c, row, col)` by draw `col` of its own
+    /// row's keyed noise — the whole row, the boundary the patch grid
+    /// discards included.
     fn replicate(
         dam: &DataAugmentationModule,
         image: &Rssi1d,
         training: bool,
-        rng: &mut SeededRng,
+        key: DrawKey,
     ) -> [Vec<f32>; 3] {
         let size = image.width();
         let config = *dam.config();
+        let mut noise = KeyedNoise::default();
+        let mut c = 0;
         image.channels().map(|channel| {
             let base = dam.normalize_channel(channel);
             let mut pixels: Vec<f32> = (0..size).flat_map(|_| base.clone()).collect();
             if training && config.is_augmenting() {
-                for pixel in &mut pixels[size..] {
-                    if config.dropout_rate > 0.0 && rng.bernoulli(config.dropout_rate as f64) {
-                        *pixel = rng.normal(0.0, config.noise_std.max(1e-3));
-                    } else if config.noise_std > 0.0 {
-                        *pixel += rng.normal(0.0, config.noise_std * 0.5);
+                for (row, values) in pixels.chunks_exact_mut(size).enumerate().skip(1) {
+                    let site = (3 * row + c) as u32;
+                    let (normals, dropped) = noise.row(key, site, size, config.dropout_rate);
+                    for (col, pixel) in values.iter_mut().enumerate() {
+                        if dropped[col] {
+                            *pixel = config.noise_std.max(1e-3) * normals[col];
+                        } else if config.noise_std > 0.0 {
+                            *pixel += config.noise_std * 0.5 * normals[col];
+                        }
                     }
                 }
             }
+            c += 1;
             pixels
         })
     }
@@ -213,7 +222,7 @@ mod tests {
         let image = image_1d(vec![0.0, 1.0, 2.0, 3.0]);
         let mut patches = [f32::NAN; 4 * 12];
         raw_dam()
-            .write_patches(&image, 2, false, &mut SeededRng::new(0), &mut patches)
+            .write_patches(&image, 2, false, DrawKey::default(), &mut patches)
             .unwrap();
         // First patch, channel 0 covers pixels (0,0),(0,1),(1,0),(1,1) = 0,1,0,1.
         assert_eq!(&patches[..4], &[0.0, 1.0, 0.0, 1.0]);
@@ -230,7 +239,9 @@ mod tests {
         // 7×7 with 2×2 and 3×3 patches leaves a partial column and row to
         // discard. The reference materialises the image and indexes it
         // pixel by pixel, independently of the run-copying, scattering
-        // writer; in training it replays the same seeded draws.
+        // writer; in training it keys each pixel by its (channel, row,
+        // column) as the writer must, and draws the whole image where the
+        // writer draws only the kept pixels.
         let mut rng = SeededRng::new(5);
         let image = Rssi1d {
             min: rng.uniform_tensor(&[7], -100.0, 0.0).into_vec(),
@@ -253,8 +264,8 @@ mod tests {
             let dam = DataAugmentationModule::new(*config);
             for ps in [1, 2, 3, 7] {
                 let case = format!("{config:?}, training {training}, patch size {ps}");
-                let mut image_rng = SeededRng::new(11);
-                let channels = replicate(&dam, &image, training, &mut image_rng);
+                let key = DrawKey::new(11, [3, 8]);
+                let channels = replicate(&dam, &image, training, key);
                 let per_side = 7 / ps;
                 let mut reference = Vec::new();
                 for (py, px) in (0..per_side).flat_map(|py| (0..per_side).map(move |px| (py, px))) {
@@ -267,23 +278,16 @@ mod tests {
                 }
                 assert_eq!(reference.len(), per_side * per_side * 3 * ps * ps, "{case}");
                 let mut written = vec![f32::NAN; reference.len()];
-                let mut writer_rng = SeededRng::new(11);
-                dam.write_patches(&image, ps, training, &mut writer_rng, &mut written)
+                dam.write_patches(&image, ps, training, key, &mut written)
                     .unwrap();
                 let bits: Vec<u32> = written.iter().map(|x| x.to_bits()).collect();
                 assert_eq!(bits, reference, "{case}");
-                // The writer consumed exactly the draws the image did,
-                // those of discarded boundary pixels included.
-                assert_eq!(
-                    writer_rng.uniform(0.0, 1.0).to_bits(),
-                    image_rng.uniform(0.0, 1.0).to_bits(),
-                    "{case}"
-                );
             }
         }
         // Only a buffer of exactly the patch matrix's size is accepted.
         let dam = DataAugmentationModule::default();
-        let mut write = |ps, out: &mut [f32]| dam.write_patches(&image, ps, true, &mut rng, out);
+        let write =
+            |ps, out: &mut [f32]| dam.write_patches(&image, ps, true, DrawKey::default(), out);
         assert!(write(3, &mut [0.0; 4 * 27]).is_ok());
         for refused in [
             write(3, &mut [0.0; 4 * 27 + 1]),
@@ -301,7 +305,7 @@ mod tests {
         // 5/2 = 2 per side -> 4 patches; the 5th row/col is dropped.
         let mut patches = [f32::NAN; 4 * 12];
         let write = |ps, out: &mut [f32]| {
-            raw_dam().write_patches(&image, ps, false, &mut SeededRng::new(0), out)
+            raw_dam().write_patches(&image, ps, false, DrawKey::default(), out)
         };
         write(2, &mut patches).unwrap();
         assert!(patches.iter().all(|&v| v != 5.0 && v != 50.0 && v != 500.0));

@@ -5,7 +5,7 @@
 use fingerprint::{FingerprintDataset, FingerprintObservation};
 use nn::optim::{minibatches, Adam};
 use nn::{Layer, Session};
-use tensor::rng::SeededRng;
+use tensor::rng::{DrawKey, SeededRng};
 use tensor::Tensor;
 
 use crate::image::Rssi1d;
@@ -93,7 +93,7 @@ impl VitalModel {
     }
 
     /// Runs image creation for each observation and has `write` turn the
-    /// image into that observation's `per_sample` values of `stacked`, one
+    /// `j`-th one's image into its `per_sample` values of `stacked`, one
     /// after another: the one fill of a training batch, of a compiled
     /// plan's input and of [`VitalModel::prepare_patches`].
     fn fill<'a>(
@@ -101,30 +101,32 @@ impl VitalModel {
         observations: impl IntoIterator<Item = &'a FingerprintObservation>,
         per_sample: usize,
         stacked: &mut [f32],
-        mut write: impl FnMut(&Rssi1d, &mut [f32]) -> Result<()>,
+        mut write: impl FnMut(usize, &Rssi1d, &mut [f32]) -> Result<()>,
     ) -> Result<()> {
         let slots = stacked.chunks_exact_mut(per_sample);
-        for (observation, slot) in observations.into_iter().zip(slots) {
+        for (j, (observation, slot)) in observations.into_iter().zip(slots).enumerate() {
             self.check_num_aps("observation", observation.num_aps())?;
-            write(&self.creator.create(observation)?, slot)?;
+            write(j, &self.creator.create(observation)?, slot)?;
         }
         Ok(())
     }
 
     /// The full pre-processing pipeline (image creation, DAM, patch
     /// extraction): the observations' row-major `[num_patches, patch_dim]`
-    /// patch matrices, one after another in `stacked`.
+    /// patch matrices, one after another in `stacked`, the `j`-th
+    /// augmented (when `training`) by the draws of `key(j)`.
     fn write_patches<'a>(
         &self,
         observations: impl IntoIterator<Item = &'a FingerprintObservation>,
         training: bool,
-        rng: &mut SeededRng,
+        key: impl Fn(usize) -> DrawKey,
         stacked: &mut [f32],
     ) -> Result<()> {
         let per_sample = self.transformer.num_patches() * self.transformer.patch_dim();
-        self.fill(observations, per_sample, stacked, |image, patches| {
+        self.fill(observations, per_sample, stacked, |j, image, patches| {
+            let size = self.config.patch_size;
             self.dam
-                .write_patches(image, self.config.patch_size, training, rng, patches)
+                .write_patches(image, size, training, key(j), patches)
         })
     }
 
@@ -139,14 +141,16 @@ impl VitalModel {
         stacked: &mut [f32],
     ) -> Result<()> {
         let per_sample = self.transformer.distinct_patches() * self.transformer.distinct_dim();
-        self.fill(observations, per_sample, stacked, |image, rows| {
+        self.fill(observations, per_sample, stacked, |_, image, rows| {
             self.dam.write_folded(image, self.config.patch_size, rows)
         })
     }
 
     /// The `[num_patches, patch_dim]` patch matrix of one observation.
     ///
-    /// `training` controls whether the stochastic DAM stages are applied.
+    /// `training` controls whether the stochastic DAM stages are applied;
+    /// their draws are keyed by one 64-bit word drawn from `rng`. Inference
+    /// draws nothing.
     ///
     /// # Errors
     /// Returns [`VitalError::InvalidDataset`] if the observation's access
@@ -159,7 +163,12 @@ impl VitalModel {
     ) -> Result<Tensor> {
         let dims = [self.transformer.num_patches(), self.transformer.patch_dim()];
         let mut patches = vec![0.0; dims[0] * dims[1]];
-        self.write_patches([observation], training, rng, &mut patches)?;
+        let key = if training {
+            DrawKey::new(rng.next_u64(), [0, 0])
+        } else {
+            DrawKey::default()
+        };
+        self.write_patches([observation], training, |_| key, &mut patches)?;
         Ok(Tensor::from_vec(patches, &dims)?)
     }
 
@@ -217,32 +226,32 @@ impl VitalModel {
         self.check_dataset(train)?;
         let observations = train.observations();
         let train_config = &self.config.train;
-        let mut rng = SeededRng::new(train_config.seed.wrapping_add(0xA0));
+        // The loop's shuffle and dropout, and the DAM's draws, each keyed
+        // by a seed of their own.
+        let (loop_seed, dam_seed) = (
+            train_config.seed.wrapping_add(0xA0),
+            train_config.seed.wrapping_add(0xDA),
+        );
         let epoch_losses = minibatches(
             &mut Adam::new(train_config.learning_rate),
             observations.len(),
             train_config.batch_size,
             train_config.epochs,
-            &mut rng,
-            |tape, epoch, batch, indices, rng| {
-                // The batch's patches, stacked as the tape's one constant.
+            loop_seed,
+            |session, epoch, indices| {
+                // The batch's patches, stacked as the tape's one constant;
+                // an observation's draws are keyed by its index in `train`.
                 let patch_dim = self.transformer.patch_dim();
                 let rows = indices.len() * self.transformer.num_patches();
                 let mut stacked = vec![0.0; rows * patch_dim];
                 let samples = indices.iter().map(|&i| &observations[i]);
-                self.write_patches(samples.clone(), true, rng, &mut stacked)?;
+                let key = |j: usize| DrawKey::new(dam_seed, [epoch, indices[j]]);
+                self.write_patches(samples.clone(), true, key, &mut stacked)?;
                 let stacked = Tensor::from_vec(stacked, &[rows, patch_dim])?;
                 let batch_labels: Vec<usize> = samples.map(|o| o.rp_label).collect();
-                let session_seed = train_config
-                    .seed
-                    .wrapping_add((epoch * 10_007 + batch) as u64);
-                let mut session = Session::new(tape, true, session_seed);
                 let stacked = session.constant(stacked);
-                let logits = self
-                    .transformer
-                    .forward(&mut session, stacked, indices.len())?;
-                let loss = logits.softmax_cross_entropy(&batch_labels)?;
-                Ok::<_, VitalError>((session, loss))
+                let logits = self.transformer.forward(session, stacked, indices.len())?;
+                Ok::<_, VitalError>(logits.softmax_cross_entropy(&batch_labels)?)
             },
             progress,
         )?;
@@ -562,6 +571,45 @@ mod tests {
         );
         assert!(model.param_count() > 1000);
         assert_eq!(Localizer::name(&model), "VITAL");
+    }
+
+    #[test]
+    fn an_observations_training_patches_do_not_depend_on_where_it_sits_in_a_batch() {
+        // The training fill keys each observation's draws by its index in
+        // the training set; nothing else may reach its patches.
+        let (_, dataset, config) = tiny_training_setup();
+        let model = VitalModel::new(config).unwrap();
+        let observations = dataset.observations();
+        let per_sample = model.transformer().num_patches() * model.transformer().patch_dim();
+        let write = |indices: &[usize]| {
+            let mut stacked = vec![f32::NAN; indices.len() * per_sample];
+            let samples = indices.iter().map(|&i| &observations[i]);
+            let key = |j: usize| DrawKey::new(17, [3, indices[j]]);
+            model
+                .write_patches(samples, true, key, &mut stacked)
+                .unwrap();
+            stacked.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+        };
+        let target = 5;
+        let alone = write(&[target]);
+        let others = (0..observations.len()).filter(|&i| i != target);
+        let mut batch: Vec<usize> = others.take(15).collect();
+        batch.insert(0, target);
+        let written = write(&batch);
+        assert_eq!(written[..per_sample], alone, "at position 0 of 16");
+        batch.rotate_left(1);
+        let written = write(&batch);
+        assert_eq!(written[15 * per_sample..], alone, "at position 15 of 16");
+        // The draws are there: another epoch is another view.
+        let key = |_| DrawKey::new(17, [4, target]);
+        let mut other_epoch = vec![f32::NAN; per_sample];
+        model
+            .write_patches([&observations[target]], true, key, &mut other_epoch)
+            .unwrap();
+        assert_ne!(
+            other_epoch.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            alone
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use autograd::Tape;
-use tensor::rng::SeededRng;
+use tensor::rng::{DrawKey, SeededRng};
 use tensor::Tensor;
 
 use crate::optim::Adam;
@@ -100,7 +100,8 @@ impl StackedAutoencoder {
                 data.clone()
             };
             let tape = Tape::new();
-            let mut session = Session::new(&tape, true, seed.wrapping_add(epoch as u64));
+            // Full batch: the epoch's one batch is batch 0.
+            let mut session = Session::keyed(&tape, DrawKey::new(seed, [epoch, 0]));
             let x = session.constant(corrupted);
             let recon = self.reconstruct(&mut session, x)?;
             let loss = recon.mse_loss(data)?;

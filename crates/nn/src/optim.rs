@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use autograd::{Tape, Var};
 use tensor::kernels::{adam_update, AdamStep};
-use tensor::rng::SeededRng;
+use tensor::rng::{DrawKey, SeededRng};
 use tensor::{Tensor, TensorError};
 
 use crate::{Param, Session};
@@ -12,14 +12,16 @@ use crate::{Param, Session};
 /// Mini-batch gradient descent over `samples` training rows for `epochs`
 /// passes: the one training loop every model's `fit` runs.
 ///
-/// Each epoch shuffles the row order with `rng`; each `batch_size` chunk of
-/// it gets a fresh [`Tape`], onto which `batch_loss(tape, epoch,
-/// batch_index, indices, rng)` records the batch, returning the training
-/// [`Session`] it opened (under the model's own dropout-seed formula) and
-/// the scalar loss. It may draw augmentation noise from the same `rng`.
-/// The loop owns the rest: [`Session::backward`], [`Adam::step`] on the
-/// gradients it returns, and the epoch's mean loss, handed to
-/// `progress(epoch, mean)` as the epoch ends and returned for all epochs.
+/// Each epoch shuffles the row order with a [`SeededRng`] of `seed`; each
+/// `batch_size` chunk of it gets a fresh [`Tape`] and a training
+/// [`Session::keyed`] by `DrawKey::new(seed, [epoch, batch])`, so every
+/// batch of every epoch draws its own dropout masks.
+/// `batch_loss(session, epoch, indices)` records the batch on it and
+/// returns the scalar loss; any augmentation it applies is keyed by the
+/// model, not drawn from the loop. The loop owns the rest:
+/// [`Session::backward`], [`Adam::step`] on the gradients it returns, and
+/// the epoch's mean loss, handed to `progress(epoch, mean)` as the epoch
+/// ends and returned for all epochs.
 ///
 /// # Errors
 /// Whatever `batch_loss` returns, and tape errors from the backward pass.
@@ -28,16 +30,11 @@ pub fn minibatches<E: From<TensorError>>(
     samples: usize,
     batch_size: usize,
     epochs: usize,
-    rng: &mut SeededRng,
-    mut batch_loss: impl for<'t> FnMut(
-        &'t Tape,
-        usize,
-        usize,
-        &[usize],
-        &mut SeededRng,
-    ) -> Result<(Session<'t>, Var<'t>), E>,
+    seed: u64,
+    mut batch_loss: impl for<'t> FnMut(&mut Session<'t>, usize, &[usize]) -> Result<Var<'t>, E>,
     mut progress: impl FnMut(usize, f32),
 ) -> Result<Vec<f32>, E> {
+    let mut rng = SeededRng::new(seed);
     let mut order: Vec<usize> = (0..samples).collect();
     let mut epoch_losses = Vec::with_capacity(epochs);
     for epoch in 0..epochs {
@@ -45,7 +42,8 @@ pub fn minibatches<E: From<TensorError>>(
         let mut epoch_loss = 0.0;
         for (batch, indices) in order.chunks(batch_size).enumerate() {
             let tape = Tape::new();
-            let (session, loss) = batch_loss(&tape, epoch, batch, indices, rng)?;
+            let mut session = Session::keyed(&tape, DrawKey::new(seed, [epoch, batch]));
+            let loss = batch_loss(&mut session, epoch, indices)?;
             epoch_loss += loss.value().item()?;
             optimizer.step(&session.backward(loss)?);
         }

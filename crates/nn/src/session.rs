@@ -1,5 +1,5 @@
 use autograd::{Tape, Var};
-use tensor::rng::SeededRng;
+use tensor::rng::{word_threshold, DrawKey};
 use tensor::{MatmulSpec, Tensor, TensorError};
 
 use crate::{Activation, Param, Result, Trace};
@@ -9,7 +9,7 @@ use crate::{Activation, Param, Result, Trace};
 /// A `Session` wraps an autograd [`Tape`] together with:
 ///
 /// * the *training* flag (controls dropout),
-/// * a seeded RNG for stochastic layers, and
+/// * the [`DrawKey`] its dropout masks are keyed by, and
 /// * the list of [`Param`]s registered during the forward pass, so that
 ///   [`Session::backward`] can hand each one's gradient to the optimizer.
 ///
@@ -24,20 +24,34 @@ use crate::{Activation, Param, Result, Trace};
 pub struct Session<'t> {
     tape: &'t Tape,
     training: bool,
-    rng: SeededRng,
+    key: DrawKey,
+    /// Dropout nodes recorded so far: the next one's site word.
+    dropouts: u32,
     registered: Vec<(Param, Var<'t>)>,
 }
 
 impl<'t> Session<'t> {
     /// Creates a session over `tape`.
     ///
-    /// `training` enables dropout; `seed` drives every stochastic layer in
-    /// this pass (so a full epoch can be replayed deterministically).
+    /// `training` enables dropout, keyed as by [`Session::keyed`] with the
+    /// family `(0, 0)` of `seed`.
     pub fn new(tape: &'t Tape, training: bool, seed: u64) -> Self {
+        let mut session = Session::keyed(tape, DrawKey::new(seed, [0, 0]));
+        session.training = training;
+        session
+    }
+
+    /// A training session whose dropout masks are keyed by `key`: element
+    /// `i` of the `n`-th dropout node recorded is dropped by word `i % 4`
+    /// of `key.block([i / 4, n])`. A mask is then a pure function of the
+    /// key (for a training loop, its seed, epoch and batch), the node and
+    /// the element.
+    pub fn keyed(tape: &'t Tape, key: DrawKey) -> Self {
         Session {
             tape,
-            training,
-            rng: SeededRng::new(seed),
+            training: true,
+            key,
+            dropouts: 0,
             registered: Vec::new(),
         }
     }
@@ -162,9 +176,21 @@ impl<'t> Trace for Session<'t> {
         if !self.training || rate <= 0.0 {
             return Ok(x);
         }
-        let dims: Vec<usize> = x.value().shape().dims().to_vec();
-        let mask = self.rng.dropout_mask(&dims, rate);
-        x.mul_mask(&mask)
+        let rate = rate.min(0.999);
+        let (threshold, keep_scale) = (word_threshold(rate), 1.0 / (1.0 - rate));
+        let node = self.dropouts;
+        self.dropouts += 1;
+        let value = x.value();
+        let mut mask = vec![keep_scale; value.len()];
+        for (k, quad) in mask.chunks_mut(4).enumerate() {
+            let words = self.key.block([k as u32, node]);
+            for (m, w) in quad.iter_mut().zip(words) {
+                if u64::from(w) < threshold {
+                    *m = 0.0;
+                }
+            }
+        }
+        x.mul_mask(&Tensor::from_vec(mask, value.shape().dims())?)
     }
 }
 
@@ -243,6 +269,30 @@ mod tests {
         let x = session.constant(Tensor::ones(&[2, 2]));
         let y = session.dropout(x, 0.0).unwrap();
         assert_eq!(y.value(), Tensor::ones(&[2, 2]));
+    }
+
+    #[test]
+    fn keyed_masks_are_a_function_of_key_node_and_element() {
+        let key = DrawKey::new(5, [2, 7]);
+        let masks = |key| {
+            let tape = Tape::new();
+            let mut session = Session::keyed(&tape, key);
+            let x = session.constant(Tensor::ones(&[6, 5]));
+            [0, 1].map(|_| session.dropout(x, 0.5).unwrap().value())
+        };
+        let [first, second] = masks(key);
+        assert_ne!(first, second, "two dropout nodes, two masks");
+        assert_eq!(masks(key), [first.clone(), second]);
+        assert_ne!(masks(DrawKey::new(5, [2, 8]))[0], first, "another batch");
+        // Element i of node 0 is word i % 4 of the block at [i / 4, 0].
+        for (i, &m) in first.as_slice().iter().enumerate() {
+            let word = key.block([(i / 4) as u32, 0])[i % 4];
+            assert_eq!(
+                m == 0.0,
+                u64::from(word) < word_threshold(0.5),
+                "element {i}"
+            );
+        }
     }
 
     #[test]

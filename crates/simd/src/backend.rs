@@ -54,6 +54,19 @@ pub(crate) mod lane {
         let f2 = f32::from_bits((((h2 + 127) as u32) & 0xff) << 23);
         (y * f1) * f2
     }
+
+    /// `x`'s significand with its exponent field set to that of `1.0` (a
+    /// value in `[1, 2)`, the sign dropped) and its unbiased exponent field
+    /// as a float (`−127` for zeros and subnormals, `128` for infinities
+    /// and NaNs), so `x = m · 2^e` for every positive normal `x`. Integer
+    /// bit manipulation only, so every backend agrees on every input.
+    #[inline(always)]
+    pub fn frexp(x: f32) -> (f32, f32) {
+        let bits = x.to_bits();
+        let m = f32::from_bits((bits & 0x007f_ffff) | 0x3f80_0000);
+        let e = ((bits >> 23) & 0xff) as i32 - 127;
+        (m, e as f32)
+    }
 }
 
 /// One dispatch level's bundle of `f32` lanes and primitive operations.
@@ -108,6 +121,8 @@ pub trait SimdOp {
     fn round(v: Self::V) -> Self::V;
     /// Lanewise `lane::scale_by_pow2` (two-step power-of-two scaling).
     fn scale_by_pow2(y: Self::V, n: Self::V) -> Self::V;
+    /// Lanewise `lane::frexp`: `(significand in [1, 2), exponent)`.
+    fn frexp(v: Self::V) -> (Self::V, Self::V);
     /// Lanewise absolute value (clears the sign bit).
     fn abs(v: Self::V) -> Self::V;
     /// Lanewise copy of `sign`'s sign bit onto `mag`.
@@ -190,6 +205,11 @@ impl SimdOp for Scalar8 {
     #[inline(always)]
     fn scale_by_pow2(y: [f32; 8], n: [f32; 8]) -> [f32; 8] {
         std::array::from_fn(|i| lane::scale_by_pow2(y[i], n[i]))
+    }
+    #[inline(always)]
+    fn frexp(v: [f32; 8]) -> ([f32; 8], [f32; 8]) {
+        let split = v.map(lane::frexp);
+        (split.map(|(m, _)| m), split.map(|(_, e)| e))
     }
     #[inline(always)]
     fn abs(v: [f32; 8]) -> [f32; 8] {
@@ -295,6 +315,10 @@ impl SimdOp for Scalar1 {
     #[inline(always)]
     fn scale_by_pow2(y: f32, n: f32) -> f32 {
         lane::scale_by_pow2(y, n)
+    }
+    #[inline(always)]
+    fn frexp(v: f32) -> (f32, f32) {
+        lane::frexp(v)
     }
     #[inline(always)]
     fn abs(v: f32) -> f32 {

@@ -24,6 +24,20 @@
 //!   levels.
 //! - `softmax_rows` is the three-pass max / exp-sum / divide form;
 //!   `layer_norm_rows` accumulates sum and sum-of-squares in one sweep.
+//! - `ln`: Cephes-style degree-8 polynomial in `f = m − 1` after the
+//!   [`SimdOp::frexp`] split `x = m · 2^e` with `m ∈ [√½, √2)`, `e·ln2`
+//!   added back in the same two halves as `exp`'s. At most 1 ULP over
+//!   the `k · 2⁻²⁴` grid of `(0, 1]`, 2 ULP on other positive finite
+//!   inputs, subnormals included (scaled into the normal range first);
+//!   `0 → −∞`, `+∞ → +∞`, negative → NaN, `NaN → NaN` (payload
+//!   preserved).
+//! - `sincos` takes its angle in *turns* (`2π · t` radians), so the range
+//!   reduction is exact: `t − round(t)`, then quarter turns `q`, leave
+//!   `|r| ≤ 1/8`, and only `r · 2π` rounds. Cephes `sinf`/`cosf`
+//!   polynomials on `[−π/4, π/4]` and a quadrant swap: within one
+//!   `f32::EPSILON` of libm in absolute terms (9.1e-8 over the `k · 2⁻²⁴`
+//!   grid of a turn). `±∞` and NaN give NaN (a NaN input keeps its
+//!   payload).
 //!
 //! NaN outputs and the cross-level contract. IEEE leaves the sign and
 //! payload of a NaN *result* open, x86 takes them from the first operand,
@@ -75,6 +89,28 @@ const EXP_P2: f32 = 8.333_451_907_3e-3;
 const EXP_P3: f32 = 4.166_579_589_4e-2;
 const EXP_P4: f32 = 1.666_666_546e-1;
 const EXP_P5: f32 = 5.000_000_120_1e-1;
+/// Significands above this are halved before `ln`'s polynomial, so
+/// `f = m − 1` stays in `[√½ − 1, √2 − 1]`.
+const SQRT2: f32 = 1.414_213_562_4;
+/// `2^25`: lifts a subnormal `ln` argument into the normal range.
+const TWO_POW_25: f32 = 33_554_432.0;
+const LOG_P0: f32 = 7.037_683_629_2e-2;
+const LOG_P1: f32 = -1.151_461_031_0e-1;
+const LOG_P2: f32 = 1.167_699_874_0e-1;
+const LOG_P3: f32 = -1.242_014_084_6e-1;
+const LOG_P4: f32 = 1.424_932_278_7e-1;
+const LOG_P5: f32 = -1.666_805_766_5e-1;
+const LOG_P6: f32 = 2.000_071_476_5e-1;
+const LOG_P7: f32 = -2.499_999_399_3e-1;
+const LOG_P8: f32 = 3.333_333_117_4e-1;
+/// One full turn in radians, `2π`.
+const TAU: f32 = 6.283_185_307_179_586;
+const SIN_P0: f32 = -1.951_529_589_1e-4;
+const SIN_P1: f32 = 8.332_160_873_6e-3;
+const SIN_P2: f32 = -1.666_665_461_1e-1;
+const COS_P0: f32 = 2.443_315_711_809_948e-5;
+const COS_P1: f32 = -1.388_731_625_493_765e-3;
+const COS_P2: f32 = 4.166_664_568_298_827e-2;
 
 /// The activations the dispatcher vectorizes.
 ///
@@ -163,6 +199,122 @@ pub fn gelu_v<S: SimdOp>(x: S::V) -> S::V {
 #[inline(always)]
 pub fn relu_v<S: SimdOp>(x: S::V) -> S::V {
     S::max(x, S::splat(0.0))
+}
+
+/// Vectorized natural logarithm — see the module docs for the numerical
+/// contract.
+#[inline(always)]
+pub fn ln_v<S: SimdOp>(x: S::V) -> S::V {
+    let one = S::splat(1.0);
+    // Zeros, negatives and subnormals take the scaled path; only the
+    // subnormals' result survives the blends below.
+    let tiny = S::lt(x, S::splat(f32::MIN_POSITIVE));
+    let (m, e) = S::frexp(S::select(tiny, S::mul(x, S::splat(TWO_POW_25)), x));
+    let e = S::select(tiny, S::sub(e, S::splat(25.0)), e);
+    let high = S::gt(m, S::splat(SQRT2));
+    let m = S::select(high, S::mul(m, S::splat(0.5)), m);
+    let e = S::select(high, S::add(e, one), e);
+    let f = S::sub(m, one);
+    let z = S::mul(f, f);
+    let mut y = S::splat(LOG_P0);
+    y = S::mul_add(y, f, S::splat(LOG_P1));
+    y = S::mul_add(y, f, S::splat(LOG_P2));
+    y = S::mul_add(y, f, S::splat(LOG_P3));
+    y = S::mul_add(y, f, S::splat(LOG_P4));
+    y = S::mul_add(y, f, S::splat(LOG_P5));
+    y = S::mul_add(y, f, S::splat(LOG_P6));
+    y = S::mul_add(y, f, S::splat(LOG_P7));
+    y = S::mul_add(y, f, S::splat(LOG_P8));
+    y = S::mul(S::mul(y, f), z);
+    y = S::mul_add(e, S::splat(LN2_LO), y);
+    y = S::mul_add(z, S::splat(-0.5), y);
+    let r = S::mul_add(e, S::splat(LN2_HI), S::add(f, y));
+    let r = S::select(S::gt(x, S::splat(f32::MAX)), S::splat(f32::INFINITY), r);
+    let not_positive = S::select(
+        S::lt(x, S::splat(0.0)),
+        S::splat(f32::NAN),
+        S::splat(f32::NEG_INFINITY),
+    );
+    let r = S::select(S::gt(x, S::splat(0.0)), r, not_positive);
+    S::select(S::is_nan(x), x, r)
+}
+
+/// Vectorized `(sin 2πt, cos 2πt)` of an angle `t` in turns — see the
+/// module docs for the numerical contract.
+#[inline(always)]
+pub fn sincos_v<S: SimdOp>(turns: S::V) -> (S::V, S::V) {
+    let one = S::splat(1.0);
+    let minus_one = S::splat(-1.0);
+    // An infinite angle is a NaN here rather than `∞ − ∞` below, whose
+    // NaN the optimiser could fold to another payload than the hardware's.
+    let infinite = S::gt(S::abs(turns), S::splat(f32::MAX));
+    let t = S::select(infinite, S::splat(f32::NAN), turns);
+    // Both reductions are exact: `a` keeps `t`'s fractional bits, and
+    // `r` those of `a` below a quarter turn.
+    let a = S::sub(t, S::round(t));
+    let q = S::round(S::mul(a, S::splat(4.0)));
+    let r = S::mul_add(q, S::splat(-0.25), a);
+    let x = S::mul(r, S::splat(TAU));
+    let z = S::mul(x, x);
+    let mut ps = S::splat(SIN_P0);
+    ps = S::mul_add(ps, z, S::splat(SIN_P1));
+    ps = S::mul_add(ps, z, S::splat(SIN_P2));
+    let s = S::mul_add(S::mul(ps, z), x, x);
+    let mut pc = S::splat(COS_P0);
+    pc = S::mul_add(pc, z, S::splat(COS_P1));
+    pc = S::mul_add(pc, z, S::splat(COS_P2));
+    let c = S::add(
+        S::sub(S::mul(S::mul(pc, z), z), S::mul(S::splat(0.5), z)),
+        one,
+    );
+    // Quarter turn q ∈ {−2, …, 2}: odd quarters swap the two, and
+    // sin < 0 on q ∈ {−2, −1, 2}, cos < 0 on q ∈ {−2, 1, 2}.
+    let odd = S::lt(S::abs(S::sub(S::abs(q), one)), S::splat(0.5));
+    let (sin, cos) = (S::select(odd, c, s), S::select(odd, s, c));
+    let sin_sign = S::select(
+        S::lt(q, S::splat(-0.5)),
+        minus_one,
+        S::select(S::gt(q, S::splat(1.5)), minus_one, one),
+    );
+    let cos_sign = S::select(
+        S::gt(q, S::splat(0.5)),
+        minus_one,
+        S::select(S::lt(q, S::splat(-1.5)), minus_one, one),
+    );
+    (S::mul(sin, sin_sign), S::mul(cos, cos_sign))
+}
+
+/// Natural logarithm of every element in place; the tail goes through a
+/// block padded with `1.0` on the same vector path.
+#[inline(always)]
+pub fn ln_inplace<S: SimdOp>(data: &mut [f32]) {
+    let mut chunks = data.chunks_exact_mut(S::LANES);
+    for chunk in &mut chunks {
+        S::store(ln_v::<S>(S::load(chunk)), chunk);
+    }
+    let rem = chunks.into_remainder();
+    if !rem.is_empty() {
+        store_partial::<S>(ln_v::<S>(S::load_padded(rem, 1.0)), rem);
+    }
+}
+
+/// `sin[i], cos[i] = sin 2π·turns[i], cos 2π·turns[i]` for as many
+/// elements as all three slices hold; the tail goes through a padded block
+/// on the same vector path.
+#[inline(always)]
+pub fn sincos_turns<S: SimdOp>(turns: &[f32], sin: &mut [f32], cos: &mut [f32]) {
+    let n = turns.len().min(sin.len()).min(cos.len());
+    let body = n - n % S::LANES;
+    for i in (0..body).step_by(S::LANES) {
+        let (s, c) = sincos_v::<S>(S::load(&turns[i..]));
+        S::store(s, &mut sin[i..]);
+        S::store(c, &mut cos[i..]);
+    }
+    if body < n {
+        let (s, c) = sincos_v::<S>(S::load_padded(&turns[body..n], 0.0));
+        store_partial::<S>(s, &mut sin[body..n]);
+        store_partial::<S>(c, &mut cos[body..n]);
+    }
 }
 
 #[inline(always)]
@@ -447,6 +599,90 @@ mod tests {
                     "{act:?}({x}) diverged between Scalar1 and Scalar8"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn ln_tracks_libm_over_the_unit_interval_and_beyond() {
+        // Every 2^-24 step of (0, 1] the keyed draws produce, sampled, plus
+        // a walk over twenty decades either side and the subnormals.
+        let unit = (1..=1u32 << 24)
+            .step_by(997)
+            .map(|k| k as f32 / 16_777_216.0);
+        let decades = (-40..40).map(|d| 1.37f32 * 10f32.powi(d) / 3.0);
+        let mut worst = 0;
+        for x in unit.chain(decades).chain([1.0, 1e-40, 1e-45, f32::MAX]) {
+            let got = ln_v::<Scalar1>(x);
+            let want = (x as f64).ln() as f32;
+            worst = worst.max(ulp_diff(got, want));
+            assert!(ulp_diff(got, want) <= 2, "ln({x:e}) = {got}, libm = {want}");
+        }
+        assert!(worst >= 1, "the comparison must be able to fail");
+        assert_eq!(ln_v::<Scalar1>(1.0), 0.0);
+        assert_eq!(ln_v::<Scalar1>(0.0), f32::NEG_INFINITY);
+        assert_eq!(ln_v::<Scalar1>(-0.0), f32::NEG_INFINITY);
+        assert_eq!(ln_v::<Scalar1>(f32::INFINITY), f32::INFINITY);
+        assert!(ln_v::<Scalar1>(-1.0).is_nan());
+        assert!(ln_v::<Scalar1>(f32::NEG_INFINITY).is_nan());
+        let payload = f32::from_bits(0x7fc0_1234);
+        assert_eq!(ln_v::<Scalar1>(payload).to_bits(), payload.to_bits());
+    }
+
+    #[test]
+    fn sincos_tracks_libm_over_a_turn_and_its_multiples() {
+        let turn = (0..1u32 << 24)
+            .step_by(1009)
+            .map(|k| k as f32 / 16_777_216.0);
+        let wide = (0..2000).map(|i| i as f32 * 0.731 - 700.0);
+        for t in turn.chain(wide).chain([0.25, 0.5, 0.75, -0.125, 1e-30]) {
+            let (s, c) = sincos_v::<Scalar1>(t);
+            let radians = std::f64::consts::TAU * (t as f64 - (t as f64).round());
+            let (want_s, want_c) = (radians.sin(), radians.cos());
+            // Absolute error within about one f32 epsilon (the worst over all
+            // 2^24 turns of the unit grid is 9.1e-8).
+            assert!(
+                ((s as f64) - want_s).abs() <= 1.2e-7,
+                "sin 2π·{t} = {s}, libm {want_s}"
+            );
+            assert!(
+                ((c as f64) - want_c).abs() <= 1.2e-7,
+                "cos 2π·{t} = {c}, libm {want_c}"
+            );
+        }
+        assert_eq!(sincos_v::<Scalar1>(0.0), (0.0, 1.0));
+        assert_eq!(sincos_v::<Scalar1>(0.25), (1.0, 0.0));
+        for t in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let (s, c) = sincos_v::<Scalar1>(t);
+            assert!(s.is_nan() && c.is_nan(), "sincos({t})");
+        }
+    }
+
+    #[test]
+    fn ln_and_sincos_agree_across_one_and_eight_lanes() {
+        let inputs = [
+            1.0 / 16_777_216.0,
+            0.3,
+            0.999_999_9,
+            1.0,
+            1.5,
+            1.0e-40,
+            0.0,
+            -0.0,
+            -2.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for &x in &inputs {
+            let lanes = [x; 8];
+            let mut swept = lanes;
+            ln_inplace::<Scalar8>(&mut swept);
+            assert_eq!(swept[5].to_bits(), ln_v::<Scalar1>(x).to_bits(), "ln({x})");
+            let (mut sin, mut cos) = ([0.0; 8], [0.0; 8]);
+            sincos_turns::<Scalar8>(&lanes, &mut sin, &mut cos);
+            let (s, c) = sincos_v::<Scalar1>(x);
+            assert_eq!(sin[2].to_bits(), s.to_bits(), "sin({x})");
+            assert_eq!(cos[2].to_bits(), c.to_bits(), "cos({x})");
         }
     }
 

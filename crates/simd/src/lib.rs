@@ -230,6 +230,50 @@ pub fn layer_norm_rows_stats(
     );
 }
 
+/// Natural logarithm of every element in place at the [`active_level`]
+/// ([`kernels::ln_v`]).
+pub fn ln(data: &mut [f32]) {
+    ln_at(active_level(), data);
+}
+
+/// Natural logarithm in place at an explicit level (capped at hardware
+/// support).
+pub fn ln_at(level: Level, data: &mut [f32]) {
+    match clamp_supported(level) {
+        Level::Scalar => kernels::ln_inplace::<Scalar8>(data),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `clamp_supported` established the avx2 CPUID check.
+        Level::Avx2 => unsafe { x86::ln_avx2(data) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above, plus fma.
+        Level::Fma => unsafe { x86::ln_fma(data) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => kernels::ln_inplace::<Scalar8>(data),
+    }
+}
+
+/// `sin[i], cos[i] = sin 2π·turns[i], cos 2π·turns[i]` at the
+/// [`active_level`] ([`kernels::sincos_v`]), for as many elements as all
+/// three slices hold.
+pub fn sincos_turns(turns: &[f32], sin: &mut [f32], cos: &mut [f32]) {
+    sincos_turns_at(active_level(), turns, sin, cos);
+}
+
+/// [`sincos_turns`] at an explicit level (capped at hardware support).
+pub fn sincos_turns_at(level: Level, turns: &[f32], sin: &mut [f32], cos: &mut [f32]) {
+    match clamp_supported(level) {
+        Level::Scalar => kernels::sincos_turns::<Scalar8>(turns, sin, cos),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `clamp_supported` established the avx2 CPUID check.
+        Level::Avx2 => unsafe { x86::sincos_turns_avx2(turns, sin, cos) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above, plus fma.
+        Level::Fma => unsafe { x86::sincos_turns_fma(turns, sin, cos) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => kernels::sincos_turns::<Scalar8>(turns, sin, cos),
+    }
+}
+
 fn dispatch_layer_norm(
     level: Level,
     data: &mut [f32],

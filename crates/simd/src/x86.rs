@@ -148,6 +148,25 @@ impl SimdOp for Avx2 {
         }
     }
     #[inline(always)]
+    fn frexp(v: __m256) -> (__m256, __m256) {
+        // SAFETY: AVX2 available per the module contract (integer 256-bit
+        // ops are AVX2). Mirrors `lane::frexp` bit for bit: the mantissa
+        // field under the exponent field of 1.0, and the exponent field
+        // minus the bias, converted exactly (it is a small integer).
+        unsafe {
+            let bits = _mm256_castps_si256(v);
+            let m = _mm256_or_si256(
+                _mm256_and_si256(bits, _mm256_set1_epi32(0x007f_ffff)),
+                _mm256_set1_epi32(0x3f80_0000),
+            );
+            let e = _mm256_sub_epi32(
+                _mm256_and_si256(_mm256_srli_epi32::<23>(bits), _mm256_set1_epi32(0xff)),
+                _mm256_set1_epi32(127),
+            );
+            (_mm256_castsi256_ps(m), _mm256_cvtepi32_ps(e))
+        }
+    }
+    #[inline(always)]
     fn abs(v: __m256) -> __m256 {
         // SAFETY: AVX available per the module contract. Clears the sign
         // bit, exactly like the scalar `to_bits & 0x7fff_ffff`.
@@ -277,6 +296,10 @@ impl SimdOp for FmaB {
         Avx2::scale_by_pow2(y, n)
     }
     #[inline(always)]
+    fn frexp(v: __m256) -> (__m256, __m256) {
+        Avx2::frexp(v)
+    }
+    #[inline(always)]
     fn abs(v: __m256) -> __m256 {
         Avx2::abs(v)
     }
@@ -377,4 +400,40 @@ pub unsafe fn layer_norm_rows_fma(
     stats: Option<(&mut [f32], &mut [f32])>,
 ) {
     kernels::layer_norm_rows::<FmaB>(data, cols, gamma, beta, eps, stats)
+}
+
+/// AVX2 entry point for [`kernels::ln_inplace`].
+///
+/// # Safety
+/// The running CPU must support AVX2.
+#[target_feature(enable = "avx2")]
+pub unsafe fn ln_avx2(data: &mut [f32]) {
+    kernels::ln_inplace::<Avx2>(data)
+}
+
+/// AVX2+FMA entry point for [`kernels::ln_inplace`].
+///
+/// # Safety
+/// The running CPU must support AVX2 and FMA.
+#[target_feature(enable = "avx2,fma")]
+pub unsafe fn ln_fma(data: &mut [f32]) {
+    kernels::ln_inplace::<FmaB>(data)
+}
+
+/// AVX2 entry point for [`kernels::sincos_turns`].
+///
+/// # Safety
+/// The running CPU must support AVX2.
+#[target_feature(enable = "avx2")]
+pub unsafe fn sincos_turns_avx2(turns: &[f32], sin: &mut [f32], cos: &mut [f32]) {
+    kernels::sincos_turns::<Avx2>(turns, sin, cos)
+}
+
+/// AVX2+FMA entry point for [`kernels::sincos_turns`].
+///
+/// # Safety
+/// The running CPU must support AVX2 and FMA.
+#[target_feature(enable = "avx2,fma")]
+pub unsafe fn sincos_turns_fma(turns: &[f32], sin: &mut [f32], cos: &mut [f32]) {
+    kernels::sincos_turns::<FmaB>(turns, sin, cos)
 }

@@ -201,6 +201,45 @@ proptest! {
         }
     }
 
+    /// `ln` over the Box–Muller radius domain `(0, 1]` — the grid
+    /// `k · 2⁻²⁴` the keyed draws produce, its two ends included — and
+    /// over arbitrary elements, specials included: bit-identical sweeps.
+    #[test]
+    fn ln_scalar_avx2_bit_identical(
+        grid in proptest::collection::vec(1u32..=1 << 24, 1..48),
+        data in buffer(lane_boundary_len()),
+    ) {
+        let unit = grid.iter().map(|&k| k as f32 / 16_777_216.0);
+        let ends = [1.0 / 16_777_216.0, 1.0];
+        for input in [unit.chain(ends).collect::<Vec<_>>(), data] {
+            let mut scalar = input.clone();
+            let mut vector = input;
+            simd::ln_at(Level::Scalar, &mut scalar);
+            simd::ln_at(best_deterministic(), &mut vector);
+            assert_bits_equal(&scalar, &vector, "ln")?;
+        }
+    }
+
+    /// `sincos` over the Box–Muller angle domain, turns in `[0, 1)`, and
+    /// over arbitrary elements, specials included: both outputs
+    /// bit-identical.
+    #[test]
+    fn sincos_scalar_avx2_bit_identical(
+        grid in proptest::collection::vec(0u32..1 << 24, 1..48),
+        data in buffer(lane_boundary_len()),
+    ) {
+        let turns: Vec<f32> = grid.iter().map(|&k| k as f32 / 16_777_216.0).collect();
+        for input in [turns, data] {
+            let n = input.len();
+            let (mut s_sin, mut s_cos) = (vec![0.0; n], vec![0.0; n]);
+            let (mut v_sin, mut v_cos) = (vec![0.0; n], vec![0.0; n]);
+            simd::sincos_turns_at(Level::Scalar, &input, &mut s_sin, &mut s_cos);
+            simd::sincos_turns_at(best_deterministic(), &input, &mut v_sin, &mut v_cos);
+            assert_bits_equal(&s_sin, &v_sin, "sin")?;
+            assert_bits_equal(&s_cos, &v_cos, "cos")?;
+        }
+    }
+
     /// The opt-in FMA level stays within a tight ULP envelope of scalar
     /// for elementwise activations on finite inputs. (Skipped by clamping
     /// on hosts without FMA: `Fma` degrades to the detected level and the
@@ -283,10 +322,18 @@ fn lane_boundaries_bit_identical_for_every_kernel() {
         let mut b = data.clone();
         simd::softmax_rows_at(Level::Scalar, &mut a, n);
         simd::softmax_rows_at(level, &mut b, n);
-        let (ab, bb): (Vec<u32>, Vec<u32>) = (
-            a.iter().map(|v| v.to_bits()).collect(),
-            b.iter().map(|v| v.to_bits()).collect(),
-        );
-        assert_eq!(ab, bb, "softmax n={n}");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&a), bits(&b), "softmax n={n}");
+        let mut a = data.clone();
+        let mut b = data.clone();
+        simd::ln_at(Level::Scalar, &mut a);
+        simd::ln_at(level, &mut b);
+        assert_eq!(bits(&a), bits(&b), "ln n={n}");
+        let sincos = |level| {
+            let (mut sin, mut cos) = (vec![0.0; n], vec![0.0; n]);
+            simd::sincos_turns_at(level, &data, &mut sin, &mut cos);
+            (bits(&sin), bits(&cos))
+        };
+        assert_eq!(sincos(Level::Scalar), sincos(level), "sincos n={n}");
     }
 }

@@ -1,9 +1,21 @@
 //! Seeded random-number utilities and tensor initialisers.
 //!
-//! All stochastic components of the workspace (weight initialisation, DAM
-//! dropout / Gaussian noise, the RF shadowing model) consume a
-//! [`SeededRng`] so that every experiment is exactly reproducible from a
-//! single `u64` seed.
+//! Two kinds of randomness, both exactly reproducible from a `u64` seed:
+//!
+//! - **Sequential streams.** [`SeededRng`] draws one value after another:
+//!   weight initialisation, shuffles, the RF shadowing model, the
+//!   autoencoder's corruption noise. Every draw depends on all the draws
+//!   before it.
+//! - **Keyed draws.** The augmentation noise and dropout masks of training
+//!   are a pure function of *where* they are used, through the
+//!   counter-based Philox4x32-10 generator of Salmon et al., "Parallel
+//!   Random Numbers: As Easy as 1, 2, 3" (SC '11), [`philox4x32_10`]. A
+//!   [`DrawKey`] names a family of draws — a seed and two stream words such
+//!   as (epoch, observation) — and [`DrawKey::block`] is its block at a
+//!   two-word site such as (column pair, pixel row). No draw depends on
+//!   another, so a draw that is not needed is not made, the draws of a row
+//!   can be turned into numbers eight lanes at a time ([`KeyedNoise`]),
+//!   and work keyed this way gives the same bits in any order.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,7 +50,12 @@ impl SeededRng {
     /// Derives an independent child generator; useful for giving each
     /// subsystem (device model, building, layer) its own stream.
     pub fn fork(&mut self) -> SeededRng {
-        SeededRng::new(self.inner.gen::<u64>())
+        SeededRng::new(self.next_u64())
+    }
+
+    /// A uniform 64-bit word — e.g. the seed of a [`DrawKey`].
+    pub fn next_u64(&mut self) -> u64 {
+        self.inner.gen::<u64>()
     }
 
     /// Uniform sample in `[lo, hi)`.
@@ -52,11 +69,6 @@ impl SeededRng {
     /// Panics if `n == 0`.
     pub fn index(&mut self, n: usize) -> usize {
         self.inner.gen_range(0..n)
-    }
-
-    /// Bernoulli trial with probability `p` of returning `true`.
-    pub fn bernoulli(&mut self, p: f64) -> bool {
-        self.inner.gen_bool(p.clamp(0.0, 1.0))
     }
 
     /// Standard normal sample via the Box–Muller transform.
@@ -115,23 +127,150 @@ impl SeededRng {
         let std = (2.0 / fan_in as f32).sqrt();
         self.normal_tensor(&[fan_in, fan_out], 0.0, std)
     }
+}
 
-    /// Binary dropout mask of the given shape: elements are `0.0` with
-    /// probability `rate`, otherwise `1.0 / (1.0 - rate)` (inverted dropout).
-    pub fn dropout_mask(&mut self, dims: &[usize], rate: f32) -> Tensor {
-        let rate = rate.clamp(0.0, 0.999);
-        let keep_scale = 1.0 / (1.0 - rate);
-        let n: usize = dims.iter().product();
-        let data = (0..n)
-            .map(|_| {
-                if self.bernoulli(rate as f64) {
-                    0.0
-                } else {
-                    keep_scale
-                }
-            })
-            .collect();
-        Tensor::from_vec(data, dims).expect("generated data matches requested shape")
+/// Philox4x32 round multipliers.
+const PHILOX_M: [u32; 2] = [0xD251_1F53, 0xCD9E_8D57];
+/// Philox4x32 key schedule increments (the golden ratio and `√3 − 1`).
+const PHILOX_W: [u32; 2] = [0x9E37_79B9, 0xBB67_AE85];
+
+/// The Philox4x32-10 block of `counter` under `key` (Salmon et al., SC
+/// '11, as in Random123): ten rounds of two 32×32→64-bit multiplies and
+/// xors, the key bumped by the Weyl increments between rounds. Exact
+/// integer arithmetic, so every platform and dispatch level agrees.
+pub fn philox4x32_10(counter: [u32; 4], key: [u32; 2]) -> [u32; 4] {
+    let [mut c0, mut c1, mut c2, mut c3] = counter;
+    let [mut k0, mut k1] = key;
+    for round in 0..10 {
+        if round > 0 {
+            k0 = k0.wrapping_add(PHILOX_W[0]);
+            k1 = k1.wrapping_add(PHILOX_W[1]);
+        }
+        let p0 = u64::from(PHILOX_M[0]) * u64::from(c0);
+        let p1 = u64::from(PHILOX_M[1]) * u64::from(c2);
+        [c0, c1, c2, c3] = [
+            (p1 >> 32) as u32 ^ c1 ^ k0,
+            p1 as u32,
+            (p0 >> 32) as u32 ^ c3 ^ k1,
+            p0 as u32,
+        ];
+    }
+    [c0, c1, c2, c3]
+}
+
+/// A family of keyed draws: a seed (the Philox key) and two stream words
+/// that name the family within it, e.g. `(epoch, observation)`. Indices
+/// are taken modulo 2³².
+///
+/// Two families that share a seed and stream words share their blocks, so
+/// each use of keyed draws (DAM noise, dropout masks, …) takes its own
+/// seed.
+///
+/// # Example
+/// ```
+/// use tensor::rng::DrawKey;
+/// let key = DrawKey::new(7, [2, 40]);
+/// assert_eq!(key.block([0, 1]), DrawKey::new(7, [2, 40]).block([0, 1]));
+/// assert_ne!(key.block([0, 1]), key.block([1, 1]));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DrawKey {
+    key: [u32; 2],
+    stream: [u32; 2],
+}
+
+impl DrawKey {
+    /// The family `stream` of `seed`.
+    pub fn new(seed: u64, stream: [usize; 2]) -> Self {
+        DrawKey {
+            key: [seed as u32, (seed >> 32) as u32],
+            stream: stream.map(|word| word as u32),
+        }
+    }
+
+    /// Four uniform 32-bit words: the Philox block at counter
+    /// `[site[0], site[1], stream[0], stream[1]]`.
+    #[inline]
+    pub fn block(&self, site: [u32; 2]) -> [u32; 4] {
+        philox4x32_10([site[0], site[1], self.stream[0], self.stream[1]], self.key)
+    }
+}
+
+/// The threshold below which a uniform 32-bit word falls with probability
+/// `p` (clamped to `[0, 1]`): `⌊p · 2³²⌋`.
+pub fn word_threshold(p: f32) -> u64 {
+    (f64::from(p.clamp(0.0, 1.0)) * 4_294_967_296.0) as u64
+}
+
+/// `2⁻²⁴`: the spacing of the uniforms a 32-bit word's top 24 bits give.
+const UNIT: f32 = 1.0 / 16_777_216.0;
+
+/// Standard normal and dropout draws over rows of elements, keyed by
+/// position; the buffers are kept between rows.
+///
+/// Elements `2k` and `2k + 1` of the row at `site` share the block
+/// `key.block([k, site])`: its first word gives a radius uniform in
+/// `(0, 1]`, its second an angle uniform in `[0, 1)` turns, and the one
+/// Box–Muller evaluation `√(−2 ln u) · (cos 2πt, sin 2πt)` gives both
+/// normals; its last two words, compared with [`word_threshold`], say
+/// whether each element is dropped. The logarithms and the sines run eight
+/// lanes at a time through `simd`, so a row's draws are bit-identical at
+/// the scalar and AVX2 levels, and element `i` does not depend on how long
+/// a row was drawn.
+#[derive(Debug, Clone, Default)]
+pub struct KeyedNoise {
+    radius: Vec<f32>,
+    turns: Vec<f32>,
+    sin: Vec<f32>,
+    cos: Vec<f32>,
+    normals: Vec<f32>,
+    dropped: Vec<bool>,
+}
+
+impl KeyedNoise {
+    /// The first `len` elements of the row at `site` of `key`'s family:
+    /// their standard normals and whether each is dropped, with
+    /// probability `dropout_rate`.
+    pub fn row(
+        &mut self,
+        key: DrawKey,
+        site: u32,
+        len: usize,
+        dropout_rate: f32,
+    ) -> (&[f32], &[bool]) {
+        let pairs = len.div_ceil(2);
+        let threshold = word_threshold(dropout_rate);
+        for buffer in [
+            &mut self.radius,
+            &mut self.turns,
+            &mut self.sin,
+            &mut self.cos,
+        ] {
+            buffer.resize(pairs, 0.0);
+        }
+        self.normals.resize(2 * pairs, 0.0);
+        self.dropped.resize(2 * pairs, false);
+        let blocks = self.radius.iter_mut().zip(&mut self.turns);
+        for (k, ((radius, turns), dropped)) in
+            blocks.zip(self.dropped.chunks_exact_mut(2)).enumerate()
+        {
+            let [w0, w1, w2, w3] = key.block([k as u32, site]);
+            *radius = ((w0 >> 8) + 1) as f32 * UNIT;
+            *turns = (w1 >> 8) as f32 * UNIT;
+            dropped[0] = u64::from(w2) < threshold;
+            dropped[1] = u64::from(w3) < threshold;
+        }
+        simd::ln(&mut self.radius);
+        for radius in &mut self.radius {
+            *radius = (-2.0 * *radius).sqrt();
+        }
+        simd::sincos_turns(&self.turns, &mut self.sin, &mut self.cos);
+        let polar = self.radius.iter().zip(&self.cos).zip(&self.sin);
+        for (pair, ((&r, &cos), &sin)) in self.normals.chunks_exact_mut(2).zip(polar) {
+            pair[0] = r * cos;
+            pair[1] = r * sin;
+        }
+        (&self.normals[..len], &self.dropped[..len])
     }
 }
 
@@ -185,14 +324,83 @@ mod tests {
     }
 
     #[test]
-    fn dropout_mask_rate_and_scale() {
-        let mut rng = SeededRng::new(6);
-        let mask = rng.dropout_mask(&[10_000], 0.3);
-        let zeros = mask.as_slice().iter().filter(|v| **v == 0.0).count();
-        let frac = zeros as f32 / 10_000.0;
-        assert!((frac - 0.3).abs() < 0.03, "dropout fraction {frac}");
-        let nonzero = mask.as_slice().iter().find(|v| **v != 0.0).unwrap();
-        assert!((nonzero - 1.0 / 0.7).abs() < 1e-5);
+    fn philox_matches_the_random123_known_answers() {
+        assert_eq!(
+            philox4x32_10([0; 4], [0; 2]),
+            [0x6627_e8d5, 0xe169_c58d, 0xbc57_ac4c, 0x9b00_dbd8]
+        );
+        assert_eq!(
+            philox4x32_10([u32::MAX; 4], [u32::MAX; 2]),
+            [0x408f_276d, 0x41c8_3b0e, 0xa20b_c7c6, 0x6d54_51fd]
+        );
+        assert_eq!(
+            philox4x32_10(
+                [0x243f_6a88, 0x85a3_08d3, 0x1319_8a2e, 0x0370_7344],
+                [0xa409_3822, 0x299f_31d0]
+            ),
+            [0xd16c_fe09, 0x94fd_cceb, 0x5001_e420, 0x2412_6ea1]
+        );
+    }
+
+    #[test]
+    fn draw_keys_place_seed_and_stream_in_key_and_counter() {
+        let seed = 0x0123_4567_89ab_cdef;
+        let key = DrawKey::new(seed, [5, 9]);
+        assert_eq!(
+            key.block([1, 2]),
+            philox4x32_10([1, 2, 5, 9], [0x89ab_cdef, 0x0123_4567])
+        );
+        assert_eq!(word_threshold(0.0), 0);
+        assert_eq!(word_threshold(0.25), 1 << 30);
+        assert_eq!(word_threshold(1.0), 1 << 32);
+        assert_eq!(word_threshold(2.0), 1 << 32);
+    }
+
+    #[test]
+    fn keyed_noise_is_standard_normal_and_drops_at_its_rate() {
+        // 10^5 draws: 1,000 rows of 100, over two stream words.
+        let (rate, len, rows) = (0.1, 100, 1000);
+        let mut noise = KeyedNoise::default();
+        let (mut sum, mut squares, mut dropped) = (0.0f64, 0.0f64, 0usize);
+        for row in 0..rows {
+            let key = DrawKey::new(42, [row % 7, row / 7]);
+            let (normals, drops) = noise.row(key, 3, len, rate);
+            assert!(normals.iter().all(|z| z.is_finite()));
+            sum += normals.iter().map(|&z| f64::from(z)).sum::<f64>();
+            squares += normals.iter().map(|&z| f64::from(z).powi(2)).sum::<f64>();
+            dropped += drops.iter().filter(|&&d| d).count();
+        }
+        let n = (len * rows) as f64;
+        let mean = sum / n;
+        let variance = squares / n - mean * mean;
+        assert!(mean.abs() <= 0.01, "mean {mean}");
+        assert!((variance - 1.0).abs() <= 0.02, "variance {variance}");
+        let share = dropped as f64 / n;
+        let sigma = (f64::from(rate) * (1.0 - f64::from(rate)) / n).sqrt();
+        assert!(
+            (share - f64::from(rate)).abs() <= 3.0 * sigma,
+            "dropout share {share}"
+        );
+    }
+
+    #[test]
+    fn a_keyed_element_does_not_depend_on_the_row_length_or_order() {
+        let key = DrawKey::new(3, [1, 4]);
+        let mut noise = KeyedNoise::default();
+        let bits = |(z, d): (&[f32], &[bool])| -> Vec<(u32, bool)> {
+            z.iter()
+                .map(|v| v.to_bits())
+                .zip(d.iter().copied())
+                .collect()
+        };
+        let long = bits(noise.row(key, 8, 37, 0.3));
+        // Another row in between, then shorter prefixes (odd and even).
+        let other = bits(noise.row(key, 9, 37, 0.3));
+        assert_ne!(other, long);
+        for len in [1, 2, 16, 17, 36] {
+            assert_eq!(bits(noise.row(key, 8, len, 0.3)), long[..len], "len {len}");
+        }
+        assert_eq!(noise.row(key, 8, 0, 0.3).0.len(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_radio::{benchmark_buildings, Channel};
-use tensor::rng::SeededRng;
+use tensor::rng::{DrawKey, SeededRng};
 use tensor::Tensor;
 use vital::{
     DamConfig, DataAugmentationModule, LocalizationReport, RssiImageCreator, VisionTransformer,
@@ -71,15 +71,15 @@ proptest! {
         );
         let creator = RssiImageCreator::new(image_size);
         let dam = DataAugmentationModule::new(DamConfig::default());
-        let mut dam_rng = SeededRng::new(seed);
+        let key = DrawKey::new(seed, [0, 0]);
         let image = creator.create(&observation).unwrap();
         // Exactly the promised length is accepted, and all of it written.
         let per_side = image_size / patch_size;
         let mut patches = vec![f32::NAN; per_side * per_side * 3 * patch_size * patch_size];
-        dam.write_patches(&image, patch_size, true, &mut dam_rng, &mut patches).unwrap();
+        dam.write_patches(&image, patch_size, true, key, &mut patches).unwrap();
         prop_assert!(patches.iter().all(|v| v.is_finite()));
         patches.push(0.0);
-        prop_assert!(dam.write_patches(&image, patch_size, true, &mut dam_rng, &mut patches).is_err());
+        prop_assert!(dam.write_patches(&image, patch_size, true, key, &mut patches).is_err());
     }
 
     /// DAM inference-mode output is deterministic and identical across RNG
@@ -102,7 +102,7 @@ proptest! {
         let image = creator.create(&observation).unwrap();
         let patches = |seed| {
             let mut out = vec![f32::NAN; 16 * 3 * 16];
-            dam.write_patches(&image, 4, false, &mut SeededRng::new(seed), &mut out).unwrap();
+            dam.write_patches(&image, 4, false, DrawKey::new(seed, [0, 0]), &mut out).unwrap();
             out
         };
         prop_assert_eq!(patches(seed_a), patches(seed_b));
@@ -139,7 +139,7 @@ proptest! {
             let observation = capture_observation(&channel, &all_devices()[1], rp, 4, &mut rng);
             let image = RssiImageCreator::new(config.image_size).create(&observation).unwrap();
             let mut patches = vec![f32::NAN; vit.num_patches() * vit.patch_dim()];
-            dam.write_patches(&image, patch_size, false, &mut SeededRng::new(0), &mut patches).unwrap();
+            dam.write_patches(&image, patch_size, false, DrawKey::default(), &mut patches).unwrap();
             full.push(Tensor::from_vec(patches, &[vit.num_patches(), vit.patch_dim()]).unwrap());
             let mut rows = vec![f32::NAN; vit.distinct_patches() * vit.distinct_dim()];
             dam.write_folded(&image, patch_size, &mut rows).unwrap();
