@@ -23,6 +23,11 @@ fi
 work=target/bench-ab
 rm -rf "$work"
 mkdir -p "$work"/{base,parent,change}
+# Building the benchmark (cargo runs without --locked) can rewrite
+# benchmark/Cargo.lock, which the guard above would then refuse on the next
+# run: put the lock back as it was, however this script exits.
+cp benchmark/Cargo.lock "$work/Cargo.lock"
+trap 'cp "$work/Cargo.lock" benchmark/Cargo.lock' EXIT
 git archive "$base" | tar -x -C "$work/base"
 cargo build --release --offline --quiet --manifest-path "$work/base/benchmark/Cargo.toml"
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml

@@ -22,7 +22,8 @@ use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result
 
 use crate::features::{augmentation_seed, rows_to_tensor, squared_distance, tensor_to_rows};
 use crate::{
-    localize, map_rows, run_compiled, run_eager, FeatureExtractor, FeatureMode, Framework,
+    check_stored_dim, localize, map_rows, run_compiled, run_eager, FeatureExtractor, FeatureMode,
+    Framework,
 };
 
 /// Number of tokens the fingerprint is folded into before attention.
@@ -187,9 +188,18 @@ impl AnvilLocalizer {
             .with_epochs(epochs);
         anvil.num_classes = num_classes;
 
+        // Hold the sizes to the stored weights before building: the token
+        // embedding's first weight has one row per token column, and the
+        // class head's output bias sits ahead of the embedding head's one
+        // layer (weight, bias), the last two entries.
+        let state = ckpt.state("network")?;
+        let head_bias = state.len().checked_sub(3).and_then(|i| state.get(i));
+        let token_width = padded_width.div_ceil(TOKENS);
+        check_stored_dim("padded_width / tokens", token_width, state.first(), 0)?;
+        check_stored_dim("num_classes", num_classes, head_bias, 0)?;
         let mut init_rng = SeededRng::new(seed.wrapping_add(1));
         let network = AnvilNetwork::new(&mut init_rng, padded_width, num_classes)?;
-        network.load_state(ckpt.state("network")?)?;
+        network.load_state(state)?;
         anvil.network = Some(network);
 
         let mask = ckpt.usizes("centroid_mask")?;

@@ -12,7 +12,9 @@ use tensor::Tensor;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
 use crate::features::{augmentation_seed, gather_rows};
-use crate::{localize, run_compiled, run_eager, FeatureExtractor, FeatureMode, Framework};
+use crate::{
+    check_stored_dim, localize, run_compiled, run_eager, FeatureExtractor, FeatureMode, Framework,
+};
 
 /// The three network stages shared by training and inference.
 #[derive(Debug)]
@@ -143,11 +145,17 @@ impl CnnLocLocalizer {
             .with_pretrain_epochs(pretrain_epochs);
         cnnloc.num_classes = num_classes;
 
+        // Every stage is sized from `width` or `num_classes`: hold them to
+        // the SAE's first weight and the classifier's last bias first.
+        let autoencoder = ckpt.state("autoencoder")?;
+        let classifier = ckpt.state("classifier")?;
+        check_stored_dim("width", width, autoencoder.first(), 0)?;
+        check_stored_dim("num_classes", num_classes, classifier.last(), 0)?;
         let mut init_rng = SeededRng::new(seed.wrapping_add(1));
         let network = CnnLocNetwork::new(&mut init_rng, width, num_classes)?;
-        network.autoencoder.load_state(ckpt.state("autoencoder")?)?;
+        network.autoencoder.load_state(autoencoder)?;
         network.conv.load_state(ckpt.state("conv")?)?;
-        network.classifier.load_state(ckpt.state("classifier")?)?;
+        network.classifier.load_state(classifier)?;
         cnnloc.network = Some(network);
         Ok(cnnloc)
     }

@@ -176,6 +176,30 @@ pub(crate) fn localize<F: Framework>(
     })
 }
 
+/// Holds a layer-sizing `dims` entry of a checkpoint to the stored weight
+/// it sizes (`stored`, a state-dict entry, along `axis`) before any
+/// network is built from the entry: one flipped bit of the integer would
+/// otherwise ask the allocator for terabytes and abort the process.
+///
+/// # Errors
+/// [`vital::CheckpointError::Corrupt`] naming the entry when the stored
+/// weight is missing or has another size.
+pub(crate) fn check_stored_dim(
+    entry: &str,
+    value: usize,
+    stored: Option<&(String, Tensor)>,
+    axis: usize,
+) -> vital::Result<()> {
+    let found = stored.and_then(|(_, weight)| weight.shape().dims().get(axis).copied());
+    if found == Some(value) {
+        return Ok(());
+    }
+    Err(vital::CheckpointError::Corrupt(format!(
+        "dims entry {entry} is {value}, but the stored weight it sizes has {found:?}"
+    ))
+    .into())
+}
+
 /// Builds the full comparison suite of the paper's Fig. 7/8/10 —
 /// ANVIL, SHERPA, CNNLoc and WiDeep — each optionally with DAM enabled.
 ///

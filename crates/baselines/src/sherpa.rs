@@ -17,7 +17,9 @@ use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result
 use crate::features::{
     augmentation_seed, gather_rows, rows_to_tensor, tensor_to_rows, weighted_knn_vote,
 };
-use crate::{localize, run_compiled, run_eager, FeatureExtractor, FeatureMode, Framework};
+use crate::{
+    check_stored_dim, localize, run_compiled, run_eager, FeatureExtractor, FeatureMode, Framework,
+};
 
 /// The SHERPA localizer: DNN coarse classification + KNN refinement.
 #[derive(Debug)]
@@ -133,10 +135,14 @@ impl SherpaLocalizer {
         sherpa.neighbours = neighbours;
         sherpa.num_classes = num_classes;
 
-        // Rebuild the classifier architecture exactly as `fit` does, then
+        // Rebuild the classifier architecture exactly as `fit` does, once
+        // its sizes match the stored first weight and last bias, then
         // overwrite its weights from the snapshot.
+        let state = ckpt.state("network")?;
+        check_stored_dim("width", width, state.first(), 0)?;
+        check_stored_dim("num_classes", num_classes, state.last(), 0)?;
         let network = Self::build_network(seed, width, num_classes);
-        network.load_state(ckpt.state("network")?)?;
+        network.load_state(state)?;
         sherpa.network = Some(network);
 
         sherpa.train_features = tensor_to_rows(ckpt.tensor("memory")?)?;

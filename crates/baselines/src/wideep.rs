@@ -20,7 +20,8 @@ use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result
 
 use crate::features::{augmentation_seed, rows_to_tensor, squared_distance, tensor_to_rows};
 use crate::{
-    localize, map_rows, run_compiled, run_eager, FeatureExtractor, FeatureMode, Framework,
+    check_stored_dim, localize, map_rows, run_compiled, run_eager, FeatureExtractor, FeatureMode,
+    Framework,
 };
 
 /// The WiDeep localizer: denoising SAE + Gaussian-kernel classification.
@@ -136,9 +137,12 @@ impl WiDeepLocalizer {
         wideep.corruption_std = ckpt.scalar("corruption_std")? as f32;
         wideep.length_scale = ckpt.scalar("length_scale")? as f32;
 
-        // Rebuild the SAE exactly as `fit` does, then restore its weights.
+        // Rebuild the SAE exactly as `fit` does, once its width matches the
+        // stored first weight, then restore its weights.
+        let state = ckpt.state("autoencoder")?;
+        check_stored_dim("width", width, state.first(), 0)?;
         let autoencoder = Self::build_autoencoder(seed, width);
-        autoencoder.load_state(ckpt.state("autoencoder")?)?;
+        autoencoder.load_state(state)?;
         wideep.autoencoder = Some(autoencoder);
 
         wideep.codes = tensor_to_rows(ckpt.tensor("codes")?)?;

@@ -10,7 +10,7 @@ use baselines::{
 };
 use fingerprint::{base_devices, DatasetConfig, FingerprintDataset};
 use sim_radio::building_1;
-use vital::{CheckpointError, Localizer, VitalConfig, VitalError, VitalModel};
+use vital::{Checkpoint, CheckpointError, Localizer, VitalConfig, VitalError, VitalModel};
 
 fn tiny_dataset() -> FingerprintDataset {
     let building = building_1();
@@ -132,6 +132,84 @@ fn anvil_round_trips_exactly() {
         AnvilLocalizer::new(8).with_epochs(2),
         "anvil.vckpt",
         AnvilLocalizer::load,
+    );
+}
+
+/// Flips bit 40 of each layer-sizing entry (by index) of `ckpt`'s `dims`
+/// and expects `from_checkpoint` to answer with a typed error instead of
+/// asking the allocator for the terabytes the flipped size implies.
+fn assert_layer_sizes_are_held_to_the_weights<L>(
+    ckpt: Checkpoint,
+    sizing: &[usize],
+    from_checkpoint: fn(&Checkpoint) -> vital::Result<L>,
+) {
+    let bytes = ckpt.to_bytes().unwrap();
+    assert!(from_checkpoint(&Checkpoint::from_bytes(&bytes).unwrap()).is_ok());
+    // An ints entry is its name (`u64` length, UTF-8), its `u64` count and
+    // its `u64` values, little-endian: bit 40 is the low bit of byte 5.
+    let name = [&4u64.to_le_bytes()[..], b"dims"].concat();
+    let values = bytes
+        .windows(name.len())
+        .position(|w| w == name)
+        .expect("the checkpoint has a dims entry")
+        + name.len()
+        + 8;
+    for &entry in sizing {
+        let mut corrupt = bytes.clone();
+        corrupt[values + 8 * entry + 5] ^= 0x01;
+        let ckpt = Checkpoint::from_bytes(&corrupt).unwrap();
+        assert_eq!(ckpt.ints("dims").unwrap()[entry] >> 40, 1);
+        match from_checkpoint(&ckpt) {
+            Err(VitalError::Checkpoint(CheckpointError::Corrupt(msg))) => {
+                assert!(msg.contains("dims entry"), "{msg}")
+            }
+            Err(other) => panic!("dims[{entry}]: expected a corrupt checkpoint, got {other:?}"),
+            Ok(_) => panic!("dims[{entry}]: a flipped layer size loaded"),
+        }
+    }
+}
+
+#[test]
+fn a_flipped_bit_of_a_layer_size_is_a_typed_error_not_an_abort() {
+    let dataset = tiny_dataset();
+
+    let mut sherpa = SherpaLocalizer::new(5).with_epochs(1);
+    sherpa.fit(&dataset).unwrap();
+    // dims: epochs, top_candidates, neighbours, num_classes, width.
+    assert_layer_sizes_are_held_to_the_weights(
+        sherpa.to_checkpoint().unwrap(),
+        &[3, 4],
+        SherpaLocalizer::from_checkpoint,
+    );
+
+    let mut cnnloc = CnnLocLocalizer::new(6)
+        .with_epochs(1)
+        .with_pretrain_epochs(1);
+    cnnloc.fit(&dataset).unwrap();
+    // dims: pretrain_epochs, epochs, num_classes, width.
+    assert_layer_sizes_are_held_to_the_weights(
+        cnnloc.to_checkpoint().unwrap(),
+        &[2, 3],
+        CnnLocLocalizer::from_checkpoint,
+    );
+
+    let mut wideep = WiDeepLocalizer::new(7).with_pretrain_epochs(1);
+    wideep.fit(&dataset).unwrap();
+    // dims: pretrain_epochs, num_classes, width; only the width sizes a
+    // layer (the class count sizes the kernel vote).
+    assert_layer_sizes_are_held_to_the_weights(
+        wideep.to_checkpoint().unwrap(),
+        &[2],
+        WiDeepLocalizer::from_checkpoint,
+    );
+
+    let mut anvil = AnvilLocalizer::new(8).with_epochs(1);
+    anvil.fit(&dataset).unwrap();
+    // dims: epochs, num_classes, padded_width, embed_width.
+    assert_layer_sizes_are_held_to_the_weights(
+        anvil.to_checkpoint().unwrap(),
+        &[1, 2],
+        AnvilLocalizer::from_checkpoint,
     );
 }
 

@@ -33,15 +33,18 @@
 //!   `--workers 1` and `--workers N` produce identical responses; only
 //!   throughput changes. The integration suite runs the bit-exactness
 //!   check at 4 workers.
-//! * **Fault containment** — each model group runs under `catch_unwind`,
-//!   so a panicking model fails only its own batch (typed
-//!   [`JobFailure::Failed`] replies, `jobs_failed` metric) and the worker
-//!   keeps serving. A batch the model refuses (it returns `Err`, say for
-//!   one client's fingerprint of another access-point count) is rerun job
-//!   by job, so only the refused jobs fail. A worker killed outright
-//!   (e.g. by the fault-injection harness) is restarted by the supervisor
-//!   thread with capped exponential backoff; `worker_restarts` and `live_workers` make the
-//!   degradation and recovery observable.
+//! * **Fault containment** — a dispatch worker cannot die. Each collected
+//!   batch runs under one `catch_unwind`: a panic anywhere in it (the
+//!   fault-injection harness fires one there on purpose) answers every job
+//!   still in the batch with a typed [`JobFailure::Failed`] (`jobs_failed`
+//!   metric), and the same worker collects the next batch.
+//!   Each model group also runs under its own `catch_unwind`, so a
+//!   panicking model fails only its group. A batch the model refuses (it
+//!   returns `Err`, say for one client's fingerprint of another
+//!   access-point count) is rerun job by job, so only the refused jobs
+//!   fail; a job the model refuses as invalid input
+//!   (`VitalError::InvalidDataset`) gets [`JobFailure::Refused`] (HTTP
+//!   `400`), any other error [`JobFailure::Failed`] (HTTP `500`).
 //! * **Staleness shedding** — every job carries its admission time and an
 //!   optional deadline; a worker answers already-expired jobs with
 //!   [`JobFailure::Expired`] (HTTP `504`) at dispatch time instead of
@@ -51,14 +54,16 @@
 //! dropped — queued jobs are failed immediately) and the **graceful
 //! drain** ([`BatcherClient::drain`]) which refuses new submissions but
 //! lets the workers finish everything already queued before they exit;
-//! [`BatcherClient::await_drained`] observes completion.
+//! [`BatcherClient::await_drained`] observes completion. Workers leave only
+//! through a closed, empty queue, so the queue's own lock counts them out.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use fingerprint::FingerprintObservation;
+use vital::VitalError;
 
 use crate::faultinject::FaultPlan;
 use crate::metrics::Metrics;
@@ -90,16 +95,19 @@ pub enum JobFailure {
     /// The job's deadline passed while it sat in the queue; the HTTP
     /// layer answers `504` + `Retry-After`.
     Expired,
-    /// The model errored or panicked (message attached); the HTTP layer
-    /// answers `500`.
+    /// The model errored or panicked, or the batch panicked before it ran
+    /// (message attached); the HTTP layer answers `500`.
     Failed(String),
+    /// The model refused the job's own observations as invalid input (the
+    /// reason attached); the HTTP layer answers `400`.
+    Refused(String),
 }
 
 impl std::fmt::Display for JobFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JobFailure::Expired => write!(f, "deadline exceeded before dispatch"),
-            JobFailure::Failed(message) => write!(f, "{message}"),
+            JobFailure::Failed(message) | JobFailure::Refused(message) => write!(f, "{message}"),
         }
     }
 }
@@ -125,12 +133,6 @@ pub struct BatcherConfig {
     /// resolution). With several dispatch workers, pin this low to avoid
     /// oversubscription: total compute threads ≈ `workers × threads`.
     pub threads: Option<usize>,
-    /// First restart delay after a worker dies; doubles per consecutive
-    /// crash of the same worker slot.
-    pub restart_backoff: Duration,
-    /// Ceiling on the per-worker restart backoff. A worker that stays up
-    /// longer than this earns its base backoff back.
-    pub restart_backoff_cap: Duration,
     /// Deterministic fault-injection plan (`None` in production: the only
     /// cost is this `Option` check per batch).
     pub faults: Option<Arc<FaultPlan>>,
@@ -144,8 +146,6 @@ impl Default for BatcherConfig {
             queue_cap: 256,
             workers: 1,
             threads: None,
-            restart_backoff: Duration::from_millis(50),
-            restart_backoff_cap: Duration::from_secs(5),
             faults: None,
         }
     }
@@ -168,6 +168,9 @@ pub enum SubmitError {
 struct QueueState {
     jobs: VecDeque<Job>,
     closed: bool,
+    /// Dispatch workers not yet gone. A worker leaves only once the queue
+    /// is closed and empty, so zero means the drain is complete.
+    workers: usize,
 }
 
 /// Bounded MPMC job queue: handler threads push, N dispatch workers
@@ -181,6 +184,9 @@ struct QueueState {
 struct JobQueue {
     state: Mutex<QueueState>,
     not_empty: Condvar,
+    /// Signalled as each worker leaves. A condvar of its own, so a drain
+    /// waiter can never take the wake-up a push meant for a worker.
+    left: Condvar,
     /// Capacity in jobs; a full queue sheds load.
     cap: usize,
     /// Live [`BatcherClient`] handles; the last drop closes the queue.
@@ -188,13 +194,15 @@ struct JobQueue {
 }
 
 impl JobQueue {
-    fn new(cap: usize) -> Self {
+    fn new(cap: usize, workers: usize) -> Self {
         JobQueue {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 closed: false,
+                workers,
             }),
             not_empty: Condvar::new(),
+            left: Condvar::new(),
             cap: cap.max(1),
             clients: std::sync::atomic::AtomicUsize::new(1),
         }
@@ -202,7 +210,7 @@ impl JobQueue {
 
     fn try_push(&self, job: Job) -> Result<(), SubmitError> {
         let Ok(mut state) = self.state.lock() else {
-            return Err(SubmitError::Closed); // a worker panicked mid-pop
+            return Err(SubmitError::Closed); // a panic while the lock was held
         };
         // Closing drains the queue under this same lock, so a push can
         // never land after the drain and strand a job (its reply sender
@@ -312,7 +320,7 @@ impl JobQueue {
             drained.extend(state.jobs.drain(..));
             state.closed = true;
         }
-        // A poisoned lock already means every worker is gone mid-panic;
+        // Through a poisoned lock nothing more can be pushed or popped;
         // waiters will observe the poison and exit.
         self.not_empty.notify_all();
         drained
@@ -332,54 +340,30 @@ impl JobQueue {
         self.not_empty.notify_all();
     }
 
-    /// Whether the queue has been closed (gracefully or not). A poisoned
-    /// lock counts as closed — nothing can be pushed through it anyway.
-    fn is_closed(&self) -> bool {
-        self.state.lock().map(|state| state.closed).unwrap_or(true)
-    }
-}
-
-/// One-shot completion latch: the supervisor sets it after the last
-/// worker has exited with the queue fully drained, and drain callers
-/// block on it with a timeout. A dedicated latch (rather than joining
-/// thread handles) lets any number of `BatcherClient` clones await the
-/// drain concurrently.
-struct Latch {
-    flag: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Latch {
-    fn new() -> Self {
-        Latch {
-            flag: Mutex::new(false),
-            cv: Condvar::new(),
+    /// A dispatch worker leaves: its `collect_into` returned `false`.
+    fn leave(&self) {
+        if let Ok(mut state) = self.state.lock() {
+            state.workers = state.workers.saturating_sub(1);
         }
+        self.left.notify_all();
     }
 
-    fn set(&self) {
-        if let Ok(mut done) = self.flag.lock() {
-            *done = true;
-        }
-        self.cv.notify_all();
-    }
-
-    /// Waits up to `timeout` for the latch; returns whether it was set.
-    fn wait_timeout(&self, timeout: Duration) -> bool {
+    /// Waits up to `timeout` for every dispatch worker to leave; returns
+    /// whether they all did. Any number of threads may wait at once.
+    fn await_workers_gone(&self, timeout: Duration) -> bool {
         // Clamp so the deadline arithmetic cannot overflow on
         // `Duration::MAX`-style inputs.
-        let timeout = timeout.min(Duration::from_secs(86_400 * 365));
-        let deadline = Instant::now() + timeout;
-        let Ok(mut done) = self.flag.lock() else {
+        let deadline = Instant::now() + timeout.min(Duration::from_secs(86_400 * 365));
+        let Ok(mut state) = self.state.lock() else {
             return false;
         };
-        while !*done {
+        while state.workers > 0 {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return false;
             }
-            match self.cv.wait_timeout(done, remaining) {
-                Ok((guard, _timeout)) => done = guard,
+            match self.left.wait_timeout(state, remaining) {
+                Ok((guard, _timeout)) => state = guard,
                 Err(_) => return false,
             }
         }
@@ -391,11 +375,6 @@ impl Latch {
 pub struct BatcherClient {
     queue: Arc<JobQueue>,
     metrics: Arc<Metrics>,
-    /// True while the supervisor thread is running (it restarts dead
-    /// workers, so the batcher is alive even at a momentary zero live
-    /// workers).
-    supervised: Arc<AtomicBool>,
-    drained: Arc<Latch>,
     workers: usize,
 }
 
@@ -405,8 +384,6 @@ impl Clone for BatcherClient {
         BatcherClient {
             queue: Arc::clone(&self.queue),
             metrics: Arc::clone(&self.metrics),
-            supervised: Arc::clone(&self.supervised),
-            drained: Arc::clone(&self.drained),
             workers: self.workers,
         }
     }
@@ -431,12 +408,8 @@ impl BatcherClient {
     ///
     /// # Errors
     /// [`SubmitError::Busy`] when the queue is at capacity,
-    /// [`SubmitError::Closed`] when the queue is closed or the batcher is
-    /// gone.
+    /// [`SubmitError::Closed`] once a drain has closed the queue.
     pub fn submit(&self, job: Job) -> Result<(), SubmitError> {
-        if !self.is_alive() {
-            return Err(SubmitError::Closed);
-        }
         // Increment *before* the push: a worker can dequeue (and
         // decrement) the instant the push lands, and increment-after
         // would briefly wrap the depth below zero.
@@ -450,17 +423,8 @@ impl BatcherClient {
         }
     }
 
-    /// Whether the batcher can still make progress: either a dispatch
-    /// worker is running, or the supervisor is alive and will restart one.
-    /// `false` means every localize request will fail — surfaced by
-    /// `GET /healthz` so orchestrators stop routing to a dead service.
-    pub fn is_alive(&self) -> bool {
-        self.supervised.load(Ordering::SeqCst)
-            || self.metrics.live_workers.load(Ordering::Relaxed) > 0
-    }
-
-    /// Dispatch workers currently running (a momentarily lower number than
-    /// [`configured_workers`] means the supervisor is mid-restart).
+    /// Dispatch workers currently running: [`configured_workers`] from
+    /// [`start`] until a drain or the last client's drop lets them leave.
     ///
     /// [`configured_workers`]: BatcherClient::configured_workers
     pub fn live_workers(&self) -> usize {
@@ -474,8 +438,8 @@ impl BatcherClient {
 
     /// Begins a graceful drain: new submissions fail with
     /// [`SubmitError::Closed`] immediately, while everything already
-    /// queued is dispatched to completion, after which the workers and
-    /// the supervisor exit. Use [`await_drained`] to observe completion.
+    /// queued is dispatched to completion, after which the workers exit.
+    /// Use [`await_drained`] to observe completion.
     ///
     /// [`await_drained`]: BatcherClient::await_drained
     pub fn drain(&self) {
@@ -483,41 +447,15 @@ impl BatcherClient {
     }
 
     /// Blocks until the drain has fully completed — every queued job
-    /// answered, every worker and the supervisor exited — or `timeout`
-    /// passed. Returns whether the drain completed.
+    /// answered, every worker exited — or `timeout` passed. Returns
+    /// whether the drain completed.
     pub fn await_drained(&self, timeout: Duration) -> bool {
-        self.drained.wait_timeout(timeout)
-    }
-}
-
-/// A worker thread announcing its own death (through the guard's `Drop`,
-/// so a panic cannot skip it).
-struct WorkerExit {
-    worker_id: usize,
-    panicked: bool,
-}
-
-/// Runs inside each worker thread: decrements the live-worker gauge and
-/// reports the exit to the supervisor however the worker ends — clean
-/// drain or panic (`thread::panicking()` tells them apart).
-struct AliveGuard {
-    worker_id: usize,
-    metrics: Arc<Metrics>,
-    exits: mpsc::SyncSender<WorkerExit>,
-}
-
-impl Drop for AliveGuard {
-    fn drop(&mut self) {
-        self.metrics.live_workers.fetch_sub(1, Ordering::AcqRel);
-        let _ = self.exits.send(WorkerExit {
-            worker_id: self.worker_id,
-            panicked: std::thread::panicking(),
-        });
+        self.queue.await_workers_gone(timeout)
     }
 }
 
 /// Spawns one dispatch worker. The live-worker gauge is incremented
-/// *before* the spawn and decremented by the in-thread guard (or the
+/// *before* the spawn and decremented as the worker leaves (or on the
 /// error path), so it never over-reports across a spawn failure.
 fn spawn_worker(
     worker_id: usize,
@@ -525,26 +463,21 @@ fn spawn_worker(
     queue: &Arc<JobQueue>,
     config: &BatcherConfig,
     metrics: &Arc<Metrics>,
-    exits: &mpsc::SyncSender<WorkerExit>,
 ) -> Result<std::thread::JoinHandle<()>, String> {
     let registry = Arc::clone(registry);
     let queue = Arc::clone(queue);
     let config = config.clone();
     let metrics = Arc::clone(metrics);
     let gauge = Arc::clone(&metrics);
-    let exits = exits.clone();
     gauge.live_workers.fetch_add(1, Ordering::AcqRel);
     std::thread::Builder::new()
         .name(format!("vital-serve-worker-{worker_id}"))
         .spawn(move || {
-            // Constructed inside the thread: a failed spawn never creates
-            // the guard, so it cannot send a phantom exit event.
-            let _guard = AliveGuard {
-                worker_id,
-                metrics: Arc::clone(&metrics),
-                exits,
-            };
             dispatch_loop(worker_id, &registry, &queue, &config, &metrics);
+            // The gauge first: once the queue counts the last worker out,
+            // a drain waiter may read it.
+            metrics.live_workers.fetch_sub(1, Ordering::AcqRel);
+            queue.leave();
         })
         .map_err(|e| {
             gauge.live_workers.fetch_sub(1, Ordering::AcqRel);
@@ -552,147 +485,13 @@ fn spawn_worker(
         })
 }
 
-/// The supervisor thread: restarts panicked workers with capped
-/// exponential backoff, joins the dead, and fires the drained latch once
-/// the queue is closed and every worker has exited.
-struct Supervisor {
-    registry: Arc<Registry>,
-    queue: Arc<JobQueue>,
-    config: BatcherConfig,
-    metrics: Arc<Metrics>,
-    exit_rx: mpsc::Receiver<WorkerExit>,
-    /// Kept so respawned workers can report their own exits; also keeps
-    /// `exit_rx` from ever disconnecting while the supervisor runs.
-    exit_tx: mpsc::SyncSender<WorkerExit>,
-    handles: Vec<Option<std::thread::JoinHandle<()>>>,
-    supervised: Arc<AtomicBool>,
-    drained: Arc<Latch>,
-}
-
-impl Supervisor {
-    fn run(mut self) {
-        let workers = self.handles.len();
-        let mut running = vec![true; workers];
-        let mut backoff = vec![self.config.restart_backoff; workers];
-        let mut spawned_at = vec![Instant::now(); workers];
-        // Scheduled (worker, due-time) restarts not yet fired.
-        let mut pending: Vec<(usize, Instant)> = Vec::new();
-        // Upper bound on each wait so a queue close is noticed promptly
-        // even with no exit events and no pending restarts.
-        const POLL: Duration = Duration::from_millis(200);
-
-        loop {
-            let now = Instant::now();
-            let wait = pending
-                .iter()
-                .map(|(_, due)| due.saturating_duration_since(now))
-                .min()
-                .unwrap_or(POLL)
-                .min(POLL);
-            let event = match self.exit_rx.recv_timeout(wait) {
-                Ok(event) => Some(event),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                // Unreachable while `exit_tx` lives on self; treat like a
-                // timeout so the loop still converges on close.
-                Err(mpsc::RecvTimeoutError::Disconnected) => None,
-            };
-
-            if let Some(exit) = event {
-                let id = exit.worker_id;
-                if let Some(slot) = running.get_mut(id) {
-                    *slot = false;
-                }
-                if let Some(handle) = self.handles.get_mut(id).and_then(Option::take) {
-                    let _ = handle.join();
-                }
-                if exit.panicked && !self.queue.is_closed() {
-                    if let Some(step) = backoff.get_mut(id) {
-                        // A worker that stayed up past the cap has proven
-                        // itself healthy: charge it the base backoff, not
-                        // its crash-loop history.
-                        let uptime = spawned_at.get(id).map(Instant::elapsed).unwrap_or_default();
-                        if uptime >= self.config.restart_backoff_cap {
-                            *step = self.config.restart_backoff;
-                        }
-                        let delay = *step;
-                        *step = step.saturating_mul(2).min(self.config.restart_backoff_cap);
-                        pending.push((id, Instant::now() + delay));
-                    }
-                }
-            }
-
-            if self.queue.is_closed() {
-                // Drain or shutdown in progress: dead workers stay dead.
-                pending.clear();
-            } else {
-                let now = Instant::now();
-                let mut i = 0;
-                while i < pending.len() {
-                    if pending[i].1 > now {
-                        i += 1;
-                        continue;
-                    }
-                    let (id, _) = pending.swap_remove(i);
-                    match spawn_worker(
-                        id,
-                        &self.registry,
-                        &self.queue,
-                        &self.config,
-                        &self.metrics,
-                        &self.exit_tx,
-                    ) {
-                        Ok(handle) => {
-                            if let Some(slot) = self.handles.get_mut(id) {
-                                *slot = Some(handle);
-                            }
-                            if let Some(slot) = running.get_mut(id) {
-                                *slot = true;
-                            }
-                            if let Some(slot) = spawned_at.get_mut(id) {
-                                *slot = Instant::now();
-                            }
-                            self.metrics.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            // Spawn failure (resource exhaustion): retry on
-                            // the next backoff step rather than giving up
-                            // the worker slot forever.
-                            let delay = backoff
-                                .get(id)
-                                .copied()
-                                .unwrap_or(self.config.restart_backoff_cap);
-                            if let Some(step) = backoff.get_mut(id) {
-                                *step = step.saturating_mul(2).min(self.config.restart_backoff_cap);
-                            }
-                            pending.push((id, now + delay));
-                        }
-                    }
-                }
-            }
-
-            if self.queue.is_closed() && pending.is_empty() && running.iter().all(|r| !*r) {
-                break;
-            }
-        }
-
-        // `running` only goes false through an observed exit event, so by
-        // here every worker has sent its event; join any stragglers.
-        for handle in self.handles.iter_mut().filter_map(Option::take) {
-            let _ = handle.join();
-        }
-        self.supervised.store(false, Ordering::SeqCst);
-        self.drained.set();
-    }
-}
-
-/// Starts `config.workers` dispatch workers serving `registry`, plus a
-/// supervisor thread that restarts any worker that dies, and returns the
-/// submission handle plus the supervisor's join handle.
+/// Starts `config.workers` dispatch workers serving `registry` and returns
+/// the submission handle plus the workers' join handles.
 ///
 /// The registry is built by the caller on whatever thread it likes —
 /// models are `Send + Sync` — and shared by every worker. Workers exit
-/// when every [`BatcherClient`] clone is dropped or a drain completes;
-/// the supervisor exits after the workers.
+/// when every [`BatcherClient`] clone is dropped or a drain completes,
+/// and at no other time: no panic in a batch ends one.
 ///
 /// # Errors
 /// Thread spawn failures, as a message.
@@ -701,64 +500,32 @@ pub fn start(
     config: BatcherConfig,
     metrics: Arc<Metrics>,
 ) -> Result<(BatcherClient, Vec<std::thread::JoinHandle<()>>), String> {
-    let queue = Arc::new(JobQueue::new(config.queue_cap));
     let workers = config.workers.max(1);
-    // Bounded (hygiene: no unbounded channels), but comfortably larger
-    // than the worker count; the supervisor drains it continuously, so
-    // sends never block in practice.
-    let (exit_tx, exit_rx) = mpsc::sync_channel(workers * 2 + 2);
-
-    let mut handles: Vec<Option<std::thread::JoinHandle<()>>> = Vec::with_capacity(workers);
+    let queue = Arc::new(JobQueue::new(config.queue_cap, workers));
+    let mut handles = Vec::with_capacity(workers);
     for worker_id in 0..workers {
-        match spawn_worker(worker_id, &registry, &queue, &config, &metrics, &exit_tx) {
-            Ok(handle) => handles.push(Some(handle)),
+        match spawn_worker(worker_id, &registry, &queue, &config, &metrics) {
+            Ok(handle) => handles.push(handle),
             Err(e) => {
                 // Unblock the workers already spawned — without a close
                 // they (and the registry they hold) would wait on the
                 // condvar forever, since the BatcherClient owning the
                 // initial client refcount is never constructed.
                 queue.close();
-                for handle in handles.into_iter().flatten() {
+                for handle in handles {
                     let _ = handle.join();
                 }
                 return Err(e);
             }
         }
     }
-
-    let supervised = Arc::new(AtomicBool::new(true));
-    let drained = Arc::new(Latch::new());
-    let supervisor = Supervisor {
-        registry,
-        queue: Arc::clone(&queue),
-        config,
-        metrics: Arc::clone(&metrics),
-        exit_rx,
-        exit_tx,
-        handles,
-        supervised: Arc::clone(&supervised),
-        drained: Arc::clone(&drained),
-    };
-    let handle = std::thread::Builder::new()
-        .name("vital-serve-supervisor".into())
-        .spawn(move || supervisor.run())
-        .map_err(|e| {
-            // The workers exit on their own once the queue closes; their
-            // handles were consumed by the failed closure, so they cannot
-            // be joined here.
-            queue.close();
-            format!("cannot spawn batcher supervisor: {e}")
-        })?;
-
     Ok((
         BatcherClient {
             queue,
             metrics,
-            supervised,
-            drained,
             workers,
         },
-        vec![handle],
+        handles,
     ))
 }
 
@@ -766,6 +533,15 @@ pub fn start(
 /// closed and drained. The batch buffer is allocated once, up front, and
 /// reused for every collect/execute round — the loop body itself is
 /// allocation-free (enforced by vital-lint's hot-path rule).
+///
+/// Each batch runs under one `catch_unwind`, so nothing that happens in a
+/// batch ends the loop: a panic fails every job still in the batch with a
+/// typed failure, and the worker collects the next batch. The
+/// fault-injection harness panics here on purpose, before `execute` takes
+/// any job; a model's own panic is already caught in `run_model`.
+/// `AssertUnwindSafe` is sound for the reason `run_model` gives: after an
+/// unwind the batch is failed and cleared, the registry is immutable and
+/// the metrics are atomics.
 fn dispatch_loop(
     worker_id: usize,
     registry: &Registry,
@@ -781,24 +557,36 @@ fn dispatch_loop(
         metrics
             .queue_depth
             .fetch_sub(batch.len(), Ordering::Relaxed);
-        if let Some(faults) = &config.faults {
-            // An injected worker panic fires here, outside the per-group
-            // catch_unwind in `execute`: the whole collected batch drops
-            // (handlers observe disconnected replies → 500) and the
-            // supervisor restarts this worker — exactly the failure mode
-            // the chaos suite drives.
-            faults.on_batch_collected();
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if let Some(faults) = &config.faults {
+                faults.on_batch_collected();
+            }
+            execute(worker_id, registry, &mut batch, config, metrics);
+        }));
+        if let Err(payload) = ran {
+            fail_panicked_batch(&mut batch, payload.as_ref(), metrics);
         }
-        execute(worker_id, registry, &mut batch, config, metrics);
     }
+}
+
+/// Answers every job a panicking batch left in `batch` with a typed
+/// failure naming the panic, and empties it for the next collect.
+fn fail_panicked_batch(
+    batch: &mut Vec<Job>,
+    payload: &(dyn std::any::Any + Send),
+    metrics: &Metrics,
+) {
+    let message = format!("dispatch worker panicked: {}", panic_message(payload));
+    fail(batch, JobFailure::Failed(message), metrics);
+    batch.clear();
 }
 
 /// Groups the drained `jobs` by model (preserving arrival order within
 /// each group), sheds expired jobs, runs one `localize_batch` per group
 /// under `catch_unwind` and fans results back out. A group of several jobs
-/// the model refuses is rerun job by job, so one client's refused
-/// observation fails only its own request. Leaves `jobs` empty so the
-/// dispatch loop can refill it.
+/// the model returns an error for is rerun job by job, so one client's
+/// refused observation fails only its own request. Leaves `jobs` empty so
+/// the dispatch loop can refill it.
 fn execute(
     worker_id: usize,
     registry: &Registry,
@@ -861,8 +649,8 @@ fn execute(
                     }
                 }
             }
-            Err(error) if error.refused && group.len() > 1 => {
-                // The refusal may be one job's observations only (a
+            Err(error) if error.returned && group.len() > 1 => {
+                // The error may concern one job's observations only (a
                 // fingerprint of another access-point count): run each job
                 // on its own so the others still get their answers.
                 let mut offset = 0;
@@ -873,21 +661,24 @@ fn execute(
                         Ok(predictions) => {
                             let _ = job.reply.send(Ok(predictions));
                         }
-                        Err(error) => fail(std::slice::from_ref(job), error.message, metrics),
+                        Err(error) => fail(std::slice::from_ref(job), error.failure, metrics),
                     }
                 }
             }
-            Err(error) => fail(&group, error.message, metrics),
+            Err(error) => fail(&group, error.failure, metrics),
         }
     }
 }
 
-/// Answers every job of `jobs` with the model's failure.
-fn fail(jobs: &[Job], message: String, metrics: &Metrics) {
-    metrics
-        .jobs_failed
-        .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-    let failure = JobFailure::Failed(message);
+/// Answers every job of `jobs` with `failure`. A fault counts in
+/// `jobs_failed`; a refusal does not (the HTTP layer counts its `400` as a
+/// client error).
+fn fail(jobs: &[Job], failure: JobFailure, metrics: &Metrics) {
+    if matches!(failure, JobFailure::Failed(_)) {
+        metrics
+            .jobs_failed
+            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
+    }
     for job in jobs {
         let _ = job.reply.send(Err(failure.clone()));
     }
@@ -895,19 +686,22 @@ fn fail(jobs: &[Job], message: String, metrics: &Metrics) {
 
 /// Why a model group produced no predictions.
 struct RunError {
-    /// `localize_batch` returned an error: the model refused something in
-    /// the batch, perhaps one job's observations only. Otherwise the run
-    /// panicked or answered the wrong number of observations.
-    refused: bool,
-    message: String,
+    /// `localize_batch` returned the error, which may concern one job's
+    /// observations only. Otherwise the run panicked or answered the wrong
+    /// number of observations.
+    returned: bool,
+    /// What each job of the group is answered with.
+    failure: JobFailure,
 }
 
 /// Runs one model group under `catch_unwind`: a panicking model — poisoned
-/// weights, a bug in a localizer — fails only this batch with a typed
-/// error instead of killing the dispatch worker. `AssertUnwindSafe` is
-/// sound here because nothing crossing the boundary is observed after an
-/// unwind: the batch is dropped, the registry's models are immutable
-/// shared weights, and the metrics are atomics.
+/// weights, a bug in a localizer — fails only this group with a typed
+/// error, and the batch's other groups are still served. A model that
+/// refuses its input as invalid (`VitalError::InvalidDataset`) gives
+/// [`JobFailure::Refused`]; every other error is [`JobFailure::Failed`].
+/// `AssertUnwindSafe` is sound here because nothing crossing the boundary
+/// is observed after an unwind: the batch is dropped, the registry's
+/// models are immutable shared weights, and the metrics are atomics.
 fn run_model(
     registry: &Registry,
     model: &str,
@@ -915,8 +709,8 @@ fn run_model(
     config: &BatcherConfig,
 ) -> Result<Vec<usize>, RunError> {
     let broken = |message| RunError {
-        refused: false,
-        message,
+        returned: false,
+        failure: JobFailure::Failed(message),
     };
     // Unreachable in practice: names are validated against the catalog
     // before enqueueing.
@@ -930,9 +724,13 @@ fn run_model(
             None => run(),
         }));
     match executed {
+        Ok(Err(VitalError::InvalidDataset(reason))) => Err(RunError {
+            returned: true,
+            failure: JobFailure::Refused(format!("model {model:?} refused the input: {reason}")),
+        }),
         Ok(Err(e)) => Err(RunError {
-            refused: true,
-            message: format!("model {model:?} failed: {e}"),
+            returned: true,
+            failure: JobFailure::Failed(format!("model {model:?} failed: {e}")),
         }),
         Ok(Ok(predictions)) if predictions.len() == batch.len() => Ok(predictions),
         // A short/long result would make the fan-out slicing panic the
@@ -1224,7 +1022,7 @@ mod tests {
             "{err}"
         );
         // The worker survived the bad batch.
-        assert!(client.is_alive());
+        assert_eq!(client.live_workers(), 1);
         drop(client);
         join_all(handles);
     }
@@ -1303,12 +1101,17 @@ mod tests {
         client.submit(job("one", vec![obs(-4.0)], tx_ok)).unwrap();
         client.submit(job("one", vec![two_aps], tx_bad)).unwrap();
         assert_eq!(rx_ok.recv().unwrap().unwrap(), vec![4]);
-        let err = rx_bad.recv().unwrap().unwrap_err();
-        assert!(err.to_string().contains("access-point count"), "{err}");
+        match rx_bad.recv().unwrap() {
+            Err(JobFailure::Refused(reason)) => {
+                assert!(reason.contains("access-point count"), "{reason}")
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
         drop(client);
         join_all(handles);
         assert_eq!(metrics.total_batches(), 1, "both jobs ran as one batch");
-        assert_eq!(metrics.jobs_failed.load(Ordering::Relaxed), 1);
+        // A refusal is the client's error, not a model fault.
+        assert_eq!(metrics.jobs_failed.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -1388,71 +1191,98 @@ mod tests {
         assert!(err.to_string().contains("panicked"), "{err}");
         assert!(err.to_string().contains("model blew up"), "{err}");
 
-        // The same worker keeps serving other models afterwards — no
-        // restart was needed.
+        // The same worker keeps serving other models afterwards.
         let (tx, rx) = mpsc::sync_channel(1);
         client.submit(job("echo", vec![obs(-6.0)], tx)).unwrap();
         assert_eq!(
             rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap(),
             vec![6]
         );
-        assert!(client.is_alive());
         assert_eq!(client.live_workers(), 1);
         assert_eq!(metrics.jobs_failed.load(Ordering::Relaxed), 1);
-        assert_eq!(metrics.worker_restarts.load(Ordering::Relaxed), 0);
         drop(client);
         join_all(handles);
     }
 
+    /// Echoes like [`EchoLocalizer`] and records the thread of every call.
+    struct ThreadRecordingLocalizer(Arc<Mutex<Vec<std::thread::ThreadId>>>);
+
+    impl Localizer for ThreadRecordingLocalizer {
+        fn name(&self) -> &str {
+            "ThreadRecording"
+        }
+        fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
+            Ok(())
+        }
+        fn localize_batch(
+            &self,
+            observations: &[fingerprint::FingerprintObservation],
+        ) -> VitalResult<Vec<usize>> {
+            self.0.lock().unwrap().push(std::thread::current().id());
+            EchoLocalizer.localize_batch(observations)
+        }
+    }
+
     #[test]
-    fn injected_worker_panic_restarts_the_worker_and_recovers() {
+    fn injected_worker_panic_fails_its_batch_typed_and_the_worker_serves_on() {
+        let threads = Arc::new(Mutex::new(Vec::new()));
+        let registry = Arc::new(Registry::from_models(vec![(
+            "echo".into(),
+            Box::new(ThreadRecordingLocalizer(Arc::clone(&threads))) as _,
+        )]));
         let metrics = Arc::new(Metrics::new());
         let (client, handles) = start(
-            echo_registry(),
+            registry,
             BatcherConfig {
                 max_batch: 1,
                 max_wait: Duration::from_micros(100),
                 queue_cap: 16,
                 workers: 1,
                 threads: Some(1),
-                restart_backoff: Duration::from_millis(5),
-                restart_backoff_cap: Duration::from_millis(50),
                 faults: Some(Arc::new(
-                    FaultPlan::parse("worker_panic=1").expect("spec parses"),
+                    FaultPlan::parse("worker_panic=2").expect("spec parses"),
                 )),
             },
             Arc::clone(&metrics),
         )
         .unwrap();
+        assert_eq!(handles.len(), 1, "one handle per worker, nothing else");
+        let served = |value: f32| {
+            let (tx, rx) = mpsc::sync_channel(1);
+            client.submit(job("echo", vec![obs(-value)], tx)).unwrap();
+            rx.recv_timeout(Duration::from_secs(5)).unwrap()
+        };
 
-        // The first collected batch kills the whole worker (the injection
-        // fires outside the model catch_unwind), so this job's reply
-        // channel disconnects — the HTTP layer maps that to 500.
-        let (tx, rx) = mpsc::sync_channel(1);
-        client.submit(job("echo", vec![obs(-1.0)], tx)).unwrap();
+        assert_eq!(served(1.0), Ok(vec![1]));
+        // The second collected batch panics outside the model's guard: its
+        // job gets a typed failure naming the panic, not a dropped reply.
+        match served(2.0) {
+            Err(JobFailure::Failed(message)) => {
+                assert!(message.contains("dispatch worker panicked"), "{message}");
+                assert!(message.contains("worker_panic on batch 2"), "{message}");
+            }
+            other => panic!("expected a typed failure, got {other:?}"),
+        }
+        // The same thread serves the next job: nothing was restarted.
+        assert_eq!(served(4.0), Ok(vec![4]));
+        let threads = threads.lock().unwrap().clone();
         assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)),
-            Err(mpsc::RecvTimeoutError::Disconnected),
-            "the batch collected by the dying worker must fail, not hang"
+            threads.len(),
+            2,
+            "the panicked batch never reached the model"
         );
-
-        // The batcher stays alive (the supervisor is restarting), new
-        // submissions are accepted, and the restarted worker serves them.
-        assert!(client.is_alive(), "supervised batcher must report alive");
-        let (tx, rx) = mpsc::sync_channel(1);
-        client.submit(job("echo", vec![obs(-4.0)], tx)).unwrap();
         assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap(),
-            vec![4]
+            threads[0], threads[1],
+            "the worker thread must survive its batch"
         );
-        assert_eq!(metrics.worker_restarts.load(Ordering::Relaxed), 1);
         assert_eq!(client.live_workers(), 1);
+        assert_eq!(metrics.jobs_failed.load(Ordering::Relaxed), 1);
         drop(client);
         join_all(handles);
         assert_eq!(
             metrics.queue_depth.load(Ordering::Relaxed),
             0,
-            "the dropped batch must leave the depth gauge at zero"
+            "the failed batch must leave the depth gauge at zero"
         );
     }
 
@@ -1555,8 +1385,7 @@ mod tests {
             client.await_drained(Duration::from_secs(5)),
             "drain must complete once the queue is empty"
         );
-        assert_eq!(client.live_workers(), 0);
-        assert!(!client.is_alive(), "a drained batcher is done");
+        assert_eq!(client.live_workers(), 0, "a drained batcher is done");
         assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 0);
         drop(client);
         join_all(handles);

@@ -165,7 +165,6 @@ fn run(args: Args) -> Result<(), String> {
                 workers: args.workers,
                 threads: args.threads,
                 faults: args.faults.clone(),
-                ..BatcherConfig::default()
             },
             default_deadline: args.default_deadline,
         },

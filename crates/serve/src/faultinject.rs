@@ -5,8 +5,8 @@
 //! therefore injects faults from a **seeded, declarative plan** — the same
 //! spec string always produces the same failures at the same points — so
 //! the chaos integration suite (`tests/chaos.rs`) can assert exact
-//! recovery behaviour (which batch failed, how many restarts, what came
-//! back afterwards).
+//! recovery behaviour (which batch failed, with what message, and what
+//! came back afterwards).
 //!
 //! A plan is parsed from a spec string (the `--faults` flag, or
 //! `BatcherConfig::faults` in-process) of `;`-separated `key=value` parts:
@@ -17,7 +17,8 @@
 //!
 //! * `worker_panic=N` — the dispatch worker collecting the **Nth** batch
 //!   (counted across all workers) panics before executing it, exercising
-//!   the supervisor's restart path.
+//!   the dispatch loop's per-batch guard: that batch's jobs fail with a
+//!   typed `500` naming the panic, and the same worker serves on.
 //! * `latency=MODEL:MS:EVERY` — every `EVERY`th dispatch of `MODEL`
 //!   stalls for `MS` milliseconds before running, simulating a slow or
 //!   contended model.
@@ -133,8 +134,9 @@ impl FaultPlan {
 
     /// Injection point: a dispatch worker has collected a batch and is
     /// about to execute it. Panics (via `panic_any`, *outside* the model
-    /// `catch_unwind`) on the configured Nth batch so the whole worker
-    /// dies — the failure mode the supervisor exists to contain.
+    /// `catch_unwind` but inside the dispatch loop's per-batch one) on the
+    /// configured Nth batch, so the whole batch fails before any model
+    /// sees it.
     pub fn on_batch_collected(&self) {
         let n = self.batches.fetch_add(1, Ordering::Relaxed) + 1;
         if self.worker_panic_at == Some(n) {

@@ -33,13 +33,15 @@
 //!   panics, latency spikes, checkpoint corruption) for the chaos tests;
 //!   zero-cost when no plan is configured.
 //!
-//! The stack is **fault tolerant by construction**: each batch executes
-//! under `catch_unwind`, so a panicking model fails only its own jobs
-//! (typed 500s) while the worker survives; a worker killed outside that
-//! guard is respawned by a supervisor thread with capped exponential
-//! backoff; jobs carry deadlines and are shed (`504`) at dispatch once
-//! stale; and a graceful drain (`POST /admin/drain`, SIGINT/SIGTERM, or
-//! [`Server::drain`]) completes queued work before the server exits.
+//! The stack is **fault tolerant by construction**: each collected batch
+//! executes under one `catch_unwind`, so any panic in it — a model's, or
+//! one the fault harness injects — fails only that batch's jobs (typed
+//! 500s) and the same dispatch worker collects the next batch: a worker
+//! cannot die, so nothing restarts one. A model's refusal of one job's
+//! observations is that job's typed `400`; jobs carry deadlines and are
+//! shed (`504`) at dispatch once stale; and a graceful drain
+//! (`POST /admin/drain`, SIGINT/SIGTERM, or [`Server::drain`]) completes
+//! queued work before the server exits.
 //!
 //! The `vital-serve` binary wires these together from the command line
 //! (`tests/binary.rs` boots it, checks it against offline and drains it

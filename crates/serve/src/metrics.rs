@@ -19,6 +19,9 @@
 //! * `batches_dispatched` is **per worker** (one counter per worker, index
 //!   = worker id) — the visible proof that load actually spreads across
 //!   replicas instead of serializing through one thread.
+//! * `live_workers` equals `workers` from start until a drain: a dispatch
+//!   worker survives any panic in its batch, so there is no restart to
+//!   count, only the failed jobs in `jobs_failed`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -119,17 +122,15 @@ pub struct Metrics {
     /// Requests answered with a 5xx other than backpressure 503s and
     /// deadline 504s.
     pub server_errors: AtomicU64,
-    /// Jobs whose model errored or panicked at dispatch (each answered
-    /// with a typed failure → HTTP 500).
+    /// Jobs whose model errored or panicked, or whose batch panicked, at
+    /// dispatch (each answered with a typed failure → HTTP 500). A model's
+    /// refusal of a job's input is a 400 and counts in `client_errors`.
     pub jobs_failed: AtomicU64,
     /// Jobs shed at dispatch because their deadline had already passed
     /// (each answered with HTTP 504).
     pub jobs_expired: AtomicU64,
-    /// Dispatch workers respawned by the supervisor after a panic.
-    pub worker_restarts: AtomicU64,
-    /// Dispatch workers currently running. Dips below the configured
-    /// count while the supervisor is mid-restart; `/healthz` reports the
-    /// gap as degraded.
+    /// Dispatch workers currently running: the configured count until a
+    /// drain or shutdown lets them exit (no panic in a batch ends one).
     pub live_workers: AtomicUsize,
     /// Jobs currently buffered in the dispatch queue.
     pub queue_depth: AtomicUsize,
@@ -160,7 +161,6 @@ impl Metrics {
             server_errors: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
             jobs_expired: AtomicU64::new(0),
-            worker_restarts: AtomicU64::new(0),
             live_workers: AtomicUsize::new(0),
             queue_depth: AtomicUsize::new(0),
             latency: LatencyHistogram::new(),
@@ -225,7 +225,6 @@ impl Metrics {
             ("server_errors", load(&self.server_errors)),
             ("jobs_failed", load(&self.jobs_failed)),
             ("jobs_expired", load(&self.jobs_expired)),
-            ("worker_restarts", load(&self.worker_restarts)),
             (
                 "live_workers",
                 Json::from(self.live_workers.load(Ordering::Relaxed)),
@@ -377,12 +376,10 @@ mod tests {
         let m = Metrics::new();
         m.jobs_failed.fetch_add(2, Ordering::Relaxed);
         m.jobs_expired.fetch_add(5, Ordering::Relaxed);
-        m.worker_restarts.fetch_add(1, Ordering::Relaxed);
         m.live_workers.fetch_add(3, Ordering::Relaxed);
         let snap = m.snapshot_json();
         assert_eq!(snap.get("jobs_failed").unwrap().as_f64(), Some(2.0));
         assert_eq!(snap.get("jobs_expired").unwrap().as_f64(), Some(5.0));
-        assert_eq!(snap.get("worker_restarts").unwrap().as_f64(), Some(1.0));
         assert_eq!(snap.get("live_workers").unwrap().as_f64(), Some(3.0));
     }
 

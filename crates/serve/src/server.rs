@@ -5,18 +5,17 @@
 //!
 //! | route | behaviour |
 //! |---|---|
-//! | `POST /v1/localize` | decode → enqueue on the micro-batcher → wait for the batch's predictions (`503` + `Retry-After` when the queue is full, `504` + `Retry-After` when the job's deadline passed in the queue) |
+//! | `POST /v1/localize` | decode → enqueue on the micro-batcher → wait for the batch's predictions (`400` with the reason when the model refuses the observations, `503` + `Retry-After` when the queue is full, `504` + `Retry-After` when the job's deadline passed in the queue) |
 //! | `POST /admin/drain` | begin graceful shutdown: stop admitting (`503`), finish queued jobs, then stop accepting |
 //! | `GET /v1/models` | the catalog of hosted models (name + kind), including checkpoints that failed to load (status `degraded`) |
-//! | `GET /healthz` | liveness: `ok` / `degraded` (some workers down or some models failed to load) / `503` while draining or with zero live workers |
+//! | `GET /healthz` | liveness: `ok` / `degraded` (some models failed to load) / `503` while draining or with no live worker |
 //! | `GET /metrics` | counters, batch-size histogram, latency percentiles, queue depth, fault-tolerance counters |
 //!
-//! The server degrades instead of dying: a panicking model fails only its
-//! batch (500s for those jobs), a killed worker is respawned by the
-//! batcher's supervisor (visible as `worker_restarts`), and a corrupt
-//! checkpoint at boot skips that one model. `/healthz` tracks each state
-//! so orchestrators can route around a degraded replica and return once
-//! it recovers.
+//! The server degrades instead of dying: a panic in a batch — the model's
+//! or one injected by the fault harness — fails only that batch's jobs
+//! (500s naming the panic) while its dispatch worker goes on serving, and
+//! a corrupt checkpoint at boot skips that one model. `/healthz` reports
+//! the degraded boot so orchestrators can route around the replica.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -206,7 +205,7 @@ impl Server {
     /// server thread. Returns whether the queue fully drained in time.
     ///
     /// This is the teardown for back-to-back in-process servers: when it
-    /// returns, no worker, supervisor or accept thread from this server is
+    /// returns, no dispatch worker or accept thread from this server is
     /// still running, so the next server cannot race it for the port or
     /// CPU.
     pub fn drain(&mut self, grace: Duration) -> bool {
@@ -373,15 +372,10 @@ fn healthz(shared: &Shared) -> Response {
     if shared.draining.load(Ordering::SeqCst) {
         return json_response(503, &body("draining"));
     }
-    if !shared.batcher.is_alive() {
+    if live == 0 {
         return json_response(503, &body("dead"));
     }
-    if live == 0 {
-        // Every worker is momentarily down but the supervisor is
-        // restarting them: shed routing, hint a quick retry.
-        return json_response(503, &body("restarting")).with_header("retry-after", "1");
-    }
-    if live < workers || degraded_models > 0 {
+    if degraded_models > 0 {
         return json_response(200, &body("degraded"));
     }
     json_response(200, &body("ok"))
@@ -510,6 +504,7 @@ fn localize(request: &Request, shared: &Shared) -> Response {
             ),
         )
         .with_header("retry-after", "1"),
+        Ok(Err(JobFailure::Refused(reason))) => json_response(400, &codec::error_response(&reason)),
         Ok(Err(JobFailure::Failed(message))) => {
             json_response(500, &codec::error_response(&message))
         }

@@ -1,13 +1,14 @@
 //! Chaos tests: deterministic fault injection against a real server.
 //!
 //! The acceptance story for the fault-tolerance work: inject a worker
-//! panic mid-load and assert (a) only that batch's jobs fail, (b) the
-//! supervisor restarts the worker, (c) `/healthz` recovers and
-//! post-recovery responses are **bit-identical** to the offline reference.
-//! Plus the other injectable faults: a panicking *model* is contained to
-//! its batch without costing the worker, latency injection stalls only the
-//! named model, and a corrupt checkpoint degrades one model instead of the
-//! whole boot.
+//! panic mid-load and assert (a) only that batch's jobs fail, with a `500`
+//! naming the panic, (b) `/healthz` answers `200 ok` with every worker
+//! live straight afterwards — the worker never died — and (c) later
+//! responses are **bit-identical** to the offline reference. Plus the
+//! other injectable faults: a panicking *model* is contained to its batch
+//! without costing the worker, latency injection stalls only the named
+//! model, and a corrupt checkpoint degrades one model instead of the whole
+//! boot.
 
 // Chaos tests pace polls against a live server with real sleeps — exempt
 // from the workspace ban on blocking sleeps in request handling.
@@ -63,31 +64,38 @@ fn get(addr: std::net::SocketAddr, target: &str) -> Response {
     Conn::new(&stream).read_response().expect("response")
 }
 
-/// Polls `/healthz` until it reports 200 with every worker live, or panics
-/// after `deadline`.
-fn await_healthy(addr: std::net::SocketAddr, workers: usize, deadline: Duration) {
-    let give_up = Instant::now() + deadline;
-    loop {
-        let health = get(addr, "/healthz");
-        if health.status == 200 {
-            let doc = jsonio::parse(std::str::from_utf8(&health.body).unwrap()).unwrap();
-            if doc.get("live_workers").and_then(Json::as_usize) == Some(workers) {
-                return;
-            }
-        }
-        assert!(
-            Instant::now() < give_up,
-            "server did not recover within {deadline:?} (last /healthz: {} {})",
-            health.status,
-            String::from_utf8_lossy(&health.body)
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+/// Asserts `/healthz` answers `200 ok` with all `workers` live, at once:
+/// there is no restart to wait for.
+fn assert_healthy(addr: std::net::SocketAddr, workers: usize) {
+    let health = get(addr, "/healthz");
+    let body = String::from_utf8_lossy(&health.body).into_owned();
+    assert_eq!(health.status, 200, "/healthz: {body}");
+    let doc = jsonio::parse(&body).unwrap();
+    assert_eq!(
+        doc.get("status").and_then(Json::as_str),
+        Some("ok"),
+        "{body}"
+    );
+    assert_eq!(
+        doc.get("live_workers").and_then(Json::as_usize),
+        Some(workers),
+        "{body}"
+    );
+}
+
+/// The `error` text of a JSON error response.
+fn error_message(response: &Response) -> String {
+    let doc = jsonio::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
+    doc.get("error")
+        .and_then(Json::as_str)
+        .unwrap_or_default()
+        .to_string()
 }
 
 /// The headline acceptance test: a worker panic injected mid-load fails
-/// exactly the batch it hit, the supervisor restarts the worker, and the
-/// recovered server serves bit-identical predictions.
+/// exactly the batch it hit with a `500` naming the panic, the worker
+/// serves on without a restart, and every other answer is bit-identical
+/// to offline.
 #[test]
 fn injected_worker_panic_fails_one_batch_and_the_server_recovers_bit_identical() {
     let data = dataset();
@@ -110,9 +118,7 @@ fn injected_worker_panic_fails_one_batch_and_the_server_recovers_bit_identical()
                 queue_cap: 64,
                 workers: 1,
                 threads: Some(1),
-                restart_backoff: Duration::from_millis(10),
                 faults: Some(faults),
-                ..BatcherConfig::default()
             },
             ..ServerConfig::default()
         },
@@ -139,12 +145,14 @@ fn injected_worker_panic_fails_one_batch_and_the_server_recovers_bit_identical()
             );
         } else {
             assert_eq!(response.status, 500, "request {i}");
+            let message = error_message(&response);
+            assert!(
+                message.contains("worker_panic on batch 3"),
+                "the 500 must name the injected panic, got: {message}"
+            );
             failures.push(i);
-        }
-        // Give the supervisor time to restart the worker after the victim,
-        // so later requests are served rather than queued into a 500.
-        if !failures.is_empty() && failures.len() == 1 && i == failures[0] {
-            await_healthy(addr, 1, Duration::from_secs(10));
+            // (b) Straight after the victim the one worker is still live.
+            assert_healthy(addr, 1);
         }
     }
     assert_eq!(
@@ -152,21 +160,11 @@ fn injected_worker_panic_fails_one_batch_and_the_server_recovers_bit_identical()
         vec![2],
         "exactly the batch the panic hit must fail"
     );
-
-    // (b) The supervisor restarted the worker, visibly.
     let metrics = server.metrics().snapshot_json();
-    assert_eq!(
-        metrics.get("worker_restarts").and_then(Json::as_usize),
-        Some(1)
-    );
-    assert_eq!(
-        metrics.get("live_workers").and_then(Json::as_usize),
-        Some(1)
-    );
+    assert_eq!(metrics.get("jobs_failed").and_then(Json::as_usize), Some(1));
 
-    // (c) Healthy again, and a post-recovery bulk pass over every
-    // observation is bit-identical to the offline reference.
-    await_healthy(addr, 1, Duration::from_secs(10));
+    // (c) A bulk pass over every observation is bit-identical to the
+    // offline reference.
     let body = codec::localize_request_body(Some("knn"), &observations);
     let stream = TcpStream::connect(addr).expect("connect");
     let mut conn = Conn::new(&stream);
@@ -175,20 +173,20 @@ fn injected_worker_panic_fails_one_batch_and_the_server_recovers_bit_identical()
     let predictions = codec::parse_predictions(&response.body).expect("parse");
     assert_eq!(
         predictions, expected,
-        "post-recovery predictions must be bit-identical"
+        "predictions after the panic must be bit-identical"
     );
 }
 
 /// The same fault under concurrent load: eight closed-loop clients against
 /// one worker that panics on its 25th batch. Every request gets exactly one
-/// typed outcome, nobody is left waiting, the worker comes back, and the
+/// typed outcome, nobody is left waiting, the worker serves on, and the
 /// server still drains.
 #[test]
 fn a_worker_panic_under_concurrent_load_strands_no_client() {
     const CLIENTS: usize = 8;
     const REQUESTS_PER_CLIENT: usize = 40;
-    /// Far beyond the 500 ms deadline plus a restart: a read that takes
-    /// this long is a stranded client.
+    /// Far beyond the 500 ms deadline: a read that takes this long is a
+    /// stranded client.
     const STRANDED_AFTER: Duration = Duration::from_secs(20);
 
     let data = dataset();
@@ -209,7 +207,6 @@ fn a_worker_panic_under_concurrent_load_strands_no_client() {
                 queue_cap: 32,
                 workers: 1,
                 threads: Some(1),
-                restart_backoff: Duration::from_millis(10),
                 faults: Some(faults),
                 ..BatcherConfig::default()
             },
@@ -244,7 +241,16 @@ fn a_worker_panic_under_concurrent_load_strands_no_client() {
                                 // Shed by the queue bound or the deadline:
                                 // back off as a real client would.
                                 503 | 504 => std::thread::sleep(Duration::from_millis(2)),
-                                500 => {}
+                                500 => {
+                                    let message = error_message(&response);
+                                    assert!(
+                                        message.contains("worker_panic on batch 25"),
+                                        "client {client} request {request}: a 500 must name \
+                                         the injected panic, got: {message}"
+                                    );
+                                    // The victim's worker is live straight away.
+                                    assert_healthy(addr, 1);
+                                }
                                 other => panic!("client {client} request {request}: {other}"),
                             }
                             response.status
@@ -260,12 +266,7 @@ fn a_worker_panic_under_concurrent_load_strands_no_client() {
     });
     let count = |status: u16| statuses.iter().flatten().filter(|s| **s == status).count();
     assert!(count(500) >= 1, "the panicking batch must fail its jobs");
-    assert!(count(200) >= 1, "requests after the restart must be served");
-
-    let restarts = server.metrics().snapshot_json();
-    let restarts = restarts.get("worker_restarts").and_then(Json::as_usize);
-    assert!(restarts >= Some(1), "worker_restarts = {restarts:?}");
-    await_healthy(addr, 1, Duration::from_secs(10));
+    assert!(count(200) >= 1, "requests after the panic must be served");
 
     let body = codec::localize_request_body(Some("knn"), data.observations());
     let stream = TcpStream::connect(addr).expect("connect");
@@ -275,11 +276,11 @@ fn a_worker_panic_under_concurrent_load_strands_no_client() {
     assert_eq!(
         codec::parse_predictions(&response.body).expect("parse"),
         expected.concat(),
-        "post-recovery predictions must be bit-identical"
+        "predictions after the panic must be bit-identical"
     );
     assert!(
         server.drain(Duration::from_secs(30)),
-        "the recovered server must still drain"
+        "the server must still drain"
     );
 }
 
@@ -299,8 +300,8 @@ impl Localizer for PanickingLocalizer {
 }
 
 /// A panicking *model* is contained by `catch_unwind`: its batch fails
-/// with typed 500s, but the worker survives (no restart) and keeps
-/// serving the healthy model.
+/// with typed 500s, but the worker survives and keeps serving the healthy
+/// model.
 #[test]
 fn a_panicking_model_fails_its_batch_without_costing_the_worker() {
     let data = dataset();
@@ -345,12 +346,7 @@ fn a_panicking_model_fails_its_batch_without_costing_the_worker() {
 
     let metrics = server.metrics().snapshot_json();
     assert!(metrics.get("jobs_failed").unwrap().as_f64().unwrap() >= 1.0);
-    assert_eq!(
-        metrics.get("worker_restarts").and_then(Json::as_usize),
-        Some(0),
-        "a caught model panic must not cost a worker restart"
-    );
-    assert_eq!(get(addr, "/healthz").status, 200);
+    assert_healthy(addr, 1);
 }
 
 /// Latency injection stalls only the named model's dispatches.

@@ -1,11 +1,12 @@
 //! Property test for the job queue's delivery guarantee under races.
 //!
 //! Random interleavings of submissions (with no / already-expired /
-//! generous deadlines) against a drain racing from another thread must
-//! give **every accepted job exactly one outcome** — completed
-//! predictions or a typed [`JobFailure`] — never a silently dropped reply
-//! (disconnect) and never a hang. Rejected submissions must be typed too
-//! ([`SubmitError::Busy`] / [`SubmitError::Closed`]).
+//! generous deadlines) against a drain racing from another thread, with or
+//! without an injected worker panic, must give **every accepted job
+//! exactly one outcome** — completed predictions or a typed
+//! [`JobFailure`] — never a silently dropped reply (disconnect) and never
+//! a hang. Rejected submissions must be typed too ([`SubmitError::Busy`] /
+//! [`SubmitError::Closed`]).
 
 // Test-only pacing and classification — exempt from the workspace ban on
 // blocking sleeps in request handling.
@@ -18,7 +19,7 @@ use std::time::{Duration, Instant};
 use fingerprint::FingerprintObservation;
 use proptest::prelude::*;
 use serve::batcher::{self, Job};
-use serve::{BatcherConfig, JobFailure, Metrics, Registry, SubmitError};
+use serve::{BatcherConfig, FaultPlan, JobFailure, Metrics, Registry, SubmitError};
 use vital::{Localizer, Result as VitalResult};
 
 /// Deterministic stand-in model: predicts `round(-mean[0])`, so the
@@ -80,18 +81,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The delivery invariant: across random submit/deadline/drain
-    /// interleavings, every job has exactly one typed outcome.
+    /// interleavings, with or without a worker panic on a drawn batch,
+    /// every job has exactly one typed outcome.
     #[test]
     fn every_submitted_job_gets_exactly_one_outcome(
         jobs in proptest::collection::vec((deadline_kind(), 0usize..100), 0..12),
         drain_after in 0usize..13,
         tiny_queue in (0u32..2).prop_map(|b| b == 1),
+        // `worker_panic=N` for N in 1..=5, or no fault plan at all.
+        worker_panic in (0u64..6).prop_map(|n| (n > 0).then_some(n)),
     ) {
         let metrics = Arc::new(Metrics::with_workers(2));
         let registry = Arc::new(Registry::from_models(vec![(
             "echo".into(),
             Box::new(EchoLocalizer) as Box<dyn Localizer>,
         )]));
+        let faults = worker_panic.map(|n| {
+            Arc::new(FaultPlan::parse(&format!("worker_panic={n}")).expect("spec parses"))
+        });
         let (client, handles) = batcher::start(
             registry,
             BatcherConfig {
@@ -102,7 +109,7 @@ proptest! {
                 queue_cap: if tiny_queue { 1 } else { 64 },
                 workers: 2,
                 threads: Some(1),
-                ..BatcherConfig::default()
+                faults,
             },
             Arc::clone(&metrics),
         ).expect("batcher start");
@@ -158,6 +165,7 @@ proptest! {
         );
 
         let total = accepted.len();
+        let mut failed = 0usize;
         for (value, kind, reply_rx) in accepted {
             match reply_rx.recv_timeout(Duration::from_secs(5)) {
                 Ok(Ok(predictions)) => {
@@ -176,9 +184,22 @@ proptest! {
                         "only jobs with an elapsed deadline may expire ({kind:?})"
                     );
                 }
+                // Only the batch an armed panic hits may fail, and its
+                // jobs are told why.
                 Ok(Err(JobFailure::Failed(message))) => {
+                    prop_assert!(
+                        worker_panic.is_some(),
+                        "echo model cannot fail without an injected panic, got: {message}"
+                    );
+                    prop_assert!(
+                        message.contains("worker_panic on batch"),
+                        "a failure must name the injected panic, got: {message}"
+                    );
+                    failed += 1;
+                }
+                Ok(Err(JobFailure::Refused(reason))) => {
                     return Err(TestCaseError::fail(format!(
-                        "echo model cannot fail, got: {message}"
+                        "echo model cannot refuse, got: {reason}"
                     )));
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
@@ -194,6 +215,8 @@ proptest! {
             }
         }
 
+        // One batch at most (four one-observation jobs) is lost to the panic.
+        prop_assert!(failed <= 4, "{failed} jobs failed, more than one batch holds");
         // Accounting closes: accepted + rejected covers every submission.
         prop_assert_eq!(total + rejected, jobs.len());
         for handle in handles {

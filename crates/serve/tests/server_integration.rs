@@ -20,7 +20,7 @@ use serve::codec;
 use serve::http::{self, Conn, Method, Response};
 use serve::{BatcherConfig, Registry, Server, ServerConfig};
 use sim_radio::building_1;
-use vital::{Localizer, Result as VitalResult};
+use vital::{Localizer, Result as VitalResult, VitalError};
 
 /// Small deterministic dataset (seed-fixed): training and query sets for
 /// the KNN model both server and offline reference are built from.
@@ -322,6 +322,114 @@ impl Localizer for SlowLocalizer {
         std::thread::sleep(Duration::from_millis(400 * observations.len() as u64));
         Ok(vec![0; observations.len()])
     }
+}
+
+/// A model that refuses any batch holding an observation whose width is
+/// not 1, as `VitalModel` refuses one of another access-point count, and
+/// otherwise predicts `round(-mean[0])`.
+struct OneApLocalizer;
+
+impl Localizer for OneApLocalizer {
+    fn name(&self) -> &str {
+        "OneAp"
+    }
+    fn fit(&mut self, _: &FingerprintDataset) -> VitalResult<()> {
+        Ok(())
+    }
+    fn localize_batch(&self, observations: &[FingerprintObservation]) -> VitalResult<Vec<usize>> {
+        if observations.iter().any(|o| o.mean.len() != 1) {
+            return Err(VitalError::InvalidDataset(
+                "wrong access-point count".into(),
+            ));
+        }
+        Ok(observations.iter().map(|o| (-o.mean[0]) as usize).collect())
+    }
+}
+
+#[test]
+fn a_refused_observation_is_a_400_and_its_batch_mate_still_gets_200() {
+    let registry = Registry::from_models(vec![("one".into(), Box::new(OneApLocalizer))]);
+    let server = Server::start(
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            batcher: BatcherConfig {
+                max_batch: 8,
+                // A long window coalesces both requests into one batch.
+                max_wait: Duration::from_millis(300),
+                workers: 1,
+                threads: Some(1),
+                ..BatcherConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+        registry,
+    )
+    .expect("server start");
+    let addr = server.addr();
+
+    let one_ap = FingerprintObservation {
+        rp_label: 0,
+        device: String::new(),
+        min: vec![-4.0],
+        max: vec![-4.0],
+        mean: vec![-4.0],
+    };
+    let two_aps = FingerprintObservation {
+        min: vec![-2.0; 2],
+        max: vec![-2.0; 2],
+        mean: vec![-2.0; 2],
+        ..one_ap.clone()
+    };
+    let bodies = [
+        codec::localize_request_body(None, std::slice::from_ref(&one_ap)),
+        codec::localize_request_body(None, std::slice::from_ref(&two_aps)),
+    ];
+    let start = std::sync::Barrier::new(bodies.len());
+    let [accepted, refused] = std::thread::scope(|scope| {
+        let clients = bodies.each_ref().map(|body| {
+            let start = &start;
+            scope.spawn(move || {
+                let stream = TcpStream::connect(addr).expect("connect");
+                let mut conn = Conn::new(&stream);
+                start.wait();
+                post_localize(&mut conn, &stream, body.as_bytes())
+            })
+        });
+        clients.map(|client| client.join().expect("client thread"))
+    });
+
+    assert_eq!(accepted.status, 200);
+    assert_eq!(
+        codec::parse_predictions(&accepted.body).expect("parse"),
+        vec![4]
+    );
+    assert_eq!(refused.status, 400);
+    let doc = jsonio::parse(std::str::from_utf8(&refused.body).unwrap()).unwrap();
+    let reason = doc.get("error").and_then(Json::as_str).unwrap_or_default();
+    assert!(reason.contains("access-point count"), "{reason}");
+
+    let metrics = server.metrics().snapshot_json();
+    let hist = metrics
+        .get("batch_size_hist")
+        .and_then(Json::as_array)
+        .expect("batch histogram")
+        .to_vec();
+    assert_eq!(hist.len(), 1, "one dispatch: {hist:?}");
+    assert_eq!(
+        hist[0].get("size").and_then(Json::as_usize),
+        Some(2),
+        "the two requests were coalesced"
+    );
+    // A refusal is the client's error, not a model fault.
+    assert_eq!(
+        metrics.get("client_errors").and_then(Json::as_usize),
+        Some(1)
+    );
+    assert_eq!(metrics.get("jobs_failed").and_then(Json::as_usize), Some(0));
+    assert_eq!(
+        metrics.get("server_errors").and_then(Json::as_usize),
+        Some(0)
+    );
 }
 
 #[test]

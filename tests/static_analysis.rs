@@ -61,14 +61,13 @@ fn lock_graph_models_the_real_lock_topology() {
     let graph = &report.lock_graph;
 
     // Every lock site of the shared-weights design is observed: the Param
-    // RwLock, the batcher's condvar-guarded queue mutex, its batch-size
-    // histogram, the drain latch added with the fault-tolerance work, and
-    // the compiled plan runtime's cache and arena pool.
+    // RwLock, the batcher's condvar-guarded queue mutex (which also counts
+    // the workers out for a drain), its batch-size histogram, and the
+    // compiled plan runtime's cache and arena pool.
     for class in [
         "nn::Param::value",
         "serve::JobQueue::state",
         "serve::Metrics::batch_sizes",
-        "serve::Latch::flag",
         "graph::PlanCache::plans",
         "graph::ArenaPool::arenas",
     ] {
