@@ -3,6 +3,7 @@
 
 use tensor::{Tensor, UnaryOp, GELU_COEFF, SQRT_2_OVER_PI};
 
+use crate::tape::Accumulator;
 use crate::{Result, Var};
 
 /// Scalar GELU — delegates to the shared named op so the autograd forward
@@ -27,10 +28,10 @@ impl<'t> Var<'t> {
         self.tape.push(
             value,
             vec![self.id],
-            Some(Box::new(move |g: &Tensor| {
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| {
                 let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                vec![g.mul(&mask).expect("same shape")]
-            })),
+                acc.add(0, g.mul(&mask)?)
+            }),
         )
     }
 
@@ -42,10 +43,9 @@ impl<'t> Var<'t> {
         self.tape.push(
             value,
             vec![self.id],
-            Some(Box::new(move |g: &Tensor| {
-                let dx = x.map(gelu_grad_scalar);
-                vec![g.mul(&dx).expect("same shape")]
-            })),
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| {
+                acc.add(0, g.mul(&x.map(gelu_grad_scalar))?)
+            }),
         )
     }
 
@@ -56,10 +56,9 @@ impl<'t> Var<'t> {
         self.tape.push(
             value,
             vec![self.id],
-            Some(Box::new(move |g: &Tensor| {
-                let dy = y.map(|v| 1.0 - v * v);
-                vec![g.mul(&dy).expect("same shape")]
-            })),
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| {
+                acc.add(0, g.mul(&y.map(|v| 1.0 - v * v))?)
+            }),
         )
     }
 
@@ -70,10 +69,9 @@ impl<'t> Var<'t> {
         self.tape.push(
             value,
             vec![self.id],
-            Some(Box::new(move |g: &Tensor| {
-                let dy = y.map(|v| v * (1.0 - v));
-                vec![g.mul(&dy).expect("same shape")]
-            })),
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| {
+                acc.add(0, g.mul(&y.map(|v| v * (1.0 - v)))?)
+            }),
         )
     }
 
@@ -89,10 +87,10 @@ impl<'t> Var<'t> {
         Ok(self.tape.push(
             value,
             vec![self.id],
-            Some(Box::new(move |g: &Tensor| {
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| {
                 // dX = S ⊙ (G - rowsum(G ⊙ S))
-                let (rows, cols) = s.shape().as_matrix().expect("softmax output is a matrix");
-                let gs = g.mul(&s).expect("same shape");
+                let (rows, cols) = s.shape().as_matrix()?;
+                let gs = g.mul(&s)?;
                 let mut out = vec![0.0f32; rows * cols];
                 for i in 0..rows {
                     let dot: f32 = gs.as_slice()[i * cols..(i + 1) * cols].iter().sum();
@@ -101,8 +99,8 @@ impl<'t> Var<'t> {
                         out[idx] = s.as_slice()[idx] * (g.as_slice()[idx] - dot);
                     }
                 }
-                vec![Tensor::from_vec(out, s.shape().dims()).expect("same shape")]
-            })),
+                acc.add(0, Tensor::from_vec(out, s.shape().dims())?)
+            }),
         ))
     }
 }

@@ -3,7 +3,18 @@
 //! The crate implements a classic *tape* (Wengert list) design: a [`Tape`]
 //! records every primitive operation performed on [`Var`] handles during a
 //! forward pass, and [`Tape::backward`] walks the recorded list in reverse and
-//! returns the [`Gradients`] with respect to every recorded variable.
+//! returns the [`Gradients`] with respect to every [`Tape::var`] leaf.
+//!
+//! The backward pass does only the work those gradients need. A node
+//! records whether a variable reaches it; a [`Tape::constant`] (an input, a
+//! mask, a target) and every node that only constants reach get no
+//! gradient, so a product with a constant input computes the weight's
+//! gradient and skips the input's. Each node's gradient is summed in one
+//! buffer, in place and in a fixed order, a slice's gradient is added into
+//! its range of the parent's, and the sum is dropped as soon as the
+//! node's own backward function has used it. The sums are bit for bit the
+//! ones a zero-padded, freshly allocated contribution per consumer would
+//! give.
 //!
 //! The set of primitives is deliberately the exact set needed by the VITAL
 //! vision transformer and the comparison baselines: dense affine maps,

@@ -4,6 +4,7 @@
 
 use tensor::Tensor;
 
+use crate::tape::Accumulator;
 use crate::{Result, Var};
 
 impl<'t> Var<'t> {
@@ -46,16 +47,15 @@ impl<'t> Var<'t> {
         Ok(self.tape.push(
             value,
             vec![self.id],
-            Some(Box::new(move |g: &Tensor| {
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| {
                 let scale = g.as_slice()[0] / batch as f32;
                 let mut grad = probs.clone();
                 for (i, &target) in targets_owned.iter().enumerate() {
-                    let current = grad.at(i, target).expect("validated at record time");
-                    grad.set(i, target, current - 1.0)
-                        .expect("validated at record time");
+                    let current = grad.at(i, target)?;
+                    grad.set(i, target, current - 1.0)?;
                 }
-                vec![grad.scale(scale)]
-            })),
+                acc.add(0, grad.scale(scale))
+            }),
         ))
     }
 
@@ -78,10 +78,9 @@ impl<'t> Var<'t> {
         Ok(self.tape.push(
             value,
             vec![self.id],
-            Some(Box::new(move |g: &Tensor| {
-                let scale = 2.0 * g.as_slice()[0] / n;
-                vec![diff.scale(scale)]
-            })),
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| {
+                acc.add(0, diff.scale(2.0 * g.as_slice()[0] / n))
+            }),
         ))
     }
 }

@@ -2,6 +2,7 @@
 
 use tensor::Tensor;
 
+use crate::tape::Accumulator;
 use crate::{Result, Var};
 
 impl<'t> Var<'t> {
@@ -38,11 +39,12 @@ impl<'t> Var<'t> {
         Ok(self.tape.push(
             value,
             vec![self.id, gamma.id, beta.id],
-            Some(Box::new(move |grad: &Tensor| {
+            Box::new(move |grad: &Tensor, acc: &mut Accumulator<'_>| {
                 let gs = grad.as_slice();
                 let xs = x_for_back.as_slice();
                 let gm = gamma_for_back.as_slice();
-                let mut dx = vec![0.0f32; rows * cols];
+                let want_dx = acc.wants(0);
+                let mut dx = vec![0.0f32; if want_dx { rows * cols } else { 0 }];
                 let mut dgamma = vec![0.0f32; cols];
                 let mut dbeta = vec![0.0f32; cols];
                 for (i, (&inv_std_i, &mean_i)) in inv_std.iter().zip(&means).enumerate() {
@@ -59,6 +61,9 @@ impl<'t> Var<'t> {
                         dgamma[j] += gs[idx] * xh;
                         dbeta[j] += gs[idx];
                     }
+                    if !want_dx {
+                        continue;
+                    }
                     let n = cols as f32;
                     for (j, &gm_j) in gm.iter().enumerate() {
                         let idx = i * cols + j;
@@ -67,12 +72,12 @@ impl<'t> Var<'t> {
                         dx[idx] = inv_std_i * (dxhat - sum_dxhat / n - xh * sum_dxhat_xhat / n);
                     }
                 }
-                vec![
-                    Tensor::from_vec(dx, &[rows, cols]).expect("shape preserved"),
-                    Tensor::from_vec(dgamma, &[cols]).expect("shape preserved"),
-                    Tensor::from_vec(dbeta, &[cols]).expect("shape preserved"),
-                ]
-            })),
+                if want_dx {
+                    acc.add(0, Tensor::from_vec(dx, &[rows, cols])?)?;
+                }
+                acc.add(1, Tensor::from_vec(dgamma, &[cols])?)?;
+                acc.add(2, Tensor::from_vec(dbeta, &[cols])?)
+            }),
         ))
     }
 }

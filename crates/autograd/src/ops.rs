@@ -2,6 +2,7 @@
 
 use tensor::{MatmulSpec, Tensor};
 
+use crate::tape::Accumulator;
 use crate::{Result, Var};
 
 // `add`/`sub`/`mul` deliberately shadow the `std::ops` names: recording onto
@@ -19,7 +20,10 @@ impl<'t> Var<'t> {
         Ok(self.tape.push(
             value,
             vec![self.id, other.id],
-            Some(Box::new(move |g: &Tensor| vec![g.clone(), g.clone()])),
+            Box::new(|g: &Tensor, acc: &mut Accumulator<'_>| {
+                acc.add(0, g.clone())?;
+                acc.add(1, g.clone())
+            }),
         ))
     }
 
@@ -32,7 +36,13 @@ impl<'t> Var<'t> {
         Ok(self.tape.push(
             value,
             vec![self.id, other.id],
-            Some(Box::new(move |g: &Tensor| vec![g.clone(), g.scale(-1.0)])),
+            Box::new(|g: &Tensor, acc: &mut Accumulator<'_>| {
+                acc.add(0, g.clone())?;
+                if acc.wants(1) {
+                    acc.add(1, g.scale(-1.0))?;
+                }
+                Ok(())
+            }),
         ))
     }
 
@@ -47,12 +57,15 @@ impl<'t> Var<'t> {
         Ok(self.tape.push(
             value,
             vec![self.id, other.id],
-            Some(Box::new(move |g: &Tensor| {
-                vec![
-                    g.mul(&b).expect("shapes fixed at record time"),
-                    g.mul(&a).expect("shapes fixed at record time"),
-                ]
-            })),
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| {
+                if acc.wants(0) {
+                    acc.add(0, g.mul(&b)?)?;
+                }
+                if acc.wants(1) {
+                    acc.add(1, g.mul(&a)?)?;
+                }
+                Ok(())
+            }),
         ))
     }
 
@@ -62,7 +75,7 @@ impl<'t> Var<'t> {
         self.tape.push(
             value,
             vec![self.id],
-            Some(Box::new(move |g: &Tensor| vec![g.scale(c)])),
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| acc.add(0, g.scale(c))),
         )
     }
 
@@ -77,9 +90,7 @@ impl<'t> Var<'t> {
         Ok(self.tape.push(
             value,
             vec![self.id],
-            Some(Box::new(move |g: &Tensor| {
-                vec![g.mul(&mask).expect("shapes fixed at record time")]
-            })),
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| acc.add(0, g.mul(&mask)?)),
         ))
     }
 
@@ -135,19 +146,27 @@ impl<'t> Var<'t> {
         Ok(self.tape.push(
             value,
             vec![self.id, other.id],
-            Some(Box::new(move |g: &Tensor| {
-                let (da, db) = match (spec.trans_a, spec.trans_b) {
-                    (false, false) => (g.matmul_ex(&bm, S::NT), am.matmul_ex(g, S::TN)),
-                    (false, true) => (g.matmul_ex(&bm, S::NN), g.matmul_ex(&am, S::TN)),
-                    (true, false) => (bm.matmul_ex(g, S::NT), am.matmul_ex(g, S::NN)),
-                    (true, true) => (bm.matmul_ex(g, S::TT), g.matmul_ex(&am, S::TT)),
-                };
-                let da = da.expect("shapes fixed at record time");
-                let db = db.expect("shapes fixed at record time");
-                let da = if a_shape_is_vec { da.flatten() } else { da };
-                let db = if b_shape_is_vec { db.flatten() } else { db };
-                vec![da, db]
-            })),
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| {
+                if acc.wants(0) {
+                    let da = match (spec.trans_a, spec.trans_b) {
+                        (false, false) => g.matmul_ex(&bm, S::NT),
+                        (false, true) => g.matmul_ex(&bm, S::NN),
+                        (true, false) => bm.matmul_ex(g, S::NT),
+                        (true, true) => bm.matmul_ex(g, S::TT),
+                    }?;
+                    acc.add(0, if a_shape_is_vec { da.flatten() } else { da })?;
+                }
+                if acc.wants(1) {
+                    let db = match (spec.trans_a, spec.trans_b) {
+                        (false, false) => am.matmul_ex(g, S::TN),
+                        (false, true) => g.matmul_ex(&am, S::TN),
+                        (true, false) => am.matmul_ex(g, S::NN),
+                        (true, true) => g.matmul_ex(&am, S::TT),
+                    }?;
+                    acc.add(1, if b_shape_is_vec { db.flatten() } else { db })?;
+                }
+                Ok(())
+            }),
         ))
     }
 
@@ -162,12 +181,13 @@ impl<'t> Var<'t> {
         Ok(self.tape.push(
             value,
             vec![self.id, bias.id],
-            Some(Box::new(move |g: &Tensor| {
-                vec![
-                    g.clone(),
-                    g.sum_rows().expect("gradient of a matrix has rows"),
-                ]
-            })),
+            Box::new(|g: &Tensor, acc: &mut Accumulator<'_>| {
+                acc.add(0, g.clone())?;
+                if acc.wants(1) {
+                    acc.add(1, g.sum_rows()?)?;
+                }
+                Ok(())
+            }),
         ))
     }
 
@@ -183,10 +203,9 @@ impl<'t> Var<'t> {
         Ok(self.tape.push(
             value,
             vec![self.id],
-            Some(Box::new(move |g: &Tensor| {
-                let gv = g.as_slice()[0];
-                vec![Tensor::full(&shape, gv)]
-            })),
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| {
+                acc.add(0, Tensor::full(&shape, g.as_slice()[0]))
+            }),
         ))
     }
 }

@@ -4,6 +4,7 @@
 
 use tensor::{kernels, Tensor};
 
+use crate::tape::Accumulator;
 use crate::{Result, Var};
 
 impl<'t> Var<'t> {
@@ -17,51 +18,37 @@ impl<'t> Var<'t> {
         Ok(self.tape.push(
             value,
             vec![self.id],
-            Some(Box::new(move |g: &Tensor| {
-                vec![g.reshape(&original).expect("volume preserved")]
-            })),
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| {
+                acc.add(0, g.reshape(&original)?)
+            }),
         ))
     }
 
-    /// Copies rows `[start, end)` of a matrix.
+    /// Copies rows `[start, end)` of a matrix. Its gradient is added into
+    /// those rows of the parent's.
     ///
     /// # Errors
     /// Returns an error if the range is out of bounds.
     pub fn slice_rows(self, start: usize, end: usize) -> Result<Var<'t>> {
-        let x = self.value();
-        let (rows, cols) = x.shape().as_matrix()?;
-        let value = x.slice_rows(start, end)?;
+        let value = self.value().slice_rows(start, end)?;
         Ok(self.tape.push(
             value,
             vec![self.id],
-            Some(Box::new(move |g: &Tensor| {
-                let mut full = Tensor::zeros(&[rows, cols]);
-                full.as_mut_slice()[start * cols..end * cols].copy_from_slice(g.as_slice());
-                vec![full]
-            })),
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| acc.add_rows(0, start, g)),
         ))
     }
 
-    /// Copies columns `[start, end)` of a matrix.
+    /// Copies columns `[start, end)` of a matrix. Its gradient is added
+    /// into those columns of the parent's.
     ///
     /// # Errors
     /// Returns an error if the range is out of bounds.
     pub fn slice_cols(self, start: usize, end: usize) -> Result<Var<'t>> {
-        let x = self.value();
-        let (rows, cols) = x.shape().as_matrix()?;
-        let value = x.slice_cols(start, end)?;
+        let value = self.value().slice_cols(start, end)?;
         Ok(self.tape.push(
             value,
             vec![self.id],
-            Some(Box::new(move |g: &Tensor| {
-                let mut full = Tensor::zeros(&[rows, cols]);
-                let w = end - start;
-                for r in 0..rows {
-                    full.as_mut_slice()[r * cols + start..r * cols + end]
-                        .copy_from_slice(&g.as_slice()[r * w..(r + 1) * w]);
-                }
-                vec![full]
-            })),
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| acc.add_cols(0, start, g)),
         ))
     }
 
@@ -92,12 +79,13 @@ impl<'t> Var<'t> {
         Ok(self.tape.push(
             value,
             vec![self.id, tile.id],
-            Some(Box::new(move |g: &Tensor| {
-                let dtile = g
-                    .sum_row_blocks(block_rows)
-                    .expect("shapes fixed at record time");
-                vec![g.clone(), dtile]
-            })),
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| {
+                acc.add(0, g.clone())?;
+                if acc.wants(1) {
+                    acc.add(1, g.sum_row_blocks(block_rows)?)?;
+                }
+                Ok(())
+            }),
         ))
     }
 
@@ -118,7 +106,7 @@ impl<'t> Var<'t> {
         Ok(self.tape.push(
             value,
             vec![self.id],
-            Some(Box::new(move |g: &Tensor| {
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| {
                 // Each input row receives its block's pooled gradient / P.
                 let scale = 1.0 / block_rows as f32;
                 let mut full = Vec::with_capacity(rows * cols);
@@ -127,8 +115,8 @@ impl<'t> Var<'t> {
                         full.extend(block_grad.iter().map(|v| v * scale));
                     }
                 }
-                vec![Tensor::from_vec(full, &[rows, cols]).expect("tile volume")]
-            })),
+                acc.add(0, Tensor::from_vec(full, &[rows, cols])?)
+            }),
         ))
     }
 
@@ -153,18 +141,16 @@ impl<'t> Var<'t> {
         Ok(tape.push(
             value,
             parents,
-            Some(Box::new(move |g: &Tensor| {
-                let mut grads = Vec::with_capacity(row_counts.len());
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| {
                 let mut offset = 0;
-                for rc in &row_counts {
-                    grads.push(
-                        g.slice_rows(offset, offset + rc)
-                            .expect("gradient covers all rows"),
-                    );
+                for (i, rc) in row_counts.iter().enumerate() {
+                    if acc.wants(i) {
+                        acc.add(i, g.slice_rows(offset, offset + rc)?)?;
+                    }
                     offset += rc;
                 }
-                grads
-            })),
+                Ok(())
+            }),
         ))
     }
 
@@ -189,18 +175,16 @@ impl<'t> Var<'t> {
         Ok(tape.push(
             value,
             parents,
-            Some(Box::new(move |g: &Tensor| {
-                let mut grads = Vec::with_capacity(col_counts.len());
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| {
                 let mut offset = 0;
-                for cc in &col_counts {
-                    grads.push(
-                        g.slice_cols(offset, offset + cc)
-                            .expect("gradient covers all cols"),
-                    );
+                for (i, cc) in col_counts.iter().enumerate() {
+                    if acc.wants(i) {
+                        acc.add(i, g.slice_cols(offset, offset + cc)?)?;
+                    }
                     offset += cc;
                 }
-                grads
-            })),
+                Ok(())
+            }),
         ))
     }
 }

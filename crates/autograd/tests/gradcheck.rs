@@ -206,6 +206,55 @@ proptest! {
     }
 
     #[test]
+    fn overlapping_slices_and_dense_use_gradcheck(
+        seed in 0u64..300,
+        rows in 2usize..6,
+        cols in 2usize..6,
+        order in 0u8..2,
+    ) {
+        // One parent read by two overlapping row slices, a column slice
+        // and whole, each weighted and through a non-linearity; whichever
+        // the backward pass reaches first, every read adds its share.
+        let mut rng = SeededRng::new(seed.wrapping_add(10_000));
+        let x = rng.uniform_tensor(&[rows, cols], -1.0, 1.0);
+        let (split, band) = (rows / 2, 1..cols);
+        let w_top = rng.uniform_tensor(&[split + 1, cols], -1.0, 1.0);
+        let w_low = rng.uniform_tensor(&[rows - split, cols], -1.0, 1.0);
+        let w_band = rng.uniform_tensor(&[rows, band.len()], -1.0, 1.0);
+        let w_dense = rng.uniform_tensor(&[rows, cols], -1.0, 1.0);
+
+        let dense_first = order == 1;
+        let tape = Tape::new();
+        let xv = tape.var(x.clone());
+        let dense = || xv.tanh().mul_mask(&w_dense).unwrap().sum_all().unwrap();
+        let mut terms = Vec::new();
+        if !dense_first {
+            terms.push(dense());
+        }
+        terms.push(xv.slice_rows(0, split + 1).unwrap().gelu().mul_mask(&w_top).unwrap().sum_all().unwrap());
+        terms.push(xv.slice_rows(split, rows).unwrap().mul_mask(&w_low).unwrap().sum_all().unwrap());
+        terms.push(xv.slice_cols(band.start, band.end).unwrap().sigmoid().mul_mask(&w_band).unwrap().sum_all().unwrap());
+        if dense_first {
+            terms.push(dense());
+        }
+        let loss = terms[1..].iter().fold(terms[0], |acc, &t| acc.add(t).unwrap());
+        let grads = tape.backward(loss).unwrap();
+
+        let gelu = |v: f32| 0.5 * v * (1.0 + (0.797_884_6 * (v + 0.044_715 * v * v * v)).tanh());
+        let reference = |x_: &Tensor| {
+            weighted_sum(&x_.slice_rows(0, split + 1).unwrap().map(gelu), &w_top)
+                + weighted_sum(&x_.slice_rows(split, rows).unwrap(), &w_low)
+                + weighted_sum(
+                    &x_.slice_cols(band.start, band.end).unwrap().map(|v| 1.0 / (1.0 + (-v).exp())),
+                    &w_band,
+                )
+                + weighted_sum(&x_.map(f32::tanh), &w_dense)
+        };
+        let numeric = finite_diff(&x, reference, 1e-3);
+        assert_close(grads.get(xv).unwrap(), &numeric, 3e-2)?;
+    }
+
+    #[test]
     fn cross_entropy_gradcheck(seed in 0u64..500, batch in 1usize..4, classes in 2usize..6) {
         let mut rng = SeededRng::new(seed);
         let logits = rng.uniform_tensor(&[batch, classes], -2.0, 2.0);

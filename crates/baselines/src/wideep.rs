@@ -155,6 +155,7 @@ impl WiDeepLocalizer {
             ))
             .into());
         }
+        check_class_count(num_classes, &wideep.labels)?;
         Ok(wideep)
     }
 
@@ -175,6 +176,30 @@ impl WiDeepLocalizer {
     ) -> Result<Vec<usize>> {
         localize(self, observations, run_eager::<Self>)
     }
+}
+
+/// The most reference points a WiDeep checkpoint may vote over. A survey
+/// with a million reference points is far beyond any building a
+/// fingerprint campaign covers, and the per-query vote it sizes is then
+/// still only 4 MB.
+const MAX_CLASSES: usize = 1 << 20;
+
+/// Holds the stored class count, which sizes the per-query kernel vote, to
+/// [`MAX_CLASSES`] and to the stored labels, each of which indexes that
+/// vote.
+///
+/// # Errors
+/// [`CheckpointError::Corrupt`] naming the `dims` entry otherwise.
+fn check_class_count(num_classes: usize, labels: &[usize]) -> Result<()> {
+    let largest = labels.iter().copied().max();
+    if num_classes <= MAX_CLASSES && largest.is_none_or(|label| label < num_classes) {
+        return Ok(());
+    }
+    Err(CheckpointError::Corrupt(format!(
+        "dims entry num_classes is {num_classes}, but it must be at most {MAX_CLASSES} and above \
+         every stored label (largest {largest:?})"
+    ))
+    .into())
 }
 
 impl Framework for WiDeepLocalizer {

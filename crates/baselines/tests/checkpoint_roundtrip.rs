@@ -135,9 +135,11 @@ fn anvil_round_trips_exactly() {
     );
 }
 
-/// Flips bit 40 of each layer-sizing entry (by index) of `ckpt`'s `dims`
-/// and expects `from_checkpoint` to answer with a typed error instead of
-/// asking the allocator for the terabytes the flipped size implies.
+/// Flips bit 40, and separately bit 1, of each sizing entry (by index) of
+/// `ckpt`'s `dims` and expects `from_checkpoint` to answer with a typed
+/// error: instead of asking the allocator for the terabytes the first
+/// flipped size implies, or of loading a model the second one leaves a
+/// layer or a stored label out of bounds of.
 fn assert_layer_sizes_are_held_to_the_weights<L>(
     ckpt: Checkpoint,
     sizing: &[usize],
@@ -146,7 +148,8 @@ fn assert_layer_sizes_are_held_to_the_weights<L>(
     let bytes = ckpt.to_bytes().unwrap();
     assert!(from_checkpoint(&Checkpoint::from_bytes(&bytes).unwrap()).is_ok());
     // An ints entry is its name (`u64` length, UTF-8), its `u64` count and
-    // its `u64` values, little-endian: bit 40 is the low bit of byte 5.
+    // its `u64` values, little-endian: bit `b` is bit `b % 8` of byte
+    // `b / 8`.
     let name = [&4u64.to_le_bytes()[..], b"dims"].concat();
     let values = bytes
         .windows(name.len())
@@ -154,17 +157,25 @@ fn assert_layer_sizes_are_held_to_the_weights<L>(
         .expect("the checkpoint has a dims entry")
         + name.len()
         + 8;
+    let stored = ckpt.ints("dims").unwrap();
     for &entry in sizing {
-        let mut corrupt = bytes.clone();
-        corrupt[values + 8 * entry + 5] ^= 0x01;
-        let ckpt = Checkpoint::from_bytes(&corrupt).unwrap();
-        assert_eq!(ckpt.ints("dims").unwrap()[entry] >> 40, 1);
-        match from_checkpoint(&ckpt) {
-            Err(VitalError::Checkpoint(CheckpointError::Corrupt(msg))) => {
-                assert!(msg.contains("dims entry"), "{msg}")
+        for bit in [40, 1] {
+            let mut corrupt = bytes.clone();
+            corrupt[values + 8 * entry + bit / 8] ^= 1 << (bit % 8);
+            let ckpt = Checkpoint::from_bytes(&corrupt).unwrap();
+            assert_eq!(
+                ckpt.ints("dims").unwrap()[entry],
+                stored[entry] ^ (1 << bit)
+            );
+            match from_checkpoint(&ckpt) {
+                Err(VitalError::Checkpoint(CheckpointError::Corrupt(msg))) => {
+                    assert!(msg.contains("dims entry"), "{msg}")
+                }
+                Err(other) => {
+                    panic!("dims[{entry}] bit {bit}: expected a corrupt checkpoint, got {other:?}")
+                }
+                Ok(_) => panic!("dims[{entry}] bit {bit}: a flipped size loaded"),
             }
-            Err(other) => panic!("dims[{entry}]: expected a corrupt checkpoint, got {other:?}"),
-            Ok(_) => panic!("dims[{entry}]: a flipped layer size loaded"),
         }
     }
 }
@@ -195,11 +206,12 @@ fn a_flipped_bit_of_a_layer_size_is_a_typed_error_not_an_abort() {
 
     let mut wideep = WiDeepLocalizer::new(7).with_pretrain_epochs(1);
     wideep.fit(&dataset).unwrap();
-    // dims: pretrain_epochs, num_classes, width; only the width sizes a
-    // layer (the class count sizes the kernel vote).
+    // dims: pretrain_epochs, num_classes, width. The width sizes a layer;
+    // the class count sizes the kernel vote, which the stored labels (0..10
+    // here) index, so bit 1 (10 → 8) leaves label 9 out of it.
     assert_layer_sizes_are_held_to_the_weights(
         wideep.to_checkpoint().unwrap(),
-        &[2],
+        &[1, 2],
         WiDeepLocalizer::from_checkpoint,
     );
 

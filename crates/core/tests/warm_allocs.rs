@@ -1,7 +1,8 @@
 //! Warm compiled inference allocates a fixed handful of heap blocks per
 //! call, whatever the batch size, and none while the plan executes; a warm
 //! `localize_batch` allocates three 1-D channels per observation and never
-//! a block larger than one of them.
+//! a block larger than one of them; a warm training step's backward pass
+//! allocates a pinned number of blocks, none as large as its patch input.
 //!
 //! This binary installs a counting `#[global_allocator]`: the counts are
 //! kept per thread, so the harness's own threads and the other test cannot
@@ -11,8 +12,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use autograd::Tape;
 use fingerprint::{base_devices, DatasetConfig, FingerprintDataset};
-use tensor::rng::SeededRng;
+use nn::{Layer, Session};
+use tensor::rng::{DrawKey, SeededRng};
+use tensor::Tensor;
 use vital::{Localizer, VisionTransformer, VitalConfig, VitalModel};
 
 thread_local! {
@@ -113,6 +117,60 @@ fn warm_predict_folded_allocates_the_same_handful_at_every_batch_size() {
                 "batch {samples}: {per_call} allocations per warm call, {WARM_ALLOCS} when pinned"
             );
         }
+    });
+}
+
+/// What the backward pass of a warm training step of [`training_backward`]
+/// allocates, measured when this test was written: the gradient buffers
+/// the tape's ops build (about one per differentiated operand) and their
+/// closures' scratch, a function of the graph and never of the SIMD level
+/// or thread count.
+const BACKWARD_ALLOCS: u64 = 616;
+
+/// `(allocations, largest block)` of `Session::backward` in a training
+/// step of `samples` observations of `input` through `vit`.
+fn training_backward(vit: &VisionTransformer, input: &Tensor, samples: usize) -> (u64, usize) {
+    let tape = Tape::new();
+    let mut session = Session::keyed(&tape, DrawKey::new(1, [0, 0]));
+    let x = session.constant(input.clone());
+    let labels: Vec<usize> = (0..samples).collect();
+    let loss = vit
+        .forward(&mut session, x, samples)
+        .unwrap()
+        .softmax_cross_entropy(&labels)
+        .unwrap();
+    LARGEST.set(0);
+    let before = allocs();
+    let grads = session.backward(loss).unwrap();
+    let measured = (allocs() - before, LARGEST.get());
+    assert_eq!(
+        grads.len(),
+        vit.params().len(),
+        "every weight gets a gradient"
+    );
+    measured
+}
+
+#[test]
+fn warm_training_backward_allocates_nothing_the_size_of_its_input() {
+    let vit = VisionTransformer::new(&mut SeededRng::new(3), &VitalConfig::fast(18, 8)).unwrap();
+    let samples = 4;
+    let dims = [samples * vit.num_patches(), vit.patch_dim()];
+    let input = SeededRng::new(5).uniform_tensor(&dims, -1.0, 1.0);
+    let input_bytes = input.len() * std::mem::size_of::<f32>();
+    parallel::with_threads(1, || {
+        // Warm-up: the thread's GEMM packing scratch.
+        training_backward(&vit, &input, samples);
+        let (blocks, largest) = training_backward(&vit, &input, samples);
+        assert!(
+            largest < input_bytes,
+            "the backward pass allocated a block of {largest} bytes; the stacked patch input \
+             is {input_bytes}, and as a constant it gets no gradient"
+        );
+        assert_eq!(
+            blocks, BACKWARD_ALLOCS,
+            "a warm training backward allocated {blocks} blocks, {BACKWARD_ALLOCS} when pinned"
+        );
     });
 }
 
