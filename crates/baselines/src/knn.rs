@@ -114,7 +114,13 @@ impl Localizer for KnnLocalizer {
         Ok(())
     }
 
+    /// # Errors
+    /// [`VitalError::NotFitted`] before [`Localizer::fit`], and
+    /// [`VitalError::InvalidDataset`] for an observation whose features
+    /// are not as wide as the stored fingerprints' (another access-point
+    /// count than the survey's).
     fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>> {
+        let width = self.train_features.first().map(Vec::len);
         // Each query scans the whole fingerprint memory independently, so
         // the batch fans out across threads (the localizer is immutable
         // during inference, and clean extraction draws nothing).
@@ -122,6 +128,13 @@ impl Localizer for KnnLocalizer {
             let query = self
                 .extractor
                 .extract(observation, false, DrawKey::default());
+            if let Some(width) = width.filter(|&width| width != query.len()) {
+                return Err(VitalError::InvalidDataset(format!(
+                    "an observation of {} access points has {} features, the fingerprints {width}",
+                    observation.num_aps(),
+                    query.len()
+                )));
+            }
             let memory = self.train_features.iter().zip(&self.train_labels);
             weighted_knn_vote(memory, &query, self.k).ok_or(VitalError::NotFitted)
         })
@@ -214,6 +227,33 @@ mod tests {
             "SSD unseen-device error {} m",
             ssd_report.mean_error_m()
         );
+    }
+
+    /// The distance to a stored fingerprint is only defined at its width:
+    /// an observation of another access-point count is refused, not
+    /// matched over the shorter of the two.
+    #[test]
+    fn refuses_observations_of_another_access_point_count() {
+        let (_, ds) = dataset(1);
+        let mut knn = KnnLocalizer::new(3, FeatureMode::MeanChannel);
+        knn.fit(&ds).unwrap();
+        let aps = ds.num_aps();
+        for width in [aps - 3, aps + 3] {
+            let mut observation = ds.observations()[0].clone();
+            for channel in [
+                &mut observation.min,
+                &mut observation.max,
+                &mut observation.mean,
+            ] {
+                channel.resize(width, -100.0);
+            }
+            let refused = knn.localize_batch(&[ds.observations()[1].clone(), observation]);
+            assert!(
+                matches!(refused, Err(VitalError::InvalidDataset(_))),
+                "{width} APs against a survey of {aps}: {refused:?}"
+            );
+        }
+        assert!(knn.localize_batch(&ds.observations()[..2]).is_ok());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   the planner placed in place (`src: None`) skips the copy into its
 //!   output because the output slot already holds its source.
 //! * **No arithmetic lives here.** A step resolves its views and calls one
-//!   function — of [`tensor::kernels`], `simd::*_at`,
+//!   function — of [`tensor::kernels`], `simd::*`,
 //!   [`tensor::UnaryOp::apply_slice_at`] or [`gemm_strided_into_at`] — at
 //!   the dispatch level the plan latched when it was built
 //!   ([`CompiledPlan::level`]); a fused post chain is one such call per
@@ -240,7 +240,7 @@ impl CompiledPlan {
             ),
             Kernel::SoftmaxRows { src } => {
                 ops.load(src, cols, out);
-                simd::softmax_rows_at(self.level, out, cols);
+                simd::softmax_rows(self.level, out, cols);
             }
             Kernel::LayerNorm {
                 src,
@@ -250,7 +250,7 @@ impl CompiledPlan {
             } => {
                 ops.load(src, cols, out);
                 let (gamma, beta) = (ops.resolve(*gamma), ops.resolve(*beta));
-                simd::layer_norm_rows_at(self.level, out, cols, gamma, beta, *eps);
+                simd::layer_norm_rows(self.level, out, cols, gamma, beta, *eps, None);
             }
             Kernel::MeanRowBlocks { src, block_rows } => {
                 kernels::mean_row_blocks(ops.resolve(*src), *block_rows, cols, out);

@@ -28,7 +28,7 @@ pub struct ExprId(pub(crate) usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Numerically stable softmax over each row (three passes: max,
-    /// exp-accumulate, normalise — `simd::softmax_rows_at`).
+    /// exp-accumulate, normalise — `simd::softmax_rows`).
     SoftmaxRows,
     /// Mean over consecutive blocks of rows: `(B·k) × c → B × c`.
     MeanRowBlocks {

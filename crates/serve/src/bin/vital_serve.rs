@@ -32,6 +32,11 @@
 //! * `--faults SPEC` arms the deterministic fault-injection harness — e.g.
 //!   `worker_panic=100,latency=knn:50:10,corrupt=mlp` — for chaos drills;
 //!   never set it in production.
+//!
+//! The SIMD dispatch level is resolved before anything else and printed in
+//! the listening banner (`simd=avx2`). A `VITAL_SIMD` value that names no
+//! level stops the boot with an error naming it, instead of a server that
+//! answers every request with `500`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -139,6 +144,7 @@ mod drain_signal {
 }
 
 fn run(args: Args) -> Result<(), String> {
+    let level = simd::try_active_level()?;
     let registry =
         Registry::from_checkpoint_dir_with_faults(&args.checkpoint_dir, args.faults.as_deref())?;
     for (name, error) in registry.degraded() {
@@ -172,7 +178,7 @@ fn run(args: Args) -> Result<(), String> {
     )?;
     println!(
         "vital-serve listening on http://{} — models: {}; max_batch={} max_wait_us={} \
-         queue_cap={} workers={} threads={} default_deadline_ms={}",
+         queue_cap={} workers={} threads={} default_deadline_ms={} simd={}",
         server.addr(),
         catalog.join(", "),
         args.max_batch,
@@ -185,6 +191,7 @@ fn run(args: Args) -> Result<(), String> {
         args.default_deadline
             .map(|d| d.as_millis().to_string())
             .unwrap_or_else(|| "off".to_string()),
+        level.name(),
     );
 
     #[cfg(unix)]

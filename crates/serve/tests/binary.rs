@@ -1,7 +1,8 @@
 //! The shipped `vital-serve` binary, started as a process: argument wiring,
 //! the checkpoint-directory registry, answers bit-identical to offline for
 //! a baseline and for the paper's model — trained and saved by this
-//! process, reloaded and served by another — and the SIGTERM drain.
+//! process, reloaded and served by another — the SIGTERM drain, and the
+//! refusal to boot on a `VITAL_SIMD` that names no dispatch level.
 
 #![cfg(unix)]
 // The wait for the child's exit is paced with real sleeps — exempt from the
@@ -77,6 +78,9 @@ fn the_binary_serves_bit_identical_answers_and_drains_on_sigterm() {
         .unwrap_or_else(|| panic!("no listening line, got {banner:?}"))
         .to_string();
     assert!(banner.contains("workers=2 threads=1"), "{banner}");
+    // The child inherits this process's environment and CPU, so its level.
+    let simd = format!("simd={}", simd::active_level().name());
+    assert!(banner.contains(&simd), "{banner}");
 
     assert_eq!(request(&addr, Method::Get, "/healthz", b"").status, 200);
     let models: [(&str, &dyn Localizer); 2] = [("knn", &knn), ("vital", &vital)];
@@ -116,4 +120,39 @@ fn the_binary_serves_bit_identical_answers_and_drains_on_sigterm() {
     assert!(err.contains("signal received"), "stderr: {err}");
     assert!(out.contains("vital-serve: stopped"), "stdout: {out}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unknown_vital_simd_stops_the_boot_and_names_the_value() {
+    let dir = std::env::temp_dir().join(format!("vital-serve-simd-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_vital-serve"))
+        .arg("--checkpoint-dir")
+        .arg(&dir)
+        .args(["--addr", "127.0.0.1:0"])
+        .env("VITAL_SIMD", "avx9")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("start vital-serve");
+    let give_up = Instant::now() + EXIT_WAIT;
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait for vital-serve") {
+            break status;
+        }
+        if Instant::now() >= give_up {
+            let _ = child.kill();
+            panic!("vital-serve with VITAL_SIMD=avx9 still running after {EXIT_WAIT:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mut out, mut err) = (String::new(), String::new());
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    stdout.read_to_string(&mut out).expect("stdout");
+    let mut stderr = child.stderr.take().expect("piped stderr");
+    stderr.read_to_string(&mut err).expect("stderr");
+    assert!(!status.success(), "exit {status}");
+    assert!(err.contains(r#"VITAL_SIMD="avx9""#), "stderr: {err}");
+    assert!(!out.contains("listening"), "stdout: {out}");
 }

@@ -1,19 +1,19 @@
-//! The [`SimdOp`] backend trait and its portable (no-`unsafe`) impls.
+//! The [`SimdOp`] backend trait and its portable (no-`unsafe`) impl.
 //!
 //! A backend is a fixed-width bundle of `f32` lanes plus the primitive
 //! lane operations the kernels in [`crate::kernels`] are written against.
 //! Every kernel is generic over one backend and uses **the same 8-lane
-//! algorithm structure at every dispatch level** — the scalar backend
-//! ([`Scalar8`]) simulates the eight AVX2 lanes with a `[f32; 8]` array
+//! algorithm structure at every dispatch level** — the scalar level
+//! ([`Lanes<8>`]) simulates the eight AVX2 lanes with a `[f32; 8]` array
 //! and the identical horizontal reduction tree, which is what makes the
 //! scalar and AVX2 levels bit-identical (each lane op is the same IEEE
 //! two-operand operation; only the FMA backend contracts multiply–add
 //! pairs and is therefore ULP-bounded rather than bit-equal).
 //!
-//! [`Scalar1`] is a one-lane backend over plain `f32`: it exists so the
-//! per-element reference functions in [`crate::scalar`] are *the same
-//! generic code* as the vector kernels — there is no second copy of the
-//! polynomial that could drift.
+//! The same impl at one lane, [`Lanes<1>`], makes the per-element
+//! reference functions in [`crate::scalar`] *the same generic code* as the
+//! vector kernels — there is no second copy of the polynomial that could
+//! drift.
 
 /// Lane-level floating-point semantics shared by every backend:
 /// `min`/`max` return the **second** operand on NaN or ties, exactly like
@@ -83,6 +83,10 @@ pub trait SimdOp {
     type M: Copy;
     /// Number of `f32` lanes per bundle.
     const LANES: usize;
+    /// Rows of the GEMM register tile ([`crate::gemm`]).
+    const GEMM_MR: usize;
+    /// Columns of the GEMM register tile: one or two whole bundles.
+    const GEMM_NR: usize;
 
     /// Broadcasts one value to every lane.
     fn splat(x: f32) -> Self::V;
@@ -142,220 +146,131 @@ pub trait SimdOp {
     fn hmax(v: Self::V) -> f32;
 }
 
-/// Portable eight-lane backend: `[f32; 8]` with per-lane scalar ops.
+/// The portable backend: `N` lanes of `[f32; N]`, each op done lane by
+/// lane, `N` a power of two.
 ///
-/// This is the `VITAL_SIMD=scalar` dispatch level. It mirrors the AVX2
-/// backend lane for lane (same block width, same reduction tree, same
+/// `Lanes<8>` is the `VITAL_SIMD=scalar` dispatch level. It mirrors the
+/// AVX2 backend lane for lane (same block width, same reduction tree, same
 /// special-value semantics), so its results are bit-identical to AVX2 on
-/// every input — the property the CI dispatch matrix asserts.
-pub struct Scalar8;
+/// every input — the property the CI dispatch matrix asserts. `Lanes<1>`
+/// derives the per-element functions of [`crate::scalar`] from the same
+/// code; no dispatcher runs it, since the reduction kernels rely on the
+/// 8-lane accumulator structure.
+pub struct Lanes<const N: usize>;
 
-impl SimdOp for Scalar8 {
-    type V = [f32; 8];
-    type M = [bool; 8];
-    const LANES: usize = 8;
+impl<const N: usize> SimdOp for Lanes<N> {
+    type V = [f32; N];
+    type M = [bool; N];
+    const LANES: usize = N;
+    const GEMM_MR: usize = 4;
+    const GEMM_NR: usize = N;
 
     #[inline(always)]
-    fn splat(x: f32) -> [f32; 8] {
-        [x; 8]
+    fn splat(x: f32) -> [f32; N] {
+        [x; N]
     }
     #[inline(always)]
-    fn load(src: &[f32]) -> [f32; 8] {
-        let mut v = [0.0f32; 8];
-        v.copy_from_slice(&src[..8]);
+    fn load(src: &[f32]) -> [f32; N] {
+        let mut v = [0.0f32; N];
+        v.copy_from_slice(&src[..N]);
         v
     }
     #[inline(always)]
-    fn store(v: [f32; 8], dst: &mut [f32]) {
-        dst[..8].copy_from_slice(&v);
+    fn store(v: [f32; N], dst: &mut [f32]) {
+        dst[..N].copy_from_slice(&v);
     }
     #[inline(always)]
-    fn add(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
+    fn add(a: [f32; N], b: [f32; N]) -> [f32; N] {
         std::array::from_fn(|i| a[i] + b[i])
     }
     #[inline(always)]
-    fn sub(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
+    fn sub(a: [f32; N], b: [f32; N]) -> [f32; N] {
         std::array::from_fn(|i| a[i] - b[i])
     }
     #[inline(always)]
-    fn mul(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
+    fn mul(a: [f32; N], b: [f32; N]) -> [f32; N] {
         std::array::from_fn(|i| a[i] * b[i])
     }
     #[inline(always)]
-    fn div(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
+    fn div(a: [f32; N], b: [f32; N]) -> [f32; N] {
         std::array::from_fn(|i| a[i] / b[i])
     }
     #[inline(always)]
-    fn max(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
+    fn max(a: [f32; N], b: [f32; N]) -> [f32; N] {
         std::array::from_fn(|i| lane::max(a[i], b[i]))
     }
     #[inline(always)]
-    fn min(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
+    fn min(a: [f32; N], b: [f32; N]) -> [f32; N] {
         std::array::from_fn(|i| lane::min(a[i], b[i]))
     }
     #[inline(always)]
-    fn mul_add(a: [f32; 8], b: [f32; 8], c: [f32; 8]) -> [f32; 8] {
+    fn mul_add(a: [f32; N], b: [f32; N], c: [f32; N]) -> [f32; N] {
         // Deliberately unfused: bit-parity with the AVX2 level.
         std::array::from_fn(|i| a[i] * b[i] + c[i])
     }
     #[inline(always)]
-    fn round(v: [f32; 8]) -> [f32; 8] {
-        std::array::from_fn(|i| v[i].round_ties_even())
+    fn round(v: [f32; N]) -> [f32; N] {
+        v.map(f32::round_ties_even)
     }
     #[inline(always)]
-    fn scale_by_pow2(y: [f32; 8], n: [f32; 8]) -> [f32; 8] {
+    fn scale_by_pow2(y: [f32; N], n: [f32; N]) -> [f32; N] {
         std::array::from_fn(|i| lane::scale_by_pow2(y[i], n[i]))
     }
     #[inline(always)]
-    fn frexp(v: [f32; 8]) -> ([f32; 8], [f32; 8]) {
+    fn frexp(v: [f32; N]) -> ([f32; N], [f32; N]) {
         let split = v.map(lane::frexp);
         (split.map(|(m, _)| m), split.map(|(_, e)| e))
     }
     #[inline(always)]
-    fn abs(v: [f32; 8]) -> [f32; 8] {
-        std::array::from_fn(|i| f32::from_bits(v[i].to_bits() & 0x7fff_ffff))
+    fn abs(v: [f32; N]) -> [f32; N] {
+        v.map(|x| f32::from_bits(x.to_bits() & 0x7fff_ffff))
     }
     #[inline(always)]
-    fn copysign(mag: [f32; 8], sign: [f32; 8]) -> [f32; 8] {
+    fn copysign(mag: [f32; N], sign: [f32; N]) -> [f32; N] {
         std::array::from_fn(|i| {
             f32::from_bits((mag[i].to_bits() & 0x7fff_ffff) | (sign[i].to_bits() & 0x8000_0000))
         })
     }
     #[inline(always)]
-    fn gt(a: [f32; 8], b: [f32; 8]) -> [bool; 8] {
+    fn gt(a: [f32; N], b: [f32; N]) -> [bool; N] {
         std::array::from_fn(|i| a[i] > b[i])
     }
     #[inline(always)]
-    fn lt(a: [f32; 8], b: [f32; 8]) -> [bool; 8] {
+    fn lt(a: [f32; N], b: [f32; N]) -> [bool; N] {
         std::array::from_fn(|i| a[i] < b[i])
     }
     #[inline(always)]
-    fn is_nan(v: [f32; 8]) -> [bool; 8] {
-        std::array::from_fn(|i| v[i].is_nan())
+    fn is_nan(v: [f32; N]) -> [bool; N] {
+        v.map(f32::is_nan)
     }
     #[inline(always)]
-    fn select(mask: [bool; 8], t: [f32; 8], f: [f32; 8]) -> [f32; 8] {
+    fn select(mask: [bool; N], t: [f32; N], f: [f32; N]) -> [f32; N] {
         std::array::from_fn(|i| if mask[i] { t[i] } else { f[i] })
     }
     #[inline(always)]
-    fn hsum(v: [f32; 8]) -> f32 {
-        let s1 = [v[0] + v[4], v[1] + v[5], v[2] + v[6], v[3] + v[7]];
-        let s2 = [s1[0] + s1[2], s1[1] + s1[3]];
-        s2[0] + s2[1]
+    fn hsum(v: [f32; N]) -> f32 {
+        fold_halves(v, |a, b| a + b)
     }
     #[inline(always)]
-    fn hmax(v: [f32; 8]) -> f32 {
-        let s1 = [
-            lane::max(v[0], v[4]),
-            lane::max(v[1], v[5]),
-            lane::max(v[2], v[6]),
-            lane::max(v[3], v[7]),
-        ];
-        let s2 = [lane::max(s1[0], s1[2]), lane::max(s1[1], s1[3])];
-        lane::max(s2[0], s2[1])
+    fn hmax(v: [f32; N]) -> f32 {
+        fold_halves(v, lane::max)
     }
 }
 
-/// One-lane backend over plain `f32`, used only to derive the per-element
-/// reference functions in [`crate::scalar`] from the shared generic code.
-///
-/// Never used by the dispatchers: the reduction kernels rely on the
-/// 8-lane accumulator structure, which a one-lane backend cannot mirror.
-pub struct Scalar1;
-
-impl SimdOp for Scalar1 {
-    type V = f32;
-    type M = bool;
-    const LANES: usize = 1;
-
-    #[inline(always)]
-    fn splat(x: f32) -> f32 {
-        x
-    }
-    #[inline(always)]
-    fn load(src: &[f32]) -> f32 {
-        src[0]
-    }
-    #[inline(always)]
-    fn store(v: f32, dst: &mut [f32]) {
-        dst[0] = v;
-    }
-    #[inline(always)]
-    fn add(a: f32, b: f32) -> f32 {
-        a + b
-    }
-    #[inline(always)]
-    fn sub(a: f32, b: f32) -> f32 {
-        a - b
-    }
-    #[inline(always)]
-    fn mul(a: f32, b: f32) -> f32 {
-        a * b
-    }
-    #[inline(always)]
-    fn div(a: f32, b: f32) -> f32 {
-        a / b
-    }
-    #[inline(always)]
-    fn max(a: f32, b: f32) -> f32 {
-        lane::max(a, b)
-    }
-    #[inline(always)]
-    fn min(a: f32, b: f32) -> f32 {
-        lane::min(a, b)
-    }
-    #[inline(always)]
-    fn mul_add(a: f32, b: f32, c: f32) -> f32 {
-        a * b + c
-    }
-    #[inline(always)]
-    fn round(v: f32) -> f32 {
-        v.round_ties_even()
-    }
-    #[inline(always)]
-    fn scale_by_pow2(y: f32, n: f32) -> f32 {
-        lane::scale_by_pow2(y, n)
-    }
-    #[inline(always)]
-    fn frexp(v: f32) -> (f32, f32) {
-        lane::frexp(v)
-    }
-    #[inline(always)]
-    fn abs(v: f32) -> f32 {
-        f32::from_bits(v.to_bits() & 0x7fff_ffff)
-    }
-    #[inline(always)]
-    fn copysign(mag: f32, sign: f32) -> f32 {
-        f32::from_bits((mag.to_bits() & 0x7fff_ffff) | (sign.to_bits() & 0x8000_0000))
-    }
-    #[inline(always)]
-    fn gt(a: f32, b: f32) -> bool {
-        a > b
-    }
-    #[inline(always)]
-    fn lt(a: f32, b: f32) -> bool {
-        a < b
-    }
-    #[inline(always)]
-    fn is_nan(v: f32) -> bool {
-        v.is_nan()
-    }
-    #[inline(always)]
-    fn select(mask: bool, t: f32, f: f32) -> f32 {
-        if mask {
-            t
-        } else {
-            f
+/// Folds the upper half of the lanes onto the lower until one is left:
+/// for eight lanes exactly the tree `(l0∘l4, l1∘l5, l2∘l6, l3∘l7) →
+/// (s0∘s2, s1∘s3) → t0∘t1` the AVX2 reductions use.
+#[inline(always)]
+fn fold_halves<const N: usize>(mut v: [f32; N], op: impl Fn(f32, f32) -> f32) -> f32 {
+    const { assert!(N.is_power_of_two()) };
+    let mut half = N / 2;
+    while half > 0 {
+        for i in 0..half {
+            v[i] = op(v[i], v[i + half]);
         }
+        half /= 2;
     }
-    #[inline(always)]
-    fn hsum(v: f32) -> f32 {
-        v
-    }
-    #[inline(always)]
-    fn hmax(v: f32) -> f32 {
-        v
-    }
+    v[0]
 }
 
 #[cfg(test)]
@@ -387,14 +302,15 @@ mod tests {
     #[test]
     fn scalar8_reductions_use_the_fixed_tree() {
         let v = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-        assert_eq!(Scalar8::hsum(v), 36.0);
-        assert_eq!(Scalar8::hmax(v), 8.0);
+        assert_eq!(Lanes::<8>::hsum(v), 36.0);
+        assert_eq!(Lanes::<8>::hmax(v), 8.0);
+        assert_eq!(Lanes::<1>::hsum([-3.5]), -3.5);
         // Pins the pairing: lanes 0 and 1 never meet before the final
         // add, so the two 1.0s are each absorbed by 2^24 (which cannot
         // represent +1) and the tree yields 2^24 — a sequential
         // left-to-right sum would combine the 1.0s first and yield
         // 2^24 + 2.
         let big = [1.0, 1.0, 16_777_216.0, 0.0, 0.0, 0.0, 0.0, 0.0];
-        assert_eq!(Scalar8::hsum(big), 16_777_216.0);
+        assert_eq!(Lanes::<8>::hsum(big), 16_777_216.0);
     }
 }

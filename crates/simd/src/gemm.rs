@@ -4,8 +4,9 @@
 //! live in `tensor::matmul`; this module owns only the register-tiled
 //! core that multiplies up to `MR` rows of A, read in place, against the
 //! full packed B. Like the transcendental kernels it is written **once**,
-//! generically over the [`SimdOp`] backend, and instantiated per dispatch
-//! level; only the tile shape is chosen per level:
+//! generically over the [`SimdOp`] backend, as one `Kernel` impl that
+//! `crate::dispatch` runs per level; only the tile shape differs, and
+//! each backend carries its own (`GEMM_MR × GEMM_NR`):
 //!
 //! | [`Level`]  | tile (`MR × NR`) | accumulator rows                          |
 //! |------------|------------------|-------------------------------------------|
@@ -54,26 +55,34 @@
 //! column values. Lanes past `n` in the last panel are computed and
 //! discarded; they never reach the output.
 
-use crate::backend::{Scalar8, SimdOp};
-use crate::{clamp_supported, Level};
+use crate::backend::SimdOp;
+use crate::{dispatch, Kernel, Level};
 
-/// Microkernel tile dims `(MR, NR)` for a dispatch level, after clamping
-/// the request at what the CPU supports.
+/// Microkernel tile dims `(MR, NR)` of the backend a dispatch level runs
+/// on, after clamping the request at what the CPU supports.
 ///
 /// Callers must split rows and pack B with the dims of the same level
-/// they pass to [`gemm_band_at`]; both apply the identical clamp, so a
+/// they pass to [`gemm_band_at`]; both dispatch the same way, so a
 /// request the hardware cannot honor degrades consistently on both sides.
 pub fn tile_dims(level: Level) -> (usize, usize) {
-    match clamp_supported(level) {
-        Level::Scalar => (4, 8),
-        Level::Avx2 | Level::Fma => (6, 16),
+    dispatch(level, TileDims)
+}
+
+/// The backend's `(GEMM_MR, GEMM_NR)`.
+struct TileDims;
+
+impl Kernel for TileDims {
+    type Out = (usize, usize);
+    #[inline(always)]
+    fn run<S: SimdOp>(self) -> (usize, usize) {
+        (S::GEMM_MR, S::GEMM_NR)
     }
 }
 
 /// Widest tile any level ships — the size of the edge-panel spill buffer.
 const MAX_NR: usize = 16;
 
-/// One band's operands as the tile reads them. Only [`gemm_band_at`]
+/// One band's operands as the tile reads them. Only [`GemmBand::run`]
 /// builds one, after checking the invariant the tile's unchecked reads
 /// rely on: `a[i * row_stride + p * p_stride]` is in bounds for every
 /// `i < rows`, `p < k`.
@@ -111,75 +120,85 @@ pub fn gemm_band_at(
     n: usize,
     out: &mut [f32],
 ) {
-    let level = clamp_supported(level);
-    let (mr, nr) = tile_dims(level);
-    assert!(k >= 1 && n >= 1, "gemm band: k = {k}, n = {n}");
-    let rows = out.len() / n;
-    assert!(
-        (1..=mr).contains(&rows) && out.len() == rows * n,
-        "gemm band: {} outputs are not 1..={mr} rows of {n}",
-        out.len()
+    dispatch(
+        level,
+        GemmBand {
+            a,
+            a_strides,
+            packed_b,
+            k,
+            n,
+            out,
+        },
     );
-    assert_eq!(packed_b.len(), n.div_ceil(nr) * k * nr, "packed B length");
-    // The `Band` invariant: the index grows with both `i` and `p`, so the
-    // last live element bounds them all.
-    let (row_stride, p_stride) = a_strides;
-    let last = (rows - 1)
-        .checked_mul(row_stride)
-        .zip((k - 1).checked_mul(p_stride))
-        .and_then(|(r, p)| r.checked_add(p));
-    assert!(
-        last.is_some_and(|last| last < a.len()),
-        "gemm band: A element ({}, {}) at strides {a_strides:?} is outside a slice of {}",
-        rows - 1,
-        k - 1,
-        a.len()
-    );
-    let band = Band {
-        a,
-        row_stride,
-        p_stride,
-        packed_b,
-        k,
-        n,
-        rows,
-    };
-    match level {
-        Level::Scalar => band_rows::<Scalar8, 1>(band, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_supported` only returns Avx2 when the avx2
-        // `is_x86_feature_detected!` check passed.
-        Level::Avx2 => unsafe { gemm_band_avx2(band, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above; Fma additionally implies the fma feature.
-        Level::Fma => unsafe { gemm_band_fma(band, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => band_rows::<Scalar8, 1>(band, out),
+}
+
+/// The band kernel: [`gemm_band_at`]'s operands, checked against the
+/// backend's tile before the tile runs.
+struct GemmBand<'a> {
+    a: &'a [f32],
+    a_strides: (usize, usize),
+    packed_b: &'a [f32],
+    k: usize,
+    n: usize,
+    out: &'a mut [f32],
+}
+
+impl Kernel for GemmBand<'_> {
+    type Out = ();
+    /// Checks the band against `S`'s tile, then runs the `S::GEMM_NR /
+    /// S::LANES`-bundle tile: on `Avx<false>` the 6 × 16 tile with
+    /// **unfused** `vmulps` + `vaddps`, the same two-operand IEEE sequence
+    /// as the scalar tile; on `Avx<true>` each step contracted into a
+    /// single-rounding `vfmadd231ps` — ULP-bounded, hence opt-in.
+    #[inline(always)]
+    fn run<S: SimdOp>(self) {
+        let GemmBand {
+            a,
+            a_strides,
+            packed_b,
+            k,
+            n,
+            out,
+        } = self;
+        let (mr, nr) = (S::GEMM_MR, S::GEMM_NR);
+        assert!(k >= 1 && n >= 1, "gemm band: k = {k}, n = {n}");
+        let rows = out.len() / n;
+        assert!(
+            (1..=mr).contains(&rows) && out.len() == rows * n,
+            "gemm band: {} outputs are not 1..={mr} rows of {n}",
+            out.len()
+        );
+        assert_eq!(packed_b.len(), n.div_ceil(nr) * k * nr, "packed B length");
+        // The `Band` invariant: the index grows with both `i` and `p`, so
+        // the last live element bounds them all.
+        let (row_stride, p_stride) = a_strides;
+        let last = (rows - 1)
+            .checked_mul(row_stride)
+            .zip((k - 1).checked_mul(p_stride))
+            .and_then(|(r, p)| r.checked_add(p));
+        assert!(
+            last.is_some_and(|last| last < a.len()),
+            "gemm band: A element ({}, {}) at strides {a_strides:?} is outside a slice of {}",
+            rows - 1,
+            k - 1,
+            a.len()
+        );
+        let band = Band {
+            a,
+            row_stride,
+            p_stride,
+            packed_b,
+            k,
+            n,
+            rows,
+        };
+        match nr / S::LANES {
+            1 => band_rows::<S, 1>(band, out),
+            2 => band_rows::<S, 2>(band, out),
+            bundles => unreachable!("a tile of {bundles} bundles per row"),
+        }
     }
-}
-
-/// AVX2 entry point for the band kernel: the 6 × 16 tile with
-/// **unfused** `vmulps` + `vaddps`, the same two-operand IEEE sequence
-/// as the scalar tile.
-///
-/// # Safety
-/// The running CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gemm_band_avx2(band: Band<'_>, out: &mut [f32]) {
-    band_rows::<crate::x86::Avx2, 2>(band, out)
-}
-
-/// AVX2+FMA entry point for the band kernel: the same tile with each
-/// step contracted into a single-rounding `vfmadd231ps` — ULP-bounded,
-/// not bit-identical, hence opt-in.
-///
-/// # Safety
-/// The running CPU must support AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_band_fma(band: Band<'_>, out: &mut [f32]) {
-    band_rows::<crate::x86::FmaB, 2>(band, out)
 }
 
 /// Selects the tile instantiated for this band's live row count.
@@ -192,7 +211,7 @@ fn band_rows<O: SimdOp, const V: usize>(band: Band<'_>, out: &mut [f32]) {
         4 => tile::<O, 4, V>(band, out),
         5 => tile::<O, 5, V>(band, out),
         6 => tile::<O, 6, V>(band, out),
-        rows => unreachable!("gemm_band_at admits at most 6 rows, got {rows}"),
+        rows => unreachable!("a tile admits at most 6 rows, got {rows}"),
     }
 }
 
@@ -256,6 +275,7 @@ fn tile<O: SimdOp, const R: usize, const V: usize>(band: Band<'_>, out: &mut [f3
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clamp_supported;
 
     const LEVELS: [Level; 3] = [Level::Scalar, Level::Avx2, Level::Fma];
 

@@ -1,8 +1,8 @@
 //! Backend-generic math kernels.
 //!
 //! Every kernel here is written once, generically over a [`SimdOp`]
-//! backend, and monomorphized per dispatch level by the entry points in
-//! [`crate`] and [`crate::x86`]. The algorithm structure is fixed:
+//! backend, as one `Kernel` impl that `crate::dispatch` runs on the
+//! backend of each level. The algorithm structure is fixed:
 //! eight-lane blocks, the same horizontal reduction trees, and padded
 //! tail blocks that push remainder elements through the *same* vector
 //! code path — which is what makes the scalar and AVX2 levels
@@ -65,6 +65,7 @@
 #![allow(clippy::excessive_precision, clippy::approx_constant)]
 
 use crate::backend::{lane, SimdOp};
+use crate::Kernel;
 
 /// `sqrt(2/π)` to `f32` precision — the tanh-approximation GELU constant.
 pub const SQRT_2_OVER_PI: f32 = 0.797_884_6;
@@ -286,34 +287,49 @@ pub fn sincos_v<S: SimdOp>(turns: S::V) -> (S::V, S::V) {
 
 /// Natural logarithm of every element in place; the tail goes through a
 /// block padded with `1.0` on the same vector path.
-#[inline(always)]
-pub fn ln_inplace<S: SimdOp>(data: &mut [f32]) {
-    let mut chunks = data.chunks_exact_mut(S::LANES);
-    for chunk in &mut chunks {
-        S::store(ln_v::<S>(S::load(chunk)), chunk);
-    }
-    let rem = chunks.into_remainder();
-    if !rem.is_empty() {
-        store_partial::<S>(ln_v::<S>(S::load_padded(rem, 1.0)), rem);
+pub(crate) struct Ln<'a>(pub &'a mut [f32]);
+
+impl Kernel for Ln<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<S: SimdOp>(self) {
+        let mut chunks = self.0.chunks_exact_mut(S::LANES);
+        for chunk in &mut chunks {
+            S::store(ln_v::<S>(S::load(chunk)), chunk);
+        }
+        let rem = chunks.into_remainder();
+        if !rem.is_empty() {
+            store_partial::<S>(ln_v::<S>(S::load_padded(rem, 1.0)), rem);
+        }
     }
 }
 
 /// `sin[i], cos[i] = sin 2π·turns[i], cos 2π·turns[i]` for as many
 /// elements as all three slices hold; the tail goes through a padded block
 /// on the same vector path.
-#[inline(always)]
-pub fn sincos_turns<S: SimdOp>(turns: &[f32], sin: &mut [f32], cos: &mut [f32]) {
-    let n = turns.len().min(sin.len()).min(cos.len());
-    let body = n - n % S::LANES;
-    for i in (0..body).step_by(S::LANES) {
-        let (s, c) = sincos_v::<S>(S::load(&turns[i..]));
-        S::store(s, &mut sin[i..]);
-        S::store(c, &mut cos[i..]);
-    }
-    if body < n {
-        let (s, c) = sincos_v::<S>(S::load_padded(&turns[body..n], 0.0));
-        store_partial::<S>(s, &mut sin[body..n]);
-        store_partial::<S>(c, &mut cos[body..n]);
+pub(crate) struct SinCos<'a> {
+    pub turns: &'a [f32],
+    pub sin: &'a mut [f32],
+    pub cos: &'a mut [f32],
+}
+
+impl Kernel for SinCos<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<S: SimdOp>(self) {
+        let SinCos { turns, sin, cos } = self;
+        let n = turns.len().min(sin.len()).min(cos.len());
+        let body = n - n % S::LANES;
+        for i in (0..body).step_by(S::LANES) {
+            let (s, c) = sincos_v::<S>(S::load(&turns[i..]));
+            S::store(s, &mut sin[i..]);
+            S::store(c, &mut cos[i..]);
+        }
+        if body < n {
+            let (s, c) = sincos_v::<S>(S::load_padded(&turns[body..n], 0.0));
+            store_partial::<S>(s, &mut sin[body..n]);
+            store_partial::<S>(c, &mut cos[body..n]);
+        }
     }
 }
 
@@ -333,15 +349,24 @@ fn act_block<S: SimdOp>(act: Act, v: S::V) -> S::V {
 /// Remainder elements go through a zero-padded block of the same vector
 /// code path, so tail results are bit-identical to body results at every
 /// dispatch level.
-#[inline(always)]
-pub fn apply_act_inplace<S: SimdOp>(act: Act, data: &mut [f32]) {
-    let mut chunks = data.chunks_exact_mut(S::LANES);
-    for chunk in &mut chunks {
-        S::store(act_block::<S>(act, S::load(chunk)), chunk);
-    }
-    let rem = chunks.into_remainder();
-    if !rem.is_empty() {
-        store_partial::<S>(act_block::<S>(act, S::load_padded(rem, 0.0)), rem);
+pub(crate) struct Activation<'a> {
+    pub act: Act,
+    pub data: &'a mut [f32],
+}
+
+impl Kernel for Activation<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<S: SimdOp>(self) {
+        let act = self.act;
+        let mut chunks = self.data.chunks_exact_mut(S::LANES);
+        for chunk in &mut chunks {
+            S::store(act_block::<S>(act, S::load(chunk)), chunk);
+        }
+        let rem = chunks.into_remainder();
+        if !rem.is_empty() {
+            store_partial::<S>(act_block::<S>(act, S::load_padded(rem, 0.0)), rem);
+        }
     }
 }
 
@@ -366,14 +391,23 @@ fn store_partial<S: SimdOp>(v: S::V, dst: &mut [f32]) {
 /// Tail blocks are padded with `−∞`, which is the identity for both the
 /// max pass and the exp-sum pass (`e^(−∞ − m) = 0`), so every lane —
 /// real or pad — flows through the same reduction trees.
-#[inline(always)]
-pub fn softmax_rows<S: SimdOp>(data: &mut [f32], cols: usize) {
-    if cols == 0 || data.is_empty() {
-        return;
-    }
-    debug_assert_eq!(data.len() % cols, 0);
-    for row in data.chunks_exact_mut(cols) {
-        softmax_row::<S>(row);
+pub(crate) struct Softmax<'a> {
+    pub data: &'a mut [f32],
+    pub cols: usize,
+}
+
+impl Kernel for Softmax<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<S: SimdOp>(self) {
+        let Softmax { data, cols } = self;
+        if cols == 0 || data.is_empty() {
+            return;
+        }
+        debug_assert_eq!(data.len() % cols, 0);
+        for row in data.chunks_exact_mut(cols) {
+            softmax_row::<S>(row);
+        }
     }
 }
 
@@ -433,26 +467,39 @@ fn softmax_row<S: SimdOp>(row: &mut [f32]) {
 /// variance a catastrophic cancellation could produce is clamped to `0`.
 /// When `stats` is given, per-row `(mean, istd)` are recorded for a
 /// training backward pass.
-#[inline(always)]
-pub fn layer_norm_rows<S: SimdOp>(
-    data: &mut [f32],
-    cols: usize,
-    gamma: &[f32],
-    beta: &[f32],
-    eps: f32,
-    mut stats: Option<(&mut [f32], &mut [f32])>,
-) {
-    if cols == 0 || data.is_empty() {
-        return;
-    }
-    debug_assert_eq!(data.len() % cols, 0);
-    debug_assert_eq!(gamma.len(), cols);
-    debug_assert_eq!(beta.len(), cols);
-    for (i, row) in data.chunks_exact_mut(cols).enumerate() {
-        let (mean, istd) = layer_norm_row::<S>(row, gamma, beta, eps);
-        if let Some((means, istds)) = stats.as_mut() {
-            means[i] = mean;
-            istds[i] = istd;
+pub(crate) struct LayerNorm<'a> {
+    pub data: &'a mut [f32],
+    pub cols: usize,
+    pub gamma: &'a [f32],
+    pub beta: &'a [f32],
+    pub eps: f32,
+    pub stats: Option<(&'a mut [f32], &'a mut [f32])>,
+}
+
+impl Kernel for LayerNorm<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<S: SimdOp>(self) {
+        let LayerNorm {
+            data,
+            cols,
+            gamma,
+            beta,
+            eps,
+            mut stats,
+        } = self;
+        if cols == 0 || data.is_empty() {
+            return;
+        }
+        debug_assert_eq!(data.len() % cols, 0);
+        debug_assert_eq!(gamma.len(), cols);
+        debug_assert_eq!(beta.len(), cols);
+        for (i, row) in data.chunks_exact_mut(cols).enumerate() {
+            let (mean, istd) = layer_norm_row::<S>(row, gamma, beta, eps);
+            if let Some((means, istds)) = stats.as_mut() {
+                means[i] = mean;
+                istds[i] = istd;
+            }
         }
     }
 }
@@ -502,7 +549,17 @@ fn layer_norm_row<S: SimdOp>(row: &mut [f32], gamma: &[f32], beta: &[f32], eps: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Scalar1, Scalar8};
+    use crate::backend::Lanes;
+    use crate::scalar;
+
+    fn ln1(x: f32) -> f32 {
+        ln_v::<Lanes<1>>([x])[0]
+    }
+
+    fn sincos1(t: f32) -> (f32, f32) {
+        let (s, c) = sincos_v::<Lanes<1>>([t]);
+        (s[0], c[0])
+    }
 
     fn ulp_diff(a: f32, b: f32) -> u32 {
         if a == b || (a.is_nan() && b.is_nan()) {
@@ -520,7 +577,7 @@ mod tests {
     fn exp_tracks_libm_within_two_ulp() {
         let mut x = -87.0f32;
         while x < 88.0 {
-            let got = exp_v::<Scalar1>(x);
+            let got = scalar::exp(x);
             assert!(
                 ulp_diff(got, x.exp()) <= 2,
                 "exp({x}) = {got}, libm = {}",
@@ -529,38 +586,38 @@ mod tests {
             x += 0.377;
         }
         // Spot-check the exact anchor points.
-        assert_eq!(exp_v::<Scalar1>(0.0), 1.0);
-        assert_eq!(exp_v::<Scalar1>(f32::NEG_INFINITY), 0.0);
-        assert_eq!(exp_v::<Scalar1>(f32::INFINITY), f32::INFINITY);
-        assert!(exp_v::<Scalar1>(f32::NAN).is_nan());
-        assert_eq!(exp_v::<Scalar1>(-1000.0), 0.0);
-        assert_eq!(exp_v::<Scalar1>(1000.0), f32::INFINITY);
+        assert_eq!(scalar::exp(0.0), 1.0);
+        assert_eq!(scalar::exp(f32::NEG_INFINITY), 0.0);
+        assert_eq!(scalar::exp(f32::INFINITY), f32::INFINITY);
+        assert!(scalar::exp(f32::NAN).is_nan());
+        assert_eq!(scalar::exp(-1000.0), 0.0);
+        assert_eq!(scalar::exp(1000.0), f32::INFINITY);
     }
 
     #[test]
     fn tanh_and_sigmoid_saturate_exactly() {
-        assert_eq!(tanh_v::<Scalar1>(50.0), 1.0);
-        assert_eq!(tanh_v::<Scalar1>(-50.0), -1.0);
-        assert_eq!(tanh_v::<Scalar1>(0.0), 0.0);
-        assert_eq!(tanh_v::<Scalar1>(-0.0).to_bits(), (-0.0f32).to_bits());
-        assert!(tanh_v::<Scalar1>(f32::NAN).is_nan());
-        assert_eq!(sigmoid_v::<Scalar1>(f32::INFINITY), 1.0);
-        assert_eq!(sigmoid_v::<Scalar1>(f32::NEG_INFINITY), 0.0);
-        assert_eq!(sigmoid_v::<Scalar1>(0.0), 0.5);
+        assert_eq!(scalar::tanh(50.0), 1.0);
+        assert_eq!(scalar::tanh(-50.0), -1.0);
+        assert_eq!(scalar::tanh(0.0), 0.0);
+        assert_eq!(scalar::tanh(-0.0).to_bits(), (-0.0f32).to_bits());
+        assert!(scalar::tanh(f32::NAN).is_nan());
+        assert_eq!(scalar::sigmoid(f32::INFINITY), 1.0);
+        assert_eq!(scalar::sigmoid(f32::NEG_INFINITY), 0.0);
+        assert_eq!(scalar::sigmoid(0.0), 0.5);
         let mut x = -9.0f32;
         while x < 9.0 {
             // tanh's accuracy contract is absolute (~a few ULP of 1):
             // the 1 − 2/(e^(2|x|)+1) form cancels against 1 near zero,
             // so relative error grows as |x| → 0 while absolute error
             // stays at the ≈1e-7 level — plenty for activations.
-            let t = tanh_v::<Scalar1>(x);
+            let t = scalar::tanh(x);
             if x.abs() >= 0.5 {
                 assert!(ulp_diff(t, x.tanh()) <= 8, "tanh({x}) = {t}");
             } else {
                 assert!((t - x.tanh()).abs() <= 2.5e-7, "tanh({x}) = {t}");
             }
             assert!(
-                ulp_diff(sigmoid_v::<Scalar1>(x), 1.0 / (1.0 + (-x).exp())) <= 8,
+                ulp_diff(scalar::sigmoid(x), 1.0 / (1.0 + (-x).exp())) <= 8,
                 "sigmoid({x})"
             );
             x += 0.173;
@@ -569,7 +626,7 @@ mod tests {
 
     #[test]
     fn scalar1_and_scalar8_agree_bit_for_bit_per_element() {
-        // The per-element path (Scalar1) and the lane path (Scalar8) run
+        // The per-element path (Lanes<1>) and the lane path (Lanes<8>) run
         // the same generic code over the same IEEE two-operand ops, so
         // they must agree exactly — this is the anchor of the
         // eager-vs-kernel parity story.
@@ -590,13 +647,13 @@ mod tests {
         for &x in &inputs {
             for act in [Act::Relu, Act::Gelu, Act::Sigmoid, Act::Tanh, Act::Exp] {
                 let mut a = [x];
-                apply_act_inplace::<Scalar1>(act, &mut a);
+                Activation { act, data: &mut a }.run::<Lanes<1>>();
                 let mut b = [x; 8];
-                apply_act_inplace::<Scalar8>(act, &mut b);
+                Activation { act, data: &mut b }.run::<Lanes<8>>();
                 assert_eq!(
                     a[0].to_bits(),
                     b[3].to_bits(),
-                    "{act:?}({x}) diverged between Scalar1 and Scalar8"
+                    "{act:?}({x}) diverged between Lanes<1> and Lanes<8>"
                 );
             }
         }
@@ -612,20 +669,20 @@ mod tests {
         let decades = (-40..40).map(|d| 1.37f32 * 10f32.powi(d) / 3.0);
         let mut worst = 0;
         for x in unit.chain(decades).chain([1.0, 1e-40, 1e-45, f32::MAX]) {
-            let got = ln_v::<Scalar1>(x);
+            let got = ln1(x);
             let want = (x as f64).ln() as f32;
             worst = worst.max(ulp_diff(got, want));
             assert!(ulp_diff(got, want) <= 2, "ln({x:e}) = {got}, libm = {want}");
         }
         assert!(worst >= 1, "the comparison must be able to fail");
-        assert_eq!(ln_v::<Scalar1>(1.0), 0.0);
-        assert_eq!(ln_v::<Scalar1>(0.0), f32::NEG_INFINITY);
-        assert_eq!(ln_v::<Scalar1>(-0.0), f32::NEG_INFINITY);
-        assert_eq!(ln_v::<Scalar1>(f32::INFINITY), f32::INFINITY);
-        assert!(ln_v::<Scalar1>(-1.0).is_nan());
-        assert!(ln_v::<Scalar1>(f32::NEG_INFINITY).is_nan());
+        assert_eq!(ln1(1.0), 0.0);
+        assert_eq!(ln1(0.0), f32::NEG_INFINITY);
+        assert_eq!(ln1(-0.0), f32::NEG_INFINITY);
+        assert_eq!(ln1(f32::INFINITY), f32::INFINITY);
+        assert!(ln1(-1.0).is_nan());
+        assert!(ln1(f32::NEG_INFINITY).is_nan());
         let payload = f32::from_bits(0x7fc0_1234);
-        assert_eq!(ln_v::<Scalar1>(payload).to_bits(), payload.to_bits());
+        assert_eq!(ln1(payload).to_bits(), payload.to_bits());
     }
 
     #[test]
@@ -635,7 +692,7 @@ mod tests {
             .map(|k| k as f32 / 16_777_216.0);
         let wide = (0..2000).map(|i| i as f32 * 0.731 - 700.0);
         for t in turn.chain(wide).chain([0.25, 0.5, 0.75, -0.125, 1e-30]) {
-            let (s, c) = sincos_v::<Scalar1>(t);
+            let (s, c) = sincos1(t);
             let radians = std::f64::consts::TAU * (t as f64 - (t as f64).round());
             let (want_s, want_c) = (radians.sin(), radians.cos());
             // Absolute error within about one f32 epsilon (the worst over all
@@ -649,10 +706,10 @@ mod tests {
                 "cos 2π·{t} = {c}, libm {want_c}"
             );
         }
-        assert_eq!(sincos_v::<Scalar1>(0.0), (0.0, 1.0));
-        assert_eq!(sincos_v::<Scalar1>(0.25), (1.0, 0.0));
+        assert_eq!(sincos1(0.0), (0.0, 1.0));
+        assert_eq!(sincos1(0.25), (1.0, 0.0));
         for t in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
-            let (s, c) = sincos_v::<Scalar1>(t);
+            let (s, c) = sincos1(t);
             assert!(s.is_nan() && c.is_nan(), "sincos({t})");
         }
     }
@@ -676,11 +733,16 @@ mod tests {
         for &x in &inputs {
             let lanes = [x; 8];
             let mut swept = lanes;
-            ln_inplace::<Scalar8>(&mut swept);
-            assert_eq!(swept[5].to_bits(), ln_v::<Scalar1>(x).to_bits(), "ln({x})");
+            Ln(&mut swept).run::<Lanes<8>>();
+            assert_eq!(swept[5].to_bits(), ln1(x).to_bits(), "ln({x})");
             let (mut sin, mut cos) = ([0.0; 8], [0.0; 8]);
-            sincos_turns::<Scalar8>(&lanes, &mut sin, &mut cos);
-            let (s, c) = sincos_v::<Scalar1>(x);
+            SinCos {
+                turns: &lanes,
+                sin: &mut sin,
+                cos: &mut cos,
+            }
+            .run::<Lanes<8>>();
+            let (s, c) = sincos1(x);
             assert_eq!(sin[2].to_bits(), s.to_bits(), "sin({x})");
             assert_eq!(cos[2].to_bits(), c.to_bits(), "cos({x})");
         }
@@ -689,7 +751,11 @@ mod tests {
     #[test]
     fn softmax_rows_is_stable_and_normalized() {
         let mut m = vec![1000.0, 1001.0, 1002.0, -3.0, 0.0, 3.0];
-        softmax_rows::<Scalar8>(&mut m, 3);
+        Softmax {
+            data: &mut m,
+            cols: 3,
+        }
+        .run::<Lanes<8>>();
         for row in m.chunks(3) {
             let sum: f32 = row.iter().sum();
             assert!((sum - 1.0).abs() < 1e-5, "row sums to {sum}");
@@ -701,9 +767,17 @@ mod tests {
     #[test]
     fn softmax_handles_degenerate_shapes() {
         let mut empty: Vec<f32> = vec![];
-        softmax_rows::<Scalar8>(&mut empty, 0);
+        Softmax {
+            data: &mut empty,
+            cols: 0,
+        }
+        .run::<Lanes<8>>();
         let mut one = vec![5.0];
-        softmax_rows::<Scalar8>(&mut one, 1);
+        Softmax {
+            data: &mut one,
+            cols: 1,
+        }
+        .run::<Lanes<8>>();
         assert_eq!(one, vec![1.0]);
     }
 
@@ -717,14 +791,15 @@ mod tests {
         let reference = data.clone();
         let mut means = vec![0.0; rows];
         let mut istds = vec![0.0; rows];
-        layer_norm_rows::<Scalar8>(
-            &mut data,
+        LayerNorm {
+            data: &mut data,
             cols,
-            &gamma,
-            &beta,
-            1e-5,
-            Some((&mut means, &mut istds)),
-        );
+            gamma: &gamma,
+            beta: &beta,
+            eps: 1e-5,
+            stats: Some((&mut means, &mut istds)),
+        }
+        .run::<Lanes<8>>();
         for i in 0..rows {
             let row = &reference[i * cols..(i + 1) * cols];
             let mean: f64 = row.iter().map(|v| *v as f64).sum::<f64>() / cols as f64;
@@ -751,10 +826,18 @@ mod tests {
         for n in [7usize, 8, 9, 15, 16, 17, 63, 64, 65] {
             let src: Vec<f32> = (0..n).map(|i| (i as f32) * 0.61 - 9.0).collect();
             let mut a = src.clone();
-            apply_act_inplace::<Scalar8>(Act::Gelu, &mut a);
+            Activation {
+                act: Act::Gelu,
+                data: &mut a,
+            }
+            .run::<Lanes<8>>();
             for (i, &x) in src.iter().enumerate() {
                 let mut one = [x];
-                apply_act_inplace::<Scalar1>(Act::Gelu, &mut one);
+                Activation {
+                    act: Act::Gelu,
+                    data: &mut one,
+                }
+                .run::<Lanes<1>>();
                 assert_eq!(a[i].to_bits(), one[0].to_bits(), "n={n} i={i}");
             }
         }

@@ -1,17 +1,19 @@
 //! Runtime-dispatched SIMD math kernels for the VITAL inference stack.
 //!
-//! One binary, every ISA level: kernels are written once, generically
-//! over the [`backend::SimdOp`] trait, and the dispatcher picks an
-//! implementation **at runtime** with `is_x86_feature_detected!` — no
-//! `-C target-cpu=native` required, so the shipped binary is portable.
+//! One binary, every ISA level: each kernel is one `Kernel` impl,
+//! written once over the [`backend::SimdOp`] trait, and `dispatch` —
+//! the one place a level becomes a backend — picks the backend **at
+//! runtime** with `is_x86_feature_detected!` — no `-C target-cpu=native`
+//! required, so the shipped binary is portable. Each kernel has one
+//! public function, which takes the level to run at.
 //!
 //! # Dispatch levels
 //!
-//! | [`Level`]  | Backend                     | Guarantee vs. scalar        |
-//! |------------|-----------------------------|-----------------------------|
-//! | `Scalar`   | `[f32; 8]` portable lanes   | —                           |
-//! | `Avx2`     | 256-bit AVX2, unfused FMA   | **bit-identical**           |
-//! | `Fma`      | 256-bit AVX2 + `vfmadd`     | ULP-bounded                 |
+//! | [`Level`]  | Backend                         | Guarantee vs. scalar |
+//! |------------|---------------------------------|----------------------|
+//! | `Scalar`   | `Lanes<8>`: `[f32; 8]` lanes    | —                    |
+//! | `Avx2`     | `Avx<false>`: AVX2, unfused     | **bit-identical**    |
+//! | `Fma`      | `Avx<true>`: AVX2 + `vfmadd`    | ULP-bounded          |
 //!
 //! The scalar backend simulates the eight AVX2 lanes (same block width,
 //! same horizontal reduction trees, same padded-tail handling), so the
@@ -28,24 +30,27 @@
 //!
 //! Alongside the transcendental kernels, [`gemm`] holds the GEMM band
 //! microkernel — one register tile over the same `SimdOp` backends, its
-//! shape (rows × lane bundles) chosen per level — under the same
+//! shape (rows × lane bundles) carried by each backend — under the same
 //! dispatch latch and the same determinism contract: scalar ≡ avx2
 //! bit-identical, FMA opt-in and ULP-bounded.
 //!
 //! # Environment override
 //!
 //! `VITAL_SIMD=scalar|avx2|fma` forces a level (capped at what the CPU
-//! supports). Any other non-empty value aborts at first use — a typo in
-//! a CI matrix must not silently run the wrong kernels. The choice is
-//! latched on first use and stable for the life of the process.
+//! supports). Any other non-empty value is an error — a typo in a CI
+//! matrix must not silently run the wrong kernels: [`try_active_level`]
+//! returns it (`vital-serve` refuses to start on it) and
+//! [`active_level`] panics on it. The choice is latched on first use and
+//! stable for the life of the process.
 //!
 //! # Unsafe policy
 //!
 //! This crate is the single, lint-fenced home for `unsafe` in the
 //! workspace (see `ci/lint-rules.toml` `[hygiene] unsafe_allowed_dirs`):
 //! all intrinsic calls live in [`x86`] behind `# Safety`-documented
-//! contracts, and the public functions here are safe — they only select
-//! a feature-gated entry point after the matching CPUID check.
+//! contracts, and its two `#[target_feature]` entry points, generic over
+//! the kernel, are the only `unsafe fn`s. Everything public here is safe:
+//! `dispatch` calls an entry point only after the matching CPUID check.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(missing_docs)]
@@ -60,7 +65,7 @@ pub use kernels::{Act, GELU_COEFF, SQRT_2_OVER_PI};
 
 use std::sync::OnceLock;
 
-use backend::Scalar8;
+use backend::{Lanes, SimdOp};
 
 /// A runtime dispatch level, ordered from most portable to most fused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -111,31 +116,39 @@ pub fn detected_level() -> Level {
     })
 }
 
-/// The level every default-dispatch kernel call uses, latched on first
-/// use.
+/// The level every kernel call at [`active_level`] uses, or why
+/// `VITAL_SIMD` names none; latched on first use.
 ///
 /// Resolution order: `VITAL_SIMD` if set and non-empty (capped at
 /// [`detected_level`]); otherwise the best **bit-deterministic** level —
 /// `Avx2` where supported, never `Fma` — so two hosts that both have
-/// AVX2 produce identical bits regardless of FMA support.
+/// AVX2 produce identical bits regardless of FMA support. A process that
+/// must not start on a typo (a server) asks this before it does anything
+/// else.
+pub fn try_active_level() -> Result<Level, &'static str> {
+    static ACTIVE: OnceLock<Result<Level, String>> = OnceLock::new();
+    let resolved = ACTIVE.get_or_init(|| {
+        let detected = detected_level();
+        match std::env::var("VITAL_SIMD") {
+            Ok(raw) if !raw.is_empty() => Level::parse(&raw)
+                .map(|requested| requested.min(detected))
+                .ok_or_else(|| {
+                    format!("VITAL_SIMD={raw:?} is not a dispatch level (expected scalar|avx2|fma)")
+                }),
+            _ => Ok(detected.min(Level::Avx2)),
+        }
+    });
+    resolved.as_ref().copied().map_err(String::as_str)
+}
+
+/// [`try_active_level`], for callers that have nothing to do with an
+/// invalid `VITAL_SIMD` but stop.
 ///
 /// # Panics
 /// On an unrecognized non-empty `VITAL_SIMD` value; a typo'd CI matrix
 /// entry must fail loudly rather than silently test the wrong kernels.
 pub fn active_level() -> Level {
-    static ACTIVE: OnceLock<Level> = OnceLock::new();
-    *ACTIVE.get_or_init(|| {
-        let detected = detected_level();
-        match std::env::var("VITAL_SIMD") {
-            Ok(raw) if !raw.is_empty() => match Level::parse(&raw) {
-                Some(requested) => requested.min(detected),
-                None => {
-                    panic!("VITAL_SIMD={raw:?} is not a dispatch level (expected scalar|avx2|fma)")
-                }
-            },
-            _ => detected.min(Level::Avx2),
-        }
-    })
+    try_active_level().unwrap_or_else(|message| panic!("{message}"))
 }
 
 /// Caps a requested level at what the CPU actually supports, so the
@@ -145,136 +158,57 @@ pub(crate) fn clamp_supported(level: Level) -> Level {
     level.min(detected_level())
 }
 
-/// Applies an activation elementwise in place at the [`active_level`].
-pub fn apply_act(act: Act, data: &mut [f32]) {
-    apply_act_at(active_level(), act, data);
+/// One kernel call — its operands and its body, written once over
+/// [`SimdOp`] — that [`dispatch`] runs on the backend a level names.
+///
+/// Adding a kernel is one impl of this trait and no `unsafe`. The impl
+/// must mark `run` `#[inline(always)]`: the body is compiled for AVX2 or
+/// FMA only where it is inlined into `x86::run_avx2` / `x86::run_fma`.
+pub(crate) trait Kernel {
+    /// What the kernel returns.
+    type Out;
+    /// Runs the kernel on backend `S`.
+    fn run<S: SimdOp>(self) -> Self::Out;
 }
 
-/// Applies an activation elementwise in place at an explicit level
-/// (capped at hardware support).
-pub fn apply_act_at(level: Level, act: Act, data: &mut [f32]) {
+/// Runs `kernel` at `level`, capped at hardware support: [`Lanes<8>`]
+/// inline at `Scalar`, `Avx<false>` at `Avx2`, `Avx<true>` at `Fma` —
+/// the one place a level becomes a backend.
+///
+/// Inlined into every caller, so the scalar level costs no call and a
+/// vector level exactly one, into its `#[target_feature]` entry point.
+#[inline(always)]
+pub(crate) fn dispatch<K: Kernel>(level: Level, kernel: K) -> K::Out {
     match clamp_supported(level) {
-        Level::Scalar => kernels::apply_act_inplace::<Scalar8>(act, data),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_supported` only returns Avx2/Fma when the
-        // matching `is_x86_feature_detected!` checks passed.
-        Level::Avx2 => unsafe { x86::apply_act_avx2(act, data) },
+        // SAFETY: `clamp_supported` only returns Avx2 when the avx2
+        // `is_x86_feature_detected!` check passed.
+        Level::Avx2 => unsafe { x86::run_avx2(kernel) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above; Fma additionally implies the fma feature.
-        Level::Fma => unsafe { x86::apply_act_fma(act, data) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => kernels::apply_act_inplace::<Scalar8>(act, data),
+        Level::Fma => unsafe { x86::run_fma(kernel) },
+        _ => kernel.run::<Lanes<8>>(),
     }
 }
 
-/// Row softmax in place over a row-major `[rows × cols]` buffer at the
-/// [`active_level`]. No-op when `cols == 0`.
-pub fn softmax_rows(data: &mut [f32], cols: usize) {
-    softmax_rows_at(active_level(), data, cols);
+/// Applies an activation elementwise in place at `level` (capped at
+/// hardware support).
+pub fn apply_act(level: Level, act: Act, data: &mut [f32]) {
+    dispatch(level, kernels::Activation { act, data });
 }
 
-/// Row softmax at an explicit level (capped at hardware support).
-pub fn softmax_rows_at(level: Level, data: &mut [f32], cols: usize) {
-    match clamp_supported(level) {
-        Level::Scalar => kernels::softmax_rows::<Scalar8>(data, cols),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_supported` established the avx2 CPUID check.
-        Level::Avx2 => unsafe { x86::softmax_rows_avx2(data, cols) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, plus fma.
-        Level::Fma => unsafe { x86::softmax_rows_fma(data, cols) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => kernels::softmax_rows::<Scalar8>(data, cols),
-    }
+/// Row softmax in place over a row-major `[rows × cols]` buffer at
+/// `level` (capped at hardware support). No-op when `cols == 0`.
+pub fn softmax_rows(level: Level, data: &mut [f32], cols: usize) {
+    dispatch(level, kernels::Softmax { data, cols });
 }
 
-/// Per-row layer normalization in place at the [`active_level`]:
-/// `y = (x − mean) · istd · γ[j] + β[j]`, `istd = 1/√(var + eps)`.
-pub fn layer_norm_rows(data: &mut [f32], cols: usize, gamma: &[f32], beta: &[f32], eps: f32) {
-    layer_norm_rows_at(active_level(), data, cols, gamma, beta, eps);
-}
-
-/// Per-row layer normalization at an explicit level (capped at hardware
-/// support).
-pub fn layer_norm_rows_at(
-    level: Level,
-    data: &mut [f32],
-    cols: usize,
-    gamma: &[f32],
-    beta: &[f32],
-    eps: f32,
-) {
-    dispatch_layer_norm(level, data, cols, gamma, beta, eps, None);
-}
-
-/// Layer normalization at the [`active_level`] that also records per-row
-/// `(mean, istd)` into the provided slices — the training forward pass
-/// needs them for the backward closure.
-pub fn layer_norm_rows_stats(
-    data: &mut [f32],
-    cols: usize,
-    gamma: &[f32],
-    beta: &[f32],
-    eps: f32,
-    means: &mut [f32],
-    inv_stds: &mut [f32],
-) {
-    dispatch_layer_norm(
-        active_level(),
-        data,
-        cols,
-        gamma,
-        beta,
-        eps,
-        Some((means, inv_stds)),
-    );
-}
-
-/// Natural logarithm of every element in place at the [`active_level`]
-/// ([`kernels::ln_v`]).
-pub fn ln(data: &mut [f32]) {
-    ln_at(active_level(), data);
-}
-
-/// Natural logarithm in place at an explicit level (capped at hardware
-/// support).
-pub fn ln_at(level: Level, data: &mut [f32]) {
-    match clamp_supported(level) {
-        Level::Scalar => kernels::ln_inplace::<Scalar8>(data),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_supported` established the avx2 CPUID check.
-        Level::Avx2 => unsafe { x86::ln_avx2(data) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, plus fma.
-        Level::Fma => unsafe { x86::ln_fma(data) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => kernels::ln_inplace::<Scalar8>(data),
-    }
-}
-
-/// `sin[i], cos[i] = sin 2π·turns[i], cos 2π·turns[i]` at the
-/// [`active_level`] ([`kernels::sincos_v`]), for as many elements as all
-/// three slices hold.
-pub fn sincos_turns(turns: &[f32], sin: &mut [f32], cos: &mut [f32]) {
-    sincos_turns_at(active_level(), turns, sin, cos);
-}
-
-/// [`sincos_turns`] at an explicit level (capped at hardware support).
-pub fn sincos_turns_at(level: Level, turns: &[f32], sin: &mut [f32], cos: &mut [f32]) {
-    match clamp_supported(level) {
-        Level::Scalar => kernels::sincos_turns::<Scalar8>(turns, sin, cos),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_supported` established the avx2 CPUID check.
-        Level::Avx2 => unsafe { x86::sincos_turns_avx2(turns, sin, cos) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, plus fma.
-        Level::Fma => unsafe { x86::sincos_turns_fma(turns, sin, cos) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => kernels::sincos_turns::<Scalar8>(turns, sin, cos),
-    }
-}
-
-fn dispatch_layer_norm(
+/// Per-row layer normalization in place at `level` (capped at hardware
+/// support): `y = (x − mean) · istd · γ[j] + β[j]`,
+/// `istd = 1/√(var + eps)`. With `stats`, per-row `(mean, istd)` are
+/// also recorded into those slices — the training forward pass needs
+/// them for the backward closure.
+pub fn layer_norm_rows(
     level: Level,
     data: &mut [f32],
     cols: usize,
@@ -283,60 +217,73 @@ fn dispatch_layer_norm(
     eps: f32,
     stats: Option<(&mut [f32], &mut [f32])>,
 ) {
-    match clamp_supported(level) {
-        Level::Scalar => kernels::layer_norm_rows::<Scalar8>(data, cols, gamma, beta, eps, stats),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_supported` established the avx2 CPUID check.
-        Level::Avx2 => unsafe { x86::layer_norm_rows_avx2(data, cols, gamma, beta, eps, stats) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, plus fma.
-        Level::Fma => unsafe { x86::layer_norm_rows_fma(data, cols, gamma, beta, eps, stats) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => kernels::layer_norm_rows::<Scalar8>(data, cols, gamma, beta, eps, stats),
-    }
+    dispatch(
+        level,
+        kernels::LayerNorm {
+            data,
+            cols,
+            gamma,
+            beta,
+            eps,
+            stats,
+        },
+    );
+}
+
+/// Natural logarithm of every element in place at `level` (capped at
+/// hardware support; [`kernels::ln_v`]).
+pub fn ln(level: Level, data: &mut [f32]) {
+    dispatch(level, kernels::Ln(data));
+}
+
+/// `sin[i], cos[i] = sin 2π·turns[i], cos 2π·turns[i]` at `level`
+/// (capped at hardware support; [`kernels::sincos_v`]), for as many
+/// elements as all three slices hold.
+pub fn sincos_turns(level: Level, turns: &[f32], sin: &mut [f32], cos: &mut [f32]) {
+    dispatch(level, kernels::SinCos { turns, sin, cos });
 }
 
 pub mod scalar {
     //! Per-element reference functions.
     //!
     //! These are the *same generic kernels* instantiated with the
-    //! one-lane [`Scalar1`] backend — not a second implementation — so a
+    //! one-lane [`Lanes<1>`] backend — not a second implementation — so a
     //! per-element call (e.g. `UnaryOp::eval` in the tensor crate) and a
     //! vectorized sweep agree bit-for-bit at the deterministic levels.
     //!
-    //! [`Scalar1`]: crate::backend::Scalar1
+    //! [`Lanes<1>`]: crate::backend::Lanes
 
-    use crate::backend::Scalar1;
+    use crate::backend::Lanes;
     use crate::kernels;
 
     /// Per-element `e^x` with the kernel's numerical contract.
     #[inline]
     pub fn exp(x: f32) -> f32 {
-        kernels::exp_v::<Scalar1>(x)
+        kernels::exp_v::<Lanes<1>>([x])[0]
     }
 
     /// Per-element `tanh(x)`.
     #[inline]
     pub fn tanh(x: f32) -> f32 {
-        kernels::tanh_v::<Scalar1>(x)
+        kernels::tanh_v::<Lanes<1>>([x])[0]
     }
 
     /// Per-element logistic sigmoid.
     #[inline]
     pub fn sigmoid(x: f32) -> f32 {
-        kernels::sigmoid_v::<Scalar1>(x)
+        kernels::sigmoid_v::<Lanes<1>>([x])[0]
     }
 
     /// Per-element tanh-approximation GELU.
     #[inline]
     pub fn gelu(x: f32) -> f32 {
-        kernels::gelu_v::<Scalar1>(x)
+        kernels::gelu_v::<Lanes<1>>([x])[0]
     }
 
     /// Per-element ReLU with `maxps(x, 0)` semantics (NaN, `−0` → `+0`).
     #[inline]
     pub fn relu(x: f32) -> f32 {
-        kernels::relu_v::<Scalar1>(x)
+        kernels::relu_v::<Lanes<1>>([x])[0]
     }
 }
 
@@ -361,6 +308,32 @@ mod tests {
         assert!(detected_level().min(Level::Avx2) <= Level::Avx2);
     }
 
+    /// Names the backend it runs on.
+    struct BackendName;
+
+    impl Kernel for BackendName {
+        type Out = &'static str;
+        fn run<S: SimdOp>(self) -> &'static str {
+            std::any::type_name::<S>()
+        }
+    }
+
+    /// A level silently routed to another backend would pass every parity
+    /// test, so the route itself is checked: each level runs its own
+    /// backend where the CPU has the features, the clamped one where not.
+    #[test]
+    fn dispatch_runs_the_backend_each_level_names() {
+        for level in [Level::Scalar, Level::Avx2, Level::Fma] {
+            let want = match level.min(detected_level()) {
+                Level::Scalar => "::Lanes<8>",
+                Level::Avx2 => "::Avx<false>",
+                Level::Fma => "::Avx<true>",
+            };
+            let got = dispatch(level, BackendName);
+            assert!(got.ends_with(want), "{level:?} ran {got}, not {want}");
+        }
+    }
+
     #[test]
     fn explicit_levels_are_capped_at_hardware() {
         assert_eq!(clamp_supported(Level::Scalar), Level::Scalar);
@@ -377,8 +350,8 @@ mod tests {
         for act in [Act::Relu, Act::Gelu, Act::Sigmoid, Act::Tanh, Act::Exp] {
             let mut a = src.clone();
             let mut b = src.clone();
-            apply_act_at(Level::Scalar, act, &mut a);
-            apply_act_at(level, act, &mut b);
+            apply_act(Level::Scalar, act, &mut a);
+            apply_act(level, act, &mut b);
             let ab: Vec<u32> = a.iter().map(|v| v.to_bits()).collect();
             let bb: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
             assert_eq!(ab, bb, "{act:?} diverged at {}", level.name());
@@ -387,8 +360,8 @@ mod tests {
         let cols = 23; // deliberately not a multiple of the lane count
         let mut a = src[..161].to_vec();
         let mut b = a.clone();
-        softmax_rows_at(Level::Scalar, &mut a, cols);
-        softmax_rows_at(level, &mut b, cols);
+        softmax_rows(Level::Scalar, &mut a, cols);
+        softmax_rows(level, &mut b, cols);
         assert_eq!(
             a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             b.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -400,8 +373,8 @@ mod tests {
         let beta: Vec<f32> = (0..cols).map(|j| j as f32 * -0.01).collect();
         let mut a = src[..161].to_vec();
         let mut b = a.clone();
-        layer_norm_rows_at(Level::Scalar, &mut a, cols, &gamma, &beta, 1e-5);
-        layer_norm_rows_at(level, &mut b, cols, &gamma, &beta, 1e-5);
+        layer_norm_rows(Level::Scalar, &mut a, cols, &gamma, &beta, 1e-5, None);
+        layer_norm_rows(level, &mut b, cols, &gamma, &beta, 1e-5, None);
         assert_eq!(
             a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             b.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -418,10 +391,12 @@ mod tests {
         let beta = vec![0.0; cols];
         let mut a = src.clone();
         let mut b = src.clone();
-        let mut means = vec![0.0; 3];
-        let mut istds = vec![0.0; 3];
-        layer_norm_rows(&mut a, cols, &gamma, &beta, 1e-5);
-        layer_norm_rows_stats(&mut b, cols, &gamma, &beta, 1e-5, &mut means, &mut istds);
+        let mut means = [0.0; 3];
+        let mut istds = [0.0; 3];
+        let level = active_level();
+        layer_norm_rows(level, &mut a, cols, &gamma, &beta, 1e-5, None);
+        let stats = Some((&mut means[..], &mut istds[..]));
+        layer_norm_rows(level, &mut b, cols, &gamma, &beta, 1e-5, stats);
         assert_eq!(a, b);
         assert!(istds.iter().all(|v| *v > 0.0));
     }

@@ -1,6 +1,7 @@
-//! x86-64 backends: [`Avx2`] (256-bit, unfused multiply–add) and
-//! [`FmaB`] (same lanes, fused multiply–add), plus the
-//! `#[target_feature]` entry points the dispatcher calls.
+//! The x86-64 backend, [`Avx`]: 256-bit lanes with unfused (`Avx<false>`,
+//! the `Avx2` level) or fused (`Avx<true>`, the `Fma` level)
+//! multiply–add, plus the two `#[target_feature]` entry points
+//! `crate::dispatch` calls.
 //!
 //! This module is the **only** place in the workspace where `unsafe`
 //! appears (enforced by the `hygiene` lint rule's
@@ -11,35 +12,38 @@
 //!    `#[target_feature]` functions, so calling them from these plain
 //!    `#[inline(always)]` methods needs an `unsafe` block; soundness
 //!    comes from the module contract that backend methods are only ever
-//!    reached by inlining into the feature-gated entry points below,
-//!    which the dispatcher guards with `is_x86_feature_detected!`.
-//! 2. The entry points themselves are `unsafe fn` whose single
-//!    precondition is "the advertised CPU features are present".
+//!    reached by inlining into `run_avx2` or `run_fma`, which the
+//!    dispatcher guards with `is_x86_feature_detected!`.
+//! 2. Those two entry points themselves: `unsafe fn`s, generic over the
+//!    `Kernel` they run, whose single precondition is "the advertised
+//!    CPU features are present". No kernel has an entry point of its own.
 //!
-//! The AVX2 backend is bit-identical to the portable [`Scalar8`]
-//! backend: every method maps to the same IEEE-754 two-operand
-//! operation (`vaddps` ≙ lanewise `+`, `vmaxps` ≙ the shared
-//! `maxps`-semantics max, …) and the horizontal reductions use the same
-//! fixed tree. Only [`FmaB`] deviates, by contracting `a·b + c` into a
-//! single rounding.
+//! `Avx<false>` is bit-identical to the portable [`Lanes<8>`] backend:
+//! every method maps to the same IEEE-754 two-operand operation
+//! (`vaddps` ≙ lanewise `+`, `vmaxps` ≙ the shared `maxps`-semantics max,
+//! …) and the horizontal reductions use the same fixed tree. Only
+//! `Avx<true>` deviates, by contracting `a·b + c` into a single rounding.
 //!
-//! [`Scalar8`]: crate::backend::Scalar8
-
-#![allow(clippy::missing_safety_doc)] // false positive guard: every unsafe fn below documents # Safety
+//! [`Lanes<8>`]: crate::backend::Lanes
 
 use core::arch::x86_64::*;
 
 use crate::backend::SimdOp;
-use crate::kernels::{self, Act};
+use crate::Kernel;
 
-/// 256-bit AVX2 backend with **unfused** multiply–add — the
-/// deterministic default level, bit-identical to the scalar backend.
-pub struct Avx2;
+/// 256-bit AVX2 backend. `Avx<false>` multiplies and adds **unfused** —
+/// the deterministic default level, bit-identical to the scalar backend;
+/// `Avx<true>` contracts `mul_add` to a single-rounding `vfmadd`, making
+/// results ULP-bounded (not bit-identical) relative to the scalar/avx2
+/// levels. Every other method is shared.
+pub struct Avx<const FUSED: bool>;
 
-impl SimdOp for Avx2 {
+impl<const FUSED: bool> SimdOp for Avx<FUSED> {
     type V = __m256;
     type M = __m256;
     const LANES: usize = 8;
+    const GEMM_MR: usize = 6;
+    const GEMM_NR: usize = 16;
 
     #[inline(always)]
     fn splat(x: f32) -> __m256 {
@@ -113,10 +117,16 @@ impl SimdOp for Avx2 {
     }
     #[inline(always)]
     fn mul_add(a: __m256, b: __m256, c: __m256) -> __m256 {
-        // Unfused on purpose: two roundings, exactly like the scalar
-        // backend, so scalar and avx2 levels stay bit-identical.
-        // SAFETY: AVX available per the module contract.
-        unsafe { _mm256_add_ps(_mm256_mul_ps(a, b), c) }
+        if FUSED {
+            // SAFETY: FMA available per the module contract: `Avx<true>`
+            // is only reached through `run_fma`.
+            unsafe { _mm256_fmadd_ps(a, b, c) }
+        } else {
+            // Unfused on purpose: two roundings, exactly like the scalar
+            // backend, so scalar and avx2 levels stay bit-identical.
+            // SAFETY: AVX available per the module contract.
+            unsafe { _mm256_add_ps(_mm256_mul_ps(a, b), c) }
+        }
     }
     #[inline(always)]
     fn round(v: __m256) -> __m256 {
@@ -231,209 +241,21 @@ impl SimdOp for Avx2 {
     }
 }
 
-/// AVX2 + FMA backend: identical to [`Avx2`] except `mul_add` contracts
-/// to a single-rounding `vfmadd`, making results ULP-bounded (not
-/// bit-identical) relative to the scalar/avx2 levels.
-pub struct FmaB;
-
-impl SimdOp for FmaB {
-    type V = __m256;
-    type M = __m256;
-    const LANES: usize = 8;
-
-    #[inline(always)]
-    fn splat(x: f32) -> __m256 {
-        Avx2::splat(x)
-    }
-    #[inline(always)]
-    fn load(src: &[f32]) -> __m256 {
-        Avx2::load(src)
-    }
-    #[inline(always)]
-    fn load_padded(rem: &[f32], pad: f32) -> __m256 {
-        Avx2::load_padded(rem, pad)
-    }
-    #[inline(always)]
-    fn store(v: __m256, dst: &mut [f32]) {
-        Avx2::store(v, dst)
-    }
-    #[inline(always)]
-    fn add(a: __m256, b: __m256) -> __m256 {
-        Avx2::add(a, b)
-    }
-    #[inline(always)]
-    fn sub(a: __m256, b: __m256) -> __m256 {
-        Avx2::sub(a, b)
-    }
-    #[inline(always)]
-    fn mul(a: __m256, b: __m256) -> __m256 {
-        Avx2::mul(a, b)
-    }
-    #[inline(always)]
-    fn div(a: __m256, b: __m256) -> __m256 {
-        Avx2::div(a, b)
-    }
-    #[inline(always)]
-    fn max(a: __m256, b: __m256) -> __m256 {
-        Avx2::max(a, b)
-    }
-    #[inline(always)]
-    fn min(a: __m256, b: __m256) -> __m256 {
-        Avx2::min(a, b)
-    }
-    #[inline(always)]
-    fn mul_add(a: __m256, b: __m256, c: __m256) -> __m256 {
-        // SAFETY: FMA available per the module contract (this backend is
-        // only reached through the "avx2,fma" entry points).
-        unsafe { _mm256_fmadd_ps(a, b, c) }
-    }
-    #[inline(always)]
-    fn round(v: __m256) -> __m256 {
-        Avx2::round(v)
-    }
-    #[inline(always)]
-    fn scale_by_pow2(y: __m256, n: __m256) -> __m256 {
-        Avx2::scale_by_pow2(y, n)
-    }
-    #[inline(always)]
-    fn frexp(v: __m256) -> (__m256, __m256) {
-        Avx2::frexp(v)
-    }
-    #[inline(always)]
-    fn abs(v: __m256) -> __m256 {
-        Avx2::abs(v)
-    }
-    #[inline(always)]
-    fn copysign(mag: __m256, sign: __m256) -> __m256 {
-        Avx2::copysign(mag, sign)
-    }
-    #[inline(always)]
-    fn gt(a: __m256, b: __m256) -> __m256 {
-        Avx2::gt(a, b)
-    }
-    #[inline(always)]
-    fn lt(a: __m256, b: __m256) -> __m256 {
-        Avx2::lt(a, b)
-    }
-    #[inline(always)]
-    fn is_nan(v: __m256) -> __m256 {
-        Avx2::is_nan(v)
-    }
-    #[inline(always)]
-    fn select(mask: __m256, t: __m256, f: __m256) -> __m256 {
-        Avx2::select(mask, t, f)
-    }
-    #[inline(always)]
-    fn hsum(v: __m256) -> f32 {
-        Avx2::hsum(v)
-    }
-    #[inline(always)]
-    fn hmax(v: __m256) -> f32 {
-        Avx2::hmax(v)
-    }
-}
-
-/// AVX2 entry point for [`kernels::apply_act_inplace`].
+/// Runs `kernel` on `Avx<false>`, compiled for AVX2.
 ///
 /// # Safety
 /// The running CPU must support AVX2 (guard with
 /// `is_x86_feature_detected!("avx2")`).
 #[target_feature(enable = "avx2")]
-pub unsafe fn apply_act_avx2(act: Act, data: &mut [f32]) {
-    kernels::apply_act_inplace::<Avx2>(act, data)
+pub(crate) unsafe fn run_avx2<K: Kernel>(kernel: K) -> K::Out {
+    kernel.run::<Avx<false>>()
 }
 
-/// AVX2+FMA entry point for [`kernels::apply_act_inplace`].
+/// Runs `kernel` on `Avx<true>`, compiled for AVX2 and FMA.
 ///
 /// # Safety
 /// The running CPU must support AVX2 and FMA.
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn apply_act_fma(act: Act, data: &mut [f32]) {
-    kernels::apply_act_inplace::<FmaB>(act, data)
-}
-
-/// AVX2 entry point for [`kernels::softmax_rows`].
-///
-/// # Safety
-/// The running CPU must support AVX2.
-#[target_feature(enable = "avx2")]
-pub unsafe fn softmax_rows_avx2(data: &mut [f32], cols: usize) {
-    kernels::softmax_rows::<Avx2>(data, cols)
-}
-
-/// AVX2+FMA entry point for [`kernels::softmax_rows`].
-///
-/// # Safety
-/// The running CPU must support AVX2 and FMA.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn softmax_rows_fma(data: &mut [f32], cols: usize) {
-    kernels::softmax_rows::<FmaB>(data, cols)
-}
-
-/// AVX2 entry point for [`kernels::layer_norm_rows`].
-///
-/// # Safety
-/// The running CPU must support AVX2.
-#[target_feature(enable = "avx2")]
-pub unsafe fn layer_norm_rows_avx2(
-    data: &mut [f32],
-    cols: usize,
-    gamma: &[f32],
-    beta: &[f32],
-    eps: f32,
-    stats: Option<(&mut [f32], &mut [f32])>,
-) {
-    kernels::layer_norm_rows::<Avx2>(data, cols, gamma, beta, eps, stats)
-}
-
-/// AVX2+FMA entry point for [`kernels::layer_norm_rows`].
-///
-/// # Safety
-/// The running CPU must support AVX2 and FMA.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn layer_norm_rows_fma(
-    data: &mut [f32],
-    cols: usize,
-    gamma: &[f32],
-    beta: &[f32],
-    eps: f32,
-    stats: Option<(&mut [f32], &mut [f32])>,
-) {
-    kernels::layer_norm_rows::<FmaB>(data, cols, gamma, beta, eps, stats)
-}
-
-/// AVX2 entry point for [`kernels::ln_inplace`].
-///
-/// # Safety
-/// The running CPU must support AVX2.
-#[target_feature(enable = "avx2")]
-pub unsafe fn ln_avx2(data: &mut [f32]) {
-    kernels::ln_inplace::<Avx2>(data)
-}
-
-/// AVX2+FMA entry point for [`kernels::ln_inplace`].
-///
-/// # Safety
-/// The running CPU must support AVX2 and FMA.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn ln_fma(data: &mut [f32]) {
-    kernels::ln_inplace::<FmaB>(data)
-}
-
-/// AVX2 entry point for [`kernels::sincos_turns`].
-///
-/// # Safety
-/// The running CPU must support AVX2.
-#[target_feature(enable = "avx2")]
-pub unsafe fn sincos_turns_avx2(turns: &[f32], sin: &mut [f32], cos: &mut [f32]) {
-    kernels::sincos_turns::<Avx2>(turns, sin, cos)
-}
-
-/// AVX2+FMA entry point for [`kernels::sincos_turns`].
-///
-/// # Safety
-/// The running CPU must support AVX2 and FMA.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn sincos_turns_fma(turns: &[f32], sin: &mut [f32], cos: &mut [f32]) {
-    kernels::sincos_turns::<FmaB>(turns, sin, cos)
+pub(crate) unsafe fn run_fma<K: Kernel>(kernel: K) -> K::Out {
+    kernel.run::<Avx<true>>()
 }

@@ -15,7 +15,7 @@
 //!
 //! Each property runs the kernel at `Level::Scalar` and at the target
 //! level on clones of the same buffer; on a scalar-only host
-//! `*_at(Level::Avx2, ..)` clamps to scalar and the properties check
+//! a kernel run at `Level::Avx2` clamps to scalar and the properties check
 //! reflexivity, so the suite passes (vacuously for the cross-level part)
 //! everywhere.
 
@@ -117,8 +117,8 @@ proptest! {
         for act in ACTS {
             let mut scalar = data.clone();
             let mut vector = data.clone();
-            simd::apply_act_at(Level::Scalar, act, &mut scalar);
-            simd::apply_act_at(best_deterministic(), act, &mut vector);
+            simd::apply_act(Level::Scalar, act, &mut scalar);
+            simd::apply_act(best_deterministic(), act, &mut vector);
             assert_bits_equal(&scalar, &vector, &format!("{act:?}"))?;
         }
     }
@@ -129,7 +129,7 @@ proptest! {
     #[test]
     fn apply_act_matches_per_element_reference(data in buffer(lane_boundary_len())) {
         let mut swept = data.clone();
-        simd::apply_act_at(best_deterministic(), Act::Gelu, &mut swept);
+        simd::apply_act(best_deterministic(), Act::Gelu, &mut swept);
         for (i, (&x, &y)) in data.iter().zip(&swept).enumerate() {
             let want = simd::scalar::gelu(x);
             prop_assert!(
@@ -151,8 +151,8 @@ proptest! {
     ) {
         let mut scalar = data.clone();
         let mut vector = data;
-        simd::softmax_rows_at(Level::Scalar, &mut scalar, cols);
-        simd::softmax_rows_at(best_deterministic(), &mut vector, cols);
+        simd::softmax_rows(Level::Scalar, &mut scalar, cols);
+        simd::softmax_rows(best_deterministic(), &mut vector, cols);
         assert_bits_equal(&scalar, &vector, "softmax")?;
     }
 
@@ -171,8 +171,8 @@ proptest! {
     ) {
         let mut scalar = data.clone();
         let mut vector = data;
-        simd::layer_norm_rows_at(Level::Scalar, &mut scalar, cols, &gamma, &beta, 1e-5);
-        simd::layer_norm_rows_at(best_deterministic(), &mut vector, cols, &gamma, &beta, 1e-5);
+        simd::layer_norm_rows(Level::Scalar, &mut scalar, cols, &gamma, &beta, 1e-5, None);
+        simd::layer_norm_rows(best_deterministic(), &mut vector, cols, &gamma, &beta, 1e-5, None);
         assert_bits_equal(&scalar, &vector, "layer_norm")?;
     }
 
@@ -189,8 +189,8 @@ proptest! {
         let beta: Vec<f32> = (0..cols).map(|j| j as f32 * -0.01).collect();
         let mut scalar = data.clone();
         let mut vector = data.clone();
-        simd::layer_norm_rows_at(Level::Scalar, &mut scalar, cols, &gamma, &beta, 1e-5);
-        simd::layer_norm_rows_at(best_deterministic(), &mut vector, cols, &gamma, &beta, 1e-5);
+        simd::layer_norm_rows(Level::Scalar, &mut scalar, cols, &gamma, &beta, 1e-5, None);
+        simd::layer_norm_rows(best_deterministic(), &mut vector, cols, &gamma, &beta, 1e-5, None);
         for (i, (s, v)) in scalar.iter().zip(&vector).enumerate() {
             prop_assert!(
                 s.to_bits() == v.to_bits() || (s.is_nan() && v.is_nan()),
@@ -214,8 +214,8 @@ proptest! {
         for input in [unit.chain(ends).collect::<Vec<_>>(), data] {
             let mut scalar = input.clone();
             let mut vector = input;
-            simd::ln_at(Level::Scalar, &mut scalar);
-            simd::ln_at(best_deterministic(), &mut vector);
+            simd::ln(Level::Scalar, &mut scalar);
+            simd::ln(best_deterministic(), &mut vector);
             assert_bits_equal(&scalar, &vector, "ln")?;
         }
     }
@@ -233,8 +233,8 @@ proptest! {
             let n = input.len();
             let (mut s_sin, mut s_cos) = (vec![0.0; n], vec![0.0; n]);
             let (mut v_sin, mut v_cos) = (vec![0.0; n], vec![0.0; n]);
-            simd::sincos_turns_at(Level::Scalar, &input, &mut s_sin, &mut s_cos);
-            simd::sincos_turns_at(best_deterministic(), &input, &mut v_sin, &mut v_cos);
+            simd::sincos_turns(Level::Scalar, &input, &mut s_sin, &mut s_cos);
+            simd::sincos_turns(best_deterministic(), &input, &mut v_sin, &mut v_cos);
             assert_bits_equal(&s_sin, &v_sin, "sin")?;
             assert_bits_equal(&s_cos, &v_cos, "cos")?;
         }
@@ -249,8 +249,8 @@ proptest! {
         for act in ACTS {
             let mut scalar = data.clone();
             let mut fused = data.clone();
-            simd::apply_act_at(Level::Scalar, act, &mut scalar);
-            simd::apply_act_at(Level::Fma, act, &mut fused);
+            simd::apply_act(Level::Scalar, act, &mut scalar);
+            simd::apply_act(Level::Fma, act, &mut fused);
             for (i, (s, f)) in scalar.iter().zip(&fused).enumerate() {
                 let d = ulp_diff(*s, *f);
                 prop_assert!(
@@ -274,8 +274,8 @@ proptest! {
             .collect();
         let mut scalar = data.clone();
         let mut fused = data;
-        simd::softmax_rows_at(Level::Scalar, &mut scalar, cols);
-        simd::softmax_rows_at(Level::Fma, &mut fused, cols);
+        simd::softmax_rows(Level::Scalar, &mut scalar, cols);
+        simd::softmax_rows(Level::Fma, &mut fused, cols);
         for (i, (s, f)) in scalar.iter().zip(&fused).enumerate() {
             let d = ulp_diff(*s, *f);
             prop_assert!(d <= 512, "softmax[{i}]: scalar {s:?} vs fma {f:?} = {d} ULP");
@@ -310,8 +310,8 @@ fn lane_boundaries_bit_identical_for_every_kernel() {
         for act in ACTS {
             let mut a = data.clone();
             let mut b = data.clone();
-            simd::apply_act_at(Level::Scalar, act, &mut a);
-            simd::apply_act_at(level, act, &mut b);
+            simd::apply_act(Level::Scalar, act, &mut a);
+            simd::apply_act(level, act, &mut b);
             let (ab, bb): (Vec<u32>, Vec<u32>) = (
                 a.iter().map(|v| v.to_bits()).collect(),
                 b.iter().map(|v| v.to_bits()).collect(),
@@ -320,18 +320,18 @@ fn lane_boundaries_bit_identical_for_every_kernel() {
         }
         let mut a = data.clone();
         let mut b = data.clone();
-        simd::softmax_rows_at(Level::Scalar, &mut a, n);
-        simd::softmax_rows_at(level, &mut b, n);
+        simd::softmax_rows(Level::Scalar, &mut a, n);
+        simd::softmax_rows(level, &mut b, n);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         assert_eq!(bits(&a), bits(&b), "softmax n={n}");
         let mut a = data.clone();
         let mut b = data.clone();
-        simd::ln_at(Level::Scalar, &mut a);
-        simd::ln_at(level, &mut b);
+        simd::ln(Level::Scalar, &mut a);
+        simd::ln(level, &mut b);
         assert_eq!(bits(&a), bits(&b), "ln n={n}");
         let sincos = |level| {
             let (mut sin, mut cos) = (vec![0.0; n], vec![0.0; n]);
-            simd::sincos_turns_at(level, &data, &mut sin, &mut cos);
+            simd::sincos_turns(level, &data, &mut sin, &mut cos);
             (bits(&sin), bits(&cos))
         };
         assert_eq!(sincos(Level::Scalar), sincos(level), "sincos n={n}");

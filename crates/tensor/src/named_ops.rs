@@ -96,7 +96,7 @@ impl UnaryOp {
             UnaryOp::AddScalar(c) => return data.iter_mut().for_each(|v| *v += c),
             UnaryOp::MulScalar(c) => return data.iter_mut().for_each(|v| *v *= c),
         };
-        simd::apply_act_at(level, act, data);
+        simd::apply_act(level, act, data);
     }
 }
 

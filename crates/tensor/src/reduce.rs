@@ -185,7 +185,7 @@ impl Tensor {
     pub fn softmax_rows(&self) -> Result<Tensor> {
         let (_, c) = self.shape().as_matrix()?;
         let mut out = self.as_slice().to_vec();
-        simd::softmax_rows(&mut out, c);
+        simd::softmax_rows(simd::active_level(), &mut out, c);
         Tensor::from_vec(out, self.shape().dims())
     }
 
@@ -202,7 +202,8 @@ impl Tensor {
     pub fn layer_norm_rows(&self, gamma: &Tensor, beta: &Tensor, eps: f32) -> Result<Tensor> {
         let (_, c) = self.layer_norm_check(gamma, beta)?;
         let mut out = self.as_slice().to_vec();
-        simd::layer_norm_rows(&mut out, c, gamma.as_slice(), beta.as_slice(), eps);
+        let (gamma, beta) = (gamma.as_slice(), beta.as_slice());
+        simd::layer_norm_rows(simd::active_level(), &mut out, c, gamma, beta, eps, None);
         Tensor::from_vec(out, self.shape().dims())
     }
 
@@ -222,14 +223,14 @@ impl Tensor {
         let mut out = self.as_slice().to_vec();
         let mut means = vec![0.0f32; r];
         let mut inv_stds = vec![0.0f32; r];
-        simd::layer_norm_rows_stats(
+        simd::layer_norm_rows(
+            simd::active_level(),
             &mut out,
             c,
             gamma.as_slice(),
             beta.as_slice(),
             eps,
-            &mut means,
-            &mut inv_stds,
+            Some((&mut means, &mut inv_stds)),
         );
         Ok((Tensor::from_vec(out, self.shape().dims())?, means, inv_stds))
     }

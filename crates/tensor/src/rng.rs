@@ -260,11 +260,12 @@ impl KeyedNoise {
             dropped[0] = u64::from(w2) < threshold;
             dropped[1] = u64::from(w3) < threshold;
         }
-        simd::ln(&mut self.radius);
+        let level = simd::active_level();
+        simd::ln(level, &mut self.radius);
         for radius in &mut self.radius {
             *radius = (-2.0 * *radius).sqrt();
         }
-        simd::sincos_turns(&self.turns, &mut self.sin, &mut self.cos);
+        simd::sincos_turns(level, &self.turns, &mut self.sin, &mut self.cos);
         let polar = self.radius.iter().zip(&self.cos).zip(&self.sin);
         for (pair, ((&r, &cos), &sin)) in self.normals.chunks_exact_mut(2).zip(polar) {
             pair[0] = r * cos;
