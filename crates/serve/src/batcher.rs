@@ -1,19 +1,27 @@
 //! The micro-batching scheduler at the heart of the server.
 //!
 //! Connection handler threads enqueue parsed observations as [`Job`]s into
-//! a **bounded** queue shared by **N dispatch workers**. Each worker drains
-//! up to `max_batch` observations or waits at most `max_wait` after the
-//! first queued job (whichever comes first), groups the drained jobs by
-//! model, runs **one** `localize_batch` call per model group, and fans the
-//! predictions back out over each job's reply channel.
+//! a **bounded** queue shared by **N dispatch workers**. Batching is
+//! **work-conserving**: a worker that becomes free takes whatever is queued
+//! (up to `max_batch` observations) and runs it at once, so an idle server
+//! answers a lone request without waiting, and batches form from the jobs
+//! that queue while every worker is busy. A worker groups the jobs it took
+//! by model, runs **one** `localize_batch` call per model group, and fans
+//! the predictions back out over each job's reply channel.
+//!
+//! A non-zero `max_wait` opts in to a **hold**: after taking its first job
+//! the worker keeps collecting for up to `max_wait`, for models whose fixed
+//! per-batch cost outweighs the wait. The hold ends early at the earliest
+//! deadline among the jobs it holds, so it never keeps a job past its own
+//! deadline.
 //!
 //! All workers serve from one shared [`Registry`] behind an [`Arc`]: models
 //! are `Send + Sync` with `Arc`-backed weights, so N workers read the same
 //! weight allocations concurrently with no locks and no copies. The queue
 //! is a condvar-based bounded MPMC deque: waiting for jobs releases the
 //! lock, so workers coalesce *and* execute batches fully in parallel — the
-//! lock is only ever held for O(queue length) pops, never for the
-//! `max_wait` window and never during inference.
+//! lock is only ever held for O(queue length) pops, never for a hold and
+//! never during inference.
 //!
 //! Five properties matter:
 //!
@@ -46,9 +54,11 @@
 //!   (`VitalError::InvalidDataset`) gets [`JobFailure::Refused`] (HTTP
 //!   `400`), any other error [`JobFailure::Failed`] (HTTP `500`).
 //! * **Staleness shedding** — every job carries its admission time and an
-//!   optional deadline; a worker answers already-expired jobs with
-//!   [`JobFailure::Expired`] (HTTP `504`) at dispatch time instead of
-//!   burning model time on responses nobody is waiting for.
+//!   optional deadline; a worker that takes a job whose deadline passed in
+//!   the queue answers it with [`JobFailure::Expired`] (HTTP `504`) instead
+//!   of burning model time on a response nobody is waiting for. A job taken
+//!   in time is served: its deadline bounds the queue wait, and a hold ends
+//!   by it.
 //!
 //! Shutdown comes in two flavours: `JobQueue::close` (last client handle
 //! dropped — queued jobs are failed immediately) and the **graceful
@@ -80,8 +90,8 @@ pub struct Job {
     /// also the base for queue-delay accounting).
     pub admitted: Instant,
     /// Optional deadline: a job still queued past this instant is shed
-    /// with [`JobFailure::Expired`] at dispatch time instead of served
-    /// late.
+    /// with [`JobFailure::Expired`] when a worker takes it instead of
+    /// served late; an opt-in hold ends no later than this instant.
     pub deadline: Option<Instant>,
     /// Where the handler thread waits for the outcome. Bounded (capacity
     /// 1): exactly one reply is ever sent per job, so the send never
@@ -117,8 +127,11 @@ impl std::fmt::Display for JobFailure {
 pub struct BatcherConfig {
     /// Maximum observations coalesced into one `localize_batch` call.
     pub max_batch: usize,
-    /// Longest a worker waits after the first queued job before
-    /// dispatching a partial batch.
+    /// Opt-in hold: how long a worker keeps collecting after taking its
+    /// first job before it dispatches a partial batch. Zero (the default)
+    /// dispatches whatever is queued at once; a hold also ends at the
+    /// earliest deadline among the jobs it holds. `Server::start` refuses
+    /// a hold as long as its reply backstop (120 s).
     pub max_wait: Duration,
     /// Bounded queue capacity, in jobs; a full queue sheds load with 503.
     pub queue_cap: usize,
@@ -142,7 +155,7 @@ impl Default for BatcherConfig {
     fn default() -> Self {
         BatcherConfig {
             max_batch: 32,
-            max_wait: Duration::from_micros(2000),
+            max_wait: Duration::ZERO,
             queue_cap: 256,
             workers: 1,
             threads: None,
@@ -177,9 +190,9 @@ struct QueueState {
 /// collect micro-batches.
 ///
 /// Built on `Mutex<VecDeque>` + `Condvar` rather than an `mpsc` channel so
-/// that **waiting releases the lock**: several workers can sit inside
-/// their coalescing windows simultaneously, each picking up jobs as they
-/// arrive, instead of serializing the windows through a receiver mutex.
+/// that **waiting releases the lock**: several workers can wait for work,
+/// or sit inside opt-in holds, simultaneously, each picking up jobs as they
+/// arrive, instead of serializing through a receiver mutex.
 /// The lock is held only for O(1) pushes and O(batch) pops.
 struct JobQueue {
     state: Mutex<QueueState>,
@@ -227,22 +240,34 @@ impl JobQueue {
         Ok(())
     }
 
-    /// Blocks for the first job, then coalesces more into `batch` until
+    /// Blocks for the first job, then takes queued jobs into `batch` until
     /// `max_batch` observations are gathered, a job that would overflow the
-    /// cap is at the front (it stays queued for the next batch), or
-    /// `max_wait` has passed since the first job was taken. Returns `false`
-    /// once the queue is closed **and** drained.
+    /// cap is at the front (it stays queued for the next batch), or the
+    /// queue is empty. With a zero `max_wait` that is the whole batch; a
+    /// non-zero one holds the batch open for further arrivals until
+    /// `max_wait` after the first take or the earliest deadline among the
+    /// held jobs, whichever comes first. A job whose deadline passed while
+    /// it was queued goes to `expired` instead and counts towards nothing.
+    /// Returns `false` once the queue is closed **and** drained.
     ///
-    /// `batch` is cleared and refilled rather than returned so the dispatch
-    /// loop can reuse one buffer for its whole lifetime — the per-batch
-    /// `Vec` allocation this replaces was the only allocator traffic in the
-    /// collect path (enforced by vital-lint's hot-path rule).
+    /// `batch` and `expired` are cleared and refilled rather than returned
+    /// so the dispatch loop can reuse its buffers for its whole lifetime —
+    /// the per-batch `Vec` allocation this replaces was the only allocator
+    /// traffic in the collect path (enforced by vital-lint's hot-path
+    /// rule).
     ///
     /// The condvar waits release the lock, so any number of workers can be
     /// in here concurrently — collecting never blocks another worker's
     /// collection or execution.
-    fn collect_into(&self, batch: &mut Vec<Job>, max_batch: usize, max_wait: Duration) -> bool {
+    fn collect_into(
+        &self,
+        batch: &mut Vec<Job>,
+        expired: &mut Vec<Job>,
+        max_batch: usize,
+        max_wait: Duration,
+    ) -> bool {
         batch.clear();
+        expired.clear();
         // A zero cap would collect nothing and spin; treat it as 1 (every
         // batch is then a single job), the old channel-based behaviour.
         let max_batch = max_batch.max(1);
@@ -262,7 +287,12 @@ impl JobQueue {
             }
         }
 
-        let deadline = Instant::now() + max_wait;
+        // Read under the lock, so every job in the queue was pushed, and
+        // its deadline set, before `now`.
+        let mut now = Instant::now();
+        // Folded down to the earliest deadline of the held jobs as they
+        // are taken.
+        let mut hold_end = now + max_wait;
         let mut observations = 0;
         loop {
             // Greedy drain. `max_batch` is a hard cap on the dispatch size
@@ -274,21 +304,29 @@ impl JobQueue {
                 let Some(front) = state.jobs.front() else {
                     break;
                 };
+                let stale = front.deadline.is_some_and(|deadline| deadline <= now);
                 let len = front.observations.len();
-                if !batch.is_empty() && observations + len > max_batch {
+                if !stale && !batch.is_empty() && observations + len > max_batch {
                     full = true;
                     break;
                 }
                 let Some(job) = state.jobs.pop_front() else {
                     break;
                 };
+                if stale {
+                    expired.push(job);
+                    continue;
+                }
+                if let Some(deadline) = job.deadline {
+                    hold_end = hold_end.min(deadline);
+                }
                 observations += len;
                 batch.push(job);
             }
-            if observations >= max_batch || full || state.closed {
+            if batch.is_empty() || observations >= max_batch || full || state.closed {
                 break;
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
+            let remaining = hold_end.saturating_duration_since(now);
             if remaining.is_zero() {
                 break;
             }
@@ -296,6 +334,7 @@ impl JobQueue {
                 Ok((guard, _timeout)) => state = guard,
                 Err(_) => return false,
             }
+            now = Instant::now();
         }
         // The notify_one that announced a job this worker is now *leaving
         // behind* (overflow carry-over, or arrivals past the cap) was
@@ -530,9 +569,10 @@ pub fn start(
 }
 
 /// One worker's loop: collects and executes batches until the queue is
-/// closed and drained. The batch buffer is allocated once, up front, and
-/// reused for every collect/execute round — the loop body itself is
-/// allocation-free (enforced by vital-lint's hot-path rule).
+/// closed and drained. The batch and expiry buffers are allocated once,
+/// up front, and reused for every collect/execute round — the loop body
+/// itself is allocation-free (enforced by vital-lint's hot-path rule).
+/// Jobs that expired in the queue are answered before the batch runs.
 ///
 /// Each batch runs under one `catch_unwind`, so nothing that happens in a
 /// batch ends the loop: a panic fails every job still in the batch with a
@@ -550,13 +590,17 @@ fn dispatch_loop(
     metrics: &Metrics,
 ) {
     let mut batch: Vec<Job> = Vec::with_capacity(config.max_batch.max(1));
-    while queue.collect_into(&mut batch, config.max_batch, config.max_wait) {
+    let mut expired: Vec<Job> = Vec::with_capacity(config.max_batch.max(1));
+    while queue.collect_into(&mut batch, &mut expired, config.max_batch, config.max_wait) {
+        metrics
+            .queue_depth
+            .fetch_sub(batch.len() + expired.len(), Ordering::Relaxed);
+        if !expired.is_empty() {
+            fail(&expired, JobFailure::Expired, metrics);
+        }
         if batch.is_empty() {
             continue;
         }
-        metrics
-            .queue_depth
-            .fetch_sub(batch.len(), Ordering::Relaxed);
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(faults) = &config.faults {
                 faults.on_batch_collected();
@@ -582,11 +626,11 @@ fn fail_panicked_batch(
 }
 
 /// Groups the drained `jobs` by model (preserving arrival order within
-/// each group), sheds expired jobs, runs one `localize_batch` per group
-/// under `catch_unwind` and fans results back out. A group of several jobs
-/// the model returns an error for is rerun job by job, so one client's
-/// refused observation fails only its own request. Leaves `jobs` empty so
-/// the dispatch loop can refill it.
+/// each group), runs one `localize_batch` per group under `catch_unwind`
+/// and fans results back out. A group of several jobs the model returns an
+/// error for is rerun job by job, so one client's refused observation
+/// fails only its own request. Leaves `jobs` empty so the dispatch loop
+/// can refill it.
 fn execute(
     worker_id: usize,
     registry: &Registry,
@@ -594,17 +638,8 @@ fn execute(
     config: &BatcherConfig,
     metrics: &Metrics,
 ) {
-    // One clock read for the whole batch: deadline shedding answers
-    // already-expired jobs with 504 instead of spending model time on
-    // responses nobody is waiting for.
-    let now = Instant::now();
     let mut groups: Vec<(String, Vec<Job>)> = Vec::new();
     for mut job in jobs.drain(..) {
-        if job.deadline.is_some_and(|deadline| deadline <= now) {
-            metrics.jobs_expired.fetch_add(1, Ordering::Relaxed);
-            let _ = job.reply.send(Err(JobFailure::Expired));
-            continue;
-        }
         match groups.iter_mut().find(|(model, _)| *model == job.model) {
             Some((_, group)) => group.push(job),
             None => {
@@ -671,13 +706,16 @@ fn execute(
 }
 
 /// Answers every job of `jobs` with `failure`. A fault counts in
-/// `jobs_failed`; a refusal does not (the HTTP layer counts its `400` as a
-/// client error).
+/// `jobs_failed` and an expiry in `jobs_expired`; a refusal counts in
+/// neither (the HTTP layer counts its `400` as a client error).
 fn fail(jobs: &[Job], failure: JobFailure, metrics: &Metrics) {
-    if matches!(failure, JobFailure::Failed(_)) {
-        metrics
-            .jobs_failed
-            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
+    let counter = match failure {
+        JobFailure::Failed(_) => Some(&metrics.jobs_failed),
+        JobFailure::Expired => Some(&metrics.jobs_expired),
+        JobFailure::Refused(_) => None,
+    };
+    if let Some(counter) = counter {
+        counter.fetch_add(jobs.len() as u64, Ordering::Relaxed);
     }
     for job in jobs {
         let _ = job.reply.send(Err(failure.clone()));
@@ -1338,6 +1376,110 @@ mod tests {
         );
         drop(client);
         join_all(handles);
+    }
+
+    #[test]
+    fn an_opt_in_hold_ends_at_the_earliest_held_deadline() {
+        // An idle worker holding a lone job in a 200 ms window must neither
+        // keep it past its 20 ms deadline nor shed it for a deadline that
+        // passed while the worker, not the queue, held it.
+        let window = Duration::from_millis(200);
+        let metrics = Arc::new(Metrics::new());
+        let (client, handles) = start(
+            echo_registry(),
+            BatcherConfig {
+                max_wait: window,
+                threads: Some(1),
+                ..BatcherConfig::default()
+            },
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        let (tx, rx) = mpsc::sync_channel(1);
+        let admitted = Instant::now();
+        client
+            .submit(Job {
+                model: "echo".into(),
+                observations: vec![obs(-5.0)],
+                admitted,
+                deadline: Some(admitted + Duration::from_millis(20)),
+                reply: tx,
+            })
+            .unwrap();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)).unwrap(),
+            Ok(vec![5])
+        );
+        assert!(
+            admitted.elapsed() < window,
+            "the hold ran its whole window: {:?}",
+            admitted.elapsed()
+        );
+        assert_eq!(metrics.jobs_expired.load(Ordering::Relaxed), 0);
+        drop(client);
+        join_all(handles);
+    }
+
+    #[test]
+    fn coalescing_comes_from_the_queue_not_a_window() {
+        // The default config holds nothing, so a batch of several jobs can
+        // only form from what queued while the one worker was busy: here a
+        // 200 ms stall on its first dispatch.
+        assert!(BatcherConfig::default().max_wait.is_zero());
+        let metrics = Arc::new(Metrics::new());
+        let (client, handles) = start(
+            echo_registry(),
+            BatcherConfig {
+                threads: Some(1),
+                faults: Some(Arc::new(
+                    FaultPlan::parse("latency=echo:200:1").expect("spec parses"),
+                )),
+                ..BatcherConfig::default()
+            },
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        let submit = |value: f32| {
+            let (tx, rx) = mpsc::sync_channel(1);
+            client.submit(job("echo", vec![obs(-value)], tx)).unwrap();
+            rx
+        };
+
+        let first = submit(1.0);
+        // The worker has taken the first job once the queue is empty again.
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while metrics.queue_depth.load(Ordering::Relaxed) > 0 {
+            assert!(Instant::now() < give_up, "the worker never took a job");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let queued: Vec<_> = [2.0, 3.0, 4.0].map(|value| (value, submit(value))).into();
+        assert_eq!(
+            first.recv_timeout(Duration::from_secs(5)).unwrap(),
+            Ok(vec![1])
+        );
+        for (value, rx) in queued {
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(5)).unwrap(),
+                Ok(vec![value as usize])
+            );
+        }
+        drop(client);
+        join_all(handles);
+
+        let snapshot = metrics.snapshot_json();
+        let hist = snapshot.get("batch_size_hist").unwrap().as_array().unwrap();
+        let sizes: Vec<(usize, usize)> = hist
+            .iter()
+            .filter_map(|b| {
+                let size = b.get("size").and_then(jsonio::Json::as_usize)?;
+                Some((size, b.get("count").and_then(jsonio::Json::as_usize)?))
+            })
+            .collect();
+        assert_eq!(
+            sizes,
+            vec![(1, 1), (3, 1)],
+            "the three queued jobs must run as one batch (size, count): {sizes:?}"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! vital-serve --checkpoint-dir checkpoints/ [--addr 127.0.0.1:8077]
-//!             [--max-batch 32] [--max-wait-us 2000] [--queue-cap 256]
+//!             [--max-batch 32] [--max-wait-us 0] [--queue-cap 256]
 //!             [--workers N] [--threads N] [--default-deadline-ms N]
 //!             [--faults SPEC]
 //! ```
@@ -67,7 +67,7 @@ struct Args {
 
 fn usage() -> String {
     "usage: vital-serve --checkpoint-dir DIR [--addr HOST:PORT] [--max-batch N] \
-     [--max-wait-us N] [--queue-cap N] [--workers N] [--threads N] \
+     [--max-wait-us 0] [--queue-cap N] [--workers N] [--threads N] \
      [--default-deadline-ms N] [--faults SPEC]"
         .to_string()
 }
@@ -103,7 +103,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             .unwrap_or_else(|| "127.0.0.1:8077".to_string()),
         checkpoint_dir,
         max_batch: cli::parse_usize(args, "--max-batch", 32)?.max(1),
-        max_wait_us: cli::parse_usize(args, "--max-wait-us", 2000)? as u64,
+        max_wait_us: cli::parse_usize(args, "--max-wait-us", 0)? as u64,
         queue_cap: cli::parse_usize(args, "--queue-cap", 256)?.max(1),
         workers,
         threads,

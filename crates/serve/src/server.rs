@@ -37,7 +37,9 @@ const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// Backstop on how long a handler waits for its job's reply before
 /// answering 500. Orders of magnitude above the slowest plausible batch —
 /// it exists so a wedged dispatch layer cannot strand connections forever,
-/// not as a serving deadline (that is what `deadline_ms` is for).
+/// not as a serving deadline (that is what `deadline_ms` is for). A
+/// batcher hold this long would turn every under-full batch into that
+/// 500, so [`Server::start`] refuses one.
 const REPLY_WAIT_CAP: Duration = Duration::from_secs(120);
 
 /// How long the `/admin/drain` finisher thread waits for queued jobs
@@ -127,8 +129,16 @@ impl Server {
     /// — and shared by every worker) and starts accepting connections.
     ///
     /// # Errors
-    /// Bind failures and worker-spawn failures, as a message.
+    /// A `max_wait` at or above the reply backstop (checked before
+    /// binding), bind failures and worker-spawn failures, as a message.
     pub fn start(config: ServerConfig, registry: Registry) -> Result<Server, String> {
+        if config.batcher.max_wait >= REPLY_WAIT_CAP {
+            return Err(format!(
+                "max_wait {} us must be below the {} us a handler waits for its reply",
+                config.batcher.max_wait.as_micros(),
+                REPLY_WAIT_CAP.as_micros()
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
         let addr = listener

@@ -2,7 +2,8 @@
 //! the checkpoint-directory registry, answers bit-identical to offline for
 //! a baseline and for the paper's model — trained and saved by this
 //! process, reloaded and served by another — the SIGTERM drain, and the
-//! refusal to boot on a `VITAL_SIMD` that names no dispatch level.
+//! refusals to boot on a `VITAL_SIMD` that names no dispatch level and on
+//! a hold as long as the reply backstop.
 
 #![cfg(unix)]
 // The wait for the child's exit is paced with real sleeps — exempt from the
@@ -78,6 +79,8 @@ fn the_binary_serves_bit_identical_answers_and_drains_on_sigterm() {
         .unwrap_or_else(|| panic!("no listening line, got {banner:?}"))
         .to_string();
     assert!(banner.contains("workers=2 threads=1"), "{banner}");
+    // Work-conserving by default: no hold unless asked for.
+    assert!(banner.contains("max_wait_us=0 "), "{banner}");
     // The child inherits this process's environment and CPU, so its level.
     let simd = format!("simd={}", simd::active_level().name());
     assert!(banner.contains(&simd), "{banner}");
@@ -122,15 +125,20 @@ fn the_binary_serves_bit_identical_answers_and_drains_on_sigterm() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn an_unknown_vital_simd_stops_the_boot_and_names_the_value() {
-    let dir = std::env::temp_dir().join(format!("vital-serve-simd-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
+/// Starts `vital-serve` on `dir` with `args` and `env`, expecting it to
+/// refuse to boot: waits up to [`EXIT_WAIT`] for it to exit (killing it and
+/// failing past that) and returns its status, stdout and stderr.
+fn refused_boot(
+    dir: &std::path::Path,
+    args: &[&str],
+    env: &[(&str, &str)],
+) -> (std::process::ExitStatus, String, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_vital-serve"))
         .arg("--checkpoint-dir")
-        .arg(&dir)
+        .arg(dir)
         .args(["--addr", "127.0.0.1:0"])
-        .env("VITAL_SIMD", "avx9")
+        .args(args)
+        .envs(env.iter().copied())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -142,17 +150,52 @@ fn an_unknown_vital_simd_stops_the_boot_and_names_the_value() {
         }
         if Instant::now() >= give_up {
             let _ = child.kill();
-            panic!("vital-serve with VITAL_SIMD=avx9 still running after {EXIT_WAIT:?}");
+            panic!("vital-serve {args:?} {env:?} still running after {EXIT_WAIT:?}");
         }
         std::thread::sleep(Duration::from_millis(20));
     };
-    let _ = std::fs::remove_dir_all(&dir);
     let (mut out, mut err) = (String::new(), String::new());
     let mut stdout = child.stdout.take().expect("piped stdout");
     stdout.read_to_string(&mut out).expect("stdout");
     let mut stderr = child.stderr.take().expect("piped stderr");
     stderr.read_to_string(&mut err).expect("stderr");
+    (status, out, err)
+}
+
+#[test]
+fn an_unknown_vital_simd_stops_the_boot_and_names_the_value() {
+    let dir = std::env::temp_dir().join(format!("vital-serve-simd-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
+    let (status, out, err) = refused_boot(&dir, &[], &[("VITAL_SIMD", "avx9")]);
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(!status.success(), "exit {status}");
     assert!(err.contains(r#"VITAL_SIMD="avx9""#), "stderr: {err}");
+    assert!(!out.contains("listening"), "stdout: {out}");
+}
+
+#[test]
+fn a_hold_as_long_as_the_reply_backstop_stops_the_boot() {
+    let data = FingerprintDataset::collect(
+        &building_1(),
+        &base_devices()[..1],
+        &DatasetConfig {
+            captures_per_rp: 1,
+            samples_per_capture: 1,
+            seed: 99,
+        },
+    );
+    let mut knn = KnnLocalizer::new(1, FeatureMode::Ssd);
+    knn.fit(&data).expect("fit KNN");
+    let dir = std::env::temp_dir().join(format!("vital-serve-hold-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
+    knn.save(&dir.join("knn.vckpt")).expect("save checkpoint");
+    let (status, out, err) = refused_boot(&dir, &["--max-wait-us", "120000000"], &[]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains("max_wait 120000000 us"), "stderr: {err}");
+    assert!(
+        err.contains("120000000 us a handler waits"),
+        "stderr: {err}"
+    );
     assert!(!out.contains("listening"), "stdout: {out}");
 }
