@@ -97,6 +97,9 @@ pub struct AnvilLocalizer {
     network: Option<AnvilNetwork>,
     centroids: Vec<Option<Vec<f32>>>,
     num_classes: usize,
+    /// The survey's access-point count; the network only knows it padded
+    /// to whole tokens.
+    num_aps: usize,
     /// Compiled attention-network plans, keyed by `(batch, weight stamp)`.
     plan_cache: PlanCache,
 }
@@ -111,6 +114,7 @@ impl AnvilLocalizer {
             network: None,
             centroids: Vec::new(),
             num_classes: 0,
+            num_aps: 0,
             plan_cache: PlanCache::new(),
         }
     }
@@ -152,6 +156,7 @@ impl AnvilLocalizer {
                 embed_width as u64,
             ],
         );
+        ckpt.push_ints("num_aps", vec![self.num_aps as u64]);
         ckpt.push_state("network", network.state_dict());
         ckpt.push_ints(
             "centroid_mask",
@@ -170,8 +175,9 @@ impl AnvilLocalizer {
     /// saved instance's.
     ///
     /// # Errors
-    /// Returns typed checkpoint errors on kind mismatch, missing entries or
-    /// weight-shape drift.
+    /// Returns typed checkpoint errors on kind mismatch, missing entries
+    /// (a file without the `num_aps` entry, written before the input
+    /// contract, is one) or weight-shape drift.
     pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self> {
         ckpt.expect_kind(ModelKind::Anvil)?;
         let seed = ckpt.ints("seed")?.first().copied().unwrap_or(0);
@@ -197,6 +203,18 @@ impl AnvilLocalizer {
         let token_width = padded_width.div_ceil(TOKENS);
         check_stored_dim("padded_width / tokens", token_width, state.first(), 0)?;
         check_stored_dim("num_classes", num_classes, head_bias, 0)?;
+        // The access-point count must tokenise to the stored token width.
+        let num_aps = ckpt.usizes("num_aps")?;
+        match num_aps[..] {
+            [n] if n.div_ceil(TOKENS) == token_width => anvil.num_aps = n,
+            _ => {
+                return Err(CheckpointError::Corrupt(format!(
+                    "num_aps entry {num_aps:?} does not fold into {TOKENS} tokens of the \
+                     stored {token_width} columns"
+                ))
+                .into())
+            }
+        }
         let mut init_rng = SeededRng::new(seed.wrapping_add(1));
         let network = AnvilNetwork::new(&mut init_rng, padded_width, num_classes)?;
         network.load_state(state)?;
@@ -270,7 +288,7 @@ impl Framework for AnvilLocalizer {
         let mut stacked = Vec::with_capacity(features.len() * padded_width);
         for sample in features {
             let end = stacked.len() + padded_width;
-            stacked.extend(sample.iter().take(padded_width));
+            stacked.extend_from_slice(sample);
             stacked.resize(end, 0.0);
         }
         let rows = features.len() * TOKENS;
@@ -311,6 +329,10 @@ impl Framework for AnvilLocalizer {
 impl Localizer for AnvilLocalizer {
     fn name(&self) -> &str {
         "ANVIL"
+    }
+
+    fn num_aps(&self) -> usize {
+        self.num_aps
     }
 
     fn fit(&mut self, train: &FingerprintDataset) -> Result<()> {
@@ -365,6 +387,7 @@ impl Localizer for AnvilLocalizer {
             slot.1 += 1;
         }
         self.network = Some(network);
+        self.num_aps = train.num_aps();
         self.centroids = sums
             .into_iter()
             .map(|(sum, count)| {

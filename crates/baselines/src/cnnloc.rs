@@ -210,6 +210,14 @@ impl Localizer for CnnLocLocalizer {
         "CNNLoc"
     }
 
+    /// The autoencoder's input width: one mean-channel feature per access
+    /// point.
+    fn num_aps(&self) -> usize {
+        self.network
+            .as_ref()
+            .map_or(0, |network| network.autoencoder.input_dim())
+    }
+
     fn fit(&mut self, train: &FingerprintDataset) -> Result<()> {
         if train.is_empty() {
             return Err(VitalError::InvalidDataset("empty training set".into()));

@@ -117,6 +117,15 @@ impl FeatureMode {
         }
     }
 
+    /// Features per access point: three for [`FeatureMode::ThreeChannel`],
+    /// one for the rest.
+    pub(crate) fn channels(&self) -> usize {
+        match self {
+            FeatureMode::ThreeChannel => 3,
+            FeatureMode::MeanChannel | FeatureMode::Ssd | FeatureMode::Hlf => 1,
+        }
+    }
+
     /// Parses a [`FeatureMode::as_str`] identifier back.
     pub fn parse(s: &str) -> Option<FeatureMode> {
         match s {
@@ -169,10 +178,7 @@ impl FeatureExtractor {
     /// Width of the feature vector for a building with `num_aps` access
     /// points.
     pub fn feature_width(&self, num_aps: usize) -> usize {
-        match self.mode {
-            FeatureMode::MeanChannel | FeatureMode::Ssd | FeatureMode::Hlf => num_aps,
-            FeatureMode::ThreeChannel => 3 * num_aps,
-        }
+        self.mode.channels() * num_aps
     }
 
     fn raw_features(&self, observation: &FingerprintObservation) -> Vec<f32> {

@@ -114,13 +114,18 @@ impl Localizer for KnnLocalizer {
         Ok(())
     }
 
-    /// # Errors
-    /// [`VitalError::NotFitted`] before [`Localizer::fit`], and
-    /// [`VitalError::InvalidDataset`] for an observation whose features
-    /// are not as wide as the stored fingerprints' (another access-point
-    /// count than the survey's).
+    /// The stored fingerprints' width over the mode's channels per access
+    /// point.
+    fn num_aps(&self) -> usize {
+        let width = self.train_features.first().map_or(0, Vec::len);
+        width / self.extractor.mode().channels()
+    }
+
     fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>> {
-        let width = self.train_features.first().map(Vec::len);
+        if self.train_features.is_empty() {
+            return Err(VitalError::NotFitted);
+        }
+        vital::check_widths(self.num_aps(), observations)?;
         // Each query scans the whole fingerprint memory independently, so
         // the batch fans out across threads (the localizer is immutable
         // during inference, and clean extraction draws nothing).
@@ -128,13 +133,6 @@ impl Localizer for KnnLocalizer {
             let query = self
                 .extractor
                 .extract(observation, false, DrawKey::default());
-            if let Some(width) = width.filter(|&width| width != query.len()) {
-                return Err(VitalError::InvalidDataset(format!(
-                    "an observation of {} access points has {} features, the fingerprints {width}",
-                    observation.num_aps(),
-                    query.len()
-                )));
-            }
             let memory = self.train_features.iter().zip(&self.train_labels);
             weighted_knn_vote(memory, &query, self.k).ok_or(VitalError::NotFitted)
         })

@@ -20,6 +20,10 @@
 //! The comparison (§VI.C) means something only because every framework
 //! runs one protocol, so the four network baselines state just what
 //! differs, as a private `Framework` impl: *features → record → decide*.
+//! Before any of it, the shared `localize` holds the batch to the input
+//! contract: every observation has the [`vital::Localizer::num_aps`] the
+//! framework was fitted on ([`vital::check_widths`]), so no network sees
+//! a fingerprint of another access-point set.
 //!
 //! * **input**: a chunk's clean feature vectors as the `[rows, width]`
 //!   matrix the network reads (ANVIL tokenises here: eight rows a query).
@@ -86,7 +90,7 @@ use vital::Localizer;
 
 /// What one network baseline adds to the protocol they all share (module
 /// docs, "One protocol").
-pub(crate) trait Framework: Sync {
+pub(crate) trait Framework: Localizer {
     /// The trained network [`Framework::record`] runs.
     type Net: Layer;
 
@@ -163,14 +167,16 @@ pub(crate) fn map_rows<F: Framework, R: Send>(
     Ok(results)
 }
 
-/// [`Localizer::localize_batch`] of every network baseline: [`map_rows`]
-/// over `run` with [`Framework::decide`].
+/// [`Localizer::localize_batch`] of every network baseline: the input
+/// contract ([`vital::check_widths`]), then [`map_rows`] over `run` with
+/// [`Framework::decide`].
 pub(crate) fn localize<F: Framework>(
     framework: &F,
     observations: &[FingerprintObservation],
     run: impl Fn(&F::Net, &Tensor) -> vital::Result<Tensor>,
 ) -> vital::Result<Vec<usize>> {
     let (net, extractor) = framework.fitted()?;
+    vital::check_widths(framework.num_aps(), observations)?;
     map_rows::<F, _>(net, extractor, observations, run, |q, row| {
         framework.decide(q, row)
     })

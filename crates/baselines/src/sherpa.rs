@@ -222,6 +222,12 @@ impl Localizer for SherpaLocalizer {
         "SHERPA"
     }
 
+    /// The stored fingerprints' width: one mean-channel feature per access
+    /// point.
+    fn num_aps(&self) -> usize {
+        self.train_features.first().map_or(0, Vec::len)
+    }
+
     fn fit(&mut self, train: &FingerprintDataset) -> Result<()> {
         if train.is_empty() {
             return Err(VitalError::InvalidDataset("empty training set".into()));

@@ -238,6 +238,14 @@ impl Localizer for WiDeepLocalizer {
         "WiDeep"
     }
 
+    /// The autoencoder's input width: one mean-channel feature per access
+    /// point.
+    fn num_aps(&self) -> usize {
+        self.autoencoder
+            .as_ref()
+            .map_or(0, StackedAutoencoder::input_dim)
+    }
+
     fn fit(&mut self, train: &FingerprintDataset) -> Result<()> {
         if train.is_empty() {
             return Err(VitalError::InvalidDataset("empty training set".into()));

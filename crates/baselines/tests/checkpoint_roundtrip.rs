@@ -41,7 +41,8 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 /// Trains, saves, reloads both through `L::load` and the kind dispatcher,
-/// and asserts exact prediction equality on every observation.
+/// and asserts exact prediction equality on every observation and the
+/// same input contract (`num_aps`).
 fn assert_round_trip<L: Localizer>(
     mut localizer: L,
     file: &str,
@@ -56,6 +57,8 @@ fn assert_round_trip<L: Localizer>(
 
     let restored = reload(&path).unwrap();
     assert_eq!(restored.name(), localizer.name());
+    assert_eq!(localizer.num_aps(), dataset.num_aps());
+    assert_eq!(restored.num_aps(), localizer.num_aps());
     assert_eq!(
         restored.localize_batch(dataset.observations()).unwrap(),
         expected,
@@ -65,6 +68,7 @@ fn assert_round_trip<L: Localizer>(
 
     let dynamic = load_localizer(&path).unwrap();
     assert_eq!(dynamic.name(), localizer.name());
+    assert_eq!(dynamic.num_aps(), localizer.num_aps());
     assert_eq!(
         dynamic.localize_batch(dataset.observations()).unwrap(),
         expected,
@@ -135,13 +139,14 @@ fn anvil_round_trips_exactly() {
     );
 }
 
-/// Flips bit 40, and separately bit 1, of each sizing entry (by index) of
-/// `ckpt`'s `dims` and expects `from_checkpoint` to answer with a typed
-/// error: instead of asking the allocator for the terabytes the first
-/// flipped size implies, or of loading a model the second one leaves a
-/// layer or a stored label out of bounds of.
+/// Flips bit 40, and separately bit 1, of each sizing value (by index) of
+/// `ckpt`'s ints entry `ints` and expects `from_checkpoint` to answer with
+/// a typed error naming the entry: instead of asking the allocator for the
+/// terabytes the first flipped size implies, or of loading a model the
+/// second one leaves a layer or a stored label out of bounds of.
 fn assert_layer_sizes_are_held_to_the_weights<L>(
     ckpt: Checkpoint,
+    ints: &str,
     sizing: &[usize],
     from_checkpoint: fn(&Checkpoint) -> vital::Result<L>,
 ) {
@@ -150,31 +155,30 @@ fn assert_layer_sizes_are_held_to_the_weights<L>(
     // An ints entry is its name (`u64` length, UTF-8), its `u64` count and
     // its `u64` values, little-endian: bit `b` is bit `b % 8` of byte
     // `b / 8`.
-    let name = [&4u64.to_le_bytes()[..], b"dims"].concat();
+    let name = [&(ints.len() as u64).to_le_bytes()[..], ints.as_bytes()].concat();
     let values = bytes
         .windows(name.len())
         .position(|w| w == name)
-        .expect("the checkpoint has a dims entry")
+        .unwrap_or_else(|| panic!("the checkpoint has a {ints} entry"))
         + name.len()
         + 8;
-    let stored = ckpt.ints("dims").unwrap();
+    let stored = ckpt.ints(ints).unwrap();
     for &entry in sizing {
         for bit in [40, 1] {
             let mut corrupt = bytes.clone();
             corrupt[values + 8 * entry + bit / 8] ^= 1 << (bit % 8);
             let ckpt = Checkpoint::from_bytes(&corrupt).unwrap();
-            assert_eq!(
-                ckpt.ints("dims").unwrap()[entry],
-                stored[entry] ^ (1 << bit)
-            );
+            assert_eq!(ckpt.ints(ints).unwrap()[entry], stored[entry] ^ (1 << bit));
             match from_checkpoint(&ckpt) {
                 Err(VitalError::Checkpoint(CheckpointError::Corrupt(msg))) => {
-                    assert!(msg.contains("dims entry"), "{msg}")
+                    assert!(msg.contains(&format!("{ints} entry")), "{msg}")
                 }
                 Err(other) => {
-                    panic!("dims[{entry}] bit {bit}: expected a corrupt checkpoint, got {other:?}")
+                    panic!(
+                        "{ints}[{entry}] bit {bit}: expected a corrupt checkpoint, got {other:?}"
+                    )
                 }
-                Ok(_) => panic!("dims[{entry}] bit {bit}: a flipped size loaded"),
+                Ok(_) => panic!("{ints}[{entry}] bit {bit}: a flipped size loaded"),
             }
         }
     }
@@ -189,6 +193,7 @@ fn a_flipped_bit_of_a_layer_size_is_a_typed_error_not_an_abort() {
     // dims: epochs, top_candidates, neighbours, num_classes, width.
     assert_layer_sizes_are_held_to_the_weights(
         sherpa.to_checkpoint().unwrap(),
+        "dims",
         &[3, 4],
         SherpaLocalizer::from_checkpoint,
     );
@@ -200,6 +205,7 @@ fn a_flipped_bit_of_a_layer_size_is_a_typed_error_not_an_abort() {
     // dims: pretrain_epochs, epochs, num_classes, width.
     assert_layer_sizes_are_held_to_the_weights(
         cnnloc.to_checkpoint().unwrap(),
+        "dims",
         &[2, 3],
         CnnLocLocalizer::from_checkpoint,
     );
@@ -211,6 +217,7 @@ fn a_flipped_bit_of_a_layer_size_is_a_typed_error_not_an_abort() {
     // here) index, so bit 1 (10 → 8) leaves label 9 out of it.
     assert_layer_sizes_are_held_to_the_weights(
         wideep.to_checkpoint().unwrap(),
+        "dims",
         &[1, 2],
         WiDeepLocalizer::from_checkpoint,
     );
@@ -220,9 +227,38 @@ fn a_flipped_bit_of_a_layer_size_is_a_typed_error_not_an_abort() {
     // dims: epochs, num_classes, padded_width, embed_width.
     assert_layer_sizes_are_held_to_the_weights(
         anvil.to_checkpoint().unwrap(),
+        "dims",
         &[1, 2],
         AnvilLocalizer::from_checkpoint,
     );
+    // The access-point count must fold into the stored token width: bit 1
+    // takes the tiny set's 18 to 16, two tokens' worth instead of three.
+    assert_eq!(anvil.num_aps(), 18);
+    assert_layer_sizes_are_held_to_the_weights(
+        anvil.to_checkpoint().unwrap(),
+        "num_aps",
+        &[0],
+        AnvilLocalizer::from_checkpoint,
+    );
+}
+
+/// An ANVIL checkpoint written before the input contract (`VITALCKP`
+/// version 1, no `num_aps` entry) does not load: the typed missing-entry
+/// error, not a model that guesses its access-point count.
+#[test]
+fn an_anvil_checkpoint_without_its_access_point_count_is_a_missing_entry() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/anvil_v1.vckpt");
+    let ckpt = Checkpoint::read_from(&path).unwrap();
+    assert_eq!(ckpt.kind(), vital::ModelKind::Anvil);
+    let missing = |result: vital::Result<()>| match result {
+        Err(VitalError::Checkpoint(CheckpointError::MissingEntry { entry })) => {
+            assert_eq!(entry, "num_aps")
+        }
+        other => panic!("expected the missing num_aps entry, got {other:?}"),
+    };
+    missing(AnvilLocalizer::from_checkpoint(&ckpt).map(drop));
+    missing(AnvilLocalizer::load(&path).map(drop));
+    missing(load_localizer(&path).map(drop));
 }
 
 #[test]

@@ -67,7 +67,7 @@ pub use config::{DamConfig, TrainConfig, VitalConfig};
 pub use dam::DataAugmentationModule;
 pub use error::VitalError;
 pub use image::RssiImageCreator;
-pub use localizer::{evaluate_localizer, Localizer};
+pub use localizer::{check_widths, evaluate_localizer, Localizer};
 pub use metrics::LocalizationReport;
 pub use model::{TrainingReport, VitalModel};
 pub use vit::{EncoderBlock, VisionTransformer};

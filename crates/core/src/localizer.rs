@@ -19,9 +19,24 @@ use crate::{CheckpointError, LocalizationReport, Result, VitalError};
 /// concurrent dispatch workers. A model that regresses to single-threaded
 /// interior mutability (`Rc`/`RefCell`) stops compiling at its `impl` site
 /// rather than deep inside the server.
+///
+/// # The input contract
+///
+/// A model is fitted on one building's access-point set, and the phone may
+/// vary but that set does not: every observation must carry exactly
+/// [`Localizer::num_aps`] access points. [`check_widths`] is the one check
+/// of it. Every `localize_batch` runs it before any feature is extracted,
+/// and the server runs it before a request is queued, so a batch never
+/// holds an observation its model would refuse.
 pub trait Localizer: Send + Sync {
     /// Human-readable framework name (used in result tables).
     fn name(&self) -> &str;
+
+    /// The access-point count every observation must have: the width of
+    /// the survey the model was fitted on (or, for VITAL, configured
+    /// for). Zero before [`Localizer::fit`] for a framework that learns it
+    /// from the training set.
+    fn num_aps(&self) -> usize;
 
     /// Trains the framework on a labelled fingerprint dataset.
     ///
@@ -38,7 +53,9 @@ pub trait Localizer: Send + Sync {
     ///
     /// # Errors
     /// Returns [`VitalError::NotFitted`] if called before [`Localizer::fit`],
-    /// or the first per-observation error encountered.
+    /// [`VitalError::InvalidDataset`] if an observation breaks the input
+    /// contract ([`check_widths`]), or the first per-observation error
+    /// encountered.
     fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>>;
 
     /// Predicts the reference-point label of a single observation: a batch
@@ -91,6 +108,25 @@ pub trait Localizer: Send + Sync {
             model: std::any::type_name::<Self>().to_string(),
         }
         .into())
+    }
+}
+
+/// Holds `observations` to the input contract of a model of `num_aps`
+/// access points (see [`Localizer`]).
+///
+/// # Errors
+/// [`VitalError::InvalidDataset`] naming the first observation of another
+/// access-point count, its count and the expected one.
+pub fn check_widths(num_aps: usize, observations: &[FingerprintObservation]) -> Result<()> {
+    match observations
+        .iter()
+        .position(|observation| observation.num_aps() != num_aps)
+    {
+        None => Ok(()),
+        Some(i) => Err(VitalError::InvalidDataset(format!(
+            "observation {i} has {} access points, the model expects {num_aps}",
+            observations[i].num_aps()
+        ))),
     }
 }
 
@@ -154,6 +190,9 @@ mod tests {
     impl Localizer for ConstantLocalizer {
         fn name(&self) -> &str {
             "Constant"
+        }
+        fn num_aps(&self) -> usize {
+            0
         }
         fn fit(&mut self, _train: &FingerprintDataset) -> Result<()> {
             self.fitted = true;

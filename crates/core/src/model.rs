@@ -105,7 +105,6 @@ impl VitalModel {
     ) -> Result<()> {
         let slots = stacked.chunks_exact_mut(per_sample);
         for (j, (observation, slot)) in observations.into_iter().zip(slots).enumerate() {
-            self.check_num_aps("observation", observation.num_aps())?;
             write(j, &self.creator.create(observation)?, slot)?;
         }
         Ok(())
@@ -161,6 +160,7 @@ impl VitalModel {
         training: bool,
         rng: &mut SeededRng,
     ) -> Result<Tensor> {
+        crate::check_widths(self.config.num_aps, std::slice::from_ref(observation))?;
         let dims = [self.transformer.num_patches(), self.transformer.patch_dim()];
         let mut patches = vec![0.0; dims[0] * dims[1]];
         let key = if training {
@@ -172,24 +172,14 @@ impl VitalModel {
         Ok(Tensor::from_vec(patches, &dims)?)
     }
 
-    /// A model resamples whatever width it is given to its image size, so
-    /// a fingerprint of another access-point set would get a confident
-    /// answer; refuse it instead.
-    fn check_num_aps(&self, what: &str, num_aps: usize) -> Result<()> {
-        if num_aps != self.config.num_aps {
-            return Err(VitalError::InvalidDataset(format!(
-                "{what} has {num_aps} access points, the model is configured for {}",
-                self.config.num_aps
-            )));
-        }
-        Ok(())
-    }
-
+    /// The image creator resamples whatever width it is given to the image
+    /// size, so a fingerprint of another access-point set would train, or
+    /// get a confident answer; every entry point refuses it instead.
     fn check_dataset(&self, dataset: &FingerprintDataset) -> Result<()> {
         if dataset.is_empty() {
             return Err(VitalError::InvalidDataset("empty training set".into()));
         }
-        self.check_num_aps("training set", dataset.num_aps())?;
+        crate::check_widths(self.config.num_aps, dataset.observations())?;
         if let Some(&bad) = dataset
             .labels()
             .iter()
@@ -288,6 +278,7 @@ impl VitalModel {
         if !self.fitted {
             return Err(VitalError::NotFitted);
         }
+        crate::check_widths(self.config.num_aps, observations)?;
         let (rows, cols) = (
             self.transformer.distinct_patches(),
             self.transformer.distinct_dim(),
@@ -364,6 +355,10 @@ impl Localizer for VitalModel {
         "VITAL"
     }
 
+    fn num_aps(&self) -> usize {
+        self.config.num_aps
+    }
+
     fn fit(&mut self, train: &FingerprintDataset) -> Result<()> {
         VitalModel::fit(self, train)?;
         Ok(())
@@ -381,6 +376,7 @@ impl Localizer for VitalModel {
         if !self.fitted {
             return Err(VitalError::NotFitted);
         }
+        crate::check_widths(self.config.num_aps, observations)?;
         let mut predictions = Vec::with_capacity(observations.len());
         for chunk in observations.chunks(self.config.train.batch_size) {
             let fill = |stacked: &mut [f32]| self.write_folded(chunk, stacked);

@@ -47,12 +47,11 @@
 //!   still in the batch with a typed [`JobFailure::Failed`] (`jobs_failed`
 //!   metric), and the same worker collects the next batch.
 //!   Each model group also runs under its own `catch_unwind`, so a
-//!   panicking model fails only its group. A batch the model refuses (it
-//!   returns `Err`, say for one client's fingerprint of another
-//!   access-point count) is rerun job by job, so only the refused jobs
-//!   fail; a job the model refuses as invalid input
-//!   (`VitalError::InvalidDataset`) gets [`JobFailure::Refused`] (HTTP
-//!   `400`), any other error [`JobFailure::Failed`] (HTTP `500`).
+//!   panicking model fails only its group. There is no refusal to contain:
+//!   the HTTP layer holds every request to its model's input contract
+//!   (`vital::check_widths`) before it submits, so a batch holds only
+//!   observations its model accepts, and a model that still errors fails
+//!   its group with [`JobFailure::Failed`] (HTTP `500`).
 //! * **Staleness shedding** — every job carries its admission time and an
 //!   optional deadline; a worker that takes a job whose deadline passed in
 //!   the queue answers it with [`JobFailure::Expired`] (HTTP `504`) instead
@@ -73,7 +72,6 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use fingerprint::FingerprintObservation;
-use vital::VitalError;
 
 use crate::faultinject::FaultPlan;
 use crate::metrics::Metrics;
@@ -84,7 +82,8 @@ pub struct Job {
     /// Resolved model name (validated against the catalog before
     /// enqueueing, so the dispatch workers can group by it).
     pub model: String,
-    /// Observations to localize, in request order.
+    /// Observations to localize, in request order, each of the model's
+    /// access-point count (checked before enqueueing).
     pub observations: Vec<FingerprintObservation>,
     /// When the request was admitted (deadlines are measured from here;
     /// also the base for queue-delay accounting).
@@ -108,16 +107,13 @@ pub enum JobFailure {
     /// The model errored or panicked, or the batch panicked before it ran
     /// (message attached); the HTTP layer answers `500`.
     Failed(String),
-    /// The model refused the job's own observations as invalid input (the
-    /// reason attached); the HTTP layer answers `400`.
-    Refused(String),
 }
 
 impl std::fmt::Display for JobFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JobFailure::Expired => write!(f, "deadline exceeded before dispatch"),
-            JobFailure::Failed(message) | JobFailure::Refused(message) => write!(f, "{message}"),
+            JobFailure::Failed(message) => write!(f, "{message}"),
         }
     }
 }
@@ -627,9 +623,7 @@ fn fail_panicked_batch(
 
 /// Groups the drained `jobs` by model (preserving arrival order within
 /// each group), runs one `localize_batch` per group under `catch_unwind`
-/// and fans results back out. A group of several jobs the model returns an
-/// error for is rerun job by job, so one client's refused observation
-/// fails only its own request. Leaves `jobs` empty so the dispatch loop
+/// and fans results back out. Leaves `jobs` empty so the dispatch loop
 /// can refill it.
 fn execute(
     worker_id: usize,
@@ -684,59 +678,27 @@ fn execute(
                     }
                 }
             }
-            Err(error) if error.returned && group.len() > 1 => {
-                // The error may concern one job's observations only (a
-                // fingerprint of another access-point count): run each job
-                // on its own so the others still get their answers.
-                let mut offset = 0;
-                for (job, take) in group.iter().zip(lengths) {
-                    let alone = &batch[offset..offset + take];
-                    offset += take;
-                    match run_model(registry, &model, alone, config) {
-                        Ok(predictions) => {
-                            let _ = job.reply.send(Ok(predictions));
-                        }
-                        Err(error) => fail(std::slice::from_ref(job), error.failure, metrics),
-                    }
-                }
-            }
-            Err(error) => fail(&group, error.failure, metrics),
+            Err(message) => fail(&group, JobFailure::Failed(message), metrics),
         }
     }
 }
 
-/// Answers every job of `jobs` with `failure`. A fault counts in
-/// `jobs_failed` and an expiry in `jobs_expired`; a refusal counts in
-/// neither (the HTTP layer counts its `400` as a client error).
+/// Answers every job of `jobs` with `failure`, counted in `jobs_failed`
+/// or `jobs_expired`.
 fn fail(jobs: &[Job], failure: JobFailure, metrics: &Metrics) {
     let counter = match failure {
-        JobFailure::Failed(_) => Some(&metrics.jobs_failed),
-        JobFailure::Expired => Some(&metrics.jobs_expired),
-        JobFailure::Refused(_) => None,
+        JobFailure::Failed(_) => &metrics.jobs_failed,
+        JobFailure::Expired => &metrics.jobs_expired,
     };
-    if let Some(counter) = counter {
-        counter.fetch_add(jobs.len() as u64, Ordering::Relaxed);
-    }
+    counter.fetch_add(jobs.len() as u64, Ordering::Relaxed);
     for job in jobs {
         let _ = job.reply.send(Err(failure.clone()));
     }
 }
 
-/// Why a model group produced no predictions.
-struct RunError {
-    /// `localize_batch` returned the error, which may concern one job's
-    /// observations only. Otherwise the run panicked or answered the wrong
-    /// number of observations.
-    returned: bool,
-    /// What each job of the group is answered with.
-    failure: JobFailure,
-}
-
 /// Runs one model group under `catch_unwind`: a panicking model — poisoned
-/// weights, a bug in a localizer — fails only this group with a typed
-/// error, and the batch's other groups are still served. A model that
-/// refuses its input as invalid (`VitalError::InvalidDataset`) gives
-/// [`JobFailure::Refused`]; every other error is [`JobFailure::Failed`].
+/// weights, a bug in a localizer — fails only this group with a message
+/// naming the fault, and the batch's other groups are still served.
 /// `AssertUnwindSafe` is sound here because nothing crossing the boundary
 /// is observed after an unwind: the batch is dropped, the registry's
 /// models are immutable shared weights, and the metrics are atomics.
@@ -745,15 +707,11 @@ fn run_model(
     model: &str,
     batch: &[FingerprintObservation],
     config: &BatcherConfig,
-) -> Result<Vec<usize>, RunError> {
-    let broken = |message| RunError {
-        returned: false,
-        failure: JobFailure::Failed(message),
-    };
+) -> Result<Vec<usize>, String> {
     // Unreachable in practice: names are validated against the catalog
     // before enqueueing.
     let Some(localizer) = registry.get(Some(model)) else {
-        return Err(broken(format!("model {model:?} is not loaded")));
+        return Err(format!("model {model:?} is not loaded"));
     };
     let run = || localizer.localize_batch(batch);
     let executed =
@@ -762,26 +720,19 @@ fn run_model(
             None => run(),
         }));
     match executed {
-        Ok(Err(VitalError::InvalidDataset(reason))) => Err(RunError {
-            returned: true,
-            failure: JobFailure::Refused(format!("model {model:?} refused the input: {reason}")),
-        }),
-        Ok(Err(e)) => Err(RunError {
-            returned: true,
-            failure: JobFailure::Failed(format!("model {model:?} failed: {e}")),
-        }),
         Ok(Ok(predictions)) if predictions.len() == batch.len() => Ok(predictions),
         // A short/long result would make the fan-out slicing panic the
         // worker; degrade this batch instead.
-        Ok(Ok(predictions)) => Err(broken(format!(
+        Ok(Ok(predictions)) => Err(format!(
             "model {model:?} returned {} predictions for {} observations",
             predictions.len(),
             batch.len()
-        ))),
-        Err(payload) => Err(broken(format!(
+        )),
+        Ok(Err(e)) => Err(format!("model {model:?} failed: {e}")),
+        Err(payload) => Err(format!(
             "model {model:?} panicked: {}",
             panic_message(payload.as_ref())
-        ))),
+        )),
     }
 }
 
@@ -813,6 +764,9 @@ mod tests {
         fn name(&self) -> &str {
             "Echo"
         }
+        fn num_aps(&self) -> usize {
+            1
+        }
         fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
             Ok(())
         }
@@ -830,6 +784,9 @@ mod tests {
     impl Localizer for FailingLocalizer {
         fn name(&self) -> &str {
             "Failing"
+        }
+        fn num_aps(&self) -> usize {
+            1
         }
         fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
             Ok(())
@@ -1024,6 +981,9 @@ mod tests {
         fn name(&self) -> &str {
             "Short"
         }
+        fn num_aps(&self) -> usize {
+            1
+        }
         fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
             Ok(())
         }
@@ -1083,75 +1043,6 @@ mod tests {
         join_all(handles);
     }
 
-    /// A model that refuses any batch holding an observation whose width
-    /// is not 1, as `VitalModel` refuses one of another access-point count.
-    struct OneApLocalizer;
-
-    impl Localizer for OneApLocalizer {
-        fn name(&self) -> &str {
-            "OneAp"
-        }
-        fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
-            Ok(())
-        }
-        fn localize_batch(
-            &self,
-            observations: &[fingerprint::FingerprintObservation],
-        ) -> VitalResult<Vec<usize>> {
-            if observations.iter().any(|o| o.mean.len() != 1) {
-                return Err(VitalError::InvalidDataset(
-                    "wrong access-point count".into(),
-                ));
-            }
-            EchoLocalizer.localize_batch(observations)
-        }
-    }
-
-    #[test]
-    fn a_refused_observation_fails_only_its_own_job() {
-        let registry = Arc::new(Registry::from_models(vec![(
-            "one".into(),
-            Box::new(OneApLocalizer),
-        )]));
-        let metrics = Arc::new(Metrics::new());
-        let (client, handles) = start(
-            registry,
-            BatcherConfig {
-                max_batch: 8,
-                // A long window coalesces both jobs into one batch.
-                max_wait: Duration::from_millis(200),
-                queue_cap: 16,
-                workers: 1,
-                threads: Some(1),
-                ..BatcherConfig::default()
-            },
-            Arc::clone(&metrics),
-        )
-        .unwrap();
-        let two_aps = FingerprintObservation {
-            min: vec![-2.0; 2],
-            max: vec![-2.0; 2],
-            mean: vec![-2.0; 2],
-            ..obs(0.0)
-        };
-        let (tx_ok, rx_ok) = mpsc::sync_channel(1);
-        let (tx_bad, rx_bad) = mpsc::sync_channel(1);
-        client.submit(job("one", vec![obs(-4.0)], tx_ok)).unwrap();
-        client.submit(job("one", vec![two_aps], tx_bad)).unwrap();
-        assert_eq!(rx_ok.recv().unwrap().unwrap(), vec![4]);
-        match rx_bad.recv().unwrap() {
-            Err(JobFailure::Refused(reason)) => {
-                assert!(reason.contains("access-point count"), "{reason}")
-            }
-            other => panic!("expected a typed refusal, got {other:?}"),
-        }
-        drop(client);
-        join_all(handles);
-        assert_eq!(metrics.total_batches(), 1, "both jobs ran as one batch");
-        // A refusal is the client's error, not a model fault.
-        assert_eq!(metrics.jobs_failed.load(Ordering::Relaxed), 0);
-    }
-
     #[test]
     fn zero_max_batch_degrades_to_single_job_batches() {
         // A zero cap must not spin the worker or strand the job — it
@@ -1185,6 +1076,9 @@ mod tests {
     impl Localizer for PanickingLocalizer {
         fn name(&self) -> &str {
             "Panicking"
+        }
+        fn num_aps(&self) -> usize {
+            1
         }
         fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
             Ok(())
@@ -1248,6 +1142,9 @@ mod tests {
     impl Localizer for ThreadRecordingLocalizer {
         fn name(&self) -> &str {
             "ThreadRecording"
+        }
+        fn num_aps(&self) -> usize {
+            1
         }
         fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
             Ok(())
@@ -1540,6 +1437,9 @@ mod tests {
         impl Localizer for SlowLocalizer {
             fn name(&self) -> &str {
                 "Slow"
+            }
+            fn num_aps(&self) -> usize {
+                1
             }
             fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
                 Ok(())

@@ -159,7 +159,7 @@ fn run(args: Args) -> Result<(), String> {
     let catalog: Vec<String> = registry
         .catalog()
         .iter()
-        .map(|(name, kind)| format!("{name} ({kind})"))
+        .map(|(name, kind, _)| format!("{name} ({kind})"))
         .collect();
     let server = Server::start(
         ServerConfig {

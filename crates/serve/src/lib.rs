@@ -37,9 +37,10 @@
 //! executes under one `catch_unwind`, so any panic in it — a model's, or
 //! one the fault harness injects — fails only that batch's jobs (typed
 //! 500s) and the same dispatch worker collects the next batch: a worker
-//! cannot die, so nothing restarts one. A model's refusal of one job's
-//! observations is that job's typed `400`; jobs carry deadlines and are
-//! shed (`504`) at dispatch once stale; and a graceful drain
+//! cannot die, so nothing restarts one. A request whose observations break
+//! its model's input contract (another access-point count) is a `400`
+//! before it is queued, so it never shares a batch; jobs carry deadlines
+//! and are shed (`504`) at dispatch once stale; and a graceful drain
 //! (`POST /admin/drain`, SIGINT/SIGTERM, or [`Server::drain`]) completes
 //! queued work before the server exits.
 //!

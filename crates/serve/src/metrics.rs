@@ -123,8 +123,9 @@ pub struct Metrics {
     /// deadline 504s.
     pub server_errors: AtomicU64,
     /// Jobs whose model errored or panicked, or whose batch panicked, at
-    /// dispatch (each answered with a typed failure → HTTP 500). A model's
-    /// refusal of a job's input is a 400 and counts in `client_errors`.
+    /// dispatch (each answered with a typed failure → HTTP 500). A request
+    /// refused at admission for its access-point count never becomes a
+    /// job: it is a 400 and counts in `client_errors`.
     pub jobs_failed: AtomicU64,
     /// Jobs shed at dispatch because their deadline had already passed
     /// (each answered with HTTP 504).

@@ -124,11 +124,13 @@ impl Registry {
         &self.degraded
     }
 
-    /// `(name, kind)` pairs for `GET /v1/models` and request validation.
-    pub fn catalog(&self) -> Vec<(String, String)> {
+    /// `(name, kind, num_aps)` of each hosted model, for `GET /v1/models`
+    /// and request validation ([`Localizer::num_aps`] is the access-point
+    /// count the model's input contract asks of every observation).
+    pub fn catalog(&self) -> Vec<(String, String, usize)> {
         self.models
             .iter()
-            .map(|(name, kind, _)| (name.clone(), kind.clone()))
+            .map(|(name, kind, model)| (name.clone(), kind.clone(), model.num_aps()))
             .collect()
     }
 

@@ -5,9 +5,9 @@
 //!
 //! | route | behaviour |
 //! |---|---|
-//! | `POST /v1/localize` | decode → enqueue on the micro-batcher → wait for the batch's predictions (`400` with the reason when the model refuses the observations, `503` + `Retry-After` when the queue is full, `504` + `Retry-After` when the job's deadline passed in the queue) |
+//! | `POST /v1/localize` | decode → hold to the model's input contract → enqueue on the micro-batcher → wait for the batch's predictions (`400` naming both counts when an observation has another access-point count than the model's, before anything is queued; `503` + `Retry-After` when the queue is full, `504` + `Retry-After` when the job's deadline passed in the queue) |
 //! | `POST /admin/drain` | begin graceful shutdown: stop admitting (`503`), finish queued jobs, then stop accepting |
-//! | `GET /v1/models` | the catalog of hosted models (name + kind), including checkpoints that failed to load (status `degraded`) |
+//! | `GET /v1/models` | the catalog of hosted models (name, kind and `num_aps`, the access-point count each observation must have), including checkpoints that failed to load (status `degraded`) |
 //! | `GET /healthz` | liveness: `ok` / `degraded` (some models failed to load) / `503` while draining or with no live worker |
 //! | `GET /metrics` | counters, batch-size histogram, latency percentiles, queue depth, fault-tolerance counters |
 //!
@@ -74,8 +74,9 @@ impl Default for ServerConfig {
 struct Shared {
     metrics: Arc<Metrics>,
     batcher: BatcherClient,
-    /// `(name, kind)` catalog for `/v1/models` and request validation.
-    catalog: Vec<(String, String)>,
+    /// `(name, kind, num_aps)` catalog for `/v1/models` and request
+    /// validation.
+    catalog: Vec<(String, String, usize)>,
     /// `(name, error)` for checkpoints that failed to load at boot.
     degraded: Vec<(String, String)>,
     /// Accept-loop stop flag.
@@ -335,10 +336,11 @@ fn route(request: &Request, shared: &Arc<Shared>) -> Response {
             let mut entries: Vec<Json> = shared
                 .catalog
                 .iter()
-                .map(|(name, kind)| {
+                .map(|(name, kind, num_aps)| {
                     Json::obj([
                         ("name", Json::from(name.as_str())),
                         ("kind", Json::from(kind.as_str())),
+                        ("num_aps", Json::from(*num_aps)),
                         ("status", Json::from("ok")),
                     ])
                 })
@@ -437,9 +439,9 @@ fn localize(request: &Request, shared: &Shared) -> Response {
 
     // Resolve the model name against the catalog up front so the
     // dispatch workers only ever see valid names.
-    let model = match &decoded.model {
-        Some(name) => match shared.catalog.iter().find(|(n, _)| n == name) {
-            Some((name, _)) => name.clone(),
+    let (model, _, num_aps) = match &decoded.model {
+        Some(name) => match shared.catalog.iter().find(|(n, _, _)| n == name) {
+            Some(entry) => entry,
             None => {
                 return json_response(
                     404,
@@ -450,7 +452,7 @@ fn localize(request: &Request, shared: &Shared) -> Response {
         // With exactly one hosted model the name may be omitted; otherwise
         // it is required.
         None => match shared.catalog.as_slice() {
-            [(name, _)] => name.clone(),
+            [only] => only,
             _ => {
                 return json_response(
                     400,
@@ -461,6 +463,14 @@ fn localize(request: &Request, shared: &Shared) -> Response {
             }
         },
     };
+    // The model's input contract, held here so that no batch can form
+    // around an observation its model would refuse.
+    if let Err(error) = vital::check_widths(*num_aps, &decoded.observations) {
+        return json_response(
+            400,
+            &codec::error_response(&format!("model {model:?} refuses the input: {error}")),
+        );
+    }
 
     // Per-request deadline beats the server default; both are capped by
     // the codec at 24 h, so the Instant arithmetic cannot overflow.
@@ -504,7 +514,7 @@ fn localize(request: &Request, shared: &Shared) -> Response {
                 .record_us(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
             json_response(
                 200,
-                &codec::predictions_response(&model, &predictions, decoded.bulk),
+                &codec::predictions_response(model, &predictions, decoded.bulk),
             )
         }
         Ok(Err(JobFailure::Expired)) => json_response(
@@ -514,7 +524,6 @@ fn localize(request: &Request, shared: &Shared) -> Response {
             ),
         )
         .with_header("retry-after", "1"),
-        Ok(Err(JobFailure::Refused(reason))) => json_response(400, &codec::error_response(&reason)),
         Ok(Err(JobFailure::Failed(message))) => {
             json_response(500, &codec::error_response(&message))
         }

@@ -291,6 +291,9 @@ impl Localizer for PanickingLocalizer {
     fn name(&self) -> &str {
         "Boom"
     }
+    fn num_aps(&self) -> usize {
+        building_1().access_points().len()
+    }
     fn fit(&mut self, _: &FingerprintDataset) -> VitalResult<()> {
         Ok(())
     }
@@ -477,4 +480,37 @@ fn a_corrupt_checkpoint_degrades_one_model_not_the_boot() {
 
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An ANVIL checkpoint written before ANVIL stored its access-point count
+/// fails to load with the typed missing-entry error; in a checkpoint
+/// directory that degrades only that model, and the boot goes on.
+#[test]
+fn an_anvil_checkpoint_without_its_access_point_count_degrades_only_itself() {
+    let data = dataset();
+    let dir = std::env::temp_dir().join(format!(
+        "vital-chaos-anvil-v1-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
+    fitted_knn(&data)
+        .save(&dir.join("knn.vckpt"))
+        .expect("save knn");
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../baselines/tests/data/anvil_v1.vckpt");
+    std::fs::copy(fixture, dir.join("anvil.vckpt")).expect("copy the v1 ANVIL fixture");
+
+    let registry = Registry::from_checkpoint_dir(&dir).expect("degraded boot");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(registry.len(), 1, "the KNN checkpoint still loads");
+    assert_eq!(registry.catalog()[0].0, "knn");
+    let [(name, error)] = registry.degraded() else {
+        panic!("one degraded model, got {:?}", registry.degraded());
+    };
+    assert_eq!(name, "anvil");
+    assert!(
+        error.contains("missing entry \"num_aps\""),
+        "the degradation must name the missing entry: {error}"
+    );
 }

@@ -23,6 +23,9 @@ impl Localizer for EchoLocalizer {
     fn name(&self) -> &str {
         "Echo"
     }
+    fn num_aps(&self) -> usize {
+        1
+    }
     fn fit(&mut self, _: &FingerprintDataset) -> VitalResult<()> {
         Ok(())
     }

@@ -30,6 +30,9 @@ impl Localizer for EchoLocalizer {
     fn name(&self) -> &str {
         "Echo"
     }
+    fn num_aps(&self) -> usize {
+        1
+    }
     fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
         Ok(())
     }
@@ -196,11 +199,6 @@ proptest! {
                         "a failure must name the injected panic, got: {message}"
                     );
                     failed += 1;
-                }
-                Ok(Err(JobFailure::Refused(reason))) => {
-                    return Err(TestCaseError::fail(format!(
-                        "echo model cannot refuse, got: {reason}"
-                    )));
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     return Err(TestCaseError::fail(

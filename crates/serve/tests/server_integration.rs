@@ -13,14 +13,16 @@
 use std::net::TcpStream;
 use std::time::Duration;
 
-use baselines::{FeatureMode, KnnLocalizer};
+use baselines::{
+    AnvilLocalizer, CnnLocLocalizer, FeatureMode, KnnLocalizer, SherpaLocalizer, WiDeepLocalizer,
+};
 use fingerprint::{base_devices, DatasetConfig, FingerprintDataset, FingerprintObservation};
 use jsonio::Json;
 use serve::codec;
 use serve::http::{self, Conn, Method, Response};
 use serve::{BatcherConfig, Registry, Server, ServerConfig};
 use sim_radio::building_1;
-use vital::{Localizer, Result as VitalResult, VitalError};
+use vital::{Localizer, Result as VitalResult, VitalConfig, VitalModel};
 
 /// Small deterministic dataset (seed-fixed): training and query sets for
 /// the KNN model both server and offline reference are built from.
@@ -267,6 +269,12 @@ fn single_and_bulk_forms_round_trip_and_models_are_listed() {
         listed[0].get("kind").and_then(Json::as_str),
         Some("KNN-SSD")
     );
+    // The input contract a client must meet: each observation carries the
+    // survey's access points.
+    assert_eq!(
+        listed[0].get("num_aps").and_then(Json::as_usize),
+        Some(data.num_aps())
+    );
 
     // Single-observation form (named model) matches offline predict.
     let observation = &data.observations()[7];
@@ -315,6 +323,9 @@ impl Localizer for SlowLocalizer {
     fn name(&self) -> &str {
         "Slow"
     }
+    fn num_aps(&self) -> usize {
+        1
+    }
     fn fit(&mut self, _: &FingerprintDataset) -> VitalResult<()> {
         Ok(())
     }
@@ -324,112 +335,169 @@ impl Localizer for SlowLocalizer {
     }
 }
 
-/// A model that refuses any batch holding an observation whose width is
-/// not 1, as `VitalModel` refuses one of another access-point count, and
-/// otherwise predicts `round(-mean[0])`.
-struct OneApLocalizer;
+/// A survey small enough to fit every framework in a blink: building 1's
+/// 18 access points, its first 10 reference points, two devices.
+fn tiny_survey() -> FingerprintDataset {
+    let dataset = FingerprintDataset::collect(
+        &building_1(),
+        &base_devices()[..2],
+        &DatasetConfig {
+            captures_per_rp: 1,
+            samples_per_capture: 2,
+            seed: 21,
+        },
+    );
+    let subset: Vec<_> = dataset
+        .observations()
+        .iter()
+        .filter(|o| o.rp_label < 10)
+        .cloned()
+        .collect();
+    FingerprintDataset::from_observations(dataset.building(), dataset.num_aps(), 10, subset)
+}
 
-impl Localizer for OneApLocalizer {
-    fn name(&self) -> &str {
-        "OneAp"
+/// The six kinds, fitted on `survey` with a training budget of an epoch.
+fn fitted_six(survey: &FingerprintDataset) -> Vec<(String, Box<dyn Localizer>)> {
+    let mut config = VitalConfig::fast(survey.num_aps(), survey.num_rps());
+    config.image_size = 16;
+    config.patch_size = 4;
+    config.d_model = 24;
+    config.msa_heads = 4;
+    config.train.epochs = 1;
+    let mut six: Vec<(&str, Box<dyn Localizer>)> = vec![
+        ("vital", Box::new(VitalModel::new(config).expect("config"))),
+        ("knn", Box::new(KnnLocalizer::new(3, FeatureMode::Ssd))),
+        ("sherpa", Box::new(SherpaLocalizer::new(5).with_epochs(1))),
+        (
+            "cnnloc",
+            Box::new(
+                CnnLocLocalizer::new(6)
+                    .with_epochs(1)
+                    .with_pretrain_epochs(1),
+            ),
+        ),
+        (
+            "wideep",
+            Box::new(WiDeepLocalizer::new(7).with_pretrain_epochs(1)),
+        ),
+        ("anvil", Box::new(AnvilLocalizer::new(8).with_epochs(1))),
+    ];
+    for (_, model) in &mut six {
+        model.fit(survey).expect("fit");
     }
-    fn fit(&mut self, _: &FingerprintDataset) -> VitalResult<()> {
-        Ok(())
-    }
-    fn localize_batch(&self, observations: &[FingerprintObservation]) -> VitalResult<Vec<usize>> {
-        if observations.iter().any(|o| o.mean.len() != 1) {
-            return Err(VitalError::InvalidDataset(
-                "wrong access-point count".into(),
-            ));
-        }
-        Ok(observations.iter().map(|o| (-o.mean[0]) as usize).collect())
-    }
+    six.into_iter()
+        .map(|(name, model)| (name.to_string(), model))
+        .collect()
+}
+
+/// Sends `body` on a connection of its own.
+fn post_alone(addr: std::net::SocketAddr, body: &str) -> Response {
+    let stream = TcpStream::connect(addr).expect("connect");
+    post_localize(&mut Conn::new(&stream), &stream, body.as_bytes())
 }
 
 #[test]
-fn a_refused_observation_is_a_400_and_its_batch_mate_still_gets_200() {
-    let registry = Registry::from_models(vec![("one".into(), Box::new(OneApLocalizer))]);
+fn every_kind_refuses_another_access_point_count_before_it_queues() {
+    let survey = tiny_survey();
+    let aps = survey.num_aps();
+    let well_formed = &survey.observations()[..4];
+    let six = fitted_six(&survey);
+    let expected: Vec<(String, Vec<usize>)> = six
+        .iter()
+        .map(|(name, model)| {
+            let offline = model.localize_batch(well_formed).expect("offline");
+            (name.clone(), offline)
+        })
+        .collect();
     let server = Server::start(
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             batcher: BatcherConfig {
-                max_batch: 8,
-                // A long window coalesces both requests into one batch.
-                max_wait: Duration::from_millis(300),
                 workers: 1,
                 threads: Some(1),
                 ..BatcherConfig::default()
             },
             ..ServerConfig::default()
         },
-        registry,
+        Registry::from_models(six),
     )
     .expect("server start");
     let addr = server.addr();
-
-    let one_ap = FingerprintObservation {
-        rp_label: 0,
-        device: String::new(),
-        min: vec![-4.0],
-        max: vec![-4.0],
-        mean: vec![-4.0],
+    let batch_sizes = || {
+        server
+            .metrics()
+            .snapshot_json()
+            .get("batch_size_hist")
+            .cloned()
     };
-    let two_aps = FingerprintObservation {
-        min: vec![-2.0; 2],
-        max: vec![-2.0; 2],
-        mean: vec![-2.0; 2],
-        ..one_ap.clone()
-    };
-    let bodies = [
-        codec::localize_request_body(None, std::slice::from_ref(&one_ap)),
-        codec::localize_request_body(None, std::slice::from_ref(&two_aps)),
-    ];
-    let start = std::sync::Barrier::new(bodies.len());
-    let [accepted, refused] = std::thread::scope(|scope| {
-        let clients = bodies.each_ref().map(|body| {
-            let start = &start;
-            scope.spawn(move || {
-                let stream = TcpStream::connect(addr).expect("connect");
-                let mut conn = Conn::new(&stream);
-                start.wait();
-                post_localize(&mut conn, &stream, body.as_bytes())
-            })
-        });
-        clients.map(|client| client.join().expect("client thread"))
-    });
 
-    assert_eq!(accepted.status, 200);
-    assert_eq!(
-        codec::parse_predictions(&accepted.body).expect("parse"),
-        vec![4]
-    );
-    assert_eq!(refused.status, 400);
-    let doc = jsonio::parse(std::str::from_utf8(&refused.body).unwrap()).unwrap();
-    let reason = doc.get("error").and_then(Json::as_str).unwrap_or_default();
-    assert!(reason.contains("access-point count"), "{reason}");
+    let mut refusals = 0;
+    for (name, offline) in &expected {
+        for width in [aps - 3, aps + 3] {
+            let mut other = well_formed[0].clone();
+            for channel in [&mut other.min, &mut other.max, &mut other.mean] {
+                channel.resize(width, -100.0);
+            }
+            let refused_body = codec::localize_request_body(Some(name), &[other]);
+            let assert_refused = |response: &Response| {
+                assert_eq!(response.status, 400, "{name}, {width} APs");
+                let doc = jsonio::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
+                let reason = doc.get("error").and_then(Json::as_str).unwrap_or_default();
+                assert!(
+                    reason.contains(&format!("has {width} access points"))
+                        && reason.contains(&format!("expects {aps}")),
+                    "{name}: {reason}"
+                );
+            };
 
+            // Alone: refused before it is queued, so no batch forms.
+            let before = batch_sizes();
+            assert_refused(&post_alone(addr, &refused_body));
+            assert_eq!(batch_sizes(), before, "{name}: a refused request ran");
+
+            // Beside a well-formed request, which is served as offline.
+            let good_body = codec::localize_request_body(Some(name), well_formed);
+            let bodies = [refused_body, good_body];
+            let start = std::sync::Barrier::new(bodies.len());
+            let [refused, served] = std::thread::scope(|scope| {
+                let clients = bodies.each_ref().map(|body| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        post_alone(addr, body)
+                    })
+                });
+                clients.map(|client| client.join().expect("client thread"))
+            });
+            assert_refused(&refused);
+            refusals += 2;
+            assert_eq!(served.status, 200, "{name}");
+            assert_eq!(
+                &codec::parse_predictions(&served.body).expect("parse"),
+                offline,
+                "{name}: served diverged from offline localize_batch"
+            );
+        }
+    }
+
+    // Only well-formed observations were ever dispatched, and a refusal is
+    // the client's error, not a model fault.
     let metrics = server.metrics().snapshot_json();
-    let hist = metrics
+    let dispatched: usize = metrics
         .get("batch_size_hist")
         .and_then(Json::as_array)
         .expect("batch histogram")
-        .to_vec();
-    assert_eq!(hist.len(), 1, "one dispatch: {hist:?}");
-    assert_eq!(
-        hist[0].get("size").and_then(Json::as_usize),
-        Some(2),
-        "the two requests were coalesced"
-    );
-    // A refusal is the client's error, not a model fault.
-    assert_eq!(
-        metrics.get("client_errors").and_then(Json::as_usize),
-        Some(1)
-    );
-    assert_eq!(metrics.get("jobs_failed").and_then(Json::as_usize), Some(0));
-    assert_eq!(
-        metrics.get("server_errors").and_then(Json::as_usize),
-        Some(0)
-    );
+        .iter()
+        .map(|b| {
+            let size = b.get("size").and_then(Json::as_usize).unwrap();
+            size * b.get("count").and_then(Json::as_usize).unwrap()
+        })
+        .sum();
+    assert_eq!(dispatched, expected.len() * 2 * well_formed.len());
+    let counter = |name: &str| metrics.get(name).and_then(Json::as_usize);
+    assert_eq!(counter("client_errors"), Some(refusals));
+    assert_eq!(counter("jobs_failed"), Some(0));
+    assert_eq!(counter("server_errors"), Some(0));
 }
 
 #[test]
