@@ -1,8 +1,10 @@
 // Justified exception to the workspace RefCell ban, for this module only:
 // the tape is a per-pass, per-thread recorder by design (see the threading
 // note on [`Tape`]); making it Sync would add lock traffic to every
-// recorded op for no sharing benefit. vital-lint pins the ban itself in
-// ci/lint-rules.toml.
+// recorded op for no sharing benefit. The ban itself is clippy.toml's
+// `disallowed_types`; vital-lint pins the `deny` attributes that enforce it
+// in the crates a shared registry reaches (`[[hygiene.required]]` in
+// ci/lint-rules.toml).
 #![allow(clippy::disallowed_types)]
 
 use std::cell::RefCell;

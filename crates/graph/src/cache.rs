@@ -18,8 +18,9 @@
 //! - [`ArenaPool`]'s `arenas` free list, held only to pop/push an arena.
 //!   Execution happens with no lock held at all.
 //!
-//! Both are registered as `[[lock_order.site]]` entries in
-//! `ci/lint-rules.toml`; the counters in [`crate::stats`] are lock-free.
+//! vital-lint's `lock-order` rule fails any acquisition made while a guard
+//! of either is live (`tests/static_analysis.rs` seeds one under `plans`
+//! to show it); the counters in [`crate::stats`] are lock-free.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

@@ -35,8 +35,9 @@
 //! Steady state — an arena reused across requests of the same batch shape
 //! — [`CompiledPlan::execute_with`] performs **zero** allocations. The
 //! per-step functions (`run`, `run_kernel`, `run_post`, `resolve`, `load`)
-//! are held to that by the `hot-path-alloc` lint span in
-//! `ci/lint-rules.toml`, as are the kernels they call.
+//! and the kernels they call are held to that by
+//! `core/tests/warm_allocs.rs`: once a warm `predict_folded` has filled
+//! its input, the only block it allocates is the returned answer.
 
 use tensor::{gemm_strided_into_at, kernels, Tensor};
 

@@ -7,8 +7,9 @@
 //! reading `/metrics` can never contend with — let alone deadlock against —
 //! an in-flight compiled-plan execution. There is no `Mutex`/`RwLock` in
 //! this module by design; the only graph-subsystem locks are the plan
-//! cache's `plans` map and the arena pool's `arenas` free list, both
-//! registered as `[[lock_order.site]]` entries in `ci/lint-rules.toml`.
+//! cache's `plans` map and the arena pool's `arenas` free list, and
+//! vital-lint's `lock-order` rule fails any acquisition made while either
+//! is held (`tests/static_analysis.rs` seeds one under `plans` to show it).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -22,23 +22,22 @@
 //!
 //! Every token carries its 1-based line and column for diagnostics.
 
-/// What a [`Token`] is.
+/// What a [`Token`] is. Only identifiers carry their text: the rules need
+/// to know that a region is a literal or a lifetime, never its value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokenKind {
     /// An identifier or keyword (`fn`, `unwrap`, `r#match` → `match`).
     Ident(String),
-    /// A lifetime such as `'a` (without the quote).
-    Lifetime(String),
-    /// A character literal such as `'x'` or `'\n'`.
+    /// A lifetime such as `'a`.
+    Lifetime,
+    /// A character or byte literal such as `'x'`, `'\n'` or `b'{'`.
     CharLit,
-    /// Any string literal form; the payload is the raw source slice
-    /// *between* the delimiters (escapes are not processed — rules only
-    /// need to know the region is a literal, never its decoded value).
-    StrLit(String),
-    /// An integer literal, stored as written (`0`, `1_000`, `0xff`).
-    IntLit(String),
-    /// A float literal, stored as written.
-    FloatLit(String),
+    /// Any string literal form: plain, byte, raw or raw-byte.
+    StrLit,
+    /// An integer literal (`0`, `1_000`, `0xff`, `7u8`).
+    IntLit,
+    /// A float literal (`1.5`, `1e-3`, `2.0f32`).
+    FloatLit,
     /// A single punctuation character (`.`, `(`, `{`, `#`, …). Multi-char
     /// operators arrive as consecutive tokens, which is all the rules need.
     Punct(char),
@@ -80,24 +79,22 @@ pub fn lex(source: &str) -> Vec<Token> {
     Lexer::new(source).run()
 }
 
-struct Lexer<'s> {
+struct Lexer {
     chars: Vec<char>,
     pos: usize,
     line: u32,
     col: u32,
     tokens: Vec<Token>,
-    source: std::marker::PhantomData<&'s ()>,
 }
 
-impl<'s> Lexer<'s> {
-    fn new(source: &'s str) -> Self {
+impl Lexer {
+    fn new(source: &str) -> Self {
         Lexer {
             chars: source.chars().collect(),
             pos: 0,
             line: 1,
             col: 1,
             tokens: Vec::new(),
-            source: std::marker::PhantomData,
         }
     }
 
@@ -209,28 +206,16 @@ impl<'s> Lexer<'s> {
 
     fn string_lit(&mut self, line: u32, col: u32) {
         self.bump(); // opening quote
-        let mut content = String::new();
-        while let Some(c) = self.peek(0) {
+        while let Some(c) = self.bump() {
             match c {
-                '"' => {
-                    self.bump();
-                    break;
-                }
+                '"' => break,
                 '\\' => {
-                    // Keep the escape verbatim; rules never decode strings.
-                    content.push(c);
-                    self.bump();
-                    if let Some(escaped) = self.bump() {
-                        content.push(escaped);
-                    }
+                    self.bump(); // the escaped character, a quote included
                 }
-                _ => {
-                    content.push(c);
-                    self.bump();
-                }
+                _ => {}
             }
         }
-        self.push(TokenKind::StrLit(content), line, col);
+        self.push(TokenKind::StrLit, line, col);
     }
 
     /// Lexes a raw string with the leading `r`/`br` already consumed.
@@ -241,7 +226,6 @@ impl<'s> Lexer<'s> {
             self.bump();
         }
         self.bump(); // opening quote
-        let mut content = String::new();
         'outer: while let Some(c) = self.peek(0) {
             if c == '"' {
                 // A closing quote must be followed by exactly `hashes`
@@ -258,10 +242,9 @@ impl<'s> Lexer<'s> {
                     break 'outer;
                 }
             }
-            content.push(c);
             self.bump();
         }
-        self.push(TokenKind::StrLit(content), line, col);
+        self.push(TokenKind::StrLit, line, col);
     }
 
     /// Disambiguates `'a'` (char literal) from `'a` (lifetime) at a `'`.
@@ -281,8 +264,10 @@ impl<'s> Lexer<'s> {
                 if len == 1 && self.peek(1) == Some('\'') {
                     self.char_lit_body(line, col);
                 } else {
-                    let name: String = (0..len).filter_map(|_| self.bump()).collect();
-                    self.push(TokenKind::Lifetime(name), line, col);
+                    for _ in 0..len {
+                        self.bump();
+                    }
+                    self.push(TokenKind::Lifetime, line, col);
                 }
             }
             // `'(' …: a char literal of punctuation, e.g. `'{'`.
@@ -313,37 +298,33 @@ impl<'s> Lexer<'s> {
     }
 
     fn number(&mut self, line: u32, col: u32) {
-        let mut text = String::new();
         let mut is_float = false;
         // Hex/octal/binary prefix.
         if self.peek(0) == Some('0') && matches!(self.peek(1), Some('x' | 'o' | 'b')) {
-            text.push(self.bump().unwrap_or('0'));
-            text.push(self.bump().unwrap_or('x'));
+            self.bump();
+            self.bump();
             while matches!(self.peek(0), Some(c) if c.is_ascii_alphanumeric() || c == '_') {
-                text.push(self.bump().unwrap_or('0'));
+                self.bump();
             }
-            self.push(TokenKind::IntLit(text), line, col);
+            self.push(TokenKind::IntLit, line, col);
             return;
         }
         while let Some(c) = self.peek(0) {
             match c {
                 c if c.is_ascii_digit() || c == '_' => {
-                    text.push(c);
                     self.bump();
                 }
                 // A dot is part of the number only when followed by a digit
                 // or standing alone (`1.`), not in `1.max(2)` or `0..n`.
                 '.' if !is_float && self.peek(1).is_none_or(|n| !n.is_alphabetic() && n != '.') => {
                     is_float = true;
-                    text.push(c);
                     self.bump();
                 }
                 'e' | 'E' if matches!(self.peek(1), Some(c) if c.is_ascii_digit() || c == '+' || c == '-') =>
                 {
                     is_float = true;
-                    text.push(c);
                     self.bump();
-                    text.push(self.bump().unwrap_or('0'));
+                    self.bump();
                 }
                 // Type suffix (`1u32`, `1.0f32`).
                 c if c.is_alphabetic() => {
@@ -356,9 +337,9 @@ impl<'s> Lexer<'s> {
             }
         }
         let kind = if is_float {
-            TokenKind::FloatLit(text)
+            TokenKind::FloatLit
         } else {
-            TokenKind::IntLit(text)
+            TokenKind::IntLit
         };
         self.push(kind, line, col);
     }
@@ -417,9 +398,7 @@ mod tests {
     fn unwrap_inside_string_literal_is_a_string() {
         let tokens = lex(r#"let s = "please .unwrap() me";"#);
         assert!(!idents(r#"let s = "please .unwrap() me";"#).contains(&"unwrap".to_string()));
-        assert!(tokens
-            .iter()
-            .any(|t| matches!(&t.kind, TokenKind::StrLit(s) if s.contains("unwrap"))));
+        assert!(tokens.iter().any(|t| t.kind == TokenKind::StrLit));
     }
 
     #[test]
@@ -471,28 +450,27 @@ mod tests {
             .iter()
             .filter(|t| t.kind == TokenKind::CharLit)
             .count();
-        let lifetimes: Vec<_> = tokens
+        let lifetimes = tokens
             .iter()
-            .filter_map(|t| match &t.kind {
-                TokenKind::Lifetime(l) => Some(l.as_str()),
-                _ => None,
-            })
-            .collect();
+            .filter(|t| t.kind == TokenKind::Lifetime)
+            .count();
         assert_eq!(chars, 1);
-        assert_eq!(lifetimes, vec!["a", "a"]);
+        assert_eq!(lifetimes, 2);
+        assert_eq!(
+            idents("fn f<'a>(x: &'a str) {}"),
+            vec!["fn", "f", "x", "str"]
+        );
     }
 
     #[test]
     fn static_lifetime_and_escaped_chars() {
         let tokens = lex(r"let s: &'static str = x; let q = '\''; let n = '\n';");
-        let lifetimes: Vec<_> = tokens
+        let lifetimes = tokens
             .iter()
-            .filter_map(|t| match &t.kind {
-                TokenKind::Lifetime(l) => Some(l.as_str()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(lifetimes, vec!["static"]);
+            .filter(|t| t.kind == TokenKind::Lifetime)
+            .count();
+        assert_eq!(lifetimes, 1);
+        assert!(!idents(r"let s: &'static str = x;").contains(&"static".to_string()));
         let chars = tokens
             .iter()
             .filter(|t| t.kind == TokenKind::CharLit)
@@ -528,20 +506,18 @@ mod tests {
 
     #[test]
     fn numbers_with_suffixes_and_ranges() {
-        let tokens = lex("0..n; 1_000u64; 0xff; 1.5e-3; x.0");
-        assert!(tokens
-            .iter()
-            .any(|t| t.kind == TokenKind::IntLit("1_000".into())));
-        assert!(tokens
-            .iter()
-            .any(|t| t.kind == TokenKind::IntLit("0xff".into())));
-        assert!(tokens
-            .iter()
-            .any(|t| matches!(&t.kind, TokenKind::FloatLit(f) if f.starts_with("1.5"))));
+        let kinds: Vec<_> = lex("0..n; 1_000u64; 0xff; 1.5e-3; x.0")
+            .into_iter()
+            .map(|t| t.kind)
+            .collect();
+        let count = |kind: TokenKind| kinds.iter().filter(|k| **k == kind).count();
+        assert_eq!(
+            (count(TokenKind::IntLit), count(TokenKind::FloatLit)),
+            (4, 1)
+        );
+        assert_eq!(count(TokenKind::Punct('.')), 3, "{kinds:?}");
         // `x.0` is ident, dot, int — a tuple index, not a float.
-        assert!(tokens
-            .iter()
-            .any(|t| t.kind == TokenKind::IntLit("0".into())));
+        assert_eq!(kinds.last(), Some(&TokenKind::IntLit));
     }
 
     #[test]
@@ -565,8 +541,6 @@ mod tests {
     #[test]
     fn unterminated_string_does_not_hang() {
         let tokens = lex("let s = \"oops");
-        assert!(tokens
-            .iter()
-            .any(|t| matches!(&t.kind, TokenKind::StrLit(s) if s == "oops")));
+        assert_eq!(tokens.last().map(|t| &t.kind), Some(&TokenKind::StrLit));
     }
 }

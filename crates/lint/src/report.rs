@@ -1,4 +1,4 @@
-//! Findings, the lock-order graph, and report rendering: human diagnostics
+//! Findings and report rendering: human diagnostics
 //! (`file:line:col: rule: message`, one per line, stable order), which the
 //! tier-1 gate prints when it fails.
 
@@ -9,11 +9,10 @@ use std::fmt::Write as _;
 pub enum Rule {
     /// Panic-freedom on the serve request path.
     PanicFreedom,
-    /// Lock-order / deadlock detection.
+    /// No lock is held while another is taken.
     LockOrder,
-    /// Hot-path allocation bans.
-    HotPathAlloc,
-    /// Concurrency hygiene (channel bans, guard-rail presence).
+    /// Concurrency hygiene (channel ban, `unsafe` confinement, guard-rail
+    /// presence).
     Hygiene,
 }
 
@@ -23,9 +22,15 @@ impl Rule {
         match self {
             Rule::PanicFreedom => "panic-freedom",
             Rule::LockOrder => "lock-order",
-            Rule::HotPathAlloc => "hot-path-alloc",
             Rule::Hygiene => "hygiene",
         }
+    }
+
+    /// The rule a diagnostic identifier names.
+    pub fn from_id(id: &str) -> Option<Rule> {
+        [Rule::PanicFreedom, Rule::LockOrder, Rule::Hygiene]
+            .into_iter()
+            .find(|rule| rule.id() == id)
     }
 }
 
@@ -55,46 +60,6 @@ pub struct Allowed {
     pub reason: String,
 }
 
-/// One observed lock acquisition, a node-site in the graph.
-#[derive(Debug, Clone)]
-pub struct LockAcquisition {
-    /// Lock class (node name), e.g. `serve::JobQueue::state`.
-    pub class: String,
-    /// `lock`, `read` or `write`.
-    pub method: String,
-    /// Workspace-relative file path.
-    pub file: String,
-    /// 1-based line.
-    pub line: u32,
-    /// Enclosing function name.
-    pub function: String,
-}
-
-/// A may-hold-while-acquiring edge: a guard of `from` was live when `to`
-/// was acquired.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LockEdge {
-    /// Held lock class.
-    pub from: String,
-    /// Acquired lock class.
-    pub to: String,
-    /// Where the acquisition happened.
-    pub file: String,
-    /// 1-based line of the acquisition.
-    pub line: u32,
-    /// Enclosing function name.
-    pub function: String,
-}
-
-/// The workspace-wide lock-order graph.
-#[derive(Debug, Clone, Default)]
-pub struct LockGraph {
-    /// Every acquisition site observed (the graph's nodes, with spans).
-    pub acquisitions: Vec<LockAcquisition>,
-    /// Every hold-while-acquiring edge observed.
-    pub edges: Vec<LockEdge>,
-}
-
 /// The result of one lint run.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
@@ -106,13 +71,11 @@ pub struct Report {
     /// removal — surfaced, but not fatal, so deleting dead exceptions
     /// never blocks an unrelated change).
     pub stale_allows: Vec<String>,
-    /// Configured targets that matched nothing this run: a hot-path span
-    /// whose file or function is gone, a lock site never acquired, an
-    /// `unsafe` directory holding no file. A rule aimed at a renamed
-    /// target passes vacuously, so the tier-1 gate requires this empty.
+    /// Configured targets that matched nothing this run: a panic-freedom
+    /// prefix or an `unsafe` directory holding no scanned file. A rule
+    /// aimed at a renamed target passes vacuously, so the tier-1 gate
+    /// requires this empty.
     pub stale_targets: Vec<String>,
-    /// The lock-order graph.
-    pub lock_graph: LockGraph,
     /// Number of `.rs` files analyzed.
     pub files_scanned: usize,
 }
@@ -144,11 +107,10 @@ impl Report {
         }
         let _ = writeln!(
             out,
-            "vital-lint: {} file(s) scanned, {} finding(s), {} allowlisted, {} lock edge(s)",
+            "vital-lint: {} file(s) scanned, {} finding(s), {} allowlisted",
             self.files_scanned,
             self.findings.len(),
-            self.allowed.len(),
-            self.lock_graph.edges.len()
+            self.allowed.len()
         );
         out
     }

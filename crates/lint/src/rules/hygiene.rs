@@ -1,138 +1,310 @@
-//! Concurrency hygiene: unbounded-channel ban, `unsafe` confinement, and
-//! guard-rail presence.
+//! Concurrency hygiene: lock order, the unbounded-channel ban, `unsafe`
+//! confinement, and guard-rail presence.
 //!
-//! Three checks:
-//!
-//! * **No unbounded `mpsc::channel`** in production code, workspace-wide.
-//!   Every queue in the serve path is bounded by design (backpressure is
-//!   what keeps overload a `503` instead of an OOM); an unbounded channel
-//!   anywhere is a buffer that grows until the process dies. Use
-//!   `mpsc::sync_channel` (or the serve `JobQueue`) instead.
+//! * **No lock is held while another is taken** (rule `lock-order`). One
+//!   pass over a file's production tokens tracks brace depth and every
+//!   live guard — the value of a no-argument `.lock()`, `.read()` or
+//!   `.write()` call — and any acquisition while a guard is live is a
+//!   finding, whatever the two locks are. A guard lives until its block
+//!   closes or it is `drop`ped if `let`-bound (`let … else` included), to
+//!   the end of its statement if it is a temporary, and to the end of the
+//!   attached block if it is the scrutinee of `if let`, `while let` or
+//!   `match`, or the iterator of a `for`. Two locks that are never held
+//!   together cannot be taken in opposite orders, and no lock can be
+//!   re-taken under itself, so this needs no lock names and no graph.
+//! * **No unbounded `mpsc::channel`** in production code, workspace-wide,
+//!   whether called by its path or imported (`use std::sync::mpsc::channel`
+//!   or a `{…}` group naming it). Every queue in the serve path is bounded
+//!   by design (backpressure is what keeps overload a `503` instead of an
+//!   OOM); an unbounded channel anywhere is a buffer that grows until the
+//!   process dies. Use `mpsc::sync_channel` (or the serve `JobQueue`).
 //! * **`unsafe` is confined** to the directories named in
 //!   `unsafe_allowed_dirs` (the audited SIMD backend): any `unsafe` token
-//!   in a production file elsewhere is a finding, and inside the allowed
-//!   directories every `unsafe fn` / `unsafe {` must sit within a few
-//!   lines of a `SAFETY`/`# Safety` comment explaining its contract.
+//!   in a production file elsewhere is a finding, every crate root
+//!   (`lib.rs`) elsewhere must carry `#![forbid(unsafe_code)]`, and inside
+//!   the allowed directories every `unsafe fn` / `unsafe {` must sit within
+//!   a few lines of a `SAFETY`/`# Safety` comment explaining its contract.
 //! * **Guard rails stay present** — the `#![deny(clippy::disallowed_types)]`
-//!   attributes, the compile-time `Send + Sync` assertions from the
-//!   shared-registry refactor, and the `#![forbid(unsafe_code)]` attributes
-//!   are load-bearing: each is verified as a raw-text pattern so deleting
-//!   one fails this lint even though the build would still pass.
+//!   attributes and the compile-time `Send + Sync` assertions from the
+//!   shared-registry refactor are load-bearing: each is verified as a
+//!   raw-text pattern so deleting one fails this lint even though the
+//!   build would still pass.
 
 use crate::analyze::FileContext;
 use crate::config::RulesConfig;
+use crate::lexer::{Token, TokenKind};
 use crate::report::{Finding, Rule};
 
-/// Token-level checks (the channel ban and `unsafe` confinement) for one
-/// file.
+const UNSAFE_OUTSIDE: &str = "`unsafe` is confined to the audited SIMD backend (see \
+    `unsafe_allowed_dirs` in ci/lint-rules.toml); route vector work through the safe `simd` \
+    crate API instead";
+const UNBOUNDED_CHANNEL: &str = "unbounded `mpsc::channel` is banned (no backpressure), called \
+    or imported; use `mpsc::sync_channel` with an explicit capacity";
+const NO_FORBID: &str = "crate root must carry `#![forbid(unsafe_code)]` (`unsafe` lives only \
+    under `unsafe_allowed_dirs` in ci/lint-rules.toml)";
+const NO_SAFETY: &str = "`unsafe` without a nearby SAFETY comment: state the contract that \
+    makes this sound (within 12 lines above the site)";
+const MISSING_FILE: &str =
+    "guard-rail file is named in ci/lint-rules.toml but was not found in the workspace";
+
+/// A hygiene finding about line `line` of `file` (`0` for a missing file).
+fn file_finding(file: &str, line: usize, message: String, snippet: &str) -> Finding {
+    Finding {
+        rule: Rule::Hygiene,
+        file: file.to_string(),
+        line: line as u32,
+        col: line.min(1) as u32,
+        message,
+        snippet: snippet.to_string(),
+    }
+}
+
+/// Token-level checks (lock order, the channel ban and `unsafe`
+/// confinement) for one file.
 pub fn check(ctx: &FileContext<'_>, config: &RulesConfig) -> Vec<Finding> {
-    let mut findings = Vec::new();
+    let mut findings = lock_order(ctx);
     // `unsafe` may only appear under the allowed directory prefixes (the
     // audited SIMD backend). The lexer resolves keywords to idents and
     // `unsafe_code` / `unsafe_op_in_unsafe_fn` are single distinct
     // identifiers, so matching the bare `unsafe` token is exact.
-    let unsafe_confined = !config.unsafe_allowed_dirs.is_empty()
-        && !config
-            .unsafe_allowed_dirs
-            .iter()
-            .any(|dir| ctx.path.starts_with(dir.as_str()));
+    let unsafe_confined =
+        !config.unsafe_allowed_dirs.is_empty() && !in_unsafe_dirs(ctx.path, config);
     let tokens = &ctx.scoped.tokens;
     for (i, tok) in tokens.iter().enumerate() {
         if ctx.scoped.test_mask[i] {
             continue;
         }
         if unsafe_confined && tok.ident() == Some("unsafe") {
-            findings.push(
-                ctx.finding(
-                    Rule::Hygiene,
-                    tok,
-                    "`unsafe` is confined to the audited SIMD backend (see \
-                 `unsafe_allowed_dirs` in ci/lint-rules.toml); route vector \
-                 work through the safe `simd` crate API instead"
-                        .to_string(),
-                ),
-            );
+            findings.push(ctx.finding(Rule::Hygiene, tok, UNSAFE_OUTSIDE.to_string()));
         }
-        if !config.ban_unbounded_channel {
-            continue;
-        }
-        // `mpsc :: channel` — the unbounded constructor. `sync_channel`
-        // is a different identifier, so bounded channels never match. An
-        // optional turbofish (`mpsc::channel::<T>()`) is skipped so it
-        // cannot be used to dodge the ban.
+        // `mpsc :: channel` — the unbounded constructor, called (a
+        // turbofish after it changes nothing) or imported. `sync_channel`
+        // is a different identifier, so bounded channels never match.
         if tok.ident() == Some("mpsc")
             && tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
             && tokens.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && tokens.get(i + 3).and_then(|t| t.ident()) == Some("channel")
-            && tokens
-                .get(skip_turbofish(tokens, i + 4))
-                .is_some_and(|t| t.is_punct('('))
+            && names_channel(&tokens[i + 3..])
         {
-            findings.push(
-                ctx.finding(
-                    Rule::Hygiene,
-                    tok,
-                    "unbounded `mpsc::channel` is banned (no backpressure); use \
-                 `mpsc::sync_channel` with an explicit capacity"
-                        .to_string(),
-                ),
-            );
+            findings.push(ctx.finding(Rule::Hygiene, tok, UNBOUNDED_CHANNEL.to_string()));
         }
     }
     findings
 }
 
-/// Returns the index past an optional `::<...>` turbofish starting at
-/// `start`, tracking angle-bracket depth; `start` itself when absent.
-fn skip_turbofish(tokens: &[crate::lexer::Token], start: usize) -> usize {
-    if !(tokens.get(start).is_some_and(|t| t.is_punct(':'))
-        && tokens.get(start + 1).is_some_and(|t| t.is_punct(':'))
-        && tokens.get(start + 2).is_some_and(|t| t.is_punct('<')))
-    {
-        return start;
+/// Whether the path segment `tokens` starts with is `channel`, or a `{…}`
+/// import group that names it (`mpsc` has no submodules, so a group has no
+/// nested braces).
+fn names_channel(tokens: &[Token]) -> bool {
+    match tokens.first() {
+        Some(open) if open.is_punct('{') => tokens
+            .iter()
+            .take_while(|t| !t.is_punct('}'))
+            .any(|t| t.ident() == Some("channel")),
+        first => first.and_then(Token::ident) == Some("channel"),
     }
-    let mut depth = 0usize;
-    for (offset, tok) in tokens.iter().enumerate().skip(start + 2) {
-        if tok.is_punct('<') {
-            depth += 1;
-        } else if tok.is_punct('>') {
-            depth -= 1;
-            if depth == 0 {
-                return offset + 1;
-            }
-        }
-    }
-    tokens.len()
 }
 
-/// Raw-text checks for one file: `#![forbid(unsafe_code)]` and the
-/// configured required patterns.
+/// How long a live guard lives, by the brace depth of the statement that
+/// took it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Until {
+    /// `let`-bound: until the block at this depth closes (or a `drop`).
+    Block(usize),
+    /// A temporary: until its statement at this depth ends.
+    Statement(usize),
+    /// A scrutinee or `for` iterator: until the block its statement at
+    /// this depth opens closes.
+    Scrutinee(usize),
+}
+
+impl Until {
+    fn depth(self) -> usize {
+        match self {
+            Until::Block(depth) | Until::Statement(depth) | Until::Scrutinee(depth) => depth,
+        }
+    }
+}
+
+struct Guard {
+    /// Where the guard was taken.
+    line: u32,
+    /// The names a `let` bound it to (empty for the other kinds).
+    names: Vec<String>,
+    until: Until,
+}
+
+/// What the statement being read at one brace depth began with.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Head {
+    #[default]
+    Plain,
+    /// A `let`, at this token index.
+    Let(usize),
+    /// `if let`, `while let`, `match` or `for`.
+    Scrutinee,
+}
+
+/// The statement being read at one brace depth.
+#[derive(Debug, Clone, Copy, Default)]
+struct Statement {
+    head: Head,
+    /// Open `(` and `[` in it: a `{`, `;` or `,` inside them belongs to
+    /// an argument, not to the statement.
+    parens: usize,
+}
+
+/// The lock-order pass: one finding per acquisition taken while another
+/// guard is live.
+fn lock_order(ctx: &FileContext<'_>) -> Vec<Finding> {
+    let tokens = &ctx.scoped.tokens;
+    let mut findings = Vec::new();
+    let mut guards: Vec<Guard> = Vec::new();
+    // The statement being read at each open brace depth, outermost first.
+    let mut statements = vec![Statement::default()];
+    for (i, tok) in tokens.iter().enumerate() {
+        if ctx.scoped.test_mask[i] {
+            continue;
+        }
+        let depth = statements.len() - 1;
+        let Some(statement) = statements.last_mut() else {
+            break;
+        };
+        let outside_parens = statement.parens == 0;
+        match &tok.kind {
+            TokenKind::Punct('(' | '[') => statement.parens += 1,
+            TokenKind::Punct(')' | ']') => statement.parens = statement.parens.saturating_sub(1),
+            // A match arm's `,` ends the arm's temporaries; a `;` ends the
+            // statement.
+            TokenKind::Punct(c @ (';' | ',')) if outside_parens => {
+                guards.retain(|g| g.until != Until::Statement(depth));
+                if *c == ';' {
+                    guards.retain(|g| g.until != Until::Scrutinee(depth));
+                    *statement = Statement::default();
+                }
+            }
+            TokenKind::Punct('{') => {
+                if outside_parens {
+                    match statement.head {
+                        Head::Scrutinee => {
+                            for guard in &mut guards {
+                                if guard.until == Until::Scrutinee(depth) {
+                                    guard.until = Until::Block(depth + 1);
+                                }
+                            }
+                            *statement = Statement::default();
+                        }
+                        // The block of an `if` or `while`: its condition's
+                        // temporaries are already gone.
+                        Head::Plain => guards.retain(|g| g.until != Until::Statement(depth)),
+                        // `let … else {`, or a block in the initialiser:
+                        // the binding outlives it.
+                        Head::Let(_) => {}
+                    }
+                }
+                statements.push(Statement::default());
+            }
+            TokenKind::Punct('}') => {
+                guards.retain(|g| g.until.depth() < depth);
+                if depth > 0 {
+                    statements.pop();
+                }
+            }
+            TokenKind::Ident(id) if id == "let" && statement.head == Head::Plain => {
+                let prev = i.checked_sub(1).and_then(|p| tokens[p].ident());
+                statement.head = if matches!(prev, Some("if" | "while")) {
+                    Head::Scrutinee
+                } else {
+                    Head::Let(i)
+                };
+            }
+            TokenKind::Ident(id)
+                if (id == "match" || id == "for") && statement.head == Head::Plain =>
+            {
+                statement.head = Head::Scrutinee;
+            }
+            // `drop(name)` (or `mem::drop(name)`) releases a guard early.
+            TokenKind::Ident(id) if id == "drop" => {
+                if let [open, name, close, ..] = &tokens[i + 1..] {
+                    if open.is_punct('(') && close.is_punct(')') {
+                        if let Some(name) = name.ident() {
+                            guards.retain(|g| !g.names.iter().any(|n| n == name));
+                        }
+                    }
+                }
+            }
+            TokenKind::Ident(method)
+                if matches!(method.as_str(), "lock" | "read" | "write")
+                    && i > 0
+                    && tokens[i - 1].is_punct('.')
+                    && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
+                    && tokens.get(i + 2).is_some_and(|t| t.is_punct(')')) =>
+            {
+                if let Some(held) = guards.last() {
+                    findings.push(ctx.finding(
+                        Rule::LockOrder,
+                        tok,
+                        format!(
+                            "`.{method}()` while the guard taken on line {} is live: no lock \
+                             is held while another is taken; narrow the guard's scope or \
+                             drop it first",
+                            held.line
+                        ),
+                    ));
+                }
+                let (names, until) = match statement.head {
+                    Head::Let(at) => (binding_names(&tokens[at + 1..i]), Until::Block(depth)),
+                    Head::Scrutinee => (Vec::new(), Until::Scrutinee(depth)),
+                    Head::Plain => (Vec::new(), Until::Statement(depth)),
+                };
+                guards.push(Guard {
+                    line: tok.line,
+                    names,
+                    until,
+                });
+            }
+            _ => {}
+        }
+    }
+    findings
+}
+
+/// The binding names of `let <pattern> = …`: every lowercase-start
+/// identifier before the `=` (skipping `mut`/`ref` and enum constructors
+/// such as `Ok`).
+fn binding_names(tokens: &[Token]) -> Vec<String> {
+    tokens
+        .iter()
+        .take_while(|t| !t.is_punct('='))
+        .filter_map(Token::ident)
+        .filter(|id| {
+            !matches!(*id, "mut" | "ref") && id.starts_with(|c: char| c.is_lowercase() || c == '_')
+        })
+        .map(str::to_string)
+        .collect()
+}
+
+fn in_unsafe_dirs(path: &str, config: &RulesConfig) -> bool {
+    config
+        .unsafe_allowed_dirs
+        .iter()
+        .any(|dir| path.starts_with(dir.as_str()))
+}
+
+/// Raw-text checks for one file: `#![forbid(unsafe_code)]` on a crate
+/// root, SAFETY comments where `unsafe` is allowed, and the configured
+/// required patterns.
 pub fn file_checks(path: &str, content: &str, config: &RulesConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
-    if config.forbid_unsafe_files.iter().any(|f| f == path)
-        && !content.contains("#![forbid(unsafe_code)]")
-    {
-        findings.push(Finding {
-            rule: Rule::Hygiene,
-            file: path.to_string(),
-            line: 1,
-            col: 1,
-            message: "crate root must carry `#![forbid(unsafe_code)]` (future `unsafe` needs \
-                      an explicit, reviewed opt-out here and in ci/lint-rules.toml)"
-                .to_string(),
-            snippet: String::new(),
-        });
+    let crate_root = path == "lib.rs" || path.ends_with("/lib.rs");
+    if crate_root && !in_unsafe_dirs(path, config) && !content.contains("#![forbid(unsafe_code)]") {
+        findings.push(file_finding(path, 1, NO_FORBID.to_string(), ""));
     }
     // Inside the allowed `unsafe` directories, every `unsafe fn` /
     // `unsafe {` must carry a nearby SAFETY comment. The token stream
     // drops comments, so this is a raw-line scan: the justification may
     // sit on the same line or up to a comment block above the unsafe
     // site.
-    if config
-        .unsafe_allowed_dirs
-        .iter()
-        .any(|dir| path.starts_with(dir.as_str()))
-    {
+    if in_unsafe_dirs(path, config) {
         let lines: Vec<&str> = content.lines().collect();
         for (i, line) in lines.iter().enumerate() {
             let trimmed = line.trim_start();
@@ -151,32 +323,17 @@ pub fn file_checks(path: &str, content: &str, config: &RulesConfig) -> Vec<Findi
                     p.contains("SAFETY") || p.contains("# Safety")
                 });
             if !documented {
-                findings.push(Finding {
-                    rule: Rule::Hygiene,
-                    file: path.to_string(),
-                    line: i as u32 + 1,
-                    col: 1,
-                    message: "`unsafe` without a nearby SAFETY comment: state the contract \
-                              that makes this sound (within 12 lines above the site)"
-                        .to_string(),
-                    snippet: (*line).to_string(),
-                });
+                findings.push(file_finding(path, i + 1, NO_SAFETY.to_string(), line));
             }
         }
     }
     for required in config.required.iter().filter(|r| r.file == path) {
         if !content.contains(&required.contains) {
-            findings.push(Finding {
-                rule: Rule::Hygiene,
-                file: path.to_string(),
-                line: 1,
-                col: 1,
-                message: format!(
-                    "guard rail missing: {} must contain `{}` ({})",
-                    path, required.contains, required.why
-                ),
-                snippet: String::new(),
-            });
+            let message = format!(
+                "guard rail missing: {path} must contain `{}` ({})",
+                required.contains, required.why
+            );
+            findings.push(file_finding(path, 1, message, ""));
         }
     }
     findings
@@ -185,30 +342,14 @@ pub fn file_checks(path: &str, content: &str, config: &RulesConfig) -> Vec<Findi
 /// Findings for guard-rail files that were not scanned at all (deleted or
 /// moved — silently losing the file must not silently lose the check).
 pub fn missing_files(scanned: &[String], config: &RulesConfig) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut expected: Vec<&str> = config
-        .forbid_unsafe_files
-        .iter()
-        .map(String::as_str)
-        .collect();
-    expected.extend(config.required.iter().map(|r| r.file.as_str()));
+    let mut expected: Vec<&str> = config.required.iter().map(|r| r.file.as_str()).collect();
     expected.sort_unstable();
     expected.dedup();
-    for file in expected {
-        if !scanned.iter().any(|s| s == file) {
-            findings.push(Finding {
-                rule: Rule::Hygiene,
-                file: file.to_string(),
-                line: 0,
-                col: 0,
-                message: "guard-rail file is named in ci/lint-rules.toml but was not found in \
-                          the workspace"
-                    .to_string(),
-                snippet: String::new(),
-            });
-        }
-    }
-    findings
+    expected
+        .into_iter()
+        .filter(|file| !scanned.iter().any(|s| s == file))
+        .map(|file| file_finding(file, 0, MISSING_FILE.to_string(), ""))
+        .collect()
 }
 
 /// `unsafe_allowed_dirs` prefixes under which no file was scanned: the
@@ -226,14 +367,19 @@ pub fn empty_unsafe_dirs(scanned: &[String], config: &RulesConfig) -> Vec<String
 mod tests {
     use crate::analyze::{analyze, SourceFile};
     use crate::config::RulesConfig;
+    use crate::report::Report;
+
+    fn run(path: &str, content: &str, config: &RulesConfig) -> Report {
+        let file = SourceFile {
+            path: path.into(),
+            content: content.into(),
+        };
+        analyze(&[file], config)
+    }
 
     fn config() -> RulesConfig {
         RulesConfig::from_toml(
             r##"
-[hygiene]
-ban_unbounded_channel = true
-forbid_unsafe_files = ["crates/x/src/lib.rs"]
-
 [[hygiene.required]]
 file = "crates/x/src/lib.rs"
 contains = "#![deny(clippy::disallowed_types)]"
@@ -243,49 +389,202 @@ why = "Rc ban"
         .expect("test config parses")
     }
 
-    fn channel_only_config() -> RulesConfig {
-        RulesConfig::from_toml("[hygiene]\nban_unbounded_channel = true\n")
-            .expect("test config parses")
+    /// `(rule id, line)` of every finding in `content` under an empty
+    /// config.
+    fn findings(content: &str) -> Vec<(&'static str, u32)> {
+        run("crates/x/src/a.rs", content, &RulesConfig::default())
+            .findings
+            .iter()
+            .map(|f| (f.rule.id(), f.line))
+            .collect()
     }
 
     #[test]
     fn unbounded_channel_is_flagged_and_sync_channel_is_not() {
-        let report = analyze(
-            &[SourceFile {
-                path: "crates/x/src/a.rs".into(),
-                content:
-                    "fn f() { let (a, b) = mpsc::channel(); let (c, d) = mpsc::sync_channel(1); }"
-                        .into(),
-            }],
-            &channel_only_config(),
+        let found = findings(
+            "fn f() { let (a, b) = mpsc::channel(); let (c, d) = mpsc::sync_channel(1); }",
         );
-        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
-        assert!(report.findings[0].message.contains("unbounded"));
+        assert_eq!(found, [("hygiene", 1)]);
     }
 
     #[test]
     fn turbofish_does_not_dodge_the_channel_ban() {
-        let report = analyze(
-            &[SourceFile {
-                path: "crates/x/src/a.rs".into(),
-                content: "fn f() { let pair = mpsc::channel::<Vec<u8>>(); }".into(),
-            }],
-            &channel_only_config(),
+        let found = findings("fn f() { let pair = mpsc::channel::<Vec<u8>>(); }");
+        assert_eq!(found, [("hygiene", 1)]);
+    }
+
+    #[test]
+    fn importing_the_channel_does_not_dodge_the_ban() {
+        let found = findings("use std::sync::mpsc::channel;\nfn f() { let (a, b) = channel(); }");
+        assert_eq!(found, [("hygiene", 1)]);
+    }
+
+    #[test]
+    fn importing_the_channel_in_a_group_does_not_dodge_the_ban() {
+        let found = findings(
+            "use std::sync::mpsc::{sync_channel, channel, Receiver};\n\
+             fn f() { let (a, b) = channel(); }",
         );
-        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+        assert_eq!(found, [("hygiene", 1)]);
+        let bounded = findings("use std::sync::mpsc::{self, sync_channel, SyncSender};");
+        assert!(bounded.is_empty(), "{bounded:?}");
     }
 
     #[test]
     fn channel_in_test_code_is_exempt() {
-        let report = analyze(
-            &[SourceFile {
-                path: "crates/x/src/a.rs".into(),
-                content: "#[cfg(test)]\nmod tests { fn f() { let (a, b) = mpsc::channel(); } }"
-                    .into(),
-            }],
-            &channel_only_config(),
+        let found =
+            findings("#[cfg(test)]\nmod tests { fn f() { let (a, b) = mpsc::channel(); } }");
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    /// The lines of the lock-order findings in `content`.
+    fn nested_locks(content: &str) -> Vec<u32> {
+        findings(content)
+            .into_iter()
+            .map(|(rule, line)| {
+                assert_eq!(rule, "lock-order");
+                line
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hold_while_acquiring_is_flagged() {
+        let found = nested_locks(
+            "fn f(s: &S) {\n    let a = s.alpha.lock().unwrap();\n    \
+             let b = s.beta.lock().unwrap();\n}\n\
+             fn g(s: &S) { let b = s.beta.lock().unwrap(); let a = s.alpha.lock().unwrap(); }",
         );
-        assert!(report.findings.is_empty(), "{:?}", report.findings);
+        assert_eq!(found, [3, 5]);
+    }
+
+    #[test]
+    fn same_lock_reacquired_while_held_is_flagged() {
+        let found = nested_locks(
+            "fn f(s: &S) { let a = s.alpha.lock().unwrap(); let b = s.alpha.lock().unwrap(); }",
+        );
+        assert_eq!(found, [1]);
+    }
+
+    #[test]
+    fn write_while_holding_is_flagged() {
+        let found = nested_locks(
+            "fn f(s: &S) { let a = s.alpha.lock().unwrap(); let w = s.beta.write().unwrap(); }",
+        );
+        assert_eq!(found, [1]);
+    }
+
+    #[test]
+    fn dropping_the_guard_ends_it() {
+        let found = nested_locks(
+            "fn f(s: &S) { let a = s.alpha.lock().unwrap(); drop(a); let b = s.beta.lock().unwrap(); }",
+        );
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn statement_temporaries_do_not_outlive_their_statement() {
+        let found = nested_locks(
+            "fn f(s: &S) { *s.alpha.lock().unwrap() = 1; let b = s.beta.write().unwrap(); }",
+        );
+        assert!(found.is_empty(), "{found:?}");
+        let found = nested_locks(
+            "fn f(s: &S) { if s.alpha.lock().unwrap().is_empty() { s.beta.write().unwrap().clear(); } }",
+        );
+        assert!(
+            found.is_empty(),
+            "an `if` condition's temporaries die before its block: {found:?}"
+        );
+    }
+
+    #[test]
+    fn block_scope_ends_a_guard() {
+        let found = nested_locks(
+            "fn f(s: &S) { { let a = s.alpha.lock().unwrap(); } let b = s.beta.write().unwrap(); }",
+        );
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn if_let_guard_dies_with_its_block() {
+        let found = nested_locks(
+            "fn f(s: &S) { if let Ok(a) = s.alpha.lock() { use_it(&a); } let b = s.beta.write().unwrap(); }",
+        );
+        assert!(found.is_empty(), "{found:?}");
+        let found = nested_locks(
+            "fn f(s: &S) { if let Ok(a) = s.alpha.lock() { let b = s.beta.lock().unwrap(); } }",
+        );
+        assert_eq!(found, [1]);
+    }
+
+    #[test]
+    fn while_let_scrutinee_lives_through_the_body() {
+        let found = nested_locks(
+            "fn f(s: &S) {\n    while let Some(j) = s.alpha.lock().unwrap().pop_front() {\n        \
+             s.beta.lock().unwrap().push(j);\n    }\n    s.beta.lock().unwrap().clear();\n}",
+        );
+        assert_eq!(found, [3]);
+    }
+
+    #[test]
+    fn let_else_guard_survives_the_else_block() {
+        let found = nested_locks(
+            "fn f(s: &S) { let Ok(a) = s.alpha.lock() else { return; }; let b = s.beta.lock().unwrap(); }",
+        );
+        assert_eq!(found, [1]);
+    }
+
+    #[test]
+    fn a_match_scrutinee_guard_lives_through_the_arms() {
+        let found = nested_locks(
+            "fn f(s: &S, k: u32) {\n    match s.alpha.lock().unwrap().get(k) {\n        \
+             Some(e) => {\n            let b = s.beta.lock().unwrap();\n        }\n        \
+             None => {}\n    }\n    let b = s.beta.lock().unwrap();\n}",
+        );
+        assert_eq!(found, [4]);
+    }
+
+    #[test]
+    fn a_for_iterator_guard_lives_through_the_body() {
+        let found = nested_locks(
+            "fn f(s: &S) {\n    for j in s.alpha.lock().unwrap().iter() {\n        \
+             s.beta.lock().unwrap().push(*j);\n    }\n    s.beta.lock().unwrap().clear();\n}",
+        );
+        assert_eq!(found, [3]);
+    }
+
+    #[test]
+    fn match_arm_temporaries_end_with_their_arm() {
+        let found = nested_locks(
+            "fn f(s: &S, k: u32) { match k { 0 => s.alpha.lock().unwrap().clear(), \
+             _ => s.beta.lock().unwrap().clear(), } }",
+        );
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn a_temporary_lives_through_a_closure_in_its_statement() {
+        let found = nested_locks(
+            "fn f(s: &S) { s.alpha.lock().unwrap().retain(|k| { s.beta.lock().unwrap().contains(k) }); }",
+        );
+        assert_eq!(found, [1]);
+    }
+
+    #[test]
+    fn io_read_write_with_arguments_is_not_an_acquisition() {
+        let found = nested_locks(
+            "fn f(s: &mut TcpStream, buf: &mut [u8]) { let n = s.read(buf).unwrap(); s.write(buf).unwrap(); }",
+        );
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn test_functions_are_exempt() {
+        let found = nested_locks(
+            "#[cfg(test)]\nmod tests { fn f(s: &S) { let b = s.beta.lock().unwrap(); let a = s.alpha.lock().unwrap(); } }\n\
+             fn g(s: &S) { let a = s.alpha.lock().unwrap(); }",
+        );
+        assert!(found.is_empty(), "{found:?}");
     }
 
     fn unsafe_config() -> RulesConfig {
@@ -300,11 +599,9 @@ unsafe_allowed_dirs = ["crates/simd/src"]
 
     #[test]
     fn unsafe_outside_allowed_dirs_is_flagged() {
-        let report = analyze(
-            &[SourceFile {
-                path: "crates/tensor/src/fast.rs".into(),
-                content: "fn f(p: *const f32) -> f32 { unsafe { *p } }".into(),
-            }],
+        let report = run(
+            "crates/tensor/src/fast.rs",
+            "fn f(p: *const f32) -> f32 { unsafe { *p } }",
             &unsafe_config(),
         );
         assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
@@ -315,11 +612,9 @@ unsafe_allowed_dirs = ["crates/simd/src"]
     fn unsafe_attribute_idents_do_not_trip_confinement() {
         // `unsafe_code` / `unsafe_op_in_unsafe_fn` are distinct identifiers,
         // not the `unsafe` keyword.
-        let report = analyze(
-            &[SourceFile {
-                path: "crates/tensor/src/lib.rs".into(),
-                content: "#![forbid(unsafe_code)]\n#![deny(unsafe_op_in_unsafe_fn)]\n".into(),
-            }],
+        let report = run(
+            "crates/tensor/src/lib.rs",
+            "#![forbid(unsafe_code)]\n#![deny(unsafe_op_in_unsafe_fn)]\n",
             &unsafe_config(),
         );
         assert!(report.findings.is_empty(), "{:?}", report.findings);
@@ -327,12 +622,9 @@ unsafe_allowed_dirs = ["crates/simd/src"]
 
     #[test]
     fn unsafe_in_test_code_is_exempt_from_confinement() {
-        let report = analyze(
-            &[SourceFile {
-                path: "crates/tensor/src/fast.rs".into(),
-                content: "#[cfg(test)]\nmod tests { fn f(p: *const f32) -> f32 { unsafe { *p } } }"
-                    .into(),
-            }],
+        let report = run(
+            "crates/tensor/src/fast.rs",
+            "#[cfg(test)]\nmod tests { fn f(p: *const f32) -> f32 { unsafe { *p } } }",
             &unsafe_config(),
         );
         assert!(report.findings.is_empty(), "{:?}", report.findings);
@@ -340,11 +632,9 @@ unsafe_allowed_dirs = ["crates/simd/src"]
 
     #[test]
     fn unsafe_in_allowed_dir_requires_safety_comment() {
-        let undocumented = analyze(
-            &[SourceFile {
-                path: "crates/simd/src/x86.rs".into(),
-                content: "fn f(p: *const f32) -> f32 { unsafe { *p } }".into(),
-            }],
+        let undocumented = run(
+            "crates/simd/src/x86.rs",
+            "fn f(p: *const f32) -> f32 { unsafe { *p } }",
             &unsafe_config(),
         );
         assert_eq!(
@@ -355,13 +645,10 @@ unsafe_allowed_dirs = ["crates/simd/src"]
         );
         assert!(undocumented.findings[0].message.contains("SAFETY"));
 
-        let documented = analyze(
-            &[SourceFile {
-                path: "crates/simd/src/x86.rs".into(),
-                content: "fn f(p: *const f32) -> f32 {\n    // SAFETY: caller guarantees p is \
-                          valid.\n    unsafe { *p }\n}"
-                    .into(),
-            }],
+        let documented = run(
+            "crates/simd/src/x86.rs",
+            "fn f(p: *const f32) -> f32 {\n    // SAFETY: caller guarantees p is \
+                          valid.\n    unsafe { *p }\n}",
             &unsafe_config(),
         );
         assert!(documented.findings.is_empty(), "{:?}", documented.findings);
@@ -369,15 +656,7 @@ unsafe_allowed_dirs = ["crates/simd/src"]
 
     #[test]
     fn an_allowed_unsafe_dir_without_files_is_a_stale_target() {
-        let report = |path: &str| {
-            analyze(
-                &[SourceFile {
-                    path: path.into(),
-                    content: String::new(),
-                }],
-                &unsafe_config(),
-            )
-        };
+        let report = |path: &str| run(path, "", &unsafe_config());
         assert!(report("crates/simd/src/x86.rs").stale_targets.is_empty());
         assert_eq!(
             report("crates/vector/src/x86.rs").stale_targets,
@@ -386,24 +665,24 @@ unsafe_allowed_dirs = ["crates/simd/src"]
     }
 
     #[test]
+    fn a_crate_root_outside_the_unsafe_dirs_must_forbid_unsafe() {
+        let report = |path: &str| run(path, "pub fn f() {}", &unsafe_config()).findings.len();
+        assert_eq!(report("crates/new/src/lib.rs"), 1);
+        assert_eq!(report("crates/simd/src/lib.rs"), 0);
+        assert_eq!(report("crates/new/src/other.rs"), 0);
+    }
+
+    #[test]
     fn missing_forbid_and_guard_rail_are_flagged() {
-        let report = analyze(
-            &[SourceFile {
-                path: "crates/x/src/lib.rs".into(),
-                content: "// no attributes".into(),
-            }],
-            &config(),
-        );
+        let report = run("crates/x/src/lib.rs", "// no attributes", &config());
         assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
     }
 
     #[test]
     fn present_guard_rails_pass() {
-        let report = analyze(
-            &[SourceFile {
-                path: "crates/x/src/lib.rs".into(),
-                content: "#![forbid(unsafe_code)]\n#![deny(clippy::disallowed_types)]\n".into(),
-            }],
+        let report = run(
+            "crates/x/src/lib.rs",
+            "#![forbid(unsafe_code)]\n#![deny(clippy::disallowed_types)]\n",
             &config(),
         );
         assert!(report.findings.is_empty(), "{:?}", report.findings);

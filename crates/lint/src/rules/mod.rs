@@ -1,6 +1,6 @@
-//! The four rule classes (see the crate docs for the catalog).
+//! The rules (see the crate docs for the catalog): panic-freedom, and
+//! hygiene — lock order, the channel ban, `unsafe` confinement and the
+//! guard rails.
 
-pub mod hot_path;
 pub mod hygiene;
-pub mod lock_order;
 pub mod panic_freedom;

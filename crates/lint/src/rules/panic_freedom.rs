@@ -14,14 +14,30 @@ use crate::config::RulesConfig;
 use crate::lexer::TokenKind;
 use crate::report::{Finding, Rule};
 
+/// Methods that panic on the value they unwrap.
+const BANNED_METHODS: [&str; 2] = ["unwrap", "expect"];
+
+/// Macros that panic, outright or on a failed check.
+const BANNED_MACROS: [&str; 7] = [
+    "panic",
+    "todo",
+    "unimplemented",
+    "unreachable",
+    "assert",
+    "assert_eq",
+    "assert_ne",
+];
+
+/// Whether `path` is `prefix` itself or a file under it.
+fn covers(prefix: &str, path: &str) -> bool {
+    path.strip_prefix(prefix)
+        .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+}
+
 /// Runs the rule over one file. Returns nothing for files outside the
 /// configured crates.
 pub fn check(ctx: &FileContext<'_>, config: &RulesConfig) -> Vec<Finding> {
-    if !config
-        .panic_crates
-        .iter()
-        .any(|c| ctx.path == *c || ctx.path.starts_with(&format!("{c}/")))
-    {
+    if !config.panic_crates.iter().any(|c| covers(c, ctx.path)) {
         return Vec::new();
     }
     let mut findings = Vec::new();
@@ -30,41 +46,29 @@ pub fn check(ctx: &FileContext<'_>, config: &RulesConfig) -> Vec<Finding> {
         if ctx.scoped.test_mask[i] {
             continue;
         }
-        match &tok.kind {
+        let message = match &tok.kind {
             // `.unwrap(` / `.expect(` — a method call on a receiver.
             TokenKind::Ident(name)
-                if config.panic_methods.iter().any(|m| m == name)
+                if BANNED_METHODS.contains(&name.as_str())
                     && i > 0
                     && tokens[i - 1].is_punct('.')
                     && tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) =>
             {
-                findings.push(ctx.finding(
-                    Rule::PanicFreedom,
-                    tok,
-                    format!(
-                        "`.{name}()` can panic the request path; propagate a typed error \
-                         (or allowlist with a reason in ci/lint-rules.toml)"
-                    ),
-                ));
+                format!(
+                    "`.{name}()` can panic the request path; propagate a typed error \
+                     (or allowlist with a reason in ci/lint-rules.toml)"
+                )
             }
             // `panic!` / `todo!` / `unimplemented!`.
             TokenKind::Ident(name)
-                if config.panic_macros.iter().any(|m| m == name)
+                if BANNED_MACROS.contains(&name.as_str())
                     && tokens.get(i + 1).is_some_and(|t| t.is_punct('!')) =>
             {
-                findings.push(ctx.finding(
-                    Rule::PanicFreedom,
-                    tok,
-                    format!("`{name}!` is banned on the request path; return an error instead"),
-                ));
+                format!("`{name}!` is banned on the request path; return an error instead")
             }
             // `expr[<int>]` — literal indexing panics on short slices.
             TokenKind::Punct('[')
-                if config.panic_literal_index
-                    && matches!(
-                        tokens.get(i + 1).map(|t| &t.kind),
-                        Some(TokenKind::IntLit(_))
-                    )
+                if matches!(tokens.get(i + 1).map(|t| &t.kind), Some(TokenKind::IntLit))
                     && tokens.get(i + 2).is_some_and(|t| t.is_punct(']'))
                     && i > 0
                     && matches!(
@@ -72,46 +76,54 @@ pub fn check(ctx: &FileContext<'_>, config: &RulesConfig) -> Vec<Finding> {
                         TokenKind::Ident(_) | TokenKind::Punct(')' | ']' | '?')
                     ) =>
             {
-                findings.push(
-                    ctx.finding(
-                        Rule::PanicFreedom,
-                        tok,
-                        "indexing by integer literal can panic on short input; use \
-                     `.first()`/`.get()` or destructure"
-                            .to_string(),
-                    ),
-                );
+                "indexing by integer literal can panic on short input; use `.first()`/`.get()` \
+                 or destructure"
+                    .to_string()
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        findings.push(ctx.finding(Rule::PanicFreedom, tok, message));
     }
     findings
+}
+
+/// Configured prefixes under which no file was scanned: the crate or file
+/// moved, and the rule now covers nothing there.
+pub fn unmatched_prefixes(scanned: &[String], config: &RulesConfig) -> Vec<String> {
+    config
+        .panic_crates
+        .iter()
+        .filter(|prefix| !scanned.iter().any(|path| covers(prefix, path)))
+        .map(|prefix| format!("panic_freedom crate `{prefix}`: no scanned file"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use crate::analyze::{analyze, SourceFile};
     use crate::config::RulesConfig;
+    use crate::report::Report;
 
     fn config() -> RulesConfig {
         RulesConfig::from_toml(
             r#"
 [panic_freedom]
 crates = ["crates/serve"]
-banned_methods = ["unwrap", "expect"]
-banned_macros = ["panic", "todo", "unimplemented"]
-ban_literal_index = true
 "#,
         )
         .expect("test config parses")
     }
 
-    fn run(content: &str) -> Vec<String> {
-        let files = vec![SourceFile {
-            path: "crates/serve/src/probe.rs".into(),
+    fn report(path: &str, content: &str) -> Report {
+        let file = SourceFile {
+            path: path.into(),
             content: content.into(),
-        }];
-        analyze(&files, &config())
+        };
+        analyze(&[file], &config())
+    }
+
+    fn run(content: &str) -> Vec<String> {
+        report("crates/serve/src/probe.rs", content)
             .findings
             .into_iter()
             .map(|f| f.message)
@@ -170,19 +182,26 @@ mod tests {
 
     #[test]
     fn other_crates_are_out_of_scope() {
-        let files = vec![SourceFile {
-            path: "crates/nn/src/param.rs".into(),
-            content: "fn f(x: Option<u32>) -> u32 { x.unwrap() }".into(),
-        }];
-        assert!(analyze(&files, &config()).findings.is_empty());
+        let unwrap = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
+        assert!(report("crates/nn/src/param.rs", unwrap).findings.is_empty());
+    }
+
+    #[test]
+    fn a_prefix_that_covers_no_scanned_file_is_a_stale_target() {
+        let stale = |path: &str| report(path, "").stale_targets;
+        assert!(stale("crates/serve/src/server.rs").is_empty());
+        // `crates/server/…` shares the characters, not the directory.
+        assert_eq!(
+            stale("crates/server/src/lib.rs"),
+            ["panic_freedom crate `crates/serve`: no scanned file"]
+        );
     }
 
     #[test]
     fn integration_test_files_are_exempt() {
-        let files = vec![SourceFile {
-            path: "crates/serve/tests/integration.rs".into(),
-            content: "fn f(x: Option<u32>) -> u32 { x.unwrap() }".into(),
-        }];
-        assert!(analyze(&files, &config()).findings.is_empty());
+        let unwrap = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
+        assert!(report("crates/serve/tests/integration.rs", unwrap)
+            .findings
+            .is_empty());
     }
 }

@@ -1,28 +1,13 @@
-//! Test-scope and function-boundary resolution over a token stream.
+//! Test-scope resolution over a token stream.
 //!
 //! The rules only police *production* code: anything inside a
 //! `#[cfg(test)]` item, a `#[test]` function, or a `mod tests { … }` block
 //! is exempt (tests unwrap and sleep on purpose), as is any file under a
 //! crate's `tests/` directory. This module computes, per token, whether it
-//! is test-scoped, and extracts every `fn` with its body token range so
-//! the per-function rules (lock order, hot-path allocations) know where a
-//! function starts and ends.
+//! is test-scoped. A test region is always a whole brace-delimited body,
+//! so skipping its tokens leaves the braces of the rest balanced.
 
 use crate::lexer::{Token, TokenKind};
-
-/// A function found in the token stream.
-#[derive(Debug, Clone)]
-pub struct FunctionSpan {
-    /// The function's name.
-    pub name: String,
-    /// Index range of the body tokens, *between* (and excluding) the
-    /// braces.
-    pub body: std::ops::Range<usize>,
-    /// Source line of the `fn` keyword.
-    pub line: u32,
-    /// Whether the function is test-scoped.
-    pub in_test: bool,
-}
 
 /// Token stream plus the scoping facts the rules need.
 pub struct ScopedTokens {
@@ -30,8 +15,6 @@ pub struct ScopedTokens {
     pub tokens: Vec<Token>,
     /// `test_mask[i]` is `true` when token `i` is inside test scope.
     pub test_mask: Vec<bool>,
-    /// Every function (including test-scoped ones — callers filter).
-    pub functions: Vec<FunctionSpan>,
 }
 
 /// Scopes `tokens`. When `whole_file_is_test` is set (integration-test
@@ -41,12 +24,7 @@ pub fn scope(tokens: Vec<Token>, whole_file_is_test: bool) -> ScopedTokens {
     if !whole_file_is_test {
         mark_test_regions(&tokens, &mut test_mask);
     }
-    let functions = extract_functions(&tokens, &test_mask);
-    ScopedTokens {
-        tokens,
-        test_mask,
-        functions,
-    }
+    ScopedTokens { tokens, test_mask }
 }
 
 /// Marks the token regions covered by `#[cfg(test)]` / `#[test]`
@@ -142,63 +120,6 @@ fn mark_test_regions(tokens: &[Token], mask: &mut [bool]) {
     }
 }
 
-/// Extracts every `fn name … { body }`, including nested ones.
-fn extract_functions(tokens: &[Token], mask: &[bool]) -> Vec<FunctionSpan> {
-    let mut out = Vec::new();
-    for (i, tok) in tokens.iter().enumerate() {
-        if tok.ident() != Some("fn") {
-            continue;
-        }
-        let Some(name) = tokens.get(i + 1).and_then(|t| t.ident()) else {
-            continue;
-        };
-        // Find the body `{` (or a `;` first for body-less trait methods),
-        // tracking parens/brackets so a default argument can't fool us.
-        let mut j = i + 2;
-        let mut nesting = 0i32;
-        let mut body_open = None;
-        while let Some(t) = tokens.get(j) {
-            match &t.kind {
-                TokenKind::Punct('(' | '[') => nesting += 1,
-                TokenKind::Punct(')' | ']') => nesting -= 1,
-                TokenKind::Punct(';') if nesting == 0 => break,
-                TokenKind::Punct('{') if nesting == 0 => {
-                    body_open = Some(j);
-                    break;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let Some(open) = body_open else {
-            continue;
-        };
-        // Matching close brace.
-        let mut depth = 0i32;
-        let mut close = open;
-        for (k, t) in tokens.iter().enumerate().skip(open) {
-            match &t.kind {
-                TokenKind::Punct('{') => depth += 1,
-                TokenKind::Punct('}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = k;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        out.push(FunctionSpan {
-            name: name.to_string(),
-            body: (open + 1)..close,
-            line: tok.line,
-            in_test: mask[i],
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,25 +179,10 @@ mod tests {
     }
 
     #[test]
-    fn functions_are_extracted_with_bodies() {
-        let s = scoped("fn outer(x: usize) -> usize { inner(); x }\nfn two() {}");
-        let names: Vec<_> = s.functions.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["outer", "two"]);
-        let outer = &s.functions[0];
-        let body: Vec<_> = s.tokens[outer.body.clone()]
-            .iter()
-            .filter_map(|t| t.ident())
-            .collect();
-        assert_eq!(body, vec!["inner", "x"]);
-    }
-
-    #[test]
     fn test_functions_are_flagged() {
-        let s = scoped("#[cfg(test)]\nmod tests { fn helper() {} }\nfn prod() {}");
-        let helper = s.functions.iter().find(|f| f.name == "helper");
-        let prod = s.functions.iter().find(|f| f.name == "prod");
-        assert!(helper.is_some_and(|f| f.in_test));
-        assert!(prod.is_some_and(|f| !f.in_test));
+        let s = scoped("#[cfg(test)]\nmod tests { fn helper() { b(); } }\nfn prod() { a(); }");
+        assert!(ident_in_test(&s, "helper"));
+        assert!(!ident_in_test(&s, "prod"));
     }
 
     #[test]

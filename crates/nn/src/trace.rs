@@ -19,8 +19,9 @@ use crate::{Activation, Param};
 ///
 /// One kernel, one method here, two recorder arms. Write the loop once as
 /// an allocation-free slice-in/slice-out function in [`tensor::kernels`]
-/// (zero-width rows accepted, named in the `hot_path` span of
-/// `ci/lint-rules.toml`). Add the method to this trait. On [`Session`] it
+/// (zero-width rows accepted, with a row in the `SLICE_KERNELS` table of
+/// `core/tests/warm_allocs.rs`, which calls it under a counting
+/// allocator). Add the method to this trait. On [`Session`] it
 /// calls an `autograd::Var` op whose forward allocates the result and
 /// calls the kernel; on [`Graph`] it pushes a `graph::Op` node whose
 /// `graph::exec::run_kernel` (or `run_post`) arm resolves the operand

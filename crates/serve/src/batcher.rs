@@ -249,8 +249,8 @@ impl JobQueue {
     /// `batch` and `expired` are cleared and refilled rather than returned
     /// so the dispatch loop can reuse its buffers for its whole lifetime —
     /// the per-batch `Vec` allocation this replaces was the only allocator
-    /// traffic in the collect path (enforced by vital-lint's hot-path
-    /// rule).
+    /// traffic in the collect path (`tests/warm_allocs.rs` pins what a warm
+    /// served round allocates outside the model).
     ///
     /// The condvar waits release the lock, so any number of workers can be
     /// in here concurrently — collecting never blocks another worker's
@@ -567,7 +567,8 @@ pub fn start(
 /// One worker's loop: collects and executes batches until the queue is
 /// closed and drained. The batch and expiry buffers are allocated once,
 /// up front, and reused for every collect/execute round — the loop body
-/// itself is allocation-free (enforced by vital-lint's hot-path rule).
+/// itself is allocation-free (`tests/warm_allocs.rs` pins what a warm
+/// served round allocates outside the model: `execute`'s grouping only).
 /// Jobs that expired in the queue are answered before the batch runs.
 ///
 /// Each batch runs under one `catch_unwind`, so nothing that happens in a

@@ -12,8 +12,9 @@
 //! statement about the planner only. The optimizer's one loop,
 //! [`adam_update`], lives here under the same rules.
 //!
-//! Every function is allocation-free (`ci/lint-rules.toml` holds the
-//! module to that), validates nothing — shapes are the caller's typed
+//! Every function is allocation-free (`core/tests/warm_allocs.rs`'s
+//! `no_slice_kernel_allocates` calls each one under a counting
+//! allocator), validates nothing — shapes are the caller's typed
 //! errors — and accepts zero-width rows. Operand order per element is part
 //! of the contract: `out OP other` and `other OP out` differ in the NaN
 //! they propagate.

@@ -198,7 +198,9 @@ fn gemm_into(
 /// One band of the product: output rows `[row0, row0 + out_band.len() / n)`
 /// from the same rows of `op(A)`, read in place, times the packed B. Runs
 /// once per MR rows of every product, so it must stay allocation-free
-/// (`ci/lint-rules.toml` holds it to that).
+/// (`core/tests/warm_allocs.rs` measures it: a warm `predict_folded`
+/// allocates nothing once its input is filled, and a warm training
+/// backward a pinned count).
 fn gemm_band(
     level: simd::Level,
     (a_data, a_layout, a_stride): (&[f32], Layout, usize),
