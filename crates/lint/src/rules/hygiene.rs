@@ -452,10 +452,18 @@ why = "Rc ban"
     fn hold_while_acquiring_is_flagged() {
         let found = nested_locks(
             "fn f(s: &S) {\n    let a = s.alpha.lock().unwrap();\n    \
-             let b = s.beta.lock().unwrap();\n}\n\
+             let b = s.beta.lock().unwrap();\n}",
+        );
+        assert_eq!(found, [3]);
+    }
+
+    #[test]
+    fn inverted_orders_in_two_functions_are_each_flagged() {
+        let found = nested_locks(
+            "fn f(s: &S) { let a = s.alpha.lock().unwrap(); let b = s.beta.lock().unwrap(); }\n\
              fn g(s: &S) { let b = s.beta.lock().unwrap(); let a = s.alpha.lock().unwrap(); }",
         );
-        assert_eq!(found, [3, 5]);
+        assert_eq!(found, [1, 2]);
     }
 
     #[test]
