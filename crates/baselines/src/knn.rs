@@ -126,18 +126,17 @@ impl Localizer for KnnLocalizer {
             return Err(VitalError::NotFitted);
         }
         vital::check_widths(self.num_aps(), observations)?;
-        // Each query scans the whole fingerprint memory independently, so
-        // the batch fans out across threads (the localizer is immutable
-        // during inference, and clean extraction draws nothing).
-        parallel::parallel_map(observations, |observation| {
-            let query = self
-                .extractor
-                .extract(observation, false, DrawKey::default());
-            let memory = self.train_features.iter().zip(&self.train_labels);
-            weighted_knn_vote(memory, &query, self.k).ok_or(VitalError::NotFitted)
-        })
-        .into_iter()
-        .collect()
+        // Clean extraction draws nothing, so the default key is never read.
+        observations
+            .iter()
+            .map(|observation| {
+                let query = self
+                    .extractor
+                    .extract(observation, false, DrawKey::default());
+                let memory = self.train_features.iter().zip(&self.train_labels);
+                weighted_knn_vote(memory, &query, self.k).ok_or(VitalError::NotFitted)
+            })
+            .collect()
     }
 
     fn save(&self, path: &Path) -> Result<()> {

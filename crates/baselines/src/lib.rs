@@ -143,25 +143,21 @@ pub(crate) fn run_eager<F: Framework>(net: &F::Net, input: &Tensor) -> vital::Re
 /// The one chunked inference loop: [`features::INFERENCE_CHUNK`]
 /// observations at a time are extracted clean, shaped by
 /// [`Framework::input`] and put through `run`, and `per_row` maps every
-/// query and its output row to a result, in observation order. Rows are
-/// independent, so `per_row` fans out across threads.
-pub(crate) fn map_rows<F: Framework, R: Send>(
+/// query and its output row to a result, in observation order.
+pub(crate) fn map_rows<F: Framework, R>(
     net: &F::Net,
     extractor: &FeatureExtractor,
     observations: &[FingerprintObservation],
     run: impl Fn(&F::Net, &Tensor) -> vital::Result<Tensor>,
-    per_row: impl Fn(&[f32], &[f32]) -> vital::Result<R> + Sync,
+    per_row: impl Fn(&[f32], &[f32]) -> vital::Result<R>,
 ) -> vital::Result<Vec<R>> {
     let mut results = Vec::with_capacity(observations.len());
     for chunk in observations.chunks(features::INFERENCE_CHUNK) {
         let queries = extractor.extract_clean_batch(chunk);
         let outputs = run(net, &F::input(net, &queries)?)?;
-        let rows: Vec<_> = queries
-            .iter()
-            .zip(outputs.as_slice().chunks_exact(outputs.cols()?))
-            .collect();
-        for result in parallel::parallel_map(&rows, |(query, row)| per_row(query, row)) {
-            results.push(result?);
+        let rows = outputs.as_slice().chunks_exact(outputs.cols()?);
+        for (query, row) in queries.iter().zip(rows) {
+            results.push(per_row(query, row)?);
         }
     }
     Ok(results)

@@ -3,15 +3,14 @@
 //! Each neural localizer serves inference from a build-once/execute-many
 //! compiled plan (`crates/graph`) keyed by batch shape; the tape-based
 //! eager path is kept as the bit-exactness reference. These tests assert
-//! the two paths agree *exactly* — across batch sizes {1, 2, 32, 65} and
-//! worker-thread counts {1, 4} — and that plan caching behaves (one plan
-//! per chunk shape, reused on re-execution). 65 crosses the baselines'
+//! the two paths agree *exactly* — across batch sizes {1, 2, 32, 65} —
+//! and that plan caching behaves (one plan per chunk shape, reused on
+//! re-execution). 65 crosses the baselines'
 //! 64-observation inference chunk, so the shared chunk loop has to stitch
 //! a full chunk and a remainder of one in order.
 //!
 //! KNN is the one localizer without a neural stage, so it has no compiled
-//! plan; its parity property is batch-vs-single-query consistency under
-//! the same thread counts.
+//! plan; its parity property is batch-vs-single-query consistency.
 //!
 //! `predict` is `localize_batch` of one observation for all six
 //! localizers, fitted or not; the last test pins that.
@@ -26,7 +25,6 @@ use tensor::Tensor;
 use vital::{Localizer, VitalConfig, VitalError, VitalModel};
 
 const BATCH_SIZES: [usize; 4] = [1, 2, 32, 65];
-const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 fn tiny_dataset() -> FingerprintDataset {
     let building = building_1();
@@ -62,7 +60,7 @@ fn queries(dataset: &FingerprintDataset, n: usize) -> Vec<FingerprintObservation
 }
 
 /// Asserts compiled `localize_batch` output equals the eager reference and
-/// per-observation prediction for every batch size and thread count, then
+/// per-observation prediction for every batch size, then
 /// that re-serving the same shapes hits the cached plans instead of
 /// compiling new ones.
 fn assert_compiled_parity<L: Localizer>(
@@ -71,32 +69,28 @@ fn assert_compiled_parity<L: Localizer>(
     eager: impl Fn(&L, &[FingerprintObservation]) -> vital::Result<Vec<usize>>,
     cached_plans: impl Fn(&L) -> usize,
 ) {
-    for threads in THREAD_COUNTS {
-        parallel::with_threads(threads, || {
-            for batch in BATCH_SIZES {
-                let observations = queries(dataset, batch);
-                let compiled = localizer.localize_batch(&observations).unwrap();
-                let reference = eager(localizer, &observations).unwrap();
-                assert_eq!(
-                    compiled,
-                    reference,
-                    "{}: compiled diverged from eager at batch {batch} / {threads} threads",
-                    localizer.name()
-                );
-                // Both runners share the chunk loop; per-observation
-                // prediction is what shows a chunk stitched out of order.
-                let single: Vec<usize> = observations
-                    .iter()
-                    .map(|o| localizer.predict(o).unwrap())
-                    .collect();
-                assert_eq!(
-                    compiled,
-                    single,
-                    "{}: batch {batch} diverged from per-observation prediction",
-                    localizer.name()
-                );
-            }
-        });
+    for batch in BATCH_SIZES {
+        let observations = queries(dataset, batch);
+        let compiled = localizer.localize_batch(&observations).unwrap();
+        let reference = eager(localizer, &observations).unwrap();
+        assert_eq!(
+            compiled,
+            reference,
+            "{}: compiled diverged from eager at batch {batch}",
+            localizer.name()
+        );
+        // Both runners share the chunk loop; per-observation prediction is
+        // what shows a chunk stitched out of order.
+        let single: Vec<usize> = observations
+            .iter()
+            .map(|o| localizer.predict(o).unwrap())
+            .collect();
+        assert_eq!(
+            compiled,
+            single,
+            "{}: batch {batch} diverged from per-observation prediction",
+            localizer.name()
+        );
     }
     let plans = cached_plans(localizer);
     assert!(
@@ -196,54 +190,45 @@ fn vital_compiled_matches_eager() {
 
     // The eager full-width forward over the inference patch matrices: the
     // two forms name the same places.
-    for threads in THREAD_COUNTS {
-        parallel::with_threads(threads, || {
-            for batch_size in BATCH_SIZES {
-                let observations = queries(&dataset, batch_size);
-                let batch: Vec<Tensor> = observations
-                    .iter()
-                    .map(|o| {
-                        let mut rng = SeededRng::new(0);
-                        model.prepare_patches(o, false, &mut rng).unwrap()
-                    })
-                    .collect();
-                let tape = autograd::Tape::new();
-                let mut session = nn::Session::new(&tape, false, 0);
-                let logits = model.transformer().forward_batch(&mut session, &batch);
-                let full_width = logits.unwrap().value().argmax_rows().unwrap();
-                assert_eq!(
-                    model.localize_batch(&observations).unwrap(),
-                    full_width,
-                    "VITAL: folded and full-width predictions differ at batch {batch_size} / \
-                     {threads} threads"
-                );
-            }
-        });
+    for batch_size in BATCH_SIZES {
+        let observations = queries(&dataset, batch_size);
+        let batch: Vec<Tensor> = observations
+            .iter()
+            .map(|o| {
+                let mut rng = SeededRng::new(0);
+                model.prepare_patches(o, false, &mut rng).unwrap()
+            })
+            .collect();
+        let tape = autograd::Tape::new();
+        let mut session = nn::Session::new(&tape, false, 0);
+        let logits = model.transformer().forward_batch(&mut session, &batch);
+        let full_width = logits.unwrap().value().argmax_rows().unwrap();
+        assert_eq!(
+            model.localize_batch(&observations).unwrap(),
+            full_width,
+            "VITAL: folded and full-width predictions differ at batch {batch_size}"
+        );
     }
 }
 
 #[test]
-fn knn_batch_matches_single_query_across_threads() {
+fn knn_batch_matches_single_query() {
     // KNN has no neural stage, hence no compiled plan: its parity property
-    // is that the (parallel) batch path agrees with per-query prediction.
+    // is that the batch path agrees with per-query prediction.
     let dataset = tiny_dataset();
     let mut knn = KnnLocalizer::new(3, FeatureMode::Ssd);
     knn.fit(&dataset).unwrap();
-    for threads in THREAD_COUNTS {
-        parallel::with_threads(threads, || {
-            for batch in BATCH_SIZES {
-                let observations = queries(&dataset, batch);
-                let batched = knn.localize_batch(&observations).unwrap();
-                let single: Vec<usize> = observations
-                    .iter()
-                    .map(|o| knn.predict(o).unwrap())
-                    .collect();
-                assert_eq!(
-                    batched, single,
-                    "KNN batch diverged from single-query at batch {batch} / {threads} threads"
-                );
-            }
-        });
+    for batch in BATCH_SIZES {
+        let observations = queries(&dataset, batch);
+        let batched = knn.localize_batch(&observations).unwrap();
+        let single: Vec<usize> = observations
+            .iter()
+            .map(|o| knn.predict(o).unwrap())
+            .collect();
+        assert_eq!(
+            batched, single,
+            "KNN batch diverged from single-query at batch {batch}"
+        );
     }
 }
 

@@ -13,9 +13,8 @@
 //! `training_bits.rs` pins what `fit` writes; this pins what a forward pass
 //! computes, through both recorders of the one `nn::Trace` definition (the
 //! eval tape for the logits, the compiled plan for the predictions). The
-//! test runs at whatever dispatch level `VITAL_SIMD` selects, once under
-//! one compute thread and once under four, and every run is held to the
-//! same constants: scalar ≡ AVX2 bitwise, thread-count invariant, on every
+//! test runs at whatever dispatch level `VITAL_SIMD` selects, and every
+//! run is held to the same constants: scalar ≡ AVX2 bitwise, on every
 //! runner and at every later commit. A kernel, fusion or layout change
 //! passes unchanged or says which bit it moved and why.
 //!
@@ -130,8 +129,7 @@ fn ulp_diff(a: u32, b: u32) -> u64 {
     rank(a).abs_diff(rank(b))
 }
 
-/// Holds `run` to its constants at the active dispatch level, under one
-/// compute thread and under four.
+/// Holds `run` to its constants at the active dispatch level.
 fn assert_pinned(
     what: &str,
     run: fn() -> (Vec<u32>, Vec<usize>),
@@ -139,32 +137,30 @@ fn assert_pinned(
     pinned_predictions: &[usize],
 ) {
     let level = simd::active_level();
-    for threads in [1, 4] {
-        let (logits, predictions) = parallel::with_threads(threads, run);
-        assert_eq!(
-            predictions,
-            pinned_predictions,
-            "{what}: compiled predictions moved at level {} with {threads} thread(s)",
+    let (logits, predictions) = run();
+    assert_eq!(
+        predictions,
+        pinned_predictions,
+        "{what}: compiled predictions moved at level {}",
+        level.name()
+    );
+    if level == simd::Level::Fma {
+        let worst = logits
+            .iter()
+            .zip(pinned_logits)
+            .map(|(&a, &b)| ulp_diff(a, b));
+        let worst = worst.max().unwrap();
+        assert!(
+            worst <= FMA_MAX_ULP,
+            "{what}: FMA logits are {worst} ULP from the pinned bits (bound {FMA_MAX_ULP})"
+        );
+    } else {
+        assert!(
+            logits == pinned_logits,
+            "{what}: inference bits moved at level {}; logits are {logits:#010x?}, \
+             predictions {predictions:?}",
             level.name()
         );
-        if level == simd::Level::Fma {
-            let worst = logits
-                .iter()
-                .zip(pinned_logits)
-                .map(|(&a, &b)| ulp_diff(a, b));
-            let worst = worst.max().unwrap();
-            assert!(
-                worst <= FMA_MAX_ULP,
-                "{what}: FMA logits are {worst} ULP from the pinned bits (bound {FMA_MAX_ULP})"
-            );
-        } else {
-            assert!(
-                logits == pinned_logits,
-                "{what}: inference bits moved at level {} with {threads} thread(s); logits are \
-                 {logits:#010x?}, predictions {predictions:?}",
-                level.name()
-            );
-        }
     }
 }
 

@@ -49,7 +49,8 @@ pub trait Localizer: Send + Sync {
     /// order: the one inference entry point a framework implements, and the
     /// one the evaluation harness and the server go through. Network models
     /// stack chunks of the batch into one forward pass each; feature-space
-    /// matchers fan the queries out across threads.
+    /// matchers scan the memory once per query. Every call computes on the
+    /// calling thread.
     ///
     /// # Errors
     /// Returns [`VitalError::NotFitted`] if called before [`Localizer::fit`],

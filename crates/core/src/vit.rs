@@ -251,8 +251,7 @@ impl VisionTransformer {
     ///
     /// Executing the batch *stacked* makes the patch embedding, every
     /// layer-norm, every encoder MLP, every attention projection and the
-    /// classification head each a single large GEMM over the whole batch
-    /// (which the packed kernel then splits across threads).
+    /// classification head each a single large GEMM over the whole batch.
     ///
     /// # Errors
     /// Returns an error if `stacked` does not have that shape.

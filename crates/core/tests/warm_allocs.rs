@@ -11,9 +11,9 @@
 //! (`perturb_row`, Philox `block`, `KeyedNoise::row`) by the DAM's.
 //!
 //! This binary installs a counting `#[global_allocator]`: the counts are
-//! kept per thread, so the harness's own threads and the other test cannot
-//! disturb them, and `parallel::with_threads(1)` keeps the whole forward
-//! pass on the counting thread.
+//! kept per thread, so the harness's own threads and the other tests
+//! cannot disturb them, and the whole forward pass runs on the counting
+//! thread, as every computation does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -107,28 +107,26 @@ const WARM_ALLOCS: u64 = 21;
 #[test]
 fn warm_predict_folded_allocates_the_same_handful_at_every_batch_size() {
     let vit = VisionTransformer::new(&mut SeededRng::new(3), &VitalConfig::fast(18, 8)).unwrap();
-    parallel::with_threads(1, || {
-        let before = allocs();
-        std::hint::black_box(vit.weight_stamp());
-        let stamp_allocs = allocs() - before;
-        for samples in [1, 16, 32] {
-            let (per_call, after_fill) = warm_call(&vit, samples);
-            assert_eq!(
-                after_fill, 1,
-                "batch {samples}: once the input is filled only the returned Vec<usize> may be \
-                 allocated; more is a per-step, per-band or per-pack allocation in the plan"
-            );
-            assert_eq!(
-                per_call,
-                stamp_allocs + 1,
-                "batch {samples}: a warm call allocates for the weight stamp and the answer only"
-            );
-            assert!(
-                per_call <= WARM_ALLOCS,
-                "batch {samples}: {per_call} allocations per warm call, {WARM_ALLOCS} when pinned"
-            );
-        }
-    });
+    let before = allocs();
+    std::hint::black_box(vit.weight_stamp());
+    let stamp_allocs = allocs() - before;
+    for samples in [1, 16, 32] {
+        let (per_call, after_fill) = warm_call(&vit, samples);
+        assert_eq!(
+            after_fill, 1,
+            "batch {samples}: once the input is filled only the returned Vec<usize> may be \
+             allocated; more is a per-step, per-band or per-pack allocation in the plan"
+        );
+        assert_eq!(
+            per_call,
+            stamp_allocs + 1,
+            "batch {samples}: a warm call allocates for the weight stamp and the answer only"
+        );
+        assert!(
+            per_call <= WARM_ALLOCS,
+            "batch {samples}: {per_call} allocations per warm call, {WARM_ALLOCS} when pinned"
+        );
+    }
 }
 
 /// What the backward pass of a warm training step of [`training_backward`]
@@ -169,20 +167,18 @@ fn warm_training_backward_allocates_nothing_the_size_of_its_input() {
     let dims = [samples * vit.num_patches(), vit.patch_dim()];
     let input = SeededRng::new(5).uniform_tensor(&dims, -1.0, 1.0);
     let input_bytes = input.len() * std::mem::size_of::<f32>();
-    parallel::with_threads(1, || {
-        // Warm-up: the thread's GEMM packing scratch.
-        training_backward(&vit, &input, samples);
-        let (blocks, largest) = training_backward(&vit, &input, samples);
-        assert!(
-            largest < input_bytes,
-            "the backward pass allocated a block of {largest} bytes; the stacked patch input \
-             is {input_bytes}, and as a constant it gets no gradient"
-        );
-        assert_eq!(
-            blocks, BACKWARD_ALLOCS,
-            "a warm training backward allocated {blocks} blocks, {BACKWARD_ALLOCS} when pinned"
-        );
-    });
+    // Warm-up: the thread's GEMM packing scratch.
+    training_backward(&vit, &input, samples);
+    let (blocks, largest) = training_backward(&vit, &input, samples);
+    assert!(
+        largest < input_bytes,
+        "the backward pass allocated a block of {largest} bytes; the stacked patch input \
+         is {input_bytes}, and as a constant it gets no gradient"
+    );
+    assert_eq!(
+        blocks, BACKWARD_ALLOCS,
+        "a warm training backward allocated {blocks} blocks, {BACKWARD_ALLOCS} when pinned"
+    );
 }
 
 #[test]
@@ -212,29 +208,27 @@ fn warm_localize_batch_allocates_nothing_the_size_of_an_image() {
         batch.to_vec(),
     );
     model.fit(&seen).unwrap();
-    parallel::with_threads(1, || {
-        let before = allocs();
-        std::hint::black_box(model.transformer().weight_stamp());
-        let stamp_allocs = allocs() - before;
-        // Warm-up: the plan for this batch size and its arena.
-        let expected = model.localize_batch(batch).unwrap();
-        LARGEST.set(0);
-        let before = allocs();
-        assert_eq!(model.localize_batch(batch).unwrap(), expected);
-        let (blocks, largest) = (allocs() - before, LARGEST.get());
-        assert!(
-            largest <= channel_bytes,
-            "a warm localize_batch allocated a block of {largest} bytes; one channel of the 1-D              image is {channel_bytes}, and nothing larger (a replicated row, a patch, the image) \
-             is ever to be materialised"
-        );
-        assert_eq!(
-            blocks,
-            stamp_allocs + 2 + 3 * batch.len() as u64,
-            "a warm localize_batch allocates for the weight stamp, the chunk's labels, the \
-             answer and the three resampled channels of each observation; the DAM normalises \
-             those straight into the plan's input"
-        );
-    });
+    let before = allocs();
+    std::hint::black_box(model.transformer().weight_stamp());
+    let stamp_allocs = allocs() - before;
+    // Warm-up: the plan for this batch size and its arena.
+    let expected = model.localize_batch(batch).unwrap();
+    LARGEST.set(0);
+    let before = allocs();
+    assert_eq!(model.localize_batch(batch).unwrap(), expected);
+    let (blocks, largest) = (allocs() - before, LARGEST.get());
+    assert!(
+        largest <= channel_bytes,
+        "a warm localize_batch allocated a block of {largest} bytes; one channel of the 1-D              image is {channel_bytes}, and nothing larger (a replicated row, a patch, the image) \
+         is ever to be materialised"
+    );
+    assert_eq!(
+        blocks,
+        stamp_allocs + 2 + 3 * batch.len() as u64,
+        "a warm localize_batch allocates for the weight stamp, the chunk's labels, the \
+         answer and the three resampled channels of each observation; the DAM normalises \
+         those straight into the plan's input"
+    );
 }
 
 /// What one `write_patches(.., training = true, ..)` call allocates,

@@ -26,8 +26,9 @@
 //! Fused execution is **bit-identical** to the eager tensor path: every
 //! step calls the slice-level kernel ([`tensor::kernels`], `simd`, the
 //! GEMM) the eager `Tensor` op itself calls, so what the property tests
-//! in this crate, `core` and `baselines` check across all localizers,
-//! batch sizes and thread counts is the planner.
+//! in this crate, `core` and `baselines` check across all localizers and
+//! batch sizes is the planner. Like the GEMM it calls, a plan executes on
+//! the calling thread.
 //!
 //! Process-wide counters (plans built, cache hits, arena reuse) live in
 //! [`stats`] and are exported by the serve layer's `/metrics`.

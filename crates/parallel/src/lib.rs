@@ -1,41 +1,34 @@
-//! Dependency-free data-parallel dispatch for the VITAL workspace.
+//! Scoped data-parallel chunking: the benchmark's instrument for the cost
+//! of a parallel region.
 //!
-//! This crate is the threading substrate underneath the packed GEMM in the
-//! `tensor` crate and the batched inference paths above it. It deliberately
-//! avoids external dependencies (no rayon, no crossbeam): everything is built
-//! on [`std::thread::scope`], which lets worker threads borrow the caller's
-//! stack data without `'static` bounds or reference counting.
+//! No product crate depends on this crate. Every computation of the
+//! workspace runs on the thread that asked for it, and a server uses a
+//! second core by running a second dispatch worker (`--workers`). What
+//! remains is what the benchmark measures with: [`parallel_chunks_mut`]
+//! opens one region of scoped threads, [`with_threads`] sets how many, and
+//! [`num_threads`] reads the count back. The crate has no dependencies:
+//! everything is built on [`std::thread::scope`], which lets worker
+//! threads borrow the caller's stack data without `'static` bounds or
+//! reference counting.
 //!
 //! # Determinism contract
 //!
-//! Every helper in this crate guarantees **byte-identical results regardless
-//! of the thread count**, including the single-threaded fallback:
+//! Results are **byte-identical regardless of the thread count**:
 //!
 //! * Work is split into *chunks* whose boundaries depend only on the input
 //!   length and the requested chunk size — never on the number of workers.
 //! * Each chunk is processed start-to-finish by exactly one worker with the
 //!   same sequential code the single-threaded path runs, so floating-point
 //!   accumulation order inside a chunk never changes.
-//! * Chunks write disjoint outputs (`parallel_chunks_mut` hands each worker a
-//!   non-overlapping `&mut` sub-slice; [`parallel_map`] writes each result
-//!   into its input's slot), so no reduction order is introduced across
-//!   chunks.
+//! * Chunks write disjoint outputs (each worker gets non-overlapping `&mut`
+//!   sub-slices), so no reduction order is introduced across chunks.
 //!
-//! Consequently `VITAL_THREADS=1` and `VITAL_THREADS=16` produce the same
-//! bits, and CI runs the test suite under both to enforce it.
+//! # Thread count
 //!
-//! # Thread-count resolution
-//!
-//! The worker count for a call is resolved in order from:
-//!
-//! 1. a scoped [`with_threads`] override (used by tests and benchmarks),
-//! 2. the `VITAL_THREADS` environment variable (`0` or unparsable values are
-//!    ignored),
-//! 3. [`std::thread::available_parallelism`].
-//!
-//! A resolved count of 1 short-circuits to an inline loop on the calling
-//! thread — no threads are spawned, so single-core machines and
-//! `VITAL_THREADS=1` runs pay zero synchronisation overhead.
+//! A call uses the count of the innermost [`with_threads`] on the calling
+//! thread, or else [`std::thread::available_parallelism`]. A count of 1
+//! short-circuits to an inline loop on the calling thread: no threads are
+//! spawned.
 //!
 //! # Example
 //!
@@ -54,34 +47,18 @@
 #![warn(rust_2018_idioms)]
 
 use std::cell::Cell;
-use std::sync::OnceLock;
 
 thread_local! {
     /// Scoped thread-count override installed by [`with_threads`].
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// `VITAL_THREADS` is read once per process; the scoped override exists for
-/// callers (tests, benchmarks) that need to vary the count afterwards.
-fn env_threads() -> Option<usize> {
-    static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV_THREADS.get_or_init(|| {
-        std::env::var("VITAL_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-    })
-}
-
-/// The number of worker threads data-parallel helpers will use, resolved from
-/// the [`with_threads`] override, then `VITAL_THREADS`, then the machine's
-/// available parallelism (falling back to 1).
+/// The number of worker threads [`parallel_chunks_mut`] will use: the
+/// [`with_threads`] override, else the machine's available parallelism
+/// (falling back to 1).
 pub fn num_threads() -> usize {
     if let Some(n) = THREAD_OVERRIDE.with(Cell::get) {
         return n.max(1);
-    }
-    if let Some(n) = env_threads() {
-        return n;
     }
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -92,7 +69,7 @@ pub fn num_threads() -> usize {
 /// (nested calls shadow outer ones; the previous value is restored on exit,
 /// including on panic).
 ///
-/// This is how the GEMM property tests compare 1-, 2- and N-thread runs
+/// This is how the benchmark times one region at 1 and at 2 threads
 /// without mutating process-global state.
 pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
@@ -153,34 +130,6 @@ where
             });
         }
     });
-}
-
-/// Applies `f` to every element of `items` across worker threads, returning
-/// the results in input order.
-///
-/// Each result is written into its own pre-allocated slot, so ordering (and
-/// therefore determinism) does not depend on worker scheduling.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let mut out: Vec<Option<R>> = Vec::new();
-    out.resize_with(items.len(), || None);
-    // Chunk the index space so neighbouring items stay on one worker (better
-    // locality than a per-item round-robin for the short feature vectors the
-    // localizers map over).
-    let chunk = items.len().div_ceil(num_threads().max(1)).max(1);
-    parallel_chunks_mut(&mut out, chunk, |chunk_index, slots| {
-        let base = chunk_index * chunk;
-        for (offset, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(f(&items[base + offset]));
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("every slot filled by its chunk"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -252,17 +201,6 @@ mod tests {
     fn empty_input_is_a_no_op() {
         let mut data: Vec<u8> = Vec::new();
         parallel_chunks_mut(&mut data, 4, |_, _| panic!("must not be called"));
-        assert!(parallel_map(&data, |_: &u8| 1u8).is_empty());
-    }
-
-    #[test]
-    fn map_preserves_order_for_every_thread_count() {
-        let items: Vec<u64> = (0..97).collect();
-        let expect: Vec<u64> = items.iter().map(|v| v * v).collect();
-        for threads in [1, 2, 4, 9] {
-            let got = with_threads(threads, || parallel_map(&items, |v| v * v));
-            assert_eq!(got, expect, "threads={threads}");
-        }
     }
 
     #[test]

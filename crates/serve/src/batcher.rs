@@ -132,15 +132,18 @@ pub struct BatcherConfig {
     /// Bounded queue capacity, in jobs; a full queue sheds load with 503.
     pub queue_cap: usize,
     /// Dispatch workers pulling from the shared queue, each running its own
-    /// `localize_batch` calls on the shared registry. The `vital-serve`
-    /// binary defaults its `--workers` flag to the machine's available
-    /// cores; the library default stays at 1 so embedded/test servers are
-    /// single-worker unless asked otherwise.
+    /// `localize_batch` calls on the shared registry, on its own thread.
+    /// Workers are the server's only compute parallelism: a second core
+    /// pays as a second worker. The `vital-serve` binary defaults its
+    /// `--workers` flag to the machine's available cores; the library
+    /// default stays at 1 so embedded/test servers are single-worker
+    /// unless asked otherwise.
     pub workers: usize,
-    /// Worker threads for the batched compute *inside* one
-    /// `localize_batch` call (`None` = the `parallel` crate's default
-    /// resolution). With several dispatch workers, pin this low to avoid
-    /// oversubscription: total compute threads ≈ `workers × threads`.
+    /// Compute threads inside one `localize_batch` call. Every model
+    /// computes on the worker's own thread, so the only value [`start`]
+    /// accepts besides `None` is `Some(1)`; it refuses more and points to
+    /// `workers` instead. The field remains because the benchmark sets it
+    /// and reports it.
     pub threads: Option<usize>,
     /// Deterministic fault-injection plan (`None` in production: the only
     /// cost is this `Option` check per batch).
@@ -529,12 +532,18 @@ fn spawn_worker(
 /// and at no other time: no panic in a batch ends one.
 ///
 /// # Errors
-/// Thread spawn failures, as a message.
+/// A `threads` above 1, and thread spawn failures, as a message.
 pub fn start(
     registry: Arc<Registry>,
     config: BatcherConfig,
     metrics: Arc<Metrics>,
 ) -> Result<(BatcherClient, Vec<std::thread::JoinHandle<()>>), String> {
+    if let Some(threads @ 2..) = config.threads {
+        return Err(format!(
+            "threads {threads} is refused: every model computes on its \
+             dispatch worker's own thread, so use workers {threads} for {threads} cores"
+        ));
+    }
     let workers = config.workers.max(1);
     let queue = Arc::new(JobQueue::new(config.queue_cap, workers));
     let mut handles = Vec::with_capacity(workers);
@@ -664,7 +673,7 @@ fn execute(
         };
         metrics.record_batch(worker_id, batch.len());
 
-        match run_model(registry, &model, &batch, config) {
+        match run_model(registry, &model, &batch) {
             Ok(predictions) => {
                 // A single-job group owns the whole prediction vector —
                 // hand it over without the per-job slice copy.
@@ -707,19 +716,15 @@ fn run_model(
     registry: &Registry,
     model: &str,
     batch: &[FingerprintObservation],
-    config: &BatcherConfig,
 ) -> Result<Vec<usize>, String> {
     // Unreachable in practice: names are validated against the catalog
     // before enqueueing.
     let Some(localizer) = registry.get(Some(model)) else {
         return Err(format!("model {model:?} is not loaded"));
     };
-    let run = || localizer.localize_batch(batch);
-    let executed =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match config.threads {
-            Some(threads) => parallel::with_threads(threads, run),
-            None => run(),
-        }));
+    let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        localizer.localize_batch(batch)
+    }));
     match executed {
         Ok(Ok(predictions)) if predictions.len() == batch.len() => Ok(predictions),
         // A short/long result would make the fan-out slicing panic the
@@ -848,7 +853,6 @@ mod tests {
                 max_wait: Duration::from_millis(20),
                 queue_cap: 16,
                 workers: 1,
-                threads: Some(1),
                 ..BatcherConfig::default()
             },
             Arc::clone(&metrics),
@@ -870,6 +874,27 @@ mod tests {
     }
 
     #[test]
+    fn start_refuses_compute_threads_and_points_to_workers() {
+        let config = |threads| BatcherConfig {
+            threads,
+            ..BatcherConfig::default()
+        };
+        let refused = start(echo_registry(), config(Some(2)), Arc::new(Metrics::new()));
+        let message = refused.err().expect("two compute threads must be refused");
+        assert!(message.contains("workers"), "{message}");
+
+        for threads in [Some(1), None] {
+            let (client, handles) =
+                start(echo_registry(), config(threads), Arc::new(Metrics::new())).unwrap();
+            let (tx, rx) = mpsc::sync_channel(1);
+            client.submit(job("echo", vec![obs(-4.0)], tx)).unwrap();
+            assert_eq!(rx.recv().unwrap().unwrap(), vec![4], "{threads:?}");
+            drop(client);
+            join_all(handles);
+        }
+    }
+
+    #[test]
     fn max_batch_is_a_hard_cap_via_carry_over() {
         let metrics = Arc::new(Metrics::new());
         let (client, handles) = start(
@@ -882,7 +907,6 @@ mod tests {
                 max_wait: Duration::from_millis(200),
                 queue_cap: 16,
                 workers: 1,
-                threads: Some(1),
                 ..BatcherConfig::default()
             },
             Arc::clone(&metrics),
@@ -925,7 +949,6 @@ mod tests {
                 max_wait: Duration::from_micros(200),
                 queue_cap: 256,
                 workers: 4,
-                threads: Some(1),
                 ..BatcherConfig::default()
             },
             Arc::clone(&metrics),
@@ -1005,7 +1028,6 @@ mod tests {
         let (client, handles) = start(
             registry,
             BatcherConfig {
-                threads: Some(1),
                 ..BatcherConfig::default()
             },
             Arc::new(Metrics::new()),
@@ -1055,7 +1077,6 @@ mod tests {
                 max_wait: Duration::from_micros(100),
                 queue_cap: 4,
                 workers: 1,
-                threads: Some(1),
                 ..BatcherConfig::default()
             },
             Arc::new(Metrics::new()),
@@ -1106,7 +1127,6 @@ mod tests {
                 max_wait: Duration::from_micros(100),
                 queue_cap: 16,
                 workers: 1,
-                threads: Some(1),
                 ..BatcherConfig::default()
             },
             Arc::clone(&metrics),
@@ -1174,10 +1194,10 @@ mod tests {
                 max_wait: Duration::from_micros(100),
                 queue_cap: 16,
                 workers: 1,
-                threads: Some(1),
                 faults: Some(Arc::new(
                     FaultPlan::parse("worker_panic=2").expect("spec parses"),
                 )),
+                ..BatcherConfig::default()
             },
             Arc::clone(&metrics),
         )
@@ -1232,7 +1252,6 @@ mod tests {
                 max_wait: Duration::from_micros(100),
                 queue_cap: 16,
                 workers: 1,
-                threads: Some(1),
                 ..BatcherConfig::default()
             },
             Arc::clone(&metrics),
@@ -1287,7 +1306,6 @@ mod tests {
             echo_registry(),
             BatcherConfig {
                 max_wait: window,
-                threads: Some(1),
                 ..BatcherConfig::default()
             },
             Arc::clone(&metrics),
@@ -1328,7 +1346,6 @@ mod tests {
         let (client, handles) = start(
             echo_registry(),
             BatcherConfig {
-                threads: Some(1),
                 faults: Some(Arc::new(
                     FaultPlan::parse("latency=echo:200:1").expect("spec parses"),
                 )),
@@ -1390,7 +1407,6 @@ mod tests {
                 max_wait: Duration::from_micros(50),
                 queue_cap: 16,
                 workers: 2,
-                threads: Some(1),
                 ..BatcherConfig::default()
             },
             Arc::clone(&metrics),
@@ -1464,7 +1480,6 @@ mod tests {
                 max_wait: Duration::from_micros(1),
                 queue_cap: 1,
                 workers: 1,
-                threads: Some(1),
                 ..BatcherConfig::default()
             },
             Arc::new(Metrics::new()),

@@ -3,8 +3,7 @@
 //! ```text
 //! vital-serve --checkpoint-dir checkpoints/ [--addr 127.0.0.1:8077]
 //!             [--max-batch 32] [--max-wait-us 0] [--queue-cap 256]
-//!             [--workers N] [--threads N] [--default-deadline-ms N]
-//!             [--faults SPEC]
+//!             [--workers N] [--default-deadline-ms N] [--faults SPEC]
 //! ```
 //!
 //! Loads every `*.vckpt` checkpoint in `--checkpoint-dir` (any of the six
@@ -13,12 +12,14 @@
 //! and `POST /admin/drain` until stopped. `--workers` sets the number of
 //! dispatch workers pulling micro-batches from the shared queue (default:
 //! the machine's available cores); all of them run inference on the same
-//! `Arc`-shared weights, so replication costs no memory. `--threads` pins
-//! the `parallel` crate's worker count for the batched compute *inside*
-//! each `localize_batch` call (total compute threads ≈ workers ×
-//! threads); when omitted with several workers it defaults to
-//! cores ÷ workers so the out-of-the-box configuration never
-//! oversubscribes the machine.
+//! `Arc`-shared weights, so replication costs no memory. Each worker
+//! computes its batches on its own thread, so workers are the one
+//! parallelism knob: a second core pays as a second worker.
+//!
+//! Every argument is a known flag followed by its value. An unknown flag
+//! (a typo, or one that no longer exists), a flag without a value
+//! and a stray value each stop the boot with a message naming it and the
+//! usage line.
 //!
 //! Fault tolerance:
 //!
@@ -43,11 +44,20 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+use serve::codec::MAX_DEADLINE_MS;
 use serve::{cli, BatcherConfig, FaultPlan, Registry, Server, ServerConfig};
 
-/// Upper bound on `--default-deadline-ms`, mirroring the codec's cap on
-/// per-request deadlines (24 h).
-const MAX_DEADLINE_MS: usize = 86_400_000;
+/// Every flag `vital-serve` takes; each takes one value.
+const FLAGS: [&str; 8] = [
+    "--checkpoint-dir",
+    "--addr",
+    "--max-batch",
+    "--max-wait-us",
+    "--queue-cap",
+    "--workers",
+    "--default-deadline-ms",
+    "--faults",
+];
 
 /// How long a signal-triggered drain waits for queued jobs before the
 /// server exits anyway.
@@ -60,15 +70,14 @@ struct Args {
     max_wait_us: u64,
     queue_cap: usize,
     workers: usize,
-    threads: Option<usize>,
     default_deadline: Option<Duration>,
     faults: Option<Arc<FaultPlan>>,
 }
 
 fn usage() -> String {
     "usage: vital-serve --checkpoint-dir DIR [--addr HOST:PORT] [--max-batch N] \
-     [--max-wait-us 0] [--queue-cap N] [--workers N] [--threads N] \
-     [--default-deadline-ms N] [--faults SPEC]"
+     [--max-wait-us 0] [--queue-cap N] [--workers N] [--default-deadline-ms N] \
+     [--faults SPEC]"
         .to_string()
 }
 
@@ -79,35 +88,26 @@ fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
+/// Parses `args` (the program name excluded).
 fn parse_args(args: &[String]) -> Result<Args, String> {
-    let checkpoint_dir = cli::value(args, "--checkpoint-dir")
+    let flags = cli::Flags::parse(args, &FLAGS).map_err(|e| format!("{e}; {}", usage()))?;
+    let checkpoint_dir = flags
+        .value("--checkpoint-dir")
         .map(PathBuf::from)
         .ok_or_else(usage)?;
-    let workers = cli::parse_usize(args, "--workers", default_workers())?.max(1);
-    // With several dispatch workers and no explicit --threads, split the
-    // cores between them: the unconstrained default would give every
-    // worker's localize_batch a full-machine thread pool, i.e. up to
-    // cores² runnable compute threads thrashing the scheduler.
-    let threads = match cli::parse_threads(args)? {
-        Some(threads) => Some(threads),
-        None if workers > 1 => Some((default_workers() / workers).max(1)),
-        None => None,
-    };
-    let deadline_ms = cli::parse_usize(args, "--default-deadline-ms", 0)?.min(MAX_DEADLINE_MS);
-    let faults = cli::value(args, "--faults")
-        .map(|spec| FaultPlan::parse(spec))
-        .transpose()?;
+    let deadline_ms = (flags.usize("--default-deadline-ms", 0)? as u64).min(MAX_DEADLINE_MS);
+    let faults = flags.value("--faults").map(FaultPlan::parse).transpose()?;
     Ok(Args {
-        addr: cli::value(args, "--addr")
-            .cloned()
-            .unwrap_or_else(|| "127.0.0.1:8077".to_string()),
+        addr: flags
+            .value("--addr")
+            .unwrap_or("127.0.0.1:8077")
+            .to_string(),
         checkpoint_dir,
-        max_batch: cli::parse_usize(args, "--max-batch", 32)?.max(1),
-        max_wait_us: cli::parse_usize(args, "--max-wait-us", 0)? as u64,
-        queue_cap: cli::parse_usize(args, "--queue-cap", 256)?.max(1),
-        workers,
-        threads,
-        default_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms as u64)),
+        max_batch: flags.usize("--max-batch", 32)?.max(1),
+        max_wait_us: flags.usize("--max-wait-us", 0)? as u64,
+        queue_cap: flags.usize("--queue-cap", 256)?.max(1),
+        workers: flags.usize("--workers", default_workers())?.max(1),
+        default_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
         faults: faults.map(Arc::new),
     })
 }
@@ -169,8 +169,8 @@ fn run(args: Args) -> Result<(), String> {
                 max_wait: Duration::from_micros(args.max_wait_us),
                 queue_cap: args.queue_cap,
                 workers: args.workers,
-                threads: args.threads,
                 faults: args.faults.clone(),
+                ..BatcherConfig::default()
             },
             default_deadline: args.default_deadline,
         },
@@ -178,16 +178,13 @@ fn run(args: Args) -> Result<(), String> {
     )?;
     println!(
         "vital-serve listening on http://{} — models: {}; max_batch={} max_wait_us={} \
-         queue_cap={} workers={} threads={} default_deadline_ms={} simd={}",
+         queue_cap={} workers={} default_deadline_ms={} simd={}",
         server.addr(),
         catalog.join(", "),
         args.max_batch,
         args.max_wait_us,
         args.queue_cap,
         args.workers,
-        args.threads
-            .map(|t| t.to_string())
-            .unwrap_or_else(|| "auto".to_string()),
         args.default_deadline
             .map(|d| d.as_millis().to_string())
             .unwrap_or_else(|| "off".to_string()),
@@ -223,7 +220,7 @@ fn run(args: Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     match parse_args(&args).and_then(run) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {

@@ -3,9 +3,9 @@
 //! This crate turns the offline reproduction into a serving system: a
 //! dependency-free HTTP/1.1 server on [`std::net::TcpListener`] whose hot
 //! path is the **micro-batching scheduler** — concurrent requests are
-//! coalesced into `Localizer::localize_batch` calls over the packed
-//! parallel GEMM, executed by **N dispatch workers** (`--workers`) that
-//! share one set of model weights, then fanned back out, with
+//! coalesced into `Localizer::localize_batch` calls over the packed GEMM,
+//! executed by **N dispatch workers** (`--workers`), each on its own
+//! thread, that share one set of model weights, then fanned back out, with
 //! bounded-queue backpressure shedding load. Batching and replication are
 //! both *transparent*: responses are bit-identical whether a request was
 //! served alone or coalesced with strangers, and whichever worker ran it

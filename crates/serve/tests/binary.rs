@@ -2,8 +2,8 @@
 //! the checkpoint-directory registry, answers bit-identical to offline for
 //! a baseline and for the paper's model — trained and saved by this
 //! process, reloaded and served by another — the SIGTERM drain, and the
-//! refusals to boot on a `VITAL_SIMD` that names no dispatch level and on
-//! a hold as long as the reply backstop.
+//! refusals to boot on a `VITAL_SIMD` that names no dispatch level, on a
+//! hold as long as the reply backstop and on a flag it does not know.
 
 #![cfg(unix)]
 // The wait for the child's exit is paced with real sleeps — exempt from the
@@ -65,7 +65,7 @@ fn the_binary_serves_bit_identical_answers_and_drains_on_sigterm() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_vital-serve"))
         .arg("--checkpoint-dir")
         .arg(&dir)
-        .args(["--addr", "127.0.0.1:0", "--workers", "2", "--threads", "1"])
+        .args(["--addr", "127.0.0.1:0", "--workers", "2"])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -78,7 +78,7 @@ fn the_binary_serves_bit_identical_answers_and_drains_on_sigterm() {
         .and_then(|rest| rest.split_whitespace().next())
         .unwrap_or_else(|| panic!("no listening line, got {banner:?}"))
         .to_string();
-    assert!(banner.contains("workers=2 threads=1"), "{banner}");
+    assert!(banner.contains("workers=2 "), "{banner}");
     // Work-conserving by default: no hold unless asked for.
     assert!(banner.contains("max_wait_us=0 "), "{banner}");
     // The child inherits this process's environment and CPU, so its level.
@@ -197,5 +197,15 @@ fn a_hold_as_long_as_the_reply_backstop_stops_the_boot() {
         err.contains("120000000 us a handler waits"),
         "stderr: {err}"
     );
+    assert!(!out.contains("listening"), "stdout: {out}");
+}
+
+#[test]
+fn a_retired_threads_flag_stops_the_boot_and_names_the_flag() {
+    // Parsing fails before the directory is read, so it need not exist.
+    let dir = std::env::temp_dir().join(format!("vital-serve-flags-{}", std::process::id()));
+    let (status, out, err) = refused_boot(&dir, &["--threads", "1"], &[]);
+    assert!(!status.success(), "exit {status}");
+    assert!(err.contains("unknown flag --threads"), "stderr: {err}");
     assert!(!out.contains("listening"), "stdout: {out}");
 }

@@ -117,8 +117,8 @@ fn injected_worker_panic_fails_one_batch_and_the_server_recovers_bit_identical()
                 max_wait: Duration::from_micros(100),
                 queue_cap: 64,
                 workers: 1,
-                threads: Some(1),
                 faults: Some(faults),
+                ..BatcherConfig::default()
             },
             ..ServerConfig::default()
         },
@@ -206,7 +206,6 @@ fn a_worker_panic_under_concurrent_load_strands_no_client() {
                 max_batch: 8,
                 queue_cap: 32,
                 workers: 1,
-                threads: Some(1),
                 faults: Some(faults),
                 ..BatcherConfig::default()
             },
@@ -317,7 +316,6 @@ fn a_panicking_model_fails_its_batch_without_costing_the_worker() {
             addr: "127.0.0.1:0".into(),
             batcher: BatcherConfig {
                 workers: 1,
-                threads: Some(1),
                 ..BatcherConfig::default()
             },
             ..ServerConfig::default()
@@ -363,7 +361,6 @@ fn injected_latency_delays_the_named_model() {
             addr: "127.0.0.1:0".into(),
             batcher: BatcherConfig {
                 workers: 1,
-                threads: Some(1),
                 faults: Some(faults),
                 ..BatcherConfig::default()
             },
@@ -430,7 +427,6 @@ fn a_corrupt_checkpoint_degrades_one_model_not_the_boot() {
             addr: "127.0.0.1:0".into(),
             batcher: BatcherConfig {
                 workers: 1,
-                threads: Some(1),
                 ..BatcherConfig::default()
             },
             ..ServerConfig::default()

@@ -41,7 +41,6 @@ fn an_idle_default_server_serves_a_one_millisecond_deadline() {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             batcher: BatcherConfig {
-                threads: Some(1),
                 ..BatcherConfig::default()
             },
             ..ServerConfig::default()

@@ -111,8 +111,8 @@ proptest! {
                 // completion of everything queued at drain time.
                 queue_cap: if tiny_queue { 1 } else { 64 },
                 workers: 2,
-                threads: Some(1),
                 faults,
+                ..BatcherConfig::default()
             },
             Arc::clone(&metrics),
         ).expect("batcher start");

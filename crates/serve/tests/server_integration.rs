@@ -153,7 +153,6 @@ fn concurrent_batched_responses_are_bit_identical_to_offline_localize_batch() {
         max_wait: Duration::from_millis(5),
         queue_cap: 256,
         workers: 1,
-        threads: Some(1),
         ..BatcherConfig::default()
     });
 
@@ -202,7 +201,6 @@ fn four_workers_serve_bit_identical_predictions_from_shared_weights() {
         max_wait: Duration::from_micros(500),
         queue_cap: 256,
         workers: 4,
-        threads: Some(1),
         ..BatcherConfig::default()
     });
 
@@ -248,7 +246,6 @@ fn single_and_bulk_forms_round_trip_and_models_are_listed() {
     let data = dataset();
     let offline = fitted_knn(&data);
     let server = knn_server(BatcherConfig {
-        threads: Some(1),
         ..BatcherConfig::default()
     });
     let addr = server.addr();
@@ -414,7 +411,6 @@ fn every_kind_refuses_another_access_point_count_before_it_queues() {
             addr: "127.0.0.1:0".into(),
             batcher: BatcherConfig {
                 workers: 1,
-                threads: Some(1),
                 ..BatcherConfig::default()
             },
             ..ServerConfig::default()
@@ -511,7 +507,6 @@ fn full_queue_sheds_load_with_503_and_retry_after() {
                 max_wait: Duration::from_micros(1),
                 queue_cap: 1,
                 workers: 1,
-                threads: Some(1),
                 ..BatcherConfig::default()
             },
             ..ServerConfig::default()
@@ -573,7 +568,6 @@ fn full_queue_sheds_load_with_503_and_retry_after() {
 #[test]
 fn shutdown_is_idempotent_and_frees_the_port() {
     let mut server = knn_server(BatcherConfig {
-        threads: Some(1),
         ..BatcherConfig::default()
     });
     let addr = server.addr();
@@ -597,7 +591,6 @@ fn stale_deadlines_are_shed_with_504_and_retry_after() {
                 max_wait: Duration::from_micros(1),
                 queue_cap: 4,
                 workers: 1,
-                threads: Some(1),
                 ..BatcherConfig::default()
             },
             ..ServerConfig::default()
@@ -664,7 +657,6 @@ fn admin_drain_completes_queued_work_then_stops_accepting() {
                 max_wait: Duration::from_micros(1),
                 queue_cap: 8,
                 workers: 1,
-                threads: Some(1),
                 ..BatcherConfig::default()
             },
             ..ServerConfig::default()
@@ -752,7 +744,6 @@ fn admin_drain_completes_queued_work_then_stops_accepting() {
 fn drain_api_finishes_queued_jobs_and_joins_every_thread() {
     let mut server = knn_server(BatcherConfig {
         workers: 2,
-        threads: Some(1),
         ..BatcherConfig::default()
     });
     let addr = server.addr();

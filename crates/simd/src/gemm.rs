@@ -1,6 +1,6 @@
 //! Runtime-dispatched GEMM band microkernel.
 //!
-//! The B packing, parallel row-band split and shape logic of the GEMM
+//! The B packing, row-band split and shape logic of the GEMM
 //! live in `tensor::matmul`; this module owns only the register-tiled
 //! core that multiplies up to `MR` rows of A, read in place, against the
 //! full packed B. Like the transcendental kernels it is written **once**,

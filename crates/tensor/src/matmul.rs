@@ -1,5 +1,4 @@
-//! Register-tiled, data-parallel, runtime-dispatched matrix
-//! multiplication.
+//! Register-tiled, runtime-dispatched matrix multiplication.
 //!
 //! Every matmul funnels into one GEMM through a single entry point,
 //! [`Tensor::matmul_ex`], whose [`MatmulSpec`] selects which operands are
@@ -7,30 +6,29 @@
 //! `matmul`/`matmul_tn`/`matmul_nt` methods are thin wrappers over it.
 //! B is repacked into contiguous column panels (in a per-thread scratch
 //! buffer, so a warm thread allocates nothing), A is read in place
-//! through a stride pair (which also absorbs its transpose), and row
-//! bands of the output are distributed across threads via the `parallel`
-//! crate. The register-tiled core lives in [`simd::gemm`]: the tile dims
-//! come **at runtime** from the active dispatch level
-//! (`simd::gemm::tile_dims` — portable 4 × 8 scalar tile, explicit-
-//! intrinsic 6 × 16 AVX2 tile, opt-in 6 × 16 FMA tile), so the one
-//! portable binary runs the wide tile wherever the CPU supports it — no
-//! `-C target-cpu=native` rebuild.
+//! through a stride pair (which also absorbs its transpose), and the
+//! output's row bands run one after another on the calling thread. The
+//! GEMM opens no threads of its own: a server scales by running more
+//! dispatch workers, each multiplying on its own thread. The
+//! register-tiled core lives in [`simd::gemm`]: the tile dims come **at
+//! runtime** from the active dispatch level (`simd::gemm::tile_dims` —
+//! portable 4 × 8 scalar tile, explicit-intrinsic 6 × 16 AVX2 tile,
+//! opt-in 6 × 16 FMA tile), so the one portable binary runs the wide tile
+//! wherever the CPU supports it — no `-C target-cpu=native` rebuild.
 //!
 //! # Determinism
 //!
-//! There is one kernel path for every product size. Every output element
-//! is accumulated by one sequential `k`-loop inside one band-kernel
-//! invocation, and band boundaries depend only on the operand shapes —
-//! never on the thread count — so results are byte-identical under
-//! `VITAL_THREADS=1` and `VITAL_THREADS=N`, and a stacked batch produces
-//! the same bits as its individual samples, by construction. Across
-//! dispatch levels the GEMM inherits the simd crate's contract: the
-//! scalar and AVX2 tiles run the identical unfused multiply-then-add
-//! chain per output element, so `VITAL_SIMD=scalar` and `=avx2` are
-//! **bit-identical on every input** — and bit-identical to the in-order
-//! naive triple loop, which `tests/proptest_gemm.rs` uses as the oracle —
-//! while the opt-in FMA tile is only ULP-bounded
-//! (`tests/proptest_gemm_dispatch.rs`).
+//! There is one kernel path for every product size, and it runs on one
+//! thread. Every output element is accumulated by one sequential
+//! `k`-loop inside one band-kernel invocation, and band boundaries depend
+//! only on the operand shapes, so a stacked batch produces the same bits
+//! as its individual samples, by construction. Across dispatch levels the
+//! GEMM inherits the simd crate's contract: the scalar and AVX2 tiles run
+//! the identical unfused multiply-then-add chain per output element, so
+//! `VITAL_SIMD=scalar` and `=avx2` are **bit-identical on every input** —
+//! and bit-identical to the in-order naive triple loop, which
+//! `tests/proptest_gemm.rs` uses as the oracle — while the opt-in FMA
+//! tile is only ULP-bounded (`tests/proptest_gemm_dispatch.rs`).
 
 use std::cell::Cell;
 
@@ -128,34 +126,15 @@ thread_local! {
     static PACKED_B: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
-/// Products of fewer multiply–adds than this run their bands inline on
-/// the calling thread instead of entering a `parallel` region.
-///
-/// A region spawns scoped threads and costs 36–94 µs
-/// (`parallel.region_overhead_us` in the benchmark's traced runs), while
-/// the band kernel retires 15–28 G multiply–adds per second (30–56
-/// GFLOP/s), so 2²² of them are 150–280 µs of kernel time: below that a
-/// two-way split saves less than the region costs. Attention blocks
-/// (`100·16·100`), every fast-model and every ANVIL product stay inline;
-/// the paper model's patch embedding (`B·100 × 1200 × 80`) splits at any
-/// batch. The threshold may depend on `m` because it only selects where
-/// the same bands run — never which kernel or accumulation order — so it
-/// cannot change a bit of the result.
-const INLINE_BELOW_MKN: usize = 1 << 22;
-
-fn runs_inline(m: usize, k: usize, n: usize) -> bool {
-    m.saturating_mul(k).saturating_mul(n) < INLINE_BELOW_MKN
-}
-
 /// GEMM over raw row-major buffers into a caller-provided `m · n` buffer:
 /// `out = op(A) · op(B)` with `op(A)` of shape `m × k` and `op(B)` of
 /// shape `k × n` — the core that the tensor methods and the graph
 /// executor's arena path share. The buffer is fully overwritten, so stale
 /// contents never leak through.
 ///
-/// B is packed once on the calling thread and shared read-only; the
-/// output is split into MR-row bands, each computed by [`gemm_band`] from
-/// A in place, inline for small products and across threads otherwise.
+/// B is packed once into the calling thread's scratch; the output is
+/// split into MR-row bands, each computed by [`gemm_band`] from A in
+/// place, one after another on the calling thread.
 ///
 /// `level` selects the band microkernel (and with it the tile dims) at
 /// runtime; requests above the CPU's capability clamp down identically on
@@ -182,15 +161,8 @@ fn gemm_into(
     let (b_data, b_layout, b_stride) = b;
     let mut packed_b = PACKED_B.take();
     pack_b(&mut packed_b, b_data, b_layout, b_stride, k, n, nr);
-    let band = |band_idx: usize, out_band: &mut [f32]| {
+    for (band_idx, out_band) in out.chunks_mut(mr * n).enumerate() {
         gemm_band(level, a, &packed_b, k, n, band_idx * mr, out_band);
-    };
-    if runs_inline(m, k, n) {
-        out.chunks_mut(mr * n)
-            .enumerate()
-            .for_each(|(i, out_band)| band(i, out_band));
-    } else {
-        parallel::parallel_chunks_mut(out, mr * n, band);
     }
     PACKED_B.set(packed_b);
 }
@@ -564,40 +536,6 @@ mod tests {
                     (got - want).abs() < 1e-3,
                     "fma ({m}x{k}x{n})[{idx}]: {got} vs {want}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn inline_guard_keeps_small_products_out_of_parallel_regions() {
-        for (what, (m, k, n), inline) in [
-            ("paper attention block", (100, 16, 100), true),
-            ("fast embed at chunk 16", (256, 108, 32), true),
-            ("ANVIL head", (1, 64, 81), true),
-            ("paper embed at batch 2", (200, 1200, 80), false),
-            ("overflowing product", (usize::MAX, 2, 2), false),
-        ] {
-            assert_eq!(runs_inline(m, k, n), inline, "{what}: {m}·{k}·{n}");
-        }
-    }
-
-    #[test]
-    fn thread_counts_are_byte_identical() {
-        // Shapes on both sides of the inline guard: the first two run
-        // their bands on the calling thread at any thread count, the last
-        // two split across workers; neither may move a bit.
-        let shapes = [(37, 29, 31), (70, 67, 96), (163, 161, 160), (200, 1200, 80)];
-        assert_eq!(
-            shapes.map(|(m, k, n)| runs_inline(m, k, n)),
-            [true, true, false, false]
-        );
-        for (m, k, n) in shapes {
-            let a = crate::rng::SeededRng::new(1).uniform_tensor(&[m, k], -1.0, 1.0);
-            let b = crate::rng::SeededRng::new(2).uniform_tensor(&[k, n], -1.0, 1.0);
-            let single = parallel::with_threads(1, || a.matmul(&b).unwrap());
-            for threads in [2, 3, 8] {
-                let multi = parallel::with_threads(threads, || a.matmul(&b).unwrap());
-                assert_eq!(single, multi, "threads={threads} ({m}x{k}x{n})");
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Property-based checks of the data-parallel GEMM against a derived,
+//! Property-based checks of the packed GEMM against a derived,
 //! bit-exact oracle.
 //!
 //! There is one kernel path for every product size, and at the `Scalar`
@@ -6,8 +6,8 @@
 //! `0 + a₀b₀ + a₁b₁ + …`, sequential in `p`, unfused multiply-then-add.
 //! That is exactly what the naive in-order `f32` triple loop computes, so
 //! the oracle here is that loop and the comparison is `to_bits` equality:
-//! every transpose variant, at 1, 2 and N worker threads, over sizes that
-//! straddle the MR/NR band and panel boundaries of every tile. The opt-in
+//! every transpose variant, over sizes that straddle the MR/NR band and
+//! panel boundaries of every tile. The opt-in
 //! `Fma` level contracts each step into one rounding and keeps a 1e-4
 //! tolerance.
 
@@ -70,13 +70,8 @@ fn check_against_naive(
 }
 
 /// One shape, one seed: every spec × every pinned level (and the tensor
-/// entry point at the process's active level) × every thread count
-/// against the oracle.
-fn check_all_variants(
-    (m, k, n): (usize, usize, usize),
-    seed: u64,
-    thread_counts: &[usize],
-) -> Result<(), TestCaseError> {
+/// entry point at the process's active level) against the oracle.
+fn check_all_variants((m, k, n): (usize, usize, usize), seed: u64) -> Result<(), TestCaseError> {
     let mut rng = SeededRng::new(seed);
     let a = rng.uniform_tensor(&[m * k], -2.0, 2.0);
     let b = rng.uniform_tensor(&[k * n], -2.0, 2.0);
@@ -86,20 +81,15 @@ fn check_all_variants(
         let b_dims = if spec.trans_b { [n, k] } else { [k, n] };
         let (a_mat, b_mat) = (a.reshape(&a_dims).unwrap(), b.reshape(&b_dims).unwrap());
         let (a_dense, b_dense) = ((a.as_slice(), a_dims[1]), (b.as_slice(), b_dims[1]));
-        for &threads in thread_counts {
-            let label = format!("{name} ({m}x{k}x{n}) threads={threads}");
-            for level in [Level::Scalar, Level::Avx2, Level::Fma] {
-                let mut out = vec![f32::NAN; m * n];
-                parallel::with_threads(threads, || {
-                    gemm_strided_into_at(level, m, k, n, a_dense, b_dense, spec, &mut out);
-                });
-                check_against_naive(level, &out, &naive, &label)?;
-            }
-            let got: Tensor =
-                parallel::with_threads(threads, || a_mat.matmul_ex(&b_mat, spec).unwrap());
-            prop_assert!(got.shape().dims() == [m, n], "{label} shape");
-            check_against_naive(simd::active_level(), got.as_slice(), &naive, &label)?;
+        let label = format!("{name} ({m}x{k}x{n})");
+        for level in [Level::Scalar, Level::Avx2, Level::Fma] {
+            let mut out = vec![f32::NAN; m * n];
+            gemm_strided_into_at(level, m, k, n, a_dense, b_dense, spec, &mut out);
+            check_against_naive(level, &out, &naive, &label)?;
         }
+        let got: Tensor = a_mat.matmul_ex(&b_mat, spec).unwrap();
+        prop_assert!(got.shape().dims() == [m, n], "{label} shape");
+        check_against_naive(simd::active_level(), got.as_slice(), &naive, &label)?;
     }
     Ok(())
 }
@@ -116,30 +106,23 @@ fn dims_packed() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..24, 48usize..80, 48usize..128)
 }
 
-/// Tall sizes whose `m·k·n` spans roughly 1.4M–15M multiply–adds, on both
-/// sides of the 2²² threshold below which bands run inline instead of in
-/// a `parallel` region.
-fn dims_around_inline_guard() -> impl Strategy<Value = (usize, usize, usize)> {
-    (600usize..1500, 48usize..80, 48usize..128)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn packed_gemm_matches_naive_for_all_variants_and_thread_counts(
+    fn packed_gemm_matches_naive_for_all_variants(
         shape in dims(),
         seed in 0u64..10_000,
     ) {
-        check_all_variants(shape, seed, &[1, 2, 5])?;
+        check_all_variants(shape, seed)?;
     }
 
     #[test]
-    fn packed_kernel_matches_naive_for_all_variants_and_thread_counts(
+    fn packed_kernel_matches_naive_for_all_variants(
         shape in dims_packed(),
         seed in 0u64..10_000,
     ) {
-        check_all_variants(shape, seed.wrapping_add(50_000), &[1, 2, 5])?;
+        check_all_variants(shape, seed.wrapping_add(50_000))?;
     }
 
     #[test]
@@ -157,25 +140,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn thread_count_never_changes_the_bits(
-        (m, k, n) in dims_around_inline_guard(),
-        seed in 0u64..10_000,
-    ) {
-        let mut rng = SeededRng::new(seed);
-        let a = rng.uniform_tensor(&[m, k], -2.0, 2.0);
-        let b = rng.uniform_tensor(&[k, n], -2.0, 2.0);
-        let single = parallel::with_threads(1, || a.matmul(&b).unwrap());
-        for threads in [2usize, 3, 8] {
-            let multi = parallel::with_threads(threads, || a.matmul(&b).unwrap());
-            prop_assert!(single == multi, "threads={threads} ({m}x{k}x{n})");
-        }
-    }
-}
-
 /// Sizes chosen to land exactly on, one short of, and one past the band
 /// and panel edges of every tile configuration the kernel ships with
 /// (MR ∈ {4, 6}, NR ∈ {8, 16}), with one-step and long chains.
@@ -185,7 +149,7 @@ fn exhaustive_panel_boundary_sweep() {
         for &k in &[1, 2, 64, 65] {
             for &n in &[1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 65, 128, 129] {
                 let seed = (m * 10_000 + k * 100 + n) as u64;
-                if let Err(failure) = check_all_variants((m, k, n), seed, &[1]) {
+                if let Err(failure) = check_all_variants((m, k, n), seed) {
                     panic!("{failure:?}");
                 }
             }

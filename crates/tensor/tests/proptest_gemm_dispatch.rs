@@ -4,8 +4,8 @@
 //! the `Scalar` and `Avx2` GEMM tiles evaluate every output element as the
 //! same sequential multiply-then-add chain over `p` (the tile shape only
 //! changes register blocking, never within-chain order), so the two levels
-//! must agree **bit-for-bit** on every input, every transpose variant,
-//! every thread count, and every size — panel edges at MR/NR multiples
+//! must agree **bit-for-bit** on every input, every transpose variant
+//! and every size — panel edges at MR/NR multiples
 //! ± 1, from products smaller than one tile to ones spanning many panels
 //! (one packed kernel runs them all; there is no small-product path).
 //! The opt-in `Fma` tile contracts each multiply–add into a single
@@ -105,27 +105,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Scalar ≡ AVX2, bit-for-bit: all four transpose variants, panel-edge
-    /// sizes from sub-tile to many-panel, 1 and 4 worker threads.
+    /// sizes from sub-tile to many-panel.
     #[test]
     fn scalar_and_avx2_dispatch_are_bit_identical(
         (m, k, n, seed) in dims(),
     ) {
         let (a, b) = inputs(m, k, n, seed, -2.0, 2.0);
         for (spec, label) in SPECS {
-            for threads in [1usize, 4] {
-                let (scalar, avx2) = parallel::with_threads(threads, || {
-                    (
-                        run_at(Level::Scalar, m, k, n, &a, &b, spec),
-                        run_at(Level::Avx2, m, k, n, &a, &b, spec),
-                    )
-                });
-                for (idx, (s, v)) in scalar.iter().zip(&avx2).enumerate() {
-                    prop_assert!(
-                        s.to_bits() == v.to_bits(),
-                        "{label} ({m}x{k}x{n}) threads={threads} [{idx}]: \
-                         scalar {s:?} vs avx2 {v:?}"
-                    );
-                }
+            let scalar = run_at(Level::Scalar, m, k, n, &a, &b, spec);
+            let avx2 = run_at(Level::Avx2, m, k, n, &a, &b, spec);
+            for (idx, (s, v)) in scalar.iter().zip(&avx2).enumerate() {
+                prop_assert!(
+                    s.to_bits() == v.to_bits(),
+                    "{label} ({m}x{k}x{n}) [{idx}]: scalar {s:?} vs avx2 {v:?}"
+                );
             }
         }
     }
@@ -150,23 +143,6 @@ proptest! {
         }
     }
 
-    /// Pinning the level never changes results across thread counts: the
-    /// band split is deterministic per (level, m, n), not per worker pool.
-    #[test]
-    fn pinned_level_is_thread_count_invariant(
-        (m, k, n, seed) in dims(),
-    ) {
-        let (a, b) = inputs(m, k, n, seed, -2.0, 2.0);
-        for level in [Level::Scalar, Level::Avx2, Level::Fma] {
-            let single = parallel::with_threads(1, || {
-                run_at(level, m, k, n, &a, &b, MatmulSpec::NN)
-            });
-            let multi = parallel::with_threads(4, || {
-                run_at(level, m, k, n, &a, &b, MatmulSpec::NN)
-            });
-            prop_assert!(single == multi, "level={}", level.name());
-        }
-    }
 }
 
 /// Deterministic sweep pinning exact MR/NR-multiple ± 1 corners for every

@@ -1,6 +1,6 @@
 //! Where a paper training step spends its time: the median forward,
 //! backward and `Adam::step` of a step of 16 DAM-augmented observations of
-//! `VitalConfig::paper`, at one compute thread.
+//! `VitalConfig::paper` (every computation runs on the calling thread).
 //!
 //! ```bash
 //! cargo run --release --example train_step_split [steps] [seed]
@@ -50,38 +50,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut adam = Adam::new(model.config().train.learning_rate);
     let mut rng = SeededRng::new(seed);
     let (mut forward, mut backward, mut update) = (Vec::new(), Vec::new(), Vec::new());
-    parallel::with_threads(1, || -> Result<(), Box<dyn std::error::Error>> {
-        let batches = train.observations().chunks_exact(BATCH).cycle();
-        for (step, batch) in batches.take(WARM_UP + steps).enumerate() {
-            let patches = batch
-                .iter()
-                .map(|o| model.prepare_patches(o, true, &mut rng))
-                .collect::<vital::Result<Vec<Tensor>>>()?;
-            let stacked = Tensor::concat_rows(&patches.iter().collect::<Vec<_>>())?;
-            let labels: Vec<usize> = batch.iter().map(|o| o.rp_label).collect();
+    let batches = train.observations().chunks_exact(BATCH).cycle();
+    for (step, batch) in batches.take(WARM_UP + steps).enumerate() {
+        let patches = batch
+            .iter()
+            .map(|o| model.prepare_patches(o, true, &mut rng))
+            .collect::<vital::Result<Vec<Tensor>>>()?;
+        let stacked = Tensor::concat_rows(&patches.iter().collect::<Vec<_>>())?;
+        let labels: Vec<usize> = batch.iter().map(|o| o.rp_label).collect();
 
-            let tape = Tape::new();
-            let mut session = Session::keyed(&tape, DrawKey::new(seed, [0, step]));
-            let started = Instant::now();
-            let input = session.constant(stacked);
-            let loss = vit
-                .forward(&mut session, input, BATCH)?
-                .softmax_cross_entropy(&labels)?;
-            let recorded = Instant::now();
-            let grads = session.backward(loss)?;
-            let differentiated = Instant::now();
-            adam.step(&grads);
-            let stepped = Instant::now();
-            if step >= WARM_UP {
-                forward.push((recorded - started).as_secs_f64());
-                backward.push((differentiated - recorded).as_secs_f64());
-                update.push((stepped - differentiated).as_secs_f64());
-            }
+        let tape = Tape::new();
+        let mut session = Session::keyed(&tape, DrawKey::new(seed, [0, step]));
+        let started = Instant::now();
+        let input = session.constant(stacked);
+        let loss = vit
+            .forward(&mut session, input, BATCH)?
+            .softmax_cross_entropy(&labels)?;
+        let recorded = Instant::now();
+        let grads = session.backward(loss)?;
+        let differentiated = Instant::now();
+        adam.step(&grads);
+        let stepped = Instant::now();
+        if step >= WARM_UP {
+            forward.push((recorded - started).as_secs_f64());
+            backward.push((differentiated - recorded).as_secs_f64());
+            update.push((stepped - differentiated).as_secs_f64());
         }
-        Ok(())
-    })?;
+    }
     println!(
-        "paper step of {BATCH}, 1 thread, median of {steps} steps: forward {:.1} ms, \
+        "paper step of {BATCH}, median of {steps} steps: forward {:.1} ms, \
          backward {:.1} ms, adam {:.2} ms",
         median_ms(forward),
         median_ms(backward),
