@@ -426,8 +426,13 @@ impl VisionTransformer {
 
     /// Records [`VisionTransformer::forward_folded`] for a `samples`-image
     /// batch into an expression graph whose one input is the stacked
-    /// `[samples · distinct_patches, distinct_dim]` matrix.
-    fn build_folded_graph(
+    /// `[samples · distinct_patches, distinct_dim]` matrix — the graph
+    /// [`VisionTransformer::predict_folded`] compiles, for a caller that
+    /// inspects or profiles the plan itself.
+    ///
+    /// # Errors
+    /// Returns the graph's error if a layer's shapes do not line up.
+    pub fn build_folded_graph(
         &self,
         samples: usize,
     ) -> std::result::Result<(Graph, ExprId), GraphError> {
@@ -662,7 +667,7 @@ mod tests {
         let vit = VisionTransformer::new(&mut rng, &config).unwrap();
         let (g, out) = vit.build_folded_graph(16).unwrap();
         let plan = graph::Compiler::new().compile(&g, out).unwrap();
-        let count = |name: &str| plan.kernel_names().filter(|k| *k == name).count();
+        let count = |name: &str| plan.steps().filter(|s| s.kernel == name).count();
         let blocks = 16 * config.msa_heads * config.encoder_blocks;
         // Every slice is a view a GEMM or a tile add reads in place: none
         // is copied out.

@@ -158,6 +158,39 @@ pub(crate) enum Kernel {
     ConcatCols { parts: Vec<(View, usize)> },
 }
 
+impl Kernel {
+    /// The kernel's name, as [`StepInfo::kernel`] reports it.
+    fn name(&self) -> &'static str {
+        match self {
+            Kernel::Copy { .. } => "copy",
+            Kernel::Gemm { .. } => "gemm",
+            Kernel::SoftmaxRows { .. } => "softmax_rows",
+            Kernel::LayerNorm { .. } => "layer_norm",
+            Kernel::MeanRowBlocks { .. } => "mean_row_blocks",
+            Kernel::AddTileRows { .. } => "add_tile_rows",
+            Kernel::ConcatRows { .. } => "concat_rows",
+            Kernel::ConcatCols { .. } => "concat_cols",
+        }
+    }
+}
+
+/// What one step of a [`CompiledPlan`] computes ([`CompiledPlan::steps`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct StepInfo {
+    /// The kernel, by name (`gemm`, `softmax_rows`, `layer_norm`, `copy`,
+    /// …).
+    pub kernel: &'static str,
+    /// Rows of the step's output.
+    pub rows: usize,
+    /// Columns of the step's output.
+    pub cols: usize,
+    /// `(m, k, n)` of a GEMM step: `2·m·k·n` floating-point operations.
+    pub gemm: Option<(usize, usize, usize)>,
+    /// The fused post-ops applied to the output, by name, in order (a
+    /// unary or binary op's lowercase name, `add_row` for a bias row).
+    pub post: Vec<String>,
+}
+
 /// One executable step: a kernel writing the step's register, then a
 /// fused post-op chain applied to it.
 #[derive(Debug, Clone)]
@@ -263,17 +296,29 @@ impl CompiledPlan {
         self.arena_len * std::mem::size_of::<f32>()
     }
 
-    /// Each step's kernel, by name, in execution order.
-    pub fn kernel_names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.steps.iter().map(|step| match step.kernel {
-            Kernel::Copy { .. } => "copy",
-            Kernel::Gemm { .. } => "gemm",
-            Kernel::SoftmaxRows { .. } => "softmax_rows",
-            Kernel::LayerNorm { .. } => "layer_norm",
-            Kernel::MeanRowBlocks { .. } => "mean_row_blocks",
-            Kernel::AddTileRows { .. } => "add_tile_rows",
-            Kernel::ConcatRows { .. } => "concat_rows",
-            Kernel::ConcatCols { .. } => "concat_cols",
+    /// What each step computes, in execution order — the rows of a
+    /// per-step profile ([`CompiledPlan::execute_timed`] times the same
+    /// steps in the same order).
+    pub fn steps(&self) -> impl Iterator<Item = StepInfo> + '_ {
+        self.steps.iter().map(|step| StepInfo {
+            kernel: step.kernel.name(),
+            rows: step.rows,
+            cols: step.cols,
+            gemm: match step.kernel {
+                Kernel::Gemm { m, k, n, .. } => Some((m, k, n)),
+                _ => None,
+            },
+            post: step
+                .post
+                .iter()
+                .map(|post| match post {
+                    PostOp::Unary(op) => format!("{op:?}").to_lowercase(),
+                    PostOp::AddRow(_) => "add_row".into(),
+                    PostOp::BinaryLhs { op, .. } | PostOp::BinaryRhs { op, .. } => {
+                        format!("{op:?}").to_lowercase()
+                    }
+                })
+                .collect(),
         })
     }
 

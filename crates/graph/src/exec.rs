@@ -32,12 +32,19 @@
 //!   opt-in FMA level included, and a difference between them can only
 //!   come from the planner (views, liveness, fusion order).
 //!
+//! * **Per-step timing.** [`CompiledPlan::execute_timed`] is
+//!   `execute_with` with a clock read around each step's kernel and its
+//!   fused post chain — the same run loop, not a second executor — for a
+//!   per-step profile (`examples/plan_profile.rs`).
+//!
 //! Steady state — an arena reused across requests of the same batch shape
 //! — [`CompiledPlan::execute_with`] performs **zero** allocations. The
 //! per-step functions (`run`, `run_kernel`, `run_post`, `resolve`, `load`)
 //! and the kernels they call are held to that by
 //! `core/tests/warm_allocs.rs`: once a warm `predict_folded` has filled
 //! its input, the only block it allocates is the returned answer.
+
+use std::time::{Duration, Instant};
 
 use tensor::{gemm_strided_into_at, kernels, Tensor};
 
@@ -87,6 +94,15 @@ impl Arena {
             stats::record_slot_allocs(1);
         }
     }
+}
+
+/// Where one step's time went ([`CompiledPlan::execute_timed`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StepTime {
+    /// The step's kernel (a GEMM, a softmax, a copy, …).
+    pub kernel: Duration,
+    /// Its fused post-op chain over the output, all ops together.
+    pub post: Duration,
 }
 
 /// One step's readable operands: the plan's constants plus the arena on
@@ -151,9 +167,39 @@ impl CompiledPlan {
         arena: &'a mut Arena,
         fill: impl FnOnce(&mut [f32]) -> Result<(), E>,
     ) -> Result<&'a [f32], E> {
+        self.execute_inner(arena, fill, None)
+    }
+
+    /// [`CompiledPlan::execute_with`], also writing each step's time to
+    /// `times[i]` (`times` holds one entry per step, in
+    /// [`CompiledPlan::steps`] order). The clock is read around each
+    /// step's kernel and its post chain and nowhere else, so the profile
+    /// is of the path that serves.
+    ///
+    /// # Errors
+    /// Returns whatever `fill` returns; the plan then does not run.
+    ///
+    /// # Panics
+    /// If `times` is not [`CompiledPlan::step_count`] long.
+    pub fn execute_timed<'a, E>(
+        &self,
+        arena: &'a mut Arena,
+        fill: impl FnOnce(&mut [f32]) -> Result<(), E>,
+        times: &mut [StepTime],
+    ) -> Result<&'a [f32], E> {
+        assert_eq!(times.len(), self.steps.len(), "one time per step");
+        self.execute_inner(arena, fill, Some(times))
+    }
+
+    fn execute_inner<'a, E>(
+        &self,
+        arena: &'a mut Arena,
+        fill: impl FnOnce(&mut [f32]) -> Result<(), E>,
+        times: Option<&mut [StepTime]>,
+    ) -> Result<&'a [f32], E> {
         arena.ensure(self.arena_len);
         fill(&mut arena.buf[..self.input_len()])?;
-        self.run(arena);
+        self.run(arena, times);
         Ok(&arena.buf[self.reg_offsets[self.out_reg]..][..self.out_rows * self.out_cols])
     }
 
@@ -199,9 +245,11 @@ impl CompiledPlan {
         Ok(())
     }
 
-    fn run(&self, arena: &mut Arena) {
+    /// The one run loop; with `times`, each step's kernel and post chain
+    /// are timed into its entry.
+    fn run(&self, arena: &mut Arena, mut times: Option<&mut [StepTime]>) {
         let outputs = &self.reg_offsets[self.input_dims.len()..];
-        for (step, &out_offset) in self.steps.iter().zip(outputs) {
+        for (i, (step, &out_offset)) in self.steps.iter().zip(outputs).enumerate() {
             // Split the buffer around the output range: everything else
             // stays readable, and the arena planner guarantees no operand
             // of this step lies inside it.
@@ -213,8 +261,18 @@ impl CompiledPlan {
                 below,
                 above,
             };
+            let started = times.is_some().then(Instant::now);
             self.run_kernel(step, out, &ops);
+            let kernel_done = started.map(|_| Instant::now());
             self.run_post(step, out, &ops);
+            if let (Some(times), Some(started), Some(kernel_done)) =
+                (times.as_deref_mut(), started, kernel_done)
+            {
+                times[i] = StepTime {
+                    kernel: kernel_done - started,
+                    post: kernel_done.elapsed(),
+                };
+            }
         }
     }
 

@@ -47,9 +47,9 @@ mod plan_tests;
 pub mod stats;
 
 pub use cache::{ArenaPool, PlanCache, PlanEntry};
-pub use compile::{CompiledPlan, Compiler};
+pub use compile::{CompiledPlan, Compiler, StepInfo};
 pub use error::GraphError;
-pub use exec::Arena;
+pub use exec::{Arena, StepTime};
 pub use ir::{ExprId, Graph, Op, ReduceOp};
 
 #[cfg(test)]
@@ -90,6 +90,50 @@ mod tests {
             got.as_slice(),
             eager.as_slice(),
             "fused must be bit-identical"
+        );
+    }
+
+    #[test]
+    fn timed_execution_runs_the_same_steps_to_the_same_bits() {
+        // x(3×4) · w(4×5) + b, GELU, then a row softmax: two steps, the
+        // first a GEMM with a two-op post chain.
+        let mut g = Graph::new();
+        let x = g.input(3, 4);
+        let wc = g.constant(t((0..20).map(|v| v as f32 * 0.07 - 0.6).collect(), &[4, 5]));
+        let bc = g.constant(t(vec![0.1, -0.2, 0.3, -0.4, 0.5], &[1, 5]));
+        let mm = g.matmul(x, wc.unwrap(), MatmulSpec::NN).unwrap();
+        let biased = g.add_row_broadcast(mm, bc.unwrap()).unwrap();
+        let act = g.unary(biased, UnaryOp::Gelu).unwrap();
+        let out = g.softmax_rows(act).unwrap();
+        let plan = Compiler::new().compile(&g, out).unwrap();
+        let steps: Vec<StepInfo> = plan.steps().collect();
+        assert_eq!(steps.len(), plan.step_count());
+        assert_eq!(
+            steps[0],
+            StepInfo {
+                kernel: "gemm",
+                rows: 3,
+                cols: 5,
+                gemm: Some((3, 4, 5)),
+                post: vec!["add_row".into(), "gelu".into()],
+            }
+        );
+        assert_eq!((steps[1].kernel, steps[1].gemm), ("softmax_rows", None));
+
+        let xt = t((0..12).map(|v| v as f32 * 0.3 - 1.7).collect(), &[3, 4]);
+        let fill = |region: &mut [f32]| -> Result<(), GraphError> {
+            region.copy_from_slice(xt.as_slice());
+            Ok(())
+        };
+        let mut arena = plan.new_arena();
+        let plain = plan.execute_with(&mut arena, fill).unwrap().to_vec();
+        let mut times = vec![StepTime::default(); steps.len()];
+        let timed = plan.execute_timed(&mut arena, fill, &mut times).unwrap();
+        assert_eq!(timed, &plain[..], "timing must not change a bit");
+        assert!(times.iter().all(|t| t.kernel > std::time::Duration::ZERO));
+        assert!(
+            times[0].post > std::time::Duration::ZERO,
+            "the GEMM's post chain"
         );
     }
 

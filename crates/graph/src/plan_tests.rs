@@ -26,7 +26,7 @@ fn run(plan: &CompiledPlan, inputs: &[&Tensor]) -> Tensor {
 }
 
 fn kernels(plan: &CompiledPlan) -> Vec<&'static str> {
-    plan.kernel_names().collect()
+    plan.steps().map(|step| step.kernel).collect()
 }
 
 /// True iff step `idx` was planned in place (its row-wise source is gone).

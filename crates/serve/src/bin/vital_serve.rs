@@ -35,9 +35,10 @@
 //!   never set it in production.
 //!
 //! The SIMD dispatch level is resolved before anything else and printed in
-//! the listening banner (`simd=avx2`). A `VITAL_SIMD` value that names no
-//! level stops the boot with an error naming it, instead of a server that
-//! answers every request with `500`.
+//! the listening banner (`simd=avx512` on an AVX-512F host, `simd=avx2` on
+//! another AVX2 one). A `VITAL_SIMD` value that names no level, or is not
+//! UTF-8, stops the boot with an error naming the variable and the value,
+//! instead of a server that answers every request with `500`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -10,6 +10,7 @@
 // workspace ban on blocking sleeps in request handling.
 #![allow(clippy::disallowed_methods)]
 
+use std::ffi::OsStr;
 use std::io::{BufRead, BufReader, Read};
 use std::net::TcpStream;
 use std::process::{Command, Stdio};
@@ -131,7 +132,7 @@ fn the_binary_serves_bit_identical_answers_and_drains_on_sigterm() {
 fn refused_boot(
     dir: &std::path::Path,
     args: &[&str],
-    env: &[(&str, &str)],
+    env: &[(&str, &OsStr)],
 ) -> (std::process::ExitStatus, String, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_vital-serve"))
         .arg("--checkpoint-dir")
@@ -166,10 +167,24 @@ fn refused_boot(
 fn an_unknown_vital_simd_stops_the_boot_and_names_the_value() {
     let dir = std::env::temp_dir().join(format!("vital-serve-simd-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create checkpoint dir");
-    let (status, out, err) = refused_boot(&dir, &[], &[("VITAL_SIMD", "avx9")]);
+    let (status, out, err) = refused_boot(&dir, &[], &[("VITAL_SIMD", OsStr::new("avx9"))]);
     let _ = std::fs::remove_dir_all(&dir);
     assert!(!status.success(), "exit {status}");
     assert!(err.contains(r#"VITAL_SIMD="avx9""#), "stderr: {err}");
+    assert!(err.contains("scalar|avx2|avx512|fma"), "stderr: {err}");
+    assert!(!out.contains("listening"), "stdout: {out}");
+}
+
+#[test]
+fn a_non_utf8_vital_simd_stops_the_boot_and_names_the_variable() {
+    use std::os::unix::ffi::OsStrExt;
+    let dir = std::env::temp_dir().join(format!("vital-serve-simd-bytes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
+    let value = OsStr::from_bytes(&[0xff]);
+    let (status, out, err) = refused_boot(&dir, &[], &[("VITAL_SIMD", value)]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!status.success(), "exit {status}");
+    assert!(err.contains(r#"VITAL_SIMD="\xFF""#), "stderr: {err}");
     assert!(!out.contains("listening"), "stdout: {out}");
 }
 

@@ -3,12 +3,13 @@
 //! A backend is a fixed-width bundle of `f32` lanes plus the primitive
 //! lane operations the kernels in [`crate::kernels`] are written against.
 //! Every kernel is generic over one backend and uses **the same 8-lane
-//! algorithm structure at every dispatch level** — the scalar level
-//! ([`Lanes<8>`]) simulates the eight AVX2 lanes with a `[f32; 8]` array
-//! and the identical horizontal reduction tree, which is what makes the
-//! scalar and AVX2 levels bit-identical (each lane op is the same IEEE
-//! two-operand operation; only the FMA backend contracts multiply–add
-//! pairs and is therefore ULP-bounded rather than bit-equal).
+//! reduction trees at every dispatch level; a 16-lane backend folds into
+//! them** ([`SimdOp::fold`]). The scalar level ([`Lanes<8>`]) simulates the
+//! eight AVX2 lanes with a `[f32; 8]` array and the identical horizontal
+//! reduction tree, which is what makes the scalar, AVX2 and AVX-512
+//! levels bit-identical (each lane op is the same IEEE two-operand
+//! operation; only the FMA backend contracts multiply–add pairs and is
+//! therefore ULP-bounded rather than bit-equal).
 //!
 //! The same impl at one lane, [`Lanes<1>`], makes the per-element
 //! reference functions in [`crate::scalar`] *the same generic code* as the
@@ -69,6 +70,10 @@ pub(crate) mod lane {
     }
 }
 
+/// The widest bundle any backend has: the sizes of the stack blocks a
+/// padded load or a partial store goes through.
+pub const MAX_LANES: usize = 16;
+
 /// One dispatch level's bundle of `f32` lanes and primitive operations.
 ///
 /// Implementations must keep the lane semantics above; the kernels rely
@@ -81,12 +86,26 @@ pub trait SimdOp {
     type V: Copy;
     /// A per-lane boolean mask produced by the comparisons.
     type M: Copy;
-    /// Number of `f32` lanes per bundle.
+    /// Number of `f32` lanes per bundle (at most [`MAX_LANES`]).
     const LANES: usize;
-    /// Rows of the GEMM register tile ([`crate::gemm`]).
-    const GEMM_MR: usize;
-    /// Columns of the GEMM register tile: one or two whole bundles.
-    const GEMM_NR: usize;
+    /// The eight-lane backend that runs this backend's reduction trees:
+    /// the backend itself at eight lanes, its unfused AVX2 twin for the
+    /// 16-lane one.
+    type Tree: Reduce;
+
+    /// The GEMM register tile `(MR, NR)` ([`crate::gemm`]) for a product
+    /// `n` columns wide: `MR` rows of `NR` columns, `NR` one or two whole
+    /// bundles.
+    fn gemm_tile(n: usize) -> (usize, usize);
+    /// Feeds `f`, low lanes first, each eight-lane granule of `v` that
+    /// holds one of its first `live` lanes (`1..=LANES`); a granule of
+    /// pad lanes only is never fed.
+    ///
+    /// This is how a reduction keeps the eight-lane tree at every width:
+    /// its accumulator is a [`SimdOp::Tree`] bundle, and it sees the same
+    /// granules in the same order whether they arrive eight or sixteen at
+    /// a time.
+    fn fold(v: Self::V, live: usize, f: impl FnMut(<Self::Tree as SimdOp>::V));
 
     /// Broadcasts one value to every lane.
     fn splat(x: f32) -> Self::V;
@@ -100,8 +119,8 @@ pub trait SimdOp {
     /// reload cannot be store-forwarded and stall every tail.
     #[inline(always)]
     fn load_padded(rem: &[f32], pad: f32) -> Self::V {
-        debug_assert!(Self::LANES <= 8 && rem.len() < Self::LANES);
-        let mut buf = [pad; 8];
+        debug_assert!(Self::LANES <= MAX_LANES && rem.len() < Self::LANES);
+        let mut buf = [pad; MAX_LANES];
         buf[..rem.len()].copy_from_slice(rem);
         Self::load(&buf)
     }
@@ -139,6 +158,12 @@ pub trait SimdOp {
     fn is_nan(v: Self::V) -> Self::M;
     /// Lanewise `mask ? t : f`.
     fn select(mask: Self::M, t: Self::V, f: Self::V) -> Self::V;
+}
+
+/// The horizontal reductions of a backend that can be a [`SimdOp::Tree`]:
+/// only eight-lane ones (and the one-lane reference), so no reduction can
+/// run a tree of another width.
+pub trait Reduce: SimdOp {
     /// Horizontal sum over the fixed pairwise tree
     /// `(l0+l4, l1+l5, l2+l6, l3+l7) → (s0+s2, s1+s3) → t0+t1`.
     fn hsum(v: Self::V) -> f32;
@@ -162,8 +187,16 @@ impl<const N: usize> SimdOp for Lanes<N> {
     type V = [f32; N];
     type M = [bool; N];
     const LANES: usize = N;
-    const GEMM_MR: usize = 4;
-    const GEMM_NR: usize = N;
+    type Tree = Self;
+
+    #[inline(always)]
+    fn gemm_tile(_n: usize) -> (usize, usize) {
+        (4, N)
+    }
+    #[inline(always)]
+    fn fold(v: [f32; N], _live: usize, mut f: impl FnMut([f32; N])) {
+        f(v);
+    }
 
     #[inline(always)]
     fn splat(x: f32) -> [f32; N] {
@@ -247,6 +280,9 @@ impl<const N: usize> SimdOp for Lanes<N> {
     fn select(mask: [bool; N], t: [f32; N], f: [f32; N]) -> [f32; N] {
         std::array::from_fn(|i| if mask[i] { t[i] } else { f[i] })
     }
+}
+
+impl<const N: usize> Reduce for Lanes<N> {
     #[inline(always)]
     fn hsum(v: [f32; N]) -> f32 {
         fold_halves(v, |a, b| a + b)

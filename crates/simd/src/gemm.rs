@@ -5,21 +5,28 @@
 //! core that multiplies up to `MR` rows of A, read in place, against the
 //! full packed B. Like the transcendental kernels it is written **once**,
 //! generically over the [`SimdOp`] backend, as one `Kernel` impl that
-//! `crate::dispatch` runs per level; only the tile shape differs, and
-//! each backend carries its own (`GEMM_MR × GEMM_NR`):
+//! `crate::dispatch` runs per level; only the tile shape differs. Each
+//! backend sizes its tile from the product's width `n`
+//! ([`SimdOp::gemm_tile`], read by [`tile_dims`]):
 //!
-//! | [`Level`]  | tile (`MR × NR`) | accumulator rows                          |
-//! |------------|------------------|-------------------------------------------|
-//! | `Scalar`   | 4 × 8            | 1 × `[f32; 8]`, auto-vectorized           |
-//! | `Avx2`     | 6 × 16           | 2 × `__m256`, unfused `vmulps`+`vaddps`   |
-//! | `Fma`      | 6 × 16           | 2 × `__m256`, fused `vfmadd231ps`         |
+//! | [`Level`]  | `n`    | tile (`MR × NR`) | accumulator rows                        |
+//! |------------|--------|------------------|-----------------------------------------|
+//! | `Scalar`   | any    | 4 × 8            | 1 × `[f32; 8]`, auto-vectorized         |
+//! | `Avx2`     | any    | 6 × 16           | 2 × `__m256`, unfused `vmulps`+`vaddps` |
+//! | `Avx512`   | > 16   | 12 × 32          | 2 × `__m512`, unfused `vmulps`+`vaddps` |
+//! | `Avx512`   | ≤ 16   | 8 × 16           | 1 × `__m512`, unfused                   |
+//! | `Fma`      | any    | 6 × 16           | 2 × `__m256`, fused `vfmadd231ps`       |
 //!
-//! The vector tiles use twelve `__m256` accumulators (two per A row) plus
+//! The AVX2 tiles use twelve `__m256` accumulators (two per A row) plus
 //! two B registers and one broadcast — 15 of the 16 ymm registers — so
 //! each `vbroadcastss` and each loop iteration is amortized over 96
-//! output elements. The tile is instantiated once per live row count
-//! `R ∈ 1..=MR` (a const generic selected by `match rows`), so a short
-//! band — the last band of a product, or all of an `m = 1` product —
+//! output elements; the wide AVX-512 tile holds 24 `__m512` accumulators
+//! in the 32 zmm registers, 384 outputs per step. A product at most 16
+//! wide (each attention head's `· V`, the attention-backward products)
+//! takes the one-bundle AVX-512 tile rather than computing a 32-wide
+//! panel that is half padding. The tile is instantiated once per live row
+//! count `R ∈ 1..=MR` (a const generic selected by `match rows`), so a
+//! short band — the last band of a product, or all of an `m = 1` product —
 //! computes exactly its live rows and no dead ones.
 //!
 //! # Determinism
@@ -27,11 +34,12 @@
 //! Every output element is one independent accumulation chain
 //! `c(i,j) = 0 + a(i,0)·b(0,j) + a(i,1)·b(1,j) + …`, evaluated
 //! sequentially in `p` inside a single band-kernel invocation — at every
-//! product size, since this kernel is the only GEMM path. The scalar and
-//! AVX2 backends perform the same unfused multiply-then-add per step, so
-//! — although their tile *shapes* differ — each element's chain is the
-//! identical sequence of IEEE-754 two-operand operations: the two levels
-//! are **bit-identical on every input**, and bit-identical to the
+//! product size, since this kernel is the only GEMM path. The scalar,
+//! AVX2 and AVX-512 backends perform the same unfused multiply-then-add
+//! per step, so — although their tile *shapes* differ — each element's
+//! chain is the identical sequence of IEEE-754 two-operand operations:
+//! the three levels are **bit-identical on every input**, and
+//! bit-identical to the
 //! in-order naive triple loop (tile shape and `R` only change which
 //! elements share a register block, never the order within a chain).
 //! The FMA backend contracts each step into a single rounding and is
@@ -44,48 +52,51 @@
 //! slice from the band's first live element on, plus a
 //! `(row_stride, p_stride)` pair; element `(i, p)` of the band is
 //! `a[i * row_stride + p * p_stride]` — `(stride, 1)` for a row-major A,
-//! `(1, stride)` for one read transposed. [`gemm_band_at`] asserts once,
-//! up front, that the last live element `(rows − 1, k − 1)` lies inside
-//! the slice; that one check is what makes the tile's unchecked A reads
-//! sound.
+//! `(1, stride)` for one read transposed, and no other layout.
+//! [`gemm_band_at`] asserts once, up front, that the last live element
+//! `(rows − 1, k − 1)` lies inside the slice; the tile then reads a
+//! row-major A through `rows` slices of exactly `k` values, whose indices
+//! need no check in the loop, and a transposed one `rows` values at a
+//! time, one check per step.
 //!
-//! **B is packed** at the tile width of the *clamped* level
-//! ([`tile_dims`] applies the hardware clamp, so packing and kernel
-//! always agree): `⌈n / NR⌉` panels of `k` groups of `NR` consecutive
-//! column values. Lanes past `n` in the last panel are computed and
+//! **B is packed** at the tile width of the *resolved* level and the
+//! product's width ([`tile_dims`] resolves the level the way the band
+//! kernel does, so packing and kernel always agree): `⌈n / NR⌉` panels of
+//! `k` groups of `NR` consecutive column values. Lanes past `n` in the last panel are computed and
 //! discarded; they never reach the output.
 
 use crate::backend::SimdOp;
 use crate::{dispatch, Kernel, Level};
 
-/// Microkernel tile dims `(MR, NR)` of the backend a dispatch level runs
-/// on, after clamping the request at what the CPU supports.
+/// Microkernel tile dims `(MR, NR)` for a product `n` columns wide on the
+/// backend a dispatch level resolves to on this CPU.
 ///
-/// Callers must split rows and pack B with the dims of the same level
-/// they pass to [`gemm_band_at`]; both dispatch the same way, so a
+/// Callers must split rows and pack B with the dims of the same level and
+/// width they pass to [`gemm_band_at`]; both dispatch the same way, so a
 /// request the hardware cannot honor degrades consistently on both sides.
-pub fn tile_dims(level: Level) -> (usize, usize) {
-    dispatch(level, TileDims)
+pub fn tile_dims(level: Level, n: usize) -> (usize, usize) {
+    dispatch(level, TileDims(n))
 }
 
-/// The backend's `(GEMM_MR, GEMM_NR)`.
-struct TileDims;
+/// The backend's [`SimdOp::gemm_tile`] at a product width.
+struct TileDims(usize);
 
 impl Kernel for TileDims {
     type Out = (usize, usize);
     #[inline(always)]
     fn run<S: SimdOp>(self) -> (usize, usize) {
-        (S::GEMM_MR, S::GEMM_NR)
+        S::gemm_tile(self.0)
     }
 }
 
 /// Widest tile any level ships — the size of the edge-panel spill buffer.
-const MAX_NR: usize = 16;
+const MAX_NR: usize = 32;
 
 /// One band's operands as the tile reads them. Only [`GemmBand::run`]
-/// builds one, after checking the invariant the tile's unchecked reads
-/// rely on: `a[i * row_stride + p * p_stride]` is in bounds for every
-/// `i < rows`, `p < k`.
+/// builds one, after checking what the tile's reads rely on:
+/// `a[i * row_stride + p * p_stride]` is in bounds for every `i < rows`,
+/// `p < k`, and A is row-major (`p_stride == 1`) or transposed
+/// (`row_stride == 1`).
 #[derive(Clone, Copy)]
 struct Band<'a> {
     a: &'a [f32],
@@ -98,19 +109,20 @@ struct Band<'a> {
 }
 
 /// Multiplies one band of A rows, read in place, by every packed B panel
-/// at the given level (clamped at hardware support), writing the
-/// `rows × n` result band; `rows = out.len() / n` must be in `1..=MR`.
+/// at the given level (resolved on this CPU), writing the `rows × n`
+/// result band; `rows = out.len() / n` must be in `1..=MR`.
 ///
 /// * `a`, `a_strides`: the A operand from this band's first element on;
 ///   with `a_strides = (row_stride, p_stride)`, element `(i, p)` is
-///   `a[i * row_stride + p * p_stride]`.
+///   `a[i * row_stride + p * p_stride]`, `(stride, 1)` for a row-major A
+///   and `(1, stride)` for one read transposed.
 /// * `packed_b`: `⌈n / NR⌉` panels of `k × NR` packed values.
 /// * `out`: row-major `rows × n` destination, fully overwritten.
 ///
 /// # Panics
-/// Panics if `k` or `n` is 0, `out` is not `1..=MR` whole rows, the last
-/// live A element lies outside `a`, or `packed_b` was not packed at
-/// `tile_dims(level)`.
+/// Panics if `k` or `n` is 0, `out` is not `1..=MR` whole rows, neither
+/// stride is 1, the last live A element lies outside `a`, or `packed_b`
+/// was not packed at `tile_dims(level, n)`.
 pub fn gemm_band_at(
     level: Level,
     a: &[f32],
@@ -146,8 +158,8 @@ struct GemmBand<'a> {
 
 impl Kernel for GemmBand<'_> {
     type Out = ();
-    /// Checks the band against `S`'s tile, then runs the `S::GEMM_NR /
-    /// S::LANES`-bundle tile: on `Avx<false>` the 6 × 16 tile with
+    /// Checks the band against `S`'s tile for this width, then runs the
+    /// `NR / S::LANES`-bundle tile: on `Avx<false>` and `Avx512` with
     /// **unfused** `vmulps` + `vaddps`, the same two-operand IEEE sequence
     /// as the scalar tile; on `Avx<true>` each step contracted into a
     /// single-rounding `vfmadd231ps` — ULP-bounded, hence opt-in.
@@ -161,8 +173,8 @@ impl Kernel for GemmBand<'_> {
             n,
             out,
         } = self;
-        let (mr, nr) = (S::GEMM_MR, S::GEMM_NR);
         assert!(k >= 1 && n >= 1, "gemm band: k = {k}, n = {n}");
+        let (mr, nr) = S::gemm_tile(n);
         let rows = out.len() / n;
         assert!(
             (1..=mr).contains(&rows) && out.len() == rows * n,
@@ -183,6 +195,10 @@ impl Kernel for GemmBand<'_> {
             rows - 1,
             k - 1,
             a.len()
+        );
+        assert!(
+            p_stride == 1 || row_stride == 1,
+            "gemm band: A strides {a_strides:?} are neither row-major nor transposed"
         );
         let band = Band {
             a,
@@ -211,7 +227,31 @@ fn band_rows<O: SimdOp, const V: usize>(band: Band<'_>, out: &mut [f32]) {
         4 => tile::<O, 4, V>(band, out),
         5 => tile::<O, 5, V>(band, out),
         6 => tile::<O, 6, V>(band, out),
-        rows => unreachable!("a tile admits at most 6 rows, got {rows}"),
+        7 => tile::<O, 7, V>(band, out),
+        8 => tile::<O, 8, V>(band, out),
+        9 => tile::<O, 9, V>(band, out),
+        10 => tile::<O, 10, V>(band, out),
+        11 => tile::<O, 11, V>(band, out),
+        12 => tile::<O, 12, V>(band, out),
+        rows => unreachable!("a tile admits at most 12 rows, got {rows}"),
+    }
+}
+
+/// One step `p` of the tile: `a_p[i]` (A's element `(i, p)`) broadcast
+/// against the `V` bundles of packed B row `p`, accumulated unfused
+/// (fused at the FMA level) into row `i`'s accumulators.
+#[inline(always)]
+fn step<O: SimdOp, const R: usize, const V: usize>(
+    acc: &mut [[O::V; V]; R],
+    a_p: [f32; R],
+    b: &[f32],
+) {
+    let b: [O::V; V] = std::array::from_fn(|v| O::load(&b[v * O::LANES..]));
+    for (acc_row, &ai) in acc.iter_mut().zip(&a_p) {
+        let ai = O::splat(ai);
+        for (c, &bv) in acc_row.iter_mut().zip(&b) {
+            *c = O::mul_add(ai, bv, *c);
+        }
     }
 }
 
@@ -236,21 +276,28 @@ fn tile<O: SimdOp, const R: usize, const V: usize>(band: Band<'_>, out: &mut [f3
         rows,
     } = band;
     assert_eq!(R, rows, "tile instantiated for the wrong row count");
+    // Row-major A as `R` rows of exactly `k` values: every `rows[i][p]`
+    // below has `p < k`, so the compiler drops its bounds check (a checked
+    // read in the loop halves the scalar tile's rate, 13 vs 26 GFLOP/s at
+    // 256³). Transposed A (`row_stride == 1`) is read as the `R`
+    // consecutive values of each step instead, one check per step.
+    let rows: [&[f32]; R] = std::array::from_fn(|i| match p_stride {
+        1 => &a[i * row_stride..][..k],
+        _ => &[],
+    });
     for (jp, b_panel) in packed_b.chunks_exact(k * nr).enumerate() {
         let j0 = jp * nr;
         let cols = nr.min(n - j0);
         let mut acc = [[O::splat(0.0); V]; R];
-        for (p, b) in b_panel.chunks_exact(nr).enumerate() {
-            let b: [O::V; V] = std::array::from_fn(|v| O::load(&b[v * O::LANES..]));
-            for (i, acc_row) in acc.iter_mut().enumerate() {
-                // SAFETY: `i < R = rows` and `p < k` (the panel holds
-                // exactly `k` chunks), so the index is in bounds by the
-                // `Band` invariant. Unchecked because a checked read
-                // halves the scalar tile's rate (13 vs 26 GFLOP/s at 256³).
-                let ai = O::splat(unsafe { *a.get_unchecked(i * row_stride + p * p_stride) });
-                for (c, &bv) in acc_row.iter_mut().zip(&b) {
-                    *c = O::mul_add(ai, bv, *c);
-                }
+        let b_steps = b_panel.chunks_exact(nr);
+        if p_stride == 1 {
+            for (p, b) in (0..k).zip(b_steps) {
+                step::<O, R, V>(&mut acc, std::array::from_fn(|i| rows[i][p]), b);
+            }
+        } else {
+            for (a_p, b) in a.chunks(p_stride).zip(b_steps) {
+                let a_p = a_p.first_chunk::<R>().expect("the band invariant");
+                step::<O, R, V>(&mut acc, *a_p, b);
             }
         }
         for (i, acc_row) in acc.iter().enumerate() {
@@ -275,9 +322,6 @@ fn tile<O: SimdOp, const R: usize, const V: usize>(band: Band<'_>, out: &mut [f3
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clamp_supported;
-
-    const LEVELS: [Level; 3] = [Level::Scalar, Level::Avx2, Level::Fma];
 
     /// Packs a row-major `k × n` matrix into NR-padded panel order.
     fn pack_b(data: &[f32], k: usize, n: usize, nr: usize) -> Vec<f32> {
@@ -325,7 +369,7 @@ mod tests {
         n: usize,
         rows: usize,
     ) -> Vec<f32> {
-        let packed_b = pack_b(b, k, n, tile_dims(level).1);
+        let packed_b = pack_b(b, k, n, tile_dims(level, n).1);
         let mut out = vec![f32::NAN; rows * n];
         gemm_band_at(level, a, a_strides, &packed_b, k, n, &mut out);
         out
@@ -334,7 +378,7 @@ mod tests {
     /// Bit equality below the FMA level, a relative tolerance at it.
     fn assert_band_matches(level: Level, got: &[f32], naive: &[f32], label: &str) {
         for (idx, (g, e)) in got.iter().zip(naive).enumerate() {
-            let ok = if clamp_supported(level) == Level::Fma {
+            let ok = if level.resolve() == Level::Fma {
                 (g - e).abs() <= 1e-4 * e.abs().max(1.0)
             } else {
                 g.to_bits() == e.to_bits()
@@ -351,22 +395,34 @@ mod tests {
 
     #[test]
     fn tile_dims_are_wide_where_supported() {
-        assert_eq!(tile_dims(Level::Scalar), (4, 8));
-        let (mr, nr) = tile_dims(crate::detected_level());
+        for n in [1, 16, 17, 100] {
+            assert_eq!(tile_dims(Level::Scalar, n), (4, 8));
+            assert_eq!(
+                tile_dims(Level::Avx2, n),
+                tile_dims(Level::Avx2.resolve(), n)
+            );
+        }
+        if Level::Avx512.resolve() == Level::Avx512 {
+            assert_eq!(tile_dims(Level::Avx512, 16), (8, 16));
+            assert_eq!(tile_dims(Level::Avx512, 17), (12, 32));
+        }
+        let (mr, nr) = tile_dims(crate::best_deterministic(), 100);
         assert!(mr >= 4 && nr >= 8);
     }
 
     /// Every level, both A layouts (row-major with a padded stride, and
-    /// transposed), every live row count and both sides of the NR edge,
-    /// with the A slice ending *exactly* at the last live element:
-    /// reading A in place must neither over-read nor change a bit.
+    /// transposed), every live row count of the tile each width takes,
+    /// and widths on both sides of each tile's NR edge (the AVX-512 level
+    /// switches tiles between 16 and 17) and of several panels, with the
+    /// A slice ending *exactly* at the last live element: reading A in
+    /// place must neither over-read nor change a bit.
     #[test]
     fn every_level_matches_the_naive_product() {
-        for level in LEVELS {
-            let (mr, nr) = tile_dims(level);
-            for rows in 1..=mr {
-                for k in [1, 17] {
-                    for n in [1, nr - 1, nr, nr + 1] {
+        for level in Level::ALL {
+            for n in [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 80, 100] {
+                let (mr, _) = tile_dims(level, n);
+                for rows in 1..=mr {
+                    for k in [1, 17] {
                         let b = ramp(k * n, 17, 89, 0.211, 9.0);
                         for a_strides in [(k + 3, 1), (1, rows + 2)] {
                             let (row_stride, p_stride) = a_strides;
@@ -391,7 +447,7 @@ mod tests {
         let short = (rows - 1) * a_strides.0 + (k - 1) * a_strides.1; // one less than needed
         let a = vec![1.0f32; short];
         let b = vec![1.0f32; k * n];
-        band_at(crate::detected_level(), &a, a_strides, &b, k, n, rows);
+        band_at(crate::best_deterministic(), &a, a_strides, &b, k, n, rows);
     }
 
     #[test]
@@ -404,14 +460,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "neither row-major nor transposed")]
+    fn a_layout_that_is_neither_row_major_nor_transposed_is_refused() {
+        let (rows, k, n) = (2, 3, 4);
+        let a = vec![1.0f32; 16];
+        let b = vec![1.0f32; k * n];
+        band_at(Level::Scalar, &a, (3, 2), &b, k, n, rows);
+    }
+
+    #[test]
     fn scalar_and_avx2_bands_are_bit_identical() {
-        let (k, n, rows) = (33, 19, 4);
-        let a = ramp(rows * k, 31, 101, 0.173, 8.0);
-        let b = ramp(k * n, 17, 89, 0.211, 9.0);
-        let scalar = band_at(Level::Scalar, &a, (k, 1), &b, k, n, rows);
-        let avx2 = band_at(Level::Avx2, &a, (k, 1), &b, k, n, rows);
-        let sb: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
-        let ab: Vec<u32> = avx2.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(sb, ab, "scalar vs avx2 band bits");
+        for n in [16, 19] {
+            let (k, rows) = (33, 4);
+            let a = ramp(rows * k, 31, 101, 0.173, 8.0);
+            let b = ramp(k * n, 17, 89, 0.211, 9.0);
+            let bits = |level| -> Vec<u32> {
+                let out = band_at(level, &a, (k, 1), &b, k, n, rows);
+                out.iter().map(|v| v.to_bits()).collect()
+            };
+            let scalar = bits(Level::Scalar);
+            assert_eq!(scalar, bits(Level::Avx2), "scalar vs avx2 band bits");
+            assert_eq!(scalar, bits(Level::Avx512), "scalar vs avx512 band bits");
+        }
     }
 }

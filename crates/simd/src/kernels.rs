@@ -2,11 +2,19 @@
 //!
 //! Every kernel here is written once, generically over a [`SimdOp`]
 //! backend, as one `Kernel` impl that `crate::dispatch` runs on the
-//! backend of each level. The algorithm structure is fixed:
-//! eight-lane blocks, the same horizontal reduction trees, and padded
-//! tail blocks that push remainder elements through the *same* vector
-//! code path — which is what makes the scalar and AVX2 levels
-//! bit-identical on every input, tails and specials included.
+//! backend of each level. The algorithm structure is fixed: eight-lane
+//! reduction trees, and padded tail blocks that push remainder elements
+//! through the *same* vector code path — which is what makes the scalar,
+//! AVX2 and AVX-512 levels bit-identical on every input, tails and
+//! specials included. The per-lane kernels (activations, `ln`, `sincos`
+//! and the per-lane passes of softmax and layer norm) run at the
+//! backend's full width; a reduction (softmax's max and sum, layer
+//! norm's sums) accumulates in an eight-lane [`SimdOp::Tree`] bundle that
+//! each wider bundle folds into, low half then high half
+//! ([`SimdOp::fold`]). A tail folds in eight-lane granules too, but never
+//! one that holds pad lanes only: folding an all-pad granule would turn a
+//! NaN max lane into `−∞` (`maxps` returns the pad) and a `−0.0` sum lane
+//! into `+0.0`, which the eight-lane levels never see.
 //!
 //! Numerical contracts:
 //! - `exp`: Cephes-style degree-5 polynomial after range reduction
@@ -64,7 +72,7 @@
 // the exact mathematical constant the approx_constant lint proposes.
 #![allow(clippy::excessive_precision, clippy::approx_constant)]
 
-use crate::backend::{lane, SimdOp};
+use crate::backend::{lane, Reduce, SimdOp, MAX_LANES};
 use crate::Kernel;
 
 /// `sqrt(2/π)` to `f32` precision — the tanh-approximation GELU constant.
@@ -378,8 +386,8 @@ impl Kernel for Activation<'_> {
 /// *loads* are what [`SimdOp::load_padded`] makes forwardable.
 #[inline(always)]
 fn store_partial<S: SimdOp>(v: S::V, dst: &mut [f32]) {
-    debug_assert!(S::LANES <= 8);
-    let mut out = [0.0f32; 8];
+    debug_assert!(S::LANES <= MAX_LANES);
+    let mut out = [0.0f32; MAX_LANES];
     S::store(v, &mut out);
     dst.copy_from_slice(&out[..dst.len()]);
 }
@@ -411,33 +419,42 @@ impl Kernel for Softmax<'_> {
     }
 }
 
+/// The eight-lane backend a reduction over `S` accumulates in.
+type Tree<S> = <S as SimdOp>::Tree;
+
 #[inline(always)]
 fn softmax_row<S: SimdOp>(row: &mut [f32]) {
     let (body, rem) = row.split_at_mut(row.len() - row.len() % S::LANES);
     // Pass 1: row maximum through the fixed 8-lane tree.
-    let mut macc = S::splat(f32::NEG_INFINITY);
+    let mut macc = Tree::<S>::splat(f32::NEG_INFINITY);
+    let mut max_in = |v| macc = Tree::<S>::max(macc, v);
     for chunk in body.chunks_exact(S::LANES) {
-        macc = S::max(macc, S::load(chunk));
+        S::fold(S::load(chunk), S::LANES, &mut max_in);
     }
     if !rem.is_empty() {
-        macc = S::max(macc, S::load_padded(rem, f32::NEG_INFINITY));
+        S::fold(
+            S::load_padded(rem, f32::NEG_INFINITY),
+            rem.len(),
+            &mut max_in,
+        );
     }
-    let mv = S::splat(S::hmax(macc));
+    let mv = S::splat(Tree::<S>::hmax(macc));
     // Pass 2: shifted exponentials, accumulating the denominator. The
     // tail block stays in a register for pass 3 instead of being stored
     // and reloaded; its pad lanes hold exp(−∞ − m) = 0 and do not perturb
     // the sum.
-    let mut sacc = S::splat(0.0);
+    let mut sacc = Tree::<S>::splat(0.0);
+    let mut sum_in = |v| sacc = Tree::<S>::add(sacc, v);
     for chunk in body.chunks_exact_mut(S::LANES) {
         let t = exp_v::<S>(S::sub(S::load(chunk), mv));
         S::store(t, chunk);
-        sacc = S::add(sacc, t);
+        S::fold(t, S::LANES, &mut sum_in);
     }
     let tail = if rem.is_empty() {
         None
     } else {
         let t = exp_v::<S>(S::sub(S::load_padded(rem, f32::NEG_INFINITY), mv));
-        sacc = S::add(sacc, t);
+        S::fold(t, rem.len(), &mut sum_in);
         Some(t)
     };
     // A NaN denominator is made the canonical NaN: the lane sums above
@@ -447,7 +464,7 @@ fn softmax_row<S: SimdOp>(row: &mut [f32]) {
     // output would depend on the opt level. Every other operand order in
     // this kernel is fixed (`−`, `/`, selects), so one scalar select per
     // row keeps the levels bit-identical on every input, NaN included.
-    let denom = S::hsum(sacc);
+    let denom = Tree::<S>::hsum(sacc);
     let dv = S::splat(if denom.is_nan() { f32::NAN } else { denom });
     // Pass 3: divide.
     for chunk in body.chunks_exact_mut(S::LANES) {
@@ -507,22 +524,22 @@ impl Kernel for LayerNorm<'_> {
 #[inline(always)]
 fn layer_norm_row<S: SimdOp>(row: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) -> (f32, f32) {
     let n = row.len() as f32;
-    let mut sacc = S::splat(0.0);
-    let mut qacc = S::splat(0.0);
+    let mut sacc = Tree::<S>::splat(0.0);
+    let mut qacc = Tree::<S>::splat(0.0);
+    let mut sums_in = |v| {
+        sacc = Tree::<S>::add(sacc, v);
+        qacc = Tree::<S>::mul_add(v, v, qacc);
+    };
     let mut chunks = row.chunks_exact(S::LANES);
     for chunk in &mut chunks {
-        let v = S::load(chunk);
-        sacc = S::add(sacc, v);
-        qacc = S::mul_add(v, v, qacc);
+        S::fold(S::load(chunk), S::LANES, &mut sums_in);
     }
     let rem = chunks.remainder();
     if !rem.is_empty() {
-        let v = S::load_padded(rem, 0.0);
-        sacc = S::add(sacc, v);
-        qacc = S::mul_add(v, v, qacc);
+        S::fold(S::load_padded(rem, 0.0), rem.len(), &mut sums_in);
     }
-    let mean = S::hsum(sacc) / n;
-    let var = lane::max(S::hsum(qacc) / n - mean * mean, 0.0);
+    let mean = Tree::<S>::hsum(sacc) / n;
+    let var = lane::max(Tree::<S>::hsum(qacc) / n - mean * mean, 0.0);
     let istd = 1.0 / (var + eps).sqrt();
     let mv = S::splat(mean);
     let sv = S::splat(istd);

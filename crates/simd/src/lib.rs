@@ -9,35 +9,48 @@
 //!
 //! # Dispatch levels
 //!
-//! | [`Level`]  | Backend                         | Guarantee vs. scalar |
-//! |------------|---------------------------------|----------------------|
-//! | `Scalar`   | `Lanes<8>`: `[f32; 8]` lanes    | —                    |
-//! | `Avx2`     | `Avx<false>`: AVX2, unfused     | **bit-identical**    |
-//! | `Fma`      | `Avx<true>`: AVX2 + `vfmadd`    | ULP-bounded          |
+//! | [`Level`]  | Backend                          | Guarantee vs. scalar |
+//! |------------|----------------------------------|----------------------|
+//! | `Scalar`   | `Lanes<8>`: `[f32; 8]` lanes     | —                    |
+//! | `Avx2`     | `Avx<false>`: AVX2, unfused      | **bit-identical**    |
+//! | `Avx512`   | `Avx512`: AVX-512F, unfused      | **bit-identical**    |
+//! | `Fma`      | `Avx<true>`: AVX2 + `vfmadd`     | ULP-bounded          |
 //!
 //! The scalar backend simulates the eight AVX2 lanes (same block width,
 //! same horizontal reduction trees, same padded-tail handling), so the
 //! `Scalar` and `Avx2` levels produce bit-identical results on every
 //! input — the property the CI dispatch matrix asserts, in debug and in
-//! release builds. (One narrowing, spelled out in [`kernels`]: where a
+//! release builds. The `Avx512` backend runs sixteen lanes but keeps the
+//! eight-lane reduction trees: a reduction folds each 16-lane bundle into
+//! an eight-lane accumulator, low half then high half, so it is
+//! bit-identical to both. (One narrowing, spelled out in [`kernels`]: where a
 //! layer-norm row already holds a NaN or an infinity, the levels agree on
 //! which outputs are NaN but not on those NaNs' sign and payload.) `Fma` contracts
 //! multiply–add pairs into single roundings and is therefore only
 //! ULP-bounded; because of that it is **opt-in**: the default level is
-//! the best *bit-deterministic* one (`Avx2` where available), and
-//! `VITAL_SIMD=fma` must be set explicitly to trade determinism for the
-//! fused path.
+//! the best *bit-deterministic* one ([`best_deterministic`]: `Avx512`
+//! where available, then `Avx2`), and `VITAL_SIMD=fma` must be set
+//! explicitly to trade determinism for the fused path.
 //!
 //! Alongside the transcendental kernels, [`gemm`] holds the GEMM band
 //! microkernel — one register tile over the same `SimdOp` backends, its
-//! shape (rows × lane bundles) carried by each backend — under the same
-//! dispatch latch and the same determinism contract: scalar ≡ avx2
-//! bit-identical, FMA opt-in and ULP-bounded.
+//! shape (rows × lane bundles) chosen by each backend from the product's
+//! width — under the same dispatch latch and the same determinism
+//! contract: scalar ≡ avx2 ≡ avx512 bit-identical, FMA opt-in and
+//! ULP-bounded.
+//!
+//! # Resolution
+//!
+//! A level the CPU cannot run resolves down an explicit chain
+//! ([`Level::resolve`]): `avx512 → avx2 → scalar`, and `fma → avx2 →
+//! scalar`. `Fma` is never a fallback, so no request ends up fused
+//! unless it asked for `fma`.
 //!
 //! # Environment override
 //!
-//! `VITAL_SIMD=scalar|avx2|fma` forces a level (capped at what the CPU
-//! supports). Any other non-empty value is an error — a typo in a CI
+//! `VITAL_SIMD=scalar|avx2|avx512|fma` ([`Level::ALL`]) forces a level,
+//! resolved on this CPU. Any other non-empty value, a non-UTF-8 one
+//! included, is an error — a typo in a CI
 //! matrix must not silently run the wrong kernels: [`try_active_level`]
 //! returns it (`vital-serve` refuses to start on it) and
 //! [`active_level`] panics on it. The choice is latched on first use and
@@ -48,7 +61,7 @@
 //! This crate is the single, lint-fenced home for `unsafe` in the
 //! workspace (see `ci/lint-rules.toml` `[hygiene] unsafe_allowed_dirs`):
 //! all intrinsic calls live in [`x86`] behind `# Safety`-documented
-//! contracts, and its two `#[target_feature]` entry points, generic over
+//! contracts, and its three `#[target_feature]` entry points, generic over
 //! the kernel, are the only `unsafe fn`s. Everything public here is safe:
 //! `dispatch` calls an entry point only after the matching CPUID check.
 
@@ -67,76 +80,106 @@ use std::sync::OnceLock;
 
 use backend::{Lanes, SimdOp};
 
-/// A runtime dispatch level, ordered from most portable to most fused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// A runtime dispatch level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Level {
     /// Portable eight-lane scalar backend; runs on any CPU.
     Scalar,
     /// 256-bit AVX2 with unfused multiply–add; bit-identical to `Scalar`.
     Avx2,
+    /// 512-bit AVX-512F with unfused multiply–add; bit-identical to
+    /// `Scalar`.
+    Avx512,
     /// AVX2 + fused multiply–add; ULP-bounded relative to `Scalar`.
     Fma,
 }
 
 impl Level {
+    /// Every level, from the most portable to the opt-in fused one — the
+    /// one list `parse`, the `VITAL_SIMD` error and the level loops of the
+    /// tests read.
+    pub const ALL: [Level; 4] = [Level::Scalar, Level::Avx2, Level::Avx512, Level::Fma];
+
     /// The lowercase name used by `VITAL_SIMD` and diagnostics.
     pub fn name(self) -> &'static str {
         match self {
             Level::Scalar => "scalar",
             Level::Avx2 => "avx2",
+            Level::Avx512 => "avx512",
             Level::Fma => "fma",
         }
     }
 
     /// Parses a `VITAL_SIMD` value; `None` for anything unrecognized.
     pub fn parse(s: &str) -> Option<Level> {
-        match s {
-            "scalar" => Some(Level::Scalar),
-            "avx2" => Some(Level::Avx2),
-            "fma" => Some(Level::Fma),
-            _ => None,
+        Level::ALL.into_iter().find(|level| level.name() == s)
+    }
+
+    /// The level a request for `self` runs at on this CPU: `self` where
+    /// the CPU has its features, otherwise the next level down its chain
+    /// (`avx512 → avx2 → scalar`, `fma → avx2 → scalar`). `Fma` is never
+    /// a fallback.
+    pub fn resolve(self) -> Level {
+        let mut level = self;
+        while !level.runs_here() {
+            level = match level {
+                Level::Avx512 | Level::Fma => Level::Avx2,
+                Level::Avx2 | Level::Scalar => Level::Scalar,
+            };
+        }
+        level
+    }
+
+    /// Whether the running CPU has every feature this level's backend is
+    /// compiled for (std caches the CPUID probes).
+    fn runs_here(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2 = is_x86_feature_detected!("avx2");
+            match self {
+                Level::Scalar => true,
+                Level::Avx2 => avx2,
+                Level::Avx512 => avx2 && is_x86_feature_detected!("avx512f"),
+                Level::Fma => avx2 && is_x86_feature_detected!("fma"),
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == Level::Scalar
         }
     }
 }
 
-/// The best level the running CPU supports, independent of any override.
-pub fn detected_level() -> Level {
-    static DETECTED: OnceLock<Level> = OnceLock::new();
-    *DETECTED.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") {
-                if is_x86_feature_detected!("fma") {
-                    return Level::Fma;
-                }
-                return Level::Avx2;
-            }
-        }
-        Level::Scalar
-    })
+/// The best **bit-deterministic** level this CPU runs — what a request
+/// for `avx512` resolves to, never `Fma` — so two hosts produce identical
+/// bits whatever their vector width or FMA support.
+pub fn best_deterministic() -> Level {
+    Level::Avx512.resolve()
 }
 
 /// The level every kernel call at [`active_level`] uses, or why
 /// `VITAL_SIMD` names none; latched on first use.
 ///
-/// Resolution order: `VITAL_SIMD` if set and non-empty (capped at
-/// [`detected_level`]); otherwise the best **bit-deterministic** level —
-/// `Avx2` where supported, never `Fma` — so two hosts that both have
-/// AVX2 produce identical bits regardless of FMA support. A process that
-/// must not start on a typo (a server) asks this before it does anything
-/// else.
+/// Resolution order: `VITAL_SIMD` if set and non-empty, resolved on this
+/// CPU ([`Level::resolve`]); otherwise [`best_deterministic`]. A value
+/// that is not one of [`Level::ALL`]'s names, or not UTF-8 at all, is an
+/// error naming the variable. A process that must not start on a typo (a
+/// server) asks this before it does anything else.
 pub fn try_active_level() -> Result<Level, &'static str> {
     static ACTIVE: OnceLock<Result<Level, String>> = OnceLock::new();
-    let resolved = ACTIVE.get_or_init(|| {
-        let detected = detected_level();
-        match std::env::var("VITAL_SIMD") {
-            Ok(raw) if !raw.is_empty() => Level::parse(&raw)
-                .map(|requested| requested.min(detected))
-                .ok_or_else(|| {
-                    format!("VITAL_SIMD={raw:?} is not a dispatch level (expected scalar|avx2|fma)")
-                }),
-            _ => Ok(detected.min(Level::Avx2)),
-        }
+    let resolved = ACTIVE.get_or_init(|| match std::env::var_os("VITAL_SIMD") {
+        Some(raw) if !raw.is_empty() => raw
+            .to_str()
+            .and_then(Level::parse)
+            .map(Level::resolve)
+            .ok_or_else(|| {
+                let names: Vec<&str> = Level::ALL.into_iter().map(Level::name).collect();
+                format!(
+                    "VITAL_SIMD={raw:?} is not a dispatch level (expected {})",
+                    names.join("|")
+                )
+            }),
+        _ => Ok(best_deterministic()),
     });
     resolved.as_ref().copied().map_err(String::as_str)
 }
@@ -151,19 +194,13 @@ pub fn active_level() -> Level {
     try_active_level().unwrap_or_else(|message| panic!("{message}"))
 }
 
-/// Caps a requested level at what the CPU actually supports, so the
-/// feature-gated entry points are only ever reached with their CPUID
-/// precondition established.
-pub(crate) fn clamp_supported(level: Level) -> Level {
-    level.min(detected_level())
-}
-
 /// One kernel call — its operands and its body, written once over
 /// [`SimdOp`] — that [`dispatch`] runs on the backend a level names.
 ///
 /// Adding a kernel is one impl of this trait and no `unsafe`. The impl
-/// must mark `run` `#[inline(always)]`: the body is compiled for AVX2 or
-/// FMA only where it is inlined into `x86::run_avx2` / `x86::run_fma`.
+/// must mark `run` `#[inline(always)]`: the body is compiled for a vector
+/// level only where it is inlined into that level's entry point in
+/// [`x86`].
 pub(crate) trait Kernel {
     /// What the kernel returns.
     type Out;
@@ -171,40 +208,38 @@ pub(crate) trait Kernel {
     fn run<S: SimdOp>(self) -> Self::Out;
 }
 
-/// Runs `kernel` at `level`, capped at hardware support: [`Lanes<8>`]
-/// inline at `Scalar`, `Avx<false>` at `Avx2`, `Avx<true>` at `Fma` —
-/// the one place a level becomes a backend.
+/// Runs `kernel` at `level`, resolved on this CPU ([`Level::resolve`]):
+/// [`Lanes<8>`] inline at `Scalar`, otherwise the level's
+/// `#[target_feature]` entry point in [`x86`] — the one place a level
+/// becomes a backend.
 ///
 /// Inlined into every caller, so the scalar level costs no call and a
-/// vector level exactly one, into its `#[target_feature]` entry point.
+/// vector level exactly one, into its entry point.
 #[inline(always)]
 pub(crate) fn dispatch<K: Kernel>(level: Level, kernel: K) -> K::Out {
-    match clamp_supported(level) {
+    match level.resolve() {
+        Level::Scalar => kernel.run::<Lanes<8>>(),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_supported` only returns Avx2 when the avx2
-        // `is_x86_feature_detected!` check passed.
-        Level::Avx2 => unsafe { x86::run_avx2(kernel) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above; Fma additionally implies the fma feature.
-        Level::Fma => unsafe { x86::run_fma(kernel) },
-        _ => kernel.run::<Lanes<8>>(),
+        vector => x86::run(vector, kernel),
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("only the scalar level runs off x86-64"),
     }
 }
 
-/// Applies an activation elementwise in place at `level` (capped at
-/// hardware support).
+/// Applies an activation elementwise in place at `level` (resolved on
+/// this CPU).
 pub fn apply_act(level: Level, act: Act, data: &mut [f32]) {
     dispatch(level, kernels::Activation { act, data });
 }
 
 /// Row softmax in place over a row-major `[rows × cols]` buffer at
-/// `level` (capped at hardware support). No-op when `cols == 0`.
+/// `level` (resolved on this CPU). No-op when `cols == 0`.
 pub fn softmax_rows(level: Level, data: &mut [f32], cols: usize) {
     dispatch(level, kernels::Softmax { data, cols });
 }
 
-/// Per-row layer normalization in place at `level` (capped at hardware
-/// support): `y = (x − mean) · istd · γ[j] + β[j]`,
+/// Per-row layer normalization in place at `level` (resolved on this
+/// CPU): `y = (x − mean) · istd · γ[j] + β[j]`,
 /// `istd = 1/√(var + eps)`. With `stats`, per-row `(mean, istd)` are
 /// also recorded into those slices — the training forward pass needs
 /// them for the backward closure.
@@ -230,14 +265,14 @@ pub fn layer_norm_rows(
     );
 }
 
-/// Natural logarithm of every element in place at `level` (capped at
-/// hardware support; [`kernels::ln_v`]).
+/// Natural logarithm of every element in place at `level` (resolved on
+/// this CPU; [`kernels::ln_v`]).
 pub fn ln(level: Level, data: &mut [f32]) {
     dispatch(level, kernels::Ln(data));
 }
 
 /// `sin[i], cos[i] = sin 2π·turns[i], cos 2π·turns[i]` at `level`
-/// (capped at hardware support; [`kernels::sincos_v`]), for as many
+/// (resolved on this CPU; [`kernels::sincos_v`]), for as many
 /// elements as all three slices hold.
 pub fn sincos_turns(level: Level, turns: &[f32], sin: &mut [f32], cos: &mut [f32]) {
     dispatch(level, kernels::SinCos { turns, sin, cos });
@@ -293,7 +328,7 @@ mod tests {
 
     #[test]
     fn level_names_round_trip_through_parse() {
-        for level in [Level::Scalar, Level::Avx2, Level::Fma] {
+        for level in Level::ALL {
             assert_eq!(Level::parse(level.name()), Some(level));
         }
         assert_eq!(Level::parse("sse9"), None);
@@ -302,10 +337,17 @@ mod tests {
 
     #[test]
     fn levels_order_by_capability() {
-        assert!(Level::Scalar < Level::Avx2);
-        assert!(Level::Avx2 < Level::Fma);
-        // Determinism-by-default: the latched default never exceeds Avx2.
-        assert!(detected_level().min(Level::Avx2) <= Level::Avx2);
+        assert_eq!(
+            Level::ALL,
+            [Level::Scalar, Level::Avx2, Level::Avx512, Level::Fma]
+        );
+        // Determinism by default: the best deterministic level is never
+        // the fused one, and it is the widest deterministic level this
+        // CPU runs.
+        let best = best_deterministic();
+        assert_ne!(best, Level::Fma);
+        assert_eq!(best, Level::Avx512.resolve());
+        assert!(best == Level::Avx512 || !Level::Avx512.runs_here());
     }
 
     /// Names the backend it runs on.
@@ -320,13 +362,15 @@ mod tests {
 
     /// A level silently routed to another backend would pass every parity
     /// test, so the route itself is checked: each level runs its own
-    /// backend where the CPU has the features, the clamped one where not.
+    /// backend where the CPU has the features, the one down its chain
+    /// where not.
     #[test]
     fn dispatch_runs_the_backend_each_level_names() {
-        for level in [Level::Scalar, Level::Avx2, Level::Fma] {
-            let want = match level.min(detected_level()) {
+        for level in Level::ALL {
+            let want = match level.resolve() {
                 Level::Scalar => "::Lanes<8>",
                 Level::Avx2 => "::Avx<false>",
+                Level::Avx512 => "::Avx512",
                 Level::Fma => "::Avx<true>",
             };
             let got = dispatch(level, BackendName);
@@ -336,13 +380,24 @@ mod tests {
 
     #[test]
     fn explicit_levels_are_capped_at_hardware() {
-        assert_eq!(clamp_supported(Level::Scalar), Level::Scalar);
-        assert!(clamp_supported(Level::Fma) <= detected_level());
+        for level in Level::ALL {
+            let resolved = level.resolve();
+            assert!(resolved.runs_here(), "{level:?} resolved to {resolved:?}");
+            assert_eq!(resolved == level, level.runs_here(), "{level:?}");
+            // A fallback is never the fused level.
+            assert!(resolved == level || resolved != Level::Fma);
+        }
+        assert_eq!(Level::Scalar.resolve(), Level::Scalar);
     }
 
     #[test]
     fn scalar_and_best_deterministic_level_are_bit_identical() {
-        let level = detected_level().min(Level::Avx2);
+        for level in Level::ALL.into_iter().filter(|l| *l != Level::Fma) {
+            assert_deterministic_level_matches_scalar(level);
+        }
+    }
+
+    fn assert_deterministic_level_matches_scalar(level: Level) {
         let src: Vec<f32> = (0..173)
             .map(|i| ((i * 37) % 101) as f32 * 0.29 - 11.0)
             .collect();

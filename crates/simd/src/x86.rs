@@ -1,35 +1,38 @@
-//! The x86-64 backend, [`Avx`]: 256-bit lanes with unfused (`Avx<false>`,
-//! the `Avx2` level) or fused (`Avx<true>`, the `Fma` level)
-//! multiply–add, plus the two `#[target_feature]` entry points
-//! `crate::dispatch` calls.
+//! The x86-64 backends — [`Avx`]: 256-bit lanes with unfused
+//! (`Avx<false>`, the `Avx2` level) or fused (`Avx<true>`, the `Fma`
+//! level) multiply–add; [`Avx512`]: 512-bit lanes, unfused (the `Avx512`
+//! level) — plus the three `#[target_feature]` entry points and `run`,
+//! which `crate::dispatch` calls to enter one.
 //!
-//! This module is the **only** place in the workspace where `unsafe`
-//! appears (enforced by the `hygiene` lint rule's
-//! `unsafe_allowed_dirs`). Two kinds of `unsafe` live here, each with a
-//! narrow contract:
+//! This module is the **only** place in the workspace where intrinsics
+//! and `#[target_feature]` code appear (`unsafe` is fenced to this crate
+//! by the `hygiene` lint rule's `unsafe_allowed_dirs`). Two kinds of
+//! `unsafe` live here, each with a narrow contract:
 //!
 //! 1. Intrinsic calls inside the backend methods. The intrinsics are
 //!    `#[target_feature]` functions, so calling them from these plain
 //!    `#[inline(always)]` methods needs an `unsafe` block; soundness
 //!    comes from the module contract that backend methods are only ever
-//!    reached by inlining into `run_avx2` or `run_fma`, which the
-//!    dispatcher guards with `is_x86_feature_detected!`.
-//! 2. Those two entry points themselves: `unsafe fn`s, generic over the
+//!    reached by inlining into `run_avx2`, `run_avx512` or `run_fma`,
+//!    which `run` enters only for a level `Level::resolve` returned.
+//! 2. Those three entry points themselves: `unsafe fn`s, generic over the
 //!    `Kernel` they run, whose single precondition is "the advertised
 //!    CPU features are present". No kernel has an entry point of its own.
 //!
-//! `Avx<false>` is bit-identical to the portable [`Lanes<8>`] backend:
-//! every method maps to the same IEEE-754 two-operand operation
-//! (`vaddps` ≙ lanewise `+`, `vmaxps` ≙ the shared `maxps`-semantics max,
-//! …) and the horizontal reductions use the same fixed tree. Only
-//! `Avx<true>` deviates, by contracting `a·b + c` into a single rounding.
+//! `Avx<false>` and `Avx512` are bit-identical to the portable
+//! [`Lanes<8>`] backend: every method maps to the same IEEE-754
+//! two-operand operation (`vaddps` ≙ lanewise `+`, `vmaxps` ≙ the shared
+//! `maxps`-semantics max, …), the horizontal reductions use the same fixed
+//! tree, and `Avx512` reduces by folding its halves into an `Avx<false>`
+//! accumulator ([`SimdOp::fold`]). Only `Avx<true>` deviates, by
+//! contracting `a·b + c` into a single rounding.
 //!
 //! [`Lanes<8>`]: crate::backend::Lanes
 
 use core::arch::x86_64::*;
 
-use crate::backend::SimdOp;
-use crate::Kernel;
+use crate::backend::{Reduce, SimdOp};
+use crate::{Kernel, Level};
 
 /// 256-bit AVX2 backend. `Avx<false>` multiplies and adds **unfused** —
 /// the deterministic default level, bit-identical to the scalar backend;
@@ -42,8 +45,16 @@ impl<const FUSED: bool> SimdOp for Avx<FUSED> {
     type V = __m256;
     type M = __m256;
     const LANES: usize = 8;
-    const GEMM_MR: usize = 6;
-    const GEMM_NR: usize = 16;
+    type Tree = Self;
+
+    #[inline(always)]
+    fn gemm_tile(_n: usize) -> (usize, usize) {
+        (6, 16)
+    }
+    #[inline(always)]
+    fn fold(v: __m256, _live: usize, mut f: impl FnMut(__m256)) {
+        f(v);
+    }
 
     #[inline(always)]
     fn splat(x: f32) -> __m256 {
@@ -216,6 +227,9 @@ impl<const FUSED: bool> SimdOp for Avx<FUSED> {
         // the sign bit; compare masks are all-ones per true lane.
         unsafe { _mm256_blendv_ps(f, t, mask) }
     }
+}
+
+impl<const FUSED: bool> Reduce for Avx<FUSED> {
     #[inline(always)]
     fn hsum(v: __m256) -> f32 {
         // SAFETY: AVX available per the module contract. Implements the
@@ -241,14 +255,246 @@ impl<const FUSED: bool> SimdOp for Avx<FUSED> {
     }
 }
 
+/// 512-bit AVX-512F backend, multiplying and adding **unfused** — a
+/// deterministic level, bit-identical to the scalar and AVX2 ones. Its
+/// masks are `__mmask16` k-registers; its reductions fold into the
+/// eight-lane trees of `Avx<false>`, low half then high half.
+pub struct Avx512;
+
+impl SimdOp for Avx512 {
+    type V = __m512;
+    type M = __mmask16;
+    const LANES: usize = 16;
+    type Tree = Avx<false>;
+
+    /// Two bundles of about twelve rows — 24 of the 32 zmm registers
+    /// accumulate — for a wide product; one bundle of eight rows where a
+    /// 32-wide tile would compute as many pad columns as live ones (each
+    /// head's `· V`, 16 wide, and the attention-backward products).
+    #[inline(always)]
+    fn gemm_tile(n: usize) -> (usize, usize) {
+        if n > 16 {
+            (12, 32)
+        } else {
+            (8, 16)
+        }
+    }
+    #[inline(always)]
+    fn fold(v: __m512, live: usize, mut f: impl FnMut(__m256)) {
+        // SAFETY: AVX-512F available per the module contract: `Avx512` is
+        // only reached through `run_avx512`. `extractf64x4` is the
+        // AVX-512F way to take the upper 256 bits (the `f32x8` form needs
+        // AVX-512DQ); the casts are free reinterpretations.
+        let (low, high) = unsafe {
+            let high = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v));
+            (_mm512_castps512_ps256(v), _mm256_castpd_ps(high))
+        };
+        f(low);
+        if live > 8 {
+            f(high);
+        }
+    }
+    #[inline(always)]
+    fn splat(x: f32) -> __m512 {
+        // SAFETY: AVX-512F available per the module contract.
+        unsafe { _mm512_set1_ps(x) }
+    }
+    #[inline(always)]
+    fn load(src: &[f32]) -> __m512 {
+        debug_assert!(src.len() >= 16);
+        // SAFETY: the bounds check above guarantees 16 readable f32s at
+        // `src.as_ptr()`; `loadu` has no alignment requirement. AVX-512F
+        // is available per the module contract.
+        unsafe { _mm512_loadu_ps(src.as_ptr()) }
+    }
+    #[inline(always)]
+    fn load_padded(rem: &[f32], pad: f32) -> __m512 {
+        // Lane `i` is live iff `i < rem.len()`; clamping keeps the mask
+        // inside the slice even for a caller that passes a full block.
+        let live = rem.len().min(16) as u32;
+        let mask = ((1u32 << live) - 1) as __mmask16;
+        // SAFETY: a masked AVX-512 load reads only the lanes whose mask bit
+        // is set — lanes `0..live`, all inside `rem` — and suppresses
+        // faults on the others, so it cannot fault past the slice's end.
+        // AVX-512F is available per the module contract.
+        unsafe { _mm512_mask_loadu_ps(_mm512_set1_ps(pad), mask, rem.as_ptr()) }
+    }
+    #[inline(always)]
+    fn store(v: __m512, dst: &mut [f32]) {
+        debug_assert!(dst.len() >= 16);
+        // SAFETY: the bounds check above guarantees 16 writable f32s at
+        // `dst.as_mut_ptr()`; `storeu` has no alignment requirement.
+        // AVX-512F is available per the module contract.
+        unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), v) }
+    }
+    #[inline(always)]
+    fn add(a: __m512, b: __m512) -> __m512 {
+        // SAFETY: AVX-512F available per the module contract.
+        unsafe { _mm512_add_ps(a, b) }
+    }
+    #[inline(always)]
+    fn sub(a: __m512, b: __m512) -> __m512 {
+        // SAFETY: AVX-512F available per the module contract.
+        unsafe { _mm512_sub_ps(a, b) }
+    }
+    #[inline(always)]
+    fn mul(a: __m512, b: __m512) -> __m512 {
+        // SAFETY: AVX-512F available per the module contract.
+        unsafe { _mm512_mul_ps(a, b) }
+    }
+    #[inline(always)]
+    fn div(a: __m512, b: __m512) -> __m512 {
+        // SAFETY: AVX-512F available per the module contract.
+        unsafe { _mm512_div_ps(a, b) }
+    }
+    #[inline(always)]
+    fn max(a: __m512, b: __m512) -> __m512 {
+        // SAFETY: AVX-512F available per the module contract. `vmaxps` on
+        // zmm keeps the second-operand-on-NaN-or-tie rule of the ymm form.
+        unsafe { _mm512_max_ps(a, b) }
+    }
+    #[inline(always)]
+    fn min(a: __m512, b: __m512) -> __m512 {
+        // SAFETY: AVX-512F available per the module contract.
+        unsafe { _mm512_min_ps(a, b) }
+    }
+    #[inline(always)]
+    fn mul_add(a: __m512, b: __m512, c: __m512) -> __m512 {
+        // Unfused on purpose: two roundings, exactly like the scalar
+        // backend, so the levels stay bit-identical.
+        // SAFETY: AVX-512F available per the module contract.
+        unsafe { _mm512_add_ps(_mm512_mul_ps(a, b), c) }
+    }
+    #[inline(always)]
+    fn round(v: __m512) -> __m512 {
+        // SAFETY: AVX-512F available per the module contract. Scale 0,
+        // nearest-int with ties to even: `f32::round_ties_even`.
+        unsafe { _mm512_roundscale_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(v) }
+    }
+    #[inline(always)]
+    fn scale_by_pow2(y: __m512, n: __m512) -> __m512 {
+        // SAFETY: AVX-512F available per the module contract. Mirrors
+        // `lane::scale_by_pow2` as the AVX2 backend does.
+        unsafe {
+            let ni = _mm512_cvtps_epi32(n);
+            let h1 = _mm512_srai_epi32::<1>(ni);
+            let h2 = _mm512_sub_epi32(ni, h1);
+            let bias = _mm512_set1_epi32(127);
+            let mask = _mm512_set1_epi32(0xff);
+            let f1 = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_and_si512(
+                _mm512_add_epi32(h1, bias),
+                mask,
+            )));
+            let f2 = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_and_si512(
+                _mm512_add_epi32(h2, bias),
+                mask,
+            )));
+            _mm512_mul_ps(_mm512_mul_ps(y, f1), f2)
+        }
+    }
+    #[inline(always)]
+    fn frexp(v: __m512) -> (__m512, __m512) {
+        // SAFETY: AVX-512F available per the module contract. Mirrors
+        // `lane::frexp` bit for bit, as the AVX2 backend does.
+        unsafe {
+            let bits = _mm512_castps_si512(v);
+            let m = _mm512_or_si512(
+                _mm512_and_si512(bits, _mm512_set1_epi32(0x007f_ffff)),
+                _mm512_set1_epi32(0x3f80_0000),
+            );
+            let e = _mm512_sub_epi32(
+                _mm512_and_si512(_mm512_srli_epi32::<23>(bits), _mm512_set1_epi32(0xff)),
+                _mm512_set1_epi32(127),
+            );
+            (_mm512_castsi512_ps(m), _mm512_cvtepi32_ps(e))
+        }
+    }
+    #[inline(always)]
+    fn abs(v: __m512) -> __m512 {
+        // SAFETY: AVX-512F available per the module contract. Clears the
+        // sign bit, exactly like the scalar `to_bits & 0x7fff_ffff`, as an
+        // integer op (the `f32` logic ops need AVX-512DQ).
+        unsafe {
+            let bits = _mm512_castps_si512(v);
+            _mm512_castsi512_ps(_mm512_and_si512(bits, _mm512_set1_epi32(0x7fff_ffff)))
+        }
+    }
+    #[inline(always)]
+    fn copysign(mag: __m512, sign: __m512) -> __m512 {
+        // SAFETY: AVX-512F available per the module contract.
+        unsafe {
+            let sign_bit = _mm512_set1_epi32(i32::MIN);
+            _mm512_castsi512_ps(_mm512_or_si512(
+                _mm512_andnot_si512(sign_bit, _mm512_castps_si512(mag)),
+                _mm512_and_si512(sign_bit, _mm512_castps_si512(sign)),
+            ))
+        }
+    }
+    #[inline(always)]
+    fn gt(a: __m512, b: __m512) -> __mmask16 {
+        // SAFETY: AVX-512F available per the module contract. Ordered
+        // quiet compare: false on NaN, like the scalar `>`.
+        unsafe { _mm512_cmp_ps_mask::<_CMP_GT_OQ>(a, b) }
+    }
+    #[inline(always)]
+    fn lt(a: __m512, b: __m512) -> __mmask16 {
+        // SAFETY: AVX-512F available per the module contract.
+        unsafe { _mm512_cmp_ps_mask::<_CMP_LT_OQ>(a, b) }
+    }
+    #[inline(always)]
+    fn is_nan(v: __m512) -> __mmask16 {
+        // SAFETY: AVX-512F available per the module contract. Unordered
+        // self-compare is true exactly on NaN lanes.
+        unsafe { _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(v, v) }
+    }
+    #[inline(always)]
+    fn select(mask: __mmask16, t: __m512, f: __m512) -> __m512 {
+        // SAFETY: AVX-512F available per the module contract. The blend
+        // takes its second operand where the mask bit is set.
+        unsafe { _mm512_mask_blend_ps(mask, f, t) }
+    }
+}
+
+/// Runs `kernel` at a vector `level` that [`Level::resolve`] returned —
+/// the match `crate::dispatch` delegates to, so the entry points' one
+/// precondition is established in the module that holds them.
+///
+/// # Panics
+/// At `Level::Scalar`, which has no entry point (`dispatch` runs it
+/// inline).
+#[inline(always)]
+pub(crate) fn run<K: Kernel>(level: Level, kernel: K) -> K::Out {
+    debug_assert_eq!(level, level.resolve(), "an unresolved level");
+    match level {
+        // SAFETY: `Level::resolve` returns Avx2 only where the CPU has
+        // AVX2.
+        Level::Avx2 => unsafe { run_avx2(kernel) },
+        // SAFETY: it returns Avx512 only where the CPU has AVX2 and
+        // AVX-512F.
+        Level::Avx512 => unsafe { run_avx512(kernel) },
+        // SAFETY: it returns Fma only where the CPU has AVX2 and FMA.
+        Level::Fma => unsafe { run_fma(kernel) },
+        Level::Scalar => unreachable!("the scalar level has no entry point"),
+    }
+}
+
 /// Runs `kernel` on `Avx<false>`, compiled for AVX2.
 ///
 /// # Safety
 /// The running CPU must support AVX2 (guard with
 /// `is_x86_feature_detected!("avx2")`).
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn run_avx2<K: Kernel>(kernel: K) -> K::Out {
+unsafe fn run_avx2<K: Kernel>(kernel: K) -> K::Out {
     kernel.run::<Avx<false>>()
+}
+
+/// Runs `kernel` on `Avx512`, compiled for AVX2 and AVX-512F.
+///
+/// # Safety
+/// The running CPU must support AVX2 and AVX-512F.
+#[target_feature(enable = "avx2,avx512f")]
+unsafe fn run_avx512<K: Kernel>(kernel: K) -> K::Out {
+    kernel.run::<Avx512>()
 }
 
 /// Runs `kernel` on `Avx<true>`, compiled for AVX2 and FMA.
@@ -256,6 +502,6 @@ pub(crate) unsafe fn run_avx2<K: Kernel>(kernel: K) -> K::Out {
 /// # Safety
 /// The running CPU must support AVX2 and FMA.
 #[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn run_fma<K: Kernel>(kernel: K) -> K::Out {
+unsafe fn run_fma<K: Kernel>(kernel: K) -> K::Out {
     kernel.run::<Avx<true>>()
 }

@@ -1,10 +1,11 @@
 //! Property-based parity between the dispatch levels.
 //!
-//! The crate's determinism contract: the `Scalar` and `Avx2` levels run
-//! the *same* generic kernels over backends with identical two-operand
-//! IEEE semantics, so they must agree **bit-for-bit** on every input —
-//! including lane-boundary lengths (`n = 8k ± 1`, exercising the padded
-//! tail), subnormals, `±∞` and `NaN`. The one documented exception is a
+//! The crate's determinism contract: the `Scalar`, `Avx2` and `Avx512`
+//! levels run the *same* generic kernels over backends with identical
+//! two-operand IEEE semantics, so they must agree **bit-for-bit** on
+//! every input — including lane-boundary lengths (`n = 8k ± 1`,
+//! exercising the padded tails of both widths), subnormals, `±∞` and
+//! `NaN`. The one documented exception is a
 //! layer-norm row that already holds a non-finite value: there the levels
 //! agree on which outputs are NaN, not on the NaNs' payload (see
 //! `kernels.rs`). The opt-in `Fma`
@@ -13,14 +14,15 @@
 //! optimiser is free to commute NaN operands, so only release shows a
 //! kernel that leaks one.
 //!
-//! Each property runs the kernel at `Level::Scalar` and at the target
-//! level on clones of the same buffer; on a scalar-only host
-//! a kernel run at `Level::Avx2` clamps to scalar and the properties check
-//! reflexivity, so the suite passes (vacuously for the cross-level part)
-//! everywhere.
+//! Each property runs the kernel at `Level::Scalar` and at
+//! [`simd::best_deterministic`] (`Avx512` where the CPU has it, else
+//! `Avx2`) on clones of the same buffer; on a scalar-only host that
+//! resolves to scalar and the properties check reflexivity, so the suite
+//! passes (vacuously for the cross-level part) everywhere. CI's
+//! `VITAL_SIMD` legs run `Avx2` against the same constants downstream.
 
 use proptest::prelude::*;
-use simd::{Act, Level};
+use simd::{best_deterministic, Act, Level};
 
 /// Bit pattern distance in units-in-the-last-place, walking through zero
 /// for opposite signs. Equal-payload NaNs are 0 apart by construction.
@@ -35,11 +37,6 @@ fn ulp_diff(a: f32, b: f32) -> u64 {
         }
     };
     rank(a).abs_diff(rank(b))
-}
-
-/// The best bit-deterministic level this host can actually run.
-fn best_deterministic() -> Level {
-    simd::detected_level().min(Level::Avx2)
 }
 
 /// Subnormals, signed zeros, infinities, NaN, and boundary magnitudes —
@@ -241,9 +238,9 @@ proptest! {
     }
 
     /// The opt-in FMA level stays within a tight ULP envelope of scalar
-    /// for elementwise activations on finite inputs. (Skipped by clamping
-    /// on hosts without FMA: `Fma` degrades to the detected level and the
-    /// distance is 0.)
+    /// for elementwise activations on finite inputs. (Vacuous on hosts
+    /// without FMA: `Fma` resolves to `Avx2` or `Scalar` and the distance
+    /// is 0.)
     #[test]
     fn apply_act_fma_is_ulp_bounded(data in proptest::collection::vec(finite_element(), 1..48)) {
         for act in ACTS {
@@ -335,5 +332,76 @@ fn lane_boundaries_bit_identical_for_every_kernel() {
             (bits(&sin), bits(&cos))
         };
         assert_eq!(sincos(Level::Scalar), sincos(level), "sincos n={n}");
+    }
+}
+
+/// A negative NaN with a payload: unlike `f32::NAN` it cannot be mistaken
+/// for the canonical NaN softmax makes of a poisoned denominator, so an
+/// output that lost track of it shows.
+const NAN_PAYLOAD: f32 = f32::from_bits(0xffc0_1234);
+
+/// The 16-lane fold, pinned where it can go wrong: softmax and layer norm
+/// at `Avx512` against `Scalar`, bit for bit, over every row width 1–40
+/// and 100, each row once finite and once with a NaN, `±∞` or `−0.0`
+/// placed in the 16-lane body, in the first (eight-lane) granule of the
+/// tail and in the tail's last lane — so a fold of an all-pad granule
+/// (a NaN max lane turned into `−∞`, a `−0.0` sum lane into `+0.0`) or
+/// of the halves in the wrong order shows. A layer-norm row holding a
+/// special agrees up to NaN payload (the documented narrowing). On a CPU
+/// without AVX-512F the level resolves to `Avx2` and this pins that.
+#[test]
+fn reductions_fold_sixteen_lanes_into_the_eight_lane_trees() {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    for cols in (1..=40).chain([100]) {
+        let finite: Vec<f32> = (0..cols)
+            .map(|j| ((j * 29) % 23) as f32 * 0.37 - 4.0)
+            .collect();
+        let body = cols - cols % 16;
+        let positions = [0, cols / 2, body, body + 8, cols - 1];
+        let mut rows = vec![finite.clone()];
+        for special in [
+            NAN_PAYLOAD,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+        ] {
+            for &at in positions.iter().filter(|&&at| at < cols) {
+                let mut row = finite.clone();
+                row[at] = special;
+                rows.push(row);
+            }
+        }
+        rows.push(vec![-0.0; cols]);
+        let gamma: Vec<f32> = (0..cols).map(|j| 1.0 + j as f32 * 0.03).collect();
+        let beta: Vec<f32> = (0..cols).map(|j| j as f32 * -0.01).collect();
+        for row in &rows {
+            let label = format!("cols={cols} row={row:?}");
+            let mut a = row.clone();
+            let mut b = row.clone();
+            simd::softmax_rows(Level::Scalar, &mut a, cols);
+            simd::softmax_rows(Level::Avx512, &mut b, cols);
+            assert_eq!(bits(&a), bits(&b), "softmax {label}");
+
+            let mut a = row.clone();
+            let mut b = row.clone();
+            let (mut stats_a, mut stats_b) = (([0.0], [0.0]), ([0.0], [0.0]));
+            let stats = Some((&mut stats_a.0[..], &mut stats_a.1[..]));
+            simd::layer_norm_rows(Level::Scalar, &mut a, cols, &gamma, &beta, 1e-5, stats);
+            let stats = Some((&mut stats_b.0[..], &mut stats_b.1[..]));
+            simd::layer_norm_rows(Level::Avx512, &mut b, cols, &gamma, &beta, 1e-5, stats);
+            let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+            let all_finite = row.iter().all(|x| x.is_finite());
+            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+                let ok = if all_finite {
+                    x.to_bits() == y.to_bits()
+                } else {
+                    same(*x, *y)
+                };
+                assert!(ok, "layer_norm[{i}] {x:?} vs {y:?} {label}");
+            }
+            assert!(same(stats_a.0[0], stats_b.0[0]), "mean {label}");
+            assert!(same(stats_a.1[0], stats_b.1[0]), "istd {label}");
+        }
     }
 }

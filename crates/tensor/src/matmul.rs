@@ -11,10 +11,13 @@
 //! GEMM opens no threads of its own: a server scales by running more
 //! dispatch workers, each multiplying on its own thread. The
 //! register-tiled core lives in [`simd::gemm`]: the tile dims come **at
-//! runtime** from the active dispatch level (`simd::gemm::tile_dims` —
-//! portable 4 × 8 scalar tile, explicit-intrinsic 6 × 16 AVX2 tile,
-//! opt-in 6 × 16 FMA tile), so the one portable binary runs the wide tile
-//! wherever the CPU supports it — no `-C target-cpu=native` rebuild.
+//! runtime** from the dispatch level and the product's width
+//! (`simd::gemm::tile_dims(level, n)` — portable 4 × 8 scalar tile,
+//! explicit-intrinsic 6 × 16 AVX2 tile, on AVX-512 a 12 × 32 tile for a
+//! product wider than 16 and an 8 × 16 one otherwise, opt-in 6 × 16 FMA
+//! tile), so the one portable binary runs the widest tile the CPU
+//! supports — no `-C target-cpu=native` rebuild. Packing and the band
+//! split read the same `tile_dims` the band kernel does.
 //!
 //! # Determinism
 //!
@@ -23,9 +26,10 @@
 //! `k`-loop inside one band-kernel invocation, and band boundaries depend
 //! only on the operand shapes, so a stacked batch produces the same bits
 //! as its individual samples, by construction. Across dispatch levels the
-//! GEMM inherits the simd crate's contract: the scalar and AVX2 tiles run
-//! the identical unfused multiply-then-add chain per output element, so
-//! `VITAL_SIMD=scalar` and `=avx2` are **bit-identical on every input** —
+//! GEMM inherits the simd crate's contract: the scalar, AVX2 and AVX-512
+//! tiles run the identical unfused multiply-then-add chain per output
+//! element, so `VITAL_SIMD=scalar`, `=avx2` and `=avx512` are
+//! **bit-identical on every input** —
 //! and bit-identical to the in-order naive triple loop, which
 //! `tests/proptest_gemm.rs` uses as the oracle — while the opt-in FMA
 //! tile is only ULP-bounded (`tests/proptest_gemm_dispatch.rs`).
@@ -136,9 +140,9 @@ thread_local! {
 /// split into MR-row bands, each computed by [`gemm_band`] from A in
 /// place, one after another on the calling thread.
 ///
-/// `level` selects the band microkernel (and with it the tile dims) at
-/// runtime; requests above the CPU's capability clamp down identically on
-/// both sides of the seam (see `simd::gemm::tile_dims`).
+/// `level` and `n` select the band microkernel's tile at runtime; a
+/// request above the CPU's capability resolves down identically on both
+/// sides of the seam (see `simd::gemm::tile_dims`).
 fn gemm_into(
     level: simd::Level,
     m: usize,
@@ -157,7 +161,7 @@ fn gemm_into(
     if m == 0 || n == 0 {
         return;
     }
-    let (mr, nr) = simd::gemm::tile_dims(level);
+    let (mr, nr) = simd::gemm::tile_dims(level, n);
     let (b_data, b_layout, b_stride) = b;
     let mut packed_b = PACKED_B.take();
     pack_b(&mut packed_b, b_data, b_layout, b_stride, k, n, nr);
@@ -191,7 +195,7 @@ fn gemm_band(
 }
 
 /// GEMM over raw row-major slices into a caller-provided buffer, at an
-/// explicit SIMD dispatch level (clamped at hardware support):
+/// explicit SIMD dispatch level (resolved on this CPU):
 /// `out = op(A) · op(B)` with `op(A)` of shape `m × k` and `op(B)` of shape
 /// `k × n` per `spec`.
 ///
@@ -232,7 +236,7 @@ pub fn gemm_strided_into_at(
     out: &mut [f32],
 ) {
     // One up-front check per operand — the same single test
-    // `simd::gemm::gemm_band_at` makes before its unchecked reads.
+    // `simd::gemm::gemm_band_at` makes before the tile reads A.
     let in_bounds = |len: usize, (rows, cols): (usize, usize), stride: usize| {
         rows == 0 || cols == 0 || (rows - 1) * stride + cols <= len
     };
@@ -507,8 +511,8 @@ mod tests {
     fn packed_kernel_matches_naive_across_panel_boundaries() {
         // Sizes straddle the MR/NR band and panel edges of every tile,
         // including padded edge panels and short last bands. There is one
-        // kernel path, so scalar and AVX2 owe the naive loop's exact bits
-        // at every size; FMA keeps a tolerance.
+        // kernel path, so every deterministic level owes the naive loop's
+        // exact bits at every size; FMA keeps a tolerance.
         for &(m, k, n) in &[
             (1, 1, 1),
             (4, 8, 8),
@@ -521,21 +525,21 @@ mod tests {
             let a: Vec<f32> = (0..m * k).map(|i| ((i % 13) as f32) * 0.37 - 2.2).collect();
             let b: Vec<f32> = (0..k * n).map(|i| ((i % 7) as f32) * 0.51 - 1.5).collect();
             let naive = naive_bits(m, k, n, &a, &b);
-            for level in [simd::Level::Scalar, simd::Level::Avx2] {
+            for level in simd::Level::ALL {
                 let mut out = vec![f32::NAN; m * n];
                 gemm_strided_into_at(level, m, k, n, (&a, k), (&b, n), MatmulSpec::NN, &mut out);
-                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, naive, "{level:?} ({m}x{k}x{n})");
-            }
-            let mut fma = vec![f32::NAN; m * n];
-            let (a, b) = ((a.as_slice(), k), (b.as_slice(), n));
-            gemm_strided_into_at(simd::Level::Fma, m, k, n, a, b, MatmulSpec::NN, &mut fma);
-            for (idx, (got, want)) in fma.iter().zip(&naive).enumerate() {
-                let want = f32::from_bits(*want);
-                assert!(
-                    (got - want).abs() < 1e-3,
-                    "fma ({m}x{k}x{n})[{idx}]: {got} vs {want}"
-                );
+                if level.resolve() != simd::Level::Fma {
+                    let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, naive, "{level:?} ({m}x{k}x{n})");
+                    continue;
+                }
+                for (idx, (got, want)) in out.iter().zip(&naive).enumerate() {
+                    let want = f32::from_bits(*want);
+                    assert!(
+                        (got - want).abs() < 1e-3,
+                        "fma ({m}x{k}x{n})[{idx}]: {got} vs {want}"
+                    );
+                }
             }
         }
     }
@@ -652,7 +656,7 @@ mod tests {
                 .unwrap();
             let a_view = &parent_a.as_slice()[2 * lda + 3..][..(ar - 1) * lda + ac];
             let b_view = &parent_b.as_slice()[2 * ldb + 3..][..(br - 1) * ldb + bc];
-            for level in [simd::Level::Scalar, simd::Level::Avx2, simd::Level::Fma] {
+            for level in simd::Level::ALL {
                 let (a_dense, b_dense) = ((a_dense.as_slice(), ac), (b_dense.as_slice(), bc));
                 let mut expected = vec![f32::NAN; m * n];
                 gemm_strided_into_at(level, m, k, n, a_dense, b_dense, spec, &mut expected);

@@ -1,8 +1,8 @@
 //! Property-based checks of the packed GEMM against a derived,
 //! bit-exact oracle.
 //!
-//! There is one kernel path for every product size, and at the `Scalar`
-//! and `Avx2` levels it evaluates each output element as the chain
+//! There is one kernel path for every product size, and at the `Scalar`,
+//! `Avx2` and `Avx512` levels it evaluates each output element as the chain
 //! `0 + a₀b₀ + a₁b₁ + …`, sequential in `p`, unfused multiply-then-add.
 //! That is exactly what the naive in-order `f32` triple loop computes, so
 //! the oracle here is that loop and the comparison is `to_bits` equality:
@@ -48,8 +48,8 @@ fn naive_gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], spec: MatmulSp
     out
 }
 
-/// Bit equality with the oracle below the FMA level (after the hardware
-/// clamp), a relative 1e-4 at it.
+/// Bit equality with the oracle at every deterministic level (as resolved
+/// on this CPU), a relative 1e-4 at the FMA level.
 fn check_against_naive(
     level: Level,
     got: &[f32],
@@ -57,7 +57,7 @@ fn check_against_naive(
     label: &str,
 ) -> Result<(), TestCaseError> {
     prop_assert!(got.len() == naive.len(), "{label}: length {}", got.len());
-    let fused = level.min(simd::detected_level()) == Level::Fma;
+    let fused = level.resolve() == Level::Fma;
     for (idx, (g, e)) in got.iter().zip(naive).enumerate() {
         let ok = if fused {
             (g - e).abs() < 1e-4 * e.abs().max(1.0)
@@ -82,7 +82,7 @@ fn check_all_variants((m, k, n): (usize, usize, usize), seed: u64) -> Result<(),
         let (a_mat, b_mat) = (a.reshape(&a_dims).unwrap(), b.reshape(&b_dims).unwrap());
         let (a_dense, b_dense) = ((a.as_slice(), a_dims[1]), (b.as_slice(), b_dims[1]));
         let label = format!("{name} ({m}x{k}x{n})");
-        for level in [Level::Scalar, Level::Avx2, Level::Fma] {
+        for level in Level::ALL {
             let mut out = vec![f32::NAN; m * n];
             gemm_strided_into_at(level, m, k, n, a_dense, b_dense, spec, &mut out);
             check_against_naive(level, &out, &naive, &label)?;
@@ -142,10 +142,11 @@ proptest! {
 
 /// Sizes chosen to land exactly on, one short of, and one past the band
 /// and panel edges of every tile configuration the kernel ships with
-/// (MR ∈ {4, 6}, NR ∈ {8, 16}), with one-step and long chains.
+/// (MR ∈ {4, 6, 8, 12}, NR ∈ {8, 16, 32}, the AVX-512 tile switching
+/// between n = 16 and 17), with one-step and long chains.
 #[test]
 fn exhaustive_panel_boundary_sweep() {
-    for &m in &[1, 3, 4, 5, 6, 7, 8, 12, 13, 16, 17] {
+    for &m in &[1, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 16, 17, 24, 25] {
         for &k in &[1, 2, 64, 65] {
             for &n in &[1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 65, 128, 129] {
                 let seed = (m * 10_000 + k * 100 + n) as u64;

@@ -1,10 +1,10 @@
 //! Cross-level parity for the runtime-dispatched packed GEMM.
 //!
 //! The dispatch contract mirrors `crates/simd/tests/proptest_parity.rs`:
-//! the `Scalar` and `Avx2` GEMM tiles evaluate every output element as the
-//! same sequential multiply-then-add chain over `p` (the tile shape only
-//! changes register blocking, never within-chain order), so the two levels
-//! must agree **bit-for-bit** on every input, every transpose variant
+//! the `Scalar`, `Avx2` and `Avx512` GEMM tiles evaluate every output
+//! element as the same sequential multiply-then-add chain over `p` (the
+//! tile shape only changes register blocking, never within-chain order),
+//! so the three levels must agree **bit-for-bit** on every input, every transpose variant
 //! and every size — panel edges at MR/NR multiples
 //! ± 1, from products smaller than one tile to ones spanning many panels
 //! (one packed kernel runs them all; there is no small-product path).
@@ -13,7 +13,7 @@
 //!
 //! `VITAL_SIMD` latches once per process, so these properties pin levels
 //! explicitly through [`tensor::gemm_strided_into_at`]; on a scalar-only host
-//! the pinned vector levels clamp down to scalar and the properties check
+//! the pinned vector levels resolve down to scalar and the properties check
 //! reflexivity, passing (vacuously for the cross-level part) everywhere.
 
 use proptest::prelude::*;
@@ -55,9 +55,10 @@ fn around_multiple(base: usize, t: usize, off: i64) -> usize {
     ((base * t) as i64 + off).max(1) as usize
 }
 
-/// Sizes that straddle the panel edges of every tile the kernel ships
-/// with (MR ∈ {4, 6, 8}, NR = 8), from a product that fills part of one
-/// tile to one that spans many column panels.
+/// Sizes that straddle the panel edges of the tiles the kernel ships
+/// (m around multiples of 4 to 8, n around multiples of 8, so around
+/// every NR and the AVX-512 tile switch at 16/17), from a product that
+/// fills part of one tile to one that spans many column panels.
 fn dims() -> impl Strategy<Value = (usize, usize, usize, u64)> {
     (
         // m around MR·t ± 1: candidates 4..8 cover every level's tile height
@@ -104,8 +105,8 @@ fn run_at(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Scalar ≡ AVX2, bit-for-bit: all four transpose variants, panel-edge
-    /// sizes from sub-tile to many-panel.
+    /// Scalar ≡ AVX2 ≡ AVX-512, bit-for-bit: all four transpose
+    /// variants, panel-edge sizes from sub-tile to many-panel.
     #[test]
     fn scalar_and_avx2_dispatch_are_bit_identical(
         (m, k, n, seed) in dims(),
@@ -113,12 +114,15 @@ proptest! {
         let (a, b) = inputs(m, k, n, seed, -2.0, 2.0);
         for (spec, label) in SPECS {
             let scalar = run_at(Level::Scalar, m, k, n, &a, &b, spec);
-            let avx2 = run_at(Level::Avx2, m, k, n, &a, &b, spec);
-            for (idx, (s, v)) in scalar.iter().zip(&avx2).enumerate() {
-                prop_assert!(
-                    s.to_bits() == v.to_bits(),
-                    "{label} ({m}x{k}x{n}) [{idx}]: scalar {s:?} vs avx2 {v:?}"
-                );
+            for level in [Level::Avx2, Level::Avx512] {
+                let vector = run_at(level, m, k, n, &a, &b, spec);
+                for (idx, (s, v)) in scalar.iter().zip(&vector).enumerate() {
+                    prop_assert!(
+                        s.to_bits() == v.to_bits(),
+                        "{label} ({m}x{k}x{n}) [{idx}]: scalar {s:?} vs {} {v:?}",
+                        level.name()
+                    );
+                }
             }
         }
     }
@@ -149,7 +153,7 @@ proptest! {
 /// tile height the kernel ships with, small products and multi-panel ones.
 #[test]
 fn exhaustive_cross_level_boundary_sweep() {
-    let best = simd::detected_level().min(Level::Avx2);
+    let best = simd::best_deterministic();
     for &m in &[1, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16, 17, 23, 24, 25] {
         for &(k, n) in &[(17, 8), (31, 33), (64, 63), (64, 65), (65, 129)] {
             let (a, b) = inputs(m, k, n, (m * 1_000 + k * 10 + n) as u64, -1.0, 1.0);
