@@ -52,7 +52,8 @@
 //! slice from the band's first live element on, plus a
 //! `(row_stride, p_stride)` pair; element `(i, p)` of the band is
 //! `a[i * row_stride + p * p_stride]` — `(stride, 1)` for a row-major A,
-//! `(1, stride)` for one read transposed, and no other layout.
+//! `(1, stride)` with `stride ≥ rows` for one read transposed, and no
+//! other layout.
 //! [`gemm_band_at`] asserts once, up front, that the last live element
 //! `(rows − 1, k − 1)` lies inside the slice; the tile then reads a
 //! row-major A through `rows` slices of exactly `k` values, whose indices
@@ -96,7 +97,7 @@ const MAX_NR: usize = 32;
 /// builds one, after checking what the tile's reads rely on:
 /// `a[i * row_stride + p * p_stride]` is in bounds for every `i < rows`,
 /// `p < k`, and A is row-major (`p_stride == 1`) or transposed
-/// (`row_stride == 1`).
+/// (`row_stride == 1`, `p_stride >= rows`).
 #[derive(Clone, Copy)]
 struct Band<'a> {
     a: &'a [f32],
@@ -115,14 +116,15 @@ struct Band<'a> {
 /// * `a`, `a_strides`: the A operand from this band's first element on;
 ///   with `a_strides = (row_stride, p_stride)`, element `(i, p)` is
 ///   `a[i * row_stride + p * p_stride]`, `(stride, 1)` for a row-major A
-///   and `(1, stride)` for one read transposed.
+///   and `(1, stride)` with `stride >= rows` for one read transposed.
 /// * `packed_b`: `⌈n / NR⌉` panels of `k × NR` packed values.
 /// * `out`: row-major `rows × n` destination, fully overwritten.
 ///
 /// # Panics
-/// Panics if `k` or `n` is 0, `out` is not `1..=MR` whole rows, neither
-/// stride is 1, the last live A element lies outside `a`, or `packed_b`
-/// was not packed at `tile_dims(level, n)`.
+/// Panics if `k` or `n` is 0, `out` is not `1..=MR` whole rows, the A
+/// strides are neither `(stride, 1)` nor `(1, stride)` with
+/// `stride >= rows`, the last live A element lies outside `a`, or
+/// `packed_b` was not packed at `tile_dims(level, n)`.
 pub fn gemm_band_at(
     level: Level,
     a: &[f32],
@@ -196,9 +198,12 @@ impl Kernel for GemmBand<'_> {
             k - 1,
             a.len()
         );
+        // A transposed band reads each step's `rows` values as one run, so
+        // consecutive steps must not overlap.
         assert!(
-            p_stride == 1 || row_stride == 1,
-            "gemm band: A strides {a_strides:?} are neither row-major nor transposed"
+            p_stride == 1 || (row_stride == 1 && p_stride >= rows),
+            "gemm band: A strides {a_strides:?} are neither row-major nor transposed \
+             with a step stride of at least {rows} rows"
         );
         let band = Band {
             a,
@@ -466,6 +471,31 @@ mod tests {
         let a = vec![1.0f32; 16];
         let b = vec![1.0f32; k * n];
         band_at(Level::Scalar, &a, (3, 2), &b, k, n, rows);
+    }
+
+    /// A transposed A whose step stride is below the band's row count
+    /// (0 included) would read overlapping steps: refused up front, with
+    /// the same message at every level.
+    #[test]
+    fn a_transposed_step_stride_below_the_band_rows_is_refused() {
+        let (rows, k, n) = (3, 4, 5);
+        let a = vec![1.0f32; 64];
+        let b = vec![1.0f32; k * n];
+        for level in Level::ALL {
+            for p_stride in [0, rows - 1] {
+                let refused = std::panic::catch_unwind(|| {
+                    band_at(level, &a, (1, p_stride), &b, k, n, rows);
+                });
+                let message = refused.expect_err("an overlapping transposed A ran");
+                let message = message
+                    .downcast_ref::<String>()
+                    .expect("a formatted message");
+                assert!(
+                    message.contains("with a step stride of at least 3 rows"),
+                    "{level:?} p_stride={p_stride}: {message}"
+                );
+            }
+        }
     }
 
     #[test]

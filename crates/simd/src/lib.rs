@@ -78,7 +78,7 @@ pub use kernels::{Act, GELU_COEFF, SQRT_2_OVER_PI};
 
 use std::sync::OnceLock;
 
-use backend::{Lanes, SimdOp};
+use backend::SimdOp;
 
 /// A runtime dispatch level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,20 +209,25 @@ pub(crate) trait Kernel {
 }
 
 /// Runs `kernel` at `level`, resolved on this CPU ([`Level::resolve`]):
+/// on x86-64 through [`x86::run`], which resolves the level and runs
 /// [`Lanes<8>`] inline at `Scalar`, otherwise the level's
-/// `#[target_feature]` entry point in [`x86`] — the one place a level
-/// becomes a backend.
+/// `#[target_feature]` entry point — the one place a level becomes a
+/// backend. Elsewhere every level resolves to `Scalar`.
 ///
 /// Inlined into every caller, so the scalar level costs no call and a
 /// vector level exactly one, into its entry point.
+///
+/// [`Lanes<8>`]: backend::Lanes
 #[inline(always)]
 pub(crate) fn dispatch<K: Kernel>(level: Level, kernel: K) -> K::Out {
-    match level.resolve() {
-        Level::Scalar => kernel.run::<Lanes<8>>(),
-        #[cfg(target_arch = "x86_64")]
-        vector => x86::run(vector, kernel),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("only the scalar level runs off x86-64"),
+    #[cfg(target_arch = "x86_64")]
+    {
+        x86::run(level, kernel)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = level;
+        kernel.run::<backend::Lanes<8>>()
     }
 }
 

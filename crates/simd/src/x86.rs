@@ -2,7 +2,8 @@
 //! (`Avx<false>`, the `Avx2` level) or fused (`Avx<true>`, the `Fma`
 //! level) multiply–add; [`Avx512`]: 512-bit lanes, unfused (the `Avx512`
 //! level) — plus the three `#[target_feature]` entry points and `run`,
-//! which `crate::dispatch` calls to enter one.
+//! which `crate::dispatch` calls: it resolves the level and enters the
+//! matching entry point.
 //!
 //! This module is the **only** place in the workspace where intrinsics
 //! and `#[target_feature]` code appear (`unsafe` is fenced to this crate
@@ -14,7 +15,8 @@
 //!    `#[inline(always)]` methods needs an `unsafe` block; soundness
 //!    comes from the module contract that backend methods are only ever
 //!    reached by inlining into `run_avx2`, `run_avx512` or `run_fma`,
-//!    which `run` enters only for a level `Level::resolve` returned.
+//!    which `run` enters only for the level `Level::resolve` just
+//!    returned.
 //! 2. Those three entry points themselves: `unsafe fn`s, generic over the
 //!    `Kernel` they run, whose single precondition is "the advertised
 //!    CPU features are present". No kernel has an entry point of its own.
@@ -31,7 +33,7 @@
 
 use core::arch::x86_64::*;
 
-use crate::backend::{Reduce, SimdOp};
+use crate::backend::{Lanes, Reduce, SimdOp};
 use crate::{Kernel, Level};
 
 /// 256-bit AVX2 backend. `Avx<false>` multiplies and adds **unfused** —
@@ -455,17 +457,16 @@ impl SimdOp for Avx512 {
     }
 }
 
-/// Runs `kernel` at a vector `level` that [`Level::resolve`] returned —
-/// the match `crate::dispatch` delegates to, so the entry points' one
-/// precondition is established in the module that holds them.
+/// Runs `kernel` at `level`, resolved here on this CPU
+/// ([`Level::resolve`]) — the match `crate::dispatch` delegates to, so
+/// the feature check and the `unsafe` entry it licenses sit side by side.
+/// `Scalar` runs [`Lanes<8>`] inline, with no entry point.
 ///
-/// # Panics
-/// At `Level::Scalar`, which has no entry point (`dispatch` runs it
-/// inline).
+/// [`Lanes<8>`]: crate::backend::Lanes
 #[inline(always)]
 pub(crate) fn run<K: Kernel>(level: Level, kernel: K) -> K::Out {
-    debug_assert_eq!(level, level.resolve(), "an unresolved level");
-    match level {
+    match level.resolve() {
+        Level::Scalar => kernel.run::<Lanes<8>>(),
         // SAFETY: `Level::resolve` returns Avx2 only where the CPU has
         // AVX2.
         Level::Avx2 => unsafe { run_avx2(kernel) },
@@ -474,7 +475,6 @@ pub(crate) fn run<K: Kernel>(level: Level, kernel: K) -> K::Out {
         Level::Avx512 => unsafe { run_avx512(kernel) },
         // SAFETY: it returns Fma only where the CPU has AVX2 and FMA.
         Level::Fma => unsafe { run_fma(kernel) },
-        Level::Scalar => unreachable!("the scalar level has no entry point"),
     }
 }
 

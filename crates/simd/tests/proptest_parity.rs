@@ -14,15 +14,16 @@
 //! optimiser is free to commute NaN operands, so only release shows a
 //! kernel that leaks one.
 //!
-//! Each property runs the kernel at `Level::Scalar` and at
-//! [`simd::best_deterministic`] (`Avx512` where the CPU has it, else
-//! `Avx2`) on clones of the same buffer; on a scalar-only host that
-//! resolves to scalar and the properties check reflexivity, so the suite
-//! passes (vacuously for the cross-level part) everywhere. CI's
-//! `VITAL_SIMD` legs run `Avx2` against the same constants downstream.
+//! Each property runs the kernel at `Level::Scalar` and at each
+//! deterministic vector level, `Avx2` and `Avx512` ([`vector_levels`]), on
+//! clones of the same buffer. A level the CPU lacks resolves down its
+//! chain (`Avx512 → Avx2 → Scalar`), so on a host without AVX-512F the
+//! `Avx512` pass repeats the `Avx2` one, and on a scalar-only host the
+//! properties check reflexivity: the suite passes (vacuously for the
+//! cross-level part) everywhere.
 
 use proptest::prelude::*;
-use simd::{best_deterministic, Act, Level};
+use simd::{Act, Level};
 
 /// Bit pattern distance in units-in-the-last-place, walking through zero
 /// for opposite signs. Equal-payload NaNs are 0 apart by construction.
@@ -104,19 +105,30 @@ fn assert_bits_equal(a: &[f32], b: &[f32], label: &str) -> Result<(), TestCaseEr
     Ok(())
 }
 
+/// The deterministic vector levels, each held to `Scalar` bit for bit:
+/// every level of [`Level::ALL`] but `Scalar` itself and the ULP-bounded
+/// `Fma`.
+fn vector_levels() -> impl Iterator<Item = Level> {
+    Level::ALL
+        .into_iter()
+        .filter(|level| !matches!(level, Level::Scalar | Level::Fma))
+}
+
 const ACTS: [Act; 5] = [Act::Relu, Act::Gelu, Act::Sigmoid, Act::Tanh, Act::Exp];
 
 proptest! {
-    /// Elementwise activations: scalar and AVX2 sweeps are bit-identical
-    /// on arbitrary buffers, specials included.
+    /// Elementwise activations: the scalar sweep and each vector level's
+    /// are bit-identical on arbitrary buffers, specials included.
     #[test]
     fn apply_act_scalar_avx2_bit_identical(data in buffer(lane_boundary_len())) {
-        for act in ACTS {
-            let mut scalar = data.clone();
-            let mut vector = data.clone();
-            simd::apply_act(Level::Scalar, act, &mut scalar);
-            simd::apply_act(best_deterministic(), act, &mut vector);
-            assert_bits_equal(&scalar, &vector, &format!("{act:?}"))?;
+        for level in vector_levels() {
+            for act in ACTS {
+                let mut scalar = data.clone();
+                let mut vector = data.clone();
+                simd::apply_act(Level::Scalar, act, &mut scalar);
+                simd::apply_act(level, act, &mut vector);
+                assert_bits_equal(&scalar, &vector, &format!("{level:?} {act:?}"))?;
+            }
         }
     }
 
@@ -125,14 +137,16 @@ proptest! {
     /// crate's per-element `UnaryOp::eval` path relies on.
     #[test]
     fn apply_act_matches_per_element_reference(data in buffer(lane_boundary_len())) {
-        let mut swept = data.clone();
-        simd::apply_act(best_deterministic(), Act::Gelu, &mut swept);
-        for (i, (&x, &y)) in data.iter().zip(&swept).enumerate() {
-            let want = simd::scalar::gelu(x);
-            prop_assert!(
-                want.to_bits() == y.to_bits(),
-                "gelu[{i}]({x:?}): swept {y:?} vs per-element {want:?}"
-            );
+        for level in vector_levels() {
+            let mut swept = data.clone();
+            simd::apply_act(level, Act::Gelu, &mut swept);
+            for (i, (&x, &y)) in data.iter().zip(&swept).enumerate() {
+                let want = simd::scalar::gelu(x);
+                prop_assert!(
+                    want.to_bits() == y.to_bits(),
+                    "{level:?} gelu[{i}]({x:?}): swept {y:?} vs per-element {want:?}"
+                );
+            }
         }
     }
 
@@ -146,11 +160,13 @@ proptest! {
             |(cols, rows)| (Just(cols), proptest::collection::vec(any_element(), rows * cols)),
         )
     ) {
-        let mut scalar = data.clone();
-        let mut vector = data;
-        simd::softmax_rows(Level::Scalar, &mut scalar, cols);
-        simd::softmax_rows(best_deterministic(), &mut vector, cols);
-        assert_bits_equal(&scalar, &vector, "softmax")?;
+        for level in vector_levels() {
+            let mut scalar = data.clone();
+            let mut vector = data.clone();
+            simd::softmax_rows(Level::Scalar, &mut scalar, cols);
+            simd::softmax_rows(level, &mut vector, cols);
+            assert_bits_equal(&scalar, &vector, &format!("{level:?} softmax"))?;
+        }
     }
 
     /// Row-wise layer norm: bit-identical across levels, with non-trivial
@@ -166,11 +182,13 @@ proptest! {
             ),
         )
     ) {
-        let mut scalar = data.clone();
-        let mut vector = data;
-        simd::layer_norm_rows(Level::Scalar, &mut scalar, cols, &gamma, &beta, 1e-5, None);
-        simd::layer_norm_rows(best_deterministic(), &mut vector, cols, &gamma, &beta, 1e-5, None);
-        assert_bits_equal(&scalar, &vector, "layer_norm")?;
+        for level in vector_levels() {
+            let mut scalar = data.clone();
+            let mut vector = data.clone();
+            simd::layer_norm_rows(Level::Scalar, &mut scalar, cols, &gamma, &beta, 1e-5, None);
+            simd::layer_norm_rows(level, &mut vector, cols, &gamma, &beta, 1e-5, None);
+            assert_bits_equal(&scalar, &vector, &format!("{level:?} layer_norm"))?;
+        }
     }
 
     /// Layer norm over rows that hold specials: the levels agree on which
@@ -185,16 +203,18 @@ proptest! {
         let gamma: Vec<f32> = (0..cols).map(|j| 1.0 + j as f32 * 0.03).collect();
         let beta: Vec<f32> = (0..cols).map(|j| j as f32 * -0.01).collect();
         let mut scalar = data.clone();
-        let mut vector = data.clone();
         simd::layer_norm_rows(Level::Scalar, &mut scalar, cols, &gamma, &beta, 1e-5, None);
-        simd::layer_norm_rows(best_deterministic(), &mut vector, cols, &gamma, &beta, 1e-5, None);
-        for (i, (s, v)) in scalar.iter().zip(&vector).enumerate() {
-            prop_assert!(
-                s.to_bits() == v.to_bits() || (s.is_nan() && v.is_nan()),
-                "layer_norm[{i}]: {s:?} (0x{:08x}) vs {v:?} (0x{:08x})",
-                s.to_bits(),
-                v.to_bits()
-            );
+        for level in vector_levels() {
+            let mut vector = data.clone();
+            simd::layer_norm_rows(level, &mut vector, cols, &gamma, &beta, 1e-5, None);
+            for (i, (s, v)) in scalar.iter().zip(&vector).enumerate() {
+                prop_assert!(
+                    s.to_bits() == v.to_bits() || (s.is_nan() && v.is_nan()),
+                    "{level:?} layer_norm[{i}]: {s:?} (0x{:08x}) vs {v:?} (0x{:08x})",
+                    s.to_bits(),
+                    v.to_bits()
+                );
+            }
         }
     }
 
@@ -210,10 +230,12 @@ proptest! {
         let ends = [1.0 / 16_777_216.0, 1.0];
         for input in [unit.chain(ends).collect::<Vec<_>>(), data] {
             let mut scalar = input.clone();
-            let mut vector = input;
             simd::ln(Level::Scalar, &mut scalar);
-            simd::ln(best_deterministic(), &mut vector);
-            assert_bits_equal(&scalar, &vector, "ln")?;
+            for level in vector_levels() {
+                let mut vector = input.clone();
+                simd::ln(level, &mut vector);
+                assert_bits_equal(&scalar, &vector, &format!("{level:?} ln"))?;
+            }
         }
     }
 
@@ -229,11 +251,13 @@ proptest! {
         for input in [turns, data] {
             let n = input.len();
             let (mut s_sin, mut s_cos) = (vec![0.0; n], vec![0.0; n]);
-            let (mut v_sin, mut v_cos) = (vec![0.0; n], vec![0.0; n]);
             simd::sincos_turns(Level::Scalar, &input, &mut s_sin, &mut s_cos);
-            simd::sincos_turns(best_deterministic(), &input, &mut v_sin, &mut v_cos);
-            assert_bits_equal(&s_sin, &v_sin, "sin")?;
-            assert_bits_equal(&s_cos, &v_cos, "cos")?;
+            for level in vector_levels() {
+                let (mut v_sin, mut v_cos) = (vec![0.0; n], vec![0.0; n]);
+                simd::sincos_turns(level, &input, &mut v_sin, &mut v_cos);
+                assert_bits_equal(&s_sin, &v_sin, &format!("{level:?} sin"))?;
+                assert_bits_equal(&s_cos, &v_cos, &format!("{level:?} cos"))?;
+            }
         }
     }
 
@@ -285,7 +309,6 @@ proptest! {
 /// special class at every tail alignment.
 #[test]
 fn lane_boundaries_bit_identical_for_every_kernel() {
-    let level = best_deterministic();
     let specials = [
         f32::NAN,
         f32::INFINITY,
@@ -302,36 +325,38 @@ fn lane_boundaries_bit_identical_for_every_kernel() {
         0.5,
         -0.5,
     ];
-    for n in [1, 7, 8, 9, 15, 16, 17, 31, 32, 33] {
-        let data: Vec<f32> = (0..n).map(|i| specials[i % specials.len()]).collect();
-        for act in ACTS {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    for level in vector_levels() {
+        for n in [1, 7, 8, 9, 15, 16, 17, 31, 32, 33] {
+            let data: Vec<f32> = (0..n).map(|i| specials[i % specials.len()]).collect();
+            for act in ACTS {
+                let mut a = data.clone();
+                let mut b = data.clone();
+                simd::apply_act(Level::Scalar, act, &mut a);
+                simd::apply_act(level, act, &mut b);
+                assert_eq!(bits(&a), bits(&b), "{level:?} {act:?} n={n}");
+            }
             let mut a = data.clone();
             let mut b = data.clone();
-            simd::apply_act(Level::Scalar, act, &mut a);
-            simd::apply_act(level, act, &mut b);
-            let (ab, bb): (Vec<u32>, Vec<u32>) = (
-                a.iter().map(|v| v.to_bits()).collect(),
-                b.iter().map(|v| v.to_bits()).collect(),
+            simd::softmax_rows(Level::Scalar, &mut a, n);
+            simd::softmax_rows(level, &mut b, n);
+            assert_eq!(bits(&a), bits(&b), "{level:?} softmax n={n}");
+            let mut a = data.clone();
+            let mut b = data.clone();
+            simd::ln(Level::Scalar, &mut a);
+            simd::ln(level, &mut b);
+            assert_eq!(bits(&a), bits(&b), "{level:?} ln n={n}");
+            let sincos = |level| {
+                let (mut sin, mut cos) = (vec![0.0; n], vec![0.0; n]);
+                simd::sincos_turns(level, &data, &mut sin, &mut cos);
+                (bits(&sin), bits(&cos))
+            };
+            assert_eq!(
+                sincos(Level::Scalar),
+                sincos(level),
+                "{level:?} sincos n={n}"
             );
-            assert_eq!(ab, bb, "{act:?} n={n}");
         }
-        let mut a = data.clone();
-        let mut b = data.clone();
-        simd::softmax_rows(Level::Scalar, &mut a, n);
-        simd::softmax_rows(level, &mut b, n);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        assert_eq!(bits(&a), bits(&b), "softmax n={n}");
-        let mut a = data.clone();
-        let mut b = data.clone();
-        simd::ln(Level::Scalar, &mut a);
-        simd::ln(level, &mut b);
-        assert_eq!(bits(&a), bits(&b), "ln n={n}");
-        let sincos = |level| {
-            let (mut sin, mut cos) = (vec![0.0; n], vec![0.0; n]);
-            simd::sincos_turns(level, &data, &mut sin, &mut cos);
-            (bits(&sin), bits(&cos))
-        };
-        assert_eq!(sincos(Level::Scalar), sincos(level), "sincos n={n}");
     }
 }
 

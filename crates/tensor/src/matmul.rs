@@ -220,8 +220,9 @@ fn gemm_band(
 /// the order they are accumulated in.
 ///
 /// # Panics
-/// Panics if an operand's last live element lies outside its slice or
-/// `out` is not `m · n` long — callers (the plan compiler) establish
+/// Panics if an operand's last live element lies outside its slice, a
+/// transposed A's stride is below its `m` stored columns (its stored rows
+/// would overlap), or `out` is not `m · n` long — callers (the plan compiler) establish
 /// shapes statically, so a mismatch is a programming error rather than a
 /// data error.
 #[allow(clippy::too_many_arguments)] // the GEMM's dims, strided operands, spec and level
@@ -245,6 +246,11 @@ pub fn gemm_strided_into_at(
     assert!(
         in_bounds(a.len(), a_dims, lda),
         "gemm: A view out of bounds"
+    );
+    // The band kernel reads a transposed A's stored rows as whole runs.
+    assert!(
+        !spec.trans_a || lda >= m,
+        "gemm: transposed A stride {lda} is below its {m} stored columns"
     );
     assert!(
         in_bounds(b.len(), b_dims, ldb),
@@ -675,6 +681,16 @@ mod tests {
         let mut out = [0.0f32; 6];
         let level = simd::active_level();
         gemm_strided_into_at(level, 3, 3, 2, (&a, 4), (&b, 2), MatmulSpec::NN, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "transposed A stride 2 is below its 3 stored columns")]
+    fn transposed_a_with_overlapping_stored_rows_panics_up_front() {
+        let a = [0.0f32; 16]; // 3 stored rows of 3 at stride 2 fit, overlapping
+        let b = [0.0f32; 6];
+        let mut out = [0.0f32; 6];
+        let level = simd::active_level();
+        gemm_strided_into_at(level, 3, 3, 2, (&a, 2), (&b, 2), MatmulSpec::TN, &mut out);
     }
 
     #[test]
