@@ -14,13 +14,9 @@
 //! computes, through both recorders of the one `nn::Trace` definition (the
 //! eval tape for the logits, the compiled plan for the predictions). The
 //! test runs at whatever dispatch level `VITAL_SIMD` selects, and every
-//! run is held to the same constants: scalar ≡ AVX2 bitwise, on every
-//! runner and at every later commit. A kernel, fusion or layout change
-//! passes unchanged or says which bit it moved and why.
-//!
-//! The opt-in FMA level rounds each multiply-add once instead of twice, so
-//! there the logits are held to [`FMA_MAX_ULP`] of the constants and the
-//! predictions still have to be identical.
+//! run is held to the same constants: scalar ≡ AVX2 ≡ AVX-512 bitwise, on
+//! every runner and at every later commit. A kernel, fusion or layout
+//! change passes unchanged or says which bit it moved and why.
 
 use tensor::rng::SeededRng;
 use tensor::Tensor;
@@ -39,12 +35,6 @@ const LOGITS: [u32; 64] = [
     0x3e0d7c9d, 0x3d851452, 0x3d6f5fc4, 0x3e317f94, 0x3d773f48, 0xbed315d0, 0xbcc74742, 0xbf6a4eae,
     0x3e9b5412, 0xbdc3932a, 0x3ebd7e26, 0xbd13aad8, 0x3dca1664, 0xbddec142, 0x3e14850c, 0xbebaa137,
 ];
-
-/// Worst allowed distance of an FMA-level logit from its constant. The
-/// worst measured is 2640 ULP, on a logit near zero where cancellation
-/// makes one ULP tiny; 4096 leaves headroom and still fails on any
-/// algorithmic change.
-const FMA_MAX_ULP: u64 = 4096;
 
 /// `logits[sample][class]` of the folded forward over seeded
 /// `[distinct_patches, distinct_dim]` inputs (any such input is the distinct
@@ -115,20 +105,6 @@ fn folded_smoke() -> (Vec<u32>, Vec<usize>) {
     (bits(&logits), vit.predict_folded(8, fill).unwrap())
 }
 
-/// Distance in units in the last place, walking through zero for opposite
-/// signs.
-fn ulp_diff(a: u32, b: u32) -> u64 {
-    let rank = |bits: u32| {
-        let magnitude = i64::from(bits & 0x7fff_ffff);
-        if bits >> 31 == 0 {
-            magnitude
-        } else {
-            -magnitude
-        }
-    };
-    rank(a).abs_diff(rank(b))
-}
-
 /// Holds `run` to its constants at the active dispatch level.
 fn assert_pinned(
     what: &str,
@@ -144,24 +120,12 @@ fn assert_pinned(
         "{what}: compiled predictions moved at level {}",
         level.name()
     );
-    if level == simd::Level::Fma {
-        let worst = logits
-            .iter()
-            .zip(pinned_logits)
-            .map(|(&a, &b)| ulp_diff(a, b));
-        let worst = worst.max().unwrap();
-        assert!(
-            worst <= FMA_MAX_ULP,
-            "{what}: FMA logits are {worst} ULP from the pinned bits (bound {FMA_MAX_ULP})"
-        );
-    } else {
-        assert!(
-            logits == pinned_logits,
-            "{what}: inference bits moved at level {}; logits are {logits:#010x?}, \
-             predictions {predictions:?}",
-            level.name()
-        );
-    }
+    assert!(
+        logits == pinned_logits,
+        "{what}: inference bits moved at level {}; logits are {logits:#010x?}, \
+         predictions {predictions:?}",
+        level.name()
+    );
 }
 
 #[test]

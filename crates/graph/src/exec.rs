@@ -28,9 +28,9 @@
 //!   ([`CompiledPlan::level`]); a fused post chain is one such call per
 //!   op over the freshly written output. The `Tensor` methods the autograd
 //!   tape runs call the very same functions, so compiled and eager
-//!   outputs are bit-identical at every dispatch level, the ULP-divergent
-//!   opt-in FMA level included, and a difference between them can only
-//!   come from the planner (views, liveness, fusion order).
+//!   outputs are bit-identical at every dispatch level, and a difference
+//!   between them can only come from the planner (views, liveness, fusion
+//!   order).
 //!
 //! * **Per-step timing.** [`CompiledPlan::execute_timed`] is
 //!   `execute_with` with a clock read around each step's kernel and its

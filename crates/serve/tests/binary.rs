@@ -167,12 +167,22 @@ fn refused_boot(
 fn an_unknown_vital_simd_stops_the_boot_and_names_the_value() {
     let dir = std::env::temp_dir().join(format!("vital-serve-simd-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create checkpoint dir");
-    let (status, out, err) = refused_boot(&dir, &[], &[("VITAL_SIMD", OsStr::new("avx9"))]);
+    // No backend fuses a multiply–add, so `fma` is as unknown as a typo.
+    for value in ["avx9", "fma"] {
+        let (status, out, err) = refused_boot(&dir, &[], &[("VITAL_SIMD", OsStr::new(value))]);
+        assert!(!status.success(), "{value}: exit {status}");
+        assert!(
+            err.contains(&format!("VITAL_SIMD={value:?}")),
+            "stderr: {err}"
+        );
+        let listed = err
+            .split_once("(expected ")
+            .and_then(|(_, rest)| rest.split_once(')'))
+            .map(|(names, _)| names);
+        assert_eq!(listed, Some("scalar|avx2|avx512"), "stderr: {err}");
+        assert!(!out.contains("listening"), "{value}: stdout: {out}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(!status.success(), "exit {status}");
-    assert!(err.contains(r#"VITAL_SIMD="avx9""#), "stderr: {err}");
-    assert!(err.contains("scalar|avx2|avx512|fma"), "stderr: {err}");
-    assert!(!out.contains("listening"), "stdout: {out}");
 }
 
 #[test]

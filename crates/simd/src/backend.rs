@@ -7,9 +7,8 @@
 //! them** ([`SimdOp::fold`]). The scalar level ([`Lanes<8>`]) simulates the
 //! eight AVX2 lanes with a `[f32; 8]` array and the identical horizontal
 //! reduction tree, which is what makes the scalar, AVX2 and AVX-512
-//! levels bit-identical (each lane op is the same IEEE two-operand
-//! operation; only the FMA backend contracts multiply–add pairs and is
-//! therefore ULP-bounded rather than bit-equal).
+//! levels bit-identical: each lane op is the same IEEE two-operand
+//! operation, and no backend contracts a multiply–add into one rounding.
 //!
 //! The same impl at one lane, [`Lanes<1>`], makes the per-element
 //! reference functions in [`crate::scalar`] *the same generic code* as the
@@ -77,10 +76,8 @@ pub const MAX_LANES: usize = 16;
 /// One dispatch level's bundle of `f32` lanes and primitive operations.
 ///
 /// Implementations must keep the lane semantics above; the kernels rely
-/// on them for cross-level bit-equality. `mul_add` is the **only**
-/// operation allowed to differ between levels: it is an exact fused
-/// multiply–add on the FMA backend and an unfused `a·b + c` everywhere
-/// else.
+/// on them for cross-level bit-equality. No operation may differ between
+/// levels, so `mul_add` is provided once, unfused, for every backend.
 pub trait SimdOp {
     /// The lane bundle (e.g. `[f32; 8]`, `__m256`).
     type V: Copy;
@@ -89,7 +86,7 @@ pub trait SimdOp {
     /// Number of `f32` lanes per bundle (at most [`MAX_LANES`]).
     const LANES: usize;
     /// The eight-lane backend that runs this backend's reduction trees:
-    /// the backend itself at eight lanes, its unfused AVX2 twin for the
+    /// the backend itself at eight lanes, the AVX2 backend for the
     /// 16-lane one.
     type Tree: Reduce;
 
@@ -138,8 +135,11 @@ pub trait SimdOp {
     fn max(a: Self::V, b: Self::V) -> Self::V;
     /// Lanewise `minps`-semantics minimum.
     fn min(a: Self::V, b: Self::V) -> Self::V;
-    /// Lanewise `a · b + c`; fused only on the FMA backend.
-    fn mul_add(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+    /// Lanewise `a · b + c`, unfused: two roundings on every backend.
+    #[inline(always)]
+    fn mul_add(a: Self::V, b: Self::V, c: Self::V) -> Self::V {
+        Self::add(Self::mul(a, b), c)
+    }
     /// Lanewise round to nearest, ties to even.
     fn round(v: Self::V) -> Self::V;
     /// Lanewise `lane::scale_by_pow2` (two-step power-of-two scaling).
@@ -235,11 +235,6 @@ impl<const N: usize> SimdOp for Lanes<N> {
     #[inline(always)]
     fn min(a: [f32; N], b: [f32; N]) -> [f32; N] {
         std::array::from_fn(|i| lane::min(a[i], b[i]))
-    }
-    #[inline(always)]
-    fn mul_add(a: [f32; N], b: [f32; N], c: [f32; N]) -> [f32; N] {
-        // Deliberately unfused: bit-parity with the AVX2 level.
-        std::array::from_fn(|i| a[i] * b[i] + c[i])
     }
     #[inline(always)]
     fn round(v: [f32; N]) -> [f32; N] {

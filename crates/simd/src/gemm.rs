@@ -15,7 +15,6 @@
 //! | `Avx2`     | any    | 6 × 16           | 2 × `__m256`, unfused `vmulps`+`vaddps` |
 //! | `Avx512`   | > 16   | 12 × 32          | 2 × `__m512`, unfused `vmulps`+`vaddps` |
 //! | `Avx512`   | ≤ 16   | 8 × 16           | 1 × `__m512`, unfused                   |
-//! | `Fma`      | any    | 6 × 16           | 2 × `__m256`, fused `vfmadd231ps`       |
 //!
 //! The AVX2 tiles use twelve `__m256` accumulators (two per A row) plus
 //! two B registers and one broadcast — 15 of the 16 ymm registers — so
@@ -42,9 +41,6 @@
 //! bit-identical to the
 //! in-order naive triple loop (tile shape and `R` only change which
 //! elements share a register block, never the order within a chain).
-//! The FMA backend contracts each step into a single rounding and is
-//! therefore only ULP-bounded; like the transcendental kernels it is
-//! opt-in via `VITAL_SIMD=fma`.
 //!
 //! # Operand contract
 //!
@@ -161,10 +157,9 @@ struct GemmBand<'a> {
 impl Kernel for GemmBand<'_> {
     type Out = ();
     /// Checks the band against `S`'s tile for this width, then runs the
-    /// `NR / S::LANES`-bundle tile: on `Avx<false>` and `Avx512` with
+    /// `NR / S::LANES`-bundle tile: on `Avx2` and `Avx512` with
     /// **unfused** `vmulps` + `vaddps`, the same two-operand IEEE sequence
-    /// as the scalar tile; on `Avx<true>` each step contracted into a
-    /// single-rounding `vfmadd231ps` — ULP-bounded, hence opt-in.
+    /// as the scalar tile.
     #[inline(always)]
     fn run<S: SimdOp>(self) {
         let GemmBand {
@@ -243,8 +238,8 @@ fn band_rows<O: SimdOp, const V: usize>(band: Band<'_>, out: &mut [f32]) {
 }
 
 /// One step `p` of the tile: `a_p[i]` (A's element `(i, p)`) broadcast
-/// against the `V` bundles of packed B row `p`, accumulated unfused
-/// (fused at the FMA level) into row `i`'s accumulators.
+/// against the `V` bundles of packed B row `p`, accumulated unfused into
+/// row `i`'s accumulators.
 #[inline(always)]
 fn step<O: SimdOp, const R: usize, const V: usize>(
     acc: &mut [[O::V; V]; R],
@@ -345,7 +340,7 @@ mod tests {
     }
 
     /// The in-order, unfused chain `0 + a₀b₀ + a₁b₁ + …` over A read at
-    /// `strides` — what every non-FMA level must reproduce bit for bit.
+    /// `strides` — what every level must reproduce bit for bit.
     fn naive_band(
         a: &[f32],
         (row_stride, p_stride): (usize, usize),
@@ -380,15 +375,14 @@ mod tests {
         out
     }
 
-    /// Bit equality below the FMA level, a relative tolerance at it.
+    /// Bit equality at every level.
     fn assert_band_matches(level: Level, got: &[f32], naive: &[f32], label: &str) {
         for (idx, (g, e)) in got.iter().zip(naive).enumerate() {
-            let ok = if level.resolve() == Level::Fma {
-                (g - e).abs() <= 1e-4 * e.abs().max(1.0)
-            } else {
-                g.to_bits() == e.to_bits()
-            };
-            assert!(ok, "{level:?} {label} [{idx}]: {g:?} vs naive {e:?}");
+            assert_eq!(
+                g.to_bits(),
+                e.to_bits(),
+                "{level:?} {label} [{idx}]: {g:?} vs naive {e:?}"
+            );
         }
     }
 

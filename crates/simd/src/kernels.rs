@@ -54,7 +54,7 @@
 //! sign depends on the opt level (release builds showed it; debug never
 //! does). The contract is pinned per kernel:
 //! - the activations and `softmax_rows` are bit-identical across the
-//!   deterministic levels on **every** input, NaN included: the
+//!   levels on **every** input, NaN included: the
 //!   activations only ever combine NaNs derived from the one input lane,
 //!   and softmax canonicalises its one exposed value, the row denominator;
 //! - `layer_norm_rows` is bit-identical on finite rows. In a row that

@@ -12,9 +12,8 @@
 //! | [`Level`]  | Backend                          | Guarantee vs. scalar |
 //! |------------|----------------------------------|----------------------|
 //! | `Scalar`   | `Lanes<8>`: `[f32; 8]` lanes     | —                    |
-//! | `Avx2`     | `Avx<false>`: AVX2, unfused      | **bit-identical**    |
+//! | `Avx2`     | `Avx2`: AVX2, unfused            | **bit-identical**    |
 //! | `Avx512`   | `Avx512`: AVX-512F, unfused      | **bit-identical**    |
-//! | `Fma`      | `Avx<true>`: AVX2 + `vfmadd`     | ULP-bounded          |
 //!
 //! The scalar backend simulates the eight AVX2 lanes (same block width,
 //! same horizontal reduction trees, same padded-tail handling), so the
@@ -25,30 +24,25 @@
 //! an eight-lane accumulator, low half then high half, so it is
 //! bit-identical to both. (One narrowing, spelled out in [`kernels`]: where a
 //! layer-norm row already holds a NaN or an infinity, the levels agree on
-//! which outputs are NaN but not on those NaNs' sign and payload.) `Fma` contracts
-//! multiply–add pairs into single roundings and is therefore only
-//! ULP-bounded; because of that it is **opt-in**: the default level is
-//! the best *bit-deterministic* one ([`best_deterministic`]: `Avx512`
-//! where available, then `Avx2`), and `VITAL_SIMD=fma` must be set
-//! explicitly to trade determinism for the fused path.
+//! which outputs are NaN but not on those NaNs' sign and payload.) No
+//! backend contracts a multiply–add into one rounding, so every level is
+//! bit-identical by construction; the default is the widest one the CPU
+//! runs ([`best_deterministic`]: `Avx512` where available, then `Avx2`).
 //!
 //! Alongside the transcendental kernels, [`gemm`] holds the GEMM band
 //! microkernel — one register tile over the same `SimdOp` backends, its
 //! shape (rows × lane bundles) chosen by each backend from the product's
 //! width — under the same dispatch latch and the same determinism
-//! contract: scalar ≡ avx2 ≡ avx512 bit-identical, FMA opt-in and
-//! ULP-bounded.
+//! contract: scalar ≡ avx2 ≡ avx512 bit-identical.
 //!
 //! # Resolution
 //!
 //! A level the CPU cannot run resolves down an explicit chain
-//! ([`Level::resolve`]): `avx512 → avx2 → scalar`, and `fma → avx2 →
-//! scalar`. `Fma` is never a fallback, so no request ends up fused
-//! unless it asked for `fma`.
+//! ([`Level::resolve`]): `avx512 → avx2 → scalar`.
 //!
 //! # Environment override
 //!
-//! `VITAL_SIMD=scalar|avx2|avx512|fma` ([`Level::ALL`]) forces a level,
+//! `VITAL_SIMD=scalar|avx2|avx512` ([`Level::ALL`]) forces a level,
 //! resolved on this CPU. Any other non-empty value, a non-UTF-8 one
 //! included, is an error — a typo in a CI
 //! matrix must not silently run the wrong kernels: [`try_active_level`]
@@ -61,7 +55,7 @@
 //! This crate is the single, lint-fenced home for `unsafe` in the
 //! workspace (see `ci/lint-rules.toml` `[hygiene] unsafe_allowed_dirs`):
 //! all intrinsic calls live in [`x86`] behind `# Safety`-documented
-//! contracts, and its three `#[target_feature]` entry points, generic over
+//! contracts, and its two `#[target_feature]` entry points, generic over
 //! the kernel, are the only `unsafe fn`s. Everything public here is safe:
 //! `dispatch` calls an entry point only after the matching CPUID check.
 
@@ -90,15 +84,13 @@ pub enum Level {
     /// 512-bit AVX-512F with unfused multiply–add; bit-identical to
     /// `Scalar`.
     Avx512,
-    /// AVX2 + fused multiply–add; ULP-bounded relative to `Scalar`.
-    Fma,
 }
 
 impl Level {
-    /// Every level, from the most portable to the opt-in fused one — the
-    /// one list `parse`, the `VITAL_SIMD` error and the level loops of the
-    /// tests read.
-    pub const ALL: [Level; 4] = [Level::Scalar, Level::Avx2, Level::Avx512, Level::Fma];
+    /// Every level, from the most portable to the widest — the one list
+    /// `parse`, the `VITAL_SIMD` error and the level loops of the tests
+    /// read.
+    pub const ALL: [Level; 3] = [Level::Scalar, Level::Avx2, Level::Avx512];
 
     /// The lowercase name used by `VITAL_SIMD` and diagnostics.
     pub fn name(self) -> &'static str {
@@ -106,7 +98,6 @@ impl Level {
             Level::Scalar => "scalar",
             Level::Avx2 => "avx2",
             Level::Avx512 => "avx512",
-            Level::Fma => "fma",
         }
     }
 
@@ -117,13 +108,12 @@ impl Level {
 
     /// The level a request for `self` runs at on this CPU: `self` where
     /// the CPU has its features, otherwise the next level down its chain
-    /// (`avx512 → avx2 → scalar`, `fma → avx2 → scalar`). `Fma` is never
-    /// a fallback.
+    /// (`avx512 → avx2 → scalar`).
     pub fn resolve(self) -> Level {
         let mut level = self;
         while !level.runs_here() {
             level = match level {
-                Level::Avx512 | Level::Fma => Level::Avx2,
+                Level::Avx512 => Level::Avx2,
                 Level::Avx2 | Level::Scalar => Level::Scalar,
             };
         }
@@ -140,7 +130,6 @@ impl Level {
                 Level::Scalar => true,
                 Level::Avx2 => avx2,
                 Level::Avx512 => avx2 && is_x86_feature_detected!("avx512f"),
-                Level::Fma => avx2 && is_x86_feature_detected!("fma"),
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -150,9 +139,9 @@ impl Level {
     }
 }
 
-/// The best **bit-deterministic** level this CPU runs — what a request
-/// for `avx512` resolves to, never `Fma` — so two hosts produce identical
-/// bits whatever their vector width or FMA support.
+/// The widest level this CPU runs — what a request for `avx512`
+/// resolves to. Every level is bit-identical, so two hosts produce
+/// identical bits whatever their vector width.
 pub fn best_deterministic() -> Level {
     Level::Avx512.resolve()
 }
@@ -289,7 +278,7 @@ pub mod scalar {
     //! These are the *same generic kernels* instantiated with the
     //! one-lane [`Lanes<1>`] backend — not a second implementation — so a
     //! per-element call (e.g. `UnaryOp::eval` in the tensor crate) and a
-    //! vectorized sweep agree bit-for-bit at the deterministic levels.
+    //! vectorized sweep agree bit-for-bit at every level.
     //!
     //! [`Lanes<1>`]: crate::backend::Lanes
 
@@ -336,21 +325,16 @@ mod tests {
         for level in Level::ALL {
             assert_eq!(Level::parse(level.name()), Some(level));
         }
+        assert_eq!(Level::parse("fma"), None);
         assert_eq!(Level::parse("sse9"), None);
         assert_eq!(Level::parse(""), None);
     }
 
     #[test]
     fn levels_order_by_capability() {
-        assert_eq!(
-            Level::ALL,
-            [Level::Scalar, Level::Avx2, Level::Avx512, Level::Fma]
-        );
-        // Determinism by default: the best deterministic level is never
-        // the fused one, and it is the widest deterministic level this
-        // CPU runs.
+        assert_eq!(Level::ALL, [Level::Scalar, Level::Avx2, Level::Avx512]);
+        // The default is the widest level this CPU runs.
         let best = best_deterministic();
-        assert_ne!(best, Level::Fma);
         assert_eq!(best, Level::Avx512.resolve());
         assert!(best == Level::Avx512 || !Level::Avx512.runs_here());
     }
@@ -374,9 +358,8 @@ mod tests {
         for level in Level::ALL {
             let want = match level.resolve() {
                 Level::Scalar => "::Lanes<8>",
-                Level::Avx2 => "::Avx<false>",
+                Level::Avx2 => "::Avx2",
                 Level::Avx512 => "::Avx512",
-                Level::Fma => "::Avx<true>",
             };
             let got = dispatch(level, BackendName);
             assert!(got.ends_with(want), "{level:?} ran {got}, not {want}");
@@ -389,15 +372,13 @@ mod tests {
             let resolved = level.resolve();
             assert!(resolved.runs_here(), "{level:?} resolved to {resolved:?}");
             assert_eq!(resolved == level, level.runs_here(), "{level:?}");
-            // A fallback is never the fused level.
-            assert!(resolved == level || resolved != Level::Fma);
         }
         assert_eq!(Level::Scalar.resolve(), Level::Scalar);
     }
 
     #[test]
     fn scalar_and_best_deterministic_level_are_bit_identical() {
-        for level in Level::ALL.into_iter().filter(|l| *l != Level::Fma) {
+        for level in Level::ALL {
             assert_deterministic_level_matches_scalar(level);
         }
     }

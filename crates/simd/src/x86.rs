@@ -1,9 +1,7 @@
-//! The x86-64 backends — [`Avx`]: 256-bit lanes with unfused
-//! (`Avx<false>`, the `Avx2` level) or fused (`Avx<true>`, the `Fma`
-//! level) multiply–add; [`Avx512`]: 512-bit lanes, unfused (the `Avx512`
-//! level) — plus the three `#[target_feature]` entry points and `run`,
-//! which `crate::dispatch` calls: it resolves the level and enters the
-//! matching entry point.
+//! The x86-64 backends — [`Avx2`]: 256-bit lanes (the `Avx2` level);
+//! [`Avx512`]: 512-bit lanes (the `Avx512` level) — plus the two
+//! `#[target_feature]` entry points and `run`, which `crate::dispatch`
+//! calls: it resolves the level and enters the matching entry point.
 //!
 //! This module is the **only** place in the workspace where intrinsics
 //! and `#[target_feature]` code appear (`unsafe` is fenced to this crate
@@ -14,20 +12,18 @@
 //!    `#[target_feature]` functions, so calling them from these plain
 //!    `#[inline(always)]` methods needs an `unsafe` block; soundness
 //!    comes from the module contract that backend methods are only ever
-//!    reached by inlining into `run_avx2`, `run_avx512` or `run_fma`,
-//!    which `run` enters only for the level `Level::resolve` just
-//!    returned.
-//! 2. Those three entry points themselves: `unsafe fn`s, generic over the
+//!    reached by inlining into `run_avx2` or `run_avx512`, which `run`
+//!    enters only for the level `Level::resolve` just returned.
+//! 2. Those two entry points themselves: `unsafe fn`s, generic over the
 //!    `Kernel` they run, whose single precondition is "the advertised
 //!    CPU features are present". No kernel has an entry point of its own.
 //!
-//! `Avx<false>` and `Avx512` are bit-identical to the portable
-//! [`Lanes<8>`] backend: every method maps to the same IEEE-754
-//! two-operand operation (`vaddps` ≙ lanewise `+`, `vmaxps` ≙ the shared
-//! `maxps`-semantics max, …), the horizontal reductions use the same fixed
-//! tree, and `Avx512` reduces by folding its halves into an `Avx<false>`
-//! accumulator ([`SimdOp::fold`]). Only `Avx<true>` deviates, by
-//! contracting `a·b + c` into a single rounding.
+//! `Avx2` and `Avx512` are bit-identical to the portable [`Lanes<8>`]
+//! backend: every method maps to the same IEEE-754 two-operand operation
+//! (`vaddps` ≙ lanewise `+`, `vmaxps` ≙ the shared `maxps`-semantics max,
+//! …; `mul_add` is the trait's unfused `vmulps` + `vaddps`), the
+//! horizontal reductions use the same fixed tree, and `Avx512` reduces by
+//! folding its halves into an `Avx2` accumulator ([`SimdOp::fold`]).
 //!
 //! [`Lanes<8>`]: crate::backend::Lanes
 
@@ -36,14 +32,10 @@ use core::arch::x86_64::*;
 use crate::backend::{Lanes, Reduce, SimdOp};
 use crate::{Kernel, Level};
 
-/// 256-bit AVX2 backend. `Avx<false>` multiplies and adds **unfused** —
-/// the deterministic default level, bit-identical to the scalar backend;
-/// `Avx<true>` contracts `mul_add` to a single-rounding `vfmadd`, making
-/// results ULP-bounded (not bit-identical) relative to the scalar/avx2
-/// levels. Every other method is shared.
-pub struct Avx<const FUSED: bool>;
+/// 256-bit AVX2 backend, bit-identical to the scalar one.
+pub struct Avx2;
 
-impl<const FUSED: bool> SimdOp for Avx<FUSED> {
+impl SimdOp for Avx2 {
     type V = __m256;
     type M = __m256;
     const LANES: usize = 8;
@@ -127,19 +119,6 @@ impl<const FUSED: bool> SimdOp for Avx<FUSED> {
     fn min(a: __m256, b: __m256) -> __m256 {
         // SAFETY: AVX available per the module contract.
         unsafe { _mm256_min_ps(a, b) }
-    }
-    #[inline(always)]
-    fn mul_add(a: __m256, b: __m256, c: __m256) -> __m256 {
-        if FUSED {
-            // SAFETY: FMA available per the module contract: `Avx<true>`
-            // is only reached through `run_fma`.
-            unsafe { _mm256_fmadd_ps(a, b, c) }
-        } else {
-            // Unfused on purpose: two roundings, exactly like the scalar
-            // backend, so scalar and avx2 levels stay bit-identical.
-            // SAFETY: AVX available per the module contract.
-            unsafe { _mm256_add_ps(_mm256_mul_ps(a, b), c) }
-        }
     }
     #[inline(always)]
     fn round(v: __m256) -> __m256 {
@@ -231,7 +210,7 @@ impl<const FUSED: bool> SimdOp for Avx<FUSED> {
     }
 }
 
-impl<const FUSED: bool> Reduce for Avx<FUSED> {
+impl Reduce for Avx2 {
     #[inline(always)]
     fn hsum(v: __m256) -> f32 {
         // SAFETY: AVX available per the module contract. Implements the
@@ -257,17 +236,16 @@ impl<const FUSED: bool> Reduce for Avx<FUSED> {
     }
 }
 
-/// 512-bit AVX-512F backend, multiplying and adding **unfused** — a
-/// deterministic level, bit-identical to the scalar and AVX2 ones. Its
-/// masks are `__mmask16` k-registers; its reductions fold into the
-/// eight-lane trees of `Avx<false>`, low half then high half.
+/// 512-bit AVX-512F backend, bit-identical to the scalar and AVX2 ones.
+/// Its masks are `__mmask16` k-registers; its reductions fold into the
+/// eight-lane trees of `Avx2`, low half then high half.
 pub struct Avx512;
 
 impl SimdOp for Avx512 {
     type V = __m512;
     type M = __mmask16;
     const LANES: usize = 16;
-    type Tree = Avx<false>;
+    type Tree = Avx2;
 
     /// Two bundles of about twelve rows — 24 of the 32 zmm registers
     /// accumulate — for a wide product; one bundle of eight rows where a
@@ -359,13 +337,6 @@ impl SimdOp for Avx512 {
     fn min(a: __m512, b: __m512) -> __m512 {
         // SAFETY: AVX-512F available per the module contract.
         unsafe { _mm512_min_ps(a, b) }
-    }
-    #[inline(always)]
-    fn mul_add(a: __m512, b: __m512, c: __m512) -> __m512 {
-        // Unfused on purpose: two roundings, exactly like the scalar
-        // backend, so the levels stay bit-identical.
-        // SAFETY: AVX-512F available per the module contract.
-        unsafe { _mm512_add_ps(_mm512_mul_ps(a, b), c) }
     }
     #[inline(always)]
     fn round(v: __m512) -> __m512 {
@@ -473,19 +444,17 @@ pub(crate) fn run<K: Kernel>(level: Level, kernel: K) -> K::Out {
         // SAFETY: it returns Avx512 only where the CPU has AVX2 and
         // AVX-512F.
         Level::Avx512 => unsafe { run_avx512(kernel) },
-        // SAFETY: it returns Fma only where the CPU has AVX2 and FMA.
-        Level::Fma => unsafe { run_fma(kernel) },
     }
 }
 
-/// Runs `kernel` on `Avx<false>`, compiled for AVX2.
+/// Runs `kernel` on `Avx2`, compiled for AVX2.
 ///
 /// # Safety
 /// The running CPU must support AVX2 (guard with
 /// `is_x86_feature_detected!("avx2")`).
 #[target_feature(enable = "avx2")]
 unsafe fn run_avx2<K: Kernel>(kernel: K) -> K::Out {
-    kernel.run::<Avx<false>>()
+    kernel.run::<Avx2>()
 }
 
 /// Runs `kernel` on `Avx512`, compiled for AVX2 and AVX-512F.
@@ -495,13 +464,4 @@ unsafe fn run_avx2<K: Kernel>(kernel: K) -> K::Out {
 #[target_feature(enable = "avx2,avx512f")]
 unsafe fn run_avx512<K: Kernel>(kernel: K) -> K::Out {
     kernel.run::<Avx512>()
-}
-
-/// Runs `kernel` on `Avx<true>`, compiled for AVX2 and FMA.
-///
-/// # Safety
-/// The running CPU must support AVX2 and FMA.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn run_fma<K: Kernel>(kernel: K) -> K::Out {
-    kernel.run::<Avx<true>>()
 }

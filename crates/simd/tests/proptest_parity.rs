@@ -8,14 +8,12 @@
 //! `NaN`. The one documented exception is a
 //! layer-norm row that already holds a non-finite value: there the levels
 //! agree on which outputs are NaN, not on the NaNs' payload (see
-//! `kernels.rs`). The opt-in `Fma`
-//! level contracts multiply–add pairs into single roundings, so it is
-//! only ULP-bounded. CI runs this suite in debug *and* release: the
+//! `kernels.rs`). CI runs this suite in debug *and* release: the
 //! optimiser is free to commute NaN operands, so only release shows a
 //! kernel that leaks one.
 //!
 //! Each property runs the kernel at `Level::Scalar` and at each
-//! deterministic vector level, `Avx2` and `Avx512` ([`vector_levels`]), on
+//! vector level, `Avx2` and `Avx512` ([`vector_levels`]), on
 //! clones of the same buffer. A level the CPU lacks resolves down its
 //! chain (`Avx512 → Avx2 → Scalar`), so on a host without AVX-512F the
 //! `Avx512` pass repeats the `Avx2` one, and on a scalar-only host the
@@ -24,21 +22,6 @@
 
 use proptest::prelude::*;
 use simd::{Act, Level};
-
-/// Bit pattern distance in units-in-the-last-place, walking through zero
-/// for opposite signs. Equal-payload NaNs are 0 apart by construction.
-fn ulp_diff(a: f32, b: f32) -> u64 {
-    let rank = |v: f32| {
-        let bits = v.to_bits();
-        let mag = i64::from(bits & 0x7fff_ffff);
-        if bits >> 31 == 0 {
-            mag
-        } else {
-            -mag
-        }
-    };
-    rank(a).abs_diff(rank(b))
-}
 
 /// Subnormals, signed zeros, infinities, NaN, and boundary magnitudes —
 /// special-value propagation is part of the bit-parity contract, not an
@@ -71,8 +54,8 @@ fn any_element() -> impl Strategy<Value = f32> {
         })
 }
 
-/// Finite-only element for the FMA ULP-bound properties (NaN/∞ parity is
-/// already pinned bit-exactly at the deterministic levels).
+/// Finite-only element for the bit-exact layer-norm property (a row with
+/// a NaN or an infinity is the documented exception, checked on its own).
 fn finite_element() -> impl Strategy<Value = f32> {
     (0usize..10, -8.0f32..8.0f32, -1.0e3f32..1.0e3f32).prop_map(|(pick, moderate, wide)| match pick
     {
@@ -105,13 +88,12 @@ fn assert_bits_equal(a: &[f32], b: &[f32], label: &str) -> Result<(), TestCaseEr
     Ok(())
 }
 
-/// The deterministic vector levels, each held to `Scalar` bit for bit:
-/// every level of [`Level::ALL`] but `Scalar` itself and the ULP-bounded
-/// `Fma`.
+/// The vector levels, each held to `Scalar` bit for bit: every level of
+/// [`Level::ALL`] but `Scalar` itself.
 fn vector_levels() -> impl Iterator<Item = Level> {
     Level::ALL
         .into_iter()
-        .filter(|level| !matches!(level, Level::Scalar | Level::Fma))
+        .filter(|level| *level != Level::Scalar)
 }
 
 const ACTS: [Act; 5] = [Act::Relu, Act::Gelu, Act::Sigmoid, Act::Tanh, Act::Exp];
@@ -258,48 +240,6 @@ proptest! {
                 assert_bits_equal(&s_sin, &v_sin, &format!("{level:?} sin"))?;
                 assert_bits_equal(&s_cos, &v_cos, &format!("{level:?} cos"))?;
             }
-        }
-    }
-
-    /// The opt-in FMA level stays within a tight ULP envelope of scalar
-    /// for elementwise activations on finite inputs. (Vacuous on hosts
-    /// without FMA: `Fma` resolves to `Avx2` or `Scalar` and the distance
-    /// is 0.)
-    #[test]
-    fn apply_act_fma_is_ulp_bounded(data in proptest::collection::vec(finite_element(), 1..48)) {
-        for act in ACTS {
-            let mut scalar = data.clone();
-            let mut fused = data.clone();
-            simd::apply_act(Level::Scalar, act, &mut scalar);
-            simd::apply_act(Level::Fma, act, &mut fused);
-            for (i, (s, f)) in scalar.iter().zip(&fused).enumerate() {
-                let d = ulp_diff(*s, *f);
-                prop_assert!(
-                    d <= 64,
-                    "{act:?}[{i}]({:?}): scalar {s:?} vs fma {f:?} = {d} ULP",
-                    data[i]
-                );
-            }
-        }
-    }
-
-    /// FMA softmax: outputs are well-conditioned (max-subtracted, then
-    /// normalized), so the fused path stays within a few hundred ULP.
-    #[test]
-    fn softmax_fma_is_ulp_bounded(
-        cols in lane_boundary_len(),
-        scale in 1.0f32..100.0f32,
-    ) {
-        let data: Vec<f32> = (0..cols)
-            .map(|i| ((i * 2654435761) % 1000) as f32 / 1000.0 * 2.0 * scale - scale)
-            .collect();
-        let mut scalar = data.clone();
-        let mut fused = data;
-        simd::softmax_rows(Level::Scalar, &mut scalar, cols);
-        simd::softmax_rows(Level::Fma, &mut fused, cols);
-        for (i, (s, f)) in scalar.iter().zip(&fused).enumerate() {
-            let d = ulp_diff(*s, *f);
-            prop_assert!(d <= 512, "softmax[{i}]: scalar {s:?} vs fma {f:?} = {d} ULP");
         }
     }
 }

@@ -14,8 +14,8 @@
 //! runtime** from the dispatch level and the product's width
 //! (`simd::gemm::tile_dims(level, n)` — portable 4 × 8 scalar tile,
 //! explicit-intrinsic 6 × 16 AVX2 tile, on AVX-512 a 12 × 32 tile for a
-//! product wider than 16 and an 8 × 16 one otherwise, opt-in 6 × 16 FMA
-//! tile), so the one portable binary runs the widest tile the CPU
+//! product wider than 16 and an 8 × 16 one otherwise), so the one
+//! portable binary runs the widest tile the CPU
 //! supports — no `-C target-cpu=native` rebuild. Packing and the band
 //! split read the same `tile_dims` the band kernel does.
 //!
@@ -31,8 +31,7 @@
 //! element, so `VITAL_SIMD=scalar`, `=avx2` and `=avx512` are
 //! **bit-identical on every input** —
 //! and bit-identical to the in-order naive triple loop, which
-//! `tests/proptest_gemm.rs` uses as the oracle — while the opt-in FMA
-//! tile is only ULP-bounded (`tests/proptest_gemm_dispatch.rs`).
+//! `tests/proptest_gemm.rs` uses as the oracle.
 
 use std::cell::Cell;
 
@@ -500,7 +499,7 @@ mod tests {
     }
 
     /// The in-order, unfused chain `0 + a₀b₀ + a₁b₁ + …` per element —
-    /// the oracle every non-FMA level reproduces bit for bit.
+    /// the oracle every level reproduces bit for bit.
     fn naive_bits(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<u32> {
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
@@ -517,8 +516,8 @@ mod tests {
     fn packed_kernel_matches_naive_across_panel_boundaries() {
         // Sizes straddle the MR/NR band and panel edges of every tile,
         // including padded edge panels and short last bands. There is one
-        // kernel path, so every deterministic level owes the naive loop's
-        // exact bits at every size; FMA keeps a tolerance.
+        // kernel path, so every level owes the naive loop's exact bits at
+        // every size.
         for &(m, k, n) in &[
             (1, 1, 1),
             (4, 8, 8),
@@ -534,18 +533,8 @@ mod tests {
             for level in simd::Level::ALL {
                 let mut out = vec![f32::NAN; m * n];
                 gemm_strided_into_at(level, m, k, n, (&a, k), (&b, n), MatmulSpec::NN, &mut out);
-                if level.resolve() != simd::Level::Fma {
-                    let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(got, naive, "{level:?} ({m}x{k}x{n})");
-                    continue;
-                }
-                for (idx, (got, want)) in out.iter().zip(&naive).enumerate() {
-                    let want = f32::from_bits(*want);
-                    assert!(
-                        (got - want).abs() < 1e-3,
-                        "fma ({m}x{k}x{n})[{idx}]: {got} vs {want}"
-                    );
-                }
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, naive, "{level:?} ({m}x{k}x{n})");
             }
         }
     }

@@ -52,7 +52,7 @@ impl UnaryOp {
     /// transcendental variants delegate to [`simd::scalar`], which is the
     /// *same generic kernel code* the vectorized sweeps run, so a
     /// per-element call and a [`simd::apply_act`] sweep agree
-    /// bit-for-bit at the deterministic dispatch levels.
+    /// bit-for-bit at every dispatch level.
     #[inline]
     pub fn eval(self, x: f32) -> f32 {
         match self {
@@ -132,7 +132,7 @@ impl Tensor {
     ///
     /// Semantically `self.map(|v| op.eval(v))`, but the transcendental
     /// variants run through the runtime-dispatched SIMD kernels
-    /// ([`simd::apply_act`]); at the deterministic dispatch levels the
+    /// ([`simd::apply_act`]); at every dispatch level the
     /// result is bit-identical to the per-element form.
     pub fn apply(&self, op: UnaryOp) -> Tensor {
         let mut out = self.clone();
@@ -177,8 +177,7 @@ mod tests {
     fn unary_matches_per_element_eval() {
         let x = Tensor::from_vec(vec![-2.0, -0.5, 0.0, 0.5, 2.0], &[5]).unwrap();
         // Vectorized sweeps and per-element eval share one generic kernel
-        // and are bit-identical at the deterministic dispatch levels; the
-        // opt-in FMA level fuses multiply–adds and is only ULP-bounded.
+        // and are bit-identical at every dispatch level.
         for op in [
             UnaryOp::Relu,
             UnaryOp::Gelu,
@@ -188,13 +187,7 @@ mod tests {
         ] {
             let swept = x.apply(op);
             let per_elem = x.map(|v| op.eval(v));
-            if simd::active_level() != simd::Level::Fma {
-                assert_eq!(swept, per_elem, "{op:?} sweep vs per-element");
-            } else {
-                for (a, b) in swept.as_slice().iter().zip(per_elem.as_slice()) {
-                    assert!((a - b).abs() <= 1e-5 * b.abs().max(1.0), "{op:?}");
-                }
-            }
+            assert_eq!(swept, per_elem, "{op:?} sweep vs per-element");
         }
         assert_eq!(x.apply(UnaryOp::Abs), x.map(f32::abs));
         assert_eq!(x.apply(UnaryOp::AddScalar(1.5)), x.add_scalar(1.5));

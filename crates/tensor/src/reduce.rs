@@ -178,7 +178,7 @@ impl Tensor {
     ///
     /// Rank-1 tensors are treated as a single row. Runs on the
     /// runtime-dispatched three-pass SIMD kernel ([`simd::softmax_rows`]);
-    /// results are bit-identical across the deterministic dispatch levels.
+    /// results are bit-identical across the dispatch levels.
     ///
     /// # Errors
     /// Returns an error for rank-0 or rank>2 tensors.

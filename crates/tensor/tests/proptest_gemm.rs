@@ -1,15 +1,13 @@
 //! Property-based checks of the packed GEMM against a derived,
 //! bit-exact oracle.
 //!
-//! There is one kernel path for every product size, and at the `Scalar`,
-//! `Avx2` and `Avx512` levels it evaluates each output element as the chain
+//! There is one kernel path for every product size, and at every level
+//! (`Scalar`, `Avx2` and `Avx512`) it evaluates each output element as the chain
 //! `0 + a₀b₀ + a₁b₁ + …`, sequential in `p`, unfused multiply-then-add.
 //! That is exactly what the naive in-order `f32` triple loop computes, so
 //! the oracle here is that loop and the comparison is `to_bits` equality:
 //! every transpose variant, over sizes that straddle the MR/NR band and
-//! panel boundaries of every tile. The opt-in
-//! `Fma` level contracts each step into one rounding and keeps a 1e-4
-//! tolerance.
+//! panel boundaries of every tile.
 
 use proptest::prelude::*;
 use simd::Level;
@@ -48,8 +46,7 @@ fn naive_gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], spec: MatmulSp
     out
 }
 
-/// Bit equality with the oracle at every deterministic level (as resolved
-/// on this CPU), a relative 1e-4 at the FMA level.
+/// Bit equality with the oracle at every level (as resolved on this CPU).
 fn check_against_naive(
     level: Level,
     got: &[f32],
@@ -57,14 +54,12 @@ fn check_against_naive(
     label: &str,
 ) -> Result<(), TestCaseError> {
     prop_assert!(got.len() == naive.len(), "{label}: length {}", got.len());
-    let fused = level.resolve() == Level::Fma;
     for (idx, (g, e)) in got.iter().zip(naive).enumerate() {
-        let ok = if fused {
-            (g - e).abs() < 1e-4 * e.abs().max(1.0)
-        } else {
-            g.to_bits() == e.to_bits()
-        };
-        prop_assert!(ok, "{label} {}[{idx}]: {g:?} vs naive {e:?}", level.name());
+        prop_assert!(
+            g.to_bits() == e.to_bits(),
+            "{label} {}[{idx}]: {g:?} vs naive {e:?}",
+            level.name()
+        );
     }
     Ok(())
 }

@@ -8,8 +8,6 @@
 //! and every size — panel edges at MR/NR multiples
 //! ± 1, from products smaller than one tile to ones spanning many panels
 //! (one packed kernel runs them all; there is no small-product path).
-//! The opt-in `Fma` tile contracts each multiply–add into a single
-//! rounding, so it is only ULP-bounded against scalar.
 //!
 //! `VITAL_SIMD` latches once per process, so these properties pin levels
 //! explicitly through [`tensor::gemm_strided_into_at`]; on a scalar-only host
@@ -20,27 +18,6 @@ use proptest::prelude::*;
 use simd::Level;
 use tensor::rng::SeededRng;
 use tensor::{gemm_strided_into_at, MatmulSpec};
-
-/// Bit pattern distance in units-in-the-last-place, walking through zero
-/// for opposite signs.
-fn ulp_diff(a: f32, b: f32) -> u64 {
-    let rank = |v: f32| {
-        let bits = v.to_bits();
-        let mag = i64::from(bits & 0x7fff_ffff);
-        if bits >> 31 == 0 {
-            mag
-        } else {
-            -mag
-        }
-    };
-    rank(a).abs_diff(rank(b))
-}
-
-/// Each FMA contraction drops one rounding per multiply–add; with the
-/// positive operands these properties draw (no cancellation, so the
-/// accumulator magnitude never collapses below its terms) the drift over a
-/// k ≤ 96 chain stays far inside this envelope.
-const FMA_ULP_BOUND: u64 = 256;
 
 const SPECS: [(MatmulSpec, &str); 4] = [
     (MatmulSpec::NN, "NN"),
@@ -53,6 +30,14 @@ const SPECS: [(MatmulSpec, &str); 4] = [
 /// past a panel edge for tile dimension `base`.
 fn around_multiple(base: usize, t: usize, off: i64) -> usize {
     ((base * t) as i64 + off).max(1) as usize
+}
+
+/// The vector levels, each held to `Scalar` bit for bit: every level of
+/// [`Level::ALL`] but `Scalar` itself.
+fn vector_levels() -> impl Iterator<Item = Level> {
+    Level::ALL
+        .into_iter()
+        .filter(|level| *level != Level::Scalar)
 }
 
 /// Sizes that straddle the panel edges of the tiles the kernel ships
@@ -114,7 +99,7 @@ proptest! {
         let (a, b) = inputs(m, k, n, seed, -2.0, 2.0);
         for (spec, label) in SPECS {
             let scalar = run_at(Level::Scalar, m, k, n, &a, &b, spec);
-            for level in [Level::Avx2, Level::Avx512] {
+            for level in vector_levels() {
                 let vector = run_at(level, m, k, n, &a, &b, spec);
                 for (idx, (s, v)) in scalar.iter().zip(&vector).enumerate() {
                     prop_assert!(
@@ -126,45 +111,27 @@ proptest! {
             }
         }
     }
-
-    /// FMA stays inside the ULP envelope of scalar. Positive operands keep
-    /// the accumulation cancellation-free so ULP distance is meaningful.
-    #[test]
-    fn fma_dispatch_is_ulp_bounded_against_scalar(
-        (m, k, n, seed) in dims(),
-    ) {
-        let (a, b) = inputs(m, k, n, seed, 0.1, 2.0);
-        for (spec, label) in SPECS {
-            let scalar = run_at(Level::Scalar, m, k, n, &a, &b, spec);
-            let fma = run_at(Level::Fma, m, k, n, &a, &b, spec);
-            for (idx, (s, f)) in scalar.iter().zip(&fma).enumerate() {
-                let d = ulp_diff(*s, *f);
-                prop_assert!(
-                    d <= FMA_ULP_BOUND,
-                    "{label} ({m}x{k}x{n}) [{idx}]: {s} vs fma {f} = {d} ULP"
-                );
-            }
-        }
-    }
-
 }
 
 /// Deterministic sweep pinning exact MR/NR-multiple ± 1 corners for every
-/// tile height the kernel ships with, small products and multi-panel ones.
+/// tile height the kernel ships with, small products and multi-panel ones,
+/// at every vector level: on an AVX-512F host the AVX2 tile, the default
+/// of every AVX2-only host, is swept too.
 #[test]
 fn exhaustive_cross_level_boundary_sweep() {
-    let best = simd::best_deterministic();
     for &m in &[1, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16, 17, 23, 24, 25] {
         for &(k, n) in &[(17, 8), (31, 33), (64, 63), (64, 65), (65, 129)] {
             let (a, b) = inputs(m, k, n, (m * 1_000 + k * 10 + n) as u64, -1.0, 1.0);
             let scalar = run_at(Level::Scalar, m, k, n, &a, &b, MatmulSpec::NN);
-            let vector = run_at(best, m, k, n, &a, &b, MatmulSpec::NN);
-            for (idx, (s, v)) in scalar.iter().zip(&vector).enumerate() {
-                assert!(
-                    s.to_bits() == v.to_bits(),
-                    "({m}x{k}x{n})[{idx}]: scalar {s:?} vs {} {v:?}",
-                    best.name()
-                );
+            for level in vector_levels() {
+                let vector = run_at(level, m, k, n, &a, &b, MatmulSpec::NN);
+                for (idx, (s, v)) in scalar.iter().zip(&vector).enumerate() {
+                    assert!(
+                        s.to_bits() == v.to_bits(),
+                        "({m}x{k}x{n})[{idx}]: scalar {s:?} vs {} {v:?}",
+                        level.name()
+                    );
+                }
             }
         }
     }
