@@ -3,8 +3,8 @@
 // note on [`Tape`]); making it Sync would add lock traffic to every
 // recorded op for no sharing benefit. The ban itself is clippy.toml's
 // `disallowed_types`; vital-lint pins the `deny` attributes that enforce it
-// in the crates a shared registry reaches (`[[hygiene.required]]` in
-// ci/lint-rules.toml).
+// in the crates a shared registry reaches (`RULES.required` in
+// tests/static_analysis.rs).
 #![allow(clippy::disallowed_types)]
 
 use std::cell::RefCell;

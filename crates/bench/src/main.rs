@@ -4,6 +4,8 @@
 //! it, writes `target/experiments/<name>.csv`, and — after a run of all of
 //! them — rewrites `REPRODUCTION.md`.
 
+#![forbid(unsafe_code)]
+
 use std::error::Error;
 use std::process::ExitCode;
 

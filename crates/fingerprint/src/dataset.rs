@@ -1,7 +1,8 @@
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use sim_radio::{Building, Channel};
+use tensor::rng::SeededRng;
 
 use crate::{capture_observation, DeviceProfile, FingerprintObservation};
 
@@ -150,11 +151,7 @@ impl FingerprintDataset {
     /// deterministically by `seed`. Matches the paper's ≈80/20 split.
     pub fn split(&self, train_fraction: f32, seed: u64) -> TrainTestSplit {
         let mut indices: Vec<usize> = (0..self.observations.len()).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for i in (1..indices.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            indices.swap(i, j);
-        }
+        SeededRng::new(seed).shuffle(&mut indices);
         let train_len =
             ((self.observations.len() as f32) * train_fraction.clamp(0.0, 1.0)).round() as usize;
         let (train_idx, test_idx) = indices.split_at(train_len.min(indices.len()));

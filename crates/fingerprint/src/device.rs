@@ -1,5 +1,7 @@
 use rand::Rng;
 
+use sim_radio::standard_normal;
+
 use crate::MISSING_AP_DBM;
 
 /// The RF personality of one smartphone model.
@@ -134,12 +136,6 @@ impl DeviceProfile {
     pub fn label(&self) -> String {
         format!("{} ({}, {})", self.acronym, self.model, self.release_year)
     }
-}
-
-fn standard_normal<R: Rng>(rng: &mut R) -> f32 {
-    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-    let u2: f32 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

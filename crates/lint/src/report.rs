@@ -11,8 +11,8 @@ pub enum Rule {
     PanicFreedom,
     /// No lock is held while another is taken.
     LockOrder,
-    /// Concurrency hygiene (channel ban, `unsafe` confinement, guard-rail
-    /// presence).
+    /// Concurrency hygiene (channel ban, `#![forbid(unsafe_code)]` on
+    /// crate roots, SAFETY comments, guard-rail presence).
     Hygiene,
 }
 
@@ -24,13 +24,6 @@ impl Rule {
             Rule::LockOrder => "lock-order",
             Rule::Hygiene => "hygiene",
         }
-    }
-
-    /// The rule a diagnostic identifier names.
-    pub fn from_id(id: &str) -> Option<Rule> {
-        [Rule::PanicFreedom, Rule::LockOrder, Rule::Hygiene]
-            .into_iter()
-            .find(|rule| rule.id() == id)
     }
 }
 
@@ -51,28 +44,13 @@ pub struct Finding {
     pub snippet: String,
 }
 
-/// An allowlisted finding: recorded, never fatal.
-#[derive(Debug, Clone)]
-pub struct Allowed {
-    /// The underlying finding.
-    pub finding: Finding,
-    /// The allowlist entry's justification.
-    pub reason: String,
-}
-
 /// The result of one lint run.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     /// Fatal findings (non-empty ⇒ exit non-zero).
     pub findings: Vec<Finding>,
-    /// Allowlisted findings, kept visible in the report.
-    pub allowed: Vec<Allowed>,
-    /// Allowlist entries that matched nothing this run (candidates for
-    /// removal — surfaced, but not fatal, so deleting dead exceptions
-    /// never blocks an unrelated change).
-    pub stale_allows: Vec<String>,
     /// Configured targets that matched nothing this run: a panic-freedom
-    /// prefix or an `unsafe` directory holding no scanned file. A rule
+    /// prefix or an `unsafe`-allowed path holding no scanned file. A rule
     /// aimed at a renamed target passes vacuously, so the tier-1 gate
     /// requires this empty.
     pub stale_targets: Vec<String>,
@@ -85,9 +63,6 @@ impl Report {
     pub fn sort(&mut self) {
         self.findings
             .sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));
-        self.allowed.sort_by(|a, b| {
-            (&a.finding.file, a.finding.line).cmp(&(&b.finding.file, b.finding.line))
-        });
     }
 
     /// Human diagnostics, one finding per line.
@@ -107,10 +82,9 @@ impl Report {
         }
         let _ = writeln!(
             out,
-            "vital-lint: {} file(s) scanned, {} finding(s), {} allowlisted",
+            "vital-lint: {} file(s) scanned, {} finding(s)",
             self.files_scanned,
-            self.findings.len(),
-            self.allowed.len()
+            self.findings.len()
         );
         out
     }

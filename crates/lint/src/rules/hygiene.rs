@@ -18,34 +18,32 @@
 //!   by design (backpressure is what keeps overload a `503` instead of an
 //!   OOM); an unbounded channel anywhere is a buffer that grows until the
 //!   process dies. Use `mpsc::sync_channel` (or the serve `JobQueue`).
-//! * **`unsafe` is confined** to the directories named in
-//!   `unsafe_allowed_dirs` (the audited SIMD backend): any `unsafe` token
-//!   in a production file elsewhere is a finding, every crate root
-//!   (`lib.rs`) elsewhere must carry `#![forbid(unsafe_code)]`, and inside
-//!   the allowed directories every `unsafe fn` / `unsafe {` must sit within
-//!   a few lines of a `SAFETY`/`# Safety` comment explaining its contract.
+//! * **`unsafe` is confined** to the paths named in `unsafe_allowed` (the
+//!   audited SIMD backend and the `signal(2)` FFI block): every non-test
+//!   crate root elsewhere (`lib.rs`, `main.rs`, `src/bin/*.rs`,
+//!   `examples/*.rs`) must carry `#![forbid(unsafe_code)]` on a code line,
+//!   so rustc refuses `unsafe` there, and inside the allowed paths every
+//!   `unsafe fn` / `unsafe {` must sit within a few lines of a
+//!   `SAFETY`/`# Safety` comment explaining its contract.
 //! * **Guard rails stay present** — the `#![deny(clippy::disallowed_types)]`
 //!   attributes and the compile-time `Send + Sync` assertions from the
 //!   shared-registry refactor are load-bearing: each is verified as a
-//!   raw-text pattern so deleting one fails this lint even though the
-//!   build would still pass.
+//!   raw-text pattern on a code line so deleting one fails this lint even
+//!   though the build would still pass.
 
-use crate::analyze::FileContext;
-use crate::config::RulesConfig;
+use crate::analyze::{is_test_file, FileContext};
+use crate::config::{covers, RulesConfig};
 use crate::lexer::{Token, TokenKind};
 use crate::report::{Finding, Rule};
 
-const UNSAFE_OUTSIDE: &str = "`unsafe` is confined to the audited SIMD backend (see \
-    `unsafe_allowed_dirs` in ci/lint-rules.toml); route vector work through the safe `simd` \
-    crate API instead";
 const UNBOUNDED_CHANNEL: &str = "unbounded `mpsc::channel` is banned (no backpressure), called \
     or imported; use `mpsc::sync_channel` with an explicit capacity";
-const NO_FORBID: &str = "crate root must carry `#![forbid(unsafe_code)]` (`unsafe` lives only \
-    under `unsafe_allowed_dirs` in ci/lint-rules.toml)";
+const NO_FORBID: &str = "crate root must carry `#![forbid(unsafe_code)]` on a code line \
+    (`unsafe` lives only under the `unsafe_allowed` paths; use the safe `simd` API)";
 const NO_SAFETY: &str = "`unsafe` without a nearby SAFETY comment: state the contract that \
     makes this sound (within 12 lines above the site)";
 const MISSING_FILE: &str =
-    "guard-rail file is named in ci/lint-rules.toml but was not found in the workspace";
+    "guard-rail file is named in the lint rules but was not found in the workspace";
 
 /// A hygiene finding about line `line` of `file` (`0` for a missing file).
 fn file_finding(file: &str, line: usize, message: String, snippet: &str) -> Finding {
@@ -59,23 +57,13 @@ fn file_finding(file: &str, line: usize, message: String, snippet: &str) -> Find
     }
 }
 
-/// Token-level checks (lock order, the channel ban and `unsafe`
-/// confinement) for one file.
-pub fn check(ctx: &FileContext<'_>, config: &RulesConfig) -> Vec<Finding> {
+/// Token-level checks (lock order and the channel ban) for one file.
+pub fn check(ctx: &FileContext<'_>) -> Vec<Finding> {
     let mut findings = lock_order(ctx);
-    // `unsafe` may only appear under the allowed directory prefixes (the
-    // audited SIMD backend). The lexer resolves keywords to idents and
-    // `unsafe_code` / `unsafe_op_in_unsafe_fn` are single distinct
-    // identifiers, so matching the bare `unsafe` token is exact.
-    let unsafe_confined =
-        !config.unsafe_allowed_dirs.is_empty() && !in_unsafe_dirs(ctx.path, config);
     let tokens = &ctx.scoped.tokens;
     for (i, tok) in tokens.iter().enumerate() {
         if ctx.scoped.test_mask[i] {
             continue;
-        }
-        if unsafe_confined && tok.ident() == Some("unsafe") {
-            findings.push(ctx.finding(Rule::Hygiene, tok, UNSAFE_OUTSIDE.to_string()));
         }
         // `mpsc :: channel` — the unbounded constructor, called (a
         // turbofish after it changes nothing) or imported. `sync_channel`
@@ -283,11 +271,33 @@ fn binding_names(tokens: &[Token]) -> Vec<String> {
         .collect()
 }
 
-fn in_unsafe_dirs(path: &str, config: &RulesConfig) -> bool {
+fn unsafe_allowed(path: &str, config: &RulesConfig) -> bool {
     config
-        .unsafe_allowed_dirs
+        .unsafe_allowed
         .iter()
-        .any(|dir| path.starts_with(dir.as_str()))
+        .any(|allowed| covers(allowed, path))
+}
+
+/// Whether `path` is the root of a non-test crate: a `lib.rs` or
+/// `main.rs`, a binary in `src/bin/`, or an example.
+fn is_crate_root(path: &str) -> bool {
+    let (dir, name) = path.rsplit_once('/').unwrap_or(("", path));
+    let in_dir = |d: &str| {
+        dir.strip_suffix(d)
+            .is_some_and(|rest| rest.is_empty() || rest.ends_with('/'))
+    };
+    !is_test_file(path)
+        && (name == "lib.rs" || name == "main.rs" || in_dir("src/bin") || in_dir("examples"))
+}
+
+/// Whether a line of `content` that is not a line comment (`//`, `///`,
+/// `//!`) contains `pattern`: prose naming an attribute is not the
+/// attribute.
+fn on_a_code_line(content: &str, pattern: &str) -> bool {
+    content.lines().any(|line| {
+        let line = line.trim_start();
+        !line.starts_with("//") && line.contains(pattern)
+    })
 }
 
 /// Raw-text checks for one file: `#![forbid(unsafe_code)]` on a crate
@@ -295,16 +305,18 @@ fn in_unsafe_dirs(path: &str, config: &RulesConfig) -> bool {
 /// required patterns.
 pub fn file_checks(path: &str, content: &str, config: &RulesConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let crate_root = path == "lib.rs" || path.ends_with("/lib.rs");
-    if crate_root && !in_unsafe_dirs(path, config) && !content.contains("#![forbid(unsafe_code)]") {
+    if is_crate_root(path)
+        && !unsafe_allowed(path, config)
+        && !on_a_code_line(content, "#![forbid(unsafe_code)]")
+    {
         findings.push(file_finding(path, 1, NO_FORBID.to_string(), ""));
     }
-    // Inside the allowed `unsafe` directories, every `unsafe fn` /
+    // Inside the allowed `unsafe` paths, every `unsafe fn` /
     // `unsafe {` must carry a nearby SAFETY comment. The token stream
     // drops comments, so this is a raw-line scan: the justification may
     // sit on the same line or up to a comment block above the unsafe
     // site.
-    if in_unsafe_dirs(path, config) {
+    if unsafe_allowed(path, config) {
         let lines: Vec<&str> = content.lines().collect();
         for (i, line) in lines.iter().enumerate() {
             let trimmed = line.trim_start();
@@ -328,7 +340,7 @@ pub fn file_checks(path: &str, content: &str, config: &RulesConfig) -> Vec<Findi
         }
     }
     for required in config.required.iter().filter(|r| r.file == path) {
-        if !content.contains(&required.contains) {
+        if !on_a_code_line(content, required.contains) {
             let message = format!(
                 "guard rail missing: {path} must contain `{}` ({})",
                 required.contains, required.why
@@ -342,7 +354,7 @@ pub fn file_checks(path: &str, content: &str, config: &RulesConfig) -> Vec<Findi
 /// Findings for guard-rail files that were not scanned at all (deleted or
 /// moved — silently losing the file must not silently lose the check).
 pub fn missing_files(scanned: &[String], config: &RulesConfig) -> Vec<Finding> {
-    let mut expected: Vec<&str> = config.required.iter().map(|r| r.file.as_str()).collect();
+    let mut expected: Vec<&str> = config.required.iter().map(|r| r.file).collect();
     expected.sort_unstable();
     expected.dedup();
     expected
@@ -352,21 +364,21 @@ pub fn missing_files(scanned: &[String], config: &RulesConfig) -> Vec<Finding> {
         .collect()
 }
 
-/// `unsafe_allowed_dirs` prefixes under which no file was scanned: the
-/// audited directory moved, and confinement now points at nothing.
-pub fn empty_unsafe_dirs(scanned: &[String], config: &RulesConfig) -> Vec<String> {
+/// `unsafe_allowed` prefixes under which no file was scanned: the audited
+/// code moved, and the SAFETY check now points at nothing.
+pub fn empty_unsafe_paths(scanned: &[String], config: &RulesConfig) -> Vec<String> {
     config
-        .unsafe_allowed_dirs
+        .unsafe_allowed
         .iter()
-        .filter(|dir| !scanned.iter().any(|s| s.starts_with(dir.as_str())))
-        .map(|dir| format!("hygiene unsafe_allowed_dirs `{dir}`: no scanned file"))
+        .filter(|allowed| !scanned.iter().any(|s| covers(allowed, s)))
+        .map(|allowed| format!("hygiene unsafe_allowed `{allowed}`: no scanned file"))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use crate::analyze::{analyze, SourceFile};
-    use crate::config::RulesConfig;
+    use crate::config::{RequiredPattern, RulesConfig};
     use crate::report::Report;
 
     fn run(path: &str, content: &str, config: &RulesConfig) -> Report {
@@ -378,15 +390,14 @@ mod tests {
     }
 
     fn config() -> RulesConfig {
-        RulesConfig::from_toml(
-            r##"
-[[hygiene.required]]
-file = "crates/x/src/lib.rs"
-contains = "#![deny(clippy::disallowed_types)]"
-why = "Rc ban"
-"##,
-        )
-        .expect("test config parses")
+        RulesConfig {
+            required: &[RequiredPattern {
+                file: "crates/x/src/lib.rs",
+                contains: "#![deny(clippy::disallowed_types)]",
+                why: "Rc ban",
+            }],
+            ..RulesConfig::default()
+        }
     }
 
     /// `(rule id, line)` of every finding in `content` under an empty
@@ -596,46 +607,10 @@ why = "Rc ban"
     }
 
     fn unsafe_config() -> RulesConfig {
-        RulesConfig::from_toml(
-            r#"
-[hygiene]
-unsafe_allowed_dirs = ["crates/simd/src"]
-"#,
-        )
-        .expect("test config parses")
-    }
-
-    #[test]
-    fn unsafe_outside_allowed_dirs_is_flagged() {
-        let report = run(
-            "crates/tensor/src/fast.rs",
-            "fn f(p: *const f32) -> f32 { unsafe { *p } }",
-            &unsafe_config(),
-        );
-        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
-        assert!(report.findings[0].message.contains("confined"));
-    }
-
-    #[test]
-    fn unsafe_attribute_idents_do_not_trip_confinement() {
-        // `unsafe_code` / `unsafe_op_in_unsafe_fn` are distinct identifiers,
-        // not the `unsafe` keyword.
-        let report = run(
-            "crates/tensor/src/lib.rs",
-            "#![forbid(unsafe_code)]\n#![deny(unsafe_op_in_unsafe_fn)]\n",
-            &unsafe_config(),
-        );
-        assert!(report.findings.is_empty(), "{:?}", report.findings);
-    }
-
-    #[test]
-    fn unsafe_in_test_code_is_exempt_from_confinement() {
-        let report = run(
-            "crates/tensor/src/fast.rs",
-            "#[cfg(test)]\nmod tests { fn f(p: *const f32) -> f32 { unsafe { *p } } }",
-            &unsafe_config(),
-        );
-        assert!(report.findings.is_empty(), "{:?}", report.findings);
+        RulesConfig {
+            unsafe_allowed: &["crates/simd/src"],
+            ..RulesConfig::default()
+        }
     }
 
     #[test]
@@ -668,7 +643,7 @@ unsafe_allowed_dirs = ["crates/simd/src"]
         assert!(report("crates/simd/src/x86.rs").stale_targets.is_empty());
         assert_eq!(
             report("crates/vector/src/x86.rs").stale_targets,
-            ["hygiene unsafe_allowed_dirs `crates/simd/src`: no scanned file"]
+            ["hygiene unsafe_allowed `crates/simd/src`: no scanned file"]
         );
     }
 
@@ -676,13 +651,26 @@ unsafe_allowed_dirs = ["crates/simd/src"]
     fn a_crate_root_outside_the_unsafe_dirs_must_forbid_unsafe() {
         let report = |path: &str| run(path, "pub fn f() {}", &unsafe_config()).findings.len();
         assert_eq!(report("crates/new/src/lib.rs"), 1);
+        assert_eq!(report("crates/new/src/main.rs"), 1);
+        assert_eq!(report("crates/new/src/bin/tool.rs"), 1);
+        assert_eq!(report("examples/demo.rs"), 1);
+        assert_eq!(report("crates/new/examples/demo.rs"), 1);
         assert_eq!(report("crates/simd/src/lib.rs"), 0);
         assert_eq!(report("crates/new/src/other.rs"), 0);
+        assert_eq!(report("crates/new/src/bin/tool/args.rs"), 0);
+        assert_eq!(report("crates/new/tests/main.rs"), 0);
     }
 
     #[test]
     fn missing_forbid_and_guard_rail_are_flagged() {
         let report = run("crates/x/src/lib.rs", "// no attributes", &config());
+        assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
+        // Prose naming the attributes is not the attributes.
+        let report = run(
+            "crates/x/src/lib.rs",
+            "//! Carries `#![forbid(unsafe_code)]` and `#![deny(clippy::disallowed_types)]`.\n",
+            &config(),
+        );
         assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
     }
 

@@ -5,12 +5,10 @@
 //! (`serve`, `jsonio`, `binio`, the checkpoint reader — configured, not
 //! hard-coded) must therefore surface failures as typed errors, never as
 //! `unwrap()` / `expect()` / panic macros / literal slice indexing. Test
-//! code is exempt (the scoper strips it); justified production exceptions —
-//! poisoned-lock aborts, startup-only code — go on the allowlist in
-//! `ci/lint-rules.toml` with a reason each.
+//! code is exempt (the scoper strips it); there are no exceptions.
 
 use crate::analyze::FileContext;
-use crate::config::RulesConfig;
+use crate::config::{covers, RulesConfig};
 use crate::lexer::TokenKind;
 use crate::report::{Finding, Rule};
 
@@ -27,12 +25,6 @@ const BANNED_MACROS: [&str; 7] = [
     "assert_eq",
     "assert_ne",
 ];
-
-/// Whether `path` is `prefix` itself or a file under it.
-fn covers(prefix: &str, path: &str) -> bool {
-    path.strip_prefix(prefix)
-        .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
-}
 
 /// Runs the rule over one file. Returns nothing for files outside the
 /// configured crates.
@@ -54,10 +46,7 @@ pub fn check(ctx: &FileContext<'_>, config: &RulesConfig) -> Vec<Finding> {
                     && tokens[i - 1].is_punct('.')
                     && tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) =>
             {
-                format!(
-                    "`.{name}()` can panic the request path; propagate a typed error \
-                     (or allowlist with a reason in ci/lint-rules.toml)"
-                )
+                format!("`.{name}()` can panic the request path; propagate a typed error")
             }
             // `panic!` / `todo!` / `unimplemented!`.
             TokenKind::Ident(name)
@@ -105,13 +94,10 @@ mod tests {
     use crate::report::Report;
 
     fn config() -> RulesConfig {
-        RulesConfig::from_toml(
-            r#"
-[panic_freedom]
-crates = ["crates/serve"]
-"#,
-        )
-        .expect("test config parses")
+        RulesConfig {
+            panic_crates: &["crates/serve"],
+            ..RulesConfig::default()
+        }
     }
 
     fn report(path: &str, content: &str) -> Report {

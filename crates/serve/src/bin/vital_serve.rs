@@ -46,7 +46,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use serve::codec::MAX_DEADLINE_MS;
-use serve::{cli, BatcherConfig, FaultPlan, Registry, Server, ServerConfig};
+use serve::{cli, BatcherConfig, FaultPlan, Registry, Server, ServerConfig, DRAIN_GRACE};
 
 /// Every flag `vital-serve` takes; each takes one value.
 const FLAGS: [&str; 8] = [
@@ -59,10 +59,6 @@ const FLAGS: [&str; 8] = [
     "--default-deadline-ms",
     "--faults",
 ];
-
-/// How long a signal-triggered drain waits for queued jobs before the
-/// server exits anyway.
-const SIGNAL_DRAIN_GRACE: Duration = Duration::from_secs(600);
 
 struct Args {
     addr: String,
@@ -137,6 +133,11 @@ mod drain_signal {
 
     /// Installs the flag-setting handler for SIGINT and SIGTERM.
     pub fn install() {
+        // SAFETY: `signal` is libc's `signal(2)`, declared above with its C
+        // signature (an `int` and a handler, returning the previous handler
+        // as a pointer-sized value we ignore). SIGINT and SIGTERM are valid
+        // catchable signals, and `note` is an `extern "C" fn(i32)` that only
+        // stores to a static atomic, which is async-signal-safe.
         unsafe {
             signal(SIGINT, note);
             signal(SIGTERM, note);
@@ -202,7 +203,7 @@ fn run(args: Args) -> Result<(), String> {
             .spawn(move || loop {
                 if drain_signal::REQUESTED.load(Ordering::SeqCst) {
                     eprintln!("vital-serve: signal received — draining (finishing queued jobs)");
-                    let drained = trigger.drain(SIGNAL_DRAIN_GRACE);
+                    let drained = trigger.drain(DRAIN_GRACE);
                     if !drained {
                         eprintln!("vital-serve: drain grace expired with jobs still queued");
                     }

@@ -67,4 +67,4 @@ pub use batcher::{BatcherConfig, JobFailure, SubmitError};
 pub use faultinject::FaultPlan;
 pub use metrics::Metrics;
 pub use registry::Registry;
-pub use server::{DrainTrigger, Server, ServerConfig};
+pub use server::{DrainTrigger, Server, ServerConfig, DRAIN_GRACE};

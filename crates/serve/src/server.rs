@@ -42,9 +42,10 @@ const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// 500, so [`Server::start`] refuses one.
 const REPLY_WAIT_CAP: Duration = Duration::from_secs(120);
 
-/// How long the `/admin/drain` finisher thread waits for queued jobs
-/// before stopping the accept loop anyway.
-const DRAIN_GRACE: Duration = Duration::from_secs(600);
+/// How long a drain started by `/admin/drain` or by `vital-serve`'s
+/// SIGINT/SIGTERM watcher waits for queued jobs before stopping the accept
+/// loop anyway.
+pub const DRAIN_GRACE: Duration = Duration::from_secs(600);
 
 /// Everything needed to start a server.
 #[derive(Debug, Clone)]
@@ -400,15 +401,15 @@ fn healthz(shared: &Shared) -> Response {
 fn admin_drain(shared: &Arc<Shared>) -> Response {
     let already = shared.draining.swap(true, Ordering::SeqCst);
     if !already {
+        // Close the queue before answering; the finisher's drain repeats
+        // this, which is a no-op on a closed queue.
         shared.batcher.drain();
-        let finisher = Arc::clone(shared);
+        let finisher = DrainTrigger {
+            shared: Arc::clone(shared),
+        };
         let _ = std::thread::Builder::new()
             .name("vital-serve-drain".into())
-            .spawn(move || {
-                let _ = finisher.batcher.await_drained(DRAIN_GRACE);
-                finisher.shutdown.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect(finisher.addr);
-            });
+            .spawn(move || finisher.drain(DRAIN_GRACE));
     }
     json_response(
         202,

@@ -104,7 +104,7 @@ impl<'b> Channel<'b> {
 }
 
 /// Standard normal sample from any RNG via Box–Muller.
-fn standard_normal<R: Rng>(rng: &mut R) -> f32 {
+pub fn standard_normal<R: Rng>(rng: &mut R) -> f32 {
     let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
     let u2: f32 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()

@@ -52,9 +52,11 @@
 //!
 //! # Unsafe policy
 //!
-//! This crate is the single, lint-fenced home for `unsafe` in the
-//! workspace (see `ci/lint-rules.toml` `[hygiene] unsafe_allowed_dirs`):
-//! all intrinsic calls live in [`x86`] behind `# Safety`-documented
+//! This crate is the one library home for `unsafe` in the workspace: it is
+//! an `unsafe_allowed` path of the lint rules in `tests/static_analysis.rs`,
+//! where every other crate root must forbid `unsafe_code`, so rustc refuses
+//! `unsafe` anywhere else (`vital-serve`'s `signal(2)` block aside). All
+//! intrinsic calls live in [`x86`] behind `# Safety`-documented
 //! contracts, and its two `#[target_feature]` entry points, generic over
 //! the kernel, are the only `unsafe fn`s. Everything public here is safe:
 //! `dispatch` calls an entry point only after the matching CPUID check.

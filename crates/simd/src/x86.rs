@@ -4,9 +4,9 @@
 //! calls: it resolves the level and enters the matching entry point.
 //!
 //! This module is the **only** place in the workspace where intrinsics
-//! and `#[target_feature]` code appear (`unsafe` is fenced to this crate
-//! by the `hygiene` lint rule's `unsafe_allowed_dirs`). Two kinds of
-//! `unsafe` live here, each with a narrow contract:
+//! and `#[target_feature]` code appear (the `hygiene` lint rule makes every
+//! crate root outside its `unsafe_allowed` paths forbid `unsafe_code`).
+//! Two kinds of `unsafe` live here, each with a narrow contract:
 //!
 //! 1. Intrinsic calls inside the backend methods. The intrinsics are
 //!    `#[target_feature]` functions, so calling them from these plain

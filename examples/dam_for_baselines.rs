@@ -7,6 +7,8 @@
 //! DAM is a standalone pre-processing module; this example bolts it onto the
 //! SHERPA baseline and compares localization accuracy with and without it.
 
+#![forbid(unsafe_code)]
+
 use baselines::SherpaLocalizer;
 use fingerprint::{base_devices, DatasetConfig, FingerprintDataset};
 use sim_radio::building_1;

@@ -13,6 +13,8 @@
 //! makes its own last place tiny). Exits 1 if the two forms, or the compiled
 //! `localize_batch`, name different reference points anywhere.
 
+#![forbid(unsafe_code)]
+
 use fingerprint::{
     base_devices, extended_devices, DatasetConfig, FingerprintDataset, FingerprintObservation,
 };

@@ -8,6 +8,8 @@
 //! smartphones and quantifies the effects that motivate VITAL: per-device
 //! offsets, similar device pairs and the missing-AP problem.
 
+#![forbid(unsafe_code)]
+
 use fingerprint::{all_devices, capture_observation, MISSING_AP_DBM};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -20,6 +20,8 @@
 //! among them). The model's weights are seeded, not trained: no step's
 //! time depends on their values.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::time::Instant;
 

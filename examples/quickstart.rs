@@ -9,6 +9,8 @@
 //! of the vision transformer, and online location prediction for held-out
 //! fingerprints.
 
+#![forbid(unsafe_code)]
+
 use fingerprint::{base_devices, DatasetConfig, FingerprintDataset};
 use sim_radio::building_1;
 use vital::{evaluate_localizer, Localizer, VitalConfig, VitalModel};

@@ -13,6 +13,8 @@
 //! DAM's patch writing is done before a step's clock starts and is not in
 //! any column. Two warm-up steps are not counted; `steps` (default 20) are.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use autograd::Tape;

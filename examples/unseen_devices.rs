@@ -8,6 +8,8 @@
 //! devices, then localizes users carrying the three *extended* devices
 //! (Nokia 7.1, Pixel 4a, iPhone 12) that neither model has ever seen.
 
+#![forbid(unsafe_code)]
+
 use baselines::{FeatureMode, KnnLocalizer};
 use fingerprint::{base_devices, extended_devices, DatasetConfig, FingerprintDataset};
 use sim_radio::building_2;

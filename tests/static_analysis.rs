@@ -3,45 +3,105 @@
 //! clean tree a tested invariant rather than a separate CI step someone
 //! has to remember to run. That each rule fires on its own is shown by the
 //! rule's unit tests in `crates/lint`; that it is still aimed at real code
-//! is shown here, by the stale-target check and by seeding one violation
-//! per rule into a real production file.
+//! is shown here, by the stale-target check and by seeding violations of
+//! each rule into real production files.
 
 use std::path::Path;
+
+use lint::{RequiredPattern, RulesConfig};
+
+/// The workspace's rules. The analysis walks every `.rs` file under
+/// `crates/`, `examples/`, `src/`, `tests/` and `vendor/`; this value holds
+/// only what differs per workspace. A target that matches nothing (a
+/// panic-freedom prefix or an `unsafe`-allowed path with no scanned file)
+/// fails `workspace_has_zero_findings`, so a move has to be followed here.
+const RULES: RulesConfig = RulesConfig {
+    // The serve request path and the decoders of what reaches it from
+    // outside (JSON, and `VITALCKP` checkpoints through `binio` and the
+    // checkpoint reader) must never panic: a panic in a dispatch worker
+    // fails its whole batch. An entry is a directory or one exact file.
+    panic_crates: &[
+        "crates/serve/src",
+        "crates/jsonio/src",
+        "crates/binio/src",
+        "crates/core/src/checkpoint.rs",
+    ],
+    // The audited homes of `unsafe`: the raw AVX2/AVX-512 intrinsics
+    // behind the SIMD dispatch layer, and the `signal(2)` FFI block of the
+    // graceful-drain handler (the workspace is dependency-free, so there is
+    // no safe wrapper crate). Every other crate root forbids `unsafe_code`;
+    // inside these each `unsafe fn` / `unsafe {` needs a SAFETY comment.
+    unsafe_allowed: &["crates/simd/src", "crates/serve/src/bin/vital_serve.rs"],
+    // Guard rails that would compile fine if deleted and silently drop
+    // their protection, so the lint pins them as raw-text patterns.
+    required: &[
+        RequiredPattern {
+            file: "crates/nn/src/lib.rs",
+            contains: "#![deny(clippy::disallowed_types)]",
+            why: "keeps non-Send shared-ownership types (Rc, RefCell) out of the layer stack",
+        },
+        RequiredPattern {
+            file: "crates/nn/src/lib.rs",
+            contains: "_assert_layers_are_send_sync",
+            why: "compile-time proof that every layer stays Send + Sync for the shared registry",
+        },
+        RequiredPattern {
+            file: "crates/baselines/src/lib.rs",
+            contains: "#![deny(clippy::disallowed_types)]",
+            why: "keeps non-Send shared-ownership types out of the localizer stack",
+        },
+        RequiredPattern {
+            file: "crates/baselines/src/lib.rs",
+            contains: "_assert_localizers_are_send_sync",
+            why: "compile-time proof that every localizer stays Send + Sync",
+        },
+        RequiredPattern {
+            file: "crates/serve/src/lib.rs",
+            contains: "#![deny(clippy::disallowed_types)]",
+            why: "keeps non-Send types out of the serving path",
+        },
+        RequiredPattern {
+            file: "crates/serve/src/registry.rs",
+            contains: "_assert_registry_is_send_sync",
+            why: "compile-time proof that the shared registry can be handed to N workers",
+        },
+        RequiredPattern {
+            file: "crates/simd/src/lib.rs",
+            contains: "#![deny(unsafe_op_in_unsafe_fn)]",
+            why: "every unsafe operation inside the SIMD backend's unsafe fns needs its own \
+                  explicit unsafe block + SAFETY comment",
+        },
+        RequiredPattern {
+            file: "crates/simd/src/lib.rs",
+            contains: "#![deny(missing_docs)]",
+            why: "the one crate allowed to hold unsafe documents every public item, including \
+                  the dispatch contract",
+        },
+    ],
+};
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
-fn config() -> lint::RulesConfig {
-    let text = std::fs::read_to_string(root().join("ci/lint-rules.toml"))
-        .expect("ci/lint-rules.toml is readable");
-    lint::RulesConfig::from_toml(&text).expect("ci/lint-rules.toml must parse")
-}
-
-fn workspace_report() -> lint::Report {
-    lint::run_workspace(root(), &root().join("ci/lint-rules.toml"))
-        .expect("ci/lint-rules.toml must parse and the tree must be walkable")
+fn workspace_files() -> Vec<lint::SourceFile> {
+    lint::discover_files(root()).expect("the tree is walkable")
 }
 
 #[test]
 fn workspace_has_zero_findings() {
-    let report = workspace_report();
+    let report = lint::analyze(&workspace_files(), &RULES);
     assert!(
         report.findings.is_empty(),
         "vital-lint found violations:\n{}",
         report.human()
     );
-    assert!(
-        report.stale_allows.is_empty(),
-        "stale allowlist entries in ci/lint-rules.toml: {:?}",
-        report.stale_allows
-    );
-    // A panic-freedom prefix or unsafe directory that matches nothing
-    // guards nothing: moving `crates/serve/src` has to be followed in the
-    // rules file.
+    // A panic-freedom prefix or unsafe-allowed path that matches nothing
+    // guards nothing: moving `crates/serve/src` has to be followed in
+    // `RULES`.
     assert!(
         report.stale_targets.is_empty(),
-        "targets in ci/lint-rules.toml that match nothing: {:#?}",
+        "targets in RULES that match nothing: {:#?}",
         report.stale_targets
     );
     // The walk actually covered the workspace — a broken include list
@@ -51,18 +111,6 @@ fn workspace_has_zero_findings() {
         "only {} files scanned; include list is broken",
         report.files_scanned
     );
-}
-
-#[test]
-fn allowlisted_exceptions_all_carry_reasons() {
-    let report = workspace_report();
-    for allowed in &report.allowed {
-        assert!(
-            !allowed.reason.trim().is_empty(),
-            "allowlisted finding without a reason: {:?}",
-            allowed.finding
-        );
-    }
 }
 
 /// One seeded violation: in `file`, `anchor` (which must occur exactly
@@ -75,7 +123,7 @@ struct Seed {
     replacement: &'static str,
 }
 
-const SEEDS: [Seed; 5] = [
+const SEEDS: [Seed; 6] = [
     Seed {
         rule: "panic-freedom",
         file: "crates/serve/src/server.rs",
@@ -88,11 +136,20 @@ const SEEDS: [Seed; 5] = [
         anchor: "            stats::record_plan_hit();\n",
         replacement: "            stats::record_plan_hit();\n            let _arenas = self.plans.lock();\n",
     },
+    // rustc refuses `unsafe` under the `forbid`, so the seed deletes it.
     Seed {
         rule: "hygiene",
         file: "crates/core/src/lib.rs",
-        anchor: "pub use checkpoint::{",
-        replacement: "fn seeded() { unsafe {} }\npub use checkpoint::{",
+        anchor: "#![forbid(unsafe_code)]\n",
+        replacement: "",
+    },
+    // The file's one `unsafe` site, so no neighbouring SAFETY comment can
+    // mask the missing one; this also shows the exact-file entry is live.
+    Seed {
+        rule: "hygiene",
+        file: "crates/serve/src/bin/vital_serve.rs",
+        anchor: "// SAFETY:",
+        replacement: "// Note:",
     },
     Seed {
         rule: "hygiene",
@@ -110,9 +167,8 @@ const SEEDS: [Seed; 5] = [
 
 #[test]
 fn each_rule_fires_on_a_violation_seeded_into_the_real_tree() {
-    let config = config();
-    let files = lint::discover_files(root()).expect("the tree is walkable");
-    assert!(lint::analyze(&files, &config).findings.is_empty());
+    let files = workspace_files();
+    assert!(lint::analyze(&files, &RULES).findings.is_empty());
     for seed in &SEEDS {
         let mut seeded = files.clone();
         let file = seeded
@@ -127,7 +183,7 @@ fn each_rule_fires_on_a_violation_seeded_into_the_real_tree() {
             seed.anchor
         );
         file.content = file.content.replacen(seed.anchor, seed.replacement, 1);
-        let report = lint::analyze(&seeded, &config);
+        let report = lint::analyze(&seeded, &RULES);
         let found: Vec<(&str, &str)> = report
             .findings
             .iter()
