@@ -22,10 +22,11 @@
 //! observation by (VITAL's training loop: seed, epoch, observation index),
 //! then the channel, the row and the column pair
 //! ([`tensor::rng::KeyedNoise`]). So only the pixels that land in a kept
-//! patch are drawn, both Box–Muller outputs are used, the draws of a row
-//! are turned into numbers eight lanes at a time, and an observation's
-//! patches are the same bits wherever it sits in a batch and in whatever
-//! order a batch is written.
+//! patch are drawn, both Box–Muller outputs are used, a row's draws are
+//! made and applied in one dispatched pass sixteen or eight blocks at a
+//! time ([`DrawKey::perturb_row`]), and an observation's patches are the
+//! same bits wherever it sits in a batch and in whatever order a batch is
+//! written.
 //!
 //! In the online phase stages 3–4 do not run, so the patch matrix is pure
 //! replication: each patch is `3 · P` distinct values repeated down `P`
@@ -46,7 +47,7 @@
 //! into ANVIL, SHERPA, CNNLoc and WiDeep (paper §VI.D).
 
 use tensor::kernels::Standardizer;
-use tensor::rng::{DrawKey, KeyedNoise};
+use tensor::rng::DrawKey;
 
 use crate::image::Rssi1d;
 use crate::{DamConfig, Result, VitalError};
@@ -83,30 +84,20 @@ impl DataAugmentationModule {
         values.iter().map(|&v| normalize(normalizer, v)).collect()
     }
 
-    /// Stages 3–4 for one normalised value, given its standard normal draw
-    /// `z` and whether it was `dropped`: dropped out and infilled with pure
-    /// noise ("infill the dropped features with some random noise to
-    /// represent different AP visibilities"), `N(0, max(σ, 1e-3))`, or else
-    /// jittered by `N(0, σ/2)`.
-    #[inline(always)]
-    fn perturb(&self, value: f32, z: f32, dropped: bool) -> f32 {
-        let sigma = self.config.noise_std;
-        if dropped {
-            sigma.max(1e-3) * z
-        } else if sigma > 0.0 {
-            value + sigma * 0.5 * z
-        } else {
-            value
-        }
-    }
-
-    /// Stages 3–4 over one row of values: `values[i]` becomes its
-    /// perturbation by draw `i` of `noise`'s row at `site` of `key`.
-    fn perturb_row(&self, key: DrawKey, site: u32, noise: &mut KeyedNoise, values: &mut [f32]) {
-        let (normals, dropped) = noise.row(key, site, values.len(), self.config.dropout_rate);
-        for ((value, &z), &dropped) in values.iter_mut().zip(normals).zip(dropped) {
-            *value = self.perturb(*value, z, dropped);
-        }
+    /// Stages 3–4 over one row of normalised values: `out[i]` is
+    /// `values[i]` perturbed by draw `i` of the keyed row at `site` of
+    /// `key` ([`DrawKey::perturb_row`]), dropped out and infilled with
+    /// pure noise ("infill the dropped features with some random noise to
+    /// represent different AP visibilities"), `N(0, max(σ, 1e-3))`, or
+    /// else jittered by `N(0, σ/2)`.
+    fn perturb_row(&self, key: DrawKey, site: u32, values: &[f32], out: &mut [f32]) {
+        let DamConfig {
+            dropout_rate,
+            noise_std: sigma,
+            ..
+        } = self.config;
+        let jitter = (sigma > 0.0).then_some(sigma * 0.5);
+        key.perturb_row(site, dropout_rate, sigma.max(1e-3), jitter, values, out);
     }
 
     /// All four stages and the patch extraction in one pass: writes into
@@ -119,9 +110,9 @@ impl DataAugmentationModule {
     ///
     /// Row 0 always carries the unaugmented fingerprint. When `training`,
     /// every pixel of rows `1..R` that lands in a kept patch is perturbed:
-    /// pixel `(c, row, col)` by draw `col` of the [`KeyedNoise`] row at
-    /// site `3 · row + c` of `key` (columns `2k` and `2k + 1` share one
-    /// Philox block). Pixels of the discarded boundary are not drawn.
+    /// pixel `(c, row, col)` by draw `col` of the
+    /// [`tensor::rng::KeyedNoise`] row at site `3 · row + c` of `key`
+    /// (columns `2k` and `2k + 1` share one Philox block). Pixels of the discarded boundary are not drawn.
     /// Otherwise (online phase) every row is an exact replica, `key` is
     /// not used and inference is deterministic.
     ///
@@ -151,16 +142,18 @@ impl DataAugmentationModule {
             return Ok(());
         }
         // Every kept pixel is written once: row 0 as it is, the others
-        // perturbed.
+        // perturbed (drawn and applied in one dispatched pass per row).
         let kept = per_side * patch_size;
-        let mut noise = KeyedNoise::default();
-        let mut pixels = vec![0.0; kept];
+        let mut perturbed = vec![0.0; kept];
         for (c, channel) in channels.iter().enumerate() {
+            let clean = &channel[..kept];
             for row in 0..kept {
-                pixels.copy_from_slice(&channel[..kept]);
-                if row > 0 {
-                    self.perturb_row(key, (3 * row + c) as u32, &mut noise, &mut pixels);
-                }
+                let pixels = if row == 0 {
+                    clean
+                } else {
+                    self.perturb_row(key, (3 * row + c) as u32, clean, &mut perturbed);
+                    &perturbed
+                };
                 // Slot of pixel (c, row, 0) in its patch row's first patch.
                 let row_start = row / patch_size * per_side * patch_dim
                     + (c * patch_size + row % patch_size) * patch_size;
@@ -205,13 +198,15 @@ impl DataAugmentationModule {
     /// (normalise, random dropout, Gaussian infill) without the 2-D
     /// replication — the form consumed by the non-image baselines when DAM is
     /// bolted onto them (paper §VI.D). When `training`, value `i` is
-    /// perturbed by draw `i` of the [`KeyedNoise`] row at site 0 of `key`;
+    /// perturbed by draw `i` of the [`tensor::rng::KeyedNoise`] row at site 0 of `key`;
     /// otherwise `key` is not used.
     pub fn augment_vector(&self, values: &[f32], training: bool, key: DrawKey) -> Vec<f32> {
-        let mut out = self.normalize_channel(values);
-        if training && self.config.is_augmenting() {
-            self.perturb_row(key, 0, &mut KeyedNoise::default(), &mut out);
+        let clean = self.normalize_channel(values);
+        if !(training && self.config.is_augmenting()) {
+            return clean;
         }
+        let mut out = vec![0.0; clean.len()];
+        self.perturb_row(key, 0, &clean, &mut out);
         out
     }
 }

@@ -8,7 +8,7 @@
 //! nothing else; and no slice kernel of `tensor::kernels` allocates at all.
 //! These are the hot paths' allocation budgets, measured: the GEMM bands
 //! and the plan executor are reached by the first two, the keyed draws
-//! (`perturb_row`, Philox `block`, `KeyedNoise::row`) by the DAM's.
+//! (`perturb_row`, the dispatched Philox pass) by the DAM's.
 //!
 //! This binary installs a counting `#[global_allocator]`: the counts are
 //! kept per thread, so the harness's own threads and the other tests
@@ -232,13 +232,12 @@ fn warm_localize_batch_allocates_nothing_the_size_of_an_image() {
 }
 
 /// What one `write_patches(.., training = true, ..)` call allocates,
-/// measured when this test was written: the three normalised channels, the
-/// row of pixels being perturbed, and the six buffers of its `KeyedNoise`
-/// (radius, turns, sine, cosine, normals, dropped), each once. The keyed
-/// draws row by row (`perturb_row`, `perturb`, the Philox `block`,
-/// `KeyedNoise::row`) allocate nothing: one allocation there runs once per
-/// replicated row of every channel, 3 · R times a call.
-const DAM_TRAINING_ALLOCS: u64 = 10;
+/// measured when this test was written: the three normalised channels and
+/// the row of perturbed pixels, each once. The keyed draws row by row
+/// (`perturb_row`, `DrawKey::perturb_row`, the dispatched Philox pass)
+/// allocate nothing: one allocation there runs once per replicated row of
+/// every channel, 3 · R times a call.
+const DAM_TRAINING_ALLOCS: u64 = 4;
 
 #[test]
 fn the_dams_training_write_allocates_a_pinned_handful_none_larger_than_a_channel() {

@@ -181,15 +181,19 @@ impl<'t> Trace for Session<'t> {
         let node = self.dropouts;
         self.dropouts += 1;
         let value = x.value();
-        let mut mask = vec![keep_scale; value.len()];
-        for (k, quad) in mask.chunks_mut(4).enumerate() {
-            let words = self.key.block([k as u32, node]);
-            for (m, w) in quad.iter_mut().zip(words) {
+        let mut words = vec![0; value.len()];
+        self.key.words(node, &mut words);
+        // Collected in place: the words' buffer becomes the mask's.
+        let mask = words
+            .into_iter()
+            .map(|w| {
                 if u64::from(w) < threshold {
-                    *m = 0.0;
+                    0.0
+                } else {
+                    keep_scale
                 }
-            }
-        }
+            })
+            .collect();
         x.mul_mask(&Tensor::from_vec(mask, value.shape().dims())?)
     }
 }

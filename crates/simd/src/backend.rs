@@ -14,6 +14,13 @@
 //! reference functions in [`crate::scalar`] *the same generic code* as the
 //! vector kernels — there is no second copy of the polynomial that could
 //! drift.
+//!
+//! Beside the `f32` lanes each backend has as many `u32` lanes
+//! ([`SimdOp::U`]) with the exact integer operations the Philox generator
+//! of [`crate::philox`] is written in: wrapping add, xor, a shift and the
+//! 32 × 32 → 64-bit multiply split into its two words. Integer
+//! arithmetic has one answer, so these agree across the backends by
+//! definition.
 
 /// Lane-level floating-point semantics shared by every backend:
 /// `min`/`max` return the **second** operand on NaN or ties, exactly like
@@ -81,6 +88,8 @@ pub const MAX_LANES: usize = 16;
 pub trait SimdOp {
     /// The lane bundle (e.g. `[f32; 8]`, `__m256`).
     type V: Copy;
+    /// The bundle of as many `u32` lanes (e.g. `[u32; 8]`, `__m256i`).
+    type U: Copy;
     /// A per-lane boolean mask produced by the comparisons.
     type M: Copy;
     /// Number of `f32` lanes per bundle (at most [`MAX_LANES`]).
@@ -158,6 +167,37 @@ pub trait SimdOp {
     fn is_nan(v: Self::V) -> Self::M;
     /// Lanewise `mask ? t : f`.
     fn select(mask: Self::M, t: Self::V, f: Self::V) -> Self::V;
+    /// Stores the mask's lanes to the front of `dst`.
+    fn store_mask(mask: Self::M, dst: &mut [bool]);
+    /// Lanewise square root (IEEE, correctly rounded on every backend).
+    fn sqrt(v: Self::V) -> Self::V;
+    /// Interleaves two bundles: of the sequence `a₀ b₀ a₁ b₁ …`, the first
+    /// `LANES` values and then the next `LANES`.
+    fn zip(a: Self::V, b: Self::V) -> (Self::V, Self::V);
+
+    /// Broadcasts one word to every lane.
+    fn splat_u32(x: u32) -> Self::U;
+    /// The words `start, start + 1, …`, wrapping past `u32::MAX`.
+    fn iota_u32(start: u32) -> Self::U;
+    /// Stores the lanes to the front of `dst`.
+    fn store_u32(v: Self::U, dst: &mut [u32]);
+    /// Lanewise wrapping `a + b`.
+    fn add_u32(a: Self::U, b: Self::U) -> Self::U;
+    /// Lanewise `a ^ b`.
+    fn xor_u32(a: Self::U, b: Self::U) -> Self::U;
+    /// Lanewise 64-bit product `a · b`, as its (high, low) words.
+    fn mul_wide_u32(a: Self::U, b: Self::U) -> (Self::U, Self::U);
+    /// Lanewise logical `a >> n`, `n < 32`.
+    fn shr_u32(a: Self::U, n: u32) -> Self::U;
+    /// Lanewise unsigned `a < b`.
+    fn lt_u32(a: Self::U, b: Self::U) -> Self::M;
+    /// Lanewise conversion of each word, read as an `i32`, to the nearest
+    /// `f32` (exact below `2²⁴`).
+    fn i32_to_f32(a: Self::U) -> Self::V;
+    /// Reinterprets each word as an `f32` (no conversion).
+    fn from_bits(a: Self::U) -> Self::V;
+    /// Reinterprets each `f32` as its word (no conversion).
+    fn to_bits(v: Self::V) -> Self::U;
 }
 
 /// The horizontal reductions of a backend that can be a [`SimdOp::Tree`]:
@@ -185,6 +225,7 @@ pub struct Lanes<const N: usize>;
 
 impl<const N: usize> SimdOp for Lanes<N> {
     type V = [f32; N];
+    type U = [u32; N];
     type M = [bool; N];
     const LANES: usize = N;
     type Tree = Self;
@@ -274,6 +315,77 @@ impl<const N: usize> SimdOp for Lanes<N> {
     #[inline(always)]
     fn select(mask: [bool; N], t: [f32; N], f: [f32; N]) -> [f32; N] {
         std::array::from_fn(|i| if mask[i] { t[i] } else { f[i] })
+    }
+    #[inline(always)]
+    fn store_mask(mask: [bool; N], dst: &mut [bool]) {
+        dst[..N].copy_from_slice(&mask);
+    }
+    #[inline(always)]
+    fn sqrt(v: [f32; N]) -> [f32; N] {
+        v.map(f32::sqrt)
+    }
+    #[inline(always)]
+    fn zip(a: [f32; N], b: [f32; N]) -> ([f32; N], [f32; N]) {
+        let interleaved = |j: usize| {
+            if j.is_multiple_of(2) {
+                a[j / 2]
+            } else {
+                b[j / 2]
+            }
+        };
+        (
+            std::array::from_fn(interleaved),
+            std::array::from_fn(|i| interleaved(N + i)),
+        )
+    }
+
+    #[inline(always)]
+    fn splat_u32(x: u32) -> [u32; N] {
+        [x; N]
+    }
+    #[inline(always)]
+    fn iota_u32(start: u32) -> [u32; N] {
+        std::array::from_fn(|i| start.wrapping_add(i as u32))
+    }
+    #[inline(always)]
+    fn store_u32(v: [u32; N], dst: &mut [u32]) {
+        dst[..N].copy_from_slice(&v);
+    }
+    #[inline(always)]
+    fn add_u32(a: [u32; N], b: [u32; N]) -> [u32; N] {
+        std::array::from_fn(|i| a[i].wrapping_add(b[i]))
+    }
+    #[inline(always)]
+    fn xor_u32(a: [u32; N], b: [u32; N]) -> [u32; N] {
+        std::array::from_fn(|i| a[i] ^ b[i])
+    }
+    #[inline(always)]
+    fn mul_wide_u32(a: [u32; N], b: [u32; N]) -> ([u32; N], [u32; N]) {
+        let product = |i: usize| u64::from(a[i]) * u64::from(b[i]);
+        (
+            std::array::from_fn(|i| (product(i) >> 32) as u32),
+            std::array::from_fn(|i| product(i) as u32),
+        )
+    }
+    #[inline(always)]
+    fn shr_u32(a: [u32; N], n: u32) -> [u32; N] {
+        a.map(|x| x >> n)
+    }
+    #[inline(always)]
+    fn lt_u32(a: [u32; N], b: [u32; N]) -> [bool; N] {
+        std::array::from_fn(|i| a[i] < b[i])
+    }
+    #[inline(always)]
+    fn i32_to_f32(a: [u32; N]) -> [f32; N] {
+        a.map(|x| x as i32 as f32)
+    }
+    #[inline(always)]
+    fn from_bits(a: [u32; N]) -> [f32; N] {
+        a.map(f32::from_bits)
+    }
+    #[inline(always)]
+    fn to_bits(v: [f32; N]) -> [u32; N] {
+        v.map(f32::to_bits)
     }
 }
 

@@ -214,12 +214,28 @@ pub fn relu_v<S: SimdOp>(x: S::V) -> S::V {
 /// contract.
 #[inline(always)]
 pub fn ln_v<S: SimdOp>(x: S::V) -> S::V {
-    let one = S::splat(1.0);
     // Zeros, negatives and subnormals take the scaled path; only the
     // subnormals' result survives the blends below.
     let tiny = S::lt(x, S::splat(f32::MIN_POSITIVE));
     let (m, e) = S::frexp(S::select(tiny, S::mul(x, S::splat(TWO_POW_25)), x));
     let e = S::select(tiny, S::sub(e, S::splat(25.0)), e);
+    let r = ln_of_parts::<S>(m, e);
+    let r = S::select(S::gt(x, S::splat(f32::MAX)), S::splat(f32::INFINITY), r);
+    let not_positive = S::select(
+        S::lt(x, S::splat(0.0)),
+        S::splat(f32::NAN),
+        S::splat(f32::NEG_INFINITY),
+    );
+    let r = S::select(S::gt(x, S::splat(0.0)), r, not_positive);
+    S::select(S::is_nan(x), x, r)
+}
+
+/// `ln(m · 2^e)` of a [`SimdOp::frexp`] split, `m` in `[1, 2)`: [`ln_v`]
+/// of a positive normal finite `x`, whose specials' blends it skips — the
+/// same bits wherever `x` is one (the keyed draws' radii are).
+#[inline(always)]
+pub(crate) fn ln_of_parts<S: SimdOp>(m: S::V, e: S::V) -> S::V {
+    let one = S::splat(1.0);
     let high = S::gt(m, S::splat(SQRT2));
     let m = S::select(high, S::mul(m, S::splat(0.5)), m);
     let e = S::select(high, S::add(e, one), e);
@@ -237,15 +253,7 @@ pub fn ln_v<S: SimdOp>(x: S::V) -> S::V {
     y = S::mul(S::mul(y, f), z);
     y = S::mul_add(e, S::splat(LN2_LO), y);
     y = S::mul_add(z, S::splat(-0.5), y);
-    let r = S::mul_add(e, S::splat(LN2_HI), S::add(f, y));
-    let r = S::select(S::gt(x, S::splat(f32::MAX)), S::splat(f32::INFINITY), r);
-    let not_positive = S::select(
-        S::lt(x, S::splat(0.0)),
-        S::splat(f32::NAN),
-        S::splat(f32::NEG_INFINITY),
-    );
-    let r = S::select(S::gt(x, S::splat(0.0)), r, not_positive);
-    S::select(S::is_nan(x), x, r)
+    S::mul_add(e, S::splat(LN2_HI), S::add(f, y))
 }
 
 /// Vectorized `(sin 2πt, cos 2πt)` of an angle `t` in turns — see the

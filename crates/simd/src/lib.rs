@@ -29,6 +29,16 @@
 //! bit-identical by construction; the default is the widest one the CPU
 //! runs ([`best_deterministic`]: `Avx512` where available, then `Avx2`).
 //!
+//! Beside them, [`philox`] holds the training step's keyed draws: the
+//! Philox4x32-10 generator written once over the backends' `u32` lanes
+//! (sixteen blocks at a time at `Avx512`, eight at `Avx2` and `Scalar`,
+//! one in [`scalar::philox4x32_10`]), and the one pass that turns a run of
+//! blocks into words, into Box–Muller normals and dropout flags, or into
+//! a row of values perturbed by them ([`philox_words`],
+//! [`philox_normals`], [`philox_perturb`]). Integer lanes have one answer,
+//! and the normals come from the crate's own `ln` and `sincos`, so these
+//! are bit-identical at every level too.
+//!
 //! Alongside the transcendental kernels, [`gemm`] holds the GEMM band
 //! microkernel — one register tile over the same `SimdOp` backends, its
 //! shape (rows × lane bundles) chosen by each backend from the product's
@@ -67,6 +77,7 @@
 pub mod backend;
 pub mod gemm;
 pub mod kernels;
+pub mod philox;
 #[cfg(target_arch = "x86_64")]
 pub mod x86;
 
@@ -274,6 +285,78 @@ pub fn sincos_turns(level: Level, turns: &[f32], sin: &mut [f32], cos: &mut [f32
     dispatch(level, kernels::SinCos { turns, sin, cos });
 }
 
+/// The words of consecutive Philox4x32-10 blocks under `key` at `level`
+/// (resolved on this CPU; [`philox`]): `out[i]` is word `i % 4` of the
+/// block at counter `[counter[0] + i / 4, counter[1], counter[2],
+/// counter[3]]`, the first word wrapping past `u32::MAX`.
+pub fn philox_words(level: Level, key: [u32; 2], counter: [u32; 4], out: &mut [u32]) {
+    dispatch(level, philox::Words { key, counter, out });
+}
+
+/// Standard normals and dropout flags of consecutive Philox4x32-10 blocks
+/// under `key` at `level` (resolved on this CPU; [`philox`]), for as many
+/// elements as both slices hold: elements `2k` and `2k + 1` come from the
+/// block at counter `[counter[0] + k, counter[1], counter[2],
+/// counter[3]]`, its first two words giving both Box–Muller normals and
+/// its last two, below `threshold` (at most `2³²`), dropping each.
+pub fn philox_normals(
+    level: Level,
+    key: [u32; 2],
+    counter: [u32; 4],
+    threshold: u64,
+    normals: &mut [f32],
+    dropped: &mut [bool],
+) {
+    dispatch(
+        level,
+        philox::Normals {
+            key,
+            counter,
+            threshold,
+            normals,
+            dropped,
+        },
+    );
+}
+
+/// What the draws of [`philox_normals`] do to a value in
+/// [`philox_perturb`]: a dropped one becomes `infill · z`, a kept one
+/// `value + jitter · z`, where `z` is its normal.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Perturbation {
+    /// A value is dropped where its word is below this (at most `2³²`).
+    pub threshold: u64,
+    /// The scale of the noise a dropped value is replaced by.
+    pub infill: f32,
+    /// The scale of the noise added to a kept value; `None` keeps it as
+    /// it is.
+    pub jitter: Option<f32>,
+}
+
+/// `values` perturbed by the draws of [`philox_normals`] with the same
+/// `key` and `counter`, into `out` at `level` (resolved on this CPU), for
+/// as many elements as both slices hold: element `i` by normal `i` and
+/// flag `i`, as [`Perturbation`] says, in the same pass that draws them.
+pub fn philox_perturb(
+    level: Level,
+    key: [u32; 2],
+    counter: [u32; 4],
+    perturbation: Perturbation,
+    values: &[f32],
+    out: &mut [f32],
+) {
+    dispatch(
+        level,
+        philox::Perturbed {
+            key,
+            counter,
+            perturbation,
+            values,
+            out,
+        },
+    );
+}
+
 pub mod scalar {
     //! Per-element reference functions.
     //!
@@ -285,7 +368,7 @@ pub mod scalar {
     //! [`Lanes<1>`]: crate::backend::Lanes
 
     use crate::backend::Lanes;
-    use crate::kernels;
+    use crate::{kernels, philox};
 
     /// Per-element `e^x` with the kernel's numerical contract.
     #[inline]
@@ -315,6 +398,13 @@ pub mod scalar {
     #[inline]
     pub fn relu(x: f32) -> f32 {
         kernels::relu_v::<Lanes<1>>([x])[0]
+    }
+
+    /// The Philox4x32-10 block of `counter` under `key`: the one-lane
+    /// instance of the lane generator [`crate::philox_words`] runs.
+    #[inline]
+    pub fn philox4x32_10(counter: [u32; 4], key: [u32; 2]) -> [u32; 4] {
+        philox::philox4x32_10_v::<Lanes<1>>(counter.map(|word| [word]), key).map(|[word]| word)
     }
 }
 

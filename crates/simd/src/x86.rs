@@ -37,6 +37,7 @@ pub struct Avx2;
 
 impl SimdOp for Avx2 {
     type V = __m256;
+    type U = __m256i;
     type M = __m256;
     const LANES: usize = 8;
     type Tree = Self;
@@ -208,6 +209,123 @@ impl SimdOp for Avx2 {
         // the sign bit; compare masks are all-ones per true lane.
         unsafe { _mm256_blendv_ps(f, t, mask) }
     }
+    #[inline(always)]
+    fn store_mask(mask: __m256, dst: &mut [bool]) {
+        assert!(dst.len() >= 8);
+        // SAFETY: the bounds check above guarantees 8 writable bytes at
+        // `dst.as_mut_ptr()`, and each byte written is 0 or 1, a valid
+        // `bool`. AVX2 available per the module contract. Each all-ones
+        // lane becomes 1; the packs narrow the words to bytes within each
+        // 128-bit half, and the unpack joins the halves' four bytes.
+        unsafe {
+            let ones = _mm256_and_si256(_mm256_castps_si256(mask), _mm256_set1_epi32(1));
+            let words = _mm256_packs_epi32(ones, ones);
+            let bytes = _mm256_packs_epi16(words, words);
+            let joined = _mm_unpacklo_epi32(
+                _mm256_castsi256_si128(bytes),
+                _mm256_extracti128_si256::<1>(bytes),
+            );
+            _mm_storel_epi64(dst.as_mut_ptr().cast(), joined);
+        }
+    }
+    #[inline(always)]
+    fn sqrt(v: __m256) -> __m256 {
+        // SAFETY: AVX available per the module contract. `vsqrtps` is the
+        // correctly rounded IEEE square root, like `f32::sqrt`.
+        unsafe { _mm256_sqrt_ps(v) }
+    }
+    #[inline(always)]
+    fn zip(a: __m256, b: __m256) -> (__m256, __m256) {
+        // SAFETY: AVX available per the module contract. The unpacks
+        // interleave within each 128-bit half; the two permutes put the
+        // halves in sequence order.
+        unsafe {
+            let low = _mm256_unpacklo_ps(a, b);
+            let high = _mm256_unpackhi_ps(a, b);
+            (
+                _mm256_permute2f128_ps::<0x20>(low, high),
+                _mm256_permute2f128_ps::<0x31>(low, high),
+            )
+        }
+    }
+    #[inline(always)]
+    fn splat_u32(x: u32) -> __m256i {
+        // SAFETY: AVX available per the module contract.
+        unsafe { _mm256_set1_epi32(x as i32) }
+    }
+    #[inline(always)]
+    fn iota_u32(start: u32) -> __m256i {
+        // SAFETY: AVX2 available per the module contract.
+        unsafe {
+            let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            _mm256_add_epi32(_mm256_set1_epi32(start as i32), lanes)
+        }
+    }
+    #[inline(always)]
+    fn store_u32(v: __m256i, dst: &mut [u32]) {
+        debug_assert!(dst.len() >= 8);
+        // SAFETY: the bounds check above guarantees 8 writable u32s at
+        // `dst.as_mut_ptr()`; `storeu` has no alignment requirement. AVX
+        // is available per the module contract.
+        unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), v) }
+    }
+    #[inline(always)]
+    fn add_u32(a: __m256i, b: __m256i) -> __m256i {
+        // SAFETY: AVX2 available per the module contract.
+        unsafe { _mm256_add_epi32(a, b) }
+    }
+    #[inline(always)]
+    fn xor_u32(a: __m256i, b: __m256i) -> __m256i {
+        // SAFETY: AVX2 available per the module contract.
+        unsafe { _mm256_xor_si256(a, b) }
+    }
+    #[inline(always)]
+    fn mul_wide_u32(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
+        // SAFETY: AVX2 available per the module contract. `vpmuludq`
+        // multiplies the even lanes into 64-bit products; the odd lanes,
+        // shifted down, make the other four. Each product's words are then
+        // blended back to their lane.
+        unsafe {
+            let even = _mm256_mul_epu32(a, b);
+            let odd = _mm256_mul_epu32(_mm256_srli_epi64::<32>(a), _mm256_srli_epi64::<32>(b));
+            (
+                _mm256_blend_epi32::<0b1010_1010>(_mm256_srli_epi64::<32>(even), odd),
+                _mm256_blend_epi32::<0b1010_1010>(even, _mm256_slli_epi64::<32>(odd)),
+            )
+        }
+    }
+    #[inline(always)]
+    fn shr_u32(a: __m256i, n: u32) -> __m256i {
+        // SAFETY: AVX2 available per the module contract.
+        unsafe { _mm256_srl_epi32(a, _mm_cvtsi32_si128(n as i32)) }
+    }
+    #[inline(always)]
+    fn lt_u32(a: __m256i, b: __m256i) -> __m256 {
+        // SAFETY: AVX2 available per the module contract. AVX2 compares
+        // signed words only: flipping both sign bits maps the unsigned
+        // order onto the signed one.
+        unsafe {
+            let bias = _mm256_set1_epi32(i32::MIN);
+            let less = _mm256_cmpgt_epi32(_mm256_xor_si256(b, bias), _mm256_xor_si256(a, bias));
+            _mm256_castsi256_ps(less)
+        }
+    }
+    #[inline(always)]
+    fn i32_to_f32(a: __m256i) -> __m256 {
+        // SAFETY: AVX available per the module contract. Rounds to nearest
+        // (the default MXCSR mode), like `as f32`.
+        unsafe { _mm256_cvtepi32_ps(a) }
+    }
+    #[inline(always)]
+    fn from_bits(a: __m256i) -> __m256 {
+        // SAFETY: AVX available per the module contract; a free cast.
+        unsafe { _mm256_castsi256_ps(a) }
+    }
+    #[inline(always)]
+    fn to_bits(v: __m256) -> __m256i {
+        // SAFETY: AVX available per the module contract; a free cast.
+        unsafe { _mm256_castps_si256(v) }
+    }
 }
 
 impl Reduce for Avx2 {
@@ -243,6 +361,7 @@ pub struct Avx512;
 
 impl SimdOp for Avx512 {
     type V = __m512;
+    type U = __m512i;
     type M = __mmask16;
     const LANES: usize = 16;
     type Tree = Avx2;
@@ -425,6 +544,112 @@ impl SimdOp for Avx512 {
         // SAFETY: AVX-512F available per the module contract. The blend
         // takes its second operand where the mask bit is set.
         unsafe { _mm512_mask_blend_ps(mask, f, t) }
+    }
+    #[inline(always)]
+    fn store_mask(mask: __mmask16, dst: &mut [bool]) {
+        assert!(dst.len() >= 16);
+        // SAFETY: the bounds check above guarantees 16 writable bytes at
+        // `dst.as_mut_ptr()`, and each byte written is 0 or 1, a valid
+        // `bool`. AVX-512F available per the module contract: a 1 in each
+        // set lane, each word narrowed to its low byte.
+        unsafe {
+            let ones = _mm512_maskz_set1_epi32(mask, 1);
+            _mm_storeu_si128(dst.as_mut_ptr().cast(), _mm512_cvtepi32_epi8(ones));
+        }
+    }
+    #[inline(always)]
+    fn sqrt(v: __m512) -> __m512 {
+        // SAFETY: AVX-512F available per the module contract. The correctly
+        // rounded IEEE square root, like `f32::sqrt`.
+        unsafe { _mm512_sqrt_ps(v) }
+    }
+    #[inline(always)]
+    fn zip(a: __m512, b: __m512) -> (__m512, __m512) {
+        // SAFETY: AVX-512F available per the module contract. Index `i`
+        // picks lane `i` of `a`, index `16 + i` lane `i` of `b`.
+        unsafe {
+            let low = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+            let high =
+                _mm512_setr_epi32(8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31);
+            (
+                _mm512_permutex2var_ps(a, low, b),
+                _mm512_permutex2var_ps(a, high, b),
+            )
+        }
+    }
+    #[inline(always)]
+    fn splat_u32(x: u32) -> __m512i {
+        // SAFETY: AVX-512F available per the module contract.
+        unsafe { _mm512_set1_epi32(x as i32) }
+    }
+    #[inline(always)]
+    fn iota_u32(start: u32) -> __m512i {
+        // SAFETY: AVX-512F available per the module contract.
+        unsafe {
+            let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+            _mm512_add_epi32(_mm512_set1_epi32(start as i32), lanes)
+        }
+    }
+    #[inline(always)]
+    fn store_u32(v: __m512i, dst: &mut [u32]) {
+        debug_assert!(dst.len() >= 16);
+        // SAFETY: the bounds check above guarantees 16 writable u32s at
+        // `dst.as_mut_ptr()`; `storeu` has no alignment requirement.
+        // AVX-512F is available per the module contract.
+        unsafe { _mm512_storeu_si512(dst.as_mut_ptr().cast(), v) }
+    }
+    #[inline(always)]
+    fn add_u32(a: __m512i, b: __m512i) -> __m512i {
+        // SAFETY: AVX-512F available per the module contract.
+        unsafe { _mm512_add_epi32(a, b) }
+    }
+    #[inline(always)]
+    fn xor_u32(a: __m512i, b: __m512i) -> __m512i {
+        // SAFETY: AVX-512F available per the module contract.
+        unsafe { _mm512_xor_si512(a, b) }
+    }
+    #[inline(always)]
+    fn mul_wide_u32(a: __m512i, b: __m512i) -> (__m512i, __m512i) {
+        // SAFETY: AVX-512F available per the module contract. `vpmuludq`
+        // multiplies the even lanes into 64-bit products, the odd lanes
+        // shifted down the other eight; one two-source permute gathers
+        // the high words back into lane order, one the low words.
+        unsafe {
+            let even = _mm512_mul_epu32(a, b);
+            let odd = _mm512_mul_epu32(_mm512_srli_epi64::<32>(a), _mm512_srli_epi64::<32>(b));
+            let high = _mm512_setr_epi32(1, 17, 3, 19, 5, 21, 7, 23, 9, 25, 11, 27, 13, 29, 15, 31);
+            let low = _mm512_setr_epi32(0, 16, 2, 18, 4, 20, 6, 22, 8, 24, 10, 26, 12, 28, 14, 30);
+            (
+                _mm512_permutex2var_epi32(even, high, odd),
+                _mm512_permutex2var_epi32(even, low, odd),
+            )
+        }
+    }
+    #[inline(always)]
+    fn shr_u32(a: __m512i, n: u32) -> __m512i {
+        // SAFETY: AVX-512F available per the module contract.
+        unsafe { _mm512_srl_epi32(a, _mm_cvtsi32_si128(n as i32)) }
+    }
+    #[inline(always)]
+    fn lt_u32(a: __m512i, b: __m512i) -> __mmask16 {
+        // SAFETY: AVX-512F available per the module contract.
+        unsafe { _mm512_cmplt_epu32_mask(a, b) }
+    }
+    #[inline(always)]
+    fn i32_to_f32(a: __m512i) -> __m512 {
+        // SAFETY: AVX-512F available per the module contract. Rounds to
+        // nearest (the default MXCSR mode), like `as f32`.
+        unsafe { _mm512_cvtepi32_ps(a) }
+    }
+    #[inline(always)]
+    fn from_bits(a: __m512i) -> __m512 {
+        // SAFETY: AVX-512F available per the module contract; a free cast.
+        unsafe { _mm512_castsi512_ps(a) }
+    }
+    #[inline(always)]
+    fn to_bits(v: __m512) -> __m512i {
+        // SAFETY: AVX-512F available per the module contract; a free cast.
+        unsafe { _mm512_castps_si512(v) }
     }
 }
 

@@ -13,9 +13,14 @@
 //!   [`DrawKey`] names a family of draws — a seed and two stream words such
 //!   as (epoch, observation) — and [`DrawKey::block`] is its block at a
 //!   two-word site such as (column pair, pixel row). No draw depends on
-//!   another, so a draw that is not needed is not made, the draws of a row
-//!   can be turned into numbers eight lanes at a time ([`KeyedNoise`]),
-//!   and work keyed this way gives the same bits in any order.
+//!   another, so a draw that is not needed is not made, and work keyed
+//!   this way gives the same bits in any order. Consecutive blocks are
+//!   drawn sixteen or eight at a time in one dispatched pass from the
+//!   words to what training uses ([`DrawKey::words`] for dropout masks,
+//!   [`KeyedNoise`] for Box–Muller normals and dropout flags,
+//!   [`DrawKey::perturb_row`] for the DAM's perturbed pixels), the same
+//!   bits at every dispatch level; [`philox4x32_10`] is the one-block
+//!   instance of the same generic code.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -129,34 +134,10 @@ impl SeededRng {
     }
 }
 
-/// Philox4x32 round multipliers.
-const PHILOX_M: [u32; 2] = [0xD251_1F53, 0xCD9E_8D57];
-/// Philox4x32 key schedule increments (the golden ratio and `√3 − 1`).
-const PHILOX_W: [u32; 2] = [0x9E37_79B9, 0xBB67_AE85];
-
 /// The Philox4x32-10 block of `counter` under `key` (Salmon et al., SC
-/// '11, as in Random123): ten rounds of two 32×32→64-bit multiplies and
-/// xors, the key bumped by the Weyl increments between rounds. Exact
-/// integer arithmetic, so every platform and dispatch level agrees.
-pub fn philox4x32_10(counter: [u32; 4], key: [u32; 2]) -> [u32; 4] {
-    let [mut c0, mut c1, mut c2, mut c3] = counter;
-    let [mut k0, mut k1] = key;
-    for round in 0..10 {
-        if round > 0 {
-            k0 = k0.wrapping_add(PHILOX_W[0]);
-            k1 = k1.wrapping_add(PHILOX_W[1]);
-        }
-        let p0 = u64::from(PHILOX_M[0]) * u64::from(c0);
-        let p1 = u64::from(PHILOX_M[1]) * u64::from(c2);
-        [c0, c1, c2, c3] = [
-            (p1 >> 32) as u32 ^ c1 ^ k0,
-            p1 as u32,
-            (p0 >> 32) as u32 ^ c3 ^ k1,
-            p0 as u32,
-        ];
-    }
-    [c0, c1, c2, c3]
-}
+/// '11, as in Random123): the one-lane instance of the lane generator
+/// that [`DrawKey::words`] and [`KeyedNoise`] run at the dispatch level.
+pub use simd::scalar::philox4x32_10;
 
 /// A family of keyed draws: a seed (the Philox key) and two stream words
 /// that name the family within it, e.g. `(epoch, observation)`. Indices
@@ -192,7 +173,49 @@ impl DrawKey {
     /// `[site[0], site[1], stream[0], stream[1]]`.
     #[inline]
     pub fn block(&self, site: [u32; 2]) -> [u32; 4] {
-        philox4x32_10([site[0], site[1], self.stream[0], self.stream[1]], self.key)
+        philox4x32_10(self.counter(site), self.key)
+    }
+
+    /// The words of the blocks `[0, row]`, `[1, row]`, … in order:
+    /// `out[i]` is word `i % 4` of `self.block([i / 4, row])`, drawn
+    /// sixteen or eight blocks at a time at the dispatch level.
+    pub fn words(&self, row: u32, out: &mut [u32]) {
+        simd::philox_words(simd::active_level(), self.key, self.counter([0, row]), out);
+    }
+
+    /// `values` perturbed by the draws of [`KeyedNoise::row`] at `row`
+    /// into `out`, for as many elements as both hold: element `i`, by its
+    /// normal `z` and flag, dropped (with probability `dropout_rate`)
+    /// becomes `infill · z`, kept `value + jitter · z` (or stays as it is
+    /// without a `jitter`). One dispatched pass draws and applies them
+    /// ([`simd::philox_perturb`]).
+    pub fn perturb_row(
+        &self,
+        row: u32,
+        dropout_rate: f32,
+        infill: f32,
+        jitter: Option<f32>,
+        values: &[f32],
+        out: &mut [f32],
+    ) {
+        let perturbation = simd::Perturbation {
+            threshold: word_threshold(dropout_rate),
+            infill,
+            jitter,
+        };
+        let counter = self.counter([0, row]);
+        simd::philox_perturb(
+            simd::active_level(),
+            self.key,
+            counter,
+            perturbation,
+            values,
+            out,
+        );
+    }
+
+    fn counter(&self, site: [u32; 2]) -> [u32; 4] {
+        [site[0], site[1], self.stream[0], self.stream[1]]
     }
 }
 
@@ -202,27 +225,21 @@ pub fn word_threshold(p: f32) -> u64 {
     (f64::from(p.clamp(0.0, 1.0)) * 4_294_967_296.0) as u64
 }
 
-/// `2⁻²⁴`: the spacing of the uniforms a 32-bit word's top 24 bits give.
-const UNIT: f32 = 1.0 / 16_777_216.0;
-
 /// Standard normal and dropout draws over rows of elements, keyed by
-/// position; the buffers are kept between rows.
+/// position; the two output buffers are kept between rows.
 ///
 /// Elements `2k` and `2k + 1` of the row at `site` share the block
 /// `key.block([k, site])`: its first word gives a radius uniform in
 /// `(0, 1]`, its second an angle uniform in `[0, 1)` turns, and the one
 /// Box–Muller evaluation `√(−2 ln u) · (cos 2πt, sin 2πt)` gives both
 /// normals; its last two words, compared with [`word_threshold`], say
-/// whether each element is dropped. The logarithms and the sines run eight
-/// lanes at a time through `simd`, so a row's draws are bit-identical at
-/// the scalar and AVX2 levels, and element `i` does not depend on how long
-/// a row was drawn.
+/// whether each element is dropped. A row is one dispatched pass
+/// ([`simd::philox_normals`]): sixteen or eight blocks at a time from the
+/// words to the normals and flags, with the crate's own `ln` and `sincos`
+/// lane kernels, so a row's draws are bit-identical at every level, and
+/// element `i` does not depend on how long a row was drawn.
 #[derive(Debug, Clone, Default)]
 pub struct KeyedNoise {
-    radius: Vec<f32>,
-    turns: Vec<f32>,
-    sin: Vec<f32>,
-    cos: Vec<f32>,
     normals: Vec<f32>,
     dropped: Vec<bool>,
 }
@@ -238,40 +255,17 @@ impl KeyedNoise {
         len: usize,
         dropout_rate: f32,
     ) -> (&[f32], &[bool]) {
-        let pairs = len.div_ceil(2);
-        let threshold = word_threshold(dropout_rate);
-        for buffer in [
-            &mut self.radius,
-            &mut self.turns,
-            &mut self.sin,
-            &mut self.cos,
-        ] {
-            buffer.resize(pairs, 0.0);
-        }
-        self.normals.resize(2 * pairs, 0.0);
-        self.dropped.resize(2 * pairs, false);
-        let blocks = self.radius.iter_mut().zip(&mut self.turns);
-        for (k, ((radius, turns), dropped)) in
-            blocks.zip(self.dropped.chunks_exact_mut(2)).enumerate()
-        {
-            let [w0, w1, w2, w3] = key.block([k as u32, site]);
-            *radius = ((w0 >> 8) + 1) as f32 * UNIT;
-            *turns = (w1 >> 8) as f32 * UNIT;
-            dropped[0] = u64::from(w2) < threshold;
-            dropped[1] = u64::from(w3) < threshold;
-        }
-        let level = simd::active_level();
-        simd::ln(level, &mut self.radius);
-        for radius in &mut self.radius {
-            *radius = (-2.0 * *radius).sqrt();
-        }
-        simd::sincos_turns(level, &self.turns, &mut self.sin, &mut self.cos);
-        let polar = self.radius.iter().zip(&self.cos).zip(&self.sin);
-        for (pair, ((&r, &cos), &sin)) in self.normals.chunks_exact_mut(2).zip(polar) {
-            pair[0] = r * cos;
-            pair[1] = r * sin;
-        }
-        (&self.normals[..len], &self.dropped[..len])
+        self.normals.resize(len, 0.0);
+        self.dropped.resize(len, false);
+        simd::philox_normals(
+            simd::active_level(),
+            key.key,
+            key.counter([0, site]),
+            word_threshold(dropout_rate),
+            &mut self.normals,
+            &mut self.dropped,
+        );
+        (&self.normals, &self.dropped)
     }
 }
 
@@ -355,6 +349,89 @@ mod tests {
         assert_eq!(word_threshold(0.25), 1 << 30);
         assert_eq!(word_threshold(1.0), 1 << 32);
         assert_eq!(word_threshold(2.0), 1 << 32);
+    }
+
+    /// The row as it was drawn before its pass was fused: one block per
+    /// pair, each of its uniforms into a buffer of its own, then the `ln`
+    /// and `sincos` sweeps, the square roots and the products.
+    fn per_pair_row(key: DrawKey, site: u32, len: usize, rate: f32) -> (Vec<f32>, Vec<bool>) {
+        let pairs = len.div_ceil(2);
+        let threshold = word_threshold(rate);
+        let unit = 1.0 / 16_777_216.0;
+        let (mut radius, mut turns, mut dropped) = (vec![], vec![], vec![]);
+        for k in 0..pairs {
+            let [w0, w1, w2, w3] = key.block([k as u32, site]);
+            radius.push(((w0 >> 8) + 1) as f32 * unit);
+            turns.push((w1 >> 8) as f32 * unit);
+            dropped.extend([u64::from(w2) < threshold, u64::from(w3) < threshold]);
+        }
+        let level = simd::Level::Scalar;
+        simd::ln(level, &mut radius);
+        for radius in &mut radius {
+            *radius = (-2.0 * *radius).sqrt();
+        }
+        let (mut sin, mut cos) = (vec![0.0; pairs], vec![0.0; pairs]);
+        simd::sincos_turns(level, &turns, &mut sin, &mut cos);
+        let mut normals = vec![];
+        for k in 0..pairs {
+            normals.extend([radius[k] * cos[k], radius[k] * sin[k]]);
+        }
+        normals.truncate(len);
+        dropped.truncate(len);
+        (normals, dropped)
+    }
+
+    #[test]
+    fn a_keyed_row_is_the_per_pair_loop_bit_for_bit() {
+        let mut noise = KeyedNoise::default();
+        let key = DrawKey::new(0x0123_4567_89ab_cdef, [3, usize::MAX]);
+        for (site, len, rate) in [
+            (0, 200, 0.1),
+            (597, 37, 0.5),
+            (u32::MAX, 1, 1.0),
+            (8, 0, 0.0),
+        ] {
+            let (normals, dropped) = noise.row(key, site, len, rate);
+            let (want_normals, want_dropped) = per_pair_row(key, site, len, rate);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(normals), bits(&want_normals), "site {site} len {len}");
+            assert_eq!(dropped, want_dropped, "site {site} len {len}");
+        }
+    }
+
+    #[test]
+    fn a_perturbed_row_applies_the_keyed_rows_draws() {
+        let mut noise = KeyedNoise::default();
+        let key = DrawKey::new(77, [1, 2]);
+        let values: Vec<f32> = (0..203).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
+        for (rate, infill, jitter) in [
+            (0.1, 0.25, Some(0.125)),
+            (0.6, 1e-3, None),
+            (0.0, 1.0, Some(2.0)),
+        ] {
+            let mut out = vec![f32::NAN; values.len()];
+            key.perturb_row(9, rate, infill, jitter, &values, &mut out);
+            let (normals, dropped) = noise.row(key, 9, values.len(), rate);
+            for (i, &value) in values.iter().enumerate() {
+                let z = normals[i];
+                let want = match (dropped[i], jitter) {
+                    (true, _) => infill * z,
+                    (false, Some(jitter)) => value + jitter * z,
+                    (false, None) => value,
+                };
+                assert_eq!(out[i].to_bits(), want.to_bits(), "rate {rate}, element {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_words_are_the_blocks_in_order() {
+        let key = DrawKey::new(11, [2, 5]);
+        let mut words = vec![0; 4 * 19 + 3];
+        key.words(6, &mut words);
+        for (i, &word) in words.iter().enumerate() {
+            assert_eq!(word, key.block([(i / 4) as u32, 6])[i % 4], "word {i}");
+        }
     }
 
     #[test]

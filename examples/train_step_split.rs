@@ -1,17 +1,19 @@
-//! Where a paper training step spends its time: the median forward,
-//! backward and `Adam::step` of a step of 16 DAM-augmented observations of
-//! `VitalConfig::paper` (every computation runs on the calling thread).
+//! Where a paper training step spends its time: the median DAM patch
+//! writing, forward, backward and `Adam::step` of a step of 16
+//! DAM-augmented observations of `VitalConfig::paper` (every computation
+//! runs on the calling thread).
 //!
 //! ```bash
 //! cargo run --release --example train_step_split [steps] [seed]
 //! ```
 //!
 //! Uses the benchmark's `train_fit` data (Building 3, base devices, two
-//! captures of five samples per reference point). Each step records the
-//! forward and the loss on a fresh training tape (the forward column), runs
-//! `Session::backward` (backward) and applies the gradients (adam). The
-//! DAM's patch writing is done before a step's clock starts and is not in
-//! any column. Two warm-up steps are not counted; `steps` (default 20) are.
+//! captures of five samples per reference point). Each step writes the
+//! batch's augmented patch matrices and stacks them (the patches column:
+//! what `fit` pays per batch before it records anything), records the
+//! forward and the loss on a fresh training tape (forward), runs
+//! `Session::backward` (backward) and applies the gradients (adam). Two
+//! warm-up steps are not counted; `steps` (default 20) are.
 
 #![forbid(unsafe_code)]
 
@@ -51,15 +53,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut adam = Adam::new(model.config().train.learning_rate);
     let mut rng = SeededRng::new(seed);
-    let (mut forward, mut backward, mut update) = (Vec::new(), Vec::new(), Vec::new());
+    let [mut dam, mut forward, mut backward, mut update] = [(); 4].map(|_| Vec::new());
     let batches = train.observations().chunks_exact(BATCH).cycle();
     for (step, batch) in batches.take(WARM_UP + steps).enumerate() {
+        let drawing = Instant::now();
         let patches = batch
             .iter()
             .map(|o| model.prepare_patches(o, true, &mut rng))
             .collect::<vital::Result<Vec<Tensor>>>()?;
         let stacked = Tensor::concat_rows(&patches.iter().collect::<Vec<_>>())?;
         let labels: Vec<usize> = batch.iter().map(|o| o.rp_label).collect();
+        let drawn = drawing.elapsed();
 
         let tape = Tape::new();
         let mut session = Session::keyed(&tape, DrawKey::new(seed, [0, step]));
@@ -74,14 +78,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         adam.step(&grads);
         let stepped = Instant::now();
         if step >= WARM_UP {
+            dam.push(drawn.as_secs_f64());
             forward.push((recorded - started).as_secs_f64());
             backward.push((differentiated - recorded).as_secs_f64());
             update.push((stepped - differentiated).as_secs_f64());
         }
     }
     println!(
-        "paper step of {BATCH}, median of {steps} steps: forward {:.1} ms, \
-         backward {:.1} ms, adam {:.2} ms",
+        "paper step of {BATCH}, median of {steps} steps: patches {:.1} ms, \
+         forward {:.1} ms, backward {:.1} ms, adam {:.2} ms",
+        median_ms(dam),
         median_ms(forward),
         median_ms(backward),
         median_ms(update)
