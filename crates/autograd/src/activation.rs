@@ -1,7 +1,7 @@
 //! Differentiable activation functions: ReLU, GELU, tanh, sigmoid and
 //! row-wise softmax.
 
-use tensor::{Tensor, UnaryOp, GELU_COEFF, SQRT_2_OVER_PI};
+use tensor::{Tensor, UnaryOp};
 
 use crate::tape::Accumulator;
 use crate::{Result, Var};
@@ -11,13 +11,6 @@ use crate::{Result, Var};
 #[cfg(test)]
 fn gelu_scalar(x: f32) -> f32 {
     UnaryOp::Gelu.eval(x)
-}
-
-fn gelu_grad_scalar(x: f32) -> f32 {
-    let u = SQRT_2_OVER_PI * (x + GELU_COEFF * x * x * x);
-    let t = u.tanh();
-    let du = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEFF * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 }
 
 impl<'t> Var<'t> {
@@ -36,16 +29,16 @@ impl<'t> Var<'t> {
     }
 
     /// Gaussian error linear unit (tanh approximation), the non-linearity
-    /// used inside the ViT encoder MLP and classification head.
+    /// used inside the ViT encoder MLP and classification head. Its
+    /// backward is one dispatched sweep ([`Tensor::gelu_backward`]) that
+    /// evaluates the forward's tanh again, bit for bit.
     pub fn gelu(self) -> Var<'t> {
         let x = self.value();
         let value = x.apply(UnaryOp::Gelu);
         self.tape.push(
             value,
             vec![self.id],
-            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| {
-                acc.add(0, g.mul(&x.map(gelu_grad_scalar))?)
-            }),
+            Box::new(move |g: &Tensor, acc: &mut Accumulator<'_>| acc.add(0, x.gelu_backward(g)?)),
         )
     }
 
@@ -157,6 +150,24 @@ mod tests {
         let grads = tape.backward(loss).unwrap();
         let numeric = finite_diff(&xv, |v| v.map(super::gelu_scalar).sum());
         assert_close(grads.get(x).unwrap(), &numeric, 1e-2);
+    }
+
+    #[test]
+    fn gelu_gradient_is_finite_for_every_finite_input() {
+        let grad = |x: f32| {
+            let tape = Tape::new();
+            let v = tape.var(t(&[x], &[1]));
+            let loss = v.gelu().sum_all().unwrap();
+            tape.backward(loss).unwrap().get(v).unwrap().as_slice()[0]
+        };
+        assert_eq!(grad(0.0), 0.5);
+        assert_eq!(grad(-0.0), 0.5);
+        // Saturated tanh: the slope term is 0 even where `x²` overflows.
+        for x in [6e19, 1e20, f32::MAX, 1e30, 12.0] {
+            assert_eq!(grad(x), 1.0, "GELU'({x})");
+            assert_eq!(grad(-x), 0.0, "GELU'({})", -x);
+        }
+        assert!(grad(f32::NAN).is_nan());
     }
 
     #[test]

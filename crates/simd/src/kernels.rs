@@ -24,7 +24,10 @@
 //!   `NaN → NaN` (payload preserved), inputs below `EXP_LO` flush to
 //!   exactly `0`.
 //! - `tanh`/`sigmoid`/`gelu` are built from `exp` with exact IEEE
-//!   follow-up arithmetic, so they inherit its cross-level parity.
+//!   follow-up arithmetic, so they inherit its cross-level parity. GELU's
+//!   derivative (`gelu_grad_v`, the training backward) evaluates the same
+//!   `tanh` of the same argument as `gelu`, so the two agree on `t` bit
+//!   for bit; it is finite for every finite input and NaN only for NaN.
 //!   `tanh`'s accuracy contract is *absolute* (≈ a few ULP of 1): the
 //!   `1 − 2/(e^(2|x|)+1)` form cancels against 1 for small `|x|`, where
 //!   relative error grows while absolute error stays ≈ 1e-7 — ample for
@@ -197,11 +200,38 @@ pub fn sigmoid_v<S: SimdOp>(x: S::V) -> S::V {
 /// the scalar formula: `(0.5·x) · (1 + tanh(√(2/π) · (x + ((c·x)·x)·x)))`.
 #[inline(always)]
 pub fn gelu_v<S: SimdOp>(x: S::V) -> S::V {
-    let one = S::splat(1.0);
+    let t = tanh_v::<S>(gelu_inner::<S>(x));
+    S::mul(S::mul(S::splat(0.5), x), S::add(S::splat(1.0), t))
+}
+
+/// The argument of GELU's tanh, `√(2/π) · (x + ((c·x)·x)·x)`: one
+/// definition for [`gelu_v`] and [`gelu_grad_v`], so the derivative uses
+/// the forward's tanh bit for bit.
+#[inline(always)]
+fn gelu_inner<S: SimdOp>(x: S::V) -> S::V {
     let x3 = S::mul(S::mul(S::mul(S::splat(GELU_COEFF), x), x), x);
-    let inner = S::mul(S::splat(SQRT_2_OVER_PI), S::add(x, x3));
-    let t = tanh_v::<S>(inner);
-    S::mul(S::mul(S::splat(0.5), x), S::add(one, t))
+    S::mul(S::splat(SQRT_2_OVER_PI), S::add(x, x3))
+}
+
+/// Vectorized derivative of the tanh-approximation GELU,
+/// `0.5·(1 + t) + ((0.5·x)·(1 − t²))·u′` with `t` the forward's tanh
+/// ([`gelu_v`]) and `u′ = √(2/π) · (1 + ((3c)·x)·x)`.
+///
+/// Where the tanh has saturated (`1 − t² = 0`, every `|x|` above about
+/// 10) the second term is zero whatever `u′`: for `|x| ≳ 6e19`, `x²` and
+/// `u′` are infinite and `0 · ∞` would make the slope NaN. So the
+/// derivative is finite for every finite `x` (1 above, 0 below), and NaN
+/// only for a NaN `x`.
+#[inline(always)]
+pub fn gelu_grad_v<S: SimdOp>(x: S::V) -> S::V {
+    let (one, half) = (S::splat(1.0), S::splat(0.5));
+    let t = tanh_v::<S>(gelu_inner::<S>(x));
+    let x2 = S::mul(S::mul(S::splat(3.0 * GELU_COEFF), x), x);
+    let du = S::mul(S::splat(SQRT_2_OVER_PI), S::add(one, x2));
+    let sech2 = S::sub(one, S::mul(t, t));
+    let slope = S::mul(S::mul(S::mul(half, x), sech2), du);
+    let slope = S::select(S::gt(sech2, S::splat(0.0)), slope, S::splat(0.0));
+    S::add(S::mul(half, S::add(one, t)), slope)
 }
 
 /// Vectorized ReLU with `maxps(x, 0)` semantics (NaN and `−0` map to `+0`).
@@ -382,6 +412,33 @@ impl Kernel for Activation<'_> {
         let rem = chunks.into_remainder();
         if !rem.is_empty() {
             store_partial::<S>(act_block::<S>(act, S::load_padded(rem, 0.0)), rem);
+        }
+    }
+}
+
+/// `grad[i] · GELU′(x[i])` into `grad`, for as many elements as both
+/// hold ([`gelu_grad_v`]); the tail goes through a zero-padded block on
+/// the same vector path.
+pub(crate) struct GeluBackward<'a> {
+    pub x: &'a [f32],
+    pub grad: &'a mut [f32],
+}
+
+impl Kernel for GeluBackward<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<S: SimdOp>(self) {
+        let n = self.x.len().min(self.grad.len());
+        let (x, grad) = (&self.x[..n], &mut self.grad[..n]);
+        let mut chunks = grad.chunks_exact_mut(S::LANES);
+        for (g, x) in (&mut chunks).zip(x.chunks_exact(S::LANES)) {
+            S::store(S::mul(S::load(g), gelu_grad_v::<S>(S::load(x))), g);
+        }
+        let rem = chunks.into_remainder();
+        if !rem.is_empty() {
+            let x = S::load_padded(&x[n - rem.len()..], 0.0);
+            let g = S::load_padded(rem, 0.0);
+            store_partial::<S>(S::mul(g, gelu_grad_v::<S>(x)), rem);
         }
     }
 }
@@ -647,6 +704,48 @@ mod tests {
             );
             x += 0.173;
         }
+    }
+
+    #[test]
+    fn gelu_grad_uses_the_forwards_tanh_and_stays_finite() {
+        // Away from saturation: the closed form with the same tanh bits.
+        for x in [-4.0f32, -1.3, -0.2, 0.05, 0.9, 3.7] {
+            let u = SQRT_2_OVER_PI * (x + GELU_COEFF * x * x * x);
+            let t = scalar::tanh(u);
+            let du = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEFF * x * x);
+            let want = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du;
+            assert_eq!(scalar::gelu_grad(x).to_bits(), want.to_bits(), "GELU'({x})");
+            // And the derivative of the forward, numerically.
+            let h = 1e-3;
+            let slope = (scalar::gelu(x + h) - scalar::gelu(x - h)) / (2.0 * h);
+            assert!((scalar::gelu_grad(x) - slope).abs() < 1e-2, "GELU'({x})");
+        }
+        assert_eq!(scalar::gelu_grad(0.0), 0.5);
+        assert_eq!(scalar::gelu_grad(-0.0), 0.5);
+        // Saturated: `x²` overflows from about 1.8e19, and `0 · ∞` must not
+        // leak out as NaN.
+        for x in [12.0, 6e19, 1e20, 1e30, f32::MAX, f32::INFINITY] {
+            assert_eq!(scalar::gelu_grad(x), 1.0, "GELU'({x})");
+            assert_eq!(scalar::gelu_grad(-x), 0.0, "GELU'({})", -x);
+        }
+        assert!(scalar::gelu_grad(f32::NAN).is_nan());
+        // The sweep is the per-element function at every lane and tail.
+        let x: Vec<f32> = (0..37)
+            .map(|i| i as f32 * 0.7 - 13.0)
+            .chain([1e20, -1e20])
+            .collect();
+        let mut grad: Vec<f32> = (0..x.len()).map(|i| 1.0 + i as f32 * 0.01).collect();
+        let want: Vec<u32> = x
+            .iter()
+            .zip(&grad)
+            .map(|(&x, &g)| (g * scalar::gelu_grad(x)).to_bits())
+            .collect();
+        GeluBackward {
+            x: &x,
+            grad: &mut grad,
+        }
+        .run::<Lanes<8>>();
+        assert_eq!(grad.iter().map(|g| g.to_bits()).collect::<Vec<_>>(), want);
     }
 
     #[test]

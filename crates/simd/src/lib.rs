@@ -1,4 +1,4 @@
-//! Runtime-dispatched SIMD math kernels for the VITAL inference stack.
+//! Runtime-dispatched SIMD math kernels for VITAL's inference and training.
 //!
 //! One binary, every ISA level: each kernel is one `Kernel` impl,
 //! written once over the [`backend::SimdOp`] trait, and `dispatch` —
@@ -29,12 +29,13 @@
 //! bit-identical by construction; the default is the widest one the CPU
 //! runs ([`best_deterministic`]: `Avx512` where available, then `Avx2`).
 //!
-//! Beside them, [`philox`] holds the training step's keyed draws: the
-//! Philox4x32-10 generator written once over the backends' `u32` lanes
-//! (sixteen blocks at a time at `Avx512`, eight at `Avx2` and `Scalar`,
-//! one in [`scalar::philox4x32_10`]), and the one pass that turns a run of
-//! blocks into words, into Box–Muller normals and dropout flags, or into
-//! a row of values perturbed by them ([`philox_words`],
+//! Training has two more: [`gelu_backward`], GELU's derivative on the
+//! forward's own `tanh`, and [`philox`], the training step's keyed draws:
+//! the Philox4x32-10 generator written once over the backends' `u32`
+//! lanes (sixteen blocks at a time at `Avx512`, eight at `Avx2` and
+//! `Scalar`, one in [`scalar::philox4x32_10`]), and the one pass that
+//! turns a run of blocks into words, into Box–Muller normals and dropout
+//! flags, or into a row of values perturbed by them ([`philox_words`],
 //! [`philox_normals`], [`philox_perturb`]). Integer lanes have one answer,
 //! and the normals come from the crate's own `ln` and `sincos`, so these
 //! are bit-identical at every level too.
@@ -239,6 +240,17 @@ pub fn apply_act(level: Level, act: Act, data: &mut [f32]) {
     dispatch(level, kernels::Activation { act, data });
 }
 
+/// `grad[i] ← grad[i] · GELU′(x[i])` at `level` (resolved on this CPU;
+/// [`kernels::gelu_grad_v`]): the GELU node's backward, its tanh the
+/// forward's ([`Act::Gelu`]) bit for bit.
+///
+/// # Panics
+/// If the slices' lengths differ.
+pub fn gelu_backward(level: Level, x: &[f32], grad: &mut [f32]) {
+    assert_eq!(x.len(), grad.len(), "one gradient per GELU input");
+    dispatch(level, kernels::GeluBackward { x, grad });
+}
+
 /// Row softmax in place over a row-major `[rows × cols]` buffer at
 /// `level` (resolved on this CPU). No-op when `cols == 0`.
 pub fn softmax_rows(level: Level, data: &mut [f32], cols: usize) {
@@ -392,6 +404,12 @@ pub mod scalar {
     #[inline]
     pub fn gelu(x: f32) -> f32 {
         kernels::gelu_v::<Lanes<1>>([x])[0]
+    }
+
+    /// Per-element derivative of the tanh-approximation GELU.
+    #[inline]
+    pub fn gelu_grad(x: f32) -> f32 {
+        kernels::gelu_grad_v::<Lanes<1>>([x])[0]
     }
 
     /// Per-element ReLU with `maxps(x, 0)` semantics (NaN, `−0` → `+0`).

@@ -114,6 +114,27 @@ proptest! {
         }
     }
 
+    /// The GELU backward sweep: bit-identical across levels and to the
+    /// one-lane derivative times the gradient, element by element,
+    /// specials included.
+    #[test]
+    fn gelu_backward_scalar_avx2_bit_identical(data in buffer(lane_boundary_len())) {
+        let grad: Vec<f32> = (0..data.len()).map(|i| 0.5 + i as f32 * 0.25).collect();
+        let mut scalar = grad.clone();
+        simd::gelu_backward(Level::Scalar, &data, &mut scalar);
+        let per_element: Vec<f32> = data
+            .iter()
+            .zip(&grad)
+            .map(|(&x, &g)| g * simd::scalar::gelu_grad(x))
+            .collect();
+        assert_bits_equal(&per_element, &scalar, "per-element gelu'")?;
+        for level in vector_levels() {
+            let mut vector = grad.clone();
+            simd::gelu_backward(level, &data, &mut vector);
+            assert_bits_equal(&scalar, &vector, &format!("{level:?} gelu'"))?;
+        }
+    }
+
     /// The vectorized sweep also matches the one-lane `simd::scalar::*`
     /// reference functions element by element — the property the tensor
     /// crate's per-element `UnaryOp::eval` path relies on.
@@ -276,6 +297,11 @@ fn lane_boundaries_bit_identical_for_every_kernel() {
                 simd::apply_act(level, act, &mut b);
                 assert_eq!(bits(&a), bits(&b), "{level:?} {act:?} n={n}");
             }
+            let mut a = vec![1.5; n];
+            let mut b = a.clone();
+            simd::gelu_backward(Level::Scalar, &data, &mut a);
+            simd::gelu_backward(level, &data, &mut b);
+            assert_eq!(bits(&a), bits(&b), "{level:?} gelu' n={n}");
             let mut a = data.clone();
             let mut b = data.clone();
             simd::softmax_rows(Level::Scalar, &mut a, n);

@@ -145,6 +145,26 @@ impl Tensor {
         op.apply_slice(self.as_mut_slice());
     }
 
+    /// `grad ⊙ GELU′(self)`: the gradient that reaches the input of a
+    /// GELU node whose output received `grad`, in one dispatched sweep
+    /// ([`simd::gelu_backward`]) whose tanh is [`UnaryOp::Gelu`]'s bit for
+    /// bit.
+    ///
+    /// # Errors
+    /// Returns [`crate::TensorError::ShapeMismatch`] if the shapes differ.
+    pub fn gelu_backward(&self, grad: &Tensor) -> Result<Tensor> {
+        if !self.shape().same_as(grad.shape()) {
+            return Err(TensorError::ShapeMismatch {
+                op: "gelu_backward",
+                lhs: self.shape().dims().to_vec(),
+                rhs: grad.shape().dims().to_vec(),
+            });
+        }
+        let mut out = grad.clone();
+        simd::gelu_backward(simd::active_level(), self.as_slice(), out.as_mut_slice());
+        Ok(out)
+    }
+
     /// Applies a named binary operation elementwise against a same-shape
     /// tensor (`self` is the left-hand operand).
     ///
