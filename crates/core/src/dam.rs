@@ -112,9 +112,10 @@ impl DataAugmentationModule {
     /// every pixel of rows `1..R` that lands in a kept patch is perturbed:
     /// pixel `(c, row, col)` by draw `col` of the
     /// [`tensor::rng::KeyedNoise`] row at site `3 · row + c` of `key`
-    /// (columns `2k` and `2k + 1` share one Philox block). Pixels of the discarded boundary are not drawn.
-    /// Otherwise (online phase) every row is an exact replica, `key` is
-    /// not used and inference is deterministic.
+    /// (columns `2k` and `2k + 1` share one Philox block). Pixels of the
+    /// discarded boundary are not drawn. Otherwise (online phase) every row
+    /// is an exact replica, `key` is not used and inference is
+    /// deterministic.
     ///
     /// # Errors
     /// Returns an error if `patch_size` is zero or larger than the image,
@@ -198,8 +199,8 @@ impl DataAugmentationModule {
     /// (normalise, random dropout, Gaussian infill) without the 2-D
     /// replication — the form consumed by the non-image baselines when DAM is
     /// bolted onto them (paper §VI.D). When `training`, value `i` is
-    /// perturbed by draw `i` of the [`tensor::rng::KeyedNoise`] row at site 0 of `key`;
-    /// otherwise `key` is not used.
+    /// perturbed by draw `i` of the [`tensor::rng::KeyedNoise`] row at site
+    /// 0 of `key`; otherwise `key` is not used.
     pub fn augment_vector(&self, values: &[f32], training: bool, key: DrawKey) -> Vec<f32> {
         let clean = self.normalize_channel(values);
         if !(training && self.config.is_augmenting()) {

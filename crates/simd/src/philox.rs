@@ -7,7 +7,8 @@
 //! arithmetic has one answer, so every level gives the same words.
 //!
 //! Three kernels turn a run of consecutive counters into what training
-//! uses, in one pass and with no buffer of words between:
+//! uses in one dispatched call, the words never leaving the registers or
+//! a 1 KiB stack block:
 //! - [`Words`]: the blocks' words in block order (the dropout masks);
 //! - [`Normals`]: per block, two standard normals by Box–Muller from its
 //!   first two words and two dropout flags from its last two;
@@ -151,9 +152,9 @@ fn draw<S: SimdOp>(
             let start = 2 * (chunk + at);
             let range = start..n.min(start + 2 * S::LANES);
             if narrow(blocks - at) {
-                sink.take::<S::Tree>(range, normals::<S::Tree>(&stash, at, threshold));
+                sink.take::<S::Tree>(range, box_muller::<S::Tree>(&stash, at, threshold));
             } else {
-                sink.take::<S>(range, normals::<S>(&stash, at, threshold));
+                sink.take::<S>(range, box_muller::<S>(&stash, at, threshold));
             }
         }
     }
@@ -188,7 +189,7 @@ type Draws<S> = ([<S as SimdOp>::V; 2], [<S as SimdOp>::M; 2]);
 /// [`draw`]'s second pass over one group: the draws of the blocks stashed
 /// from `at` on.
 #[inline(always)]
-fn normals<S: SimdOp>(stash: &Stash, at: usize, threshold: u64) -> Draws<S> {
+fn box_muller<S: SimdOp>(stash: &Stash, at: usize, threshold: u64) -> Draws<S> {
     // The radius is a normal number in `[2⁻²⁴, 1]`: `ln_v`'s blends for
     // the other inputs would change nothing.
     let (m, e) = S::frexp(S::load(&stash.radius[at..]));

@@ -176,14 +176,14 @@ impl DrawKey {
         philox4x32_10(self.counter(site), self.key)
     }
 
-    /// The words of the blocks `[0, row]`, `[1, row]`, … in order:
-    /// `out[i]` is word `i % 4` of `self.block([i / 4, row])`, drawn
+    /// The words of the blocks `[0, site]`, `[1, site]`, … in order:
+    /// `out[i]` is word `i % 4` of `self.block([i / 4, site])`, drawn
     /// sixteen or eight blocks at a time at the dispatch level.
-    pub fn words(&self, row: u32, out: &mut [u32]) {
-        simd::philox_words(simd::active_level(), self.key, self.counter([0, row]), out);
+    pub fn words(&self, site: u32, out: &mut [u32]) {
+        simd::philox_words(simd::active_level(), self.key, self.counter([0, site]), out);
     }
 
-    /// `values` perturbed by the draws of [`KeyedNoise::row`] at `row`
+    /// `values` perturbed by the draws of [`KeyedNoise::row`] at `site`
     /// into `out`, for as many elements as both hold: element `i`, by its
     /// normal `z` and flag, dropped (with probability `dropout_rate`)
     /// becomes `infill · z`, kept `value + jitter · z` (or stays as it is
@@ -191,7 +191,7 @@ impl DrawKey {
     /// ([`simd::philox_perturb`]).
     pub fn perturb_row(
         &self,
-        row: u32,
+        site: u32,
         dropout_rate: f32,
         infill: f32,
         jitter: Option<f32>,
@@ -203,7 +203,7 @@ impl DrawKey {
             infill,
             jitter,
         };
-        let counter = self.counter([0, row]);
+        let counter = self.counter([0, site]);
         simd::philox_perturb(
             simd::active_level(),
             self.key,
