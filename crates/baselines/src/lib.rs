@@ -121,13 +121,13 @@ pub(crate) fn run_compiled<F: Framework>(
 ) -> impl Fn(&F::Net, &Tensor) -> vital::Result<Tensor> + '_ {
     move |net, input| {
         let (rows, cols) = input.shape().as_matrix()?;
-        let entry = cache.get_or_build(rows, nn::weight_stamp(&net.params()), || {
+        let plan = cache.get_or_build(rows, nn::weight_stamp(&net.params()), || {
             let mut g = Graph::new();
             let x = g.input(rows, cols);
             let out = F::record(net, &mut g, x)?;
             Ok((g, out))
         })?;
-        Ok(entry.execute(&[input])?)
+        Ok(plan.execute(&[input])?)
     }
 }
 
@@ -281,5 +281,53 @@ mod tests {
         assert_eq!(names, vec!["ANVIL", "SHERPA", "CNNLoc", "WiDeep"]);
         let with_dam = comparison_suite(true, 0);
         assert_eq!(with_dam.len(), 4);
+    }
+
+    /// No plan reads an arena byte before it writes it in the same run: a
+    /// VITAL folded plan and a SHERPA plan give the same bits on a fresh
+    /// thread as on one whose arena still holds a larger plan's NaNs.
+    #[test]
+    fn stale_arena_bytes_never_reach_a_plan_output() {
+        use tensor::rng::SeededRng;
+
+        let mut config = vital::VitalConfig::fast(18, 8);
+        config.image_size = 60;
+        config.patch_size = 12;
+        let vit = vital::VisionTransformer::new(&mut SeededRng::new(7), &config).unwrap();
+        let folded = |samples| {
+            let (g, out) = vit.build_folded_graph(samples).unwrap();
+            graph::Compiler::new().compile(&g, out).unwrap()
+        };
+        let (small, large) = (folded(3), folded(32));
+        let rows = |samples| [samples * vit.distinct_patches(), vit.distinct_dim()];
+        let patches = SeededRng::new(1).uniform_tensor(&rows(3), -1.0, 1.0);
+        let poison = Tensor::full(&rows(32), f32::NAN);
+        let mlp = nn::Mlp::new(&mut SeededRng::new(8), &[18, 32, 8], nn::Activation::Relu);
+        let features = SeededRng::new(2).uniform_tensor(&[5, 18], -1.0, 1.0);
+        let cache = PlanCache::new();
+        let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let run_both = || {
+            let logits = small.execute(&[&patches]).unwrap();
+            let posterior = run_compiled::<SherpaLocalizer>(&cache)(&mlp, &features).unwrap();
+            (bits(logits), bits(posterior))
+        };
+
+        let fresh = std::thread::scope(|s| s.spawn(run_both).join().unwrap());
+        let stale = std::thread::scope(|s| {
+            s.spawn(|| {
+                let nan = large.execute(&[&poison]).unwrap();
+                assert!(nan.as_slice().iter().all(|v| v.is_nan()));
+                run_both()
+            })
+            .join()
+            .unwrap()
+        });
+        let sherpa = cache
+            .get_or_build(5, nn::weight_stamp(&mlp.params()), || panic!("cached"))
+            .unwrap();
+        assert!(large.arena_bytes() > small.arena_bytes().max(sherpa.arena_bytes()));
+        let number = |b: &u32| !f32::from_bits(*b).is_nan();
+        assert!(fresh.0.iter().chain(&fresh.1).all(number));
+        assert_eq!(fresh, stale);
     }
 }

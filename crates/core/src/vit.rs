@@ -382,8 +382,8 @@ impl VisionTransformer {
     /// **compiled plan** of [`VisionTransformer::forward_folded`], the
     /// model's one compiled inference entry. The plan is built once per
     /// `(batch size, weight stamp)` — bias adds, activations and residual
-    /// adds fused into their producing GEMMs, every intermediate in a
-    /// reused buffer arena — and then executed with zero tensor
+    /// adds fused into their producing GEMMs, every intermediate in the
+    /// calling thread's one arena — and then executed with zero tensor
     /// allocations per call (`tests/warm_allocs.rs` pins the warm path's
     /// heap allocations). Its predictions are the argmax of the eager
     /// `forward_folded`'s logits, bit for bit.
@@ -406,8 +406,8 @@ impl VisionTransformer {
         }
         let build = || self.build_folded_graph(samples);
         let stamp = self.weight_stamp();
-        let entry = self.plans.get_or_build(samples, stamp, build)?;
-        entry.execute_with(fill, |logits| {
+        let plan = self.plans.get_or_build(samples, stamp, build)?;
+        plan.execute_with(fill, |logits| {
             let mut labels = vec![0; samples];
             kernels::argmax_rows(logits, self.num_classes, &mut labels)?;
             Ok(labels)
@@ -791,7 +791,7 @@ mod tests {
             Err(VitalError::NotFitted)
         });
         assert!(matches!(refused, Err(VitalError::NotFitted)));
-        // The arena a failed fill held went back to the pool and serves on.
+        // The arena a failed fill held went back to the thread and serves on.
         assert_eq!(predict(&vit, &batch), served);
         assert_eq!(served, folded_logits(&vit, &batch).argmax_rows().unwrap());
     }

@@ -9,127 +9,27 @@
 //!
 //! # Locking
 //!
-//! Two locks live in this module, and neither is ever held while the other
-//! is taken — there is deliberately no lock edge between them:
-//!
-//! - [`PlanCache`]'s `plans` map, held only to look up/insert an entry.
-//!   Compilation happens **outside** the lock (double-checked), so a slow
-//!   build never blocks concurrent lookups.
-//! - [`ArenaPool`]'s `arenas` free list, held only to pop/push an arena.
-//!   Execution happens with no lock held at all.
+//! One lock lives in this module: [`PlanCache`]'s `plans` map, held only to
+//! look up/insert an entry. Compilation happens **outside** the lock
+//! (double-checked), so a slow build never blocks concurrent lookups, and
+//! a plan executes with no lock held at all, in its thread's arena
+//! ([`CompiledPlan::execute_with`]).
 //!
 //! vital-lint's `lock-order` rule fails any acquisition made while a guard
-//! of either is live (`tests/static_analysis.rs` seeds one under `plans`
-//! to show it); the counters in [`crate::stats`] are lock-free.
+//! of it is live (`tests/static_analysis.rs` seeds one to show it); the
+//! counters in [`crate::stats`] are lock-free.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use tensor::Tensor;
-
 use crate::compile::{CompiledPlan, Compiler};
 use crate::error::GraphError;
-use crate::exec::Arena;
+use crate::exec;
 use crate::ir::{ExprId, Graph};
 use crate::stats;
 
-/// Arenas kept per pooled plan; beyond this, returned arenas are dropped.
-const MAX_POOLED_ARENAS: usize = 16;
-
-/// A small free list of [`Arena`]s for one compiled plan.
-///
-/// Each concurrent execution needs a private arena; the pool lets a plan
-/// serve many threads while keeping steady-state allocations at zero.
-#[derive(Debug, Default)]
-pub struct ArenaPool {
-    arenas: Mutex<Vec<Arena>>,
-}
-
-impl ArenaPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        ArenaPool::default()
-    }
-
-    /// Pops a pooled arena, or has the plan allocate a fresh one.
-    fn acquire(&self, plan: &CompiledPlan) -> Arena {
-        let pooled = self.arenas.lock().expect("arena pool poisoned").pop();
-        match pooled {
-            Some(arena) => {
-                stats::record_arena_reuse();
-                arena
-            }
-            None => plan.new_arena(),
-        }
-    }
-
-    /// Returns an arena to the pool (dropped if the pool is full).
-    fn release(&self, arena: Arena) {
-        let mut arenas = self.arenas.lock().expect("arena pool poisoned");
-        if arenas.len() < MAX_POOLED_ARENAS {
-            arenas.push(arena);
-        }
-    }
-}
-
-/// A compiled plan bundled with its arena pool — what the cache hands out.
-#[derive(Debug)]
-pub struct PlanEntry {
-    plan: CompiledPlan,
-    pool: ArenaPool,
-}
-
-impl PlanEntry {
-    /// Wraps a freshly compiled plan with an empty arena pool.
-    pub fn new(plan: CompiledPlan) -> Self {
-        PlanEntry {
-            plan,
-            pool: ArenaPool::new(),
-        }
-    }
-
-    /// The compiled plan itself.
-    pub fn plan(&self) -> &CompiledPlan {
-        &self.plan
-    }
-
-    /// Runs `f` with a pooled arena, returning the arena to the pool
-    /// whatever `f` returns.
-    fn with_arena<R>(&self, f: impl FnOnce(&CompiledPlan, &mut Arena) -> R) -> R {
-        let mut arena = self.pool.acquire(&self.plan);
-        let out = f(&self.plan, &mut arena);
-        self.pool.release(arena);
-        out
-    }
-
-    /// Executes the plan with a pooled arena, returning the output tensor.
-    ///
-    /// # Errors
-    /// Propagates input-arity/shape mismatches from
-    /// [`CompiledPlan::execute`].
-    pub fn execute(&self, inputs: &[&Tensor]) -> Result<Tensor, GraphError> {
-        self.with_arena(|plan, arena| plan.execute(arena, inputs))
-    }
-
-    /// Executes the plan with a pooled arena whose input region `fill`
-    /// writes in place (see [`CompiledPlan::execute_with`]); `read` turns
-    /// the output's rows into the answer before the arena goes back to the
-    /// pool. Nothing is allocated on a warm pool but what `read` builds.
-    ///
-    /// # Errors
-    /// Returns whatever `fill` returns; the arena still goes back to the
-    /// pool.
-    pub fn execute_with<R, E>(
-        &self,
-        fill: impl FnOnce(&mut [f32]) -> Result<(), E>,
-        read: impl FnOnce(&[f32]) -> R,
-    ) -> Result<R, E> {
-        self.with_arena(|plan, arena| plan.execute_with(arena, fill).map(read))
-    }
-}
-
-/// Cache storage: `(batch, weight stamp)` → shared plan entry.
-type PlanMap = HashMap<(usize, u64), Arc<PlanEntry>>;
+/// Cache storage: `(batch, weight stamp)` → shared plan.
+type PlanMap = HashMap<(usize, u64), Arc<CompiledPlan>>;
 
 /// A concurrent build-once / execute-many cache of compiled plans.
 ///
@@ -146,6 +46,18 @@ impl std::fmt::Debug for PlanCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let len = self.plans.lock().map(|m| m.len()).unwrap_or(0);
         f.debug_struct("PlanCache").field("plans", &len).finish()
+    }
+}
+
+impl Drop for PlanCache {
+    /// Dropping the last handle to a cache also frees the dropping thread's
+    /// arena: a thread that lets a model's plans go would otherwise hold
+    /// those bytes through whatever it does next, such as training the
+    /// next model. Its next run, if any, allocates a fresh arena.
+    fn drop(&mut self) {
+        if Arc::strong_count(&self.plans) == 1 {
+            exec::free_thread_arena();
+        }
     }
 }
 
@@ -169,7 +81,7 @@ impl PlanCache {
     /// a miss.
     ///
     /// The build runs **outside** the cache lock (double-checked insert:
-    /// if another thread finished the same build first, its entry wins and
+    /// if another thread finished the same build first, its plan wins and
     /// this build is discarded). Inserting with a fresh stamp evicts every
     /// entry carrying a different stamp — they were compiled against
     /// weights that have since changed.
@@ -181,34 +93,34 @@ impl PlanCache {
         batch: usize,
         stamp: u64,
         build: F,
-    ) -> Result<Arc<PlanEntry>, GraphError>
+    ) -> Result<Arc<CompiledPlan>, GraphError>
     where
         F: FnOnce() -> Result<(Graph, ExprId), GraphError>,
     {
         let key = (batch, stamp);
-        if let Some(entry) = self.plans.lock().expect("plan cache poisoned").get(&key) {
+        if let Some(plan) = self.plans.lock().expect("plan cache poisoned").get(&key) {
             stats::record_plan_hit();
-            return Ok(Arc::clone(entry));
+            return Ok(Arc::clone(plan));
         }
         // Miss: compile outside the lock.
         let (graph, output) = build()?;
-        let plan = Compiler::new().compile(&graph, output)?;
+        let plan = Arc::new(Compiler::new().compile(&graph, output)?);
         stats::record_plan_built();
-        let entry = Arc::new(PlanEntry::new(plan));
         let mut plans = self.plans.lock().expect("plan cache poisoned");
         if let Some(existing) = plans.get(&key) {
             // Another thread built the same plan concurrently; adopt it.
             return Ok(Arc::clone(existing));
         }
         plans.retain(|(_, s), _| *s == stamp);
-        plans.insert(key, Arc::clone(&entry));
-        Ok(entry)
+        plans.insert(key, Arc::clone(&plan));
+        Ok(plan)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tensor::Tensor;
 
     fn toy_graph(batch: usize) -> Result<(Graph, ExprId), GraphError> {
         let mut g = Graph::new();
@@ -241,42 +153,20 @@ mod tests {
     }
 
     #[test]
-    fn entry_executes_with_pooled_arena() {
+    fn a_cached_plan_executes() {
         let cache = PlanCache::new();
-        let entry = cache.get_or_build(2, 1, || toy_graph(2)).unwrap();
+        let plan = cache.get_or_build(2, 1, || toy_graph(2)).unwrap();
         let x = Tensor::from_vec(vec![1.0, -2.0, 3.0, -4.0, 5.0, -6.0], &[2, 3]).unwrap();
-        let out = entry.execute(&[&x]).unwrap();
+        let out = plan.execute(&[&x]).unwrap();
         assert_eq!(out.shape().dims(), &[2, 3]);
         // row sums: 1-2+3=2 (relu->2 each col), -4+5-6=-5 (relu->0)
         assert_eq!(out.as_slice(), &[2.0, 2.0, 2.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]
-    fn a_failing_fill_still_returns_the_arena_to_the_pool() {
-        let cache = PlanCache::new();
-        let entry = cache.get_or_build(2, 1, || toy_graph(2)).unwrap();
-        let pooled = || entry.pool.arenas.lock().unwrap().len();
-        assert_eq!(pooled(), 0);
-        let refused: Result<Vec<f32>, &str> =
-            entry.execute_with(|_| Err("no input"), <[f32]>::to_vec);
-        assert_eq!(refused, Err("no input"));
-        assert_eq!(pooled(), 1, "the arena of a refused execution is pooled");
-        // ...and is the one the next execution runs in, filled in place.
-        let reuses = stats::arena_reuses();
-        let fill = |input: &mut [f32]| -> Result<(), &str> {
-            input.copy_from_slice(&[1.0, -2.0, 3.0, -4.0, 5.0, -6.0]);
-            Ok(())
-        };
-        let out = entry.execute_with(fill, <[f32]>::to_vec);
-        assert_eq!(out, Ok(vec![2.0, 2.0, 2.0, 0.0, 0.0, 0.0]));
-        assert!(stats::arena_reuses() > reuses);
-        assert_eq!(pooled(), 1);
-    }
-
-    #[test]
     fn concurrent_get_or_build_returns_one_entry() {
         let cache = PlanCache::new();
-        let entries: Vec<_> = std::thread::scope(|s| {
+        let plans: Vec<_> = std::thread::scope(|s| {
             (0..4)
                 .map(|_| {
                     let cache = cache.clone();
@@ -288,8 +178,8 @@ mod tests {
                 .collect()
         });
         assert_eq!(cache.len(), 1);
-        for e in &entries[1..] {
-            assert!(Arc::ptr_eq(&entries[0], e));
+        for p in &plans[1..] {
+            assert!(Arc::ptr_eq(&plans[0], p));
         }
     }
 }

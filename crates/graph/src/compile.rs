@@ -243,9 +243,9 @@ impl Step {
 ///
 /// Build once per (model, batch shape) via [`Compiler::compile`], execute
 /// many times via [`CompiledPlan::execute_with`] /
-/// [`CompiledPlan::execute`] with a reusable
-/// [`Arena`](crate::Arena). Plans are `Send + Sync` (share behind an
-/// `Arc`); all mutable state lives in the per-call arena.
+/// [`CompiledPlan::execute`] in the calling thread's arena. Plans are
+/// `Send + Sync` (share behind an `Arc`); all mutable state lives in the
+/// arena.
 #[derive(Debug)]
 pub struct CompiledPlan {
     pub(crate) steps: Vec<Step>,
@@ -290,8 +290,9 @@ impl CompiledPlan {
         self.peak_live
     }
 
-    /// Bytes of the one buffer an [`Arena`](crate::Arena) holds for this
-    /// plan — its peak live footprint, the runtime inputs' included.
+    /// Bytes of the arena this plan runs in — its peak live footprint, the
+    /// runtime inputs' included. A thread's arena is as long as the largest
+    /// plan it has run.
     pub fn arena_bytes(&self) -> usize {
         self.arena_len * std::mem::size_of::<f32>()
     }

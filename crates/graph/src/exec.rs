@@ -1,16 +1,27 @@
-//! Plan execution inside a reusable buffer arena.
+//! Plan execution inside the calling thread's one arena.
 //!
-//! An [`Arena`] owns **one** `f32` buffer for a plan, sized to the plan's
-//! peak live footprint: the compiler gave every register (runtime input
-//! or step output) a range of it, the inputs at the front, ranges of dead
-//! registers reused by later ones. An operand view is literally
-//! `(offset, row_stride)` into that buffer.
+//! A plan runs in **one** `f32` buffer sized to its peak live footprint:
+//! the compiler gave every register (runtime input or step output) a
+//! range of it, the inputs at the front, ranges of dead registers reused
+//! by later ones. An operand view is literally `(offset, row_stride)` into
+//! that buffer.
 //!
+//! * **One arena per thread.** Every thread keeps one buffer, `ARENA`,
+//!   for every plan it runs. A run takes it out of its cell, grows it only
+//!   if this plan needs more than it holds, and puts it back afterwards
+//!   (as `tensor::matmul`'s packed-B scratch does). A run sees exactly
+//!   `arena_len` elements of it, so an operand view past the plan is an
+//!   out-of-range panic, never a read of another plan's bytes. A nested
+//!   run (a `fill` or `read` that runs a plan) or one after a panic finds
+//!   the cell empty and allocates its own, so two runs never share a
+//!   buffer. Arena bytes are thus at most one largest-plan buffer per
+//!   thread that runs plans. A thread that drops the last handle to a
+//!   [`crate::PlanCache`] frees its arena.
 //! * **Two ways to run a plan.** [`CompiledPlan::execute_with`] is the
 //!   entry: its `fill` closure receives the input region (all inputs back
 //!   to back, in declaration order) and must overwrite all of it — it
-//!   still holds whatever the previous execution left there — and the
-//!   output comes back as a slice borrowed from the arena.
+//!   still holds whatever the thread's previous run left there — and
+//!   `read` receives the output's rows before the arena goes back.
 //!   [`CompiledPlan::execute`] is that same path with tensors copied in
 //!   and the output copied out.
 //! * **Steps.** For each step the buffer is split around the step's
@@ -37,13 +48,14 @@
 //!   fused post chain — the same run loop, not a second executor — for a
 //!   per-step profile (`examples/plan_profile.rs`).
 //!
-//! Steady state — an arena reused across requests of the same batch shape
-//! — [`CompiledPlan::execute_with`] performs **zero** allocations. The
-//! per-step functions (`run`, `run_kernel`, `run_post`, `resolve`, `load`)
-//! and the kernels they call are held to that by
-//! `core/tests/warm_allocs.rs`: once a warm `predict_folded` has filled
-//! its input, the only block it allocates is the returned answer.
+//! Steady state — a thread that has already run a plan at least this
+//! large — [`CompiledPlan::execute_with`] performs **zero** allocations
+//! but what `read` builds. The per-step functions (`run`, `run_kernel`,
+//! `run_post`, `resolve`, `load`) and the kernels they call are held to
+//! that by `core/tests/warm_allocs.rs`: once a warm `predict_folded` has
+//! filled its input, the only block it allocates is the returned answer.
 
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use tensor::{gemm_strided_into_at, kernels, Tensor};
@@ -52,48 +64,17 @@ use crate::compile::{CompiledPlan, Kernel, PostOp, Ref, Step, View};
 use crate::error::GraphError;
 use crate::stats;
 
-/// The reusable execution buffer for one plan's batch shape.
-///
-/// Not `Sync` — each concurrent execution needs its own arena (pool them
-/// with [`crate::ArenaPool`]). The counters are cumulative and monotonic;
-/// tests diff them around an execute to assert reuse.
-#[derive(Debug, Default)]
-pub struct Arena {
-    buf: Vec<f32>,
-    /// Buffers allocated by this arena over its lifetime.
-    allocs: u64,
-    /// Executions that ran entirely in the already-allocated buffer.
-    reuses: u64,
+thread_local! {
+    /// The calling thread's arena, taken for the duration of a run and put
+    /// back afterwards. It is as long as the largest plan the thread has
+    /// run.
+    static ARENA: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
-impl Arena {
-    /// Creates an empty arena; the buffer materialises on first execute.
-    pub fn new() -> Self {
-        Arena::default()
-    }
-
-    /// Buffers this arena has allocated over its lifetime (one per plan
-    /// shape it has been sized for).
-    pub fn slot_allocs(&self) -> u64 {
-        self.allocs
-    }
-
-    /// Executions served without allocating.
-    pub fn reuses(&self) -> u64 {
-        self.reuses
-    }
-
-    /// Makes the buffer `len` elements long, allocating only on a size
-    /// change.
-    fn ensure(&mut self, len: usize) {
-        if self.buf.len() == len {
-            self.reuses += 1;
-        } else {
-            self.buf = vec![0.0f32; len];
-            self.allocs += 1;
-            stats::record_slot_allocs(1);
-        }
-    }
+/// Frees the calling thread's arena; its next run allocates a fresh one.
+pub(crate) fn free_thread_arena() {
+    // During the thread's own teardown there is nothing left to free.
+    let _ = ARENA.try_with(Cell::take);
 }
 
 /// Where one step's time went ([`CompiledPlan::execute_timed`]).
@@ -144,30 +125,24 @@ impl<'a> Operands<'a> {
 }
 
 impl CompiledPlan {
-    /// Creates an arena with the buffer pre-allocated for this plan.
-    pub fn new_arena(&self) -> Arena {
-        let mut arena = Arena::new();
-        arena.ensure(self.arena_len);
-        arena
-    }
-
-    /// Has `fill` write the inputs straight into the arena, runs the plan
-    /// and returns the output's rows, row-major, borrowed from the arena —
-    /// the serve hot path's shape, with **zero** allocations on a warm
-    /// arena.
+    /// Has `fill` write the inputs straight into the thread's arena, runs
+    /// the plan and hands the output's rows, row-major, to `read` — the
+    /// serve hot path's shape, with **zero** allocations but what `read`
+    /// builds on a warm thread.
     ///
     /// `fill` receives the plan's input region: every runtime input back
     /// to back in declaration order, row-major. It must write every
-    /// element (the region holds a previous execution's bytes).
+    /// element (the region holds the thread's previous run's bytes).
     ///
     /// # Errors
-    /// Returns whatever `fill` returns; the plan then does not run.
-    pub fn execute_with<'a, E>(
+    /// Returns whatever `fill` returns; the plan then does not run, and
+    /// the arena still goes back to the thread.
+    pub fn execute_with<R, E>(
         &self,
-        arena: &'a mut Arena,
         fill: impl FnOnce(&mut [f32]) -> Result<(), E>,
-    ) -> Result<&'a [f32], E> {
-        self.execute_inner(arena, fill, None)
+        read: impl FnOnce(&[f32]) -> R,
+    ) -> Result<R, E> {
+        self.execute_inner(fill, read, None)
     }
 
     /// [`CompiledPlan::execute_with`], also writing each step's time to
@@ -181,26 +156,40 @@ impl CompiledPlan {
     ///
     /// # Panics
     /// If `times` is not [`CompiledPlan::step_count`] long.
-    pub fn execute_timed<'a, E>(
+    pub fn execute_timed<R, E>(
         &self,
-        arena: &'a mut Arena,
         fill: impl FnOnce(&mut [f32]) -> Result<(), E>,
+        read: impl FnOnce(&[f32]) -> R,
         times: &mut [StepTime],
-    ) -> Result<&'a [f32], E> {
+    ) -> Result<R, E> {
         assert_eq!(times.len(), self.steps.len(), "one time per step");
-        self.execute_inner(arena, fill, Some(times))
+        self.execute_inner(fill, read, Some(times))
     }
 
-    fn execute_inner<'a, E>(
+    /// Takes the thread's arena, grown to this plan if it is shorter, runs
+    /// in its first `arena_len` elements and puts it back.
+    fn execute_inner<R, E>(
         &self,
-        arena: &'a mut Arena,
         fill: impl FnOnce(&mut [f32]) -> Result<(), E>,
+        read: impl FnOnce(&[f32]) -> R,
         times: Option<&mut [StepTime]>,
-    ) -> Result<&'a [f32], E> {
-        arena.ensure(self.arena_len);
-        fill(&mut arena.buf[..self.input_len()])?;
-        self.run(arena, times);
-        Ok(&arena.buf[self.reg_offsets[self.out_reg]..][..self.out_rows * self.out_cols])
+    ) -> Result<R, E> {
+        let mut buf = ARENA.take();
+        if buf.len() < self.arena_len {
+            // Free the shorter arena first, so the two are never held at once.
+            drop(buf);
+            buf = vec![0.0f32; self.arena_len];
+            stats::record_arena_grew();
+        } else {
+            stats::record_arena_reuse();
+        }
+        let arena = &mut buf[..self.arena_len];
+        let out = fill(&mut arena[..self.input_len()]).map(|()| {
+            self.run(arena, times);
+            read(&arena[self.reg_offsets[self.out_reg]..][..self.out_rows * self.out_cols])
+        });
+        ARENA.set(buf);
+        out
     }
 
     /// [`CompiledPlan::execute_with`] on input tensors, copied into the
@@ -210,13 +199,14 @@ impl CompiledPlan {
     /// # Errors
     /// Returns [`GraphError::InputArity`] / [`GraphError::InputShape`] if
     /// `inputs` do not match the compiled placeholders.
-    pub fn execute(&self, arena: &mut Arena, inputs: &[&Tensor]) -> Result<Tensor, GraphError> {
+    pub fn execute(&self, inputs: &[&Tensor]) -> Result<Tensor, GraphError> {
         self.check_inputs(inputs)?;
-        let out = self.execute_with(arena, |region| -> Result<(), GraphError> {
+        let fill = |region: &mut [f32]| -> Result<(), GraphError> {
             kernels::concat_rows(inputs.iter().map(|t| t.as_slice()), region);
             Ok(())
-        })?;
-        Tensor::from_vec(out.to_vec(), &[self.out_rows, self.out_cols]).map_err(GraphError::Tensor)
+        };
+        let out = self.execute_with(fill, <[f32]>::to_vec)?;
+        Tensor::from_vec(out, &[self.out_rows, self.out_cols]).map_err(GraphError::Tensor)
     }
 
     /// Typed arity/shape validation of tensor inputs; kept apart from the
@@ -247,13 +237,13 @@ impl CompiledPlan {
 
     /// The one run loop; with `times`, each step's kernel and post chain
     /// are timed into its entry.
-    fn run(&self, arena: &mut Arena, mut times: Option<&mut [StepTime]>) {
+    fn run(&self, arena: &mut [f32], mut times: Option<&mut [StepTime]>) {
         let outputs = &self.reg_offsets[self.input_dims.len()..];
         for (i, (step, &out_offset)) in self.steps.iter().zip(outputs).enumerate() {
             // Split the buffer around the output range: everything else
             // stays readable, and the arena planner guarantees no operand
             // of this step lies inside it.
-            let (below, rest) = arena.buf.split_at_mut(out_offset);
+            let (below, rest) = arena.split_at_mut(out_offset);
             let (out, above) = rest.split_at_mut(step.rows * step.cols);
             let ops = Operands {
                 plan: self,

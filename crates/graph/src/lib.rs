@@ -16,12 +16,12 @@
 //!    place where their source dies, and packs every intermediate — the
 //!    runtime inputs included — into one arena buffer by liveness, so
 //!    steady-state execution performs **zero** buffer allocations.
-//! 3. Execute with a reusable [`Arena`] — writing the inputs straight
-//!    into it and reading the output out of it
+//! 3. Execute in the calling thread's one arena — writing the inputs
+//!    straight into it and reading the output out of it
 //!    ([`CompiledPlan::execute_with`]) or handing over tensors to be
-//!    copied in and out ([`CompiledPlan::execute`]) — or let a
-//!    [`PlanCache`] key plans by `(batch, weight stamp)` and pool arenas
-//!    across threads.
+//!    copied in and out ([`CompiledPlan::execute`]) — and let a
+//!    [`PlanCache`] key plans by `(batch, weight stamp)`. A thread keeps
+//!    one arena for every plan it runs, as long as the largest of them.
 //!
 //! Fused execution is **bit-identical** to the eager tensor path: every
 //! step calls the slice-level kernel ([`tensor::kernels`], `simd`, the
@@ -30,8 +30,9 @@
 //! batch sizes is the planner. Like the GEMM it calls, a plan executes on
 //! the calling thread.
 //!
-//! Process-wide counters (plans built, cache hits, arena reuse) live in
-//! [`stats`] and are exported by the serve layer's `/metrics`.
+//! Process-wide counters (plans built, cache hits, arena growth and
+//! reuse) live in [`stats`] and are exported by the serve layer's
+//! `/metrics`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -46,10 +47,10 @@ mod ir;
 mod plan_tests;
 pub mod stats;
 
-pub use cache::{ArenaPool, PlanCache, PlanEntry};
+pub use cache::PlanCache;
 pub use compile::{CompiledPlan, Compiler, StepInfo};
 pub use error::GraphError;
-pub use exec::{Arena, StepTime};
+pub use exec::StepTime;
 pub use ir::{ExprId, Graph, Op, ReduceOp};
 
 #[cfg(test)]
@@ -78,8 +79,7 @@ mod tests {
         assert_eq!(plan.fused_op_count(), 2);
 
         let xt = t(vec![0.5, -1.0, 2.0, 1.5, 0.0, -0.5], &[2, 3]);
-        let mut arena = plan.new_arena();
-        let got = plan.execute(&mut arena, &[&xt]).unwrap();
+        let got = plan.execute(&[&xt]).unwrap();
         let eager = xt
             .matmul(&w)
             .unwrap()
@@ -125,11 +125,12 @@ mod tests {
             region.copy_from_slice(xt.as_slice());
             Ok(())
         };
-        let mut arena = plan.new_arena();
-        let plain = plan.execute_with(&mut arena, fill).unwrap().to_vec();
+        let plain = plan.execute_with(fill, <[f32]>::to_vec).unwrap();
         let mut times = vec![StepTime::default(); steps.len()];
-        let timed = plan.execute_timed(&mut arena, fill, &mut times).unwrap();
-        assert_eq!(timed, &plain[..], "timing must not change a bit");
+        let timed = plan
+            .execute_timed(fill, <[f32]>::to_vec, &mut times)
+            .unwrap();
+        assert_eq!(timed, plain, "timing must not change a bit");
         assert!(times.iter().all(|t| t.kernel > std::time::Duration::ZERO));
         assert!(
             times[0].post > std::time::Duration::ZERO,
@@ -147,8 +148,7 @@ mod tests {
         let out = g.binary(y, y, BinaryOp::Add).unwrap();
         let plan = Compiler::new().compile(&g, out).unwrap();
         let xt = t(vec![1.0, -2.0, 3.0, -4.0], &[2, 2]);
-        let mut arena = plan.new_arena();
-        let got = plan.execute(&mut arena, &[&xt]).unwrap();
+        let got = plan.execute(&[&xt]).unwrap();
         assert_eq!(got.as_slice(), &[2.0, 0.0, 6.0, 0.0]);
     }
 
@@ -167,8 +167,7 @@ mod tests {
         assert_eq!(plan.step_count(), 1, "gelu and residual add both fuse");
 
         let xt = t(vec![0.5, -1.0, 2.0, -0.25], &[2, 2]);
-        let mut arena = plan.new_arena();
-        let got = plan.execute(&mut arena, &[&xt]).unwrap();
+        let got = plan.execute(&[&xt]).unwrap();
         let eager_act = xt.matmul(&w).unwrap().apply(UnaryOp::Gelu);
         let eager = xt.add(&eager_act).unwrap();
         assert_eq!(got.as_slice(), eager.as_slice());
@@ -184,8 +183,7 @@ mod tests {
             (0..15).map(|v| (v as f32 * 0.37).sin() * 3.0).collect(),
             &[3, 5],
         );
-        let mut arena = plan.new_arena();
-        let got = plan.execute(&mut arena, &[&xt]).unwrap();
+        let got = plan.execute(&[&xt]).unwrap();
         assert_eq!(got.as_slice(), xt.softmax_rows().unwrap().as_slice());
     }
 
@@ -203,8 +201,7 @@ mod tests {
             (0..24).map(|v| (v as f32 * 0.61).cos() * 2.0).collect(),
             &[4, 6],
         );
-        let mut arena = plan.new_arena();
-        let got = plan.execute(&mut arena, &[&xt]).unwrap();
+        let got = plan.execute(&[&xt]).unwrap();
         // Reference: the eager kernel — both paths dispatch to the same
         // simd layer-norm, so equality is bitwise.
         let eager = xt.layer_norm_rows(&gamma, &beta, 1e-5).unwrap();
@@ -228,8 +225,7 @@ mod tests {
         let plan = Compiler::new().compile(&g, s).unwrap();
         let qt = t((0..12).map(|v| v as f32 * 0.3 - 1.0).collect(), &[3, 4]);
         let kt = t((0..20).map(|v| v as f32 * -0.2 + 1.5).collect(), &[5, 4]);
-        let mut arena = plan.new_arena();
-        let got = plan.execute(&mut arena, &[&qt, &kt]).unwrap();
+        let got = plan.execute(&[&qt, &kt]).unwrap();
         let eager = qt.matmul(&kt.transpose().unwrap()).unwrap();
         assert_eq!(got.as_slice(), eager.as_slice());
         assert_eq!(got.shape().dims(), &[3, 5]);
@@ -250,8 +246,7 @@ mod tests {
         let plan = Compiler::new().compile(&g, out).unwrap();
         let at = t((0..8).map(|v| v as f32).collect(), &[2, 4]);
         let bt = t((8..16).map(|v| v as f32).collect(), &[2, 4]);
-        let mut arena = plan.new_arena();
-        let got = plan.execute(&mut arena, &[&at, &bt]).unwrap();
+        let got = plan.execute(&[&at, &bt]).unwrap();
         let eager = Tensor::concat_rows(&[&at, &bt])
             .unwrap()
             .slice_cols(1, 3)
@@ -261,29 +256,6 @@ mod tests {
             .add_row_broadcast(&tile)
             .unwrap();
         assert_eq!(got.as_slice(), eager.as_slice());
-    }
-
-    #[test]
-    fn arena_reuses_slots_across_executions() {
-        let mut g = Graph::new();
-        let x = g.input(8, 16);
-        let w = t(vec![0.01; 16 * 16], &[16, 16]);
-        let wc = g.constant(w).unwrap();
-        let mm = g.matmul(x, wc, MatmulSpec::NN).unwrap();
-        let act = g.unary(mm, UnaryOp::Relu).unwrap();
-        let plan = Compiler::new().compile(&g, act).unwrap();
-        let xt = t(vec![1.0; 8 * 16], &[8, 16]);
-        let mut arena = plan.new_arena();
-        let allocs_after_warmup = arena.slot_allocs();
-        for _ in 0..5 {
-            plan.execute(&mut arena, &[&xt]).unwrap();
-        }
-        assert_eq!(
-            arena.slot_allocs(),
-            allocs_after_warmup,
-            "warm executions must not allocate slots"
-        );
-        assert_eq!(arena.reuses(), 5);
     }
 
     #[test]
@@ -317,14 +289,13 @@ mod tests {
             (0..28).map(|v| ((v * 13 % 7) as f32) * 0.5).collect(),
             &[4, 7],
         );
-        let mut arena = plan.new_arena();
         let fill = |input: &mut [f32]| -> Result<(), GraphError> {
             input.copy_from_slice(xt.as_slice());
             Ok(())
         };
-        let rows = plan.execute_with(&mut arena, fill).unwrap();
         let mut got = [usize::MAX; 4];
-        tensor::kernels::argmax_rows(rows, 7, &mut got).unwrap();
+        let argmax = |rows: &[f32]| tensor::kernels::argmax_rows(rows, 7, &mut got);
+        plan.execute_with(fill, argmax).unwrap().unwrap();
         assert_eq!(
             got.to_vec(),
             xt.softmax_rows().unwrap().argmax_rows().unwrap()
@@ -337,9 +308,8 @@ mod tests {
         let x = g.input(2, 3);
         let y = g.unary(x, UnaryOp::Relu).unwrap();
         let plan = Compiler::new().compile(&g, y).unwrap();
-        let mut arena = plan.new_arena();
         assert!(matches!(
-            plan.execute(&mut arena, &[]),
+            plan.execute(&[]),
             Err(GraphError::InputArity {
                 expected: 1,
                 provided: 0
@@ -347,7 +317,7 @@ mod tests {
         ));
         let wrong = t(vec![0.0; 4], &[2, 2]);
         assert!(matches!(
-            plan.execute(&mut arena, &[&wrong]),
+            plan.execute(&[&wrong]),
             Err(GraphError::InputShape { index: 0, .. })
         ));
     }
@@ -358,8 +328,7 @@ mod tests {
         let x = g.input(2, 2);
         let plan = Compiler::new().compile(&g, x).unwrap();
         let xt = t(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let mut arena = plan.new_arena();
-        let got = plan.execute(&mut arena, &[&xt]).unwrap();
+        let got = plan.execute(&[&xt]).unwrap();
         assert_eq!(got.as_slice(), xt.as_slice());
     }
 }

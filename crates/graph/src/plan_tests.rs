@@ -22,7 +22,7 @@ fn compile(g: &Graph, out: ExprId) -> CompiledPlan {
 }
 
 fn run(plan: &CompiledPlan, inputs: &[&Tensor]) -> Tensor {
-    plan.execute(&mut plan.new_arena(), inputs).unwrap()
+    plan.execute(inputs).unwrap()
 }
 
 fn kernels(plan: &CompiledPlan) -> Vec<&'static str> {
@@ -171,14 +171,13 @@ fn a_source_the_step_reads_twice_is_not_overwritten() {
     assert_eq!(got, eager.unwrap());
     assert_eq!(got.shape().dims(), &[3, 0]);
     // ...and its rows have no argmax, which is the eager typed error.
-    let mut arena = plan.new_arena();
     let fill = |input: &mut [f32]| -> Result<(), GraphError> {
         input.copy_from_slice(x.as_slice());
         Ok(())
     };
-    let rows = plan.execute_with(&mut arena, fill).unwrap();
+    let argmax = |rows: &[f32]| tensor::kernels::argmax_rows(rows, plan.out_cols, &mut [0; 3]);
     assert_eq!(
-        tensor::kernels::argmax_rows(rows, plan.out_cols, &mut [0; 3]),
+        plan.execute_with(fill, argmax).unwrap(),
         Err(TensorError::Empty { op: "argmax_rows" })
     );
     assert_eq!(
@@ -464,8 +463,8 @@ fn random_twin(
 
 proptest! {
     /// Random graphs of views over views: the planned arena is sound and
-    /// the compiled output has the eager evaluation's bits — on a fresh
-    /// arena and again on the same one, whose bytes are then stale.
+    /// the compiled output has the eager evaluation's bits — run twice on
+    /// the thread's arena, whose bytes are stale the second time.
     #[test]
     fn random_view_graphs_match_node_at_a_time_evaluation(
         program in proptest::collection::vec(
@@ -476,9 +475,8 @@ proptest! {
     ) {
         let (g, out, inputs, eager) = random_twin(&program, seed);
         let plan = compile(&g, out);
-        let mut arena = plan.new_arena();
         for pass in 0..2 {
-            let got = plan.execute(&mut arena, &[&inputs[0], &inputs[1]]).unwrap();
+            let got = plan.execute(&[&inputs[0], &inputs[1]]).unwrap();
             prop_assert!(
                 bits(&got) == bits(&eager),
                 "pass {pass}: compiled {:?} vs eager {:?} (kernels {:?})",

@@ -6,10 +6,10 @@
 //! `AtomicU64` updated with `Relaxed` ordering from the serve hot path, so
 //! reading `/metrics` can never contend with — let alone deadlock against —
 //! an in-flight compiled-plan execution. There is no `Mutex`/`RwLock` in
-//! this module by design; the only graph-subsystem locks are the plan
-//! cache's `plans` map and the arena pool's `arenas` free list, and
-//! vital-lint's `lock-order` rule fails any acquisition made while either
-//! is held (`tests/static_analysis.rs` seeds one under `plans` to show it).
+//! this module by design; the graph subsystem's one lock is the plan
+//! cache's `plans` map, and vital-lint's `lock-order` rule fails any
+//! acquisition made while it is held (`tests/static_analysis.rs` seeds one
+//! to show it).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -28,17 +28,17 @@ pub fn plan_hits() -> u64 {
     PLAN_HITS.load(Ordering::Relaxed)
 }
 
-/// Arena buffers allocated since process start (one per arena per plan
-/// shape).
+/// Times since process start that a thread's arena grew: a plan ran on a
+/// thread whose arena was shorter than the plan's (or that had none).
 ///
-/// Steady-state serving should hold this flat while [`arena_reuses`]
-/// climbs — that is the "near-zero allocations per request" property the
-/// perf gate checks.
+/// Steady-state serving holds this flat while [`arena_reuses`] climbs:
+/// each thread grows its arena at most once per larger plan it meets.
 pub fn arena_slot_allocs() -> u64 {
     ARENA_SLOT_ALLOCS.load(Ordering::Relaxed)
 }
 
-/// Arena acquisitions served by reusing a pooled arena.
+/// Plan runs since process start that fit in their thread's arena
+/// without growing it.
 pub fn arena_reuses() -> u64 {
     ARENA_REUSES.load(Ordering::Relaxed)
 }
@@ -51,8 +51,8 @@ pub(crate) fn record_plan_hit() {
     PLAN_HITS.fetch_add(1, Ordering::Relaxed);
 }
 
-pub(crate) fn record_slot_allocs(n: u64) {
-    ARENA_SLOT_ALLOCS.fetch_add(n, Ordering::Relaxed);
+pub(crate) fn record_arena_grew() {
+    ARENA_SLOT_ALLOCS.fetch_add(1, Ordering::Relaxed);
 }
 
 pub(crate) fn record_arena_reuse() {

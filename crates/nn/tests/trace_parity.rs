@@ -4,7 +4,7 @@
 //! to the same bits, the same typed errors and the same view of dropout.
 
 use autograd::Tape;
-use graph::{Compiler, Graph, GraphError, PlanEntry};
+use graph::{Compiler, Graph, GraphError};
 use nn::{
     Activation, Conv1d, Dense, Init, LayerNorm, Mlp, MultiHeadSelfAttention, Session,
     StackedAutoencoder, Trace,
@@ -69,7 +69,7 @@ fn compiled(model: &impl Model, x: &Tensor) -> Result<Tensor, GraphError> {
     let mut g = Graph::new();
     let input = g.input(rows, cols);
     let out = model.record(&mut g, input)?;
-    PlanEntry::new(Compiler::new().compile(&g, out)?).execute(&[x])
+    Compiler::new().compile(&g, out)?.execute(&[x])
 }
 
 fn assert_bits_equal(a: &Tensor, b: &Tensor, what: &str) {

@@ -256,8 +256,9 @@ impl Metrics {
             ),
             // Process-wide compiled-plan counters: hits/builds show how often
             // inference reuses a compiled plan vs. compiling a fresh one, and
-            // the arena pair shows execution reusing buffers instead of
-            // allocating (reuses ≫ slot_allocs once the server is warm).
+            // the arena pair shows runs fitting in their thread's arena vs.
+            // growing it (flat slot_allocs, climbing reuses once warm: at
+            // most one growth per worker per larger batch).
             (
                 "graph",
                 Json::obj([

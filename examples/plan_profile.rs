@@ -85,7 +85,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let input = SeededRng::new(2).uniform_tensor(&[input_len], -1.0, 1.0);
 
     let steps: Vec<StepInfo> = plan.steps().collect();
-    let mut arena = plan.new_arena();
     let mut times = vec![StepTime::default(); steps.len()];
     let mut runs: Vec<Vec<StepTime>> = Vec::with_capacity(reps);
     for run in 0..WARM_UP + reps {
@@ -93,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             region.copy_from_slice(input.as_slice());
             Ok(())
         };
-        plan.execute_timed(&mut arena, fill, &mut times)?;
+        plan.execute_timed(fill, |_| (), &mut times)?;
         if run >= WARM_UP {
             runs.push(times.clone());
         }

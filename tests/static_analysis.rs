@@ -134,7 +134,7 @@ const SEEDS: [Seed; 6] = [
         rule: "lock-order",
         file: "crates/graph/src/cache.rs",
         anchor: "            stats::record_plan_hit();\n",
-        replacement: "            stats::record_plan_hit();\n            let _arenas = self.plans.lock();\n",
+        replacement: "            stats::record_plan_hit();\n            let _again = self.plans.lock();\n",
     },
     // rustc refuses `unsafe` under the `forbid`, so the seed deletes it.
     Seed {
