@@ -20,7 +20,8 @@ use tensor::rng::{DrawKey, SeededRng};
 use tensor::Tensor;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
-use crate::features::{augmentation_seed, rows_to_tensor, squared_distance, tensor_to_rows};
+use crate::features::augmentation_seed;
+use crate::memory::{Memory, Scratch};
 use crate::{
     check_stored_dim, localize, map_rows, run_compiled, run_eager, FeatureExtractor, FeatureMode,
     Framework,
@@ -95,7 +96,9 @@ pub struct AnvilLocalizer {
     extractor: FeatureExtractor,
     epochs: usize,
     network: Option<AnvilNetwork>,
-    centroids: Vec<Option<Vec<f32>>>,
+    /// The per-RP embedding centroids of the classes the training set
+    /// covers, in class order, each labelled with its class.
+    centroids: Memory,
     num_classes: usize,
     /// The survey's access-point count; the network only knows it padded
     /// to whole tokens.
@@ -112,7 +115,7 @@ impl AnvilLocalizer {
             extractor: FeatureExtractor::new(FeatureMode::MeanChannel),
             epochs: 30,
             network: None,
-            centroids: Vec::new(),
+            centroids: Memory::default(),
             num_classes: 0,
             num_aps: 0,
             plan_cache: PlanCache::new(),
@@ -138,9 +141,10 @@ impl AnvilLocalizer {
     /// Returns [`VitalError::NotFitted`] before [`Localizer::fit`].
     pub fn to_checkpoint(&self) -> Result<Checkpoint> {
         let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
-        let present: Vec<&Vec<f32>> = self.centroids.iter().flatten().collect();
-        let embed_width = present.first().map(|c| c.len()).unwrap_or(0);
-        let present_rows: Vec<Vec<f32>> = present.into_iter().cloned().collect();
+        let mut mask = vec![0; self.num_classes];
+        for &class in self.centroids.labels() {
+            mask[class] = 1;
+        }
 
         let mut ckpt = Checkpoint::new(ModelKind::Anvil);
         ckpt.set_dam_config(self.extractor.dam_config());
@@ -153,19 +157,13 @@ impl AnvilLocalizer {
                 self.epochs as u64,
                 self.num_classes as u64,
                 (network.token_width * TOKENS) as u64,
-                embed_width as u64,
+                self.centroids.width() as u64,
             ],
         );
         ckpt.push_ints("num_aps", vec![self.num_aps as u64]);
         ckpt.push_state("network", network.state_dict());
-        ckpt.push_ints(
-            "centroid_mask",
-            self.centroids
-                .iter()
-                .map(|c| u64::from(c.is_some()))
-                .collect(),
-        );
-        ckpt.push_tensor("centroids", rows_to_tensor(&present_rows, embed_width)?);
+        ckpt.push_ints("centroid_mask", mask);
+        ckpt.push_tensor("centroids", self.centroids.to_tensor()?);
         Ok(ckpt)
     }
 
@@ -228,28 +226,16 @@ impl AnvilLocalizer {
             ))
             .into());
         }
-        let mut rows = tensor_to_rows(ckpt.tensor("centroids")?)?.into_iter();
-        anvil.centroids = mask
-            .iter()
-            .map(|&present| {
-                if present != 0 {
-                    rows.next()
-                        .ok_or_else(|| {
-                            VitalError::from(CheckpointError::Corrupt(
-                                "fewer centroid rows than mask entries".into(),
-                            ))
-                        })
-                        .map(Some)
-                } else {
-                    Ok(None)
-                }
-            })
-            .collect::<Result<Vec<_>>>()?;
-        if rows.next().is_some() {
-            return Err(
-                CheckpointError::Corrupt("more centroid rows than mask entries".into()).into(),
-            );
+        let present: Vec<usize> = (0..num_classes).filter(|&c| mask[c] != 0).collect();
+        let centroids = Memory::from_checkpoint(ckpt.tensor("centroids")?, present, "centroids")?;
+        if !centroids.is_empty() && centroids.width() != EMBED_WIDTH {
+            return Err(CheckpointError::Corrupt(format!(
+                "stored centroids are {} wide, the embedding {EMBED_WIDTH}",
+                centroids.width()
+            ))
+            .into());
         }
+        anvil.centroids = centroids;
         Ok(anvil)
     }
 
@@ -307,20 +293,12 @@ impl Framework for AnvilLocalizer {
     }
 
     /// Euclidean matching of one query embedding against the per-RP
-    /// centroids, falling back to the classifier argmax when no centroids
-    /// exist (degenerate training set).
-    fn decide(&self, _query: &[f32], packed: &[f32]) -> Result<usize> {
+    /// centroids (the first of equal nearest ones), falling back to the
+    /// classifier argmax when no centroids exist (degenerate training set).
+    fn decide(&self, scratch: &mut Scratch, _query: &[f32], packed: &[f32]) -> Result<usize> {
         let (embedding, logits) = packed.split_at(EMBED_WIDTH);
-        let mut best: Option<(usize, f32)> = None;
-        for (label, centroid) in self.centroids.iter().enumerate() {
-            let Some(centroid) = centroid else { continue };
-            let d = squared_distance(centroid, embedding);
-            if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((label, d));
-            }
-        }
-        match best {
-            Some((label, _)) => Ok(label),
+        match self.centroids.nearest(&mut scratch.matching, embedding)? {
+            Some(label) => Ok(label),
             None => Ok(Tensor::from_vec(logits.to_vec(), &[logits.len()])?.argmax()?),
         }
     }
@@ -386,18 +364,16 @@ impl Localizer for AnvilLocalizer {
             }
             slot.1 += 1;
         }
+        let (mut rows, mut classes) = (Vec::new(), Vec::new());
+        for (class, (sum, count)) in sums.into_iter().enumerate() {
+            if count > 0 {
+                rows.push(sum.into_iter().map(|v| v / count as f32).collect());
+                classes.push(class);
+            }
+        }
+        self.centroids = Memory::new(&rows, classes)?;
         self.network = Some(network);
         self.num_aps = train.num_aps();
-        self.centroids = sums
-            .into_iter()
-            .map(|(sum, count)| {
-                if count == 0 {
-                    None
-                } else {
-                    Some(sum.into_iter().map(|v| v / count as f32).collect())
-                }
-            })
-            .collect();
         Ok(())
     }
 

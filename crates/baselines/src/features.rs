@@ -27,31 +27,11 @@ pub(crate) fn gather_rows(matrix: &Tensor, indices: &[usize]) -> tensor::Result<
     Tensor::from_vec(rows.copied().collect(), &[indices.len(), width])
 }
 
-/// Squared Euclidean distance, summed in index order.
+/// Squared Euclidean distance, summed in index order: the per-pair chain
+/// the matching stage's distance kernel (`crate::memory`) is held to.
+#[cfg(test)]
 pub(crate) fn squared_distance(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(a, b)| (a - b) * (a - b)).sum()
-}
-
-/// Distance-weighted vote among the `k` fingerprints of `memory` nearest
-/// to `query`; `None` when `memory` is empty.
-pub(crate) fn weighted_knn_vote<'a>(
-    memory: impl Iterator<Item = (&'a Vec<f32>, &'a usize)>,
-    query: &[f32],
-    k: usize,
-) -> Option<usize> {
-    let mut scored: Vec<(f32, usize)> = memory
-        .map(|(f, &label)| (squared_distance(f, query).sqrt(), label))
-        .collect();
-    scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-    scored.truncate(k);
-    let mut votes: std::collections::HashMap<usize, f32> = std::collections::HashMap::new();
-    for (d, label) in scored {
-        *votes.entry(label).or_insert(0.0) += 1.0 / (d + 1e-3);
-    }
-    votes
-        .into_iter()
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|(label, _)| label)
 }
 
 /// Packs per-row feature vectors into a `[rows, width]` tensor for
@@ -72,21 +52,6 @@ pub(crate) fn rows_to_tensor(rows: &[Vec<f32>], width: usize) -> tensor::Result<
         data.extend_from_slice(row);
     }
     Tensor::from_vec(data, &[rows.len(), width])
-}
-
-/// Unpacks a `[rows, width]` checkpoint tensor back into per-row vectors.
-///
-/// # Errors
-/// Returns an error if the tensor is not a matrix.
-pub(crate) fn tensor_to_rows(t: &Tensor) -> tensor::Result<Vec<Vec<f32>>> {
-    let cols = t.cols()?;
-    if cols == 0 {
-        return Ok(vec![Vec::new(); t.rows()?]);
-    }
-    Ok(t.as_slice()
-        .chunks_exact(cols)
-        .map(<[f32]>::to_vec)
-        .collect())
 }
 
 /// How a fingerprint observation is turned into a flat feature vector.

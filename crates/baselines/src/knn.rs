@@ -7,7 +7,7 @@ use fingerprint::{FingerprintDataset, FingerprintObservation};
 use tensor::rng::DrawKey;
 use vital::{Checkpoint, CheckpointError, Localizer, ModelKind, Result, VitalError};
 
-use crate::features::{rows_to_tensor, tensor_to_rows, weighted_knn_vote};
+use crate::memory::{Matching, Memory};
 use crate::{FeatureExtractor, FeatureMode};
 
 /// K-nearest-neighbour localizer over a configurable fingerprint
@@ -21,8 +21,8 @@ pub struct KnnLocalizer {
     k: usize,
     extractor: FeatureExtractor,
     name: String,
-    train_features: Vec<Vec<f32>>,
-    train_labels: Vec<usize>,
+    /// The clean training fingerprints and their reference points.
+    memory: Memory,
 }
 
 impl KnnLocalizer {
@@ -39,8 +39,7 @@ impl KnnLocalizer {
             k: k.max(1),
             extractor: FeatureExtractor::new(mode),
             name: name.to_string(),
-            train_features: Vec::new(),
-            train_labels: Vec::new(),
+            memory: Memory::default(),
         }
     }
 
@@ -55,17 +54,16 @@ impl KnnLocalizer {
     /// # Errors
     /// Returns [`VitalError::NotFitted`] before [`Localizer::fit`].
     pub fn to_checkpoint(&self) -> Result<Checkpoint> {
-        if self.train_features.is_empty() {
+        if self.memory.is_empty() {
             return Err(VitalError::NotFitted);
         }
-        let width = self.train_features[0].len();
         let mut ckpt = Checkpoint::new(ModelKind::Knn);
         ckpt.push_ints("k", vec![self.k as u64]);
         ckpt.push_text("mode", self.extractor.mode().as_str());
-        ckpt.push_tensor("features", rows_to_tensor(&self.train_features, width)?);
+        ckpt.push_tensor("features", self.memory.to_tensor()?);
         ckpt.push_ints(
             "labels",
-            self.train_labels.iter().map(|&l| l as u64).collect(),
+            self.memory.labels().iter().map(|&l| l as u64).collect(),
         );
         Ok(ckpt)
     }
@@ -83,19 +81,9 @@ impl KnnLocalizer {
         let mode = FeatureMode::parse(mode_text).ok_or_else(|| {
             CheckpointError::Corrupt(format!("unknown feature mode {mode_text:?}"))
         })?;
-        let features = tensor_to_rows(ckpt.tensor("features")?)?;
         let labels = ckpt.usizes("labels")?;
-        if features.len() != labels.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "{} stored fingerprints but {} labels",
-                features.len(),
-                labels.len()
-            ))
-            .into());
-        }
         let mut knn = KnnLocalizer::new(k, mode);
-        knn.train_features = features;
-        knn.train_labels = labels;
+        knn.memory = Memory::from_checkpoint(ckpt.tensor("features")?, labels, "fingerprints")?;
         Ok(knn)
     }
 }
@@ -109,23 +97,23 @@ impl Localizer for KnnLocalizer {
         if train.is_empty() {
             return Err(VitalError::InvalidDataset("empty training set".into()));
         }
-        self.train_features = self.extractor.extract_clean_batch(train.observations());
-        self.train_labels = train.labels();
+        let features = self.extractor.extract_clean_batch(train.observations());
+        self.memory = Memory::new(&features, train.labels())?;
         Ok(())
     }
 
     /// The stored fingerprints' width over the mode's channels per access
     /// point.
     fn num_aps(&self) -> usize {
-        let width = self.train_features.first().map_or(0, Vec::len);
-        width / self.extractor.mode().channels()
+        self.memory.width() / self.extractor.mode().channels()
     }
 
     fn localize_batch(&self, observations: &[FingerprintObservation]) -> Result<Vec<usize>> {
-        if self.train_features.is_empty() {
+        if self.memory.is_empty() {
             return Err(VitalError::NotFitted);
         }
         vital::check_widths(self.num_aps(), observations)?;
+        let mut matching = Matching::default();
         // Clean extraction draws nothing, so the default key is never read.
         observations
             .iter()
@@ -133,8 +121,9 @@ impl Localizer for KnnLocalizer {
                 let query = self
                     .extractor
                     .extract(observation, false, DrawKey::default());
-                let memory = self.train_features.iter().zip(&self.train_labels);
-                weighted_knn_vote(memory, &query, self.k).ok_or(VitalError::NotFitted)
+                self.memory
+                    .weighted_vote(&mut matching, &query, self.k, |_| true)?
+                    .ok_or(VitalError::NotFitted)
             })
             .collect()
     }
@@ -251,6 +240,29 @@ mod tests {
             );
         }
         assert!(knn.localize_batch(&ds.observations()[..2]).is_ok());
+    }
+
+    /// Two reference points equally far from the query split the vote
+    /// exactly; the one stored first is the nearest neighbour in (distance,
+    /// row) order and wins on every call (a vote summed in a hash map
+    /// gave either, by its per-map hash order).
+    #[test]
+    fn an_exact_two_label_tie_gives_one_answer() {
+        let observation = |rp_label, dbm: f32| FingerprintObservation {
+            rp_label,
+            device: "T".into(),
+            min: vec![dbm],
+            max: vec![dbm],
+            mean: vec![dbm],
+        };
+        let survey = vec![observation(7, -25.0), observation(3, -75.0)];
+        let train = FingerprintDataset::from_observations("tie", 1, 8, survey);
+        let mut knn = KnnLocalizer::new(2, FeatureMode::MeanChannel);
+        knn.fit(&train).unwrap();
+        let query = observation(0, -50.0);
+        for _ in 0..1000 {
+            assert_eq!(knn.predict(&query).unwrap(), 7);
+        }
     }
 
     #[test]

@@ -42,6 +42,17 @@
 //! to. `predict` is [`vital::Localizer`]'s provided batch of one, and
 //! training is the other shared loop, [`nn::optim::minibatches`].
 //!
+//! # One matching stage
+//!
+//! KNN, SHERPA's refinement, WiDeep's kernel vote and ANVIL's centroids
+//! all compare a query with a store of labelled vectors. The store is one
+//! private type, `memory::Memory`, held feature-major so that one
+//! dispatched kernel ([`simd::squared_distances`]) gives the distance to
+//! every stored row, each bit-identical to the per-pair sum. A call's
+//! queries share one distance buffer, and the vote's ties have a rule:
+//! the label whose nearest neighbour comes first in (distance, row) order
+//! wins.
+//!
 //! # Example
 //!
 //! ```no_run
@@ -71,6 +82,7 @@ mod anvil;
 mod cnnloc;
 mod features;
 mod knn;
+mod memory;
 mod sherpa;
 mod wideep;
 
@@ -84,6 +96,7 @@ pub use wideep::WiDeepLocalizer;
 use autograd::Tape;
 use fingerprint::FingerprintObservation;
 use graph::{Graph, PlanCache};
+use memory::Scratch;
 use nn::{Layer, Session, Trace};
 use tensor::Tensor;
 use vital::Localizer;
@@ -109,8 +122,9 @@ pub(crate) trait Framework: Localizer {
     /// follows it that is still arithmetic; one output row per query.
     fn record<T: Trace>(net: &Self::Net, t: &mut T, x: T::Node) -> Result<T::Node, T::Error>;
 
-    /// *Decide*: one query's clean features and its output row to a label.
-    fn decide(&self, query: &[f32], output: &[f32]) -> vital::Result<usize>;
+    /// *Decide*: one query's clean features and its output row to a label,
+    /// in buffers `scratch` that the queries of one call share.
+    fn decide(&self, scratch: &mut Scratch, query: &[f32], output: &[f32]) -> vital::Result<usize>;
 }
 
 /// Runner: [`Framework::record`] over an input through the compiled plan
@@ -149,7 +163,7 @@ pub(crate) fn map_rows<F: Framework, R>(
     extractor: &FeatureExtractor,
     observations: &[FingerprintObservation],
     run: impl Fn(&F::Net, &Tensor) -> vital::Result<Tensor>,
-    per_row: impl Fn(&[f32], &[f32]) -> vital::Result<R>,
+    mut per_row: impl FnMut(&[f32], &[f32]) -> vital::Result<R>,
 ) -> vital::Result<Vec<R>> {
     let mut results = Vec::with_capacity(observations.len());
     for chunk in observations.chunks(features::INFERENCE_CHUNK) {
@@ -165,7 +179,7 @@ pub(crate) fn map_rows<F: Framework, R>(
 
 /// [`Localizer::localize_batch`] of every network baseline: the input
 /// contract ([`vital::check_widths`]), then [`map_rows`] over `run` with
-/// [`Framework::decide`].
+/// [`Framework::decide`], every query deciding in one [`Scratch`].
 pub(crate) fn localize<F: Framework>(
     framework: &F,
     observations: &[FingerprintObservation],
@@ -173,8 +187,9 @@ pub(crate) fn localize<F: Framework>(
 ) -> vital::Result<Vec<usize>> {
     let (net, extractor) = framework.fitted()?;
     vital::check_widths(framework.num_aps(), observations)?;
+    let mut scratch = Scratch::default();
     map_rows::<F, _>(net, extractor, observations, run, |q, row| {
-        framework.decide(q, row)
+        framework.decide(&mut scratch, q, row)
     })
 }
 

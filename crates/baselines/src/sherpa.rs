@@ -14,9 +14,8 @@ use nn::{Activation, Layer, Mlp, Trace};
 use tensor::rng::SeededRng;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
-use crate::features::{
-    augmentation_seed, gather_rows, rows_to_tensor, tensor_to_rows, weighted_knn_vote,
-};
+use crate::features::{augmentation_seed, gather_rows};
+use crate::memory::{first_k, Memory, Scratch};
 use crate::{
     check_stored_dim, localize, run_compiled, run_eager, FeatureExtractor, FeatureMode, Framework,
 };
@@ -31,8 +30,8 @@ pub struct SherpaLocalizer {
     neighbours: usize,
     network: Option<Mlp>,
     num_classes: usize,
-    train_features: Vec<Vec<f32>>,
-    train_labels: Vec<usize>,
+    /// The KNN refinement's clean training fingerprints.
+    memory: Memory,
     /// Compiled DNN-posterior plans, keyed by `(batch, weight stamp)`.
     plan_cache: PlanCache,
 }
@@ -48,8 +47,7 @@ impl SherpaLocalizer {
             neighbours: 5,
             network: None,
             num_classes: 0,
-            train_features: Vec::new(),
-            train_labels: Vec::new(),
+            memory: Memory::default(),
             plan_cache: PlanCache::new(),
         }
     }
@@ -87,7 +85,7 @@ impl SherpaLocalizer {
     /// Returns [`VitalError::NotFitted`] before [`Localizer::fit`].
     pub fn to_checkpoint(&self) -> Result<Checkpoint> {
         let network = self.network.as_ref().ok_or(VitalError::NotFitted)?;
-        let width = self.train_features.first().map(Vec::len).unwrap_or(0);
+        let width = self.memory.width();
         let mut ckpt = Checkpoint::new(ModelKind::Sherpa);
         ckpt.set_dam_config(self.extractor.dam_config());
         ckpt.push_ints("seed", vec![self.seed]);
@@ -102,10 +100,10 @@ impl SherpaLocalizer {
             ],
         );
         ckpt.push_state("network", network.state_dict());
-        ckpt.push_tensor("memory", rows_to_tensor(&self.train_features, width)?);
+        ckpt.push_tensor("memory", self.memory.to_tensor()?);
         ckpt.push_ints(
             "labels",
-            self.train_labels.iter().map(|&l| l as u64).collect(),
+            self.memory.labels().iter().map(|&l| l as u64).collect(),
         );
         Ok(ckpt)
     }
@@ -145,16 +143,8 @@ impl SherpaLocalizer {
         network.load_state(state)?;
         sherpa.network = Some(network);
 
-        sherpa.train_features = tensor_to_rows(ckpt.tensor("memory")?)?;
-        sherpa.train_labels = ckpt.usizes("labels")?;
-        if sherpa.train_features.len() != sherpa.train_labels.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "{} stored fingerprints but {} labels",
-                sherpa.train_features.len(),
-                sherpa.train_labels.len()
-            ))
-            .into());
-        }
+        let labels = ckpt.usizes("labels")?;
+        sherpa.memory = Memory::from_checkpoint(ckpt.tensor("memory")?, labels, "fingerprints")?;
         Ok(sherpa)
     }
 
@@ -198,22 +188,26 @@ impl Framework for SherpaLocalizer {
     }
 
     /// The KNN refinement stage: restricts a distance-weighted vote to the
-    /// DNN's top candidate classes for one query.
-    fn decide(&self, query: &[f32], posterior_row: &[f32]) -> Result<usize> {
-        let mut ranked: Vec<(usize, f32)> = posterior_row.iter().cloned().enumerate().collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-        let candidates: Vec<usize> = ranked
-            .iter()
-            .take(self.top_candidates)
-            .map(|(c, _)| *c)
-            .collect();
+    /// DNN's top candidate classes for one query (the most probable first,
+    /// ties to the smaller class).
+    fn decide(&self, scratch: &mut Scratch, query: &[f32], posterior_row: &[f32]) -> Result<usize> {
+        let Scratch {
+            matching, ranked, ..
+        } = scratch;
+        ranked.clear();
+        ranked.extend(0..posterior_row.len());
+        let candidates = first_k(ranked, self.top_candidates, |&a, &b| {
+            posterior_row[b].total_cmp(&posterior_row[a])
+        });
 
         // Distance-weighted KNN vote restricted to the candidate classes,
         // falling back to the DNN's argmax when no memory matches.
-        let memory = self.train_features.iter().zip(&self.train_labels);
-        let candidate_memory = memory.filter(|(_, label)| candidates.contains(label));
-        Ok(weighted_knn_vote(candidate_memory, query, self.neighbours)
-            .unwrap_or_else(|| candidates.first().copied().unwrap_or(0)))
+        let vote = self
+            .memory
+            .weighted_vote(matching, query, self.neighbours, |label| {
+                candidates.contains(&label)
+            })?;
+        Ok(vote.unwrap_or_else(|| candidates.first().copied().unwrap_or(0)))
     }
 }
 
@@ -225,7 +219,7 @@ impl Localizer for SherpaLocalizer {
     /// The stored fingerprints' width: one mean-channel feature per access
     /// point.
     fn num_aps(&self) -> usize {
-        self.train_features.first().map_or(0, Vec::len)
+        self.memory.width()
     }
 
     fn fit(&mut self, train: &FingerprintDataset) -> Result<()> {
@@ -255,8 +249,8 @@ impl Localizer for SherpaLocalizer {
         self.network = Some(network);
 
         // KNN memory uses clean (non-augmented) fingerprints.
-        self.train_features = self.extractor.extract_clean_batch(train.observations());
-        self.train_labels = train.labels();
+        let clean = self.extractor.extract_clean_batch(train.observations());
+        self.memory = Memory::new(&clean, train.labels())?;
         Ok(())
     }
 

@@ -15,10 +15,10 @@ use fingerprint::{FingerprintDataset, FingerprintObservation};
 use graph::PlanCache;
 use nn::{Layer, StackedAutoencoder, Trace};
 use tensor::rng::SeededRng;
-use tensor::Tensor;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
-use crate::features::{augmentation_seed, rows_to_tensor, squared_distance, tensor_to_rows};
+use crate::features::augmentation_seed;
+use crate::memory::{Memory, Scratch};
 use crate::{
     check_stored_dim, localize, map_rows, run_compiled, run_eager, FeatureExtractor, FeatureMode,
     Framework,
@@ -35,8 +35,8 @@ pub struct WiDeepLocalizer {
     /// RBF kernel length scale in code space.
     length_scale: f32,
     autoencoder: Option<StackedAutoencoder>,
-    codes: Vec<Vec<f32>>,
-    labels: Vec<usize>,
+    /// The clean training fingerprints' codes and reference points.
+    codes: Memory,
     num_classes: usize,
     /// Compiled SAE-encoder plans, keyed by `(batch, weight stamp)`.
     plan_cache: PlanCache,
@@ -52,8 +52,7 @@ impl WiDeepLocalizer {
             corruption_std: 0.08,
             length_scale: 0.6,
             autoencoder: None,
-            codes: Vec::new(),
-            labels: Vec::new(),
+            codes: Memory::default(),
             num_classes: 0,
             plan_cache: PlanCache::new(),
         }
@@ -92,7 +91,6 @@ impl WiDeepLocalizer {
     /// Returns [`VitalError::NotFitted`] before [`Localizer::fit`].
     pub fn to_checkpoint(&self) -> Result<Checkpoint> {
         let ae = self.autoencoder.as_ref().ok_or(VitalError::NotFitted)?;
-        let code_width = self.codes.first().map(Vec::len).unwrap_or(0);
         let mut ckpt = Checkpoint::new(ModelKind::WiDeep);
         ckpt.set_dam_config(self.extractor.dam_config());
         ckpt.push_ints("seed", vec![self.seed]);
@@ -107,8 +105,11 @@ impl WiDeepLocalizer {
         ckpt.push_scalar("corruption_std", f64::from(self.corruption_std));
         ckpt.push_scalar("length_scale", f64::from(self.length_scale));
         ckpt.push_state("autoencoder", ae.state_dict());
-        ckpt.push_tensor("codes", rows_to_tensor(&self.codes, code_width)?);
-        ckpt.push_ints("labels", self.labels.iter().map(|&l| l as u64).collect());
+        ckpt.push_tensor("codes", self.codes.to_tensor()?);
+        ckpt.push_ints(
+            "labels",
+            self.codes.labels().iter().map(|&l| l as u64).collect(),
+        );
         Ok(ckpt)
     }
 
@@ -143,19 +144,20 @@ impl WiDeepLocalizer {
         check_stored_dim("width", width, state.first(), 0)?;
         let autoencoder = Self::build_autoencoder(seed, width);
         autoencoder.load_state(state)?;
-        wideep.autoencoder = Some(autoencoder);
 
-        wideep.codes = tensor_to_rows(ckpt.tensor("codes")?)?;
-        wideep.labels = ckpt.usizes("labels")?;
-        if wideep.codes.len() != wideep.labels.len() {
+        let labels = ckpt.usizes("labels")?;
+        let codes = Memory::from_checkpoint(ckpt.tensor("codes")?, labels, "codes")?;
+        check_class_count(num_classes, codes.labels())?;
+        if !codes.is_empty() && codes.width() != autoencoder.code_dim() {
             return Err(CheckpointError::Corrupt(format!(
-                "{} stored codes but {} labels",
-                wideep.codes.len(),
-                wideep.labels.len()
+                "stored codes are {} wide, the encoder's {}",
+                codes.width(),
+                autoencoder.code_dim()
             ))
             .into());
         }
-        check_class_count(num_classes, &wideep.labels)?;
+        wideep.autoencoder = Some(autoencoder);
+        wideep.codes = codes;
         Ok(wideep)
     }
 
@@ -222,14 +224,20 @@ impl Framework for WiDeepLocalizer {
         autoencoder.encode(t, x)
     }
 
-    /// Gaussian-kernel posterior argmax for one encoded query.
-    fn decide(&self, _query: &[f32], code: &[f32]) -> Result<usize> {
+    /// Gaussian-kernel posterior argmax for one encoded query: each stored
+    /// code adds `exp(−γ·d²)` to its class, in memory order.
+    fn decide(&self, scratch: &mut Scratch, _query: &[f32], code: &[f32]) -> Result<usize> {
         let gamma = 1.0 / (2.0 * self.length_scale * self.length_scale);
-        let mut posterior = vec![0.0f32; self.num_classes];
-        for (memory, &label) in self.codes.iter().zip(&self.labels) {
-            posterior[label] += (-gamma * squared_distance(memory, code)).exp();
+        let Scratch { matching, sums, .. } = scratch;
+        let distances = self.codes.squared_distances(matching, code)?;
+        sums.clear();
+        sums.resize(self.num_classes, 0.0);
+        for (&label, &d) in self.codes.labels().iter().zip(distances.iter()) {
+            sums[label] += (-gamma * d).exp();
         }
-        Ok(Tensor::from_vec(posterior, &[self.num_classes])?.argmax()?)
+        let mut best = [0];
+        tensor::kernels::argmax_rows(sums, self.num_classes, &mut best)?;
+        Ok(best[0])
     }
 }
 
@@ -270,15 +278,15 @@ impl Localizer for WiDeepLocalizer {
         // (the training matrix may also hold augmented copies; the memory
         // holds the clean observations only).
         let to_code = |_: &[f32], code: &[f32]| Ok(code.to_vec());
-        self.codes = map_rows::<Self, _>(
+        let codes = map_rows::<Self, _>(
             &autoencoder,
             &self.extractor,
             train.observations(),
             run_eager::<Self>,
             to_code,
         )?;
+        self.codes = Memory::new(&codes, train.labels())?;
         self.autoencoder = Some(autoencoder);
-        self.labels = train.labels();
         Ok(())
     }
 

@@ -113,8 +113,14 @@ impl VitalModel {
     /// The full pre-processing pipeline (image creation, DAM, patch
     /// extraction): the observations' row-major `[num_patches, patch_dim]`
     /// patch matrices, one after another in `stacked`, the `j`-th
-    /// augmented (when `training`) by the draws of `key(j)`.
-    fn write_patches<'a>(
+    /// augmented (when `training`) by the draws of `key(j)`. What
+    /// [`VitalModel::fit`] writes each batch's one input with.
+    ///
+    /// # Errors
+    /// If an observation has another access-point count than the image
+    /// creator resamples from, or `stacked` is not one patch matrix per
+    /// observation.
+    pub fn write_patches<'a>(
         &self,
         observations: impl IntoIterator<Item = &'a FingerprintObservation>,
         training: bool,

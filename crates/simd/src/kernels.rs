@@ -66,6 +66,9 @@
 //!   unspecified (`(x − mean) · istd` multiplies two unrelated NaNs per
 //!   element; canonicalising there would tax every finite row for the
 //!   sake of rows that are already garbage).
+//! - `squared_distances` ([`SquaredDistances`]) is bit-identical across
+//!   the levels on every input, and to the per-pair chain of each row on
+//!   every distance that is not NaN; its NaNs are canonical.
 
 // The Cephes expf constants are written with their full decimal digits on
 // purpose: each literal rounds to the exact f32 bit pattern the minimax
@@ -441,6 +444,80 @@ impl Kernel for GeluBackward<'_> {
             store_partial::<S>(S::mul(g, gelu_grad_v::<S>(x)), rem);
         }
     }
+}
+
+/// Squared Euclidean distance from one query to every row of a
+/// feature-major store (`store[j · rows + r]`, `rows = out.len()`) into
+/// `out`, with the lanes spread across stored rows.
+///
+/// Each lane runs the per-pair chain of its own row,
+/// `((−0 + d₀²) + d₁²) + …` over `dⱼ = s − q` in feature order, with an
+/// unfused subtract, multiply and add and `−0`, the value
+/// `Iterator::sum` starts from, as the first accumulator: every distance
+/// is `Σ (row[j] − query[j])²` summed in index order, bit for bit, at
+/// every level. The one exception is a NaN's sign and payload: IEEE
+/// leaves them open, x86 takes them from the first operand, and the
+/// optimiser may commute the add (a release build of the chain gave `−NaN`
+/// where the portable lanes gave `+NaN`), so a NaN distance is stored as
+/// the canonical `f32::NAN` at every level and every build, after every
+/// number in `total_cmp` order. Rows go in blocks of four bundles, four
+/// independent chains per column load; the last rows one bundle at a
+/// time, a partial one through a zero-padded load whose pad lanes are
+/// never stored.
+pub(crate) struct SquaredDistances<'a> {
+    pub store: &'a [f32],
+    pub query: &'a [f32],
+    pub out: &'a mut [f32],
+}
+
+/// Bundles of rows [`SquaredDistances`] carries through one pass over the
+/// columns.
+const DISTANCE_BUNDLES: usize = 4;
+
+impl Kernel for SquaredDistances<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<S: SimdOp>(self) {
+        let SquaredDistances { store, query, out } = self;
+        let rows = out.len();
+        let block = DISTANCE_BUNDLES * S::LANES;
+        let full = rows - rows % block;
+        for r0 in (0..full).step_by(block) {
+            let mut acc = [S::splat(-0.0); DISTANCE_BUNDLES];
+            for (j, &q) in query.iter().enumerate() {
+                let column = &store[j * rows + r0..];
+                let q = S::splat(q);
+                for (b, acc) in acc.iter_mut().enumerate() {
+                    let d = S::sub(S::load(&column[b * S::LANES..]), q);
+                    *acc = S::add(*acc, S::mul(d, d));
+                }
+            }
+            for (b, acc) in acc.into_iter().enumerate() {
+                S::store(canonical_nan::<S>(acc), &mut out[r0 + b * S::LANES..]);
+            }
+        }
+        for r0 in (full..rows).step_by(S::LANES) {
+            let live = (rows - r0).min(S::LANES);
+            let mut acc = S::splat(-0.0);
+            for (j, &q) in query.iter().enumerate() {
+                let lanes = &store[j * rows + r0..j * rows + r0 + live];
+                let s = if live == S::LANES {
+                    S::load(lanes)
+                } else {
+                    S::load_padded(lanes, 0.0)
+                };
+                let d = S::sub(s, S::splat(q));
+                acc = S::add(acc, S::mul(d, d));
+            }
+            store_partial::<S>(canonical_nan::<S>(acc), &mut out[r0..r0 + live]);
+        }
+    }
+}
+
+/// `v` with every NaN lane replaced by `f32::NAN`.
+#[inline(always)]
+fn canonical_nan<S: SimdOp>(v: S::V) -> S::V {
+    S::select(S::is_nan(v), S::splat(f32::NAN), v)
 }
 
 /// Stores the first `dst.len()` lanes of `v`.

@@ -40,6 +40,12 @@
 //! and the normals come from the crate's own `ln` and `sincos`, so these
 //! are bit-identical at every level too.
 //!
+//! The memory-matching baselines (KNN, SHERPA's refinement, WiDeep's
+//! kernel vote, ANVIL's centroids) have one: [`squared_distances`], the
+//! squared distance from one query to every row of a feature-major store,
+//! the lanes spread across rows and each lane the per-pair chain of its
+//! row, so every distance is the one a loop over the pair would sum.
+//!
 //! Alongside the transcendental kernels, [`gemm`] holds the GEMM band
 //! microkernel — one register tile over the same `SimdOp` backends, its
 //! shape (rows × lane bundles) chosen by each backend from the product's
@@ -282,6 +288,24 @@ pub fn layer_norm_rows(
             stats,
         },
     );
+}
+
+/// `out[r] = Σⱼ (store[j · rows + r] − query[j])²` for every row `r` of
+/// a feature-major `[query.len()][rows]` store, `rows = out.len()`, at
+/// `level` (resolved on this CPU): each distance bit-identical to the
+/// per-pair `row.iter().zip(query).map(|(s, q)| (s − q) · (s − q)).sum()`
+/// of its row, whatever the level, except that a NaN comes out as
+/// `f32::NAN` ([`kernels`]'s `SquaredDistances` says why).
+///
+/// # Panics
+/// If `store` does not hold `query.len() · out.len()` values.
+pub fn squared_distances(level: Level, store: &[f32], query: &[f32], out: &mut [f32]) {
+    assert_eq!(
+        store.len(),
+        query.len() * out.len(),
+        "a feature-major store holds one column of out.len() rows per query feature"
+    );
+    dispatch(level, kernels::SquaredDistances { store, query, out });
 }
 
 /// Natural logarithm of every element in place at `level` (resolved on

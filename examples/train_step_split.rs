@@ -9,8 +9,9 @@
 //!
 //! Uses the benchmark's `train_fit` data (Building 3, base devices, two
 //! captures of five samples per reference point). Each step writes the
-//! batch's augmented patch matrices and stacks them (the patches column:
-//! what `fit` pays per batch before it records anything), records the
+//! batch's augmented patch matrices straight into one stacked buffer with
+//! `VitalModel::write_patches`, as `fit` does (the patches column: what
+//! `fit` pays per batch before it records anything), records the
 //! forward and the loss on a fresh training tape (forward), runs
 //! `Session::backward` (backward) and applies the gradients (adam). Two
 //! warm-up steps are not counted; `steps` (default 20) are.
@@ -24,7 +25,7 @@ use fingerprint::{base_devices, DatasetConfig, FingerprintDataset};
 use nn::optim::Adam;
 use nn::Session;
 use sim_radio::building_3;
-use tensor::rng::{DrawKey, SeededRng};
+use tensor::rng::DrawKey;
 use tensor::Tensor;
 use vital::{VitalConfig, VitalModel};
 
@@ -52,16 +53,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let vit = model.transformer();
 
     let mut adam = Adam::new(model.config().train.learning_rate);
-    let mut rng = SeededRng::new(seed);
+    let (patch_dim, rows) = (vit.patch_dim(), BATCH * vit.num_patches());
     let [mut dam, mut forward, mut backward, mut update] = [(); 4].map(|_| Vec::new());
     let batches = train.observations().chunks_exact(BATCH).cycle();
     for (step, batch) in batches.take(WARM_UP + steps).enumerate() {
         let drawing = Instant::now();
-        let patches = batch
-            .iter()
-            .map(|o| model.prepare_patches(o, true, &mut rng))
-            .collect::<vital::Result<Vec<Tensor>>>()?;
-        let stacked = Tensor::concat_rows(&patches.iter().collect::<Vec<_>>())?;
+        let mut stacked = vec![0.0; rows * patch_dim];
+        let key = |j: usize| DrawKey::new(seed, [step, j]);
+        model.write_patches(batch, true, key, &mut stacked)?;
+        let stacked = Tensor::from_vec(stacked, &[rows, patch_dim])?;
         let labels: Vec<usize> = batch.iter().map(|o| o.rp_label).collect();
         let drawn = drawing.elapsed();
 
