@@ -21,7 +21,7 @@ use tensor::Tensor;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
 use crate::features::augmentation_seed;
-use crate::memory::{Memory, Scratch};
+use crate::memory::{Buffers, Memory};
 use crate::{
     check_stored_dim, localize, map_rows, run_compiled, run_eager, FeatureExtractor, FeatureMode,
     Framework,
@@ -295,9 +295,9 @@ impl Framework for AnvilLocalizer {
     /// Euclidean matching of one query embedding against the per-RP
     /// centroids (the first of equal nearest ones), falling back to the
     /// classifier argmax when no centroids exist (degenerate training set).
-    fn decide(&self, scratch: &mut Scratch, _query: &[f32], packed: &[f32]) -> Result<usize> {
+    fn decide(&self, buffers: &mut Buffers, _query: &[f32], packed: &[f32]) -> Result<usize> {
         let (embedding, logits) = packed.split_at(EMBED_WIDTH);
-        match self.centroids.nearest(&mut scratch.matching, embedding)? {
+        match self.centroids.nearest(&mut buffers.matching, embedding)? {
             Some(label) => Ok(label),
             None => Ok(Tensor::from_vec(logits.to_vec(), &[logits.len()])?.argmax()?),
         }
@@ -436,6 +436,32 @@ mod tests {
             report.mean_error_m() < 10.0,
             "ANVIL mean error {} m",
             report.mean_error_m()
+        );
+    }
+
+    /// Stored centroids of another width than the embedding are refused
+    /// at load, not matched against embeddings of the network's width.
+    #[test]
+    fn centroids_of_another_width_are_refused() {
+        let building = building_1();
+        let ds = FingerprintDataset::collect(
+            &building,
+            &base_devices()[..1],
+            &DatasetConfig {
+                captures_per_rp: 1,
+                samples_per_capture: 2,
+                seed: 7,
+            },
+        );
+        let mut anvil = AnvilLocalizer::new(2).with_epochs(1);
+        anvil.fit(&ds).unwrap();
+        assert!(AnvilLocalizer::from_checkpoint(&anvil.to_checkpoint().unwrap()).is_ok());
+        let narrower = vec![vec![0.0; EMBED_WIDTH - 1]; anvil.centroids.len()];
+        anvil.centroids = Memory::new(&narrower, anvil.centroids.labels().to_vec()).unwrap();
+        let refused = AnvilLocalizer::from_checkpoint(&anvil.to_checkpoint().unwrap());
+        assert!(
+            matches!(&refused, Err(VitalError::Checkpoint(CheckpointError::Corrupt(m))) if m.contains("wide")),
+            "{refused:?}"
         );
     }
 

@@ -12,7 +12,7 @@ use tensor::Tensor;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
 use crate::features::{augmentation_seed, gather_rows};
-use crate::memory::Scratch;
+use crate::memory::Buffers;
 use crate::{
     check_stored_dim, localize, run_compiled, run_eager, FeatureExtractor, FeatureMode, Framework,
 };
@@ -201,7 +201,7 @@ impl Framework for CnnLocLocalizer {
         network.classifier.forward(t, activated)
     }
 
-    fn decide(&self, _: &mut Scratch, _query: &[f32], logits: &[f32]) -> Result<usize> {
+    fn decide(&self, _: &mut Buffers, _query: &[f32], logits: &[f32]) -> Result<usize> {
         Ok(Tensor::from_vec(logits.to_vec(), &[logits.len()])?.argmax()?)
     }
 }

@@ -96,7 +96,7 @@ pub use wideep::WiDeepLocalizer;
 use autograd::Tape;
 use fingerprint::FingerprintObservation;
 use graph::{Graph, PlanCache};
-use memory::Scratch;
+use memory::Buffers;
 use nn::{Layer, Session, Trace};
 use tensor::Tensor;
 use vital::Localizer;
@@ -123,8 +123,8 @@ pub(crate) trait Framework: Localizer {
     fn record<T: Trace>(net: &Self::Net, t: &mut T, x: T::Node) -> Result<T::Node, T::Error>;
 
     /// *Decide*: one query's clean features and its output row to a label,
-    /// in buffers `scratch` that the queries of one call share.
-    fn decide(&self, scratch: &mut Scratch, query: &[f32], output: &[f32]) -> vital::Result<usize>;
+    /// in `buffers` that the queries of one call share.
+    fn decide(&self, buffers: &mut Buffers, query: &[f32], output: &[f32]) -> vital::Result<usize>;
 }
 
 /// Runner: [`Framework::record`] over an input through the compiled plan
@@ -179,7 +179,7 @@ pub(crate) fn map_rows<F: Framework, R>(
 
 /// [`Localizer::localize_batch`] of every network baseline: the input
 /// contract ([`vital::check_widths`]), then [`map_rows`] over `run` with
-/// [`Framework::decide`], every query deciding in one [`Scratch`].
+/// [`Framework::decide`], every query deciding in one [`Buffers`].
 pub(crate) fn localize<F: Framework>(
     framework: &F,
     observations: &[FingerprintObservation],
@@ -187,9 +187,9 @@ pub(crate) fn localize<F: Framework>(
 ) -> vital::Result<Vec<usize>> {
     let (net, extractor) = framework.fitted()?;
     vital::check_widths(framework.num_aps(), observations)?;
-    let mut scratch = Scratch::default();
+    let mut buffers = Buffers::default();
     map_rows::<F, _>(net, extractor, observations, run, |q, row| {
-        framework.decide(&mut scratch, q, row)
+        framework.decide(&mut buffers, q, row)
     })
 }
 

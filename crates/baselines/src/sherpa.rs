@@ -15,7 +15,7 @@ use tensor::rng::SeededRng;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
 use crate::features::{augmentation_seed, gather_rows};
-use crate::memory::{first_k, Memory, Scratch};
+use crate::memory::{first_k, Buffers, Memory};
 use crate::{
     check_stored_dim, localize, run_compiled, run_eager, FeatureExtractor, FeatureMode, Framework,
 };
@@ -190,10 +190,10 @@ impl Framework for SherpaLocalizer {
     /// The KNN refinement stage: restricts a distance-weighted vote to the
     /// DNN's top candidate classes for one query (the most probable first,
     /// ties to the smaller class).
-    fn decide(&self, scratch: &mut Scratch, query: &[f32], posterior_row: &[f32]) -> Result<usize> {
-        let Scratch {
+    fn decide(&self, buffers: &mut Buffers, query: &[f32], posterior_row: &[f32]) -> Result<usize> {
+        let Buffers {
             matching, ranked, ..
-        } = scratch;
+        } = buffers;
         ranked.clear();
         ranked.extend(0..posterior_row.len());
         let candidates = first_k(ranked, self.top_candidates, |&a, &b| {

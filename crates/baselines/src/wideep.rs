@@ -18,7 +18,7 @@ use tensor::rng::SeededRng;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
 use crate::features::augmentation_seed;
-use crate::memory::{Memory, Scratch};
+use crate::memory::{Buffers, Memory};
 use crate::{
     check_stored_dim, localize, map_rows, run_compiled, run_eager, FeatureExtractor, FeatureMode,
     Framework,
@@ -226,9 +226,9 @@ impl Framework for WiDeepLocalizer {
 
     /// Gaussian-kernel posterior argmax for one encoded query: each stored
     /// code adds `exp(−γ·d²)` to its class, in memory order.
-    fn decide(&self, scratch: &mut Scratch, _query: &[f32], code: &[f32]) -> Result<usize> {
+    fn decide(&self, buffers: &mut Buffers, _query: &[f32], code: &[f32]) -> Result<usize> {
         let gamma = 1.0 / (2.0 * self.length_scale * self.length_scale);
-        let Scratch { matching, sums, .. } = scratch;
+        let Buffers { matching, sums, .. } = buffers;
         let distances = self.codes.squared_distances(matching, code)?;
         sums.clear();
         sums.resize(self.num_classes, 0.0);
@@ -349,6 +349,38 @@ mod tests {
             report.mean_error_m() < 15.0,
             "WiDeep mean error {} m",
             report.mean_error_m()
+        );
+    }
+
+    /// Stored codes of another width than the encoder's are refused at
+    /// load, not matched against codes of the encoder's width.
+    #[test]
+    fn codes_of_another_width_are_refused() {
+        let building = building_1();
+        let ds = FingerprintDataset::collect(
+            &building,
+            &base_devices()[..1],
+            &DatasetConfig {
+                captures_per_rp: 1,
+                samples_per_capture: 2,
+                seed: 4,
+            },
+        );
+        let mut wideep = WiDeepLocalizer::new(2).with_pretrain_epochs(1);
+        wideep.fit(&ds).unwrap();
+        assert!(WiDeepLocalizer::from_checkpoint(&wideep.to_checkpoint().unwrap()).is_ok());
+        let codes = wideep.codes.to_tensor().unwrap();
+        let width = codes.cols().unwrap();
+        let narrower: Vec<Vec<f32>> = codes
+            .as_slice()
+            .chunks_exact(width)
+            .map(|row| row[1..].to_vec())
+            .collect();
+        wideep.codes = Memory::new(&narrower, wideep.codes.labels().to_vec()).unwrap();
+        let refused = WiDeepLocalizer::from_checkpoint(&wideep.to_checkpoint().unwrap());
+        assert!(
+            matches!(&refused, Err(VitalError::Checkpoint(CheckpointError::Corrupt(m))) if m.contains("wide")),
+            "{refused:?}"
         );
     }
 
