@@ -299,7 +299,7 @@ impl Framework for AnvilLocalizer {
         let (embedding, logits) = packed.split_at(EMBED_WIDTH);
         match self.centroids.nearest(&mut buffers.matching, embedding)? {
             Some(label) => Ok(label),
-            None => Ok(Tensor::from_vec(logits.to_vec(), &[logits.len()])?.argmax()?),
+            None => crate::argmax(logits),
         }
     }
 }

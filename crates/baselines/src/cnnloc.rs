@@ -8,7 +8,6 @@ use graph::PlanCache;
 use nn::optim::{minibatches, Adam};
 use nn::{Activation, Conv1d, Layer, Mlp, Param, StackedAutoencoder, Trace};
 use tensor::rng::SeededRng;
-use tensor::Tensor;
 use vital::{Checkpoint, CheckpointError, DamConfig, Localizer, ModelKind, Result, VitalError};
 
 use crate::features::{augmentation_seed, gather_rows};
@@ -202,7 +201,7 @@ impl Framework for CnnLocLocalizer {
     }
 
     fn decide(&self, _: &mut Buffers, _query: &[f32], logits: &[f32]) -> Result<usize> {
-        Ok(Tensor::from_vec(logits.to_vec(), &[logits.len()])?.argmax()?)
+        crate::argmax(logits)
     }
 }
 

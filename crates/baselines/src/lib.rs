@@ -217,6 +217,17 @@ pub(crate) fn check_stored_dim(
     .into())
 }
 
+/// Index of the first maximum of `row` (the first strict `>` wins, as
+/// `Tensor::argmax`), read in place.
+///
+/// # Errors
+/// An empty row has no maximum.
+pub(crate) fn argmax(row: &[f32]) -> vital::Result<usize> {
+    let mut best = [0];
+    tensor::kernels::argmax_rows(row, row.len(), &mut best)?;
+    Ok(best[0])
+}
+
 /// Builds the full comparison suite of the paper's Fig. 7/8/10 —
 /// ANVIL, SHERPA, CNNLoc and WiDeep — each optionally with DAM enabled.
 ///

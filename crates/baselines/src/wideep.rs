@@ -235,9 +235,7 @@ impl Framework for WiDeepLocalizer {
         for (&label, &d) in self.codes.labels().iter().zip(distances.iter()) {
             sums[label] += (-gamma * d).exp();
         }
-        let mut best = [0];
-        tensor::kernels::argmax_rows(sums, self.num_classes, &mut best)?;
-        Ok(best[0])
+        crate::argmax(sums)
     }
 }
 

@@ -39,7 +39,10 @@
 //!    free range that fits (growing the arena if none does) *before* the
 //!    step's operands are released — so it never overlaps a buffer the
 //!    step still reads — and operands whose last use is this step are
-//!    released after, coalescing with free neighbours. Ranges need not
+//!    released after, coalescing with free neighbours. A kernel that needs
+//!    scratch (the attention step's) claims it with its output, as the
+//!    range right after it, and frees it again at once: only that step
+//!    ever writes it. Ranges need not
 //!    match in size: once the stacked input is dead, every later
 //!    activation lives inside its bytes, and the arena
 //!    ([`CompiledPlan::arena_bytes`]) is the plan's peak live footprint
@@ -156,6 +159,15 @@ pub(crate) enum Kernel {
     ConcatRows { parts: Vec<View> },
     /// Horizontal concat; parts carry their column counts.
     ConcatCols { parts: Vec<(View, usize)> },
+    /// Every `(sample, head)` block of a multi-head self-attention, in
+    /// one call, each head written into its columns of the output; its
+    /// scratch is the arena range right after the output.
+    Attention {
+        q: View,
+        k: View,
+        v: View,
+        shape: simd::AttentionShape,
+    },
 }
 
 impl Kernel {
@@ -170,6 +182,15 @@ impl Kernel {
             Kernel::AddTileRows { .. } => "add_tile_rows",
             Kernel::ConcatRows { .. } => "concat_rows",
             Kernel::ConcatCols { .. } => "concat_cols",
+            Kernel::Attention { .. } => "attention",
+        }
+    }
+
+    /// Elements of arena scratch the kernel needs beside its output.
+    pub(crate) fn scratch_len(&self) -> usize {
+        match self {
+            Kernel::Attention { shape, .. } => shape.scratch_len(),
+            _ => 0,
         }
     }
 }
@@ -215,6 +236,7 @@ impl Step {
             Kernel::AddTileRows { src, tile } => src.iter_mut().chain([tile]).for_each(&mut f),
             Kernel::ConcatRows { parts } => parts.iter_mut().for_each(&mut f),
             Kernel::ConcatCols { parts } => parts.iter_mut().for_each(|(p, _)| f(p)),
+            Kernel::Attention { q, k, v, .. } => [q, k, v].into_iter().for_each(&mut f),
         }
         for post in &mut self.post {
             match post {
@@ -518,6 +540,27 @@ impl Lowering<'_> {
                     .collect();
                 self.emit(id, Kernel::ConcatCols { parts }, Vec::new());
             }
+            Op::Attention {
+                q,
+                k,
+                v,
+                samples,
+                heads,
+                scale,
+            } => {
+                let kernel = Kernel::Attention {
+                    q: self.dense(*q),
+                    k: self.dense(*k),
+                    v: self.dense(*v),
+                    shape: simd::AttentionShape {
+                        seq: rows / samples,
+                        heads: *heads,
+                        head_dim: cols / heads,
+                        scale: *scale,
+                    },
+                };
+                self.emit(id, kernel, Vec::new());
+            }
             Op::SliceRows { x, start, .. } => {
                 let view = self.view(*x);
                 let window = view.window(start * view.row_stride, rows, cols);
@@ -687,13 +730,17 @@ fn plan_arena(
                 reg
             })
         });
+        let scratch = step.kernel.scratch_len();
         offsets.push(match in_place {
             Some(reg) => offsets[reg],
             // Claimed BEFORE this step's operands are released, so the
-            // output never overlaps a buffer the kernel still reads.
+            // output (and the scratch right after it) never overlaps a
+            // buffer the kernel still reads; the scratch dies with the step.
             None => {
                 live += 1;
-                free.take(size)
+                let offset = free.take(size + scratch);
+                free.release(offset + size, scratch);
+                offset
             }
         });
         sizes.push(size);
@@ -728,6 +775,11 @@ fn for_each_operand(op: &Op, mut f: impl FnMut(ExprId)) {
         Op::AddTileRows { x, tile, .. } => {
             f(*x);
             f(*tile);
+        }
+        Op::Attention { q, k, v, .. } => {
+            f(*q);
+            f(*k);
+            f(*v);
         }
         Op::ConcatRows { parts } | Op::ConcatCols { parts } => {
             for p in parts {

@@ -28,10 +28,12 @@
 //!   output range with two safe `split_at_mut`s; operand views resolve
 //!   into the halves on either side, so an operand overlapping the output
 //!   — an arena-planner bug — is an out-of-range panic, never a silent
-//!   alias. Slices and reshapes are views, not steps: a GEMM reads a
-//!   strided view in place through its row stride, and a row-wise kernel
-//!   the planner placed in place (`src: None`) skips the copy into its
-//!   output because the output slot already holds its source.
+//!   alias. A kernel's scratch (the attention step's) is a third split,
+//!   the range right after the output. Slices and reshapes are views,
+//!   not steps: a GEMM reads a strided view in place through its row
+//!   stride, and a row-wise kernel the planner placed in place
+//!   (`src: None`) skips the copy into its output because the output
+//!   slot already holds its source.
 //! * **No arithmetic lives here.** A step resolves its views and calls one
 //!   function — of [`tensor::kernels`], `simd::*`,
 //!   [`tensor::UnaryOp::apply_slice_at`] or [`gemm_strided_into_at`] — at
@@ -243,16 +245,18 @@ impl CompiledPlan {
             // Split the buffer around the output range: everything else
             // stays readable, and the arena planner guarantees no operand
             // of this step lies inside it.
+            // A kernel's scratch is the range right after its output.
             let (below, rest) = arena.split_at_mut(out_offset);
-            let (out, above) = rest.split_at_mut(step.rows * step.cols);
+            let (out, rest) = rest.split_at_mut(step.rows * step.cols);
+            let (scratch, above) = rest.split_at_mut(step.kernel.scratch_len());
             let ops = Operands {
                 plan: self,
-                above_start: below.len() + out.len(),
+                above_start: below.len() + out.len() + scratch.len(),
                 below,
                 above,
             };
             let started = times.is_some().then(Instant::now);
-            self.run_kernel(step, out, &ops);
+            self.run_kernel(step, out, scratch, &ops);
             let kernel_done = started.map(|_| Instant::now());
             self.run_post(step, out, &ops);
             if let (Some(times), Some(started), Some(kernel_done)) =
@@ -266,7 +270,7 @@ impl CompiledPlan {
         }
     }
 
-    fn run_kernel(&self, step: &Step, out: &mut [f32], ops: &Operands<'_>) {
+    fn run_kernel(&self, step: &Step, out: &mut [f32], scratch: &mut [f32], ops: &Operands<'_>) {
         let cols = step.cols;
         match &step.kernel {
             Kernel::Copy { src } => ops.load(src, cols, out),
@@ -314,6 +318,10 @@ impl CompiledPlan {
             Kernel::ConcatCols { parts } => {
                 let parts = parts.iter().map(|(p, width)| (ops.resolve(*p), *width));
                 kernels::concat_cols(parts, cols, out);
+            }
+            Kernel::Attention { q, k, v, shape } => {
+                let qkv = [q, k, v].map(|view| ops.resolve(*view));
+                kernels::attention(self.level, qkv, *shape, out, scratch);
             }
         }
     }

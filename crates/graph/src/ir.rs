@@ -138,6 +138,23 @@ pub enum Op {
         /// One past the last column.
         end: usize,
     },
+    /// Multi-head self-attention of `samples` stacked sequences:
+    /// `softmax(Q·Kᵀ · scale) · V` per `(sample, head)` block, each head's
+    /// result in its own columns (`simd::attention`).
+    Attention {
+        /// Queries, `[samples · seq, heads · head_dim]`.
+        q: ExprId,
+        /// Keys, shaped as the queries.
+        k: ExprId,
+        /// Values, shaped as the queries.
+        v: ExprId,
+        /// Sequences stacked in the rows.
+        samples: usize,
+        /// Heads splitting the columns.
+        heads: usize,
+        /// The factor every score is multiplied by before the softmax.
+        scale: f32,
+    },
     /// Same elements, new dims (same volume; a view of a dense operand).
     Reshape {
         /// Operand.
@@ -508,6 +525,51 @@ impl Graph {
             });
         }
         Ok(self.push(Op::SliceCols { x, start, end }, rows, end - start))
+    }
+
+    /// Multi-head self-attention of `samples` sequences stacked in the
+    /// rows of `q`, `k` and `v`, their columns split into `heads` heads:
+    /// every `(sample, head)` block is `softmax(Q·Kᵀ · scale) · V`, written
+    /// into that head's columns of the `q`-shaped result.
+    ///
+    /// # Errors
+    /// Returns [`GraphError::ShapeMismatch`] if `k` or `v` is not shaped as
+    /// `q`, or if `samples` does not divide its rows or `heads` its
+    /// columns (`rhs` is then `(samples, heads)`).
+    pub fn attention(
+        &mut self,
+        [q, k, v]: [ExprId; 3],
+        samples: usize,
+        heads: usize,
+        scale: f32,
+    ) -> Result<ExprId, GraphError> {
+        let (rows, cols) = self.dims(q)?;
+        for other in [k, v] {
+            let dims = self.dims(other)?;
+            if dims != (rows, cols) {
+                return Err(GraphError::ShapeMismatch {
+                    op: "attention",
+                    lhs: (rows, cols),
+                    rhs: dims,
+                });
+            }
+        }
+        if samples == 0 || heads == 0 || rows % samples != 0 || cols % heads != 0 {
+            return Err(GraphError::ShapeMismatch {
+                op: "attention",
+                lhs: (rows, cols),
+                rhs: (samples, heads),
+            });
+        }
+        let op = Op::Attention {
+            q,
+            k,
+            v,
+            samples,
+            heads,
+            scale,
+        };
+        Ok(self.push(op, rows, cols))
     }
 
     /// Same elements, new dims.

@@ -79,13 +79,21 @@ fn assert_arena_is_sound(plan: &CompiledPlan) {
                 assert!(v.offset + v.len <= sizes[reg], "step {idx} overreads {reg}");
             }
         });
+        // The step writes its output and, right after it, its scratch.
+        let scratch = range(out).end..range(out).end + step.kernel.scratch_len();
+        assert!(
+            scratch.end <= plan.arena_len,
+            "step {idx}'s scratch leaves the arena"
+        );
         for reg in (0..out).filter(|&reg| last_read[reg] >= Some(idx)) {
-            let (a, b) = (range(reg), range(out));
-            assert!(
-                a.is_empty() || b.is_empty() || a.end <= b.start || b.end <= a.start,
-                "step {idx} writes {b:?} over register {reg} at {a:?}, read until step {:?}",
-                last_read[reg]
-            );
+            for b in [range(out), scratch.clone()] {
+                let a = range(reg);
+                assert!(
+                    a.is_empty() || b.is_empty() || a.end <= b.start || b.end <= a.start,
+                    "step {idx} writes {b:?} over register {reg} at {a:?}, read until step {:?}",
+                    last_read[reg]
+                );
+            }
         }
     }
 }
@@ -285,6 +293,49 @@ impl Twin {
     }
 }
 
+/// The per-block chain `nn::Trace::attention` records on the tape, on
+/// eager tensors: per `(sample, head)`, `softmax(Q·Kᵀ · scale) · V`, the
+/// heads joined per sample and the samples stacked.
+fn eager_attention(qkv: [&Tensor; 3], samples: usize, heads: usize, scale: f32) -> Tensor {
+    let (rows, cols) = qkv[0].shape().as_matrix().unwrap();
+    let (seq, head_dim) = (rows / samples, cols / heads);
+    let mut stacked = Vec::new();
+    for s in 0..samples {
+        let [q, k, v] = qkv.map(|x| x.slice_rows(s * seq, (s + 1) * seq).unwrap());
+        let mut joined = Vec::new();
+        for h in 0..heads {
+            let cut = |x: &Tensor| x.slice_cols(h * head_dim, (h + 1) * head_dim).unwrap();
+            let scores = cut(&q).matmul_nt(&cut(&k)).unwrap().scale(scale);
+            joined.push(scores.softmax_rows().unwrap().matmul(&cut(&v)).unwrap());
+        }
+        stacked.push(Tensor::concat_cols(&joined.iter().collect::<Vec<_>>()).unwrap());
+    }
+    Tensor::concat_rows(&stacked.iter().collect::<Vec<_>>()).unwrap()
+}
+
+#[test]
+fn attention_is_one_step_whose_scratch_spares_what_is_read_later() {
+    let (q, k, v) = (t(12, 8, 1), t(12, 8, 2), t(12, 8, 3));
+    let mut g = Graph::new();
+    let [qi, ki, vi] = [g.input(12, 8), g.input(12, 8), g.input(12, 8)];
+    let attended = g.attention([qi, ki, vi], 3, 2, 0.5).unwrap();
+    // q is still read after the attention step: its scratch must spare it.
+    let out = g.binary(attended, qi, BinaryOp::Add).unwrap();
+    let plan = compile(&g, out);
+    assert_eq!(kernels(&plan), ["attention"]);
+    let eager = eager_attention([&q, &k, &v], 3, 2, 0.5).add(&q).unwrap();
+    assert_eq!(bits(&run(&plan, &[&q, &k, &v])), bits(&eager));
+    assert!(matches!(
+        g.attention([qi, ki, vi], 5, 2, 0.5),
+        Err(GraphError::ShapeMismatch {
+            op: "attention",
+            ..
+        })
+    ));
+    let narrow = g.slice_cols(vi, 0, 4).unwrap();
+    assert!(g.attention([qi, ki, narrow], 3, 2, 0.5).is_err());
+}
+
 /// One of `n`'s divisors, chosen by `pick`.
 fn divisor(n: usize, pick: usize) -> usize {
     let divisors: Vec<usize> = (1..=n).filter(|d| n.is_multiple_of(*d)).collect();
@@ -325,7 +376,7 @@ fn random_twin(
         let (rows, cols) = xv.shape().as_matrix().unwrap();
         let base = q % 3; // one of the SIDE×SIDE base matrices
         let (bid, bv) = (tw.ids[base], tw.vals[base].clone());
-        match op % 15 {
+        match op % 16 {
             0 => {
                 let start = q % rows;
                 let end = start + 1 + r % (rows - start);
@@ -442,6 +493,18 @@ fn random_twin(
                 let id = tw.g.mean_row_blocks(xid, block_rows).unwrap();
                 tw.push(id, xv.mean_row_blocks(block_rows).unwrap());
             }
+            // x attending over keys and values of any two nodes of its
+            // shape (views welcome), in sequences and heads that divide it.
+            15 => {
+                let y = tw.find(q, |yr, yc| (yr, yc) == (rows, cols)).unwrap();
+                let z = tw.find(r, |zr, zc| (zr, zc) == (rows, cols)).unwrap();
+                let (samples, heads) = (divisor(rows, q), divisor(cols, r));
+                let scale = 1.0 / (cols / heads) as f32;
+                let qkv = [xid, tw.ids[y], tw.ids[z]];
+                let id = tw.g.attention(qkv, samples, heads, scale).unwrap();
+                let qkv = [&xv, &tw.vals[y], &tw.vals[z]];
+                tw.push(id, eager_attention(qkv, samples, heads, scale));
+            }
             _ => {} // a guard above declined this shape
         }
     }
@@ -468,7 +531,7 @@ proptest! {
     #[test]
     fn random_view_graphs_match_node_at_a_time_evaluation(
         program in proptest::collection::vec(
-            (0usize..15, 0usize..1000, 0usize..1000, 0usize..1000),
+            (0usize..16, 0usize..1000, 0usize..1000, 0usize..1000),
             4..28,
         ),
         seed in 0u64..1000,

@@ -1,5 +1,5 @@
 use tensor::rng::SeededRng;
-use tensor::{MatmulSpec, TensorError};
+use tensor::TensorError;
 
 use crate::{Dense, Init, Layer, Param, Trace};
 
@@ -18,7 +18,6 @@ pub struct MultiHeadSelfAttention {
     output: Dense,
     heads: usize,
     d_model: usize,
-    head_dim: usize,
 }
 
 impl MultiHeadSelfAttention {
@@ -43,7 +42,6 @@ impl MultiHeadSelfAttention {
             output: Dense::new(rng, d_model, d_model, Init::Xavier),
             heads,
             d_model,
-            head_dim: d_model / heads,
         })
     }
 
@@ -62,16 +60,14 @@ impl MultiHeadSelfAttention {
     /// sequence is a stack of one).
     ///
     /// The Q/K/V and output projections run once over the whole stack (one
-    /// large GEMM each). Attention itself is recorded **block-locally**:
-    /// each `(sample, head)` block's whole chain — `Q·Kᵀ` (eq. 2) as a
-    /// transposed-B product over slices of the stacked projections, the
-    /// `1/√d` scale, the row softmax (eq. 1), `· V` — back to back. Record
-    /// order is plan step order, so a compiled plan runs a block start to
-    /// finish on one cache-resident `seq_len²` buffer that the softmax
-    /// rewrites in place and the slot planner recycles for the next block
-    /// (its slices are views no step copies); on the tape no slice ever
-    /// has a parent larger than one projection. Softmax is row-wise, so
-    /// the result is bit-identical to attending each sample alone.
+    /// large GEMM each); between them, [`Trace::attention`] records the
+    /// per-`(sample, head)` scaled dot-product attention. On the tape that
+    /// is each block's chain of slices, products and softmax; in a
+    /// compiled plan it is one step that reads the three projections in
+    /// place and writes each head's rows straight into that head's columns
+    /// of the `[samples * seq_len, d_model]` result the output projection
+    /// reads, bit-identical to the chain. Softmax is row-wise, so the
+    /// result is bit-identical to attending each sample alone.
     ///
     /// # Errors
     /// Returns an error if the row count is not a multiple of `samples` or
@@ -91,38 +87,11 @@ impl MultiHeadSelfAttention {
             }
             .into());
         }
-        let seq_len = rows / samples;
         let q = self.query.forward(t, x)?;
         let k = self.key.forward(t, x)?;
         let v = self.value.forward(t, x)?;
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-
-        let mut sample_outputs = Vec::with_capacity(samples);
-        for s in 0..samples {
-            let (first, end) = (s * seq_len, (s + 1) * seq_len);
-            let qs = t.slice_rows(q, first, end)?;
-            let ks = t.slice_rows(k, first, end)?;
-            let vs = t.slice_rows(v, first, end)?;
-            let mut head_outputs = Vec::with_capacity(self.heads);
-            for h in 0..self.heads {
-                let (start, stop) = (h * self.head_dim, (h + 1) * self.head_dim);
-                let qh = t.slice_cols(qs, start, stop)?;
-                let kh = t.slice_cols(ks, start, stop)?;
-                let block = t.matmul(qh, kh, MatmulSpec::NT)?;
-                let scores = t.scale(block, scale)?;
-                let attn = t.softmax_rows(scores)?;
-                let vh = t.slice_cols(vs, start, stop)?;
-                head_outputs.push(t.matmul(attn, vh, MatmulSpec::NN)?);
-            }
-            // Concat(h1..hn) per sample (eq. 4)...
-            sample_outputs.push(t.concat_cols(&head_outputs)?);
-        }
-        let concat = if samples == 1 {
-            sample_outputs[0]
-        } else {
-            t.concat_rows(&sample_outputs)?
-        };
-        // ...then the shared W_o projection over the whole stack.
+        let concat = t.attention(q, k, v, samples, self.heads)?;
+        // The shared W_o projection over the whole stack.
         self.output.forward(t, concat)
     }
 }

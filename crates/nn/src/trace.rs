@@ -112,6 +112,77 @@ pub trait Trace {
     /// probability `rate` and survivors are rescaled by `1/(1-rate)`; in an
     /// eval session and in the graph it is the identity and records nothing.
     fn dropout(&mut self, x: Self::Node, rate: f32) -> Result<Self::Node, Self::Error>;
+
+    /// Scaled dot-product self-attention (paper §V.B, eqs. (1)–(4)) of
+    /// `samples` sequences stacked in the rows of the projections `q`, `k`
+    /// and `v`, their columns split into `heads` heads: every
+    /// `(sample, head)` block is `softmax(Q·Kᵀ / √head_dim) · V`, the heads
+    /// concatenated per sample (eq. 4) and the samples stacked again.
+    ///
+    /// This default records each block's chain — `Q·Kᵀ` (eq. 2) as a
+    /// transposed-B product over slices of the stacked projections, the
+    /// `1/√d` scale, the row softmax (eq. 1), `· V` — back to back, then
+    /// the concatenations: what a [`crate::Session`] evaluates and
+    /// differentiates, so on the tape no slice ever has a parent larger
+    /// than one projection. A [`Graph`] records one node instead, which a
+    /// compiled plan runs as one lane-parallel step bit-identical to this
+    /// chain (`tensor::kernels::attention`). Softmax is row-wise, so the
+    /// result is bit-identical to attending each sample alone.
+    ///
+    /// # Errors
+    /// Returns an error if `samples` does not divide the rows or `heads`
+    /// the columns, or if `k` or `v` is not shaped as `q`.
+    fn attention(
+        &mut self,
+        q: Self::Node,
+        k: Self::Node,
+        v: Self::Node,
+        samples: usize,
+        heads: usize,
+    ) -> Result<Self::Node, Self::Error> {
+        let (rows, cols) = self.dims(q)?;
+        if samples == 0 || heads == 0 || rows % samples != 0 || cols % heads != 0 {
+            return Err(TensorError::ShapeMismatch {
+                op: "attention",
+                lhs: vec![rows, cols],
+                rhs: vec![samples, heads],
+            }
+            .into());
+        }
+        let (seq_len, head_dim) = (rows / samples, cols / heads);
+        let scale = attention_scale(head_dim);
+
+        let mut sample_outputs = Vec::with_capacity(samples);
+        for s in 0..samples {
+            let (first, end) = (s * seq_len, (s + 1) * seq_len);
+            let qs = self.slice_rows(q, first, end)?;
+            let ks = self.slice_rows(k, first, end)?;
+            let vs = self.slice_rows(v, first, end)?;
+            let mut head_outputs = Vec::with_capacity(heads);
+            for h in 0..heads {
+                let (start, stop) = (h * head_dim, (h + 1) * head_dim);
+                let qh = self.slice_cols(qs, start, stop)?;
+                let kh = self.slice_cols(ks, start, stop)?;
+                let block = self.matmul(qh, kh, MatmulSpec::NT)?;
+                let scores = self.scale(block, scale)?;
+                let attn = self.softmax_rows(scores)?;
+                let vh = self.slice_cols(vs, start, stop)?;
+                head_outputs.push(self.matmul(attn, vh, MatmulSpec::NN)?);
+            }
+            // Concat(h1..hn) per sample (eq. 4).
+            sample_outputs.push(self.concat_cols(&head_outputs)?);
+        }
+        if samples == 1 {
+            Ok(sample_outputs[0])
+        } else {
+            self.concat_rows(&sample_outputs)
+        }
+    }
+}
+
+/// The `1/√d` of scaled dot-product attention over heads `head_dim` wide.
+fn attention_scale(head_dim: usize) -> f32 {
+    1.0 / (head_dim as f32).sqrt()
 }
 
 type GraphResult = Result<ExprId, GraphError>;
@@ -193,5 +264,18 @@ impl Trace for Graph {
 
     fn dropout(&mut self, x: ExprId, _rate: f32) -> GraphResult {
         Ok(x)
+    }
+
+    fn attention(
+        &mut self,
+        q: ExprId,
+        k: ExprId,
+        v: ExprId,
+        samples: usize,
+        heads: usize,
+    ) -> GraphResult {
+        let (_, cols) = Graph::dims(self, q)?;
+        let scale = attention_scale(cols.checked_div(heads).unwrap_or(0));
+        Graph::attention(self, [q, k, v], samples, heads, scale)
     }
 }

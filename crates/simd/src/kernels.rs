@@ -69,6 +69,11 @@
 //! - `squared_distances` ([`SquaredDistances`]) is bit-identical across
 //!   the levels on every input, and to the per-pair chain of each row on
 //!   every distance that is not NaN; its NaNs are canonical.
+//! - `attention` ([`Attention`]) is bit-identical across the levels on
+//!   every input, and to the per-block score GEMM, scale, `softmax_rows`
+//!   and `· V` GEMM it replaces on every output that is not NaN: each
+//!   lane repeats those steps' operations in their operand order. Its
+//!   NaN outputs are canonical, as `squared_distances`' are.
 
 // The Cephes expf constants are written with their full decimal digits on
 // purpose: each literal rounds to the exact f32 bit pattern the minimax
@@ -79,7 +84,7 @@
 #![allow(clippy::excessive_precision, clippy::approx_constant)]
 
 use crate::backend::{lane, Reduce, SimdOp, MAX_LANES};
-use crate::Kernel;
+use crate::{AttentionShape, Kernel};
 
 /// `sqrt(2/π)` to `f32` precision — the tanh-approximation GELU constant.
 pub const SQRT_2_OVER_PI: f32 = 0.797_884_6;
@@ -615,6 +620,218 @@ fn softmax_row<S: SimdOp>(row: &mut [f32]) {
     if let Some(t) = tail {
         store_partial::<S>(S::div(t, dv), rem);
     }
+}
+
+/// Scaled dot-product attention of every `(sample, head)` block of
+/// stacked Q, K and V ([`crate::attention`]), each head's rows written
+/// straight into that head's columns of `out`, with the lanes spread
+/// across query rows.
+///
+/// A block runs one bundle of query rows at a time: the bundle's Q
+/// columns are laid lane-wise into the scratch (pad lanes `0`), and each
+/// lane then evaluates, for its own query row, exactly the chain of the
+/// per-block steps it replaces — the score GEMM's
+/// `((0 + q₀·k₀) + q₁·k₁) + …` over the head's columns (product first,
+/// as the band kernel's unfused `mul_add`), `· scale`, [`softmax_row`]'s
+/// sequence over the keys, and the `· V` GEMM's chain in key order. The
+/// softmax keeps eight slot accumulators per lane, key `j` feeding slot
+/// `j mod 8` in key order: the eight-lane granules [`SimdOp::fold`] feeds
+/// softmax's tree at every width, a partial last granule's pad slots
+/// folded with `−∞` for the max and `exp(−∞ − max)` for the sum, then the
+/// same fixed max and sum trees, the same canonical-NaN denominator and
+/// `t / denominator`. Every operation is the same two-operand IEEE step
+/// with the same operand order, so each output equals the per-block
+/// steps' bit for bit at every level, with no horizontal reduction and no
+/// packing but the bundle's Q columns. The one exception is a NaN's sign
+/// and payload: the steps' own depend on the build (a release build of
+/// them gave `+NaN` where the kernel's lanes gave `−NaN`, the optimiser
+/// commuting an add that meets two NaNs), so a NaN output is stored as the
+/// canonical `f32::NAN` at every level and every build.
+pub(crate) struct Attention<'a> {
+    pub q: &'a [f32],
+    pub k: &'a [f32],
+    pub v: &'a [f32],
+    pub shape: AttentionShape,
+    pub out: &'a mut [f32],
+    pub scratch: &'a mut [f32],
+}
+
+impl Kernel for Attention<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<S: SimdOp>(self) {
+        let Attention {
+            q,
+            k,
+            v,
+            shape,
+            out,
+            scratch,
+        } = self;
+        let AttentionShape {
+            seq,
+            heads,
+            head_dim,
+            scale,
+        } = shape;
+        let d = heads * head_dim;
+        if seq == 0 || d == 0 {
+            return;
+        }
+        let (q_cols, probs) = scratch.split_at_mut(head_dim * S::LANES);
+        let probs = &mut probs[..seq * S::LANES];
+        let block = seq * d;
+        let samples = q
+            .chunks_exact(block)
+            .zip(k.chunks_exact(block))
+            .zip(v.chunks_exact(block))
+            .zip(out.chunks_exact_mut(block));
+        for (((qs, ks), vs), outs) in samples {
+            for col in (0..d).step_by(head_dim) {
+                for r0 in (0..seq).step_by(S::LANES) {
+                    let live = S::LANES.min(seq - r0);
+                    for (l, row) in qs[r0 * d..].chunks_exact(d).take(live).enumerate() {
+                        for (p, &x) in row[col..col + head_dim].iter().enumerate() {
+                            q_cols[p * S::LANES + l] = x;
+                        }
+                    }
+                    if live < S::LANES {
+                        for lanes in q_cols.chunks_exact_mut(S::LANES) {
+                            lanes[live..].fill(0.0);
+                        }
+                    }
+                    let mut j0 = 0;
+                    while j0 < seq {
+                        j0 += match seq - j0 {
+                            8.. => attention_scores::<S, 8>(q_cols, ks, d, col, j0, scale, probs),
+                            4..=7 => attention_scores::<S, 4>(q_cols, ks, d, col, j0, scale, probs),
+                            _ => attention_scores::<S, 1>(q_cols, ks, d, col, j0, scale, probs),
+                        };
+                    }
+                    softmax_lanes::<S>(probs);
+                    let rows = &mut outs[r0 * d..(r0 + live) * d];
+                    let mut c0 = col;
+                    while c0 < col + head_dim {
+                        c0 += match col + head_dim - c0 {
+                            8.. => attention_values::<S, 8>(probs, vs, d, c0, rows),
+                            4..=7 => attention_values::<S, 4>(probs, vs, d, c0, rows),
+                            _ => attention_values::<S, 1>(probs, vs, d, c0, rows),
+                        };
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Keys `j0..j0 + J` of one bundle's scaled scores into `probs` (key `j`'s
+/// bundle at `j · LANES`): `J` independent chains, each Q column loaded
+/// once for all of them. Returns `J`.
+#[inline(always)]
+fn attention_scores<S: SimdOp, const J: usize>(
+    q_cols: &[f32],
+    keys: &[f32],
+    d: usize,
+    col: usize,
+    j0: usize,
+    scale: f32,
+    probs: &mut [f32],
+) -> usize {
+    let head_dim = q_cols.len() / S::LANES;
+    let rows: [&[f32]; J] = std::array::from_fn(|jj| &keys[(j0 + jj) * d + col..][..head_dim]);
+    let mut acc = [S::splat(0.0); J];
+    for (p, q) in q_cols.chunks_exact(S::LANES).enumerate() {
+        let q = S::load(q);
+        for (acc, row) in acc.iter_mut().zip(&rows) {
+            *acc = S::mul_add(q, S::splat(row[p]), *acc);
+        }
+    }
+    let scale = S::splat(scale);
+    for (jj, acc) in acc.into_iter().enumerate() {
+        S::store(S::mul(acc, scale), &mut probs[(j0 + jj) * S::LANES..]);
+    }
+    J
+}
+
+/// [`softmax_row`] down every lane of a key-major bundle block, in
+/// place: key `j`'s bundle at `j · LANES`.
+#[inline(always)]
+fn softmax_lanes<S: SimdOp>(probs: &mut [f32]) {
+    let keys = probs.len() / S::LANES;
+    // Slots of the last granule past the last key hold softmax's pads.
+    let first_pad = match keys % 8 {
+        0 => 8,
+        live => live,
+    };
+    let neg_inf = S::splat(f32::NEG_INFINITY);
+    let mut slots = [neg_inf; 8];
+    for granule in probs.chunks(8 * S::LANES) {
+        for (slot, key) in slots.iter_mut().zip(granule.chunks_exact(S::LANES)) {
+            *slot = S::max(*slot, S::load(key));
+        }
+    }
+    for slot in &mut slots[first_pad..] {
+        *slot = S::max(*slot, neg_inf);
+    }
+    let max = slot_tree::<S>(slots, S::max);
+    let mut slots = [S::splat(0.0); 8];
+    for granule in probs.chunks_mut(8 * S::LANES) {
+        for (slot, key) in slots.iter_mut().zip(granule.chunks_exact_mut(S::LANES)) {
+            let t = exp_v::<S>(S::sub(S::load(key), max));
+            S::store(t, key);
+            *slot = S::add(*slot, t);
+        }
+    }
+    let pad = exp_v::<S>(S::sub(neg_inf, max));
+    for slot in &mut slots[first_pad..] {
+        *slot = S::add(*slot, pad);
+    }
+    let denom = canonical_nan::<S>(slot_tree::<S>(slots, S::add));
+    for key in probs.chunks_exact_mut(S::LANES) {
+        S::store(S::div(S::load(key), denom), key);
+    }
+}
+
+/// The eight slots reduced down the tree of [`Reduce::hsum`] and
+/// [`Reduce::hmax`], `(s0∘s4, s1∘s5, s2∘s6, s3∘s7) → (t0∘t2, t1∘t3) →
+/// u0∘u1`, lane by lane.
+#[inline(always)]
+fn slot_tree<S: SimdOp>(mut slots: [S::V; 8], op: impl Fn(S::V, S::V) -> S::V) -> S::V {
+    for half in [4, 2, 1] {
+        for i in 0..half {
+            slots[i] = op(slots[i], slots[i + half]);
+        }
+    }
+    slots[0]
+}
+
+/// Output columns `c0..c0 + C` of one bundle's query rows: the
+/// probabilities times V's rows, `C` independent chains in key order,
+/// each lane's value written to its row of `rows` (the bundle's live
+/// rows of the sample's output). Returns `C`.
+#[inline(always)]
+fn attention_values<S: SimdOp, const C: usize>(
+    probs: &[f32],
+    values: &[f32],
+    d: usize,
+    c0: usize,
+    rows: &mut [f32],
+) -> usize {
+    let mut acc = [S::splat(0.0); C];
+    for (p, row) in probs.chunks_exact(S::LANES).zip(values.chunks_exact(d)) {
+        let p = S::load(p);
+        for (acc, &v) in acc.iter_mut().zip(&row[c0..c0 + C]) {
+            *acc = S::mul_add(p, S::splat(v), *acc);
+        }
+    }
+    let mut lanes = [0.0f32; MAX_LANES];
+    for (c, acc) in acc.into_iter().enumerate() {
+        S::store(canonical_nan::<S>(acc), &mut lanes);
+        for (row, &x) in rows.chunks_exact_mut(d).zip(&lanes) {
+            row[c0 + c] = x;
+        }
+    }
+    C
 }
 
 /// Per-row layer normalization over a row-major `[rows × cols]` buffer,

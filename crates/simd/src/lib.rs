@@ -40,6 +40,11 @@
 //! and the normals come from the crate's own `ln` and `sincos`, so these
 //! are bit-identical at every level too.
 //!
+//! The attention blocks of VITAL's encoder and of ANVIL have one:
+//! [`attention`], every `(sample, head)` block of a multi-head
+//! self-attention in one call, the lanes spread across query rows and
+//! each lane the per-block score, softmax and `· V` chain of its row.
+//!
 //! The memory-matching baselines (KNN, SHERPA's refinement, WiDeep's
 //! kernel vote, ANVIL's centroids) have one: [`squared_distances`], the
 //! squared distance from one query to every row of a feature-major store,
@@ -306,6 +311,81 @@ pub fn squared_distances(level: Level, store: &[f32], query: &[f32], out: &mut [
         "a feature-major store holds one column of out.len() rows per query feature"
     );
     dispatch(level, kernels::SquaredDistances { store, query, out });
+}
+
+/// The shape of one [`attention`] call: sequences of `seq` rows stacked
+/// into `[samples · seq, heads · head_dim]` matrices, head `h` owning
+/// columns `h · head_dim .. (h + 1) · head_dim`, and the factor each
+/// score is multiplied by before the softmax.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AttentionShape {
+    /// Rows (tokens) of one sequence.
+    pub seq: usize,
+    /// Attention heads.
+    pub heads: usize,
+    /// Columns of one head.
+    pub head_dim: usize,
+    /// The score scale, `1/√head_dim` for scaled dot-product attention.
+    pub scale: f32,
+}
+
+impl AttentionShape {
+    /// Elements of scratch an [`attention`] call needs: one bundle of
+    /// query lanes per head column and per key.
+    pub fn scratch_len(&self) -> usize {
+        (self.head_dim + self.seq) * backend::MAX_LANES
+    }
+}
+
+/// Scaled dot-product self-attention of every `(sample, head)` block of
+/// the stacked `q`, `k` and `v` into `out` at `level` (resolved on this
+/// CPU): row `i` of a sample's head is `softmax(qᵢ·Kᵀ · scale) · V` over
+/// that sample's rows and that head's columns, written into the head's
+/// columns of row `i`. Every output is bit for bit what the per-block
+/// steps give — the score GEMM, the scale, [`softmax_rows`] and the
+/// `· V` GEMM at the same level — except that a NaN comes out as
+/// `f32::NAN` ([`kernels`]' `Attention` says why). `scratch` is
+/// overwritten.
+///
+/// # Panics
+/// If `q`, `k`, `v` and `out` differ in length or are not whole
+/// sequences of `seq · heads · head_dim` values, or `scratch` is shorter
+/// than [`AttentionShape::scratch_len`].
+pub fn attention(
+    level: Level,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    shape: AttentionShape,
+    out: &mut [f32],
+    scratch: &mut [f32],
+) {
+    let block = shape.seq * shape.heads * shape.head_dim;
+    let whole = match block {
+        0 => out.is_empty(),
+        block => out.len().is_multiple_of(block),
+    };
+    assert!(
+        whole && [q.len(), k.len(), v.len()] == [out.len(); 3],
+        "attention: q, k, v and out must be equal stacks of {block}-value sequences"
+    );
+    assert!(
+        scratch.len() >= shape.scratch_len(),
+        "attention: {} scratch values, {} needed",
+        scratch.len(),
+        shape.scratch_len()
+    );
+    dispatch(
+        level,
+        kernels::Attention {
+            q,
+            k,
+            v,
+            shape,
+            out,
+            scratch,
+        },
+    );
 }
 
 /// Natural logarithm of every element in place at `level` (resolved on

@@ -1,11 +1,13 @@
-//! Where a compiled paper plan spends its time, step by step: the folded
-//! inference plan `localize_batch` and the server run, for `VitalConfig::paper`
-//! at a given batch, timed at the dispatch level `VITAL_SIMD` selects
-//! (`avx512` where the CPU has AVX-512F, else `avx2`, by default).
+//! Where a compiled VITAL plan spends its time, step by step: the folded
+//! inference plan `localize_batch` and the server run, for
+//! `VitalConfig::paper` (the default) or `VitalConfig::fast` at a given
+//! batch, timed at the dispatch level `VITAL_SIMD` selects (`avx512` where
+//! the CPU has AVX-512F, else `avx2`, by default).
 //!
 //! ```bash
-//! cargo run --release --example plan_profile [batch] [reps]
+//! cargo run --release --example plan_profile [paper|fast] [batch] [reps]
 //! VITAL_SIMD=avx2 cargo run --release --example plan_profile 32
+//! cargo run --release --example plan_profile fast 16   # offline_eval's VITAL shape
 //! ```
 //!
 //! The plan runs `reps` times (default 40) after two warm-up runs through
@@ -67,7 +69,15 @@ fn tile_rate(level: simd::Level, n: usize) -> f64 {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut args = std::env::args().skip(1);
+    let mut args = std::env::args().skip(1).peekable();
+    // The first argument names the config, unless it is the batch.
+    let config_name = match args.peek().map(String::as_str) {
+        Some("fast") => "fast",
+        _ => "paper",
+    };
+    if args.peek().is_some_and(|a| a == "fast" || a == "paper") {
+        args.next();
+    }
     let batch: usize = args.next().map_or(Ok(32), |a| a.parse())?;
     let reps: usize = args.next().map_or(Ok(40), |a| a.parse())?;
     let level = simd::try_active_level()?;
@@ -77,7 +87,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 1,
     };
     let data = FingerprintDataset::collect(&building_3(), &base_devices()[..1], &campaign);
-    let config = VitalConfig::paper(data.num_aps(), data.num_rps());
+    let config = match config_name {
+        "fast" => VitalConfig::fast(data.num_aps(), data.num_rps()),
+        _ => VitalConfig::paper(data.num_aps(), data.num_rps()),
+    };
     let vit = VisionTransformer::new(&mut SeededRng::new(1), &config)?;
     let (graph, output) = vit.build_folded_graph(batch)?;
     let plan = Compiler::new().compile(&graph, output)?;
@@ -118,7 +131,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
     println!(
-        "paper plan, batch {batch}, simd={}: {} steps, {} fused post-ops, {reps} timed runs, median {:.3} ms per run",
+        "{config_name} plan, batch {batch}, simd={}: {} steps, {} fused post-ops, {reps} timed runs, median {:.3} ms per run",
         level.name(),
         plan.step_count(),
         plan.fused_op_count(),
