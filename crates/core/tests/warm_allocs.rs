@@ -349,7 +349,7 @@ type SliceKernel = (&'static str, fn(&mut Operands));
 
 /// Every public function of `tensor::kernels`, called once on
 /// [`Operands`].
-const SLICE_KERNELS: [SliceKernel; 12] = [
+const SLICE_KERNELS: [SliceKernel; 11] = [
     ("binary_assign", |o| {
         for op in OPS {
             kernels::binary_assign(op, &mut o.out, &o.rhs);
@@ -397,19 +397,6 @@ const SLICE_KERNELS: [SliceKernel; 12] = [
     }),
     ("argmax_rows", |o| {
         kernels::argmax_rows(&o.lhs, 4, &mut o.rows).unwrap();
-    }),
-    ("attention", |o| {
-        // Two sequences of three rows, two heads of width four; the
-        // scratch is a stack block.
-        let shape = simd::AttentionShape {
-            seq: 3,
-            heads: 2,
-            head_dim: 4,
-            scale: 0.5,
-        };
-        let mut scratch = [0.0; 7 * simd::backend::MAX_LANES];
-        let qkv = [&o.lhs[..], &o.rhs[..], &o.lhs[..]];
-        kernels::attention(simd::active_level(), qkv, shape, &mut o.out, &mut scratch);
     }),
 ];
 

@@ -546,7 +546,6 @@ impl Lowering<'_> {
                 v,
                 samples,
                 heads,
-                scale,
             } => {
                 let kernel = Kernel::Attention {
                     q: self.dense(*q),
@@ -556,7 +555,6 @@ impl Lowering<'_> {
                         seq: rows / samples,
                         heads: *heads,
                         head_dim: cols / heads,
-                        scale: *scale,
                     },
                 };
                 self.emit(id, kernel, Vec::new());

@@ -43,7 +43,9 @@
 //!   tape runs call the very same functions, so compiled and eager
 //!   outputs are bit-identical at every dispatch level, and a difference
 //!   between them can only come from the planner (views, liveness, fusion
-//!   order).
+//!   order). The attention step is the one a tape records differently, as
+//!   its per-block products and softmaxes: `simd/tests/attention_parity.rs`
+//!   holds `simd::attention` to that chain bit for bit.
 //!
 //! * **Per-step timing.** [`CompiledPlan::execute_timed`] is
 //!   `execute_with` with a clock read around each step's kernel and its
@@ -320,8 +322,8 @@ impl CompiledPlan {
                 kernels::concat_cols(parts, cols, out);
             }
             Kernel::Attention { q, k, v, shape } => {
-                let qkv = [q, k, v].map(|view| ops.resolve(*view));
-                kernels::attention(self.level, qkv, *shape, out, scratch);
+                let [q, k, v] = [q, k, v].map(|view| ops.resolve(*view));
+                simd::attention(self.level, q, k, v, *shape, out, scratch);
             }
         }
     }

@@ -139,8 +139,8 @@ pub enum Op {
         end: usize,
     },
     /// Multi-head self-attention of `samples` stacked sequences:
-    /// `softmax(Q·Kᵀ · scale) · V` per `(sample, head)` block, each head's
-    /// result in its own columns (`simd::attention`).
+    /// `softmax(Q·Kᵀ / √head_dim) · V` per `(sample, head)` block, each
+    /// head's result in its own columns (`simd::attention`).
     Attention {
         /// Queries, `[samples · seq, heads · head_dim]`.
         q: ExprId,
@@ -152,8 +152,6 @@ pub enum Op {
         samples: usize,
         /// Heads splitting the columns.
         heads: usize,
-        /// The factor every score is multiplied by before the softmax.
-        scale: f32,
     },
     /// Same elements, new dims (same volume; a view of a dense operand).
     Reshape {
@@ -529,8 +527,8 @@ impl Graph {
 
     /// Multi-head self-attention of `samples` sequences stacked in the
     /// rows of `q`, `k` and `v`, their columns split into `heads` heads:
-    /// every `(sample, head)` block is `softmax(Q·Kᵀ · scale) · V`, written
-    /// into that head's columns of the `q`-shaped result.
+    /// every `(sample, head)` block is `softmax(Q·Kᵀ / √head_dim) · V`,
+    /// written into that head's columns of the `q`-shaped result.
     ///
     /// # Errors
     /// Returns [`GraphError::ShapeMismatch`] if `k` or `v` is not shaped as
@@ -541,7 +539,6 @@ impl Graph {
         [q, k, v]: [ExprId; 3],
         samples: usize,
         heads: usize,
-        scale: f32,
     ) -> Result<ExprId, GraphError> {
         let (rows, cols) = self.dims(q)?;
         for other in [k, v] {
@@ -567,7 +564,6 @@ impl Graph {
             v,
             samples,
             heads,
-            scale,
         };
         Ok(self.push(op, rows, cols))
     }

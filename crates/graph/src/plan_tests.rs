@@ -294,11 +294,12 @@ impl Twin {
 }
 
 /// The per-block chain `nn::Trace::attention` records on the tape, on
-/// eager tensors: per `(sample, head)`, `softmax(Q·Kᵀ · scale) · V`, the
-/// heads joined per sample and the samples stacked.
-fn eager_attention(qkv: [&Tensor; 3], samples: usize, heads: usize, scale: f32) -> Tensor {
+/// eager tensors: per `(sample, head)`, `softmax(Q·Kᵀ / √head_dim) · V`,
+/// the heads joined per sample and the samples stacked.
+fn eager_attention(qkv: [&Tensor; 3], samples: usize, heads: usize) -> Tensor {
     let (rows, cols) = qkv[0].shape().as_matrix().unwrap();
     let (seq, head_dim) = (rows / samples, cols / heads);
+    let scale = 1.0 / (head_dim as f32).sqrt();
     let mut stacked = Vec::new();
     for s in 0..samples {
         let [q, k, v] = qkv.map(|x| x.slice_rows(s * seq, (s + 1) * seq).unwrap());
@@ -318,22 +319,22 @@ fn attention_is_one_step_whose_scratch_spares_what_is_read_later() {
     let (q, k, v) = (t(12, 8, 1), t(12, 8, 2), t(12, 8, 3));
     let mut g = Graph::new();
     let [qi, ki, vi] = [g.input(12, 8), g.input(12, 8), g.input(12, 8)];
-    let attended = g.attention([qi, ki, vi], 3, 2, 0.5).unwrap();
+    let attended = g.attention([qi, ki, vi], 3, 2).unwrap();
     // q is still read after the attention step: its scratch must spare it.
     let out = g.binary(attended, qi, BinaryOp::Add).unwrap();
     let plan = compile(&g, out);
     assert_eq!(kernels(&plan), ["attention"]);
-    let eager = eager_attention([&q, &k, &v], 3, 2, 0.5).add(&q).unwrap();
+    let eager = eager_attention([&q, &k, &v], 3, 2).add(&q).unwrap();
     assert_eq!(bits(&run(&plan, &[&q, &k, &v])), bits(&eager));
     assert!(matches!(
-        g.attention([qi, ki, vi], 5, 2, 0.5),
+        g.attention([qi, ki, vi], 5, 2),
         Err(GraphError::ShapeMismatch {
             op: "attention",
             ..
         })
     ));
     let narrow = g.slice_cols(vi, 0, 4).unwrap();
-    assert!(g.attention([qi, ki, narrow], 3, 2, 0.5).is_err());
+    assert!(g.attention([qi, ki, narrow], 3, 2).is_err());
 }
 
 /// One of `n`'s divisors, chosen by `pick`.
@@ -499,11 +500,10 @@ fn random_twin(
                 let y = tw.find(q, |yr, yc| (yr, yc) == (rows, cols)).unwrap();
                 let z = tw.find(r, |zr, zc| (zr, zc) == (rows, cols)).unwrap();
                 let (samples, heads) = (divisor(rows, q), divisor(cols, r));
-                let scale = 1.0 / (cols / heads) as f32;
                 let qkv = [xid, tw.ids[y], tw.ids[z]];
-                let id = tw.g.attention(qkv, samples, heads, scale).unwrap();
+                let id = tw.g.attention(qkv, samples, heads).unwrap();
                 let qkv = [&xv, &tw.vals[y], &tw.vals[z]];
-                tw.push(id, eager_attention(qkv, samples, heads, scale));
+                tw.push(id, eager_attention(qkv, samples, heads));
             }
             _ => {} // a guard above declined this shape
         }

@@ -121,12 +121,13 @@ pub trait Trace {
     ///
     /// This default records each block's chain — `Q·Kᵀ` (eq. 2) as a
     /// transposed-B product over slices of the stacked projections, the
-    /// `1/√d` scale, the row softmax (eq. 1), `· V` — back to back, then
+    /// `1/√head_dim` scale ([`simd::AttentionShape::scale`]), the row
+    /// softmax (eq. 1), `· V` — back to back, then
     /// the concatenations: what a [`crate::Session`] evaluates and
     /// differentiates, so on the tape no slice ever has a parent larger
     /// than one projection. A [`Graph`] records one node instead, which a
     /// compiled plan runs as one lane-parallel step bit-identical to this
-    /// chain (`tensor::kernels::attention`). Softmax is row-wise, so the
+    /// chain (`simd::attention`). Softmax is row-wise, so the
     /// result is bit-identical to attending each sample alone.
     ///
     /// # Errors
@@ -150,7 +151,12 @@ pub trait Trace {
             .into());
         }
         let (seq_len, head_dim) = (rows / samples, cols / heads);
-        let scale = attention_scale(head_dim);
+        let scale = simd::AttentionShape {
+            seq: seq_len,
+            heads,
+            head_dim,
+        }
+        .scale();
 
         let mut sample_outputs = Vec::with_capacity(samples);
         for s in 0..samples {
@@ -178,11 +184,6 @@ pub trait Trace {
             self.concat_rows(&sample_outputs)
         }
     }
-}
-
-/// The `1/√d` of scaled dot-product attention over heads `head_dim` wide.
-fn attention_scale(head_dim: usize) -> f32 {
-    1.0 / (head_dim as f32).sqrt()
 }
 
 type GraphResult = Result<ExprId, GraphError>;
@@ -274,8 +275,6 @@ impl Trace for Graph {
         samples: usize,
         heads: usize,
     ) -> GraphResult {
-        let (_, cols) = Graph::dims(self, q)?;
-        let scale = attention_scale(cols.checked_div(heads).unwrap_or(0));
-        Graph::attention(self, [q, k, v], samples, heads, scale)
+        Graph::attention(self, [q, k, v], samples, heads)
     }
 }

@@ -672,8 +672,8 @@ impl Kernel for Attention<'_> {
             seq,
             heads,
             head_dim,
-            scale,
         } = shape;
+        let scale = shape.scale();
         let d = heads * head_dim;
         if seq == 0 || d == 0 {
             return;

@@ -315,9 +315,8 @@ pub fn squared_distances(level: Level, store: &[f32], query: &[f32], out: &mut [
 
 /// The shape of one [`attention`] call: sequences of `seq` rows stacked
 /// into `[samples · seq, heads · head_dim]` matrices, head `h` owning
-/// columns `h · head_dim .. (h + 1) · head_dim`, and the factor each
-/// score is multiplied by before the softmax.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// columns `h · head_dim .. (h + 1) · head_dim`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttentionShape {
     /// Rows (tokens) of one sequence.
     pub seq: usize,
@@ -325,11 +324,15 @@ pub struct AttentionShape {
     pub heads: usize,
     /// Columns of one head.
     pub head_dim: usize,
-    /// The score scale, `1/√head_dim` for scaled dot-product attention.
-    pub scale: f32,
 }
 
 impl AttentionShape {
+    /// The factor every score is multiplied by before the softmax:
+    /// `1/√head_dim`, the scaled dot-product attention's.
+    pub fn scale(&self) -> f32 {
+        1.0 / (self.head_dim as f32).sqrt()
+    }
+
     /// Elements of scratch an [`attention`] call needs: one bundle of
     /// query lanes per head column and per key.
     pub fn scratch_len(&self) -> usize {
@@ -340,7 +343,8 @@ impl AttentionShape {
 /// Scaled dot-product self-attention of every `(sample, head)` block of
 /// the stacked `q`, `k` and `v` into `out` at `level` (resolved on this
 /// CPU): row `i` of a sample's head is `softmax(qᵢ·Kᵀ · scale) · V` over
-/// that sample's rows and that head's columns, written into the head's
+/// that sample's rows and that head's columns, with `scale` the shape's
+/// [`AttentionShape::scale`], written into the head's
 /// columns of row `i`. Every output is bit for bit what the per-block
 /// steps give — the score GEMM, the scale, [`softmax_rows`] and the
 /// `· V` GEMM at the same level — except that a NaN comes out as

@@ -4,7 +4,7 @@
 //! self-attention in one call, its lanes spread across query rows. Each
 //! lane must still compute exactly what a compiled plan computed block by
 //! block before the kernel existed: the score GEMM `Q·Kᵀ` (the band
-//! kernel over a packed `Kᵀ`), `· scale`, `softmax_rows`, and the `· V`
+//! kernel over a packed `Kᵀ`), `· 1/√head_dim`, `softmax_rows`, and the `· V`
 //! GEMM, all at the same level. Every level is held to those steps bit
 //! for bit, except that a NaN output is the canonical `f32::NAN` (the
 //! steps' own NaN sign depends on the build: release gave `+NaN` where
@@ -97,8 +97,8 @@ fn per_block(level: Level, q: &[f32], k: &[f32], v: &[f32], shape: AttentionShap
         seq,
         heads,
         head_dim,
-        scale,
     } = shape;
+    let scale = 1.0 / (head_dim as f32).sqrt();
     let d = heads * head_dim;
     let mut out = vec![0.0; q.len()];
     let mut scores = vec![0.0; seq * seq];
@@ -158,7 +158,6 @@ fn shape(seq: usize, head_dim: usize) -> AttentionShape {
         seq,
         heads: HEADS,
         head_dim,
-        scale: 1.0 / (head_dim as f32).sqrt(),
     }
 }
 
@@ -229,7 +228,6 @@ fn empty_shapes_write_nothing() {
             seq: 4,
             heads: 2,
             head_dim: 0,
-            scale: 1.0,
         };
         simd::attention(level, &[], &[], &[], shape, &mut [], &mut [0.0; 64]);
         let shape = AttentionShape { seq: 0, ..shape };
@@ -244,7 +242,6 @@ fn a_partial_sequence_is_refused() {
         seq: 2,
         heads: 1,
         head_dim: 2,
-        scale: 1.0,
     };
     let mut scratch = vec![0.0; shape.scratch_len()];
     simd::attention(
@@ -265,7 +262,6 @@ fn short_scratch_is_refused() {
         seq: 2,
         heads: 1,
         head_dim: 2,
-        scale: 1.0,
     };
     simd::attention(
         Level::Scalar,

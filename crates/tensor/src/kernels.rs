@@ -6,10 +6,7 @@
 //! `slice_rows`, `slice_cols`, `argmax_rows`, `binary`) allocate their
 //! result and call one function of this module; a compiled plan's step
 //! resolves its operand views into arena slices and calls the same
-//! function. [`attention`] is the one a plan calls that no `Tensor`
-//! method does: the tape records a multi-head attention as the per-block
-//! products and softmaxes it reproduces bit for bit. Together with
-//! [`UnaryOp::apply_slice_at`](crate::UnaryOp),
+//! function. Together with [`UnaryOp::apply_slice_at`](crate::UnaryOp),
 //! the `simd::*_at` sweeps and [`gemm_strided_into_at`](crate::gemm_strided_into_at)
 //! that is every loop either executor runs, so "compiled ≡ eager" is a
 //! statement about the planner only. The optimizer's one loop,
@@ -235,24 +232,6 @@ pub fn adam_update(w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], step:
         let denom = (*v * step.inv_bias2).sqrt() + step.eps;
         *w -= (*m * step.inv_bias1) / denom * step.lr;
     }
-}
-
-/// Multi-head self-attention of `samples` stacked sequences at `level`:
-/// `q`, `k`, `v` and `out` are `[samples · seq, heads · head_dim]`, and
-/// each `(sample, head)` block of `out` is `softmax(Q·Kᵀ · scale) · V`
-/// over that sample's rows and that head's columns, every value the one
-/// the per-block score product, scale, row softmax and `· V` product
-/// give (a NaN as `f32::NAN`; [`simd::attention`]). `scratch` holds at
-/// least [`simd::AttentionShape::scratch_len`] values and is overwritten.
-#[inline]
-pub fn attention(
-    level: simd::Level,
-    [q, k, v]: [&[f32]; 3],
-    shape: simd::AttentionShape,
-    out: &mut [f32],
-    scratch: &mut [f32],
-) {
-    simd::attention(level, q, k, v, shape, out, scratch);
 }
 
 /// Index of the first maximum of each `cols`-wide row of `src`, one per
