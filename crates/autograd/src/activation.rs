@@ -68,9 +68,9 @@ impl<'t> Var<'t> {
         )
     }
 
-    /// Row-wise softmax (over the last axis of a matrix).
-    ///
-    /// Used for the attention weights inside multi-head self-attention.
+    /// Row-wise softmax (over the last axis of a matrix). Its backward is
+    /// the one `simd::attention_backward` repeats for the attention
+    /// weights.
     ///
     /// # Errors
     /// Returns an error for rank-0 or rank>2 tensors.

@@ -18,9 +18,10 @@
 //!
 //! The set of primitives is deliberately the exact set needed by the VITAL
 //! vision transformer and the comparison baselines: dense affine maps,
-//! multi-head self-attention building blocks (matmul / transpose / softmax /
-//! concatenation), layer normalisation, GELU/ReLU/tanh/sigmoid activations,
-//! dropout via constant masks, and classification / regression losses.
+//! multi-head self-attention as one node ([`Var::attention`], one
+//! dispatched kernel each way), slicing and concatenation, row softmax,
+//! layer normalisation, GELU/ReLU/tanh/sigmoid activations, dropout via
+//! constant masks, and classification / regression losses.
 //!
 //! # Example
 //!
@@ -45,6 +46,7 @@
 #![warn(rust_2018_idioms)]
 
 mod activation;
+mod attention;
 mod loss;
 mod norm;
 mod ops;

@@ -1,6 +1,5 @@
 //! Shape-manipulating primitives: reshape, slicing, concatenation
-//! and pooling. These are the glue of the patch-embedding and multi-head
-//! attention pipelines.
+//! and pooling: the glue between the layers' products.
 
 use tensor::{kernels, Tensor};
 
@@ -154,8 +153,7 @@ impl<'t> Var<'t> {
         ))
     }
 
-    /// Horizontally concatenates matrices with equal row counts (multi-head
-    /// attention output concatenation).
+    /// Horizontally concatenates matrices with equal row counts.
     ///
     /// # Errors
     /// Returns an error if `parts` is empty or row counts differ.

@@ -124,11 +124,18 @@ impl Tape {
         }
     }
 
+    /// Whether a [`Tape::var`] reaches any of the nodes `ids`: whether an
+    /// op over them will keep its backward function.
+    pub(crate) fn reaches(&self, ids: &[usize]) -> bool {
+        let nodes = self.nodes.borrow();
+        ids.iter().any(|&id| nodes[id].active)
+    }
+
     /// Records an op's result. A node no variable reaches keeps neither its
     /// backward function nor what that function captured.
     pub(crate) fn push(&self, value: Tensor, parents: Vec<usize>, backward: BackwardFn) -> Var<'_> {
+        let active = self.reaches(&parents);
         let mut nodes = self.nodes.borrow_mut();
-        let active = parents.iter().any(|&p| nodes[p].active);
         nodes.push(Node {
             value,
             parents,

@@ -390,3 +390,90 @@ fn stacked_attention_gradcheck() {
         );
     }
 }
+
+/// Multi-head attention of `samples` stacked sequences in `f64`, written
+/// from eqs. (1)–(4) alone: for each sample and head,
+/// `softmax(Q·Kᵀ / √head_dim) · V` into the head's columns.
+fn attention_f64(qkv: [&[f64]; 3], (samples, heads, cols): (usize, usize, usize)) -> Vec<f64> {
+    let [q, k, v] = qkv;
+    let seq = q.len() / (samples * cols);
+    let head_dim = cols / heads;
+    let mut out = vec![0.0; q.len()];
+    for s in 0..samples {
+        let at = |i: usize, h: usize, c: usize| (s * seq + i) * cols + h * head_dim + c;
+        for h in 0..heads {
+            for i in 0..seq {
+                let scores: Vec<f64> = (0..seq)
+                    .map(|j| {
+                        let dot: f64 = (0..head_dim).map(|c| q[at(i, h, c)] * k[at(j, h, c)]).sum();
+                        dot / (head_dim as f64).sqrt()
+                    })
+                    .collect();
+                let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let exps: Vec<f64> = scores.iter().map(|x| (x - max).exp()).collect();
+                let total: f64 = exps.iter().sum();
+                for c in 0..head_dim {
+                    out[at(i, h, c)] = (0..seq).map(|j| exps[j] / total * v[at(j, h, c)]).sum();
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Gradcheck of the one attention node (`Var::attention`) against central
+/// differences of [`attention_f64`], which shares no code with the node's
+/// kernels or with the per-block chain they replaced: two heads, and
+/// sequences whose lengths are no multiple of a bundle's eight or sixteen
+/// lanes, so both the bundles' live lanes and their padded tails carry
+/// gradient.
+#[test]
+fn attention_node_gradcheck() {
+    for (seed, samples, seq, head_dim) in [(5u64, 2, 9, 3), (6, 1, 17, 4), (7, 3, 5, 2)] {
+        let heads = 2;
+        let cols = heads * head_dim;
+        let mut rng = SeededRng::new(seed);
+        let dims = [samples * seq, cols];
+        let qkv = [(); 3].map(|_| rng.uniform_tensor(&dims, -1.5, 1.5));
+        let weights = rng.uniform_tensor(&dims, -1.0, 1.0);
+
+        let tape = Tape::new();
+        let [q, k, v] = [0, 1, 2].map(|i| tape.var(qkv[i].clone()));
+        let loss = q
+            .attention(k, v, samples, heads)
+            .unwrap()
+            .mul_mask(&weights)
+            .unwrap()
+            .sum_all()
+            .unwrap();
+        let grads = tape.backward(loss).unwrap();
+
+        let wide = |t: &Tensor| {
+            t.as_slice()
+                .iter()
+                .map(|&x| f64::from(x))
+                .collect::<Vec<f64>>()
+        };
+        let w = wide(&weights);
+        let loss_at = |inputs: &[Vec<f64>; 3]| -> f64 {
+            let out = attention_f64([&inputs[0], &inputs[1], &inputs[2]], (samples, heads, cols));
+            out.iter().zip(&w).map(|(o, w)| o * w).sum()
+        };
+        let eps = 1e-4;
+        for (operand, var) in [q, k, v].into_iter().enumerate() {
+            let analytic = grads.get(var).unwrap();
+            for idx in 0..analytic.len() {
+                let mut inputs = qkv.each_ref().map(wide);
+                inputs[operand][idx] += eps;
+                let plus = loss_at(&inputs);
+                inputs[operand][idx] -= 2.0 * eps;
+                let numeric = (plus - loss_at(&inputs)) / (2.0 * eps);
+                let a = f64::from(analytic.as_slice()[idx]);
+                assert!(
+                    (a - numeric).abs() < 1e-4 + 1e-3 * numeric.abs(),
+                    "seed {seed}, operand {operand}, element {idx}: analytic {a} vs numeric {numeric}"
+                );
+            }
+        }
+    }
+}

@@ -146,17 +146,19 @@ impl FeatureExtractor {
         self.mode.channels() * num_aps
     }
 
-    fn raw_features(&self, observation: &FingerprintObservation) -> Vec<f32> {
+    /// The mode's raw features of `observation` into `out`, cleared first.
+    fn write_raw_features(&self, observation: &FingerprintObservation, out: &mut Vec<f32>) {
+        out.clear();
+        let mean = observation.mean_channel();
         match self.mode {
-            FeatureMode::MeanChannel => normalize_rssi(observation.mean_channel()),
+            FeatureMode::MeanChannel => out.extend(normalized(mean)),
             FeatureMode::ThreeChannel => {
-                let mut v = normalize_rssi(&observation.min);
-                v.extend(normalize_rssi(&observation.max));
-                v.extend(normalize_rssi(&observation.mean));
-                v
+                for channel in [&observation.min, &observation.max, &observation.mean] {
+                    out.extend(normalized(channel));
+                }
             }
-            FeatureMode::Ssd => ssd_transform(observation.mean_channel()),
-            FeatureMode::Hlf => hlf_transform(observation.mean_channel()),
+            FeatureMode::Ssd => out.extend(ssd(mean)),
+            FeatureMode::Hlf => out.extend(hlf(mean)),
         }
     }
 
@@ -170,10 +172,21 @@ impl FeatureExtractor {
         training: bool,
         key: DrawKey,
     ) -> Vec<f32> {
-        let features = self.raw_features(observation);
+        let mut features = Vec::with_capacity(self.feature_width(observation.mean.len()));
+        self.write_raw_features(observation, &mut features);
         match &self.dam {
             Some(dam) => dam.augment_vector(&features, training, key),
             None => features,
+        }
+    }
+
+    /// [`FeatureExtractor::extract`] in inference mode into `out`, cleared
+    /// first: a caller extracting query after query reuses one buffer, and
+    /// without DAM allocates nothing once it has grown to the width.
+    pub fn extract_into(&self, observation: &FingerprintObservation, out: &mut Vec<f32>) {
+        self.write_raw_features(observation, out);
+        if let Some(dam) = &self.dam {
+            *out = dam.augment_vector(out, false, DrawKey::default());
         }
     }
 
@@ -227,43 +240,58 @@ impl FeatureExtractor {
 /// Min-max normalises raw RSSI (−100…0 dBm) into `[0, 1]`, where 0 means "not
 /// visible".
 pub fn normalize_rssi(rssi: &[f32]) -> Vec<f32> {
+    normalized(rssi).collect()
+}
+
+/// [`normalize_rssi`], value by value.
+fn normalized(rssi: &[f32]) -> impl Iterator<Item = f32> + '_ {
     rssi.iter()
         .map(|v| ((v - MISSING_AP_DBM) / -MISSING_AP_DBM).clamp(0.0, 1.0))
-        .collect()
+}
+
+/// The strongest RSSI of a fingerprint, at least [`MISSING_AP_DBM`].
+fn strongest(rssi: &[f32]) -> f32 {
+    rssi.iter().cloned().fold(MISSING_AP_DBM, f32::max)
 }
 
 /// Signal Strength Difference transform: every AP's RSSI relative to the
 /// strongest AP of the fingerprint. Constant device-wide gain offsets cancel
 /// out, which is what makes the transform calibration-free.
 pub fn ssd_transform(rssi: &[f32]) -> Vec<f32> {
-    let strongest = rssi.iter().cloned().fold(MISSING_AP_DBM, f32::max);
-    rssi.iter()
-        .map(|v| {
-            if *v <= MISSING_AP_DBM {
-                // Missing APs keep a large constant difference.
-                -1.0
-            } else {
-                ((v - strongest) / 50.0).clamp(-1.0, 0.0) + 1.0
-            }
-        })
-        .collect()
+    ssd(rssi).collect()
+}
+
+/// [`ssd_transform`], value by value.
+fn ssd(rssi: &[f32]) -> impl Iterator<Item = f32> + '_ {
+    let strongest = strongest(rssi);
+    rssi.iter().map(move |v| {
+        if *v <= MISSING_AP_DBM {
+            // Missing APs keep a large constant difference.
+            -1.0
+        } else {
+            ((v - strongest) / 50.0).clamp(-1.0, 0.0) + 1.0
+        }
+    })
 }
 
 /// Hyperbolic Location Fingerprint transform: log-domain power ratios against
 /// the strongest AP.
 pub fn hlf_transform(rssi: &[f32]) -> Vec<f32> {
-    let strongest = rssi.iter().cloned().fold(MISSING_AP_DBM, f32::max);
-    rssi.iter()
-        .map(|v| {
-            if *v <= MISSING_AP_DBM {
-                0.0
-            } else {
-                // dBm are already log-scale powers; the ratio of linear powers
-                // is the difference of dB values, rescaled to ~[0, 1].
-                (1.0 + (v - strongest) / 60.0).clamp(0.0, 1.0)
-            }
-        })
-        .collect()
+    hlf(rssi).collect()
+}
+
+/// [`hlf_transform`], value by value.
+fn hlf(rssi: &[f32]) -> impl Iterator<Item = f32> + '_ {
+    let strongest = strongest(rssi);
+    rssi.iter().map(move |v| {
+        if *v <= MISSING_AP_DBM {
+            0.0
+        } else {
+            // dBm are already log-scale powers; the ratio of linear powers
+            // is the difference of dB values, rescaled to ~[0, 1].
+            (1.0 + (v - strongest) / 60.0).clamp(0.0, 1.0)
+        }
+    })
 }
 
 #[cfg(test)]
@@ -347,6 +375,32 @@ mod tests {
         assert_eq!(e1, e2);
         let t1 = with_dam.extract(&o, true, key);
         assert_eq!(t1.len(), 4);
+    }
+
+    #[test]
+    fn extraction_into_one_buffer_is_inference_extraction() {
+        let observations = [
+            obs(vec![-60.0, -70.0, -100.0, -55.0]),
+            obs(vec![-100.0, -42.0, -81.0, -66.0]),
+        ];
+        let modes = [
+            FeatureMode::MeanChannel,
+            FeatureMode::ThreeChannel,
+            FeatureMode::Ssd,
+            FeatureMode::Hlf,
+        ];
+        for mode in modes {
+            for dam in [None, Some(DamConfig::default())] {
+                let extractor = FeatureExtractor::new(mode).with_dam(dam);
+                let mut buffer = vec![7.0; 20];
+                for o in &observations {
+                    extractor.extract_into(o, &mut buffer);
+                    let want = extractor.extract(o, false, DrawKey::default());
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&buffer), bits(&want), "{mode:?}, DAM {dam:?}");
+                }
+            }
+        }
     }
 
     #[test]

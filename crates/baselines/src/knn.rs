@@ -4,7 +4,6 @@
 use std::path::Path;
 
 use fingerprint::{FingerprintDataset, FingerprintObservation};
-use tensor::rng::DrawKey;
 use vital::{Checkpoint, CheckpointError, Localizer, ModelKind, Result, VitalError};
 
 use crate::memory::{Matching, Memory};
@@ -114,13 +113,11 @@ impl Localizer for KnnLocalizer {
         }
         vital::check_widths(self.num_aps(), observations)?;
         let mut matching = Matching::default();
-        // Clean extraction draws nothing, so the default key is never read.
+        let mut query = Vec::new();
         observations
             .iter()
             .map(|observation| {
-                let query = self
-                    .extractor
-                    .extract(observation, false, DrawKey::default());
+                self.extractor.extract_into(observation, &mut query);
                 self.memory
                     .weighted_vote(&mut matching, &query, self.k, |_| true)?
                     .ok_or(VitalError::NotFitted)

@@ -135,8 +135,11 @@ fn warm_predict_folded_allocates_the_same_handful_at_every_batch_size() {
 /// closures' scratch, a function of the graph and never of the SIMD level
 /// or thread count. A GELU node's backward is one buffer (its dispatched
 /// sweep writes `g · GELU′(x)` into a copy of `g`), not a derivative
-/// buffer and a product.
-const BACKWARD_ALLOCS: u64 = 610;
+/// buffer and a product. Each multi-head attention is one node whose
+/// backward allocates its scratch and the dQ, dK and dV tensors; when the
+/// tape recorded it as per-`(sample, head)` slices, products, softmaxes
+/// and concatenations, this count was 610.
+const BACKWARD_ALLOCS: u64 = 179;
 
 /// `(allocations, largest block)` of `Session::backward` in a training
 /// step of `samples` observations of `input` through `vit`.

@@ -43,9 +43,9 @@
 //!   tape runs call the very same functions, so compiled and eager
 //!   outputs are bit-identical at every dispatch level, and a difference
 //!   between them can only come from the planner (views, liveness, fusion
-//!   order). The attention step is the one a tape records differently, as
-//!   its per-block products and softmaxes: `simd/tests/attention_parity.rs`
-//!   holds `simd::attention` to that chain bit for bit.
+//!   order). The attention step runs `simd::attention`, as the tape's
+//!   attention node does; `simd/tests/attention_parity.rs` holds it to
+//!   the per-block products and softmaxes it replaced, bit for bit.
 //!
 //! * **Per-step timing.** [`CompiledPlan::execute_timed`] is
 //!   `execute_with` with a clock read around each step's kernel and its
@@ -323,7 +323,7 @@ impl CompiledPlan {
             }
             Kernel::Attention { q, k, v, shape } => {
                 let [q, k, v] = [q, k, v].map(|view| ops.resolve(*view));
-                simd::attention(self.level, q, k, v, *shape, out, scratch);
+                simd::attention(self.level, q, k, v, *shape, out, None, scratch);
             }
         }
     }

@@ -293,9 +293,9 @@ impl Twin {
     }
 }
 
-/// The per-block chain `nn::Trace::attention` records on the tape, on
-/// eager tensors: per `(sample, head)`, `softmax(Q·Kᵀ / √head_dim) · V`,
-/// the heads joined per sample and the samples stacked.
+/// The per-block chain the attention step replaced, on eager tensors:
+/// per `(sample, head)`, `softmax(Q·Kᵀ / √head_dim) · V`, the heads
+/// joined per sample and the samples stacked.
 fn eager_attention(qkv: [&Tensor; 3], samples: usize, heads: usize) -> Tensor {
     let (rows, cols) = qkv[0].shape().as_matrix().unwrap();
     let (seq, head_dim) = (rows / samples, cols / heads);

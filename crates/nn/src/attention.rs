@@ -61,13 +61,14 @@ impl MultiHeadSelfAttention {
     ///
     /// The Q/K/V and output projections run once over the whole stack (one
     /// large GEMM each); between them, [`Trace::attention`] records the
-    /// per-`(sample, head)` scaled dot-product attention. On the tape that
-    /// is each block's chain of slices, products and softmax; in a
-    /// compiled plan it is one step that reads the three projections in
-    /// place and writes each head's rows straight into that head's columns
-    /// of the `[samples * seq_len, d_model]` result the output projection
-    /// reads, bit-identical to the chain. Softmax is row-wise, so the
-    /// result is bit-identical to attending each sample alone.
+    /// per-`(sample, head)` scaled dot-product attention as one op: one
+    /// tape node whose forward and backward are each one dispatched kernel
+    /// (`simd::attention`, `simd::attention_backward`), and one compiled
+    /// plan step. Both read the three projections in place and write each
+    /// head's rows straight into that head's columns of the
+    /// `[samples * seq_len, d_model]` result the output projection reads.
+    /// Softmax is row-wise, so the result is bit-identical to attending
+    /// each sample alone.
     ///
     /// # Errors
     /// Returns an error if the row count is not a multiple of `samples` or

@@ -172,6 +172,17 @@ impl<'t> Trace for Session<'t> {
         x.slice_cols(start, end)
     }
 
+    fn attention(
+        &mut self,
+        q: Var<'t>,
+        k: Var<'t>,
+        v: Var<'t>,
+        samples: usize,
+        heads: usize,
+    ) -> Result<Var<'t>> {
+        q.attention(k, v, samples, heads)
+    }
+
     fn dropout(&mut self, x: Var<'t>, rate: f32) -> Result<Var<'t>> {
         if !self.training || rate <= 0.0 {
             return Ok(x);

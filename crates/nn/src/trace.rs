@@ -119,16 +119,17 @@ pub trait Trace {
     /// `(sample, head)` block is `softmax(Q·Kᵀ / √head_dim) · V`, the heads
     /// concatenated per sample (eq. 4) and the samples stacked again.
     ///
-    /// This default records each block's chain — `Q·Kᵀ` (eq. 2) as a
-    /// transposed-B product over slices of the stacked projections, the
-    /// `1/√head_dim` scale ([`simd::AttentionShape::scale`]), the row
-    /// softmax (eq. 1), `· V` — back to back, then
-    /// the concatenations: what a [`crate::Session`] evaluates and
-    /// differentiates, so on the tape no slice ever has a parent larger
-    /// than one projection. A [`Graph`] records one node instead, which a
-    /// compiled plan runs as one lane-parallel step bit-identical to this
-    /// chain (`simd::attention`). Softmax is row-wise, so the
-    /// result is bit-identical to attending each sample alone.
+    /// One op in both recorders, one kernel for every block: a
+    /// [`crate::Session`] records one tape node
+    /// (`autograd::Var::attention`) whose forward is `simd::attention` and
+    /// whose backward is `simd::attention_backward`; a [`Graph`] records
+    /// one node that a compiled plan runs as one `simd::attention` step.
+    /// Each output and gradient is bit for bit what the per-block chain
+    /// (slices, `Q·Kᵀ`, the `1/√head_dim` scale
+    /// [`simd::AttentionShape::scale`], the row softmax, `· V`, the
+    /// concatenations) would give, except that a NaN is `f32::NAN`.
+    /// Softmax is row-wise, so the result is bit-identical to attending
+    /// each sample alone.
     ///
     /// # Errors
     /// Returns an error if `samples` does not divide the rows or `heads`
@@ -140,50 +141,7 @@ pub trait Trace {
         v: Self::Node,
         samples: usize,
         heads: usize,
-    ) -> Result<Self::Node, Self::Error> {
-        let (rows, cols) = self.dims(q)?;
-        if samples == 0 || heads == 0 || rows % samples != 0 || cols % heads != 0 {
-            return Err(TensorError::ShapeMismatch {
-                op: "attention",
-                lhs: vec![rows, cols],
-                rhs: vec![samples, heads],
-            }
-            .into());
-        }
-        let (seq_len, head_dim) = (rows / samples, cols / heads);
-        let scale = simd::AttentionShape {
-            seq: seq_len,
-            heads,
-            head_dim,
-        }
-        .scale();
-
-        let mut sample_outputs = Vec::with_capacity(samples);
-        for s in 0..samples {
-            let (first, end) = (s * seq_len, (s + 1) * seq_len);
-            let qs = self.slice_rows(q, first, end)?;
-            let ks = self.slice_rows(k, first, end)?;
-            let vs = self.slice_rows(v, first, end)?;
-            let mut head_outputs = Vec::with_capacity(heads);
-            for h in 0..heads {
-                let (start, stop) = (h * head_dim, (h + 1) * head_dim);
-                let qh = self.slice_cols(qs, start, stop)?;
-                let kh = self.slice_cols(ks, start, stop)?;
-                let block = self.matmul(qh, kh, MatmulSpec::NT)?;
-                let scores = self.scale(block, scale)?;
-                let attn = self.softmax_rows(scores)?;
-                let vh = self.slice_cols(vs, start, stop)?;
-                head_outputs.push(self.matmul(attn, vh, MatmulSpec::NN)?);
-            }
-            // Concat(h1..hn) per sample (eq. 4).
-            sample_outputs.push(self.concat_cols(&head_outputs)?);
-        }
-        if samples == 1 {
-            Ok(sample_outputs[0])
-        } else {
-            self.concat_rows(&sample_outputs)
-        }
-    }
+    ) -> Result<Self::Node, Self::Error>;
 }
 
 type GraphResult = Result<ExprId, GraphError>;

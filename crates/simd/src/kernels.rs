@@ -74,6 +74,12 @@
 //!   and `· V` GEMM it replaces on every output that is not NaN: each
 //!   lane repeats those steps' operations in their operand order. Its
 //!   NaN outputs are canonical, as `squared_distances`' are.
+//! - `attention_backward` ([`AttentionBackward`]) is bit-identical across
+//!   the levels on every input, and to the tape's per-block chain (the
+//!   two GEMMs' backward products, the softmax's `S ⊙ (G − Σ(G ⊙ S))`
+//!   and the scale's) on every gradient that is not NaN; its NaN
+//!   gradients are canonical too (the chain's own NaN signs depend on the
+//!   build, as the forward steps' do).
 
 // The Cephes expf constants are written with their full decimal digits on
 // purpose: each literal rounds to the exact f32 bit pattern the minimax
@@ -647,12 +653,18 @@ fn softmax_row<S: SimdOp>(row: &mut [f32]) {
 /// them gave `+NaN` where the kernel's lanes gave `−NaN`, the optimiser
 /// commuting an add that meets two NaNs), so a NaN output is stored as the
 /// canonical `f32::NAN` at every level and every build.
+///
+/// With `saved`, each block's probabilities are also written out for
+/// [`AttentionBackward`], transposed (`P[i][j]` at `j · seq + i`, one
+/// `seq × seq` block per `(sample, head)` in that order), so each key's
+/// live lanes are one contiguous copy.
 pub(crate) struct Attention<'a> {
     pub q: &'a [f32],
     pub k: &'a [f32],
     pub v: &'a [f32],
     pub shape: AttentionShape,
     pub out: &'a mut [f32],
+    pub saved: Option<&'a mut [f32]>,
     pub scratch: &'a mut [f32],
 }
 
@@ -666,6 +678,7 @@ impl Kernel for Attention<'_> {
             v,
             shape,
             out,
+            saved,
             scratch,
         } = self;
         let AttentionShape {
@@ -678,6 +691,7 @@ impl Kernel for Attention<'_> {
         if seq == 0 || d == 0 {
             return;
         }
+        let mut saved = saved.map(|p| p.chunks_exact_mut(seq * seq));
         let (q_cols, probs) = scratch.split_at_mut(head_dim * S::LANES);
         let probs = &mut probs[..seq * S::LANES];
         let block = seq * d;
@@ -688,18 +702,10 @@ impl Kernel for Attention<'_> {
             .zip(out.chunks_exact_mut(block));
         for (((qs, ks), vs), outs) in samples {
             for col in (0..d).step_by(head_dim) {
+                let mut saved_block = saved.as_mut().and_then(Iterator::next);
                 for r0 in (0..seq).step_by(S::LANES) {
                     let live = S::LANES.min(seq - r0);
-                    for (l, row) in qs[r0 * d..].chunks_exact(d).take(live).enumerate() {
-                        for (p, &x) in row[col..col + head_dim].iter().enumerate() {
-                            q_cols[p * S::LANES + l] = x;
-                        }
-                    }
-                    if live < S::LANES {
-                        for lanes in q_cols.chunks_exact_mut(S::LANES) {
-                            lanes[live..].fill(0.0);
-                        }
-                    }
+                    lay_lanes::<S>(&qs[r0 * d..], d, col, live, q_cols);
                     let mut j0 = 0;
                     while j0 < seq {
                         j0 += match seq - j0 {
@@ -709,6 +715,17 @@ impl Kernel for Attention<'_> {
                         };
                     }
                     softmax_lanes::<S>(probs);
+                    if let Some(block) = saved_block.as_deref_mut() {
+                        let keys = block
+                            .chunks_exact_mut(seq)
+                            .zip(probs.chunks_exact(S::LANES));
+                        for (key, lanes) in keys {
+                            match live == S::LANES {
+                                true => S::store(S::load(lanes), &mut key[r0..]),
+                                false => key[r0..r0 + live].copy_from_slice(&lanes[..live]),
+                            }
+                        }
+                    }
                     let rows = &mut outs[r0 * d..(r0 + live) * d];
                     let mut c0 = col;
                     while c0 < col + head_dim {
@@ -720,6 +737,24 @@ impl Kernel for Attention<'_> {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Lays the head's columns `col..` of the `live` rows at the front of
+/// `rows` (`d` values apart) lane-wise into `cols` (column `p`'s bundle
+/// at `p · LANES`, row `l` in lane `l`, pad lanes `0`).
+#[inline(always)]
+fn lay_lanes<S: SimdOp>(rows: &[f32], d: usize, col: usize, live: usize, cols: &mut [f32]) {
+    let head_dim = cols.len() / S::LANES;
+    for (l, row) in rows.chunks_exact(d).take(live).enumerate() {
+        for (p, &x) in row[col..col + head_dim].iter().enumerate() {
+            cols[p * S::LANES + l] = x;
+        }
+    }
+    if live < S::LANES {
+        for lanes in cols.chunks_exact_mut(S::LANES) {
+            lanes[live..].fill(0.0);
         }
     }
 }
@@ -832,6 +867,265 @@ fn attention_values<S: SimdOp, const C: usize>(
         }
     }
     C
+}
+
+/// Keys `j0..j0 + J` of one bundle's probability gradient `dP = dO · Vᵀ`
+/// into `bundle` (key `j`'s at `j · LANES`), with the bundle's dO columns
+/// laid lane-wise in `g_cols`: [`attention_scores`]' chains without the
+/// scale. Returns `J`.
+///
+/// This and [`query_gradients`] repeat [`attention_scores`] and
+/// [`attention_values`] rather than call them: with the backward calling
+/// the forward's two helpers, the forward kernel ran about a tenth
+/// slower (2.58 against 2.31 ms at paper@16, minima of twelve alternating
+/// runs, 2-vCPU AVX-512F host), as calling the band kernel's tile from
+/// here made every GEMM about a fifth slower ([`weighted_rows`]).
+#[inline(always)]
+fn probability_gradients<S: SimdOp, const J: usize>(
+    g_cols: &[f32],
+    values: &[f32],
+    (d, col): (usize, usize),
+    j0: usize,
+    bundle: &mut [f32],
+) -> usize {
+    let head_dim = g_cols.len() / S::LANES;
+    let rows: [&[f32]; J] = std::array::from_fn(|jj| &values[(j0 + jj) * d + col..][..head_dim]);
+    let mut acc = [S::splat(0.0); J];
+    for (p, g) in g_cols.chunks_exact(S::LANES).enumerate() {
+        let g = S::load(g);
+        for (acc, row) in acc.iter_mut().zip(&rows) {
+            *acc = S::mul_add(g, S::splat(row[p]), *acc);
+        }
+    }
+    for (jj, acc) in acc.into_iter().enumerate() {
+        S::store(acc, &mut bundle[(j0 + jj) * S::LANES..]);
+    }
+    J
+}
+
+/// Columns `c0..c0 + C` of one bundle's query gradient `dQ = dB · K`:
+/// the bundle's score gradients times K's rows, `C` independent chains in
+/// key order, each lane's value written to its row of `rows`, a NaN as
+/// `f32::NAN` ([`attention_values`]' body). Returns `C`.
+#[inline(always)]
+fn query_gradients<S: SimdOp, const C: usize>(
+    d_scores: &[f32],
+    keys: &[f32],
+    d: usize,
+    c0: usize,
+    rows: &mut [f32],
+) -> usize {
+    let mut acc = [S::splat(0.0); C];
+    for (b, row) in d_scores.chunks_exact(S::LANES).zip(keys.chunks_exact(d)) {
+        let b = S::load(b);
+        for (acc, &k) in acc.iter_mut().zip(&row[c0..c0 + C]) {
+            *acc = S::mul_add(b, S::splat(k), *acc);
+        }
+    }
+    let mut lanes = [0.0f32; MAX_LANES];
+    for (c, acc) in acc.into_iter().enumerate() {
+        S::store(canonical_nan::<S>(acc), &mut lanes);
+        for (row, &x) in rows.chunks_exact_mut(d).zip(&lanes) {
+            row[c0 + c] = x;
+        }
+    }
+    C
+}
+
+/// The vector-Jacobian product of [`Attention`] ([`crate::attention_backward`]):
+/// from the output's gradient `dO`, the saved transposed probabilities
+/// `Pᵀ` and the stacked Q, K and V, the gradients dQ, dK and dV of every
+/// `(sample, head)` block, each head's rows written into that head's
+/// columns.
+///
+/// Each element repeats the operations of the tape's per-block chain —
+/// the backward of the score GEMM, the scale, `softmax_rows` and the
+/// `· V` GEMM — in their operand order, so it equals that chain's bit for
+/// bit at every level:
+/// - with the lanes across query rows, as the forward's: one bundle's dO
+///   columns laid lane-wise, `dP = dO · Vᵀ` key by key (the GEMM's
+///   `0 + g₀·v₀ + g₁·v₁ + …` over the head's columns), the softmax's
+///   backward `S ⊙ (G − Σ(G ⊙ S))` with each row's sum started from `−0`
+///   and added in key order as `Iterator::sum` does, `· scale`, which
+///   gives the score gradient `dB`, then `dQ = dB · K`, the GEMM's chain
+///   in key order ([`probability_gradients`], [`softmax_backward_lanes`],
+///   [`query_gradients`]); `dB` is also kept, transposed, for the block's
+///   second pass;
+/// - with the lanes across the head's columns: `dK = dBᵀ · Q` and
+///   `dV = Pᵀ · dO`, each output row the GEMM's chain in query order,
+///   one broadcast weight per query ([`weighted_rows`]).
+///
+/// A NaN gradient is stored as the canonical `f32::NAN`, as the forward's
+/// outputs are: the chain's own NaN signs depend on the build.
+pub(crate) struct AttentionBackward<'a> {
+    pub qkv: [&'a [f32]; 3],
+    pub saved: &'a [f32],
+    pub d_out: &'a [f32],
+    pub shape: AttentionShape,
+    pub grads: [&'a mut [f32]; 3],
+    pub scratch: &'a mut [f32],
+}
+
+impl Kernel for AttentionBackward<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<S: SimdOp>(self) {
+        let AttentionBackward {
+            qkv: [q, k, v],
+            saved,
+            d_out,
+            shape,
+            grads: [dq, dk, dv],
+            scratch,
+        } = self;
+        let AttentionShape {
+            seq,
+            heads,
+            head_dim,
+        } = shape;
+        let scale = shape.scale();
+        let d = heads * head_dim;
+        if seq == 0 || d == 0 {
+            return;
+        }
+        let (g_cols, rest) = scratch.split_at_mut(head_dim * S::LANES);
+        let (bundle, rest) = rest.split_at_mut(seq * S::LANES);
+        let d_scores = &mut rest[..seq * seq];
+        let block = seq * d;
+        let samples = q
+            .chunks_exact(block)
+            .zip(k.chunks_exact(block))
+            .zip(v.chunks_exact(block))
+            .zip(d_out.chunks_exact(block))
+            .zip(saved.chunks_exact(heads * seq * seq))
+            .zip(dq.chunks_exact_mut(block))
+            .zip(dk.chunks_exact_mut(block))
+            .zip(dv.chunks_exact_mut(block));
+        for (((((((qs, ks), vs), gs), probs), dqs), dks), dvs) in samples {
+            for (col, p_t) in (0..d).step_by(head_dim).zip(probs.chunks_exact(seq * seq)) {
+                for r0 in (0..seq).step_by(S::LANES) {
+                    let live = S::LANES.min(seq - r0);
+                    lay_lanes::<S>(&gs[r0 * d..], d, col, live, g_cols);
+                    let mut j0 = 0;
+                    while j0 < seq {
+                        let head = (d, col);
+                        j0 += match seq - j0 {
+                            8.. => probability_gradients::<S, 8>(g_cols, vs, head, j0, bundle),
+                            4..=7 => probability_gradients::<S, 4>(g_cols, vs, head, j0, bundle),
+                            _ => probability_gradients::<S, 1>(g_cols, vs, head, j0, bundle),
+                        };
+                    }
+                    softmax_backward_lanes::<S>(bundle, p_t, (r0, live), scale, d_scores);
+                    let rows = &mut dqs[r0 * d..(r0 + live) * d];
+                    let mut c0 = col;
+                    while c0 < col + head_dim {
+                        c0 += match col + head_dim - c0 {
+                            8.. => query_gradients::<S, 8>(bundle, ks, d, c0, rows),
+                            4..=7 => query_gradients::<S, 4>(bundle, ks, d, c0, rows),
+                            _ => query_gradients::<S, 1>(bundle, ks, d, c0, rows),
+                        };
+                    }
+                }
+                let head = (d, col, head_dim);
+                for (weights, x, out) in [(&*d_scores, qs, &mut *dks), (p_t, gs, &mut *dvs)] {
+                    let mut r0 = 0;
+                    while r0 < seq {
+                        r0 += match seq - r0 {
+                            8.. => weighted_rows::<S, 8>(weights, x, head, r0, out),
+                            4..=7 => weighted_rows::<S, 4>(weights, x, head, r0, out),
+                            _ => weighted_rows::<S, 1>(weights, x, head, r0, out),
+                        };
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The softmax's and the scale's backward down every lane of one
+/// bundle's `dP` (key `j`'s bundle at `j · LANES`), in place, with `Pᵀ`
+/// the block's saved probabilities and the bundle's query rows
+/// `r0..r0 + live`: each lane takes `dot = ((−0 + dP₀·P₀) + dP₁·P₁) + …`
+/// in key order, then each key's `(Pⱼ · (dPⱼ − dot)) · scale`, which is
+/// also written into the bundle's rows of the block's transposed
+/// `d_scores` (key `j`'s row at `j · seq`).
+#[inline(always)]
+fn softmax_backward_lanes<S: SimdOp>(
+    bundle: &mut [f32],
+    p_t: &[f32],
+    (r0, live): (usize, usize),
+    scale: f32,
+    d_scores: &mut [f32],
+) {
+    let seq = bundle.len() / S::LANES;
+    let probs = |j: usize| {
+        let key = &p_t[j * seq + r0..][..live];
+        match live == S::LANES {
+            true => S::load(key),
+            false => S::load_padded(key, 0.0),
+        }
+    };
+    let mut dot = S::splat(-0.0);
+    for (j, g) in bundle.chunks_exact(S::LANES).enumerate() {
+        dot = S::add(dot, S::mul(S::load(g), probs(j)));
+    }
+    let scale = S::splat(scale);
+    let keys = bundle
+        .chunks_exact_mut(S::LANES)
+        .zip(d_scores.chunks_exact_mut(seq));
+    for (j, (g, key)) in keys.enumerate() {
+        let d_score = S::mul(S::mul(probs(j), S::sub(S::load(g), dot)), scale);
+        S::store(d_score, g);
+        match live == S::LANES {
+            true => S::store(d_score, &mut key[r0..]),
+            false => store_partial::<S>(d_score, &mut key[r0..r0 + live]),
+        }
+    }
+}
+
+/// Rows `r0..r0 + R` of one head's gradient, with the lanes across the
+/// head's columns: row `r`'s column `c` is `Σᵢ weights[r · seq + i] ·
+/// x[i][col + c]` over the sample's `seq` rows of `x`, the GEMM's chain
+/// `0 + w₀·x₀ + w₁·x₁ + …` in `i` order, written into columns `col..` of
+/// row `r` of `out` (rows `d` values apart), a NaN as `f32::NAN`.
+/// Returns `R`.
+///
+/// Not the band kernel's tile ([`crate::gemm`]), though the chain is the
+/// same: inlining the tile into this kernel's entry points too made every
+/// other GEMM about a fifth slower (`[1600 × 1200] · [1200 × 80]` 5.0 →
+/// 6.1 ms, 2-vCPU AVX-512F host), and it needs B packed and its output
+/// copied into the head's columns.
+#[inline(always)]
+fn weighted_rows<S: SimdOp, const R: usize>(
+    weights: &[f32],
+    x: &[f32],
+    (d, col, head_dim): (usize, usize, usize),
+    r0: usize,
+    out: &mut [f32],
+) -> usize {
+    let seq = x.len() / d;
+    let rows: [&[f32]; R] = std::array::from_fn(|rr| &weights[(r0 + rr) * seq..][..seq]);
+    for c0 in (col..col + head_dim).step_by(S::LANES) {
+        let live = S::LANES.min(col + head_dim - c0);
+        let mut acc = [S::splat(0.0); R];
+        for (i, x) in x.chunks_exact(d).enumerate() {
+            let x = match live == S::LANES {
+                true => S::load(&x[c0..]),
+                false => S::load_padded(&x[c0..c0 + live], 0.0),
+            };
+            for (acc, row) in acc.iter_mut().zip(&rows) {
+                *acc = S::mul_add(S::splat(row[i]), x, *acc);
+            }
+        }
+        for (rr, acc) in acc.into_iter().enumerate() {
+            let dst = &mut out[(r0 + rr) * d + c0..][..live];
+            match live == S::LANES {
+                true => S::store(canonical_nan::<S>(acc), dst),
+                false => store_partial::<S>(canonical_nan::<S>(acc), dst),
+            }
+        }
+    }
+    R
 }
 
 /// Per-row layer normalization over a row-major `[rows × cols]` buffer,

@@ -40,10 +40,13 @@
 //! and the normals come from the crate's own `ln` and `sincos`, so these
 //! are bit-identical at every level too.
 //!
-//! The attention blocks of VITAL's encoder and of ANVIL have one:
+//! The attention blocks of VITAL's encoder and of ANVIL have two:
 //! [`attention`], every `(sample, head)` block of a multi-head
 //! self-attention in one call, the lanes spread across query rows and
-//! each lane the per-block score, softmax and `· V` chain of its row.
+//! each lane the per-block score, softmax and `· V` chain of its row; and
+//! its vector-Jacobian product [`attention_backward`], the training
+//! tape's dQ, dK and dV of every block in one call, each element the
+//! tape's per-block chain of the same steps' backward.
 //!
 //! The memory-matching baselines (KNN, SHERPA's refinement, WiDeep's
 //! kernel vote, ANVIL's centroids) have one: [`squared_distances`], the
@@ -338,6 +341,28 @@ impl AttentionShape {
     pub fn scratch_len(&self) -> usize {
         (self.head_dim + self.seq) * backend::MAX_LANES
     }
+
+    /// Probabilities [`attention`] saves for [`attention_backward`] over
+    /// `samples` sequences: one `seq × seq` block per `(sample, head)`, in
+    /// that order, each transposed (query `i`'s probability of key `j` at
+    /// `j · seq + i`).
+    pub fn saved_len(&self, samples: usize) -> usize {
+        samples * self.heads * self.seq * self.seq
+    }
+
+    /// Elements of scratch an [`attention_backward`] call needs:
+    /// [`AttentionShape::scratch_len`]'s, and one block's score gradient.
+    pub fn backward_scratch_len(&self) -> usize {
+        self.scratch_len() + self.seq * self.seq
+    }
+
+    /// Sequences in a stack of `len` values, if it holds whole ones.
+    fn samples(&self, len: usize) -> Option<usize> {
+        match self.seq * self.heads * self.head_dim {
+            0 => (len == 0).then_some(0),
+            block => len.is_multiple_of(block).then_some(len / block),
+        }
+    }
 }
 
 /// Scaled dot-product self-attention of every `(sample, head)` block of
@@ -348,13 +373,17 @@ impl AttentionShape {
 /// columns of row `i`. Every output is bit for bit what the per-block
 /// steps give — the score GEMM, the scale, [`softmax_rows`] and the
 /// `· V` GEMM at the same level — except that a NaN comes out as
-/// `f32::NAN` ([`kernels`]' `Attention` says why). `scratch` is
+/// `f32::NAN` ([`kernels`]' `Attention` says why). With `saved`, the
+/// softmax's probabilities are written there too, for
+/// [`attention_backward`] ([`AttentionShape::saved_len`]). `scratch` is
 /// overwritten.
 ///
 /// # Panics
 /// If `q`, `k`, `v` and `out` differ in length or are not whole
-/// sequences of `seq · heads · head_dim` values, or `scratch` is shorter
-/// than [`AttentionShape::scratch_len`].
+/// sequences of `seq · heads · head_dim` values, `saved` does not hold
+/// [`AttentionShape::saved_len`] values, or `scratch` is shorter than
+/// [`AttentionShape::scratch_len`].
+#[allow(clippy::too_many_arguments)] // the level, three operands, the shape, two outputs, scratch
 pub fn attention(
     level: Level,
     q: &[f32],
@@ -362,17 +391,22 @@ pub fn attention(
     v: &[f32],
     shape: AttentionShape,
     out: &mut [f32],
+    saved: Option<&mut [f32]>,
     scratch: &mut [f32],
 ) {
-    let block = shape.seq * shape.heads * shape.head_dim;
-    let whole = match block {
-        0 => out.is_empty(),
-        block => out.len().is_multiple_of(block),
-    };
+    let samples = shape.samples(out.len());
     assert!(
-        whole && [q.len(), k.len(), v.len()] == [out.len(); 3],
-        "attention: q, k, v and out must be equal stacks of {block}-value sequences"
+        samples.is_some() && [q.len(), k.len(), v.len()] == [out.len(); 3],
+        "attention: q, k, v and out must be equal stacks of {}-value sequences",
+        shape.seq * shape.heads * shape.head_dim
     );
+    if let Some(saved) = &saved {
+        assert_eq!(
+            Some(saved.len()),
+            samples.map(|samples| shape.saved_len(samples)),
+            "attention: saved probabilities"
+        );
+    }
     assert!(
         scratch.len() >= shape.scratch_len(),
         "attention: {} scratch values, {} needed",
@@ -387,6 +421,64 @@ pub fn attention(
             v,
             shape,
             out,
+            saved,
+            scratch,
+        },
+    );
+}
+
+/// The gradients of [`attention`] with respect to its operands at `level`
+/// (resolved on this CPU): from `qkv`, the probabilities the forward
+/// `saved` and the output's gradient `d_out`, `grads` receives dQ, dK and
+/// dV, each element bit for bit what the tape's per-block chain gives
+/// (the backward of the score GEMM, the scale, the row softmax and the
+/// `· V` GEMM at the same level), except that a NaN comes out as
+/// `f32::NAN` ([`kernels`]' `AttentionBackward`). `scratch` is
+/// overwritten.
+///
+/// # Panics
+/// If the operands, `d_out` and the gradients differ in length or are
+/// not whole sequences of `seq · heads · head_dim` values, `saved` does
+/// not hold [`AttentionShape::saved_len`] values, or `scratch` is
+/// shorter than [`AttentionShape::backward_scratch_len`].
+pub fn attention_backward(
+    level: Level,
+    qkv: [&[f32]; 3],
+    saved: &[f32],
+    d_out: &[f32],
+    shape: AttentionShape,
+    grads: [&mut [f32]; 3],
+    scratch: &mut [f32],
+) {
+    let len = d_out.len();
+    let samples = shape.samples(len);
+    assert!(
+        samples.is_some()
+            && qkv.iter().all(|m| m.len() == len)
+            && grads.iter().all(|m| m.len() == len),
+        "attention_backward: q, k, v, d_out and the gradients must be equal stacks of \
+         {}-value sequences",
+        shape.seq * shape.heads * shape.head_dim
+    );
+    assert_eq!(
+        Some(saved.len()),
+        samples.map(|samples| shape.saved_len(samples)),
+        "attention_backward: saved probabilities"
+    );
+    assert!(
+        scratch.len() >= shape.backward_scratch_len(),
+        "attention_backward: {} scratch values, {} needed",
+        scratch.len(),
+        shape.backward_scratch_len()
+    );
+    dispatch(
+        level,
+        kernels::AttentionBackward {
+            qkv,
+            saved,
+            d_out,
+            shape,
+            grads,
             scratch,
         },
     );
