@@ -2,9 +2,8 @@
 // the tape is a per-pass, per-thread recorder by design (see the threading
 // note on [`Tape`]); making it Sync would add lock traffic to every
 // recorded op for no sharing benefit. The ban itself is clippy.toml's
-// `disallowed_types`; vital-lint pins the `deny` attributes that enforce it
-// in the crates a shared registry reaches (`RULES.required` in
-// tests/static_analysis.rs).
+// `disallowed_types`, which `tests/static_analysis.rs` denies
+// workspace-wide on its clippy command line.
 #![allow(clippy::disallowed_types)]
 
 use std::cell::RefCell;

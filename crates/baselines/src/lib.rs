@@ -75,7 +75,6 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![deny(clippy::disallowed_types)]
 #![warn(rust_2018_idioms)]
 
 mod anvil;
@@ -278,22 +277,6 @@ pub fn localizer_from_checkpoint(ckpt: &vital::Checkpoint) -> vital::Result<Box<
         vital::ModelKind::WiDeep => Box::new(WiDeepLocalizer::from_checkpoint(ckpt)?),
         vital::ModelKind::Anvil => Box::new(AnvilLocalizer::from_checkpoint(ckpt)?),
     })
-}
-
-/// Compile-time proof that every localizer is thread-safe ([`Localizer`]'s
-/// `Send + Sync` supertrait guarantees it for trait objects; these
-/// instantiations pin the concrete types too, including [`vital::VitalModel`],
-/// so a regression names the offending model in the build error).
-#[allow(dead_code)]
-fn _assert_localizers_are_send_sync() {
-    fn assert<T: Send + Sync>() {}
-    assert::<vital::VitalModel>();
-    assert::<AnvilLocalizer>();
-    assert::<SherpaLocalizer>();
-    assert::<CnnLocLocalizer>();
-    assert::<WiDeepLocalizer>();
-    assert::<KnnLocalizer>();
-    assert::<Box<dyn Localizer>>();
 }
 
 #[cfg(test)]

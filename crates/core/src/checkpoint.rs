@@ -1,3 +1,7 @@
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
 //! Versioned model checkpoints: the persistence envelope shared by VITAL
 //! and every baseline localizer.
 //!

@@ -15,18 +15,19 @@
 //! a plan executes with no lock held at all, in its thread's arena
 //! ([`CompiledPlan::execute_with`]).
 //!
-//! vital-lint's `lock-order` rule fails any acquisition made while a guard
-//! of it is live (`tests/static_analysis.rs` seeds one to show it); the
-//! counters in [`crate::stats`] are lock-free.
+//! The map is a [`Leaf`]: in a debug build, taking any lock inside its
+//! access fails an assertion. The counters in [`crate::stats`] are
+//! lock-free.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::compile::{CompiledPlan, Compiler};
 use crate::error::GraphError;
 use crate::exec;
 use crate::ir::{ExprId, Graph};
 use crate::stats;
+use crate::sync::Leaf;
 
 /// Cache storage: `(batch, weight stamp)` → shared plan.
 type PlanMap = HashMap<(usize, u64), Arc<CompiledPlan>>;
@@ -39,12 +40,12 @@ type PlanMap = HashMap<(usize, u64), Arc<CompiledPlan>>;
 /// its plans-per-shape behaviour simply by holding one of these.
 #[derive(Clone, Default)]
 pub struct PlanCache {
-    plans: Arc<Mutex<PlanMap>>,
+    plans: Arc<Leaf<PlanMap>>,
 }
 
 impl std::fmt::Debug for PlanCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let len = self.plans.lock().map(|m| m.len()).unwrap_or(0);
+        let len = self.plans.with(|m| m.len()).unwrap_or(0);
         f.debug_struct("PlanCache").field("plans", &len).finish()
     }
 }
@@ -69,7 +70,7 @@ impl PlanCache {
 
     /// Number of cached plans (all stamps).
     pub fn len(&self) -> usize {
-        self.plans.lock().expect("plan cache poisoned").len()
+        self.plans.with(|m| m.len()).expect("plan cache poisoned")
     }
 
     /// True if no plan is cached.
@@ -98,21 +99,30 @@ impl PlanCache {
         F: FnOnce() -> Result<(Graph, ExprId), GraphError>,
     {
         let key = (batch, stamp);
-        if let Some(plan) = self.plans.lock().expect("plan cache poisoned").get(&key) {
+        let hit = self
+            .plans
+            .with(|plans| plans.get(&key).cloned())
+            .expect("plan cache poisoned");
+        if let Some(plan) = hit {
             stats::record_plan_hit();
-            return Ok(Arc::clone(plan));
+            return Ok(plan);
         }
         // Miss: compile outside the lock.
         let (graph, output) = build()?;
         let plan = Arc::new(Compiler::new().compile(&graph, output)?);
         stats::record_plan_built();
-        let mut plans = self.plans.lock().expect("plan cache poisoned");
-        if let Some(existing) = plans.get(&key) {
-            // Another thread built the same plan concurrently; adopt it.
-            return Ok(Arc::clone(existing));
-        }
-        plans.retain(|(_, s), _| *s == stamp);
-        plans.insert(key, Arc::clone(&plan));
+        let plan = self
+            .plans
+            .with(|plans| {
+                if let Some(existing) = plans.get(&key) {
+                    // Another thread built the same plan concurrently; adopt it.
+                    return Arc::clone(existing);
+                }
+                plans.retain(|(_, s), _| *s == stamp);
+                plans.insert(key, Arc::clone(&plan));
+                plan
+            })
+            .expect("plan cache poisoned");
         Ok(plan)
     }
 }

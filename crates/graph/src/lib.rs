@@ -46,6 +46,7 @@ mod ir;
 #[cfg(test)]
 mod plan_tests;
 pub mod stats;
+pub mod sync;
 
 pub use cache::PlanCache;
 pub use compile::{CompiledPlan, Compiler, StepInfo};

@@ -7,9 +7,8 @@
 //! reading `/metrics` can never contend with — let alone deadlock against —
 //! an in-flight compiled-plan execution. There is no `Mutex`/`RwLock` in
 //! this module by design; the graph subsystem's one lock is the plan
-//! cache's `plans` map, and vital-lint's `lock-order` rule fails any
-//! acquisition made while it is held (`tests/static_analysis.rs` seeds one
-//! to show it).
+//! cache's `plans` map, a [`crate::sync::Leaf`]: any lock taken while it is
+//! held fails a debug assertion.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -3,6 +3,10 @@
 //! (`SERIAL`); each runs its plans on a fresh thread, whose arena starts
 //! empty, and runs no plan outside `counted`.
 
+// `SERIAL` is a test-harness turnstile, not product state: a guard held
+// across a whole test body, which a failed test's poison must not stop.
+#![allow(clippy::disallowed_types)]
+
 use std::sync::{Mutex, PoisonError};
 
 use graph::{stats, CompiledPlan, Compiler, ExprId, Graph, GraphError, PlanCache};

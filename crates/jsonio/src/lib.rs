@@ -28,6 +28,10 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
 #![warn(rust_2018_idioms)]
 
 mod read;

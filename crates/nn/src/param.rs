@@ -3,37 +3,38 @@
 //! A [`Param`] is a handle to one named weight tensor; cloning the handle
 //! shares the underlying storage, which is how a layer and an optimizer see
 //! consistent state. The handle is `Send + Sync` and holds the weights and
-//! nothing else, behind one lock:
+//! nothing else, behind one [`graph::sync::Leaf`] lock:
 //!
 //! * **Reading** — [`Param::value`] snapshots the current weights. Thanks
 //!   to the `tensor` crate's `Arc`-backed storage the snapshot is an `O(1)`
-//!   reference bump taken under a briefly-held read lock; the weight *data*
+//!   reference bump taken under the briefly-held lock; the weight *data*
 //!   itself is then read with no lock at all, from the same shared
 //!   allocation, by every tape and every concurrent inference worker.
-//!   During serving no writer exists, so the read lock is never contended.
+//!   Serving snapshots weights only when it compiles a plan.
 //! * **Writing** — [`Param::set_value`] (optimizer steps and checkpoint
-//!   restores) swaps the value atomically under the write lock.
+//!   restores) swaps the value atomically under the lock.
 //!
 //! Gradients are not parameter state: [`crate::Session::backward`] returns
 //! them and [`crate::optim::Adam::step`] consumes them, so no code holds
 //! this lock while taking another.
 //!
 //! A regression to single-threaded interior mutability (`Rc`/`RefCell`)
-//! fails the build: see the compile-time assertions at the bottom of this
-//! module and the workspace-wide `clippy::disallowed_types` ban on
-//! `std::rc::Rc`.
+//! fails tier-1: `tests/static_analysis.rs` holds every layer to
+//! `Send + Sync` at compile time, and the workspace-wide
+//! `clippy::disallowed_types` bans `std::rc::Rc` and `RefCell`.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
+use graph::sync::Leaf;
 use tensor::Tensor;
 
 struct ParamInner {
     name: String,
     /// Current weights. Readers snapshot the `Arc`-backed tensor in `O(1)`;
-    /// only the training path ([`Param::set_value`]) ever write-locks.
-    value: RwLock<Tensor>,
+    /// only the training path ([`Param::set_value`]) ever writes.
+    value: Leaf<Tensor>,
     /// Monotonic update counter, bumped by every [`Param::set_value`].
     /// Compiled-plan caches fold these into a weight stamp so a plan built
     /// against stale weights is detected in `O(params)` without comparing
@@ -55,7 +56,7 @@ impl Param {
     pub fn new(name: impl Into<String>, value: Tensor) -> Self {
         Param(Arc::new(ParamInner {
             name: name.into(),
-            value: RwLock::new(value),
+            value: Leaf::new(value),
             version: AtomicU64::new(0),
         }))
     }
@@ -71,17 +72,22 @@ impl Param {
     /// storage (copy-on-write protects it from later updates), so the hot
     /// inference path reads weight data without locks or copies.
     pub fn value(&self) -> Tensor {
-        self.0.value.read().expect("param lock poisoned").clone()
+        self.0
+            .value
+            .with(|value| value.clone())
+            .expect("param lock poisoned")
     }
 
     /// Replaces the current value (training path: optimizer steps and
     /// checkpoint restores).
     ///
     /// Concurrent readers keep the snapshot they already took; the swap is
-    /// atomic under the write lock, so no reader ever observes a torn
-    /// value.
+    /// atomic under the lock, so no reader ever observes a torn value.
     pub fn set_value(&self, value: Tensor) {
-        *self.0.value.write().expect("param lock poisoned") = value;
+        self.0
+            .value
+            .with(|current| *current = value)
+            .expect("param lock poisoned");
         self.0.version.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -95,7 +101,10 @@ impl Param {
 
     /// Number of scalar elements.
     pub fn len(&self) -> usize {
-        self.0.value.read().expect("param lock poisoned").len()
+        self.0
+            .value
+            .with(|value| value.len())
+            .expect("param lock poisoned")
     }
 
     /// Returns `true` if the parameter holds no elements.

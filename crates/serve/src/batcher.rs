@@ -68,10 +68,11 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar};
 use std::time::{Duration, Instant};
 
 use fingerprint::FingerprintObservation;
+use graph::sync::Leaf;
 
 use crate::faultinject::FaultPlan;
 use crate::metrics::Metrics;
@@ -188,13 +189,15 @@ struct QueueState {
 /// Bounded MPMC job queue: handler threads push, N dispatch workers
 /// collect micro-batches.
 ///
-/// Built on `Mutex<VecDeque>` + `Condvar` rather than an `mpsc` channel so
+/// Built on a [`Leaf`]`<VecDeque>` + `Condvar` rather than an `mpsc` channel so
 /// that **waiting releases the lock**: several workers can wait for work,
 /// or sit inside opt-in holds, simultaneously, each picking up jobs as they
 /// arrive, instead of serializing through a receiver mutex.
 /// The lock is held only for O(1) pushes and O(batch) pops.
 struct JobQueue {
-    state: Mutex<QueueState>,
+    /// A poisoned state (a panic while it was held) reads as closed:
+    /// nothing more is pushed or popped, and waiters leave.
+    state: Leaf<QueueState>,
     not_empty: Condvar,
     /// Signalled as each worker leaves. A condvar of its own, so a drain
     /// waiter can never take the wake-up a push meant for a worker.
@@ -208,7 +211,7 @@ struct JobQueue {
 impl JobQueue {
     fn new(cap: usize, workers: usize) -> Self {
         JobQueue {
-            state: Mutex::new(QueueState {
+            state: Leaf::new(QueueState {
                 jobs: VecDeque::new(),
                 closed: false,
                 workers,
@@ -221,22 +224,23 @@ impl JobQueue {
     }
 
     fn try_push(&self, job: Job) -> Result<(), SubmitError> {
-        let Ok(mut state) = self.state.lock() else {
-            return Err(SubmitError::Closed); // a panic while the lock was held
-        };
-        // Closing drains the queue under this same lock, so a push can
-        // never land after the drain and strand a job (its reply sender
-        // would otherwise never be dropped and the handler thread would
-        // wait forever).
-        if state.closed {
-            return Err(SubmitError::Closed);
-        }
-        if state.jobs.len() >= self.cap {
-            return Err(SubmitError::Busy);
-        }
-        state.jobs.push_back(job);
-        self.not_empty.notify_one();
-        Ok(())
+        self.state
+            .with(|state| {
+                // Closing drains the queue under this same lock, so a push
+                // can never land after the drain and strand a job (its
+                // reply sender would otherwise never be dropped and the
+                // handler thread would wait forever).
+                if state.closed {
+                    return Err(SubmitError::Closed);
+                }
+                if state.jobs.len() >= self.cap {
+                    return Err(SubmitError::Busy);
+                }
+                state.jobs.push_back(job);
+                self.not_empty.notify_one();
+                Ok(())
+            })
+            .unwrap_or(Err(SubmitError::Closed))
     }
 
     /// Blocks for the first job, then takes queued jobs into `batch` until
@@ -270,80 +274,74 @@ impl JobQueue {
         // A zero cap would collect nothing and spin; treat it as 1 (every
         // batch is then a single job), the old channel-based behaviour.
         let max_batch = max_batch.max(1);
-        let Ok(mut state) = self.state.lock() else {
-            return false;
-        };
-        loop {
-            if !state.jobs.is_empty() {
-                break;
-            }
-            if state.closed {
-                return false;
-            }
-            match self.not_empty.wait(state) {
-                Ok(guard) => state = guard,
-                Err(_) => return false,
-            }
-        }
+        self.state
+            .with_waits(|state| {
+                while state.jobs.is_empty() {
+                    if state.closed || !state.wait(&self.not_empty, None) {
+                        return false;
+                    }
+                }
 
-        // Read under the lock, so every job in the queue was pushed, and
-        // its deadline set, before `now`.
-        let mut now = Instant::now();
-        // Folded down to the earliest deadline of the held jobs as they
-        // are taken.
-        let mut hold_end = now + max_wait;
-        let mut observations = 0;
-        loop {
-            // Greedy drain. `max_batch` is a hard cap on the dispatch size
-            // (only a single bulk request larger than the cap can exceed
-            // it, since it cannot be split across batches); a job that
-            // would overflow ends the batch and stays queued.
-            let mut full = false;
-            while observations < max_batch {
-                let Some(front) = state.jobs.front() else {
-                    break;
-                };
-                let stale = front.deadline.is_some_and(|deadline| deadline <= now);
-                let len = front.observations.len();
-                if !stale && !batch.is_empty() && observations + len > max_batch {
-                    full = true;
-                    break;
+                // Read under the lock, so every job in the queue was
+                // pushed, and its deadline set, before `now`.
+                let mut now = Instant::now();
+                // Folded down to the earliest deadline of the held jobs as
+                // they are taken.
+                let mut hold_end = now + max_wait;
+                let mut observations = 0;
+                loop {
+                    // Greedy drain. `max_batch` is a hard cap on the
+                    // dispatch size (only a single bulk request larger than
+                    // the cap can exceed it, since it cannot be split
+                    // across batches); a job that would overflow ends the
+                    // batch and stays queued.
+                    let mut full = false;
+                    while observations < max_batch {
+                        let Some(front) = state.jobs.front() else {
+                            break;
+                        };
+                        let stale = front.deadline.is_some_and(|deadline| deadline <= now);
+                        let len = front.observations.len();
+                        if !stale && !batch.is_empty() && observations + len > max_batch {
+                            full = true;
+                            break;
+                        }
+                        let Some(job) = state.jobs.pop_front() else {
+                            break;
+                        };
+                        if stale {
+                            expired.push(job);
+                            continue;
+                        }
+                        if let Some(deadline) = job.deadline {
+                            hold_end = hold_end.min(deadline);
+                        }
+                        observations += len;
+                        batch.push(job);
+                    }
+                    if batch.is_empty() || observations >= max_batch || full || state.closed {
+                        break;
+                    }
+                    let remaining = hold_end.saturating_duration_since(now);
+                    if remaining.is_zero() {
+                        break;
+                    }
+                    if !state.wait(&self.not_empty, Some(remaining)) {
+                        return false;
+                    }
+                    now = Instant::now();
                 }
-                let Some(job) = state.jobs.pop_front() else {
-                    break;
-                };
-                if stale {
-                    expired.push(job);
-                    continue;
+                // The notify_one that announced a job this worker is now
+                // *leaving behind* (overflow carry-over, or arrivals past
+                // the cap) was already consumed by this worker — re-arm an
+                // idle worker so the leftover is picked up immediately
+                // instead of waiting out this worker's inference pass.
+                if !state.jobs.is_empty() {
+                    self.not_empty.notify_one();
                 }
-                if let Some(deadline) = job.deadline {
-                    hold_end = hold_end.min(deadline);
-                }
-                observations += len;
-                batch.push(job);
-            }
-            if batch.is_empty() || observations >= max_batch || full || state.closed {
-                break;
-            }
-            let remaining = hold_end.saturating_duration_since(now);
-            if remaining.is_zero() {
-                break;
-            }
-            match self.not_empty.wait_timeout(state, remaining) {
-                Ok((guard, _timeout)) => state = guard,
-                Err(_) => return false,
-            }
-            now = Instant::now();
-        }
-        // The notify_one that announced a job this worker is now *leaving
-        // behind* (overflow carry-over, or arrivals past the cap) was
-        // already consumed by this worker — re-arm an idle worker so the
-        // leftover is picked up immediately instead of waiting out this
-        // worker's inference pass.
-        if !state.jobs.is_empty() {
-            self.not_empty.notify_one();
-        }
-        true
+                true
+            })
+            .unwrap_or(false)
     }
 
     /// Closes the queue (last client handle dropped, or worker spawning
@@ -353,13 +351,13 @@ impl JobQueue {
     /// them (dropping a [`Job`] drops its reply sender, which surfaces as
     /// an error on the handler thread rather than an eternal wait).
     fn close(&self) -> Vec<Job> {
-        let mut drained = Vec::new();
-        if let Ok(mut state) = self.state.lock() {
-            drained.extend(state.jobs.drain(..));
-            state.closed = true;
-        }
-        // Through a poisoned lock nothing more can be pushed or popped;
-        // waiters will observe the poison and exit.
+        let drained = self
+            .state
+            .with(|state| {
+                state.closed = true;
+                state.jobs.drain(..).collect()
+            })
+            .unwrap_or_default();
         self.not_empty.notify_all();
         drained
     }
@@ -372,17 +370,15 @@ impl JobQueue {
     ///
     /// [`close`]: JobQueue::close
     fn drain_close(&self) {
-        if let Ok(mut state) = self.state.lock() {
-            state.closed = true;
-        }
+        let _ = self.state.with(|state| state.closed = true);
         self.not_empty.notify_all();
     }
 
     /// A dispatch worker leaves: its `collect_into` returned `false`.
     fn leave(&self) {
-        if let Ok(mut state) = self.state.lock() {
-            state.workers = state.workers.saturating_sub(1);
-        }
+        let _ = self
+            .state
+            .with(|state| state.workers = state.workers.saturating_sub(1));
         self.left.notify_all();
     }
 
@@ -392,20 +388,17 @@ impl JobQueue {
         // Clamp so the deadline arithmetic cannot overflow on
         // `Duration::MAX`-style inputs.
         let deadline = Instant::now() + timeout.min(Duration::from_secs(86_400 * 365));
-        let Ok(mut state) = self.state.lock() else {
-            return false;
-        };
-        while state.workers > 0 {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return false;
-            }
-            match self.left.wait_timeout(state, remaining) {
-                Ok((guard, _timeout)) => state = guard,
-                Err(_) => return false,
-            }
-        }
-        true
+        self.state
+            .with_waits(|state| {
+                while state.workers > 0 {
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    if remaining.is_zero() || !state.wait(&self.left, Some(remaining)) {
+                        return false;
+                    }
+                }
+                true
+            })
+            .unwrap_or(false)
     }
 }
 
@@ -680,11 +673,12 @@ fn execute(
                 if let [only] = group.as_slice() {
                     let _ = only.reply.send(Ok(predictions));
                 } else {
-                    let mut offset = 0;
+                    // `run_model` returned one prediction per observation,
+                    // so each job takes exactly its own.
+                    let mut predictions = predictions.into_iter();
                     for (job, take) in group.iter().zip(lengths) {
-                        let slice = predictions[offset..offset + take].to_vec();
-                        offset += take;
-                        let _ = job.reply.send(Ok(slice));
+                        let share = predictions.by_ref().take(take).collect();
+                        let _ = job.reply.send(Ok(share));
                     }
                 }
             }
@@ -756,10 +750,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 #[cfg(test)]
 // Tests pace retries/slow models with real sleeps — exempt from the
-// workspace ban on blocking sleeps in request handling.
-#[allow(clippy::disallowed_methods)]
+// workspace ban on blocking sleeps in request handling — and record the
+// threads a model runs on behind a plain mutex.
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
     use vital::{Localizer, Result as VitalResult, VitalError};
 
     /// Deterministic stand-in model: predicts `round(-mean[0])` so batching

@@ -40,6 +40,12 @@
 //! UTF-8, stops the boot with an error naming the variable and the value,
 //! instead of a server that answers every request with `500`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;

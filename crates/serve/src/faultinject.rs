@@ -140,6 +140,9 @@ impl FaultPlan {
     pub fn on_batch_collected(&self) {
         let n = self.batches.fetch_add(1, Ordering::Relaxed) + 1;
         if self.worker_panic_at == Some(n) {
+            // The injected fault: this panic is what the harness exists
+            // to raise.
+            #[allow(clippy::panic)]
             std::panic::panic_any(format!("faultinject: worker_panic on batch {n}"));
         }
     }

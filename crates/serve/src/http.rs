@@ -16,7 +16,7 @@
 //!   `tests/proptest_http.rs`).
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 
 /// Upper bound on the request/status line plus all headers, in bytes.
 /// Heads that exceed this without completing are rejected with
@@ -218,10 +218,12 @@ pub enum Parse<T> {
     Partial,
 }
 
-/// Finds the end of the head (`\r\n\r\n`), returning the offset *past* the
-/// terminator.
-fn head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
+/// Finds the end of the head (`\r\n\r\n`), returning the head without
+/// the terminator and the offset *past* the terminator.
+fn split_head(buf: &[u8]) -> Option<(&[u8], usize)> {
+    let end = buf.windows(4).position(|w| w == b"\r\n\r\n")?;
+    let (head, _) = buf.split_at_checked(end)?;
+    Some((head, end + 4))
 }
 
 /// Splits a head into its start line and header lines, validating UTF-8.
@@ -309,7 +311,7 @@ fn keep_alive(version: &str, headers: &[(String, String)]) -> bool {
 /// Any malformed input yields a typed [`HttpError`]; this function never
 /// panics.
 pub fn parse_request(buf: &[u8]) -> Result<Parse<Request>, HttpError> {
-    let Some(head_len) = head_end(buf) else {
+    let Some((head, head_len)) = split_head(buf) else {
         if buf.len() > MAX_HEAD_BYTES {
             return Err(HttpError::HeadTooLarge {
                 limit: MAX_HEAD_BYTES,
@@ -322,7 +324,7 @@ pub fn parse_request(buf: &[u8]) -> Result<Parse<Request>, HttpError> {
             limit: MAX_HEAD_BYTES,
         });
     }
-    let lines = head_lines(&buf[..head_len - 4])?;
+    let lines = head_lines(head)?;
     let (start, header_lines) = lines.split_first().ok_or(HttpError::BadStartLine)?;
 
     let mut parts = start.split(' ');
@@ -346,16 +348,16 @@ pub fn parse_request(buf: &[u8]) -> Result<Parse<Request>, HttpError> {
     let headers = parse_headers(header_lines)?;
     let body_len = body_length(&headers)?;
     let total = head_len + body_len;
-    if buf.len() < total {
+    let Some(body) = buf.get(head_len..total) else {
         return Ok(Parse::Partial);
-    }
+    };
     let alive = keep_alive(version, &headers);
     Ok(Parse::Complete {
         value: Request {
             method,
             target: target.to_string(),
             headers,
-            body: buf[head_len..total].to_vec(),
+            body: body.to_vec(),
             keep_alive: alive,
         },
         consumed: total,
@@ -369,7 +371,7 @@ pub fn parse_request(buf: &[u8]) -> Result<Parse<Request>, HttpError> {
 /// # Errors
 /// Any malformed input yields a typed [`HttpError`]; never panics.
 pub fn parse_response(buf: &[u8]) -> Result<Parse<Response>, HttpError> {
-    let Some(head_len) = head_end(buf) else {
+    let Some((head, head_len)) = split_head(buf) else {
         if buf.len() > MAX_HEAD_BYTES {
             return Err(HttpError::HeadTooLarge {
                 limit: MAX_HEAD_BYTES,
@@ -382,7 +384,7 @@ pub fn parse_response(buf: &[u8]) -> Result<Parse<Response>, HttpError> {
             limit: MAX_HEAD_BYTES,
         });
     }
-    let lines = head_lines(&buf[..head_len - 4])?;
+    let lines = head_lines(head)?;
     let (start, header_lines) = lines.split_first().ok_or(HttpError::BadStartLine)?;
 
     // Status line: `HTTP/1.1 200 OK` (the reason phrase may contain spaces
@@ -402,14 +404,14 @@ pub fn parse_response(buf: &[u8]) -> Result<Parse<Response>, HttpError> {
     let headers = parse_headers(header_lines)?;
     let body_len = body_length(&headers)?;
     let total = head_len + body_len;
-    if buf.len() < total {
+    let Some(body) = buf.get(head_len..total) else {
         return Ok(Parse::Partial);
-    }
+    };
     Ok(Parse::Complete {
         value: Response {
             status,
             headers,
-            body: buf[head_len..total].to_vec(),
+            body: body.to_vec(),
         },
         consumed: total,
     })
@@ -528,7 +530,10 @@ impl<S: Read> Conn<S> {
                 }
                 return Err(HttpError::UnexpectedEof { context });
             }
-            self.buf.extend_from_slice(&chunk[..n]);
+            let read = chunk
+                .get(..n)
+                .ok_or(HttpError::Io(io::ErrorKind::InvalidData))?;
+            self.buf.extend_from_slice(read);
         }
     }
 

@@ -51,7 +51,10 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![deny(clippy::disallowed_types)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
 #![warn(rust_2018_idioms)]
 
 pub mod batcher;

@@ -4,8 +4,8 @@
 //! reports.
 //!
 //! Counters are lock-free atomics updated on the request path; the
-//! batch-size histogram is a small mutex-guarded map written only by the
-//! dispatch workers.
+//! batch-size histogram is a small map behind a [`Leaf`] lock, written only
+//! by the dispatch workers.
 //!
 //! # Multi-worker semantics
 //!
@@ -25,9 +25,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
+use graph::sync::Leaf;
 use jsonio::Json;
 
 /// Sub-bucket bits per octave of the latency histogram: 4 sub-buckets per
@@ -77,7 +77,10 @@ impl LatencyHistogram {
 
     /// Records one latency observation.
     pub fn record_us(&self, us: u64) {
-        self.buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
+        // `bucket_index` maps every `u64` into `BUCKETS`.
+        if let Some(bucket) = self.buckets.get(bucket_index(us)) {
+            bucket.fetch_add(1, Ordering::Relaxed);
+        }
         self.count.fetch_add(1, Ordering::Relaxed);
         self.max_us.fetch_max(us, Ordering::Relaxed);
     }
@@ -140,7 +143,7 @@ pub struct Metrics {
     pub latency: LatencyHistogram,
     /// `localize_batch` dispatches per worker (index = worker id).
     batches_dispatched: Vec<AtomicU64>,
-    batch_sizes: Mutex<BTreeMap<usize, u64>>,
+    batch_sizes: Leaf<BTreeMap<usize, u64>>,
 }
 
 impl Metrics {
@@ -166,7 +169,7 @@ impl Metrics {
             queue_depth: AtomicUsize::new(0),
             latency: LatencyHistogram::new(),
             batches_dispatched: (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect(),
-            batch_sizes: Mutex::new(BTreeMap::new()),
+            batch_sizes: Leaf::new(BTreeMap::new()),
         }
     }
 
@@ -179,17 +182,18 @@ impl Metrics {
     /// `worker` (ids beyond the configured worker count fold into the last
     /// counter rather than panicking the dispatch path).
     pub fn record_batch(&self, worker: usize, size: usize) {
-        let slot = worker.min(self.batches_dispatched.len() - 1);
-        self.batches_dispatched[slot].fetch_add(1, Ordering::Relaxed);
+        let slot = self.batches_dispatched.get(worker);
+        if let Some(slot) = slot.or(self.batches_dispatched.last()) {
+            slot.fetch_add(1, Ordering::Relaxed);
+        }
         // A worker that panicked between the map lookup and the increment
         // can only have left a valid (at worst momentarily stale) count
         // behind — recover the histogram instead of cascading the panic
         // into every later recorder.
-        let mut sizes = self
-            .batch_sizes
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        *sizes.entry(size).or_insert(0) += 1;
+        let tally = |sizes: &mut BTreeMap<usize, u64>| *sizes.entry(size).or_insert(0) += 1;
+        self.batch_sizes
+            .with(tally)
+            .unwrap_or_else(|poisoned| poisoned.with(tally));
     }
 
     /// Total `localize_batch` dispatches across every worker.
@@ -205,16 +209,17 @@ impl Metrics {
         let batch_hist: Vec<Json> = {
             // Same poison recovery as `record_batch`: a reader must keep
             // reporting through (and after) a worker panic.
-            let sizes = self
-                .batch_sizes
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            sizes
-                .iter()
-                .map(|(size, count)| {
-                    Json::obj([("size", Json::from(*size)), ("count", Json::from(*count))])
-                })
-                .collect()
+            let rows = |sizes: &mut BTreeMap<usize, u64>| -> Vec<Json> {
+                sizes
+                    .iter()
+                    .map(|(size, count)| {
+                        Json::obj([("size", Json::from(*size)), ("count", Json::from(*count))])
+                    })
+                    .collect()
+            };
+            self.batch_sizes
+                .with(rows)
+                .unwrap_or_else(|poisoned| poisoned.with(rows))
         };
         let load = |a: &AtomicU64| Json::from(a.load(Ordering::Relaxed));
         Json::obj([
@@ -389,14 +394,15 @@ mod tests {
     fn batch_histogram_survives_a_poisoned_mutex() {
         let m = std::sync::Arc::new(Metrics::new());
         m.record_batch(0, 4);
-        // Poison the histogram mutex by panicking while holding it.
+        // Poison the histogram's lock by panicking while holding it.
         let poisoner = std::sync::Arc::clone(&m);
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.batch_sizes.lock().unwrap();
-            panic!("poison the metrics mutex");
+            let _ = poisoner
+                .batch_sizes
+                .with(|_| panic!("poison the metrics lock"));
         })
         .join();
-        assert!(m.batch_sizes.lock().is_err(), "mutex must be poisoned");
+        assert!(m.batch_sizes.with(|_| ()).is_err(), "lock must be poisoned");
         // Recording and reporting both recover the data instead of
         // panicking the dispatch worker / metrics endpoint.
         m.record_batch(0, 4);

@@ -185,12 +185,3 @@ fn load_checkpoint(
         Err(error) => Err(error),
     }
 }
-
-/// Compile-time proof the registry can be shared across dispatch workers.
-/// If a model regresses to `Rc`-based parameters, the build fails *here*,
-/// naming the serve-layer consequence.
-#[allow(dead_code)]
-fn _assert_registry_is_send_sync() {
-    fn assert<T: Send + Sync>() {}
-    assert::<Registry>();
-}

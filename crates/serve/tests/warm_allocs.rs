@@ -10,6 +10,9 @@
 //! worker, from the probe's first call — so the submitting thread and the
 //! harness cannot disturb it.
 
+// The probe's marks are test state behind a plain mutex.
+#![allow(clippy::disallowed_types)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{mpsc, Arc, Mutex};

@@ -77,17 +77,19 @@
 //!
 //! # Unsafe policy
 //!
-//! This crate is the one library home for `unsafe` in the workspace: it is
-//! an `unsafe_allowed` path of the lint rules in `tests/static_analysis.rs`,
-//! where every other crate root must forbid `unsafe_code`, so rustc refuses
-//! `unsafe` anywhere else (`vital-serve`'s `signal(2)` block aside). All
-//! intrinsic calls live in [`x86`] behind `# Safety`-documented
-//! contracts, and its two `#[target_feature]` entry points, generic over
-//! the kernel, are the only `unsafe fn`s. Everything public here is safe:
+//! This crate is the one library home for `unsafe` in the workspace:
+//! `tests/static_analysis.rs` requires every other crate root to forbid
+//! `unsafe_code`, so rustc refuses `unsafe` anywhere else (`vital-serve`'s
+//! `signal(2)` block aside). All intrinsic calls live in [`x86`] behind
+//! `# Safety`-documented contracts (clippy's `undocumented_unsafe_blocks`
+//! and `missing_safety_doc` are denied below), and its two
+//! `#[target_feature]` entry points, generic over the kernel, are the only
+//! `unsafe fn`s. Everything public here is safe:
 //! `dispatch` calls an entry point only after the matching CPUID check.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
 
 pub mod backend;
 pub mod gemm;

@@ -4,8 +4,8 @@
 //! calls: it resolves the level and enters the matching entry point.
 //!
 //! This module is the **only** place in the workspace where intrinsics
-//! and `#[target_feature]` code appear (the `hygiene` lint rule makes every
-//! crate root outside its `unsafe_allowed` paths forbid `unsafe_code`).
+//! and `#[target_feature]` code appear (`tests/static_analysis.rs` makes
+//! every other crate root forbid `unsafe_code`).
 //! Two kinds of `unsafe` live here, each with a narrow contract:
 //!
 //! 1. Intrinsic calls inside the backend methods. The intrinsics are
