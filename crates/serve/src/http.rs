@@ -222,8 +222,7 @@ pub enum Parse<T> {
 /// the terminator and the offset *past* the terminator.
 fn split_head(buf: &[u8]) -> Option<(&[u8], usize)> {
     let end = buf.windows(4).position(|w| w == b"\r\n\r\n")?;
-    let (head, _) = buf.split_at_checked(end)?;
-    Some((head, end + 4))
+    Some((buf.get(..end)?, end + 4))
 }
 
 /// Splits a head into its start line and header lines, validating UTF-8.
