@@ -42,8 +42,8 @@
 //!   throughput changes. The integration suite runs the bit-exactness
 //!   check at 4 workers.
 //! * **Fault containment** — a dispatch worker cannot die. Each collected
-//!   batch runs under one `catch_unwind`: a panic anywhere in it (the
-//!   fault-injection harness fires one there on purpose) answers every job
+//!   batch runs under one `catch_unwind`: a panic anywhere in it (a test's
+//!   [`FaultPlan`] fires one there on purpose) answers every job
 //!   still in the batch with a typed [`JobFailure::Failed`] (`jobs_failed`
 //!   metric), and the same worker collects the next batch.
 //!   Each model group also runs under its own `catch_unwind`, so a
@@ -59,7 +59,7 @@
 //!   in time is served: its deadline bounds the queue wait, and a hold ends
 //!   by it.
 //!
-//! Shutdown comes in two flavours: `JobQueue::close` (last client handle
+//! Shutdown comes in two flavours: `JobQueue::close` (the client handle
 //! dropped — queued jobs are failed immediately) and the **graceful
 //! drain** ([`BatcherClient::drain`]) which refuses new submissions but
 //! lets the workers finish everything already queued before they exit;
@@ -146,8 +146,8 @@ pub struct BatcherConfig {
     /// `workers` instead. The field remains because the benchmark sets it
     /// and reports it.
     pub threads: Option<usize>,
-    /// Deterministic fault-injection plan (`None` in production: the only
-    /// cost is this `Option` check per batch).
+    /// Test-only worker panic on the Nth collected batch (`None` in
+    /// production: the only cost is this `Option` check per batch).
     pub faults: Option<Arc<FaultPlan>>,
 }
 
@@ -204,8 +204,6 @@ struct JobQueue {
     left: Condvar,
     /// Capacity in jobs; a full queue sheds load.
     cap: usize,
-    /// Live [`BatcherClient`] handles; the last drop closes the queue.
-    clients: std::sync::atomic::AtomicUsize,
 }
 
 impl JobQueue {
@@ -219,7 +217,6 @@ impl JobQueue {
             not_empty: Condvar::new(),
             left: Condvar::new(),
             cap: cap.max(1),
-            clients: std::sync::atomic::AtomicUsize::new(1),
         }
     }
 
@@ -344,7 +341,7 @@ impl JobQueue {
             .unwrap_or(false)
     }
 
-    /// Closes the queue (last client handle dropped, or worker spawning
+    /// Closes the queue (the client handle dropped, or worker spawning
     /// aborted): flag and drain happen under the one state lock, so
     /// neither can a worker check-then-wait past it nor a push land after
     /// it. Returns the jobs drained from the queue so the caller can fail
@@ -402,35 +399,23 @@ impl JobQueue {
     }
 }
 
-/// Cheap, cloneable handle the connection handlers submit through.
+/// The one handle the connection handlers submit through; dropping it
+/// closes the queue.
 pub struct BatcherClient {
     queue: Arc<JobQueue>,
     metrics: Arc<Metrics>,
     workers: usize,
 }
 
-impl Clone for BatcherClient {
-    fn clone(&self) -> Self {
-        self.queue.clients.fetch_add(1, Ordering::Relaxed);
-        BatcherClient {
-            queue: Arc::clone(&self.queue),
-            metrics: Arc::clone(&self.metrics),
-            workers: self.workers,
-        }
-    }
-}
-
 impl Drop for BatcherClient {
     fn drop(&mut self) {
-        if self.queue.clients.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Any jobs still queued at this point have no handler thread
-            // left to answer (handlers hold client clones), so dropping
-            // them is safe; keep the depth gauge consistent anyway.
-            let dropped = self.queue.close();
-            self.metrics
-                .queue_depth
-                .fetch_sub(dropped.len(), Ordering::Relaxed);
-        }
+        // Handler threads reach the client through the server's shared
+        // state, so none is left to answer jobs still queued at this point
+        // and dropping them is safe; keep the depth gauge consistent anyway.
+        let dropped = self.queue.close();
+        self.metrics
+            .queue_depth
+            .fetch_sub(dropped.len(), Ordering::Relaxed);
     }
 }
 
@@ -455,7 +440,7 @@ impl BatcherClient {
     }
 
     /// Dispatch workers currently running: [`configured_workers`] from
-    /// [`start`] until a drain or the last client's drop lets them leave.
+    /// [`start`] until a drain or the client's drop lets them leave.
     ///
     /// [`configured_workers`]: BatcherClient::configured_workers
     pub fn live_workers(&self) -> usize {
@@ -521,8 +506,8 @@ fn spawn_worker(
 ///
 /// The registry is built by the caller on whatever thread it likes —
 /// models are `Send + Sync` — and shared by every worker. Workers exit
-/// when every [`BatcherClient`] clone is dropped or a drain completes,
-/// and at no other time: no panic in a batch ends one.
+/// when the [`BatcherClient`] is dropped or a drain completes, and at no
+/// other time: no panic in a batch ends one.
 ///
 /// # Errors
 /// A `threads` above 1, and thread spawn failures, as a message.
@@ -546,8 +531,8 @@ pub fn start(
             Err(e) => {
                 // Unblock the workers already spawned — without a close
                 // they (and the registry they hold) would wait on the
-                // condvar forever, since the BatcherClient owning the
-                // initial client refcount is never constructed.
+                // condvar forever, since the BatcherClient whose drop
+                // closes the queue is never constructed.
                 queue.close();
                 for handle in handles {
                     let _ = handle.join();
@@ -575,8 +560,8 @@ pub fn start(
 ///
 /// Each batch runs under one `catch_unwind`, so nothing that happens in a
 /// batch ends the loop: a panic fails every job still in the batch with a
-/// typed failure, and the worker collects the next batch. The
-/// fault-injection harness panics here on purpose, before `execute` takes
+/// typed failure, and the worker collects the next batch. A
+/// [`FaultPlan`] panics here on purpose, before `execute` takes
 /// any job; a model's own panic is already caught in `run_model`.
 /// `AssertUnwindSafe` is sound for the reason `run_model` gives: after an
 /// unwind the batch is failed and cleared, the registry is immutable and
@@ -604,7 +589,7 @@ fn dispatch_loop(
             if let Some(faults) = &config.faults {
                 faults.on_batch_collected();
             }
-            execute(worker_id, registry, &mut batch, config, metrics);
+            execute(worker_id, registry, &mut batch, metrics);
         }));
         if let Err(payload) = ran {
             fail_panicked_batch(&mut batch, payload.as_ref(), metrics);
@@ -628,13 +613,7 @@ fn fail_panicked_batch(
 /// each group), runs one `localize_batch` per group under `catch_unwind`
 /// and fans results back out. Leaves `jobs` empty so the dispatch loop
 /// can refill it.
-fn execute(
-    worker_id: usize,
-    registry: &Registry,
-    jobs: &mut Vec<Job>,
-    config: &BatcherConfig,
-    metrics: &Metrics,
-) {
+fn execute(worker_id: usize, registry: &Registry, jobs: &mut Vec<Job>, metrics: &Metrics) {
     let mut groups: Vec<(String, Vec<Job>)> = Vec::new();
     for mut job in jobs.drain(..) {
         match groups.iter_mut().find(|(model, _)| *model == job.model) {
@@ -649,9 +628,6 @@ fn execute(
     }
 
     for (model, mut group) in groups {
-        if let Some(faults) = &config.faults {
-            faults.on_group_dispatch(&model);
-        }
         // Move the observations out of the jobs (their lengths, kept per
         // job, drive the fan-out slicing) — no per-request deep copies on
         // the hot path.
@@ -833,6 +809,37 @@ mod tests {
         )]))
     }
 
+    /// Echoes like [`EchoLocalizer`] after a 200 ms stall per batch, so
+    /// jobs queue behind a busy worker.
+    struct SlowEchoLocalizer;
+
+    impl Localizer for SlowEchoLocalizer {
+        fn name(&self) -> &str {
+            "SlowEcho"
+        }
+        fn num_aps(&self) -> usize {
+            1
+        }
+        fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
+            Ok(())
+        }
+        fn localize_batch(
+            &self,
+            observations: &[fingerprint::FingerprintObservation],
+        ) -> VitalResult<Vec<usize>> {
+            std::thread::sleep(Duration::from_millis(200));
+            EchoLocalizer.localize_batch(observations)
+        }
+    }
+
+    /// [`SlowEchoLocalizer`] served as `echo`.
+    fn slow_echo_registry() -> Arc<Registry> {
+        Arc::new(Registry::from_models(vec![(
+            "echo".into(),
+            Box::new(SlowEchoLocalizer),
+        )]))
+    }
+
     fn join_all(handles: Vec<std::thread::JoinHandle<()>>) {
         for handle in handles {
             handle.join().expect("batcher thread must not panic");
@@ -953,7 +960,7 @@ mod tests {
 
         std::thread::scope(|scope| {
             for submitter in 0..8 {
-                let client = client.clone();
+                let client = &client;
                 scope.spawn(move || {
                     for i in 0..50 {
                         let v = (submitter * 50 + i) as f32;
@@ -1190,9 +1197,9 @@ mod tests {
                 max_wait: Duration::from_micros(100),
                 queue_cap: 16,
                 workers: 1,
-                faults: Some(Arc::new(
-                    FaultPlan::parse("worker_panic=2").expect("spec parses"),
-                )),
+                faults: Some(Arc::new(FaultPlan::worker_panic(
+                    std::num::NonZeroU64::new(2).unwrap(),
+                ))),
                 ..BatcherConfig::default()
             },
             Arc::clone(&metrics),
@@ -1336,17 +1343,12 @@ mod tests {
     fn coalescing_comes_from_the_queue_not_a_window() {
         // The default config holds nothing, so a batch of several jobs can
         // only form from what queued while the one worker was busy: here a
-        // 200 ms stall on its first dispatch.
+        // 200 ms stall in its first dispatch.
         assert!(BatcherConfig::default().max_wait.is_zero());
         let metrics = Arc::new(Metrics::new());
         let (client, handles) = start(
-            echo_registry(),
-            BatcherConfig {
-                faults: Some(Arc::new(
-                    FaultPlan::parse("latency=echo:200:1").expect("spec parses"),
-                )),
-                ..BatcherConfig::default()
-            },
+            slow_echo_registry(),
+            BatcherConfig::default(),
             Arc::clone(&metrics),
         )
         .unwrap();
@@ -1446,31 +1448,8 @@ mod tests {
     #[test]
     fn full_queue_reports_busy() {
         // Fill the queue faster than a slow model drains it.
-        struct SlowLocalizer;
-        impl Localizer for SlowLocalizer {
-            fn name(&self) -> &str {
-                "Slow"
-            }
-            fn num_aps(&self) -> usize {
-                1
-            }
-            fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
-                Ok(())
-            }
-            fn localize_batch(
-                &self,
-                observations: &[fingerprint::FingerprintObservation],
-            ) -> VitalResult<Vec<usize>> {
-                std::thread::sleep(Duration::from_millis(150 * observations.len() as u64));
-                Ok(observations.iter().map(|o| (-o.mean[0]) as usize).collect())
-            }
-        }
-        let registry = Arc::new(Registry::from_models(vec![(
-            "slow".into(),
-            Box::new(SlowLocalizer),
-        )]));
         let (client, handles) = start(
-            registry,
+            slow_echo_registry(),
             BatcherConfig {
                 max_batch: 1,
                 max_wait: Duration::from_micros(1),
@@ -1488,7 +1467,7 @@ mod tests {
         // the 1-slot queue, and further ones must report Busy.
         for _ in 0..8 {
             let (tx, rx) = mpsc::sync_channel(1);
-            match client.submit(job("slow", vec![obs(-2.0)], tx)) {
+            match client.submit(job("echo", vec![obs(-2.0)], tx)) {
                 Ok(()) => replies.push(rx),
                 Err(SubmitError::Busy) => {
                     saw_busy = true;

@@ -3,7 +3,7 @@
 //! ```text
 //! vital-serve --checkpoint-dir checkpoints/ [--addr 127.0.0.1:8077]
 //!             [--max-batch 32] [--max-wait-us 0] [--queue-cap 256]
-//!             [--workers N] [--default-deadline-ms N] [--faults SPEC]
+//!             [--workers N] [--default-deadline-ms N]
 //! ```
 //!
 //! Loads every `*.vckpt` checkpoint in `--checkpoint-dir` (any of the six
@@ -30,9 +30,6 @@
 //!   `deadline_ms` field).
 //! * SIGINT/SIGTERM trigger a graceful drain: stop admitting, finish the
 //!   queued jobs, then exit — same path as `POST /admin/drain`.
-//! * `--faults SPEC` arms the deterministic fault-injection harness — e.g.
-//!   `worker_panic=100,latency=knn:50:10,corrupt=mlp` — for chaos drills;
-//!   never set it in production.
 //!
 //! The SIMD dispatch level is resolved before anything else and printed in
 //! the listening banner (`simd=avx512` on an AVX-512F host, `simd=avx2` on
@@ -48,14 +45,13 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use serve::codec::MAX_DEADLINE_MS;
-use serve::{cli, BatcherConfig, FaultPlan, Registry, Server, ServerConfig, DRAIN_GRACE};
+use serve::{cli, BatcherConfig, Registry, Server, ServerConfig, DRAIN_GRACE};
 
 /// Every flag `vital-serve` takes; each takes one value.
-const FLAGS: [&str; 8] = [
+const FLAGS: [&str; 7] = [
     "--checkpoint-dir",
     "--addr",
     "--max-batch",
@@ -63,7 +59,6 @@ const FLAGS: [&str; 8] = [
     "--queue-cap",
     "--workers",
     "--default-deadline-ms",
-    "--faults",
 ];
 
 struct Args {
@@ -74,13 +69,11 @@ struct Args {
     queue_cap: usize,
     workers: usize,
     default_deadline: Option<Duration>,
-    faults: Option<Arc<FaultPlan>>,
 }
 
 fn usage() -> String {
     "usage: vital-serve --checkpoint-dir DIR [--addr HOST:PORT] [--max-batch N] \
-     [--max-wait-us 0] [--queue-cap N] [--workers N] [--default-deadline-ms N] \
-     [--faults SPEC]"
+     [--max-wait-us 0] [--queue-cap N] [--workers N] [--default-deadline-ms N]"
         .to_string()
 }
 
@@ -99,7 +92,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         .map(PathBuf::from)
         .ok_or_else(usage)?;
     let deadline_ms = (flags.usize("--default-deadline-ms", 0)? as u64).min(MAX_DEADLINE_MS);
-    let faults = flags.value("--faults").map(FaultPlan::parse).transpose()?;
     Ok(Args {
         addr: flags
             .value("--addr")
@@ -111,7 +103,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         queue_cap: flags.usize("--queue-cap", 256)?.max(1),
         workers: flags.usize("--workers", default_workers())?.max(1),
         default_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
-        faults: faults.map(Arc::new),
     })
 }
 
@@ -153,16 +144,9 @@ mod drain_signal {
 
 fn run(args: Args) -> Result<(), String> {
     let level = simd::try_active_level()?;
-    let registry =
-        Registry::from_checkpoint_dir_with_faults(&args.checkpoint_dir, args.faults.as_deref())?;
+    let registry = Registry::from_checkpoint_dir(&args.checkpoint_dir)?;
     for (name, error) in registry.degraded() {
         eprintln!("vital-serve: WARNING: model {name:?} degraded at boot: {error}");
-    }
-    if let Some(plan) = &args.faults {
-        eprintln!(
-            "vital-serve: WARNING: fault injection ACTIVE ({}) — not for production",
-            plan.spec()
-        );
     }
     let catalog: Vec<String> = registry
         .catalog()
@@ -177,7 +161,6 @@ fn run(args: Args) -> Result<(), String> {
                 max_wait: Duration::from_micros(args.max_wait_us),
                 queue_cap: args.queue_cap,
                 workers: args.workers,
-                faults: args.faults.clone(),
                 ..BatcherConfig::default()
             },
             default_deadline: args.default_deadline,

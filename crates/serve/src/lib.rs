@@ -29,13 +29,13 @@
 //!   `POST /admin/drain`) and lifecycle.
 //! * [`metrics`] — counters, batch-size histogram, per-worker dispatch
 //!   counters and latency percentiles behind `GET /metrics`.
-//! * [`faultinject`] — deterministic, seeded fault injection (worker
-//!   panics, latency spikes, checkpoint corruption) for the chaos tests;
-//!   zero-cost when no plan is configured.
+//! * [`faultinject`] — the one fault no test can cause from outside, a
+//!   worker panic on the Nth collected batch, for the chaos tests; one
+//!   `Option` check per batch when no plan is configured.
 //!
 //! The stack is **fault tolerant by construction**: each collected batch
 //! executes under one `catch_unwind`, so any panic in it — a model's, or
-//! one the fault harness injects — fails only that batch's jobs (typed
+//! one a [`FaultPlan`] injects — fails only that batch's jobs (typed
 //! 500s) and the same dispatch worker collects the next batch: a worker
 //! cannot die, so nothing restarts one. A request whose observations break
 //! its model's input contract (another access-point count) is a `400`

@@ -13,8 +13,6 @@ use std::path::Path;
 
 use vital::Localizer;
 
-use crate::faultinject::FaultPlan;
-
 /// Checkpoint file extension the registry scans for.
 pub const CHECKPOINT_EXT: &str = "vckpt";
 
@@ -58,21 +56,6 @@ impl Registry {
     /// A readable-English message when the directory cannot be read, no
     /// checkpoint is found at all, or *every* checkpoint failed to load.
     pub fn from_checkpoint_dir(dir: &Path) -> Result<Self, String> {
-        Registry::from_checkpoint_dir_with_faults(dir, None)
-    }
-
-    /// [`from_checkpoint_dir`] with an optional fault-injection plan: a
-    /// plan targeting a checkpoint name corrupts its bytes after the read,
-    /// exercising the degraded-boot path deterministically.
-    ///
-    /// [`from_checkpoint_dir`]: Registry::from_checkpoint_dir
-    ///
-    /// # Errors
-    /// As [`from_checkpoint_dir`].
-    pub fn from_checkpoint_dir_with_faults(
-        dir: &Path,
-        faults: Option<&FaultPlan>,
-    ) -> Result<Self, String> {
         let entries = std::fs::read_dir(dir)
             .map_err(|e| format!("cannot read checkpoint dir {}: {e}", dir.display()))?;
         let mut models: Vec<(String, String, Box<dyn Localizer>)> = Vec::new();
@@ -91,7 +74,7 @@ impl Registry {
                 ));
                 continue;
             };
-            match load_checkpoint(&path, &name, faults) {
+            match load_checkpoint(&path) {
                 Ok((kind, localizer)) => models.push((name, kind, localizer)),
                 Err(error) => degraded.push((name, error)),
             }
@@ -161,27 +144,15 @@ impl Registry {
     }
 }
 
-/// Reads, optionally fault-corrupts, parses and instantiates one
-/// checkpoint. Every failure comes back as a message so the caller can
-/// degrade the single model instead of the whole boot.
-fn load_checkpoint(
-    path: &Path,
-    name: &str,
-    faults: Option<&FaultPlan>,
-) -> Result<(String, Box<dyn Localizer>), String> {
-    let mut bytes = std::fs::read(path).map_err(|e| format!("cannot read checkpoint file: {e}"))?;
-    let injected = faults.is_some_and(|plan| plan.corrupt_checkpoint(name, &mut bytes));
-    let result = vital::Checkpoint::from_bytes(&bytes)
-        .map_err(|e| format!("cannot parse checkpoint: {e}"))
-        .and_then(|ckpt| {
-            let kind = ckpt.kind().as_str().to_string();
-            baselines::localizer_from_checkpoint(&ckpt)
-                .map(|localizer| (kind, localizer))
-                .map_err(|e| format!("cannot instantiate model: {e}"))
-        });
-    match result {
-        Ok(loaded) => Ok(loaded),
-        Err(error) if injected => Err(format!("{error} (bytes corrupted by fault injection)")),
-        Err(error) => Err(error),
-    }
+/// Reads, parses and instantiates one checkpoint. Every failure comes
+/// back as a message so the caller can degrade the single model instead
+/// of the whole boot.
+fn load_checkpoint(path: &Path) -> Result<(String, Box<dyn Localizer>), String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read checkpoint file: {e}"))?;
+    let ckpt = vital::Checkpoint::from_bytes(&bytes)
+        .map_err(|e| format!("cannot parse checkpoint: {e}"))?;
+    let kind = ckpt.kind().as_str().to_string();
+    baselines::localizer_from_checkpoint(&ckpt)
+        .map(|localizer| (kind, localizer))
+        .map_err(|e| format!("cannot instantiate model: {e}"))
 }

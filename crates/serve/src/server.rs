@@ -259,8 +259,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     return;
                 }
                 let shared = Arc::clone(shared);
-                // Handler threads are detached: they hold a BatcherClient
-                // clone and exit when their connection closes or idles out.
+                // Handler threads are detached: they hold the shared state,
+                // batcher client included, and exit when their connection
+                // closes or idles out.
                 let _ = std::thread::Builder::new()
                     .name("vital-serve-conn".into())
                     .spawn(move || handle_connection(stream, &shared));

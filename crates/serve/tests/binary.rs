@@ -227,10 +227,16 @@ fn a_hold_as_long_as_the_reply_backstop_stops_the_boot() {
 
 #[test]
 fn a_retired_threads_flag_stops_the_boot_and_names_the_flag() {
-    // Parsing fails before the directory is read, so it need not exist.
+    // `--threads` and `--faults` are both retired. Parsing fails before the
+    // directory is read, so it need not exist.
     let dir = std::env::temp_dir().join(format!("vital-serve-flags-{}", std::process::id()));
-    let (status, out, err) = refused_boot(&dir, &["--threads", "1"], &[]);
-    assert!(!status.success(), "exit {status}");
-    assert!(err.contains("unknown flag --threads"), "stderr: {err}");
-    assert!(!out.contains("listening"), "stdout: {out}");
+    for (flag, value) in [("--threads", "1"), ("--faults", "worker_panic=1")] {
+        let (status, out, err) = refused_boot(&dir, &[flag, value], &[]);
+        assert!(!status.success(), "{flag}: exit {status}");
+        assert!(
+            err.contains(&format!("unknown flag {flag}")),
+            "stderr: {err}"
+        );
+        assert!(!out.contains("listening"), "{flag}: stdout: {out}");
+    }
 }

@@ -1,22 +1,22 @@
-//! Chaos tests: deterministic fault injection against a real server.
+//! Chaos tests: deterministic faults against a real server.
 //!
 //! The acceptance story for the fault-tolerance work: inject a worker
 //! panic mid-load and assert (a) only that batch's jobs fail, with a `500`
 //! naming the panic, (b) `/healthz` answers `200 ok` with every worker
 //! live straight afterwards — the worker never died — and (c) later
-//! responses are **bit-identical** to the offline reference. Plus the
-//! other injectable faults: a panicking *model* is contained to its batch
-//! without costing the worker, latency injection stalls only the named
-//! model, and a corrupt checkpoint degrades one model instead of the whole
-//! boot.
+//! responses are **bit-identical** to the offline reference. The other
+//! faults come from the tests themselves: a panicking *model* is contained
+//! to its batch without costing the worker, and checkpoint files damaged on
+//! disk degrade their own models instead of the whole boot.
 
 // Chaos tests pace polls against a live server with real sleeps — exempt
 // from the workspace ban on blocking sleeps in request handling.
 #![allow(clippy::disallowed_methods)]
 
 use std::net::TcpStream;
+use std::num::NonZeroU64;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use baselines::{FeatureMode, KnnLocalizer};
 use fingerprint::{base_devices, DatasetConfig, FingerprintDataset, FingerprintObservation};
@@ -107,7 +107,7 @@ fn injected_worker_panic_fails_one_batch_and_the_server_recovers_bit_identical()
 
     // Panic on the 3rd collected batch. Requests are sent sequentially, so
     // each forms its own batch: request index 2 is the victim.
-    let faults = Arc::new(FaultPlan::parse("worker_panic=3").expect("plan"));
+    let faults = Arc::new(FaultPlan::worker_panic(NonZeroU64::new(3).unwrap()));
     let registry = Registry::from_models(vec![("knn".into(), Box::new(fitted_knn(&data)))]);
     let server = Server::start(
         ServerConfig {
@@ -197,7 +197,7 @@ fn a_worker_panic_under_concurrent_load_strands_no_client() {
         .map(|chunk| offline.localize_batch(chunk).expect("offline predictions"))
         .collect();
 
-    let faults = Arc::new(FaultPlan::parse("worker_panic=25").expect("plan"));
+    let faults = Arc::new(FaultPlan::worker_panic(NonZeroU64::new(25).unwrap()));
     let registry = Registry::from_models(vec![("knn".into(), Box::new(fitted_knn(&data)))]);
     let mut server = Server::start(
         ServerConfig {
@@ -350,77 +350,49 @@ fn a_panicking_model_fails_its_batch_without_costing_the_worker() {
     assert_healthy(addr, 1);
 }
 
-/// Latency injection stalls only the named model's dispatches.
-#[test]
-fn injected_latency_delays_the_named_model() {
-    let data = dataset();
-    let faults = Arc::new(FaultPlan::parse("latency=knn:80:1").expect("plan"));
-    let registry = Registry::from_models(vec![("knn".into(), Box::new(fitted_knn(&data)))]);
-    let server = Server::start(
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            batcher: BatcherConfig {
-                workers: 1,
-                faults: Some(faults),
-                ..BatcherConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-        registry,
-    )
-    .expect("server start");
-    let addr = server.addr();
-
-    let observation = &data.observations()[0];
-    let body = codec::localize_request_body(Some("knn"), std::slice::from_ref(observation));
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut conn = Conn::new(&stream);
-    let started = Instant::now();
-    let response = post_localize(&mut conn, &stream, body.as_bytes());
-    let elapsed = started.elapsed();
-    assert_eq!(response.status, 200);
-    assert!(
-        elapsed >= Duration::from_millis(80),
-        "latency fault did not stall the dispatch (took {elapsed:?})"
-    );
-}
-
-/// A corrupt checkpoint degrades that one model: the registry still loads
-/// the healthy one, `/v1/models` reports both with statuses, `/healthz`
-/// says `degraded`, and the healthy model serves.
+/// Each corrupt checkpoint degrades its own model: a flipped magic byte
+/// and a truncated payload each fail with their typed reason, the registry
+/// still loads the healthy one, `/v1/models` reports all three with
+/// statuses, `/healthz` says `degraded`, and the healthy model serves.
 #[test]
 fn a_corrupt_checkpoint_degrades_one_model_not_the_boot() {
     let data = dataset();
     let knn = fitted_knn(&data);
 
-    // Two identical checkpoints on disk; the fault plan corrupts only
-    // `bad` at load time.
+    // Three identical checkpoints on disk, two of them then damaged.
     let dir = std::env::temp_dir().join(format!(
         "vital-chaos-ckpt-{}-{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
     std::fs::create_dir_all(&dir).expect("create checkpoint dir");
-    knn.save(&dir.join("good.vckpt")).expect("save good");
-    knn.save(&dir.join("bad.vckpt")).expect("save bad");
+    for name in ["good", "bad_magic", "truncated"] {
+        knn.save(&dir.join(format!("{name}.vckpt")))
+            .expect("save checkpoint");
+    }
+    let mut bytes = std::fs::read(dir.join("bad_magic.vckpt")).expect("read bad_magic");
+    bytes[0] ^= 0xAA;
+    std::fs::write(dir.join("bad_magic.vckpt"), &bytes).expect("write bad_magic");
+    let bytes = std::fs::read(dir.join("truncated.vckpt")).expect("read truncated");
+    std::fs::write(dir.join("truncated.vckpt"), &bytes[..bytes.len() / 2])
+        .expect("write truncated");
 
-    let faults = FaultPlan::parse("corrupt=bad").expect("plan");
-    let registry =
-        Registry::from_checkpoint_dir_with_faults(&dir, Some(&faults)).expect("degraded boot");
+    let registry = Registry::from_checkpoint_dir(&dir).expect("degraded boot");
     assert_eq!(registry.len(), 1, "only the healthy checkpoint loads");
-    assert_eq!(registry.degraded().len(), 1);
-    assert_eq!(registry.degraded()[0].0, "bad");
+    let [(magic_name, magic_error), (truncated_name, truncated_error)] = registry.degraded() else {
+        panic!("two degraded models, got {:?}", registry.degraded());
+    };
+    assert_eq!(magic_name, "bad_magic");
     assert!(
-        registry.degraded()[0].1.contains("fault injection"),
-        "the degradation reason must name the injected corruption: {}",
-        registry.degraded()[0].1
+        magic_error.contains("cannot parse checkpoint") && magic_error.contains("bad magic"),
+        "the flipped magic byte must be named: {magic_error}"
     );
-
-    // Control: without the plan both checkpoints load — the corruption is
-    // injected, not on disk.
-    let clean = Registry::from_checkpoint_dir(&dir).expect("clean boot");
-    assert_eq!(clean.len(), 2);
-    assert!(clean.degraded().is_empty());
+    assert_eq!(truncated_name, "truncated");
+    assert!(
+        truncated_error.contains("cannot parse checkpoint")
+            && truncated_error.contains("corrupt checkpoint payload"),
+        "the truncated payload must be named: {truncated_error}"
+    );
 
     let server = Server::start(
         ServerConfig {
@@ -440,7 +412,7 @@ fn a_corrupt_checkpoint_degrades_one_model_not_the_boot() {
     let models = get(addr, "/v1/models");
     let doc = jsonio::parse(std::str::from_utf8(&models.body).unwrap()).unwrap();
     let listed = doc.get("models").and_then(Json::as_array).unwrap().to_vec();
-    assert_eq!(listed.len(), 2);
+    assert_eq!(listed.len(), 3);
     let status_of = |name: &str| {
         listed
             .iter()
@@ -449,7 +421,8 @@ fn a_corrupt_checkpoint_degrades_one_model_not_the_boot() {
             .map(String::from)
     };
     assert_eq!(status_of("good").as_deref(), Some("ok"));
-    assert_eq!(status_of("bad").as_deref(), Some("degraded"));
+    assert_eq!(status_of("bad_magic").as_deref(), Some("degraded"));
+    assert_eq!(status_of("truncated").as_deref(), Some("degraded"));
 
     // /healthz serves 200 but reports the degradation.
     let health = get(addr, "/healthz");
@@ -461,7 +434,7 @@ fn a_corrupt_checkpoint_degrades_one_model_not_the_boot() {
     );
     assert_eq!(
         health_json.get("degraded_models").and_then(Json::as_usize),
-        Some(1)
+        Some(2)
     );
 
     // The healthy model still localizes.

@@ -12,6 +12,7 @@
 // blocking sleeps in request handling.
 #![allow(clippy::disallowed_methods)]
 
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -91,17 +92,15 @@ proptest! {
         jobs in proptest::collection::vec((deadline_kind(), 0usize..100), 0..12),
         drain_after in 0usize..13,
         tiny_queue in (0u32..2).prop_map(|b| b == 1),
-        // `worker_panic=N` for N in 1..=5, or no fault plan at all.
-        worker_panic in (0u64..6).prop_map(|n| (n > 0).then_some(n)),
+        // A worker panic on batch N for N in 1..=5, or no fault plan at all.
+        worker_panic in (0u64..6).prop_map(NonZeroU64::new),
     ) {
         let metrics = Arc::new(Metrics::with_workers(2));
         let registry = Arc::new(Registry::from_models(vec![(
             "echo".into(),
             Box::new(EchoLocalizer) as Box<dyn Localizer>,
         )]));
-        let faults = worker_panic.map(|n| {
-            Arc::new(FaultPlan::parse(&format!("worker_panic={n}")).expect("spec parses"))
-        });
+        let faults = worker_panic.map(|n| Arc::new(FaultPlan::worker_panic(n)));
         let (client, handles) = batcher::start(
             registry,
             BatcherConfig {
@@ -116,12 +115,13 @@ proptest! {
             },
             Arc::clone(&metrics),
         ).expect("batcher start");
+        let client = Arc::new(client);
 
         // A racer thread fires the drain somewhere in the middle of the
         // submission stream (or before/after it entirely).
         let fire_drain = Arc::new(AtomicBool::new(false));
         let racer = {
-            let client = client.clone();
+            let client = Arc::clone(&client);
             let fire_drain = Arc::clone(&fire_drain);
             std::thread::spawn(move || {
                 while !fire_drain.load(Ordering::SeqCst) {

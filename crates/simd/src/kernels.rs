@@ -66,15 +66,15 @@
 //!   unspecified (`(x − mean) · istd` multiplies two unrelated NaNs per
 //!   element; canonicalising there would tax every finite row for the
 //!   sake of rows that are already garbage).
-//! - `squared_distances` ([`SquaredDistances`]) is bit-identical across
+//! - [`squared_distances`](crate::squared_distances) is bit-identical across
 //!   the levels on every input, and to the per-pair chain of each row on
 //!   every distance that is not NaN; its NaNs are canonical.
-//! - `attention` ([`Attention`]) is bit-identical across the levels on
+//! - [`attention`](crate::attention) is bit-identical across the levels on
 //!   every input, and to the per-block score GEMM, scale, `softmax_rows`
 //!   and `· V` GEMM it replaces on every output that is not NaN: each
 //!   lane repeats those steps' operations in their operand order. Its
 //!   NaN outputs are canonical, as `squared_distances`' are.
-//! - `attention_backward` ([`AttentionBackward`]) is bit-identical across
+//! - [`attention_backward`](crate::attention_backward) is bit-identical across
 //!   the levels on every input, and to the tape's per-block chain (the
 //!   two GEMMs' backward products, the softmax's `S ⊙ (G − Σ(G ⊙ S))`
 //!   and the scale's) on every gradient that is not NaN; its NaN

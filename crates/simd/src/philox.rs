@@ -9,10 +9,10 @@
 //! Three kernels turn a run of consecutive counters into what training
 //! uses in one dispatched call, the words never leaving the registers or
 //! a 1 KiB stack block:
-//! - [`Words`]: the blocks' words in block order (the dropout masks);
-//! - [`Normals`]: per block, two standard normals by Box–Muller from its
+//! - `Words` ([`crate::philox_words`]): the blocks' words in block order (the dropout masks);
+//! - `Normals` ([`crate::philox_normals`]): per block, two standard normals by Box–Muller from its
 //!   first two words and two dropout flags from its last two;
-//! - [`Perturbed`]: the same draws applied to a row of values, each
+//! - `Perturbed` ([`crate::philox_perturb`]): the same draws applied to a row of values, each
 //!   dropped and infilled with noise or jittered (the DAM's stages 3–4).
 //!
 //! The logarithm, square root and sines are the crate's own lane
