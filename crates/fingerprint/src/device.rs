@@ -1,6 +1,6 @@
 use rand::Rng;
 
-use sim_radio::standard_normal;
+use tensor::rng::standard_normal;
 
 use crate::MISSING_AP_DBM;
 

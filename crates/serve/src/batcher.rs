@@ -15,13 +15,23 @@
 //! deadline among the jobs it holds, so it never keeps a job past its own
 //! deadline.
 //!
+//! Every scheduling decision (admission against `queue_cap`, carry-over at
+//! `max_batch`, expiry at take time, the hold and its end, leaving once
+//! the queue is closed and empty) is made by the crate-private `schedule`
+//! module, a pure state machine on the instant it is handed: it holds no
+//! lock and reads no clock, and its tests are properties over random event
+//! sequences in virtual time. This module's `JobQueue` is its shell: it
+//! takes the lock, reads `Instant::now()`, asks the schedule, waits on a
+//! condvar for as long as the answer says, wakes an idle worker when jobs
+//! are left over, and writes the `queue_depth` gauge from the schedule's
+//! length.
+//!
 //! All workers serve from one shared [`Registry`] behind an [`Arc`]: models
 //! are `Send + Sync` with `Arc`-backed weights, so N workers read the same
-//! weight allocations concurrently with no locks and no copies. The queue
-//! is a condvar-based bounded MPMC deque: waiting for jobs releases the
-//! lock, so workers coalesce *and* execute batches fully in parallel — the
-//! lock is only ever held for O(queue length) pops, never for a hold and
-//! never during inference.
+//! weight allocations concurrently with no locks and no copies. Waiting for
+//! jobs releases the queue's lock, so workers coalesce *and* execute
+//! batches fully in parallel — the lock is only ever held for O(queue
+//! length) pops, never for a hold and never during inference.
 //!
 //! Five properties matter:
 //!
@@ -66,7 +76,6 @@
 //! [`BatcherClient::await_drained`] observes completion. Workers leave only
 //! through a closed, empty queue, so the queue's own lock counts them out.
 
-use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar};
 use std::time::{Duration, Instant};
@@ -77,6 +86,7 @@ use graph::sync::Leaf;
 use crate::faultinject::FaultPlan;
 use crate::metrics::Metrics;
 use crate::registry::Registry;
+use crate::schedule::{Decision, Schedule, Take};
 
 /// One queued localize request.
 pub struct Job {
@@ -173,209 +183,120 @@ pub enum SubmitError {
     Closed,
 }
 
-/// State guarded by the [`JobQueue`] mutex. Keeping `closed` *inside* the
-/// lock (rather than as a separate atomic) makes the "no push can land
-/// after the closing drain, no waiter can check-then-wait past a close"
-/// invariant structural: there is simply no way to observe the flag
-/// without holding the lock.
-struct QueueState {
-    jobs: VecDeque<Job>,
-    closed: bool,
-    /// Dispatch workers not yet gone. A worker leaves only once the queue
-    /// is closed and empty, so zero means the drain is complete.
-    workers: usize,
-}
-
 /// Bounded MPMC job queue: handler threads push, N dispatch workers
-/// collect micro-batches.
+/// collect micro-batches. The shell around the schedule.
 ///
-/// Built on a [`Leaf`]`<VecDeque>` + `Condvar` rather than an `mpsc` channel so
-/// that **waiting releases the lock**: several workers can wait for work,
-/// or sit inside opt-in holds, simultaneously, each picking up jobs as they
-/// arrive, instead of serializing through a receiver mutex.
-/// The lock is held only for O(1) pushes and O(batch) pops.
+/// Built on a [`Leaf`] + `Condvar` rather than an `mpsc` channel so that
+/// **waiting releases the lock**: several workers can wait for work, or sit
+/// inside opt-in holds, simultaneously, each picking up jobs as they
+/// arrive, instead of serializing through a receiver mutex. Keeping
+/// `closed` inside the schedule, behind the same lock, means no push can
+/// land after the closing drain and no waiter can check-then-wait past a
+/// close.
 struct JobQueue {
-    /// A poisoned state (a panic while it was held) reads as closed:
+    /// A poisoned schedule (a panic while it was held) reads as closed:
     /// nothing more is pushed or popped, and waiters leave.
-    state: Leaf<QueueState>,
+    schedule: Leaf<Schedule>,
     not_empty: Condvar,
     /// Signalled as each worker leaves. A condvar of its own, so a drain
     /// waiter can never take the wake-up a push meant for a worker.
     left: Condvar,
-    /// Capacity in jobs; a full queue sheds load.
-    cap: usize,
+    /// Its `queue_depth` is the schedule's length, written under the lock.
+    metrics: Arc<Metrics>,
 }
 
 impl JobQueue {
-    fn new(cap: usize, workers: usize) -> Self {
+    fn new(config: &BatcherConfig, workers: usize, metrics: Arc<Metrics>) -> Self {
+        let (cap, max_batch, max_wait) = (config.queue_cap, config.max_batch, config.max_wait);
         JobQueue {
-            state: Leaf::new(QueueState {
-                jobs: VecDeque::new(),
-                closed: false,
-                workers,
-            }),
+            schedule: Leaf::new(Schedule::new(cap, max_batch, max_wait, workers)),
             not_empty: Condvar::new(),
             left: Condvar::new(),
-            cap: cap.max(1),
+            metrics,
         }
     }
 
     fn try_push(&self, job: Job) -> Result<(), SubmitError> {
-        self.state
-            .with(|state| {
-                // Closing drains the queue under this same lock, so a push
-                // can never land after the drain and strand a job (its
-                // reply sender would otherwise never be dropped and the
-                // handler thread would wait forever).
-                if state.closed {
-                    return Err(SubmitError::Closed);
-                }
-                if state.jobs.len() >= self.cap {
-                    return Err(SubmitError::Busy);
-                }
-                state.jobs.push_back(job);
+        self.schedule
+            .with(|schedule| {
+                schedule.push(job)?;
+                self.gauge(schedule);
                 self.not_empty.notify_one();
                 Ok(())
             })
             .unwrap_or(Err(SubmitError::Closed))
     }
 
-    /// Blocks for the first job, then takes queued jobs into `batch` until
-    /// `max_batch` observations are gathered, a job that would overflow the
-    /// cap is at the front (it stays queued for the next batch), or the
-    /// queue is empty. With a zero `max_wait` that is the whole batch; a
-    /// non-zero one holds the batch open for further arrivals until
-    /// `max_wait` after the first take or the earliest deadline among the
-    /// held jobs, whichever comes first. A job whose deadline passed while
-    /// it was queued goes to `expired` instead and counts towards nothing.
-    /// Returns `false` once the queue is closed **and** drained.
+    /// Fills `take` with the next batch, waiting as the schedule says;
+    /// returns `false` once the queue is closed **and** drained.
     ///
-    /// `batch` and `expired` are cleared and refilled rather than returned
-    /// so the dispatch loop can reuse its buffers for its whole lifetime —
-    /// the per-batch `Vec` allocation this replaces was the only allocator
-    /// traffic in the collect path (`tests/warm_allocs.rs` pins what a warm
-    /// served round allocates outside the model).
-    ///
-    /// The condvar waits release the lock, so any number of workers can be
-    /// in here concurrently — collecting never blocks another worker's
-    /// collection or execution.
-    fn collect_into(
-        &self,
-        batch: &mut Vec<Job>,
-        expired: &mut Vec<Job>,
-        max_batch: usize,
-        max_wait: Duration,
-    ) -> bool {
-        batch.clear();
-        expired.clear();
-        // A zero cap would collect nothing and spin; treat it as 1 (every
-        // batch is then a single job), the old channel-based behaviour.
-        let max_batch = max_batch.max(1);
-        self.state
-            .with_waits(|state| {
-                while state.jobs.is_empty() {
-                    if state.closed || !state.wait(&self.not_empty, None) {
-                        return false;
-                    }
-                }
-
+    /// `take` is cleared and refilled rather than returned so the dispatch
+    /// loop can reuse its buffers for its whole lifetime
+    /// (`tests/warm_allocs.rs` pins what a warm served round allocates
+    /// outside the model).
+    fn collect_into(&self, take: &mut Take) -> bool {
+        take.clear();
+        self.schedule
+            .with_waits(|held| loop {
                 // Read under the lock, so every job in the queue was
                 // pushed, and its deadline set, before `now`.
-                let mut now = Instant::now();
-                // Folded down to the earliest deadline of the held jobs as
-                // they are taken.
-                let mut hold_end = now + max_wait;
-                let mut observations = 0;
-                loop {
-                    // Greedy drain. `max_batch` is a hard cap on the
-                    // dispatch size (only a single bulk request larger than
-                    // the cap can exceed it, since it cannot be split
-                    // across batches); a job that would overflow ends the
-                    // batch and stays queued.
-                    let mut full = false;
-                    while observations < max_batch {
-                        let Some(front) = state.jobs.front() else {
-                            break;
-                        };
-                        let stale = front.deadline.is_some_and(|deadline| deadline <= now);
-                        let len = front.observations.len();
-                        if !stale && !batch.is_empty() && observations + len > max_batch {
-                            full = true;
-                            break;
+                let now = Instant::now();
+                let decision = held.take(now, take);
+                self.gauge(held);
+                let timeout = match decision {
+                    Decision::Run => {
+                        // The notify_one that announced a job this worker
+                        // is *leaving behind* was consumed by this worker:
+                        // re-arm an idle worker so the leftover is picked
+                        // up at once instead of after this batch.
+                        if held.len() > 0 {
+                            self.not_empty.notify_one();
                         }
-                        let Some(job) = state.jobs.pop_front() else {
-                            break;
-                        };
-                        if stale {
-                            expired.push(job);
-                            continue;
-                        }
-                        if let Some(deadline) = job.deadline {
-                            hold_end = hold_end.min(deadline);
-                        }
-                        observations += len;
-                        batch.push(job);
+                        return true;
                     }
-                    if batch.is_empty() || observations >= max_batch || full || state.closed {
-                        break;
-                    }
-                    let remaining = hold_end.saturating_duration_since(now);
-                    if remaining.is_zero() {
-                        break;
-                    }
-                    if !state.wait(&self.not_empty, Some(remaining)) {
-                        return false;
-                    }
-                    now = Instant::now();
+                    Decision::Leave => return false,
+                    Decision::WaitUntil(end) => Some(end.duration_since(now)),
+                    Decision::WaitForWork => None,
+                };
+                if !held.wait(&self.not_empty, timeout) {
+                    return false;
                 }
-                // The notify_one that announced a job this worker is now
-                // *leaving behind* (overflow carry-over, or arrivals past
-                // the cap) was already consumed by this worker — re-arm an
-                // idle worker so the leftover is picked up immediately
-                // instead of waiting out this worker's inference pass.
-                if !state.jobs.is_empty() {
-                    self.not_empty.notify_one();
-                }
-                true
             })
             .unwrap_or(false)
     }
 
+    fn gauge(&self, schedule: &Schedule) {
+        self.metrics
+            .queue_depth
+            .store(schedule.len(), Ordering::Relaxed);
+    }
+
     /// Closes the queue (the client handle dropped, or worker spawning
-    /// aborted): flag and drain happen under the one state lock, so
-    /// neither can a worker check-then-wait past it nor a push land after
-    /// it. Returns the jobs drained from the queue so the caller can fail
-    /// them (dropping a [`Job`] drops its reply sender, which surfaces as
-    /// an error on the handler thread rather than an eternal wait).
-    fn close(&self) -> Vec<Job> {
-        let drained = self
-            .state
-            .with(|state| {
-                state.closed = true;
-                state.jobs.drain(..).collect()
-            })
-            .unwrap_or_default();
+    /// aborted) and drops its jobs once the lock is released: dropping a
+    /// [`Job`] drops its reply sender, which surfaces as an error on the
+    /// handler thread rather than an eternal wait.
+    fn close(&self) {
+        let _dropped = self.schedule.with(|schedule| {
+            let dropped = schedule.close();
+            self.gauge(schedule);
+            dropped
+        });
         self.not_empty.notify_all();
-        drained
     }
 
     /// Closes the queue for new submissions but **keeps** the queued jobs:
-    /// the dispatch workers drain them to completion and then exit
-    /// (`collect_into` keeps returning batches from a closed queue until
-    /// it is empty). This is the graceful-shutdown half; [`close`] is the
-    /// abandon-ship half.
+    /// the dispatch workers drain them to completion and then exit. This is
+    /// the graceful-shutdown half; [`close`] is the abandon-ship half.
     ///
     /// [`close`]: JobQueue::close
     fn drain_close(&self) {
-        let _ = self.state.with(|state| state.closed = true);
+        let _ = self.schedule.with(Schedule::drain);
         self.not_empty.notify_all();
     }
 
     /// A dispatch worker leaves: its `collect_into` returned `false`.
     fn leave(&self) {
-        let _ = self
-            .state
-            .with(|state| state.workers = state.workers.saturating_sub(1));
+        let _ = self.schedule.with(Schedule::leave);
         self.left.notify_all();
     }
 
@@ -385,11 +306,11 @@ impl JobQueue {
         // Clamp so the deadline arithmetic cannot overflow on
         // `Duration::MAX`-style inputs.
         let deadline = Instant::now() + timeout.min(Duration::from_secs(86_400 * 365));
-        self.state
-            .with_waits(|state| {
-                while state.workers > 0 {
+        self.schedule
+            .with_waits(|held| {
+                while held.workers() > 0 {
                     let remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() || !state.wait(&self.left, Some(remaining)) {
+                    if remaining.is_zero() || !held.wait(&self.left, Some(remaining)) {
                         return false;
                     }
                 }
@@ -403,7 +324,6 @@ impl JobQueue {
 /// closes the queue.
 pub struct BatcherClient {
     queue: Arc<JobQueue>,
-    metrics: Arc<Metrics>,
     workers: usize,
 }
 
@@ -411,11 +331,8 @@ impl Drop for BatcherClient {
     fn drop(&mut self) {
         // Handler threads reach the client through the server's shared
         // state, so none is left to answer jobs still queued at this point
-        // and dropping them is safe; keep the depth gauge consistent anyway.
-        let dropped = self.queue.close();
-        self.metrics
-            .queue_depth
-            .fetch_sub(dropped.len(), Ordering::Relaxed);
+        // and dropping them is safe.
+        self.queue.close();
     }
 }
 
@@ -426,17 +343,7 @@ impl BatcherClient {
     /// [`SubmitError::Busy`] when the queue is at capacity,
     /// [`SubmitError::Closed`] once a drain has closed the queue.
     pub fn submit(&self, job: Job) -> Result<(), SubmitError> {
-        // Increment *before* the push: a worker can dequeue (and
-        // decrement) the instant the push lands, and increment-after
-        // would briefly wrap the depth below zero.
-        self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
-        match self.queue.try_push(job) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
+        self.queue.try_push(job)
     }
 
     /// Dispatch workers currently running: [`configured_workers`] from
@@ -444,7 +351,7 @@ impl BatcherClient {
     ///
     /// [`configured_workers`]: BatcherClient::configured_workers
     pub fn live_workers(&self) -> usize {
-        self.metrics.live_workers.load(Ordering::Relaxed)
+        self.queue.metrics.live_workers.load(Ordering::Relaxed)
     }
 
     /// How many dispatch workers this batcher was started with.
@@ -523,7 +430,7 @@ pub fn start(
         ));
     }
     let workers = config.workers.max(1);
-    let queue = Arc::new(JobQueue::new(config.queue_cap, workers));
+    let queue = Arc::new(JobQueue::new(&config, workers, Arc::clone(&metrics)));
     let mut handles = Vec::with_capacity(workers);
     for worker_id in 0..workers {
         match spawn_worker(worker_id, &registry, &queue, &config, &metrics) {
@@ -541,14 +448,7 @@ pub fn start(
             }
         }
     }
-    Ok((
-        BatcherClient {
-            queue,
-            metrics,
-            workers,
-        },
-        handles,
-    ))
+    Ok((BatcherClient { queue, workers }, handles))
 }
 
 /// One worker's loop: collects and executes batches until the queue is
@@ -573,26 +473,22 @@ fn dispatch_loop(
     config: &BatcherConfig,
     metrics: &Metrics,
 ) {
-    let mut batch: Vec<Job> = Vec::with_capacity(config.max_batch.max(1));
-    let mut expired: Vec<Job> = Vec::with_capacity(config.max_batch.max(1));
-    while queue.collect_into(&mut batch, &mut expired, config.max_batch, config.max_wait) {
-        metrics
-            .queue_depth
-            .fetch_sub(batch.len() + expired.len(), Ordering::Relaxed);
-        if !expired.is_empty() {
-            fail(&expired, JobFailure::Expired, metrics);
+    let mut take = Take::with_capacity(config.max_batch.max(1));
+    while queue.collect_into(&mut take) {
+        if !take.expired.is_empty() {
+            fail(&take.expired, JobFailure::Expired, metrics);
         }
-        if batch.is_empty() {
+        if take.batch.is_empty() {
             continue;
         }
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(faults) = &config.faults {
                 faults.on_batch_collected();
             }
-            execute(worker_id, registry, &mut batch, metrics);
+            execute(worker_id, registry, &mut take.batch, metrics);
         }));
         if let Err(payload) = ran {
-            fail_panicked_batch(&mut batch, payload.as_ref(), metrics);
+            fail_panicked_batch(&mut take.batch, payload.as_ref(), metrics);
         }
     }
 }
@@ -725,9 +621,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 #[cfg(test)]
-// Tests pace retries/slow models with real sleeps — exempt from the
-// workspace ban on blocking sleeps in request handling — and record the
-// threads a model runs on behind a plain mutex.
+// One test paces its retries with real sleeps — exempt from the workspace
+// ban on blocking sleeps in request handling — and one records the threads
+// a model runs on behind a plain mutex.
 #[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 mod tests {
     use super::*;
@@ -809,41 +705,52 @@ mod tests {
         )]))
     }
 
-    /// Echoes like [`EchoLocalizer`] after a 200 ms stall per batch, so
-    /// jobs queue behind a busy worker.
-    struct SlowEchoLocalizer;
-
-    impl Localizer for SlowEchoLocalizer {
-        fn name(&self) -> &str {
-            "SlowEcho"
-        }
-        fn num_aps(&self) -> usize {
-            1
-        }
-        fn fit(&mut self, _: &fingerprint::FingerprintDataset) -> VitalResult<()> {
-            Ok(())
-        }
-        fn localize_batch(
-            &self,
-            observations: &[fingerprint::FingerprintObservation],
-        ) -> VitalResult<Vec<usize>> {
-            std::thread::sleep(Duration::from_millis(200));
-            EchoLocalizer.localize_batch(observations)
-        }
-    }
-
-    /// [`SlowEchoLocalizer`] served as `echo`.
-    fn slow_echo_registry() -> Arc<Registry> {
-        Arc::new(Registry::from_models(vec![(
-            "echo".into(),
-            Box::new(SlowEchoLocalizer),
-        )]))
-    }
-
     fn join_all(handles: Vec<std::thread::JoinHandle<()>>) {
         for handle in handles {
             handle.join().expect("batcher thread must not panic");
         }
+    }
+
+    type Reply = mpsc::Receiver<Result<Vec<usize>, JobFailure>>;
+
+    /// A one-worker queue with these knobs, for tests that play its worker
+    /// with [`serve`] on their own thread: none of them waits on a thread.
+    fn queue(max_batch: usize, max_wait: Duration, queue_cap: usize) -> JobQueue {
+        let mut config = BatcherConfig::default();
+        (config.max_batch, config.max_wait, config.queue_cap) = (max_batch, max_wait, queue_cap);
+        JobQueue::new(&config, 1, Arc::new(Metrics::new()))
+    }
+
+    /// Submits a job of observations `-values` for `echo`, due `at`, to `queue`.
+    fn push(queue: &JobQueue, values: &[f32], at: Option<Instant>) -> Result<Reply, SubmitError> {
+        let (tx, rx) = mpsc::sync_channel(1);
+        let mut pushed = job("echo", values.iter().map(|&v| obs(-v)).collect(), tx);
+        pushed.deadline = at;
+        queue.try_push(pushed)?;
+        Ok(rx)
+    }
+
+    /// One dispatch round, as `dispatch_loop` runs it: answers the take's
+    /// expired jobs, runs its batch on `echo`, and returns its job count.
+    fn serve(queue: &JobQueue) -> usize {
+        let mut take = Take::with_capacity(1);
+        assert!(queue.collect_into(&mut take), "the queue has left");
+        fail(&take.expired, JobFailure::Expired, &queue.metrics);
+        let jobs = take.batch.len();
+        execute(0, &echo_registry(), &mut take.batch, &queue.metrics);
+        jobs
+    }
+
+    /// The batch-size histogram as (observations, batches) pairs.
+    fn batch_sizes(metrics: &Metrics) -> Vec<(usize, usize)> {
+        let snapshot = metrics.snapshot_json();
+        let hist = snapshot.get("batch_size_hist").unwrap().as_array().unwrap();
+        hist.iter()
+            .filter_map(|b| {
+                let size = b.get("size").and_then(jsonio::Json::as_usize)?;
+                Some((size, b.get("count").and_then(jsonio::Json::as_usize)?))
+            })
+            .collect()
     }
 
     #[test]
@@ -851,13 +758,7 @@ mod tests {
         let metrics = Arc::new(Metrics::new());
         let (client, handles) = start(
             echo_registry(),
-            BatcherConfig {
-                max_batch: 8,
-                max_wait: Duration::from_millis(20),
-                queue_cap: 16,
-                workers: 1,
-                ..BatcherConfig::default()
-            },
+            BatcherConfig::default(),
             Arc::clone(&metrics),
         )
         .unwrap();
@@ -874,6 +775,101 @@ mod tests {
         drop(client);
         join_all(handles);
         assert!(metrics.queue_depth.load(Ordering::Relaxed) == 0);
+    }
+
+    #[test]
+    fn max_batch_is_a_hard_cap_via_carry_over() {
+        // A long hold, and both jobs queued before the take: the second
+        // must be carried over, not merged past the cap.
+        let queue = queue(4, Duration::from_millis(200), 16);
+        let first = push(&queue, &[1.0, 2.0, 3.0], None).unwrap();
+        let second = push(&queue, &[4.0, 5.0, 6.0], None).unwrap();
+        assert_eq!(serve(&queue), 1, "the job past the cap waits");
+        assert_eq!(first.try_recv().unwrap(), Ok(vec![1, 2, 3]));
+        // A drain ends the carried job's hold: it runs at once.
+        queue.drain_close();
+        assert_eq!(serve(&queue), 1);
+        assert_eq!(second.try_recv().unwrap(), Ok(vec![4, 5, 6]));
+        // Two dispatches of 3 observations — never one of 6.
+        assert_eq!(batch_sizes(&queue.metrics), vec![(3, 2)]);
+        assert_eq!(queue.metrics.total_batches(), 2);
+    }
+
+    #[test]
+    fn zero_max_batch_degrades_to_single_job_batches() {
+        // A zero cap must not spin the worker or strand a job: it behaves
+        // as batches of one job, like the old channel dispatcher.
+        let queue = queue(0, Duration::from_micros(100), 4);
+        let replies = [8.0, 9.0].map(|value| (value, push(&queue, &[value], None).unwrap()));
+        for (value, rx) in replies {
+            assert_eq!(serve(&queue), 1);
+            assert_eq!(rx.try_recv().unwrap(), Ok(vec![value as usize]));
+        }
+    }
+
+    #[test]
+    fn expired_jobs_are_shed_with_a_typed_expiry() {
+        let queue = queue(32, Duration::ZERO, 16);
+        // A deadline of "now" has passed by the take, whenever that is; a
+        // generous one has not.
+        let now = Instant::now();
+        let stale = push(&queue, &[2.0], Some(now)).unwrap();
+        let fresh = push(&queue, &[3.0], Some(now + Duration::from_secs(30))).unwrap();
+        assert_eq!(serve(&queue), 1);
+        assert_eq!(stale.try_recv().unwrap(), Err(JobFailure::Expired));
+        assert_eq!(fresh.try_recv().unwrap(), Ok(vec![3]));
+        assert_eq!(queue.metrics.jobs_expired.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn an_opt_in_hold_ends_at_the_earliest_held_deadline() {
+        // A lone job held in a 200 ms window must neither be kept past its
+        // 20 ms deadline nor shed for a deadline that passed while the
+        // worker, not the queue, held it. Checked in virtual time.
+        let mut schedule = Schedule::new(16, 32, Duration::from_millis(200), 1);
+        let (tx, _rx) = mpsc::sync_channel(1);
+        let admitted = Instant::now();
+        let deadline = admitted + Duration::from_millis(20);
+        let mut held = job("echo", vec![obs(-5.0)], tx);
+        held.deadline = Some(deadline);
+        schedule.push(held).unwrap();
+        let mut take = Take::with_capacity(1);
+        let decision = schedule.take(admitted, &mut take);
+        assert_eq!(decision, Decision::WaitUntil(deadline));
+        assert_eq!(schedule.take(deadline, &mut take), Decision::Run);
+        assert_eq!((take.batch.len(), take.expired.len()), (1, 0));
+    }
+
+    #[test]
+    fn coalescing_comes_from_the_queue_not_a_window() {
+        // The default config holds nothing, so a batch of several jobs can
+        // only form from what queued while the one worker was busy.
+        let default = BatcherConfig::default();
+        assert!(default.max_wait.is_zero());
+        let queue = queue(default.max_batch, default.max_wait, default.queue_cap);
+        let first = push(&queue, &[1.0], None).unwrap();
+        assert_eq!(serve(&queue), 1, "a lone job runs at once");
+        let queued = [2.0, 3.0, 4.0].map(|value| (value, push(&queue, &[value], None).unwrap()));
+        assert_eq!(serve(&queue), 3);
+        for (value, rx) in std::iter::once((1.0, first)).chain(queued) {
+            assert_eq!(rx.try_recv().unwrap(), Ok(vec![value as usize]));
+        }
+        assert_eq!(batch_sizes(&queue.metrics), vec![(1, 1), (3, 1)]);
+    }
+
+    #[test]
+    fn full_queue_reports_busy() {
+        // The one slot is full until the worker takes its job.
+        let queue = queue(1, Duration::ZERO, 1);
+        let first = push(&queue, &[2.0], None).unwrap();
+        assert_eq!(push(&queue, &[2.0], None).err(), Some(SubmitError::Busy));
+        assert_eq!(serve(&queue), 1);
+        let second = push(&queue, &[2.0], None).unwrap();
+        assert_eq!(push(&queue, &[2.0], None).err(), Some(SubmitError::Busy));
+        assert_eq!(serve(&queue), 1);
+        for rx in [first, second] {
+            assert_eq!(rx.try_recv().unwrap(), Ok(vec![2]));
+        }
     }
 
     #[test]
@@ -895,48 +891,6 @@ mod tests {
             drop(client);
             join_all(handles);
         }
-    }
-
-    #[test]
-    fn max_batch_is_a_hard_cap_via_carry_over() {
-        let metrics = Arc::new(Metrics::new());
-        let (client, handles) = start(
-            echo_registry(),
-            BatcherConfig {
-                max_batch: 4,
-                // A long window guarantees both jobs are drained into the
-                // same coalescing pass — the second must be carried over,
-                // not merged past the cap.
-                max_wait: Duration::from_millis(200),
-                queue_cap: 16,
-                workers: 1,
-                ..BatcherConfig::default()
-            },
-            Arc::clone(&metrics),
-        )
-        .unwrap();
-        let (tx_a, rx_a) = mpsc::sync_channel(1);
-        let (tx_b, rx_b) = mpsc::sync_channel(1);
-        client
-            .submit(job("echo", vec![obs(-1.0), obs(-2.0), obs(-3.0)], tx_a))
-            .unwrap();
-        client
-            .submit(job("echo", vec![obs(-4.0), obs(-5.0), obs(-6.0)], tx_b))
-            .unwrap();
-        assert_eq!(rx_a.recv().unwrap().unwrap(), vec![1, 2, 3]);
-        assert_eq!(rx_b.recv().unwrap().unwrap(), vec![4, 5, 6]);
-        drop(client);
-        join_all(handles);
-
-        // Two dispatches of 3 observations — never one of 6.
-        let snapshot = metrics.snapshot_json();
-        let hist = snapshot.get("batch_size_hist").unwrap().as_array().unwrap();
-        let sizes: Vec<usize> = hist
-            .iter()
-            .filter_map(|b| b.get("size").and_then(jsonio::Json::as_usize))
-            .collect();
-        assert_eq!(sizes, vec![3], "batch sizes recorded: {sizes:?}");
-        assert_eq!(metrics.total_batches(), 2);
     }
 
     #[test]
@@ -1028,14 +982,8 @@ mod tests {
             "short".into(),
             Box::new(ShortLocalizer),
         )]));
-        let (client, handles) = start(
-            registry,
-            BatcherConfig {
-                ..BatcherConfig::default()
-            },
-            Arc::new(Metrics::new()),
-        )
-        .unwrap();
+        let (client, handles) =
+            start(registry, BatcherConfig::default(), Arc::new(Metrics::new())).unwrap();
         let (tx, rx) = mpsc::sync_channel(1);
         client
             .submit(job("short", vec![obs(-1.0), obs(-2.0)], tx))
@@ -1069,32 +1017,6 @@ mod tests {
         join_all(handles);
     }
 
-    #[test]
-    fn zero_max_batch_degrades_to_single_job_batches() {
-        // A zero cap must not spin the worker or strand the job — it
-        // behaves as batches of one job, like the old channel dispatcher.
-        let (client, handles) = start(
-            echo_registry(),
-            BatcherConfig {
-                max_batch: 0,
-                max_wait: Duration::from_micros(100),
-                queue_cap: 4,
-                workers: 1,
-                ..BatcherConfig::default()
-            },
-            Arc::new(Metrics::new()),
-        )
-        .unwrap();
-        let (tx, rx) = mpsc::sync_channel(1);
-        client.submit(job("echo", vec![obs(-9.0)], tx)).unwrap();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap(),
-            vec![9]
-        );
-        drop(client);
-        join_all(handles);
-    }
-
     /// A localizer whose every prediction panics.
     struct PanickingLocalizer;
 
@@ -1123,18 +1045,8 @@ mod tests {
             ("echo".into(), Box::new(EchoLocalizer) as _),
         ]));
         let metrics = Arc::new(Metrics::new());
-        let (client, handles) = start(
-            registry,
-            BatcherConfig {
-                max_batch: 4,
-                max_wait: Duration::from_micros(100),
-                queue_cap: 16,
-                workers: 1,
-                ..BatcherConfig::default()
-            },
-            Arc::clone(&metrics),
-        )
-        .unwrap();
+        let (client, handles) =
+            start(registry, BatcherConfig::default(), Arc::clone(&metrics)).unwrap();
 
         // The panic is contained to the batch: a typed 500-class reply,
         // not a dropped channel.
@@ -1193,10 +1105,6 @@ mod tests {
         let (client, handles) = start(
             registry,
             BatcherConfig {
-                max_batch: 1,
-                max_wait: Duration::from_micros(100),
-                queue_cap: 16,
-                workers: 1,
                 faults: Some(Arc::new(FaultPlan::worker_panic(
                     std::num::NonZeroU64::new(2).unwrap(),
                 ))),
@@ -1246,153 +1154,29 @@ mod tests {
     }
 
     #[test]
-    fn expired_jobs_are_shed_with_a_typed_expiry() {
-        let metrics = Arc::new(Metrics::new());
+    fn a_hold_past_any_instant_serves_and_drains() {
+        // `max_wait` after the first take cannot be represented, so the
+        // hold ends only when the batch fills, a held deadline passes or
+        // the queue closes: here the drain ends it.
         let (client, handles) = start(
             echo_registry(),
             BatcherConfig {
-                max_batch: 4,
-                max_wait: Duration::from_micros(100),
-                queue_cap: 16,
-                workers: 1,
+                max_wait: Duration::MAX,
                 ..BatcherConfig::default()
             },
-            Arc::clone(&metrics),
+            Arc::new(Metrics::new()),
         )
         .unwrap();
-
-        // A deadline of "now" is guaranteed to have passed by dispatch
-        // time, whenever that is.
         let (tx, rx) = mpsc::sync_channel(1);
-        client
-            .submit(Job {
-                model: "echo".into(),
-                observations: vec![obs(-2.0)],
-                admitted: Instant::now(),
-                deadline: Some(Instant::now()),
-                reply: tx,
-            })
-            .unwrap();
+        client.submit(job("echo", vec![obs(-8.0)], tx)).unwrap();
+        client.drain();
         assert_eq!(
             rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-            Err(JobFailure::Expired)
+            Ok(vec![8])
         );
-        assert_eq!(metrics.jobs_expired.load(Ordering::Relaxed), 1);
-
-        // A generous deadline is not shed.
-        let (tx, rx) = mpsc::sync_channel(1);
-        client
-            .submit(Job {
-                model: "echo".into(),
-                observations: vec![obs(-3.0)],
-                admitted: Instant::now(),
-                deadline: Some(Instant::now() + Duration::from_secs(30)),
-                reply: tx,
-            })
-            .unwrap();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap(),
-            vec![3]
-        );
+        assert!(client.await_drained(Duration::from_secs(5)));
         drop(client);
         join_all(handles);
-    }
-
-    #[test]
-    fn an_opt_in_hold_ends_at_the_earliest_held_deadline() {
-        // An idle worker holding a lone job in a 200 ms window must neither
-        // keep it past its 20 ms deadline nor shed it for a deadline that
-        // passed while the worker, not the queue, held it.
-        let window = Duration::from_millis(200);
-        let metrics = Arc::new(Metrics::new());
-        let (client, handles) = start(
-            echo_registry(),
-            BatcherConfig {
-                max_wait: window,
-                ..BatcherConfig::default()
-            },
-            Arc::clone(&metrics),
-        )
-        .unwrap();
-        let (tx, rx) = mpsc::sync_channel(1);
-        let admitted = Instant::now();
-        client
-            .submit(Job {
-                model: "echo".into(),
-                observations: vec![obs(-5.0)],
-                admitted,
-                deadline: Some(admitted + Duration::from_millis(20)),
-                reply: tx,
-            })
-            .unwrap();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-            Ok(vec![5])
-        );
-        assert!(
-            admitted.elapsed() < window,
-            "the hold ran its whole window: {:?}",
-            admitted.elapsed()
-        );
-        assert_eq!(metrics.jobs_expired.load(Ordering::Relaxed), 0);
-        drop(client);
-        join_all(handles);
-    }
-
-    #[test]
-    fn coalescing_comes_from_the_queue_not_a_window() {
-        // The default config holds nothing, so a batch of several jobs can
-        // only form from what queued while the one worker was busy: here a
-        // 200 ms stall in its first dispatch.
-        assert!(BatcherConfig::default().max_wait.is_zero());
-        let metrics = Arc::new(Metrics::new());
-        let (client, handles) = start(
-            slow_echo_registry(),
-            BatcherConfig::default(),
-            Arc::clone(&metrics),
-        )
-        .unwrap();
-        let submit = |value: f32| {
-            let (tx, rx) = mpsc::sync_channel(1);
-            client.submit(job("echo", vec![obs(-value)], tx)).unwrap();
-            rx
-        };
-
-        let first = submit(1.0);
-        // The worker has taken the first job once the queue is empty again.
-        let give_up = Instant::now() + Duration::from_secs(5);
-        while metrics.queue_depth.load(Ordering::Relaxed) > 0 {
-            assert!(Instant::now() < give_up, "the worker never took a job");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let queued: Vec<_> = [2.0, 3.0, 4.0].map(|value| (value, submit(value))).into();
-        assert_eq!(
-            first.recv_timeout(Duration::from_secs(5)).unwrap(),
-            Ok(vec![1])
-        );
-        for (value, rx) in queued {
-            assert_eq!(
-                rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-                Ok(vec![value as usize])
-            );
-        }
-        drop(client);
-        join_all(handles);
-
-        let snapshot = metrics.snapshot_json();
-        let hist = snapshot.get("batch_size_hist").unwrap().as_array().unwrap();
-        let sizes: Vec<(usize, usize)> = hist
-            .iter()
-            .filter_map(|b| {
-                let size = b.get("size").and_then(jsonio::Json::as_usize)?;
-                Some((size, b.get("count").and_then(jsonio::Json::as_usize)?))
-            })
-            .collect();
-        assert_eq!(
-            sizes,
-            vec![(1, 1), (3, 1)],
-            "the three queued jobs must run as one batch (size, count): {sizes:?}"
-        );
     }
 
     #[test]
@@ -1401,9 +1185,6 @@ mod tests {
         let (client, handles) = start(
             echo_registry(),
             BatcherConfig {
-                max_batch: 1,
-                max_wait: Duration::from_micros(50),
-                queue_cap: 16,
                 workers: 2,
                 ..BatcherConfig::default()
             },
@@ -1441,46 +1222,6 @@ mod tests {
         );
         assert_eq!(client.live_workers(), 0, "a drained batcher is done");
         assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 0);
-        drop(client);
-        join_all(handles);
-    }
-
-    #[test]
-    fn full_queue_reports_busy() {
-        // Fill the queue faster than a slow model drains it.
-        let (client, handles) = start(
-            slow_echo_registry(),
-            BatcherConfig {
-                max_batch: 1,
-                max_wait: Duration::from_micros(1),
-                queue_cap: 1,
-                workers: 1,
-                ..BatcherConfig::default()
-            },
-            Arc::new(Metrics::new()),
-        )
-        .unwrap();
-
-        let mut replies = Vec::new();
-        let mut saw_busy = false;
-        // First submit is picked up by the worker (slow), the next fills
-        // the 1-slot queue, and further ones must report Busy.
-        for _ in 0..8 {
-            let (tx, rx) = mpsc::sync_channel(1);
-            match client.submit(job("echo", vec![obs(-2.0)], tx)) {
-                Ok(()) => replies.push(rx),
-                Err(SubmitError::Busy) => {
-                    saw_busy = true;
-                    break;
-                }
-                Err(SubmitError::Closed) => panic!("worker died"),
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(saw_busy, "queue of capacity 1 never reported Busy");
-        for rx in replies {
-            assert_eq!(rx.recv().unwrap().unwrap(), vec![2]);
-        }
         drop(client);
         join_all(handles);
     }

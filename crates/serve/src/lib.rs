@@ -64,6 +64,7 @@ pub mod faultinject;
 pub mod http;
 pub mod metrics;
 pub mod registry;
+mod schedule;
 pub mod server;
 
 pub use batcher::{BatcherConfig, JobFailure, SubmitError};

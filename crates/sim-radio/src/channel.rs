@@ -1,4 +1,5 @@
 use rand::Rng;
+use tensor::rng::standard_normal;
 
 use crate::{Building, Point, RSSI_CEILING_DBM, RSSI_FLOOR_DBM};
 
@@ -101,13 +102,6 @@ impl<'b> Channel<'b> {
             .map(|ap| self.mean_rssi(ap, at))
             .collect()
     }
-}
-
-/// Standard normal sample from any RNG via Box–Muller.
-pub fn standard_normal<R: Rng>(rng: &mut R) -> f32 {
-    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-    let u2: f32 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@ mod presets;
 
 pub use access_point::AccessPoint;
 pub use building::{Building, BuildingBuilder, ReferencePoint};
-pub use channel::{standard_normal, Channel};
+pub use channel::Channel;
 pub use geometry::{Point, Segment};
 pub use material::Material;
 pub use path_loss::PathLossModel;

@@ -27,6 +27,15 @@ use rand::{Rng, SeedableRng};
 
 use crate::Tensor;
 
+/// Standard normal sample from any generator via the Box–Muller
+/// transform: two uniforms give one normal (the second normal is discarded,
+/// so a draw depends on no state but the generator's).
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
+    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+    let u2: f32 = rng.gen_range(0.0..1.0);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+}
+
 /// A deterministic random number generator with convenience samplers.
 ///
 /// Wraps [`rand::rngs::StdRng`] and adds the Gaussian / Xavier / He samplers
@@ -76,13 +85,10 @@ impl SeededRng {
         self.inner.gen_range(0..n)
     }
 
-    /// Standard normal sample via the Box–Muller transform.
+    /// Standard normal sample via the Box–Muller transform
+    /// ([`standard_normal`]).
     pub fn standard_normal(&mut self) -> f32 {
-        // Box–Muller: two uniforms -> one normal (the second is discarded to
-        // keep the generator stateless w.r.t. caching).
-        let u1: f32 = self.inner.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = self.inner.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+        standard_normal(&mut self.inner)
     }
 
     /// Normal sample with the given mean and standard deviation.
