@@ -44,8 +44,9 @@
 //!   bit-identical to per-sample execution for any batch size (enforced by
 //!   the tensor/ViT property suites), and workers preserve per-job
 //!   observation order, so a response is byte-for-byte the same whether a
-//!   request was batched with strangers or served alone. The
-//!   `server_integration` test asserts this end to end.
+//!   request was batched with strangers or served alone. The crate's
+//!   simulator asserts this for coalesced batches, and the
+//!   `server_integration` test end to end over sockets.
 //! * **Worker-count transparency** — which worker executes a batch cannot
 //!   influence its result (shared immutable weights, per-batch tapes), so
 //!   `--workers 1` and `--workers N` produce identical responses; only
@@ -324,7 +325,6 @@ impl JobQueue {
 /// closes the queue.
 pub struct BatcherClient {
     queue: Arc<JobQueue>,
-    workers: usize,
 }
 
 impl Drop for BatcherClient {
@@ -346,17 +346,10 @@ impl BatcherClient {
         self.queue.try_push(job)
     }
 
-    /// Dispatch workers currently running: [`configured_workers`] from
-    /// [`start`] until a drain or the client's drop lets them leave.
-    ///
-    /// [`configured_workers`]: BatcherClient::configured_workers
+    /// Dispatch workers currently running: all of them from [`start`]
+    /// until a drain or the client's drop lets them leave.
     pub fn live_workers(&self) -> usize {
         self.queue.metrics.live_workers.load(Ordering::Relaxed)
-    }
-
-    /// How many dispatch workers this batcher was started with.
-    pub fn configured_workers(&self) -> usize {
-        self.workers
     }
 
     /// Begins a graceful drain: new submissions fail with
@@ -448,24 +441,14 @@ pub fn start(
             }
         }
     }
-    Ok((BatcherClient { queue, workers }, handles))
+    Ok((BatcherClient { queue }, handles))
 }
 
-/// One worker's loop: collects and executes batches until the queue is
+/// One worker's loop: collects and dispatches batches until the queue is
 /// closed and drained. The batch and expiry buffers are allocated once,
-/// up front, and reused for every collect/execute round — the loop body
+/// up front, and reused for every collect/dispatch round — the loop body
 /// itself is allocation-free (`tests/warm_allocs.rs` pins what a warm
 /// served round allocates outside the model: `execute`'s grouping only).
-/// Jobs that expired in the queue are answered before the batch runs.
-///
-/// Each batch runs under one `catch_unwind`, so nothing that happens in a
-/// batch ends the loop: a panic fails every job still in the batch with a
-/// typed failure, and the worker collects the next batch. A
-/// [`FaultPlan`] panics here on purpose, before `execute` takes
-/// any job; a model's own panic is already caught in `run_model`.
-/// `AssertUnwindSafe` is sound for the reason `run_model` gives: after an
-/// unwind the batch is failed and cleared, the registry is immutable and
-/// the metrics are atomics.
 fn dispatch_loop(
     worker_id: usize,
     registry: &Registry,
@@ -475,21 +458,49 @@ fn dispatch_loop(
 ) {
     let mut take = Take::with_capacity(config.max_batch.max(1));
     while queue.collect_into(&mut take) {
-        if !take.expired.is_empty() {
-            fail(&take.expired, JobFailure::Expired, metrics);
+        dispatch(
+            worker_id,
+            registry,
+            &mut take,
+            config.faults.as_deref(),
+            metrics,
+        );
+    }
+}
+
+/// One round of a dispatch worker on the take it collected: the jobs that
+/// expired in the queue are answered first, then the batch runs. The
+/// crate's simulator calls this too, so it runs the production round.
+///
+/// The batch runs under one `catch_unwind`, so nothing that happens in it
+/// ends the worker's loop: a panic fails every job still in the batch with
+/// a typed failure, and the worker collects the next batch. A
+/// [`FaultPlan`] panics here on purpose, before `execute` takes any job; a
+/// model's own panic is already caught in `run_model`. `AssertUnwindSafe`
+/// is sound for the reason `run_model` gives: after an unwind the batch is
+/// failed and cleared, the registry is immutable and the metrics are
+/// atomics.
+pub(crate) fn dispatch(
+    worker_id: usize,
+    registry: &Registry,
+    take: &mut Take,
+    faults: Option<&FaultPlan>,
+    metrics: &Metrics,
+) {
+    if !take.expired.is_empty() {
+        fail(&take.expired, JobFailure::Expired, metrics);
+    }
+    if take.batch.is_empty() {
+        return;
+    }
+    let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if let Some(faults) = faults {
+            faults.on_batch_collected();
         }
-        if take.batch.is_empty() {
-            continue;
-        }
-        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(faults) = &config.faults {
-                faults.on_batch_collected();
-            }
-            execute(worker_id, registry, &mut take.batch, metrics);
-        }));
-        if let Err(payload) = ran {
-            fail_panicked_batch(&mut take.batch, payload.as_ref(), metrics);
-        }
+        execute(worker_id, registry, &mut take.batch, metrics);
+    }));
+    if let Err(payload) = ran {
+        fail_panicked_batch(&mut take.batch, payload.as_ref(), metrics);
     }
 }
 
@@ -735,9 +746,8 @@ mod tests {
     fn serve(queue: &JobQueue) -> usize {
         let mut take = Take::with_capacity(1);
         assert!(queue.collect_into(&mut take), "the queue has left");
-        fail(&take.expired, JobFailure::Expired, &queue.metrics);
         let jobs = take.batch.len();
-        execute(0, &echo_registry(), &mut take.batch, &queue.metrics);
+        dispatch(0, &echo_registry(), &mut take, None, &queue.metrics);
         jobs
     }
 

@@ -6,8 +6,8 @@
 //! per-batch `catch_unwind` outside `run_model` cannot, because
 //! `run_model`'s own guard keeps every model panic away from it. A
 //! [`FaultPlan`] in `BatcherConfig::faults` raises exactly that panic, on
-//! the Nth batch collected across all workers, so the chaos tests
-//! (`tests/chaos.rs`) can assert which batch failed, with what message,
+//! the Nth batch collected across all workers, so the crate's simulator
+//! and the queue's tests can assert which batch failed, with what message,
 //! and what came back afterwards. Without a plan the per-batch cost is
 //! one `Option` check.
 

@@ -433,16 +433,8 @@ pub fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Serializes `response` to `w`, adding `Content-Length` and — when
-/// `keep_alive` is false — `Connection: close`.
-///
-/// # Errors
-/// Propagates transport write failures.
-pub fn write_response(
-    w: &mut impl Write,
-    response: &Response,
-    keep_alive: bool,
-) -> std::io::Result<()> {
+/// The wire bytes of `response` (see [`write_response`]).
+pub(crate) fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     let mut out = Vec::with_capacity(128 + response.body.len());
     out.extend_from_slice(
         format!(
@@ -461,7 +453,20 @@ pub fn write_response(
     }
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(&response.body);
-    w.write_all(&out)
+    out
+}
+
+/// Serializes `response` to `w`, adding `Content-Length` and — when
+/// `keep_alive` is false — `Connection: close`.
+///
+/// # Errors
+/// Propagates transport write failures.
+pub fn write_response(
+    w: &mut impl Write,
+    response: &Response,
+    keep_alive: bool,
+) -> std::io::Result<()> {
+    w.write_all(&encode_response(response, keep_alive))
 }
 
 /// Serializes a request to `w` with `Content-Length` (clients of this stack
@@ -488,8 +493,9 @@ pub fn write_request(
     w.write_all(&out)
 }
 
-/// A buffered HTTP connection: feeds TCP reads into the incremental parsers
-/// and carries leftover bytes across keep-alive messages.
+/// A buffered client connection: feeds TCP reads into [`parse_response`]
+/// and carries leftover bytes across keep-alive responses. (The server's
+/// side of a connection is the crate's session, which reads requests.)
 pub struct Conn<S> {
     stream: S,
     buf: Vec<u8>,
@@ -504,48 +510,6 @@ impl<S: Read> Conn<S> {
         }
     }
 
-    /// Reads until `parse` completes. `Ok(None)` means the peer closed the
-    /// connection cleanly *between* messages (only `at_rest` contexts allow
-    /// it).
-    fn read_message<T>(
-        &mut self,
-        parse: fn(&[u8]) -> Result<Parse<T>, HttpError>,
-        context: &'static str,
-        eof_ok_when_empty: bool,
-    ) -> Result<Option<T>, HttpError> {
-        loop {
-            match parse(&self.buf)? {
-                Parse::Complete { value, consumed } => {
-                    self.buf.drain(..consumed);
-                    return Ok(Some(value));
-                }
-                Parse::Partial => {}
-            }
-            let mut chunk = [0u8; 4096];
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                if self.buf.is_empty() && eof_ok_when_empty {
-                    return Ok(None);
-                }
-                return Err(HttpError::UnexpectedEof { context });
-            }
-            let read = chunk
-                .get(..n)
-                .ok_or(HttpError::Io(io::ErrorKind::InvalidData))?;
-            self.buf.extend_from_slice(read);
-        }
-    }
-
-    /// Reads the next request; `Ok(None)` on a clean close between
-    /// requests.
-    ///
-    /// # Errors
-    /// Typed [`HttpError`] on malformed input, truncation or transport
-    /// failure.
-    pub fn read_request(&mut self) -> Result<Option<Request>, HttpError> {
-        self.read_message(parse_request, "a request", true)
-    }
-
     /// Reads the next response (EOF before a complete response is always an
     /// error — a response is only ever read after sending a request).
     ///
@@ -553,10 +517,23 @@ impl<S: Read> Conn<S> {
     /// Typed [`HttpError`] on malformed input, truncation or transport
     /// failure.
     pub fn read_response(&mut self) -> Result<Response, HttpError> {
-        self.read_message(parse_response, "a response", false)?
-            .ok_or(HttpError::UnexpectedEof {
-                context: "a response",
-            })
+        loop {
+            if let Parse::Complete { value, consumed } = parse_response(&self.buf)? {
+                self.buf.drain(..consumed);
+                return Ok(value);
+            }
+            let mut chunk = [0u8; 4096];
+            let n = self.stream.read(&mut chunk)?;
+            if n == 0 {
+                return Err(HttpError::UnexpectedEof {
+                    context: "a response",
+                });
+            }
+            let read = chunk
+                .get(..n)
+                .ok_or(HttpError::Io(io::ErrorKind::InvalidData))?;
+            self.buf.extend_from_slice(read);
+        }
     }
 }
 
@@ -709,24 +686,27 @@ mod tests {
                 Ok(1)
             }
         }
-        let raw = b"POST /x HTTP/1.1\r\ncontent-length: 3\r\n\r\nxyzGET /y HTTP/1.1\r\n\r\n";
-        let mut conn = Conn::new(Dribble {
-            data: raw.to_vec(),
-            pos: 0,
-        });
-        let first = conn.read_request().unwrap().unwrap();
-        assert_eq!(first.body, b"xyz");
-        let second = conn.read_request().unwrap().unwrap();
-        assert_eq!(second.target, "/y");
-        assert!(conn.read_request().unwrap().is_none(), "clean EOF");
+        let mut raw = Vec::new();
+        write_response(&mut raw, &Response::new(200, b"xyz".to_vec()), true).unwrap();
+        write_response(&mut raw, &Response::new(404, Vec::new()), false).unwrap();
+        let mut conn = Conn::new(Dribble { data: raw, pos: 0 });
+        let first = conn.read_response().unwrap();
+        assert_eq!((first.status, first.body.as_slice()), (200, &b"xyz"[..]));
+        let second = conn.read_response().unwrap();
+        assert_eq!(second.status, 404);
+        assert_eq!(second.header("connection"), Some("close"));
+        assert!(matches!(
+            conn.read_response().unwrap_err(),
+            HttpError::UnexpectedEof { .. }
+        ));
     }
 
     #[test]
     fn conn_reports_truncation_as_unexpected_eof() {
-        let raw: &[u8] = b"POST /x HTTP/1.1\r\ncontent-length: 100\r\n\r\nshort";
+        let raw: &[u8] = b"HTTP/1.1 200 OK\r\ncontent-length: 100\r\n\r\nshort";
         let mut conn = Conn::new(raw);
         assert!(matches!(
-            conn.read_request().unwrap_err(),
+            conn.read_response().unwrap_err(),
             HttpError::UnexpectedEof { .. }
         ));
     }

@@ -24,13 +24,20 @@
 //! * [`registry`] — checkpoint discovery and model loading (any of the six
 //!   localizer kinds); `Send + Sync`, built once on the main thread and
 //!   shared by every worker behind an `Arc`.
-//! * [`server`] — accept loop, routing (`POST /v1/localize`,
-//!   `GET /v1/models`, `GET /healthz`, `GET /metrics`,
-//!   `POST /admin/drain`) and lifecycle.
+//! * `session` — one connection's exchange as a pure state machine: the
+//!   parse buffer, routing (`POST /v1/localize`, `GET /v1/models`,
+//!   `GET /healthz`, `GET /metrics`, `POST /admin/drain`), validation and
+//!   encoding. It holds no socket, clock or thread; it is fed bytes, job
+//!   outcomes and the current instant and says what to do next.
+//! * [`server`] — the blocking shell: the accept loop, one handler thread
+//!   per connection, capped by a permit count taken from the batcher's
+//!   knobs (`503` + `Retry-After` past it), that reads, submits, waits and
+//!   writes as its session asks; and the lifecycle. The session ends where
+//!   a socket, a clock or a wait begins.
 //! * [`metrics`] — counters, batch-size histogram, per-worker dispatch
 //!   counters and latency percentiles behind `GET /metrics`.
 //! * [`faultinject`] — the one fault no test can cause from outside, a
-//!   worker panic on the Nth collected batch, for the chaos tests; one
+//!   worker panic on the Nth collected batch, for the simulator; one
 //!   `Option` check per batch when no plan is configured.
 //!
 //! The stack is **fault tolerant by construction**: each collected batch
@@ -66,9 +73,13 @@ pub mod metrics;
 pub mod registry;
 mod schedule;
 pub mod server;
+mod session;
 
 pub use batcher::{BatcherConfig, JobFailure, SubmitError};
 pub use faultinject::FaultPlan;
 pub use metrics::Metrics;
 pub use registry::Registry;
 pub use server::{DrainTrigger, Server, ServerConfig, DRAIN_GRACE};
+
+#[cfg(test)]
+mod sim;

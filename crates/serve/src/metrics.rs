@@ -120,6 +120,9 @@ pub struct Metrics {
     pub localize_ok: AtomicU64,
     /// Localize requests shed with 503 because the queue was full.
     pub rejected_busy: AtomicU64,
+    /// Connections refused with 503 at accept because every handler
+    /// permit was held.
+    pub rejected_connections: AtomicU64,
     /// Requests answered with a 4xx.
     pub client_errors: AtomicU64,
     /// Requests answered with a 5xx other than backpressure 503s and
@@ -138,8 +141,8 @@ pub struct Metrics {
     pub live_workers: AtomicUsize,
     /// Jobs currently buffered in the dispatch queue.
     pub queue_depth: AtomicUsize,
-    /// Server-side latency of successful localize requests (parse complete
-    /// → response ready).
+    /// Server-side latency of successful localize requests (the read that
+    /// completed the request → response ready).
     pub latency: LatencyHistogram,
     /// `localize_batch` dispatches per worker (index = worker id).
     batches_dispatched: Vec<AtomicU64>,
@@ -161,6 +164,7 @@ impl Metrics {
             requests_total: AtomicU64::new(0),
             localize_ok: AtomicU64::new(0),
             rejected_busy: AtomicU64::new(0),
+            rejected_connections: AtomicU64::new(0),
             client_errors: AtomicU64::new(0),
             server_errors: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
@@ -227,6 +231,7 @@ impl Metrics {
             ("requests_total", load(&self.requests_total)),
             ("localize_ok", load(&self.localize_ok)),
             ("rejected_busy", load(&self.rejected_busy)),
+            ("rejected_connections", load(&self.rejected_connections)),
             ("client_errors", load(&self.client_errors)),
             ("server_errors", load(&self.server_errors)),
             ("jobs_failed", load(&self.jobs_failed)),

@@ -125,10 +125,11 @@ impl Schedule {
     /// the front job would overflow it (it stays queued for the next
     /// batch; only a lone job larger than the cap runs alone). A job whose
     /// deadline is at or before `now` goes to `take.expired` and counts
-    /// towards nothing. With a zero `max_wait` the batch runs at once; a
-    /// non-zero one holds it open until `max_wait` after the take started
-    /// or the earliest deadline among the held jobs, whichever comes
-    /// first, unless it fills or the queue closes.
+    /// towards nothing, even behind a full batch: after a take the front
+    /// job, if any, is unexpired at `now`. With a zero `max_wait` the
+    /// batch runs at once; a non-zero one holds it open until `max_wait`
+    /// after the take started or the earliest deadline among the held
+    /// jobs, whichever comes first, unless it fills or the queue closes.
     pub(crate) fn take(&mut self, now: Instant, take: &mut Take) -> Decision {
         if take.batch.is_empty() {
             if self.jobs.is_empty() {
@@ -140,13 +141,14 @@ impl Schedule {
             }
             take.end = now.checked_add(self.max_wait);
         }
-        while take.observations < self.max_batch {
-            let Some(front) = self.jobs.front() else {
-                break;
-            };
+        while let Some(front) = self.jobs.front() {
             let stale = front.deadline.is_some_and(|deadline| deadline <= now);
             let len = front.observations.len();
-            if !stale && !take.batch.is_empty() && take.observations + len > self.max_batch {
+            // A stale front job leaves however full the batch is, so it
+            // never keeps a queue slot behind a full batch.
+            let full = take.observations >= self.max_batch
+                || (!take.batch.is_empty() && take.observations + len > self.max_batch);
+            if full && !stale {
                 break;
             }
             let Some(job) = self.jobs.pop_front() else {
@@ -343,6 +345,14 @@ mod tests {
             match decision {
                 Decision::Run => {
                     prop_assert!(!(take.batch.is_empty() && take.expired.is_empty()));
+                    // Expired jobs keep no queue slot: the front job left
+                    // behind is unexpired at the take instant.
+                    if let Some(&(id, _, deadline)) = self.queued.front() {
+                        prop_assert!(
+                            deadline.is_none_or(|deadline| deadline > now),
+                            "job {id} expired at {now:?} but kept its slot"
+                        );
+                    }
                     // No batch is larger than `max_batch` unless it is one
                     // job, and none stops short of it while a job that fits
                     // is queued.

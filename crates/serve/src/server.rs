@@ -1,5 +1,9 @@
-//! The TCP front end: accept loop, per-connection handler threads, request
-//! routing, and the server lifecycle handle.
+//! The TCP front end: the accept loop, the per-connection handler threads
+//! and the server lifecycle handle. What a connection *says* — parsing,
+//! routing, validation, encoding — is the crate's session, a pure state
+//! machine; this module is its blocking shell. A handler thread reads only
+//! when its session asks for bytes, submits the job the session asks for,
+//! waits for its reply, and writes what the session encodes.
 //!
 //! Endpoints:
 //!
@@ -11,27 +15,38 @@
 //! | `GET /healthz` | liveness: `ok` / `degraded` (some models failed to load) / `503` while draining or with no live worker |
 //! | `GET /metrics` | counters, batch-size histogram, latency percentiles, queue depth, fault-tolerance counters |
 //!
+//! Live handler threads are bounded by construction: each holds a permit,
+//! and there are `queue_cap + workers × max_batch` of them (288 by
+//! default), one per job the queue and the running batches can hold. A
+//! connection accepted when none is free is answered `503` +
+//! `Retry-After: 1` and closed (`rejected_connections`). An idle
+//! keep-alive connection keeps its permit until its read times out (30 s),
+//! so a server whose permits are all held by idle connections refuses new
+//! ones until a client closes or idles out. Every read and write on a
+//! connection times out after those 30 s.
+//!
 //! The server degrades instead of dying: a panic in a batch — the model's
 //! or one injected by the fault harness — fails only that batch's jobs
 //! (500s naming the panic) while its dispatch worker goes on serving, and
 //! a corrupt checkpoint at boot skips that one model. `/healthz` reports
 //! the degraded boot so orchestrators can route around the replica.
 
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use jsonio::Json;
-
-use crate::batcher::{self, BatcherClient, BatcherConfig, Job, JobFailure, SubmitError};
+use crate::batcher::{self, BatcherClient, BatcherConfig};
 use crate::codec;
-use crate::http::{self, Conn, Method, Request, Response};
+use crate::http;
 use crate::metrics::Metrics;
 use crate::registry::Registry;
+use crate::session::{self, Action, Outcome, Service, Session, READ_CHUNK};
 
-/// Idle timeout on connection reads; a peer that goes silent this long is
-/// disconnected so handler threads cannot leak forever.
+/// Timeout on every connection read and write: a peer that goes silent,
+/// or stops reading, this long is disconnected, so a handler thread and
+/// its permit cannot be held forever.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Backstop on how long a handler waits for its job's reply before
@@ -73,19 +88,13 @@ impl Default for ServerConfig {
 
 /// Shared state every connection handler gets.
 struct Shared {
-    metrics: Arc<Metrics>,
+    /// What each connection's session reads.
+    service: Service,
     batcher: BatcherClient,
-    /// `(name, kind, num_aps)` catalog for `/v1/models` and request
-    /// validation.
-    catalog: Vec<(String, String, usize)>,
-    /// `(name, error)` for checkpoints that failed to load at boot.
-    degraded: Vec<(String, String)>,
-    /// Accept-loop stop flag.
-    shutdown: Arc<AtomicBool>,
-    /// Graceful-drain flag: set before `shutdown`, refuses new localize
-    /// admissions while queued work completes.
-    draining: AtomicBool,
-    default_deadline: Option<Duration>,
+    /// Live handler threads: each holds a [`Permit`].
+    handlers: AtomicUsize,
+    /// The cap on `handlers` (see [`handler_bound`]).
+    max_handlers: usize,
     addr: SocketAddr,
 }
 
@@ -103,10 +112,10 @@ impl DrainTrigger {
     /// returns whether the drain completed in time (the accept loop is
     /// stopped either way).
     pub fn drain(&self, grace: Duration) -> bool {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        self.shared.service.draining.store(true, Ordering::SeqCst);
         self.shared.batcher.drain();
         let drained = self.shared.batcher.await_drained(grace);
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.service.shutdown.store(true, Ordering::SeqCst);
         // Wake the blocking accept() so it observes the flag.
         let _ = TcpStream::connect(self.shared.addr);
         drained
@@ -148,23 +157,25 @@ impl Server {
             .map_err(|e| format!("cannot resolve bound address: {e}"))?;
 
         let metrics = Arc::new(Metrics::with_workers(config.batcher.workers.max(1)));
-        let catalog = registry.catalog();
-        let degraded = registry.degraded().to_vec();
+        let service = Service {
+            metrics: Arc::clone(&metrics),
+            catalog: registry.catalog(),
+            degraded: registry.degraded().to_vec(),
+            default_deadline: config.default_deadline,
+            draining: AtomicBool::new(false),
+            shutdown: AtomicBool::new(false),
+        };
         let (batcher, dispatchers) = batcher::start(
             Arc::new(registry),
             config.batcher.clone(),
             Arc::clone(&metrics),
         )?;
 
-        let shutdown = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared {
-            metrics: Arc::clone(&metrics),
+            service,
             batcher,
-            catalog,
-            degraded,
-            shutdown,
-            draining: AtomicBool::new(false),
-            default_deadline: config.default_deadline,
+            handlers: AtomicUsize::new(0),
+            max_handlers: handler_bound(&config.batcher),
             addr,
         });
         let accept_shared = Arc::clone(&shared);
@@ -202,7 +213,8 @@ impl Server {
 
     /// Blocks until the accept loop exits (on [`Server::shutdown`] or a
     /// completed drain — "serve until stopped" for the binary), then joins
-    /// the batcher threads.
+    /// the batcher threads. Handler threads are not joined: a keep-alive
+    /// handler lives until its client closes or its 30 s read timeout.
     pub fn join(mut self) {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
@@ -213,13 +225,15 @@ impl Server {
     }
 
     /// Graceful in-process shutdown: stop admitting, complete everything
-    /// queued (up to `grace`), then stop the accept loop and join every
-    /// server thread. Returns whether the queue fully drained in time.
+    /// queued (up to `grace`), then stop the accept loop and join it and
+    /// the dispatch workers. Returns whether the queue fully drained in
+    /// time.
     ///
     /// This is the teardown for back-to-back in-process servers: when it
     /// returns, no dispatch worker or accept thread from this server is
     /// still running, so the next server cannot race it for the port or
-    /// CPU.
+    /// CPU. Handler threads are not joined: each ends when its client
+    /// closes or its 30 s read timeout passes.
     pub fn drain(&mut self, grace: Duration) -> bool {
         let drained = self.drain_trigger().drain(grace);
         self.shutdown();
@@ -236,7 +250,7 @@ impl Server {
         // No early-out on an already-set flag: a drain sets the flag
         // before the accept loop has necessarily exited, and this must
         // still join it. Idempotence comes from `accept.take()`.
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.service.shutdown.store(true, Ordering::SeqCst);
         // Wake the blocking accept() with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(accept) = self.accept.take() {
@@ -251,291 +265,136 @@ impl Drop for Server {
     }
 }
 
+/// Live handler threads a server allows: `queue_cap + workers ×
+/// max_batch`, each read as the schedule reads it (zero as one). Every job
+/// in the queue, and every job of a running batch (at most `max_batch`
+/// one-observation jobs per worker), has a handler waiting on it, so this
+/// many handlers can keep the dispatch layer full; more would only wait
+/// for a `503` from the queue. The default configuration allows 288.
+fn handler_bound(config: &BatcherConfig) -> usize {
+    let per_worker = config.max_batch.max(1);
+    config.queue_cap.max(1) + config.workers.max(1) * per_worker
+}
+
+/// A live handler's claim on one of [`Shared::max_handlers`] slots.
+/// Dropping it frees the slot, on every exit path of the handler — and
+/// with the closure of a handler thread that failed to spawn.
+struct Permit {
+    shared: Arc<Shared>,
+}
+
+impl Permit {
+    fn acquire(shared: &Arc<Shared>) -> Option<Permit> {
+        shared
+            .handlers
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |live| {
+                (live < shared.max_handlers).then_some(live + 1)
+            })
+            .ok()?;
+        Some(Permit {
+            shared: Arc::clone(shared),
+        })
+    }
+}
+
+impl Drop for Permit {
+    fn drop(&mut self) {
+        self.shared.handlers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shared.service.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                let shared = Arc::clone(shared);
-                // Handler threads are detached: they hold the shared state,
-                // batcher client included, and exit when their connection
-                // closes or idles out.
+                let Some(permit) = Permit::acquire(shared) else {
+                    refuse(&stream, &shared.service.metrics);
+                    continue;
+                };
+                // Handler threads are detached: each holds its permit, and
+                // through it the shared state, batcher client included, and
+                // exits when its connection closes or times out.
                 let _ = std::thread::Builder::new()
                     .name("vital-serve-conn".into())
-                    .spawn(move || handle_connection(stream, &shared));
+                    .spawn(move || run_session(&stream, &permit.shared));
             }
-            Err(_) if shared.shutdown.load(Ordering::SeqCst) => return,
+            Err(_) if shared.service.shutdown.load(Ordering::SeqCst) => return,
             Err(_) => continue,
         }
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
+/// Answers a connection no handler may take with `503` + `Retry-After` and
+/// closes it. The write is non-blocking, so a peer that does not read
+/// cannot hold up the accept loop: a refusal with no room in the socket's
+/// send buffer is dropped with the connection.
+fn refuse(stream: &TcpStream, metrics: &Metrics) {
+    metrics.rejected_connections.fetch_add(1, Ordering::Relaxed);
+    if stream.set_nonblocking(true).is_ok() {
+        let body = codec::error_response("every connection handler is busy; retry shortly");
+        let response = session::json_response(503, &body).with_header("retry-after", "1");
+        let _ = (&*stream).write_all(&http::encode_response(&response, false));
+    }
+}
+
+/// The shell around one connection's [`Session`]: it does what the
+/// session asks, and everything that blocks.
+fn run_session(stream: &TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let mut conn = Conn::new(&stream);
+    let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
+    let service = &shared.service;
+    let mut session = Session::new();
+    let mut chunk = [0u8; READ_CHUNK];
+    let mut action = session.poll(service, Instant::now());
     loop {
-        let request = match conn.read_request() {
-            Ok(Some(request)) => request,
-            Ok(None) => return, // clean close between requests
-            Err(error) => {
-                // Answer protocol errors that still have a client to talk
-                // to, then drop the connection either way.
-                if let Some(status) = error.status() {
-                    shared
-                        .metrics
-                        .requests_total
-                        .fetch_add(1, Ordering::Relaxed);
-                    count_status(&shared.metrics, status);
-                    let body = codec::error_response(&error.to_string());
-                    let _ =
-                        http::write_response(&mut (&stream), &json_response(status, &body), false);
+        action = match action {
+            Action::Read => {
+                // A failed read (the timeout, a reset) ends the connection
+                // unanswered, like an EOF mid-request.
+                let Ok(n) = (&*stream).read(&mut chunk) else {
+                    return;
+                };
+                session.received(chunk.get(..n).unwrap_or_default());
+                session.poll(service, Instant::now())
+            }
+            Action::Submit { job, answer } => {
+                let outcome = match shared.batcher.submit(job) {
+                    Ok(()) => answer
+                        .recv_timeout(REPLY_WAIT_CAP)
+                        .map_or_else(Outcome::Lost, Outcome::Replied),
+                    Err(refused) => Outcome::Refused(refused),
+                };
+                session.answered(service, outcome, Instant::now())
+            }
+            Action::Write { bytes, close } => {
+                if (&*stream).write_all(&bytes).is_err() || close {
+                    return;
                 }
-                return;
+                session.poll(service, Instant::now())
             }
+            Action::Drain(then) => {
+                start_drain(shared);
+                *then
+            }
+            Action::Close => return,
         };
-        shared
-            .metrics
-            .requests_total
-            .fetch_add(1, Ordering::Relaxed);
-        let keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
-        let response = route(&request, shared);
-        count_status(&shared.metrics, response.status);
-        if http::write_response(&mut (&stream), &response, keep_alive).is_err() || !keep_alive {
-            return;
-        }
     }
 }
 
-/// Folds a response status into the error counters (2xx are counted at the
-/// localize site, where latency is also recorded).
-fn count_status(metrics: &Metrics, status: u16) {
-    match status {
-        400..=499 => {
-            metrics.client_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        // Backpressure 503s and deadline 504s are intentional shedding,
-        // tracked separately (`rejected_busy` / `jobs_expired`) — only
-        // other 5xx count as server errors.
-        500..=599 if status != 503 && status != 504 => {
-            metrics.server_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        _ => {}
-    }
-}
-
-fn json_response(status: u16, body: &Json) -> Response {
-    Response::new(status, body.to_json_string().into_bytes())
-        .with_header("content-type", "application/json")
-}
-
-fn route(request: &Request, shared: &Arc<Shared>) -> Response {
-    match (request.method, request.target.as_str()) {
-        (Method::Get, "/healthz") => healthz(shared),
-        (Method::Get, "/v1/models") => {
-            let mut entries: Vec<Json> = shared
-                .catalog
-                .iter()
-                .map(|(name, kind, num_aps)| {
-                    Json::obj([
-                        ("name", Json::from(name.as_str())),
-                        ("kind", Json::from(kind.as_str())),
-                        ("num_aps", Json::from(*num_aps)),
-                        ("status", Json::from("ok")),
-                    ])
-                })
-                .collect();
-            // Checkpoints that failed to load are listed too — a fleet
-            // controller diffing /v1/models against its rollout plan must
-            // see the hole, not silently shortened output.
-            entries.extend(shared.degraded.iter().map(|(name, error)| {
-                Json::obj([
-                    ("name", Json::from(name.as_str())),
-                    ("status", Json::from("degraded")),
-                    ("error", Json::from(error.as_str())),
-                ])
-            }));
-            json_response(200, &Json::obj([("models", Json::Arr(entries))]))
-        }
-        (Method::Get, "/metrics") => json_response(200, &shared.metrics.snapshot_json()),
-        (Method::Post, "/v1/localize") => localize(request, shared),
-        (Method::Post, "/admin/drain") => admin_drain(shared),
-        (Method::Get, _) => json_response(404, &codec::error_response("no such endpoint")),
-        (Method::Post, _) => json_response(404, &codec::error_response("no such endpoint")),
-    }
-}
-
-/// Liveness with degradation states (see the module table). The body
-/// always carries `status`, model counts and worker gauges so probes can
-/// alert on partial degradation, not just the status code.
-fn healthz(shared: &Shared) -> Response {
-    let live = shared.batcher.live_workers();
-    let workers = shared.batcher.configured_workers();
-    let degraded_models = shared.degraded.len();
-    let body = |status: &str| {
-        Json::obj([
-            ("status", Json::from(status)),
-            ("models", Json::from(shared.catalog.len())),
-            ("degraded_models", Json::from(degraded_models)),
-            ("workers", Json::from(workers)),
-            ("live_workers", Json::from(live)),
-        ])
+/// The drain `POST /admin/drain` started: the queue closes before the
+/// `202` is written, and a detached finisher thread waits for it to empty
+/// and then stops the accept loop.
+fn start_drain(shared: &Arc<Shared>) {
+    // The finisher's drain repeats this, a no-op on a closed queue.
+    shared.batcher.drain();
+    let finisher = DrainTrigger {
+        shared: Arc::clone(shared),
     };
-    if shared.draining.load(Ordering::SeqCst) {
-        return json_response(503, &body("draining"));
-    }
-    if live == 0 {
-        return json_response(503, &body("dead"));
-    }
-    if degraded_models > 0 {
-        return json_response(200, &body("degraded"));
-    }
-    json_response(200, &body("ok"))
-}
-
-/// `POST /admin/drain`: flips the server into draining mode and answers
-/// immediately with `202`; a detached finisher thread waits for the queue
-/// to empty and then stops the accept loop. Idempotent — repeat calls
-/// observe `already_draining`.
-fn admin_drain(shared: &Arc<Shared>) -> Response {
-    let already = shared.draining.swap(true, Ordering::SeqCst);
-    if !already {
-        // Close the queue before answering; the finisher's drain repeats
-        // this, which is a no-op on a closed queue.
-        shared.batcher.drain();
-        let finisher = DrainTrigger {
-            shared: Arc::clone(shared),
-        };
-        let _ = std::thread::Builder::new()
-            .name("vital-serve-drain".into())
-            .spawn(move || finisher.drain(DRAIN_GRACE));
-    }
-    json_response(
-        202,
-        &Json::obj([
-            ("status", Json::from("draining")),
-            (
-                "queued",
-                Json::from(shared.metrics.queue_depth.load(Ordering::Relaxed)),
-            ),
-            ("already_draining", Json::from(already)),
-        ]),
-    )
-}
-
-fn localize(request: &Request, shared: &Shared) -> Response {
-    if shared.draining.load(Ordering::SeqCst) {
-        return json_response(
-            503,
-            &codec::error_response("server is draining; retry against another replica"),
-        )
-        .with_header("retry-after", "1");
-    }
-    let started = Instant::now();
-    let decoded = match codec::parse_localize_request(&request.body) {
-        Ok(decoded) => decoded,
-        Err(error) => return json_response(400, &codec::error_response(&error.to_string())),
-    };
-
-    // Resolve the model name against the catalog up front so the
-    // dispatch workers only ever see valid names.
-    let (model, _, num_aps) = match &decoded.model {
-        Some(name) => match shared.catalog.iter().find(|(n, _, _)| n == name) {
-            Some(entry) => entry,
-            None => {
-                return json_response(
-                    404,
-                    &codec::error_response(&format!("model {name:?} is not hosted")),
-                )
-            }
-        },
-        // With exactly one hosted model the name may be omitted; otherwise
-        // it is required.
-        None => match shared.catalog.as_slice() {
-            [only] => only,
-            _ => {
-                return json_response(
-                    400,
-                    &codec::error_response(
-                        "several models are hosted; name one with the \"model\" field",
-                    ),
-                )
-            }
-        },
-    };
-    // The model's input contract, held here so that no batch can form
-    // around an observation its model would refuse.
-    if let Err(error) = vital::check_widths(*num_aps, &decoded.observations) {
-        return json_response(
-            400,
-            &codec::error_response(&format!("model {model:?} refuses the input: {error}")),
-        );
-    }
-
-    // Per-request deadline beats the server default; both are capped by
-    // the codec at 24 h, so the Instant arithmetic cannot overflow.
-    let deadline = decoded
-        .deadline_ms
-        .map(Duration::from_millis)
-        .or(shared.default_deadline)
-        .and_then(|budget| started.checked_add(budget));
-
-    // Capacity 1 is exact: the dispatch worker sends one reply per job, so
-    // the send never blocks and the channel never buffers unboundedly.
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    let submitted = shared.batcher.submit(Job {
-        model: model.clone(),
-        observations: decoded.observations,
-        admitted: started,
-        deadline,
-        reply: reply_tx,
-    });
-    match submitted {
-        Ok(()) => {}
-        Err(SubmitError::Busy) => {
-            shared.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
-            return json_response(
-                503,
-                &codec::error_response("dispatch queue is full; retry shortly"),
-            )
-            .with_header("retry-after", "1");
-        }
-        Err(SubmitError::Closed) => {
-            return json_response(500, &codec::error_response("dispatch workers are gone"));
-        }
-    }
-
-    match reply_rx.recv_timeout(REPLY_WAIT_CAP) {
-        Ok(Ok(predictions)) => {
-            shared.metrics.localize_ok.fetch_add(1, Ordering::Relaxed);
-            shared
-                .metrics
-                .latency
-                .record_us(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            json_response(
-                200,
-                &codec::predictions_response(model, &predictions, decoded.bulk),
-            )
-        }
-        Ok(Err(JobFailure::Expired)) => json_response(
-            504,
-            &codec::error_response(
-                "deadline exceeded while queued; the server is shedding stale work",
-            ),
-        )
-        .with_header("retry-after", "1"),
-        Ok(Err(JobFailure::Failed(message))) => {
-            json_response(500, &codec::error_response(&message))
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => json_response(
-            500,
-            &codec::error_response("a dispatch worker dropped the job"),
-        ),
-        Err(mpsc::RecvTimeoutError::Timeout) => json_response(
-            500,
-            &codec::error_response("timed out waiting for a dispatch worker"),
-        ),
-    }
+    let _ = std::thread::Builder::new()
+        .name("vital-serve-drain".into())
+        .spawn(move || finisher.drain(DRAIN_GRACE));
 }

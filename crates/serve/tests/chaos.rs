@@ -1,29 +1,22 @@
-//! Chaos tests: deterministic faults against a real server.
+//! Chaos tests: faults a test causes from outside, against a real server.
 //!
-//! The acceptance story for the fault-tolerance work: inject a worker
-//! panic mid-load and assert (a) only that batch's jobs fail, with a `500`
-//! naming the panic, (b) `/healthz` answers `200 ok` with every worker
-//! live straight afterwards — the worker never died — and (c) later
-//! responses are **bit-identical** to the offline reference. The other
-//! faults come from the tests themselves: a panicking *model* is contained
-//! to its batch without costing the worker, and checkpoint files damaged on
-//! disk degrade their own models instead of the whole boot.
-
-// Chaos tests pace polls against a live server with real sleeps — exempt
-// from the workspace ban on blocking sleeps in request handling.
-#![allow(clippy::disallowed_methods)]
+//! A panicking *model* is contained to its batch without costing the
+//! worker, and checkpoint files damaged on disk degrade their own models
+//! instead of the whole boot. The injected worker panic (a
+//! `FaultPlan::worker_panic`), alone and under concurrent load, is checked
+//! in virtual time by the crate's simulator: only that batch's jobs fail,
+//! with a `500` naming the panic, `/healthz` answers `200 ok` with every
+//! worker live straight afterwards, no client is stranded, and later
+//! responses are **bit-identical** to the offline reference.
 
 use std::net::TcpStream;
-use std::num::NonZeroU64;
-use std::sync::Arc;
-use std::time::Duration;
 
 use baselines::{FeatureMode, KnnLocalizer};
 use fingerprint::{base_devices, DatasetConfig, FingerprintDataset, FingerprintObservation};
 use jsonio::Json;
 use serve::codec;
 use serve::http::{self, Conn, Method, Response};
-use serve::{BatcherConfig, FaultPlan, Registry, Server, ServerConfig};
+use serve::{BatcherConfig, Registry, Server, ServerConfig};
 use sim_radio::building_1;
 use vital::{Localizer, Result as VitalResult};
 
@@ -80,206 +73,6 @@ fn assert_healthy(addr: std::net::SocketAddr, workers: usize) {
         doc.get("live_workers").and_then(Json::as_usize),
         Some(workers),
         "{body}"
-    );
-}
-
-/// The `error` text of a JSON error response.
-fn error_message(response: &Response) -> String {
-    let doc = jsonio::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
-    doc.get("error")
-        .and_then(Json::as_str)
-        .unwrap_or_default()
-        .to_string()
-}
-
-/// The headline acceptance test: a worker panic injected mid-load fails
-/// exactly the batch it hit with a `500` naming the panic, the worker
-/// serves on without a restart, and every other answer is bit-identical
-/// to offline.
-#[test]
-fn injected_worker_panic_fails_one_batch_and_the_server_recovers_bit_identical() {
-    let data = dataset();
-    let observations: Vec<FingerprintObservation> = data.observations().to_vec();
-    let offline = fitted_knn(&data);
-    let expected = offline
-        .localize_batch(&observations)
-        .expect("offline predictions");
-
-    // Panic on the 3rd collected batch. Requests are sent sequentially, so
-    // each forms its own batch: request index 2 is the victim.
-    let faults = Arc::new(FaultPlan::worker_panic(NonZeroU64::new(3).unwrap()));
-    let registry = Registry::from_models(vec![("knn".into(), Box::new(fitted_knn(&data)))]);
-    let server = Server::start(
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            batcher: BatcherConfig {
-                max_batch: 16,
-                max_wait: Duration::from_micros(100),
-                queue_cap: 64,
-                workers: 1,
-                faults: Some(faults),
-                ..BatcherConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-        registry,
-    )
-    .expect("server start");
-    let addr = server.addr();
-
-    // (a) Only the batch the panic hit fails; every other request matches
-    // the offline reference bit for bit. Each request uses a fresh
-    // connection: the victim's handler answers 500 and may drop the line.
-    let mut failures = Vec::new();
-    for (i, observation) in observations.iter().take(8).enumerate() {
-        let body = codec::localize_request_body(Some("knn"), std::slice::from_ref(observation));
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut conn = Conn::new(&stream);
-        let response = post_localize(&mut conn, &stream, body.as_bytes());
-        if response.status == 200 {
-            let predictions = codec::parse_predictions(&response.body).expect("parse");
-            assert_eq!(
-                predictions,
-                vec![expected[i]],
-                "request {i} diverged from the offline reference"
-            );
-        } else {
-            assert_eq!(response.status, 500, "request {i}");
-            let message = error_message(&response);
-            assert!(
-                message.contains("worker_panic on batch 3"),
-                "the 500 must name the injected panic, got: {message}"
-            );
-            failures.push(i);
-            // (b) Straight after the victim the one worker is still live.
-            assert_healthy(addr, 1);
-        }
-    }
-    assert_eq!(
-        failures,
-        vec![2],
-        "exactly the batch the panic hit must fail"
-    );
-    let metrics = server.metrics().snapshot_json();
-    assert_eq!(metrics.get("jobs_failed").and_then(Json::as_usize), Some(1));
-
-    // (c) A bulk pass over every observation is bit-identical to the
-    // offline reference.
-    let body = codec::localize_request_body(Some("knn"), &observations);
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut conn = Conn::new(&stream);
-    let response = post_localize(&mut conn, &stream, body.as_bytes());
-    assert_eq!(response.status, 200);
-    let predictions = codec::parse_predictions(&response.body).expect("parse");
-    assert_eq!(
-        predictions, expected,
-        "predictions after the panic must be bit-identical"
-    );
-}
-
-/// The same fault under concurrent load: eight closed-loop clients against
-/// one worker that panics on its 25th batch. Every request gets exactly one
-/// typed outcome, nobody is left waiting, the worker serves on, and the
-/// server still drains.
-#[test]
-fn a_worker_panic_under_concurrent_load_strands_no_client() {
-    const CLIENTS: usize = 8;
-    const REQUESTS_PER_CLIENT: usize = 40;
-    /// Far beyond the 500 ms deadline: a read that takes this long is a
-    /// stranded client.
-    const STRANDED_AFTER: Duration = Duration::from_secs(20);
-
-    let data = dataset();
-    let chunks: Vec<&[FingerprintObservation]> = data.observations().chunks(4).collect();
-    let offline = fitted_knn(&data);
-    let expected: Vec<Vec<usize>> = chunks
-        .iter()
-        .map(|chunk| offline.localize_batch(chunk).expect("offline predictions"))
-        .collect();
-
-    let faults = Arc::new(FaultPlan::worker_panic(NonZeroU64::new(25).unwrap()));
-    let registry = Registry::from_models(vec![("knn".into(), Box::new(fitted_knn(&data)))]);
-    let mut server = Server::start(
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            batcher: BatcherConfig {
-                max_batch: 8,
-                queue_cap: 32,
-                workers: 1,
-                faults: Some(faults),
-                ..BatcherConfig::default()
-            },
-            default_deadline: Some(Duration::from_millis(500)),
-        },
-        registry,
-    )
-    .expect("server start");
-    let addr = server.addr();
-
-    // Each client returns the statuses it saw; a fresh connection per
-    // request, because a 500's handler may drop the line.
-    let statuses: Vec<Vec<u16>> = std::thread::scope(|scope| {
-        let (chunks, expected) = (&chunks, &expected);
-        let clients: Vec<_> = (0..CLIENTS)
-            .map(|client| {
-                scope.spawn(move || {
-                    (0..REQUESTS_PER_CLIENT)
-                        .map(|request| {
-                            let chunk = (client + request * CLIENTS) % chunks.len();
-                            let body = codec::localize_request_body(Some("knn"), chunks[chunk]);
-                            let stream = TcpStream::connect(addr).expect("connect");
-                            stream.set_read_timeout(Some(STRANDED_AFTER)).unwrap();
-                            let mut conn = Conn::new(&stream);
-                            let response = post_localize(&mut conn, &stream, body.as_bytes());
-                            match response.status {
-                                200 => assert_eq!(
-                                    codec::parse_predictions(&response.body).expect("parse"),
-                                    expected[chunk],
-                                    "client {client} request {request} diverged from offline"
-                                ),
-                                // Shed by the queue bound or the deadline:
-                                // back off as a real client would.
-                                503 | 504 => std::thread::sleep(Duration::from_millis(2)),
-                                500 => {
-                                    let message = error_message(&response);
-                                    assert!(
-                                        message.contains("worker_panic on batch 25"),
-                                        "client {client} request {request}: a 500 must name \
-                                         the injected panic, got: {message}"
-                                    );
-                                    // The victim's worker is live straight away.
-                                    assert_healthy(addr, 1);
-                                }
-                                other => panic!("client {client} request {request}: {other}"),
-                            }
-                            response.status
-                        })
-                        .collect()
-                })
-            })
-            .collect();
-        clients
-            .into_iter()
-            .map(|c| c.join().expect("a client panicked or was stranded"))
-            .collect()
-    });
-    let count = |status: u16| statuses.iter().flatten().filter(|s| **s == status).count();
-    assert!(count(500) >= 1, "the panicking batch must fail its jobs");
-    assert!(count(200) >= 1, "requests after the panic must be served");
-
-    let body = codec::localize_request_body(Some("knn"), data.observations());
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut conn = Conn::new(&stream);
-    let response = post_localize(&mut conn, &stream, body.as_bytes());
-    assert_eq!(response.status, 200);
-    assert_eq!(
-        codec::parse_predictions(&response.body).expect("parse"),
-        expected.concat(),
-        "predictions after the panic must be bit-identical"
-    );
-    assert!(
-        server.drain(Duration::from_secs(30)),
-        "the server must still drain"
     );
 }
 

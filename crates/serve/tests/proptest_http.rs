@@ -5,7 +5,9 @@
 //! were chunked.
 
 use proptest::prelude::*;
-use serve::http::{parse_request, Conn, HttpError, Parse, Request, MAX_BODY_BYTES};
+use serve::http::{
+    parse_request, write_response, Conn, HttpError, Parse, Request, Response, MAX_BODY_BYTES,
+};
 
 /// A structurally valid request generated field by field.
 fn arbitrary_request_wire() -> impl Strategy<Value = Vec<u8>> {
@@ -32,34 +34,6 @@ fn arbitrary_request_wire() -> impl Strategy<Value = Vec<u8>> {
             wire.extend_from_slice(&body);
             wire
         })
-}
-
-/// A reader that hands out the wire bytes in caller-chosen chunk sizes,
-/// then EOF.
-struct Chunked {
-    data: Vec<u8>,
-    cuts: Vec<usize>,
-    pos: usize,
-    cut_index: usize,
-}
-
-impl std::io::Read for Chunked {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        if self.pos >= self.data.len() {
-            return Ok(0);
-        }
-        let step = self
-            .cuts
-            .get(self.cut_index)
-            .copied()
-            .unwrap_or(usize::MAX)
-            .clamp(1, out.len())
-            .min(self.data.len() - self.pos);
-        self.cut_index += 1;
-        out[..step].copy_from_slice(&self.data[self.pos..self.pos + step]);
-        self.pos += step;
-        Ok(step)
-    }
 }
 
 fn parse_whole(wire: &[u8]) -> Request {
@@ -102,11 +76,28 @@ proptest! {
         wire in arbitrary_request_wire(),
         cuts in proptest::collection::vec(1usize..7, 0..128),
     ) {
+        // Two pipelined copies arrive in chunks of the drawn sizes, as a
+        // server session buffers them: parse after each read, consume each
+        // complete request, keep the rest for the next.
         let direct = parse_whole(&wire);
-        let mut conn = Conn::new(Chunked { data: wire.clone(), cuts, pos: 0, cut_index: 0 });
-        let reassembled = conn.read_request().expect("valid request").expect("not EOF");
-        prop_assert_eq!(reassembled, direct);
-        prop_assert!(conn.read_request().expect("clean close").is_none());
+        let pipelined = [wire.as_slice(), wire.as_slice()].concat();
+        let (mut buffer, mut sent, mut parsed) = (Vec::new(), 0, Vec::new());
+        for cut in cuts.iter().copied().chain(std::iter::repeat(usize::MAX)) {
+            if sent == pipelined.len() {
+                break;
+            }
+            let end = sent.saturating_add(cut).min(pipelined.len());
+            buffer.extend_from_slice(&pipelined[sent..end]);
+            sent = end;
+            while let Parse::Complete { value, consumed } =
+                parse_request(&buffer).expect("a prefix of valid requests")
+            {
+                parsed.push(value);
+                buffer.drain(..consumed);
+            }
+        }
+        prop_assert_eq!(parsed, vec![direct.clone(), direct]);
+        prop_assert!(buffer.is_empty());
     }
 
     #[test]
@@ -114,21 +105,21 @@ proptest! {
         wire in arbitrary_request_wire(),
         drop_tail in 1usize..32,
     ) {
-        // Chop bytes off the end (keeping at least the head incomplete or
-        // body short) and drive it through a Conn that then reports EOF.
-        let cut = wire.len().saturating_sub(drop_tail);
-        if cut == 0 {
-            return Ok(());
-        }
-        let truncated = &wire[..cut];
-        // Only interesting when the truncated wire is not itself a complete
-        // message (bodies can be empty, making some cuts complete).
-        if let Ok(Parse::Partial) = parse_request(truncated) {
-            let mut conn = Conn::new(truncated);
-            match conn.read_request() {
-                Err(HttpError::UnexpectedEof { .. }) => {}
-                other => prop_assert!(false, "expected UnexpectedEof, got {other:?}"),
+        // The generated request's headers and body as a response, chopped
+        // short and read through a `Conn` that then reports EOF.
+        let request = parse_whole(&wire);
+        let mut response = Response::new(200, request.body);
+        for (name, value) in &request.headers {
+            if name.starts_with("x-") {
+                response = response.with_header(name, value);
             }
+        }
+        let mut full = Vec::new();
+        write_response(&mut full, &response, request.keep_alive).expect("write to a Vec");
+        let truncated = &full[..full.len().saturating_sub(drop_tail)];
+        match Conn::new(truncated).read_response() {
+            Err(HttpError::UnexpectedEof { .. }) => {}
+            other => prop_assert!(false, "expected UnexpectedEof, got {other:?}"),
         }
     }
 

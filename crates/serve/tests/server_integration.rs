@@ -1,14 +1,12 @@
-//! End-to-end tests: a real server on an ephemeral port, concurrent bulk
-//! requests over keep-alive connections, and the headline guarantee —
-//! responses produced through the micro-batching scheduler are
+//! End-to-end tests over real sockets: a server on an ephemeral port,
+//! concurrent bulk requests over keep-alive connections, and the headline
+//! guarantee — responses produced through the micro-batching scheduler are
 //! **bit-identical** to an offline `localize_batch` call on the same
-//! observations, with one dispatch worker *and* with four workers sharing
-//! the same weights. Plus deterministic backpressure (503 + `Retry-After`),
-//! multi-worker metrics semantics, and the error surface of the HTTP API.
-
-// Tests pace retries against a live server with real sleeps — exempt from
-// the workspace ban on blocking sleeps in request handling.
-#![allow(clippy::disallowed_methods)]
+//! observations, with four workers sharing the same weights. Plus
+//! multi-worker metrics semantics, the error surface of the HTTP API, the
+//! input contract of every kind, and the lifecycle. None of them sleeps:
+//! what depends on timing (coalescing, a full queue, stale deadlines, the
+//! drain's refusals) is checked in virtual time by the crate's simulator.
 
 use std::net::TcpStream;
 use std::time::Duration;
@@ -22,7 +20,7 @@ use serve::codec;
 use serve::http::{self, Conn, Method, Response};
 use serve::{BatcherConfig, Registry, Server, ServerConfig};
 use sim_radio::building_1;
-use vital::{Localizer, Result as VitalResult, VitalConfig, VitalModel};
+use vital::{Localizer, VitalConfig, VitalModel};
 
 /// Small deterministic dataset (seed-fixed): training and query sets for
 /// the KNN model both server and offline reference are built from.
@@ -135,50 +133,6 @@ fn assert_concurrent_bit_exactness(
         covered += predictions.len();
     }
     assert_eq!(covered, observations.len(), "every observation was served");
-}
-
-#[test]
-fn concurrent_batched_responses_are_bit_identical_to_offline_localize_batch() {
-    let data = dataset();
-    let observations: Vec<FingerprintObservation> = data.observations().to_vec();
-    let offline = fitted_knn(&data);
-    let expected = offline
-        .localize_batch(&observations)
-        .expect("offline predictions");
-
-    // Encourage real coalescing: a wait window comfortably longer than a
-    // client round-trip, batch larger than any single request.
-    let server = knn_server(BatcherConfig {
-        max_batch: 64,
-        max_wait: Duration::from_millis(5),
-        queue_cap: 256,
-        workers: 1,
-        ..BatcherConfig::default()
-    });
-
-    const CLIENTS: usize = 4;
-    const BULK: usize = 5;
-    assert_concurrent_bit_exactness(server.addr(), &observations, &expected, CLIENTS, BULK);
-
-    // The batch-size histogram proves requests were actually coalesced:
-    // with 4 clients in flight and a 5 ms window, at least one dispatch
-    // must exceed a single request's BULK observations.
-    let metrics = server.metrics().snapshot_json();
-    let hist = metrics
-        .get("batch_size_hist")
-        .and_then(Json::as_array)
-        .expect("batch histogram")
-        .to_vec();
-    assert!(!hist.is_empty(), "no batches recorded");
-    let max_batch_seen = hist
-        .iter()
-        .filter_map(|b| b.get("size").and_then(Json::as_usize))
-        .max()
-        .unwrap_or(0);
-    assert!(
-        max_batch_seen > BULK,
-        "no dispatch coalesced more than one request (largest batch: {max_batch_seen})"
-    );
 }
 
 #[test]
@@ -310,26 +264,6 @@ fn single_and_bulk_forms_round_trip_and_models_are_listed() {
     let metrics = server.metrics().snapshot_json();
     assert!(metrics.get("requests_total").unwrap().as_f64().unwrap() >= 5.0);
     assert!(metrics.get("client_errors").unwrap().as_f64().unwrap() >= 2.0);
-}
-
-/// A localizer whose batches take long enough to deterministically fill a
-/// 1-slot queue behind it.
-struct SlowLocalizer;
-
-impl Localizer for SlowLocalizer {
-    fn name(&self) -> &str {
-        "Slow"
-    }
-    fn num_aps(&self) -> usize {
-        1
-    }
-    fn fit(&mut self, _: &FingerprintDataset) -> VitalResult<()> {
-        Ok(())
-    }
-    fn localize_batch(&self, observations: &[FingerprintObservation]) -> VitalResult<Vec<usize>> {
-        std::thread::sleep(Duration::from_millis(400 * observations.len() as u64));
-        Ok(vec![0; observations.len()])
-    }
 }
 
 /// A survey small enough to fit every framework in a blink: building 1's
@@ -497,75 +431,6 @@ fn every_kind_refuses_another_access_point_count_before_it_queues() {
 }
 
 #[test]
-fn full_queue_sheds_load_with_503_and_retry_after() {
-    let registry = Registry::from_models(vec![("slow".into(), Box::new(SlowLocalizer))]);
-    let server = Server::start(
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            batcher: BatcherConfig {
-                max_batch: 1,
-                max_wait: Duration::from_micros(1),
-                queue_cap: 1,
-                workers: 1,
-                ..BatcherConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-        registry,
-    )
-    .expect("server start");
-    let addr = server.addr();
-
-    let observation = FingerprintObservation {
-        rp_label: 0,
-        device: String::new(),
-        min: vec![-80.0],
-        max: vec![-80.0],
-        mean: vec![-80.0],
-    };
-    let body = codec::localize_request_body(None, std::slice::from_ref(&observation));
-
-    // Two in-flight requests occupy the worker and the single queue
-    // slot; subsequent ones must be shed with 503 + Retry-After. The
-    // occupants start staggered so the first is already *being processed*
-    // (its 400 ms batch) when the second takes the queue slot.
-    std::thread::scope(|scope| {
-        for _ in 0..2 {
-            let body = body.clone();
-            scope.spawn(move || {
-                let stream = TcpStream::connect(addr).expect("connect");
-                let mut conn = Conn::new(&stream);
-                let response = post_localize(&mut conn, &stream, body.as_bytes());
-                assert_eq!(response.status, 200);
-            });
-            std::thread::sleep(Duration::from_millis(100));
-        }
-
-        let mut saw_busy = false;
-        for _ in 0..10 {
-            let stream = TcpStream::connect(addr).expect("connect");
-            let mut conn = Conn::new(&stream);
-            let response = post_localize(&mut conn, &stream, body.as_bytes());
-            if response.status == 503 {
-                assert_eq!(response.header("retry-after"), Some("1"));
-                let doc = jsonio::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
-                assert!(doc.get("error").is_some());
-                saw_busy = true;
-                break;
-            }
-            // A 200 means the queue drained between probes; try again.
-            assert_eq!(response.status, 200);
-        }
-        assert!(saw_busy, "queue of capacity 1 never shed load with 503");
-    });
-
-    let metrics = server.metrics().snapshot_json();
-    assert!(metrics.get("rejected_busy").unwrap().as_f64().unwrap() >= 1.0);
-    // Backpressure 503s are shedding, not server errors.
-    assert_eq!(metrics.get("server_errors").unwrap().as_f64(), Some(0.0));
-}
-
-#[test]
 fn shutdown_is_idempotent_and_frees_the_port() {
     let mut server = knn_server(BatcherConfig {
         ..BatcherConfig::default()
@@ -578,166 +443,20 @@ fn shutdown_is_idempotent_and_frees_the_port() {
 }
 
 #[test]
-fn stale_deadlines_are_shed_with_504_and_retry_after() {
-    // One slow worker, one queue slot: an occupant's 400 ms batch
-    // guarantees the next job waits in the queue long past a 50 ms
-    // deadline and is shed at dispatch time.
-    let registry = Registry::from_models(vec![("slow".into(), Box::new(SlowLocalizer))]);
-    let server = Server::start(
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            batcher: BatcherConfig {
-                max_batch: 1,
-                max_wait: Duration::from_micros(1),
-                queue_cap: 4,
-                workers: 1,
-                ..BatcherConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-        registry,
-    )
-    .expect("server start");
-    let addr = server.addr();
-
-    let observation = FingerprintObservation {
-        rp_label: 0,
-        device: String::new(),
-        min: vec![-80.0],
-        max: vec![-80.0],
-        mean: vec![-80.0],
-    };
-    let no_deadline = codec::localize_request_body(None, std::slice::from_ref(&observation));
-    let with_deadline = codec::localize_request_body_with_deadline(
-        None,
-        Some(50),
-        std::slice::from_ref(&observation),
-    );
-
-    std::thread::scope(|scope| {
-        // Occupant: keeps the worker busy for 400 ms.
-        let occupant_body = no_deadline.clone();
-        scope.spawn(move || {
-            let stream = TcpStream::connect(addr).expect("connect");
-            let mut conn = Conn::new(&stream);
-            let response = post_localize(&mut conn, &stream, occupant_body.as_bytes());
-            assert_eq!(response.status, 200);
-        });
-        std::thread::sleep(Duration::from_millis(100));
-
-        // The deadlined request queues behind the occupant and expires.
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut conn = Conn::new(&stream);
-        let response = post_localize(&mut conn, &stream, with_deadline.as_bytes());
-        assert_eq!(
-            response.status,
-            504,
-            "body: {}",
-            String::from_utf8_lossy(&response.body)
-        );
-        assert_eq!(response.header("retry-after"), Some("1"));
-        let doc = jsonio::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
-        assert!(doc.get("error").is_some());
-    });
-
-    let metrics = server.metrics().snapshot_json();
-    assert!(metrics.get("jobs_expired").unwrap().as_f64().unwrap() >= 1.0);
-    // Deadline 504s are intentional shedding, not server errors.
-    assert_eq!(metrics.get("server_errors").unwrap().as_f64(), Some(0.0));
-}
-
-#[test]
 fn admin_drain_completes_queued_work_then_stops_accepting() {
-    let registry = Registry::from_models(vec![("slow".into(), Box::new(SlowLocalizer))]);
-    let server = Server::start(
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            batcher: BatcherConfig {
-                max_batch: 1,
-                max_wait: Duration::from_micros(1),
-                queue_cap: 8,
-                workers: 1,
-                ..BatcherConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-        registry,
-    )
-    .expect("server start");
-    let addr = server.addr();
-
-    let observation = FingerprintObservation {
-        rp_label: 0,
-        device: String::new(),
-        min: vec![-80.0],
-        max: vec![-80.0],
-        mean: vec![-80.0],
-    };
-    let body = codec::localize_request_body(None, std::slice::from_ref(&observation));
-
-    std::thread::scope(|scope| {
-        // An in-flight occupant that must still complete through the drain.
-        let occupant_body = body.clone();
-        let occupant = scope.spawn(move || {
-            let stream = TcpStream::connect(addr).expect("connect");
-            let mut conn = Conn::new(&stream);
-            post_localize(&mut conn, &stream, occupant_body.as_bytes())
-        });
-        std::thread::sleep(Duration::from_millis(100));
-
-        // Trigger the drain over HTTP.
-        let stream = TcpStream::connect(addr).expect("connect");
-        http::write_request(&mut (&stream), Method::Post, "/admin/drain", &[], b"").expect("send");
-        let response = Conn::new(&stream).read_response().expect("response");
-        assert_eq!(response.status, 202);
-        let doc = jsonio::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
-        assert_eq!(doc.get("status").and_then(Json::as_str), Some("draining"));
-        assert_eq!(
-            doc.get("already_draining").and_then(Json::as_bool),
-            Some(false)
-        );
-
-        // New work is refused while draining; health reports it.
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut conn = Conn::new(&stream);
-        let refused = post_localize(&mut conn, &stream, body.as_bytes());
-        assert_eq!(refused.status, 503);
-        let health = get(addr, "/healthz");
-        assert_eq!(health.status, 503);
-        let health_json = jsonio::parse(std::str::from_utf8(&health.body).unwrap()).unwrap();
-        assert_eq!(
-            health_json.get("status").and_then(Json::as_str),
-            Some("draining")
-        );
-
-        // A second drain call is idempotent.
-        let stream = TcpStream::connect(addr).expect("connect");
-        http::write_request(&mut (&stream), Method::Post, "/admin/drain", &[], b"").expect("send");
-        let response = Conn::new(&stream).read_response().expect("response");
-        assert_eq!(response.status, 202);
-        let doc = jsonio::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
-        assert_eq!(
-            doc.get("already_draining").and_then(Json::as_bool),
-            Some(true)
-        );
-
-        // The occupant admitted before the drain still gets its answer.
-        let occupant_response = occupant.join().expect("occupant thread");
-        assert_eq!(occupant_response.status, 200);
-    });
-
-    // Once the queue drains the finisher stops the accept loop: new
-    // connections are eventually refused (or at least no longer answered).
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        match TcpStream::connect(addr) {
-            Err(_) => break,
-            Ok(_) if std::time::Instant::now() >= deadline => {
-                panic!("accept loop still running 10 s after the queue drained")
-            }
-            Ok(_) => std::thread::sleep(Duration::from_millis(50)),
-        }
-    }
+    // The shell's half of the drain. Over a real socket, `POST
+    // /admin/drain` to an idle server answers 202 and stops the accept
+    // loop, so `join` returns. What the drain completes and refuses is
+    // checked by the simulator's
+    // `admin_drain_completes_queued_work_then_refuses_new_work`.
+    let server = knn_server(BatcherConfig::default());
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    http::write_request(&mut (&stream), Method::Post, "/admin/drain", &[], b"").expect("send");
+    let response = Conn::new(&stream).read_response().expect("response");
+    assert_eq!(response.status, 202);
+    let doc = jsonio::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
+    assert_eq!(doc.get("status").and_then(Json::as_str), Some("draining"));
+    server.join();
 }
 
 #[test]
